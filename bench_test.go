@@ -415,16 +415,57 @@ func BenchmarkFleet(b *testing.B) {
 	b.Run("u1000000_c256", func(b *testing.B) { benchFleet(b, 1_000_000, 256, 512, 64) })
 }
 
+// --- link-window refill (the fill kernel every provider calls) -------
+
+// benchLinkRefill times the tiled link table's window refill on its own:
+// a table of `users` prewarmed paper sessions and a `tile`-slot window is
+// bounced between the horizon's two windows, so every call below refills
+// users × tile rows. ns/row (a row is one user-slot) is what the perf
+// gate tracks; the all-cores tier beating the one-worker tier is what
+// contiguous user-range shards bought — with one user per shard the
+// workers shared every cache line they wrote and it lost.
+func benchLinkRefill(b *testing.B, users, tile, workers int) {
+	const refillsPerIter = 4 // so -benchtime=1x still averages a few
+	wl, err := workload.Generate(workload.PaperDefaults(users), rng.New(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := cell.PaperConfig()
+	cfg.MaxSlots = 2 * tile
+	cfg.Workers = workers
+	lt, err := cell.CompileLinkTiled(cfg, wl, tile)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < refillsPerIter; k++ {
+			// Window 0 is resident after compilation; alternate from 1.
+			if got := lt.SlotEnergyPerKB(((k + 1) % 2) * tile); len(got) != users {
+				b.Fatalf("slot column has %d rows, want %d", len(got), users)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*refillsPerIter*users*tile), "ns/row")
+}
+
+func BenchmarkLinkRefill(b *testing.B) {
+	b.Run("n100000_t64_w1", func(b *testing.B) { benchLinkRefill(b, 100_000, 64, 1) })
+	b.Run("n100000_t64_wmax", func(b *testing.B) { benchLinkRefill(b, 100_000, 64, 0) })
+}
+
 // --- churn benchmarks (open-system serving path) ---------------------
 
 // benchChurn drives an unbounded open-system engine at steady per-slot
 // churn — every slot departs the oldest session and admits a fresh one —
 // across many tile-window rollovers. Per-slot timings are split into
-// rollover slots (the first slot of each tile window, which used to pay
-// a synchronous full users×window recompile inside the tick) and steady
-// slots; with pipelined window compilation the rollover-x ratio of the
-// two medians stays near 1 (the gate's acceptance bound is 2×). The
-// ns/slot metric is what the benchstat perf gate tracks.
+// rollover slots and steady slots. The engine fuses commit(n) with
+// prepare(n+1), so the window starting at slot k·tile is attached — the
+// background fill awaited and swapped in, or filled on the spot — while
+// slot k·tile−1 ticks: the rollover slots are the *last* slot of each
+// window, (n+1) % tile == 0, as in benchmark/README "Rollover slots".
+// rollover-x is the ratio of the two medians (the gate's acceptance
+// bound is 2×); ns/slot is what the benchstat perf gate tracks.
 func benchChurn(b *testing.B, n, tile, workers int) {
 	const tilesPerIter = 4
 	slotsPerIter := tilesPerIter * tile
@@ -489,7 +530,7 @@ func benchChurn(b *testing.B, n, tile, workers int) {
 			}
 			d := float64(time.Since(start).Nanoseconds())
 			if record {
-				if slot%tile == 0 {
+				if (slot+1)%tile == 0 {
 					roll = append(roll, d)
 				} else {
 					steady = append(steady, d)

@@ -22,11 +22,12 @@ import (
 // admit fresh, advance) across many tile-window rollovers and writes a
 // JSON report (results/BENCH_churn.json is the checked-in baseline).
 // Beyond the ns/slot throughput the report splits per-slot tick times
-// into rollover slots — the first slot of each tile window, which paid a
-// synchronous full users×window recompile before window compilation was
-// pipelined — and steady slots, recording the medians, the rollover p99
-// and the rollover/steady median ratio the ISSUE-10 acceptance bound
-// (≤ 2×) is stated against.
+// into rollover slots and steady slots, recording the medians, the
+// rollover p99 and the rollover/steady median ratio the ISSUE-10
+// acceptance bound (≤ 2×) is stated against. The engine fuses commit(n)
+// with prepare(n+1), so a window is attached (its background fill awaited
+// and swapped in, or filled on the spot) while the *last* slot of the
+// previous window ticks: rollover slots are those with (n+1) % tile == 0.
 
 // churnEntry is one measured (sessions, workers) configuration.
 type churnEntry struct {
@@ -132,7 +133,7 @@ func measureChurnOnce(n, tile, slots, workers int) (churnEntry, error) {
 			continue
 		}
 		total += d
-		if slot%tile == 0 {
+		if (slot+1)%tile == 0 {
 			roll = append(roll, d)
 		} else {
 			steady = append(steady, d)

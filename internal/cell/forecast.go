@@ -24,20 +24,16 @@ import (
 // tables return a view of the resident block (recompiled if needed) that
 // the next window advance invalidates.
 func (t *LinkTable) SlotEnergyPerKB(n int) []units.MJ {
-	t.ensureSlot(n)
-	lo := (n - t.base) * t.users
-	hi := lo + t.users
-	return t.epkb[lo:hi:hi]
+	_, _, epkb, _, _ := t.slotColumns(n)
+	return epkb
 }
 
 // SlotLinkUnits returns slot n's per-user Eq. (1) unit-limit column as a
 // zero-copy reslice of the table, with the same validity rules as
 // SlotEnergyPerKB.
 func (t *LinkTable) SlotLinkUnits(n int) []int32 {
-	t.ensureSlot(n)
-	lo := (n - t.base) * t.users
-	hi := lo + t.users
-	return t.linkUnits[lo:hi:hi]
+	_, _, _, _, lu := t.slotColumns(n)
+	return lu
 }
 
 // MaxLinkUnits returns the largest Eq. (1) per-user unit limit anywhere
@@ -47,7 +43,7 @@ func (t *LinkTable) SlotLinkUnits(n int) []int32 {
 // the sole consumer, rejects tiled tables for this reason).
 func (t *LinkTable) MaxLinkUnits() int {
 	var m int32
-	for _, lu := range t.linkUnits {
+	for _, lu := range t.lu {
 		if lu > m {
 			m = lu
 		}
@@ -77,7 +73,7 @@ func (t *LinkTable) Forecast() sched.Forecast {
 
 // computedForecast serves a tiled table's predictions by recomputation:
 // each read evaluates the same signal/LUT-or-analytic/floor expressions
-// recompile writes into the resident block, so predictions equal the
+// the fill writes into the resident block, so predictions equal the
 // monolithic table's columns bitwise without requiring residency.
 type computedForecast struct{ t *LinkTable }
 
@@ -97,13 +93,9 @@ func (f computedForecast) PredictedLinkUnits(n, i int) int {
 }
 
 // evalRow evaluates one (slot, user) link entry through the same
-// expressions recompile uses for the resident block.
+// expressions the fill uses for the resident block.
 func (t *LinkTable) evalRow(n, i int) (units.KBps, units.MJ) {
-	sig := t.src.sessions[i].Signal.At(n)
-	if t.lut {
-		return t.src.lutTab.Lookup(sig)
-	}
-	return t.src.radio.Throughput.Throughput(sig), t.src.radio.Power.EnergyPerKB(sig)
+	return t.fill.eval(t.sessions[i].Signal.At(n))
 }
 
 // HorizonSlots implements sched.Forecast.
@@ -116,7 +108,7 @@ func (f tableForecast) PredictedEnergyPerKB(n, i int) units.MJ {
 
 // PredictedLinkUnits implements sched.Forecast.
 func (f tableForecast) PredictedLinkUnits(n, i int) int {
-	return int(f.t.linkUnits[n*f.t.users+i])
+	return int(f.t.lu[n*f.t.users+i])
 }
 
 // PredictedWindow implements sched.SlotWindower.
@@ -201,7 +193,7 @@ func (f *NoisyForecast) PredictedEnergyPerKB(n, i int) units.MJ {
 
 // PredictedLinkUnits implements sched.Forecast.
 func (f *NoisyForecast) PredictedLinkUnits(n, i int) int {
-	lu := int(math.Round(float64(f.t.linkUnits[n*f.t.users+i]) * f.factor(n, i, noiseSaltLink)))
+	lu := int(math.Round(float64(f.t.lu[n*f.t.users+i]) * f.factor(n, i, noiseSaltLink)))
 	if lu < 0 {
 		return 0
 	}

@@ -2,12 +2,8 @@ package cell
 
 import (
 	"fmt"
-	"math"
 	"runtime"
-	"unsafe"
 
-	"jointstream/internal/pool"
-	"jointstream/internal/radio"
 	"jointstream/internal/units"
 	"jointstream/internal/workload"
 )
@@ -18,20 +14,20 @@ import (
 // throughput, per-KB energy, required rate, and the Eq. (1) link limit in
 // units. The tick path's prepare phase then aliases each slot's column
 // window (a zero-copy reslice per column, never a copy) straight into the
-// sched.Columns view instead of materializing per-user structs, and the
-// radio curves are evaluated through a quantized radio.Table when (and
-// only when) that table is bitwise-exact for the run's model, so
-// flattening can never perturb the physics. RunReference deliberately
-// ignores the table, which makes the engine differential tests assert
-// flattened == analytic on every slot.
+// sched.Columns view instead of materializing per-user structs. The
+// columns are produced by the link-window fill (linkfill.go), which
+// evaluates the radio curves through a radio.Table when (and only when)
+// that table is bitwise-exact for the run's model, so flattening can
+// never perturb the physics. RunReference deliberately ignores the table,
+// which makes the engine differential tests assert flattened == analytic
+// on every slot.
 
 // linkRowBytes is the per-user-slot footprint across the parallel column
-// arrays, so MemoryBytes (and the row-cap sizing math) track the layout.
-const linkRowBytes = int64(unsafe.Sizeof(units.DBm(0)) + // sig
-	unsafe.Sizeof(units.KBps(0)) + // link
-	unsafe.Sizeof(units.MJ(0)) + // epkb
-	unsafe.Sizeof(units.KBps(0)) + // rate
-	unsafe.Sizeof(int32(0))) // linkUnits
+// arrays — four 8-byte columns (sig, link, epkb, rate) and the int32 unit
+// limit — which the row-cap sizing math rests on. (A table whose sessions
+// all have a constant required rate keeps one rate row for every slot and
+// is 8 bytes per row smaller; MemoryBytes reports what is resident.)
+const linkRowBytes = 4*8 + 4
 
 // LinkTable is the flattened link view of one workload under one radio
 // model and slot grid. A monolithic table (CompileLink) is immutable and
@@ -42,63 +38,43 @@ const linkRowBytes = int64(unsafe.Sizeof(units.DBm(0)) + // sig
 // this shared memory read-only.
 //
 // A tiled table (CompileLinkTiled) keeps only a sliding window of slots
-// resident and recompiles the block in place as the engine's slot clock
+// resident and refills the block in place as the engine's slot clock
 // advances past it, bounding the footprint at users × window rows instead
 // of users × horizon. That makes it mutable and single-owner: it must not
 // be shared across simulators (New rejects a tiled Config.Link), and the
 // column views it returns are valid only until the next slot outside the
 // resident window is requested. Every row a tiled table serves is
 // bitwise-identical to the monolithic table's row for the same (slot,
-// user) — see recompile for why — which the tiled differential tests
-// assert end to end.
+// user) — both come out of the same fill — which the tiled differential
+// tests assert end to end.
 type LinkTable struct {
 	users int
 	slots int
 	tau   units.Seconds
 	unit  units.KB
-	lut   bool // columns were produced through an exact radio.Table
+	lut   bool // the fill went through an exact radio.Table
 
-	// Slot-major parallel columns, indexed by (n-base)*users+i (base is 0
-	// and never moves for monolithic tables): the window
-	// [(n-base)*users, (n-base+1)*users) is slot n's per-user column.
-	sig  []units.DBm
-	link []units.KBps
-	epkb []units.MJ
-	rate []units.KBps
-	// linkUnits is ⌊τ·v(sig)/δ⌋, the Eq. (1) per-user limit before the
-	// remaining-demand cap.
-	linkUnits []int32
+	// Slot-major parallel columns: slot n's per-user window sits at slot
+	// offset n-base (base is 0 and never moves for monolithic tables).
+	linkCols
 
-	// Tiling state; zero/nil for monolithic tables (window == 0).
-	window   int         // resident slot capacity (0 = monolithic, all slots resident)
-	base     int         // first resident slot
-	resident int         // resident slot count: min(window, slots-base)
-	src      *linkSource // retained compile inputs for window advances
+	// Tiling state; zero/nil for monolithic tables (window == 0), which
+	// drop the filler and the sessions once compiled.
+	fill     *linkFiller
+	sessions []*workload.Session
+	window   int // resident slot capacity (0 = monolithic, all slots resident)
+	base     int // first resident slot
+	resident int // resident slot count: min(window, slots-base)
 
-	// rows, when non-nil, restricts recompile to those user rows (the
+	// rows, when non-nil, restricts refills to those user rows (the
 	// engine's live set): rows the engine will never read again — retired
 	// users — keep stale values instead of being recomputed every window
 	// crossing. nil means every row. The engine refreshes it per attach
 	// (setRows) and only once no future admissions remain, so every row a
-	// prepare or commit can read is always freshly compiled; direct
+	// prepare or commit can read is always freshly filled; direct
 	// slotColumns users (tests, tools) leave it nil and get full blocks.
 	rows []int
 }
-
-// linkSource retains what a tiled table needs to recompile a block: the
-// prewarmed sessions, the radio model, the (exact-only) LUT and the
-// worker bound. Monolithic tables drop all of it after compilation.
-type linkSource struct {
-	sessions []*workload.Session
-	radio    radio.Model
-	lutTab   *radio.Table // nil unless the LUT is provably exact
-	workers  int
-}
-
-// linkTableBins is the quantizer resolution of the radio LUT used during
-// flattening. For the paper's affine fits any bin count is exact; for
-// generic models the compiler falls back to direct calls regardless.
-const linkTableBins = 4096
 
 // DefaultLinkTableMaxRows caps the automatic link-table compilation in
 // New at users×MaxSlots rows (linkRowBytes each): 4M rows ≈ 144 MB with
@@ -112,6 +88,34 @@ const DefaultLinkTableMaxRows = 4 << 20
 // (idempotent if the caller already did), so the produced values are
 // exactly the ones the uncompiled tick path would compute.
 func CompileLink(cfg Config, sessions []*workload.Session) (*LinkTable, error) {
+	return compileLink(cfg, sessions, cfg.MaxSlots)
+}
+
+// CompileLinkTiled builds a tiled link table: only `window` consecutive
+// slots are resident at a time (users × window rows), and requesting a
+// slot outside the resident block refills the block in place starting at
+// that slot. The engine's strictly advancing slot clock therefore pays
+// one window fill every `window` slots and holds users × window rows of
+// link state no matter how long the horizon is — the property the fleet
+// runner's memory budget rests on.
+//
+// Every row served is bitwise-identical to CompileLink's row for the same
+// (slot, user): one fill kernel writes both, and it consults the radio
+// table only when the table is exact — a property of the model, with no
+// signal domain to observe first.
+//
+// A window ≥ cfg.MaxSlots degenerates to (and returns) the monolithic
+// table. The returned tiled table is mutable single-owner state: attach
+// it to exactly one Simulator (via Config.LinkTileSlots, which calls
+// this), never via the shared Config.Link.
+func CompileLinkTiled(cfg Config, sessions []*workload.Session, window int) (*LinkTable, error) {
+	if window <= 0 {
+		return nil, fmt.Errorf("cell: non-positive link tile window %d", window)
+	}
+	return compileLink(cfg, sessions, window)
+}
+
+func compileLink(cfg Config, sessions []*workload.Session, window int) (*LinkTable, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -123,163 +127,52 @@ func CompileLink(cfg Config, sessions []*workload.Session) (*LinkTable, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	users, slots := len(sessions), cfg.MaxSlots
+	// Prewarm to the horizon: a no-op for the stateless traces fleet
+	// workloads use, and for memoizing traces it front-loads the memo
+	// growth so no fill, tiled or not, ever extends one.
 	workload.PrewarmAll(workers, sessions, slots)
-
-	t := &LinkTable{
-		users:     users,
-		slots:     slots,
-		tau:       cfg.Tau,
-		unit:      cfg.Unit,
-		sig:       make([]units.DBm, users*slots),
-		link:      make([]units.KBps, users*slots),
-		epkb:      make([]units.MJ, users*slots),
-		rate:      make([]units.KBps, users*slots),
-		linkUnits: make([]int32, users*slots),
-	}
-
-	// Pass A: flatten the stochastic per-user sequences (signal, rate)
-	// and find the observed signal domain for the quantizer. Each shard
-	// owns one user's column, so shards write disjoint entries.
-	type sigRange struct{ lo, hi float64 }
-	ranges := make([]sigRange, users)
-	pool.Shard(workers, users, func(i int) {
-		sess := sessions[i]
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for n := 0; n < slots; n++ {
-			sig := sess.Signal.At(n)
-			t.sig[n*users+i] = sig
-			t.rate[n*users+i] = sess.RateAt(n)
-			if float64(sig) < lo {
-				lo = float64(sig)
-			}
-			if float64(sig) > hi {
-				hi = float64(sig)
-			}
-		}
-		ranges[i] = sigRange{lo, hi}
-	})
-	lo, hi := ranges[0].lo, ranges[0].hi
-	for _, r := range ranges[1:] {
-		lo, hi = math.Min(lo, r.lo), math.Max(hi, r.hi)
-	}
-
-	// Pass B: evaluate the radio curves. The quantized LUT is used only
-	// when it is provably bitwise-exact for this model; otherwise each
-	// entry calls the analytic model directly (still once per user-slot,
-	// still outside the tick path).
-	lut, err := radio.NewTable(cfg.Radio, units.DBm(lo), units.DBm(hi), linkTableBins)
+	fill, err := newLinkFiller(cfg.Radio, cfg.Tau, cfg.Unit, workers, users)
 	if err != nil {
 		return nil, err
 	}
-	t.lut = lut.Exact()
-	tau, unit := float64(cfg.Tau), float64(cfg.Unit)
-	pool.Shard(workers, users, func(i int) {
-		for n := 0; n < slots; n++ {
-			idx := n*users + i
-			var v units.KBps
-			var p units.MJ
-			if t.lut {
-				v, p = lut.Lookup(t.sig[idx])
-			} else {
-				v = cfg.Radio.Throughput.Throughput(t.sig[idx])
-				p = cfg.Radio.Power.EnergyPerKB(t.sig[idx])
-			}
-			t.link[idx] = v
-			t.epkb[idx] = p
-			t.linkUnits[idx] = int32(floorUnits(float64(v)*tau, unit))
-		}
-	})
-	return t, nil
-}
-
-// CompileLinkTiled builds a tiled link table: only `window` consecutive
-// slots are resident at a time (users × window rows, linkRowBytes each),
-// and requesting a slot outside the resident block recompiles the block
-// in place starting at that slot. The engine's strictly advancing slot
-// clock therefore pays one block recompilation every `window` slots and
-// holds users × window rows of link state no matter how long the horizon
-// is — the property the fleet runner's memory budget rests on.
-//
-// Every row served is bitwise-identical to CompileLink's row for the same
-// (slot, user): the per-entry expressions are the same, and the radio LUT
-// is consulted only when provably exact, in which case its output equals
-// the analytic model's at every signal value regardless of the domain the
-// quantizer was built over (each bin of an exact table carries the fit's
-// own coefficients). A non-exact model evaluates analytically per entry,
-// exactly as CompileLink does. Monolithic compilation observes the whole
-// horizon's signal range before building its LUT; tiled compilation
-// cannot, and does not need to — exactness is a property of the model,
-// not the domain.
-//
-// A window ≥ cfg.MaxSlots degenerates to (and returns) the monolithic
-// table. The returned tiled table is mutable single-owner state: attach
-// it to exactly one Simulator (via Config.LinkTileSlots, which calls
-// this), never via the shared Config.Link.
-func CompileLinkTiled(cfg Config, sessions []*workload.Session, window int) (*LinkTable, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("cell: non-positive link tile window %d", window)
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(sessions) == 0 {
-		return nil, fmt.Errorf("cell: link table needs at least one session")
-	}
-	if window >= cfg.MaxSlots {
-		return CompileLink(cfg, sessions)
-	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	users := len(sessions)
-	// Prewarm to the horizon like CompileLink: a no-op for the stateless
-	// traces fleet workloads use, and for memoizing traces it only
-	// front-loads the memo fill the per-tile At calls would do anyway
-	// (values are identical either way).
-	workload.PrewarmAll(workers, sessions, cfg.MaxSlots)
-
-	// Probe the model for LUT exactness over an arbitrary domain (the
-	// paper's evaluation bounds); see the function comment for why the
-	// domain is irrelevant to an exact table's output.
-	lut, err := radio.NewTable(cfg.Radio, -110, -50, linkTableBins)
-	if err != nil {
-		return nil, err
+	constRate := true
+	for _, sess := range sessions {
+		constRate = constRate && sess.RateJitter == 0
 	}
 	t := &LinkTable{
-		users:     users,
-		slots:     cfg.MaxSlots,
-		tau:       cfg.Tau,
-		unit:      cfg.Unit,
-		lut:       lut.Exact(),
-		sig:       make([]units.DBm, users*window),
-		link:      make([]units.KBps, users*window),
-		epkb:      make([]units.MJ, users*window),
-		rate:      make([]units.KBps, users*window),
-		linkUnits: make([]int32, users*window),
-		window:    window,
-		src:       &linkSource{sessions: sessions, radio: cfg.Radio, workers: workers},
+		users:    users,
+		slots:    slots,
+		tau:      cfg.Tau,
+		unit:     cfg.Unit,
+		lut:      fill.tab != nil,
+		resident: min(window, slots),
 	}
-	if t.lut {
-		t.src.lutTab = lut
+	t.linkCols = newLinkCols(users, t.resident, constRate)
+	if window < slots {
+		t.window, t.fill, t.sessions = window, fill, sessions
 	}
-	t.recompile(0)
+	fill.fill(&t.linkCols, sessions, nil, users, 0, t.resident)
 	return t, nil
 }
 
-// ensureSlot makes slot n resident, recompiling the block to start at n
+// ensureSlot makes slot n resident, refilling the block to start at n
 // when it is not. Monolithic tables keep every slot resident.
 func (t *LinkTable) ensureSlot(n int) {
-	if t.window == 0 || (n >= t.base && n < t.base+t.resident) {
+	if !t.willEvict(n) {
 		return
 	}
 	if n < 0 || n >= t.slots {
 		panic(fmt.Sprintf("cell: link table slot %d outside horizon %d", n, t.slots))
 	}
-	t.recompile(n)
+	t.base, t.resident = n, min(t.window, t.slots-n)
+	// Live-row refill: with t.rows set, only the rows the engine can still
+	// read are recomputed. The values written are identical to the full
+	// pass — stale rows are exactly the ones no reader reaches — so a
+	// run's Result is unchanged for any worker count.
+	t.fill.fill(&t.linkCols, t.sessions, t.rows, t.users, n, n+t.resident)
 }
 
-// willEvict reports whether making slot n resident would recompile the
+// willEvict reports whether making slot n resident would refill the
 // block, invalidating every column view previously returned. The engine
 // consults it before the fused pass to know when the pinned previous-slot
 // columns must be copied instead of aliased.
@@ -287,53 +180,7 @@ func (t *LinkTable) willEvict(n int) bool {
 	return t.window > 0 && (n < t.base || n >= t.base+t.resident)
 }
 
-// recompile fills the resident block with slots [base, min(base+window,
-// slots)). The per-entry expressions mirror CompileLink's two passes
-// exactly — flatten sig/rate, then evaluate the radio curves through the
-// exact LUT or the analytic interfaces — so each row is bitwise-identical
-// to the monolithic table's. Shards own users (columns within the block),
-// matching CompileLink's write-disjointness.
-func (t *LinkTable) recompile(base int) {
-	hi := base + t.window
-	if hi > t.slots {
-		hi = t.slots
-	}
-	src := t.src
-	tau, unit := float64(t.tau), float64(t.unit)
-	fill := func(i int) {
-		sess := src.sessions[i]
-		for n := base; n < hi; n++ {
-			idx := (n-base)*t.users + i
-			sig := sess.Signal.At(n)
-			var v units.KBps
-			var p units.MJ
-			if t.lut {
-				v, p = src.lutTab.Lookup(sig)
-			} else {
-				v = src.radio.Throughput.Throughput(sig)
-				p = src.radio.Power.EnergyPerKB(sig)
-			}
-			t.sig[idx] = sig
-			t.rate[idx] = sess.RateAt(n)
-			t.link[idx] = v
-			t.epkb[idx] = p
-			t.linkUnits[idx] = int32(floorUnits(float64(v)*tau, unit))
-		}
-	}
-	if rows := t.rows; rows != nil && len(rows) < t.users {
-		// Live-row recompile: only the rows the engine can still read are
-		// recomputed. The values written are identical to the full pass —
-		// stale rows are exactly the ones no reader reaches — so a run's
-		// Result is unchanged for any worker count.
-		pool.Shard(src.workers, len(rows), func(j int) { fill(rows[j]) })
-	} else {
-		pool.Shard(src.workers, t.users, fill)
-	}
-	t.base = base
-	t.resident = hi - base
-}
-
-// setRows installs the live-row set the next recompile is restricted to
+// setRows installs the live-row set the next refill is restricted to
 // (nil = every row). The engine passes its live list only when no
 // pending admissions remain, so no future reader can touch a skipped
 // row; the slice is read synchronously inside the next slotColumns call
@@ -358,7 +205,7 @@ func (t *LinkTable) Tau() units.Seconds { return t.tau }
 func (t *LinkTable) Unit() units.KB { return t.unit }
 
 // ViaLUT reports whether the columns were produced through an exact
-// quantized radio.Table (false means direct analytic evaluation).
+// radio.Table (false means direct analytic evaluation).
 func (t *LinkTable) ViaLUT() bool { return t.lut }
 
 // TileWindow returns the resident slot window of a tiled table, or 0 for
@@ -367,14 +214,10 @@ func (t *LinkTable) TileWindow() int { return t.window }
 
 // MemoryBytes returns the resident size of the packed column arrays:
 // users × horizon rows for a monolithic table, users × window for a
-// tiled one (linkRowBytes per row either way).
-func (t *LinkTable) MemoryBytes() int64 {
-	slots := t.slots
-	if t.window > 0 {
-		slots = t.window
-	}
-	return int64(t.users) * int64(slots) * linkRowBytes
-}
+// tiled one, at linkRowBytes per row — less 8 per row beyond the first
+// slot when every session's required rate is constant and one rate row
+// serves all slots.
+func (t *LinkTable) MemoryBytes() int64 { return t.linkCols.bytes() }
 
 // slotColumns returns zero-copy views of slot n's per-user columns. The
 // engine aliases these directly into the sched.Columns slot view; they
@@ -384,9 +227,7 @@ func (t *LinkTable) MemoryBytes() int64 {
 // invalidated by the next slotColumns call that advances the window.
 func (t *LinkTable) slotColumns(n int) (sig []units.DBm, link []units.KBps, epkb []units.MJ, rate []units.KBps, linkUnits []int32) {
 	t.ensureSlot(n)
-	lo := (n - t.base) * t.users
-	hi := lo + t.users
-	return t.sig[lo:hi:hi], t.link[lo:hi:hi], t.epkb[lo:hi:hi], t.rate[lo:hi:hi], t.linkUnits[lo:hi:hi]
+	return t.slot(n-t.base, t.users)
 }
 
 // linkVerifySamples bounds the per-attach entry re-derivations performed
@@ -436,8 +277,8 @@ func (t *LinkTable) compatible(cfg Config, sessions []*workload.Session) error {
 		if sig := sess.Signal.At(n); t.sig[idx] != sig {
 			return fmt.Errorf("cell: link table user %d slot %d: signal %v != session's %v (compiled from a different workload?)", i, n, t.sig[idx], sig)
 		}
-		if rate := sess.RateAt(n); t.rate[idx] != rate {
-			return fmt.Errorf("cell: link table user %d slot %d: rate %v != session's %v (compiled from a different workload?)", i, n, t.rate[idx], rate)
+		if rate := sess.RateAt(n); t.rate[n*t.rateStride+i] != rate {
+			return fmt.Errorf("cell: link table user %d slot %d: rate %v != session's %v (compiled from a different workload?)", i, n, t.rate[n*t.rateStride+i], rate)
 		}
 		if v := cfg.Radio.Throughput.Throughput(t.sig[idx]); t.link[idx] != v {
 			return fmt.Errorf("cell: link table user %d slot %d: throughput %v != model's %v (compiled under a different radio model?)", i, n, t.link[idx], v)
@@ -445,8 +286,8 @@ func (t *LinkTable) compatible(cfg Config, sessions []*workload.Session) error {
 		if p := cfg.Radio.Power.EnergyPerKB(t.sig[idx]); t.epkb[idx] != p {
 			return fmt.Errorf("cell: link table user %d slot %d: energy/KB %v != model's %v (compiled under a different radio model?)", i, n, t.epkb[idx], p)
 		}
-		if lu := int32(floorUnits(float64(t.link[idx])*tau, unit)); t.linkUnits[idx] != lu {
-			return fmt.Errorf("cell: link table user %d slot %d: link units %d != derived %d", i, n, t.linkUnits[idx], lu)
+		if lu := int32(floorUnits(float64(t.link[idx])*tau, unit)); t.lu[idx] != lu {
+			return fmt.Errorf("cell: link table user %d slot %d: link units %d != derived %d", i, n, t.lu[idx], lu)
 		}
 	}
 	return nil

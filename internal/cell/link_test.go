@@ -82,24 +82,24 @@ func TestLinkTableMatchesAnalytic(t *testing.T) {
 			}
 			tau, unit := float64(cfg.Tau), float64(cfg.Unit)
 			for n := 0; n < slots; n++ {
+				sigs, links, epkbs, rates, lus := lt.slotColumns(n)
 				for i, sess := range sessions {
-					idx := n*users + i
 					sig := sess.Signal.At(n)
-					if lt.sig[idx] != sig {
-						t.Fatalf("user %d slot %d: sig %v != %v", i, n, lt.sig[idx], sig)
+					if sigs[i] != sig {
+						t.Fatalf("user %d slot %d: sig %v != %v", i, n, sigs[i], sig)
 					}
-					if v := cfg.Radio.Throughput.Throughput(sig); lt.link[idx] != v {
-						t.Fatalf("user %d slot %d: link %v != %v", i, n, lt.link[idx], v)
+					if v := cfg.Radio.Throughput.Throughput(sig); links[i] != v {
+						t.Fatalf("user %d slot %d: link %v != %v", i, n, links[i], v)
 					}
-					if p := cfg.Radio.Power.EnergyPerKB(sig); lt.epkb[idx] != p {
-						t.Fatalf("user %d slot %d: energy/KB %v != %v", i, n, lt.epkb[idx], p)
+					if p := cfg.Radio.Power.EnergyPerKB(sig); epkbs[i] != p {
+						t.Fatalf("user %d slot %d: energy/KB %v != %v", i, n, epkbs[i], p)
 					}
-					if rate := sess.RateAt(n); lt.rate[idx] != rate {
-						t.Fatalf("user %d slot %d: rate %v != %v", i, n, lt.rate[idx], rate)
+					if rate := sess.RateAt(n); rates[i] != rate {
+						t.Fatalf("user %d slot %d: rate %v != %v", i, n, rates[i], rate)
 					}
 					want := floorUnits(float64(cfg.Radio.Throughput.Throughput(sig))*tau, unit)
-					if int(lt.linkUnits[idx]) != want {
-						t.Fatalf("user %d slot %d: linkUnits %d != %d", i, n, lt.linkUnits[idx], want)
+					if int(lus[i]) != want {
+						t.Fatalf("user %d slot %d: linkUnits %d != %d", i, n, lus[i], want)
 					}
 				}
 			}
@@ -260,8 +260,9 @@ func TestRunReferenceKeepsLinkTable(t *testing.T) {
 }
 
 // TestCompileLinkUsesLUTForPaperModel pins that the paper model goes
-// through the exact quantized radio table (the devirtualized path) and
-// that MemoryBytes reflects the packed layout.
+// through the exact radio table (the devirtualized path) and that
+// MemoryBytes reflects the packed layout: constant-rate sessions share
+// one rate row across all slots.
 func TestCompileLinkUsesLUTForPaperModel(t *testing.T) {
 	wl, err := workload.Generate(workload.PaperDefaults(3), rng.New(5))
 	if err != nil {
@@ -276,7 +277,7 @@ func TestCompileLinkUsesLUTForPaperModel(t *testing.T) {
 	if !lt.ViaLUT() {
 		t.Error("paper model did not compile through the exact LUT")
 	}
-	if got, want := lt.MemoryBytes(), int64(3*50)*linkRowBytes; got != want {
+	if got, want := lt.MemoryBytes(), int64(3*50)*(linkRowBytes-8)+3*8; got != want {
 		t.Errorf("MemoryBytes %d, want %d", got, want)
 	}
 }

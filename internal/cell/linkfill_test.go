@@ -1,0 +1,211 @@
+package cell
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"jointstream/internal/radio"
+	"jointstream/internal/rng"
+	"jointstream/internal/sched"
+	"jointstream/internal/signal"
+	"jointstream/internal/units"
+	"jointstream/internal/workload"
+)
+
+// fillWorkload is n generated sessions (memoizing or stateless sine, with
+// or without rate jitter) with every fifth one switched to a trace kind
+// that has no signal.Filler, so one block stages all the paths.
+func fillWorkload(t *testing.T, n int, jitterFrac float64, stateless bool) []*workload.Session {
+	t.Helper()
+	wc := workload.PaperDefaults(n)
+	wc.SizeMin, wc.SizeMax = 2000, 9000
+	wc.RateJitterFrac = jitterFrac
+	wc.StatelessSignal = stateless
+	wc.MeanInterarrival = 0.05
+	wl, err := workload.Generate(wc, rng.New(17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(23)
+	for i := 0; i < n; i += 5 {
+		var tr signal.Trace
+		switch (i / 5) % 3 {
+		case 0:
+			tr, err = signal.NewRandomWalk(signal.RandomWalkConfig{Bounds: signal.DefaultBounds, Start: -80, StepStd: 2.5}, src)
+		case 1:
+			tr, err = signal.NewGilbertElliott(signal.GilbertElliottConfig{Bounds: signal.DefaultBounds, Good: -60, Bad: -100, PGoodToBad: 0.05, PBadToGood: 0.1, JitterStd: 3}, src)
+		default:
+			tr = signal.Constant(units.DBm(-55-float64(i%50)), signal.DefaultBounds)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		wl[i].Signal = tr
+	}
+	return wl
+}
+
+// chordRadio is a model with no exact table: the fill must evaluate it
+// through the interfaces.
+func chordRadio(t *testing.T) radio.Model {
+	t.Helper()
+	pw, err := radio.NewPiecewiseLinear([]radio.Point{{Sig: -110, Rate: 300}, {Sig: -90, Rate: 900}, {Sig: -70, Rate: 2500}, {Sig: -50, Rate: 4200}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return radio.Model{Throughput: pw, Power: radio.FittedPower{Base: -0.167, Scale: 1560, V: pw}}
+}
+
+// checkRowsAnalytic asserts that slot n's columns hold, for every listed
+// row, exactly what prepareUser would compute through the interfaces.
+func checkRowsAnalytic(t *testing.T, lt *LinkTable, cfg Config, wl []*workload.Session, n int, rows []int) {
+	t.Helper()
+	sig, link, epkb, rate, lu := lt.slotColumns(n)
+	tau, unit := float64(cfg.Tau), float64(cfg.Unit)
+	for _, i := range rows {
+		s := wl[i].Signal.At(n)
+		v := cfg.Radio.Throughput.Throughput(s)
+		if sig[i] != s || link[i] != v || epkb[i] != cfg.Radio.Power.EnergyPerKB(s) ||
+			rate[i] != wl[i].RateAt(n) || int(lu[i]) != floorUnits(float64(v)*tau, unit) {
+			t.Fatalf("slot %d user %d: row (%v %v %v %v %d) != analytic (%v %v %v %v %d)", n, i,
+				sig[i], link[i], epkb[i], rate[i], lu[i],
+				s, v, cfg.Radio.Power.EnergyPerKB(s), wl[i].RateAt(n), floorUnits(float64(v)*tau, unit))
+		}
+	}
+}
+
+// TestFillKernelMatchesAnalytic is the kernel's keystone: for a user count
+// that is not a multiple of the shard width, a window that does not
+// divide the horizon, every worker count, constant and jittered rates,
+// exact-table and interface-only radio models, each row of the monolithic
+// and of the tiled table equals the analytic path's, bit for bit — and a
+// live-row refill (setRows) rewrites exactly the listed rows.
+func TestFillKernelMatchesAnalytic(t *testing.T) {
+	const users, slots, window = 2*fillUsers + 37, 150, 64
+	all := make([]int, users)
+	for i := range all {
+		all[i] = i
+	}
+	// Runs of one, a long run across a shard boundary, and the last row.
+	var live []int
+	for i := 0; i < users; i++ {
+		if i%3 == 0 || (i > fillUsers-20 && i < fillUsers+90) || i == users-1 {
+			live = append(live, i)
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		jitter    float64
+		stateless bool
+		chord     bool
+	}{{"const-rate", 0, false, false}, {"jitter", 0.2, false, false}, {"stateless", 0, true, false}, {"chord-radio", 0.2, false, true}} {
+		for _, workers := range []int{1, 2, 3, 8} {
+			t.Run(fmt.Sprintf("%s/w%d", tc.name, workers), func(t *testing.T) {
+				wl := fillWorkload(t, users, tc.jitter, tc.stateless)
+				cfg := PaperConfig()
+				cfg.MaxSlots, cfg.Workers = slots, workers
+				if tc.chord {
+					cfg.Radio = chordRadio(t)
+				}
+				mono, err := CompileLink(cfg, wl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tiled, err := CompileLinkTiled(cfg, wl, window)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mono.ViaLUT() == tc.chord || tiled.ViaLUT() == tc.chord {
+					t.Fatalf("ViaLUT mono=%v tiled=%v with chord=%v", mono.ViaLUT(), tiled.ViaLUT(), tc.chord)
+				}
+				if shared := mono.rateStride == 0; shared != (tc.jitter == 0) {
+					t.Fatalf("shared rate row = %v with jitter %v", shared, tc.jitter)
+				}
+				for n := 0; n < slots; n++ {
+					checkRowsAnalytic(t, mono, cfg, wl, n, all)
+					checkRowsAnalytic(t, tiled, cfg, wl, n, all)
+				}
+
+				// Live-row refill: jump back to slot 0, then forward to a short
+				// window (the block restarts at the requested slot) with only
+				// the live rows listed; the others keep slot 0's values.
+				tiled.slotColumns(0)
+				tiled.setRows(live)
+				checkRowsAnalytic(t, tiled, cfg, wl, 2*window+5, live)
+				checkRowsAnalytic(t, tiled, cfg, wl, slots-1, live)
+				sig, _, _, _, _ := tiled.slotColumns(2*window + 5)
+				stale, _, _, _, _ := mono.slotColumns(0)
+				isLive := make(map[int]bool, len(live))
+				for _, i := range live {
+					isLive[i] = true
+				}
+				for i := range sig {
+					if !isLive[i] && sig[i] != stale[i] {
+						t.Fatalf("row %d is not live but was refilled", i)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestOpenTileMatchesAnalyticAtScale runs a bounded open cell wider than
+// one shard, on memoizing traces with rate jitter, with the tile's
+// background fills racing the tick on several workers while sessions
+// depart (leaving holes in the live-row list) and arrive; the result must
+// be byte-identical to the same script without the tile. Under -race this
+// is also the check that a fill never grows a trace memo: the tile stops
+// filling at the horizon the sessions were prewarmed to.
+func TestOpenTileMatchesAnalyticAtScale(t *testing.T) {
+	const initial, late, slots = 2*fillUsers + 60, 40, 100
+	script := func(tileSlots int) (*Result, OpenStats) {
+		wl := fillWorkload(t, initial+late, 0.2, false)
+		cfg := PaperConfig()
+		cfg.Capacity = units.KBps(initial * 400)
+		cfg.MaxSlots, cfg.Workers, cfg.RunFullHorizon = slots, 3, true
+		o, err := NewOpen(OpenConfig{Cell: cfg, MaxSessions: initial + late, TileSlots: tileSlots}, wl[:initial], sched.NewDefault())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.Stop()
+		if err := o.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		next := initial
+		for n := 5; n <= slots; n += 5 {
+			if _, err := o.AdvanceTo(n); err != nil {
+				t.Fatal(err)
+			}
+			// Four departures spread over the table, two arrivals: the
+			// live-row list thins out and is refilled lowest slot first.
+			for k := 0; k < 4; k++ {
+				if ser, ok := o.Serial((n*37 + k*151) % initial); ok {
+					if _, err := o.DepartSerial(-1, ser); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for k := 0; k < 2 && next < len(wl) && n < slots; k++ {
+				if _, err := o.Admit(wl[next]); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			}
+		}
+		return o.Finish(), o.Stats()
+	}
+	resA, stA := script(0)
+	resB, stB := script(16)
+	if !reflect.DeepEqual(resA, resB) {
+		t.Fatalf("tiled open run differs from analytic: energy %v vs %v, rebuffer %v vs %v",
+			resA.TotalEnergy(), resB.TotalEnergy(), resA.TotalRebuffer(), resB.TotalRebuffer())
+	}
+	if stA != stB {
+		t.Fatalf("stats differ: analytic %+v, tiled %+v", stA, stB)
+	}
+	if stA.Departed == 0 || stA.Admitted <= initial {
+		t.Fatalf("script exercised no churn: %+v", stA)
+	}
+}

@@ -39,8 +39,6 @@ import (
 
 	"jointstream/internal/abr"
 	"jointstream/internal/metrics"
-	"jointstream/internal/pool"
-	"jointstream/internal/radio"
 	"jointstream/internal/sched"
 	"jointstream/internal/signal"
 	"jointstream/internal/units"
@@ -305,7 +303,9 @@ func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*O
 	}
 	o.eng = eng
 	if cfg.TileSlots > 0 {
-		eng.openTile = newOpenTile(eng, cfg.TileSlots, cfg.MaxSessions, cfg.Unbounded)
+		if eng.openTile, err = newOpenTile(eng, cfg.TileSlots, cfg.MaxSessions, cfg.Unbounded); err != nil {
+			return nil, err
+		}
 	}
 	o.ended = make([]bool, len(initial))
 	o.owned = make([]bool, len(initial))
@@ -446,7 +446,7 @@ func (o *OpenSim) Admit(sess *workload.Session) (int, error) {
 		clone.Prewarm(s.cfg.MaxSlots)
 	}
 	if s.openTile != nil {
-		s.openTile.admitRow(idx, clone)
+		s.openTile.admitRow(idx)
 		if s.colsSlot == s.nextSlot {
 			// The next slot's columns are already prepared (fused pass):
 			// re-alias the static columns so they cover the grown table.
@@ -1002,36 +1002,30 @@ func removeSortedValue(xs []int, v int) []int {
 	return xs
 }
 
-// tileBlock is one compiled window of the open tile: a slot-major block
-// of analytic physics rows (signal, throughput, energy price, required
-// rate, Eq. (1) link units) covering `window` slots × `cap` table rows.
+// tileBlock is one filled window of the open tile: a slot-major block of
+// physics rows (signal, throughput, energy price, required rate, Eq. (1)
+// link units) covering `window` slots × `cap` table rows.
 type tileBlock struct {
-	base  int // first slot the block covers; -1 = not compiled
-	sig   []units.DBm
-	linkR []units.KBps
-	epkb  []units.MJ
-	rate  []units.KBps
-	lu    []int32
+	base int // first slot the block covers; -1 = not filled
+	linkCols
 }
 
 // openTile is the open-system engine's horizon-free link window:
 // ring-buffered link state whose memory never depends on uptime.
 // attachSlotColumns aliases a slot's rows zero-copy, exactly like the
-// closed engine's link-table windows; the values are computed with the
-// same expressions prepareColsUser's analytic branch uses, so the tiled
-// and analytic paths are bit-identical.
+// closed engine's link-table windows, and the rows come out of the same
+// fill (linkfill.go), so the tiled and analytic paths are bit-identical.
 //
 // Two perf structures ride on top of the original single-block design:
 //
-//   - a live-row set (rows): compilation touches only resident sessions,
-//     not all `cap` table rows, and when the set is an identity prefix
-//     (rowsDense) the per-slot fill runs the dense tile kernel;
+//   - a live-row set (rows): a fill touches only resident sessions, not
+//     all `cap` table rows;
 //   - a double-buffered pipeline (cur/next): after each window swap the
-//     following window compiles on a background goroutine while the
-//     current one ticks, so the rollover slot pays a swap, not a
-//     compile. The engine's pinPrevColumns copies the evicted slot's
-//     aliased rows *before* attach triggers the swap, which is what
-//     makes refilling the outgoing block in the background safe.
+//     following window fills on a background goroutine while the current
+//     one ticks, so the rollover slot pays a swap, not a fill. The
+//     engine's pinPrevColumns copies the evicted slot's aliased rows
+//     *before* attach triggers the swap, which is what makes refilling
+//     the outgoing block in the background safe.
 //
 // All mutation entry points (admitRow/removeRow/compactRows/ensure) call
 // syncFill first, so the background worker is always quiescent — the
@@ -1040,26 +1034,21 @@ type tileBlock struct {
 type openTile struct {
 	sim    *Simulator
 	window int
-	cap    int
 	// horizon clamps background fills in bounded mode: slots at or past
-	// it are never compiled, because bounded-mode sessions may carry
+	// it are never filled, because bounded-mode sessions may carry
 	// memoized signal traces that only cover [0, MaxSlots) and growing a
 	// memo from two goroutines would race. -1 = unbounded (vetSession
 	// enforces stateless traces, so any slot is safe to fill anywhere).
 	horizon int
-	// radio/tau/unit are copied out of the engine config at construction
-	// so the background worker never reads cfg fields the unbounded
+	// fill carries its own copies of the radio model and slot grid, so
+	// the background worker never reads cfg fields the unbounded
 	// AdvanceTo mutates (MaxSlots shares the struct).
-	radio radio.Model
-	tau   float64
-	unit  float64
+	fill *linkFiller
 
 	cur, next *tileBlock
 
-	// rows is the ascending live-row set compilation covers; rowsDense
-	// marks it an identity prefix [0, len(rows)).
-	rows      []int
-	rowsDense bool
+	// rows is the ascending live-row set a fill covers.
+	rows []int
 
 	// Background pipeline state. kick carries the next block's base slot
 	// to the worker; done signals its completion. inflight tracks an
@@ -1070,35 +1059,22 @@ type openTile struct {
 	inflight  bool
 	nextReady bool
 	stopped   bool
-
-	// Fill-loop bindings: set before each Shard so the per-index bodies
-	// are method values bound once at construction — no closure
-	// allocation per window rollover.
-	fillBlk    *tileBlock
-	fillBase   int
-	fillHi     int
-	fillRowFn  func(int)
-	fillSlotFn func(int)
 }
 
-func newOpenTile(sim *Simulator, window, capSessions int, unbounded bool) *openTile {
-	size := window * capSessions
+func newOpenTile(sim *Simulator, window, capSessions int, unbounded bool) (*openTile, error) {
+	fill, err := newLinkFiller(sim.cfg.Radio, sim.cfg.Tau, sim.cfg.Unit, sim.workers, capSessions)
+	if err != nil {
+		return nil, err
+	}
+	// Unbounded mode admits no session with rate jitter (vetSession), so
+	// its blocks keep one rate row for all slots.
 	newBlock := func() *tileBlock {
-		return &tileBlock{
-			base:  -1,
-			sig:   make([]units.DBm, size),
-			linkR: make([]units.KBps, size),
-			epkb:  make([]units.MJ, size),
-			rate:  make([]units.KBps, size),
-			lu:    make([]int32, size),
-		}
+		return &tileBlock{base: -1, linkCols: newLinkCols(capSessions, window, unbounded)}
 	}
 	t := &openTile{
-		sim: sim, window: window, cap: capSessions,
+		sim: sim, window: window,
 		horizon: sim.cfg.MaxSlots,
-		radio:   sim.cfg.Radio,
-		tau:     float64(sim.cfg.Tau),
-		unit:    float64(sim.cfg.Unit),
+		fill:    fill,
 		cur:     newBlock(),
 		next:    newBlock(),
 		rows:    make([]int, 0, capSessions),
@@ -1112,10 +1088,7 @@ func newOpenTile(sim *Simulator, window, capSessions int, unbounded bool) *openT
 	for i := range sim.sessions {
 		t.rows = append(t.rows, i)
 	}
-	t.rowsDense = true
-	t.fillRowFn = t.fillRowBody
-	t.fillSlotFn = t.fillSlotBody
-	return t
+	return t, nil
 }
 
 // willEvict reports whether attaching slot n recompiles the window.
@@ -1190,80 +1163,33 @@ func (t *openTile) stopBg() {
 	t.stopped = true
 }
 
-// fillBlockInto compiles the window starting at base into b, covering
-// only the live rows — dense identity prefixes shard over slots and run
-// the BCE-verified tile kernel, sparse sets shard over rows.
+// fillBlockInto fills the window starting at base into b, covering only
+// the live rows.
 func (t *openTile) fillBlockInto(b *tileBlock, base int) {
-	hi := base + t.window
-	if t.horizon >= 0 && hi > t.horizon {
-		hi = t.horizon
-	}
 	b.base = base
-	if len(t.rows) == 0 || hi <= base {
-		return
-	}
-	t.fillBlk, t.fillBase, t.fillHi = b, base, hi
-	workers := t.sim.workers
-	if len(t.rows) < smallNSerialCutoff {
-		workers = 1
-	}
-	if t.rowsDense {
-		pool.Shard(workers, t.window, t.fillSlotFn)
-	} else {
-		pool.Shard(workers, len(t.rows), t.fillRowFn)
-	}
+	t.fill.fill(&b.linkCols, t.sim.sessions, t.rows, 0, base, t.windowEnd(base))
 }
 
-// fillRowBody compiles one live row across the bound window — the
-// sparse-occupancy path, and the per-user path admitRow reuses.
-func (t *openTile) fillRowBody(j int) {
-	i := t.rows[j]
-	t.fillRowInto(t.fillBlk, t.fillBase, t.fillHi, i, t.sim.sessions[i])
-}
-
-// fillSlotBody compiles one slot across the dense row prefix.
-func (t *openTile) fillSlotBody(off int) {
-	slot := t.fillBase + off
-	if slot >= t.fillHi {
-		return
+// windowEnd is the slot after the last one a block based at base covers.
+func (t *openTile) windowEnd(base int) int {
+	if hi := base + t.window; t.horizon < 0 || hi <= t.horizon {
+		return hi
 	}
-	t.fillTileSlot(t.fillBlk, off, slot, len(t.rows))
+	return t.horizon
 }
 
-// fillRowInto (re)computes user i's rows for block b's window.
-func (t *openTile) fillRowInto(b *tileBlock, base, hi, i int, sess *workload.Session) {
-	for slot := base; slot < hi; slot++ {
-		sig := sess.Signal.At(slot)
-		link := t.radio.Throughput.Throughput(sig)
-		k := (slot-base)*t.cap + i
-		b.sig[k] = sig
-		b.linkR[k] = link
-		b.epkb[k] = t.radio.Power.EnergyPerKB(sig)
-		b.rate[k] = sess.RateAt(slot)
-		b.lu[k] = int32(floorUnits(float64(link)*t.tau, t.unit))
-	}
-}
-
-// admitRow registers a newly admitted session and compiles its rows
-// into the resident window (and the prefetched one, if landed) so the
-// next attach reads correct values without a full recompile.
-func (t *openTile) admitRow(i int, sess *workload.Session) {
+// admitRow registers a newly admitted session (already in the engine's
+// session table at row i) and fills its rows into the resident window
+// (and the prefetched one, if landed) so the next attach reads correct
+// values without a full refill.
+func (t *openTile) admitRow(i int) {
 	t.syncFill()
 	t.rows = insertSorted(t.rows, i)
-	t.rowsDense = t.rows[len(t.rows)-1] == len(t.rows)-1
 	if t.cur.base >= 0 {
-		hi := t.cur.base + t.window
-		if t.horizon >= 0 && hi > t.horizon {
-			hi = t.horizon
-		}
-		t.fillRowInto(t.cur, t.cur.base, hi, i, sess)
+		t.fill.fillRow(&t.cur.linkCols, t.sim.sessions, i, t.cur.base, t.windowEnd(t.cur.base))
 	}
 	if t.nextReady {
-		hi := t.next.base + t.window
-		if t.horizon >= 0 && hi > t.horizon {
-			hi = t.horizon
-		}
-		t.fillRowInto(t.next, t.next.base, hi, i, sess)
+		t.fill.fillRow(&t.next.linkCols, t.sim.sessions, i, t.next.base, t.windowEnd(t.next.base))
 	}
 }
 
@@ -1273,12 +1199,11 @@ func (t *openTile) admitRow(i int, sess *workload.Session) {
 func (t *openTile) removeRow(i int) {
 	t.syncFill()
 	t.rows = removeSortedValue(t.rows, i)
-	t.rowsDense = len(t.rows) == 0 || t.rows[len(t.rows)-1] == len(t.rows)-1
 }
 
 // compactRows resets the live-row set to the identity prefix [0, w)
 // after resident-set compaction and invalidates both blocks — row
-// indices moved, so the next attach recompiles (dense) from scratch.
+// indices moved, so the next attach refills from scratch.
 func (t *openTile) compactRows(w int) {
 	t.syncFill()
 	t.nextReady = false
@@ -1288,13 +1213,9 @@ func (t *openTile) compactRows(w int) {
 	for i := 0; i < w; i++ {
 		t.rows = append(t.rows, i)
 	}
-	t.rowsDense = true
 }
 
 // slotColumns returns slot n's rows as length-len(users) column slices.
 func (t *openTile) slotColumns(n int) ([]units.DBm, []units.KBps, []units.MJ, []units.KBps, []int32) {
-	b := t.cur
-	off := (n - b.base) * t.cap
-	m := len(t.sim.users)
-	return b.sig[off : off+m], b.linkR[off : off+m], b.epkb[off : off+m], b.rate[off : off+m], b.lu[off : off+m]
+	return t.cur.slot(n-t.cur.base, len(t.sim.users))
 }

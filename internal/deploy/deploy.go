@@ -343,10 +343,24 @@ type offsetTrace struct {
 }
 
 func (t offsetTrace) At(n int) units.DBm {
-	v := float64(t.base.At(n) + t.offset)
+	return t.shift(t.base.At(n), n)
+}
+
+// Fill implements signal.Filler: the base trace's run, shifted in place.
+func (t offsetTrace) Fill(dst []units.DBm, from int) {
+	signal.Fill(t.base, dst, from)
+	for k, v := range dst {
+		dst[k] = t.shift(v, from+k)
+	}
+}
+
+// shift applies the site offset, slot n's shadowing draw and the clamp to
+// the base trace's value; At and Fill share it.
+func (t offsetTrace) shift(base units.DBm, n int) units.DBm {
+	v := float64(base + t.offset)
 	if t.shadowStd > 0 {
 		// Derive a deterministic standard normal for this (seed, slot).
-		v += t.shadowStd * rng.New(t.seed^(uint64(n)*0x9E3779B97F4A7C15)).Norm()
+		v += t.shadowStd * rng.NormAt(t.seed^(uint64(n)*0x9E3779B97F4A7C15))
 	}
 	if v < float64(t.bounds.Min) {
 		return t.bounds.Min

@@ -310,3 +310,46 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Error("results depend on worker count")
 	}
 }
+
+// TestSiteTraceFillMatchesAt: the site-shifted trace's Fill is its At, bit
+// for bit, with and without shadowing, over a memoizing base (whose Fill
+// is a memo copy), a stateless base and a base with no Filler at all.
+func TestSiteTraceFillMatchesAt(t *testing.T) {
+	sine := workload.PaperDefaults(1).Signal
+	memo, err := signal.NewSine(sine, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo.(signal.Prewarmer).Prewarm(300)
+	stateless, err := signal.NewStatelessSine(sine, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases := map[string]signal.Trace{
+		"memo": memo, "stateless": stateless, "constant": signal.Constant(-58, signal.DefaultBounds),
+	}
+	sites := map[string]Site{
+		"offset":          {SignalOffset: -15},
+		"offset+shadow":   {SignalOffset: 7, ShadowStd: 6},
+		"shadow-clamping": {SignalOffset: -40, ShadowStd: 25},
+	}
+	src := rng.New(2)
+	for bn, base := range bases {
+		for sn, site := range sites {
+			tr := SiteTrace(&workload.Session{ID: 3, Signal: base}, site, 1)
+			if _, ok := tr.(signal.Filler); !ok {
+				t.Fatal("site trace does not implement signal.Filler")
+			}
+			for trial := 0; trial < 100; trial++ {
+				from, n := src.Intn(230), src.Intn(70)
+				dst := make([]units.DBm, n)
+				signal.Fill(tr, dst, from)
+				for k, got := range dst {
+					if want := tr.At(from + k); got != want {
+						t.Fatalf("%s/%s: Fill(from=%d)[%d] = %v, At = %v", bn, sn, from, k, got, want)
+					}
+				}
+			}
+		}
+	}
+}

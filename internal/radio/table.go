@@ -16,18 +16,25 @@ import (
 //
 // Exactness: when the model's curves are the paper's fits
 // (LinearThroughput and FittedPower over a LinearThroughput), every bin
-// stores the fit's own coefficients and Lookup evaluates the identical
-// floating-point expressions, so the table is bitwise-identical to the
-// analytic model at every signal value — not merely close. Exact()
-// reports this. For other model shapes the bins hold sampled chords and
-// the table is an approximation whose error shrinks with the bin count;
-// the simulator's link-table compiler only consults a Table when Exact()
-// holds, falling back to direct model calls otherwise, so quantization
-// error can never leak into simulation results.
+// would carry the fit's own coefficients, so the table keeps that one set
+// and Lookup evaluates the identical floating-point expressions without
+// consulting the quantizer: bitwise-identical to the analytic model at
+// every signal value — in the domain, outside it, ±Inf or NaN — not
+// merely close. Exact() reports this. For other model shapes the bins
+// hold sampled chords and the table is an approximation whose error
+// shrinks with the bin count; the simulator's link-window fill only
+// consults a Table when Exact() holds, falling back to direct model calls
+// otherwise, so quantization error can never leak into simulation
+// results.
 type Table struct {
 	lo, hi float64 // domain bounds, dBm
 	invW   float64 // bins / (hi - lo); 0 for a degenerate single-point domain
+	bins   int
 	exact  bool
+
+	// The coefficient slices hold one entry per bin, or a single entry
+	// when the table is exact (4 096 copies of one fit were 128 KB per
+	// table and a cache miss per lookup, for nothing).
 
 	// Throughput: v = tSlope[k]·sig + tIntercept[k], floored at tFloor.
 	tSlope, tIntercept []float64
@@ -59,52 +66,47 @@ func NewTable(m Model, lo, hi units.DBm, bins int) (*Table, error) {
 	if math.IsNaN(flo) || math.IsNaN(fhi) || fhi < flo {
 		return nil, fmt.Errorf("radio: invalid table domain [%v, %v]", lo, hi)
 	}
-	t := &Table{
-		lo: flo, hi: fhi,
-		tSlope: make([]float64, bins), tIntercept: make([]float64, bins),
-		tFloor: math.Inf(-1),
-	}
+	t := &Table{lo: flo, hi: fhi, bins: bins, tFloor: math.Inf(-1)}
 	if fhi > flo {
 		t.invW = float64(bins) / (fhi - flo)
 	}
 
-	thrExact := false
-	if lin, ok := m.Throughput.(LinearThroughput); ok {
-		thrExact = true
-		t.tFloor = float64(lin.MinRate)
-		for k := range t.tSlope {
-			t.tSlope[k] = lin.Slope
-			t.tIntercept[k] = lin.Intercept
+	thr, thrExact := m.Throughput.(LinearThroughput)
+	fp, _ := m.Power.(FittedPower)
+	pv, powExact := fp.V.(LinearThroughput)
+	t.exact = thrExact && powExact
+	n := bins
+	if t.exact {
+		n = 1
+	}
+	uniform := func(v float64) []float64 {
+		xs := make([]float64, n)
+		for k := range xs {
+			xs[k] = v
 		}
+		return xs
+	}
+
+	if thrExact {
+		t.tFloor = float64(thr.MinRate)
+		t.tSlope, t.tIntercept = uniform(thr.Slope), uniform(thr.Intercept)
 	} else {
+		t.tSlope, t.tIntercept = make([]float64, n), make([]float64, n)
 		fillChords(t.tSlope, t.tIntercept, flo, fhi, bins, func(x float64) float64 {
 			return float64(m.Throughput.Throughput(units.DBm(x)))
 		})
 	}
-
-	powExact := false
-	if fp, ok := m.Power.(FittedPower); ok {
-		if lin, ok := fp.V.(LinearThroughput); ok {
-			powExact = true
-			t.fitted = true
-			t.pBase, t.pScale = fp.Base, fp.Scale
-			t.vFloor = float64(lin.MinRate)
-			t.vSlope = make([]float64, bins)
-			t.vIntercept = make([]float64, bins)
-			for k := range t.vSlope {
-				t.vSlope[k] = lin.Slope
-				t.vIntercept[k] = lin.Intercept
-			}
-		}
-	}
-	if !powExact {
-		t.pSlope = make([]float64, bins)
-		t.pIntercept = make([]float64, bins)
+	if powExact {
+		t.fitted = true
+		t.pBase, t.pScale = fp.Base, fp.Scale
+		t.vFloor = float64(pv.MinRate)
+		t.vSlope, t.vIntercept = uniform(pv.Slope), uniform(pv.Intercept)
+	} else {
+		t.pSlope, t.pIntercept = make([]float64, n), make([]float64, n)
 		fillChords(t.pSlope, t.pIntercept, flo, fhi, bins, func(x float64) float64 {
 			return float64(m.Power.EnergyPerKB(units.DBm(x)))
 		})
 	}
-	t.exact = thrExact && powExact
 	return t, nil
 }
 
@@ -137,7 +139,7 @@ func fillChords(slope, intercept []float64, lo, hi float64, bins int, f func(flo
 func (t *Table) Exact() bool { return t.exact }
 
 // Bins returns the quantizer's bin count.
-func (t *Table) Bins() int { return len(t.tSlope) }
+func (t *Table) Bins() int { return t.bins }
 
 // Domain returns the dBm range the table was compiled over.
 func (t *Table) Domain() (lo, hi units.DBm) { return units.DBm(t.lo), units.DBm(t.hi) }
@@ -153,44 +155,76 @@ func (t *Table) Bin(sig units.DBm) int {
 		return 0
 	}
 	if x >= t.hi {
-		return len(t.tSlope) - 1
+		return t.bins - 1
 	}
 	k := int((x - t.lo) * t.invW)
-	if k >= len(t.tSlope) { // x infinitesimally below hi can round up
-		return len(t.tSlope) - 1
+	if k >= t.bins { // x infinitesimally below hi can round up
+		return t.bins - 1
 	}
 	return k
 }
 
-// Lookup evaluates both curves at sig through the quantized bins.
+// Lookup evaluates both curves at sig: through the quantized bins, or
+// through the one coefficient set of an exact table.
 func (t *Table) Lookup(sig units.DBm) (units.KBps, units.MJ) {
 	x := float64(sig)
-	k := t.Bin(sig)
-	v := t.tSlope[k]*x + t.tIntercept[k]
-	if v < t.tFloor {
-		v = t.tFloor
+	k := 0
+	if !t.exact {
+		k = t.Bin(sig)
 	}
+	v := affineFloored(t.tSlope[k], t.tIntercept[k], t.tFloor, x)
 	var p float64
 	if t.fitted {
-		w := t.vSlope[k]*x + t.vIntercept[k]
-		if w < t.vFloor {
-			w = t.vFloor
-		}
-		if w <= 0 {
-			p = t.pScale
-		} else {
-			p = t.pBase + t.pScale/w
-			if p < 0 {
-				p = 0
-			}
-		}
+		p = fittedPrice(t.pBase, t.pScale, affineFloored(t.vSlope[k], t.vIntercept[k], t.vFloor, x))
 	} else {
-		p = t.pSlope[k]*x + t.pIntercept[k]
-		if p < 0 {
-			p = 0
-		}
+		p = affineFloored(t.pSlope[k], t.pIntercept[k], 0, x)
 	}
 	return units.KBps(v), units.MJ(p)
+}
+
+// LookupInto evaluates Lookup at every sig[i] into v[i] and p[i]; v and p
+// must be at least as long as sig. An exact table runs one loop with the
+// fit's coefficients held in registers — the link-window fill's per-row
+// batch — and any other table goes through Lookup entry by entry.
+func (t *Table) LookupInto(sig []units.DBm, v []units.KBps, p []units.MJ) {
+	v, p = v[:len(sig)], p[:len(sig)]
+	if !t.exact {
+		for i, s := range sig {
+			v[i], p[i] = t.Lookup(s)
+		}
+		return
+	}
+	ts, ti, tf := t.tSlope[0], t.tIntercept[0], t.tFloor
+	vs, vi, vf := t.vSlope[0], t.vIntercept[0], t.vFloor
+	pb, ps := t.pBase, t.pScale
+	for i, s := range sig {
+		x := float64(s)
+		v[i] = units.KBps(affineFloored(ts, ti, tf, x))
+		p[i] = units.MJ(fittedPrice(pb, ps, affineFloored(vs, vi, vf, x)))
+	}
+}
+
+// affineFloored is slope·x + intercept floored at floor (a NaN passes
+// through, as it does in LinearThroughput).
+func affineFloored(slope, intercept, floor, x float64) float64 {
+	y := slope*x + intercept
+	if y < floor {
+		y = floor
+	}
+	return y
+}
+
+// fittedPrice is FittedPower's p = base + scale/w, floored at zero, with
+// its w ≤ 0 guard.
+func fittedPrice(base, scale, w float64) float64 {
+	if w <= 0 {
+		return scale
+	}
+	p := base + scale/w
+	if p < 0 {
+		p = 0
+	}
+	return p
 }
 
 // Throughput implements ThroughputModel.

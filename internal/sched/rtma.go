@@ -43,8 +43,8 @@ type RTMA struct {
 	keys     []rtmaKey   // this slot's candidates, ascending user index
 	work     []rtmaWork  // water-filling items (banked got/max state)
 	liveWork []*rtmaWork // the rounds' compacting window into work
-	zero []int     // admitted zero-need users, served from the spare-capacity drain
-	act  []int     // ActiveIndices fallback scratch
+	zero     []int       // admitted zero-need users, served from the spare-capacity drain
+	act      []int       // ActiveIndices fallback scratch
 }
 
 // rtmaKey precomputes one candidate's sort key and per-slot need so the

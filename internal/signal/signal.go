@@ -41,6 +41,28 @@ type Prewarmer interface {
 	Prewarm(slots int)
 }
 
+// Filler is implemented by traces that can produce a run of consecutive
+// slots in one call. Fill(dst, from) stores At(from+k) in dst[k] for
+// every k, bit for bit, and leaves the trace in the state those At calls
+// would: a memoizing trace grows its memo no further than
+// At(from+len(dst)-1) does. The link-window fill calls it once per user
+// per window in place of one interface dispatch per user-slot.
+type Filler interface {
+	Fill(dst []units.DBm, from int)
+}
+
+// Fill stores t.At(from+k) in dst[k] for every k, through the trace's
+// Filler when it has one and by calling At otherwise.
+func Fill(t Trace, dst []units.DBm, from int) {
+	if f, ok := t.(Filler); ok {
+		f.Fill(dst, from)
+		return
+	}
+	for k := range dst {
+		dst[k] = t.At(from + k)
+	}
+}
+
 // Bounds is the inclusive dBm range to which generated signals are clamped.
 type Bounds struct {
 	Min, Max units.DBm
@@ -127,6 +149,21 @@ func (t *sineTrace) At(n int) units.DBm {
 		return t.vals[n]
 	}
 	return t.compute(n)
+}
+
+// Fill implements Filler: a copy out of the prewarmed memo, and compute —
+// At's own fallback — for any slots past it.
+func (t *sineTrace) Fill(dst []units.DBm, from int) {
+	if from < 0 {
+		panic(fmt.Sprintf("signal: negative slot %d", from))
+	}
+	k := 0
+	if from < len(t.vals) {
+		k = copy(dst, t.vals[from:])
+	}
+	for ; k < len(dst); k++ {
+		dst[k] = t.compute(from + k)
+	}
 }
 
 // compute is the analytic evaluation shared by At's fallback and the

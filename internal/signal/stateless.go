@@ -58,10 +58,25 @@ func (t statelessSine) At(n int) units.DBm {
 	if n < 0 {
 		panic(fmt.Sprintf("signal: negative slot %d", n))
 	}
+	return t.value(n)
+}
+
+// Fill implements Filler.
+func (t statelessSine) Fill(dst []units.DBm, from int) {
+	if from < 0 {
+		panic(fmt.Sprintf("signal: negative slot %d", from))
+	}
+	for k := range dst {
+		dst[k] = t.value(from + k)
+	}
+}
+
+// value is the one evaluation At and Fill share.
+func (t statelessSine) value(n int) units.DBm {
 	b := t.cfg.Bounds
 	base := float64(b.Mid()) + b.Amplitude()*math.Sin(2*math.Pi*float64(n)/float64(t.cfg.PeriodSlots)+t.cfg.Phase)
 	if t.cfg.NoiseStdDBm > 0 {
-		base += t.cfg.NoiseStdDBm * rng.New(rng.Hash3(t.seed, uint64(n), statelessSineSalt)).Norm()
+		base += t.cfg.NoiseStdDBm * rng.NormAt(rng.Hash3(t.seed, uint64(n), statelessSineSalt))
 	}
 	return b.clamp(base)
 }

@@ -18,7 +18,7 @@ cd "$(dirname "$0")/.."
 # Files under the zero-per-element-check contract. Gather paths with
 # data-dependent indices live in sibling files on purpose — they are
 # inherently bounds-checked and must not be added here.
-GUARDED='internal/(cell/kernels|cell/tile_kernels|sched/ema_kernel|sched/rtma_kernel)\.go'
+GUARDED='internal/(cell/kernels|cell/linkfill_kernels|sched/ema_kernel|sched/rtma_kernel)\.go'
 
 out=$(go build -gcflags='-d=ssa/check_bce' ./internal/cell/ ./internal/sched/ 2>&1 || true)
 
