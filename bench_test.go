@@ -11,7 +11,9 @@ package jointstream
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -19,6 +21,8 @@ import (
 	"jointstream/internal/cell"
 	"jointstream/internal/deploy"
 	"jointstream/internal/experiments"
+	"jointstream/internal/gateway"
+	"jointstream/internal/radio"
 	"jointstream/internal/rng"
 	"jointstream/internal/rrc"
 	"jointstream/internal/sched"
@@ -565,6 +569,115 @@ func medianOf(xs []float64) float64 {
 func BenchmarkChurn(b *testing.B) {
 	b.Run("n2000_t32_serial", func(b *testing.B) { benchChurn(b, 2_000, 32, 1) })
 	b.Run("n10000_t32_sharded", func(b *testing.B) { benchChurn(b, 10_000, 32, 0) })
+}
+
+// benchGatewayStep times gateway.Step with k sessions in service on
+// LocalEndpoint + PatternSource (benchmark/'s gateway_churn shape: τ = 5 ms,
+// 1 KB units, RRC energy, Default, load 0.9, videos of 75–225 KB), every
+// completion replaced by a fresh Attach. The clock starts once the queues
+// are up (64 slots) and `warm` sessions have been attached in all, so two
+// tiers at different `warm` show what a Step costs per session in service
+// as the sessions ever attached grow. ns/user-slot is Step time alone; allocs/slot covers Step and
+// Attach, the sessions' two ends being built off the clock.
+func benchGatewayStep(b *testing.B, k, warm int) {
+	const slotsPerIter = 64
+	g, err := gateway.New(gateway.Config{
+		Tau: 0.005, Unit: 1, Capacity: units.KBps(float64(k) * 450 / 0.9),
+		Radio: radio.Paper3G(), RRC: rrc.Paper3G(), QueueCap: 64,
+	}, sched.NewDefault())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer g.Close()
+	type session struct {
+		ep   *gateway.LocalEndpoint
+		src  *gateway.PatternSource
+		want int64
+	}
+	src := rng.New(7)
+	var reserve []session
+	stock := func(n int) {
+		for len(reserve) < n {
+			sine := workload.PaperDefaults(1).Signal
+			sine.Phase = src.Uniform(0, 2*math.Pi)
+			tr, err := signal.NewStatelessSine(sine, src.Uint64())
+			if err != nil {
+				b.Fatal(err)
+			}
+			size := units.KB(math.Round(src.Uniform(75, 225)))
+			ep, err := gateway.NewLocalEndpoint(tr, units.KBps(src.Uniform(300, 600)), false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ps, err := gateway.NewPatternSource(size)
+			if err != nil {
+				b.Fatal(err)
+			}
+			reserve = append(reserve, session{ep, ps, int64(float64(size) * 1000)})
+		}
+	}
+	attached := 0
+	attach := func() session {
+		s := reserve[len(reserve)-1]
+		reserve = reserve[:len(reserve)-1]
+		if _, err := g.Attach(s.ep, s.src); err != nil {
+			b.Fatal(err)
+		}
+		attached++
+		return s
+	}
+	stock(k)
+	live := make([]session, k)
+	for i := range live {
+		live[i] = attach()
+	}
+	var stepNS time.Duration
+	slot := func() {
+		start := time.Now()
+		if _, err := g.Step(); err != nil {
+			b.Fatal(err)
+		}
+		stepNS += time.Since(start)
+		for i := range live {
+			live[i].ep.Advance()
+			if live[i].ep.ReceivedBytes() >= live[i].want {
+				live[i] = attach()
+			}
+		}
+	}
+	for n := 0; n < slotsPerIter || attached < warm; n++ {
+		stock(k)
+		slot()
+	}
+	var before, after runtime.MemStats
+	var mallocs uint64
+	stepNS = 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		stock(slotsPerIter * k / 8) // a session lasts some 60 slots
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		for n := 0; n < slotsPerIter; n++ {
+			slot()
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	slots := float64(b.N * slotsPerIter)
+	b.ReportMetric(float64(stepNS.Nanoseconds())/slots/float64(k), "ns/user-slot")
+	b.ReportMetric(float64(mallocs)/slots, "allocs/slot")
+}
+
+// BenchmarkGatewayStep is the serving path's own slot loop at K = 500 in
+// service, after K and after 10·K sessions attached in all: the second
+// row over the first is the growth of a Step with uptime (1.4–1.9 when
+// Step scanned every session ever attached).
+func BenchmarkGatewayStep(b *testing.B) {
+	const k = 500
+	b.Run("k500_sessions1x", func(b *testing.B) { benchGatewayStep(b, k, k) })
+	b.Run("k500_sessions10x", func(b *testing.B) { benchGatewayStep(b, k, 10*k) })
 }
 
 // --- ablation benches (DESIGN.md, Design choices) --------------------

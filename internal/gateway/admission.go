@@ -72,9 +72,18 @@ func (e *OverCapacityError) Is(target error) bool { return target == ErrOverCapa
 const tickHistWindowSlots = 256
 
 // inService reports whether a user still occupies serving capacity:
-// attached and not finished. Callers hold g.mu.
-func (g *Gateway) userInService(u *user) bool {
-	return !u.detached && !(u.srcDone && len(u.queue) == 0 && !u.inFlight)
+// attached and not finished.
+func (u *user) inService() bool { return !u.detached && !u.done() }
+
+// anyInService reports whether any session is still being served. Between
+// slots g.live holds little else. Callers hold g.mu.
+func (g *Gateway) anyInService() bool {
+	for _, u := range g.live {
+		if u.inService() {
+			return true
+		}
+	}
+	return false
 }
 
 // admissible applies the admission controller to a prospective session
@@ -89,8 +98,8 @@ func (g *Gateway) admissible(rate units.KBps) error {
 	}
 	inService := 0
 	var demand units.KBps
-	for _, u := range g.users {
-		if !g.userInService(u) {
+	for _, u := range g.live {
+		if !u.inService() {
 			continue
 		}
 		inService++
@@ -132,15 +141,7 @@ func (g *Gateway) Draining() bool {
 func (g *Gateway) Drained() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if !g.draining {
-		return false
-	}
-	for _, u := range g.users {
-		if g.userInService(u) {
-			return false
-		}
-	}
-	return true
+	return g.draining && !g.anyInService()
 }
 
 // noteTick records one completed Step: its wall duration into the
@@ -186,8 +187,8 @@ func (g *Gateway) maybeShed() {
 		return
 	}
 	var cands []*user
-	for _, u := range g.users {
-		if g.userInService(u) {
+	for _, u := range g.live {
+		if u.inService() {
 			cands = append(cands, u)
 		}
 	}
@@ -209,20 +210,6 @@ func (g *Gateway) maybeShed() {
 		g.missRing[i] = false
 	}
 	g.missCount = 0
-}
-
-// countDrained credits sessions that reached their natural end while the
-// gateway drains. Callers hold g.mu.
-func (g *Gateway) countDrained() {
-	if !g.draining {
-		return
-	}
-	for _, u := range g.users {
-		if !u.detached && !u.drainCounted && u.srcDone && len(u.queue) == 0 && !u.inFlight {
-			u.drainCounted = true
-			g.diag.Drained++
-		}
-	}
 }
 
 // TickQuantileMs returns the q-th quantile of Step wall-clock duration

@@ -21,9 +21,9 @@ import (
 //
 // Plumbing: every worker owns a capacity-1 result channel (one job can be
 // outstanding per endpoint, so the send never blocks) and rings a shared
-// capacity-1 wake bell after publishing. The collector scans all users on
-// every ring, so a dropped ring (bell already full) can never lose a
-// completion.
+// capacity-1 wake bell after publishing. The collector scans every live
+// user on every ring, so a dropped ring (bell already full) can never lose
+// a completion.
 
 // deliveryJob is one slot grant handed to an endpoint worker.
 type deliveryJob struct {
@@ -83,7 +83,7 @@ func (g *Gateway) submitAsync(u *user, job deliveryJob) {
 // returns how many of them belonged to the given slot. Callers hold g.mu.
 func (g *Gateway) collectCompletions(slot int) int {
 	n := 0
-	for _, u := range g.users {
+	for _, u := range g.live {
 		w := u.worker
 		if w == nil {
 			continue
@@ -136,7 +136,7 @@ func (g *Gateway) completeDelivery(u *user, r deliveryResult) {
 	if r.err != nil {
 		// The grant was not absorbed: un-consume the bytes so the session
 		// loses no data, then apply the failure policy.
-		u.queue = append(r.job.payload, u.queue...)
+		u.putBack(r.job.payload)
 		g.deliveryFailed(u, r.err)
 	} else {
 		deliveredKB := units.KB(float64(len(r.job.payload)) / 1000)
@@ -146,21 +146,15 @@ func (g *Gateway) completeDelivery(u *user, r deliveryResult) {
 		}
 		g.deliverySucceeded(u)
 	}
-	// A user detached while its last delivery was in flight keeps its
-	// worker until that outcome lands — release it now.
-	if u.detached && u.worker != nil {
-		close(u.worker.jobs)
-		u.worker = nil
-	}
 }
 
-// closeWorkers shuts down every delivery worker. Closing the jobs
-// channel is safe even with a delivery outstanding: the worker finishes
-// it, publishes to its cap-1 done channel without blocking, and exits.
-// Workers blocked inside a stalled Deliver exit when the endpoint
-// releases them. Callers hold g.mu.
+// closeWorkers shuts down every delivery worker still running (a retired
+// session has released its own). Closing the jobs channel is safe even
+// with a delivery outstanding: the worker finishes it, publishes to its
+// cap-1 done channel without blocking, and exits. Workers blocked inside a
+// stalled Deliver exit when the endpoint releases them. Callers hold g.mu.
 func (g *Gateway) closeWorkers() {
-	for _, u := range g.users {
+	for _, u := range g.live {
 		if u.worker != nil {
 			close(u.worker.jobs)
 			u.worker = nil
@@ -168,12 +162,25 @@ func (g *Gateway) closeWorkers() {
 	}
 }
 
-// Close releases the gateway's delivery workers. Only needed with
-// Policy.AsyncDelivery; safe to call after the last Step.
+// Close ends the gateway after its last Step: the delivery workers exit
+// and every queue buffer, those of sessions still in service included, is
+// left to the next gateway in the process. StatsFor and the other readers
+// keep answering; Step does not.
 func (g *Gateway) Close() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.closeWorkers()
+	g.closed = true
+	for _, u := range g.live {
+		if u.buf != nil {
+			g.freeBufs = append(g.freeBufs, u.buf)
+			u.buf = nil
+		}
+	}
+	for i := range g.freeBufs {
+		spareBufs.Put(&g.freeBufs[i])
+	}
+	g.freeBufs = nil
 }
 
 // deliveryFailed routes a classified delivery error through the policy.
@@ -220,7 +227,8 @@ func (g *Gateway) deliverySucceeded(u *user) {
 	}
 }
 
-// detach finalizes a user's removal. Callers hold g.mu.
+// detach ends a user's service: its lifetime totals fold now, and the end
+// of the slot (or of its in-flight delivery) retires it. Callers hold g.mu.
 func (g *Gateway) detach(u *user, reason DetachReason) {
 	if u.detached {
 		return
@@ -228,8 +236,4 @@ func (g *Gateway) detach(u *user, reason DetachReason) {
 	g.foldSession(u)
 	u.detached = true
 	u.detachReason = reason
-	if u.worker != nil && !u.inFlight {
-		close(u.worker.jobs)
-		u.worker = nil
-	}
 }

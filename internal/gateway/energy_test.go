@@ -127,10 +127,10 @@ func TestInvalidRRCProfileRejected(t *testing.T) {
 }
 
 func TestEMASchedulerSeesTailState(t *testing.T) {
-	// EMA inside the gateway must still deliver: its tail-aware cost uses
-	// the user TailGap view, which the gateway currently reports as fresh
-	// (NeverActive false only after transfers are modelled by sched.User
-	// defaults). This is an integration smoke test.
+	// EMA inside the gateway must still deliver: its tail-aware cost reads
+	// TailGap / NeverActive from the slot view, which follow the session's
+	// RRC machine (TestSlotViewCarriesTailState). This is an integration
+	// smoke test.
 	em, err := sched.NewEMA(sched.EMAConfig{V: 0.1, RRC: rrc.Paper3G()})
 	if err != nil {
 		t.Fatal(err)

@@ -139,13 +139,16 @@ func (c Config) trackEnergy() bool { return c.RRC.Pd > 0 }
 
 // user is the gateway's per-session state.
 type user struct {
-	id       int
-	ep       Endpoint
-	src      Source
-	queue    []byte // Data Receiver buffer
-	srcDone  bool   // source exhausted
-	detached bool
-	sentKB   units.KB
+	id  int
+	ep  Endpoint // nil once retired
+	src Source   // nil once retired
+	// The Data Receiver queue is buf[head:tail]. buf is taken at the first
+	// fill and given back at retirement; head and tail stay for Stats.
+	buf        []byte
+	head, tail int
+	srcDone    bool // source exhausted
+	detached   bool
+	sentKB     units.KB
 	// buffered playback estimate maintained from deliveries and wall
 	// slots, used to populate sched.User.BufferSec.
 	bufferSec units.Seconds
@@ -171,13 +174,16 @@ type user struct {
 	// Per-user diagnostics mirrored into Stats.
 	transientErrors int
 	missedSlots     int
-	// drainCounted marks a session already credited to Diag.Drained.
-	drainCounted bool
-	// folded marks a session whose lifetime rebuffer/energy totals have
-	// landed in the windowed session histograms (fold happens once, at
-	// natural completion or detach, whichever comes first).
-	folded bool
+	// asOf is the slot a retired session's estimates stand at; see settle.
+	asOf int
 }
+
+// queued is the number of bytes waiting in the receiver queue.
+func (u *user) queued() int { return u.tail - u.head }
+
+// done reports natural completion: source drained, queue empty, nothing
+// in flight.
+func (u *user) done() bool { return u.srcDone && u.queued() == 0 && !u.inFlight }
 
 // Stats summarizes one user's progress.
 type Stats struct {
@@ -213,8 +219,25 @@ type Gateway struct {
 	mu    sync.Mutex
 	cfg   Config
 	sched sched.Scheduler
+	// users is the ledger StatsFor reads, indexed by id and never shrunk.
+	// The slot loop walks live instead: the sessions still in service
+	// (plus detached ones whose last delivery is in flight), ascending id.
 	users []*user
+	live  []*user
 	slot  int
+	// The slot view handed to the scheduler, one row per id, rewritten only
+	// at live rows: an ended session's row stays zeroed, so position equals
+	// id for every scheduler's per-index state.
+	view   sched.Slot
+	cols   sched.Columns
+	active []int
+	alloc  []int
+	// Receiver-queue buffers: 2×QueueCap bytes each, so the queue slides
+	// down once per QueueCap consumed rather than once per slot.
+	capBytes int
+	freeBufs [][]byte
+	bufsMade int
+	closed   bool
 	// policy is cfg.Policy with defaults resolved.
 	policy Policy
 	// diag aggregates the degradation counters across users.
@@ -249,7 +272,7 @@ func New(cfg Config, s sched.Scheduler) (*Gateway, error) {
 		return nil, errors.New("gateway: nil scheduler")
 	}
 	rebuf, energy := newSessionHists()
-	return &Gateway{
+	g := &Gateway{
 		cfg:        cfg,
 		sched:      s,
 		policy:     cfg.Policy.withDefaults(),
@@ -257,7 +280,16 @@ func New(cfg Config, s sched.Scheduler) (*Gateway, error) {
 		tickHist:   newTickHist(),
 		rebufHist:  rebuf,
 		energyHist: energy,
-	}, nil
+		active:     []int{},
+		capBytes:   int(float64(cfg.QueueCap) * 1000),
+	}
+	g.view = sched.Slot{
+		Tau:           cfg.Tau,
+		Unit:          cfg.Unit,
+		CapacityUnits: int(float64(cfg.Capacity) * float64(cfg.Tau) / float64(cfg.Unit)),
+		Cols:          &g.cols,
+	}
+	return g, nil
 }
 
 // Attach registers a user with its content source and downlink endpoint,
@@ -295,8 +327,44 @@ func (g *Gateway) Attach(ep Endpoint, src Source) (int, error) {
 		u.machine = m
 	}
 	g.users = append(g.users, u)
+	g.live = append(g.live, u)
 	g.diag.Admitted++
 	return u.id, nil
+}
+
+// growView extends the slot view by zeroed rows for the sessions attached
+// since the last slot. Callers hold g.mu.
+func (g *Gateway) growView() {
+	c, n := &g.cols, len(g.users)
+	c.Active = grown(c.Active, n)
+	c.Sig = grown(c.Sig, n)
+	c.LinkRate = grown(c.LinkRate, n)
+	c.EnergyPerKB = grown(c.EnergyPerKB, n)
+	c.Rate = grown(c.Rate, n)
+	c.BufferSec = grown(c.BufferSec, n)
+	c.RemainingKB = grown(c.RemainingKB, n)
+	c.TailGap = grown(c.TailGap, n)
+	c.NeverActive = grown(c.NeverActive, n)
+	c.MaxUnits = grown(c.MaxUnits, n)
+	g.alloc = grown(g.alloc, n)
+}
+
+// grown returns s at length n ≥ len(s), the new elements zero. Nothing is
+// ever written beyond len, so reslicing within cap finds zeroes.
+func grown[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s, make([]T, n-len(s))...)
+}
+
+// clearRow zeroes row i of the slot view: a session sitting the slot out.
+// Callers hold g.mu.
+func (g *Gateway) clearRow(i int) {
+	c := &g.cols
+	c.Active[i], c.NeverActive[i] = false, false
+	c.Sig[i], c.LinkRate[i], c.EnergyPerKB[i], c.Rate[i] = 0, 0, 0, 0
+	c.BufferSec[i], c.RemainingKB[i], c.TailGap[i], c.MaxUnits[i] = 0, 0, 0, 0
 }
 
 // Forward carries one non-video packet through the gateway unscheduled,
@@ -330,7 +398,13 @@ func (g *Gateway) Slot() int {
 }
 
 // Step advances the gateway by one slot: receive → collect → schedule →
-// transmit. It returns the per-user allocations in data units.
+// transmit. It returns the per-user allocations in data units, indexed by
+// user id; the slice is the gateway's own and is rewritten by the next
+// Step.
+//
+// Only sessions in service are touched: a session that completed or was
+// detached is retired at the end of the slot it ended in and is never
+// polled again; StatsFor keeps answering for it.
 //
 // Degraded modes (see Policy): users with a missing report ride the
 // stale-report grace window under conservative admission; users backing
@@ -340,6 +414,9 @@ func (g *Gateway) Slot() int {
 func (g *Gateway) Step() ([]int, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if g.closed {
+		return nil, errors.New("gateway: Step after Close")
+	}
 	tickStart := time.Now()
 	missedDeadline := false
 
@@ -349,22 +426,24 @@ func (g *Gateway) Step() ([]int, error) {
 	}
 
 	// 1. Data Receiver: top up each user's queue from its source.
-	for _, u := range g.users {
+	for _, u := range g.live {
 		g.fill(u)
 	}
 
-	// 2. Information Collector: build the cross-layer slot view.
-	slot := sched.Slot{
-		N:             g.slot,
-		Tau:           g.cfg.Tau,
-		Unit:          g.cfg.Unit,
-		CapacityUnits: int(float64(g.cfg.Capacity) * float64(g.cfg.Tau) / float64(g.cfg.Unit)),
-		Users:         make([]sched.User, len(g.users)),
+	// 2. Information Collector: rewrite the live rows of the slot view.
+	// Only last slot's active rows can hold a grant; zero those.
+	if len(g.alloc) < len(g.users) {
+		g.growView()
 	}
-	reports := make([]Report, len(g.users))
+	c, alloc := &g.cols, g.alloc
+	for _, i := range g.active {
+		alloc[i] = 0
+	}
+	active := g.active[:0]
 	degraded := false
-	for i, u := range g.users {
-		slot.Users[i] = sched.User{Index: i}
+	for _, u := range g.live {
+		i := u.id
+		g.clearRow(i)
 		if u.detached {
 			continue
 		}
@@ -390,7 +469,6 @@ func (g *Gateway) Step() ([]int, error) {
 			}
 			rep = u.lastReport
 		}
-		reports[i] = rep
 		if u.inFlight {
 			// Previous delivery still in flight past its deadline: the
 			// user misses this slot's grant, and the stall strikes the
@@ -405,7 +483,7 @@ func (g *Gateway) Step() ([]int, error) {
 			degraded = true
 			continue
 		}
-		queuedKB := units.KB(float64(len(u.queue)) / 1000)
+		queuedKB := units.KB(float64(u.queued()) / 1000)
 		link := g.cfg.Radio.Throughput.Throughput(rep.Sig)
 		maxUnits := int(float64(link) * float64(g.cfg.Tau) / float64(g.cfg.Unit))
 		queueUnits := int(float64(queuedKB) / float64(g.cfg.Unit))
@@ -427,37 +505,44 @@ func (g *Gateway) Step() ([]int, error) {
 				maxUnits = needUnits
 			}
 		}
-		slot.Users[i] = sched.User{
-			Index:       i,
-			Active:      queuedKB > 0,
-			Sig:         rep.Sig,
-			LinkRate:    link,
-			EnergyPerKB: g.cfg.Radio.Power.EnergyPerKB(rep.Sig),
-			Rate:        rep.Rate,
-			BufferSec:   u.bufferSec,
-			RemainingKB: queuedKB,
-			MaxUnits:    maxUnits,
+		if queuedKB > 0 {
+			c.Active[i] = true
+			active = append(active, i)
+		}
+		c.Sig[i] = rep.Sig
+		c.LinkRate[i] = link
+		c.EnergyPerKB[i] = g.cfg.Radio.Power.EnergyPerKB(rep.Sig)
+		c.Rate[i] = rep.Rate
+		c.BufferSec[i] = u.bufferSec
+		c.RemainingKB[i] = queuedKB
+		c.MaxUnits[i] = int32(maxUnits)
+		if u.machine != nil {
+			c.TailGap[i] = u.machine.Gap()
+			c.NeverActive[i] = !u.machine.EverActive()
 		}
 	}
+	g.active = active
 
 	// 3. Scheduler.
-	alloc := make([]int, len(g.users))
-	g.sched.Allocate(&slot, alloc)
+	g.view.N, g.view.ActiveList = g.slot, active
+	g.sched.Allocate(&g.view, alloc)
 	// Defensive clamp, mirroring the simulator's non-strict mode.
 	total := 0
-	for i := range alloc {
+	for _, u := range g.live {
+		i := u.id
 		if alloc[i] < 0 {
 			alloc[i] = 0
 		}
-		if alloc[i] > slot.Users[i].MaxUnits {
-			alloc[i] = slot.Users[i].MaxUnits
+		if m := int(c.MaxUnits[i]); alloc[i] > m {
+			alloc[i] = m
 		}
 		total += alloc[i]
 	}
-	for i := len(alloc) - 1; i >= 0 && total > slot.CapacityUnits; i-- {
+	for k := len(g.live) - 1; k >= 0 && total > g.view.CapacityUnits; k-- {
+		i := g.live[k].id
 		cut := alloc[i]
-		if cut > total-slot.CapacityUnits {
-			cut = total - slot.CapacityUnits
+		if cut > total-g.view.CapacityUnits {
+			cut = total - g.view.CapacityUnits
 		}
 		alloc[i] -= cut
 		total -= cut
@@ -465,54 +550,46 @@ func (g *Gateway) Step() ([]int, error) {
 
 	// 4. Data Transmitter.
 	submitted := 0
-	for i, u := range g.users {
-		// Age the playback estimate by one slot first.
-		if u.bufferSec > g.cfg.Tau {
-			u.bufferSec -= g.cfg.Tau
-		} else {
-			u.bufferSec = 0
-		}
+	for _, u := range g.live {
+		i := u.id
 		if alloc[i] == 0 || u.detached {
-			if u.machine != nil && !u.detached {
-				u.tailEnergy += u.machine.IdleSlot(g.cfg.Tau)
-			}
+			g.idleSlot(u)
 			continue
 		}
+		g.age(u)
 		kb := float64(alloc[i]) * float64(g.cfg.Unit)
 		nbytes := int(kb * 1000)
-		if nbytes > len(u.queue) {
-			nbytes = len(u.queue)
+		if nbytes > u.queued() {
+			nbytes = u.queued()
 		}
+		payload := u.buf[u.head : u.head+nbytes]
 		if g.policy.AsyncDelivery {
 			// Snapshot the grant and hand it to the endpoint's worker;
 			// energy is spent at transmission time whether or not the
 			// device drains its socket, playback progress is credited
 			// when the delivery completes.
-			payload := make([]byte, nbytes)
-			copy(payload, u.queue[:nbytes])
-			u.queue = u.queue[nbytes:]
+			u.head += nbytes
 			if u.machine != nil {
-				u.transEnergy += g.cfg.Radio.TransmissionEnergy(slot.Users[i].Sig, units.KB(float64(nbytes)/1000))
+				u.transEnergy += g.cfg.Radio.TransmissionEnergy(c.Sig[i], units.KB(float64(nbytes)/1000))
 				u.machine.Transfer()
 			}
-			g.submitAsync(u, deliveryJob{payload: payload, slot: g.slot, rate: reports[i].Rate})
+			g.submitAsync(u, deliveryJob{payload: append([]byte(nil), payload...), slot: g.slot, rate: c.Rate[i]})
 			submitted++
 			continue
 		}
-		payload := u.queue[:nbytes]
 		if err := u.ep.Deliver(payload); err != nil {
 			g.deliveryFailed(u, err)
 			continue
 		}
 		g.deliverySucceeded(u)
-		u.queue = u.queue[nbytes:]
+		u.head += nbytes
 		deliveredKB := units.KB(float64(nbytes) / 1000)
 		u.sentKB += deliveredKB
-		if rate := reports[i].Rate; rate > 0 {
+		if rate := c.Rate[i]; rate > 0 {
 			u.bufferSec += units.Seconds(float64(deliveredKB) / float64(rate))
 		}
 		if u.machine != nil {
-			u.transEnergy += g.cfg.Radio.TransmissionEnergy(slot.Users[i].Sig, deliveredKB)
+			u.transEnergy += g.cfg.Radio.TransmissionEnergy(c.Sig[i], deliveredKB)
 			u.machine.Transfer()
 		}
 	}
@@ -525,12 +602,8 @@ func (g *Gateway) Step() ([]int, error) {
 
 	// 5. Rebuffer accounting: a started, unfinished session with an empty
 	// playback estimate stalls for the slot.
-	for _, u := range g.users {
-		if u.detached || u.sentKB == 0 {
-			continue
-		}
-		done := u.srcDone && len(u.queue) == 0 && !u.inFlight
-		if !done && u.bufferSec <= 0 {
+	for _, u := range g.live {
+		if !u.detached && u.sentKB != 0 && !u.done() && u.bufferSec <= 0 {
 			u.rebufferSec += g.cfg.Tau
 		}
 	}
@@ -538,11 +611,81 @@ func (g *Gateway) Step() ([]int, error) {
 		g.diag.DegradedSlots++
 	}
 	g.maybeShed()
-	g.countDrained()
-	g.foldFinished()
+
+	// 6. Retire what ended this slot. A detached session whose last
+	// delivery is still in flight stays until the outcome lands.
+	live := g.live[:0]
+	for _, u := range g.live {
+		if !u.inFlight && (u.detached || u.done()) {
+			g.retire(u)
+		} else {
+			live = append(live, u)
+		}
+	}
+	g.live = live
 	g.slot++
 	g.noteTick(time.Since(tickStart), missedDeadline)
 	return alloc, nil
+}
+
+// age runs a user's playback estimate down by one slot.
+func (g *Gateway) age(u *user) {
+	if u.bufferSec > g.cfg.Tau {
+		u.bufferSec -= g.cfg.Tau
+	} else {
+		u.bufferSec = 0
+	}
+}
+
+// idleSlot is a slot without a transfer: the playback estimate ages and,
+// unless the session was detached, the RRC tail burns on.
+func (g *Gateway) idleSlot(u *user) {
+	g.age(u)
+	if u.machine != nil && !u.detached {
+		u.tailEnergy += u.machine.IdleSlot(g.cfg.Tau)
+	}
+}
+
+// settle brings a retired session's estimates up to the current slot. Out
+// of service it only idles — the playback estimate runs down, the RRC tail
+// burns out (Eq. 4) — and an idle slot depends on nothing but the session,
+// so the slots since asOf are replayed when somebody asks, with the
+// arithmetic a per-slot walk would have used, until nothing moves any
+// more. Callers hold g.mu.
+func (g *Gateway) settle(u *user) {
+	for m := u.machine; u.asOf < g.slot; u.asOf++ {
+		tail := m != nil && !u.detached && m.EverActive() && m.Gap() < g.cfg.RRC.TailDrainedAfter()
+		if u.bufferSec <= 0 && !tail {
+			break
+		}
+		g.idleSlot(u)
+	}
+	u.asOf = g.slot
+}
+
+// retire is the one way out of g.live, taken once, at the end of the slot
+// the session ended in: a natural completion folds into the session
+// histograms and is credited to the drain (detach folded its own), the
+// delivery worker exits, the queue buffer returns to the free list and the
+// endpoint and source are let go. The ledger entry and the zeroed view row
+// stay. Callers hold g.mu.
+func (g *Gateway) retire(u *user) {
+	if !u.detached {
+		g.foldSession(u)
+		if g.draining {
+			g.diag.Drained++
+		}
+	}
+	if u.worker != nil {
+		close(u.worker.jobs)
+		u.worker = nil
+	}
+	if u.buf != nil {
+		g.freeBufs = append(g.freeBufs, u.buf)
+	}
+	u.buf, u.ep, u.src = nil, nil, nil
+	g.clearRow(u.id)
+	u.asOf = g.slot + 1
 }
 
 // ceilDiv returns ⌈amount/unit⌉ for positive unit.
@@ -557,18 +700,37 @@ func ceilDiv(amount, unit float64) int {
 	return n
 }
 
-// fill tops up a user's receiver queue from its source.
+// spareBufs passes the queue buffers of a closed gateway on to the next
+// one in the process (tests, load generators and benchmarks build gateways
+// in a loop), so their pages stay mapped instead of being freed, returned
+// to the OS and faulted in again. A buffer of another QueueCap is dropped.
+var spareBufs sync.Pool
+
+// fill tops up a user's receiver queue from its source, reading straight
+// into the free space of its buffer.
 func (g *Gateway) fill(u *user) {
 	if u.srcDone || u.detached {
 		return
 	}
-	capBytes := int(float64(g.cfg.QueueCap) * 1000)
-	for len(u.queue) < capBytes {
-		chunk := make([]byte, capBytes-len(u.queue))
-		n, err := u.src.Read(chunk)
-		if n > 0 {
-			u.queue = append(u.queue, chunk[:n]...)
+	if u.buf == nil {
+		if n := len(g.freeBufs); n > 0 {
+			u.buf, g.freeBufs = g.freeBufs[n-1], g.freeBufs[:n-1]
+		} else if b, _ := spareBufs.Get().(*[]byte); b != nil && len(*b) == 2*g.capBytes {
+			u.buf = *b
+		} else {
+			u.buf = make([]byte, 2*g.capBytes)
+			g.bufsMade++
 		}
+	}
+	for u.queued() < g.capBytes {
+		want := g.capBytes - u.queued()
+		if len(u.buf)-u.tail < want {
+			// The tail ran out: slide the queue down over what was consumed.
+			u.tail = copy(u.buf, u.buf[u.head:u.tail])
+			u.head = 0
+		}
+		n, err := u.src.Read(u.buf[u.tail : u.tail+want])
+		u.tail += n
 		if err != nil {
 			u.srcDone = true
 			return
@@ -579,6 +741,19 @@ func (g *Gateway) fill(u *user) {
 	}
 }
 
+// putBack returns an undelivered grant to the head of the user's queue.
+func (u *user) putBack(p []byte) {
+	n := u.queued()
+	buf := u.buf
+	if len(p)+n > len(buf) {
+		// Only a QueueCap under one slot of the fastest link gets here.
+		buf = make([]byte, len(p)+n)
+	}
+	copy(buf[len(p):], u.buf[u.head:u.tail])
+	copy(buf, p)
+	u.buf, u.head, u.tail = buf, 0, len(p)+n
+}
+
 // StatsFor returns a user's progress.
 func (g *Gateway) StatsFor(id int) (Stats, error) {
 	g.mu.Lock()
@@ -587,13 +762,16 @@ func (g *Gateway) StatsFor(id int) (Stats, error) {
 		return Stats{}, fmt.Errorf("gateway: unknown user %d", id)
 	}
 	u := g.users[id]
+	if u.ep == nil {
+		g.settle(u)
+	}
 	return Stats{
 		ID:              id,
 		SentKB:          u.sentKB,
-		QueuedKB:        units.KB(float64(len(u.queue)) / 1000),
+		QueuedKB:        units.KB(float64(u.queued()) / 1000),
 		BufferSec:       u.bufferSec,
 		RebufferSec:     u.rebufferSec,
-		Done:            u.srcDone && len(u.queue) == 0 && !u.inFlight,
+		Done:            u.done(),
 		Detached:        u.detached,
 		DetachReason:    u.detachReason,
 		TransientErrors: u.transientErrors,
@@ -608,16 +786,5 @@ func (g *Gateway) StatsFor(id int) (Stats, error) {
 func (g *Gateway) AllDone() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if len(g.users) == 0 {
-		return false
-	}
-	for _, u := range g.users {
-		if u.detached {
-			continue
-		}
-		if !u.srcDone || len(u.queue) > 0 || u.inFlight {
-			return false
-		}
-	}
-	return true
+	return len(g.users) > 0 && !g.anyInService()
 }

@@ -210,7 +210,9 @@ func TestPersistentDeliveryErrorTripsBreaker(t *testing.T) {
 // A fatal (classified) delivery error still detaches immediately.
 func TestFatalDeliveryErrorDetachesImmediately(t *testing.T) {
 	g, _ := New(testConfig(), sched.NewDefault())
-	ep, id := attachUser(t, g, 1000, 400, -60)
+	// Several slots of video: the session is still in service when its
+	// endpoint goes (a completed one is retired and never polled again).
+	ep, id := attachUser(t, g, 50000, 400, -60)
 	// Disconnect between report collection and delivery: the endpoint
 	// still reports, but Deliver returns a Fatal-classified error.
 	g.Step()

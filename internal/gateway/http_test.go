@@ -178,14 +178,17 @@ func TestHTTPSessionWindowedMetrics(t *testing.T) {
 
 func TestSessionMetricsFoldOnDetach(t *testing.T) {
 	g, _ := monitoredGateway(t)
+	attachUser(t, g, 50000, 400, -60) // still in service after one slot
 	g.Step()
 	g.mu.Lock()
-	u := g.users[0]
+	u := g.users[1]
 	g.detach(u, DetachShed)
 	g.detach(u, DetachShed) // idempotent: must not fold twice
 	g.mu.Unlock()
-	if m := g.SessionWindowMetrics(); m.EndedTotal != 1 {
-		t.Fatalf("ended total = %d after detach, want 1", m.EndedTotal)
+	// User 0 completed in the slot and folded when it retired; the
+	// detached one must have folded exactly once more.
+	if m := g.SessionWindowMetrics(); m.EndedTotal != 2 {
+		t.Fatalf("ended total = %d after detach, want 2", m.EndedTotal)
 	}
 }
 

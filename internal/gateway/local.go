@@ -91,6 +91,15 @@ func (e *LocalEndpoint) Payload() []byte {
 	return cp
 }
 
+// pattern is a whole number of periods of PatternSource's byte stream
+// 0, 1, …, 255, 0, …, so a Read is a few copies instead of a byte loop.
+var pattern = func() (t [8192]byte) {
+	for i := range t {
+		t[i] = byte(i)
+	}
+	return t
+}()
+
 // PatternSource yields a deterministic byte pattern of a fixed total size,
 // emulating a video file fetched from the origin server.
 type PatternSource struct {
@@ -115,9 +124,10 @@ func (s *PatternSource) Read(p []byte) (int, error) {
 	if int64(n) > s.remaining {
 		n = int(s.remaining)
 	}
-	for i := 0; i < n; i++ {
-		p[i] = s.next
-		s.next++
+	for done := 0; done < n; {
+		c := copy(p[done:n], pattern[s.next:])
+		done += c
+		s.next += byte(c)
 	}
 	s.remaining -= int64(n)
 	if s.remaining == 0 {

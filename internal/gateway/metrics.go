@@ -26,25 +26,12 @@ func newSessionHists() (rebuf, energy *metrics.WindowedHist) {
 }
 
 // foldSession lands one ended session's lifetime totals in the windowed
-// histograms, exactly once. Callers hold g.mu.
+// histograms. It runs once per session: in detach, or in retire for a
+// session that completed undetached. Callers hold g.mu.
 func (g *Gateway) foldSession(u *user) {
-	if u.folded {
-		return
-	}
-	u.folded = true
 	g.endedTotal++
 	g.rebufHist.Observe(float64(u.rebufferSec))
 	g.energyHist.Observe(float64(u.transEnergy) + float64(u.tailEnergy))
-}
-
-// foldFinished folds sessions that reached natural completion this slot
-// (detached sessions fold inside detach). Callers hold g.mu.
-func (g *Gateway) foldFinished() {
-	for _, u := range g.users {
-		if !u.folded && !u.detached && u.srcDone && len(u.queue) == 0 && !u.inFlight {
-			g.foldSession(u)
-		}
-	}
 }
 
 // SessionMetrics is a snapshot of the sliding per-session quality

@@ -96,13 +96,25 @@ func TestMapErrorCancelsRemaining(t *testing.T) {
 		if n == 3 {
 			return 0, boom
 		}
+		if n > 3 {
+			// Every later job waits for the cancellation, so how many ran
+			// is bounded by the workers and not by how long the failing
+			// job's goroutine sat descheduled before it could cancel.
+			select {
+			case <-ctx.Done():
+			case <-time.After(30 * time.Second):
+				t.Error("job still running 30 s after another failed: context never cancelled")
+			}
+		}
 		return 0, nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
-	// Cancellation is asynchronous but must stop well short of all jobs.
-	if ran.Load() > 900 {
+	// Once cancelled, the feeder's select may still hand over a job or
+	// two (each returns at once), a coin flip apiece: 100 would take 90
+	// heads in a row.
+	if ran.Load() > 100 {
 		t.Errorf("ran %d jobs after error; cancellation ineffective", ran.Load())
 	}
 }
