@@ -162,21 +162,30 @@ func BenchmarkClaims(b *testing.B) {
 // benchSlot builds a representative 40-user slot.
 func benchSlot(users, capacityUnits int) (*sched.Slot, []int) {
 	src := rng.New(9)
-	slot := &sched.Slot{
-		Tau: 1, Unit: 100, CapacityUnits: capacityUnits,
-		Users: make([]sched.User, users),
+	c := &sched.Columns{
+		Active:      make([]bool, users),
+		Sig:         make([]units.DBm, users),
+		LinkRate:    make([]units.KBps, users),
+		EnergyPerKB: make([]units.MJ, users),
+		Rate:        make([]units.KBps, users),
+		BufferSec:   make([]units.Seconds, users),
+		RemainingKB: make([]units.KB, users),
+		TailGap:     make([]units.Seconds, users),
+		NeverActive: make([]bool, users),
+		MaxUnits:    make([]int32, users),
 	}
-	for i := range slot.Users {
+	for i := 0; i < users; i++ {
 		sig := units.DBm(src.Uniform(-110, -50))
 		link := units.KBps(65.8*float64(sig) + 7567)
-		slot.Users[i] = sched.User{
-			Index: i, Active: true, Sig: sig, LinkRate: link,
-			EnergyPerKB: units.MJ(-0.167 + 1560/float64(link)),
-			Rate:        units.KBps(src.Uniform(300, 600)),
-			RemainingKB: 1e9,
-			MaxUnits:    int(float64(link) / 100),
-		}
+		c.Active[i] = true
+		c.Sig[i] = sig
+		c.LinkRate[i] = link
+		c.EnergyPerKB[i] = units.MJ(-0.167 + 1560/float64(link))
+		c.Rate[i] = units.KBps(src.Uniform(300, 600))
+		c.RemainingKB[i] = 1e9
+		c.MaxUnits[i] = int32(float64(link) / 100)
 	}
+	slot := &sched.Slot{Tau: 1, Unit: 100, CapacityUnits: capacityUnits, Cols: c}
 	return slot, make([]int, users)
 }
 

@@ -395,14 +395,15 @@ type Simulator struct {
 	slot  sched.Slot
 	alloc []int
 
-	// cols is the engine's struct-of-arrays slot view (RunCtx attaches it
-	// as slot.Cols). The dynamic columns (Active, BufferSec, RemainingKB,
-	// TailGap, NeverActive, MaxUnits) are engine-owned arrays refreshed in
-	// place each slot; the static physics columns alias the link table's
-	// slot windows (attachSlotColumns) when one is compiled, and are
-	// engine-owned otherwise. With ABR the Rate column is always
+	// cols is the slot's column storage (slot.Cols points at it for the
+	// Simulator's whole life). The dynamic columns (Active, BufferSec,
+	// RemainingKB, TailGap, NeverActive, MaxUnits) are engine-owned arrays
+	// refreshed in place each slot; the static physics columns alias the
+	// link table's slot windows (attachSlotColumns) when one is compiled,
+	// and are engine-owned otherwise. With ABR the Rate column is always
 	// engine-owned — the player picks rates per slot, and the shared
-	// immutable table must never be written through.
+	// immutable table must never be written through. RunReference swaps
+	// in private static columns for the same reason.
 	cols  sched.Columns
 	luCol []int32 // slot's Eq. (1) link-unit column (link-table path only)
 
@@ -593,10 +594,11 @@ func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, allowEm
 		Tau:           cfg.Tau,
 		Unit:          cfg.Unit,
 		CapacityUnits: floorUnits(float64(cfg.Capacity)*float64(cfg.Tau), float64(cfg.Unit)),
+		Cols:          &sim.cols,
 	}
 	sim.capUnits = sim.slot.CapacityUnits
-	// Column storage for the SoA slot view (RunCtx). Dynamic columns are
-	// always engine-owned; the static physics columns are allocated only
+	// Column storage for the slot view. Dynamic columns are always
+	// engine-owned; the static physics columns are allocated only
 	// when no link table backs them (attachSlotColumns aliases the table's
 	// slot windows otherwise), and the Rate column additionally whenever
 	// ABR overrides the workload rates.
@@ -677,7 +679,7 @@ func (s *Simulator) begin() error {
 // abrDemand picks user i's slot rate and remaining demand under ABR: the
 // player selects p_i(n) from its ladder based on buffer occupancy, and
 // the remainder is the undelivered content time priced at that rate,
-// capped at the buffer-headroom request. Shared by both prepare paths.
+// capped at the buffer-headroom request.
 func (s *Simulator) abrDemand(i int, u *userState, active bool) (units.KBps, units.KB) {
 	ctl := s.abrCtls[i]
 	var rate units.KBps
@@ -696,53 +698,7 @@ func (s *Simulator) abrDemand(i int, u *userState, active bool) (units.KBps, uni
 	return rate, units.KB(float64(wantSec) * float64(rate))
 }
 
-// prepareUser fills user i's array-of-structs scheduler view for slot
-// slotIdx and reports whether the user is active (wants data this slot).
-// It is the reference engine's prepare: the signal and radio models are
-// always evaluated analytically through the interfaces (never the link
-// table), so the engine differential tests assert flattened == analytic.
-// It writes only user-i state, so distinct users prepare concurrently.
-func (s *Simulator) prepareUser(slotIdx, i int) bool {
-	u := &s.users[i]
-	sess := s.sessions[i]
-	started := slotIdx >= sess.StartSlot
-	active := started && !u.buf.DeliveryComplete()
-	sig := sess.Signal.At(slotIdx)
-	link := s.cfg.Radio.Throughput.Throughput(sig)
-	epkb := s.cfg.Radio.Power.EnergyPerKB(sig)
-	rate := sess.RateAt(slotIdx)
-	linkUnits := floorUnits(float64(link)*float64(s.cfg.Tau), float64(s.cfg.Unit))
-	// Remaining demand: fixed-rate sessions use the workload's rate and
-	// byte remainder; ABR sessions pick the rate from the player's buffer.
-	remainingKB := u.buf.RemainingBytes()
-	if s.abrCtls != nil {
-		rate, remainingKB = s.abrDemand(i, u, active)
-	}
-	maxUnits := linkUnits
-	remUnits := ceilUnits(float64(remainingKB), float64(s.cfg.Unit))
-	if maxUnits > remUnits {
-		maxUnits = remUnits
-	}
-	if !active {
-		maxUnits = 0
-	}
-	s.slot.Users[i] = sched.User{
-		Index:       i,
-		Active:      active,
-		Sig:         sig,
-		LinkRate:    link,
-		EnergyPerKB: epkb,
-		Rate:        rate,
-		BufferSec:   u.buf.Occupancy(),
-		RemainingKB: remainingKB,
-		TailGap:     u.tailGap,
-		NeverActive: !u.everActive,
-		MaxUnits:    maxUnits,
-	}
-	return active
-}
-
-// attachSlotColumns points the SoA view's static physics columns at the
+// attachSlotColumns points the slot view's static physics columns at the
 // link table's slot-n windows: zero-copy reslices of shared immutable
 // memory, swapped per slot, never written through. Without a table the
 // columns are engine-owned arrays and prepareColsUser refreshes them.
@@ -782,14 +738,16 @@ func (s *Simulator) attachSlotColumns(n int) {
 // them instead of evaluating the radio model.
 func (s *Simulator) colsTabled() bool { return s.link != nil || s.openTile != nil }
 
-// prepareColsUser refreshes user i's entries of the SoA slot view for
+// prepareColsUser refreshes user i's entries of the slot's columns for
 // slot slotIdx and reports whether the user is active. With a tabled
 // view attached (link table or open tile) the static physics columns
 // already alias the precompiled slot windows, so only the dynamic
 // columns (activity, buffer, demand, tail) are written; otherwise the
-// physics are evaluated through the interfaces into the engine-owned
-// columns, bitwise-identically to prepareUser. Writes only user-i
-// entries, so distinct users prepare concurrently.
+// physics are evaluated analytically through the signal and radio
+// interfaces into the engine-owned columns — the path RunReference always
+// takes, which is what lets the differential tests assert flattened ==
+// analytic. Writes only user-i entries, so distinct users prepare
+// concurrently.
 func (s *Simulator) prepareColsUser(tabled bool, slotIdx, i int) bool {
 	u := &s.users[i]
 	started := slotIdx >= int(u.startSlot)
@@ -851,104 +809,6 @@ type slotAccum struct {
 	retires     int // users that became retirement-eligible this slot
 	err         error
 	errUser     int
-}
-
-// commitUser applies slot slotIdx's allocation outcome to user i —
-// energy per Eq. (5), RRC transition, buffer recursion Eq. (7), totals,
-// samples — accumulating the slot-level aggregates into acc. It writes
-// only user-i state and acc, so distinct users commit concurrently as
-// long as each shard owns its acc.
-func (s *Simulator) commitUser(slotIdx, i int, res *Result, acc *slotAccum) error {
-	u := &s.users[i]
-	ru := &res.Users[i]
-	// The slot accessors serve both view layouts, so one commit path
-	// covers the SoA engine and the AoS reference identically. View fields
-	// are read lazily: the ungranted majority touches none of them.
-	view := &s.slot
-	granted := s.alloc[i]
-
-	// Energy per Eq. (5): transmission when scheduled, tail when not.
-	// Eq. (3) reuses the per-KB price already materialized in the
-	// scheduler view (P is a pure function of the slot's signal), so the
-	// commit phase never re-enters the radio interfaces.
-	var deliveredKB units.KB
-	var slotEnergy units.MJ
-	if granted > 0 {
-		deliveredKB = units.KB(float64(granted) * float64(s.cfg.Unit))
-		// Cap the last shard at the true remainder so byte accounting
-		// stays exact even though units are discrete.
-		if rem := view.RemainingKBAt(i); deliveredKB > rem {
-			deliveredKB = rem
-		}
-		slotEnergy = units.MJ(float64(view.EnergyPerKBAt(i)) * float64(deliveredKB))
-		ru.TransEnergy += slotEnergy
-		ru.ActiveSlots++
-		// Machine.Transfer: promote to DCH, reset the inactivity gap.
-		u.everActive = true
-		u.tailGap = 0
-	} else {
-		// Machine.IdleSlot: a device that has never transferred sits in
-		// IDLE and neither burns tail energy nor ages a gap; otherwise the
-		// slot burns E_tail(gap+τ) − E_tail(gap) per Eq. (4).
-		if u.everActive {
-			slotEnergy = s.cfg.RRC.TailIncrement(u.tailGap, s.cfg.Tau)
-			u.tailGap += s.cfg.Tau
-		}
-		ru.TailEnergy += slotEnergy
-	}
-	ru.DeliveredKB += deliveredKB
-
-	// Buffer dynamics only for users that have started.
-	var c units.Seconds
-	if slotIdx >= int(u.startSlot) {
-		viewRate := view.RateAt(i)
-		wasComplete := u.buf.PlaybackComplete()
-		var err error
-		c, err = u.buf.Advance(deliveredKB, viewRate, s.cfg.Tau)
-		if err != nil {
-			return err
-		}
-		if !wasComplete && u.buf.PlaybackComplete() {
-			ru.CompletionSlot = slotIdx
-			acc.completions++
-		}
-		if !wasComplete {
-			ru.QualitySum += float64(viewRate)
-			ru.QualitySlots++
-			if u.prevRate != 0 && viewRate != u.prevRate {
-				ru.QualitySwitches++
-			}
-			u.prevRate = viewRate
-		}
-
-		// Fairness sample F_i = delivered/needed for users with a need.
-		// Activity implies a started user, so the check lives here.
-		if view.ActiveAt(i) {
-			needKB := float64(viewRate) * float64(s.cfg.Tau)
-			if rem := float64(view.RemainingKBAt(i)); needKB > rem {
-				needKB = rem
-			}
-			if needKB > 0 {
-				f := float64(deliveredKB) / needKB
-				if f > 1 {
-					f = 1
-				}
-				acc.fairNum += f
-				acc.fairDen += f * f
-				acc.fairCount++
-			}
-		}
-	}
-	ru.Rebuffer += c
-	acc.rebuffer += c
-	acc.energy += slotEnergy
-	acc.usedUnits += granted
-
-	if s.cfg.RecordPerUserSlots {
-		res.RebufferSamples[i] = append(res.RebufferSamples[i], float64(c))
-		res.EnergySamples[i] = append(res.EnergySamples[i], float64(slotEnergy))
-	}
-	return nil
 }
 
 // enforce applies Eq. (1)/(2) clamping (or errors in Strict mode) and

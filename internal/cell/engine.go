@@ -10,7 +10,7 @@ import (
 
 // This file implements the production tick engine: each slot splits into
 //
-//	prepare  — build the scheduler's per-user views (sharded, parallel)
+//	prepare  — refresh the slot's per-user columns (sharded, parallel)
 //	schedule — one Allocate call plus Eq. (1)/(2) enforcement (serial)
 //	commit   — apply energy/buffer/RRC physics and totals (sharded)
 //
@@ -21,7 +21,9 @@ import (
 // shard confines its writes to its own users and accumulators, and the
 // per-shard partial sums are reduced in shard order. Any worker count
 // therefore produces a byte-identical Result; RunReference keeps the
-// original full-scan serial loop as the differential reference.
+// original full-scan serial loop — same columns, same per-user prepare and
+// commit, none of the live list, shards, fusion or table windows — as the
+// differential reference.
 //
 // Two further structural optimizations live here (see DESIGN.md §10):
 //
@@ -198,20 +200,13 @@ func RunArmsCtx(ctx context.Context, sims []*Simulator) ([]*Result, error) {
 }
 
 // startRun initializes the run-scoped engine state: the result shell,
-// the SoA slot view, the phase-label contexts for -cpuprofile
-// attribution, and the shard bodies. The bodies are method values bound
+// the phase-label contexts for -cpuprofile attribution, and the shard
+// bodies. The bodies are method values bound
 // once here — a closure literal inside the slot loop would capture the
 // slot index and allocate a fresh func value every slot, breaking the
 // steady-state zero-allocation guarantee.
 func (s *Simulator) startRun(ctx context.Context) {
 	s.curRes = s.newResult()
-
-	// The production engine runs on the zero-copy column view: schedulers
-	// read through the Slot accessors, which route to s.cols whenever it is
-	// attached. The AoS Users slice stays nil here — only RunReference
-	// materializes it.
-	s.slot.Cols = &s.cols
-	s.slot.Users = nil
 	s.colsSlot = -1
 
 	// Phase attribution for -cpuprofile: one labeled context per phase,

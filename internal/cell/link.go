@@ -14,13 +14,14 @@ import (
 // throughput, per-KB energy, required rate, and the Eq. (1) link limit in
 // units. The tick path's prepare phase then aliases each slot's column
 // window (a zero-copy reslice per column, never a copy) straight into the
-// sched.Columns view instead of materializing per-user structs. The
+// sched.Columns view instead of evaluating the models per user. The
 // columns are produced by the link-window fill (linkfill.go), which
 // evaluates the radio curves through a radio.Table when (and only when)
 // that table is bitwise-exact for the run's model, so flattening can
-// never perturb the physics. RunReference deliberately ignores the table,
-// which makes the engine differential tests assert flattened == analytic
-// on every slot.
+// never perturb the physics. RunReference deliberately ignores the table
+// — it evaluates the models into private columns of its own — which makes
+// the engine differential tests assert flattened == analytic on every
+// slot.
 
 // linkRowBytes is the per-user-slot footprint across the parallel column
 // arrays — four 8-byte columns (sig, link, epkb, rate) and the int32 unit

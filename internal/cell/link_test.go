@@ -2,6 +2,8 @@ package cell
 
 import (
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"jointstream/internal/radio"
@@ -234,9 +236,14 @@ func TestConfigLinkCompatibility(t *testing.T) {
 	}
 }
 
-// TestRunReferenceKeepsLinkTable pins that the reference arm bypasses the
-// compiled table without mutating the Simulator: s.link survives the run,
-// so nothing observing the Simulator concurrently can see it flip.
+// TestRunReferenceKeepsLinkTable pins the reference arm's independence
+// from the compiled table: it bypasses the table without mutating the
+// Simulator (s.link survives the run, so nothing observing the Simulator
+// concurrently can see it flip), and it prepares into static columns it
+// owns — two arms run concurrently against one shared monolithic
+// Config.Link (under -race in CI) and leave every row of the table
+// bit-unchanged, so an engine arm attached afterwards still reproduces
+// them exactly.
 func TestRunReferenceKeepsLinkTable(t *testing.T) {
 	wl, err := workload.Generate(workload.PaperDefaults(4), rng.New(3))
 	if err != nil {
@@ -244,18 +251,64 @@ func TestRunReferenceKeepsLinkTable(t *testing.T) {
 	}
 	cfg := PaperConfig()
 	cfg.MaxSlots = 200
-	sim, err := New(cfg, wl, sched.NewDefault())
+	lt, err := CompileLink(cfg, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.link == nil {
-		t.Fatal("expected an auto-compiled link table")
+	cfg.Link = lt
+	before := linkCols{
+		sig:  slices.Clone(lt.sig),
+		link: slices.Clone(lt.link),
+		epkb: slices.Clone(lt.epkb),
+		rate: slices.Clone(lt.rate),
+		lu:   slices.Clone(lt.lu),
 	}
-	if _, err := sim.RunReference(); err != nil {
+
+	var wg sync.WaitGroup
+	results := make([]*Result, 2)
+	errs := make([]error, 2)
+	for k := range results {
+		sim, err := New(cfg, wl, sched.NewDefault())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim.link != lt {
+			t.Fatal("shared Config.Link not attached")
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[k], errs[k] = sim.RunReference()
+			if sim.link != lt {
+				t.Errorf("arm %d: RunReference replaced the simulator's link table", k)
+			}
+		}()
+	}
+	wg.Wait()
+	for k, err := range errs {
+		if err != nil {
+			t.Fatalf("arm %d: %v", k, err)
+		}
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Error("concurrent reference arms over one table disagree")
+	}
+
+	if !slices.Equal(lt.sig, before.sig) || !slices.Equal(lt.link, before.link) ||
+		!slices.Equal(lt.epkb, before.epkb) || !slices.Equal(lt.rate, before.rate) ||
+		!slices.Equal(lt.lu, before.lu) {
+		t.Error("RunReference wrote through the shared link table")
+	}
+	eng, err := New(cfg, wl, sched.NewDefault())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.link == nil {
-		t.Error("RunReference cleared the simulator's link table")
+	got, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, results[0]) {
+		t.Error("engine over the shared table diverged from the reference arms")
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 // It turns (session, slot) into the five physics values the tick reads —
 // signal, throughput v(sig), per-KB energy P(sig), required rate and the
 // Eq. (1) limit ⌊τ·v/δ⌋ — with the floating-point expressions of the
-// analytic prepare path, so a filled row is bit-identical to prepareUser's.
+// analytic prepare path (prepareColsUser untabled), so a filled row is
+// bit-identical to what that path computes.
 //
 // The work is memory-bound, so the loops are shaped around cache lines
 // (DESIGN.md §5): shards are blocks of consecutive users, because

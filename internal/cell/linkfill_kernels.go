@@ -9,7 +9,7 @@ import "jointstream/internal/units"
 // kernels.go; keep the reslice structure when editing.
 
 // emitRow writes slot k of the staged signals into one row of each
-// physics column. The per-element expressions are exactly prepareUser's:
+// physics column. The per-element expressions are prepareColsUser's:
 // same reads, same float operations.
 func (f *linkFiller) emitRow(stage [][fillSlots]units.DBm, k int, sig []units.DBm, link []units.KBps, epkb []units.MJ, lu []int32) {
 	// Pin every column to len(stage) so the compiler can prove x[u] in

@@ -59,7 +59,7 @@ func chordRadio(t *testing.T) radio.Model {
 }
 
 // checkRowsAnalytic asserts that slot n's columns hold, for every listed
-// row, exactly what prepareUser would compute through the interfaces.
+// row, exactly what the analytic prepare computes through the interfaces.
 func checkRowsAnalytic(t *testing.T, lt *LinkTable, cfg Config, wl []*workload.Session, n int, rows []int) {
 	t.Helper()
 	sig, link, epkb, rate, lu := lt.slotColumns(n)

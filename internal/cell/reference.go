@@ -4,12 +4,17 @@ import (
 	"context"
 	"fmt"
 
-	"jointstream/internal/sched"
+	"jointstream/internal/units"
 )
 
 // RunReference executes the simulation with the original full-scan
 // serial engine: every slot prepares, schedules and commits all N users
-// in index order, with flat (unsharded) accumulation. It is the
+// in index order — physics evaluated analytically through the signal and
+// radio interfaces (never the link table), flat (unsharded) accumulation,
+// and a nil ActiveList so schedulers take their scan fallback. It runs on
+// the same slot columns and the same per-user prepare/commit as Run; what
+// it keeps independent is everything the engine adds around them — live
+// list, shards, fused pass, dense kernels, table windows. It is the
 // reference arm of the engine differential tests in internal/simtest —
 // Run must reproduce its Result bit for bit whenever the shard layout is
 // a single shard (live users ≤ ShardSize), and match it up to float
@@ -29,16 +34,18 @@ func (s *Simulator) RunReferenceCtx(ctx context.Context) (*Result, error) {
 	alloc := s.alloc
 	slot.ActiveList = nil // schedulers exercise their full-scan fallback
 
-	// The reference arm runs on the original array-of-structs view: a
-	// materialized []sched.User rebuilt from scratch every slot, with the
-	// column view detached so the accessors route to it. This is the
-	// differential oracle the SoA engine must reproduce bit for bit.
-	slot.Cols = nil
-	if len(slot.Users) != len(s.users) {
-		slot.Users = make([]sched.User, len(s.users))
-		for i := range slot.Users {
-			slot.Users[i].Index = i
-		}
+	// The reference arm evaluates the physics analytically into static
+	// columns it owns for the run. With a link table attached newSim left
+	// them for attachSlotColumns to alias onto the table's windows; that
+	// table may be a shared immutable Config.Link, so the arm never writes
+	// through such an alias — it takes private columns instead and leaves
+	// s.link unread.
+	if s.link != nil {
+		n := len(s.users)
+		s.cols.Sig = make([]units.DBm, n)
+		s.cols.LinkRate = make([]units.KBps, n)
+		s.cols.EnergyPerKB = make([]units.MJ, n)
+		s.cols.Rate = make([]units.KBps, n)
 	}
 
 	for slotIdx := 0; slotIdx < s.cfg.MaxSlots; slotIdx++ {
@@ -49,11 +56,11 @@ func (s *Simulator) RunReferenceCtx(ctx context.Context) (*Result, error) {
 		allDone := true
 		for i := range s.users {
 			u := &s.users[i]
-			// Analytic-only prepare: the reference arm always evaluates the
-			// signal and radio models through the interfaces, so the
-			// differential tests assert the flattened table reproduces the
-			// interface path bitwise. s.link itself is left untouched.
-			s.prepareUser(slotIdx, i)
+			// Analytic-only prepare (tabled=false): the reference arm always
+			// evaluates the signal and radio models through the interfaces,
+			// so the differential tests assert the flattened table
+			// reproduces the interface path bitwise.
+			s.prepareColsUser(false, slotIdx, i)
 			if slotIdx < int(u.startSlot) || !u.buf.PlaybackComplete() {
 				allDone = false
 			}
@@ -80,7 +87,7 @@ func (s *Simulator) RunReferenceCtx(ctx context.Context) (*Result, error) {
 
 		acc := slotAccum{errUser: -1}
 		for i := range s.users {
-			if err := s.commitUser(slotIdx, i, res, &acc); err != nil {
+			if err := s.commitUserCols(slotIdx, i, res, &acc, s.cols.EnergyPerKB, s.cols.Rate); err != nil {
 				return nil, fmt.Errorf("cell: user %d slot %d: %w", i, slotIdx, err)
 			}
 		}

@@ -91,12 +91,14 @@ func (s *Simulator) fusedShardBody(sh int) {
 // commitUserCols applies slot slotIdx's allocation outcome to user i —
 // energy per Eq. (5), RRC transition, buffer recursion Eq. (7), totals,
 // samples — accumulating the slot-level aggregates into acc. It is the
-// SoA engine's commit: the per-user view fields are read straight from
-// the column arrays (epkbCol/rateCol are passed explicitly because the
-// fused pass prices slot n with columns the view has already moved past).
-// The math must mirror commitUser — the reference engine's accessor-based
-// commit — operation for operation; the engine-vs-reference matrix tests
-// in internal/simtest pin the two bit for bit.
+// one per-user commit, shared by the sharded engine and RunReference: the
+// per-user view fields are read straight from the column arrays, and Eq.
+// (3) reuses the per-KB price already materialized there (P is a pure
+// function of the slot's signal), so the commit never re-enters the radio
+// interfaces. epkbCol/rateCol are passed explicitly because the fused pass
+// prices slot n with columns the view has already moved past. It writes
+// only user-i state and acc, so distinct users commit concurrently as
+// long as each shard owns its acc.
 func (s *Simulator) commitUserCols(slotIdx, i int, res *Result, acc *slotAccum, epkbCol []units.MJ, rateCol []units.KBps) error {
 	u := &s.users[i]
 	ru := &res.Users[i]

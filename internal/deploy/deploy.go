@@ -709,9 +709,8 @@ func misassignment(cfg Config, sessions []*workload.Session, placements []Placem
 		if res == nil {
 			continue
 		}
-		for localIdx, globalID := range backRef[si] {
+		for _, globalID := range backRef[si] {
 			s := sessions[globalID]
-			_ = localIdx
 			serving := SiteTrace(s, cfg.Sites[si], si)
 			for n := s.StartSlot; n < res.Slots; n++ {
 				total++

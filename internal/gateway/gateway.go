@@ -150,7 +150,7 @@ type user struct {
 	detached   bool
 	sentKB     units.KB
 	// buffered playback estimate maintained from deliveries and wall
-	// slots, used to populate sched.User.BufferSec.
+	// slots, used to populate the slot view's BufferSec column.
 	bufferSec units.Seconds
 	// rebufferSec accrues τ for every slot in which a started,
 	// unfinished session's playback estimate sits at zero — the

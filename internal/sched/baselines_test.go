@@ -234,7 +234,7 @@ func TestBaselinesConstraintsProperty(t *testing.T) {
 		if len(sigs) < n || len(bufs) < n {
 			return true
 		}
-		users := make([]User, n)
+		users := make([]user, n)
 		for i := range users {
 			sig := units.DBm(-110 + float64(sigs[i]%61))
 			users[i] = stdUser(units.KBps(rates[i]%600+100), sig, int(rates[i]%50))

@@ -21,7 +21,7 @@ func cloneEMA(e *EMA) *EMA {
 // tail state; roughly one user in eight is inactive to exercise the DP
 // participant filter.
 func randomSlotForDP(src *rng.Source, n, capacity int) *Slot {
-	users := make([]User, n)
+	users := make([]user, n)
 	for i := range users {
 		sig := units.DBm(src.Uniform(-110, -50))
 		u := stdUser(units.KBps(src.Uniform(300, 600)), sig, 1+src.Intn(12))
@@ -41,7 +41,7 @@ func randomSlotForDP(src *rng.Source, n, capacity int) *Slot {
 // objective evaluates Σ f(i, ϕ_i) under e's current (pre-Allocate) queues.
 func objective(e *EMA, slot *Slot, alloc []int) float64 {
 	var sum float64
-	for i := range slot.Users {
+	for i := range alloc {
 		sum += e.slotCost(slot, i, alloc[i])
 	}
 	return sum
@@ -88,8 +88,8 @@ func TestEMAFastMatchesRef(t *testing.T) {
 
 				if n <= 4 && capacity <= 12 {
 					maxUnits := make([]int, n)
-					for i := range slot.Users {
-						maxUnits[i] = slot.Users[i].MaxUnits
+					for i := range maxUnits {
+						maxUnits[i] = slot.MaxUnitsAt(i)
 					}
 					_, bruteObj := BruteForceObjective(maxUnits, capacity, func(i, phi int) float64 {
 						return ref.slotCost(slot, i, phi)
@@ -163,7 +163,7 @@ func BenchmarkEMARef40Users(b *testing.B) {
 		b.Fatal(err)
 	}
 	src := rng.New(1)
-	users := make([]User, 40)
+	users := make([]user, 40)
 	for i := range users {
 		users[i] = stdUser(units.KBps(src.Uniform(300, 600)), units.DBm(src.Uniform(-110, -50)), 20)
 	}

@@ -55,7 +55,7 @@ func TestEMABlockMatchesDequeAdversarial(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		capacity := 1 + src.Intn(40)
 		n := 2 + src.Intn(12)
-		users := make([]User, n)
+		users := make([]user, n)
 		proto := stdUser(400, -80, 1+src.Intn(4))
 		for i := range users {
 			users[i] = proto // identical lines → maximal tie pressure

@@ -70,7 +70,7 @@ func TestEMADPMatchesBruteForce(t *testing.T) {
 		src := rng.New(seed)
 		e := newEMA(t, 0.5+src.Float64()*3)
 		n := 2 + src.Intn(3)
-		users := make([]User, n)
+		users := make([]user, n)
 		for i := range users {
 			sig := units.DBm(src.Uniform(-110, -50))
 			users[i] = stdUser(units.KBps(src.Uniform(300, 600)), sig, 1+src.Intn(5))
@@ -93,7 +93,7 @@ func TestEMADPMatchesBruteForce(t *testing.T) {
 		maxUnits := make([]int, n)
 		costs := make([][]float64, n)
 		for i := range users {
-			u := slot.Users[i]
+			u := users[i]
 			maxUnits[i] = u.MaxUnits
 			costs[i] = make([]float64, u.MaxUnits+1)
 			for phi := 0; phi <= u.MaxUnits; phi++ {
@@ -238,7 +238,7 @@ func TestEMAConstraintsProperty(t *testing.T) {
 		if len(sigs) < n {
 			return true
 		}
-		users := make([]User, n)
+		users := make([]user, n)
 		for i := range users {
 			sig := units.DBm(-110 + float64(sigs[i]%61))
 			users[i] = stdUser(units.KBps(rates[i]%600+100), sig, int(rates[i]%30))
@@ -259,7 +259,7 @@ func BenchmarkEMA40Users(b *testing.B) {
 		b.Fatal(err)
 	}
 	src := rng.New(1)
-	users := make([]User, 40)
+	users := make([]user, 40)
 	for i := range users {
 		users[i] = stdUser(units.KBps(src.Uniform(300, 600)), units.DBm(src.Uniform(-110, -50)), 20)
 	}

@@ -10,9 +10,9 @@ import "jointstream/internal/units"
 // wraps it with a seeded error model so prediction quality becomes a
 // scenario axis.
 //
-// Coordinates are session indices (User.Index / Slot.IndexAt), not slot
-// positions, and n is the absolute slot number — the same grid the
-// engine drives Allocate with. Implementations must be pure reads: the
+// Coordinates are session indices — the positions of the slot's columns
+// — and n is the absolute slot number: the same grid the engine drives
+// Allocate with. Implementations must be pure reads: the
 // scheduler may query any in-horizon coordinate any number of times and
 // must always see the same value (determinism of the whole run depends
 // on it).

@@ -149,26 +149,25 @@ func (p *Predictive) Allocate(slot *Slot, alloc []int) {
 // decide applies the lookahead rule for one user and returns its grant
 // before capacity clipping. maxU is the user's Eq. (1) limit this slot.
 func (p *Predictive) decide(slot *Slot, i, maxU, maxD int) int {
-	idx := slot.IndexAt(i)
 	best := math.Inf(1)
 	bestDist := 0
 	if p.useWin {
 		for d := 1; d <= maxD; d++ {
 			lu := p.winLU[d]
-			if idx >= len(lu) || lu[idx] <= 0 {
+			if i >= len(lu) || lu[i] <= 0 {
 				continue
 			}
-			if price := float64(p.winEpkb[d][idx]); price < best {
+			if price := float64(p.winEpkb[d][i]); price < best {
 				best = price
 				bestDist = d
 			}
 		}
 	} else {
 		for d := 1; d <= maxD; d++ {
-			if p.f.PredictedLinkUnits(slot.N+d, idx) <= 0 {
+			if p.f.PredictedLinkUnits(slot.N+d, i) <= 0 {
 				continue
 			}
-			if price := float64(p.f.PredictedEnergyPerKB(slot.N+d, idx)); price < best {
+			if price := float64(p.f.PredictedEnergyPerKB(slot.N+d, i)); price < best {
 				best = price
 				bestDist = d
 			}

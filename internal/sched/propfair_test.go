@@ -102,7 +102,7 @@ func TestPropFairConstraintsProperty(t *testing.T) {
 		if len(sigs) < n {
 			return true
 		}
-		users := make([]User, n)
+		users := make([]user, n)
 		for i := range users {
 			sig := units.DBm(-110 + float64(sigs[i]%61))
 			users[i] = stdUser(units.KBps(rates[i]%600+100), sig, int(rates[i]%40))

@@ -204,7 +204,7 @@ func TestRTMAZeroNeedDrainIsLinear(t *testing.T) {
 	// the test binary deadline catches a return to the degenerate rounds.
 	r := newRTMA(t, looseBudget)
 	const n = 500
-	users := make([]User, n)
+	users := make([]user, n)
 	for i := range users {
 		users[i] = stdUser(0, -60, 5000)
 	}
@@ -280,7 +280,7 @@ func TestRTMAConstraintsProperty(t *testing.T) {
 		if len(sigs) < n {
 			return true
 		}
-		users := make([]User, n)
+		users := make([]user, n)
 		for i := range users {
 			sig := units.DBm(-110 + float64(sigs[i]%61))
 			users[i] = stdUser(units.KBps(rates[i]%600+100), sig, int(rates[i]%50))
@@ -292,7 +292,7 @@ func TestRTMAConstraintsProperty(t *testing.T) {
 			return false
 		}
 		for i, a := range alloc {
-			if a > 0 && slot.Users[i].Sig < th {
+			if a > 0 && slot.SigAt(i) < th {
 				return false
 			}
 		}

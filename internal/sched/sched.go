@@ -4,9 +4,9 @@
 // of the evaluation: Default, Throttling, ON-OFF, SALSA and EStreamer.
 //
 // Each slot the simulator presents a Slot snapshot: the base station's
-// capacity in data units (Definition 1: one unit is δ kilobytes) and one
-// User view per session carrying the cross-layer parameters the paper's
-// Information Collector gathers — signal strength, achievable throughput
+// capacity in data units (Definition 1: one unit is δ kilobytes) and, per
+// session, one entry in each column of Columns carrying the cross-layer
+// parameters the paper's Information Collector gathers — signal strength, achievable throughput
 // v(sig), per-byte energy price P(sig), required bit-rate p_i(n), buffer
 // occupancy and RRC tail state. A Scheduler fills in the per-user unit
 // allocation ϕ_i(n), subject to
@@ -25,82 +25,77 @@ import (
 	"jointstream/internal/units"
 )
 
-// User is the per-session view handed to a Scheduler each slot. The
-// engine normally fills the physics fields (Sig, LinkRate,
-// EnergyPerKB, Rate, MaxUnits) from its precompiled per-slot link table
-// (cell.LinkTable) rather than live model calls; both paths are
-// bitwise-identical, so schedulers never need to care which one fed
-// them.
-type User struct {
-	// Index identifies the session; stable across the whole run.
-	Index int
+// Columns carries the per-session views of a slot as struct-of-arrays:
+// one column slice per cross-layer field, all indexed by the session
+// index. It is the only slot representation — the engine, the gateway
+// and every test fixture present slots this way — so the prepare phase
+// refreshes a few contiguous arrays in place instead of materializing one
+// record per user per slot. The engine normally backs the static physics
+// columns (Sig, LinkRate, EnergyPerKB, Rate) with the precompiled
+// cell.LinkTable rows for the slot — zero-copy reslices, never copies —
+// rather than live model calls; both paths are bitwise-identical, so
+// schedulers never need to care which one fed them.
+//
+// Aliasing rules (see DESIGN.md §7): columns are written only by the
+// owner's prepare/commit phases, never by schedulers, and the LinkTable-
+// backed columns are immutable shared state — the engine swaps the slice
+// headers each slot rather than writing through them. Schedulers read the
+// columns through the Slot accessors (ActiveAt, RateAt, ...).
+type Columns struct {
 	// Active reports whether the user currently wants data: the session
 	// has started and its video is not yet fully delivered. Inactive
 	// users must receive zero allocation.
-	Active bool
+	Active []bool
 	// Sig is the slot's signal strength (constant within a slot, §III-B).
-	Sig units.DBm
+	Sig []units.DBm
 	// LinkRate is v(sig), the maximum achievable throughput this slot.
-	LinkRate units.KBps
+	LinkRate []units.KBps
 	// EnergyPerKB is P(sig), the per-kilobyte reception cost this slot.
-	EnergyPerKB units.MJ
+	EnergyPerKB []units.MJ
 	// Rate is p_i(n), the required video data rate this slot.
-	Rate units.KBps
+	Rate []units.KBps
 	// BufferSec is r_i(n), the playback seconds buffered at slot start.
-	BufferSec units.Seconds
+	BufferSec []units.Seconds
 	// RemainingKB is the undelivered remainder of the video.
-	RemainingKB units.KB
+	RemainingKB []units.KB
 	// TailGap is the time since the user's radio last transferred;
 	// meaningful only when NeverActive is false.
-	TailGap units.Seconds
+	TailGap []units.Seconds
 	// NeverActive reports that the radio has not transferred yet, so no
 	// tail energy is pending regardless of TailGap.
-	NeverActive bool
-
+	NeverActive []bool
 	// MaxUnits is the binding per-user limit for this slot, already
 	// combining Eq. (1) with the remaining video size:
-	// min(⌊τ·v/δ⌋, ⌈remaining/δ⌉). Allocations above it are clamped.
-	MaxUnits int
-}
-
-// NeedUnits returns ϕ_need(i) = ⌈τ·p_i(n)/δ⌉, the minimum allocation that
-// sustains one slot of smooth playback (RTMA step 3), capped at MaxUnits.
-func (u *User) NeedUnits(tau units.Seconds, unit units.KB) int {
-	need := ceilDiv(float64(u.Rate)*float64(tau), float64(unit))
-	if need > u.MaxUnits {
-		return u.MaxUnits
-	}
-	return need
-}
-
-// Columns is the struct-of-arrays form of the per-user views: one column
-// slice per User field, all indexed by the user index. The simulator's
-// engine presents slots this way so the prepare phase refreshes a few
-// contiguous arrays in place instead of materializing one 88-byte User
-// struct per user per slot; the static physics columns (Sig, LinkRate,
-// EnergyPerKB, Rate) alias the precompiled cell.LinkTable rows for the
-// slot directly — zero-copy reslices, never copies.
-//
-// Aliasing rules (see DESIGN.md §7): columns are written only by the
-// engine's prepare/commit phases, never by schedulers, and the LinkTable-
-// backed columns are immutable shared state — the engine swaps the slice
-// headers each slot rather than writing through them. Schedulers read the
-// columns through the Slot accessors (ActiveAt, RateAt, ...), which fall
-// back to the Users array when Cols is nil, so hand-built array-of-structs
-// slots and the engine's SoA slots exercise identical scheduler code.
-type Columns struct {
-	Active      []bool
-	Sig         []units.DBm
-	LinkRate    []units.KBps
-	EnergyPerKB []units.MJ
-	Rate        []units.KBps
-	BufferSec   []units.Seconds
-	RemainingKB []units.KB
-	TailGap     []units.Seconds
-	NeverActive []bool
-	// MaxUnits is stored as int32 (like the link table's unit limits) to
-	// halve the per-slot write bandwidth of the hottest dynamic column.
+	// min(⌊τ·v/δ⌋, ⌈remaining/δ⌉), zero when inactive. Allocations above
+	// it are clamped. Stored as int32 (like the link table's unit limits)
+	// to halve the per-slot write bandwidth of the hottest dynamic column.
 	MaxUnits []int32
+}
+
+// checkLengths reports the first column whose length disagrees with
+// MaxUnits (the column NumUsers counts), so a ragged hand-built slot is
+// an error from Validate instead of an index panic inside an accessor.
+func (c *Columns) checkLengths() error {
+	n := len(c.MaxUnits)
+	for _, col := range [...]struct {
+		name string
+		len  int
+	}{
+		{"Active", len(c.Active)},
+		{"Sig", len(c.Sig)},
+		{"LinkRate", len(c.LinkRate)},
+		{"EnergyPerKB", len(c.EnergyPerKB)},
+		{"Rate", len(c.Rate)},
+		{"BufferSec", len(c.BufferSec)},
+		{"RemainingKB", len(c.RemainingKB)},
+		{"TailGap", len(c.TailGap)},
+		{"NeverActive", len(c.NeverActive)},
+	} {
+		if col.len != n {
+			return fmt.Errorf("sched: column %s has %d entries, MaxUnits has %d", col.name, col.len, n)
+		}
+	}
+	return nil
 }
 
 // Slot is the full scheduling problem for one time slot.
@@ -114,125 +109,56 @@ type Slot struct {
 	// CapacityUnits is ⌊τ·S(n)/δ⌋, the total units the base station can
 	// move this slot (Eq. 2).
 	CapacityUnits int
-	// Users holds one view per session, indexed by User.Index. It may be
-	// nil when Cols carries the views instead; use the accessors (or
-	// NumUsers) rather than touching either representation directly.
-	Users []User
-	// Cols, when non-nil, is the struct-of-arrays form of the user views
-	// and takes precedence over Users. All column slices must have equal
-	// length; the engine guarantees it.
+	// Cols holds one view per session, column-wise, indexed by session
+	// index. All column slices must have equal length (Validate checks
+	// it); read them through the accessors.
 	Cols *Columns
 	// ActiveList, when non-nil, holds the indices of the active users in
 	// ascending order. The simulator's engine maintains it so schedulers
-	// iterate only the users that want data instead of scanning all of
-	// Users each slot; hand-built slots may leave it nil and schedulers
+	// iterate only the users that want data instead of scanning every
+	// user each slot; hand-built slots may leave it nil and schedulers
 	// fall back to the scan (see ActiveIndices). An empty non-nil list
 	// means no user is active.
 	ActiveList []int
 }
 
-// NumUsers returns the number of per-user views in the slot, whichever
-// representation carries them.
-func (s *Slot) NumUsers() int {
-	if s.Cols != nil {
-		return len(s.Cols.MaxUnits)
-	}
-	return len(s.Users)
-}
-
-// IndexAt returns user i's session index. The SoA view is always stored
-// in session order, so the position is the index; hand-built AoS slots
-// (e.g. permuted test slots) may carry an arbitrary Index per view.
-func (s *Slot) IndexAt(i int) int {
-	if s.Cols != nil {
-		return i
-	}
-	return s.Users[i].Index
-}
+// NumUsers returns the number of per-user views in the slot.
+func (s *Slot) NumUsers() int { return len(s.Cols.MaxUnits) }
 
 // ActiveAt reports whether user i wants data this slot.
-func (s *Slot) ActiveAt(i int) bool {
-	if c := s.Cols; c != nil {
-		return c.Active[i]
-	}
-	return s.Users[i].Active
-}
+func (s *Slot) ActiveAt(i int) bool { return s.Cols.Active[i] }
 
 // SigAt returns user i's signal strength this slot.
-func (s *Slot) SigAt(i int) units.DBm {
-	if c := s.Cols; c != nil {
-		return c.Sig[i]
-	}
-	return s.Users[i].Sig
-}
+func (s *Slot) SigAt(i int) units.DBm { return s.Cols.Sig[i] }
 
 // LinkRateAt returns v(sig_i(n)), user i's achievable throughput.
-func (s *Slot) LinkRateAt(i int) units.KBps {
-	if c := s.Cols; c != nil {
-		return c.LinkRate[i]
-	}
-	return s.Users[i].LinkRate
-}
+func (s *Slot) LinkRateAt(i int) units.KBps { return s.Cols.LinkRate[i] }
 
 // EnergyPerKBAt returns P(sig_i(n)), user i's per-kilobyte reception cost.
-func (s *Slot) EnergyPerKBAt(i int) units.MJ {
-	if c := s.Cols; c != nil {
-		return c.EnergyPerKB[i]
-	}
-	return s.Users[i].EnergyPerKB
-}
+func (s *Slot) EnergyPerKBAt(i int) units.MJ { return s.Cols.EnergyPerKB[i] }
 
 // RateAt returns p_i(n), user i's required video data rate.
-func (s *Slot) RateAt(i int) units.KBps {
-	if c := s.Cols; c != nil {
-		return c.Rate[i]
-	}
-	return s.Users[i].Rate
-}
+func (s *Slot) RateAt(i int) units.KBps { return s.Cols.Rate[i] }
 
 // BufferSecAt returns r_i(n), user i's buffered playback seconds.
-func (s *Slot) BufferSecAt(i int) units.Seconds {
-	if c := s.Cols; c != nil {
-		return c.BufferSec[i]
-	}
-	return s.Users[i].BufferSec
-}
+func (s *Slot) BufferSecAt(i int) units.Seconds { return s.Cols.BufferSec[i] }
 
 // RemainingKBAt returns the undelivered remainder of user i's video.
-func (s *Slot) RemainingKBAt(i int) units.KB {
-	if c := s.Cols; c != nil {
-		return c.RemainingKB[i]
-	}
-	return s.Users[i].RemainingKB
-}
+func (s *Slot) RemainingKBAt(i int) units.KB { return s.Cols.RemainingKB[i] }
 
 // TailGapAt returns the time since user i's radio last transferred.
-func (s *Slot) TailGapAt(i int) units.Seconds {
-	if c := s.Cols; c != nil {
-		return c.TailGap[i]
-	}
-	return s.Users[i].TailGap
-}
+func (s *Slot) TailGapAt(i int) units.Seconds { return s.Cols.TailGap[i] }
 
 // NeverActiveAt reports that user i's radio has not transferred yet.
-func (s *Slot) NeverActiveAt(i int) bool {
-	if c := s.Cols; c != nil {
-		return c.NeverActive[i]
-	}
-	return s.Users[i].NeverActive
-}
+func (s *Slot) NeverActiveAt(i int) bool { return s.Cols.NeverActive[i] }
 
 // MaxUnitsAt returns user i's binding per-slot unit limit
 // min(⌊τ·v/δ⌋, ⌈remaining/δ⌉), zero when inactive.
-func (s *Slot) MaxUnitsAt(i int) int {
-	if c := s.Cols; c != nil {
-		return int(c.MaxUnits[i])
-	}
-	return s.Users[i].MaxUnits
-}
+func (s *Slot) MaxUnitsAt(i int) int { return int(s.Cols.MaxUnits[i]) }
 
-// NeedUnitsAt returns ϕ_need(i) = ⌈τ·p_i(n)/δ⌉ capped at MaxUnitsAt(i),
-// the slot-level form of User.NeedUnits.
+// NeedUnitsAt returns ϕ_need(i) = ⌈τ·p_i(n)/δ⌉, the minimum allocation
+// that sustains one slot of smooth playback (RTMA step 3), capped at
+// MaxUnitsAt(i).
 func (s *Slot) NeedUnitsAt(i int) int {
 	need := ceilDiv(float64(s.RateAt(i))*float64(s.Tau), float64(s.Unit))
 	if m := s.MaxUnitsAt(i); need > m {
@@ -243,9 +169,9 @@ func (s *Slot) NeedUnitsAt(i int) int {
 
 // ActiveIndices returns the indices of the active users in ascending
 // order: ActiveList when the engine provided it, otherwise a scan of
-// Users collected into *scratch (grown as needed and written back, so
-// repeat callers stay allocation-free). scratch may be nil for one-shot
-// callers.
+// the Active column collected into *scratch (grown as needed and written
+// back, so repeat callers stay allocation-free). scratch may be nil for
+// one-shot callers.
 func (s *Slot) ActiveIndices(scratch *[]int) []int {
 	if s.ActiveList != nil {
 		return s.ActiveList
@@ -268,7 +194,7 @@ func (s *Slot) ActiveIndices(scratch *[]int) []int {
 // Scheduler decides the per-slot allocation. Implementations may keep
 // internal per-user state (virtual queues, hysteresis); the simulator
 // guarantees Allocate is called exactly once per slot, in slot order, with
-// len(alloc) == len(slot.Users), alloc zeroed.
+// len(alloc) == slot.NumUsers(), alloc zeroed.
 type Scheduler interface {
 	// Name identifies the algorithm in results and tables.
 	Name() string
@@ -303,9 +229,14 @@ func floorDiv(a, b float64) int {
 }
 
 // Validate checks a finished allocation against Eq. (1) and Eq. (2) and
-// the inactivity rule. The simulator uses it in strict mode; tests use it
-// to prove schedulers respect the constraints without clamping.
+// the inactivity rule, after checking the slot itself is well-formed
+// (every column as long as the user count). The simulator uses it in
+// strict mode; tests use it to prove schedulers respect the constraints
+// without clamping.
 func (s *Slot) Validate(alloc []int) error {
+	if err := s.Cols.checkLengths(); err != nil {
+		return err
+	}
 	n := s.NumUsers()
 	if len(alloc) != n {
 		return fmt.Errorf("sched: allocation length %d != %d users", len(alloc), n)

@@ -6,25 +6,63 @@ import (
 	"jointstream/internal/units"
 )
 
-// makeSlot builds a synthetic slot with the given per-user parameters.
-// All users are active with generous remaining bytes unless modified.
-func makeSlot(capacityUnits int, users ...User) *Slot {
-	s := &Slot{
+// user is one row of a hand-built test slot: the per-session fields a
+// test sets by name before makeSlot transposes the rows into the slot's
+// Columns. Test-only — production code fills columns directly.
+type user struct {
+	Active      bool
+	Sig         units.DBm
+	LinkRate    units.KBps
+	EnergyPerKB units.MJ
+	Rate        units.KBps
+	BufferSec   units.Seconds
+	RemainingKB units.KB
+	TailGap     units.Seconds
+	NeverActive bool
+	MaxUnits    int
+}
+
+// makeSlot builds a synthetic slot with the given per-user parameters,
+// user i of the slot being the i-th argument. All users are active with
+// generous remaining bytes unless modified.
+func makeSlot(capacityUnits int, users ...user) *Slot {
+	n := len(users)
+	c := &Columns{
+		Active:      make([]bool, n),
+		Sig:         make([]units.DBm, n),
+		LinkRate:    make([]units.KBps, n),
+		EnergyPerKB: make([]units.MJ, n),
+		Rate:        make([]units.KBps, n),
+		BufferSec:   make([]units.Seconds, n),
+		RemainingKB: make([]units.KB, n),
+		TailGap:     make([]units.Seconds, n),
+		NeverActive: make([]bool, n),
+		MaxUnits:    make([]int32, n),
+	}
+	for i, u := range users {
+		c.Active[i] = u.Active
+		c.Sig[i] = u.Sig
+		c.LinkRate[i] = u.LinkRate
+		c.EnergyPerKB[i] = u.EnergyPerKB
+		c.Rate[i] = u.Rate
+		c.BufferSec[i] = u.BufferSec
+		c.RemainingKB[i] = u.RemainingKB
+		c.TailGap[i] = u.TailGap
+		c.NeverActive[i] = u.NeverActive
+		c.MaxUnits[i] = int32(u.MaxUnits)
+	}
+	return &Slot{
 		N:             0,
 		Tau:           1,
 		Unit:          100,
 		CapacityUnits: capacityUnits,
-		Users:         users,
+		Cols:          c,
 	}
-	for i := range s.Users {
-		s.Users[i].Index = i
-	}
-	return s
 }
 
 // stdUser returns an active user with sensible defaults.
-func stdUser(rate units.KBps, sig units.DBm, maxUnits int) User {
-	return User{
+func stdUser(rate units.KBps, sig units.DBm, maxUnits int) user {
+	return user{
 		Active:      true,
 		Sig:         sig,
 		LinkRate:    units.KBps(65.8*float64(sig) + 7567),
@@ -37,23 +75,24 @@ func stdUser(rate units.KBps, sig units.DBm, maxUnits int) User {
 }
 
 func TestNeedUnits(t *testing.T) {
-	u := User{Rate: 450, MaxUnits: 100}
+	slot := makeSlot(0, user{Rate: 450, MaxUnits: 100})
+	c := slot.Cols
 	// ceil(450*1/100) = 5
-	if got := u.NeedUnits(1, 100); got != 5 {
-		t.Errorf("NeedUnits = %d, want 5", got)
+	if got := slot.NeedUnitsAt(0); got != 5 {
+		t.Errorf("NeedUnitsAt = %d, want 5", got)
 	}
-	u.Rate = 400
-	if got := u.NeedUnits(1, 100); got != 4 {
-		t.Errorf("NeedUnits(400) = %d, want 4", got)
+	c.Rate[0] = 400
+	if got := slot.NeedUnitsAt(0); got != 4 {
+		t.Errorf("NeedUnitsAt(400) = %d, want 4", got)
 	}
-	u.MaxUnits = 2
-	if got := u.NeedUnits(1, 100); got != 2 {
-		t.Errorf("NeedUnits capped = %d, want 2", got)
+	c.MaxUnits[0] = 2
+	if got := slot.NeedUnitsAt(0); got != 2 {
+		t.Errorf("NeedUnitsAt capped = %d, want 2", got)
 	}
-	u.Rate = 0
-	u.MaxUnits = 100
-	if got := u.NeedUnits(1, 100); got != 0 {
-		t.Errorf("NeedUnits(0) = %d, want 0", got)
+	c.Rate[0] = 0
+	c.MaxUnits[0] = 100
+	if got := slot.NeedUnitsAt(0); got != 0 {
+		t.Errorf("NeedUnitsAt(0) = %d, want 0", got)
 	}
 }
 
@@ -95,9 +134,43 @@ func TestValidateAllocation(t *testing.T) {
 		}
 	}
 	// Inactive user with allocation.
-	slot.Users[1].Active = false
+	slot.Cols.Active[1] = false
 	if err := slot.Validate([]int{4, 1}); err == nil {
 		t.Error("inactive allocation accepted")
+	}
+}
+
+// TestValidateRaggedColumns: a hand-built slot whose columns disagree in
+// length is an error from Validate — never an index panic inside an
+// accessor — whichever column is the odd one out.
+func TestValidateRaggedColumns(t *testing.T) {
+	cases := []struct {
+		name string
+		chop func(c *Columns)
+	}{
+		{"Active", func(c *Columns) { c.Active = c.Active[:1] }},
+		{"Sig", func(c *Columns) { c.Sig = c.Sig[:1] }},
+		{"LinkRate", func(c *Columns) { c.LinkRate = c.LinkRate[:1] }},
+		{"EnergyPerKB", func(c *Columns) { c.EnergyPerKB = c.EnergyPerKB[:1] }},
+		{"Rate", func(c *Columns) { c.Rate = c.Rate[:1] }},
+		{"BufferSec", func(c *Columns) { c.BufferSec = c.BufferSec[:1] }},
+		{"RemainingKB", func(c *Columns) { c.RemainingKB = c.RemainingKB[:1] }},
+		{"TailGap", func(c *Columns) { c.TailGap = c.TailGap[:1] }},
+		{"NeverActive", func(c *Columns) { c.NeverActive = nil }},
+		{"MaxUnits", func(c *Columns) { c.MaxUnits = c.MaxUnits[:1] }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			slot := makeSlot(10, stdUser(400, -70, 6), stdUser(400, -70, 6))
+			tc.chop(slot.Cols)
+			// The allocation length matches whichever count a caller could
+			// have read, so only the ragged column can be at fault.
+			for _, alloc := range [][]int{{4, 4}, {4}} {
+				if err := slot.Validate(alloc); err == nil {
+					t.Errorf("ragged %s column accepted with %d-entry allocation", tc.name, len(alloc))
+				}
+			}
+		})
 	}
 }
 

@@ -33,7 +33,7 @@ var slotForecastRadio = radio.Paper3G()
 func (f slotForecast) HorizonSlots() int { return slotForecastHorizon }
 
 // predictedSig draws the slot's predicted channel from the same signal
-// range RandomUser samples, so predicted prices are commensurate with
+// range RandomSlot samples, so predicted prices are commensurate with
 // the slot views' current prices and both decide() branches fire.
 func (f slotForecast) predictedSig(n int) units.DBm {
 	return units.DBm(-110 + 60*rng.HashFloat3(f.seed, uint64(n), 0))

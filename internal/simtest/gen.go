@@ -10,94 +10,9 @@ import (
 	"jointstream/internal/workload"
 )
 
-// RandomUser draws one scheduler-facing user view with the paper's 3G
-// radio pricing its channel: signal uniform in [−110, −50] dBm, required
-// rate uniform in [100, 700] KB/s, random buffer occupancy and RRC tail
-// state. Roughly one user in eight is inactive (with a nonzero link
-// bound, so "inactive ⇒ zero allocation" is actually exercised), and one
-// in sixteen has a zero link bound.
-func RandomUser(src *rng.Source, index int) sched.User {
-	m := radio.Paper3G()
-	sig := units.DBm(src.Uniform(-110, -50))
-	link := m.Throughput.Throughput(sig)
-	u := sched.User{
-		Index:       index,
-		Active:      true,
-		Sig:         sig,
-		LinkRate:    link,
-		EnergyPerKB: m.Power.EnergyPerKB(sig),
-		Rate:        units.KBps(src.Uniform(100, 700)),
-		BufferSec:   units.Seconds(src.Uniform(0, 45)),
-		NeverActive: true,
-		MaxUnits:    1 + src.Intn(40),
-	}
-	if src.Bool(0.5) {
-		u.NeverActive = false
-		u.TailGap = units.Seconds(src.Uniform(0, 10))
-	}
-	if src.Bool(0.0625) {
-		u.MaxUnits = 0
-	}
-	if src.Bool(0.125) {
-		u.Active = false
-	}
-	u.RemainingKB = units.KB(float64(u.MaxUnits)*100 + src.Uniform(0, 1e6))
-	return u
-}
-
-// RandomSlot draws a scheduling problem with n users and the given
-// capacity in units (τ = 1 s, δ = 100 KB, the paper's defaults).
-func RandomSlot(src *rng.Source, n, capacity int) *sched.Slot {
-	s := &sched.Slot{
-		Tau:           1,
-		Unit:          100,
-		CapacityUnits: capacity,
-		Users:         make([]sched.User, n),
-	}
-	for i := range s.Users {
-		s.Users[i] = RandomUser(src, i)
-	}
-	return s
-}
-
-// PermuteSlot returns the slot with users reordered by perm and Index
-// fields relabeled to positions, exactly as the simulator would present
-// the same physical users in a different order. perm must be a
-// permutation of [0, len(slot.Users)).
-func PermuteSlot(slot *sched.Slot, perm []int) (*sched.Slot, error) {
-	if len(perm) != len(slot.Users) {
-		return nil, fmt.Errorf("simtest: permutation length %d != %d users", len(perm), len(slot.Users))
-	}
-	seen := make([]bool, len(perm))
-	out := &sched.Slot{
-		N:             slot.N,
-		Tau:           slot.Tau,
-		Unit:          slot.Unit,
-		CapacityUnits: slot.CapacityUnits,
-		Users:         make([]sched.User, len(slot.Users)),
-	}
-	for pos, from := range perm {
-		if from < 0 || from >= len(perm) || seen[from] {
-			return nil, fmt.Errorf("simtest: invalid permutation %v", perm)
-		}
-		seen[from] = true
-		out.Users[pos] = slot.Users[from]
-		out.Users[pos].Index = pos
-	}
-	return out, nil
-}
-
-// SoACopy returns the column-view (struct-of-arrays) presentation of an
-// AoS slot: the same scheduling problem with every user field copied into
-// a fresh sched.Columns and Users detached, so the accessors route
-// through the SoA path exactly as the production engine's zero-copy view
-// does. The input slot must be in session order (Index == position),
-// which both RandomSlot and PermuteSlot guarantee. The returned columns
-// are owned by the caller — mutating them between Allocate calls models
-// the engine refreshing its dynamic columns in place.
-func SoACopy(slot *sched.Slot) *sched.Slot {
-	n := len(slot.Users)
-	cols := &sched.Columns{
+// newColumns allocates the ten per-user columns of an n-user slot.
+func newColumns(n int) *sched.Columns {
+	return &sched.Columns{
 		Active:      make([]bool, n),
 		Sig:         make([]units.DBm, n),
 		LinkRate:    make([]units.KBps, n),
@@ -109,23 +24,91 @@ func SoACopy(slot *sched.Slot) *sched.Slot {
 		NeverActive: make([]bool, n),
 		MaxUnits:    make([]int32, n),
 	}
-	for i := range slot.Users {
-		u := &slot.Users[i]
-		cols.Active[i] = u.Active
-		cols.Sig[i] = u.Sig
-		cols.LinkRate[i] = u.LinkRate
-		cols.EnergyPerKB[i] = u.EnergyPerKB
-		cols.Rate[i] = u.Rate
-		cols.BufferSec[i] = u.BufferSec
-		cols.RemainingKB[i] = u.RemainingKB
-		cols.TailGap[i] = u.TailGap
-		cols.NeverActive[i] = u.NeverActive
-		cols.MaxUnits[i] = int32(u.MaxUnits)
+}
+
+// randomUser draws user i's entry of every column, with the paper's 3G
+// radio pricing its channel: signal uniform in [−110, −50] dBm, required
+// rate uniform in [100, 700] KB/s, random buffer occupancy and RRC tail
+// state. Roughly one user in eight is inactive (with a nonzero link
+// bound, so "inactive ⇒ zero allocation" is actually exercised), and one
+// in sixteen has a zero link bound.
+func randomUser(src *rng.Source, c *sched.Columns, i int) {
+	m := radio.Paper3G()
+	sig := units.DBm(src.Uniform(-110, -50))
+	c.Active[i] = true
+	c.Sig[i] = sig
+	c.LinkRate[i] = m.Throughput.Throughput(sig)
+	c.EnergyPerKB[i] = m.Power.EnergyPerKB(sig)
+	c.Rate[i] = units.KBps(src.Uniform(100, 700))
+	c.BufferSec[i] = units.Seconds(src.Uniform(0, 45))
+	c.NeverActive[i] = true
+	maxUnits := 1 + src.Intn(40)
+	if src.Bool(0.5) {
+		c.NeverActive[i] = false
+		c.TailGap[i] = units.Seconds(src.Uniform(0, 10))
 	}
-	out := *slot
-	out.Users = nil
-	out.Cols = cols
-	return &out
+	if src.Bool(0.0625) {
+		maxUnits = 0
+	}
+	if src.Bool(0.125) {
+		c.Active[i] = false
+	}
+	c.MaxUnits[i] = int32(maxUnits)
+	c.RemainingKB[i] = units.KB(float64(maxUnits)*100 + src.Uniform(0, 1e6))
+}
+
+// RandomSlot draws a scheduling problem with n users and the given
+// capacity in units (τ = 1 s, δ = 100 KB, the paper's defaults). The
+// columns are owned by the caller — mutating them between Allocate calls
+// models the engine refreshing its dynamic columns in place. ActiveList
+// is left nil, so schedulers take their scan fallback.
+func RandomSlot(src *rng.Source, n, capacity int) *sched.Slot {
+	s := &sched.Slot{
+		Tau:           1,
+		Unit:          100,
+		CapacityUnits: capacity,
+		Cols:          newColumns(n),
+	}
+	for i := 0; i < n; i++ {
+		randomUser(src, s.Cols, i)
+	}
+	return s
+}
+
+// PermuteSlot returns the slot with users reordered by perm — position
+// pos of the result is user perm[pos] of the input — exactly as the
+// simulator would present the same physical users under a different
+// session numbering. perm must be a permutation of [0, slot.NumUsers()).
+func PermuteSlot(slot *sched.Slot, perm []int) (*sched.Slot, error) {
+	n := slot.NumUsers()
+	if len(perm) != n {
+		return nil, fmt.Errorf("simtest: permutation length %d != %d users", len(perm), n)
+	}
+	seen := make([]bool, n)
+	in, c := slot.Cols, newColumns(n)
+	for pos, from := range perm {
+		if from < 0 || from >= n || seen[from] {
+			return nil, fmt.Errorf("simtest: invalid permutation %v", perm)
+		}
+		seen[from] = true
+		c.Active[pos] = in.Active[from]
+		c.Sig[pos] = in.Sig[from]
+		c.LinkRate[pos] = in.LinkRate[from]
+		c.EnergyPerKB[pos] = in.EnergyPerKB[from]
+		c.Rate[pos] = in.Rate[from]
+		c.BufferSec[pos] = in.BufferSec[from]
+		c.RemainingKB[pos] = in.RemainingKB[from]
+		c.TailGap[pos] = in.TailGap[from]
+		c.NeverActive[pos] = in.NeverActive[from]
+		c.MaxUnits[pos] = in.MaxUnits[from]
+	}
+	return &sched.Slot{
+		N:             slot.N,
+		Tau:           slot.Tau,
+		Unit:          slot.Unit,
+		CapacityUnits: slot.CapacityUnits,
+		Cols:          c,
+	}, nil
 }
 
 // TotalUnits sums an allocation.

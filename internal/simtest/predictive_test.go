@@ -19,7 +19,7 @@ import (
 //   - Every configuration that carries no usable future information —
 //     K = 0, a nil forecast, or a fully corrupted one — must reproduce
 //     the myopic Default baseline's physics byte-for-byte.
-//   - The SoA engine and the AoS reference agree on forecast-driven
+//   - The engine and the full-scan reference agree on forecast-driven
 //     runs (exact and noise-corrupted), across worker counts.
 //   - With an exact forecast and no contention pressure, more lookahead
 //     never hurts: the oracle gap is non-increasing in K.
@@ -101,7 +101,7 @@ func TestPredictiveMyopicDegeneration(t *testing.T) {
 	}
 }
 
-// TestEngineMatrixPredictiveForecast extends the SoA-vs-reference
+// TestEngineMatrixPredictiveForecast extends the engine-vs-reference
 // acceptance matrix to the forecast-driven configurations the factories
 // can't express (they need a compiled table): exact table forecasts and
 // noise-corrupted ones, across trace models and worker counts.

@@ -72,7 +72,7 @@ func TestSchedulerFeasibilityProperty(t *testing.T) {
 			f := func(seed uint64) bool {
 				src := rng.New(seed)
 				slot := RandomSlot(src, 1+src.Intn(14), src.Intn(260))
-				alloc := make([]int, len(slot.Users))
+				alloc := make([]int, slot.NumUsers())
 				s.Allocate(slot, alloc)
 				if err := CheckAllocation(slot, alloc); err != nil {
 					t.Logf("seed %d: %v", seed, err)
@@ -135,7 +135,7 @@ func TestEMAQueueRecursionProperty(t *testing.T) {
 		src := rng.New(seed)
 		slot := RandomSlot(src, 1+src.Intn(10), src.Intn(200))
 		before := QueueSnapshot(e, slot)
-		alloc := make([]int, len(slot.Users))
+		alloc := make([]int, slot.NumUsers())
 		e.Allocate(slot, alloc)
 		if err := CheckEq16(e, before, slot, alloc); err != nil {
 			t.Logf("seed %d: %v", seed, err)

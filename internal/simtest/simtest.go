@@ -61,7 +61,7 @@ func CheckAllocation(slot *sched.Slot, alloc []int) error {
 func QueueSnapshot(e *sched.EMA, slot *sched.Slot) []units.Seconds {
 	qs := make([]units.Seconds, slot.NumUsers())
 	for i := range qs {
-		qs[i] = e.Queue(slot.IndexAt(i))
+		qs[i] = e.Queue(i)
 	}
 	return qs
 }
@@ -87,7 +87,7 @@ func CheckEq16(e *sched.EMA, before []units.Seconds, slot *sched.Slot, alloc []i
 			}
 			want += float64(slot.Tau) - t
 		}
-		got := float64(e.Queue(slot.IndexAt(i)))
+		got := float64(e.Queue(i))
 		if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
 			return fmt.Errorf("simtest: user %d queue %v after slot, want %v (Eq. 16, alloc=%d, active=%v)",
 				i, got, want, alloc[i], active)
@@ -112,7 +112,7 @@ func EMAObjective(e *sched.EMA, slot *sched.Slot, alloc []int) float64 {
 		} else if !slot.NeverActiveAt(i) {
 			energy = float64(e.RRC().TailIncrement(slot.TailGapAt(i), slot.Tau))
 		}
-		sum += e.V()*energy + float64(e.Queue(slot.IndexAt(i)))*(float64(slot.Tau)-t)
+		sum += e.V()*energy + float64(e.Queue(i))*(float64(slot.Tau)-t)
 	}
 	return sum
 }

@@ -17,7 +17,7 @@ import (
 )
 
 // traceModels is the channel-model axis of the engine matrix: the paper's
-// noisy sine plus the two stochastic generators, so the SoA engine is
+// noisy sine plus the two stochastic generators, so the engine is
 // pinned against qualitatively different link dynamics (smooth periodic,
 // diffusive, and bursty two-state).
 var traceModels = []string{"sine+wgn", "randomwalk", "gilbert-elliott"}
@@ -84,8 +84,9 @@ func traceSessionsSeed(t testing.TB, model string, users int, seed uint64) []*wo
 
 // TestEngineMatrixSoAvsReference is the full acceptance matrix of the
 // zero-copy column view: every scheduler in the repo × every trace model
-// × worker counts {1, 4, max}, production SoA engine (Run) against the
-// AoS full-scan reference arm (RunReference), byte-identical Results.
+// × worker counts {1, 4, max}, production engine (Run: table-aliased
+// columns, live list, fused pass) against the analytic full-scan
+// reference arm (RunReference), byte-identical Results.
 // The workloads fit in a single shard, so equality is exact by
 // construction — any deviation is a column-aliasing or ownership bug.
 func TestEngineMatrixSoAvsReference(t *testing.T) {
@@ -107,24 +108,58 @@ func TestEngineMatrixSoAvsReference(t *testing.T) {
 	}
 }
 
-// TestSchedulerSoAEquivalence is the scheduler-level differential: the
-// same random slot presented as AoS (Users) and as SoA (Cols) must yield
-// identical allocations from fresh instances of every scheduler. This
-// pins the accessor routing itself, independently of the engine.
-func TestSchedulerSoAEquivalence(t *testing.T) {
+// cloneSlot returns an independent copy of the slot: same problem, fresh
+// Columns, so writes through one copy's columns never reach the other.
+func cloneSlot(slot *sched.Slot) *sched.Slot {
+	in := slot.Cols
+	out := *slot
+	out.Cols = &sched.Columns{
+		Active:      slices.Clone(in.Active),
+		Sig:         slices.Clone(in.Sig),
+		LinkRate:    slices.Clone(in.LinkRate),
+		EnergyPerKB: slices.Clone(in.EnergyPerKB),
+		Rate:        slices.Clone(in.Rate),
+		BufferSec:   slices.Clone(in.BufferSec),
+		RemainingKB: slices.Clone(in.RemainingKB),
+		TailGap:     slices.Clone(in.TailGap),
+		NeverActive: slices.Clone(in.NeverActive),
+		MaxUnits:    slices.Clone(in.MaxUnits),
+	}
+	out.ActiveList = slices.Clone(slot.ActiveList)
+	return &out
+}
+
+// TestSchedulerActiveListEquivalence is the scheduler-level differential
+// over the one fork left in the slot contract: the same random slot
+// presented with ActiveList == nil (the scan fallback hand-built slots
+// and RunReference take) and with the ascending engine-style list must
+// yield identical allocations from fresh instances of every scheduler.
+func TestSchedulerActiveListEquivalence(t *testing.T) {
 	for name, mk := range factories(t) {
 		t.Run(name, func(t *testing.T) {
 			f := func(seed uint64) bool {
 				src := rng.New(seed)
 				n := 1 + src.Intn(14)
-				aos := RandomSlot(src, n, src.Intn(260))
-				soa := SoACopy(aos)
+				scan := RandomSlot(src, n, src.Intn(260))
+				listed := cloneSlot(scan)
+				// Non-nil even when empty: an empty list means "nobody is
+				// active", nil means "scan for yourself".
+				listed.ActiveList = []int{}
+				for i := 0; i < n; i++ {
+					if listed.ActiveAt(i) {
+						listed.ActiveList = append(listed.ActiveList, i)
+					}
+				}
 				a1 := make([]int, n)
-				mk().Allocate(aos, a1)
+				mk().Allocate(scan, a1)
 				a2 := make([]int, n)
-				mk().Allocate(soa, a2)
+				mk().Allocate(listed, a2)
 				if !slices.Equal(a1, a2) {
-					t.Logf("seed %d: AoS alloc %v != SoA alloc %v", seed, a1, a2)
+					t.Logf("seed %d: scan alloc %v != active-list alloc %v", seed, a1, a2)
+					return false
+				}
+				if err := listed.Validate(a2); err != nil {
+					t.Logf("seed %d: %v", seed, err)
 					return false
 				}
 				return true
@@ -136,14 +171,15 @@ func TestSchedulerSoAEquivalence(t *testing.T) {
 	}
 }
 
-// TestColumnMutationObserved is the aliasing property: the SoA view is
+// TestColumnMutationObserved is the aliasing property: the slot view is
 // zero-copy, so a write through a column slice between two Allocate calls
 // of the same scheduler instance must be observed by the second call —
 // exactly as the engine refreshes dynamic columns in place each slot. A
-// parallel AoS instance walks the same two-slot trajectory with the same
-// mutation applied to its Users, so the test both proves the mutation is
-// seen (the deactivated user gets nothing) and that it is seen as the
-// equivalent AoS problem (no stale snapshot, no partial refresh).
+// second instance walks the same two-slot trajectory but is handed a
+// freshly built Columns of the mutated problem for the second slot, so
+// the test both proves the mutation is seen (the deactivated user gets
+// nothing) and that it is seen as the equivalent fresh problem (no stale
+// snapshot, no partial refresh).
 func TestColumnMutationObserved(t *testing.T) {
 	for name, mk := range factories(t) {
 		t.Run(name, func(t *testing.T) {
@@ -151,30 +187,25 @@ func TestColumnMutationObserved(t *testing.T) {
 				src := rng.New(seed)
 				n := 2 + src.Intn(12)
 				cap := src.Intn(200)
-				aos := RandomSlot(src, n, cap)
-				soa := SoACopy(aos)
-				soaSched, aosSched := mk(), mk()
+				slot := RandomSlot(src, n, cap)
+				inPlace, rebuilt := mk(), mk()
 
 				a1 := make([]int, n)
-				soaSched.Allocate(soa, a1)
+				inPlace.Allocate(slot, a1)
 				warm := make([]int, n)
-				aosSched.Allocate(aos, warm)
+				rebuilt.Allocate(cloneSlot(slot), warm)
 
 				// Mutate through the column slices: deactivate one user,
 				// zero another's link bound, move a third's rate.
 				i := src.Intn(n)
 				j := (i + 1) % n
 				k := (i + 2) % n
-				soa.Cols.Active[i] = false
-				soa.Cols.MaxUnits[j] = 0
-				newRate := units.KBps(src.Uniform(100, 700))
-				soa.Cols.Rate[k] = newRate
-				aos.Users[i].Active = false
-				aos.Users[j].MaxUnits = 0
-				aos.Users[k].Rate = newRate
+				slot.Cols.Active[i] = false
+				slot.Cols.MaxUnits[j] = 0
+				slot.Cols.Rate[k] = units.KBps(src.Uniform(100, 700))
 
 				a2 := make([]int, n)
-				soaSched.Allocate(soa, a2)
+				inPlace.Allocate(slot, a2)
 				if a2[i] != 0 {
 					t.Logf("seed %d: deactivation of user %d not observed (alloc %d)", seed, i, a2[i])
 					return false
@@ -184,9 +215,9 @@ func TestColumnMutationObserved(t *testing.T) {
 					return false
 				}
 				ref := make([]int, n)
-				aosSched.Allocate(aos, ref)
+				rebuilt.Allocate(cloneSlot(slot), ref)
 				if !slices.Equal(a2, ref) {
-					t.Logf("seed %d: post-mutation SoA alloc %v != AoS alloc %v", seed, a2, ref)
+					t.Logf("seed %d: in-place alloc %v != freshly built alloc %v", seed, a2, ref)
 					return false
 				}
 				return true
@@ -263,9 +294,8 @@ func FuzzRTMAChurn(f *testing.F) {
 		inc := newChurnRTMA(t, int(limit))
 		ref := newChurnRTMA(t, 0)
 
-		base := RandomSlot(src, n, src.Intn(220))
-		slotA := SoACopy(base)
-		slotB := SoACopy(base)
+		slotA := RandomSlot(src, n, src.Intn(220))
+		slotB := cloneSlot(slotA)
 		a1 := make([]int, n)
 		a2 := make([]int, n)
 		for s := 0; s < slots; s++ {
