@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"jointstream/internal/cell"
@@ -21,13 +23,16 @@ import (
 // unbounded open-system engine at steady per-slot churn (depart oldest,
 // admit fresh, advance) across many tile-window rollovers and writes a
 // JSON report (results/BENCH_churn.json is the checked-in baseline).
-// Beyond the ns/slot throughput the report splits per-slot tick times
-// into rollover slots and steady slots, recording the medians, the
-// rollover p99 and the rollover/steady median ratio the ISSUE-10
-// acceptance bound (≤ 2×) is stated against. The engine fuses commit(n)
-// with prepare(n+1), so a window is attached (its background fill awaited
-// and swapped in, or filled on the spot) while the *last* slot of the
-// previous window ticks: rollover slots are those with (n+1) % tile == 0.
+// Beyond the ns/slot throughput the report splits per-slot times into
+// rollover slots and steady slots, recording the medians, the rollover p99
+// and the rollover/steady median ratio the ISSUE-10 acceptance bound
+// (≤ 2×) is stated against. A slot's time is the whole cycle — depart,
+// admit, advance — so that whatever the table operations pay for the
+// window pipeline is in it, wherever the engine does the work. The engine
+// fuses commit(n) with prepare(n+1), so a window is attached (its
+// background fill finished and swapped in, or filled on the spot) while the
+// *last* slot of the previous window ticks: rollover slots are those with
+// (n+1) % tile == 0.
 
 // churnEntry is one measured (sessions, workers) configuration.
 type churnEntry struct {
@@ -37,7 +42,7 @@ type churnEntry struct {
 	TileSlots int     `json:"tile_slots"`
 	Slots     int     `json:"slots"` // measured slots per rep
 	NsPerSlot float64 `json:"ns_per_slot"`
-	// SteadyMedianNs and RolloverMedianNs are the per-slot tick medians of
+	// SteadyMedianNs and RolloverMedianNs are the per-slot cycle medians of
 	// the two slot classes; RolloverX is their ratio (the spike factor a
 	// synchronous rollover recompile would inflate).
 	SteadyMedianNs   float64 `json:"steady_median_ns"`
@@ -48,6 +53,8 @@ type churnEntry struct {
 
 // churnReport is the JSON document -churn writes.
 type churnReport struct {
+	Commit     string       `json:"commit"`
+	CPU        string       `json:"cpu"`
 	Cores      int          `json:"cores"`
 	GoMaxProcs int          `json:"gomaxprocs"`
 	GoVersion  string       `json:"go_version"`
@@ -115,6 +122,7 @@ func measureChurnOnce(n, tile, slots, workers int) (churnEntry, error) {
 	for slot := 0; slot < warmup+slots; slot++ {
 		old := fifo[0]
 		fifo = fifo[:copy(fifo, fifo[1:])]
+		start := time.Now()
 		if ok, err := o.DepartSerial(old.idx, old.ser); err != nil || !ok {
 			return e, fmt.Errorf("churn: depart idx=%d ser=%d: ok=%v err=%v", old.idx, old.ser, ok, err)
 		}
@@ -124,7 +132,6 @@ func measureChurnOnce(n, tile, slots, workers int) (churnEntry, error) {
 		}
 		ser, _ := o.Serial(idx)
 		fifo = append(fifo, live{idx, ser})
-		start := time.Now()
 		if _, err := o.AdvanceTo(slot + 1); err != nil {
 			return e, err
 		}
@@ -164,6 +171,8 @@ func quantileOf(xs []float64, q float64) float64 {
 // (the rollover stats follow the kept rep so the ratio stays coherent).
 func measureChurn(tiers []int, tile, slotOverride, reps int) (*churnReport, error) {
 	rep := &churnReport{
+		Commit:     gitCommit(),
+		CPU:        cpuModel(),
 		Cores:      runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
@@ -193,6 +202,34 @@ func measureChurn(tiers []int, tile, slotOverride, reps int) (*churnReport, erro
 	return rep, nil
 }
 
+// gitCommit is the checked-out commit, "+dirty" appended when the working
+// tree differs from it, "unknown" outside a repository.
+func gitCommit() string {
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	commit := strings.TrimSpace(string(out))
+	if st, err := exec.Command("git", "status", "--porcelain").Output(); err == nil && len(st) > 0 {
+		commit += "+dirty"
+	}
+	return commit
+}
+
+// cpuModel is the "model name" of /proc/cpuinfo, GOARCH where there is none.
+func cpuModel() string {
+	b, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return runtime.GOARCH
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return runtime.GOARCH
+}
+
 // runChurn measures and writes the report, echoing a table to stdout.
 func runChurn(outPath, tiersCSV string, tile, slotOverride, reps int) error {
 	tiers, err := parseTickUsers(tiersCSV)
@@ -213,8 +250,8 @@ func runChurn(outPath, tiersCSV string, tile, slotOverride, reps int) error {
 	if err := enc.Encode(rep); err != nil {
 		return err
 	}
-	fmt.Printf("churn benchmark (%d cores, GOMAXPROCS=%d, best of %d):\n",
-		rep.Cores, rep.GoMaxProcs, rep.Reps)
+	fmt.Printf("churn benchmark (commit %.12s, %s, %d cores, GOMAXPROCS=%d, best of %d):\n",
+		rep.Commit, rep.CPU, rep.Cores, rep.GoMaxProcs, rep.Reps)
 	for _, e := range rep.Entries {
 		fmt.Printf("  N=%-7d %-8s workers=%-2d tile=%-3d slots=%-4d %12.0f ns/slot  rollover %.2fx (p99 %.0f ns)\n",
 			e.Sessions, e.Arm, e.Workers, e.TileSlots, e.Slots, e.NsPerSlot, e.RolloverX, e.RolloverP99Ns)

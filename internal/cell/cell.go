@@ -426,6 +426,12 @@ type Simulator struct {
 	// or started with playback incomplete. Zero means the old full-scan
 	// loop's allDone condition holds.
 	unfinished int
+	// retiredLog lists the users dropRetired has taken off the live list
+	// since the open engine last reaped (ascending within a slot). Kept only
+	// when logRetired is set: a closed run never folds, and would only grow
+	// the log to N.
+	retiredLog []int
+	logRetired bool
 	shardAct   [][]int     // per-shard active-index segments (prepare output)
 	shardAcc   []slotAccum // per-shard partial sums (commit output)
 	activeBuf  []int       // backing for slot.ActiveList, rebuilt per slot

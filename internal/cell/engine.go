@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 
 	"jointstream/internal/pool"
 )
@@ -393,27 +394,39 @@ func (s *Simulator) collectActive(shards int) {
 // full-scan engine would have recorded for their pre-start slots; when
 // the slot's columns were already prepared by the previous slot's fused
 // pass (which ran before these users were live), their column entries
-// are patched in and the active list is spliced to stay sorted.
+// are patched in and the active list gains them. The slot's whole batch
+// joins each list in one merge — O(batch + entries shifted), so the closed
+// engine's all-at-slot-0 admission is an append and a churn slot's hundred
+// arrivals cost one pass over the list, not a hundred.
 func (s *Simulator) admit(slotIdx int, res *Result) {
-	for s.pendHead < len(s.pending) {
-		i := s.pending[s.pendHead]
-		if int(s.users[i].startSlot) > slotIdx {
-			break
-		}
+	head := s.pendHead
+	for s.pendHead < len(s.pending) && int(s.users[s.pending[s.pendHead]].startSlot) <= slotIdx {
 		s.pendHead++
-		s.live = insertSorted(s.live, i)
-		if s.colsSlot == slotIdx {
-			if s.prepareColsUser(s.colsTabled(), slotIdx, i) {
-				s.activeBuf = insertSorted(s.activeBuf, i)
-			}
-			s.alloc[i] = 0
-		}
-		if s.cfg.RecordPerUserSlots {
+	}
+	// The drained segment is dead storage from here on: it is sorted by
+	// index in place (pending is ordered by start slot first) and then
+	// reused to collect the batch's active users.
+	batch := s.pending[head:s.pendHead]
+	slices.Sort(batch)
+	s.live = mergeSorted(s.live, batch)
+	if s.cfg.RecordPerUserSlots {
+		for _, i := range batch {
 			for len(res.RebufferSamples[i]) < slotIdx {
 				res.RebufferSamples[i] = append(res.RebufferSamples[i], 0)
 				res.EnergySamples[i] = append(res.EnergySamples[i], 0)
 			}
 		}
+	}
+	if s.colsSlot == slotIdx {
+		tabled := s.colsTabled()
+		act := batch[:0]
+		for _, i := range batch {
+			if s.prepareColsUser(tabled, slotIdx, i) {
+				act = append(act, i)
+			}
+			s.alloc[i] = 0
+		}
+		s.activeBuf = mergeSorted(s.activeBuf, act)
 	}
 	if s.pendHead == len(s.pending) && s.pendHead > 0 {
 		// Drained: rewind to the array's head so the storage is reused.
@@ -425,20 +438,21 @@ func (s *Simulator) admit(slotIdx int, res *Result) {
 // pendingCount returns how many admitted-but-not-started users remain.
 func (s *Simulator) pendingCount() int { return len(s.pending) - s.pendHead }
 
-// insertSorted inserts v into ascending-sorted xs, keeping order.
-func insertSorted(xs []int, v int) []int {
-	lo, hi := 0, len(xs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if xs[mid] < v {
-			lo = mid + 1
+// mergeSorted merges ascending add into ascending xs in place, from the
+// back: only the entries of xs above add's smallest move. The two lists
+// are disjoint.
+func mergeSorted(xs, add []int) []int {
+	i := len(xs) - 1
+	xs = append(xs, add...)
+	for w, j := len(xs)-1, len(add)-1; j >= 0; w-- {
+		if i >= 0 && xs[i] > add[j] {
+			xs[w] = xs[i]
+			i--
 		} else {
-			hi = mid
+			xs[w] = add[j]
+			j--
 		}
 	}
-	xs = append(xs, 0)
-	copy(xs[lo+1:], xs[lo:])
-	xs[lo] = v
 	return xs
 }
 
@@ -460,12 +474,17 @@ func (s *Simulator) retireEligible(i int) bool {
 // columns and allocations so a stale Active flag can never leak into a
 // later slot's scheduling. Only the engine-owned dynamic columns are
 // touched — the static physics columns may alias the shared link table
-// and must never be written through.
+// and must never be written through. For the open engine the dropped
+// users are also logged, so its reap folds exactly them instead of
+// rescanning the table.
 func (s *Simulator) dropRetired() {
 	c := &s.cols
 	w := 0
 	for _, i := range s.live {
 		if s.users[i].retired {
+			if s.logRetired {
+				s.retiredLog = append(s.retiredLog, i)
+			}
 			c.Active[i] = false
 			c.BufferSec[i] = 0
 			c.RemainingKB[i] = 0

@@ -152,7 +152,7 @@ func compileLink(cfg Config, sessions []*workload.Session, window int) (*LinkTab
 	if window < slots {
 		t.window, t.fill, t.sessions = window, fill, sessions
 	}
-	fill.fill(&t.linkCols, sessions, nil, users, 0, t.resident)
+	fill.fill(&t.linkCols, sessions, nil, users, 0, 0, t.resident)
 	return t, nil
 }
 
@@ -170,7 +170,7 @@ func (t *LinkTable) ensureSlot(n int) {
 	// read are recomputed. The values written are identical to the full
 	// pass — stale rows are exactly the ones no reader reaches — so a
 	// run's Result is unchanged for any worker count.
-	t.fill.fill(&t.linkCols, t.sessions, t.rows, t.users, n, n+t.resident)
+	t.fill.fill(&t.linkCols, t.sessions, t.rows, t.users, 0, n, n+t.resident)
 }
 
 // willEvict reports whether making slot n resident would refill the

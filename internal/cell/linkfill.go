@@ -1,6 +1,8 @@
 package cell
 
 import (
+	"sync/atomic"
+
 	"jointstream/internal/pool"
 	"jointstream/internal/radio"
 	"jointstream/internal/signal"
@@ -97,6 +99,13 @@ type fillScratch struct {
 // linkFiller holds what a fill needs beyond its destination: the radio
 // model (and its exact table, if it has one), the slot grid, the worker
 // bound and the per-worker scratch. A filler runs one fill at a time.
+//
+// A fill is set up by start and executed by run, which fans drain out over
+// the workers; fill is the two back to back. Blocks are claimed from the
+// filler's own counter, not dealt out by pool.Shard, so a goroutine outside
+// the fan-out can join a fill that is under way (fillUpTo): the open tile's
+// foreground does, a block at a time where a background fill is behind
+// schedule and for whatever is left at a window swap (open.go).
 type linkFiller struct {
 	radio     radio.Model
 	tab       *radio.Table // nil unless bitwise-exact for radio
@@ -108,13 +117,15 @@ type linkFiller struct {
 	// The running fill's arguments. They live here, and body is bound
 	// once, so a refill hands pool.Shard no fresh closure: the steady
 	// state allocates nothing.
+	blocks   int          // row blocks of width rows
+	next     atomic.Int64 // first unclaimed block
 	dst      *linkCols
 	sessions []*workload.Session
 	rows     []int // ascending destination rows; nil = [0, count)
 	count    int
-	base, hi int // slots [base, hi) go to slot offsets [0, hi-base)
+	off      int // slot offset in dst of slot base
+	base, hi int // slots [base, hi) go to slot offsets [off, off+hi-base)
 	body     func(int)
-	one      [1]int // fillRow's row list
 }
 
 // newLinkFiller builds a filler for destinations of maxRows ≥ 1 rows per
@@ -136,7 +147,7 @@ func newLinkFiller(m radio.Model, tau units.Seconds, unit units.KB, workers, max
 	if tab.Exact() {
 		f.tab = tab
 	}
-	f.body = f.fillBlock
+	f.body = f.drain
 	return f, nil
 }
 
@@ -149,27 +160,52 @@ func (f *linkFiller) eval(sig units.DBm) (units.KBps, units.MJ) {
 }
 
 // fill writes slots [base, hi) of the given rows into dst at slot offsets
-// [0, hi-base). rows lists the destination rows in ascending order (row i
-// belongs to sessions[i]); nil means rows [0, count). Shards own disjoint
-// row blocks, and each session is read by exactly one shard, so traces
-// that are not safe for concurrent use stay on one goroutine. A dst with
-// a shared rate row must not be handed a session with rate jitter.
-func (f *linkFiller) fill(dst *linkCols, sessions []*workload.Session, rows []int, count, base, hi int) {
+// [off, off+hi-base): off is 0 for a whole window and the number of slots
+// already ticked when rows are patched into a window that is in use. rows
+// lists the destination rows in ascending order (row i belongs to
+// sessions[i]); nil means rows [0, count). Shards own disjoint row blocks,
+// and each session is read by exactly one shard, so traces that are not
+// safe for concurrent use stay on one goroutine. A dst with a shared rate
+// row must not be handed a session with rate jitter.
+func (f *linkFiller) fill(dst *linkCols, sessions []*workload.Session, rows []int, count, off, base, hi int) {
+	f.start(dst, sessions, rows, count, off, base, hi)
+	f.run()
+}
+
+// start sets up the fill that fill describes without executing any of it.
+func (f *linkFiller) start(dst *linkCols, sessions []*workload.Session, rows []int, count, off, base, hi int) {
 	if rows != nil {
 		count = len(rows)
 	}
-	if count == 0 || hi <= base {
-		return
+	f.blocks = 0
+	if hi > base {
+		f.blocks = (count + f.width - 1) / f.width
 	}
-	f.dst, f.sessions, f.rows, f.count, f.base, f.hi = dst, sessions, rows, count, base, hi
-	pool.Shard(f.workers, (count+f.width-1)/f.width, f.body)
+	f.dst, f.sessions, f.rows, f.count, f.off, f.base, f.hi = dst, sessions, rows, count, off, base, hi
+	f.next.Store(0)
 }
 
-// fillRow fills the single row i — a session admitted into a window that
-// is already resident.
-func (f *linkFiller) fillRow(dst *linkCols, sessions []*workload.Session, i, base, hi int) {
-	f.one[0] = i
-	f.fill(dst, sessions, f.one[:], 1, base, hi)
+// run executes the fill start set up on up to workers goroutines. Every
+// block is written once run has returned, and so has every fillUpTo called
+// beside it.
+func (f *linkFiller) run() {
+	pool.Shard(f.workers, min(f.workers, f.blocks), f.body)
+}
+
+// drain is run's shard body: it claims and fills blocks until none is
+// left. Blocks are not tied to the shard index.
+func (f *linkFiller) drain(int) { f.fillUpTo(f.blocks) }
+
+// fillUpTo claims and fills blocks until limit of the fill's blocks have
+// been claimed, by whomever.
+func (f *linkFiller) fillUpTo(limit int) {
+	for int(f.next.Load()) < limit {
+		b := int(f.next.Add(1)) - 1
+		if b >= f.blocks {
+			return
+		}
+		f.fillBlock(b)
+	}
 }
 
 func (f *linkFiller) scratch() *fillScratch {
@@ -192,8 +228,8 @@ func (f *linkFiller) row(j int) int {
 	return f.rows[j]
 }
 
-// fillBlock is the shard body: positions [b·width, (b+1)·width) of the
-// row list, every slot of the fill.
+// fillBlock fills block b: positions [b·width, (b+1)·width) of the row
+// list, every slot of the fill.
 func (f *linkFiller) fillBlock(b int) {
 	j0 := b * f.width
 	m := min(f.width, f.count-j0)
@@ -223,10 +259,11 @@ func (f *linkFiller) fillBlock(b int) {
 			}
 			n := e - a
 			for k := 0; k < cw; k++ {
-				o := (c+k-f.base)*dst.stride + i0
+				so := f.off + c + k - f.base
+				o := so*dst.stride + i0
 				sig, link := dst.sig[o:o+n], dst.link[o:o+n]
 				f.emitRow(sc.sig[a:e], k, sig, link, dst.epkb[o:o+n], dst.lu[o:o+n])
-				r := (c+k-f.base)*dst.rateStride + i0
+				r := so*dst.rateStride + i0
 				if jitter {
 					for u := 0; u < n; u++ {
 						dst.rate[r+u] = f.sessions[i0+u].RateAt(c + k)

@@ -36,6 +36,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"jointstream/internal/abr"
 	"jointstream/internal/metrics"
@@ -176,6 +178,10 @@ type OpenSim struct {
 	// head-slicing pop made the array creep one slot per reuse and forced
 	// a reallocation every O(cap) churn cycles.
 	freelist []int
+	// freed lists the table slots folded since the last release, ascending
+	// (every caller folds in table order): release returns them to the
+	// freelist in one merge instead of one shift per session.
+	freed    []int
 	ended    []bool   // per table slot: session folded (completed/departed)
 	serials  []uint64 // per table slot: admission serial of the resident session
 	lastSer  uint64
@@ -302,6 +308,7 @@ func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*O
 		return nil, err
 	}
 	o.eng = eng
+	eng.logRetired = true
 	if cfg.TileSlots > 0 {
 		if eng.openTile, err = newOpenTile(eng, cfg.TileSlots, cfg.MaxSessions, cfg.Unbounded); err != nil {
 			return nil, err
@@ -406,11 +413,6 @@ func (o *OpenSim) Admit(sess *workload.Session) (int, error) {
 	*clone = *sess
 	clone.StartSlot = start
 
-	if s.openTile != nil {
-		// Quiesce the background window compile before the session table
-		// mutates under it (appendSlot re-slices arrays the fill reads).
-		s.openTile.syncFill()
-	}
 	o.lastSer++
 	var idx int
 	if n := len(o.freelist); n > 0 {
@@ -638,12 +640,14 @@ func (o *OpenSim) Depart(id int) error {
 	// A session the engine already retired finished its work; departing
 	// it merely reaps early, so it still counts as completed.
 	o.fold(id, wasRetired)
+	o.release()
 	return nil
 }
 
 // fold records session id's lifetime totals into the streaming
-// aggregates and frees its table slot. completed selects the natural-
-// completion counters; otherwise the session is counted as departed.
+// aggregates and frees its table slot; the slot becomes reusable at the
+// caller's release. completed selects the natural-completion counters;
+// otherwise the session is counted as departed.
 func (o *OpenSim) fold(id int, completed bool) {
 	s := o.eng
 	ru := &s.curRes.Users[id]
@@ -668,25 +672,46 @@ func (o *OpenSim) fold(id int, completed bool) {
 		o.sessPool = append(o.sessPool, s.sessions[id])
 		o.owned[id] = false
 	}
-	if s.openTile != nil {
-		// Drop the row (and quiesce the background compile — it may be
-		// reading sessions[id]) before the occupancy slot is cleared.
-		s.openTile.removeRow(id)
-	}
-	s.sessions[id] = nil // occupancy signal for the tile; slot is reusable
-	o.freelist = insertSortedDesc(o.freelist, id)
-	o.stats.FreeSlots = len(o.freelist)
+	// Occupancy signal for the tile. An in-flight background fill reads
+	// its own copy of the session (openTile.kickFill), so neither this nor
+	// a reuse of the pooled clone waits for it.
+	s.sessions[id] = nil
+	o.freed = append(o.freed, id)
 }
 
-// reap folds sessions the engine retired (playback + delivery complete,
-// tail drained) since the last call, freeing their table slots.
+// release returns the table slots folded since the last call to the
+// freelist — one merge for the batch — and has the tile drop their rows
+// at its next flush.
+func (o *OpenSim) release() {
+	if len(o.freed) == 0 {
+		return
+	}
+	o.freelist = mergeSortedDesc(o.freelist, o.freed)
+	o.freed = o.freed[:0]
+	if t := o.eng.openTile; t != nil {
+		t.holes = true
+	}
+}
+
+// reap folds the sessions the engine retired (playback + delivery
+// complete, tail drained) since the last call, in table order, freeing
+// their slots. The engine logs whom it retires, so the cost follows the
+// completions, not the table.
 func (o *OpenSim) reap() {
 	s := o.eng
-	for i := range s.users {
-		if s.users[i].retired && !o.ended[i] && s.sessions[i] != nil {
+	if len(s.retiredLog) == 0 {
+		return
+	}
+	// Ascending per slot; an AdvanceTo over several slots concatenates
+	// several such runs.
+	slices.Sort(s.retiredLog)
+	for _, i := range s.retiredLog {
+		if !o.ended[i] && s.sessions[i] != nil {
 			o.fold(i, true)
 		}
 	}
+	s.retiredLog = s.retiredLog[:0]
+	o.release()
 }
 
 // AdvanceTo ticks the engine up to (but not including) slot upto,
@@ -705,6 +730,11 @@ func (o *OpenSim) AdvanceTo(upto int) (bool, error) {
 		// old horizon was reached — clear it and keep serving.
 		o.eng.cfg.MaxSlots = upto + o.windowSlots
 		o.eng.stepDone = false
+	}
+	if t := o.eng.openTile; t != nil {
+		// One fill for every row admitted since the last call, before
+		// anything reads them.
+		t.flush(o.eng.nextSlot)
 	}
 	done, err := o.eng.Advance(upto)
 	if err != nil {
@@ -816,6 +846,7 @@ func (o *OpenSim) Finish() *Result {
 			o.fold(i, s.users[i].buf.PlaybackComplete())
 		}
 	}
+	o.release()
 	return s.Finish()
 }
 
@@ -929,7 +960,6 @@ func (o *OpenSim) compact() {
 		s.abrCtls = s.abrCtls[:w]
 	}
 	o.freelist = o.freelist[:0]
-	o.stats.FreeSlots = 0
 	// The remap is monotone, so in-place rewrites keep both lists sorted
 	// in the engine's (StartSlot, index) and ascending orders.
 	for k, id := range s.live {
@@ -967,20 +997,21 @@ func removeValue(xs []int, v int) []int {
 	return xs
 }
 
-// insertSortedDesc inserts v into descending-sorted xs.
-func insertSortedDesc(xs []int, v int) []int {
-	lo, hi := 0, len(xs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if xs[mid] > v {
-			lo = mid + 1
+// mergeSortedDesc merges ascending add into descending xs in place, from
+// the back: the smallest entries sit at the tail, so only those below
+// add's largest move. The two lists are disjoint.
+func mergeSortedDesc(xs, add []int) []int {
+	i := len(xs) - 1
+	xs = append(xs, add...)
+	for w, j := len(xs)-1, 0; j < len(add); w-- {
+		if i >= 0 && xs[i] < add[j] {
+			xs[w] = xs[i]
+			i--
 		} else {
-			hi = mid
+			xs[w] = add[j]
+			j++
 		}
 	}
-	xs = append(xs, 0)
-	copy(xs[lo+1:], xs[lo:])
-	xs[lo] = v
 	return xs
 }
 
@@ -1027,42 +1058,83 @@ type tileBlock struct {
 //     *before* attach triggers the swap, which is what makes refilling
 //     the outgoing block in the background safe.
 //
-// All mutation entry points (admitRow/removeRow/compactRows/ensure) call
-// syncFill first, so the background worker is always quiescent — the
-// channel handshake gives the happens-before edge — before rows or
-// session state move under it.
+// The session table keeps changing while a window compiles, and neither
+// side waits for the other (DESIGN.md §13). The worker reads nothing the
+// foreground writes: every fill is handed a private copy of its rows and
+// of their sessions (kickFill), and the spare block is the worker's while
+// a fill runs. The foreground only records what that copy lacks — rows
+// admitted since go on the late list — and when the fill has landed the
+// late rows are the worker's next fill into the same block; rows folded
+// since keep stale values nobody reads. Only the swap (ensure), compaction
+// and stopBg wait for the worker, and they work beside it while they do.
 type openTile struct {
 	sim    *Simulator
 	window int
-	// horizon clamps background fills in bounded mode: slots at or past
-	// it are never filled, because bounded-mode sessions may carry
-	// memoized signal traces that only cover [0, MaxSlots) and growing a
-	// memo from two goroutines would race. -1 = unbounded (vetSession
-	// enforces stateless traces, so any slot is safe to fill anywhere).
+	// horizon clamps fills in bounded mode: slots at or past it are never
+	// filled, because bounded-mode sessions may carry memoized signal
+	// traces that only cover [0, MaxSlots), clones of one template share
+	// them, and growing a memo under a concurrent reader would race. Every
+	// session is prewarmed to the horizon before a fill can see it. -1 =
+	// unbounded (vetSession enforces stateless traces, so any slot is safe
+	// to fill anywhere).
 	horizon int
-	// fill carries its own copies of the radio model and slot grid, so
-	// the background worker never reads cfg fields the unbounded
-	// AdvanceTo mutates (MaxSlots shares the struct).
-	fill *linkFiller
+	// fill runs the worker's fills, and the foreground's whole-window fill
+	// while the worker is idle. patch fills admitted rows into windows that
+	// exist and runs beside the worker, so it is a second filler — a filler
+	// holds the arguments of its running fill. Both carry their own copies
+	// of the radio model and slot grid, so neither reads cfg fields the
+	// unbounded AdvanceTo mutates (MaxSlots shares the struct).
+	fill, patch *linkFiller
 
 	cur, next *tileBlock
 
-	// rows is the ascending live-row set a fill covers.
-	rows []int
+	// rows is the ascending live-row set a window fill covers. Admissions
+	// and folds reach it in batches: fresh collects the rows admitted since
+	// the last flush (admission order, duplicates possible), holes says
+	// rows folded since are still listed. flush applies both before the
+	// engine advances, so rows is exact whenever a fill reads it.
+	rows  []int
+	fresh []int
+	holes bool
+	// late lists the rows flushed since the snapshot of the spare block's
+	// latest fill was taken: the block still lacks them.
+	late []int
 
-	// Background pipeline state. kick carries the next block's base slot
-	// to the worker; done signals its completion. inflight tracks an
-	// outstanding fill, nextReady a completed one not yet swapped in.
+	// The in-flight fill's inputs, written by kickFill and then left alone
+	// until the fill is over: the row list, and by value what a fill reads
+	// of each listed row's session. snapPtr[i] = &snap[i] is the view the
+	// filler indexes by row. A row's copy stays good until the row changes
+	// hands, so a window fill refreshes only the rows admitted since the
+	// last one (changed), or all of them after a compaction moved the rows
+	// (snapAll).
+	snapRows []int
+	snap     []workload.Session
+	snapPtr  []*workload.Session
+	changed  []int
+	snapAll  bool
+
+	// Background pipeline state. kick starts the worker on the fill
+	// kickFill set up; the worker sets landed and then signals done. The
+	// foreground polls landed (no blocking, no select) and receives from
+	// done only where it has to wait. inflight tracks an outstanding fill,
+	// bulk whether it is the window's own (as opposed to late rows
+	// following it), nextReady a spare block whose window fill is over.
 	bg        bool
-	kick      chan int
+	kick      chan struct{}
 	done      chan struct{}
+	landed    atomic.Bool
 	inflight  bool
+	bulk      bool
 	nextReady bool
 	stopped   bool
 }
 
 func newOpenTile(sim *Simulator, window, capSessions int, unbounded bool) (*openTile, error) {
 	fill, err := newLinkFiller(sim.cfg.Radio, sim.cfg.Tau, sim.cfg.Unit, sim.workers, capSessions)
+	if err != nil {
+		return nil, err
+	}
+	patch, err := newLinkFiller(sim.cfg.Radio, sim.cfg.Tau, sim.cfg.Unit, sim.workers, capSessions)
 	if err != nil {
 		return nil, err
 	}
@@ -1073,16 +1145,24 @@ func newOpenTile(sim *Simulator, window, capSessions int, unbounded bool) (*open
 	}
 	t := &openTile{
 		sim: sim, window: window,
-		horizon: sim.cfg.MaxSlots,
-		fill:    fill,
-		cur:     newBlock(),
-		next:    newBlock(),
-		rows:    make([]int, 0, capSessions),
-		kick:    make(chan int, 1),
-		done:    make(chan struct{}, 1),
+		horizon:  sim.cfg.MaxSlots,
+		fill:     fill,
+		patch:    patch,
+		cur:      newBlock(),
+		next:     newBlock(),
+		rows:     make([]int, 0, capSessions),
+		snapRows: make([]int, 0, capSessions),
+		snap:     make([]workload.Session, capSessions),
+		snapPtr:  make([]*workload.Session, capSessions),
+		kick:     make(chan struct{}, 1),
+		done:     make(chan struct{}, 1),
+		snapAll:  true,
 	}
 	if unbounded {
 		t.horizon = -1
+	}
+	for i := range t.snap {
+		t.snapPtr[i] = &t.snap[i]
 	}
 	// Initial population occupies an identity prefix.
 	for i := range sim.sessions {
@@ -1091,6 +1171,19 @@ func newOpenTile(sim *Simulator, window, capSessions int, unbounded bool) (*open
 	return t, nil
 }
 
+// The background window fill is paced to be over paceNum/paceDen of the
+// way through the resident window (flush). On the 2-core reference box the
+// worker needs more than a window's ticking for a window's fill at 10 000
+// rows of stateless sine; 3/4 left 260 rows late at the swap, 1/2 had the
+// foreground fill more than its share, 2/3 was the fastest of the three.
+const paceNum, paceDen = 2, 3
+
+// lateInline is the number of late rows from which they are handed to the
+// worker. Waking it costs the foreground about what filling a few rows
+// does, and a fill in flight at the swap has to be waited for: a driver
+// that admits a session or two per slot is better off without either.
+const lateInline = 16
+
 // willEvict reports whether attaching slot n recompiles the window.
 func (t *openTile) willEvict(n int) bool {
 	return t.cur.base < 0 || n < t.cur.base || n >= t.cur.base+t.window
@@ -1098,27 +1191,32 @@ func (t *openTile) willEvict(n int) bool {
 
 // ensure makes the resident window cover slot n. Windows are aligned to
 // multiples of the window length so boundaries are stable. On the warm
-// path (sequential clock, prefetch landed) the crossing is a pointer
-// swap; the freshly evicted block immediately starts compiling the
-// window after next in the background.
+// path (sequential clock, prefetch done) the crossing is a pointer swap;
+// the freshly evicted block immediately starts compiling the window after
+// next in the background. This is the one place the tick may wait for the
+// worker.
 func (t *openTile) ensure(n int) {
-	if !t.willEvict(n) {
-		return
+	if t.willEvict(n) {
+		base := n - n%t.window
+		t.syncFill()
+		if t.nextReady && t.next.base == base {
+			// What the worker was not given in time is filled here.
+			t.patchNext(t.occupied(t.late))
+			t.cur, t.next = t.next, t.cur
+		} else {
+			// Filled here and now from the live rows: nothing is missing.
+			t.cur.base = base
+			t.fill.fill(&t.cur.linkCols, t.sim.sessions, t.rows, 0, 0, base, t.windowEnd(base))
+		}
+		t.late = t.late[:0]
+		t.nextReady = false
+		t.prefetch(base + t.window)
 	}
-	base := n - n%t.window
-	t.syncFill()
-	if t.nextReady && t.next.base == base {
-		t.cur, t.next = t.next, t.cur
-	} else {
-		t.fillBlockInto(t.cur, base)
-	}
-	t.nextReady = false
-	t.prefetch(base + t.window)
 }
 
-// prefetch kicks the background worker to compile the window starting
-// at base into the spare block. Skipped past the bounded horizon and
-// after stopBg.
+// prefetch starts compiling the window that begins at base into the spare
+// block, in the background. Skipped past the bounded horizon and after
+// stopBg.
 func (t *openTile) prefetch(base int) {
 	if t.stopped || (t.horizon >= 0 && base >= t.horizon) {
 		return
@@ -1127,29 +1225,81 @@ func (t *openTile) prefetch(base int) {
 		t.bg = true
 		go t.bgLoop()
 	}
-	t.inflight = true
-	t.kick <- base
+	t.next.base = base
+	t.bulk = true
+	stale := t.occupied(t.changed)
+	if t.snapAll {
+		stale = t.rows
+	}
+	t.kickFill(t.rows, stale)
+	t.changed, t.snapAll = t.changed[:0], false
 }
 
-// bgLoop is the background compiler: one fill per kick, completion
-// signalled on done. It owns t.next exclusively between the two channel
-// operations; syncFill's receive is the happens-before edge back.
+// kickFill hands the worker a fill of the given rows of the spare block,
+// from a snapshot taken here, stale being the rows among them whose copy
+// is out of date: the table is free to change the moment this returns.
+func (t *openTile) kickFill(rows, stale []int) {
+	t.snapRows = append(t.snapRows[:0], rows...)
+	for _, i := range stale {
+		t.snap[i] = *t.sim.sessions[i]
+	}
+	b := t.next
+	t.fill.start(&b.linkCols, t.snapPtr, t.snapRows, 0, 0, b.base, t.windowEnd(b.base))
+	t.landed.Store(false)
+	t.inflight = true
+	t.kick <- struct{}{}
+}
+
+// bgLoop is the background compiler: per kick it runs the fill kickFill
+// set up, flags it landed and signals done. The receive from done is the
+// happens-before edge back to the foreground.
 func (t *openTile) bgLoop() {
-	for base := range t.kick {
-		t.fillBlockInto(t.next, base)
+	for range t.kick {
+		t.fill.run()
+		t.landed.Store(true)
 		t.done <- struct{}{}
 	}
 }
 
-// syncFill drains an outstanding background fill, marking the spare
-// block ready. Every caller that reads or mutates tile/session state
-// shared with the worker must pass through here first.
+// syncFill finishes an outstanding background fill. The foreground does
+// not sit it out: it claims blocks beside the worker until none is left,
+// then waits for the worker's last.
 func (t *openTile) syncFill() {
-	if t.inflight {
-		<-t.done
-		t.inflight = false
-		t.nextReady = true
+	if !t.inflight {
+		return
 	}
+	t.fill.fillUpTo(t.fill.blocks)
+	<-t.done
+	t.inflight = false
+	t.nextReady = true
+}
+
+// pollFill lands a background fill that has finished, without waiting for
+// one that has not, and sees to the rows that became late while it ran:
+// they are the worker's next fill into the same block, or, when they are
+// too few to be worth waking it, filled here.
+func (t *openTile) pollFill() {
+	if t.inflight && t.landed.Load() {
+		t.syncFill()
+	}
+	if !t.nextReady || t.inflight || len(t.late) == 0 {
+		return
+	}
+	late := t.occupied(t.late)
+	if len(late) < lateInline || t.stopped {
+		t.patchNext(late)
+	} else {
+		t.bulk = false
+		t.kickFill(late, late)
+	}
+	t.late = t.late[:0]
+}
+
+// patchNext fills the given rows into every slot of the spare block, which
+// no fill is running on.
+func (t *openTile) patchNext(rows []int) {
+	b := t.next
+	t.patch.fill(&b.linkCols, t.sim.sessions, rows, 0, 0, b.base, t.windowEnd(b.base))
 }
 
 // stopBg quiesces and permanently stops the background worker
@@ -1163,13 +1313,6 @@ func (t *openTile) stopBg() {
 	t.stopped = true
 }
 
-// fillBlockInto fills the window starting at base into b, covering only
-// the live rows.
-func (t *openTile) fillBlockInto(b *tileBlock, base int) {
-	b.base = base
-	t.fill.fill(&b.linkCols, t.sim.sessions, t.rows, 0, base, t.windowEnd(base))
-}
-
 // windowEnd is the slot after the last one a block based at base covers.
 func (t *openTile) windowEnd(base int) int {
 	if hi := base + t.window; t.horizon < 0 || hi <= t.horizon {
@@ -1178,37 +1321,85 @@ func (t *openTile) windowEnd(base int) int {
 	return t.horizon
 }
 
-// admitRow registers a newly admitted session (already in the engine's
-// session table at row i) and fills its rows into the resident window
-// (and the prefetched one, if landed) so the next attach reads correct
-// values without a full refill.
-func (t *openTile) admitRow(i int) {
-	t.syncFill()
-	t.rows = insertSorted(t.rows, i)
-	if t.cur.base >= 0 {
-		t.fill.fillRow(&t.cur.linkCols, t.sim.sessions, i, t.cur.base, t.windowEnd(t.cur.base))
+// occupied sorts rows in place and returns them without duplicates and
+// without rows whose table slot is empty.
+func (t *openTile) occupied(rows []int) []int {
+	slices.Sort(rows)
+	w, prev := 0, -1
+	for _, i := range rows {
+		if i != prev && t.sim.sessions[i] != nil {
+			rows[w] = i
+			w++
+		}
+		prev = i
 	}
-	if t.nextReady {
-		t.fill.fillRow(&t.next.linkCols, t.sim.sessions, i, t.next.base, t.windowEnd(t.next.base))
-	}
+	return rows[:w]
 }
 
-// removeRow drops a folded session from the live-row set; its stale
-// block values are unreachable (the slot is free until the next admit,
-// which refills the row).
-func (t *openTile) removeRow(i int) {
-	t.syncFill()
-	t.rows = removeSortedValue(t.rows, i)
+// admitRow registers a newly admitted session (already in the engine's
+// session table at row i). Its rows are filled by the next flush.
+func (t *openTile) admitRow(i int) { t.fresh = append(t.fresh, i) }
+
+// flush brings the tile up to date with the session table before the
+// engine advances from slot clock. The live-row set drops the rows folded
+// since the last call and gains the rows admitted since, in one pass each.
+// The admitted rows are filled into the resident window in one fill, from
+// clock on (a fresh row is never read at a slot that already ticked); for
+// the prefetched window they are late, and go to the worker now if it is
+// idle, when its fill lands otherwise.
+func (t *openTile) flush(clock int) {
+	add := t.occupied(t.fresh)
+	t.fresh = t.fresh[:0]
+	if t.holes {
+		// A folded row that was admitted again is both listed and in add:
+		// drop it here, the merge below puts it back.
+		sessions := t.sim.sessions
+		w, a := 0, 0
+		for _, i := range t.rows {
+			for a < len(add) && add[a] < i {
+				a++
+			}
+			if sessions[i] != nil && (a == len(add) || add[a] != i) {
+				t.rows[w] = i
+				w++
+			}
+		}
+		t.rows = t.rows[:w]
+		t.holes = false
+	}
+	if len(add) > 0 {
+		t.rows = mergeSorted(t.rows, add)
+		t.changed = append(t.changed, add...)
+		if !t.willEvict(clock) {
+			b := t.cur
+			t.patch.fill(&b.linkCols, t.sim.sessions, add, 0, clock-b.base, clock, t.windowEnd(b.base))
+		}
+		if t.inflight || t.nextReady {
+			t.late = append(t.late, add...)
+		}
+	}
+	t.pollFill()
+	if t.inflight && t.bulk {
+		// The window fill is due paceNum/paceDen through the resident
+		// window, which leaves the worker the rest of it for the rows
+		// admitted meanwhile. Where the worker alone is behind that
+		// schedule the foreground fills blocks beside it, a slot's share at
+		// a time, instead of the remainder at the swap.
+		t.fill.fillUpTo(t.fill.blocks * (clock - t.cur.base) * paceDen / (t.window * paceNum))
+	}
 }
 
 // compactRows resets the live-row set to the identity prefix [0, w)
-// after resident-set compaction and invalidates both blocks — row
-// indices moved, so the next attach refills from scratch.
+// after resident-set compaction and invalidates both blocks and every
+// pending row list — row indices moved, so the next attach refills from
+// scratch.
 func (t *openTile) compactRows(w int) {
 	t.syncFill()
 	t.nextReady = false
 	t.cur.base = -1
 	t.next.base = -1
+	t.fresh, t.late, t.holes = t.fresh[:0], t.late[:0], false
+	t.changed, t.snapAll = t.changed[:0], true
 	t.rows = t.rows[:0]
 	for i := 0; i < w; i++ {
 		t.rows = append(t.rows, i)

@@ -612,7 +612,11 @@ func TestOpenCompactionChurn(t *testing.T) {
 // against an unbounded, tiled, compacting OpenSim and asserts the
 // serial ledger never tears: a departed or stale serial is a clean
 // no-op, a live serial always resolves to a slot whose Serial agrees,
-// and the session ledger conserves at every step.
+// and the session ledger conserves at every step. Every admitted session
+// is distinct, and an untiled twin takes the same script beside it: the
+// two must agree on Stats() after every operation, so a tile row filled
+// late, for the wrong slots, or with a previous occupant's values shows
+// at the first completion it moves.
 func FuzzAdmitDepartSerial(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 0, 2, 1, 3, 2})
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3})
@@ -620,27 +624,35 @@ func FuzzAdmitDepartSerial(f *testing.F) {
 		if len(script) > 256 {
 			script = script[:256]
 		}
-		cfg := tinyConfig()
-		cfg.RunFullHorizon = true
-		cfg.MaxSlots = 64
-		o, err := NewOpen(OpenConfig{
-			Cell: cfg, Unbounded: true, MaxSessions: 96,
-			TileSlots: 8, WindowSlots: 16, Windows: 2,
-		}, nil, sched.NewDefault())
-		if err != nil {
-			t.Fatal(err)
+		mk := func(tileSlots int) *OpenSim {
+			cfg := tinyConfig()
+			cfg.RunFullHorizon = true
+			cfg.MaxSlots = 64
+			o, err := NewOpen(OpenConfig{
+				Cell: cfg, Unbounded: true, MaxSessions: 96,
+				TileSlots: tileSlots, WindowSlots: 16, Windows: 2,
+			}, nil, sched.NewDefault())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := o.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			return o
 		}
-		if err := o.Start(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		template := openSessions(1)[0]
+		o, twin := mk(8), mk(0)
+		defer o.Stop()
 		var live []uint64 // serials we admitted and have not departed
-		for _, op := range script {
+		for k, op := range script {
 			switch op % 4 {
 			case 0, 1: // admit
-				idx, err := o.Admit(template)
+				sess := distinctSession(t, k, 0)
+				idx, err := o.Admit(sess)
+				if twinIdx, twinErr := twin.Admit(sess); twinIdx != idx || (err == nil) != (twinErr == nil) {
+					t.Fatalf("admit: tiled (%d, %v), untiled (%d, %v)", idx, err, twinIdx, twinErr)
+				}
 				if errors.Is(err, ErrOverCapacity) {
-					continue
+					break
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -656,8 +668,12 @@ func FuzzAdmitDepartSerial(f *testing.F) {
 				}
 				k := int(op) % len(live)
 				ser := live[k]
-				if _, err := o.DepartSerial(-1, ser); err != nil {
+				did, err := o.DepartSerial(-1, ser)
+				if err != nil {
 					t.Fatal(err)
+				}
+				if twinDid, err := twin.DepartSerial(-1, ser); err != nil || twinDid != did {
+					t.Fatalf("depart serial %d: tiled %v, untiled %v (%v)", ser, did, twinDid, err)
 				}
 				// Departed either way now (by us or by natural completion):
 				// the serial must no longer resolve.
@@ -666,7 +682,11 @@ func FuzzAdmitDepartSerial(f *testing.F) {
 				}
 				live = append(live[:k], live[k+1:]...)
 			case 3: // advance (reaps, rotates, maybe compacts)
-				if _, err := o.AdvanceTo(o.Clock() + int(op%32) + 1); err != nil {
+				upto := o.Clock() + int(op%32) + 1
+				if _, err := o.AdvanceTo(upto); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := twin.AdvanceTo(upto); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -675,6 +695,9 @@ func FuzzAdmitDepartSerial(f *testing.F) {
 			if st.Admitted != st.Completed+st.Departed+st.InService {
 				t.Fatalf("ledger leaks: %+v", st)
 			}
+			if twinSt := twin.Stats(); st != twinSt {
+				t.Fatalf("after op %d (%d): tiled %+v, untiled %+v", k, op%4, st, twinSt)
+			}
 			for ser, idx := range o.bySerial {
 				if got, ok := o.Serial(idx); !ok || got != ser {
 					t.Fatalf("bySerial[%d]=%d but Serial(%d)=%d ok=%v", ser, idx, idx, got, ok)
@@ -682,8 +705,9 @@ func FuzzAdmitDepartSerial(f *testing.F) {
 			}
 		}
 		o.Finish()
-		if st := o.Stats(); st.InService != 0 {
-			t.Fatalf("Finish left %d in service", st.InService)
+		twin.Finish()
+		if st := o.Stats(); st.InService != 0 || st != twin.Stats() {
+			t.Fatalf("after Finish: tiled %+v, untiled %+v", st, twin.Stats())
 		}
 	})
 }
