@@ -1,26 +1,19 @@
-// Package jointstream's top-level benchmarks regenerate every figure of
-// the paper's evaluation (one benchmark per figure) plus micro-benchmarks
-// of the two scheduling algorithms.
-//
-// By default the figure benchmarks run the miniature CI workload so that
-// `go test -bench=.` completes in seconds. Set JOINTSTREAM_PAPER_SCALE=1
-// to benchmark the full §VI workload (N up to 40, 250–500 MB videos);
-// cmd/jstream-bench prints the corresponding figure tables.
+// Package jointstream's top-level benchmarks are the micro-benchmarks no
+// workload of benchmark/ measures: the kernel gates (link-window refill,
+// gateway Step), the schedulers' Allocate at N = 40 and N = 10 000, and
+// the ablations EXPERIMENTS.md draws conclusions from. Everything end to
+// end — figures, sweep, dense tick, fleet, churn — is timed by
+// `bash benchmark/run.sh` and recorded in results/BENCH_benchmark*.json.
 package jointstream
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 
 	"jointstream/internal/cell"
-	"jointstream/internal/deploy"
-	"jointstream/internal/experiments"
 	"jointstream/internal/gateway"
 	"jointstream/internal/radio"
 	"jointstream/internal/rng"
@@ -30,132 +23,6 @@ import (
 	"jointstream/internal/units"
 	"jointstream/internal/workload"
 )
-
-// benchOptions picks the experiment scale.
-func benchOptions() experiments.Options {
-	if os.Getenv("JOINTSTREAM_PAPER_SCALE") != "" {
-		return experiments.PaperOptions()
-	}
-	return experiments.QuickOptions()
-}
-
-// benchFigure runs one figure end to end per iteration and sanity-checks
-// the output so a silently empty figure fails the benchmark.
-func benchFigure(b *testing.B, f func(*experiments.Runner) (*experiments.Figure, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.NewRunner(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		fig, err := f(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(fig.Series) == 0 {
-			b.Fatalf("%s: empty figure", fig.ID)
-		}
-		for _, s := range fig.Series {
-			if len(s.X) == 0 || len(s.X) != len(s.Y) {
-				b.Fatalf("%s/%s: malformed series", fig.ID, s.Label)
-			}
-		}
-	}
-}
-
-func BenchmarkFig02Fairness(b *testing.B) {
-	benchFigure(b, (*experiments.Runner).Fig2)
-}
-
-func BenchmarkFig03RebufferCDF(b *testing.B) {
-	benchFigure(b, (*experiments.Runner).Fig3)
-}
-
-func BenchmarkFig04aAlphaUsers(b *testing.B) {
-	benchFigure(b, (*experiments.Runner).Fig4a)
-}
-
-func BenchmarkFig04bAlphaData(b *testing.B) {
-	benchFigure(b, (*experiments.Runner).Fig4b)
-}
-
-func BenchmarkFig05aRebufferCompare(b *testing.B) {
-	benchFigure(b, (*experiments.Runner).Fig5a)
-}
-
-func BenchmarkFig05bEnergyCompare(b *testing.B) {
-	benchFigure(b, (*experiments.Runner).Fig5b)
-}
-
-func BenchmarkFig06FairnessEMA(b *testing.B) {
-	benchFigure(b, (*experiments.Runner).Fig6)
-}
-
-func BenchmarkFig07PowerCDF(b *testing.B) {
-	benchFigure(b, (*experiments.Runner).Fig7)
-}
-
-func BenchmarkFig08aBetaUsers(b *testing.B) {
-	benchFigure(b, (*experiments.Runner).Fig8a)
-}
-
-func BenchmarkFig08bBetaData(b *testing.B) {
-	benchFigure(b, (*experiments.Runner).Fig8b)
-}
-
-func BenchmarkFig09aEnergyCompare(b *testing.B) {
-	benchFigure(b, (*experiments.Runner).Fig9a)
-}
-
-func BenchmarkFig09bRebufferCompare(b *testing.B) {
-	benchFigure(b, (*experiments.Runner).Fig9b)
-}
-
-func BenchmarkFig10TradeoffPanel(b *testing.B) {
-	benchFigure(b, (*experiments.Runner).Fig10)
-}
-
-// BenchmarkSweepPaperScale is the end-to-end number the perf gate
-// tracks in ms/sweep: one full parallel figure sweep through the
-// multi-arm batched Runner — workload cache, compiled link tables,
-// lockstep RunArms groups and all. It honors JOINTSTREAM_PAPER_SCALE
-// like the figure benchmarks (CI runs the quick scale; the recorded
-// results/BENCH_sweep.json numbers come from the paper scale via
-// jstream-bench -sweep). A sanity check on the figure count keeps a
-// silently truncated sweep from benchmarking as a speedup.
-func BenchmarkSweepPaperScale(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.NewRunner(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		figs, err := r.AllParallel(context.Background(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(figs) != 13 {
-			b.Fatalf("got %d figures, want 13", len(figs))
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/sweep")
-}
-
-// BenchmarkClaims regenerates the headline-claims table.
-func BenchmarkClaims(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.NewRunner(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		claims, err := r.Claims()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(claims) != 6 {
-			b.Fatalf("got %d claims", len(claims))
-		}
-	}
-}
 
 // --- algorithm micro-benchmarks -------------------------------------
 
@@ -240,107 +107,6 @@ func BenchmarkEMAAllocateRef40Users(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorSlotThroughput measures raw simulator slots/second at
-// N=20 with the Default scheduler.
-func BenchmarkSimulatorSlotThroughput(b *testing.B) {
-	cfg := cell.PaperConfig()
-	cfg.MaxSlots = b.N
-	cfg.RunFullHorizon = true
-	wl, err := workload.Generate(workload.PaperDefaults(20), rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	sim, err := cell.New(cfg, wl, sched.NewDefault())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	if _, err := sim.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// --- large-N tick benchmarks (sharded engine) ------------------------
-
-// benchTickSessions caches workloads per user count so sub-benchmarks
-// and reruns don't regenerate 100k sine traces; sessions are immutable
-// demand descriptors, so sharing them across simulators is safe.
-var benchTickSessions = map[int][]*workload.Session{}
-
-// benchTickLinks caches compiled link tables per (users, slots) tier so
-// the timed region is the pure tick path — the production sweep harness
-// compiles one table per scenario and reuses it across scheduler runs,
-// and the benchmark mirrors that shape.
-var benchTickLinks = map[[2]int]*cell.LinkTable{}
-
-func tickSessions(b *testing.B, users int) []*workload.Session {
-	b.Helper()
-	if wl, ok := benchTickSessions[users]; ok {
-		return wl
-	}
-	wl, err := workload.Generate(workload.PaperDefaults(users), rng.New(42))
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchTickSessions[users] = wl
-	return wl
-}
-
-func tickLink(b *testing.B, cfg cell.Config, users int) *cell.LinkTable {
-	b.Helper()
-	key := [2]int{users, cfg.MaxSlots}
-	if lt, ok := benchTickLinks[key]; ok {
-		return lt
-	}
-	lt, err := cell.CompileLink(cfg, tickSessions(b, users))
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchTickLinks[key] = lt
-	return lt
-}
-
-// benchTick measures the tick path at cell scale N: paper-sized videos
-// never complete within the horizon, so every slot pays the full
-// prepare/schedule/commit cost over N live users. Workers=1 is the
-// serial engine; Workers=0 lets the engine use every core. The extra
-// "ns/slot" metric divides out the horizon so the N tiers compare
-// directly despite their different MaxSlots.
-func benchTick(b *testing.B, users, slots, workers int) {
-	wl := tickSessions(b, users)
-	cfg := cell.PaperConfig()
-	cfg.MaxSlots = slots
-	cfg.RunFullHorizon = true
-	cfg.Workers = workers
-	cfg.Link = tickLink(b, cfg, users)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim, err := cell.New(cfg, wl, sched.NewDefault())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sim.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(slots), "ns/slot")
-}
-
-func BenchmarkTickN1k(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchTick(b, 1_000, 256, 1) })
-	b.Run("sharded", func(b *testing.B) { benchTick(b, 1_000, 256, 0) })
-}
-
-func BenchmarkTickN10k(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchTick(b, 10_000, 64, 1) })
-	b.Run("sharded", func(b *testing.B) { benchTick(b, 10_000, 64, 0) })
-}
-
-func BenchmarkTickN100k(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchTick(b, 100_000, 16, 1) })
-	b.Run("sharded", func(b *testing.B) { benchTick(b, 100_000, 16, 0) })
-}
-
 // benchAllocLargeN measures one scheduler's Allocate at large N with the
 // active list the engine would hand it (everyone active).
 func benchAllocLargeN(b *testing.B, s sched.Scheduler, n int) {
@@ -375,57 +141,6 @@ func BenchmarkRTMAAllocate10kUsers(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchAllocLargeN(b, rt, 10_000)
-}
-
-// --- fleet benchmarks (streaming multi-cell runner) ------------------
-
-// benchFleet runs the epoch-clocked streaming deployment: tiled link
-// tables, stateless signal traces, per-cell serial engines under the
-// site fan-out. The "ms/epoch" metric is what the perf gate tracks —
-// wall time per lockstep barrier across the whole fleet.
-func benchFleet(b *testing.B, users, cells, slots, tile int) {
-	cfg := workload.PaperDefaults(users)
-	cfg.StatelessSignal = true
-	wl, err := workload.Generate(cfg, rng.New(42))
-	if err != nil {
-		b.Fatal(err)
-	}
-	dep := deploy.Config{Policy: deploy.RoundRobin, Stream: true, EpochSlots: 64}
-	for i := 0; i < cells; i++ {
-		c := cell.PaperConfig()
-		c.MaxSlots = slots
-		c.RunFullHorizon = true
-		c.Workers = 1
-		c.LinkTileSlots = tile
-		dep.Sites = append(dep.Sites, deploy.Site{Name: "cell", Cell: c})
-	}
-	epochs := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := deploy.Run(context.Background(), dep, wl, func() (sched.Scheduler, error) {
-			return sched.NewDefault(), nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Fleet == nil || res.Fleet.Users != users {
-			b.Fatalf("fleet run folded %d users, want %d", res.Fleet.Users, users)
-		}
-		epochs += res.Fleet.Epochs
-	}
-	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(epochs), "ms/epoch")
-}
-
-// BenchmarkFleet measures the streaming fleet runner. The gated tier is
-// small enough for CI; the big tiers reproduce results/BENCH_fleet.json
-// territory and only run when JOINTSTREAM_FLEET_SCALE is set.
-func BenchmarkFleet(b *testing.B) {
-	b.Run("u50000_c16", func(b *testing.B) { benchFleet(b, 50_000, 16, 128, 32) })
-	if os.Getenv("JOINTSTREAM_FLEET_SCALE") == "" {
-		return
-	}
-	b.Run("u200000_c64", func(b *testing.B) { benchFleet(b, 200_000, 64, 256, 64) })
-	b.Run("u1000000_c256", func(b *testing.B) { benchFleet(b, 1_000_000, 256, 512, 64) })
 }
 
 // --- link-window refill (the fill kernel every provider calls) -------
@@ -467,122 +182,7 @@ func BenchmarkLinkRefill(b *testing.B) {
 	b.Run("n100000_t64_wmax", func(b *testing.B) { benchLinkRefill(b, 100_000, 64, 0) })
 }
 
-// --- churn benchmarks (open-system serving path) ---------------------
-
-// benchChurn drives an unbounded open-system engine at steady per-slot
-// churn — every slot departs the oldest session and admits a fresh one —
-// across many tile-window rollovers. What is timed is the whole slot cycle,
-// depart + admit + advance: timing AdvanceTo alone misses whatever the
-// table operations pay for the pipeline (at e257651 the first of them after
-// a rollover sat out the background fill) and books the admission rows,
-// which AdvanceTo now fills in one batch, as a slower tick. Per-slot
-// timings are split into rollover slots and steady slots. The engine fuses
-// commit(n) with prepare(n+1), so the window starting at slot k·tile is
-// attached — the background fill finished and swapped in, or filled on the
-// spot — while slot k·tile−1 ticks: the rollover slots are the *last* slot
-// of each window, (n+1) % tile == 0, as in benchmark/README "Rollover
-// slots". rollover-x is the ratio of the two medians (the gate's
-// acceptance bound is 2×); ns/slot is what the benchstat perf gate tracks.
-func benchChurn(b *testing.B, n, tile, workers int) {
-	const tilesPerIter = 4
-	slotsPerIter := tilesPerIter * tile
-	cfg := cell.PaperConfig()
-	cfg.RunFullHorizon = true
-	cfg.Workers = workers
-	src := rng.New(7)
-	mk := func(id int) *workload.Session {
-		return &workload.Session{
-			ID:       id,
-			Size:     1 << 30, // never completes; churn is depart-driven
-			BaseRate: units.KBps(src.Uniform(300, 600)),
-			Signal:   signal.Constant(units.DBm(src.Uniform(-95, -55)), signal.DefaultBounds),
-		}
-	}
-	initial := make([]*workload.Session, n)
-	for i := range initial {
-		initial[i] = mk(i)
-	}
-	o, err := cell.NewOpen(cell.OpenConfig{
-		Cell: cfg, Unbounded: true, MaxSessions: n,
-		TileSlots: tile, WindowSlots: 2 * tile, Windows: 2,
-	}, initial, sched.NewDefault())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer o.Stop()
-	if err := o.Start(context.Background()); err != nil {
-		b.Fatal(err)
-	}
-	type live struct {
-		idx int
-		ser uint64
-	}
-	fifo := make([]live, 0, n+1)
-	for i := 0; i < n; i++ {
-		ser, ok := o.Serial(i)
-		if !ok {
-			b.Fatalf("no serial for initial session %d", i)
-		}
-		fifo = append(fifo, live{i, ser})
-	}
-	tmpl := mk(0)
-	slot := 0
-	var roll, steady []float64
-	advance := func(record bool) {
-		for k := 0; k < slotsPerIter; k++ {
-			old := fifo[0]
-			fifo = fifo[:copy(fifo, fifo[1:])]
-			start := time.Now()
-			if ok, err := o.DepartSerial(old.idx, old.ser); err != nil || !ok {
-				b.Fatalf("depart idx=%d ser=%d: ok=%v err=%v", old.idx, old.ser, ok, err)
-			}
-			idx, err := o.Admit(tmpl)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ser, _ := o.Serial(idx)
-			fifo = append(fifo, live{idx, ser})
-			if _, err := o.AdvanceTo(slot + 1); err != nil {
-				b.Fatal(err)
-			}
-			d := float64(time.Since(start).Nanoseconds())
-			if record {
-				if (slot+1)%tile == 0 {
-					roll = append(roll, d)
-				} else {
-					steady = append(steady, d)
-				}
-			}
-			slot++
-		}
-	}
-	advance(false) // warm the tile pipeline and the session pool
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		advance(true)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slotsPerIter), "ns/slot")
-	b.ReportMetric(medianOf(roll)/medianOf(steady), "rollover-x")
-}
-
-// medianOf returns the median of xs without mutating it.
-func medianOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return s[len(s)/2]
-}
-
-// BenchmarkChurn is the open-system counterpart of BenchmarkTickN: the
-// serial tier sits under the engine's small-N serial cutoff, the sharded
-// tier exercises the parallel tile fill and shard barriers under churn.
-func BenchmarkChurn(b *testing.B) {
-	b.Run("n2000_t32_serial", func(b *testing.B) { benchChurn(b, 2_000, 32, 1) })
-	b.Run("n10000_t32_sharded", func(b *testing.B) { benchChurn(b, 10_000, 32, 0) })
-}
+// --- gateway slot loop ----------------------------------------------
 
 // benchGatewayStep times gateway.Step with k sessions in service on
 // LocalEndpoint + PatternSource (benchmark/'s gateway_churn shape: τ = 5 ms,

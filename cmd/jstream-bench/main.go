@@ -9,7 +9,8 @@
 //	jstream-bench -quick          # miniature workload (seconds, CI)
 //
 // Output is a set of aligned ASCII tables, one per figure, in the same
-// units the paper plots.
+// units the paper plots. How long any of it takes is measured by
+// benchmark/ (bash benchmark/run.sh), not here.
 //
 // The figures depend on the EMA scheduler's fast monotone-deque DP; its
 // correctness harness lives in internal/simtest. Before trusting numbers
@@ -53,25 +54,6 @@ func realMain() int {
 		htmlOut    = flag.String("html", "", "also render the regenerated figures as an HTML report to this file")
 		diffBase   = flag.String("diff", "", "compare a fresh run against this baseline JSON export and report drift")
 		diffTol    = flag.Float64("tol", 0.001, "relative tolerance for -diff")
-		tickOut    = flag.String("tick", "", "benchmark the tick path at large N and write a JSON report to this file")
-		tickDiff   = flag.String("tickdiff", "", "re-measure the tick path and gate on this baseline JSON report")
-		tickTol    = flag.Float64("ticktol", 0.25, "relative tolerance on normalized tick ratios for -tickdiff")
-		tickUsers  = flag.String("tickusers", "1000,10000", "comma-separated cell sizes N for -tick/-tickdiff")
-		tickSlots  = flag.Int("tickslots", 0, "override the per-tier slot horizon for -tick/-tickdiff (0 scales with N)")
-		tickReps   = flag.Int("tickreps", 3, "repetitions per tick configuration (best is kept)")
-		sweepOut   = flag.String("sweep", "", "time the full parallel figure sweep and write a JSON report to this file")
-		churnOut   = flag.String("churn", "", "benchmark the open-system churn path and write a JSON report to this file")
-		churnTiers = flag.String("churnsessions", "2000,10000", "comma-separated in-service session tiers for -churn")
-		churnTile  = flag.Int("churntile", 32, "open tile window in slots for -churn")
-		churnSlots = flag.Int("churnslots", 0, "measured slots per rep for -churn (0 = 8 tile windows)")
-		churnReps  = flag.Int("churnreps", 3, "repetitions per churn configuration (best is kept)")
-		fleetOut   = flag.String("fleet", "", "run the epoch-clocked streaming fleet benchmark and write a JSON report to this file")
-		fleetUsers = flag.Int("fleetusers", 1_000_000, "total fleet session count for -fleet")
-		fleetCells = flag.Int("fleetcells", 256, "cell count for -fleet")
-		fleetSlots = flag.Int("fleetslots", 512, "per-cell slot horizon for -fleet")
-		fleetEpoch = flag.Int("fleetepoch", 0, "lockstep epoch size in slots for -fleet (0 = deploy default)")
-		fleetTile  = flag.Int("fleettile", 64, "link-table tile window in slots for -fleet (0 = monolithic tables)")
-		fleetCheck = flag.Bool("fleetcheck", false, "also run -fleet in retained mode and assert exact agreement")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the selected mode to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken after the selected mode to this file")
 	)
@@ -95,14 +77,6 @@ func realMain() int {
 		figID: *figID, quick: *quick, claimsOnly: *claimsOnly, seed: *seed,
 		ext: *ext, seeds: *seeds, jsonOut: *jsonOut, parallel: *parallel,
 		htmlOut: *htmlOut, diffBase: *diffBase, diffTol: *diffTol,
-		tickOut: *tickOut, tickDiff: *tickDiff, tickTol: *tickTol,
-		tickUsers: *tickUsers, tickSlots: *tickSlots, tickReps: *tickReps,
-		sweepOut: *sweepOut,
-		churnOut: *churnOut, churnTiers: *churnTiers, churnTile: *churnTile,
-		churnSlots: *churnSlots, churnReps: *churnReps,
-		fleetOut: *fleetOut, fleetUsers: *fleetUsers, fleetCells: *fleetCells,
-		fleetSlots: *fleetSlots, fleetEpoch: *fleetEpoch, fleetTile: *fleetTile,
-		fleetCheck: *fleetCheck,
 	})
 
 	if *memProfile != "" {
@@ -139,51 +113,55 @@ type dispatchArgs struct {
 	htmlOut    string
 	diffBase   string
 	diffTol    float64
-	tickOut    string
-	tickDiff   string
-	tickTol    float64
-	tickUsers  string
-	tickSlots  int
-	tickReps   int
-	sweepOut   string
-	churnOut   string
-	churnTiers string
-	churnTile  int
-	churnSlots int
-	churnReps  int
-	fleetOut   string
-	fleetUsers int
-	fleetCells int
-	fleetSlots int
-	fleetEpoch int
-	fleetTile  int
-	fleetCheck bool
 }
 
-// dispatch picks the first requested mode, mirroring the historical
-// flag precedence.
+// dispatch runs the one requested mode: an extension, a baseline diff, or
+// a figure run (all figures, one of them, or the claims table alone).
 func dispatch(a dispatchArgs) error {
-	switch {
-	case a.tickOut != "":
-		return runTick(a.tickOut, a.tickUsers, a.tickSlots, a.tickReps)
-	case a.tickDiff != "":
-		return runTickDiff(a.tickDiff, a.tickUsers, a.tickSlots, a.tickReps, a.tickTol)
-	case a.fleetOut != "":
-		return runFleet(a.fleetOut, a.fleetUsers, a.fleetCells, a.fleetSlots, a.fleetEpoch, a.fleetTile, a.fleetCheck)
-	case a.churnOut != "":
-		return runChurn(a.churnOut, a.churnTiers, a.churnTile, a.churnSlots, a.churnReps)
-	case a.sweepOut != "":
-		return runSweep(a.sweepOut, a.quick, a.seed)
-	case a.ext != "":
+	mode, err := a.mode()
+	if err != nil {
+		return err
+	}
+	switch mode {
+	case "-ext":
 		return runExt(a.ext, a.quick, a.seed, a.seeds)
-	case a.diffBase != "":
+	case "-diff":
 		return runDiff(a.diffBase, a.quick, a.seed, a.diffTol)
 	default:
 		return run(a.figID, a.quick, a.claimsOnly, a.seed, a.jsonOut, a.htmlOut, a.parallel)
 	}
 }
 
-func runExt(name string, quick bool, seed uint64, seeds int) error {
+// mode names the flag that selects the run ("" for the full figure run)
+// and rejects combinations in which one flag would silently win: two
+// selectors, or an output flag the selected run never reads.
+func (a dispatchArgs) mode() (string, error) {
+	var picked, ignored []string
+	add := func(to *[]string, flag string, set bool) {
+		if set {
+			*to = append(*to, flag)
+		}
+	}
+	add(&picked, "-ext", a.ext != "")
+	add(&picked, "-diff", a.diffBase != "")
+	add(&picked, "-fig", !strings.EqualFold(a.figID, "all"))
+	add(&picked, "-claims", a.claimsOnly)
+	if len(picked) > 1 {
+		return "", fmt.Errorf("%s select different runs; give one", strings.Join(picked, " and "))
+	}
+	mode := strings.Join(picked, "")
+	exports := mode == "" || mode == "-fig" // the runs that reach exportOutputs
+	add(&ignored, "-json", a.jsonOut != "" && !exports)
+	add(&ignored, "-html", a.htmlOut != "" && !exports)
+	add(&ignored, "-parallel", a.parallel && mode != "")
+	if len(ignored) > 0 {
+		return "", fmt.Errorf("%s has no effect with %s", strings.Join(ignored, ", "), mode)
+	}
+	return mode, nil
+}
+
+// newRunner builds the experiment runner at the requested scale.
+func newRunner(quick bool, seed uint64) (*experiments.Runner, error) {
 	opts := experiments.PaperOptions()
 	if quick {
 		opts = experiments.QuickOptions()
@@ -191,7 +169,11 @@ func runExt(name string, quick bool, seed uint64, seeds int) error {
 	if seed != 0 {
 		opts.Seed = seed
 	}
-	r, err := experiments.NewRunner(opts)
+	return experiments.NewRunner(opts)
+}
+
+func runExt(name string, quick bool, seed uint64, seeds int) error {
+	r, err := newRunner(quick, seed)
 	if err != nil {
 		return err
 	}
@@ -243,14 +225,7 @@ func runDiff(baseline string, quick bool, seed uint64, tol float64) error {
 	if err != nil {
 		return err
 	}
-	opts := experiments.PaperOptions()
-	if quick {
-		opts = experiments.QuickOptions()
-	}
-	if seed != 0 {
-		opts.Seed = seed
-	}
-	r, err := experiments.NewRunner(opts)
+	r, err := newRunner(quick, seed)
 	if err != nil {
 		return err
 	}
@@ -300,14 +275,7 @@ func exportOutputs(rendered []*experiments.Figure, jsonOut, htmlOut string) erro
 }
 
 func run(figID string, quick, claimsOnly bool, seed uint64, jsonOut, htmlOut string, parallel bool) error {
-	opts := experiments.PaperOptions()
-	if quick {
-		opts = experiments.QuickOptions()
-	}
-	if seed != 0 {
-		opts.Seed = seed
-	}
-	r, err := experiments.NewRunner(opts)
+	r, err := newRunner(quick, seed)
 	if err != nil {
 		return err
 	}

@@ -44,14 +44,49 @@ func fleetSessions(t *testing.T, n int) []*workload.Session {
 	return wl
 }
 
+// denseFleet is two sites of 2 500 users each — above the engine's
+// small-N serial cutoff (2 048 live users), which fleetConfig's 8 per cell
+// never reach — at 50 MB/s per site, so the first sessions complete and
+// leave tails while the rest wait. With cellWorkers > 1 the sites run one
+// after the other, so the worker budget goes to each cell's shards and the
+// tick really fans out inside a streamed, tiled cell.
+func denseFleet(cellWorkers int) Config {
+	cfg := Config{Policy: RoundRobin, Stream: true, EpochSlots: 64}
+	if cellWorkers > 1 {
+		cfg.Workers = 1
+	}
+	for i := 0; i < 2; i++ {
+		c := siteConfig()
+		c.Capacity = 50_000
+		c.MaxSlots = 96
+		c.RunFullHorizon = true
+		c.LinkTileSlots = 32
+		c.Workers = cellWorkers
+		cfg.Sites = append(cfg.Sites, Site{Name: "site", Cell: c, SignalOffset: units.DBm(-2 * i)})
+	}
+	return cfg
+}
+
 // TestStreamMatchesRetained is the streaming keystone: on every metric
 // the two modes share, the folded fleet aggregates equal the retained
 // mode's accessors exactly (==, not a tolerance) — same sums in the same
 // order — and the per-epoch series re-adds to the same totals.
 func TestStreamMatchesRetained(t *testing.T) {
-	sessions := fleetSessions(t, 40)
-	cfg := fleetConfig(5)
+	dense := fleetSessions(t, 5000)
+	for _, in := range []struct {
+		name     string
+		sessions []*workload.Session
+		cfg      Config
+	}{
+		{"5 ragged sites of 8", fleetSessions(t, 40), fleetConfig(5)},
+		{"2 sites of 2500, serial cells", dense, denseFleet(1)},
+		{"2 sites of 2500, sharded cells", dense, denseFleet(4)},
+	} {
+		t.Run(in.name, func(t *testing.T) { streamMatchesRetained(t, in.sessions, in.cfg) })
+	}
+}
 
+func streamMatchesRetained(t *testing.T, sessions []*workload.Session, cfg Config) {
 	cfg.Stream = false
 	retained, err := Run(context.Background(), cfg, sessions, defaultFactory)
 	if err != nil {

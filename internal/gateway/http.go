@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 )
 
 // Handler exposes a running Gateway over HTTP for monitoring:
@@ -11,7 +12,8 @@ import (
 //	GET /healthz        -> 200 "ok"
 //	GET /stats          -> JSON array of per-user Stats
 //	GET /stats?user=3   -> JSON Stats of one user
-//	GET /summary        -> JSON gateway summary (slot count, totals)
+//	GET /summary        -> JSON gateway summary (slot count; bytes, energy
+//	                       and rebuffering summed over sessions)
 //	GET /diag           -> JSON degradation + open-system counters,
 //	                       tick-duration p50/p99 (ms), drain state
 //	GET /metrics        -> JSON sliding-window session quality: p50/p99
@@ -31,8 +33,8 @@ func Handler(gw *Gateway) http.Handler {
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		if q := r.URL.Query().Get("user"); q != "" {
-			var id int
-			if _, err := fmt.Sscanf(q, "%d", &id); err != nil {
+			id, err := strconv.Atoi(q)
+			if err != nil {
 				http.Error(w, "bad user id", http.StatusBadRequest)
 				return
 			}
@@ -58,6 +60,7 @@ func Handler(gw *Gateway) http.Handler {
 		for _, st := range stats {
 			sum.SentKB += st.SentKB
 			sum.EnergyMJ += st.TransEnergyMJ + st.TailEnergyMJ
+			sum.RebufferSec += st.RebufferSec
 			if st.Detached {
 				sum.Detached++
 			}
@@ -104,38 +107,47 @@ func Handler(gw *Gateway) http.Handler {
 
 // statView is the JSON shape of one user's stats.
 type statView struct {
-	ID            int     `json:"id"`
-	SentKB        float64 `json:"sent_kb"`
-	QueuedKB      float64 `json:"queued_kb"`
-	BufferSec     float64 `json:"buffer_sec"`
-	Done          bool    `json:"done"`
-	Detached      bool    `json:"detached"`
-	TransEnergyMJ float64 `json:"trans_energy_mj"`
-	TailEnergyMJ  float64 `json:"tail_energy_mj"`
+	ID              int     `json:"id"`
+	SentKB          float64 `json:"sent_kb"`
+	QueuedKB        float64 `json:"queued_kb"`
+	BufferSec       float64 `json:"buffer_sec"`
+	RebufferSec     float64 `json:"rebuffer_sec"`
+	Done            bool    `json:"done"`
+	Detached        bool    `json:"detached"`
+	DetachReason    string  `json:"detach_reason"`
+	TransientErrors int     `json:"transient_errors"`
+	MissedSlots     int     `json:"missed_slots"`
+	TransEnergyMJ   float64 `json:"trans_energy_mj"`
+	TailEnergyMJ    float64 `json:"tail_energy_mj"`
 }
 
 func toView(st Stats) statView {
 	return statView{
-		ID:            st.ID,
-		SentKB:        float64(st.SentKB),
-		QueuedKB:      float64(st.QueuedKB),
-		BufferSec:     float64(st.BufferSec),
-		Done:          st.Done,
-		Detached:      st.Detached,
-		TransEnergyMJ: float64(st.TransEnergy),
-		TailEnergyMJ:  float64(st.TailEnergy),
+		ID:              st.ID,
+		SentKB:          float64(st.SentKB),
+		QueuedKB:        float64(st.QueuedKB),
+		BufferSec:       float64(st.BufferSec),
+		RebufferSec:     float64(st.RebufferSec),
+		Done:            st.Done,
+		Detached:        st.Detached,
+		DetachReason:    string(st.DetachReason),
+		TransientErrors: st.TransientErrors,
+		MissedSlots:     st.MissedSlots,
+		TransEnergyMJ:   float64(st.TransEnergy),
+		TailEnergyMJ:    float64(st.TailEnergy),
 	}
 }
 
 type summaryView struct {
-	Slot      int     `json:"slot"`
-	Users     int     `json:"users"`
-	Detached  int     `json:"detached"`
-	AllDone   bool    `json:"all_done"`
-	SentKB    float64 `json:"sent_kb"`
-	EnergyMJ  float64 `json:"energy_mj"`
-	BypassKB  float64 `json:"bypass_kb"`
-	Scheduler string  `json:"scheduler"`
+	Slot        int     `json:"slot"`
+	Users       int     `json:"users"`
+	Detached    int     `json:"detached"`
+	AllDone     bool    `json:"all_done"`
+	SentKB      float64 `json:"sent_kb"`
+	EnergyMJ    float64 `json:"energy_mj"`
+	RebufferSec float64 `json:"rebuffer_sec"`
+	BypassKB    float64 `json:"bypass_kb"`
+	Scheduler   string  `json:"scheduler"`
 }
 
 // diagView is the JSON shape of the /diag endpoint.

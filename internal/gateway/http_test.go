@@ -37,10 +37,18 @@ func TestHTTPHealthz(t *testing.T) {
 
 func TestHTTPStats(t *testing.T) {
 	g, ep := monitoredGateway(t)
-	for i := 0; i < 5 && !g.AllDone(); i++ {
+	attachUser(t, g, 50000, 400, -60) // user 1: in service throughout, then shed
+	for i := 0; i < 5; i++ {
 		g.Step()
 		ep.Advance()
 	}
+	// The serving path has its own tests; here the ledger is written
+	// directly so that every served field has a value a zero cannot match.
+	g.mu.Lock()
+	shed := g.users[1]
+	shed.rebufferSec, shed.transientErrors, shed.missedSlots = 2.5, 3, 4
+	g.detach(shed, DetachShed)
+	g.mu.Unlock()
 	srv := httptest.NewServer(Handler(g))
 	defer srv.Close()
 
@@ -53,7 +61,7 @@ func TestHTTPStats(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&all); err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 1 {
+	if len(all) != 2 {
 		t.Fatalf("got %d users", len(all))
 	}
 	if all[0]["sent_kb"].(float64) <= 0 {
@@ -62,9 +70,21 @@ func TestHTTPStats(t *testing.T) {
 	if all[0]["trans_energy_mj"].(float64) <= 0 {
 		t.Errorf("no energy reported: %v", all[0])
 	}
+	for key, want := range map[string][2]any{
+		"rebuffer_sec":     {0.0, 2.5},
+		"detach_reason":    {"", string(DetachShed)},
+		"transient_errors": {0.0, 3.0},
+		"missed_slots":     {0.0, 4.0},
+	} {
+		for id, view := range all {
+			if got, ok := view[key]; !ok || got != want[id] {
+				t.Errorf("user %d: %s = %v (present %v), want %v", id, key, got, ok, want[id])
+			}
+		}
+	}
 
 	// Single-user query.
-	resp2, err := srv.Client().Get(srv.URL + "/stats?user=0")
+	resp2, err := srv.Client().Get(srv.URL + "/stats?user=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +93,7 @@ func TestHTTPStats(t *testing.T) {
 	if err := json.NewDecoder(resp2.Body).Decode(&one); err != nil {
 		t.Fatal(err)
 	}
-	if one["id"].(float64) != 0 {
+	if one["id"].(float64) != 1 || one["rebuffer_sec"] != 2.5 {
 		t.Errorf("wrong user: %v", one)
 	}
 }
@@ -83,8 +103,10 @@ func TestHTTPStatsErrors(t *testing.T) {
 	srv := httptest.NewServer(Handler(g))
 	defer srv.Close()
 	for path, want := range map[string]int{
-		"/stats?user=abc": 400,
-		"/stats?user=99":  404,
+		"/stats?user=abc":  400,
+		"/stats?user=0abc": 400, // Sscanf("%d") answered this for user 0
+		"/stats?user=0":    200,
+		"/stats?user=99":   404,
 	} {
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
@@ -103,6 +125,9 @@ func TestHTTPSummary(t *testing.T) {
 		g.Step()
 		ep.Advance()
 	}
+	g.mu.Lock()
+	g.users[0].rebufferSec = 1.5
+	g.mu.Unlock()
 	srv := httptest.NewServer(Handler(g))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/summary")
@@ -125,6 +150,9 @@ func TestHTTPSummary(t *testing.T) {
 	}
 	if sum["sent_kb"].(float64) != 1000 {
 		t.Errorf("sent_kb = %v", sum["sent_kb"])
+	}
+	if sum["rebuffer_sec"] != 1.5 {
+		t.Errorf("rebuffer_sec = %v", sum["rebuffer_sec"])
 	}
 }
 
