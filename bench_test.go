@@ -73,10 +73,13 @@ func BenchmarkRTMAAllocate40Users(b *testing.B) {
 	}
 }
 
-// BenchmarkEMAAllocate40Users measures the monotone-deque DP at the
-// paper's capacity (⌊τS/δ⌋ = 205 units); BenchmarkEMAAllocateRef40Users
+// BenchmarkEMAAllocate40Users measures the production DP (want-clipped
+// windows and reach, value-only passes, grants recovered at backtrack) at
+// the paper's capacity (⌊τS/δ⌋ = 205 units); BenchmarkEMAAllocateRef40Users
 // is the paper-literal quadratic DP on the same slot, so the speedup is
-// visible from one `-bench 'EMAAllocate'` run.
+// visible from one `-bench 'EMAAllocate'` run. The queues evolve from rest
+// across iterations; internal/sched's BenchmarkEMADP fixes them instead, at
+// wide wants and at the sweep's want ∈ {0, 1} regime.
 func BenchmarkEMAAllocate40Users(b *testing.B) {
 	em, err := sched.NewEMA(sched.EMAConfig{V: 0.2, RRC: rrc.Paper3G()})
 	if err != nil {

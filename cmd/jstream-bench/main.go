@@ -12,13 +12,15 @@
 // units the paper plots. How long any of it takes is measured by
 // benchmark/ (bash benchmark/run.sh), not here.
 //
-// The figures depend on the EMA scheduler's fast monotone-deque DP; its
-// correctness harness lives in internal/simtest. Before trusting numbers
-// from a modified scheduler, run the 30-second fuzz smoke alongside the
-// deterministic suite:
+// The figures depend on the EMA scheduler's fast DP; its correctness
+// harness lives in internal/simtest and, bit for bit against an unclipped
+// oracle, in internal/sched. Before trusting numbers from a modified
+// scheduler, run the 30-second fuzz smokes alongside the deterministic
+// suite:
 //
 //	go test ./...
 //	go test -fuzz=FuzzEMAAllocate -fuzztime=30s ./internal/simtest
+//	go test -fuzz=FuzzEMAKernel -fuzztime=30s ./internal/sched
 package main
 
 import (

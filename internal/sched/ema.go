@@ -28,15 +28,19 @@ import (
 //
 // The per-slot subproblem is the multi-choice knapsack of Alg. 2. Because
 // f(i, ϕ) is affine in ϕ for ϕ ≥ 1 (only the ϕ = 0 tail branch breaks the
-// line), the DP's inner minimization is a sliding-window minimum and the
-// default solver runDP runs in O(users × capacity) using the block-minima
-// kernel in ema_kernel.go — see DESIGN.md §4, "Fast EMA DP", and §10 for
-// the kernel. The previous monotone-deque solver is kept as runDPDeque
-// (allocation-identical, asserted), and the paper-literal
-// O(users × capacity²) DP as runDPRef, exposed through AllocateDeque /
-// AllocateRef; the arms are differentially tested (internal/simtest,
-// TestEMAFastMatchesRef; sched's TestEMABlockMatchesDeque) so the fast
-// path is pinned both in objective and bit-for-bit in allocation.
+// line), a user can want only nothing, the one unit that dodges the tail,
+// or everything its link carries. The default solver runDP therefore does
+// work only where a user can want data: each user's DP window and the
+// running reachability bound are clipped to that want, the forward passes
+// (ema_kernel.go) keep values only, and the grants are recovered at
+// backtrack by rescanning the ≤ want predecessors of the ≤ users states on
+// the optimal path — see runDP's comment for the lemma and DESIGN.md §4,
+// "Fast EMA DP". The paper-literal O(users × capacity²) DP is kept as
+// runDPRef, exposed through AllocateRef; an unclipped monotone-deque DP in
+// this package's tests is the tie-exact oracle. The arms are
+// differentially tested (internal/simtest, TestEMAFastMatchesRef; sched's
+// TestEMABlockMatchesDeque, TestEMAKernelLines, FuzzEMAKernel) so the fast
+// path is pinned both in objective and bit for bit in allocation.
 //
 // The weight V trades energy against rebuffering: Theorem 1 bounds
 // PE ≤ E* + B/V and PC ≤ (B + V·E*)/ε, so larger V saves more energy at
@@ -64,15 +68,12 @@ type EMA struct {
 	tailTau     units.Seconds
 
 	// DP scratch, reused across slots.
-	cost    []float64 // a[·]: best objective for exactly M units used
-	next    []float64
-	choice  [][]uint16 // g[i][M]: units granted to i-th DP user at state M
+	rows    []float64  // (users+1) × (capacity+1): row k, state M = best objective of the first k DP users at exactly M units
+	suf     []float64  // windowed pass: block suffix minima of g
+	lines   []userLine // this slot's cost lines, one per DP user
 	dpUser  []int      // indices of users participating in the DP
 	dpBound int        // active-count bound for scratch growth this slot
-	dqJ     []int32    // deque scratch: candidate predecessor states j
-	dqG     []float64  // deque scratch: g[j] = cost[j] − perUnit·j
-	blk     emaBlockScratch
-	act     []int // ActiveIndices fallback scratch
+	act     []int      // ActiveIndices fallback scratch
 }
 
 // maxTailMemo bounds the tail-increment memo: gaps beyond this many slot
@@ -194,41 +195,36 @@ func (e *EMA) slotCost(slot *Slot, i, phi int) float64 {
 }
 
 // Allocate implements Scheduler following Alg. 2, solving the per-slot
-// subproblem with the O(users × capacity) monotone-deque DP.
+// subproblem exactly with the want-clipped, value-only DP (runDP).
 func (e *EMA) Allocate(slot *Slot, alloc []int) {
 	e.allocate(slot, alloc, (*EMA).runDP)
 }
 
 // AllocateRef is Allocate with the paper-literal quadratic DP (runDPRef)
-// in place of the block fast path. It exists as the reference arm of the
+// in place of the fast path. It exists as the reference arm of the
 // differential tests and fuzz targets in internal/simtest; both paths
 // must produce allocations with identical objective value.
 func (e *EMA) AllocateRef(slot *Slot, alloc []int) {
 	e.allocate(slot, alloc, (*EMA).runDPRef)
 }
 
-// AllocateDeque is Allocate with the monotone-deque DP (runDPDeque), the
-// previous fast path. It exists as a second differential arm: the block
-// kernel in ema_kernel.go must reproduce the deque's allocations bit for
-// bit (not merely objective-identical), which the property tests in
-// internal/simtest assert.
-func (e *EMA) AllocateDeque(slot *Slot, alloc []int) {
-	e.allocate(slot, alloc, (*EMA).runDPDeque)
-}
-
-func (e *EMA) allocate(slot *Slot, alloc []int, dp func(*EMA, *Slot, []int, int)) {
+// allocate runs one slot of Alg. 2 with dp as the subproblem solver: dp
+// receives one cost line per DP user and writes alloc[e.dpUser[k]] for
+// line k.
+func (e *EMA) allocate(slot *Slot, alloc []int, dp func(e *EMA, lines []userLine, capacity int, alloc []int)) {
 	e.ensureQueues(slot.NumUsers())
 
 	// Active users with a positive link bound participate in the DP;
 	// everyone else necessarily gets ϕ = 0 and only contributes a constant
 	// to the objective, which cannot change the argmin.
 	active := slot.ActiveIndices(&e.act)
-	if cap(e.dpUser) < len(active) {
-		e.dpUser = make([]int, 0, len(active))
-	}
 	// The DP participant count fluctuates slot to slot; bound the scratch
 	// by the active count so a later, busier slot never allocates mid-run.
 	e.dpBound = len(active)
+	if cap(e.dpUser) < len(active) {
+		e.dpUser = make([]int, 0, len(active))
+		e.lines = make([]userLine, 0, len(active))
+	}
 	e.dpUser = e.dpUser[:0]
 	for _, i := range active {
 		if slot.MaxUnitsAt(i) > 0 && slot.RateAt(i) > 0 {
@@ -238,7 +234,11 @@ func (e *EMA) allocate(slot *Slot, alloc []int, dp func(*EMA, *Slot, []int, int)
 
 	capacity := slot.CapacityUnits
 	if len(e.dpUser) > 0 && capacity > 0 {
-		dp(e, slot, alloc, capacity)
+		e.lines = e.lines[:0]
+		for _, i := range e.dpUser {
+			e.lines = append(e.lines, e.line(slot, i, capacity))
+		}
+		dp(e, e.lines, capacity, alloc)
 	}
 
 	// Eq. (16): advance every active user's virtual queue using the slot's
@@ -253,10 +253,12 @@ func (e *EMA) allocate(slot *Slot, alloc []int, dp func(*EMA, *Slot, []int, int)
 }
 
 // userLine holds the affine decomposition of f(i, ϕ) for one DP user:
-// f(i, 0) = skip, and f(i, ϕ) = base + perUnit·ϕ for ϕ ≥ 1.
+// f(i, 0) = skip, and f(i, ϕ) = base + perUnit·ϕ for ϕ ≥ 1 up to maxPhi.
+// want ≤ maxPhi is the widest grant runDP considers (set by runDP; the
+// unclipped reference solvers ignore it).
 type userLine struct {
 	skip, base, perUnit float64
-	maxPhi              int
+	maxPhi, want        int
 }
 
 // line decomposes user idx's slot cost for the DP solvers.
@@ -275,50 +277,48 @@ func (e *EMA) line(slot *Slot, idx, capacity int) userLine {
 	}
 }
 
-// prepareDP sizes the shared DP scratch and sets the border condition:
-// zero users processed, exactly M units used is feasible only for M = 0.
-func (e *EMA) prepareDP(n, capacity int) {
-	e.cost = resize(e.cost, capacity+1)
-	e.next = resize(e.next, capacity+1)
-	// Grow the choice table to the slot's active-count bound (not just the
-	// DP participant count) so steady-state slots never allocate even when
-	// participation churns upward.
-	bound := n
-	if e.dpBound > bound {
-		bound = e.dpBound
-	}
-	if cap(e.choice) < bound {
-		e.choice = make([][]uint16, bound)
-	}
-	e.choice = e.choice[:bound]
-	for k := range e.choice {
-		e.choice[k] = resizeU16(e.choice[k], capacity+1)
-	}
-	e.choice = e.choice[:n]
-	e.cost[0] = 0
-	for m := 1; m <= capacity; m++ {
-		e.cost[m] = math.MaxFloat64
-	}
-}
-
-// finishDP picks the total allocation minimizing the objective (step 15)
-// and backtracks the per-user grants (steps 16–18).
-func (e *EMA) finishDP(alloc []int, n, capacity int) {
-	bestM, bestCost := 0, math.MaxFloat64
-	for m := 0; m <= capacity; m++ {
-		if e.cost[m] < bestCost {
-			bestCost, bestM = e.cost[m], m
+// clip returns the user's want: the smallest w ∈ {0, 1, maxPhi} such that
+// every ϕ > w costs more than some ϕ' ≤ w by a margin above guard. With
+// perUnit ≥ 0 the line rises from ϕ = 1, so the user wants at most the one
+// unit that dodges Eq. 4's tail (nothing if even that unit costs more than
+// skipping); with perUnit < 0 it falls, so the user wants all of maxPhi or,
+// if even that costs more than skipping, nothing. A margin inside the guard
+// (or a NaN) keeps the full window.
+func (l *userLine) clip(guard float64) int {
+	if l.perUnit >= 0 {
+		if l.base+l.perUnit-l.skip > guard {
+			return 0
 		}
+		if l.perUnit > guard {
+			return 1
+		}
+	} else if l.base+l.perUnit*float64(l.maxPhi)-l.skip > guard {
+		return 0
 	}
-	for k := n - 1; k >= 0; k-- {
-		phi := int(e.choice[k][bestM])
-		alloc[e.dpUser[k]] = phi
-		bestM -= phi
-	}
+	return l.maxPhi
 }
 
-// runDP solves min Σ f(i, ϕ_i) s.t. Σϕ_i ≤ capacity exactly, in
-// O(n × capacity), then writes the argmin allocation.
+// clipGuard returns the objective margin that survives the DP's rounding.
+// A DP value is the float evaluation of one allocation's Σ f, built row by
+// row from five rounded operations on intermediates no larger than
+// scale = Σ (|skip| + |base| + 2·|perUnit|·capacity), so it lies within
+// 3·2⁻⁵³·n·scale of the exact sum (perUnit·j cannot underflow inexactly, j
+// being an integer). Two allocations whose exact objectives differ by more
+// than twice that compare the same way as floats; 2⁻⁴⁷·n·scale is 64 ×
+// the bound, which also covers the rounding of scale and of the margins
+// clip computes.
+func clipGuard(lines []userLine, capacity int) float64 {
+	var scale float64
+	for i := range lines {
+		l := &lines[i]
+		scale += math.Abs(l.skip) + math.Abs(l.base) + 2*math.Abs(l.perUnit)*float64(capacity)
+	}
+	return 0x1p-47 * float64(len(lines)) * scale
+}
+
+// runDP solves min Σ f(i, ϕ_i) s.t. Σϕ_i ≤ capacity exactly and writes the
+// allocation Alg. 2's table DP returns: among the optimal ones the one
+// using the fewest units, and the smallest ϕ at every in-row tie.
 //
 // For each user the transition is
 //
@@ -329,116 +329,140 @@ func (e *EMA) finishDP(alloc []int, n, capacity int) {
 //
 //	base + perUnit·m + min_{j ∈ [m−maxPhi, m−1]} (cost[j] − perUnit·j),
 //
-// a sliding-window minimum over g[j] = cost[j] − perUnit·j, answered by
-// the branch-regular block kernel in ema_kernel.go (emaUserPass). The
-// kernel prefers the largest j (smallest ϕ) on ties in g, matching
-// runDPRef's smallest-ϕ tie-breaking, and reproduces the monotone-deque
-// pass (runDPDeque) bit for bit — internal/simtest asserts allocation
-// identity across all three solvers.
-func (e *EMA) runDP(slot *Slot, alloc []int, capacity int) {
-	n := len(e.dpUser)
-	e.prepareDP(n, capacity)
-
-	// The kernel writes only states up to the running reachability bound
-	// Σ maxPhi; everything above must already hold the MaxFloat64
-	// unreachable sentinel in BOTH ping-pong rows (prepareDP seeds one,
-	// this seeds the other), or stale finite values from the previous
-	// slot would leak into finishDP's argmin.
-	for m := 1; m <= capacity; m++ {
-		e.next[m] = math.MaxFloat64
+// a sliding-window minimum over g[j] = cost[j] − perUnit·j, largest j
+// (smallest ϕ) on ties in g. Unclipped that is users × capacity window
+// queries with an argmin each. runDP does three things less.
+//
+// Want-clip. The window is want_i = clip(guard) wide instead of maxPhi,
+// and the reachable states end at Σ want_i instead of Σ maxPhi. Lemma: the
+// allocation the unclipped DP returns has ϕ_i ≤ want_i for every i. If
+// some ϕ_i > want_i, lower it to the ϕ' ≤ want_i of clip's definition: the
+// allocation stays feasible, uses fewer units, and its exact objective
+// falls by more than guard. A final-row value is the float evaluation of
+// its own argmin path, is no larger than the float evaluation of any
+// other path ending at that state (rounded + and − are monotone), and is
+// within guard/2 of the exact sum (clipGuard) — so the value at the
+// lowered total is strictly below the value at the returned one, which
+// the final argmin rules out. Hence clipping loses nothing: every clipped
+// value is ≥ the unclipped one (fewer candidates, monotone rounding) and
+// equal along the returned path, so the final argmin (strict <, ascending
+// m: fewest units) stops at the same total, and at each state of the path
+// the same candidate wins under the same tie rule (largest j), the
+// others' values not having fallen. In exact arithmetic guard could be 0
+// — ties between ϕ and ϕ' would fall to the fewest-units rule — but in
+// floats a tie or near-tie is decided by how later rows round perUnit·m,
+// which only the full window reproduces; clip keeps it for such users.
+//
+// Value-only forward passes. Every row is kept and the passes track no
+// argmin: want = 0 is next[m] = cost[m] + skip, want = 1 a two-term min
+// against the single state m−1, anything wider a block prefix/suffix
+// minimum (ema_kernel.go).
+//
+// Argmin at backtrack. Only the ≤ n states on the returned path need
+// their ϕ, and grantAt recomputes each from the kept row with the passes'
+// own float expressions: O(Σ want) per slot instead of a store per state.
+func (e *EMA) runDP(lines []userLine, capacity int, alloc []int) {
+	n := len(lines)
+	stride := capacity + 1
+	// Grow the table to the slot's active-count bound (not just the DP
+	// participant count) so steady-state slots never allocate even when
+	// participation churns upward.
+	bound := n
+	if e.dpBound > bound {
+		bound = e.dpBound
 	}
+	e.rows = resize(e.rows, (bound+1)*stride)
+	e.suf = resize(e.suf, stride)
 
+	// Border condition: zero users processed, exactly m units used is
+	// feasible only for m = 0. Row k is written on [0, reach] only — reach
+	// being Σ want so far — after pass k−1 and padded with the unreachable
+	// sentinel as far as pass k reads, so no row is ever cleared.
+	guard := clipGuard(lines, capacity)
+	cost := e.rows[:stride]
+	cost[0] = 0
 	reach := 0
-	for k, idx := range e.dpUser {
-		l := e.line(slot, idx, capacity)
-		// States above Σ maxPhi so far are unreachable for every later
-		// row too (reach is monotone), so the kernel can stop there —
-		// early users with small link bounds cost O(reach), not
-		// O(capacity).
-		reach += l.maxPhi
-		if reach > capacity {
-			reach = capacity
+	for k := range lines {
+		l := &lines[k]
+		l.want = l.clip(guard)
+		hi := reach + l.want
+		if hi > capacity {
+			hi = capacity
 		}
-		emaUserPass(e.cost[:capacity+1], e.next[:capacity+1], e.choice[k], l, &e.blk, reach)
-		e.cost, e.next = e.next, e.cost
+		for m := reach + 1; m <= hi; m++ {
+			cost[m] = math.MaxFloat64
+		}
+		reach = hi
+		next := e.rows[(k+1)*stride:][:stride]
+		switch l.want {
+		case 0:
+			emaSkipPass(cost[:reach+1], next[:reach+1], l.skip)
+		case 1:
+			emaUnitPass(cost[:reach+1], next[:reach+1], l.skip, l.base, l.perUnit)
+		default:
+			emaWindowPass(cost[:reach+1], next[:reach+1], e.suf, l.skip, l.base, l.perUnit, l.want)
+		}
+		cost = next
 	}
-	e.finishDP(alloc, n, capacity)
+
+	// Step 15: the total minimizing the objective, fewest units on ties.
+	bestM, bestCost := 0, math.MaxFloat64
+	for m, c := range cost[:reach+1] {
+		if c < bestCost {
+			bestCost, bestM = c, m
+		}
+	}
+	// Steps 16–18: walk the path back, recovering each grant.
+	for k := n - 1; k >= 0; k-- {
+		phi := lines[k].grantAt(e.rows[k*stride:][:stride], bestM)
+		alloc[e.dpUser[k]] = phi
+		bestM -= phi
+	}
 }
 
-// runDPDeque is the previous fast path: the same sliding-window minimum
-// answered with a monotone deque, amortized O(1) per state. Each state j
-// is pushed and popped at most once per user; the deque prefers the
-// largest j (smallest ϕ) on ties in g via ≥-eviction, and unreachable
-// states (cost = MaxFloat64) are never pushed, preserving the
-// reference's exact infeasibility semantics. Kept as the middle arm of
-// the three-way differential tests gating the block kernel.
-func (e *EMA) runDPDeque(slot *Slot, alloc []int, capacity int) {
-	n := len(e.dpUser)
-	e.prepareDP(n, capacity)
-	e.dqJ = resizeI32(e.dqJ, capacity+1)
-	e.dqG = resize(e.dqG, capacity+1)
-
-	const inf = math.MaxFloat64
-	for k, idx := range e.dpUser {
-		l := e.line(slot, idx, capacity)
-		choice := e.choice[k]
-
-		head, tail := 0, 0
-		for m := 0; m <= capacity; m++ {
-			if m > 0 {
-				// State j = m−1 enters the window (ϕ = 1 is always
-				// within maxPhi ≥ 1); stale states leave at the front.
-				if prev := e.cost[m-1]; prev < inf {
-					g := prev - l.perUnit*float64(m-1)
-					for tail > head && e.dqG[tail-1] >= g {
-						tail--
-					}
-					e.dqJ[tail] = int32(m - 1)
-					e.dqG[tail] = g
-					tail++
-				}
-				for tail > head && int(e.dqJ[head]) < m-l.maxPhi {
-					head++
-				}
-			}
-			best := inf
-			var bestPhi uint16
-			if e.cost[m] < inf {
-				best = e.cost[m] + l.skip
-			}
-			if tail > head {
-				if c := l.base + l.perUnit*float64(m) + e.dqG[head]; c < best {
-					best = c
-					bestPhi = uint16(m - int(e.dqJ[head]))
-				}
-			}
-			e.next[m] = best
-			choice[m] = bestPhi
-		}
-		e.cost, e.next = e.next, e.cost
+// grantAt returns the ϕ behind the forward pass's value at state m: cost is
+// the row the pass read, and the scan repeats its float expressions — the
+// window minimum of g over j = m−1 … m−want with the largest j on ties,
+// taken only if it beats skipping strictly. Unreachable predecessors hold
+// the MaxFloat64 sentinel and lose to any reachable one (ema_kernel.go).
+func (l *userLine) grantAt(cost []float64, m int) int {
+	if l.want == 0 || m == 0 {
+		return 0
 	}
-	e.finishDP(alloc, n, capacity)
+	lo := m - l.want
+	if lo < 0 {
+		lo = 0
+	}
+	bestJ := m - 1
+	bestG := cost[bestJ] - l.perUnit*float64(bestJ)
+	for j := bestJ - 1; j >= lo; j-- {
+		if g := cost[j] - l.perUnit*float64(j); g < bestG {
+			bestG, bestJ = g, j
+		}
+	}
+	if l.base+l.perUnit*float64(m)+bestG < cost[m]+l.skip {
+		return m - bestJ
+	}
+	return 0
 }
 
 // runDPRef is the paper-literal O(n × capacity × maxPhi) dynamic program
 // of Alg. 2, kept verbatim as the reference arm of the differential tests:
-// it evaluates every ϕ branch explicitly, so it stays correct for
-// arbitrary (non-affine) cost shapes and gates the deque fast path.
-func (e *EMA) runDPRef(slot *Slot, alloc []int, capacity int) {
-	n := len(e.dpUser)
-	e.prepareDP(n, capacity)
+// it evaluates every ϕ branch explicitly and stores every state's choice,
+// so it stays correct for arbitrary (non-affine) cost shapes and gates the
+// fast path. It is not want-clipped and owns its tables.
+func (e *EMA) runDPRef(lines []userLine, capacity int, alloc []int) {
+	cost, next, choice := newChoiceDP(len(lines), capacity)
 
 	const inf = math.MaxFloat64
-	for k, idx := range e.dpUser {
-		l := e.line(slot, idx, capacity)
-		choice := e.choice[k]
-
+	for k, l := range lines {
+		granted := choice[k*(capacity+1):][:capacity+1]
 		for m := 0; m <= capacity; m++ {
 			best := inf
-			var bestPhi uint16
+			var bestPhi int32
 			// ϕ = 0 branch.
-			if e.cost[m] < inf {
-				best = e.cost[m] + l.skip
+			if cost[m] < inf {
+				best = cost[m] + l.skip
 			}
 			// ϕ ≥ 1 branches: f(ϕ) = base + perUnit·ϕ.
 			hi := l.maxPhi
@@ -446,41 +470,57 @@ func (e *EMA) runDPRef(slot *Slot, alloc []int, capacity int) {
 				hi = m
 			}
 			for phi := 1; phi <= hi; phi++ {
-				prev := e.cost[m-phi]
+				prev := cost[m-phi]
 				if prev >= inf {
 					continue
 				}
 				c := prev + l.base + l.perUnit*float64(phi)
 				if c < best {
 					best = c
-					bestPhi = uint16(phi)
+					bestPhi = int32(phi)
 				}
 			}
-			e.next[m] = best
-			choice[m] = bestPhi
+			next[m] = best
+			granted[m] = bestPhi
 		}
-		e.cost, e.next = e.next, e.cost
+		cost, next = next, cost
 	}
-	e.finishDP(alloc, n, capacity)
+	e.finishChoiceDP(cost, choice, capacity, alloc)
+}
+
+// newChoiceDP returns the tables of a DP that stores every state's choice
+// (runDPRef; the tests' deque oracle): two ping-pong value rows with the
+// border condition set — zero users processed, exactly M units used is
+// feasible only for M = 0 — and the n × (capacity+1) table of units
+// granted to the k-th DP user at state M.
+func newChoiceDP(n, capacity int) (cost, next []float64, choice []int32) {
+	cost = make([]float64, capacity+1)
+	for m := 1; m <= capacity; m++ {
+		cost[m] = math.MaxFloat64
+	}
+	return cost, make([]float64, capacity+1), make([]int32, n*(capacity+1))
+}
+
+// finishChoiceDP picks the total allocation minimizing the objective
+// (step 15) and backtracks the per-user grants through the choice table
+// (steps 16–18).
+func (e *EMA) finishChoiceDP(cost []float64, choice []int32, capacity int, alloc []int) {
+	bestM, bestCost := 0, math.MaxFloat64
+	for m := 0; m <= capacity; m++ {
+		if cost[m] < bestCost {
+			bestCost, bestM = cost[m], m
+		}
+	}
+	for k := len(e.dpUser) - 1; k >= 0; k-- {
+		phi := int(choice[k*(capacity+1)+bestM])
+		alloc[e.dpUser[k]] = phi
+		bestM -= phi
+	}
 }
 
 func resize(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func resizeU16(s []uint16, n int) []uint16 {
-	if cap(s) < n {
-		return make([]uint16, n)
-	}
-	return s[:n]
-}
-
-func resizeI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
 	}
 	return s[:n]
 }

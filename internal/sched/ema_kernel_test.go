@@ -1,20 +1,51 @@
 package sched
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"jointstream/internal/rng"
 	"jointstream/internal/rrc"
+	"jointstream/internal/units"
 )
 
-// TestEMABlockMatchesDeque is the bit-for-bit gate for the block-minima
-// kernel: across user counts, capacities (including capacity < maxPhi,
-// capacity equal to one block, and capacities that leave partial blocks)
-// and random queue evolutions, the block solver must return the EXACT
-// allocation the monotone-deque solver returns — not merely the same
-// objective — so swapping the kernel can never move a checked-in figure.
-// Queues are advanced by the block path's own decisions and mirrored into
-// the deque clone each step, so both solvers always see identical state.
+// stepAgainstDeque runs one slot through the production DP on e and through
+// the deque oracle on a clone of e's pre-slot state, and fails unless the
+// two return the EXACT allocation — not merely the same objective — and
+// leave identical queues. e advances by its own (production) decision.
+func stepAgainstDeque(t *testing.T, e *EMA, slot *Slot, whereFormat string, whereArgs ...any) []int {
+	t.Helper()
+	n := slot.NumUsers()
+	dq := cloneEMA(e)
+	prodAlloc := make([]int, n)
+	dequeAlloc := make([]int, n)
+	e.Allocate(slot, prodAlloc)
+	dq.AllocateDeque(slot, dequeAlloc)
+	for i := range prodAlloc {
+		if prodAlloc[i] != dequeAlloc[i] {
+			t.Fatalf("%s: allocations diverge at user %d: production %v deque %v",
+				fmt.Sprintf(whereFormat, whereArgs...), i, prodAlloc, dequeAlloc)
+		}
+		if e.Queue(i) != dq.Queue(i) {
+			t.Fatalf("%s: queue %d diverged: production %v deque %v",
+				fmt.Sprintf(whereFormat, whereArgs...), i, e.Queue(i), dq.Queue(i))
+		}
+	}
+	return prodAlloc
+}
+
+// TestEMABlockMatchesDeque is the bit-for-bit gate for the production DP
+// (want-clipped windows and reach, value-only passes, grants recovered at
+// backtrack): across user counts, capacities (including capacity < maxPhi,
+// capacity equal to one window block, and capacities that leave partial
+// blocks) and random queue evolutions, it must return the EXACT allocation
+// the unclipped monotone-deque solver returns, so no change to the DP can
+// move a checked-in figure. Queues are advanced by the production path's
+// own decisions and mirrored into the deque clone each step, so both
+// solvers always see identical state.
 func TestEMABlockMatchesDeque(t *testing.T) {
 	for _, capacity := range []int{1, 2, 3, 7, 10, 64, 205} {
 		for n := 1; n <= 24; n++ {
@@ -22,25 +53,7 @@ func TestEMABlockMatchesDeque(t *testing.T) {
 			e := newEMA(t, 0.05+src.Float64()*2)
 			for step := 0; step < 8; step++ {
 				slot := randomSlotForDP(src, n, capacity)
-
-				dq := cloneEMA(e)
-				blockAlloc := make([]int, n)
-				dequeAlloc := make([]int, n)
-				e.Allocate(slot, blockAlloc)
-				dq.AllocateDeque(slot, dequeAlloc)
-
-				for i := range blockAlloc {
-					if blockAlloc[i] != dequeAlloc[i] {
-						t.Fatalf("cap=%d n=%d step=%d: allocations diverge at user %d: block %v deque %v",
-							capacity, n, step, i, blockAlloc, dequeAlloc)
-					}
-				}
-				for i := 0; i < n; i++ {
-					if e.Queue(i) != dq.Queue(i) {
-						t.Fatalf("cap=%d n=%d step=%d: queue %d diverged: block %v deque %v",
-							capacity, n, step, i, e.Queue(i), dq.Queue(i))
-					}
-				}
+				stepAgainstDeque(t, e, slot, "cap=%d n=%d step=%d", capacity, n, step)
 			}
 		}
 	}
@@ -64,53 +77,332 @@ func TestEMABlockMatchesDequeAdversarial(t *testing.T) {
 			}
 		}
 		slot := makeSlot(capacity, users...)
+		stepAgainstDeque(t, newEMA(t, 0.5), slot, "trial %d cap=%d n=%d", trial, capacity, n)
+	}
+}
 
-		e := newEMA(t, 0.5)
-		dq := cloneEMA(e)
-		blockAlloc := make([]int, n)
-		dequeAlloc := make([]int, n)
-		e.Allocate(slot, blockAlloc)
-		dq.AllocateDeque(slot, dequeAlloc)
-		for i := range blockAlloc {
-			if blockAlloc[i] != dequeAlloc[i] {
-				t.Fatalf("trial %d cap=%d n=%d: allocations diverge at user %d: block %v deque %v",
-					trial, capacity, n, i, blockAlloc, dequeAlloc)
+// TestEMABlockMatchesDequeLongEvolution is the same identity where the
+// figure sweep lives: a paper-like cell (N = 40, capacity 205, sinusoidal
+// signal with the paper's linear fits) stepped 300 slots at a small, a
+// calibrated-range and a large V, queues and RRC tails advanced by the
+// production path's own decisions. Queues hover around each user's
+// V × price threshold and below, so — unlike the random-slot tests above — most
+// users want nothing or the one tail-dodging unit, and the clipped
+// windows, clipped reach and backtrack rescan carry the slot.
+func TestEMABlockMatchesDequeLongEvolution(t *testing.T) {
+	const n, capacity, steps = 40, 205, 300
+	for _, v := range []float64{0.005, 0.3, 16} {
+		src := rng.New(uint64(1000 * v))
+		e := newEMA(t, v)
+		rate := make([]units.KBps, n)
+		phase := make([]float64, n)
+		gap := make([]units.Seconds, n)
+		never := make([]bool, n)
+		for i := range rate {
+			rate[i] = units.KBps(src.Uniform(300, 600))
+			phase[i] = src.Float64()
+			never[i] = true
+			// Around V × price × rate at a good signal, where a user starts
+			// to want data: from rest a large V would serve nobody for
+			// thousands of slots.
+			e.SetQueue(i, units.Seconds(src.Uniform(0.5, 1.5)*v*0.3*float64(rate[i])))
+		}
+		users := make([]user, n)
+		var passes [3]int // by want: 0, 1, wider
+		for step := 0; step < steps; step++ {
+			for i := range users {
+				sig := -80 + 28*math.Sin(2*math.Pi*(float64(step)/60+phase[i])) + src.Uniform(-2, 2)
+				u := stdUser(rate[i], units.DBm(sig), 0)
+				u.MaxUnits = int(float64(u.LinkRate) / 100) // ⌊τ·v(sig)/δ⌋
+				u.NeverActive = never[i]
+				u.TailGap = gap[i]
+				users[i] = u
 			}
+			slot := makeSlot(capacity, users...)
+			alloc := stepAgainstDeque(t, e, slot, "V=%v step=%d", v, step)
+			for _, l := range e.lines {
+				passes[min(l.want, 2)]++
+			}
+			for i, phi := range alloc {
+				if phi > 0 {
+					never[i], gap[i] = false, 0
+				} else if !never[i] {
+					gap[i] += slot.Tau
+				}
+			}
+		}
+		total := passes[0] + passes[1] + passes[2]
+		if passes[0] == 0 || passes[1] == 0 || passes[2] == 0 || 2*(passes[0]+passes[1]) < total {
+			t.Errorf("V=%v: pass mix want=0 %d, want=1 %d, wider %d of %d: the clip is not what this run exercises",
+				v, passes[0], passes[1], passes[2], total)
 		}
 	}
 }
 
-// BenchmarkEMADP compares the per-slot DP cost of the block kernel
-// against the deque it replaced at the paper-scale shape (capacity 205).
+// solveLines runs one DP solver on bare cost lines, DP user k being slot
+// user k, from a fresh scheduler.
+func solveLines(dp func(*EMA, []userLine, int, []int), lines []userLine, capacity int) []int {
+	e := &EMA{dpBound: len(lines)}
+	for k := range lines {
+		e.dpUser = append(e.dpUser, k)
+	}
+	alloc := make([]int, len(lines))
+	dp(e, append([]userLine(nil), lines...), capacity, alloc)
+	return alloc
+}
+
+// checkLinesAgainstDeque fails unless the production DP and the deque
+// oracle return the same allocation for these lines, grant for grant. A
+// divergence is reported with its input; there is no tolerance.
+func checkLinesAgainstDeque(t *testing.T, lines []userLine, capacity int) {
+	t.Helper()
+	got := solveLines((*EMA).runDP, lines, capacity)
+	want := solveLines((*EMA).runDPDeque, lines, capacity)
+	for k := range got {
+		if got[k] != want[k] {
+			t.Fatalf("capacity %d, lines %+v: production %v, deque %v", capacity, lines, got, want)
+		}
+	}
+}
+
+// TestEMAClip pins what the clip decides: a user wants nothing, one unit or
+// its whole link bound, and any margin the slot's rounding could swallow —
+// an exact tie above all — keeps the full window.
+func TestEMAClip(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		line  userLine
+		guard float64
+		want  int
+	}{
+		{"rising, unit dearer than skipping", userLine{skip: 1, base: 2, perUnit: 3, maxPhi: 9}, 1e-9, 0},
+		{"rising, unit dodges the tail", userLine{skip: 6, base: 2, perUnit: 3, maxPhi: 9}, 1e-9, 1},
+		{"rising, unit ties with skipping", userLine{skip: 5, base: 2, perUnit: 3, maxPhi: 9}, 1e-9, 1},
+		{"rising inside the guard", userLine{skip: 6, base: 2, perUnit: 1e-12, maxPhi: 9}, 1e-9, 9},
+		{"flat", userLine{skip: 6, base: 2, perUnit: 0, maxPhi: 9}, 0, 9},
+		{"falling, everything cheaper than skipping", userLine{skip: 1, base: 2, perUnit: -3, maxPhi: 9}, 1e-9, 9},
+		{"falling, even everything dearer", userLine{skip: -30, base: 2, perUnit: -3, maxPhi: 9}, 1e-9, 0},
+		{"falling, everything ties with skipping", userLine{skip: -25, base: 2, perUnit: -3, maxPhi: 9}, 1e-9, 9},
+		{"NaN anywhere makes the guard NaN", userLine{skip: math.NaN(), base: 2, perUnit: 3, maxPhi: 9}, math.NaN(), 9},
+	} {
+		if got := tc.line.clip(tc.guard); got != tc.want {
+			t.Errorf("%s: clip = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// kernelCase is one DP subproblem on bare cost lines.
+type kernelCase struct {
+	lines    []userLine
+	capacity int
+}
+
+// kernelCases are synthetic cost lines that EMA.line cannot easily produce
+// and the clip must survive: exact and near ties between taking and
+// skipping, vanishing slopes, one-unit windows and capacities, wants that
+// overrun capacity or sum to zero, and many identical users. The first two
+// are slots where a literal want (guard = 0, ties clipped) diverges from
+// the unclipped DP: user 0's ϕ = 2 and ϕ = 1 (or 0) cost exactly the same,
+// and the rounding of user 1's perUnit·m makes the later state cheaper.
+func kernelCases() []kernelCase {
+	type kc = kernelCase
+	noiseA := userLine{skip: 0, base: 0, perUnit: -0.1, maxPhi: 1}
+	noiseB := userLine{skip: 0.3, base: 0.1, perUnit: 0.1, maxPhi: 3}
+	cases := []kc{
+		{[]userLine{{skip: 1, base: 0, perUnit: 0, maxPhi: 2}, noiseA}, 3},
+		{[]userLine{{skip: 0, base: 0, perUnit: 0, maxPhi: 2}, noiseA}, 3},
+	}
+
+	// One special line among two whose slopes round differently at every
+	// state, in each position, at capacities below, at and above Σ maxPhi.
+	for _, p := range []float64{0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-18, -1e-18} {
+		for _, maxPhi := range []int{1, 2, 5} {
+			base := 0.7
+			for _, skip := range []float64{
+				base + p,                   // taking one unit ties with skipping
+				base + p*float64(maxPhi),   // taking everything ties with skipping
+				base - 0.5,                 // skipping is cheaper by a margin
+				base + 0.5,                 // taking is cheaper by a margin
+				math.Nextafter(base+p, 10), // one ULP off the tie
+			} {
+				special := userLine{skip: skip, base: base, perUnit: p, maxPhi: maxPhi}
+				for _, capacity := range []int{1, 3, 7, 64} {
+					cases = append(cases,
+						kc{[]userLine{special, noiseA, noiseB}, capacity},
+						kc{[]userLine{noiseA, special, noiseB}, capacity},
+						kc{[]userLine{noiseB, noiseA, special}, capacity})
+				}
+			}
+		}
+	}
+
+	identical := func(l userLine, times int) []userLine {
+		lines := make([]userLine, times)
+		for k := range lines {
+			lines[k] = l
+		}
+		return lines
+	}
+	wantsAll := userLine{skip: 4, base: 1, perUnit: -0.3, maxPhi: 6}
+	wantsUnit := userLine{skip: 4, base: 1, perUnit: 0.3, maxPhi: 6}
+	wantsNone := userLine{skip: 1, base: 4, perUnit: 0.3, maxPhi: 6}
+	for _, capacity := range []int{1, 5, 12, 40, 100} {
+		cases = append(cases,
+			kc{identical(wantsAll, 12), capacity},  // Σ want = 12 link bounds, above capacity
+			kc{identical(wantsUnit, 12), capacity}, // Σ want = 12
+			kc{identical(wantsNone, 12), capacity}, // Σ want = 0
+			kc{append(identical(wantsNone, 3), wantsAll, wantsUnit, wantsNone, wantsAll), capacity})
+	}
+	// As EMA.line leaves it: no link bound above the cell's capacity.
+	for _, c := range cases {
+		for k := range c.lines {
+			c.lines[k].maxPhi = min(c.lines[k].maxPhi, c.capacity)
+		}
+	}
+	return cases
+}
+
+// TestEMAKernelLines gates the clip on lines instead of slots: for every
+// kernelCases entry the production DP returns the deque oracle's
+// allocation exactly. The entries also seed FuzzEMAKernel, so each must
+// survive the fuzz encoding unchanged.
+func TestEMAKernelLines(t *testing.T) {
+	for _, c := range kernelCases() {
+		checkLinesAgainstDeque(t, c.lines, c.capacity)
+		if back := decodeFuzzLines(encodeFuzzLines(c.lines), c.capacity); !reflect.DeepEqual(back, c.lines) {
+			t.Errorf("capacity %d: lines %+v decode as %+v", c.capacity, c.lines, back)
+		}
+	}
+}
+
+// fuzzLineBytes is one fuzzed line: skip, base, perUnit as float64 bits and
+// maxPhi − 1 as a uint16, little-endian.
+const fuzzLineBytes = 3*8 + 2
+
+func encodeFuzzLines(lines []userLine) []byte {
+	var b []byte
+	for _, l := range lines {
+		for _, x := range []float64{l.skip, l.base, l.perUnit} {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		b = binary.LittleEndian.AppendUint16(b, uint16(l.maxPhi-1))
+	}
+	return b
+}
+
+// decodeFuzzLines is encodeFuzzLines' inverse on the solvers' domain and
+// folds everything else into it: non-finite values become 0, magnitudes
+// wrap below 2⁴¹ (the MaxFloat64 sentinel assumes costs far below 2⁹⁶⁹),
+// maxPhi lands in [1, capacity] as EMA.line leaves it, and at most 16
+// lines are kept.
+func decodeFuzzLines(data []byte, capacity int) []userLine {
+	float := func(b []byte) float64 {
+		x := math.Float64frombits(binary.LittleEndian.Uint64(b))
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return 0
+		}
+		if frac, exp := math.Frexp(x); exp > 40 {
+			x = math.Ldexp(frac, exp%41)
+		}
+		return x
+	}
+	var lines []userLine
+	for ; len(data) >= fuzzLineBytes && len(lines) < 16; data = data[fuzzLineBytes:] {
+		lines = append(lines, userLine{
+			skip:    float(data[0:]),
+			base:    float(data[8:]),
+			perUnit: float(data[16:]),
+			maxPhi:  1 + int(binary.LittleEndian.Uint16(data[24:]))%capacity,
+		})
+	}
+	return lines
+}
+
+// FuzzEMAKernel compares the production DP with the deque oracle,
+// allocation for allocation, on fuzzed cost lines and capacities ≤ 512,
+// seeded with kernelCases.
+func FuzzEMAKernel(f *testing.F) {
+	for _, c := range kernelCases() {
+		f.Add(uint16(c.capacity-1), encodeFuzzLines(c.lines))
+	}
+	f.Fuzz(func(t *testing.T, capacityLess1 uint16, data []byte) {
+		capacity := 1 + int(capacityLess1)%512
+		if lines := decodeFuzzLines(data, capacity); len(lines) > 0 {
+			checkLinesAgainstDeque(t, lines, capacity)
+		}
+	})
+}
+
+// emaArms are the three per-slot solvers behind their Allocate entry points.
+var emaArms = []struct {
+	name     string
+	allocate func(*EMA, *Slot, []int)
+}{
+	{"production", (*EMA).Allocate},
+	{"deque", (*EMA).AllocateDeque},
+	{"ref", (*EMA).AllocateRef},
+}
+
+// TestEMAGrantAbove65535 is the regression test for grants the solvers
+// once stored in 16 bits: a single backlogged user on a link and a cell
+// that carry 70 000 units gets all of them from every solver, not
+// 70 000 − 65 536.
+func TestEMAGrantAbove65535(t *testing.T) {
+	const units = 70_000
+	slot := makeSlot(units, stdUser(400, -80, units))
+	for _, arm := range emaArms {
+		e := newEMA(t, 0.5)
+		e.SetQueue(0, 500)
+		alloc := make([]int, 1)
+		arm.allocate(e, slot, alloc)
+		if alloc[0] != units {
+			t.Errorf("%s: alloc = %d, want %d", arm.name, alloc[0], units)
+		}
+	}
+}
+
+// BenchmarkEMADP compares the per-slot cost of the production DP with the
+// deque oracle and the paper-literal reference at the paper-scale shape
+// (capacity 205) on one random slot in two queue states, restored before
+// every iteration: "random" is the slot's own equilibrium (queues piled up
+// over 200 slots until users want whole link bounds), "want-heavy" the
+// figure sweep's steady state (every queue negative, so each user wants
+// nothing or the one unit that dodges its tail). The two oracles allocate
+// their tables on every call.
 func BenchmarkEMADP(b *testing.B) {
-	src := rng.New(7)
 	const n, capacity = 30, 205
-	slot := randomSlotForDP(src, n, capacity)
-	alloc := make([]int, n)
-	b.Run("block", func(b *testing.B) {
-		e, err := NewEMA(EMAConfig{V: 0.5, RRC: rrc.Paper3G()})
-		if err != nil {
-			b.Fatal(err)
+	for _, shape := range []string{"random", "want-heavy"} {
+		for _, arm := range emaArms {
+			b.Run(shape+"/"+arm.name, func(b *testing.B) {
+				e, err := NewEMA(EMAConfig{V: 0.5, RRC: rrc.Paper3G()})
+				if err != nil {
+					b.Fatal(err)
+				}
+				src := rng.New(7)
+				slot := randomSlotForDP(src, n, capacity)
+				alloc := make([]int, n)
+				e.ensureQueues(n)
+				if shape == "want-heavy" {
+					for i := range e.queues {
+						e.queues[i] = units.Seconds(-src.Uniform(1, 40))
+					}
+				} else {
+					for i := 0; i < 200; i++ {
+						e.Allocate(slot, alloc)
+					}
+				}
+				start := append([]units.Seconds(nil), e.queues...)
+				arm.allocate(e, slot, alloc) // grow the production tables outside the timer
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(e.queues, start)
+					for j := range alloc {
+						alloc[j] = 0
+					}
+					arm.allocate(e, slot, alloc)
+				}
+			})
 		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for j := range alloc {
-				alloc[j] = 0
-			}
-			e.Allocate(slot, alloc)
-		}
-	})
-	b.Run("deque", func(b *testing.B) {
-		e, err := NewEMA(EMAConfig{V: 0.5, RRC: rrc.Paper3G()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for j := range alloc {
-				alloc[j] = 0
-			}
-			e.AllocateDeque(slot, alloc)
-		}
-	})
+	}
 }

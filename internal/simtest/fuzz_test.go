@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzEMAAllocate fuzzes the EMA scheduler's per-slot decision: from an
-// arbitrary (slot, queue, V) state the deque DP must not panic, must
+// arbitrary (slot, queue, V) state the fast DP must not panic, must
 // return a feasible allocation, must advance the virtual queues per
 // Eq. (16), and must match the paper-literal reference DP's objective.
 //

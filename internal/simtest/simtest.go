@@ -100,7 +100,7 @@ func CheckEq16(e *sched.EMA, before []units.Seconds, slot *sched.Slot, alloc []i
 // f = V·E(ϕ) + PC_i·(τ − ϕδ/p), with E the transmission energy for ϕ > 0
 // and the slot's incremental tail energy for ϕ = 0. Call it BEFORE
 // Allocate advances the queues. The differential tests use it to compare
-// the deque DP against AllocateRef without reaching into unexported
+// the fast DP against AllocateRef without reaching into unexported
 // state.
 func EMAObjective(e *sched.EMA, slot *sched.Slot, alloc []int) float64 {
 	var sum float64
@@ -118,7 +118,7 @@ func EMAObjective(e *sched.EMA, slot *sched.Slot, alloc []int) float64 {
 }
 
 // SameObjective reports whether two Eq. (21–22) objective values agree up
-// to floating-point reassociation noise (the deque DP groups the affine
+// to floating-point reassociation noise (the fast DP groups the affine
 // terms differently from the reference DP).
 func SameObjective(got, want float64) bool {
 	return math.Abs(got-want) <= 1e-9*(1+math.Abs(want))
