@@ -103,9 +103,9 @@ type fillScratch struct {
 // A fill is set up by start and executed by run, which fans drain out over
 // the workers; fill is the two back to back. Blocks are claimed from the
 // filler's own counter, not dealt out by pool.Shard, so a goroutine outside
-// the fan-out can join a fill that is under way (fillUpTo): the open tile's
-// foreground does, a block at a time where a background fill is behind
-// schedule and for whatever is left at a window swap (open.go).
+// the fan-out can join a fill that is under way (drain): the open tile's
+// foreground does, for whatever is left of a background fill at a window
+// swap (open.go).
 type linkFiller struct {
 	radio     radio.Model
 	tab       *radio.Table // nil unless bitwise-exact for radio
@@ -186,7 +186,7 @@ func (f *linkFiller) start(dst *linkCols, sessions []*workload.Session, rows []i
 }
 
 // run executes the fill start set up on up to workers goroutines. Every
-// block is written once run has returned, and so has every fillUpTo called
+// block is written once run has returned, and so has every drain called
 // beside it.
 func (f *linkFiller) run() {
 	pool.Shard(f.workers, min(f.workers, f.blocks), f.body)
@@ -194,12 +194,8 @@ func (f *linkFiller) run() {
 
 // drain is run's shard body: it claims and fills blocks until none is
 // left. Blocks are not tied to the shard index.
-func (f *linkFiller) drain(int) { f.fillUpTo(f.blocks) }
-
-// fillUpTo claims and fills blocks until limit of the fill's blocks have
-// been claimed, by whomever.
-func (f *linkFiller) fillUpTo(limit int) {
-	for int(f.next.Load()) < limit {
+func (f *linkFiller) drain(int) {
+	for {
 		b := int(f.next.Add(1)) - 1
 		if b >= f.blocks {
 			return

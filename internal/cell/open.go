@@ -1117,14 +1117,12 @@ type openTile struct {
 	// kickFill set up; the worker sets landed and then signals done. The
 	// foreground polls landed (no blocking, no select) and receives from
 	// done only where it has to wait. inflight tracks an outstanding fill,
-	// bulk whether it is the window's own (as opposed to late rows
-	// following it), nextReady a spare block whose window fill is over.
+	// nextReady a spare block whose window fill is over.
 	bg        bool
 	kick      chan struct{}
 	done      chan struct{}
 	landed    atomic.Bool
 	inflight  bool
-	bulk      bool
 	nextReady bool
 	stopped   bool
 }
@@ -1171,17 +1169,12 @@ func newOpenTile(sim *Simulator, window, capSessions int, unbounded bool) (*open
 	return t, nil
 }
 
-// The background window fill is paced to be over paceNum/paceDen of the
-// way through the resident window (flush). On the 2-core reference box the
-// worker needs more than a window's ticking for a window's fill at 10 000
-// rows of stateless sine; 3/4 left 260 rows late at the swap, 1/2 had the
-// foreground fill more than its share, 2/3 was the fastest of the three.
-const paceNum, paceDen = 2, 3
-
 // lateInline is the number of late rows from which they are handed to the
 // worker. Waking it costs the foreground about what filling a few rows
 // does, and a fill in flight at the swap has to be waited for: a driver
-// that admits a session or two per slot is better off without either.
+// that admits a session or two per slot is better off without either. One
+// that admits 65 (cell_churn) is not: with every late row filled here its
+// steady slot was 15 % slower and wall_s 12 %, in six pairs of six.
 const lateInline = 16
 
 // willEvict reports whether attaching slot n recompiles the window.
@@ -1226,7 +1219,6 @@ func (t *openTile) prefetch(base int) {
 		go t.bgLoop()
 	}
 	t.next.base = base
-	t.bulk = true
 	stale := t.occupied(t.changed)
 	if t.snapAll {
 		stale = t.rows
@@ -1268,7 +1260,7 @@ func (t *openTile) syncFill() {
 	if !t.inflight {
 		return
 	}
-	t.fill.fillUpTo(t.fill.blocks)
+	t.fill.drain(0) // the shard index is not used
 	<-t.done
 	t.inflight = false
 	t.nextReady = true
@@ -1289,7 +1281,6 @@ func (t *openTile) pollFill() {
 	if len(late) < lateInline || t.stopped {
 		t.patchNext(late)
 	} else {
-		t.bulk = false
 		t.kickFill(late, late)
 	}
 	t.late = t.late[:0]
@@ -1379,14 +1370,6 @@ func (t *openTile) flush(clock int) {
 		}
 	}
 	t.pollFill()
-	if t.inflight && t.bulk {
-		// The window fill is due paceNum/paceDen through the resident
-		// window, which leaves the worker the rest of it for the rows
-		// admitted meanwhile. Where the worker alone is behind that
-		// schedule the foreground fills blocks beside it, a slot's share at
-		// a time, instead of the remainder at the swap.
-		t.fill.fillUpTo(t.fill.blocks * (clock - t.cur.base) * paceDen / (t.window * paceNum))
-	}
 }
 
 // compactRows resets the live-row set to the identity prefix [0, w)

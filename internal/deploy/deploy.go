@@ -342,26 +342,43 @@ type offsetTrace struct {
 	bounds    signal.Bounds
 }
 
+// shadowSalt separates site shadowing from other Hash3-keyed draw streams
+// (the stateless sine's noise, forecast noise).
+const shadowSalt = 0x73686164 // "shad"
+
 func (t offsetTrace) At(n int) units.DBm {
-	return t.shift(t.base.At(n), n)
+	return t.shift(t.base.At(n), t.shadow(n))
 }
 
 // Fill implements signal.Filler: the base trace's run, shifted in place.
+// A site without shadowing — every site of a fleet run — has no per-slot
+// draw to ask for.
 func (t offsetTrace) Fill(dst []units.DBm, from int) {
 	signal.Fill(t.base, dst, from)
+	if t.shadowStd > 0 {
+		for k, v := range dst {
+			dst[k] = t.shift(v, t.shadow(from+k))
+		}
+		return
+	}
 	for k, v := range dst {
-		dst[k] = t.shift(v, from+k)
+		dst[k] = t.shift(v, 0)
 	}
 }
 
-// shift applies the site offset, slot n's shadowing draw and the clamp to
-// the base trace's value; At and Fill share it.
-func (t offsetTrace) shift(base units.DBm, n int) units.DBm {
-	v := float64(base + t.offset)
+// shadow is slot n's shadowing in dBm: the standard normal addressed by
+// (seed, slot), scaled; 0 for a site without shadowing.
+func (t offsetTrace) shadow(n int) float64 {
 	if t.shadowStd > 0 {
-		// Derive a deterministic standard normal for this (seed, slot).
-		v += t.shadowStd * rng.NormAt(t.seed^(uint64(n)*0x9E3779B97F4A7C15))
+		return t.shadowStd * rng.NormWord(rng.Hash3(t.seed, uint64(n), shadowSalt))
 	}
+	return 0
+}
+
+// shift applies the site offset, a slot's shadowing and the clamp to the
+// base trace's value; At and Fill share it.
+func (t offsetTrace) shift(base units.DBm, shadow float64) units.DBm {
+	v := float64(base+t.offset) + shadow
 	if v < float64(t.bounds.Min) {
 		return t.bounds.Min
 	}

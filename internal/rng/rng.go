@@ -61,7 +61,12 @@ func (s *Source) Float64() float64 {
 // golden-ratio increment before mixing so (a,b,c) permutations and
 // nearby coordinates decorrelate.
 func Hash3(a, b, c uint64) uint64 {
-	h := mix(a + 0x9E3779B97F4A7C15)
+	return hashRest(mix(a+0x9E3779B97F4A7C15), b, c)
+}
+
+// hashRest folds Hash3's second and third words into its mixed first
+// word, for loops over b that mix a once.
+func hashRest(h, b, c uint64) uint64 {
 	h = mix(h ^ (b + 0x9E3779B97F4A7C15))
 	return mix(h ^ (c + 0x9E3779B97F4A7C15))
 }
@@ -106,24 +111,6 @@ func (s *Source) Norm() float64 {
 	s.gauss = r * math.Sin(2*math.Pi*u2)
 	s.hasGauss = true
 	return r * math.Cos(2*math.Pi*u2)
-}
-
-// NormAt returns exactly New(seed).Norm() — the first standard normal of
-// the stream seeded with seed — without building a Source and without
-// computing the second Box–Muller value Norm caches for a caller that
-// never comes back. Coordinate-addressed noise streams (the stateless
-// sine channel, per-site shadowing) key a fresh stream per (seed, slot)
-// and take exactly one deviate from it, once per user-slot of every
-// link-window fill.
-func NormAt(seed uint64) float64 {
-	var u1 float64
-	for u1 == 0 { // avoid log(0)
-		seed += 0x9E3779B97F4A7C15
-		u1 = float64(mix(seed)>>11) / (1 << 53)
-	}
-	seed += 0x9E3779B97F4A7C15
-	u2 := float64(mix(seed)>>11) / (1 << 53)
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
 // Gaussian returns a normal deviate with the given mean and stddev.

@@ -260,21 +260,3 @@ func BenchmarkNorm(b *testing.B) {
 		_ = s.Norm()
 	}
 }
-
-// NormAt is the one-shot form of New(seed).Norm(): same bits, no Source.
-// Seeds are dense small integers, hashed words (how the stateless sine and
-// site shadowing key their streams) and the SplitMix64 increment's own
-// multiples, which walk the state through every residue.
-func TestNormAtMatchesFreshSourceNorm(t *testing.T) {
-	check := func(seed uint64) {
-		if got, want := NormAt(seed), New(seed).Norm(); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("NormAt(%#x) = %v, New(seed).Norm() = %v", seed, got, want)
-		}
-	}
-	for i := uint64(0); i < 120_000; i++ {
-		check(i)
-		check(Hash3(7, i, 0x73696E65))
-		check(i * 0x9E3779B97F4A7C15)
-		check(^i)
-	}
-}

@@ -23,6 +23,8 @@ func fillTraces(t *testing.T, seed uint64) map[string]Trace {
 	cfg := SineConfig{Bounds: DefaultBounds, PeriodSlots: 600, Phase: 0.7, NoiseStdDBm: 30}
 	quiet := cfg
 	quiet.NoiseStdDBm = 0
+	short := cfg
+	short.PeriodSlots = 24 // the windows below wrap it a dozen times over
 	warm := must(NewSine(cfg, rng.New(seed)))
 	warm.(Prewarmer).Prewarm(100) // windows below straddle the memo's end
 	replay := make([]units.DBm, 50)
@@ -34,6 +36,7 @@ func fillTraces(t *testing.T, seed uint64) map[string]Trace {
 		"sine-prewarmed":  warm,
 		"stateless":       must(NewStatelessSine(cfg, seed)),
 		"stateless-quiet": must(NewStatelessSine(quiet, seed)),
+		"stateless-short": must(NewStatelessSine(short, seed)),
 		"randomwalk":      must(NewRandomWalk(RandomWalkConfig{Bounds: DefaultBounds, Start: -80, StepStd: 10}, rng.New(seed))),
 		"gilbert-elliott": must(NewGilbertElliott(GilbertElliottConfig{Bounds: DefaultBounds, Good: -60, Bad: -100, PGoodToBad: 0.2, PBadToGood: 0.2, JitterStd: 15}, rng.New(seed))),
 		"constant":        Constant(-72, DefaultBounds),
@@ -60,7 +63,7 @@ func TestFillMatchesAt(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range []string{"sine", "sine-prewarmed", "stateless", "stateless-quiet"} {
+	for _, name := range []string{"sine", "sine-prewarmed", "stateless", "stateless-quiet", "stateless-short"} {
 		if _, ok := filled[name].(Filler); !ok {
 			t.Errorf("%s does not implement Filler", name)
 		}

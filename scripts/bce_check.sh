@@ -18,9 +18,9 @@ cd "$(dirname "$0")/.."
 # Files under the zero-per-element-check contract. Gather paths with
 # data-dependent indices live in sibling files on purpose — they are
 # inherently bounds-checked and must not be added here.
-GUARDED='internal/(cell/kernels|cell/linkfill_kernels|sched/ema_kernel|sched/rtma_kernel)\.go'
+GUARDED='internal/(cell/kernels|cell/linkfill_kernels|sched/ema_kernel|sched/rtma_kernel|signal/stateless_kernel|rng/ziggurat)\.go'
 
-out=$(go build -gcflags='-d=ssa/check_bce' ./internal/cell/ ./internal/sched/ 2>&1 || true)
+out=$(go build -gcflags='-d=ssa/check_bce' ./internal/cell/ ./internal/sched/ ./internal/signal/ ./internal/rng/ 2>&1 || true)
 
 bad=$(printf '%s\n' "$out" | grep -E "${GUARDED}.*Found IsInBounds\$" || true)
 if [[ -n "$bad" ]]; then
