@@ -146,45 +146,6 @@ func BenchmarkRTMAAllocate10kUsers(b *testing.B) {
 	benchAllocLargeN(b, rt, 10_000)
 }
 
-// --- link-window refill (the fill kernel every provider calls) -------
-
-// benchLinkRefill times the tiled link table's window refill on its own:
-// a table of `users` prewarmed paper sessions and a `tile`-slot window is
-// bounced between the horizon's two windows, so every call below refills
-// users × tile rows. ns/row (a row is one user-slot) is what the perf
-// gate tracks; the all-cores tier beating the one-worker tier is what
-// contiguous user-range shards bought — with one user per shard the
-// workers shared every cache line they wrote and it lost.
-func benchLinkRefill(b *testing.B, users, tile, workers int) {
-	const refillsPerIter = 4 // so -benchtime=1x still averages a few
-	wl, err := workload.Generate(workload.PaperDefaults(users), rng.New(3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := cell.PaperConfig()
-	cfg.MaxSlots = 2 * tile
-	cfg.Workers = workers
-	lt, err := cell.CompileLinkTiled(cfg, wl, tile)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := 0; k < refillsPerIter; k++ {
-			// Window 0 is resident after compilation; alternate from 1.
-			if got := lt.SlotEnergyPerKB(((k + 1) % 2) * tile); len(got) != users {
-				b.Fatalf("slot column has %d rows, want %d", len(got), users)
-			}
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*refillsPerIter*users*tile), "ns/row")
-}
-
-func BenchmarkLinkRefill(b *testing.B) {
-	b.Run("n100000_t64_w1", func(b *testing.B) { benchLinkRefill(b, 100_000, 64, 1) })
-	b.Run("n100000_t64_wmax", func(b *testing.B) { benchLinkRefill(b, 100_000, 64, 0) })
-}
-
 // --- gateway slot loop ----------------------------------------------
 
 // benchGatewayStep times gateway.Step with k sessions in service on

@@ -77,15 +77,17 @@ type Config struct {
 	// interfaces, as before the link-table layer). A caller-supplied Link
 	// is used regardless of this cap.
 	LinkTableMaxRows int
-	// LinkTileSlots, when positive, compiles a tiled link table
-	// (CompileLinkTiled) holding only this many consecutive slots
-	// resident instead of the whole horizon: the engine recompiles the
-	// block in place as its slot clock advances, so link-state memory is
+	// LinkTileSlots, when positive, bounds the run's link state at about
 	// users × LinkTileSlots rows no matter the horizon — the fleet
-	// runner's per-cell setting. Per-cell results are byte-identical to
-	// the monolithic table's (differentially asserted). Ignored when a
-	// caller-supplied Link is present; a value ≥ MaxSlots degenerates to
-	// the monolithic table.
+	// runner's per-cell setting — instead of compiling the whole horizon:
+	// the engine keeps a sliding link window (linkwindow.go) of two blocks
+	// of ⌈LinkTileSlots/2⌉ slots each, ticking one while the next fills
+	// into the other (in the background when the fill is big enough to be
+	// worth handing off, in place otherwise, and then the second block is
+	// never allocated). Results are byte-identical to the whole-horizon
+	// table's (differentially asserted). Ignored when a caller-supplied
+	// Link is present; a value ≥ MaxSlots compiles the whole horizon.
+	// (OpenConfig.TileSlots, by contrast, is the length of one block.)
 	LinkTileSlots int
 	// Outages lists base-station outage windows: during each [From, To)
 	// slot range the serving capacity is zero, no allocation happens, and
@@ -399,25 +401,24 @@ type Simulator struct {
 	// Simulator's whole life). The dynamic columns (Active, BufferSec,
 	// RemainingKB, TailGap, NeverActive, MaxUnits) are engine-owned arrays
 	// refreshed in place each slot; the static physics columns alias the
-	// link table's slot windows (attachSlotColumns) when one is compiled,
-	// and are engine-owned otherwise. With ABR the Rate column is always
+	// link window's slot rows (attachSlotColumns) when there is one, and
+	// are engine-owned otherwise. With ABR the Rate column is always
 	// engine-owned — the player picks rates per slot, and the shared
 	// immutable table must never be written through. RunReference swaps
 	// in private static columns for the same reason.
 	cols  sched.Columns
-	luCol []int32 // slot's Eq. (1) link-unit column (link-table path only)
+	luCol []int32 // slot's Eq. (1) link-unit column (link-window path only)
 
 	// Engine state for the sharded active-list tick path (Run).
-	workers   int        // resolved Config.Workers (0 → GOMAXPROCS)
-	shardSize int        // resolved Config.ShardSize (0 → defaultShardSize)
-	link      *LinkTable // flattened link view; nil → interface path
-	// openTile, when non-nil, is the open-system engine's horizon-free
-	// link window (open.go): an engine-owned slot-major block of analytic
-	// physics rows the static columns alias exactly like a link table's
-	// windows. Mutually exclusive with link; NewOpen installs it.
-	openTile *openTile
-	live     []int // started, unretired users, ascending index
-	pending  []int // not-yet-started users, ordered by (StartSlot, index)
+	workers   int // resolved Config.Workers (0 → GOMAXPROCS)
+	shardSize int // resolved Config.ShardSize (0 → defaultShardSize)
+	// win is the run's link window (linkwindow.go), whose slot rows the
+	// static physics columns alias: over a compiled LinkTable, a sliding
+	// one under Config.LinkTileSlots, or the open engine's (NewOpen
+	// installs it). nil → the interface path.
+	win     *linkWindow
+	live    []int // started, unretired users, ascending index
+	pending []int // not-yet-started users, ordered by (StartSlot, index)
 	// pendHead is the first undrained pending entry: admit advances it
 	// instead of re-slicing pending's head, so the backing array never
 	// creeps under churn (the open engine re-compacts before inserting).
@@ -460,18 +461,17 @@ type Simulator struct {
 	// columns across the fused pass: attachSlotColumns has already moved
 	// s.cols on to the next slot's windows, but the commit half of the
 	// pass must still price this slot's deliveries with this slot's
-	// physics. With a link table these are zero-copy aliases of immutable
-	// windows; without one they alias the engine-owned arrays and the
-	// fused kernel relies on its per-user read-commit-then-write-prepare
-	// order.
+	// physics. With a link window these are zero-copy aliases of resident
+	// rows; without one they alias the engine-owned arrays and the fused
+	// kernel relies on its per-user read-commit-then-write-prepare order.
 	prevEpkb []units.MJ
 	prevRate []units.KBps
 	// prevEpkbBuf/prevRateBuf are the copy fallback behind prevEpkb/
-	// prevRate for tiled link tables: when attaching slot n+1 will
-	// recompile the resident block (tile crossing), aliasing slot n's
-	// windows would hand the fused pass freshly overwritten memory, so
-	// pinPrevColumns copies the columns here first — an O(users) copy
-	// once per tile, not per slot. Allocated on first use, reused after.
+	// prevRate: when attaching slot n+1 will evict the resident block
+	// (window crossing), aliasing slot n's rows would hand the fused pass
+	// memory the next fill is overwriting, so pinPrevColumns copies the
+	// columns here first — an O(users) copy once per window, not per
+	// slot. Allocated on first use, reused after.
 	prevEpkbBuf                            []units.MJ
 	prevRateBuf                            []units.KBps
 	prepFn                                 func(int)
@@ -568,33 +568,27 @@ func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, allowEm
 	// the sharded prepare phase can read them concurrently because no
 	// memo grows mid-run.
 	workload.PrewarmAll(sim.workers, sessions, cfg.MaxSlots)
-	// Attach (or compile) the flattened link view the tick path reads in
-	// place of the signal/radio interfaces. A caller-supplied table is
-	// validated against this run's shape; otherwise one is compiled here
-	// unless the run exceeds the memory cap or compilation is disabled.
-	if cfg.Link != nil {
-		if err := cfg.Link.compatible(cfg, sessions); err != nil {
-			return nil, err
-		}
-		sim.link = cfg.Link
-	} else if cfg.LinkTileSlots > 0 {
-		lt, err := CompileLinkTiled(cfg, sessions, cfg.LinkTileSlots)
-		if err != nil {
-			return nil, err
-		}
-		sim.link = lt
-	} else if cfg.LinkTableMaxRows >= 0 {
-		maxRows := cfg.LinkTableMaxRows
-		if maxRows == 0 {
-			maxRows = DefaultLinkTableMaxRows
-		}
-		if int64(len(sessions))*int64(cfg.MaxSlots) <= int64(maxRows) {
-			lt, err := CompileLink(cfg, sessions)
-			if err != nil {
-				return nil, err
-			}
-			sim.link = lt
-		}
+	// Attach the link window the tick path reads in place of the
+	// signal/radio interfaces: over a caller-supplied table, validated
+	// against this run's shape; a sliding one under LinkTileSlots; or over
+	// a table compiled here, unless the run exceeds the memory cap or
+	// compilation is disabled.
+	lt := cfg.Link
+	var err error
+	switch {
+	case lt != nil:
+		err = lt.compatible(cfg, sessions)
+	case cfg.LinkTileSlots > 0 && cfg.LinkTileSlots < cfg.MaxSlots:
+		sim.win, err = newLinkWindow(cfg, sim.workers, (cfg.LinkTileSlots+1)/2,
+			len(sessions), cfg.MaxSlots, constRate(sessions), sessions)
+	case cfg.LinkTileSlots > 0 || autoLinkFits(cfg, len(sessions)):
+		lt, err = CompileLink(cfg, sessions)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if lt != nil {
+		sim.win = tableWindow(lt)
 	}
 	sim.slot = sched.Slot{
 		Tau:           cfg.Tau,
@@ -605,9 +599,9 @@ func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, allowEm
 	sim.capUnits = sim.slot.CapacityUnits
 	// Column storage for the slot view. Dynamic columns are always
 	// engine-owned; the static physics columns are allocated only
-	// when no link table backs them (attachSlotColumns aliases the table's
-	// slot windows otherwise), and the Rate column additionally whenever
-	// ABR overrides the workload rates.
+	// when no link window backs them (attachSlotColumns aliases the
+	// window's slot rows otherwise), and the Rate column additionally
+	// whenever ABR overrides the workload rates.
 	n := len(sessions)
 	sim.cols = sched.Columns{
 		Active:      make([]bool, n),
@@ -617,7 +611,7 @@ func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, allowEm
 		NeverActive: make([]bool, n),
 		MaxUnits:    make([]int32, n),
 	}
-	if sim.link == nil {
+	if sim.win == nil {
 		sim.cols.Sig = make([]units.DBm, n)
 		sim.cols.LinkRate = make([]units.KBps, n)
 		sim.cols.EnergyPerKB = make([]units.MJ, n)
@@ -643,6 +637,16 @@ func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, allowEm
 	sim.unfinished = len(sessions)
 	sim.colsSlot = -1
 	return sim, nil
+}
+
+// autoLinkFits reports whether New compiles a whole-horizon link table on
+// its own: compilation is enabled and the run's rows fit the cap.
+func autoLinkFits(cfg Config, users int) bool {
+	maxRows := cfg.LinkTableMaxRows
+	if maxRows == 0 {
+		maxRows = DefaultLinkTableMaxRows
+	}
+	return int64(users)*int64(cfg.MaxSlots) <= int64(maxRows)
 }
 
 // newResult allocates the result shell both engines fill in.
@@ -705,33 +709,15 @@ func (s *Simulator) abrDemand(i int, u *userState, active bool) (units.KBps, uni
 }
 
 // attachSlotColumns points the slot view's static physics columns at the
-// link table's slot-n windows: zero-copy reslices of shared immutable
-// memory, swapped per slot, never written through. Without a table the
-// columns are engine-owned arrays and prepareColsUser refreshes them.
+// link window's slot-n rows: zero-copy reslices, swapped per slot, never
+// written through, valid until the window's next swap. Without a window
+// the columns are engine-owned arrays and prepareColsUser refreshes them.
 func (s *Simulator) attachSlotColumns(n int) {
-	if s.link == nil && s.openTile == nil {
+	if s.win == nil {
 		return
 	}
-	var sig []units.DBm
-	var link, rate []units.KBps
-	var epkb []units.MJ
-	var lu []int32
-	if s.link != nil {
-		// Restrict a tiled table's window recompiles to the rows the run
-		// can still read: once every admission has happened, those are
-		// exactly the live users (retired rows are never read again). With
-		// admissions still pending the full block is compiled — a user
-		// admitted later in the window must find its rows ready.
-		if s.pendingCount() == 0 {
-			s.link.setRows(s.live)
-		} else {
-			s.link.setRows(nil)
-		}
-		sig, link, epkb, rate, lu = s.link.slotColumns(n)
-	} else {
-		s.openTile.ensure(n)
-		sig, link, epkb, rate, lu = s.openTile.slotColumns(n)
-	}
+	s.win.ensure(n)
+	sig, link, epkb, rate, lu := s.win.slotColumns(n, len(s.users))
 	s.cols.Sig, s.cols.LinkRate, s.cols.EnergyPerKB = sig, link, epkb
 	s.luCol = lu
 	if s.cfg.ABR == nil {
@@ -739,15 +725,15 @@ func (s *Simulator) attachSlotColumns(n int) {
 	}
 }
 
-// colsTabled reports whether the static physics columns are backed by a
-// precompiled view (link table or open tile), so prepareColsUser reads
-// them instead of evaluating the radio model.
-func (s *Simulator) colsTabled() bool { return s.link != nil || s.openTile != nil }
+// colsTabled reports whether the static physics columns are backed by
+// the link window, so prepareColsUser reads them instead of evaluating
+// the radio model.
+func (s *Simulator) colsTabled() bool { return s.win != nil }
 
 // prepareColsUser refreshes user i's entries of the slot's columns for
-// slot slotIdx and reports whether the user is active. With a tabled
-// view attached (link table or open tile) the static physics columns
-// already alias the precompiled slot windows, so only the dynamic
+// slot slotIdx and reports whether the user is active. With a link
+// window attached the static physics columns already alias its
+// precomputed slot rows, so only the dynamic
 // columns (activity, buffer, demand, tail) are written; otherwise the
 // physics are evaluated analytically through the signal and radio
 // interfaces into the engine-owned columns — the path RunReference always

@@ -103,10 +103,12 @@ func (s *Simulator) Advance(upto int) (bool, error) {
 	}
 	for !s.stepDone && s.nextSlot < upto {
 		if err := s.stepCtx.Err(); err != nil {
+			s.stopWindow()
 			return false, fmt.Errorf("cell: run cancelled at slot %d: %w", s.nextSlot, err)
 		}
 		done, err := s.tickSlot(s.nextSlot)
 		if err != nil {
+			s.stopWindow()
 			return false, err
 		}
 		if done {
@@ -168,6 +170,13 @@ func RunArmsCtx(ctx context.Context, sims []*Simulator) ([]*Result, error) {
 		sim.startRun(ctx)
 	}
 	defer pprof.SetGoroutineLabels(ctx)
+	// The normal way out stops each arm's link window in finishRun; this
+	// covers the error returns below (stopping twice is harmless).
+	defer func() {
+		for _, sim := range sims {
+			sim.stopWindow()
+		}
+	}()
 
 	done := make([]bool, len(sims))
 	running := len(sims)
@@ -228,10 +237,20 @@ func (s *Simulator) startRun(ctx context.Context) {
 
 // finishRun pads the recorded series and finalizes the result.
 func (s *Simulator) finishRun() *Result {
+	s.stopWindow()
 	res := s.curRes
 	s.padSamples(res)
 	res.Finalize()
 	return res
+}
+
+// stopWindow ends the link window's background fill, if one is running:
+// every way out of a run — finished, failed or cancelled — passes through
+// here, so no goroutine outlives the run.
+func (s *Simulator) stopWindow() {
+	if s.win != nil {
+		s.win.stop()
+	}
 }
 
 // smallNSerialCutoff is the live-user count below which the tick phases
@@ -270,7 +289,7 @@ func (s *Simulator) tickSlot(slotIdx int) (bool, error) {
 	workers := s.runWorkers(len(s.live))
 
 	// Phase 1: prepare. Re-alias the static physics columns to this
-	// slot's link-table window (three slice-header writes), then each
+	// slot's link-window rows (three slice-header writes), then each
 	// shard refreshes its users' dynamic columns in place and collects
 	// its segment of the active list. Skipped entirely when the previous
 	// slot's fused pass already prepared this slot.
@@ -350,25 +369,22 @@ func (s *Simulator) tickSlot(slotIdx int) (bool, error) {
 
 // pinPrevColumns pins this slot's static price and rate columns for the
 // fused pass before attachSlotColumns moves the view on to slot next.
-// Normally the pins are zero-copy aliases of the current columns — with
-// a monolithic link table those windows stay valid forever, and without
-// a table the fused kernel's per-user read-commit-then-write-prepare
-// order protects the engine-owned arrays. A tiled table breaks the
-// aliasing case exactly when attaching slot next recompiles the resident
-// block: the aliased windows would be overwritten with slot-next physics
-// before the commit half reads them, so the columns are copied into
-// engine scratch first. The copy happens once per tile crossing (an
-// O(users) memmove every window slots) and copies values bitwise, so
-// results are unchanged.
+// Normally the pins are zero-copy aliases of the current columns — rows of
+// the resident link block stay put while it is resident, and without a
+// window the fused kernel's per-user read-commit-then-write-prepare order
+// protects the engine-owned arrays. Aliasing breaks exactly when attaching
+// slot next evicts the resident block: its rows go to the next fill and
+// would be overwritten before the commit half reads them, so the columns
+// are copied into engine scratch first. The copy happens once per window
+// crossing (an O(users) memmove every block) and copies values bitwise,
+// so results are unchanged.
 func (s *Simulator) pinPrevColumns(next int) {
-	evict := (s.link != nil && s.link.willEvict(next)) ||
-		(s.openTile != nil && s.openTile.willEvict(next))
-	if evict {
+	if s.win != nil && s.win.willEvict(next) {
 		s.prevEpkbBuf = append(s.prevEpkbBuf[:0], s.cols.EnergyPerKB...)
 		s.prevEpkb = s.prevEpkbBuf
 		if s.cfg.ABR == nil {
-			// Rate aliases the table only without ABR; under ABR it is an
-			// engine-owned array the recompile never touches.
+			// Rate aliases the window only without ABR; under ABR it is an
+			// engine-owned array no fill ever touches.
 			s.prevRateBuf = append(s.prevRateBuf[:0], s.cols.Rate...)
 			s.prevRate = s.prevRateBuf
 		} else {
@@ -435,9 +451,6 @@ func (s *Simulator) admit(slotIdx int, res *Result) {
 	}
 }
 
-// pendingCount returns how many admitted-but-not-started users remain.
-func (s *Simulator) pendingCount() int { return len(s.pending) - s.pendHead }
-
 // mergeSorted merges ascending add into ascending xs in place, from the
 // back: only the entries of xs above add's smallest move. The two lists
 // are disjoint.
@@ -473,10 +486,11 @@ func (s *Simulator) retireEligible(i int) bool {
 // dropRetired compacts the live list, zeroing retired users' dynamic
 // columns and allocations so a stale Active flag can never leak into a
 // later slot's scheduling. Only the engine-owned dynamic columns are
-// touched — the static physics columns may alias the shared link table
-// and must never be written through. For the open engine the dropped
-// users are also logged, so its reap folds exactly them instead of
-// rescanning the table.
+// touched — the static physics columns may alias a shared link table
+// and must never be written through. A retired user's row is never read
+// again, so the link window stops filling it. For the open engine the
+// dropped users are also logged, so its reap folds exactly them instead
+// of rescanning the table.
 func (s *Simulator) dropRetired() {
 	c := &s.cols
 	w := 0
@@ -484,6 +498,9 @@ func (s *Simulator) dropRetired() {
 		if s.users[i].retired {
 			if s.logRetired {
 				s.retiredLog = append(s.retiredLog, i)
+			}
+			if s.win != nil {
+				s.win.dropRow(i)
 			}
 			c.Active[i] = false
 			c.BufferSec[i] = 0

@@ -19,12 +19,10 @@ import (
 // function of (seed, slot, user).
 
 // SlotEnergyPerKB returns slot n's per-user energy-price column as a
-// zero-copy reslice of the table. Callers must never write through it.
-// Monolithic tables return shared immutable state valid forever; tiled
-// tables return a view of the resident block (recompiled if needed) that
-// the next window advance invalidates.
+// zero-copy reslice of the table: shared immutable state, valid forever.
+// Callers must never write through it.
 func (t *LinkTable) SlotEnergyPerKB(n int) []units.MJ {
-	_, _, epkb, _, _ := t.slotColumns(n)
+	_, _, epkb, _, _ := t.slot(n, t.users)
 	return epkb
 }
 
@@ -32,15 +30,13 @@ func (t *LinkTable) SlotEnergyPerKB(n int) []units.MJ {
 // zero-copy reslice of the table, with the same validity rules as
 // SlotEnergyPerKB.
 func (t *LinkTable) SlotLinkUnits(n int) []int32 {
-	_, _, _, _, lu := t.slotColumns(n)
+	_, _, _, _, lu := t.slot(n, t.users)
 	return lu
 }
 
 // MaxLinkUnits returns the largest Eq. (1) per-user unit limit anywhere
 // in the table — the cap no honest or corrupted prediction of this
-// table may exceed. Monolithic tables only: a tiled table holds one
-// window, so the whole-horizon maximum is not available (NewNoisyForecast,
-// the sole consumer, rejects tiled tables for this reason).
+// table may exceed.
 func (t *LinkTable) MaxLinkUnits() int {
 	var m int32
 	for _, lu := range t.lu {
@@ -51,52 +47,14 @@ func (t *LinkTable) MaxLinkUnits() int {
 	return int(m)
 }
 
-// tableForecast is the exact future-channel view of a monolithic table:
-// predictions are the compiled columns themselves.
+// tableForecast is the exact future-channel view of a table: predictions
+// are the compiled columns themselves.
 type tableForecast struct{ t *LinkTable }
 
-// Forecast returns the table's exact sched.Forecast view. A monolithic
-// table's forecast also implements sched.SlotWindower, so the Predictive
-// scheduler's window prefetch re-aliases the columns without copies. A
-// tiled table returns a computed forecast instead: random-access reads
-// re-derive each entry from the retained sessions and radio model through
-// the identical expressions the compiled rows used — bitwise-equal values
-// — rather than thrashing the resident window, and no SlotWindower is
-// offered since a window view would be invalidated by the engine's own
-// tile advances.
-func (t *LinkTable) Forecast() sched.Forecast {
-	if t.window > 0 {
-		return computedForecast{t}
-	}
-	return tableForecast{t}
-}
-
-// computedForecast serves a tiled table's predictions by recomputation:
-// each read evaluates the same signal/LUT-or-analytic/floor expressions
-// the fill writes into the resident block, so predictions equal the
-// monolithic table's columns bitwise without requiring residency.
-type computedForecast struct{ t *LinkTable }
-
-// HorizonSlots implements sched.Forecast.
-func (f computedForecast) HorizonSlots() int { return f.t.slots }
-
-// PredictedEnergyPerKB implements sched.Forecast.
-func (f computedForecast) PredictedEnergyPerKB(n, i int) units.MJ {
-	_, p := f.t.evalRow(n, i)
-	return p
-}
-
-// PredictedLinkUnits implements sched.Forecast.
-func (f computedForecast) PredictedLinkUnits(n, i int) int {
-	v, _ := f.t.evalRow(n, i)
-	return floorUnits(float64(v)*float64(f.t.tau), float64(f.t.unit))
-}
-
-// evalRow evaluates one (slot, user) link entry through the same
-// expressions the fill uses for the resident block.
-func (t *LinkTable) evalRow(n, i int) (units.KBps, units.MJ) {
-	return t.fill.eval(t.sessions[i].Signal.At(n))
-}
+// Forecast returns the table's exact sched.Forecast view. It also
+// implements sched.SlotWindower, so the Predictive scheduler's window
+// prefetch re-aliases the columns without copies.
+func (t *LinkTable) Forecast() sched.Forecast { return tableForecast{t} }
 
 // HorizonSlots implements sched.Forecast.
 func (f tableForecast) HorizonSlots() int { return f.t.slots }
@@ -145,9 +103,6 @@ type NoisyForecast struct {
 func NewNoisyForecast(t *LinkTable, seed uint64, errFrac float64) (*NoisyForecast, error) {
 	if t == nil {
 		return nil, fmt.Errorf("cell: noisy forecast needs a link table")
-	}
-	if t.window > 0 {
-		return nil, fmt.Errorf("cell: noisy forecast needs a monolithic link table (tiled tables cannot provide the whole-horizon MaxLinkUnits clamp)")
 	}
 	if math.IsNaN(errFrac) || math.IsInf(errFrac, 0) || errFrac < 0 {
 		return nil, fmt.Errorf("cell: invalid forecast error level %v", errFrac)

@@ -31,23 +31,15 @@ import (
 const linkRowBytes = 4*8 + 4
 
 // LinkTable is the flattened link view of one workload under one radio
-// model and slot grid. A monolithic table (CompileLink) is immutable and
-// safe to share across any number of concurrent Simulators (the
+// model and slot grid: the product of CompileLink, immutable once compiled
+// and safe to share across any number of concurrent Simulators (the
 // experiment harness compiles one per scenario and hands it to every
-// scheduler run); nothing in the engine writes to it — the engine only
-// reslices the columns, so the slot views it hands to schedulers alias
-// this shared memory read-only.
-//
-// A tiled table (CompileLinkTiled) keeps only a sliding window of slots
-// resident and refills the block in place as the engine's slot clock
-// advances past it, bounding the footprint at users × window rows instead
-// of users × horizon. That makes it mutable and single-owner: it must not
-// be shared across simulators (New rejects a tiled Config.Link), and the
-// column views it returns are valid only until the next slot outside the
-// resident window is requested. Every row a tiled table serves is
-// bitwise-identical to the monolithic table's row for the same (slot,
-// user) — both come out of the same fill — which the tiled differential
-// tests assert end to end.
+// scheduler run). Nothing in the engine writes to it — the engine's link
+// window over a table (tableWindow) only reslices the columns, so the
+// slot views it hands to schedulers alias this shared memory read-only.
+// A run that must not hold users × horizon rows sets Config.LinkTileSlots
+// instead and gets an engine-owned sliding window (linkwindow.go), which
+// is not a LinkTable and is never shared.
 type LinkTable struct {
 	users int
 	slots int
@@ -56,25 +48,8 @@ type LinkTable struct {
 	lut   bool // the fill went through an exact radio.Table
 
 	// Slot-major parallel columns: slot n's per-user window sits at slot
-	// offset n-base (base is 0 and never moves for monolithic tables).
+	// offset n.
 	linkCols
-
-	// Tiling state; zero/nil for monolithic tables (window == 0), which
-	// drop the filler and the sessions once compiled.
-	fill     *linkFiller
-	sessions []*workload.Session
-	window   int // resident slot capacity (0 = monolithic, all slots resident)
-	base     int // first resident slot
-	resident int // resident slot count: min(window, slots-base)
-
-	// rows, when non-nil, restricts refills to those user rows (the
-	// engine's live set): rows the engine will never read again — retired
-	// users — keep stale values instead of being recomputed every window
-	// crossing. nil means every row. The engine refreshes it per attach
-	// (setRows) and only once no future admissions remain, so every row a
-	// prepare or commit can read is always freshly filled; direct
-	// slotColumns users (tests, tools) leave it nil and get full blocks.
-	rows []int
 }
 
 // DefaultLinkTableMaxRows caps the automatic link-table compilation in
@@ -92,31 +67,22 @@ func CompileLink(cfg Config, sessions []*workload.Session) (*LinkTable, error) {
 	return compileLink(cfg, sessions, cfg.MaxSlots)
 }
 
-// CompileLinkTiled builds a tiled link table: only `window` consecutive
-// slots are resident at a time (users × window rows), and requesting a
-// slot outside the resident block refills the block in place starting at
-// that slot. The engine's strictly advancing slot clock therefore pays
-// one window fill every `window` slots and holds users × window rows of
-// link state no matter how long the horizon is — the property the fleet
-// runner's memory budget rests on.
-//
-// Every row served is bitwise-identical to CompileLink's row for the same
-// (slot, user): one fill kernel writes both, and it consults the radio
-// table only when the table is exact — a property of the model, with no
-// signal domain to observe first.
-//
-// A window ≥ cfg.MaxSlots degenerates to (and returns) the monolithic
-// table. The returned tiled table is mutable single-owner state: attach
-// it to exactly one Simulator (via Config.LinkTileSlots, which calls
-// this), never via the shared Config.Link.
+// CompileLinkTiled compiles the first min(window, cfg.MaxSlots) slots as
+// an ordinary immutable LinkTable — users × window rows, what one
+// engine-owned link window of that length holds. It is retained only for
+// benchmark/cell_dense.go, which prices a window (cell.link_compile_ms,
+// cell.link_mb) through it; New accepts the result via Config.Link only
+// for a run no longer than the slots it covers. Runs tile their link state
+// with Config.LinkTileSlots, not with this.
 func CompileLinkTiled(cfg Config, sessions []*workload.Session, window int) (*LinkTable, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("cell: non-positive link tile window %d", window)
 	}
-	return compileLink(cfg, sessions, window)
+	return compileLink(cfg, sessions, min(window, cfg.MaxSlots))
 }
 
-func compileLink(cfg Config, sessions []*workload.Session, window int) (*LinkTable, error) {
+// compileLink fills slots [0, slots) of cfg's grid into a new table.
+func compileLink(cfg Config, sessions []*workload.Session, slots int) (*LinkTable, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -127,18 +93,14 @@ func compileLink(cfg Config, sessions []*workload.Session, window int) (*LinkTab
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	users, slots := len(sessions), cfg.MaxSlots
+	users := len(sessions)
 	// Prewarm to the horizon: a no-op for the stateless traces fleet
 	// workloads use, and for memoizing traces it front-loads the memo
-	// growth so no fill, tiled or not, ever extends one.
-	workload.PrewarmAll(workers, sessions, slots)
+	// growth so no fill ever extends one.
+	workload.PrewarmAll(workers, sessions, cfg.MaxSlots)
 	fill, err := newLinkFiller(cfg.Radio, cfg.Tau, cfg.Unit, workers, users)
 	if err != nil {
 		return nil, err
-	}
-	constRate := true
-	for _, sess := range sessions {
-		constRate = constRate && sess.RateJitter == 0
 	}
 	t := &LinkTable{
 		users:    users,
@@ -146,51 +108,21 @@ func compileLink(cfg Config, sessions []*workload.Session, window int) (*LinkTab
 		tau:      cfg.Tau,
 		unit:     cfg.Unit,
 		lut:      fill.tab != nil,
-		resident: min(window, slots),
+		linkCols: newLinkCols(users, slots, constRate(sessions)),
 	}
-	t.linkCols = newLinkCols(users, t.resident, constRate)
-	if window < slots {
-		t.window, t.fill, t.sessions = window, fill, sessions
-	}
-	fill.fill(&t.linkCols, sessions, nil, users, 0, 0, t.resident)
+	fill.fill(&t.linkCols, sessions, nil, users, 0, 0, slots)
 	return t, nil
 }
 
-// ensureSlot makes slot n resident, refilling the block to start at n
-// when it is not. Monolithic tables keep every slot resident.
-func (t *LinkTable) ensureSlot(n int) {
-	if !t.willEvict(n) {
-		return
+// constRate reports whether no session has rate jitter, so one rate row
+// serves every slot.
+func constRate(sessions []*workload.Session) bool {
+	for _, sess := range sessions {
+		if sess.RateJitter != 0 {
+			return false
+		}
 	}
-	if n < 0 || n >= t.slots {
-		panic(fmt.Sprintf("cell: link table slot %d outside horizon %d", n, t.slots))
-	}
-	t.base, t.resident = n, min(t.window, t.slots-n)
-	// Live-row refill: with t.rows set, only the rows the engine can still
-	// read are recomputed. The values written are identical to the full
-	// pass — stale rows are exactly the ones no reader reaches — so a
-	// run's Result is unchanged for any worker count.
-	t.fill.fill(&t.linkCols, t.sessions, t.rows, t.users, 0, n, n+t.resident)
-}
-
-// willEvict reports whether making slot n resident would refill the
-// block, invalidating every column view previously returned. The engine
-// consults it before the fused pass to know when the pinned previous-slot
-// columns must be copied instead of aliased.
-func (t *LinkTable) willEvict(n int) bool {
-	return t.window > 0 && (n < t.base || n >= t.base+t.resident)
-}
-
-// setRows installs the live-row set the next refill is restricted to
-// (nil = every row). The engine passes its live list only when no
-// pending admissions remain, so no future reader can touch a skipped
-// row; the slice is read synchronously inside the next slotColumns call
-// and not retained beyond it in any way that outlives the caller's
-// ownership.
-func (t *LinkTable) setRows(rows []int) {
-	if t.window > 0 {
-		t.rows = rows
-	}
+	return true
 }
 
 // Users returns the user count the table was compiled for.
@@ -209,27 +141,11 @@ func (t *LinkTable) Unit() units.KB { return t.unit }
 // radio.Table (false means direct analytic evaluation).
 func (t *LinkTable) ViaLUT() bool { return t.lut }
 
-// TileWindow returns the resident slot window of a tiled table, or 0 for
-// a monolithic table (every slot resident).
-func (t *LinkTable) TileWindow() int { return t.window }
-
-// MemoryBytes returns the resident size of the packed column arrays:
-// users × horizon rows for a monolithic table, users × window for a
-// tiled one, at linkRowBytes per row — less 8 per row beyond the first
-// slot when every session's required rate is constant and one rate row
-// serves all slots.
+// MemoryBytes returns the size of the packed column arrays: users × slots
+// rows at linkRowBytes per row — less 8 per row beyond the first slot when
+// every session's required rate is constant and one rate row serves all
+// slots.
 func (t *LinkTable) MemoryBytes() int64 { return t.linkCols.bytes() }
-
-// slotColumns returns zero-copy views of slot n's per-user columns. The
-// engine aliases these directly into the sched.Columns slot view; they
-// must never be written through. For a monolithic table the views are
-// shared immutable state valid forever; for a tiled table they alias the
-// resident block (recompiled here if slot n is outside it) and are
-// invalidated by the next slotColumns call that advances the window.
-func (t *LinkTable) slotColumns(n int) (sig []units.DBm, link []units.KBps, epkb []units.MJ, rate []units.KBps, linkUnits []int32) {
-	t.ensureSlot(n)
-	return t.slot(n-t.base, t.users)
-}
 
 // linkVerifySamples bounds the per-attach entry re-derivations performed
 // by compatible: enough samples, spread across users and slots, to make a
@@ -247,9 +163,6 @@ const linkVerifySamples = 16
 // provably exact), so any divergence means the table was compiled under
 // a different model or workload and would silently replay wrong physics.
 func (t *LinkTable) compatible(cfg Config, sessions []*workload.Session) error {
-	if t.window > 0 {
-		return fmt.Errorf("cell: tiled link tables are mutable single-owner state and cannot be shared via Config.Link; set Config.LinkTileSlots to compile one per run")
-	}
 	if t.users != len(sessions) {
 		return fmt.Errorf("cell: link table compiled for %d users, run has %d", t.users, len(sessions))
 	}

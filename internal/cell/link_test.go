@@ -84,7 +84,7 @@ func TestLinkTableMatchesAnalytic(t *testing.T) {
 			}
 			tau, unit := float64(cfg.Tau), float64(cfg.Unit)
 			for n := 0; n < slots; n++ {
-				sigs, links, epkbs, rates, lus := lt.slotColumns(n)
+				sigs, links, epkbs, rates, lus := lt.slot(n, users)
 				for i, sess := range sessions {
 					sig := sess.Signal.At(n)
 					if sigs[i] != sig {
@@ -126,8 +126,8 @@ func TestRunBitwiseEqualWithLinkTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (maxRows >= 0) != (sim.link != nil) {
-			t.Fatalf("maxRows=%d: link table presence %v", maxRows, sim.link != nil)
+		if (maxRows >= 0) != (sim.win != nil) {
+			t.Fatalf("maxRows=%d: link window presence %v", maxRows, sim.win != nil)
 		}
 		res, err := sim.Run()
 		if err != nil {
@@ -156,7 +156,7 @@ func TestAutoLinkTableCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.link != nil {
+	if sim.win != nil {
 		t.Error("over-cap run compiled a table")
 	}
 	cfg.LinkTableMaxRows = 4 * 100
@@ -164,7 +164,7 @@ func TestAutoLinkTableCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.link == nil {
+	if sim.win == nil {
 		t.Error("at-cap run skipped the table")
 	}
 }
@@ -238,7 +238,7 @@ func TestConfigLinkCompatibility(t *testing.T) {
 
 // TestRunReferenceKeepsLinkTable pins the reference arm's independence
 // from the compiled table: it bypasses the table without mutating the
-// Simulator (s.link survives the run, so nothing observing the Simulator
+// Simulator (s.win survives the run, so nothing observing the Simulator
 // concurrently can see it flip), and it prepares into static columns it
 // owns — two arms run concurrently against one shared monolithic
 // Config.Link (under -race in CI) and leave every row of the table
@@ -272,15 +272,16 @@ func TestRunReferenceKeepsLinkTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sim.link != lt {
+		win := sim.win
+		if win == nil || &win.cur.sig[0] != &lt.sig[0] {
 			t.Fatal("shared Config.Link not attached")
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			results[k], errs[k] = sim.RunReference()
-			if sim.link != lt {
-				t.Errorf("arm %d: RunReference replaced the simulator's link table", k)
+			if sim.win != win {
+				t.Errorf("arm %d: RunReference replaced the simulator's link window", k)
 			}
 		}()
 	}

@@ -10,9 +10,9 @@ import (
 	"jointstream/internal/workload"
 )
 
-// This file is the one link-window fill every provider calls: the closed
-// engine's monolithic and tiled LinkTable and the open engine's openTile.
-// It turns (session, slot) into the five physics values the tick reads —
+// This file is the one link-window fill: compileLink's whole-horizon table
+// and every block of the engine's link window (linkwindow.go) come out of
+// it. It turns (session, slot) into the five physics values the tick reads —
 // signal, throughput v(sig), per-KB energy P(sig), required rate and the
 // Eq. (1) limit ⌊τ·v/δ⌋ — with the floating-point expressions of the
 // analytic prepare path (prepareColsUser untabled), so a filled row is
@@ -103,16 +103,16 @@ type fillScratch struct {
 // A fill is set up by start and executed by run, which fans drain out over
 // the workers; fill is the two back to back. Blocks are claimed from the
 // filler's own counter, not dealt out by pool.Shard, so a goroutine outside
-// the fan-out can join a fill that is under way (drain): the open tile's
+// the fan-out can join a fill that is under way (drain): the link window's
 // foreground does, for whatever is left of a background fill at a window
-// swap (open.go).
+// swap (linkwindow.go).
 type linkFiller struct {
 	radio     radio.Model
 	tab       *radio.Table // nil unless bitwise-exact for radio
 	tau, unit float64
 	workers   int
 	width     int               // staged users per block: min(fillUsers, rows the destination holds)
-	free      chan *fillScratch // idle scratch, at most one per worker
+	free      chan *fillScratch // idle scratch: one per worker, one for a goroutine that joins from outside (drain)
 
 	// The running fill's arguments. They live here, and body is bound
 	// once, so a refill hands pool.Shard no fresh closure: the steady
@@ -142,7 +142,7 @@ func newLinkFiller(m radio.Model, tau units.Seconds, unit units.KB, workers, max
 		radio: m, tau: float64(tau), unit: float64(unit),
 		workers: workers,
 		width:   min(fillUsers, maxRows),
-		free:    make(chan *fillScratch, workers),
+		free:    make(chan *fillScratch, workers+1),
 	}
 	if tab.Exact() {
 		f.tab = tab
@@ -151,12 +151,17 @@ func newLinkFiller(m radio.Model, tau units.Seconds, unit units.KB, workers, max
 	return f, nil
 }
 
-// eval is one entry's radio evaluation, as the row kernel performs it.
-func (f *linkFiller) eval(sig units.DBm) (units.KBps, units.MJ) {
-	if f.tab != nil {
-		return f.tab.Lookup(sig)
+// clone returns a second filler for the same destinations — same model,
+// table, grid and worker bound, its own scratch and fill arguments — so two
+// fills can run at once.
+func (f *linkFiller) clone() *linkFiller {
+	c := &linkFiller{
+		radio: f.radio, tab: f.tab, tau: f.tau, unit: f.unit,
+		workers: f.workers, width: f.width,
+		free: make(chan *fillScratch, cap(f.free)),
 	}
-	return f.radio.Throughput.Throughput(sig), f.radio.Power.EnergyPerKB(sig)
+	c.body = c.drain
+	return c
 }
 
 // fill writes slots [base, hi) of the given rows into dst at slot offsets

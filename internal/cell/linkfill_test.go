@@ -3,7 +3,10 @@ package cell
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"jointstream/internal/radio"
@@ -58,11 +61,34 @@ func chordRadio(t *testing.T) radio.Model {
 	return radio.Model{Throughput: pw, Power: radio.FittedPower{Base: -0.167, Scale: 1560, V: pw}}
 }
 
+// slotView returns one slot's column views: a table's, or a link window's
+// once the slot is resident.
+type slotView func(n int) ([]units.DBm, []units.KBps, []units.MJ, []units.KBps, []int32)
+
+func tableView(lt *LinkTable) slotView {
+	return func(n int) ([]units.DBm, []units.KBps, []units.MJ, []units.KBps, []int32) {
+		return lt.slot(n, lt.users)
+	}
+}
+
+func windowView(w *linkWindow) slotView {
+	return func(n int) ([]units.DBm, []units.KBps, []units.MJ, []units.KBps, []int32) {
+		w.ensure(n)
+		return w.slotColumns(n, len(w.src))
+	}
+}
+
+// Hand-off thresholds that send every fill to the background, or none.
+const (
+	handoffAlways = 0
+	handoffNever  = math.MaxInt
+)
+
 // checkRowsAnalytic asserts that slot n's columns hold, for every listed
 // row, exactly what the analytic prepare computes through the interfaces.
-func checkRowsAnalytic(t *testing.T, lt *LinkTable, cfg Config, wl []*workload.Session, n int, rows []int) {
+func checkRowsAnalytic(t *testing.T, view slotView, cfg Config, wl []*workload.Session, n int, rows []int) {
 	t.Helper()
-	sig, link, epkb, rate, lu := lt.slotColumns(n)
+	sig, link, epkb, rate, lu := view(n)
 	tau, unit := float64(cfg.Tau), float64(cfg.Unit)
 	for _, i := range rows {
 		s := wl[i].Signal.At(n)
@@ -79,9 +105,10 @@ func checkRowsAnalytic(t *testing.T, lt *LinkTable, cfg Config, wl []*workload.S
 // TestFillKernelMatchesAnalytic is the kernel's keystone: for a user count
 // that is not a multiple of the shard width, a window that does not
 // divide the horizon, every worker count, constant and jittered rates,
-// exact-table and interface-only radio models, each row of the monolithic
-// and of the tiled table equals the analytic path's, bit for bit — and a
-// live-row refill (setRows) rewrites exactly the listed rows.
+// exact-table and interface-only radio models, each row of the compiled
+// table and of the link window — its fills handed to the background or
+// done in place — equals the analytic path's, bit for bit; and once rows
+// are dropped a fill rewrites exactly the rows still listed.
 func TestFillKernelMatchesAnalytic(t *testing.T) {
 	const users, slots, window = 2*fillUsers + 37, 150, 64
 	all := make([]int, users)
@@ -90,9 +117,11 @@ func TestFillKernelMatchesAnalytic(t *testing.T) {
 	}
 	// Runs of one, a long run across a shard boundary, and the last row.
 	var live []int
+	isLive := make([]bool, users)
 	for i := 0; i < users; i++ {
 		if i%3 == 0 || (i > fillUsers-20 && i < fillUsers+90) || i == users-1 {
 			live = append(live, i)
+			isLive[i] = true
 		}
 	}
 	for _, tc := range []struct {
@@ -113,37 +142,52 @@ func TestFillKernelMatchesAnalytic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tiled, err := CompileLinkTiled(cfg, wl, window)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if mono.ViaLUT() == tc.chord || tiled.ViaLUT() == tc.chord {
-					t.Fatalf("ViaLUT mono=%v tiled=%v with chord=%v", mono.ViaLUT(), tiled.ViaLUT(), tc.chord)
+				if mono.ViaLUT() == tc.chord {
+					t.Fatalf("ViaLUT %v with chord=%v", mono.ViaLUT(), tc.chord)
 				}
 				if shared := mono.rateStride == 0; shared != (tc.jitter == 0) {
 					t.Fatalf("shared rate row = %v with jitter %v", shared, tc.jitter)
 				}
 				for n := 0; n < slots; n++ {
-					checkRowsAnalytic(t, mono, cfg, wl, n, all)
-					checkRowsAnalytic(t, tiled, cfg, wl, n, all)
+					checkRowsAnalytic(t, tableView(mono), cfg, wl, n, all)
 				}
+				for _, handoff := range []int{handoffAlways, handoffNever} {
+					w, err := newLinkWindow(cfg, workers, window, users, slots, constRate(wl), wl)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w.handoffMin = handoff
+					defer w.stop()
+					if (w.fill.tab != nil) == tc.chord || w.cur.rateStride != mono.rateStride {
+						t.Fatalf("window: exact table %v, rate stride %d", w.fill.tab != nil, w.cur.rateStride)
+					}
+					for n := 0; n < slots; n++ {
+						checkRowsAnalytic(t, windowView(w), cfg, wl, n, all)
+					}
 
-				// Live-row refill: jump back to slot 0, then forward to a short
-				// window (the block restarts at the requested slot) with only
-				// the live rows listed; the others keep slot 0's values.
-				tiled.slotColumns(0)
-				tiled.setRows(live)
-				checkRowsAnalytic(t, tiled, cfg, wl, 2*window+5, live)
-				checkRowsAnalytic(t, tiled, cfg, wl, slots-1, live)
-				sig, _, _, _, _ := tiled.slotColumns(2*window + 5)
-				stale, _, _, _, _ := mono.slotColumns(0)
-				isLive := make(map[int]bool, len(live))
-				for _, i := range live {
-					isLive[i] = true
-				}
-				for i := range sig {
-					if !isLive[i] && sig[i] != stale[i] {
-						t.Fatalf("row %d is not live but was refilled", i)
+					// Drop every row that is not live, jump back to slot 0 and
+					// replay: each window is now filled — in place at slot 0 and
+					// at the jump to the last, short window, a block ahead in
+					// between — with only the live rows listed, and the others
+					// keep whatever the block held.
+					for i := range all {
+						if !isLive[i] {
+							w.dropRow(i)
+						}
+					}
+					for _, n := range []int{0, window - 1, window, 2*window + 5, slots - 1} {
+						// A block refilled in place keeps the dropped rows' old
+						// values at the same offsets.
+						inPlace := w.willEvict(n) && handoff == handoffNever
+						held, _, _, _, _ := w.cur.slot(n%window, users)
+						held = slices.Clone(held)
+						checkRowsAnalytic(t, windowView(w), cfg, wl, n, live)
+						sig, _, _, _, _ := w.slotColumns(n, users)
+						for i := range sig {
+							if inPlace && !isLive[i] && sig[i] != held[i] {
+								t.Fatalf("slot %d: row %d is dropped but was refilled", n, i)
+							}
+						}
 					}
 				}
 			})
@@ -208,4 +252,51 @@ func TestOpenTileMatchesAnalyticAtScale(t *testing.T) {
 	if stA.Departed == 0 || stA.Admitted <= initial {
 		t.Fatalf("script exercised no churn: %+v", stA)
 	}
+}
+
+// benchLinkRefill times the link window's block fill on its own: a window
+// of `users` prewarmed paper sessions and `tile`-slot blocks is bounced
+// between the horizon's two windows with hand-off disabled, so every
+// ensure below refills users × tile rows in place, on the caller and its
+// fan-out. ns/row (a row is one user-slot) is what the perf gate tracks;
+// the all-cores tier beating the one-worker tier is what contiguous
+// user-range shards bought — with one user per shard the workers shared
+// every cache line they wrote and it lost.
+func benchLinkRefill(b *testing.B, users, tile, workers int) {
+	const refillsPerIter = 4 // so -benchtime=1x still averages a few
+	wl, err := workload.Generate(workload.PaperDefaults(users), rng.New(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := PaperConfig()
+	cfg.MaxSlots = 2 * tile
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workload.PrewarmAll(workers, wl, cfg.MaxSlots)
+	w, err := newLinkWindow(cfg, workers, tile, users, cfg.MaxSlots, constRate(wl), wl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w.handoffMin = handoffNever
+	w.ensure(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < refillsPerIter; k++ {
+			// Window 0 is resident; alternate from 1.
+			n := ((k + 1) % 2) * tile
+			if !w.willEvict(n) {
+				b.Fatalf("slot %d is resident: nothing to refill", n)
+			}
+			w.ensure(n)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*refillsPerIter*users*tile), "ns/row")
+}
+
+// BenchmarkLinkRefill's name, tiers and unit are fixed: the perf-gate CI
+// job compares its ns/row column between a PR and its merge base.
+func BenchmarkLinkRefill(b *testing.B) {
+	b.Run("n100000_t64_w1", func(b *testing.B) { benchLinkRefill(b, 100_000, 64, 1) })
+	b.Run("n100000_t64_wmax", func(b *testing.B) { benchLinkRefill(b, 100_000, 64, 0) })
 }

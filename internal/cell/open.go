@@ -1,5 +1,5 @@
 // Open-system serving mode: the churn-driven, unbounded-horizon face of
-// the engine (ROADMAP item 2). OpenSim wraps the stepped Simulator
+// the engine. OpenSim wraps the stepped Simulator
 // (Start/Advance/Finish) and adds what a long-running service needs on
 // top of a closed batch run:
 //
@@ -19,11 +19,11 @@
 //     land in windowed streaming histograms (metrics.WindowedHist) at
 //     session end, and each window closes with a Result-delta snapshot,
 //     so p50/p99 never require a finalized run;
-//   - tiled link windows (openTile): an engine-owned slot-major block of
-//     analytically computed physics rows the static columns alias
-//     zero-copy, recompiled per window — the open-world replacement for
-//     the horizon-shaped link table, feeding the same tabled prepare
-//     path bit-identical values.
+//   - a link window that follows the session table (linkwindow.go): the
+//     same sliding window of precomputed link rows the closed engine runs
+//     on under Config.LinkTileSlots, here with rows admitted and dropped
+//     mid-run — the open-world replacement for the horizon-shaped link
+//     table, feeding the same prepare path bit-identical values.
 //
 // Closed-world equivalence is pinned by construction and by test: with
 // no mid-run Admit/Depart calls and a finite horizon, OpenSim drives the
@@ -37,7 +37,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"jointstream/internal/abr"
 	"jointstream/internal/metrics"
@@ -77,10 +76,11 @@ func (e *OverCapacityError) Is(target error) bool { return target == ErrOverCapa
 // OpenConfig parameterizes an open-system run.
 type OpenConfig struct {
 	// Cell is the engine configuration. Open mode always evaluates the
-	// radio model analytically (or through the open tile below) — the
-	// horizon-shaped link table cannot follow mid-run admissions — so
-	// Link/LinkTileSlots/LinkTableMaxRows are overridden; the LUT
-	// exactness property keeps results bit-identical to the tabled path.
+	// radio model analytically (or through the link window TileSlots
+	// installs) — the horizon-shaped link table cannot follow mid-run
+	// admissions — so Link/LinkTileSlots/LinkTableMaxRows are overridden;
+	// the LUT exactness property keeps results bit-identical to the tabled
+	// path.
 	// For churn-driven runs set Cell.RunFullHorizon: without it the
 	// engine's early exit declares the run over the moment every
 	// *currently admitted* session finishes, wedging later arrivals.
@@ -93,7 +93,7 @@ type OpenConfig struct {
 	// signal.Prewarmer memo) and zero RateJitter.
 	Unbounded bool
 	// MaxSessions caps concurrent in-service sessions (the admission
-	// controller's first check) and sizes the open tile. 0 means no cap
+	// controller's first check) and sizes the link window. 0 means no cap
 	// (and forbids TileSlots).
 	MaxSessions int
 	// HeadroomFrac enables the Eq.-1-style admission check: a new session
@@ -101,12 +101,15 @@ type OpenConfig struct {
 	// session plus its own would exceed HeadroomFrac × Cell.Capacity.
 	// 0 disables the check.
 	HeadroomFrac float64
-	// TileSlots, when positive, installs the open link tile: physics rows
-	// for a TileSlots-slot window × MaxSessions users are computed per
-	// window and aliased by the slot columns, so per-slot prepare skips
-	// the radio interfaces exactly like the closed engine's link table.
-	// Requires MaxSessions > 0. Values are bit-identical to the analytic
-	// path by construction.
+	// TileSlots, when positive, installs the engine's link window
+	// (linkwindow.go) with blocks of TileSlots slots × MaxSessions rows:
+	// link rows are computed a block ahead and aliased by the slot
+	// columns, so per-slot prepare skips the radio interfaces exactly like
+	// the closed engine's. TileSlots is the length of one block — a run
+	// whose fills are big enough to be handed to the background holds two
+	// (Config.LinkTileSlots, by contrast, bounds the closed engine's two
+	// blocks together). Requires MaxSessions > 0. Values are bit-identical
+	// to the analytic path by construction.
 	TileSlots int
 	// WindowSlots is the metric window length in slots (default 256).
 	WindowSlots int
@@ -221,8 +224,8 @@ const (
 func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*OpenSim, error) {
 	cc := cfg.Cell
 	// The horizon-shaped link table cannot cover sessions admitted later;
-	// open mode runs the analytic path (or its own tile), bit-identical
-	// by the LUT exactness property.
+	// open mode runs the analytic path (or a link window of its own),
+	// bit-identical by the LUT exactness property.
 	cc.Link = nil
 	cc.LinkTileSlots = 0
 	cc.LinkTableMaxRows = -1
@@ -310,7 +313,14 @@ func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*O
 	o.eng = eng
 	eng.logRetired = true
 	if cfg.TileSlots > 0 {
-		if eng.openTile, err = newOpenTile(eng, cfg.TileSlots, cfg.MaxSessions, cfg.Unbounded); err != nil {
+		// A bounded run's fills stop at the horizon its sessions are
+		// prewarmed to. Unbounded mode admits no session with rate jitter
+		// (vetSession), so its blocks keep one rate row for all slots.
+		horizon := cc.MaxSlots
+		if cfg.Unbounded {
+			horizon = -1
+		}
+		if eng.win, err = newLinkWindow(cc, eng.workers, cfg.TileSlots, cfg.MaxSessions, horizon, cfg.Unbounded, initial); err != nil {
 			return nil, err
 		}
 	}
@@ -424,9 +434,9 @@ func (o *OpenSim) Admit(sess *workload.Session) (int, error) {
 		o.serials[idx] = o.lastSer
 		o.owned[idx] = true
 	} else {
-		if s.openTile != nil && len(s.users) >= o.maxSessions {
-			// The tile's slot-major layout is sized for MaxSessions rows;
-			// it cannot grow past the cap even transiently.
+		if s.win != nil && len(s.users) >= o.maxSessions {
+			// The link window's slot-major layout is sized for MaxSessions
+			// rows; it cannot grow past the cap even transiently.
 			o.sessPool = append(o.sessPool, clone)
 			o.stats.Rejected++
 			return 0, &OverCapacityError{Reason: "session-cap", InService: o.stats.InService, MaxSessions: o.maxSessions}
@@ -447,8 +457,8 @@ func (o *OpenSim) Admit(sess *workload.Session) (int, error) {
 		// their memos to the horizon like New does for the initial set.
 		clone.Prewarm(s.cfg.MaxSlots)
 	}
-	if s.openTile != nil {
-		s.openTile.admitRow(idx)
+	if s.win != nil {
+		s.win.admitRow(idx, clone)
 		if s.colsSlot == s.nextSlot {
 			// The next slot's columns are already prepared (fused pass):
 			// re-alias the static columns so they cover the grown table.
@@ -502,7 +512,7 @@ func (o *OpenSim) appendSlot(sess *workload.Session) error {
 	c.TailGap = append(c.TailGap, 0)
 	c.NeverActive = append(c.NeverActive, false)
 	c.MaxUnits = append(c.MaxUnits, 0)
-	if s.openTile == nil {
+	if s.win == nil {
 		// Engine-owned static columns (analytic path).
 		c.Sig = append(c.Sig, 0)
 		c.LinkRate = append(c.LinkRate, 0)
@@ -510,7 +520,7 @@ func (o *OpenSim) appendSlot(sess *workload.Session) error {
 		c.Rate = append(c.Rate, 0)
 	} else if s.cfg.ABR != nil {
 		// Under ABR the Rate column stays engine-owned even when the
-		// other static columns alias the tile.
+		// other static columns alias the link window.
 		c.Rate = append(c.Rate, 0)
 	}
 	if s.abrCtls != nil {
@@ -621,6 +631,9 @@ func (o *OpenSim) Depart(id int) error {
 		s.pending = removeValue(s.pending, id)
 		s.live = removeSortedValue(s.live, id)
 		u.retired = true
+		if s.win != nil {
+			s.win.dropRow(id)
+		}
 		// Zero the dynamic columns and allocation so a stale Active flag
 		// can never leak into a later slot (mirrors dropRetired).
 		c := &s.cols
@@ -672,25 +685,22 @@ func (o *OpenSim) fold(id int, completed bool) {
 		o.sessPool = append(o.sessPool, s.sessions[id])
 		o.owned[id] = false
 	}
-	// Occupancy signal for the tile. An in-flight background fill reads
-	// its own copy of the session (openTile.kickFill), so neither this nor
-	// a reuse of the pooled clone waits for it.
+	// The row left the link window when its user retired or departed, and
+	// an in-flight background fill reads its own copy of the session
+	// (linkWindow.kickFill), so neither this nor a reuse of the pooled
+	// clone waits for it.
 	s.sessions[id] = nil
 	o.freed = append(o.freed, id)
 }
 
 // release returns the table slots folded since the last call to the
-// freelist — one merge for the batch — and has the tile drop their rows
-// at its next flush.
+// freelist — one merge for the batch.
 func (o *OpenSim) release() {
 	if len(o.freed) == 0 {
 		return
 	}
 	o.freelist = mergeSortedDesc(o.freelist, o.freed)
 	o.freed = o.freed[:0]
-	if t := o.eng.openTile; t != nil {
-		t.holes = true
-	}
 }
 
 // reap folds the sessions the engine retired (playback + delivery
@@ -731,10 +741,10 @@ func (o *OpenSim) AdvanceTo(upto int) (bool, error) {
 		o.eng.cfg.MaxSlots = upto + o.windowSlots
 		o.eng.stepDone = false
 	}
-	if t := o.eng.openTile; t != nil {
+	if w := o.eng.win; w != nil {
 		// One fill for every row admitted since the last call, before
 		// anything reads them.
-		t.flush(o.eng.nextSlot)
+		w.flush(o.eng.nextSlot)
 	}
 	done, err := o.eng.Advance(upto)
 	if err != nil {
@@ -850,15 +860,11 @@ func (o *OpenSim) Finish() *Result {
 	return s.Finish()
 }
 
-// Stop quiesces the tile's background compilation pipeline (idempotent,
-// and a no-op without a tile). Finish calls it; drivers abandoning a
-// sim on an error path should call it too so no goroutine outlives the
-// run.
-func (o *OpenSim) Stop() {
-	if o.eng.openTile != nil {
-		o.eng.openTile.stopBg()
-	}
-}
+// Stop waits out the link window's background fill and has it start no
+// more (idempotent, and a no-op without a window). Finish calls it, and so
+// does an AdvanceTo that fails; a driver abandoning a healthy sim calls it
+// so no goroutine outlives the run.
+func (o *OpenSim) Stop() { o.eng.stopWindow() }
 
 // compactMinTable is the smallest session table resident-set compaction
 // bothers with: below it the dense kernels' serial cutoff makes the
@@ -885,12 +891,9 @@ func (o *OpenSim) maybeCompact() {
 // compact moves every live session down over the freed slots, keeping
 // relative order (so the live and pending lists stay sorted under the
 // monotone remap), truncates the per-user arrays, and invalidates the
-// tile so its next window compiles over the dense identity row set.
+// link window so its next block fills over the dense identity row set.
 func (o *OpenSim) compact() {
 	s := o.eng
-	if s.openTile != nil {
-		s.openTile.syncFill()
-	}
 	o.compactPending()
 	if cap(o.remap) < len(s.users) {
 		o.remap = make([]int, len(s.users))
@@ -920,7 +923,7 @@ func (o *OpenSim) compact() {
 			c.TailGap[w] = c.TailGap[i]
 			c.NeverActive[w] = c.NeverActive[i]
 			c.MaxUnits[w] = c.MaxUnits[i]
-			if s.openTile == nil {
+			if s.win == nil {
 				c.Sig[w] = c.Sig[i]
 				c.LinkRate[w] = c.LinkRate[i]
 				c.EnergyPerKB[w] = c.EnergyPerKB[i]
@@ -948,7 +951,7 @@ func (o *OpenSim) compact() {
 	c.TailGap = c.TailGap[:w]
 	c.NeverActive = c.NeverActive[:w]
 	c.MaxUnits = c.MaxUnits[:w]
-	if s.openTile == nil {
+	if s.win == nil {
 		c.Sig = c.Sig[:w]
 		c.LinkRate = c.LinkRate[:w]
 		c.EnergyPerKB = c.EnergyPerKB[:w]
@@ -975,12 +978,12 @@ func (o *OpenSim) compact() {
 	} else {
 		s.activeBuf = s.activeBuf[:0]
 	}
-	if s.openTile != nil {
-		s.openTile.compactRows(w)
+	if s.win != nil {
+		s.win.compactRows(s.sessions)
 		if reattach {
 			// The fused pass already prepared the next slot: re-alias the
-			// static columns over the compacted (and freshly recompiled)
-			// tile rows.
+			// static columns over the compacted (and freshly refilled)
+			// window rows.
 			s.attachSlotColumns(s.nextSlot)
 		}
 	}
@@ -1031,365 +1034,4 @@ func removeSortedValue(xs []int, v int) []int {
 		return xs[:len(xs)-1]
 	}
 	return xs
-}
-
-// tileBlock is one filled window of the open tile: a slot-major block of
-// physics rows (signal, throughput, energy price, required rate, Eq. (1)
-// link units) covering `window` slots × `cap` table rows.
-type tileBlock struct {
-	base int // first slot the block covers; -1 = not filled
-	linkCols
-}
-
-// openTile is the open-system engine's horizon-free link window:
-// ring-buffered link state whose memory never depends on uptime.
-// attachSlotColumns aliases a slot's rows zero-copy, exactly like the
-// closed engine's link-table windows, and the rows come out of the same
-// fill (linkfill.go), so the tiled and analytic paths are bit-identical.
-//
-// Two perf structures ride on top of the original single-block design:
-//
-//   - a live-row set (rows): a fill touches only resident sessions, not
-//     all `cap` table rows;
-//   - a double-buffered pipeline (cur/next): after each window swap the
-//     following window fills on a background goroutine while the current
-//     one ticks, so the rollover slot pays a swap, not a fill. The
-//     engine's pinPrevColumns copies the evicted slot's aliased rows
-//     *before* attach triggers the swap, which is what makes refilling
-//     the outgoing block in the background safe.
-//
-// The session table keeps changing while a window compiles, and neither
-// side waits for the other (DESIGN.md §13). The worker reads nothing the
-// foreground writes: every fill is handed a private copy of its rows and
-// of their sessions (kickFill), and the spare block is the worker's while
-// a fill runs. The foreground only records what that copy lacks — rows
-// admitted since go on the late list — and when the fill has landed the
-// late rows are the worker's next fill into the same block; rows folded
-// since keep stale values nobody reads. Only the swap (ensure), compaction
-// and stopBg wait for the worker, and they work beside it while they do.
-type openTile struct {
-	sim    *Simulator
-	window int
-	// horizon clamps fills in bounded mode: slots at or past it are never
-	// filled, because bounded-mode sessions may carry memoized signal
-	// traces that only cover [0, MaxSlots), clones of one template share
-	// them, and growing a memo under a concurrent reader would race. Every
-	// session is prewarmed to the horizon before a fill can see it. -1 =
-	// unbounded (vetSession enforces stateless traces, so any slot is safe
-	// to fill anywhere).
-	horizon int
-	// fill runs the worker's fills, and the foreground's whole-window fill
-	// while the worker is idle. patch fills admitted rows into windows that
-	// exist and runs beside the worker, so it is a second filler — a filler
-	// holds the arguments of its running fill. Both carry their own copies
-	// of the radio model and slot grid, so neither reads cfg fields the
-	// unbounded AdvanceTo mutates (MaxSlots shares the struct).
-	fill, patch *linkFiller
-
-	cur, next *tileBlock
-
-	// rows is the ascending live-row set a window fill covers. Admissions
-	// and folds reach it in batches: fresh collects the rows admitted since
-	// the last flush (admission order, duplicates possible), holes says
-	// rows folded since are still listed. flush applies both before the
-	// engine advances, so rows is exact whenever a fill reads it.
-	rows  []int
-	fresh []int
-	holes bool
-	// late lists the rows flushed since the snapshot of the spare block's
-	// latest fill was taken: the block still lacks them.
-	late []int
-
-	// The in-flight fill's inputs, written by kickFill and then left alone
-	// until the fill is over: the row list, and by value what a fill reads
-	// of each listed row's session. snapPtr[i] = &snap[i] is the view the
-	// filler indexes by row. A row's copy stays good until the row changes
-	// hands, so a window fill refreshes only the rows admitted since the
-	// last one (changed), or all of them after a compaction moved the rows
-	// (snapAll).
-	snapRows []int
-	snap     []workload.Session
-	snapPtr  []*workload.Session
-	changed  []int
-	snapAll  bool
-
-	// Background pipeline state. kick starts the worker on the fill
-	// kickFill set up; the worker sets landed and then signals done. The
-	// foreground polls landed (no blocking, no select) and receives from
-	// done only where it has to wait. inflight tracks an outstanding fill,
-	// nextReady a spare block whose window fill is over.
-	bg        bool
-	kick      chan struct{}
-	done      chan struct{}
-	landed    atomic.Bool
-	inflight  bool
-	nextReady bool
-	stopped   bool
-}
-
-func newOpenTile(sim *Simulator, window, capSessions int, unbounded bool) (*openTile, error) {
-	fill, err := newLinkFiller(sim.cfg.Radio, sim.cfg.Tau, sim.cfg.Unit, sim.workers, capSessions)
-	if err != nil {
-		return nil, err
-	}
-	patch, err := newLinkFiller(sim.cfg.Radio, sim.cfg.Tau, sim.cfg.Unit, sim.workers, capSessions)
-	if err != nil {
-		return nil, err
-	}
-	// Unbounded mode admits no session with rate jitter (vetSession), so
-	// its blocks keep one rate row for all slots.
-	newBlock := func() *tileBlock {
-		return &tileBlock{base: -1, linkCols: newLinkCols(capSessions, window, unbounded)}
-	}
-	t := &openTile{
-		sim: sim, window: window,
-		horizon:  sim.cfg.MaxSlots,
-		fill:     fill,
-		patch:    patch,
-		cur:      newBlock(),
-		next:     newBlock(),
-		rows:     make([]int, 0, capSessions),
-		snapRows: make([]int, 0, capSessions),
-		snap:     make([]workload.Session, capSessions),
-		snapPtr:  make([]*workload.Session, capSessions),
-		kick:     make(chan struct{}, 1),
-		done:     make(chan struct{}, 1),
-		snapAll:  true,
-	}
-	if unbounded {
-		t.horizon = -1
-	}
-	for i := range t.snap {
-		t.snapPtr[i] = &t.snap[i]
-	}
-	// Initial population occupies an identity prefix.
-	for i := range sim.sessions {
-		t.rows = append(t.rows, i)
-	}
-	return t, nil
-}
-
-// lateInline is the number of late rows from which they are handed to the
-// worker. Waking it costs the foreground about what filling a few rows
-// does, and a fill in flight at the swap has to be waited for: a driver
-// that admits a session or two per slot is better off without either. One
-// that admits 65 (cell_churn) is not: with every late row filled here its
-// steady slot was 15 % slower and wall_s 12 %, in six pairs of six.
-const lateInline = 16
-
-// willEvict reports whether attaching slot n recompiles the window.
-func (t *openTile) willEvict(n int) bool {
-	return t.cur.base < 0 || n < t.cur.base || n >= t.cur.base+t.window
-}
-
-// ensure makes the resident window cover slot n. Windows are aligned to
-// multiples of the window length so boundaries are stable. On the warm
-// path (sequential clock, prefetch done) the crossing is a pointer swap;
-// the freshly evicted block immediately starts compiling the window after
-// next in the background. This is the one place the tick may wait for the
-// worker.
-func (t *openTile) ensure(n int) {
-	if t.willEvict(n) {
-		base := n - n%t.window
-		t.syncFill()
-		if t.nextReady && t.next.base == base {
-			// What the worker was not given in time is filled here.
-			t.patchNext(t.occupied(t.late))
-			t.cur, t.next = t.next, t.cur
-		} else {
-			// Filled here and now from the live rows: nothing is missing.
-			t.cur.base = base
-			t.fill.fill(&t.cur.linkCols, t.sim.sessions, t.rows, 0, 0, base, t.windowEnd(base))
-		}
-		t.late = t.late[:0]
-		t.nextReady = false
-		t.prefetch(base + t.window)
-	}
-}
-
-// prefetch starts compiling the window that begins at base into the spare
-// block, in the background. Skipped past the bounded horizon and after
-// stopBg.
-func (t *openTile) prefetch(base int) {
-	if t.stopped || (t.horizon >= 0 && base >= t.horizon) {
-		return
-	}
-	if !t.bg {
-		t.bg = true
-		go t.bgLoop()
-	}
-	t.next.base = base
-	stale := t.occupied(t.changed)
-	if t.snapAll {
-		stale = t.rows
-	}
-	t.kickFill(t.rows, stale)
-	t.changed, t.snapAll = t.changed[:0], false
-}
-
-// kickFill hands the worker a fill of the given rows of the spare block,
-// from a snapshot taken here, stale being the rows among them whose copy
-// is out of date: the table is free to change the moment this returns.
-func (t *openTile) kickFill(rows, stale []int) {
-	t.snapRows = append(t.snapRows[:0], rows...)
-	for _, i := range stale {
-		t.snap[i] = *t.sim.sessions[i]
-	}
-	b := t.next
-	t.fill.start(&b.linkCols, t.snapPtr, t.snapRows, 0, 0, b.base, t.windowEnd(b.base))
-	t.landed.Store(false)
-	t.inflight = true
-	t.kick <- struct{}{}
-}
-
-// bgLoop is the background compiler: per kick it runs the fill kickFill
-// set up, flags it landed and signals done. The receive from done is the
-// happens-before edge back to the foreground.
-func (t *openTile) bgLoop() {
-	for range t.kick {
-		t.fill.run()
-		t.landed.Store(true)
-		t.done <- struct{}{}
-	}
-}
-
-// syncFill finishes an outstanding background fill. The foreground does
-// not sit it out: it claims blocks beside the worker until none is left,
-// then waits for the worker's last.
-func (t *openTile) syncFill() {
-	if !t.inflight {
-		return
-	}
-	t.fill.drain(0) // the shard index is not used
-	<-t.done
-	t.inflight = false
-	t.nextReady = true
-}
-
-// pollFill lands a background fill that has finished, without waiting for
-// one that has not, and sees to the rows that became late while it ran:
-// they are the worker's next fill into the same block, or, when they are
-// too few to be worth waking it, filled here.
-func (t *openTile) pollFill() {
-	if t.inflight && t.landed.Load() {
-		t.syncFill()
-	}
-	if !t.nextReady || t.inflight || len(t.late) == 0 {
-		return
-	}
-	late := t.occupied(t.late)
-	if len(late) < lateInline || t.stopped {
-		t.patchNext(late)
-	} else {
-		t.kickFill(late, late)
-	}
-	t.late = t.late[:0]
-}
-
-// patchNext fills the given rows into every slot of the spare block, which
-// no fill is running on.
-func (t *openTile) patchNext(rows []int) {
-	b := t.next
-	t.patch.fill(&b.linkCols, t.sim.sessions, rows, 0, 0, b.base, t.windowEnd(b.base))
-}
-
-// stopBg quiesces and permanently stops the background worker
-// (idempotent). Further window crossings compile synchronously.
-func (t *openTile) stopBg() {
-	t.syncFill()
-	if t.bg {
-		close(t.kick)
-		t.bg = false
-	}
-	t.stopped = true
-}
-
-// windowEnd is the slot after the last one a block based at base covers.
-func (t *openTile) windowEnd(base int) int {
-	if hi := base + t.window; t.horizon < 0 || hi <= t.horizon {
-		return hi
-	}
-	return t.horizon
-}
-
-// occupied sorts rows in place and returns them without duplicates and
-// without rows whose table slot is empty.
-func (t *openTile) occupied(rows []int) []int {
-	slices.Sort(rows)
-	w, prev := 0, -1
-	for _, i := range rows {
-		if i != prev && t.sim.sessions[i] != nil {
-			rows[w] = i
-			w++
-		}
-		prev = i
-	}
-	return rows[:w]
-}
-
-// admitRow registers a newly admitted session (already in the engine's
-// session table at row i). Its rows are filled by the next flush.
-func (t *openTile) admitRow(i int) { t.fresh = append(t.fresh, i) }
-
-// flush brings the tile up to date with the session table before the
-// engine advances from slot clock. The live-row set drops the rows folded
-// since the last call and gains the rows admitted since, in one pass each.
-// The admitted rows are filled into the resident window in one fill, from
-// clock on (a fresh row is never read at a slot that already ticked); for
-// the prefetched window they are late, and go to the worker now if it is
-// idle, when its fill lands otherwise.
-func (t *openTile) flush(clock int) {
-	add := t.occupied(t.fresh)
-	t.fresh = t.fresh[:0]
-	if t.holes {
-		// A folded row that was admitted again is both listed and in add:
-		// drop it here, the merge below puts it back.
-		sessions := t.sim.sessions
-		w, a := 0, 0
-		for _, i := range t.rows {
-			for a < len(add) && add[a] < i {
-				a++
-			}
-			if sessions[i] != nil && (a == len(add) || add[a] != i) {
-				t.rows[w] = i
-				w++
-			}
-		}
-		t.rows = t.rows[:w]
-		t.holes = false
-	}
-	if len(add) > 0 {
-		t.rows = mergeSorted(t.rows, add)
-		t.changed = append(t.changed, add...)
-		if !t.willEvict(clock) {
-			b := t.cur
-			t.patch.fill(&b.linkCols, t.sim.sessions, add, 0, clock-b.base, clock, t.windowEnd(b.base))
-		}
-		if t.inflight || t.nextReady {
-			t.late = append(t.late, add...)
-		}
-	}
-	t.pollFill()
-}
-
-// compactRows resets the live-row set to the identity prefix [0, w)
-// after resident-set compaction and invalidates both blocks and every
-// pending row list — row indices moved, so the next attach refills from
-// scratch.
-func (t *openTile) compactRows(w int) {
-	t.syncFill()
-	t.nextReady = false
-	t.cur.base = -1
-	t.next.base = -1
-	t.fresh, t.late, t.holes = t.fresh[:0], t.late[:0], false
-	t.changed, t.snapAll = t.changed[:0], true
-	t.rows = t.rows[:0]
-	for i := 0; i < w; i++ {
-		t.rows = append(t.rows, i)
-	}
-}
-
-// slotColumns returns slot n's rows as length-len(users) column slices.
-func (t *openTile) slotColumns(n int) ([]units.DBm, []units.KBps, []units.MJ, []units.KBps, []int32) {
-	return t.cur.slot(n-t.cur.base, len(t.sim.users))
 }

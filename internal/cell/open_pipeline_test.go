@@ -16,9 +16,12 @@ import (
 	"jointstream/internal/workload"
 )
 
-// This file tests the open tile's pipeline under mutation (DESIGN.md §13):
-// that no table operation waits for the background fill, and that every
-// row a tick reads holds its current occupant's values for that slot.
+// This file tests the link window's pipeline under mutation (DESIGN.md,
+// "cell · link window"): that no table operation waits for the background
+// fill, and that every row a tick reads holds its current occupant's
+// values for that slot. The tables here are small, so each arm forces the
+// window's hand-off threshold: the size alone would keep every fill in
+// place.
 
 // distinctSession is a session no other looks like: its own stateless sine
 // (seed, phase, period), its own rate and size. A row filled for the wrong
@@ -223,6 +226,9 @@ func TestOpenNoWaitWhileFillParked(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer o.Stop()
+		if tile > 0 {
+			o.eng.win.handoffMin = handoffAlways
+		}
 		r := &noWaitRun{t: t, o: o, gate: gate}
 		r.park(tile > 0)
 
@@ -295,6 +301,9 @@ func TestOpenNoWaitBoundedSharedTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer o.Stop()
+		if tile > 0 {
+			o.eng.win.handoffMin = handoffAlways
+		}
 		r := &noWaitRun{t: t, o: o, gate: gate}
 		r.park(tile > 0)
 
@@ -334,7 +343,8 @@ func TestOpenNoWaitBoundedSharedTrace(t *testing.T) {
 // so rows change occupant up to three times between two ticks; two thirds
 // through, most sessions leave at once and the table compacts. The script
 // depends on nothing but stride, so arms of one stride are comparable.
-func churnScript(t *testing.T, tile, workers, stride int) openOutcome {
+// handoff is the link window's forced hand-off threshold in rows × slots.
+func churnScript(t *testing.T, tile, workers, stride, handoff int) openOutcome {
 	t.Helper()
 	const slots = 240
 	cfg := tinyConfig()
@@ -355,6 +365,9 @@ func churnScript(t *testing.T, tile, workers, stride int) openOutcome {
 		t.Fatal(err)
 	}
 	defer o.Stop()
+	if tile > 0 {
+		o.eng.win.handoffMin = handoff
+	}
 	if err := o.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -422,14 +435,18 @@ func churnScript(t *testing.T, tile, workers, stride int) openOutcome {
 // The differential churn matrix: distinct rows, every window size from one
 // slot up, serial and sharded, and AdvanceTo strides from one slot to more
 // than a window (so a single call crosses two), each against the untiled
-// arm of the same stride. Exact equality.
+// arm of the same stride. Every fill handed to the background; window
+// fills handed off and a dozen late rows patched in place (the mix a big
+// cell runs); nothing handed off. Exact equality.
 func TestOpenChurnDistinctRows(t *testing.T) {
 	for _, stride := range []int{1, 5, 40} {
-		want := churnScript(t, 0, 1, stride)
+		want := churnScript(t, 0, 1, stride, 0)
 		for _, tile := range []int{1, 3, 8, 32} {
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("stride%d/tile%d/w%d", stride, tile, workers), func(t *testing.T) {
-					churnScript(t, tile, workers, stride).mustEqual(t, want)
+					for _, handoff := range []int{handoffAlways, 12 * tile, handoffNever} {
+						churnScript(t, tile, workers, stride, handoff).mustEqual(t, want)
+					}
 				})
 			}
 		}

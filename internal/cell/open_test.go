@@ -642,6 +642,9 @@ func FuzzAdmitDepartSerial(f *testing.F) {
 		}
 		o, twin := mk(8), mk(0)
 		defer o.Stop()
+		// The script's length picks what the window hands to the background:
+		// everything, windows but not a few late rows, nothing.
+		o.eng.win.handoffMin = []int{handoffAlways, 12 * 8, handoffNever}[len(script)%3]
 		var live []uint64 // serials we admitted and have not departed
 		for k, op := range script {
 			switch op % 4 {

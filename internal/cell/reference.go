@@ -35,12 +35,12 @@ func (s *Simulator) RunReferenceCtx(ctx context.Context) (*Result, error) {
 	slot.ActiveList = nil // schedulers exercise their full-scan fallback
 
 	// The reference arm evaluates the physics analytically into static
-	// columns it owns for the run. With a link table attached newSim left
-	// them for attachSlotColumns to alias onto the table's windows; that
-	// table may be a shared immutable Config.Link, so the arm never writes
-	// through such an alias — it takes private columns instead and leaves
-	// s.link unread.
-	if s.link != nil {
+	// columns it owns for the run. With a link window attached newSim left
+	// them for attachSlotColumns to alias onto the window's rows; those may
+	// be a shared immutable Config.Link, so the arm never writes through
+	// such an alias — it takes private columns instead and leaves s.win
+	// unread (a sliding window is never filled, nor a goroutine started).
+	if s.win != nil {
 		n := len(s.users)
 		s.cols.Sig = make([]units.DBm, n)
 		s.cols.LinkRate = make([]units.KBps, n)

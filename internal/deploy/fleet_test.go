@@ -4,16 +4,19 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"jointstream/internal/rng"
+	"jointstream/internal/sched"
 	"jointstream/internal/units"
 	"jointstream/internal/workload"
 )
 
 // fleetConfig builds a deployment whose sites differ (capacity, offsets,
 // an outage) so the streaming fold has real structure to preserve, with
-// tiled link tables and stateless traces — the fleet-scale setup.
+// tiled link windows and stateless traces — the fleet-scale setup.
 func fleetConfig(sites int) Config {
 	cfg := Config{Policy: RoundRobin, Stream: true, EpochSlots: 64}
 	for i := 0; i < sites; i++ {
@@ -332,5 +335,55 @@ func TestStreamCancellation(t *testing.T) {
 	cancel()
 	if _, err := Run(ctx, cfg, sessions, defaultFactory); err == nil {
 		t.Fatal("cancelled fleet run succeeded")
+	}
+}
+
+// overAllocAfter is Default until slot from, then grants the first active
+// user one unit past its Eq. (1) limit: a Strict cell fails at that slot.
+type overAllocAfter struct {
+	sched.Scheduler
+	from int
+}
+
+func (s overAllocAfter) Allocate(slot *sched.Slot, alloc []int) {
+	s.Scheduler.Allocate(slot, alloc)
+	if slot.N >= s.from && len(slot.ActiveList) > 0 {
+		i := slot.ActiveList[0]
+		alloc[i] = slot.MaxUnitsAt(i) + 1
+	}
+}
+
+// TestStreamFailGoroutineLeak: a streamed fleet whose cells are big enough
+// to fill their link windows in the background fails in the middle of its
+// second epoch — one cell's scheduler breaks Eq. (1) — and Run's error
+// return strands nothing: the failed cell waited its fill out, the healthy
+// one's ends with the block it was filling, and the process is back to the
+// goroutines it had.
+func TestStreamFailGoroutineLeak(t *testing.T) {
+	sessions := fleetSessions(t, 5000)
+	cfg := denseFleet(1)
+	for i := range cfg.Sites {
+		cfg.Sites[i].Cell.Strict = true
+	}
+	built := 0
+	factory := func() (sched.Scheduler, error) {
+		built++
+		if built == 2 {
+			return overAllocAfter{sched.NewDefault(), cfg.EpochSlots + 7}, nil
+		}
+		return sched.NewDefault(), nil
+	}
+	before := runtime.NumGoroutine()
+	if _, err := Run(context.Background(), cfg, sessions, factory); err == nil {
+		t.Fatal("fleet with an over-allocating scheduler succeeded")
+	}
+	// A goroutine that has finished its work takes a moment to be gone.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines before the failed run, %d after:\n%s", before, after, buf[:runtime.Stack(buf, true)])
 	}
 }

@@ -16,7 +16,7 @@ import (
 // prewarmed memo turns every At into an array read. But the memo is
 // O(horizon) per user — at fleet scale (10⁶ users × 10⁴ slots) that is
 // tens of gigabytes of signal state before the simulator even starts, and
-// it is exactly the O(users × horizon) footprint the tiled link tables
+// it is exactly the O(users × horizon) footprint the tiled link windows
 // exist to avoid. statelessSine trades the array read for a recompute:
 // a sample is a pure function of (config, seed, slot) with zero retained
 // state, so a million traces cost a million small structs, full stop.

@@ -132,6 +132,48 @@ func TestTickSteadyStatePredictiveWindowAllocs(t *testing.T) {
 	}
 }
 
+// TestTickSteadyStateTiledZeroAllocs is the same guarantee with the closed
+// engine on a sliding link window whose blocks (10 000 users × 4 slots)
+// are filled in the background: once the first swaps have grown the spare
+// block, the snapshot storage and the fillers' scratch, a stretch of eight
+// slots — two window swaps, with their pinned-column copies, snapshots and
+// a goroutine per fill — allocates nothing. Stepped, so the measured
+// closure is only ticks of one warm simulator.
+func TestTickSteadyStateTiledZeroAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10k-user allocation measurement; skipped in -short")
+	}
+	const warmSlots, stretch, runs = 32, 8, 20
+	wl, err := SmallWorkload(5, allocUsers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cell.PaperConfig()
+	cfg.Capacity = 2000
+	cfg.MaxSlots = warmSlots + stretch*(runs+2)
+	cfg.Workers = 1
+	cfg.LinkTileSlots = 8
+	sim, err := cell.New(cfg, wl, sched.NewDefault())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	upto := warmSlots
+	advance := func() {
+		if _, err := sim.Advance(upto); err != nil {
+			t.Fatal(err)
+		}
+		upto += stretch
+	}
+	advance()
+	if got := testing.AllocsPerRun(runs, advance); got != 0 {
+		t.Errorf("steady-state tiled tick loop allocates %.2f objects per %d slots, want 0", got, stretch)
+	}
+	sim.Finish()
+}
+
 // TestTickSteadyStateChurnZeroAllocs extends the zero-allocation
 // guarantee to the open-system churn steady state: once the session
 // pools, free-list, pending storage, tile blocks and window-metric
