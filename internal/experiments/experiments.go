@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -492,11 +491,7 @@ func (r *Runner) buildWorkload(sc scenario) (*sharedWorkload, error) {
 	// them from cell.New, which is only a safe (read-only) no-op if the
 	// stochastic memos already span the horizon. CompileLink prewarms
 	// too, but it is skipped for over-cap or table-disabled runs.
-	workers := r.opts.Cell.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workload.PrewarmAll(workers, wl, r.opts.Cell.MaxSlots)
+	workload.PrewarmAll(r.opts.Cell.Workers, wl, r.opts.Cell.MaxSlots)
 	sw := &sharedWorkload{sessions: wl}
 	maxRows := r.opts.Cell.LinkTableMaxRows
 	if maxRows == 0 {

@@ -96,7 +96,10 @@ func (s *Source) Intn(n int) int {
 }
 
 // Norm returns a standard normal deviate (mean 0, stddev 1) using the
-// Box–Muller transform; the second value of each pair is cached.
+// Box–Muller transform; the second value of each pair is cached. The pair
+// comes from one math.Sincos, which TestSincosMatchesSinAndCos holds to
+// math.Sin and math.Cos bit for bit — the stream is pinned
+// (TestNormStreamGolden).
 func (s *Source) Norm() float64 {
 	if s.hasGauss {
 		s.hasGauss = false
@@ -108,9 +111,10 @@ func (s *Source) Norm() float64 {
 	}
 	u2 := s.Float64()
 	r := math.Sqrt(-2 * math.Log(u1))
-	s.gauss = r * math.Sin(2*math.Pi*u2)
+	sin, cos := math.Sincos(2 * math.Pi * u2)
+	s.gauss = r * sin
 	s.hasGauss = true
-	return r * math.Cos(2*math.Pi*u2)
+	return r * cos
 }
 
 // Gaussian returns a normal deviate with the given mean and stddev.

@@ -36,7 +36,9 @@ type Trace interface {
 // simulator's per-slot loop) never pay the append-doubling churn of
 // growing the memo one slot at a time. Prewarming never changes the
 // values a trace returns — the sequence is generated in the same slot
-// order either way.
+// order either way — and once the memo covers a prefix, At, Fill and
+// Prewarm inside it write nothing: simulators sharing prewarmed sessions
+// read them concurrently.
 type Prewarmer interface {
 	Prewarm(slots int)
 }
@@ -111,17 +113,15 @@ type SineConfig struct {
 	NoiseStdDBm float64
 }
 
-// Sine is the paper's channel model: a clamped sine sweep across the dBm
-// range with additive white Gaussian noise. The noise sequence is generated
-// once (lazily, in slot order) so that At is a pure function of the slot.
+// sineTrace is the paper's channel model: a clamped sine sweep across the
+// dBm range with additive white Gaussian noise. Like every memoizing trace
+// of this package it holds one memo of finished values, grown in slot
+// order by extend — one src.Norm per slot, whoever asks and in whatever
+// order — so At is a pure function of the slot, and At or Fill inside the
+// memo is a read that touches nothing else.
 type sineTrace struct {
-	cfg   SineConfig
-	noise *noiseSeq
-	// vals memoizes the fully computed per-slot values for the prewarmed
-	// prefix, so At on a prewarmed trace is an array read instead of a
-	// math.Sin per call. Prewarm fills it with compute, the same
-	// expression At's fallback evaluates, so the memo never changes the
-	// values a trace returns.
+	cfg  SineConfig
+	src  *rng.Source
 	vals []units.DBm
 }
 
@@ -138,86 +138,65 @@ func NewSine(cfg SineConfig, src *rng.Source) (Trace, error) {
 	if cfg.NoiseStdDBm < 0 {
 		return nil, fmt.Errorf("signal: negative noise stddev %v", cfg.NoiseStdDBm)
 	}
-	return &sineTrace{cfg: cfg, noise: newNoiseSeq(src.Split())}, nil
+	return &sineTrace{cfg: cfg, src: src.Split()}, nil
 }
 
 func (t *sineTrace) At(n int) units.DBm {
+	checkSlot(n)
+	if n >= len(t.vals) {
+		t.extend(n + 1)
+	}
+	return t.vals[n]
+}
+
+// Fill implements Filler: a copy out of the memo, extended first exactly
+// as far as At(from+len(dst)-1) would extend it.
+func (t *sineTrace) Fill(dst []units.DBm, from int) {
+	checkSlot(from)
+	if len(dst) == 0 {
+		return
+	}
+	if end := from + len(dst); end > len(t.vals) {
+		t.extend(end)
+	}
+	copy(dst, t.vals[from:])
+}
+
+// Prewarm implements Prewarmer.
+func (t *sineTrace) Prewarm(slots int) {
+	if slots > len(t.vals) {
+		t.vals = reserve(t.vals, slots)
+		t.extend(slots)
+	}
+}
+
+// extend appends slots [len(vals), n) to the memo. The two float
+// expressions are the model's bit-locked definition — the figures'
+// baseline and TestMemoizedStreamsGolden pin every bit of them.
+func (t *sineTrace) extend(n int) {
+	b := t.cfg.Bounds
+	mid, amp := float64(b.Mid()), b.Amplitude()
+	period, phase, sigma := float64(t.cfg.PeriodSlots), t.cfg.Phase, t.cfg.NoiseStdDBm
+	for i := len(t.vals); i < n; i++ {
+		base := mid + amp*math.Sin(2*math.Pi*float64(i)/period+phase)
+		t.vals = append(t.vals, b.clamp(base+sigma*t.src.Norm()))
+	}
+}
+
+// checkSlot panics on a negative slot, a caller's bug.
+func checkSlot(n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("signal: negative slot %d", n))
 	}
-	if n < len(t.vals) {
-		return t.vals[n]
-	}
-	return t.compute(n)
 }
 
-// Fill implements Filler: a copy out of the prewarmed memo, and compute —
-// At's own fallback — for any slots past it.
-func (t *sineTrace) Fill(dst []units.DBm, from int) {
-	if from < 0 {
-		panic(fmt.Sprintf("signal: negative slot %d", from))
+// reserve returns vals with room for n values, moved at most once into one
+// exactly-sized allocation — Prewarmer's contract for every memo.
+func reserve(vals []units.DBm, n int) []units.DBm {
+	if cap(vals) >= n {
+		return vals
 	}
-	k := 0
-	if from < len(t.vals) {
-		k = copy(dst, t.vals[from:])
-	}
-	for ; k < len(dst); k++ {
-		dst[k] = t.compute(from + k)
-	}
-}
-
-// compute is the analytic evaluation shared by At's fallback and the
-// Prewarm memo fill; a single code path keeps the two bitwise-identical.
-func (t *sineTrace) compute(n int) units.DBm {
-	b := t.cfg.Bounds
-	base := float64(b.Mid()) + b.Amplitude()*math.Sin(2*math.Pi*float64(n)/float64(t.cfg.PeriodSlots)+t.cfg.Phase)
-	return b.clamp(base + t.cfg.NoiseStdDBm*t.noise.at(n))
-}
-
-// noiseSeq memoizes a stream of standard normal deviates so that At(n) is
-// repeatable regardless of call order.
-type noiseSeq struct {
-	src  *rng.Source
-	vals []float64
-}
-
-func newNoiseSeq(src *rng.Source) *noiseSeq { return &noiseSeq{src: src} }
-
-func (s *noiseSeq) at(n int) float64 {
-	for len(s.vals) <= n {
-		s.vals = append(s.vals, s.src.Norm())
-	}
-	return s.vals[n]
-}
-
-// grow extends the memo to n values with one exactly-sized allocation.
-func (s *noiseSeq) grow(n int) {
-	if n <= len(s.vals) {
-		return
-	}
-	if cap(s.vals) < n {
-		vals := make([]float64, len(s.vals), n)
-		copy(vals, s.vals)
-		s.vals = vals
-	}
-	s.at(n - 1)
-}
-
-// Prewarm implements Prewarmer. Beyond growing the noise memo it also
-// memoizes the fully computed signal values, so every later At over the
-// prewarmed prefix — simulator ticks, link-table compilation — is a pure
-// array read with no trigonometry.
-func (t *sineTrace) Prewarm(slots int) {
-	t.noise.grow(slots)
-	if slots <= len(t.vals) {
-		return
-	}
-	vals := make([]units.DBm, slots)
-	copy(vals, t.vals)
-	for n := len(t.vals); n < slots; n++ {
-		vals[n] = t.compute(n)
-	}
-	t.vals = vals
+	return append(make([]units.DBm, 0, n), vals...)
 }
 
 // RandomWalkConfig parameterizes a bounded random-walk channel, a common
@@ -232,7 +211,7 @@ type RandomWalkConfig struct {
 type randomWalkTrace struct {
 	cfg  RandomWalkConfig
 	src  *rng.Source
-	vals []float64
+	vals []units.DBm
 }
 
 // NewRandomWalk builds a reflected random-walk trace.
@@ -243,19 +222,32 @@ func NewRandomWalk(cfg RandomWalkConfig, src *rng.Source) (Trace, error) {
 	if cfg.StepStd < 0 {
 		return nil, fmt.Errorf("signal: negative step stddev %v", cfg.StepStd)
 	}
-	start := float64(cfg.Bounds.clamp(float64(cfg.Start)))
-	return &randomWalkTrace{cfg: cfg, src: src.Split(), vals: []float64{start}}, nil
+	start := cfg.Bounds.clamp(float64(cfg.Start))
+	return &randomWalkTrace{cfg: cfg, src: src.Split(), vals: []units.DBm{start}}, nil
 }
 
 func (t *randomWalkTrace) At(n int) units.DBm {
-	if n < 0 {
-		panic(fmt.Sprintf("signal: negative slot %d", n))
+	checkSlot(n)
+	if n >= len(t.vals) {
+		t.extend(n + 1)
 	}
-	for len(t.vals) <= n {
-		next := t.vals[len(t.vals)-1] + t.src.Gaussian(0, t.cfg.StepStd)
+	return t.vals[n]
+}
+
+// Prewarm implements Prewarmer.
+func (t *randomWalkTrace) Prewarm(slots int) {
+	if slots > len(t.vals) {
+		t.vals = reserve(t.vals, slots)
+		t.extend(slots)
+	}
+}
+
+func (t *randomWalkTrace) extend(n int) {
+	lo, hi := float64(t.cfg.Bounds.Min), float64(t.cfg.Bounds.Max)
+	for len(t.vals) < n {
+		next := float64(t.vals[len(t.vals)-1]) + t.src.Gaussian(0, t.cfg.StepStd)
 		// Reflect off the bounds instead of clamping so the walk does not
 		// stick to an edge.
-		lo, hi := float64(t.cfg.Bounds.Min), float64(t.cfg.Bounds.Max)
 		for next < lo || next > hi {
 			if next < lo {
 				next = 2*lo - next
@@ -264,22 +256,8 @@ func (t *randomWalkTrace) At(n int) units.DBm {
 				next = 2*hi - next
 			}
 		}
-		t.vals = append(t.vals, next)
+		t.vals = append(t.vals, units.DBm(next))
 	}
-	return units.DBm(t.vals[n])
-}
-
-// Prewarm implements Prewarmer.
-func (t *randomWalkTrace) Prewarm(slots int) {
-	if slots <= len(t.vals) {
-		return
-	}
-	if cap(t.vals) < slots {
-		vals := make([]float64, len(t.vals), slots)
-		copy(vals, t.vals)
-		t.vals = vals
-	}
-	t.At(slots - 1)
 }
 
 // GilbertElliottConfig parameterizes a two-state Markov channel: the user
@@ -294,10 +272,12 @@ type GilbertElliottConfig struct {
 }
 
 type gilbertElliottTrace struct {
-	cfg    GilbertElliottConfig
-	src    *rng.Source
-	states []bool // true = good
-	jitter *noiseSeq
+	cfg GilbertElliottConfig
+	// chain draws the state transitions and jitter the Gaussian offsets:
+	// independent sources, one draw of each per slot.
+	chain, jitter *rng.Source
+	good          bool // state of slot len(vals)-1
+	vals          []units.DBm
 }
 
 // NewGilbertElliott builds the two-state Markov trace, starting in Good.
@@ -313,45 +293,41 @@ func NewGilbertElliott(cfg GilbertElliottConfig, src *rng.Source) (Trace, error)
 	if cfg.JitterStd < 0 {
 		return nil, fmt.Errorf("signal: negative jitter stddev %v", cfg.JitterStd)
 	}
-	child := src.Split()
-	return &gilbertElliottTrace{
-		cfg:    cfg,
-		src:    child,
-		states: []bool{true},
-		jitter: newNoiseSeq(child.Split()),
-	}, nil
+	chain := src.Split()
+	return &gilbertElliottTrace{cfg: cfg, chain: chain, jitter: chain.Split()}, nil
 }
 
 func (t *gilbertElliottTrace) At(n int) units.DBm {
-	if n < 0 {
-		panic(fmt.Sprintf("signal: negative slot %d", n))
+	checkSlot(n)
+	if n >= len(t.vals) {
+		t.extend(n + 1)
 	}
-	for len(t.states) <= n {
-		cur := t.states[len(t.states)-1]
-		if cur {
-			cur = !t.src.Bool(t.cfg.PGoodToBad)
-		} else {
-			cur = t.src.Bool(t.cfg.PBadToGood)
-		}
-		t.states = append(t.states, cur)
-	}
-	level := t.cfg.Bad
-	if t.states[n] {
-		level = t.cfg.Good
-	}
-	return t.cfg.Bounds.clamp(float64(level) + t.cfg.JitterStd*t.jitter.at(n))
+	return t.vals[n]
 }
 
 // Prewarm implements Prewarmer.
 func (t *gilbertElliottTrace) Prewarm(slots int) {
-	if slots > len(t.states) && cap(t.states) < slots {
-		states := make([]bool, len(t.states), slots)
-		copy(states, t.states)
-		t.states = states
+	if slots > len(t.vals) {
+		t.vals = reserve(t.vals, slots)
+		t.extend(slots)
 	}
-	t.jitter.grow(slots)
-	if slots > 0 {
-		t.At(slots - 1)
+}
+
+func (t *gilbertElliottTrace) extend(n int) {
+	for i := len(t.vals); i < n; i++ {
+		switch {
+		case i == 0:
+			t.good = true
+		case t.good:
+			t.good = !t.chain.Bool(t.cfg.PGoodToBad)
+		default:
+			t.good = t.chain.Bool(t.cfg.PBadToGood)
+		}
+		level := t.cfg.Bad
+		if t.good {
+			level = t.cfg.Good
+		}
+		t.vals = append(t.vals, t.cfg.Bounds.clamp(float64(level)+t.cfg.JitterStd*t.jitter.Norm()))
 	}
 }
 
@@ -378,9 +354,7 @@ func FromSlice(vals []units.DBm) (Trace, error) {
 type sliceTrace []units.DBm
 
 func (s sliceTrace) At(n int) units.DBm {
-	if n < 0 {
-		panic(fmt.Sprintf("signal: negative slot %d", n))
-	}
+	checkSlot(n)
 	if n >= len(s) {
 		return s[len(s)-1]
 	}

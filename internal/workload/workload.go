@@ -13,6 +13,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"jointstream/internal/pool"
 	"jointstream/internal/rng"
@@ -57,8 +58,8 @@ func (s *Session) RateAt(n int) units.KBps {
 }
 
 // Prewarm extends the session's lazily memoized stochastic sequences —
-// the signal trace's noise stream and the VBR rate draws — to cover the
-// first `slots` slots with one exactly-sized allocation each. The
+// the signal trace's values and the VBR rate draws — to cover the first
+// `slots` slots with one exactly-sized allocation each. The
 // simulator calls it with its slot horizon so the per-slot loop never
 // grows a memo incrementally; the values produced are identical with or
 // without prewarming.
@@ -72,12 +73,17 @@ func (s *Session) Prewarm(slots int) {
 }
 
 // PrewarmAll prewarms every session to the slot horizon, fanning the
-// sessions across at most `workers` goroutines. Each session owns its
-// memos and rng streams (Generate gives VBR sessions split, independent
-// sources), so the values produced are identical to a serial loop; the
-// parallelism only matters at large N, where prewarming dominates
-// simulator construction. workers <= 1 prewarm serially.
+// sessions across at most `workers` goroutines; workers <= 0 means every
+// core, as in every Workers field of this module, and 1 prewarms serially.
+// The fan-out draws on the pool's worker budget, so under a parallel sweep
+// it degrades to the caller's goroutine. Each session owns its memos and
+// rng streams (Generate gives VBR sessions split, independent sources), so
+// the values produced are identical to a serial loop; the parallelism
+// matters at large N, where prewarming is most of set-up.
 func PrewarmAll(workers int, sessions []*Session, slots int) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	pool.Shard(workers, len(sessions), func(i int) {
 		sessions[i].Prewarm(slots)
 	})

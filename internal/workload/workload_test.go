@@ -2,10 +2,15 @@ package workload
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"jointstream/internal/pool"
 	"jointstream/internal/rng"
+	"jointstream/internal/signal"
 	"jointstream/internal/units"
 )
 
@@ -254,5 +259,70 @@ func TestGenerateRangesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// meetingTrace is a session's real trace whose Prewarm first waits to meet
+// another Prewarm in flight: two goroutines inside PrewarmAll's fan-out at
+// once. The first meeting closes met and releases every other call.
+type meetingTrace struct {
+	signal.Trace
+	*meeting
+}
+
+type meeting struct {
+	meet, met chan struct{}
+	once      sync.Once
+}
+
+func (m meetingTrace) Prewarm(slots int) {
+	select {
+	case <-m.met:
+	case m.meet <- struct{}{}:
+		m.once.Do(func() { close(m.met) })
+	case <-m.meet:
+		m.once.Do(func() { close(m.met) })
+	case <-time.After(time.Second):
+	}
+	m.Trace.(signal.Prewarmer).Prewarm(slots)
+}
+
+// TestPrewarmAllZeroWorkersUsesAllCores: workers = 0 is every core, not
+// "inline" — given a worker budget of two or more, more than one goroutine
+// prewarms — and what it produces is what one worker produces.
+func TestPrewarmAllZeroWorkersUsesAllCores(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs GOMAXPROCS >= 2")
+	}
+	defer pool.SetWorkerBudget(pool.SetWorkerBudget(runtime.GOMAXPROCS(0)))
+	const users, slots = 16, 200
+	cfg := PaperDefaults(users)
+	cfg.RateJitterFrac = 0.2
+	generate := func() []*Session {
+		wl, err := Generate(cfg, rng.New(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wl
+	}
+	all, one := generate(), generate()
+	m := &meeting{meet: make(chan struct{}), met: make(chan struct{})}
+	for _, s := range all {
+		s.Signal = meetingTrace{s.Signal, m}
+	}
+	PrewarmAll(0, all, slots)
+	PrewarmAll(1, one, slots)
+	select {
+	case <-m.met:
+	default:
+		t.Error("PrewarmAll(0, …) never had two sessions prewarming at once")
+	}
+	for i := range all {
+		for n := 0; n < slots; n++ {
+			if all[i].Signal.At(n) != one[i].Signal.At(n) || all[i].RateAt(n) != one[i].RateAt(n) {
+				t.Fatalf("user %d slot %d: all cores (%v, %v), one worker (%v, %v)", i, n,
+					all[i].Signal.At(n), all[i].RateAt(n), one[i].Signal.At(n), one[i].RateAt(n))
+			}
+		}
 	}
 }
