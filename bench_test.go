@@ -73,41 +73,50 @@ func BenchmarkRTMAAllocate40Users(b *testing.B) {
 	}
 }
 
-// BenchmarkEMAAllocate40Users measures the production DP (want-clipped
-// windows and reach, value-only passes, grants recovered at backtrack) at
-// the paper's capacity (⌊τS/δ⌋ = 205 units); BenchmarkEMAAllocateRef40Users
-// is the paper-literal quadratic DP on the same slot, so the speedup is
-// visible from one `-bench 'EMAAllocate'` run. The queues evolve from rest
-// across iterations; internal/sched's BenchmarkEMADP fixes them instead, at
-// wide wants and at the sweep's want ∈ {0, 1} regime.
-func BenchmarkEMAAllocate40Users(b *testing.B) {
+// benchEMAAllocate times allocate on benchSlot(users, capacityUnits) over a
+// fixed window of queue states: the queues evolve from rest for 256 slots —
+// from every user wanting nothing or the one unit that dodges its tail to
+// whole link bounds contending for the cell — and are then put back (the
+// SetQueue stores stay on the clock), so ns/op does not depend on b.N.
+// internal/sched's BenchmarkEMADP holds single regimes fixed instead.
+func benchEMAAllocate(b *testing.B, users, capacityUnits int, allocate func(*sched.EMA, *sched.Slot, []int)) {
+	b.Helper()
 	em, err := sched.NewEMA(sched.EMAConfig{V: 0.2, RRC: rrc.Paper3G()})
 	if err != nil {
 		b.Fatal(err)
 	}
-	slot, alloc := benchSlot(40, 205)
+	slot, alloc := benchSlot(users, capacityUnits)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i%256 == 0 {
+			for j := range alloc {
+				em.SetQueue(j, 0)
+			}
+		}
 		for j := range alloc {
 			alloc[j] = 0
 		}
-		em.Allocate(slot, alloc)
+		allocate(em, slot, alloc)
 	}
 }
 
+// BenchmarkEMAAllocate40Users measures the production DP (want-clipped
+// windows, banded rows, value-only passes, grants recovered at backtrack)
+// at the paper's capacity (⌊τS/δ⌋ = 205 units);
+// BenchmarkEMAAllocateRef40Users is the paper-literal quadratic DP on the
+// same slots, so the speedup is visible from one `-bench 'EMAAllocate'`
+// run, and BenchmarkEMAAllocate1kUsers the production DP at 25 × the users
+// and the capacity — a decision's cost against N.
+func BenchmarkEMAAllocate40Users(b *testing.B) {
+	benchEMAAllocate(b, 40, 205, (*sched.EMA).Allocate)
+}
+
 func BenchmarkEMAAllocateRef40Users(b *testing.B) {
-	em, err := sched.NewEMA(sched.EMAConfig{V: 0.2, RRC: rrc.Paper3G()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	slot, alloc := benchSlot(40, 205)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range alloc {
-			alloc[j] = 0
-		}
-		em.AllocateRef(slot, alloc)
-	}
+	benchEMAAllocate(b, 40, 205, (*sched.EMA).AllocateRef)
+}
+
+func BenchmarkEMAAllocate1kUsers(b *testing.B) {
+	benchEMAAllocate(b, 1000, 5000, (*sched.EMA).Allocate)
 }
 
 // benchAllocLargeN measures one scheduler's Allocate at large N with the

@@ -30,17 +30,20 @@ import (
 // f(i, ϕ) is affine in ϕ for ϕ ≥ 1 (only the ϕ = 0 tail branch breaks the
 // line), a user can want only nothing, the one unit that dodges the tail,
 // or everything its link carries. The default solver runDP therefore does
-// work only where a user can want data: each user's DP window and the
-// running reachability bound are clipped to that want, the forward passes
-// (ema_kernel.go) keep values only, and the grants are recovered at
-// backtrack by rescanning the ≤ want predecessors of the ≤ users states on
-// the optimal path — see runDP's comment for the lemma and DESIGN.md §4,
-// "Fast EMA DP". The paper-literal O(users × capacity²) DP is kept as
-// runDPRef, exposed through AllocateRef; an unclipped monotone-deque DP in
-// this package's tests is the tie-exact oracle. The arms are
-// differentially tested (internal/simtest, TestEMAFastMatchesRef; sched's
-// TestEMABlockMatchesDeque, TestEMAKernelLines, FuzzEMAKernel) so the fast
-// path is pinned both in objective and bit for bit in allocation.
+// work only where the optimal path can cross: each user's DP window is
+// clipped to that want, every row to the band between the units the users
+// still to come cannot make up (the slot's need less their wants) and the
+// wants so far, the forward passes (ema_kernel.go) keep values only, and
+// the grants are recovered at backtrack by rescanning the ≤ want
+// predecessors of the ≤ users states on the optimal path — see runDP's
+// comment for the lemmas and DESIGN.md §4, "Fast EMA DP". The
+// paper-literal O(users × capacity²) DP is kept as runDPRef, exposed
+// through AllocateRef; an unclipped monotone-deque DP in this package's
+// tests is the tie-exact oracle. The arms are differentially tested
+// (internal/simtest, TestEMAFastMatchesRef; sched's
+// TestEMABlockMatchesDeque, TestEMAKernelLines, TestEMABandLemma,
+// FuzzEMAKernel) so the fast path is pinned both in objective and bit for
+// bit in allocation.
 //
 // The weight V trades energy against rebuffering: Theorem 1 bounds
 // PE ≤ E* + B/V and PC ≤ (B + V·E*)/ε, so larger V saves more energy at
@@ -68,7 +71,7 @@ type EMA struct {
 	tailTau     units.Seconds
 
 	// DP scratch, reused across slots.
-	rows    []float64  // (users+1) × (capacity+1): row k, state M = best objective of the first k DP users at exactly M units
+	rows    []float64  // (users+1) × (capacity+1): row k, state M = best objective of the first k DP users at exactly M units, current on the slot's band [lo_k, reach_k] only
 	suf     []float64  // windowed pass: block suffix minima of g
 	lines   []userLine // this slot's cost lines, one per DP user
 	dpUser  []int      // indices of users participating in the DP
@@ -112,8 +115,7 @@ func (e *EMA) V() float64 { return e.v }
 func (e *EMA) RRC() rrc.Profile { return e.rrc }
 
 // Queue returns the current virtual queue PC_i for user i (0 for users
-// never seen). Exposed for tests and the bound analysis in
-// internal/lyapunov.
+// never seen). Exposed for tests.
 func (e *EMA) Queue(i int) units.Seconds {
 	if i < 0 || i >= len(e.queues) {
 		return 0
@@ -195,7 +197,7 @@ func (e *EMA) slotCost(slot *Slot, i, phi int) float64 {
 }
 
 // Allocate implements Scheduler following Alg. 2, solving the per-slot
-// subproblem exactly with the want-clipped, value-only DP (runDP).
+// subproblem exactly with the want-clipped, banded, value-only DP (runDP).
 func (e *EMA) Allocate(slot *Slot, alloc []int) {
 	e.allocate(slot, alloc, (*EMA).runDP)
 }
@@ -298,6 +300,21 @@ func (l *userLine) clip(guard float64) int {
 	return l.maxPhi
 }
 
+// floor returns the user's need: the largest w ∈ {0, 1, maxPhi} such that
+// each of the units 1 … w, added to an allocation with capacity to spare,
+// lowers the exact objective by more than guard — the first if it beats
+// skipping by that margin, the rest if the line falls by more than guard a
+// unit. A margin inside the guard (or a NaN) gives 0, and floor ≤ clip.
+func (l *userLine) floor(guard float64) int {
+	if !(l.skip-(l.base+l.perUnit) > guard) {
+		return 0
+	}
+	if l.perUnit >= 0 || -l.perUnit <= guard {
+		return 1
+	}
+	return l.maxPhi
+}
+
 // clipGuard returns the objective margin that survives the DP's rounding.
 // A DP value is the float evaluation of one allocation's Σ f, built row by
 // row from five rounded operations on intermediates no larger than
@@ -331,7 +348,7 @@ func clipGuard(lines []userLine, capacity int) float64 {
 //
 // a sliding-window minimum over g[j] = cost[j] − perUnit·j, largest j
 // (smallest ϕ) on ties in g. Unclipped that is users × capacity window
-// queries with an argmin each. runDP does three things less.
+// queries with an argmin each. runDP does four things less.
 //
 // Want-clip. The window is want_i = clip(guard) wide instead of maxPhi,
 // and the reachable states end at Σ want_i instead of Σ maxPhi. Lemma: the
@@ -352,6 +369,26 @@ func clipGuard(lines []userLine, capacity int) float64 {
 // — ties between ϕ and ϕ' would fall to the fewest-units rule — but in
 // floats a tie or near-tie is decided by how later rows round perUnit·m,
 // which only the full window reproduces; clip keeps it for such users.
+//
+// Band. Row k — the first k users done — is computed from
+// lo_k = max(0, T_lo − Σ_{i ≥ k} want_i) up, T_lo = min(capacity, Σ need_i)
+// with need_i = floor(guard), not from 0. Lemma: the unclipped DP returns a
+// total ≥ T_lo. If a final state m < T_lo held the minimum, its argmin
+// allocation has capacity to spare and some ϕ_i < need_i; one more unit
+// for that user is feasible and lowers the exact objective by more than
+// guard (floor's definition), so by clipGuard's bound and monotone
+// rounding final[m+1] < final[m] — m was not the minimum. With the want
+// lemma the returned path's prefix sums are then ≥ lo_k at every row
+// (total ≥ T_lo, the users from k on hold ≤ their wants). And the band is
+// closed under the recurrence: an in-band state m of row k+1 reads row k
+// on [max(0, m − want_k), m], and lo_k = max(0, lo_{k+1} − want_k), so it
+// reads no state below lo_k. In-band values, the winning total and every grantAt
+// scan are therefore the unbanded DP's bit for bit, and whatever a row
+// holds below its lo — stale from an earlier slot, or written by a pass
+// with a window cut short at its own lo — is never read. An uncontended
+// slot with every margin outside the guard has lo_k = reach_k, one state
+// a row; a user inside the guard (need 0, want maxPhi) widens the band by
+// its window; guard = NaN or ∞ leaves lo_k = 0, the want-clip alone.
 //
 // Value-only forward passes. Every row is kept and the passes track no
 // argmin: want = 0 is next[m] = cost[m] + skip, want = 1 a two-term min
@@ -374,21 +411,28 @@ func (e *EMA) runDP(lines []userLine, capacity int, alloc []int) {
 	e.rows = resize(e.rows, (bound+1)*stride)
 	e.suf = resize(e.suf, stride)
 
+	guard := clipGuard(lines, capacity)
+	tLo, wantsLeft := 0, 0 // wantsLeft = Σ_{i ≥ k} want_i at pass k
+	for k := range lines {
+		l := &lines[k]
+		l.want = l.clip(guard)
+		tLo += l.floor(guard)
+		wantsLeft += l.want
+	}
+	tLo = min(tLo, capacity)
+
 	// Border condition: zero users processed, exactly m units used is
-	// feasible only for m = 0. Row k is written on [0, reach] only — reach
+	// feasible only for m = 0. Row k is current on [lo, reach] only — reach
 	// being Σ want so far — after pass k−1 and padded with the unreachable
 	// sentinel as far as pass k reads, so no row is ever cleared.
-	guard := clipGuard(lines, capacity)
 	cost := e.rows[:stride]
 	cost[0] = 0
 	reach := 0
 	for k := range lines {
 		l := &lines[k]
-		l.want = l.clip(guard)
-		hi := reach + l.want
-		if hi > capacity {
-			hi = capacity
-		}
+		lo := max(tLo-wantsLeft, 0)
+		wantsLeft -= l.want
+		hi := min(reach+l.want, capacity)
 		for m := reach + 1; m <= hi; m++ {
 			cost[m] = math.MaxFloat64
 		}
@@ -396,20 +440,21 @@ func (e *EMA) runDP(lines []userLine, capacity int, alloc []int) {
 		next := e.rows[(k+1)*stride:][:stride]
 		switch l.want {
 		case 0:
-			emaSkipPass(cost[:reach+1], next[:reach+1], l.skip)
+			emaSkipPass(cost[lo:reach+1], next[lo:reach+1], l.skip)
 		case 1:
-			emaUnitPass(cost[:reach+1], next[:reach+1], l.skip, l.base, l.perUnit)
+			emaUnitPass(cost[lo:reach+1], next[lo:reach+1], lo, l.skip, l.base, l.perUnit)
 		default:
-			emaWindowPass(cost[:reach+1], next[:reach+1], e.suf, l.skip, l.base, l.perUnit, l.want)
+			emaWindowPass(cost[lo:reach+1], next[lo:reach+1], e.suf, lo, l.skip, l.base, l.perUnit, l.want)
 		}
 		cost = next
 	}
 
-	// Step 15: the total minimizing the objective, fewest units on ties.
-	bestM, bestCost := 0, math.MaxFloat64
-	for m, c := range cost[:reach+1] {
+	// Step 15: the total minimizing the objective, fewest units on ties;
+	// it is no less than T_lo.
+	bestM, bestCost := tLo, math.MaxFloat64
+	for m, c := range cost[tLo : reach+1] {
 		if c < bestCost {
-			bestCost, bestM = c, m
+			bestCost, bestM = c, tLo+m
 		}
 	}
 	// Steps 16–18: walk the path back, recovering each grant.

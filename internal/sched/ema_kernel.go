@@ -4,29 +4,34 @@ import "math"
 
 // This file holds the EMA DP's forward passes: one user's transition from
 // the kept row cost (best objective of the users so far at exactly m
-// units) to the row next, over the states [0, len(cost)) that runDP's
-// want-clipped reachability bound leaves. The passes compute values only —
-// no argmin, no choice store; runDP's backtrack recovers the grants of the
-// states it visits from the rows (grantAt in ema.go, whose indices are
-// data-dependent and therefore live there). Which pass runs is the user's
-// want (runDP's comment has the lemma):
+// units) to the row next, over the band of states runDP's two want-derived
+// bounds leave — from lo (the returned total is at least T_lo, and the
+// users still to come can add at most their wants) up to reach (Σ want so
+// far). A pass is handed cost[lo:reach+1] and next[lo:reach+1] together
+// with off = lo, the absolute state of element 0: indices are
+// slice-relative, and off enters only as float64(off+j), so perUnit·m is
+// multiplied by the same integer as in the unbanded DP. The window of an
+// in-band state of next never reaches below lo (runDP's comment), so
+// clamping it at the slice's first element loses nothing; what a pass
+// writes below the next row's own lo — at most want states — is never read.
+// The passes compute values only — no argmin, no choice store; runDP's
+// backtrack recovers the grants of the states it visits from the rows
+// (grantAt in ema.go, whose indices are data-dependent and therefore live
+// there). Which pass runs is the user's want (runDP's comment has the
+// lemmas):
 //
 //   - want = 0, emaSkipPass: next[m] = cost[m] + skip;
 //   - want = 1, emaUnitPass: a two-term min against the single state m−1;
-//   - want ≥ 2, emaWindowPass: min over j ∈ [max(0, m−want), m−1] of
+//   - want ≥ 2, emaWindowPass: min over j ∈ [max(lo, m−want), m−1] of
 //     g[j] = cost[j] − perUnit·j by block prefix/suffix minima (Van Herk,
 //     Gil–Werman), two branch-regular sweeps instead of a monotone deque's
 //     data-dependent pushes and evictions.
-//
-// Over one paper-scale sweep (272 runs, 7.15 M passes) the mix is 16.5 % /
-// 75.0 % / 8.5 %, and the clipped reach cuts the states visited from
-// 1.18 G to 0.47 G (DESIGN.md §4).
 //
 // Every pass evaluates a candidate with the float expressions of the
 // paper-literal recurrence as the deque oracle groups them —
 // g = cost[j] − perUnit·float64(j), c = base + perUnit·float64(m) + g,
 // c < cost[m] + skip strict — so values agree bit for bit with the
-// unclipped DP wherever the lemma says they must.
+// unclipped DP wherever the lemmas say they must.
 //
 // Unreachable states carry cost = MaxFloat64 and need no branch: skip,
 // base and perUnit·m are astronomically below half an ULP of MaxFloat64
@@ -39,7 +44,7 @@ import "math"
 // `-gcflags='-d=ssa/check_bce'` and fails if any per-element
 // `Found IsInBounds` appears in this file; the once-per-block slice
 // headers may report IsSliceInBounds. Keep every loop range-bounded when
-// editing.
+// editing, and off out of every index.
 
 // emaSkipPass is the transition of a user that wants nothing: ϕ = 0 at
 // every state.
@@ -51,8 +56,9 @@ func emaSkipPass(cost, next []float64, skip float64) {
 }
 
 // emaUnitPass is the transition of a user that wants at most one unit:
-// state m either skips from m or takes the unit from m−1.
-func emaUnitPass(cost, next []float64, skip, base, perUnit float64) {
+// state m either skips from m or takes the unit from m−1. cost[0] is state
+// off.
+func emaUnitPass(cost, next []float64, off int, skip, base, perUnit float64) {
 	if len(cost) == 0 {
 		return
 	}
@@ -63,9 +69,9 @@ func emaUnitPass(cost, next []float64, skip, base, perUnit float64) {
 	nm := next[1:]
 	nm = nm[:len(cm)]
 	for j, cur := range cm {
-		g := prev - perUnit*float64(j)
+		g := prev - perUnit*float64(off+j)
 		best := cur + skip
-		if c := base + perUnit*float64(j+1) + g; c < best {
+		if c := base + perUnit*float64(off+j+1) + g; c < best {
 			best = c
 		}
 		nm[j] = best
@@ -74,13 +80,13 @@ func emaUnitPass(cost, next []float64, skip, base, perUnit float64) {
 }
 
 // emaWindowPass is the transition of a user that wants up to w ≥ 2 units.
-// suf is scratch for at least len(cost)−1 values. With the predecessor
-// states j cut into blocks of w, the window [m−w, m−1] of state m is a
-// suffix of one block followed by a prefix of the next: the first sweep
-// stores every block's suffix minima of g, the second carries the running
-// prefix minimum and combines the two. In block 0 the window is the
-// clamped prefix [0, m−1] alone.
-func emaWindowPass(cost, next, suf []float64, skip, base, perUnit float64, w int) {
+// cost[0] is state off; suf is scratch for at least len(cost)−1 values.
+// With the predecessor states j cut into blocks of w from off, the window
+// [m−w, m−1] of state m is a suffix of one block followed by a prefix of
+// the next: the first sweep stores every block's suffix minima of g, the
+// second carries the running prefix minimum and combines the two. In block
+// 0 the window is the clamped prefix [off, m−1] alone.
+func emaWindowPass(cost, next, suf []float64, off int, skip, base, perUnit float64, w int) {
 	if len(cost) == 0 || w < 1 {
 		return
 	}
@@ -99,7 +105,7 @@ func emaWindowPass(cost, next, suf []float64, skip, base, perUnit float64, w int
 		sb = sb[:len(cb)]
 		run := math.Inf(1)
 		for k := len(cb) - 1; k >= 0; k-- {
-			if g := cb[k] - perUnit*float64(bs+k); g < run {
+			if g := cb[k] - perUnit*float64(off+bs+k); g < run {
 				run = g
 			}
 			sb[k] = run
@@ -119,11 +125,11 @@ func emaWindowPass(cost, next, suf []float64, skip, base, perUnit float64, w int
 		pre := math.Inf(1)
 		if bs == 0 {
 			for k, cj := range cb {
-				if g := cj - perUnit*float64(k); g < pre {
+				if g := cj - perUnit*float64(off+k); g < pre {
 					pre = g
 				}
 				best := cm[k] + skip
-				if c := base + perUnit*float64(k+1) + pre; c < best {
+				if c := base + perUnit*float64(off+k+1) + pre; c < best {
 					best = c
 				}
 				nm[k] = best
@@ -136,7 +142,7 @@ func emaWindowPass(cost, next, suf []float64, skip, base, perUnit float64, w int
 		sp := suf[bs-w+1 : be-w+1]
 		sp = sp[:len(cb)]
 		for k, cj := range cb {
-			j := bs + k
+			j := off + bs + k
 			if g := cj - perUnit*float64(j); g < pre {
 				pre = g
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"jointstream/internal/rng"
@@ -92,51 +93,74 @@ func TestEMABlockMatchesDequeAdversarial(t *testing.T) {
 func TestEMABlockMatchesDequeLongEvolution(t *testing.T) {
 	const n, capacity, steps = 40, 205, 300
 	for _, v := range []float64{0.005, 0.3, 16} {
-		src := rng.New(uint64(1000 * v))
-		e := newEMA(t, v)
-		rate := make([]units.KBps, n)
-		phase := make([]float64, n)
-		gap := make([]units.Seconds, n)
-		never := make([]bool, n)
-		for i := range rate {
-			rate[i] = units.KBps(src.Uniform(300, 600))
-			phase[i] = src.Float64()
-			never[i] = true
-			// Around V × price × rate at a good signal, where a user starts
-			// to want data: from rest a large V would serve nobody for
-			// thousands of slots.
-			e.SetQueue(i, units.Seconds(src.Uniform(0.5, 1.5)*v*0.3*float64(rate[i])))
-		}
-		users := make([]user, n)
 		var passes [3]int // by want: 0, 1, wider
-		for step := 0; step < steps; step++ {
-			for i := range users {
-				sig := -80 + 28*math.Sin(2*math.Pi*(float64(step)/60+phase[i])) + src.Uniform(-2, 2)
-				u := stdUser(rate[i], units.DBm(sig), 0)
-				u.MaxUnits = int(float64(u.LinkRate) / 100) // ⌊τ·v(sig)/δ⌋
-				u.NeverActive = never[i]
-				u.TailGap = gap[i]
-				users[i] = u
-			}
-			slot := makeSlot(capacity, users...)
+		evolvePaperCell(t, v, n, capacity, steps, func(e *EMA, slot *Slot, step int) []int {
 			alloc := stepAgainstDeque(t, e, slot, "V=%v step=%d", v, step)
 			for _, l := range e.lines {
 				passes[min(l.want, 2)]++
 			}
-			for i, phi := range alloc {
-				if phi > 0 {
-					never[i], gap[i] = false, 0
-				} else if !never[i] {
-					gap[i] += slot.Tau
-				}
-			}
-		}
+			return alloc
+		})
 		total := passes[0] + passes[1] + passes[2]
 		if passes[0] == 0 || passes[1] == 0 || passes[2] == 0 || 2*(passes[0]+passes[1]) < total {
 			t.Errorf("V=%v: pass mix want=0 %d, want=1 %d, wider %d of %d: the clip is not what this run exercises",
 				v, passes[0], passes[1], passes[2], total)
 		}
 	}
+}
+
+// evolvePaperCell steps a paper-like cell of n users — sinusoidal signal
+// with the paper's linear fits, link bound ⌊τ·v(sig)/δ⌋, RRC tails — from
+// queues around each user's V × price threshold: step decides every slot on
+// e and returns the allocation the tails advance by.
+func evolvePaperCell(t *testing.T, v float64, n, capacity, steps int, step func(e *EMA, slot *Slot, step int) []int) {
+	t.Helper()
+	src := rng.New(uint64(1000 * v))
+	e := newEMA(t, v)
+	rate := make([]units.KBps, n)
+	phase := make([]float64, n)
+	gap := make([]units.Seconds, n)
+	never := make([]bool, n)
+	for i := range rate {
+		rate[i] = units.KBps(src.Uniform(300, 600))
+		phase[i] = src.Float64()
+		never[i] = true
+		// Around V × price × rate at a good signal, where a user starts
+		// to want data: from rest a large V would serve nobody for
+		// thousands of slots.
+		e.SetQueue(i, units.Seconds(src.Uniform(0.5, 1.5)*v*0.3*float64(rate[i])))
+	}
+	users := make([]user, n)
+	for s := 0; s < steps; s++ {
+		for i := range users {
+			sig := -80 + 28*math.Sin(2*math.Pi*(float64(s)/60+phase[i])) + src.Uniform(-2, 2)
+			u := stdUser(rate[i], units.DBm(sig), 0)
+			u.MaxUnits = int(float64(u.LinkRate) / 100) // ⌊τ·v(sig)/δ⌋
+			u.NeverActive = never[i]
+			u.TailGap = gap[i]
+			users[i] = u
+		}
+		slot := makeSlot(capacity, users...)
+		for i, phi := range step(e, slot, s) {
+			if phi > 0 {
+				never[i], gap[i] = false, 0
+			} else if !never[i] {
+				gap[i] += slot.Tau
+			}
+		}
+	}
+}
+
+// TestEMABlockMatchesDeque1k is the same identity at N = 1 000 users and
+// capacity 5 000, 40 evolving slots of which some are contended: the band
+// is a sixth of the want-clipped table there.
+func TestEMABlockMatchesDeque1k(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1 000 users × 5 000 units through the unclipped oracle")
+	}
+	evolvePaperCell(t, 0.3, 1000, 5000, 40, func(e *EMA, slot *Slot, step int) []int {
+		return stepAgainstDeque(t, e, slot, "step=%d", step)
+	})
 }
 
 // solveLines runs one DP solver on bare cost lines, DP user k being slot
@@ -152,16 +176,118 @@ func solveLines(dp func(*EMA, []userLine, int, []int), lines []userLine, capacit
 }
 
 // checkLinesAgainstDeque fails unless the production DP and the deque
-// oracle return the same allocation for these lines, grant for grant. A
-// divergence is reported with its input; there is no tolerance.
+// oracle return the same allocation for these lines, grant for grant, and
+// the oracle's lies inside the production DP's band. A divergence is
+// reported with its input; there is no tolerance.
 func checkLinesAgainstDeque(t *testing.T, lines []userLine, capacity int) {
 	t.Helper()
-	got := solveLines((*EMA).runDP, lines, capacity)
 	want := solveLines((*EMA).runDPDeque, lines, capacity)
+	checkBandLemma(t, lines, capacity, want) // first: a broken lemma should say so, not "allocations differ"
+	got := solveLines((*EMA).runDP, lines, capacity)
 	for k := range got {
 		if got[k] != want[k] {
 			t.Fatalf("capacity %d, lines %+v: production %v, deque %v", capacity, lines, got, want)
 		}
+	}
+}
+
+// checkBandLemma fails unless alloc — the unclipped deque oracle's answer
+// for these lines, alloc[k] being line k's grant — is an allocation
+// runDP's band keeps: need ≤ want for every line, a total of at least
+// T_lo = min(capacity, Σ need), and after every k users a prefix sum in
+// [lo_k, reach_k]. A failure here is a counter-example to runDP's lemmas,
+// whatever the production DP went on to return. It returns T_lo.
+func checkBandLemma(t *testing.T, lines []userLine, capacity int, alloc []int) (tLo int) {
+	t.Helper()
+	guard := clipGuard(lines, capacity)
+	wants, wantsLeft := make([]int, len(lines)), 0
+	for k := range lines {
+		need := lines[k].floor(guard)
+		wants[k] = lines[k].clip(guard)
+		if need > wants[k] {
+			t.Fatalf("lemma: capacity %d, line %d of %+v: need %d above want %d", capacity, k, lines, need, wants[k])
+		}
+		tLo += need
+		wantsLeft += wants[k]
+	}
+	tLo = min(tLo, capacity)
+	prefix, reach := 0, 0
+	for k := 0; ; k++ {
+		if lo := max(tLo-wantsLeft, 0); prefix < lo || prefix > reach {
+			t.Fatalf("lemma: capacity %d, lines %+v: oracle %v holds %d units after %d users, outside the band [%d, %d] (T_lo %d)",
+				capacity, lines, alloc, prefix, k, lo, reach, tLo)
+		}
+		if k == len(lines) {
+			return tLo
+		}
+		wantsLeft -= wants[k]
+		reach = min(reach+wants[k], capacity)
+		prefix += alloc[k]
+	}
+}
+
+// TestEMABandLemma checks runDP's two lemmas where they are claimed — on
+// the unclipped oracle's allocation, not on the production DP's — for every
+// kernelCases entry, the slots of TestEMABlockMatchesDequeLongEvolution and
+// 10⁴ seeded random line sets with ties, near-ties and margins either side
+// of the guard.
+func TestEMABandLemma(t *testing.T) {
+	for _, c := range kernelCases() {
+		checkBandLemma(t, c.lines, c.capacity, solveLines((*EMA).runDPDeque, c.lines, c.capacity))
+	}
+
+	for _, v := range []float64{0.005, 0.3, 16} {
+		banded := 0 // slots with T_lo > 0: a band narrower than the want-clip's
+		evolvePaperCell(t, v, 40, 205, 300, func(e *EMA, slot *Slot, step int) []int {
+			alloc := make([]int, slot.NumUsers())
+			e.AllocateDeque(slot, alloc)
+			grants := make([]int, len(e.lines))
+			for k, i := range e.dpUser {
+				grants[k] = alloc[i]
+			}
+			if checkBandLemma(t, e.lines, slot.CapacityUnits, grants) > 0 {
+				banded++
+			}
+			return alloc
+		})
+		if 2*banded < 300 {
+			t.Errorf("V=%v: T_lo > 0 in %d of 300 slots: the band is not what this run exercises", v, banded)
+		}
+	}
+
+	src := rng.New(2424)
+	for trial := 0; trial < 10_000; trial++ {
+		capacity := 1 + src.Intn(48)
+		lines := make([]userLine, 1+src.Intn(10))
+		for k := range lines {
+			l := userLine{base: src.Uniform(0, 2), maxPhi: 1 + src.Intn(min(capacity, 9))}
+			switch src.Intn(4) {
+			case 0:
+				l.perUnit = src.Uniform(-1, 1)
+			case 1:
+				l.perUnit = src.Uniform(-1e-15, 1e-15)
+			case 2:
+				l.perUnit = -src.Uniform(0, 1)
+			}
+			// Skipping against one unit or the whole link bound: a tie, an
+			// ULP off it, inside the guard, or a margin either way.
+			tie := l.base + l.perUnit
+			if src.Bool(0.5) {
+				tie = l.base + l.perUnit*float64(l.maxPhi)
+			}
+			switch src.Intn(5) {
+			case 0:
+				l.skip = tie
+			case 1:
+				l.skip = math.Nextafter(tie, 10)
+			case 2:
+				l.skip = tie + src.Uniform(-1e-13, 1e-13)
+			default:
+				l.skip = tie + src.Uniform(-1, 1)
+			}
+			lines[k] = l
+		}
+		checkLinesAgainstDeque(t, lines, capacity)
 	}
 }
 
@@ -191,6 +317,51 @@ func TestEMAClip(t *testing.T) {
 	}
 }
 
+// TestEMANeed pins what floor decides beside clip: the units a user is
+// known to take when capacity is spare are none, the one that beats
+// skipping, or its whole link bound, and any margin the slot's rounding
+// could swallow — the guard itself included — gives none.
+func TestEMANeed(t *testing.T) {
+	const g = 1e-9
+	up, down := math.Nextafter(g, 1), math.Nextafter(g, 0)
+	for _, tc := range []struct {
+		name  string
+		line  userLine
+		guard float64
+		need  int
+	}{
+		{"rising, unit dearer than skipping", userLine{skip: 1, base: 2, perUnit: 3, maxPhi: 9}, g, 0},
+		{"rising, unit dodges the tail", userLine{skip: 6, base: 2, perUnit: 3, maxPhi: 9}, g, 1},
+		{"rising, unit ties with skipping", userLine{skip: 5, base: 2, perUnit: 3, maxPhi: 9}, g, 0},
+		{"falling, everything cheaper than skipping", userLine{skip: 1, base: 2, perUnit: -3, maxPhi: 9}, g, 9},
+		{"falling, only everything cheaper than skipping", userLine{skip: -20, base: 2, perUnit: -3, maxPhi: 9}, g, 0},
+		{"falling, unit ties with skipping", userLine{skip: -1, base: 2, perUnit: -3, maxPhi: 9}, g, 0},
+		{"unit beats skipping by the guard", userLine{skip: g, base: 0, perUnit: 0, maxPhi: 9}, g, 0},
+		{"unit beats skipping by an ULP under the guard", userLine{skip: down, base: 0, perUnit: 0, maxPhi: 9}, g, 0},
+		{"unit beats skipping by an ULP over the guard", userLine{skip: up, base: 0, perUnit: 0, maxPhi: 9}, g, 1},
+		{"unit loses by the guard", userLine{skip: -g, base: 0, perUnit: 0, maxPhi: 9}, g, 0},
+		{"flat", userLine{skip: 6, base: 2, perUnit: 0, maxPhi: 9}, g, 1},
+		{"flat, negative zero", userLine{skip: 6, base: 2, perUnit: math.Copysign(0, -1), maxPhi: 9}, g, 1},
+		{"flat, guard 0", userLine{skip: 6, base: 2, perUnit: 0, maxPhi: 9}, 0, 1},
+		{"falling by the guard", userLine{skip: 6, base: 2, perUnit: -g, maxPhi: 9}, g, 1},
+		{"falling by an ULP under the guard", userLine{skip: 6, base: 2, perUnit: -down, maxPhi: 9}, g, 1},
+		{"falling by an ULP over the guard", userLine{skip: 6, base: 2, perUnit: -up, maxPhi: 9}, g, 9},
+		{"rising inside the guard", userLine{skip: 6, base: 2, perUnit: 1e-12, maxPhi: 9}, g, 1},
+		{"NaN slope", userLine{skip: 6, base: 2, perUnit: math.NaN(), maxPhi: 9}, g, 0},
+		{"NaN anywhere makes the guard NaN", userLine{skip: math.NaN(), base: 2, perUnit: 3, maxPhi: 9}, math.NaN(), 0},
+		{"NaN guard", userLine{skip: 6, base: 2, perUnit: -3, maxPhi: 9}, math.NaN(), 0},
+		{"infinite guard", userLine{skip: 6, base: 2, perUnit: -3, maxPhi: 9}, math.Inf(1), 0},
+	} {
+		got := tc.line.floor(tc.guard)
+		if got != tc.need {
+			t.Errorf("%s: floor = %d, want %d", tc.name, got, tc.need)
+		}
+		if want := tc.line.clip(tc.guard); got > want {
+			t.Errorf("%s: floor = %d above clip = %d", tc.name, got, want)
+		}
+	}
+}
+
 // kernelCase is one DP subproblem on bare cost lines.
 type kernelCase struct {
 	lines    []userLine
@@ -200,10 +371,13 @@ type kernelCase struct {
 // kernelCases are synthetic cost lines that EMA.line cannot easily produce
 // and the clip must survive: exact and near ties between taking and
 // skipping, vanishing slopes, one-unit windows and capacities, wants that
-// overrun capacity or sum to zero, and many identical users. The first two
-// are slots where a literal want (guard = 0, ties clipped) diverges from
-// the unclipped DP: user 0's ϕ = 2 and ϕ = 1 (or 0) cost exactly the same,
-// and the rounding of user 1's perUnit·m makes the later state cheaper.
+// overrun capacity or sum to zero, many identical users, and the edges of
+// the band — needs summing to one under, exactly and one over capacity, a
+// user inside the guard among users outside it, a window pass that starts
+// mid-table. The first two are slots where a literal want (guard = 0, ties
+// clipped) diverges from the unclipped DP: user 0's ϕ = 2 and ϕ = 1 (or 0)
+// cost exactly the same, and the rounding of user 1's perUnit·m makes the
+// later state cheaper.
 func kernelCases() []kernelCase {
 	type kc = kernelCase
 	noiseA := userLine{skip: 0, base: 0, perUnit: -0.1, maxPhi: 1}
@@ -253,6 +427,34 @@ func kernelCases() []kernelCase {
 			kc{identical(wantsNone, 12), capacity}, // Σ want = 0
 			kc{append(identical(wantsNone, 3), wantsAll, wantsUnit, wantsNone, wantsAll), capacity})
 	}
+
+	// Band edges. Σ need one above, at and one below capacity — unit users,
+	// window users, both with users that want nothing.
+	join := slices.Concat[[]userLine] // a fresh slice per case: the clamp below writes into it
+	for d := -1; d <= 1; d++ {
+		cases = append(cases,
+			kc{identical(wantsUnit, 12), 12 + d},
+			kc{identical(wantsAll, 4), 24 + d},
+			kc{join(identical(wantsAll, 2), identical(wantsNone, 2), identical(wantsUnit, 5), identical(wantsAll, 1)), 23 + d})
+	}
+	// One user inside the guard (need 0, want maxPhi) first, in the middle
+	// and last among users outside it, with room to spare, none, and a
+	// single unit; then nobody outside it and wants over capacity.
+	nearTie := userLine{skip: 1, base: 1, perUnit: 0, maxPhi: 5}
+	strict := join(identical(wantsUnit, 3), identical(wantsAll, 2), identical(wantsUnit, 2)) // Σ need = Σ want = 17
+	for _, capacity := range []int{1, 17, 19, 40} {
+		cases = append(cases,
+			kc{join([]userLine{nearTie}, strict), capacity},
+			kc{join(strict[:4], []userLine{nearTie}, strict[4:]), capacity},
+			kc{join(strict, []userLine{nearTie}), capacity})
+	}
+	cases = append(cases, kc{identical(nearTie, 6), 12})
+	// A window user whose row starts at lo = 5 (capacity 40) or 4 (12), not a
+	// multiple of its 6 units, on a band two blocks wide.
+	for _, capacity := range []int{12, 40} {
+		cases = append(cases, kc{join(identical(wantsUnit, 5), []userLine{nearTie, wantsAll}, identical(wantsUnit, 2)), capacity})
+	}
+
 	// As EMA.line leaves it: no link bound above the cell's capacity.
 	for _, c := range cases {
 		for k := range c.lines {
@@ -363,15 +565,18 @@ func TestEMAGrantAbove65535(t *testing.T) {
 
 // BenchmarkEMADP compares the per-slot cost of the production DP with the
 // deque oracle and the paper-literal reference at the paper-scale shape
-// (capacity 205) on one random slot in two queue states, restored before
+// (capacity 205) on one random slot in three queue states, restored before
 // every iteration: "random" is the slot's own equilibrium (queues piled up
-// over 200 slots until users want whole link bounds), "want-heavy" the
-// figure sweep's steady state (every queue negative, so each user wants
-// nothing or the one unit that dodges its tail). The two oracles allocate
-// their tables on every call.
+// over 200 slots until users want whole link bounds — Σ want stays under
+// capacity, one state a row), "want-heavy" the figure sweep's steady state
+// (every queue negative, so each user wants nothing or the one unit that
+// dodges its tail), "contended" the regime neither reaches: link bounds
+// doubled and users backlogged one by one until Σ need is just above
+// capacity, the rest as in want-heavy, so the rows are Σ want − capacity
+// wide. The two oracles allocate their tables on every call.
 func BenchmarkEMADP(b *testing.B) {
 	const n, capacity = 30, 205
-	for _, shape := range []string{"random", "want-heavy"} {
+	for _, shape := range []string{"random", "want-heavy", "contended"} {
 		for _, arm := range emaArms {
 			b.Run(shape+"/"+arm.name, func(b *testing.B) {
 				e, err := NewEMA(EMAConfig{V: 0.5, RRC: rrc.Paper3G()})
@@ -382,11 +587,19 @@ func BenchmarkEMADP(b *testing.B) {
 				slot := randomSlotForDP(src, n, capacity)
 				alloc := make([]int, n)
 				e.ensureQueues(n)
-				if shape == "want-heavy" {
+				switch shape {
+				case "want-heavy", "contended":
 					for i := range e.queues {
 						e.queues[i] = units.Seconds(-src.Uniform(1, 40))
 					}
-				} else {
+					if shape == "contended" {
+						for i, need := 0, 0; i < n && need <= capacity; i++ {
+							slot.Cols.MaxUnits[i] *= 2
+							e.queues[i] = 5000
+							need += slot.MaxUnitsAt(i)
+						}
+					}
+				default:
 					for i := 0; i < 200; i++ {
 						e.Allocate(slot, alloc)
 					}
