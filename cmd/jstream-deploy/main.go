@@ -141,17 +141,17 @@ func run(sites, users int, avgSizeMB float64, policyName, schedName string, capa
 	fmt.Printf("policy=%s scheduler=%s sites=%d users=%d\n", policy, schedName, sites, users)
 	for i, site := range cfg.Sites {
 		line := fmt.Sprintf("%-8s users=%-3d offset=%v", site.Name, counts[i], site.SignalOffset)
-		if r := res.PerSite[i]; r != nil {
+		if r := res.Fleet.PerSite[i]; r.Users > 0 {
 			line += fmt.Sprintf("  slots=%-5d rebuffer=%v energy=%v",
-				r.Slots, r.TotalRebuffer(), r.TotalEnergy())
+				r.Slots, r.Rebuffer, r.Energy)
 		} else {
 			line += "  (no users)"
 		}
 		fmt.Println(line)
 	}
+	mis, total := deploy.Misassignment(cfg, sessions, res)
 	fmt.Printf("fleet: rebuffer=%v energy=%v handover-pressure=%.1f%%\n",
-		res.TotalRebuffer(), res.TotalEnergy(),
-		100*float64(res.MisassignedSlots)/float64(max(res.TotalSlots, 1)))
+		res.TotalRebuffer(), res.TotalEnergy(), 100*float64(mis)/float64(max(total, 1)))
 	return nil
 }
 

@@ -56,7 +56,8 @@ func main() {
 		for _, pl := range res.Placements {
 			counts[pl.Site]++
 		}
-		pressure := float64(res.MisassignedSlots) / float64(res.TotalSlots)
+		mis, total := deploy.Misassignment(cfg, sessions, res)
+		pressure := float64(mis) / float64(total)
 		fmt.Printf("%-16s  %-14s  %-15v  %-13v  %.1f%%\n",
 			policy, fmt.Sprintf("%v", counts), res.TotalRebuffer(), res.TotalEnergy(), pressure*100)
 	}

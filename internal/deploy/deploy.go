@@ -2,14 +2,14 @@
 // deployment. The gateway "works between the base station and Internet to
 // manage the resources of each BS independently" (§III-A): each cell has
 // its own capacity, scheduler instance and slotted simulation, and the
-// cells run concurrently on the worker pool. The package adds what a
+// cells advance concurrently on the worker pool. The package adds what a
 // deployment needs on top of the single-cell simulator: per-(user, site)
-// signal derivation, user-to-cell attachment policies, and aggregation of
-// per-cell results into fleet-wide metrics.
+// signal derivation, user-to-cell attachment policies, one epoch loop for
+// both fleets, and aggregation of per-cell results into fleet metrics.
 //
 // Attachment is decided once per session at admission (the paper's model;
-// mid-session handover is out of scope and surfaced instead as the
-// MisassignedSlots diagnostic — slots in which a user's strongest site
+// mid-session handover is out of scope and surfaced instead by the
+// Misassignment diagnostic — slots in which a user's strongest site
 // differed from its serving site).
 package deploy
 
@@ -82,7 +82,7 @@ type Config struct {
 	// AssessSlots is the signal-averaging window used by StrongestSignal
 	// (default 10).
 	AssessSlots int
-	// Workers bounds the number of concurrently simulated cells
+	// Workers bounds the number of concurrently advanced cells
 	// (0 = GOMAXPROCS).
 	Workers int
 	// Outages schedules site-level outages: each window zeroes the named
@@ -90,27 +90,19 @@ type Config struct {
 	// stay attached and resume when the window closes; Result.
 	// DegradedSlots aggregates how many slots the fleet spent degraded.
 	Outages []SiteOutage
-	// Stream selects the epoch-clocked streaming runner: cells advance in
-	// lockstep EpochSlots-sized batches and each finished cell's result is
-	// folded into Result.Fleet and freed immediately, so the resident
-	// footprint is O(active cells) rather than O(all cells' results). The
-	// folded totals are byte-identical to the retained mode's accessors on
-	// every overlapping metric (the fleet tests assert this with ==); what
-	// streaming gives up is the per-site Result slice and the
-	// MisassignedSlots diagnostic, whose O(users × slots × sites) signal
-	// replay would dwarf the simulation itself at fleet scale.
+	// Deprecated: ignored; every run streams.
 	Stream bool
-	// EpochSlots is the streaming runner's lockstep batch size (0 =
+	// EpochSlots is the epoch loop's lockstep batch size (0 =
 	// DefaultEpochSlots). Smaller epochs tighten the progress callback
 	// cadence; results are byte-identical for any value (the stepped
 	// engine contract) — only scheduling granularity changes.
 	EpochSlots int
 	// OnEpoch, when set, is called serially on the caller's goroutine
-	// after every streaming epoch barrier — the hook the fleet benchmark
-	// uses to sample wall time and heap high-water per epoch.
+	// after every epoch barrier — the hook the fleet benchmark uses to
+	// sample wall time and heap high-water per epoch.
 	OnEpoch func(EpochInfo)
-	// EpochTimeout arms the epoch watchdog: a streaming (or open-fleet)
-	// epoch that has not reached its barrier within this wall-clock bound
+	// EpochTimeout arms the epoch watchdog: an epoch of either fleet
+	// that has not reached its barrier within this wall-clock bound
 	// aborts the run with a typed *EpochStalledError instead of hanging
 	// forever on a wedged scheduler. The run's context is cancelled so
 	// cooperative workers exit; a worker stuck inside a non-cooperative
@@ -118,19 +110,28 @@ type Config struct {
 	EpochTimeout time.Duration
 }
 
-// DefaultEpochSlots is the streaming runner's batch size when
-// Config.EpochSlots is zero.
+// DefaultEpochSlots is the epoch loop's batch size when Config.EpochSlots
+// is zero.
 const DefaultEpochSlots = 256
 
-// EpochInfo describes one completed streaming epoch.
+func (c Config) epochSlots() int {
+	if c.EpochSlots == 0 {
+		return DefaultEpochSlots
+	}
+	return c.EpochSlots
+}
+
+// EpochInfo describes one completed epoch.
 type EpochInfo struct {
 	// Epoch is the zero-based epoch index.
 	Epoch int
 	// UptoSlot is the exclusive slot bound every active cell reached.
 	UptoSlot int
-	// ActiveSites counts cells still running after this epoch.
+	// ActiveSites counts cells still running after this epoch (in the
+	// open fleet: cells with a session in service).
 	ActiveSites int
-	// CompletedSites counts cells finished and folded so far.
+	// CompletedSites counts cells finished and folded so far (always 0
+	// in the open fleet, whose cells serve until the run ends).
 	CompletedSites int
 }
 
@@ -219,33 +220,16 @@ type Placement struct {
 
 // Result aggregates a deployment run.
 type Result struct {
-	// PerSite holds each cell's simulation result; entries are nil for
-	// sites that received no users. Nil entirely in streaming mode, where
-	// per-cell results are folded into Fleet and freed as cells finish.
-	PerSite []*cell.Result
 	// Placements maps each input session to its serving site.
 	Placements []Placement
-	// MisassignedSlots counts (user, slot) pairs in which a different
-	// site's signal was ≥ HandoverMarginDB stronger than the serving
-	// site's — an upper bound on the handovers a mobility-aware
-	// deployment would perform. Always 0 in streaming mode: the
-	// diagnostic replays every user's signal toward every site and its
-	// O(users × slots × sites) cost is the antithesis of a bounded-memory
-	// fleet pass.
-	MisassignedSlots int
-	// TotalSlots is Σ per-user simulated slots, the denominator for
-	// MisassignedSlots.
-	TotalSlots int
-	// Fleet holds the streaming runner's folded aggregates; nil in
-	// retained mode.
+	// Fleet holds the folded aggregates of every cell.
 	Fleet *FleetMetrics
 }
 
-// FleetMetrics is the streaming runner's windowed aggregation of every
-// per-cell result. Scalar totals are folded per site and then merged in
-// site index order — the same float-addition sequence the retained
-// Result accessors perform over PerSite — so the two modes agree
-// bit-for-bit, not just approximately.
+// FleetMetrics is the fold of every cell's result. Scalar totals are
+// merged per site in site index order — the float-addition sequence of
+// summing each one-shot cell's Result accessors — so they are exact for
+// any epoch size or worker count.
 type FleetMetrics struct {
 	// Sites and EmptySites count configured cells and cells that received
 	// no users.
@@ -254,7 +238,7 @@ type FleetMetrics struct {
 	Users int
 	// Slots is the fleet horizon: the largest per-cell slot count.
 	Slots int
-	// Epochs counts streaming epochs executed.
+	// Epochs counts epochs executed.
 	Epochs int
 	// DegradedSlots sums the slots each cell spent inside an outage
 	// window; ClampEvents sums scheduler outputs clamped by Eq. (1)/(2).
@@ -263,8 +247,10 @@ type FleetMetrics struct {
 	// the fleet-total stall time.
 	Energy, TailEnergy units.MJ
 	Rebuffer           units.Seconds
+	// PerSite holds each site's totals; an empty site's are zero.
+	PerSite []SiteTotals
 	// PerEpoch holds fleet-wide per-epoch energy/rebuffer totals, the
-	// streaming replacement for retaining every cell's PerSlot series.
+	// bounded-memory replacement for every cell's PerSlot series.
 	PerEpoch []EpochTotals
 	// RebufferPerUser and EnergyPerUser sketch the per-user total
 	// distributions (seconds and mJ): fixed-memory streaming histograms
@@ -274,7 +260,16 @@ type FleetMetrics struct {
 	EnergyPerUser   *metrics.StreamingHist
 }
 
-// EpochTotals aggregates one streaming epoch across the fleet.
+// SiteTotals is one site's share of the FleetMetrics fields of the same
+// names (Slots is its cell's run length), as its cell's Result reports it.
+type SiteTotals struct {
+	Users, Slots               int
+	Energy, TailEnergy         units.MJ
+	Rebuffer                   units.Seconds
+	DegradedSlots, ClampEvents int
+}
+
+// EpochTotals aggregates one epoch across the fleet.
 type EpochTotals struct {
 	Energy   units.MJ
 	Rebuffer units.Seconds
@@ -284,51 +279,17 @@ type EpochTotals struct {
 // diagnostic, matching typical A3-event offsets.
 const HandoverMarginDB = 3
 
-// TotalEnergy sums energy across sites (mJ). Streaming results serve the
-// folded fleet total, which matches the retained sum bit-for-bit.
-func (r *Result) TotalEnergy() units.MJ {
-	if r.Fleet != nil {
-		return r.Fleet.Energy
-	}
-	var sum units.MJ
-	for _, res := range r.PerSite {
-		if res != nil {
-			sum += res.TotalEnergy()
-		}
-	}
-	return sum
-}
+// TotalEnergy is the fleet-total energy (mJ).
+func (r *Result) TotalEnergy() units.MJ { return r.Fleet.Energy }
 
-// TotalRebuffer sums stall time across sites.
-func (r *Result) TotalRebuffer() units.Seconds {
-	if r.Fleet != nil {
-		return r.Fleet.Rebuffer
-	}
-	var sum units.Seconds
-	for _, res := range r.PerSite {
-		if res != nil {
-			sum += res.TotalRebuffer()
-		}
-	}
-	return sum
-}
+// TotalRebuffer is the fleet-total stall time.
+func (r *Result) TotalRebuffer() units.Seconds { return r.Fleet.Rebuffer }
 
 // Users counts sessions across sites.
 func (r *Result) Users() int { return len(r.Placements) }
 
 // DegradedSlots sums the slots every site spent inside an outage window.
-func (r *Result) DegradedSlots() int {
-	if r.Fleet != nil {
-		return r.Fleet.DegradedSlots
-	}
-	sum := 0
-	for _, res := range r.PerSite {
-		if res != nil {
-			sum += res.DegradedSlots
-		}
-	}
-	return sum
-}
+func (r *Result) DegradedSlots() int { return r.Fleet.DegradedSlots }
 
 // offsetTrace shifts a base trace by a fixed dBm offset plus optional
 // independent per-slot shadowing, clamped to the physical bounds. The
@@ -400,9 +361,10 @@ func SiteTrace(s *workload.Session, site Site, siteIdx int) signal.Trace {
 	}
 }
 
-// Run attaches the sessions to sites under the configured policy and
-// simulates every cell concurrently. newSched must return a fresh
-// scheduler per call (one per site).
+// Run attaches the sessions to sites under the configured policy and runs
+// every populated cell through the epoch loop, folding each into
+// Result.Fleet and freeing it as it finishes, so the footprint is O(active
+// cells). newSched must return a fresh scheduler per call (one per site).
 func Run(ctx context.Context, cfg Config, sessions []*workload.Session, newSched func() (sched.Scheduler, error)) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -413,60 +375,59 @@ func Run(ctx context.Context, cfg Config, sessions []*workload.Session, newSched
 	if newSched == nil {
 		return nil, fmt.Errorf("deploy: nil scheduler factory")
 	}
-	assess := cfg.AssessSlots
-	if assess == 0 {
-		assess = 10
-	}
 
-	placements := assign(cfg, sessions, assess)
-
-	// Group sessions per site, cloning with dense IDs and site-shifted
-	// signal traces.
+	// Place every session and clone it into its site's population with a
+	// dense ID and the site-shifted signal trace.
+	res := &Result{Placements: make([]Placement, len(sessions))}
 	perSite := make([][]*workload.Session, len(cfg.Sites))
-	backRef := make([][]int, len(cfg.Sites)) // site-local index -> global user
-	for _, pl := range placements {
-		s := sessions[pl.User]
+	demand := make([]units.KBps, len(cfg.Sites))
+	for ui, s := range sessions {
+		si := pickSite(cfg, ui, s, demand)
+		demand[si] += s.BaseRate
+		res.Placements[ui] = Placement{User: ui, Site: si}
 		clone := *s
-		clone.ID = len(perSite[pl.Site])
-		clone.Signal = SiteTrace(s, cfg.Sites[pl.Site], pl.Site)
-		perSite[pl.Site] = append(perSite[pl.Site], &clone)
-		backRef[pl.Site] = append(backRef[pl.Site], pl.User)
+		clone.ID = len(perSite[si])
+		clone.Signal = SiteTrace(s, cfg.Sites[si], si)
+		perSite[si] = append(perSite[si], &clone)
 	}
 
-	if cfg.Stream {
-		fleet, err := runStream(ctx, cfg, perSite, newSched)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Placements: placements, Fleet: fleet}, nil
-	}
-
-	type job struct {
-		site int
-	}
-	jobs := make([]job, 0, len(cfg.Sites))
-	for i := range cfg.Sites {
-		jobs = append(jobs, job{site: i})
-	}
-	results, err := pool.Map(ctx, cfg.Workers, jobs, func(ctx context.Context, j job) (*cell.Result, error) {
-		if len(perSite[j.site]) == 0 {
-			return nil, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sim, err := newSiteSim(cfg, j.site, perSite[j.site], newSched)
-		if err != nil {
-			return nil, err
-		}
-		return sim.RunCtx(ctx)
+	fleet := &FleetMetrics{Sites: len(cfg.Sites)}
+	sims := make([]*cell.Simulator, len(cfg.Sites))
+	aggs := make([]siteAgg, len(cfg.Sites))
+	epochs, err := lockstep(ctx, cfg, epochSteps{
+		start: func(ctx context.Context) ([]int, error) {
+			running := make([]int, 0, len(cfg.Sites))
+			for si, ss := range perSite {
+				if len(ss) == 0 {
+					fleet.EmptySites++
+					continue
+				}
+				sim, err := newSiteSim(cfg, si, ss, newSched)
+				if err != nil {
+					return nil, err
+				}
+				if err := sim.Start(ctx); err != nil {
+					return nil, err
+				}
+				sims[si] = sim
+				running = append(running, si)
+			}
+			return running, nil
+		},
+		advance: func(si, upto int) (bool, error) { return sims[si].Advance(upto) },
+		retire: func(si int) {
+			foldSite(&aggs[si], sims[si].Finish(), cfg.epochSlots())
+			sims[si] = nil
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	res := &Result{PerSite: results, Placements: placements}
-	res.MisassignedSlots, res.TotalSlots = misassignment(cfg, sessions, placements, results, backRef)
+	fleet.Epochs = epochs
+	if err := fleet.merge(aggs); err != nil {
+		return nil, err
+	}
+	res.Fleet = fleet
 	return res, nil
 }
 
@@ -493,6 +454,77 @@ func newSiteSim(cfg Config, site int, sessions []*workload.Session, newSched fun
 	return sim, nil
 }
 
+// epochSteps is what a fleet hands the epoch loop.
+type epochSteps struct {
+	// start builds and starts the sites under the run's context; it
+	// returns the ones to advance, in site order.
+	start func(ctx context.Context) ([]int, error)
+	// before, if set, runs serially ahead of each epoch's advance.
+	before func(upto int) error
+	// advance ticks one site on a pool worker; true means it finished.
+	advance func(site, upto int) (bool, error)
+	// retire folds a finished site, serially and in site order.
+	retire func(site int)
+	// after, if set, may amend each epoch's report before OnEpoch sees it;
+	// true ends the run (as does the last site's retirement).
+	after func(*EpochInfo) bool
+}
+
+// lockstep is the one epoch loop both fleets run. Every epoch it runs
+// before, advances each running site to the same slot bound under the
+// shared worker budget and the epoch watchdog, retires the sites that
+// finished, and reports the epoch. Everything that spans sites runs
+// serially on the caller's goroutine in site order, so no result depends
+// on the worker count; the stepped engine contract makes the closed
+// fleet's independent of the epoch size too. It returns the epochs run.
+func lockstep(ctx context.Context, cfg Config, f epochSteps) (int, error) {
+	epoch := cfg.epochSlots()
+	// The watchdog cancels this context on a stall, so every cooperative
+	// worker in the fleet unwinds together.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	running, err := f.start(ctx)
+	if err != nil {
+		return 0, err
+	}
+	done := make([]bool, len(cfg.Sites))
+	epochs, retired := 0, 0
+	for upto, stop := epoch, false; !stop && len(running) > 0; upto += epoch {
+		if f.before != nil {
+			if err := f.before(upto); err != nil {
+				return 0, err
+			}
+		}
+		err := watchEpoch(cancel, cfg.EpochTimeout, epochs, upto, func() error {
+			return pool.ForEachN(ctx, cfg.Workers, len(running), func(_ context.Context, k int) error {
+				d, err := f.advance(running[k], upto)
+				done[running[k]] = d
+				return err
+			})
+		})
+		if err != nil {
+			return 0, err
+		}
+		still := running[:0]
+		for _, si := range running {
+			if !done[si] {
+				still = append(still, si)
+				continue
+			}
+			f.retire(si)
+			retired++
+		}
+		running = still
+		epochs++
+		e := EpochInfo{Epoch: epochs - 1, UptoSlot: upto, ActiveSites: len(running), CompletedSites: retired}
+		stop = f.after != nil && f.after(&e)
+		if cfg.OnEpoch != nil {
+			cfg.OnEpoch(e)
+		}
+	}
+	return epochs, nil
+}
+
 // Streaming-histogram shapes for the per-user distributions: 128 bins
 // with sub-second / sub-mJ initial resolution; auto-widening covers any
 // scale while keeping the quantile error at half the final bin width.
@@ -503,156 +535,35 @@ const (
 	fleetEpochTotalsBudget = 1 << 16 // PerEpoch entries before truncation
 )
 
-// siteAgg is the per-site fold of one finished cell result. Scalars are
-// kept per site and merged in site index order afterwards so the final
-// totals reproduce the retained accessors' float-addition sequence
-// exactly.
+// siteAgg is the fold of one finished cell. Its epoch series and sketches
+// live only until the merge, which runs in site index order after the
+// run: folding straight into shared fleet histograms would order their
+// float accumulation by *finish epoch*, not site.
 type siteAgg struct {
-	users         int
-	slots         int
-	energy        units.MJ
-	tailEnergy    units.MJ
-	rebuffer      units.Seconds
-	degradedSlots int
-	clampEvents   int
-	perEpoch      []EpochTotals
-	// Per-site histograms, merged fleet-wide in site index order after
-	// the run: folding straight into shared fleet histograms would order
-	// the float accumulation by *finish epoch*, making the sketch's sum
-	// depend on EpochSlots; per-site sketches cost O(sites × bins) and
-	// keep every fleet metric byte-identical across epoch sizes too.
+	SiteTotals
+	perEpoch   []EpochTotals
 	rebufHist  *metrics.StreamingHist
 	energyHist *metrics.StreamingHist
 }
 
-// runStream is the epoch-clocked fleet runner: every populated site gets
-// a stepped simulator, all active sites advance to the same slot bound
-// each epoch under the shared worker budget, and a site that finishes is
-// folded into its siteAgg and freed before the next epoch — peak memory
-// holds active simulators plus O(sites + epochs) aggregates, never the
-// full fleet's results.
-func runStream(ctx context.Context, cfg Config, perSite [][]*workload.Session, newSched func() (sched.Scheduler, error)) (*FleetMetrics, error) {
-	epoch := cfg.EpochSlots
-	if epoch == 0 {
-		epoch = DefaultEpochSlots
+// newHist returns an empty per-user sketch; its shape is constant, so it
+// cannot fail.
+func newHist(width float64) *metrics.StreamingHist {
+	h, err := metrics.NewStreamingHist(fleetHistBins, width)
+	if err != nil {
+		panic(err)
 	}
-	// The watchdog cancels this context on a stall, so every cooperative
-	// worker in the fleet unwinds together.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	fleet := &FleetMetrics{Sites: len(cfg.Sites)}
-	var err error
-	if fleet.RebufferPerUser, err = metrics.NewStreamingHist(fleetHistBins, fleetRebufferBinSec); err != nil {
-		return nil, err
-	}
-	if fleet.EnergyPerUser, err = metrics.NewStreamingHist(fleetHistBins, fleetEnergyBinMJ); err != nil {
-		return nil, err
-	}
-
-	sims := make([]*cell.Simulator, len(cfg.Sites))
-	aggs := make([]siteAgg, len(cfg.Sites))
-	active := make([]int, 0, len(cfg.Sites))
-	for si := range cfg.Sites {
-		if len(perSite[si]) == 0 {
-			fleet.EmptySites++
-			continue
-		}
-		sim, err := newSiteSim(cfg, si, perSite[si], newSched)
-		if err != nil {
-			return nil, err
-		}
-		if err := sim.Start(ctx); err != nil {
-			return nil, err
-		}
-		sims[si] = sim
-		active = append(active, si)
-	}
-
-	done := make([]bool, len(cfg.Sites))
-	completed := 0
-	upto := 0
-	for len(active) > 0 {
-		upto += epoch
-		err := watchEpoch(cancel, cfg.EpochTimeout, fleet.Epochs, upto, func() error {
-			return pool.ForEachN(ctx, cfg.Workers, len(active), func(ctx context.Context, k int) error {
-				d, err := sims[active[k]].Advance(upto)
-				done[active[k]] = d
-				return err
-			})
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Retire finished sites serially on this goroutine; folds are
-		// per-site, so retire order cannot affect the final metrics.
-		still := active[:0]
-		for _, si := range active {
-			if !done[si] {
-				still = append(still, si)
-				continue
-			}
-			if err := foldSite(&aggs[si], sims[si].Finish(), epoch); err != nil {
-				return nil, err
-			}
-			sims[si] = nil
-			completed++
-		}
-		active = still
-		fleet.Epochs++
-		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(EpochInfo{
-				Epoch:          fleet.Epochs - 1,
-				UptoSlot:       upto,
-				ActiveSites:    len(active),
-				CompletedSites: completed,
-			})
-		}
-	}
-
-	// Merge per-site aggregates in site index order — for the scalars,
-	// the retained mode's exact summation sequence over PerSite; for the
-	// histograms, an order independent of epoch size and worker count.
-	for si := range aggs {
-		a := &aggs[si]
-		fleet.Users += a.users
-		fleet.Energy += a.energy
-		fleet.TailEnergy += a.tailEnergy
-		fleet.Rebuffer += a.rebuffer
-		fleet.DegradedSlots += a.degradedSlots
-		fleet.ClampEvents += a.clampEvents
-		if a.slots > fleet.Slots {
-			fleet.Slots = a.slots
-		}
-		for e, t := range a.perEpoch {
-			if e >= len(fleet.PerEpoch) {
-				fleet.PerEpoch = append(fleet.PerEpoch, EpochTotals{})
-			}
-			fleet.PerEpoch[e].Energy += t.Energy
-			fleet.PerEpoch[e].Rebuffer += t.Rebuffer
-		}
-		if a.rebufHist != nil {
-			if err := fleet.RebufferPerUser.Merge(a.rebufHist); err != nil {
-				return nil, err
-			}
-			if err := fleet.EnergyPerUser.Merge(a.energyHist); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return fleet, nil
+	return h
 }
 
 // foldSite reduces one finished cell result into its per-site aggregate,
 // after which the result is garbage.
-func foldSite(a *siteAgg, res *cell.Result, epoch int) error {
-	a.users = len(res.Users)
-	a.slots = res.Slots
-	a.energy = res.TotalEnergy()
-	a.tailEnergy = res.TotalTailEnergy()
-	a.rebuffer = res.TotalRebuffer()
-	a.degradedSlots = res.DegradedSlots
-	a.clampEvents = res.ClampEvents
+func foldSite(a *siteAgg, res *cell.Result, epoch int) {
+	a.SiteTotals = SiteTotals{
+		Users: len(res.Users), Slots: res.Slots,
+		Energy: res.TotalEnergy(), TailEnergy: res.TotalTailEnergy(), Rebuffer: res.TotalRebuffer(),
+		DegradedSlots: res.DegradedSlots, ClampEvents: res.ClampEvents,
+	}
 	nEpochs := (res.Slots + epoch - 1) / epoch
 	if nEpochs > fleetEpochTotalsBudget {
 		nEpochs = fleetEpochTotalsBudget
@@ -666,48 +577,74 @@ func foldSite(a *siteAgg, res *cell.Result, epoch int) error {
 		a.perEpoch[e].Energy += st.Energy
 		a.perEpoch[e].Rebuffer += st.Rebuffer
 	}
-	var err error
-	if a.rebufHist, err = metrics.NewStreamingHist(fleetHistBins, fleetRebufferBinSec); err != nil {
-		return err
-	}
-	if a.energyHist, err = metrics.NewStreamingHist(fleetHistBins, fleetEnergyBinMJ); err != nil {
-		return err
-	}
+	a.rebufHist, a.energyHist = newHist(fleetRebufferBinSec), newHist(fleetEnergyBinMJ)
 	for _, u := range res.Users {
 		a.rebufHist.Observe(float64(u.Rebuffer))
 		a.energyHist.Observe(float64(u.Energy()))
 	}
+}
+
+// merge folds the per-site aggregates into the fleet in site index order.
+func (f *FleetMetrics) merge(aggs []siteAgg) error {
+	f.RebufferPerUser, f.EnergyPerUser = newHist(fleetRebufferBinSec), newHist(fleetEnergyBinMJ)
+	f.PerSite = make([]SiteTotals, len(aggs))
+	for si, a := range aggs {
+		f.PerSite[si] = a.SiteTotals
+		f.Users += a.Users
+		f.Energy += a.Energy
+		f.TailEnergy += a.TailEnergy
+		f.Rebuffer += a.Rebuffer
+		f.DegradedSlots += a.DegradedSlots
+		f.ClampEvents += a.ClampEvents
+		if a.Slots > f.Slots {
+			f.Slots = a.Slots
+		}
+		for e, t := range a.perEpoch {
+			if e >= len(f.PerEpoch) {
+				f.PerEpoch = append(f.PerEpoch, EpochTotals{})
+			}
+			f.PerEpoch[e].Energy += t.Energy
+			f.PerEpoch[e].Rebuffer += t.Rebuffer
+		}
+		if a.rebufHist != nil {
+			if err := f.RebufferPerUser.Merge(a.rebufHist); err != nil {
+				return err
+			}
+			if err := f.EnergyPerUser.Merge(a.energyHist); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 
-// assign applies the attachment policy.
-func assign(cfg Config, sessions []*workload.Session, assess int) []Placement {
-	placements := make([]Placement, len(sessions))
-	demand := make([]units.KBps, len(cfg.Sites))
-	for ui, s := range sessions {
-		site := 0
-		switch cfg.Policy {
-		case RoundRobin:
-			site = ui % len(cfg.Sites)
-		case LeastLoaded:
-			for si := 1; si < len(cfg.Sites); si++ {
-				if demand[si] < demand[site] {
-					site = si
-				}
-			}
-		case StrongestSignal:
-			best := meanSignal(SiteTrace(s, cfg.Sites[0], 0), s.StartSlot, assess)
-			for si := 1; si < len(cfg.Sites); si++ {
-				m := meanSignal(SiteTrace(s, cfg.Sites[si], si), s.StartSlot, assess)
-				if m > best {
-					best, site = m, si
-				}
+// pickSite is both fleets' attachment policy: the site for the ordinal-th
+// session given each site's attached demand. Ties go to the lowest index.
+func pickSite(cfg Config, ordinal int, s *workload.Session, demand []units.KBps) int {
+	site := 0
+	switch cfg.Policy {
+	case RoundRobin:
+		site = ordinal % len(cfg.Sites)
+	case LeastLoaded:
+		for si := 1; si < len(demand); si++ {
+			if demand[si] < demand[site] {
+				site = si
 			}
 		}
-		demand[site] += s.BaseRate
-		placements[ui] = Placement{User: ui, Site: site}
+	case StrongestSignal:
+		assess := cfg.AssessSlots
+		if assess == 0 {
+			assess = 10
+		}
+		best := meanSignal(SiteTrace(s, cfg.Sites[0], 0), s.StartSlot, assess)
+		for si := 1; si < len(cfg.Sites); si++ {
+			m := meanSignal(SiteTrace(s, cfg.Sites[si], si), s.StartSlot, assess)
+			if m > best {
+				best, site = m, si
+			}
+		}
 	}
-	return placements
+	return site
 }
 
 func meanSignal(tr signal.Trace, start, window int) float64 {
@@ -718,28 +655,22 @@ func meanSignal(tr signal.Trace, start, window int) float64 {
 	return sum / float64(window)
 }
 
-// misassignment counts slots where some other site beat the serving site
-// by the handover margin.
-func misassignment(cfg Config, sessions []*workload.Session, placements []Placement, results []*cell.Result, backRef [][]int) (int, int) {
-	mis, total := 0, 0
-	for si, res := range results {
-		if res == nil {
-			continue
-		}
-		for _, globalID := range backRef[si] {
-			s := sessions[globalID]
-			serving := SiteTrace(s, cfg.Sites[si], si)
-			for n := s.StartSlot; n < res.Slots; n++ {
-				total++
-				sv := float64(serving.At(n))
-				for oi := range cfg.Sites {
-					if oi == si {
-						continue
-					}
-					if float64(SiteTrace(s, cfg.Sites[oi], oi).At(n)) >= sv+HandoverMarginDB {
-						mis++
-						break
-					}
+// Misassignment counts the (user, slot) pairs of a finished run in which
+// another site's signal was ≥ HandoverMarginDB stronger than the serving
+// site's — an upper bound on the handovers a mobility-aware deployment
+// would perform — out of total simulated pairs. Its replay of every signal
+// toward every site is O(users × slots × sites), so Run does not pay it.
+func Misassignment(cfg Config, sessions []*workload.Session, res *Result) (mis, total int) {
+	for _, pl := range res.Placements {
+		s := sessions[pl.User]
+		serving := SiteTrace(s, cfg.Sites[pl.Site], pl.Site)
+		for n := s.StartSlot; n < res.Fleet.PerSite[pl.Site].Slots; n++ {
+			total++
+			sv := float64(serving.At(n))
+			for oi := range cfg.Sites {
+				if oi != pl.Site && float64(SiteTrace(s, cfg.Sites[oi], oi).At(n)) >= sv+HandoverMarginDB {
+					mis++
+					break
 				}
 			}
 		}

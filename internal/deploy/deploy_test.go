@@ -106,10 +106,10 @@ func TestStrongestSignalPrefersUnattenuatedSite(t *testing.T) {
 			t.Errorf("user %d attached to attenuated site", pl.User)
 		}
 	}
-	if res.PerSite[0] == nil {
-		t.Fatal("north site has no result")
+	if res.Fleet.PerSite[0].Users == 0 {
+		t.Fatal("north site has no users")
 	}
-	if res.PerSite[1] != nil {
+	if res.Fleet.PerSite[1] != (SiteTotals{}) || res.Fleet.EmptySites != 1 {
 		t.Error("empty south site has a result")
 	}
 }
@@ -128,8 +128,8 @@ func TestRoundRobinSplitsUsers(t *testing.T) {
 	if counts[0] != 3 || counts[1] != 3 {
 		t.Errorf("round robin split = %v", counts)
 	}
-	if res.PerSite[0] == nil || res.PerSite[1] == nil {
-		t.Error("missing per-site results")
+	if res.Fleet.PerSite[0].Users != 3 || res.Fleet.PerSite[1].Users != 3 {
+		t.Errorf("per-site results: %+v", res.Fleet.PerSite)
 	}
 }
 
@@ -164,11 +164,9 @@ func TestAggregatesMatchPerSite(t *testing.T) {
 	}
 	var energy units.MJ
 	var reb units.Seconds
-	for _, r := range res.PerSite {
-		if r != nil {
-			energy += r.TotalEnergy()
-			reb += r.TotalRebuffer()
-		}
+	for _, r := range res.Fleet.PerSite {
+		energy += r.Energy
+		reb += r.Rebuffer
 	}
 	if res.TotalEnergy() != energy || res.TotalRebuffer() != reb {
 		t.Error("aggregate mismatch")
@@ -219,19 +217,21 @@ func TestMisassignmentDiagnostic(t *testing.T) {
 		},
 		Policy: StrongestSignal,
 	}
-	res, err := Run(context.Background(), cfg, smallSessions(t, 6), defaultFactory)
+	sessions := smallSessions(t, 6)
+	res, err := Run(context.Background(), cfg, sessions, defaultFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalSlots <= 0 {
+	mis, total := Misassignment(cfg, sessions, res)
+	if total <= 0 {
 		t.Fatal("no slots accounted")
 	}
-	if res.MisassignedSlots < 0 || res.MisassignedSlots > res.TotalSlots {
-		t.Errorf("misassigned %d of %d", res.MisassignedSlots, res.TotalSlots)
+	if mis < 0 || mis > total {
+		t.Errorf("misassigned %d of %d", mis, total)
 	}
 	// Co-located sites with independent 6 dB shadowing: the other site
 	// should beat the serving one by >=3 dB in a nontrivial share of slots.
-	if res.MisassignedSlots == 0 {
+	if mis == 0 {
 		t.Error("expected some misassigned slots with co-located sites")
 	}
 }

@@ -2,12 +2,14 @@ package deploy
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
+	"jointstream/internal/cell"
 	"jointstream/internal/rng"
 	"jointstream/internal/sched"
 	"jointstream/internal/units"
@@ -15,10 +17,10 @@ import (
 )
 
 // fleetConfig builds a deployment whose sites differ (capacity, offsets,
-// an outage) so the streaming fold has real structure to preserve, with
+// an outage) so the fleet's fold has real structure to preserve, with
 // tiled link windows and stateless traces — the fleet-scale setup.
 func fleetConfig(sites int) Config {
-	cfg := Config{Policy: RoundRobin, Stream: true, EpochSlots: 64}
+	cfg := Config{Policy: RoundRobin, EpochSlots: 64}
 	for i := 0; i < sites; i++ {
 		c := siteConfig()
 		c.MaxSlots = 400 + 50*(i%3) // ragged horizons exercise staggered completion
@@ -52,9 +54,9 @@ func fleetSessions(t *testing.T, n int) []*workload.Session {
 // never reach — at 50 MB/s per site, so the first sessions complete and
 // leave tails while the rest wait. With cellWorkers > 1 the sites run one
 // after the other, so the worker budget goes to each cell's shards and the
-// tick really fans out inside a streamed, tiled cell.
+// tick really fans out inside a lockstep, tiled cell.
 func denseFleet(cellWorkers int) Config {
-	cfg := Config{Policy: RoundRobin, Stream: true, EpochSlots: 64}
+	cfg := Config{Policy: RoundRobin, EpochSlots: 64}
 	if cellWorkers > 1 {
 		cfg.Workers = 1
 	}
@@ -70,11 +72,62 @@ func denseFleet(cellWorkers int) Config {
 	return cfg
 }
 
-// TestStreamMatchesRetained is the streaming keystone: on every metric
-// the two modes share, the folded fleet aggregates equal the retained
-// mode's accessors exactly (==, not a tolerance) — same sums in the same
-// order — and the per-epoch series re-adds to the same totals.
-func TestStreamMatchesRetained(t *testing.T) {
+// outageFleet is fleetConfig's three sites with site 1 down while its
+// sessions are still playing (fleetConfig's own window opens after every
+// session finished).
+func outageFleet() Config {
+	cfg := fleetConfig(3)
+	cfg.Outages = []SiteOutage{{Site: 1, From: 5, To: 25}}
+	return cfg
+}
+
+// oneShot is the fleet's oracle, the only place a cell still runs whole:
+// each populated site's sessions, cloned in placement order with their
+// site traces, through one RunCtx. Empty sites' entries are nil.
+func oneShot(t *testing.T, cfg Config, sessions []*workload.Session, placements []Placement) []*cell.Result {
+	t.Helper()
+	perSite := make([][]*workload.Session, len(cfg.Sites))
+	for _, pl := range placements {
+		clone := *sessions[pl.User]
+		clone.ID = len(perSite[pl.Site])
+		clone.Signal = SiteTrace(sessions[pl.User], cfg.Sites[pl.Site], pl.Site)
+		perSite[pl.Site] = append(perSite[pl.Site], &clone)
+	}
+	cells := make([]*cell.Result, len(cfg.Sites))
+	for si, ss := range perSite {
+		if len(ss) == 0 {
+			continue
+		}
+		sim, err := newSiteSim(cfg, si, ss, defaultFactory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cells[si], err = sim.RunCtx(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cells
+}
+
+// siteTotals is what the fleet must fold from a one-shot cell's result;
+// zero for an empty site.
+func siteTotals(c *cell.Result) SiteTotals {
+	if c == nil {
+		return SiteTotals{}
+	}
+	return SiteTotals{
+		Users: len(c.Users), Slots: c.Slots,
+		Energy: c.TotalEnergy(), TailEnergy: c.TotalTailEnergy(), Rebuffer: c.TotalRebuffer(),
+		DegradedSlots: c.DegradedSlots, ClampEvents: c.ClampEvents,
+	}
+}
+
+// TestFleetMatchesOneShotCells is the epoch loop's keystone: at every
+// worker count and epoch size, each site's folded totals equal its cell
+// run one shot, and the fleet totals equal their sum in site order —
+// exactly (==, not a tolerance) — while the per-epoch series re-adds to
+// the same totals.
+func TestFleetMatchesOneShotCells(t *testing.T) {
 	dense := fleetSessions(t, 5000)
 	for _, in := range []struct {
 		name     string
@@ -84,63 +137,55 @@ func TestStreamMatchesRetained(t *testing.T) {
 		{"5 ragged sites of 8", fleetSessions(t, 40), fleetConfig(5)},
 		{"2 sites of 2500, serial cells", dense, denseFleet(1)},
 		{"2 sites of 2500, sharded cells", dense, denseFleet(4)},
+		{"3 sites, an outage mid-run", fleetSessions(t, 30), outageFleet()},
 	} {
-		t.Run(in.name, func(t *testing.T) { streamMatchesRetained(t, in.sessions, in.cfg) })
+		t.Run(in.name, func(t *testing.T) {
+			var cells []*cell.Result // placement does not depend on workers or epochs
+			for _, workers := range []int{1, 2, 0} {
+				for _, epoch := range []int{1, 17, 64, 1 << 20} {
+					cfg := in.cfg
+					cfg.Workers, cfg.EpochSlots = workers, epoch
+					res, err := Run(context.Background(), cfg, in.sessions, defaultFactory)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if cells == nil {
+						cells = oneShot(t, cfg, in.sessions, res.Placements)
+					}
+					t.Run(fmt.Sprintf("workers=%d,epoch=%d", workers, epoch), func(t *testing.T) {
+						matchesOneShot(t, cfg, in.sessions, res, cells)
+					})
+				}
+			}
+		})
 	}
 }
 
-func streamMatchesRetained(t *testing.T, sessions []*workload.Session, cfg Config) {
-	cfg.Stream = false
-	retained, err := Run(context.Background(), cfg, sessions, defaultFactory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Stream = true
-	streamed, err := Run(context.Background(), cfg, sessions, defaultFactory)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if streamed.Fleet == nil || streamed.PerSite != nil {
-		t.Fatal("streaming result shape wrong")
-	}
-	if retained.Fleet != nil {
-		t.Fatal("retained result carries fleet metrics")
-	}
-	if streamed.TotalEnergy() != retained.TotalEnergy() {
-		t.Fatalf("energy: stream %v != retained %v", streamed.TotalEnergy(), retained.TotalEnergy())
-	}
-	if streamed.TotalRebuffer() != retained.TotalRebuffer() {
-		t.Fatalf("rebuffer: stream %v != retained %v", streamed.TotalRebuffer(), retained.TotalRebuffer())
-	}
-	if streamed.DegradedSlots() != retained.DegradedSlots() {
-		t.Fatalf("degraded: stream %d != retained %d", streamed.DegradedSlots(), retained.DegradedSlots())
-	}
-	if streamed.Users() != retained.Users() {
-		t.Fatalf("users: stream %d != retained %d", streamed.Users(), retained.Users())
-	}
-	fl := streamed.Fleet
-	if fl.Users != len(sessions) || fl.Sites != len(cfg.Sites) || fl.EmptySites != 0 {
+func matchesOneShot(t *testing.T, cfg Config, sessions []*workload.Session, res *Result, cells []*cell.Result) {
+	fl := res.Fleet
+	if fl.Users != len(sessions) || res.Users() != len(sessions) || fl.Sites != len(cfg.Sites) || fl.EmptySites != 0 {
 		t.Fatalf("fleet shape: %+v", fl)
 	}
-
-	// Cross-check the folded tail energy and slot horizon against the
-	// retained per-site results.
-	var tail units.MJ
-	maxSlots, clamps := 0, 0
-	for _, res := range retained.PerSite {
-		if res == nil {
-			continue
+	var sum SiteTotals
+	for si, c := range cells {
+		want := siteTotals(c)
+		if fl.PerSite[si] != want {
+			t.Fatalf("site %d: fleet %+v != one-shot %+v", si, fl.PerSite[si], want)
 		}
-		tail += res.TotalTailEnergy()
-		clamps += res.ClampEvents
-		if res.Slots > maxSlots {
-			maxSlots = res.Slots
-		}
+		sum.Energy += want.Energy
+		sum.TailEnergy += want.TailEnergy
+		sum.Rebuffer += want.Rebuffer
+		sum.DegradedSlots += want.DegradedSlots
+		sum.ClampEvents += want.ClampEvents
+		sum.Slots = max(sum.Slots, want.Slots)
 	}
-	if fl.TailEnergy != tail || fl.Slots != maxSlots || fl.ClampEvents != clamps {
-		t.Fatalf("tail/slots/clamps: (%v,%d,%d) != (%v,%d,%d)",
-			fl.TailEnergy, fl.Slots, fl.ClampEvents, tail, maxSlots, clamps)
+	if res.TotalEnergy() != sum.Energy || res.TotalRebuffer() != sum.Rebuffer || res.DegradedSlots() != sum.DegradedSlots {
+		t.Fatalf("energy/rebuffer/degraded: fleet (%v,%v,%d) != one-shot (%v,%v,%d)",
+			res.TotalEnergy(), res.TotalRebuffer(), res.DegradedSlots(), sum.Energy, sum.Rebuffer, sum.DegradedSlots)
+	}
+	if fl.TailEnergy != sum.TailEnergy || fl.Slots != sum.Slots || fl.ClampEvents != sum.ClampEvents {
+		t.Fatalf("tail/slots/clamps: fleet (%v,%d,%d) != one-shot (%v,%d,%d)",
+			fl.TailEnergy, fl.Slots, fl.ClampEvents, sum.TailEnergy, sum.Slots, sum.ClampEvents)
 	}
 
 	// The per-epoch series is a partition of the run: re-summing it must
@@ -156,9 +201,20 @@ func streamMatchesRetained(t *testing.T, sessions []*workload.Session, cfg Confi
 	if math.Abs(epochRebuf-float64(fl.Rebuffer)) > 1e-6*math.Max(1, float64(fl.Rebuffer)) {
 		t.Fatalf("per-epoch rebuffer %v != total %v", epochRebuf, fl.Rebuffer)
 	}
-	wantEpochs := (maxSlots + cfg.EpochSlots - 1) / cfg.EpochSlots
-	if fl.Epochs != wantEpochs || len(fl.PerEpoch) != wantEpochs {
-		t.Fatalf("epochs %d (series %d), want %d", fl.Epochs, len(fl.PerEpoch), wantEpochs)
+	// A cell that ran its horizon retires at the barrier after its last
+	// slot; one that stopped short of it, after the slot whose tick found
+	// every session finished (slot Slots itself).
+	wantEpochs := 0
+	for si, st := range fl.PerSite {
+		last := st.Slots - 1
+		if st.Slots < cfg.Sites[si].Cell.MaxSlots {
+			last = st.Slots
+		}
+		wantEpochs = max(wantEpochs, last/cfg.EpochSlots+1)
+	}
+	wantSeries := (sum.Slots + cfg.EpochSlots - 1) / cfg.EpochSlots
+	if fl.Epochs != wantEpochs || len(fl.PerEpoch) != wantSeries {
+		t.Fatalf("epochs %d (series %d), want %d (series %d)", fl.Epochs, len(fl.PerEpoch), wantEpochs, wantSeries)
 	}
 
 	// Histograms saw every user exactly once, with exact extremes/sums.
@@ -212,9 +268,9 @@ func TestStreamDeterministicAcrossWorkersAndEpochs(t *testing.T) {
 	}
 }
 
-// TestEmptySitesEveryAccessor: sites that receive no users stay nil in
-// PerSite (retained) or count as EmptySites (streamed), and every Result
-// accessor tolerates them.
+// TestEmptySitesEveryAccessor: sites that receive no users count as
+// EmptySites with zero PerSite entries, every Result accessor tolerates
+// them, and the totals still equal the one-shot cells'.
 func TestEmptySitesEveryAccessor(t *testing.T) {
 	sessions := fleetSessions(t, 6)
 	cfg := fleetConfig(4)
@@ -226,49 +282,41 @@ func TestEmptySitesEveryAccessor(t *testing.T) {
 		cfg.Sites[i].ShadowStd = 0
 	}
 
-	cfg.Stream = false
-	retained, err := Run(context.Background(), cfg, sessions, defaultFactory)
+	res, err := Run(context.Background(), cfg, sessions, defaultFactory)
 	if err != nil {
 		t.Fatal(err)
 	}
 	empties := 0
-	for si, res := range retained.PerSite {
-		if res == nil {
+	for si, st := range res.Fleet.PerSite {
+		if st == (SiteTotals{}) {
 			empties++
 		} else if si != 0 {
 			t.Fatalf("site %d unexpectedly populated", si)
 		}
 	}
-	if empties != len(cfg.Sites)-1 {
-		t.Fatalf("%d empty sites, want %d", empties, len(cfg.Sites)-1)
+	if empties != len(cfg.Sites)-1 || res.Fleet.EmptySites != empties {
+		t.Fatalf("%d empty sites (EmptySites %d), want %d", empties, res.Fleet.EmptySites, len(cfg.Sites)-1)
 	}
-	// Every accessor must walk the nil entries without panicking.
-	_ = retained.TotalEnergy()
-	_ = retained.TotalRebuffer()
-	_ = retained.DegradedSlots()
-	if retained.Users() != len(sessions) {
-		t.Fatalf("Users() = %d", retained.Users())
+	// Every accessor must walk the empty entries without panicking.
+	_ = res.DegradedSlots()
+	if res.Users() != len(sessions) || res.Fleet.Users != len(sessions) {
+		t.Fatalf("Users() = %d, fleet Users = %d", res.Users(), res.Fleet.Users)
 	}
-
-	cfg.Stream = true
-	streamed, err := Run(context.Background(), cfg, sessions, defaultFactory)
-	if err != nil {
-		t.Fatal(err)
+	var energy units.MJ
+	var reb units.Seconds
+	for _, c := range oneShot(t, cfg, sessions, res.Placements) {
+		energy += siteTotals(c).Energy
+		reb += siteTotals(c).Rebuffer
 	}
-	if streamed.Fleet.EmptySites != empties {
-		t.Fatalf("EmptySites = %d, want %d", streamed.Fleet.EmptySites, empties)
-	}
-	if streamed.TotalEnergy() != retained.TotalEnergy() || streamed.TotalRebuffer() != retained.TotalRebuffer() {
-		t.Fatal("stream != retained with empty sites")
-	}
-	if streamed.Fleet.Users != len(sessions) {
-		t.Fatalf("fleet Users = %d", streamed.Fleet.Users)
+	if res.TotalEnergy() != energy || res.TotalRebuffer() != reb {
+		t.Fatal("fleet != one-shot cells with empty sites")
 	}
 }
 
 // TestLeastLoadedTieBreakDeterministic: equal demand must always break
 // to the lowest site index, so identical configs place identically —
-// with uniform rates the policy degenerates to exact round-robin.
+// with uniform rates the policy degenerates to exact round-robin, in the
+// closed fleet (placed demand) and the open one (live site demand) alike.
 func TestLeastLoadedTieBreakDeterministic(t *testing.T) {
 	const users, sites = 12, 4
 	cfg := fleetConfig(sites)
@@ -281,16 +329,47 @@ func TestLeastLoadedTieBreakDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := assign(cfg, sessions, 10)
+	place := func() []Placement {
+		res, err := Run(context.Background(), cfg, sessions, defaultFactory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Placements
+	}
+	want := place()
 	for trial := 0; trial < 3; trial++ {
-		got := assign(cfg, sessions, 10)
-		if !reflect.DeepEqual(want, got) {
+		if got := place(); !reflect.DeepEqual(want, got) {
 			t.Fatalf("trial %d: placements differ", trial)
 		}
 	}
 	for ui, pl := range want {
 		if pl.Site != ui%sites {
 			t.Fatalf("user %d placed at site %d; uniform-rate LeastLoaded must round-robin (lowest index wins ties)", ui, pl.Site)
+		}
+	}
+
+	// The open fleet reads the same demand from its sites' live stats.
+	sims := make([]*cell.OpenSim, sites)
+	for si := range sims {
+		oc := cell.OpenConfig{Cell: cfg.Sites[si].Cell, MaxSessions: users}
+		oc.Cell.RunFullHorizon = true
+		sim, err := cell.NewOpen(oc, nil, sched.NewDefault())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		defer sim.Stop()
+		sims[si] = sim
+	}
+	for ui, s := range sessions {
+		st, rank, err := admitFleet(OpenFleetConfig{Deploy: cfg}, sims, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.site != ui%sites || rank != 0 {
+			t.Fatalf("open fleet: arrival %d placed at site %d (rank %d), want %d", ui, st.site, rank, ui%sites)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"jointstream/internal/cell"
-	"jointstream/internal/pool"
 	"jointstream/internal/rng"
 	"jointstream/internal/sched"
 	"jointstream/internal/units"
@@ -17,16 +16,16 @@ import (
 // cell.OpenSim, sessions arrive by a stochastic arrival process over an
 // unbounded horizon, are placed under the deployment's attachment
 // policy, and leave by completing, abandoning (a departure process), or
-// being refused admission. Cells advance in the same epoch-clocked
-// lockstep as the streaming runner — including the epoch watchdog — and
-// a session refused by its preferred site spills to the remaining sites
-// in index order before counting as a fleet-level rejection.
+// being refused admission. Cells advance in the same epoch loop as the
+// closed fleet — including the epoch watchdog — and a session refused by
+// its preferred site spills to the remaining sites in index order before
+// counting as a fleet-level rejection.
 
 // OpenFleetConfig parameterizes an open-system fleet run.
 type OpenFleetConfig struct {
 	// Deploy supplies the sites, attachment policy, worker budget,
-	// epoch size and epoch watchdog. Its Stream, Outages and
-	// MisassignedSlots machinery do not apply to open-system runs.
+	// epoch size and epoch watchdog. Its Outages must be empty: open
+	// sites take no outage windows.
 	Deploy Config
 	// Open is the per-site open-system template: session caps, headroom,
 	// tile and window shapes. Its Cell field is ignored — each site's
@@ -82,6 +81,9 @@ func (c OpenFleetConfig) Validate() error {
 	if err := c.Deploy.Validate(); err != nil {
 		return err
 	}
+	if len(c.Deploy.Outages) > 0 {
+		return fmt.Errorf("deploy: open fleet does not apply Deploy.Outages (%d windows given)", len(c.Deploy.Outages))
+	}
 	if c.Arrivals == nil {
 		return fmt.Errorf("deploy: open fleet needs an arrival process")
 	}
@@ -118,22 +120,19 @@ func RunOpenFleet(ctx context.Context, cfg OpenFleetConfig, newSched func() (sch
 	if newSched == nil {
 		return nil, fmt.Errorf("deploy: nil scheduler factory")
 	}
-	epoch := cfg.Deploy.EpochSlots
-	if epoch == 0 {
-		epoch = DefaultEpochSlots
-	}
 	maxSlots := cfg.MaxSlots
 	if maxSlots == 0 {
 		maxSlots = 8 * cfg.ArrivalSlots
 	}
-	assess := cfg.Deploy.AssessSlots
-	if assess == 0 {
-		assess = 10
+	gen, err := workload.NewChurnGen(cfg.Churn, rng.New(cfg.Seed^0xA24BAED4963EE407))
+	if err != nil {
+		return nil, err
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	arrSrc := rng.New(cfg.Seed ^ 0x9FB21C651E98DF25)
+	staySrc := rng.New(cfg.Seed ^ 0x285842851E1BC6D1)
 
-	sims := make([]*cell.OpenSim, len(cfg.Deploy.Sites))
+	sites := cfg.Deploy.Sites
+	sims := make([]*cell.OpenSim, len(sites))
 	// Quiesce every site's tile-compilation pipeline on the way out, so
 	// an error return mid-run leaks no background goroutine (Stop is
 	// idempotent; Finish below calls it too).
@@ -144,114 +143,100 @@ func RunOpenFleet(ctx context.Context, cfg OpenFleetConfig, newSched func() (sch
 			}
 		}
 	}()
-	for si, site := range cfg.Deploy.Sites {
-		s, err := newSched()
-		if err != nil {
-			return nil, err
-		}
-		oc := cfg.Open
-		oc.Cell = site.Cell
-		oc.Cell.RunFullHorizon = true
-		oc.Cell.RecordPerUserSlots = false
-		oc.Unbounded = true
-		sim, err := cell.NewOpen(oc, nil, s)
-		if err != nil {
-			return nil, fmt.Errorf("site %d (%s): %w", si, site.Name, err)
-		}
-		if err := sim.Start(ctx); err != nil {
-			return nil, err
-		}
-		sims[si] = sim
-	}
-
-	gen, err := workload.NewChurnGen(cfg.Churn, rng.New(cfg.Seed^0xA24BAED4963EE407))
-	if err != nil {
-		return nil, err
-	}
-	arrSrc := rng.New(cfg.Seed ^ 0x9FB21C651E98DF25)
-	staySrc := rng.New(cfg.Seed ^ 0x285842851E1BC6D1)
-
 	res := &OpenFleetResult{PerSite: make([]cell.OpenStats, len(sims))}
 	var stays []stay
-	uid := 0
+	uid, clock := 0, 0
 	nextAt := cfg.Arrivals.NextGap(uid, arrSrc)
-	for clock := 0; ; {
-		// Abandonments due by now. A stay that lost the race against
-		// natural completion (or whose slot was reused) is a clean no-op
-		// thanks to the serial guard.
-		keep := stays[:0]
-		for _, st := range stays {
-			if st.until <= clock {
-				if _, err := sims[st.site].DepartSerial(st.idx, st.ser); err != nil {
+	res.Epochs, err = lockstep(ctx, cfg.Deploy, epochSteps{
+		start: func(ctx context.Context) ([]int, error) {
+			running := make([]int, len(sites))
+			for si, site := range sites {
+				s, err := newSched()
+				if err != nil {
 					return nil, err
 				}
-				continue
-			}
-			keep = append(keep, st)
-		}
-		stays = keep
-
-		// Admissions landing inside this epoch, placed serially so every
-		// worker count sees the identical fleet history.
-		upto := clock + epoch
-		for nextAt < upto && nextAt < cfg.ArrivalSlots {
-			sess, err := gen.Next(uid, nextAt)
-			if err != nil {
-				return nil, err
-			}
-			st, placed, err := admitFleet(cfg, sims, sess, assess)
-			if err != nil {
-				return nil, err
-			}
-			if placed >= 0 {
-				res.Admitted++
-				if placed != 0 {
-					res.Spilled++
+				oc := cfg.Open
+				oc.Cell = site.Cell
+				oc.Cell.RunFullHorizon = true
+				oc.Cell.RecordPerUserSlots = false
+				oc.Unbounded = true
+				sim, err := cell.NewOpen(oc, nil, s)
+				if err != nil {
+					return nil, fmt.Errorf("site %d (%s): %w", si, site.Name, err)
 				}
-				if cfg.AbandonFrac > 0 {
-					if d := cfg.Stays.StaySlots(uid, staySrc); d > 0 && staySrc.Bool(cfg.AbandonFrac) {
-						stays = append(stays, stay{site: st.site, idx: st.idx, ser: st.ser, until: nextAt + d})
+				if err := sim.Start(ctx); err != nil {
+					return nil, err
+				}
+				sims[si], running[si] = sim, si
+			}
+			return running, nil
+		},
+		before: func(upto int) error {
+			// Abandonments due by now. A stay that lost the race against
+			// natural completion (or whose slot was reused) is a clean
+			// no-op thanks to the serial guard.
+			keep := stays[:0]
+			for _, st := range stays {
+				if st.until <= clock {
+					if _, err := sims[st.site].DepartSerial(st.idx, st.ser); err != nil {
+						return err
 					}
+					continue
 				}
-			} else {
-				res.Rejected++
+				keep = append(keep, st)
 			}
-			uid++
-			nextAt += cfg.Arrivals.NextGap(uid, arrSrc)
-		}
+			stays = keep
 
-		advErr := watchEpoch(cancel, cfg.Deploy.EpochTimeout, res.Epochs, upto, func() error {
-			return pool.ForEachN(ctx, cfg.Deploy.Workers, len(sims), func(ctx context.Context, si int) error {
-				_, err := sims[si].AdvanceTo(upto)
-				return err
-			})
-		})
-		if advErr != nil {
-			return nil, advErr
-		}
-		res.Epochs++
-		clock = upto
-
-		inService := 0
-		for _, sim := range sims {
-			inService += sim.Stats().InService
-		}
-		if cfg.Deploy.OnEpoch != nil {
-			activeSites := 0
+			// Admissions landing inside this epoch, placed serially so
+			// every worker count sees the identical fleet history.
+			for nextAt < upto && nextAt < cfg.ArrivalSlots {
+				sess, err := gen.Next(uid, nextAt)
+				if err != nil {
+					return err
+				}
+				st, placed, err := admitFleet(cfg, sims, sess)
+				if err != nil {
+					return err
+				}
+				if placed >= 0 {
+					res.Admitted++
+					if placed != 0 {
+						res.Spilled++
+					}
+					if cfg.AbandonFrac > 0 {
+						if d := cfg.Stays.StaySlots(uid, staySrc); d > 0 && staySrc.Bool(cfg.AbandonFrac) {
+							stays = append(stays, stay{site: st.site, idx: st.idx, ser: st.ser, until: nextAt + d})
+						}
+					}
+				} else {
+					res.Rejected++
+				}
+				uid++
+				nextAt += cfg.Arrivals.NextGap(uid, arrSrc)
+			}
+			return nil
+		},
+		// An open site never finishes: the fleet stops in after.
+		advance: func(si, upto int) (bool, error) {
+			_, err := sims[si].AdvanceTo(upto)
+			return false, err
+		},
+		after: func(e *EpochInfo) bool {
+			clock = e.UptoSlot
+			inService := 0
+			e.ActiveSites = 0
 			for _, sim := range sims {
-				if sim.Stats().InService > 0 {
-					activeSites++
+				if n := sim.Stats().InService; n > 0 {
+					inService += n
+					e.ActiveSites++
 				}
 			}
-			cfg.Deploy.OnEpoch(EpochInfo{Epoch: res.Epochs - 1, UptoSlot: upto, ActiveSites: activeSites})
-		}
-		if nextAt >= cfg.ArrivalSlots && inService == 0 {
-			res.Drained = true
-			break
-		}
-		if clock >= maxSlots {
-			break
-		}
+			res.Drained = nextAt >= cfg.ArrivalSlots && inService == 0
+			return res.Drained || clock >= maxSlots
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Finalize every site (folding sessions still in service) and merge
@@ -278,8 +263,13 @@ func RunOpenFleet(ctx context.Context, cfg OpenFleetConfig, newSched func() (sch
 // coordinates of the admitted session and the preference rank it landed
 // at, or rank -1 when every site refused. Only typed over-capacity
 // refusals spill; any other admission error is fatal to the run.
-func admitFleet(cfg OpenFleetConfig, sims []*cell.OpenSim, sess *workload.Session, assess int) (stay, int, error) {
-	first := preferredSite(cfg, sims, sess, assess)
+func admitFleet(cfg OpenFleetConfig, sims []*cell.OpenSim, sess *workload.Session) (stay, int, error) {
+	demand := make([]units.KBps, len(sims))
+	for si, sim := range sims {
+		demand[si] = sim.Stats().DemandKBps
+	}
+	// ChurnGen numbers sessions by arrival.
+	first := pickSite(cfg.Deploy, sess.ID, sess, demand)
 	order := make([]int, 0, len(sims))
 	order = append(order, first)
 	for si := range sims {
@@ -302,28 +292,4 @@ func admitFleet(cfg OpenFleetConfig, sims []*cell.OpenSim, sess *workload.Sessio
 		return stay{site: si, idx: idx, ser: ser}, rank, nil
 	}
 	return stay{}, -1, nil
-}
-
-// preferredSite applies the attachment policy to one arriving session.
-func preferredSite(cfg OpenFleetConfig, sims []*cell.OpenSim, sess *workload.Session, assess int) int {
-	site := 0
-	switch cfg.Deploy.Policy {
-	case RoundRobin:
-		site = sess.ID % len(sims)
-	case LeastLoaded:
-		for si := 1; si < len(sims); si++ {
-			if sims[si].Stats().DemandKBps < sims[site].Stats().DemandKBps {
-				site = si
-			}
-		}
-	case StrongestSignal:
-		best := meanSignal(SiteTrace(sess, cfg.Deploy.Sites[0], 0), sess.StartSlot, assess)
-		for si := 1; si < len(sims); si++ {
-			m := meanSignal(SiteTrace(sess, cfg.Deploy.Sites[si], si), sess.StartSlot, assess)
-			if m > best {
-				best, site = m, si
-			}
-		}
-	}
-	return site
 }

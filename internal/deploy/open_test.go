@@ -3,6 +3,7 @@ package deploy
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -44,6 +45,8 @@ func TestOpenFleetConfigValidate(t *testing.T) {
 		func(c *OpenFleetConfig) { c.AbandonFrac = 1.5 },
 		func(c *OpenFleetConfig) { c.Stays = nil }, // AbandonFrac > 0 without a law
 		func(c *OpenFleetConfig) { c.MaxSlots = -1 },
+		// Open sites take no outage windows: refuse them rather than drop them.
+		func(c *OpenFleetConfig) { c.Deploy.Outages = []SiteOutage{{Site: 1, From: 3, To: 9}} },
 	}
 	for i, m := range muts {
 		c := openFleetConfig()
@@ -51,6 +54,11 @@ func TestOpenFleetConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
+	}
+	outage := openFleetConfig()
+	outage.Deploy.Outages = []SiteOutage{{Site: 0, From: 1, To: 2}}
+	if err := outage.Validate(); err == nil || !strings.Contains(err.Error(), "Deploy.Outages") {
+		t.Errorf("outage error %v does not name Deploy.Outages", err)
 	}
 	if _, err := RunOpenFleet(context.Background(), openFleetConfig(), nil); err == nil {
 		t.Error("nil scheduler factory accepted")
