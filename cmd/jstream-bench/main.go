@@ -348,11 +348,14 @@ func run(figID string, quick, claimsOnly bool, seed uint64, jsonOut, htmlOut str
 }
 
 // logWorkloadCache echoes how many simulations reused a shared
-// scenario workload (generation + link-table compilation amortized).
+// scenario workload (generation + link-table compilation amortized), and
+// how many link-table rows the runs reached against an eager fill's.
 func logWorkloadCache(r *experiments.Runner) {
 	hits, misses := r.WorkloadCacheStats()
 	fmt.Printf("workload cache: %d hits, %d misses (%d scenarios compiled once, reused %d times)\n",
 		hits, misses, misses, hits)
+	filled, horizon := r.LinkFillStats()
+	fmt.Printf("link tables: %d of %d rows filled (users × MaxSlots)\n", filled, horizon)
 }
 
 func printClaims(r *experiments.Runner) error {

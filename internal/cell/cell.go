@@ -562,12 +562,6 @@ func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, allowEm
 	if sim.shardSize == 0 {
 		sim.shardSize = defaultShardSize
 	}
-	// Extend every session's lazily memoized stochastic sequences to the
-	// slot horizon up front: the per-slot loop then reads them without
-	// ever growing a memo (and without the append-doubling garbage), and
-	// the sharded prepare phase can read them concurrently because no
-	// memo grows mid-run.
-	workload.PrewarmAll(sim.workers, sessions, cfg.MaxSlots)
 	// Attach the link window the tick path reads in place of the
 	// signal/radio interfaces: over a caller-supplied table, validated
 	// against this run's shape; a sliding one under LinkTileSlots; or over
@@ -588,7 +582,18 @@ func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, allowEm
 		return nil, err
 	}
 	if lt != nil {
+		// A table run reads its sessions only through the table, which
+		// extends their memos itself as it fills (link.go): the run never
+		// touches a session another run may be sharing.
 		sim.win = tableWindow(lt)
+	} else {
+		// Without a table the run reads the sessions — analytically, or in
+		// a sliding window's fills, some of them on background goroutines —
+		// so every lazily memoized stochastic sequence is extended to the
+		// slot horizon up front: no memo grows mid-run (nor leaves
+		// append-doubling garbage), and the sharded phases read them
+		// concurrently.
+		workload.PrewarmAll(sim.workers, sessions, cfg.MaxSlots)
 	}
 	sim.slot = sched.Slot{
 		Tau:           cfg.Tau,
@@ -655,10 +660,10 @@ func (s *Simulator) newResult() *Result {
 	res := &Result{
 		SchedulerName: s.sched.Name(),
 		Users:         make([]UserTotals, n),
-		// Pre-size the per-slot series from the slot horizon: runs that
-		// finish early waste a little capacity, runs that go the distance
-		// never reallocate mid-tick. It is O(horizon), not O(users ×
-		// horizon), so the fleet runner tolerates it.
+		// Pre-size the per-slot series from the slot horizon so the tick
+		// never reallocates. A run that finishes early does not keep the
+		// rest: finishRun clips the series to the slots it ran, so a
+		// cached Result holds its rows, not the horizon.
 		PerSlot: make([]SlotTotals, 0, s.cfg.MaxSlots),
 	}
 	for i := range res.Users {

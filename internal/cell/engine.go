@@ -235,10 +235,19 @@ func (s *Simulator) startRun(ctx context.Context) {
 	s.fusedFn = s.fusedShardBody
 }
 
-// finishRun pads the recorded series and finalizes the result.
+// finishRun clips the per-slot series to the slots the run ticked, pads
+// the recorded series and finalizes the result.
 func (s *Simulator) finishRun() *Result {
 	s.stopWindow()
 	res := s.curRes
+	if cap(res.PerSlot) > len(res.PerSlot) {
+		// Ended early: one copy into an exact-length series, so the Result
+		// does not hold the horizon-sized one the tick appended into. (The
+		// make-then-copy form skips zeroing what the copy overwrites.)
+		clipped := make([]SlotTotals, len(res.PerSlot))
+		copy(clipped, res.PerSlot)
+		res.PerSlot = clipped
+	}
 	s.padSamples(res)
 	res.Finalize()
 	return res

@@ -13,16 +13,18 @@ import (
 // Predictive scheduler consumes. The exact view replays the table's
 // slot-major windows as zero-copy column reslices — the same memory the
 // engine's prepare phase aliases into sched.Columns, so prediction and
-// physics can never disagree at zero error. NoisyForecast layers a
+// physics can never disagree at zero error. Every read goes through the
+// table's block lookup, so a forecast reaching past what the runs reached
+// fills the blocks it reads, exactly as a run would. NoisyForecast layers a
 // seeded multiplicative error model on top, turning prediction quality
 // into a sweepable scenario axis while keeping every read a pure
 // function of (seed, slot, user).
 
 // SlotEnergyPerKB returns slot n's per-user energy-price column as a
-// zero-copy reslice of the table: shared immutable state, valid forever.
-// Callers must never write through it.
+// zero-copy reslice of the table: shared immutable state, valid as long as
+// the table. Callers must never write through it.
 func (t *LinkTable) SlotEnergyPerKB(n int) []units.MJ {
-	_, _, epkb, _, _ := t.slot(n, t.users)
+	_, _, epkb, _, _ := t.slot(n)
 	return epkb
 }
 
@@ -30,18 +32,19 @@ func (t *LinkTable) SlotEnergyPerKB(n int) []units.MJ {
 // zero-copy reslice of the table, with the same validity rules as
 // SlotEnergyPerKB.
 func (t *LinkTable) SlotLinkUnits(n int) []int32 {
-	_, _, _, _, lu := t.slot(n, t.users)
+	_, _, _, _, lu := t.slot(n)
 	return lu
 }
 
 // MaxLinkUnits returns the largest Eq. (1) per-user unit limit anywhere
 // in the table — the cap no honest or corrupted prediction of this
-// table may exceed.
+// table may exceed. It reads every slot, so it fills the whole table.
 func (t *LinkTable) MaxLinkUnits() int {
+	t.fillAll()
 	var m int32
-	for _, lu := range t.lu {
-		if lu > m {
-			m = lu
+	for k := range t.blocks {
+		for _, lu := range t.blocks[k].Load().lu {
+			m = max(m, lu)
 		}
 	}
 	return int(m)
@@ -61,12 +64,12 @@ func (f tableForecast) HorizonSlots() int { return f.t.slots }
 
 // PredictedEnergyPerKB implements sched.Forecast.
 func (f tableForecast) PredictedEnergyPerKB(n, i int) units.MJ {
-	return f.t.epkb[n*f.t.users+i]
+	return f.t.SlotEnergyPerKB(n)[i]
 }
 
 // PredictedLinkUnits implements sched.Forecast.
 func (f tableForecast) PredictedLinkUnits(n, i int) int {
-	return int(f.t.lu[n*f.t.users+i])
+	return int(f.t.SlotLinkUnits(n)[i])
 }
 
 // PredictedWindow implements sched.SlotWindower.
@@ -139,7 +142,7 @@ func (f *NoisyForecast) HorizonSlots() int {
 
 // PredictedEnergyPerKB implements sched.Forecast.
 func (f *NoisyForecast) PredictedEnergyPerKB(n, i int) units.MJ {
-	p := float64(f.t.epkb[n*f.t.users+i]) * f.factor(n, i, noiseSaltPrice)
+	p := float64(f.t.SlotEnergyPerKB(n)[i]) * f.factor(n, i, noiseSaltPrice)
 	if p < 0 {
 		p = 0
 	}
@@ -148,7 +151,7 @@ func (f *NoisyForecast) PredictedEnergyPerKB(n, i int) units.MJ {
 
 // PredictedLinkUnits implements sched.Forecast.
 func (f *NoisyForecast) PredictedLinkUnits(n, i int) int {
-	lu := int(math.Round(float64(f.t.lu[n*f.t.users+i]) * f.factor(n, i, noiseSaltLink)))
+	lu := int(math.Round(float64(f.t.SlotLinkUnits(n)[i]) * f.factor(n, i, noiseSaltLink)))
 	if lu < 0 {
 		return 0
 	}

@@ -3,40 +3,60 @@ package cell
 import (
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"jointstream/internal/units"
 	"jointstream/internal/workload"
 )
 
-// This file implements the compiled link-table layer: after the sessions
-// are prewarmed, every user's trace is flattened into contiguous
-// slot-major struct-of-arrays columns of per-slot link values — signal,
-// throughput, per-KB energy, required rate, and the Eq. (1) link limit in
-// units. The tick path's prepare phase then aliases each slot's column
-// window (a zero-copy reslice per column, never a copy) straight into the
-// sched.Columns view instead of evaluating the models per user. The
-// columns are produced by the link-window fill (linkfill.go), which
-// evaluates the radio curves through a radio.Table when (and only when)
-// that table is bitwise-exact for the run's model, so flattening can
-// never perturb the physics. RunReference deliberately ignores the table
-// — it evaluates the models into private columns of its own — which makes
-// the engine differential tests assert flattened == analytic on every
-// slot.
+// This file implements the compiled link-table layer: every user's trace
+// is flattened into contiguous slot-major struct-of-arrays columns of
+// per-slot link values — signal, throughput, per-KB energy, required rate,
+// and the Eq. (1) link limit in units. The tick path's prepare phase then
+// aliases each slot's column window (a zero-copy reslice per column, never
+// a copy) straight into the sched.Columns view instead of evaluating the
+// models per user. The columns are produced by the link-window fill
+// (linkfill.go), which evaluates the radio curves through a radio.Table
+// when (and only when) that table is bitwise-exact for the run's model, so
+// flattening can never perturb the physics. RunReference deliberately
+// ignores the table — it evaluates the models into private columns of its
+// own — which makes the engine differential tests assert flattened ==
+// analytic on every slot.
 
 // linkRowBytes is the per-user-slot footprint across the parallel column
 // arrays — four 8-byte columns (sig, link, epkb, rate) and the int32 unit
 // limit — which the row-cap sizing math rests on. (A table whose sessions
-// all have a constant required rate keeps one rate row for every slot and
-// is 8 bytes per row smaller; MemoryBytes reports what is resident.)
+// all have a constant required rate keeps one rate row per block instead
+// of one per slot and is 8 bytes per row smaller; MemoryBytes reports what
+// is resident.)
 const linkRowBytes = 4*8 + 4
 
+// tableBlockSlots is the span of one LinkTable block, the unit a table is
+// filled in. A table holds its slots up to the end of the block after the
+// one its readers' furthest slot is in; a reader crossing a block edge pays
+// one atomic load (and the engine one pinned-column copy, as at any
+// link-window edge).
+const tableBlockSlots = 256
+
 // LinkTable is the flattened link view of one workload under one radio
-// model and slot grid: the product of CompileLink, immutable once compiled
-// and safe to share across any number of concurrent Simulators (the
-// experiment harness compiles one per scenario and hands it to every
-// scheduler run). Nothing in the engine writes to it — the engine's link
-// window over a table (tableWindow) only reslices the columns, so the
-// slot views it hands to schedulers alias this shared memory read-only.
+// model and slot grid: the product of CompileLink, safe to share across
+// any number of concurrent Simulators and forecasts (the experiment
+// harness compiles one per scenario and hands it to every scheduler run).
+//
+// It is a fill-once cache of tableBlockSlots-slot blocks: a block is filled
+// the first time any reader reaches a slot inside it, and never changes
+// afterwards, so the slot views handed out alias immutable memory. Runs
+// that end early — the paper sweep's stop long before its 10 000-slot
+// horizon — never pay for, or hold, the slots they do not reach. A reader
+// of a filled block takes one atomic load; a miss takes the table's mutex,
+// re-checks, fills and publishes. A run's window entering a block has the
+// block after it filled on a background goroutine (prefetch), so the run
+// that pushes furthest ahead — in a sweep, the long runs on its critical
+// path — need not fill in line. The table is also the one writer of its
+// sessions' memos: it extends them under that mutex before a fill reads
+// them, so the runs over a table never touch a shared session.
+//
 // A run that must not hold users × horizon rows sets Config.LinkTileSlots
 // instead and gets an engine-owned sliding window (linkwindow.go), which
 // is not a LinkTable and is never shared.
@@ -45,31 +65,51 @@ type LinkTable struct {
 	slots int
 	tau   units.Seconds
 	unit  units.KB
-	lut   bool // the fill went through an exact radio.Table
+	lut   bool // the fill goes through an exact radio.Table
+	// sharedRate: no session has rate jitter, so each block keeps one
+	// required-rate row for all its slots.
+	sharedRate bool
 
-	// Slot-major parallel columns: slot n's per-user window sits at slot
-	// offset n.
-	linkCols
+	// blocks[k] covers slots [k·tableBlockSlots, min((k+1)·tableBlockSlots,
+	// slots)); nil until a reader reaches it. ahead[k] is set once a
+	// background fill of block k has been started.
+	blocks []atomic.Pointer[linkBlock]
+	ahead  []atomic.Bool
+
+	// mu serializes the fills and guards the filler's scratch, the
+	// sessions' memos and warm.
+	mu       sync.Mutex
+	fill     *linkFiller
+	sessions []*workload.Session
+	warm     int // slots every session's memos cover
 }
 
 // DefaultLinkTableMaxRows caps the automatic link-table compilation in
 // New at users×MaxSlots rows (linkRowBytes each): 4M rows ≈ 144 MB with
-// the current 36-byte column footprint. Larger runs fall back to the
-// uncompiled prepare path; callers that want a bigger table compile one
-// explicitly and pass it via Config.Link.
+// the current 36-byte column footprint, were every block reached. Larger
+// runs fall back to the uncompiled prepare path; callers that want a
+// bigger table compile one explicitly and pass it via Config.Link.
 const DefaultLinkTableMaxRows = 4 << 20
 
-// CompileLink flattens the sessions' per-slot link view for cfg's slot
-// grid and radio model. It prewarms the sessions to cfg.MaxSlots first
-// (idempotent if the caller already did), so the produced values are
-// exactly the ones the uncompiled tick path would compute.
+// CompileLink builds the link table of the sessions over cfg's slot grid
+// and radio model: the block holding slot 0 is filled here, every other
+// block by the first reader that reaches it. The values are exactly the
+// ones the uncompiled tick path would compute. The table keeps the
+// sessions and extends their memos as it fills, so from here on nothing
+// else may grow them: read the sessions through the table, or prewarm them
+// before compiling.
 func CompileLink(cfg Config, sessions []*workload.Session) (*LinkTable, error) {
-	return compileLink(cfg, sessions, cfg.MaxSlots)
+	t, err := newLinkTable(cfg, sessions, cfg.MaxSlots)
+	if err != nil {
+		return nil, err
+	}
+	t.block(0)
+	return t, nil
 }
 
 // CompileLinkTiled compiles the first min(window, cfg.MaxSlots) slots as
-// an ordinary immutable LinkTable — users × window rows, what one
-// engine-owned link window of that length holds. It is retained only for
+// a fully filled LinkTable — users × window rows, what one engine-owned
+// link window of that length holds. It is retained only for
 // benchmark/cell_dense.go, which prices a window (cell.link_compile_ms,
 // cell.link_mb) through it; New accepts the result via Config.Link only
 // for a run no longer than the slots it covers. Runs tile their link state
@@ -78,11 +118,16 @@ func CompileLinkTiled(cfg Config, sessions []*workload.Session, window int) (*Li
 	if window <= 0 {
 		return nil, fmt.Errorf("cell: non-positive link tile window %d", window)
 	}
-	return compileLink(cfg, sessions, min(window, cfg.MaxSlots))
+	t, err := newLinkTable(cfg, sessions, min(window, cfg.MaxSlots))
+	if err != nil {
+		return nil, err
+	}
+	t.fillAll()
+	return t, nil
 }
 
-// compileLink fills slots [0, slots) of cfg's grid into a new table.
-func compileLink(cfg Config, sessions []*workload.Session, slots int) (*LinkTable, error) {
+// newLinkTable builds an empty table of slots [0, slots) of cfg's grid.
+func newLinkTable(cfg Config, sessions []*workload.Session, slots int) (*LinkTable, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -93,25 +138,98 @@ func compileLink(cfg Config, sessions []*workload.Session, slots int) (*LinkTabl
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	users := len(sessions)
-	// Prewarm to the horizon: a no-op for the stateless traces fleet
-	// workloads use, and for memoizing traces it front-loads the memo
-	// growth so no fill ever extends one.
-	workload.PrewarmAll(workers, sessions, cfg.MaxSlots)
-	fill, err := newLinkFiller(cfg.Radio, cfg.Tau, cfg.Unit, workers, users)
+	fill, err := newLinkFiller(cfg.Radio, cfg.Tau, cfg.Unit, workers, len(sessions))
 	if err != nil {
 		return nil, err
 	}
-	t := &LinkTable{
-		users:    users,
-		slots:    slots,
-		tau:      cfg.Tau,
-		unit:     cfg.Unit,
-		lut:      fill.tab != nil,
-		linkCols: newLinkCols(users, slots, constRate(sessions)),
+	blocks := (slots + tableBlockSlots - 1) / tableBlockSlots
+	return &LinkTable{
+		users:      len(sessions),
+		slots:      slots,
+		tau:        cfg.Tau,
+		unit:       cfg.Unit,
+		lut:        fill.tab != nil,
+		sharedRate: constRate(sessions),
+		blocks:     make([]atomic.Pointer[linkBlock], blocks),
+		ahead:      make([]atomic.Bool, blocks),
+		fill:       fill,
+		sessions:   sessions,
+	}, nil
+}
+
+// block returns the filled block covering slot n, filling it if no reader
+// has reached it yet.
+func (t *LinkTable) block(n int) *linkBlock {
+	k := n / tableBlockSlots
+	if b := t.blocks[k].Load(); b != nil {
+		return b
 	}
-	fill.fill(&t.linkCols, sessions, nil, users, 0, 0, slots)
-	return t, nil
+	return t.fillBlock(k)
+}
+
+// fillBlock is block's miss path: under the mutex, re-check, extend the
+// sessions' memos past the block's end, fill, and publish.
+func (t *LinkTable) fillBlock(k int) *linkBlock {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if b := t.blocks[k].Load(); b != nil {
+		return b // filled while this reader waited
+	}
+	base := k * tableBlockSlots
+	hi := min(base+tableBlockSlots, t.slots)
+	if hi > t.warm {
+		// Doubling, so a table reached block by block moves each memo
+		// O(log) times into one exactly-sized allocation, not once per
+		// block, and the fill's reads grow nothing.
+		t.warm = min(t.slots, max(hi, 2*t.warm))
+		workload.PrewarmAll(t.fill.workers, t.sessions, t.warm)
+	}
+	b := &linkBlock{base: base, linkCols: newLinkCols(t.users, hi-base, t.sharedRate)}
+	t.fill.fill(&b.linkCols, t.sessions, nil, t.users, 0, base, hi)
+	t.blocks[k].Store(b)
+	return b
+}
+
+// prefetch starts filling block k on a goroutine of its own, counted in
+// wg, which ends with the fill — unless the block is past the horizon,
+// filled, or already started. A table window calls it for the block after
+// the one it enters, and waits wg out when its run ends: the fill runs
+// beside the reader instead of in its line, a reader that gets there first
+// waits for it on the mutex as for any fill, and no fill a run started
+// outlives the run.
+func (t *LinkTable) prefetch(k int, wg *sync.WaitGroup) {
+	if k >= len(t.blocks) || t.blocks[k].Load() != nil || t.ahead[k].Swap(true) {
+		return
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		t.block(k * tableBlockSlots)
+	}()
+}
+
+// fillAll fills every block no reader has reached: the whole horizon.
+func (t *LinkTable) fillAll() {
+	for base := 0; base < t.slots; base += tableBlockSlots {
+		t.block(base)
+	}
+}
+
+// slot returns slot n's first users rows as zero-copy views of its block,
+// which stay valid as long as the table lives.
+func (t *LinkTable) slot(n int) ([]units.DBm, []units.KBps, []units.MJ, []units.KBps, []int32) {
+	b := t.block(n)
+	return b.slot(n-b.base, t.users)
+}
+
+// prewarmFor extends sessions' memos over the table's whole horizon, under
+// the lock every fill holds, for a reader that evaluates them itself beside
+// the table's readers (RunReference). Once that returns no fill grows
+// them again.
+func (t *LinkTable) prewarmFor(sessions []*workload.Session) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	workload.PrewarmAll(t.fill.workers, sessions, t.slots)
 }
 
 // constRate reports whether no session has rate jitter, so one rate row
@@ -137,15 +255,37 @@ func (t *LinkTable) Tau() units.Seconds { return t.tau }
 // Unit returns the data-unit size δ the table was compiled for.
 func (t *LinkTable) Unit() units.KB { return t.unit }
 
-// ViaLUT reports whether the columns were produced through an exact
+// ViaLUT reports whether the columns are produced through an exact
 // radio.Table (false means direct analytic evaluation).
 func (t *LinkTable) ViaLUT() bool { return t.lut }
 
-// MemoryBytes returns the size of the packed column arrays: users × slots
-// rows at linkRowBytes per row — less 8 per row beyond the first slot when
-// every session's required rate is constant and one rate row serves all
-// slots.
-func (t *LinkTable) MemoryBytes() int64 { return t.linkCols.bytes() }
+// FilledSlots returns how many slots of the horizon are filled or being
+// filled: the blocks readers have reached and the blocks started ahead of
+// them, each counted whole. It never exceeds Slots and only grows; once the
+// readers are done it is a function of how far each of them read.
+func (t *LinkTable) FilledSlots() int {
+	n := 0
+	for k := range t.blocks {
+		if t.blocks[k].Load() != nil || t.ahead[k].Load() {
+			n += min(tableBlockSlots, t.slots-k*tableBlockSlots)
+		}
+	}
+	return n
+}
+
+// MemoryBytes returns the size of the filled blocks' column arrays: users
+// × FilledSlots rows at linkRowBytes per row — less 8 per row beyond each
+// block's first slot when every session's required rate is constant and
+// one rate row serves the block.
+func (t *LinkTable) MemoryBytes() int64 {
+	var n int64
+	for k := range t.blocks {
+		if b := t.blocks[k].Load(); b != nil {
+			n += b.bytes()
+		}
+	}
+	return n
+}
 
 // linkVerifySamples bounds the per-attach entry re-derivations performed
 // by compatible: enough samples, spread across users and slots, to make a
@@ -156,12 +296,14 @@ const linkVerifySamples = 16
 // compatible checks that a caller-supplied table matches the run it is
 // being attached to. Shape and slot grid are compared exactly; because
 // the radio model and sessions behind the columns cannot be compared
-// through the interfaces, a deterministic sample of entries is then
-// re-derived from cfg.Radio and the run's (already prewarmed) sessions
-// and required to match bitwise — the flattening path evaluates the same
-// floating-point expressions (the quantized LUT is used only when
-// provably exact), so any divergence means the table was compiled under
-// a different model or workload and would silently replay wrong physics.
+// through the interfaces, a deterministic sample of entries of block 0 —
+// filled at compile time — is then re-derived from cfg.Radio and the run's
+// sessions and required to match bitwise: the flattening path evaluates
+// the same floating-point expressions (the quantized LUT is used only when
+// provably exact), so any divergence means the table was compiled under a
+// different model or workload and would silently replay wrong physics.
+// The sessions are read under the table's lock, since they may be the
+// table's own.
 func (t *LinkTable) compatible(cfg Config, sessions []*workload.Session) error {
 	if t.users != len(sessions) {
 		return fmt.Errorf("cell: link table compiled for %d users, run has %d", t.users, len(sessions))
@@ -173,35 +315,36 @@ func (t *LinkTable) compatible(cfg Config, sessions []*workload.Session) error {
 		return fmt.Errorf("cell: link table slot grid (tau=%v, unit=%v) != run (tau=%v, unit=%v)",
 			t.tau, t.unit, cfg.Tau, cfg.Unit)
 	}
-	total := t.users * cfg.MaxSlots
-	samples := linkVerifySamples
-	if samples > total {
-		samples = total
-	}
+	b := t.block(0)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	total := t.users * min(tableBlockSlots, t.slots)
+	samples := min(linkVerifySamples, total)
 	tau, unit := float64(cfg.Tau), float64(cfg.Unit)
 	for k := 0; k < samples; k++ {
-		// Evenly strided over the flat slot-major arrays: consecutive
-		// samples land on different users and well-separated slots.
+		// Evenly strided over the block's flat slot-major arrays:
+		// consecutive samples land on different users and well-separated
+		// slots.
 		idx := 0
 		if samples > 1 {
 			idx = k * (total - 1) / (samples - 1)
 		}
 		n, i := idx/t.users, idx%t.users
 		sess := sessions[i]
-		if sig := sess.Signal.At(n); t.sig[idx] != sig {
-			return fmt.Errorf("cell: link table user %d slot %d: signal %v != session's %v (compiled from a different workload?)", i, n, t.sig[idx], sig)
+		if sig := sess.Signal.At(n); b.sig[idx] != sig {
+			return fmt.Errorf("cell: link table user %d slot %d: signal %v != session's %v (compiled from a different workload?)", i, n, b.sig[idx], sig)
 		}
-		if rate := sess.RateAt(n); t.rate[n*t.rateStride+i] != rate {
-			return fmt.Errorf("cell: link table user %d slot %d: rate %v != session's %v (compiled from a different workload?)", i, n, t.rate[n*t.rateStride+i], rate)
+		if rate := sess.RateAt(n); b.rate[n*b.rateStride+i] != rate {
+			return fmt.Errorf("cell: link table user %d slot %d: rate %v != session's %v (compiled from a different workload?)", i, n, b.rate[n*b.rateStride+i], rate)
 		}
-		if v := cfg.Radio.Throughput.Throughput(t.sig[idx]); t.link[idx] != v {
-			return fmt.Errorf("cell: link table user %d slot %d: throughput %v != model's %v (compiled under a different radio model?)", i, n, t.link[idx], v)
+		if v := cfg.Radio.Throughput.Throughput(b.sig[idx]); b.link[idx] != v {
+			return fmt.Errorf("cell: link table user %d slot %d: throughput %v != model's %v (compiled under a different radio model?)", i, n, b.link[idx], v)
 		}
-		if p := cfg.Radio.Power.EnergyPerKB(t.sig[idx]); t.epkb[idx] != p {
-			return fmt.Errorf("cell: link table user %d slot %d: energy/KB %v != model's %v (compiled under a different radio model?)", i, n, t.epkb[idx], p)
+		if p := cfg.Radio.Power.EnergyPerKB(b.sig[idx]); b.epkb[idx] != p {
+			return fmt.Errorf("cell: link table user %d slot %d: energy/KB %v != model's %v (compiled under a different radio model?)", i, n, b.epkb[idx], p)
 		}
-		if lu := int32(floorUnits(float64(t.link[idx])*tau, unit)); t.lu[idx] != lu {
-			return fmt.Errorf("cell: link table user %d slot %d: link units %d != derived %d", i, n, t.lu[idx], lu)
+		if lu := int32(floorUnits(float64(b.link[idx])*tau, unit)); b.lu[idx] != lu {
+			return fmt.Errorf("cell: link table user %d slot %d: link units %d != derived %d", i, n, b.lu[idx], lu)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"context"
 	"reflect"
 	"slices"
 	"sync"
@@ -84,7 +85,7 @@ func TestLinkTableMatchesAnalytic(t *testing.T) {
 			}
 			tau, unit := float64(cfg.Tau), float64(cfg.Unit)
 			for n := 0; n < slots; n++ {
-				sigs, links, epkbs, rates, lus := lt.slot(n, users)
+				sigs, links, epkbs, rates, lus := lt.slot(n)
 				for i, sess := range sessions {
 					sig := sess.Signal.At(n)
 					if sigs[i] != sig {
@@ -236,33 +237,41 @@ func TestConfigLinkCompatibility(t *testing.T) {
 	}
 }
 
+// tableRows copies every filled block of a table.
+func tableRows(lt *LinkTable) []linkCols {
+	var out []linkCols
+	for k := range lt.blocks {
+		if b := lt.blocks[k].Load(); b != nil {
+			out = append(out, linkCols{
+				sig: slices.Clone(b.sig), link: slices.Clone(b.link), epkb: slices.Clone(b.epkb),
+				rate: slices.Clone(b.rate), lu: slices.Clone(b.lu), stride: b.stride, rateStride: b.rateStride,
+			})
+		}
+	}
+	return out
+}
+
 // TestRunReferenceKeepsLinkTable pins the reference arm's independence
 // from the compiled table: it bypasses the table without mutating the
 // Simulator (s.win survives the run, so nothing observing the Simulator
 // concurrently can see it flip), and it prepares into static columns it
-// owns — two arms run concurrently against one shared monolithic
-// Config.Link (under -race in CI) and leave every row of the table
-// bit-unchanged, so an engine arm attached afterwards still reproduces
-// them exactly.
+// owns — two arms run concurrently against one shared Config.Link (under
+// -race in CI), fill none of its blocks and leave every filled row
+// bit-unchanged, so an engine arm attached afterwards, which fills the
+// rest, still reproduces them exactly.
 func TestRunReferenceKeepsLinkTable(t *testing.T) {
 	wl, err := workload.Generate(workload.PaperDefaults(4), rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := PaperConfig()
-	cfg.MaxSlots = 200
+	cfg.MaxSlots = 2*tableBlockSlots + 50
 	lt, err := CompileLink(cfg, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Link = lt
-	before := linkCols{
-		sig:  slices.Clone(lt.sig),
-		link: slices.Clone(lt.link),
-		epkb: slices.Clone(lt.epkb),
-		rate: slices.Clone(lt.rate),
-		lu:   slices.Clone(lt.lu),
-	}
+	before := tableRows(lt)
 
 	var wg sync.WaitGroup
 	results := make([]*Result, 2)
@@ -273,7 +282,7 @@ func TestRunReferenceKeepsLinkTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		win := sim.win
-		if win == nil || &win.cur.sig[0] != &lt.sig[0] {
+		if win == nil || win.table != lt {
 			t.Fatal("shared Config.Link not attached")
 		}
 		wg.Add(1)
@@ -295,10 +304,8 @@ func TestRunReferenceKeepsLinkTable(t *testing.T) {
 		t.Error("concurrent reference arms over one table disagree")
 	}
 
-	if !slices.Equal(lt.sig, before.sig) || !slices.Equal(lt.link, before.link) ||
-		!slices.Equal(lt.epkb, before.epkb) || !slices.Equal(lt.rate, before.rate) ||
-		!slices.Equal(lt.lu, before.lu) {
-		t.Error("RunReference wrote through the shared link table")
+	if !reflect.DeepEqual(tableRows(lt), before) || lt.FilledSlots() != tableBlockSlots {
+		t.Errorf("RunReference wrote through the shared link table or filled it (%d slots filled)", lt.FilledSlots())
 	}
 	eng, err := New(cfg, wl, sched.NewDefault())
 	if err != nil {
@@ -310,6 +317,9 @@ func TestRunReferenceKeepsLinkTable(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, results[0]) {
 		t.Error("engine over the shared table diverged from the reference arms")
+	}
+	if lt.FilledSlots() != cfg.MaxSlots {
+		t.Errorf("a run to the horizon left the table at %d of %d slots", lt.FilledSlots(), cfg.MaxSlots)
 	}
 }
 
@@ -333,5 +343,179 @@ func TestCompileLinkUsesLUTForPaperModel(t *testing.T) {
 	}
 	if got, want := lt.MemoryBytes(), int64(3*50)*(linkRowBytes-8)+3*8; got != want {
 		t.Errorf("MemoryBytes %d, want %d", got, want)
+	}
+}
+
+// TestLazyTableMatchesEager: a table whose blocks are filled as readers
+// reach them — here eight goroutines, each asking for every block in its
+// own shuffled order and reading every slot of it — holds exactly the rows
+// of a table filled eagerly from an identically generated workload, and
+// fills each block once. Memoizing traces and jittered rates make every
+// fill extend the sessions' memos, so under -race this is also the check
+// that the table's lock is the only thing that grows them.
+func TestLazyTableMatchesEager(t *testing.T) {
+	const users, workers = fillUsers + 44, 8
+	cfg := PaperConfig()
+	cfg.MaxSlots, cfg.Workers = 4*tableBlockSlots+17, 2
+	eager, err := CompileLinkTiled(cfg, fillWorkload(t, users, 0.2, false), cfg.MaxSlots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := CompileLink(cfg, fillWorkload(t, users, 0.2, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lazy.FilledSlots() != tableBlockSlots || eager.FilledSlots() != cfg.MaxSlots {
+		t.Fatalf("compiled: lazy %d, eager %d slots filled", lazy.FilledSlots(), eager.FilledSlots())
+	}
+	blocks := len(lazy.blocks)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		order := rng.New(uint64(g)).Perm(blocks)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, k := range order {
+				for n := k * tableBlockSlots; n < min((k+1)*tableBlockSlots, cfg.MaxSlots); n++ {
+					sig, link, epkb, rate, lu := lazy.slot(n)
+					wSig, wLink, wEpkb, wRate, wLU := eager.slot(n)
+					if !slices.Equal(sig, wSig) || !slices.Equal(link, wLink) || !slices.Equal(epkb, wEpkb) ||
+						!slices.Equal(rate, wRate) || !slices.Equal(lu, wLU) {
+						t.Errorf("slot %d: lazily filled row != eager row", n)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(tableRows(lazy), tableRows(eager)) {
+		t.Error("lazy table's blocks differ from the eager table's")
+	}
+	if lazy.FilledSlots() != cfg.MaxSlots || lazy.MemoryBytes() != eager.MemoryBytes() {
+		t.Errorf("after every block was read: %d slots, %d bytes filled; eager %d, %d",
+			lazy.FilledSlots(), lazy.MemoryBytes(), cfg.MaxSlots, eager.MemoryBytes())
+	}
+}
+
+// TestMaxLinkUnitsFillsPartTable: MaxLinkUnits on a table of which only
+// block 0 is filled reads the whole horizon, not the part that happens to
+// be resident, and agrees with an eagerly filled table.
+func TestMaxLinkUnitsFillsPartTable(t *testing.T) {
+	cfg := PaperConfig()
+	cfg.MaxSlots = 3*tableBlockSlots + 5
+	// Every user's signal climbs over the horizon, so its best link lies in
+	// the last block.
+	ramps := func() []*workload.Session {
+		wl := make([]*workload.Session, 40)
+		for i := range wl {
+			vals := make([]units.DBm, cfg.MaxSlots)
+			for n := range vals {
+				vals[n] = units.DBm(-110 + 60*float64(n)/float64(cfg.MaxSlots) - float64(i%7))
+			}
+			tr, err := signal.FromSlice(vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wl[i] = &workload.Session{ID: i, Size: 5000, BaseRate: 400, Signal: tr}
+		}
+		return wl
+	}
+	eager, err := CompileLinkTiled(cfg, ramps(), cfg.MaxSlots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := CompileLink(cfg, ramps())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var block0 int32
+	for _, lu := range lazy.block(0).lu {
+		block0 = max(block0, lu)
+	}
+	want := eager.MaxLinkUnits()
+	if int(block0) == want {
+		t.Fatal("script error: block 0 already holds the horizon's best link")
+	}
+	if got := lazy.MaxLinkUnits(); got != want {
+		t.Errorf("MaxLinkUnits on a part-filled table = %d, eager %d", got, want)
+	}
+	if lazy.FilledSlots() != cfg.MaxSlots {
+		t.Errorf("MaxLinkUnits left %d of %d slots filled", lazy.FilledSlots(), cfg.MaxSlots)
+	}
+}
+
+// TestFinishClipsPerSlot: a closed run that ends before its horizon — alone,
+// stepped, or as arms of one RunArms group ending on different slots —
+// returns a per-slot series of exactly the slots it ran (len == cap ==
+// Slots), not the horizon-sized one the tick appends into; a run that goes
+// the distance returns that very series, uncopied.
+func TestFinishClipsPerSlot(t *testing.T) {
+	gen := func(seed uint64) []*workload.Session {
+		wl, err := workload.Generate(workload.Config{
+			Users: 6, SizeMin: 4000, SizeMax: 12000, RateMin: 300, RateMax: 600,
+			Signal: workload.PaperDefaults(6).Signal,
+		}, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wl
+	}
+	wl := gen(9)
+	cfg := PaperConfig()
+	cfg.MaxSlots = 2000
+	exact := func(name string, res *Result) {
+		t.Helper()
+		if res.Slots >= cfg.MaxSlots {
+			t.Fatalf("%s: script error: the run went the distance", name)
+		}
+		if len(res.PerSlot) != res.Slots || cap(res.PerSlot) != res.Slots {
+			t.Errorf("%s: PerSlot len %d cap %d, want both %d", name, len(res.PerSlot), cap(res.PerSlot), res.Slots)
+		}
+	}
+	sim, err := New(cfg, wl, sched.NewDefault())
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact("alone", alone)
+
+	var arms []*Simulator
+	for _, seed := range []uint64{9, 10} {
+		sim, err := New(cfg, gen(seed), sched.NewDefault())
+		if err != nil {
+			t.Fatal(err)
+		}
+		arms = append(arms, sim)
+	}
+	res, err := RunArms(arms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Slots == res[1].Slots {
+		t.Fatal("script error: both arms ended on the same slot")
+	}
+	exact("arm 0", res[0])
+	exact("arm 1", res[1])
+
+	cfg.RunFullHorizon = true
+	sim, err = New(cfg, wl, sched.NewDefault())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Advance(cfg.MaxSlots); err != nil {
+		t.Fatal(err)
+	}
+	ticked := &sim.curRes.PerSlot[0]
+	full := sim.Finish()
+	if &full.PerSlot[0] != ticked || len(full.PerSlot) != cfg.MaxSlots || cap(full.PerSlot) != cfg.MaxSlots {
+		t.Errorf("full-horizon run: PerSlot copied (%v) or misshapen (len %d cap %d)",
+			&full.PerSlot[0] != ticked, len(full.PerSlot), cap(full.PerSlot))
 	}
 }

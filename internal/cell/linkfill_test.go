@@ -67,7 +67,7 @@ type slotView func(n int) ([]units.DBm, []units.KBps, []units.MJ, []units.KBps, 
 
 func tableView(lt *LinkTable) slotView {
 	return func(n int) ([]units.DBm, []units.KBps, []units.MJ, []units.KBps, []int32) {
-		return lt.slot(n, lt.users)
+		return lt.slot(n)
 	}
 }
 
@@ -145,7 +145,7 @@ func TestFillKernelMatchesAnalytic(t *testing.T) {
 				if mono.ViaLUT() == tc.chord {
 					t.Fatalf("ViaLUT %v with chord=%v", mono.ViaLUT(), tc.chord)
 				}
-				if shared := mono.rateStride == 0; shared != (tc.jitter == 0) {
+				if shared := mono.sharedRate; shared != (tc.jitter == 0) {
 					t.Fatalf("shared rate row = %v with jitter %v", shared, tc.jitter)
 				}
 				for n := 0; n < slots; n++ {
@@ -158,7 +158,7 @@ func TestFillKernelMatchesAnalytic(t *testing.T) {
 					}
 					w.handoffMin = handoff
 					defer w.stop()
-					if (w.fill.tab != nil) == tc.chord || w.cur.rateStride != mono.rateStride {
+					if (w.fill.tab != nil) == tc.chord || w.cur.rateStride != mono.block(0).rateStride {
 						t.Fatalf("window: exact table %v, rate stride %d", w.fill.tab != nil, w.cur.rateStride)
 					}
 					for n := 0; n < slots; n++ {

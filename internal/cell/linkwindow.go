@@ -3,6 +3,7 @@ package cell
 import (
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"jointstream/internal/units"
@@ -22,8 +23,9 @@ import (
 //     run goes on, and the table is compacted now and then;
 //   - closed: every row is resident from the start, none is admitted,
 //     and rows leave as dropRetired takes their users off the live list;
-//   - a compiled table (tableWindow): one block that is the table, covers
-//     the horizon and is never evicted, filled or written.
+//   - a compiled table (tableWindow): its resident block is the table's
+//     block covering the slot, which the table fills once for every reader
+//     (link.go); the window itself never fills or writes a row.
 
 // linkBlock is one filled window: a slot-major block of link rows
 // covering span slots × the table's rows.
@@ -58,6 +60,11 @@ type linkBlock struct {
 // at all once stop has returned.
 type linkWindow struct {
 	span int // slots per block
+	// table is the shared table a table window reads its blocks from; nil
+	// for a window that fills its own. prefetches counts the table's
+	// background fills this window started, which stop waits out.
+	table      *LinkTable
+	prefetches sync.WaitGroup
 	// horizon clamps fills of a bounded run: slots at or past it are never
 	// filled, because bounded sessions may carry memoized signal traces
 	// that only cover [0, MaxSlots), clones of one template share them, and
@@ -188,12 +195,14 @@ func (w *linkWindow) spare() {
 	}
 }
 
-// tableWindow is the degenerate window over a compiled table: its one
-// block is the table's columns, resident for the whole horizon, so it
-// never evicts, fills or writes — which is what lets any number of
-// simulators hold one over the same shared immutable LinkTable.
+// tableWindow is the window over a compiled table: its resident block is
+// the table's block covering the slot, and moving on to the next one is a
+// lookup in the table, which fills the block if no reader has yet and
+// starts filling the one after it in the background. The window never
+// fills or writes a row itself — which is what lets any number of
+// simulators hold one over the same shared LinkTable.
 func tableWindow(t *LinkTable) *linkWindow {
-	return &linkWindow{span: t.slots, cur: &linkBlock{linkCols: t.linkCols}}
+	return &linkWindow{span: tableBlockSlots, table: t, cur: &linkBlock{base: -1}}
 }
 
 // willEvict reports whether making slot n resident swaps or refills the
@@ -209,9 +218,15 @@ func (w *linkWindow) willEvict(n int) bool {
 // handed off ahead the crossing is a pointer swap, and the evicted block
 // at once becomes the destination of the window after; otherwise the
 // block is filled here, in place. This is the one place the tick may wait
-// for a background fill.
+// for a background fill — over a table, for the fill of a block another
+// reader reached first.
 func (w *linkWindow) ensure(n int) {
 	if !w.willEvict(n) {
+		return
+	}
+	if w.table != nil {
+		w.cur = w.table.block(n)
+		w.table.prefetch(n/tableBlockSlots+1, &w.prefetches)
 		return
 	}
 	base := n - n%w.span
@@ -332,6 +347,7 @@ func (w *linkWindow) patchNext(rows []int) {
 // further window crossings fill in place. The engine calls it wherever a
 // run ends — done, failed or cancelled — so no goroutine outlives it.
 func (w *linkWindow) stop() {
+	w.prefetches.Wait()
 	w.syncFill()
 	w.handoffMin = math.MaxInt
 }

@@ -40,7 +40,13 @@ func (s *Simulator) RunReferenceCtx(ctx context.Context) (*Result, error) {
 	// be a shared immutable Config.Link, so the arm never writes through
 	// such an alias — it takes private columns instead and leaves s.win
 	// unread (a sliding window is never filled, nor a goroutine started).
+	// A table run's New left the sessions to the table, which extends their
+	// memos as it fills: they are extended here for good, under the table's
+	// lock, before this arm reads them beside the table's readers.
 	if s.win != nil {
+		if t := s.win.table; t != nil {
+			t.prewarmFor(s.sessions)
+		}
 		n := len(s.users)
 		s.cols.Sig = make([]units.DBm, n)
 		s.cols.LinkRate = make([]units.KBps, n)

@@ -83,6 +83,10 @@ func runForced(t *testing.T, cfg Config, sessions []*workload.Session, s sched.S
 func TestTiledRowsMatchMonolithic(t *testing.T) {
 	sessions := tiledWorkload(t, 6)
 	cfg := tiledConfig()
+	// The windows below fill from the sessions on background goroutines,
+	// beside the table's own fills: prewarmed, as New leaves a windowed
+	// run's sessions, no fill of either grows a memo.
+	workload.PrewarmAll(1, sessions, cfg.MaxSlots)
 	mono, err := CompileLink(cfg, sessions)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +107,7 @@ func TestTiledRowsMatchMonolithic(t *testing.T) {
 			// Backward jumps force a re-residency of earlier blocks.
 			slotsToCheck = append(slotsToCheck, 0, cfg.MaxSlots/2, cfg.MaxSlots-1)
 			for _, n := range slotsToCheck {
-				mSig, mLink, mEpkb, mRate, mLU := mono.slot(n, mono.users)
+				mSig, mLink, mEpkb, mRate, mLU := mono.slot(n)
 				tSig, tLink, tEpkb, tRate, tLU := view(n)
 				for i := range mSig {
 					if mSig[i] != tSig[i] || mLink[i] != tLink[i] || mEpkb[i] != tEpkb[i] ||
@@ -157,7 +161,7 @@ func TestTiledWindowAtLeastHorizonIsMonolithic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.win == nil || sim.win.fill != nil || sim.win.span != cfg.MaxSlots {
+	if sim.win == nil || sim.win.table == nil || sim.win.table.Slots() != cfg.MaxSlots {
 		t.Fatal("LinkTileSlots == MaxSlots did not attach a whole-horizon table window")
 	}
 }

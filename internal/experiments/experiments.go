@@ -164,14 +164,16 @@ type Figure struct {
 // single simulation (singleflight), so AllParallel never duplicates work.
 //
 // Beneath the result cache sits a workload cache: every scenario's
-// sessions are generated and prewarmed once, their link table compiled
-// once, and the pair shared read-only by every scheduler run over that
-// scenario (a (users, avgSize) scenario is simulated by up to eight
-// schedulers plus the EMA calibration ladder). Sharing is safe because
-// the workload leader fully prewarms the traces and compiles the table
-// before publishing, after which every later Prewarm over the same
-// horizon is a read-only no-op and nothing in the engine writes to
-// sessions or table.
+// sessions are generated once, their link table compiled once, and the
+// pair shared by every scheduler run over that scenario (a (users,
+// avgSize) scenario is simulated by up to eight schedulers plus the EMA
+// calibration ladder). The table is a fill-once cache of slot blocks
+// (cell.LinkTable): a block is filled by the first run to reach it and
+// read by every later one, so the sweep fills only the slots its longest
+// runs reach, and the table is the one writer of the sessions' memos —
+// runs read the sessions only through it. A scenario over the table cap
+// has no table; its leader prewarms the sessions to the horizon before
+// publishing, after which every run's Prewarm is a read-only no-op.
 type Runner struct {
 	opts Options
 
@@ -221,8 +223,8 @@ func (r *Runner) runContext() context.Context {
 	return context.Background()
 }
 
-// sharedWorkload is one scenario's immutable prewarmed workload plus its
-// compiled link table (nil when the table would exceed the size cap).
+// sharedWorkload is one scenario's workload plus its link table (nil when
+// the table would exceed the size cap).
 type sharedWorkload struct {
 	sessions []*workload.Session
 	link     *cell.LinkTable
@@ -478,33 +480,48 @@ func (r *Runner) workloadFor(sc scenario) (*sharedWorkload, error) {
 	}
 }
 
-// buildWorkload generates, prewarms, and link-compiles one scenario
-// workload. After it returns, the sessions' stochastic memos cover the
-// full horizon, so sharing them across concurrent simulators is safe.
+// buildWorkload generates and link-compiles one scenario workload. After
+// it returns the sessions are safe to share across concurrent simulators:
+// through the table, which extends their memos under its own lock as runs
+// reach new slots, or, without one, because their memos already cover the
+// full horizon.
 func (r *Runner) buildWorkload(sc scenario) (*sharedWorkload, error) {
 	wl, err := workload.Generate(sc.workload(r.opts), rng.New(r.opts.Seed))
 	if err != nil {
 		return nil, err
 	}
-	// Prewarm before publishing, whether or not the link table compiles
-	// below: concurrent simulators over the shared sessions re-Prewarm
-	// them from cell.New, which is only a safe (read-only) no-op if the
-	// stochastic memos already span the horizon. CompileLink prewarms
-	// too, but it is skipped for over-cap or table-disabled runs.
-	workload.PrewarmAll(r.opts.Cell.Workers, wl, r.opts.Cell.MaxSlots)
 	sw := &sharedWorkload{sessions: wl}
 	maxRows := r.opts.Cell.LinkTableMaxRows
 	if maxRows == 0 {
 		maxRows = cell.DefaultLinkTableMaxRows
 	}
 	if maxRows > 0 && int64(len(wl))*int64(r.opts.Cell.MaxSlots) <= int64(maxRows) {
-		lt, err := cell.CompileLink(r.opts.Cell, wl)
-		if err != nil {
+		if sw.link, err = cell.CompileLink(r.opts.Cell, wl); err != nil {
 			return nil, err
 		}
-		sw.link = lt
+		return sw, nil
 	}
+	// The analytic path: concurrent simulators over the shared sessions
+	// re-Prewarm them from cell.New, which is only a safe (read-only)
+	// no-op if the stochastic memos already span the horizon.
+	workload.PrewarmAll(r.opts.Cell.Workers, wl, r.opts.Cell.MaxSlots)
 	return sw, nil
+}
+
+// LinkFillStats reports how much of the scenarios' link tables the runs so
+// far have filled: filled is Σ users × FilledSlots over the compiled
+// tables, horizon Σ users × Slots, the rows an eager fill would have
+// written.
+func (r *Runner) LinkFillStats() (filled, horizon int64) {
+	r.wlMu.Lock()
+	defer r.wlMu.Unlock()
+	for _, sw := range r.wlCache {
+		if lt := sw.link; lt != nil {
+			filled += int64(lt.Users()) * int64(lt.FilledSlots())
+			horizon += int64(lt.Users()) * int64(lt.Slots())
+		}
+	}
+	return filled, horizon
 }
 
 // simulate performs the actual run (no result caching; the scenario's

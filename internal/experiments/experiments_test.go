@@ -471,6 +471,46 @@ func TestWorkloadCacheMissPerScenario(t *testing.T) {
 	}
 }
 
+// TestSweepFillsOnlyReachedBlocks pins the link-table work of the seed-42
+// quick sweep, per scenario: the slots filled are exactly the scenario's
+// longest run — its last slot plus the one after it, which the final fused
+// pass attaches — rounded up to a 256-slot table block, plus the block
+// filled ahead of it, capped at the horizon. A change to these numbers is a
+// change to what the sweep computes, not noise.
+func TestSweepFillsOnlyReachedBlocks(t *testing.T) {
+	const block = 256 // cell's table block span
+	r := quickRunner(t)
+	if _, err := r.AllParallel(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"n=4|mb=15": 512, "n=8|mb=10": 2000, "n=8|mb=15": 2000, "n=8|mb=20": 2000}
+	horizon := r.opts.Cell.MaxSlots
+	var filled, rows int64
+	for key, sw := range r.wlCache {
+		longest := 0
+		for runKey, res := range r.cache {
+			if strings.Contains(runKey, "|"+key+"|") {
+				longest = max(longest, res.Slots)
+			}
+		}
+		got := sw.link.FilledSlots()
+		if reached := min(horizon, ((longest+1+block-1)/block+1)*block); got != reached {
+			t.Errorf("%s: %d slots filled, longest run %d reaches %d with the block ahead", key, got, longest, reached)
+		}
+		if got != want[key] {
+			t.Errorf("%s: %d slots filled, pinned %d", key, got, want[key])
+		}
+		filled += int64(sw.link.Users() * got)
+		rows += int64(sw.link.Users() * horizon)
+	}
+	if len(r.wlCache) != len(want) {
+		t.Errorf("%d scenarios, pinned %d", len(r.wlCache), len(want))
+	}
+	if f, h := r.LinkFillStats(); f != filled || h != rows {
+		t.Errorf("LinkFillStats = (%d, %d), per-scenario sums (%d, %d)", f, h, filled, rows)
+	}
+}
+
 // TestWorkloadSharedWithoutLinkTable hammers one table-disabled scenario
 // from concurrent simulators. buildWorkload must fully prewarm the
 // sessions before publishing even when CompileLink is skipped (over-cap
