@@ -20,7 +20,6 @@ import (
 	"jointstream/internal/cell"
 	"jointstream/internal/deploy"
 	"jointstream/internal/rng"
-	"jointstream/internal/rrc"
 	"jointstream/internal/sched"
 	"jointstream/internal/units"
 	"jointstream/internal/workload"
@@ -32,7 +31,7 @@ func main() {
 		users     = flag.Int("users", 24, "number of streaming users")
 		avgSizeMB = flag.Float64("size", 100, "average video size in MB")
 		policy    = flag.String("policy", "strongest", "attachment policy: strongest|roundrobin|leastloaded")
-		schedName = flag.String("sched", "ema", "per-site scheduler: default|ema|rtma|propfair")
+		schedName = flag.String("sched", "ema", "per-site scheduler: "+sched.Names)
 		capacity  = flag.Float64("capacity", 8000, "per-site capacity in KB/s")
 		offsets   = flag.String("offsets", "", "comma-separated per-site dBm offsets (default 0,-3,-6,...)")
 		shadow    = flag.Float64("shadow", 4, "per-site shadowing stddev (dB)")
@@ -108,20 +107,9 @@ func run(sites, users int, avgSizeMB float64, policyName, schedName string, capa
 	}
 
 	newSched := func() (sched.Scheduler, error) {
-		switch schedName {
-		case "default":
-			return sched.NewDefault(), nil
-		case "ema":
-			return sched.NewEMA(sched.EMAConfig{V: v, RRC: rrc.Paper3G()})
-		case "rtma":
-			return sched.NewRTMA(sched.RTMAConfig{
-				Budget: units.MJ(budget), Radio: siteCell.Radio, RRC: siteCell.RRC,
-			})
-		case "propfair":
-			return sched.NewProportionalFair(100)
-		default:
-			return nil, fmt.Errorf("unknown scheduler %q", schedName)
-		}
+		return sched.ByName(schedName, sched.Params{
+			Budget: units.MJ(budget), V: v, Radio: siteCell.Radio, RRC: siteCell.RRC,
+		})
 	}
 
 	wl := workload.PaperDefaults(users).WithAvgSize(units.KB(avgSizeMB * 1000))

@@ -42,7 +42,7 @@ import (
 
 func main() {
 	var (
-		schedName = flag.String("sched", "rtma", "scheduler: default|rtma|ema|propfair")
+		schedName = flag.String("sched", "rtma", "scheduler: "+sched.Names)
 		clients   = flag.Int("clients", 4, "number of simulated clients to spawn")
 		videoKB   = flag.Float64("video", 2000, "video size per client (KB)")
 		slotDur   = flag.Duration("slot", 100*time.Millisecond, "wall-clock slot length")
@@ -90,23 +90,6 @@ func runChaos(seed uint64) error {
 	return nil
 }
 
-func buildScheduler(name string, budget, v float64) (sched.Scheduler, error) {
-	switch name {
-	case "default":
-		return sched.NewDefault(), nil
-	case "rtma":
-		return sched.NewRTMA(sched.RTMAConfig{
-			Budget: units.MJ(budget), Radio: radio.Paper3G(), RRC: rrc.Paper3G(),
-		})
-	case "ema":
-		return sched.NewEMA(sched.EMAConfig{V: v, RRC: rrc.Paper3G()})
-	case "propfair":
-		return sched.NewProportionalFair(100)
-	default:
-		return nil, fmt.Errorf("unknown scheduler %q", name)
-	}
-}
-
 type runOptions struct {
 	schedName   string
 	clients     int
@@ -126,7 +109,9 @@ func run(o runOptions) error {
 	if !o.serve && o.clients <= 0 {
 		return fmt.Errorf("need at least one client")
 	}
-	s, err := buildScheduler(o.schedName, o.budget, o.v)
+	s, err := sched.ByName(o.schedName, sched.Params{
+		Budget: units.MJ(o.budget), V: o.v, Radio: radio.Paper3G(), RRC: rrc.Paper3G(),
+	})
 	if err != nil {
 		return err
 	}

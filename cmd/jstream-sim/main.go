@@ -34,7 +34,7 @@ import (
 
 func main() {
 	var (
-		schedName = flag.String("sched", "rtma", "scheduler: default|rtma|ema|throttling|onoff|salsa|estreamer|propfair|predictive")
+		schedName = flag.String("sched", "rtma", "scheduler: "+sched.Names+"|predictive")
 		users     = flag.Int("users", 20, "number of streaming users")
 		avgSizeMB = flag.Float64("size", 375, "average video size in MB")
 		alpha     = flag.Float64("alpha", 1.0, "RTMA energy budget factor (x Default energy)")
@@ -131,7 +131,10 @@ func run(schedName string, users int, avgSizeMB, alpha, beta, vFlag float64, ada
 			return err
 		}
 	} else {
-		s, err = buildScheduler(schedName, cfg, vFlag)
+		if vFlag == 0 {
+			vFlag = 0.2 // spec-driven EMA runs are not calibrated
+		}
+		s, err = sched.ByName(schedName, sched.Params{Budget: 950, V: vFlag, Radio: cfg.Radio, RRC: cfg.RRC})
 		if err != nil {
 			return err
 		}
@@ -146,32 +149,6 @@ func run(schedName string, users int, avgSizeMB, alpha, beta, vFlag float64, ada
 	}
 	printResult(res, verbose)
 	return nil
-}
-
-func buildScheduler(name string, cfg cell.Config, v float64) (sched.Scheduler, error) {
-	switch name {
-	case "default":
-		return sched.NewDefault(), nil
-	case "throttling":
-		return sched.NewThrottling(1.25)
-	case "onoff":
-		return sched.NewOnOff(10, 40)
-	case "salsa":
-		return sched.NewSALSA(15, 0.3)
-	case "estreamer":
-		return sched.NewEStreamer(30, 5)
-	case "propfair":
-		return sched.NewProportionalFair(100)
-	case "ema":
-		if v == 0 {
-			v = 0.2
-		}
-		return sched.NewEMA(sched.EMAConfig{V: v, RRC: cfg.RRC})
-	case "rtma":
-		return sched.NewRTMA(sched.RTMAConfig{Budget: 950, Radio: cfg.Radio, RRC: cfg.RRC})
-	default:
-		return nil, fmt.Errorf("unknown scheduler %q", name)
-	}
 }
 
 func printReport(rep *core.Report) {

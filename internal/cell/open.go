@@ -7,10 +7,11 @@
 //     from a free-list of table slots, departed or completed users are
 //     folded into streaming aggregates and their slots compacted out for
 //     reuse instead of lingering retired;
-//   - an admission controller: a cap on concurrent sessions plus an
-//     Eq.-1-style capacity headroom check (Σ required rates against a
-//     fraction of the base station's serving capacity S), rejecting with
-//     a typed *OverCapacityError instead of degrading everyone;
+//   - an admission controller (Admission, the rule the gateway applies
+//     too): a cap on concurrent sessions plus an Eq.-1-style capacity
+//     headroom check (Σ required rates against a fraction of the base
+//     station's serving capacity S), rejecting with a typed
+//     *OverCapacityError instead of degrading everyone;
 //   - an unbounded horizon: the slot clock extends on demand and the
 //     per-slot series is trimmed to the retained metric windows, so
 //     memory is bounded by the session table and the window span, never
@@ -72,6 +73,40 @@ func (e *OverCapacityError) Error() string {
 
 // Is makes errors.Is(err, ErrOverCapacity) match.
 func (e *OverCapacityError) Is(target error) bool { return target == ErrOverCapacity }
+
+// Admission is the one admission rule of both serving paths — OpenSim and
+// the gateway: a cap on concurrent sessions plus an Eq.-1-style headroom
+// check on the summed required rates. The zero value admits everyone.
+type Admission struct {
+	// MaxSessions caps in-service sessions; 0 means no cap.
+	MaxSessions int
+	// HeadroomKBps bounds the summed required rate of every in-service
+	// session plus the newcomer's; 0 disables the check.
+	HeadroomKBps units.KBps
+}
+
+// NewAdmission builds the rule from a session cap and a headroom given as
+// a fraction of the serving capacity (0 disables it).
+func NewAdmission(maxSessions int, headroomFrac float64, capacity units.KBps) Admission {
+	a := Admission{MaxSessions: maxSessions}
+	if headroomFrac > 0 {
+		a.HeadroomKBps = units.KBps(headroomFrac * float64(capacity))
+	}
+	return a
+}
+
+// Check decides a newcomer with required rate rate against inService
+// sessions whose required rates sum to demand: nil admits, a
+// *OverCapacityError says which limit refused.
+func (a Admission) Check(inService int, demand, rate units.KBps) error {
+	if a.MaxSessions > 0 && inService >= a.MaxSessions {
+		return &OverCapacityError{Reason: "session-cap", InService: inService, MaxSessions: a.MaxSessions}
+	}
+	if a.HeadroomKBps > 0 && demand+rate > a.HeadroomKBps {
+		return &OverCapacityError{Reason: "headroom", DemandKBps: demand + rate, LimitKBps: a.HeadroomKBps}
+	}
+	return nil
+}
 
 // OpenConfig parameterizes an open-system run.
 type OpenConfig struct {
@@ -171,9 +206,11 @@ type OpenSim struct {
 	eng *Simulator
 	cfg OpenConfig
 
-	maxSessions int
-	headroomKB  units.KBps // 0 = disabled
-	unbounded   bool
+	adm       Admission
+	unbounded bool
+	// rows is the scheduler's per-row state, when it keeps any: a reused
+	// row is reset for its new session and compaction moves it along.
+	rows sched.RowState
 
 	// freelist holds freed table slots sorted descending, so popping the
 	// tail both reuses the lowest index first (stable, test-pinned
@@ -256,15 +293,13 @@ func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*O
 	}
 	o := &OpenSim{
 		cfg:         cfg,
-		maxSessions: cfg.MaxSessions,
+		adm:         NewAdmission(cfg.MaxSessions, cfg.HeadroomFrac, cc.Capacity),
 		unbounded:   cfg.Unbounded,
 		windowSlots: cfg.WindowSlots,
 	}
+	o.rows, _ = s.(sched.RowState)
 	if o.windowSlots <= 0 {
 		o.windowSlots = defaultWindowSlots
-	}
-	if cfg.HeadroomFrac > 0 {
-		o.headroomKB = units.KBps(cfg.HeadroomFrac * float64(cc.Capacity))
 	}
 	o.windows = cfg.Windows
 	if o.windows <= 0 {
@@ -298,7 +333,7 @@ func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*O
 	// mid-run arrival faces.
 	var demand units.KBps
 	for i, sess := range initial {
-		if err := o.admissible(i, demand, sess); err != nil {
+		if err := o.adm.Check(i, demand, sess.BaseRate); err != nil {
 			return nil, fmt.Errorf("cell: initial session %d: %w", i, err)
 		}
 		if err := o.vetSession(sess); err != nil {
@@ -337,18 +372,6 @@ func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*O
 	o.stats.InService = len(initial)
 	o.stats.DemandKBps = demand
 	return o, nil
-}
-
-// admissible applies the admission controller against the given
-// in-service count and demand.
-func (o *OpenSim) admissible(inService int, demand units.KBps, sess *workload.Session) error {
-	if o.maxSessions > 0 && inService >= o.maxSessions {
-		return &OverCapacityError{Reason: "session-cap", InService: inService, MaxSessions: o.maxSessions}
-	}
-	if o.headroomKB > 0 && demand+sess.BaseRate > o.headroomKB {
-		return &OverCapacityError{Reason: "headroom", DemandKBps: demand + sess.BaseRate, LimitKBps: o.headroomKB}
-	}
-	return nil
 }
 
 // vetSession enforces the unbounded mode's bounded-memory contract.
@@ -394,7 +417,7 @@ func (o *OpenSim) Admit(sess *workload.Session) (int, error) {
 	if o.eng.cfg.RecordPerUserSlots {
 		return 0, fmt.Errorf("cell: mid-run admission is incompatible with RecordPerUserSlots (table slots are reused)")
 	}
-	if err := o.admissible(o.stats.InService, o.stats.DemandKBps, sess); err != nil {
+	if err := o.adm.Check(o.stats.InService, o.stats.DemandKBps, sess.BaseRate); err != nil {
 		o.stats.Rejected++
 		return 0, err
 	}
@@ -403,7 +426,7 @@ func (o *OpenSim) Admit(sess *workload.Session) (int, error) {
 	}
 	// Prefer a freed slot; when none is free and the table is at the
 	// session cap, reap retired-but-unreclaimed sessions before growing.
-	if len(o.freelist) == 0 && o.maxSessions > 0 && len(o.eng.users) >= o.maxSessions {
+	if len(o.freelist) == 0 && o.adm.MaxSessions > 0 && len(o.eng.users) >= o.adm.MaxSessions {
 		o.reap()
 	}
 	s := o.eng
@@ -434,12 +457,12 @@ func (o *OpenSim) Admit(sess *workload.Session) (int, error) {
 		o.serials[idx] = o.lastSer
 		o.owned[idx] = true
 	} else {
-		if s.win != nil && len(s.users) >= o.maxSessions {
+		if s.win != nil && len(s.users) >= o.adm.MaxSessions {
 			// The link window's slot-major layout is sized for MaxSessions
 			// rows; it cannot grow past the cap even transiently.
 			o.sessPool = append(o.sessPool, clone)
 			o.stats.Rejected++
-			return 0, &OverCapacityError{Reason: "session-cap", InService: o.stats.InService, MaxSessions: o.maxSessions}
+			return 0, &OverCapacityError{Reason: "session-cap", InService: o.stats.InService, MaxSessions: o.adm.MaxSessions}
 		}
 		idx = len(s.users)
 		if err := o.appendSlot(clone); err != nil {
@@ -451,6 +474,11 @@ func (o *OpenSim) Admit(sess *workload.Session) (int, error) {
 	}
 	clone.ID = idx
 	o.bySerial[o.lastSer] = idx
+	if o.rows != nil {
+		// Reused or appended, the row may still hold a departed session's
+		// scheduler state: compaction truncates rows the scheduler keeps.
+		o.rows.ResetRow(idx)
+	}
 
 	if !o.unbounded {
 		// Bounded mode may carry memoized traces and VBR sessions: extend
@@ -890,8 +918,9 @@ func (o *OpenSim) maybeCompact() {
 
 // compact moves every live session down over the freed slots, keeping
 // relative order (so the live and pending lists stay sorted under the
-// monotone remap), truncates the per-user arrays, and invalidates the
-// link window so its next block fills over the dense identity row set.
+// monotone remap), truncates the per-user arrays, moves the scheduler's
+// per-row state along, and invalidates the link window so its next block
+// fills over the dense identity row set.
 func (o *OpenSim) compact() {
 	s := o.eng
 	o.compactPending()
@@ -933,6 +962,9 @@ func (o *OpenSim) compact() {
 			}
 			if s.abrCtls != nil {
 				s.abrCtls[w] = s.abrCtls[i]
+			}
+			if o.rows != nil {
+				o.rows.MoveRow(i, w)
 			}
 		}
 		o.bySerial[o.serials[w]] = w

@@ -253,6 +253,106 @@ func TestOpenFreelistReuse(t *testing.T) {
 	}
 }
 
+// A reused row starts from a fresh scheduler's state: under EMA the new
+// session's virtual queue is empty, not the departed session's.
+func TestOpenReusedRowStartsFresh(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.RunFullHorizon = true
+	ema, err := sched.NewEMA(sched.EMAConfig{V: 0.2, RRC: cfg.RRC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := openSessions(3)
+	o, err := NewOpen(OpenConfig{Cell: cfg}, ss[:2], ema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; ema.Queue(0) == 0; n++ {
+		if n > 50 {
+			t.Fatal("session 0's queue never moved")
+		}
+		if _, err := o.AdvanceTo(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := o.Depart(0); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := o.Admit(ss[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx != 0 {
+		t.Fatalf("admit got row %d, want the freed row 0", idx)
+	}
+	if q := ema.Queue(0); q != 0 {
+		t.Fatalf("reused row 0 starts with the departed session's queue %v", q)
+	}
+}
+
+// Compaction moves each live session's scheduler state with it, and a row
+// appended past the compacted table starts fresh although the scheduler
+// still holds the state of the row's last occupant.
+func TestOpenCompactionMovesRowState(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.RunFullHorizon = true
+	cfg.MaxSlots = 64
+	ema, err := sched.NewEMA(sched.EMAConfig{V: 0.2, RRC: cfg.RRC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := NewOpen(OpenConfig{Cell: cfg, Unbounded: true}, nil, ema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ss := openSessions(compactMinTable)
+	for _, s := range ss {
+		s.Size = 1 << 20 // never completes within the script
+		if _, err := o.Admit(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := o.AdvanceTo(30); err != nil {
+		t.Fatal(err)
+	}
+	want := map[uint64]units.Seconds{}
+	for i := range ss {
+		if i%4 != 0 {
+			if err := o.Depart(i); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		ser, _ := o.Serial(i)
+		want[ser] = ema.Queue(i)
+	}
+	// An advance to the current clock ticks nothing, then compacts.
+	if _, err := o.AdvanceTo(o.Clock()); err != nil {
+		t.Fatal(err)
+	}
+	if st := o.Stats(); st.TableLen != len(want) {
+		t.Fatalf("table length %d after churn, want %d compacted rows", st.TableLen, len(want))
+	}
+	for ser, q := range want {
+		if row := o.bySerial[ser]; ema.Queue(row) != q {
+			t.Errorf("session %d moved to row %d with queue %v, had %v", ser, row, ema.Queue(row), q)
+		}
+	}
+	idx, err := o.Admit(ss[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx != len(want) || ema.Queue(idx) != 0 {
+		t.Fatalf("appended row %d starts with queue %v, want row %d and an empty queue", idx, ema.Queue(idx), len(want))
+	}
+}
+
 func TestOpenWindowSnapshots(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.RunFullHorizon = true

@@ -259,18 +259,27 @@ func Run(cfg Config) (*Report, error) {
 			rep.V = ae.V() // final adapted weight
 			break
 		}
+		emaRun := func(v float64) (*cell.Result, error) {
+			em, err := sched.ByName("ema", sched.Params{V: v, RRC: cfg.Cell.RRC})
+			if err != nil {
+				return nil, err
+			}
+			return simulate(em)
+		}
 		v := cfg.V
 		if v == 0 {
-			v, err = calibrateV(cfg, simulate, omega)
+			v, err = sched.CalibrateV(0.005, 16, cfg.CalibrationSteps, omega, func(v float64) (units.Seconds, error) {
+				res, err := emaRun(v)
+				if err != nil {
+					return 0, err
+				}
+				return res.PC(), nil
+			})
 			if err != nil {
 				return nil, err
 			}
 		}
-		em, err := sched.NewEMA(sched.EMAConfig{V: v, RRC: cfg.Cell.RRC})
-		if err != nil {
-			return nil, err
-		}
-		res, err := simulate(em)
+		res, err := emaRun(v)
 		if err != nil {
 			return nil, err
 		}
@@ -281,50 +290,6 @@ func Run(cfg Config) (*Report, error) {
 	rep.RebufferReduction = reduction(float64(rep.Reference.MeanRebufferPerUser), float64(rep.Result.MeanRebufferPerUser))
 	rep.EnergyReduction = reduction(float64(rep.Reference.MeanEnergyPerUser), float64(rep.Result.MeanEnergyPerUser))
 	return rep, nil
-}
-
-// calibrateV bisects the Lyapunov weight so measured PC ≤ omega, mirroring
-// internal/experiments.
-func calibrateV(cfg Config, simulate func(sched.Scheduler) (*cell.Result, error), omega units.Seconds) (float64, error) {
-	lo, hi := 0.005, 16.0
-	pcAt := func(v float64) (units.Seconds, error) {
-		em, err := sched.NewEMA(sched.EMAConfig{V: v, RRC: cfg.Cell.RRC})
-		if err != nil {
-			return 0, err
-		}
-		res, err := simulate(em)
-		if err != nil {
-			return 0, err
-		}
-		return res.PC(), nil
-	}
-	pcLo, err := pcAt(lo)
-	if err != nil {
-		return 0, err
-	}
-	if pcLo > omega {
-		return lo, nil
-	}
-	pcHi, err := pcAt(hi)
-	if err != nil {
-		return 0, err
-	}
-	if pcHi <= omega {
-		return hi, nil
-	}
-	for i := 0; i < cfg.CalibrationSteps; i++ {
-		mid := math.Sqrt(lo * hi)
-		pc, err := pcAt(mid)
-		if err != nil {
-			return 0, err
-		}
-		if pc <= omega {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
 }
 
 func reduction(baseline, got float64) float64 {
@@ -342,20 +307,15 @@ func NewScheduler(cfg Config) (sched.Scheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch cfg.Mode {
-	case ModeRTM:
+	p := sched.Params{Budget: cfg.Budget, V: cfg.V, Radio: cfg.Cell.Radio, RRC: cfg.Cell.RRC}
+	if cfg.Mode == ModeRTM {
 		if cfg.Budget <= 0 {
 			return nil, fmt.Errorf("core: ModeRTM NewScheduler needs an absolute Budget")
 		}
-		return sched.NewRTMA(sched.RTMAConfig{
-			Budget: cfg.Budget, Radio: cfg.Cell.Radio, RRC: cfg.Cell.RRC,
-		})
-	case ModeEM:
-		if cfg.V <= 0 {
-			return nil, fmt.Errorf("core: ModeEM NewScheduler needs an explicit V")
-		}
-		return sched.NewEMA(sched.EMAConfig{V: cfg.V, RRC: cfg.Cell.RRC})
-	default:
-		return nil, fmt.Errorf("core: unknown mode %d", int(cfg.Mode))
+		return sched.ByName("rtma", p)
 	}
+	if cfg.V <= 0 {
+		return nil, fmt.Errorf("core: ModeEM NewScheduler needs an explicit V")
+	}
+	return sched.ByName("ema", p)
 }

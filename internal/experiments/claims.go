@@ -42,23 +42,23 @@ func (r *Runner) Claims() ([]Claim, error) {
 	if err != nil {
 		return nil, err
 	}
-	rtma, _, err := r.rtmaRun(sc, 1.0)
+	rtma, err := r.rtmaRun(sc, 1.0)
 	if err != nil {
 		return nil, err
 	}
-	thr, err := r.run(sc, throttlingBuilder())
+	thr, err := r.run(sc, baselineBuilder("throttling"))
 	if err != nil {
 		return nil, err
 	}
-	onoff, err := r.run(sc, onOffBuilder())
+	onoff, err := r.run(sc, baselineBuilder("onoff"))
 	if err != nil {
 		return nil, err
 	}
-	salsa, err := r.run(sc, salsaBuilder())
+	salsa, err := r.run(sc, baselineBuilder("salsa"))
 	if err != nil {
 		return nil, err
 	}
-	estr, err := r.run(sc, eStreamerBuilder())
+	estr, err := r.run(sc, baselineBuilder("estreamer"))
 	if err != nil {
 		return nil, err
 	}

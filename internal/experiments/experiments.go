@@ -21,7 +21,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -551,50 +550,20 @@ func (r *Runner) simulate(sc scenario, sb schedBuilder) (*cell.Result, error) {
 }
 
 func (r *Runner) defaultRun(sc scenario) (*cell.Result, error) {
-	return r.run(sc, schedBuilder{key: "default", build: func() (sched.Scheduler, error) {
-		return sched.NewDefault(), nil
-	}})
+	return r.run(sc, baselineBuilder("default"))
 }
 
-// rtmaBuilder derives Φ = alpha·E_Default from the scenario's Default run.
-func (r *Runner) rtmaRun(sc scenario, alpha float64) (*cell.Result, *sched.RTMA, error) {
-	def, err := r.defaultRun(scenario{users: sc.users, avgSizeMB: sc.avgSizeMB})
+// rtmaRun runs RTMA with Φ = alpha·E_Default from the scenario's Default
+// run: rtmaBatch with one arm.
+func (r *Runner) rtmaRun(sc scenario, alpha float64) (*cell.Result, error) {
+	rs, err := r.rtmaBatch(sc, []float64{alpha})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	eRef := def.TransEnergyPerActiveSlot()
-	budget, err := sched.BudgetForAlpha(eRef, alpha)
-	if err != nil {
-		return nil, nil, err
-	}
-	var built *sched.RTMA
-	res, err := r.run(sc, schedBuilder{
-		key: fmt.Sprintf("rtma(a=%g)", alpha),
-		build: func() (sched.Scheduler, error) {
-			rt, err := sched.NewRTMA(sched.RTMAConfig{
-				Budget: budget, Radio: r.opts.Cell.Radio, RRC: r.opts.Cell.RRC,
-			})
-			built = rt
-			return rt, err
-		},
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if built == nil {
-		// Cached run: rebuild the scheduler just to expose its threshold.
-		built, err = sched.NewRTMA(sched.RTMAConfig{
-			Budget: budget, Radio: r.opts.Cell.Radio, RRC: r.opts.Cell.RRC,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return res, built, nil
+	return rs[0], nil
 }
 
-// rtmaBuilderFor returns the builder for one RTMA budget; the key must
-// match rtmaRun's so batched and single runs share cache entries.
+// rtmaBuilderFor returns the builder for one RTMA budget, keyed by alpha.
 func (r *Runner) rtmaBuilderFor(alpha float64, budget units.MJ) schedBuilder {
 	return schedBuilder{
 		key: fmt.Sprintf("rtma(a=%g)", alpha),
@@ -642,48 +611,16 @@ func (r *Runner) emaRunWithV(sc scenario, v float64) (*cell.Result, error) {
 	return r.run(sc, r.emaBuilderFor(v))
 }
 
-// calibrateV finds the largest V in [VMin, VMax] whose measured average
-// rebuffering PC stays within omega, by bisection on log V. PC(V) is
-// monotonically non-decreasing in V (more energy bias defers more data),
-// which the Theorem-1 bound PC ≤ (B + V·E*)/ε also reflects.
+// calibrateV finds the largest V in [VMin, VMax] whose measured PC stays
+// within omega (sched.CalibrateV), every probe a memoized EMA run.
 func (r *Runner) calibrateV(sc scenario, omega units.Seconds) (float64, error) {
-	lo, hi := r.opts.VMin, r.opts.VMax
-	pcAt := func(v float64) (units.Seconds, error) {
+	return sched.CalibrateV(r.opts.VMin, r.opts.VMax, r.opts.CalibrationSteps, omega, func(v float64) (units.Seconds, error) {
 		res, err := r.emaRunWithV(sc, v)
 		if err != nil {
 			return 0, err
 		}
 		return res.PC(), nil
-	}
-	pcLo, err := pcAt(lo)
-	if err != nil {
-		return 0, err
-	}
-	if pcLo > omega {
-		// Even the most rebuffering-averse setting misses the bound; use
-		// the minimum V (the paper's EMA has no lower mechanism either).
-		return lo, nil
-	}
-	pcHi, err := pcAt(hi)
-	if err != nil {
-		return 0, err
-	}
-	if pcHi <= omega {
-		return hi, nil
-	}
-	for i := 0; i < r.opts.CalibrationSteps; i++ {
-		mid := math.Sqrt(lo * hi) // geometric midpoint
-		pc, err := pcAt(mid)
-		if err != nil {
-			return 0, err
-		}
-		if pc <= omega {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
+	})
 }
 
 // emaRun calibrates V for Ω = beta·R_Default and runs EMA.
@@ -706,35 +643,12 @@ func (r *Runner) emaRun(sc scenario, beta float64) (*cell.Result, float64, error
 	return res, v, nil
 }
 
-// Baseline builders shared by comparison figures. Watermarks follow common
-// player configurations (see internal/sched).
-func defaultBuilder() schedBuilder {
-	return schedBuilder{key: "default", build: func() (sched.Scheduler, error) {
-		return sched.NewDefault(), nil
-	}}
-}
-
-func throttlingBuilder() schedBuilder {
-	return schedBuilder{key: "throttling", build: func() (sched.Scheduler, error) {
-		return sched.NewThrottling(1.25)
-	}}
-}
-
-func onOffBuilder() schedBuilder {
-	return schedBuilder{key: "onoff", build: func() (sched.Scheduler, error) {
-		return sched.NewOnOff(10, 40)
-	}}
-}
-
-func salsaBuilder() schedBuilder {
-	return schedBuilder{key: "salsa", build: func() (sched.Scheduler, error) {
-		return sched.NewSALSA(15, 0.3)
-	}}
-}
-
-func eStreamerBuilder() schedBuilder {
-	return schedBuilder{key: "estreamer", build: func() (sched.Scheduler, error) {
-		return sched.NewEStreamer(30, 5)
+// baselineBuilder returns the builder of the parameter-free scheduler
+// sched.ByName builds as name (Default and the comparison baselines); the
+// name is its cache key.
+func baselineBuilder(name string) schedBuilder {
+	return schedBuilder{key: name, build: func() (sched.Scheduler, error) {
+		return sched.ByName(name, sched.Params{})
 	}}
 }
 

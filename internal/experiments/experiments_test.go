@@ -601,8 +601,8 @@ func TestWorkloadCacheBitwiseNeutral(t *testing.T) {
 // stronger anyway.
 func TestRunBatchMatchesSingle(t *testing.T) {
 	sbs := []schedBuilder{
-		defaultBuilder(), throttlingBuilder(), onOffBuilder(),
-		salsaBuilder(), eStreamerBuilder(),
+		baselineBuilder("default"), baselineBuilder("throttling"), baselineBuilder("onoff"),
+		baselineBuilder("salsa"), baselineBuilder("estreamer"),
 	}
 	for _, recordCDF := range []bool{false, true} {
 		rBatch := quickRunner(t)
@@ -635,11 +635,11 @@ func TestRunBatchMatchesSingle(t *testing.T) {
 func TestRunBatchReusesCache(t *testing.T) {
 	r := quickRunner(t)
 	sc := scenario{users: 4, avgSizeMB: 10}
-	def, err := r.run(sc, defaultBuilder())
+	def, err := r.run(sc, baselineBuilder("default"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := r.runBatch(sc, []schedBuilder{defaultBuilder(), throttlingBuilder(), onOffBuilder()})
+	batch, err := r.runBatch(sc, []schedBuilder{baselineBuilder("default"), baselineBuilder("throttling"), baselineBuilder("onoff")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,7 +650,7 @@ func TestRunBatchReusesCache(t *testing.T) {
 		t.Errorf("MultiArmStats = (%d, %d), want (1, 2): only the uncached arms group", groups, runs)
 	}
 	size := r.cacheSize()
-	for _, sb := range []schedBuilder{throttlingBuilder(), onOffBuilder()} {
+	for _, sb := range []schedBuilder{baselineBuilder("throttling"), baselineBuilder("onoff")} {
 		if _, err := r.run(sc, sb); err != nil {
 			t.Fatal(err)
 		}
@@ -659,7 +659,7 @@ func TestRunBatchReusesCache(t *testing.T) {
 		t.Errorf("single runs after a batch re-simulated: cache grew %d -> %d", size, r.cacheSize())
 	}
 	// A singleton batch takes the single-arm path: no group forms.
-	if _, err := r.runBatch(sc, []schedBuilder{salsaBuilder()}); err != nil {
+	if _, err := r.runBatch(sc, []schedBuilder{baselineBuilder("salsa")}); err != nil {
 		t.Fatal(err)
 	}
 	if groups, _ := r.MultiArmStats(); groups != 1 {

@@ -66,7 +66,7 @@ func (r *Runner) ExtLTE() (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		rtma, _, err := sub.rtmaRun(sc, 1.0)
+		rtma, err := sub.rtmaRun(sc, 1.0)
 		if err != nil {
 			return nil, err
 		}
@@ -115,7 +115,7 @@ func (r *Runner) comparisonAtScenario(id, title string) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	rtma, _, err := r.rtmaRun(sc, 1.0)
+	rtma, err := r.rtmaRun(sc, 1.0)
 	if err != nil {
 		return nil, err
 	}
@@ -241,11 +241,11 @@ func (r *Runner) ExtFastDormancy() (*Figure, error) {
 		if err != nil {
 			return err
 		}
-		onoff, err := sub.run(sc, onOffBuilder())
+		onoff, err := sub.run(sc, baselineBuilder("onoff"))
 		if err != nil {
 			return err
 		}
-		estr, err := sub.run(sc, eStreamerBuilder())
+		estr, err := sub.run(sc, baselineBuilder("estreamer"))
 		if err != nil {
 			return err
 		}
@@ -408,7 +408,7 @@ func (r *Runner) ExtMultiSeed(seeds int) ([]SeedStats, error) {
 		if err != nil {
 			return nil, err
 		}
-		rtma, _, err := sub.rtmaRun(sc, 1.0)
+		rtma, err := sub.rtmaRun(sc, 1.0)
 		if err != nil {
 			return nil, err
 		}

@@ -31,7 +31,7 @@ func (r *Runner) cdfRTMAPair() (def, rtma *cell.Result, rt *sched.RTMA, err erro
 		return nil, nil, nil, err
 	}
 	sb := r.rtmaBuilderFor(1.0, budget)
-	rs, err := r.runBatch(sc, []schedBuilder{defaultBuilder(), sb})
+	rs, err := r.runBatch(sc, []schedBuilder{baselineBuilder("default"), sb})
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -212,9 +212,9 @@ func (r *Runner) Fig5a() (*Figure, error) {
 		YLabel: "total rebuffering time per user (s)",
 	}
 	builders := []schedBuilder{
-		defaultBuilder(),
-		throttlingBuilder(),
-		onOffBuilder(),
+		baselineBuilder("default"),
+		baselineBuilder("throttling"),
+		baselineBuilder("onoff"),
 	}
 	labels := []string{"Default", "Throttling", "ON-OFF"}
 	series := make([]Series, len(builders))
@@ -236,7 +236,7 @@ func (r *Runner) Fig5a() (*Figure, error) {
 	fig.Series = append(fig.Series, series...)
 	s := Series{Label: "RTMA"}
 	for _, n := range r.opts.UserCounts {
-		res, _, err := r.rtmaRun(scenario{users: n, avgSizeMB: r.opts.CDFAvgSizeMB}, 1.0)
+		res, err := r.rtmaRun(scenario{users: n, avgSizeMB: r.opts.CDFAvgSizeMB}, 1.0)
 		if err != nil {
 			return nil, err
 		}
@@ -266,14 +266,13 @@ func (r *Runner) Fig5b() (*Figure, error) {
 			return r.defaultRun(scenario{users: n, avgSizeMB: r.opts.CDFAvgSizeMB})
 		}},
 		{"Throttling", func(n int) (*cell.Result, error) {
-			return r.run(scenario{users: n, avgSizeMB: r.opts.CDFAvgSizeMB}, throttlingBuilder())
+			return r.run(scenario{users: n, avgSizeMB: r.opts.CDFAvgSizeMB}, baselineBuilder("throttling"))
 		}},
 		{"ON-OFF", func(n int) (*cell.Result, error) {
-			return r.run(scenario{users: n, avgSizeMB: r.opts.CDFAvgSizeMB}, onOffBuilder())
+			return r.run(scenario{users: n, avgSizeMB: r.opts.CDFAvgSizeMB}, baselineBuilder("onoff"))
 		}},
 		{"RTMA", func(n int) (*cell.Result, error) {
-			res, _, err := r.rtmaRun(scenario{users: n, avgSizeMB: r.opts.CDFAvgSizeMB}, 1.0)
-			return res, err
+			return r.rtmaRun(scenario{users: n, avgSizeMB: r.opts.CDFAvgSizeMB}, 1.0)
 		}},
 	}
 	for _, rw := range rows {

@@ -25,7 +25,7 @@ func (r *Runner) cdfEMAPair() (def, ema *cell.Result, v float64, err error) {
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	rs, err := r.runBatch(sc, []schedBuilder{defaultBuilder(), r.emaBuilderFor(v)})
+	rs, err := r.runBatch(sc, []schedBuilder{baselineBuilder("default"), r.emaBuilderFor(v)})
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -195,7 +195,7 @@ func (r *Runner) fig9(energy bool) (*Figure, error) {
 		}
 		return float64(res.MeanRebufferPerUser())
 	}
-	builders := []schedBuilder{defaultBuilder(), salsaBuilder(), eStreamerBuilder()}
+	builders := []schedBuilder{baselineBuilder("default"), baselineBuilder("salsa"), baselineBuilder("estreamer")}
 	series := make([]Series, len(builders))
 	for i, sb := range builders {
 		series[i] = Series{Label: map[string]string{
@@ -236,7 +236,7 @@ func (r *Runner) fig9(energy bool) (*Figure, error) {
 // rebuffering (the paper's Fig. 9 protocol).
 func (r *Runner) emaRunOmegaEStreamer(n int) (*cell.Result, float64, error) {
 	sc := scenario{users: n, avgSizeMB: r.opts.CDFAvgSizeMB}
-	es, err := r.run(sc, eStreamerBuilder())
+	es, err := r.run(sc, baselineBuilder("estreamer"))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -271,7 +271,7 @@ func (r *Runner) Fig10() (*Figure, error) {
 		def.X = append(def.X, float64(d.MeanEnergyPerUser())/1000)
 		def.Y = append(def.Y, float64(d.MeanRebufferPerUser()))
 
-		rt, _, err := r.rtmaRun(sc, 1.0)
+		rt, err := r.rtmaRun(sc, 1.0)
 		if err != nil {
 			return nil, err
 		}

@@ -127,7 +127,7 @@ func (r *Runner) ExtPredictive() (*Figure, error) {
 	if !bounds.Feasible {
 		fig.Notes = append(fig.Notes, fmt.Sprintf("omniscient schedule infeasible within horizon %d", r.opts.Cell.MaxSlots))
 	}
-	rtma, _, err := r.rtmaRun(sc, 1.0)
+	rtma, err := r.rtmaRun(sc, 1.0)
 	if err != nil {
 		return nil, err
 	}

@@ -2,10 +2,10 @@ package gateway
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"time"
 
+	"jointstream/internal/cell"
 	"jointstream/internal/metrics"
 	"jointstream/internal/units"
 )
@@ -16,12 +16,12 @@ import (
 // envelope instead of degrading every session a little when churn pushes
 // it past the paper's closed-world assumptions.
 //
-//   - Admission control (Attach): a cap on concurrent in-service
-//     sessions plus an Eq.-1-style headroom check — the summed required
-//     rates of everyone in service, plus the newcomer's, must fit inside
-//     AdmitHeadroomFrac × Capacity. Refusals are typed
-//     (*OverCapacityError, matching ErrOverCapacity) so callers can
-//     answer "come back later" instead of "broken".
+//   - Admission control (Attach): the open engine's rule, cell.Admission —
+//     a cap on concurrent in-service sessions plus an Eq.-1-style headroom
+//     check: the summed required rates of everyone in service, plus the
+//     newcomer's, must fit inside AdmitHeadroomFrac × Capacity. Refusals
+//     are typed (*cell.OverCapacityError, matching cell.ErrOverCapacity)
+//     so callers can answer "come back later" instead of "broken".
 //
 //   - Load shedding (Step): when the tick-deadline miss rate over the
 //     recent Policy.ShedMissWindowSlots slots crosses
@@ -40,32 +40,8 @@ import (
 // durations (TickQuantileMs), so deadline pressure is observable as a
 // p99 before the shedder has to act on it.
 
-// ErrOverCapacity is the sentinel every admission rejection matches via
-// errors.Is; the concrete error is a *OverCapacityError.
-var ErrOverCapacity = errors.New("gateway: over capacity")
-
 // ErrDraining rejects attachments while the gateway is draining.
 var ErrDraining = errors.New("gateway: draining, not admitting sessions")
-
-// OverCapacityError reports an admission rejection.
-type OverCapacityError struct {
-	// Reason is "session-cap" or "headroom".
-	Reason string
-	// InService and MaxSessions describe the session-cap rejection.
-	InService, MaxSessions int
-	// DemandKBps and LimitKBps describe the headroom rejection.
-	DemandKBps, LimitKBps units.KBps
-}
-
-func (e *OverCapacityError) Error() string {
-	if e.Reason == "session-cap" {
-		return fmt.Sprintf("gateway: admission rejected: %d sessions in service at cap %d", e.InService, e.MaxSessions)
-	}
-	return fmt.Sprintf("gateway: admission rejected: demand %v KB/s exceeds headroom %v KB/s", e.DemandKBps, e.LimitKBps)
-}
-
-// Is makes errors.Is(err, ErrOverCapacity) match.
-func (e *OverCapacityError) Is(target error) bool { return target == ErrOverCapacity }
 
 // tickHistWindowSlots is how many slots each tick-duration histogram
 // window spans before rotating.
@@ -86,14 +62,14 @@ func (g *Gateway) anyInService() bool {
 	return false
 }
 
-// admissible applies the admission controller to a prospective session
-// with the given required rate. Callers hold g.mu.
+// admissible applies the admission rule to a prospective session with the
+// given required rate, counting the sessions in service and summing their
+// last reported rates. Callers hold g.mu.
 func (g *Gateway) admissible(rate units.KBps) error {
 	if g.draining {
 		return ErrDraining
 	}
-	cap, frac := g.cfg.MaxSessions, g.cfg.AdmitHeadroomFrac
-	if cap <= 0 && frac <= 0 {
+	if g.admission == (cell.Admission{}) {
 		return nil
 	}
 	inService := 0
@@ -107,16 +83,7 @@ func (g *Gateway) admissible(rate units.KBps) error {
 			demand += u.lastReport.Rate
 		}
 	}
-	if cap > 0 && inService >= cap {
-		return &OverCapacityError{Reason: "session-cap", InService: inService, MaxSessions: cap}
-	}
-	if frac > 0 {
-		limit := units.KBps(frac * float64(g.cfg.Capacity))
-		if demand+rate > limit {
-			return &OverCapacityError{Reason: "headroom", DemandKBps: demand + rate, LimitKBps: limit}
-		}
-	}
-	return nil
+	return g.admission.Check(inService, demand, rate)
 }
 
 // BeginDrain switches the gateway into drain mode: Attach rejects with

@@ -1,14 +1,92 @@
 package gateway
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"testing"
 	"time"
 
+	"jointstream/internal/cell"
 	"jointstream/internal/sched"
 	"jointstream/internal/signal"
+	"jointstream/internal/units"
+	"jointstream/internal/workload"
 )
+
+// TestAdmissionMatchesOpenSim: the gateway and the open engine admit by
+// one rule. The same session cap, headroom, in-service rates and newcomer
+// rate give both the same decision and the same refusal.
+func TestAdmissionMatchesOpenSim(t *testing.T) {
+	const capacity = 5000
+	for _, c := range []struct {
+		name    string
+		cap     int
+		frac    float64
+		rates   []units.KBps // in service
+		rate    units.KBps   // the newcomer's
+		refused bool
+	}{
+		{"no limits", 0, 0, []units.KBps{400, 400}, 400, false},
+		{"under the cap", 3, 0, []units.KBps{400, 400}, 400, false},
+		{"at the cap", 2, 0, []units.KBps{400, 400}, 400, true},
+		{"headroom just met", 0, 0.2, []units.KBps{350, 400}, 250, false},
+		{"over headroom", 0, 0.2, []units.KBps{350, 400}, 251, true},
+		{"cap before headroom", 1, 0.1, []units.KBps{400}, 400, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Capacity = capacity
+			cfg.MaxSessions, cfg.AdmitHeadroomFrac = c.cap, c.frac
+			g, err := New(cfg, sched.NewDefault())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range c.rates {
+				attachUser(t, g, 50000, r, -60)
+			}
+			if _, err := g.Step(); err != nil { // puts every report on record
+				t.Fatal(err)
+			}
+			ep, err := NewLocalEndpoint(signal.Constant(-60, signal.DefaultBounds), c.rate, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, _ := NewPatternSource(500)
+			_, gwErr := g.Attach(ep, src)
+
+			cc := cell.PaperConfig()
+			cc.Capacity, cc.MaxSlots = capacity, 100
+			session := func(id int, rate units.KBps) *workload.Session {
+				return &workload.Session{ID: id, Size: 50000, BaseRate: rate, Signal: signal.Constant(-60, signal.DefaultBounds)}
+			}
+			var initial []*workload.Session
+			for i, r := range c.rates {
+				initial = append(initial, session(i, r))
+			}
+			o, err := cell.NewOpen(cell.OpenConfig{Cell: cc, MaxSessions: c.cap, HeadroomFrac: c.frac}, initial, sched.NewDefault())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := o.Start(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			defer o.Stop()
+			_, openErr := o.Admit(session(len(initial), c.rate))
+
+			if (gwErr != nil) != c.refused || (openErr != nil) != c.refused {
+				t.Fatalf("gateway: %v, open engine: %v; want refused=%v", gwErr, openErr, c.refused)
+			}
+			if !c.refused {
+				return
+			}
+			var gwOC, openOC *cell.OverCapacityError
+			if !errors.As(gwErr, &gwOC) || !errors.As(openErr, &openOC) || *gwOC != *openOC {
+				t.Fatalf("refusals differ: gateway %#v, open engine %#v", gwErr, openErr)
+			}
+		})
+	}
+}
 
 // TestAdmissionSessionCap: the concurrent-session cap rejects the
 // (cap+1)-th attachment with a typed error, and frees a slot when a
@@ -27,10 +105,10 @@ func TestAdmissionSessionCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, _ := NewPatternSource(500)
-	if _, err := g.Attach(ep3, src); !errors.Is(err, ErrOverCapacity) {
+	if _, err := g.Attach(ep3, src); !errors.Is(err, cell.ErrOverCapacity) {
 		t.Fatalf("over-cap attach: got %v, want ErrOverCapacity", err)
 	}
-	var oce *OverCapacityError
+	var oce *cell.OverCapacityError
 	_, err = g.Attach(ep3, src)
 	if !errors.As(err, &oce) || oce.Reason != "session-cap" || oce.InService != 2 || oce.MaxSessions != 2 {
 		t.Fatalf("typed rejection: got %v (%+v)", err, oce)
@@ -74,7 +152,7 @@ func TestAdmissionHeadroom(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, _ := NewPatternSource(500)
-	var oce *OverCapacityError
+	var oce *cell.OverCapacityError
 	_, err = g.Attach(ep, src)
 	if !errors.As(err, &oce) || oce.Reason != "headroom" {
 		t.Fatalf("headroom rejection: got %v", err)

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"jointstream/internal/cell"
 	"jointstream/internal/metrics"
 	"jointstream/internal/radio"
 	"jointstream/internal/rrc"
@@ -95,7 +96,7 @@ type Config struct {
 	// Policy).
 	Policy Policy
 	// MaxSessions caps concurrent in-service sessions: Attach rejects
-	// further users with a typed *OverCapacityError once the cap is
+	// further users with a typed *cell.OverCapacityError once the cap is
 	// reached. 0 means unlimited.
 	MaxSessions int
 	// AdmitHeadroomFrac, when positive, enables the Eq.-1-style admission
@@ -185,29 +186,30 @@ func (u *user) queued() int { return u.tail - u.head }
 // in flight.
 func (u *user) done() bool { return u.srcDone && u.queued() == 0 && !u.inFlight }
 
-// Stats summarizes one user's progress.
+// Stats summarizes one user's progress. The JSON tags are the monitoring
+// API's /stats shape.
 type Stats struct {
-	ID        int
-	SentKB    units.KB
-	QueuedKB  units.KB
-	BufferSec units.Seconds
+	ID        int           `json:"id"`
+	SentKB    units.KB      `json:"sent_kb"`
+	QueuedKB  units.KB      `json:"queued_kb"`
+	BufferSec units.Seconds `json:"buffer_sec"`
 	// RebufferSec is the accumulated playback stall estimate: τ per slot
 	// a started, unfinished session spent with an empty playback buffer.
-	RebufferSec units.Seconds
-	Done        bool // source drained, queue empty, nothing in flight
-	Detached    bool
+	RebufferSec units.Seconds `json:"rebuffer_sec"`
+	Done        bool          `json:"done"` // source drained, queue empty, nothing in flight
+	Detached    bool          `json:"detached"`
 	// DetachReason explains a detachment (empty while attached).
-	DetachReason DetachReason
+	DetachReason DetachReason `json:"detach_reason"`
 	// TransientErrors counts classified-transient delivery failures that
 	// were retried rather than detaching the user.
-	TransientErrors int
+	TransientErrors int `json:"transient_errors"`
 	// MissedSlots counts slots in which the user's grant was skipped
 	// because a previous delivery was still in flight.
-	MissedSlots int
+	MissedSlots int `json:"missed_slots"`
 	// TransEnergy and TailEnergy are populated when the gateway was
 	// configured with an RRC profile (Config.RRC).
-	TransEnergy units.MJ
-	TailEnergy  units.MJ
+	TransEnergy units.MJ `json:"trans_energy_mj"`
+	TailEnergy  units.MJ `json:"tail_energy_mj"`
 }
 
 // Energy returns the user's total accounted energy.
@@ -249,6 +251,7 @@ type Gateway struct {
 	bypassKB units.KB
 
 	// Open-system serving state (see admission.go).
+	admission     cell.Admission
 	draining      bool
 	tickHist      *metrics.WindowedHist // sliding Step wall-duration (ms)
 	tickHistSlots int                   // slots since the last rotation
@@ -276,6 +279,7 @@ func New(cfg Config, s sched.Scheduler) (*Gateway, error) {
 		cfg:        cfg,
 		sched:      s,
 		policy:     cfg.Policy.withDefaults(),
+		admission:  cell.NewAdmission(cfg.MaxSessions, cfg.AdmitHeadroomFrac, cfg.Capacity),
 		wake:       make(chan struct{}, 1),
 		tickHist:   newTickHist(),
 		rebufHist:  rebuf,
@@ -296,7 +300,7 @@ func New(cfg Config, s sched.Scheduler) (*Gateway, error) {
 // returning the user id. Admission control applies: a draining gateway
 // rejects with ErrDraining, and the session cap / capacity headroom
 // checks (Config.MaxSessions, Config.AdmitHeadroomFrac) reject with a
-// typed *OverCapacityError matching ErrOverCapacity.
+// typed *cell.OverCapacityError matching cell.ErrOverCapacity.
 func (g *Gateway) Attach(ep Endpoint, src Source) (int, error) {
 	if ep == nil || src == nil {
 		return 0, errors.New("gateway: nil endpoint or source")
@@ -307,7 +311,7 @@ func (g *Gateway) Attach(ep Endpoint, src Source) (int, error) {
 	// so endpoints with stateful Report implementations see no extra call
 	// on a gateway without admission control.
 	var rate units.KBps
-	if g.cfg.AdmitHeadroomFrac > 0 {
+	if g.admission.HeadroomKBps > 0 {
 		if rep, ok := ep.Report(); ok {
 			rate = rep.Rate
 		}

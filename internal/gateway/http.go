@@ -43,7 +43,7 @@ func Handler(gw *Gateway) http.Handler {
 				http.Error(w, err.Error(), http.StatusNotFound)
 				return
 			}
-			writeJSON(w, toView(st))
+			writeJSON(w, st)
 			return
 		}
 		writeJSON(w, allStats(gw))
@@ -58,9 +58,9 @@ func Handler(gw *Gateway) http.Handler {
 			Scheduler: gw.sched.Name(),
 		}
 		for _, st := range stats {
-			sum.SentKB += st.SentKB
-			sum.EnergyMJ += st.TransEnergyMJ + st.TailEnergyMJ
-			sum.RebufferSec += st.RebufferSec
+			sum.SentKB += float64(st.SentKB)
+			sum.EnergyMJ += float64(st.TransEnergy) + float64(st.TailEnergy)
+			sum.RebufferSec += float64(st.RebufferSec)
 			if st.Detached {
 				sum.Detached++
 			}
@@ -68,25 +68,13 @@ func Handler(gw *Gateway) http.Handler {
 		writeJSON(w, sum)
 	})
 	mux.HandleFunc("GET /diag", func(w http.ResponseWriter, r *http.Request) {
-		d := gw.Diagnostics()
-		writeJSON(w, diagView{
-			Slot:            gw.Slot(),
-			Draining:        gw.Draining(),
-			TransientErrors: d.TransientErrors,
-			FatalErrors:     d.FatalErrors,
-			MissedDeadlines: d.MissedDeadlines,
-			StaleSlots:      d.StaleSlots,
-			Reattaches:      d.Reattaches,
-			BreakerOpens:    d.BreakerOpens,
-			StaleDetaches:   d.StaleDetaches,
-			DegradedSlots:   d.DegradedSlots,
-			Admitted:        d.Admitted,
-			Rejected:        d.Rejected,
-			Shed:            d.Shed,
-			Drained:         d.Drained,
-			TickP50Ms:       gw.TickQuantileMs(0.50),
-			TickP99Ms:       gw.TickQuantileMs(0.99),
-		})
+		writeJSON(w, struct {
+			Slot     int  `json:"slot"`
+			Draining bool `json:"draining"`
+			Diag
+			TickP50Ms float64 `json:"tick_p50_ms"`
+			TickP99Ms float64 `json:"tick_p99_ms"`
+		}{gw.Slot(), gw.Draining(), gw.Diagnostics(), gw.TickQuantileMs(0.50), gw.TickQuantileMs(0.99)})
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		m := gw.SessionWindowMetrics()
@@ -105,39 +93,6 @@ func Handler(gw *Gateway) http.Handler {
 	return mux
 }
 
-// statView is the JSON shape of one user's stats.
-type statView struct {
-	ID              int     `json:"id"`
-	SentKB          float64 `json:"sent_kb"`
-	QueuedKB        float64 `json:"queued_kb"`
-	BufferSec       float64 `json:"buffer_sec"`
-	RebufferSec     float64 `json:"rebuffer_sec"`
-	Done            bool    `json:"done"`
-	Detached        bool    `json:"detached"`
-	DetachReason    string  `json:"detach_reason"`
-	TransientErrors int     `json:"transient_errors"`
-	MissedSlots     int     `json:"missed_slots"`
-	TransEnergyMJ   float64 `json:"trans_energy_mj"`
-	TailEnergyMJ    float64 `json:"tail_energy_mj"`
-}
-
-func toView(st Stats) statView {
-	return statView{
-		ID:              st.ID,
-		SentKB:          float64(st.SentKB),
-		QueuedKB:        float64(st.QueuedKB),
-		BufferSec:       float64(st.BufferSec),
-		RebufferSec:     float64(st.RebufferSec),
-		Done:            st.Done,
-		Detached:        st.Detached,
-		DetachReason:    string(st.DetachReason),
-		TransientErrors: st.TransientErrors,
-		MissedSlots:     st.MissedSlots,
-		TransEnergyMJ:   float64(st.TransEnergy),
-		TailEnergyMJ:    float64(st.TailEnergy),
-	}
-}
-
 type summaryView struct {
 	Slot        int     `json:"slot"`
 	Users       int     `json:"users"`
@@ -148,26 +103,6 @@ type summaryView struct {
 	RebufferSec float64 `json:"rebuffer_sec"`
 	BypassKB    float64 `json:"bypass_kb"`
 	Scheduler   string  `json:"scheduler"`
-}
-
-// diagView is the JSON shape of the /diag endpoint.
-type diagView struct {
-	Slot            int     `json:"slot"`
-	Draining        bool    `json:"draining"`
-	TransientErrors int     `json:"transient_errors"`
-	FatalErrors     int     `json:"fatal_errors"`
-	MissedDeadlines int     `json:"missed_deadlines"`
-	StaleSlots      int     `json:"stale_slots"`
-	Reattaches      int     `json:"reattaches"`
-	BreakerOpens    int     `json:"breaker_opens"`
-	StaleDetaches   int     `json:"stale_detaches"`
-	DegradedSlots   int     `json:"degraded_slots"`
-	Admitted        int     `json:"admitted"`
-	Rejected        int     `json:"rejected"`
-	Shed            int     `json:"shed"`
-	Drained         int     `json:"drained"`
-	TickP50Ms       float64 `json:"tick_p50_ms"`
-	TickP99Ms       float64 `json:"tick_p99_ms"`
 }
 
 // metricsView is the JSON shape of the /metrics endpoint.
@@ -183,14 +118,14 @@ type metricsView struct {
 	TickP99Ms   float64 `json:"tick_p99_ms"`
 }
 
-func allStats(gw *Gateway) []statView {
-	var out []statView
+func allStats(gw *Gateway) []Stats {
+	var out []Stats
 	for id := 0; ; id++ {
 		st, err := gw.StatsFor(id)
 		if err != nil {
 			break
 		}
-		out = append(out, toView(st))
+		out = append(out, st)
 	}
 	return out
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"jointstream/internal/cell"
 	"jointstream/internal/radio"
 	"jointstream/internal/rng"
 	"jointstream/internal/rrc"
@@ -22,7 +23,7 @@ import (
 	"jointstream/internal/units"
 )
 
-var updateLedger = flag.Bool("update", false, "rewrite testdata/churn_ledger_*.golden from the current gateway")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current gateway")
 
 // The churn ledger pins the gateway's slot loop against the
 // implementation that scanned every session ever attached every slot (the
@@ -201,7 +202,7 @@ func runChurnLedger(t *testing.T, s sched.Scheduler, async, perSlot bool) []byte
 			}
 		}
 		if slot == 10 {
-			if _, err := attach(); !errors.Is(err, ErrOverCapacity) {
+			if _, err := attach(); !errors.Is(err, cell.ErrOverCapacity) {
 				t.Fatalf("attach over the session cap: %v", err)
 			}
 		}
@@ -280,7 +281,7 @@ func TestChurnLedger(t *testing.T) {
 		t.Run(arm.name, func(t *testing.T) {
 			got := runChurnLedger(t, arm.sched(), arm.async, true)
 			path := filepath.Join("testdata", "churn_ledger_"+arm.name+".golden")
-			if *updateLedger {
+			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
 				}

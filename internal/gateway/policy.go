@@ -205,23 +205,23 @@ const (
 // Diag aggregates the gateway's degradation counters across users. All
 // counters are monotone; DegradedSlots counts slots in which at least one
 // attached user was served in a degraded mode (stale report, backoff, or
-// in-flight delivery).
+// in-flight delivery). The JSON tags are the monitoring API's /diag shape.
 type Diag struct {
-	TransientErrors int
-	FatalErrors     int
-	MissedDeadlines int
-	StaleSlots      int
-	Reattaches      int
-	BreakerOpens    int
-	StaleDetaches   int
-	DegradedSlots   int
+	TransientErrors int `json:"transient_errors"`
+	FatalErrors     int `json:"fatal_errors"`
+	MissedDeadlines int `json:"missed_deadlines"`
+	StaleSlots      int `json:"stale_slots"`
+	Reattaches      int `json:"reattaches"`
+	BreakerOpens    int `json:"breaker_opens"`
+	StaleDetaches   int `json:"stale_detaches"`
+	DegradedSlots   int `json:"degraded_slots"`
 	// Open-system serving counters: sessions admitted through the
 	// admission controller, rejected by it, detached by the load shedder,
 	// and completed while draining.
-	Admitted int
-	Rejected int
-	Shed     int
-	Drained  int
+	Admitted int `json:"admitted"`
+	Rejected int `json:"rejected"`
+	Shed     int `json:"shed"`
+	Drained  int `json:"drained"`
 }
 
 // Diagnostics returns a snapshot of the gateway's degradation counters.

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"jointstream/internal/cell"
 	"jointstream/internal/units"
 )
 
@@ -186,7 +187,7 @@ func AttachConnWith(gw *Gateway, conn net.Conn, opts ConnOptions) (int, error) {
 		switch {
 		case errors.Is(err, ErrDraining):
 			fmt.Fprintf(conn, "BUSY draining\n")
-		case errors.Is(err, ErrOverCapacity):
+		case errors.Is(err, cell.ErrOverCapacity):
 			fmt.Fprintf(conn, "BUSY over-capacity\n")
 		}
 		return 0, err

@@ -109,6 +109,10 @@ func (*AdaptiveEMA) Name() string { return "AdaptiveEMA" }
 // V returns the current Lyapunov weight.
 func (a *AdaptiveEMA) V() float64 { return a.inner.V() }
 
+// ResetRow and MoveRow implement RowState for the inner EMA's queues.
+func (a *AdaptiveEMA) ResetRow(i int)       { a.inner.ResetRow(i) }
+func (a *AdaptiveEMA) MoveRow(from, to int) { a.inner.MoveRow(from, to) }
+
 // Allocate implements Scheduler: measure stall pressure, adapt V at
 // window boundaries, then delegate to the inner EMA's exact DP.
 func (a *AdaptiveEMA) Allocate(slot *Slot, alloc []int) {

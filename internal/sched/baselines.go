@@ -73,6 +73,10 @@ func NewOnOff(lowSec, highSec units.Seconds) (*OnOff, error) {
 // Name implements Scheduler.
 func (*OnOff) Name() string { return "ON-OFF" }
 
+// ResetRow and MoveRow implement RowState: players start in ON.
+func (o *OnOff) ResetRow(i int)       { resetRow(o.on, i, true) }
+func (o *OnOff) MoveRow(from, to int) { moveRow(o.on, from, to, true) }
+
 // Allocate implements Scheduler.
 func (o *OnOff) Allocate(slot *Slot, alloc []int) {
 	for len(o.on) < slot.NumUsers() {
@@ -127,6 +131,10 @@ func NewSALSA(urgentSec units.Seconds, ewmaAlpha float64) (*SALSA, error) {
 
 // Name implements Scheduler.
 func (*SALSA) Name() string { return "SALSA" }
+
+// ResetRow and MoveRow implement RowState: no channel average yet.
+func (s *SALSA) ResetRow(i int)       { resetRow(s.ewma, i, 0) }
+func (s *SALSA) MoveRow(from, to int) { moveRow(s.ewma, from, to, 0) }
 
 // Allocate implements Scheduler.
 func (s *SALSA) Allocate(slot *Slot, alloc []int) {
@@ -191,6 +199,10 @@ func NewEStreamer(burstSec, resumeSec units.Seconds) (*EStreamer, error) {
 
 // Name implements Scheduler.
 func (*EStreamer) Name() string { return "EStreamer" }
+
+// ResetRow and MoveRow implement RowState: a new row starts bursting.
+func (e *EStreamer) ResetRow(i int)       { resetRow(e.bursting, i, true) }
+func (e *EStreamer) MoveRow(from, to int) { moveRow(e.bursting, from, to, true) }
 
 // Allocate implements Scheduler.
 func (e *EStreamer) Allocate(slot *Slot, alloc []int) {

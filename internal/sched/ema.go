@@ -109,6 +109,42 @@ func (*EMA) Name() string { return "EMA" }
 // V returns the Lyapunov weight.
 func (e *EMA) V() float64 { return e.v }
 
+// CalibrateV finds the largest V in [lo, hi] whose measured average
+// rebuffering pcAt(V) stays within omega, by bisection on log V: the two
+// ends, then steps geometric midpoints. PC(V) is non-decreasing in V (more
+// energy bias defers more data), which the Theorem-1 bound
+// PC ≤ (B + V·E*)/ε also reflects. If even lo misses omega, lo is returned
+// (EMA has no more rebuffering-averse setting); if hi meets it, hi.
+func CalibrateV(lo, hi float64, steps int, omega units.Seconds, pcAt func(v float64) (units.Seconds, error)) (float64, error) {
+	pcLo, err := pcAt(lo)
+	if err != nil {
+		return 0, err
+	}
+	if pcLo > omega {
+		return lo, nil
+	}
+	pcHi, err := pcAt(hi)
+	if err != nil {
+		return 0, err
+	}
+	if pcHi <= omega {
+		return hi, nil
+	}
+	for i := 0; i < steps; i++ {
+		mid := math.Sqrt(lo * hi)
+		pc, err := pcAt(mid)
+		if err != nil {
+			return 0, err
+		}
+		if pc <= omega {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo, nil
+}
+
 // RRC returns the tail-energy profile the skip cost is priced with.
 // internal/simtest uses it to recompute the Eq. (21–22) objective from
 // public state when differentially testing the DP fast path.
@@ -134,6 +170,10 @@ func (e *EMA) SetQueue(i int, q units.Seconds) {
 	e.ensureQueues(i + 1)
 	e.queues[i] = q
 }
+
+// ResetRow and MoveRow implement RowState: a new row's queue is empty.
+func (e *EMA) ResetRow(i int)       { resetRow(e.queues, i, 0) }
+func (e *EMA) MoveRow(from, to int) { moveRow(e.queues, from, to, 0) }
 
 // ensureQueues grows the queue vector to cover n users.
 func (e *EMA) ensureQueues(n int) {

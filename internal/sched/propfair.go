@@ -40,6 +40,10 @@ func NewProportionalFair(tcSlots float64) (*ProportionalFair, error) {
 // Name implements Scheduler.
 func (*ProportionalFair) Name() string { return "PropFair" }
 
+// ResetRow and MoveRow implement RowState: a new row was never served.
+func (p *ProportionalFair) ResetRow(i int)       { resetRow(p.avg, i, 0) }
+func (p *ProportionalFair) MoveRow(from, to int) { moveRow(p.avg, from, to, 0) }
+
 // Allocate implements Scheduler.
 func (p *ProportionalFair) Allocate(slot *Slot, alloc []int) {
 	for len(p.avg) < slot.NumUsers() {

@@ -202,6 +202,36 @@ type Scheduler interface {
 	Allocate(slot *Slot, alloc []int)
 }
 
+// RowState is implemented by schedulers that keep per-user state indexed
+// by row. An engine that reuses rows for new sessions (cell.OpenSim) calls
+// ResetRow(i) when row i gets a new session, so it starts from the state a
+// fresh scheduler would give it, and MoveRow(from, to) when compaction
+// moves a session to a lower row.
+type RowState interface {
+	ResetRow(i int)
+	MoveRow(from, to int)
+}
+
+// resetRow returns row i of a per-row slice to its initial value, if the
+// slice reaches it.
+func resetRow[T any](s []T, i int, initial T) {
+	if i < len(s) {
+		s[i] = initial
+	}
+}
+
+// moveRow copies row from to row to, reading initial past the slice's end.
+func moveRow[T any](s []T, from, to int, initial T) {
+	if to >= len(s) {
+		return
+	}
+	if from < len(s) {
+		s[to] = s[from]
+	} else {
+		s[to] = initial
+	}
+}
+
 // ceilDiv returns ⌈a/b⌉ for positive b, as used by ϕ_need.
 func ceilDiv(a, b float64) int {
 	if b <= 0 {
