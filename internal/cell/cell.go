@@ -344,23 +344,18 @@ func (r *Result) MeanEnergyPerUser() units.MJ {
 }
 
 // userState is the simulator's mutable per-user record. The playout
-// buffer and RRC machine are embedded by value (initialized in place via
-// their Init methods), so the whole per-user state lives in one flat
-// array — no per-user heap objects for the garbage collector to chase and
-// no pointer hop per field read in the tick path.
+// buffer and RRC tail are embedded by value, so the whole per-user state
+// lives in one flat array — no per-user heap objects for the garbage
+// collector to chase and no pointer hop per field read in the tick path.
 type userState struct {
 	buf playback.Buffer
 	// prevRate is the last playing slot's selected rate, for switch
 	// counting; 0 until the first playing slot.
 	prevRate units.KBps
-	// tailGap and everActive are the user's RRC machine state, flattened
-	// from rrc.Machine: the profile is shared by every user and lives once
-	// in Config.RRC, so carrying a per-user copy would only bloat the
-	// array. The commit phase applies exactly Machine's transitions —
-	// Transfer resets the gap, an idle slot burns TailIncrement(gap, τ)
-	// and advances the gap only once a transfer has ever happened.
-	tailGap    units.Seconds
-	everActive bool
+	// tail is the user's RRC tail state. The profile is shared by every
+	// user and lives once in Config.RRC; the commit phase prices an idle
+	// slot with tail.IdleSlot(&cfg.RRC, τ).
+	tail rrc.Tail
 	// startSlot caches session.StartSlot so the per-slot phases never
 	// chase the session pointer for the one field they need every slot.
 	startSlot int32
@@ -499,7 +494,7 @@ func (s *Simulator) outageAt(n int) bool {
 	return false
 }
 
-// New builds a Simulator. The sessions' buffers and RRC machines are
+// New builds a Simulator. The sessions' buffers and RRC tails are
 // created fresh, so a Simulator must not be reused across runs — build a
 // new one (schedulers with internal state must also be fresh).
 func New(cfg Config, sessions []*workload.Session, s sched.Scheduler) (*Simulator, error) {
@@ -524,8 +519,8 @@ func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, allowEm
 		users:    make([]userState, len(sessions)),
 		sessions: sessions,
 		// Config.Validate vetted the shared RRC profile above; every user
-		// starts in IDLE with no transfer history (the rrc.Machine zero
-		// state), which the zeroed users array already encodes.
+		// starts in IDLE with no transfer history (the rrc.Tail zero
+		// value), which the zeroed users array already encodes.
 		tailDrained: cfg.RRC.TailDrainedAfter(),
 	}
 	if cfg.ABR != nil {
@@ -785,8 +780,8 @@ func (s *Simulator) prepareColsUser(tabled bool, slotIdx, i int) bool {
 	c.Active[i] = active
 	c.BufferSec[i] = u.buf.Occupancy()
 	c.RemainingKB[i] = remainingKB
-	c.TailGap[i] = u.tailGap
-	c.NeverActive[i] = !u.everActive
+	c.TailGap[i] = u.tail.Gap
+	c.NeverActive[i] = !u.tail.EverActive
 	c.MaxUnits[i] = int32(maxUnits)
 	return active
 }

@@ -3,6 +3,7 @@ package cell
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"jointstream/internal/radio"
 	"jointstream/internal/rng"
@@ -33,6 +34,15 @@ func tinySessions(t *testing.T, n int, sizeKB units.KB, rate units.KBps) []*work
 		}
 	}
 	return sessions
+}
+
+// TestUserStateSize pins the per-user record at 120 B: the embedded
+// rrc.Tail ({float64; bool}) must fit the padding the flattened gap and
+// flag used, or every large-N tick streams more bytes per user.
+func TestUserStateSize(t *testing.T) {
+	if size := unsafe.Sizeof(userState{}); size != 120 {
+		t.Errorf("userState is %d B, want 120", size)
+	}
 }
 
 func TestConfigValidate(t *testing.T) {

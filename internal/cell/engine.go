@@ -489,7 +489,7 @@ func (s *Simulator) retireEligible(i int) bool {
 	if !u.buf.PlaybackComplete() || !u.buf.DeliveryComplete() {
 		return false
 	}
-	return !u.everActive || u.tailGap >= s.tailDrained
+	return u.tail.Drained(s.tailDrained)
 }
 
 // dropRetired compacts the live list, zeroing retired users' dynamic

@@ -64,8 +64,8 @@ func (s *Simulator) prepareDenseLink(slotIdx, lo, hi int, act []int) []int {
 		activeC[k] = active
 		bufC[k] = u.buf.Occupancy()
 		remC[k] = remainingKB
-		tailC[k] = u.tailGap
-		nevC[k] = !u.everActive
+		tailC[k] = u.tail.Gap
+		nevC[k] = !u.tail.EverActive
 		maxC[k] = int32(maxUnits)
 		alloc[k] = 0
 		if active {
@@ -130,13 +130,9 @@ func (s *Simulator) fusedDenseLink(slotIdx, lo, hi int, act []int, acc *slotAccu
 			slotEnergy = units.MJ(float64(epkbC[k]) * float64(deliveredKB))
 			ru.TransEnergy += slotEnergy
 			ru.ActiveSlots++
-			u.everActive = true
-			u.tailGap = 0
+			u.tail.Transfer()
 		} else {
-			if u.everActive {
-				slotEnergy = prof.TailIncrement(u.tailGap, tau)
-				u.tailGap += tau
-			}
+			slotEnergy = u.tail.IdleSlot(prof, tau)
 			ru.TailEnergy += slotEnergy
 		}
 		ru.DeliveredKB += deliveredKB
@@ -197,8 +193,7 @@ func (s *Simulator) fusedDenseLink(slotIdx, lo, hi int, act []int, acc *slotAccu
 		acc.usedUnits += granted
 
 		// --- retire check (mirrors retireEligible) ---
-		if nowComplete && u.buf.DeliveryComplete() &&
-			(!u.everActive || u.tailGap >= tailDrained) {
+		if nowComplete && u.buf.DeliveryComplete() && u.tail.Drained(tailDrained) {
 			u.retired = true
 			acc.retires++
 		}
@@ -219,8 +214,8 @@ func (s *Simulator) fusedDenseLink(slotIdx, lo, hi int, act []int, acc *slotAccu
 		activeC[k] = active
 		bufC[k] = u.buf.Occupancy()
 		remC[k] = remainingKB
-		tailC[k] = u.tailGap
-		nevC[k] = !u.everActive
+		tailC[k] = u.tail.Gap
+		nevC[k] = !u.tail.EverActive
 		maxC[k] = int32(maxUnits)
 		alloc[k] = 0
 		if active {

@@ -150,11 +150,6 @@ type OpenConfig struct {
 	WindowSlots int
 	// Windows is how many windows the sliding metrics retain (default 4).
 	Windows int
-	// HistBins and RebufferBinWidth/EnergyBinWidth parameterize the
-	// windowed histograms (defaults: 64 bins, width max(Tau, 1) seconds
-	// for rebuffering, 1024 mJ for energy; widths auto-widen).
-	HistBins                         int
-	RebufferBinWidth, EnergyBinWidth float64
 }
 
 // OpenStats are the open-system run's cumulative counters.
@@ -238,9 +233,7 @@ type OpenSim struct {
 	windows     int // retained metric windows (snapshots + hist span)
 	windowStart int // first slot of the live window
 	perSlotBase int // slot index PerSlot[0] corresponds to (trimming offset)
-	endedInWin  int
-	rebufHist   *metrics.WindowedHist
-	energyHist  *metrics.WindowedHist
+	quality     *metrics.SessionWindow
 	snaps       []WindowSnapshot // retained closed windows, oldest first
 
 	stats   OpenStats
@@ -250,7 +243,10 @@ type OpenSim struct {
 const (
 	defaultWindowSlots = 256
 	defaultWindows     = 4
-	defaultHistBins    = 64
+	// The session-quality histograms: 64 auto-widening bins, max(τ, 1) s
+	// wide for rebuffering and 1 024 mJ for energy.
+	qualityHistBins    = 64
+	qualityEnergyBinMJ = 1024
 )
 
 // NewOpen builds an open-system engine over the initial session
@@ -305,27 +301,8 @@ func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*O
 	if o.windows <= 0 {
 		o.windows = defaultWindows
 	}
-	windows := o.windows
-	bins := cfg.HistBins
-	if bins <= 0 {
-		bins = defaultHistBins
-	}
-	rbw := cfg.RebufferBinWidth
-	if rbw <= 0 {
-		rbw = float64(cc.Tau)
-		if rbw < 1 {
-			rbw = 1
-		}
-	}
-	ebw := cfg.EnergyBinWidth
-	if ebw <= 0 {
-		ebw = 1024
-	}
 	var err error
-	if o.rebufHist, err = metrics.NewWindowedHist(windows, bins, rbw); err != nil {
-		return nil, err
-	}
-	if o.energyHist, err = metrics.NewWindowedHist(windows, bins, ebw); err != nil {
+	if o.quality, err = metrics.NewSessionWindow(o.windows, qualityHistBins, max(float64(cc.Tau), 1), qualityEnergyBinMJ); err != nil {
 		return nil, err
 	}
 
@@ -692,8 +669,7 @@ func (o *OpenSim) Depart(id int) error {
 func (o *OpenSim) fold(id int, completed bool) {
 	s := o.eng
 	ru := &s.curRes.Users[id]
-	o.rebufHist.Observe(float64(ru.Rebuffer))
-	o.energyHist.Observe(float64(ru.Energy()))
+	o.quality.Fold(float64(ru.Rebuffer), float64(ru.Energy()))
 	o.stats.EndedEnergy += ru.Energy()
 	o.stats.EndedRebuffer += ru.Rebuffer
 	o.stats.EndedDeliveredKB += ru.DeliveredKB
@@ -704,7 +680,6 @@ func (o *OpenSim) fold(id int, completed bool) {
 	}
 	o.stats.InService--
 	o.stats.DemandKBps -= s.sessions[id].BaseRate
-	o.endedInWin++
 	o.ended[id] = true
 	delete(o.bySerial, o.serials[id])
 	if o.owned[id] {
@@ -794,7 +769,8 @@ func (o *OpenSim) rotateWindows() {
 	s := o.eng
 	for s.nextSlot >= o.windowStart+o.windowSlots {
 		from, to := o.windowStart, o.windowStart+o.windowSlots
-		snap := WindowSnapshot{FromSlot: from, ToSlot: to, SessionsEnded: o.endedInWin}
+		ended, _, _ := o.quality.Ended()
+		snap := WindowSnapshot{FromSlot: from, ToSlot: to, SessionsEnded: ended}
 		for n := from; n < to; n++ {
 			k := n - o.perSlotBase
 			if k < 0 || k >= len(s.curRes.PerSlot) {
@@ -805,10 +781,10 @@ func (o *OpenSim) rotateWindows() {
 			snap.Rebuffer += st.Rebuffer
 			snap.UsedUnits += st.UsedUnits
 		}
-		snap.RebufferP50 = o.rebufHist.Quantile(0.5)
-		snap.RebufferP99 = o.rebufHist.Quantile(0.99)
-		snap.EnergyP50 = o.energyHist.Quantile(0.5)
-		snap.EnergyP99 = o.energyHist.Quantile(0.99)
+		snap.RebufferP50 = o.quality.RebufferQuantile(0.5)
+		snap.RebufferP99 = o.quality.RebufferQuantile(0.99)
+		snap.EnergyP50 = o.quality.EnergyQuantile(0.5)
+		snap.EnergyP99 = o.quality.EnergyQuantile(0.99)
 		// Ring the retained snapshots in place: the append-then-reslice
 		// idiom let the backing array creep one entry per window forever.
 		if len(o.snaps) == o.windows {
@@ -817,9 +793,7 @@ func (o *OpenSim) rotateWindows() {
 		} else {
 			o.snaps = append(o.snaps, snap)
 		}
-		o.rebufHist.Rotate()
-		o.energyHist.Rotate()
-		o.endedInWin = 0
+		o.quality.Rotate()
 		o.windowStart = to
 	}
 	if o.unbounded {
@@ -852,11 +826,11 @@ func (o *OpenSim) Snapshots() []WindowSnapshot {
 
 // RebufferQuantile returns the q-th quantile of session-lifetime
 // rebuffering over the retained windows (sessions ended in them).
-func (o *OpenSim) RebufferQuantile(q float64) float64 { return o.rebufHist.Quantile(q) }
+func (o *OpenSim) RebufferQuantile(q float64) float64 { return o.quality.RebufferQuantile(q) }
 
 // EnergyQuantile returns the q-th quantile of session-lifetime energy
 // over the retained windows.
-func (o *OpenSim) EnergyQuantile(q float64) float64 { return o.energyHist.Quantile(q) }
+func (o *OpenSim) EnergyQuantile(q float64) float64 { return o.quality.EnergyQuantile(q) }
 
 // Stats returns the cumulative open-run counters.
 func (o *OpenSim) Stats() OpenStats {

@@ -117,17 +117,9 @@ func (s *Simulator) commitUserCols(slotIdx, i int, res *Result, acc *slotAccum, 
 		slotEnergy = units.MJ(float64(epkbCol[i]) * float64(deliveredKB))
 		ru.TransEnergy += slotEnergy
 		ru.ActiveSlots++
-		// Machine.Transfer: promote to DCH, reset the inactivity gap.
-		u.everActive = true
-		u.tailGap = 0
+		u.tail.Transfer()
 	} else {
-		// Machine.IdleSlot: a device that has never transferred sits in
-		// IDLE and neither burns tail energy nor ages a gap; otherwise the
-		// slot burns E_tail(gap+τ) − E_tail(gap) per Eq. (4).
-		if u.everActive {
-			slotEnergy = s.cfg.RRC.TailIncrement(u.tailGap, s.cfg.Tau)
-			u.tailGap += s.cfg.Tau
-		}
+		slotEnergy = u.tail.IdleSlot(&s.cfg.RRC, s.cfg.Tau)
 		ru.TailEnergy += slotEnergy
 	}
 	ru.DeliveredKB += deliveredKB

@@ -115,15 +115,11 @@ func (g *Gateway) Drained() bool {
 // sliding tick histogram, and whether it missed the slot deadline into
 // the shedder's window. Callers hold g.mu.
 func (g *Gateway) noteTick(d time.Duration, missed bool) {
-	if g.tickHist != nil {
-		g.tickHist.Observe(float64(d) / float64(time.Millisecond))
-		g.tickHistSlots++
-		if g.tickHistSlots >= tickHistWindowSlots {
-			g.tickHist.Rotate()
-			g.rebufHist.Rotate()
-			g.energyHist.Rotate()
-			g.tickHistSlots = 0
-		}
+	g.tickHist.Observe(float64(d) / float64(time.Millisecond))
+	if g.tickHistSlots++; g.tickHistSlots >= tickHistWindowSlots {
+		g.tickHist.Rotate()
+		g.quality.Rotate()
+		g.tickHistSlots = 0
 	}
 	w := g.policy.ShedMissWindowSlots
 	if g.policy.ShedMaxPerSlot <= 0 || w <= 0 {
@@ -185,9 +181,6 @@ func (g *Gateway) maybeShed() {
 func (g *Gateway) TickQuantileMs(q float64) float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.tickHist == nil || g.tickHist.Count() == 0 {
-		return 0
-	}
 	return g.tickHist.Quantile(q)
 }
 

@@ -139,12 +139,7 @@ func (g *Gateway) completeDelivery(u *user, r deliveryResult) {
 		u.putBack(r.job.payload)
 		g.deliveryFailed(u, r.err)
 	} else {
-		deliveredKB := units.KB(float64(len(r.job.payload)) / 1000)
-		u.sentKB += deliveredKB
-		if r.job.rate > 0 {
-			u.bufferSec += units.Seconds(float64(deliveredKB) / float64(r.job.rate))
-		}
-		g.deliverySucceeded(u)
+		g.delivered(u, len(r.job.payload), r.job.rate)
 	}
 }
 
@@ -217,9 +212,17 @@ func (g *Gateway) recordStrike(u *user) {
 	u.backoffUntil = g.slot + 1 + backoff
 }
 
-// deliverySucceeded resets a user's failure streak (a backoff retry that
-// lands reattaches the user at full service). Callers hold g.mu.
-func (g *Gateway) deliverySucceeded(u *user) {
+// delivered credits a delivery of n bytes that landed, in either delivery
+// mode: the bytes count as sent, the playback estimate gains their
+// duration at the granting slot's rate, and the failure streak resets (a
+// backoff retry that lands reattaches the user at full service). Callers
+// hold g.mu.
+func (g *Gateway) delivered(u *user, n int, rate units.KBps) {
+	deliveredKB := units.KB(float64(n) / 1000)
+	u.sentKB += deliveredKB
+	if rate > 0 {
+		u.bufferSec += units.Seconds(float64(deliveredKB) / float64(rate))
+	}
 	if u.failStreak > 0 {
 		u.failStreak = 0
 		u.backoffUntil = 0

@@ -1,8 +1,10 @@
 package gateway
 
 import (
+	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"jointstream/internal/radio"
 	"jointstream/internal/rrc"
@@ -118,6 +120,76 @@ func TestFastDormancyReducesGatewayTail(t *testing.T) {
 	}
 }
 
+// twiceFailingEndpoint fails its first two Deliver calls transiently,
+// then delegates to the wrapped LocalEndpoint.
+type twiceFailingEndpoint struct {
+	*LocalEndpoint
+	delivers int
+}
+
+func (e *twiceFailingEndpoint) Deliver(p []byte) error {
+	if e.delivers++; e.delivers <= 2 {
+		return Transient(errors.New("injected drop"))
+	}
+	return e.LocalEndpoint.Deliver(p)
+}
+
+// TestFailedDeliveryChargedAlikeInBothModes: the radio spends a grant's
+// energy at transmission whether or not the device absorbs it, so a
+// session whose first two deliveries fail ends with the same transmission
+// energy, tail energy and RRC tail in the synchronous and asynchronous
+// delivery modes — including while its tail is still burning.
+func TestFailedDeliveryChargedAlikeInBothModes(t *testing.T) {
+	run := func(async bool) (Stats, rrc.Tail) {
+		cfg := energyConfig()
+		if async {
+			// A deadline no delivery here can miss: the run does not
+			// depend on the wall clock.
+			cfg.Policy = Policy{AsyncDelivery: true, SlotDeadline: 10 * time.Second}
+		}
+		g, err := New(cfg, sched.NewDefault())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		local, err := NewLocalEndpoint(signal.Constant(-70, signal.DefaultBounds), 400, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep := &twiceFailingEndpoint{LocalEndpoint: local}
+		src, err := NewPatternSource(3000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := g.Attach(ep, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 12; i++ {
+			if _, err := g.Step(); err != nil {
+				t.Fatal(err)
+			}
+			ep.Advance()
+		}
+		st, err := g.StatsFor(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		return st, g.users[id].Tail
+	}
+	syncSt, syncTail := run(false)
+	asyncSt, asyncTail := run(true)
+	if syncSt.TransientErrors != 2 || !syncSt.Done || syncSt.TailEnergy == 0 || syncTail.Drained(rrc.Paper3G().TailDrainedAfter()) {
+		t.Fatalf("scenario lost its shape: %+v, tail %+v", syncSt, syncTail)
+	}
+	if syncSt.TransEnergy != asyncSt.TransEnergy || syncSt.TailEnergy != asyncSt.TailEnergy || syncTail != asyncTail {
+		t.Errorf("sync charged %v + %v (tail %+v), async %v + %v (tail %+v)",
+			syncSt.TransEnergy, syncSt.TailEnergy, syncTail, asyncSt.TransEnergy, asyncSt.TailEnergy, asyncTail)
+	}
+}
+
 func TestInvalidRRCProfileRejected(t *testing.T) {
 	cfg := testConfig()
 	cfg.RRC = rrc.Profile{Pd: -1}
@@ -129,7 +201,7 @@ func TestInvalidRRCProfileRejected(t *testing.T) {
 func TestEMASchedulerSeesTailState(t *testing.T) {
 	// EMA inside the gateway must still deliver: its tail-aware cost reads
 	// TailGap / NeverActive from the slot view, which follow the session's
-	// RRC machine (TestSlotViewCarriesTailState). This is an integration
+	// RRC tail (TestSlotViewCarriesTailState). This is an integration
 	// smoke test.
 	em, err := sched.NewEMA(sched.EMAConfig{V: 0.1, RRC: rrc.Paper3G()})
 	if err != nil {

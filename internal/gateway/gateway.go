@@ -82,9 +82,9 @@ type Config struct {
 	Capacity units.KBps
 	// Radio converts reported RSSI into link rate and energy price.
 	Radio radio.Model
-	// RRC, when non-zero (Pd > 0), enables device-energy accounting: each
-	// attached user gets an RRC machine and the gateway tracks its
-	// transmission (Eq. 3) and tail (Eq. 4) energy. Leave zero to skip.
+	// RRC, when non-zero (Pd > 0), enables device-energy accounting: the
+	// gateway tracks each attached user's RRC tail and its transmission
+	// (Eq. 3) and tail (Eq. 4) energy. Leave zero to skip.
 	RRC rrc.Profile
 	// QueueCap bounds each user's Data Receiver queue in KB (prefetched
 	// from the source but not yet transmitted). Must exceed one slot's
@@ -157,9 +157,9 @@ type user struct {
 	// unfinished session's playback estimate sits at zero — the
 	// gateway-side analogue of the simulator's c_i(n).
 	rebufferSec units.Seconds
-	// machine and the energy tallies are populated only when the gateway
-	// was configured with an RRC profile.
-	machine     *rrc.Machine
+	// The RRC tail and the energy tallies move only when the gateway was
+	// configured with an RRC profile.
+	rrc.Tail
 	transEnergy units.MJ
 	tailEnergy  units.MJ
 
@@ -258,12 +258,8 @@ type Gateway struct {
 	missRing      []bool                // last ShedMissWindowSlots deadline outcomes
 	missHead      int
 	missCount     int
-	// Sliding per-session quality histograms: lifetime rebuffer (sec) and
-	// accounted energy (mJ) fold in when a session ends (completion or
-	// detach), rotating on the tick-histogram cadence. Serves /metrics.
-	rebufHist  *metrics.WindowedHist
-	energyHist *metrics.WindowedHist
-	endedTotal int
+	// quality is the sliding per-session quality window (metrics.go).
+	quality *metrics.SessionWindow
 }
 
 // New builds a Gateway around the given scheduling algorithm.
@@ -274,18 +270,22 @@ func New(cfg Config, s sched.Scheduler) (*Gateway, error) {
 	if s == nil {
 		return nil, errors.New("gateway: nil scheduler")
 	}
-	rebuf, energy := newSessionHists()
+	// The per-session quality window (metrics.go): 4 windows of 64
+	// auto-widening bins, 0.25 s wide for rebuffering and 50 mJ for energy.
+	quality, err := metrics.NewSessionWindow(4, 64, 0.25, 50)
+	if err != nil {
+		return nil, err
+	}
 	g := &Gateway{
-		cfg:        cfg,
-		sched:      s,
-		policy:     cfg.Policy.withDefaults(),
-		admission:  cell.NewAdmission(cfg.MaxSessions, cfg.AdmitHeadroomFrac, cfg.Capacity),
-		wake:       make(chan struct{}, 1),
-		tickHist:   newTickHist(),
-		rebufHist:  rebuf,
-		energyHist: energy,
-		active:     []int{},
-		capBytes:   int(float64(cfg.QueueCap) * 1000),
+		cfg:       cfg,
+		sched:     s,
+		policy:    cfg.Policy.withDefaults(),
+		admission: cell.NewAdmission(cfg.MaxSessions, cfg.AdmitHeadroomFrac, cfg.Capacity),
+		wake:      make(chan struct{}, 1),
+		tickHist:  newTickHist(),
+		quality:   quality,
+		active:    []int{},
+		capBytes:  int(float64(cfg.QueueCap) * 1000),
 	}
 	g.view = sched.Slot{
 		Tau:           cfg.Tau,
@@ -323,13 +323,6 @@ func (g *Gateway) Attach(ep Endpoint, src Source) (int, error) {
 		return 0, err
 	}
 	u := &user{id: len(g.users), ep: ep, src: src}
-	if g.cfg.trackEnergy() {
-		m, err := rrc.NewMachine(g.cfg.RRC)
-		if err != nil {
-			return 0, err
-		}
-		u.machine = m
-	}
 	g.users = append(g.users, u)
 	g.live = append(g.live, u)
 	g.diag.Admitted++
@@ -520,9 +513,9 @@ func (g *Gateway) Step() ([]int, error) {
 		c.BufferSec[i] = u.bufferSec
 		c.RemainingKB[i] = queuedKB
 		c.MaxUnits[i] = int32(maxUnits)
-		if u.machine != nil {
-			c.TailGap[i] = u.machine.Gap()
-			c.NeverActive[i] = !u.machine.EverActive()
+		if g.cfg.trackEnergy() {
+			c.TailGap[i] = u.Tail.Gap
+			c.NeverActive[i] = !u.Tail.EverActive
 		}
 	}
 	g.active = active
@@ -567,16 +560,17 @@ func (g *Gateway) Step() ([]int, error) {
 			nbytes = u.queued()
 		}
 		payload := u.buf[u.head : u.head+nbytes]
+		// The radio spends the grant's energy at transmission, in either
+		// delivery mode and whether or not the device drains its socket:
+		// Eq. (3) at the per-KB price this slot's view carries, and the
+		// tail restarts. Playback is credited when the delivery lands.
+		if g.cfg.trackEnergy() {
+			u.transEnergy += units.MJ(float64(c.EnergyPerKB[i]) * (float64(nbytes) / 1000))
+			u.Tail.Transfer()
+		}
 		if g.policy.AsyncDelivery {
-			// Snapshot the grant and hand it to the endpoint's worker;
-			// energy is spent at transmission time whether or not the
-			// device drains its socket, playback progress is credited
-			// when the delivery completes.
+			// Snapshot the grant and hand it to the endpoint's worker.
 			u.head += nbytes
-			if u.machine != nil {
-				u.transEnergy += g.cfg.Radio.TransmissionEnergy(c.Sig[i], units.KB(float64(nbytes)/1000))
-				u.machine.Transfer()
-			}
 			g.submitAsync(u, deliveryJob{payload: append([]byte(nil), payload...), slot: g.slot, rate: c.Rate[i]})
 			submitted++
 			continue
@@ -585,17 +579,8 @@ func (g *Gateway) Step() ([]int, error) {
 			g.deliveryFailed(u, err)
 			continue
 		}
-		g.deliverySucceeded(u)
 		u.head += nbytes
-		deliveredKB := units.KB(float64(nbytes) / 1000)
-		u.sentKB += deliveredKB
-		if rate := c.Rate[i]; rate > 0 {
-			u.bufferSec += units.Seconds(float64(deliveredKB) / float64(rate))
-		}
-		if u.machine != nil {
-			u.transEnergy += g.cfg.Radio.TransmissionEnergy(c.Sig[i], deliveredKB)
-			u.machine.Transfer()
-		}
+		g.delivered(u, nbytes, c.Rate[i])
 	}
 	if submitted > 0 {
 		if late := g.awaitSlotDeliveries(g.slot, submitted, g.policy.SlotDeadline); late > 0 {
@@ -645,8 +630,8 @@ func (g *Gateway) age(u *user) {
 // unless the session was detached, the RRC tail burns on.
 func (g *Gateway) idleSlot(u *user) {
 	g.age(u)
-	if u.machine != nil && !u.detached {
-		u.tailEnergy += u.machine.IdleSlot(g.cfg.Tau)
+	if g.cfg.trackEnergy() && !u.detached {
+		u.tailEnergy += u.Tail.IdleSlot(&g.cfg.RRC, g.cfg.Tau)
 	}
 }
 
@@ -655,11 +640,12 @@ func (g *Gateway) idleSlot(u *user) {
 // burns out (Eq. 4) — and an idle slot depends on nothing but the session,
 // so the slots since asOf are replayed when somebody asks, with the
 // arithmetic a per-slot walk would have used, until nothing moves any
-// more. Callers hold g.mu.
+// more: the engine's retirement rule, whose tail half is rrc.Tail.Drained.
+// Callers hold g.mu.
 func (g *Gateway) settle(u *user) {
-	for m := u.machine; u.asOf < g.slot; u.asOf++ {
-		tail := m != nil && !u.detached && m.EverActive() && m.Gap() < g.cfg.RRC.TailDrainedAfter()
-		if u.bufferSec <= 0 && !tail {
+	drained := g.cfg.RRC.TailDrainedAfter()
+	for ; u.asOf < g.slot; u.asOf++ {
+		if u.bufferSec <= 0 && (u.detached || u.Tail.Drained(drained)) {
 			break
 		}
 		g.idleSlot(u)

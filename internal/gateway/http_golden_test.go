@@ -14,8 +14,9 @@ import (
 
 // TestHTTPBodiesGolden pins the monitoring API's JSON bodies byte for byte:
 // key names, key order and number formatting of /stats, /stats?user=,
-// /diag and /summary after a fixed run. The tick histogram is replaced by
-// fixed observations, so no body depends on the wall clock. Regenerate
+// /diag, /summary and /metrics after a fixed run. The tick histogram is
+// replaced by fixed observations, so no body depends on the wall clock.
+// Regenerate
 // deliberately with
 //
 //	go test ./internal/gateway -run TestHTTPBodiesGolden -update
@@ -55,7 +56,7 @@ func TestHTTPBodiesGolden(t *testing.T) {
 
 	h := Handler(g)
 	var got bytes.Buffer
-	for _, path := range []string{"/stats", "/stats?user=1", "/diag", "/summary"} {
+	for _, path := range []string{"/stats", "/stats?user=1", "/diag", "/summary", "/metrics"} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 		fmt.Fprintf(&got, "GET %s %d %s\n%s", path, rec.Code, rec.Header().Get("Content-Type"), rec.Body.Bytes())

@@ -40,7 +40,10 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 // does not depend on what the slot view says about TailGap / NeverActive
 // (that has a test of its own, TestSlotViewCarriesTailState). Diag.Drained
 // is left out: it used to credit, on the first draining slot, every session
-// that had completed before BeginDrain as well.
+// that had completed before BeginDrain as well. The synchronous fixtures
+// were re-recorded when a failed delivery started to be charged at grant
+// time as an asynchronous one always was; sessions 3, 9, 13 and 109 moved,
+// and each synchronous ledger now equals its asynchronous twin.
 const (
 	ledgerSessions  = 220
 	ledgerInService = 20
@@ -318,5 +321,25 @@ func TestChurnLedger(t *testing.T) {
 				t.Fatalf("final ledger differs when Stats are read only at the end:\n%s", got)
 			}
 		})
+	}
+}
+
+// TestChurnLedgerSyncMatchesAsync: energy is charged at grant time and
+// playback credited when a delivery lands, in both delivery modes, and no
+// delivery in the scenario outlives its slot, so the two modes keep the
+// same ledger byte for byte.
+func TestChurnLedgerSyncMatchesAsync(t *testing.T) {
+	for _, s := range []string{"default", "ema"} {
+		sync, err := os.ReadFile(filepath.Join("testdata", "churn_ledger_"+s+"_sync.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		async, err := os.ReadFile(filepath.Join("testdata", "churn_ledger_"+s+"_async.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sync, async) {
+			t.Errorf("%s: the synchronous and asynchronous ledgers differ", s)
+		}
 	}
 }

@@ -235,7 +235,7 @@ func TestStepAfterClose(t *testing.T) {
 }
 
 // viewSpy is a scheduler that checks the slot view against the sessions'
-// RRC machines, and serves everyone in full except in slots [idleFrom,
+// RRC tails, and serves everyone in full except in slots [idleFrom,
 // idleTo), so that sessions idle through their tails with data queued.
 type viewSpy struct {
 	t                *testing.T
@@ -248,22 +248,23 @@ type viewSpy struct {
 func (*viewSpy) Name() string { return "view-spy" }
 
 func (s *viewSpy) Allocate(slot *sched.Slot, alloc []int) {
-	// Allocate runs under g.mu, so the machines can be read directly.
+	// Allocate runs under g.mu, so the tails can be read directly.
+	drained := s.g.cfg.RRC.TailDrainedAfter()
 	for _, u := range s.g.live {
-		i, m := u.id, u.machine
+		i, m := u.id, u.Tail
 		if !slot.ActiveAt(i) {
 			continue
 		}
-		if slot.TailGapAt(i) != m.Gap() || slot.NeverActiveAt(i) == m.EverActive() {
-			s.t.Errorf("slot %d user %d: view says gap %v never-active %v, machine says gap %v ever-active %v",
-				slot.N, i, slot.TailGapAt(i), slot.NeverActiveAt(i), m.Gap(), m.EverActive())
+		if slot.TailGapAt(i) != m.Gap || slot.NeverActiveAt(i) == m.EverActive {
+			s.t.Errorf("slot %d user %d: view says gap %v never-active %v, tail says gap %v ever-active %v",
+				slot.N, i, slot.TailGapAt(i), slot.NeverActiveAt(i), m.Gap, m.EverActive)
 		}
 		switch {
-		case !m.EverActive():
+		case !m.EverActive:
 			s.never++
-		case m.Gap() >= m.Profile().TailDrainedAfter():
+		case m.Drained(drained):
 			s.drained++
-		case m.Gap() > 0:
+		case m.Gap > 0:
 			s.tailing++
 		}
 		if slot.N < s.idleFrom || slot.N >= s.idleTo {
@@ -274,7 +275,7 @@ func (s *viewSpy) Allocate(slot *sched.Slot, alloc []int) {
 
 // TestSlotViewCarriesTailState: with an RRC profile configured the view a
 // scheduler prices the tail from (EMA's skip cost, Predictive) follows each
-// session's RRC machine — before its first transfer, through the tail
+// session's RRC tail — before its first transfer, through the tail
 // after one and past T1+T2 — and stays at the zero values without one.
 func TestSlotViewCarriesTailState(t *testing.T) {
 	cfg := energyConfig() // τ = 1 s against T1+T2 = 7.31 s
@@ -295,7 +296,7 @@ func TestSlotViewCarriesTailState(t *testing.T) {
 		t.Errorf("spy compared %d never-active, %d tailing, %d drained rows; want 2 and some of each", spy.never, spy.tailing, spy.drained)
 	}
 
-	// No RRC profile: no machines, and both fields stay zero.
+	// No RRC profile: no tail accounting, and both fields stay zero.
 	plain, err := New(testConfig(), zeroTailSpy{t})
 	if err != nil {
 		t.Fatal(err)

@@ -163,3 +163,58 @@ func (h *StreamingHist) reset(width float64) {
 	h.min = math.Inf(1)
 	h.max = math.Inf(-1)
 }
+
+// SessionWindow is the sliding window of per-session quality a serving
+// engine keeps: each ended session's lifetime rebuffering (seconds) and
+// energy (mJ) fold into a pair of WindowedHists that rotate together, so
+// quantiles describe recently ended sessions, not an all-time average
+// staleness cannot move.
+type SessionWindow struct {
+	rebuf, energy *WindowedHist
+	live, total   int // sessions folded since the last Rotate / ever
+}
+
+// NewSessionWindow returns a window retaining the given number of
+// rotations, each histogram with the given bins and initial widths (the
+// rules of NewWindowedHist apply).
+func NewSessionWindow(windows, bins int, rebufWidth, energyWidth float64) (*SessionWindow, error) {
+	r, err := NewWindowedHist(windows, bins, rebufWidth)
+	if err != nil {
+		return nil, err
+	}
+	e, err := NewWindowedHist(windows, bins, energyWidth)
+	if err != nil {
+		return nil, err
+	}
+	return &SessionWindow{rebuf: r, energy: e}, nil
+}
+
+// Fold records one ended session's lifetime rebuffering and energy.
+func (w *SessionWindow) Fold(rebufSec, energyMJ float64) {
+	w.rebuf.Observe(rebufSec)
+	w.energy.Observe(energyMJ)
+	w.live++
+	w.total++
+}
+
+// Rotate closes the live window, dropping the oldest retained one.
+func (w *SessionWindow) Rotate() {
+	w.rebuf.Rotate()
+	w.energy.Rotate()
+	w.live = 0
+}
+
+// Ended counts the sessions folded since the last Rotate, those the
+// retained windows hold (rebuffering samples the histogram kept), and
+// every session ever folded.
+func (w *SessionWindow) Ended() (live, retained, total int) {
+	return w.live, int(w.rebuf.Count()), w.total
+}
+
+// RebufferQuantile is the q-th quantile of lifetime rebuffering over the
+// retained windows, 0 while they hold no session.
+func (w *SessionWindow) RebufferQuantile(q float64) float64 { return w.rebuf.Quantile(q) }
+
+// EnergyQuantile is the q-th quantile of lifetime energy over the
+// retained windows, 0 while they hold no session.
+func (w *SessionWindow) EnergyQuantile(q float64) float64 { return w.energy.Quantile(q) }

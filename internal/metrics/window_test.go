@@ -219,3 +219,36 @@ func TestWindowedHistQuantileMisalignedWidths(t *testing.T) {
 		t.Fatalf("post-rotation q=0.5: %v != %v", got, want)
 	}
 }
+
+// SessionWindow's three counts follow its rotations: live resets, the
+// retained count forgets the oldest window once the ring wraps, and the
+// total never forgets; the quantiles answer over the retained windows.
+func TestSessionWindowCounts(t *testing.T) {
+	w, err := NewSessionWindow(2, 64, 0.25, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, e := w.RebufferQuantile(0.5), w.EnergyQuantile(0.5); r != 0 || e != 0 {
+		t.Fatalf("empty window quantiles %v, %v; want 0", r, e)
+	}
+	want := func(live, retained, total int) {
+		t.Helper()
+		if l, r, tot := w.Ended(); l != live || r != retained || tot != total {
+			t.Fatalf("Ended() = %d, %d, %d; want %d, %d, %d", l, r, tot, live, retained, total)
+		}
+	}
+	w.Fold(1, 100)
+	w.Fold(3, 300)
+	want(2, 2, 2)
+	w.Rotate()
+	w.Fold(9, 900)
+	want(1, 3, 3)
+	if got := w.EnergyQuantile(1); got < 900 {
+		t.Errorf("max energy quantile %v, want the 900 mJ session", got)
+	}
+	w.Rotate() // the two-window ring drops the first window
+	want(0, 1, 3)
+	if got := w.RebufferQuantile(0); got < 9 {
+		t.Errorf("min rebuffer quantile %v after the first window left, want 9", got)
+	}
+}

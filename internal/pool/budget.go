@@ -83,10 +83,11 @@ func acquireExtra(want int) int {
 }
 
 // debitExtra charges n tokens to the budget unconditionally, allowing
-// the balance to go negative. Map uses it for explicit worker requests:
-// the caller's count is honored, and the debt makes concurrent elastic
-// fan-outs (Shard, workers<=0 Map) find nothing available and run
-// inline, which is exactly the composition the budget exists for.
+// the balance to go negative. ForEachN (so Map and ForEach) uses it for
+// explicit worker requests: the caller's count is honored, and the debt
+// makes concurrent elastic fan-outs (Shard, workers<=0 Map) find nothing
+// available and run inline, which is exactly the composition the budget
+// exists for.
 func debitExtra(n int) {
 	ensureBudget()
 	if n > 0 {

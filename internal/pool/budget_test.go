@@ -2,6 +2,7 @@ package pool
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -152,7 +153,7 @@ func TestExplicitMapStarvesInnerShard(t *testing.T) {
 }
 
 // TestBudgetTokensRestored asserts fan-outs return every token they
-// took, including on the panic path.
+// took, including on the error and panic paths.
 func TestBudgetTokensRestored(t *testing.T) {
 	withBudget(t, 5, func() {
 		Shard(5, 16, func(int) {})
@@ -177,6 +178,30 @@ func TestBudgetTokensRestored(t *testing.T) {
 		}
 		if got := WorkerBudget(); got != 5 {
 			t.Fatalf("budget %d after Map, want 5", got)
+		}
+		for _, workers := range []int{0, 5} {
+			if err := ForEachN(context.Background(), workers, 16, func(_ context.Context, i int) error {
+				if i == 7 {
+					return errors.New("boom")
+				}
+				return nil
+			}); err == nil {
+				t.Fatal("ForEachN swallowed the error")
+			}
+			if got := WorkerBudget(); got != 5 {
+				t.Fatalf("budget %d after failing ForEachN(workers=%d), want 5", got, workers)
+			}
+			if err := ForEachN(context.Background(), workers, 16, func(_ context.Context, i int) error {
+				if i == 7 {
+					panic("boom")
+				}
+				return nil
+			}); err == nil {
+				t.Fatal("ForEachN swallowed the panic")
+			}
+			if got := WorkerBudget(); got != 5 {
+				t.Fatalf("budget %d after panicking ForEachN(workers=%d), want 5", got, workers)
+			}
 		}
 	})
 }

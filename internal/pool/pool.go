@@ -4,13 +4,69 @@
 // robustness runs. Results preserve submission order, errors cancel the
 // remaining work, and panics in workers are converted to errors instead of
 // crashing the process.
+//
+// Every fan-out — Shard, ForEachN, Map, ForEach — runs one claim loop:
+// one goroutine spawn per extra worker, one atomic add per job.
 package pool
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
+
+var errNilFunc = errors.New("pool: nil function")
+
+// claim runs fn(i) for i in [0, n) on the calling goroutine plus extra
+// more, each claiming the next index from one counter, until the indices
+// run out, done is closed (polled without blocking, so without a lock,
+// before every claim; a nil done never is), or a job panics. It returns
+// once every goroutine has finished, with the first panic and the job
+// that raised it (job < 0 when none did).
+func claim(extra, n int, done <-chan struct{}, fn func(i int)) (job int, panicked any) {
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+	)
+	job = -1
+	work := func() {
+		i := -1
+		defer func() {
+			if p := recover(); p != nil {
+				next.Store(int64(n)) // every later claim finds the indices spent
+				mu.Lock()
+				if job < 0 {
+					job, panicked = i, p
+				}
+				mu.Unlock()
+			}
+		}()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if i = int(next.Add(1)) - 1; i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
+	wg.Add(extra)
+	for w := 0; w < extra; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work() // the caller is a worker too
+	wg.Wait()
+	return job, panicked
+}
 
 // Map runs fn over every item of xs using at most workers goroutines and
 // returns the results in input order. The first error (or worker panic)
@@ -18,130 +74,25 @@ import (
 // jobs finish. workers <= 0 selects the free worker budget (GOMAXPROCS
 // by default).
 //
-// Map participates in the process-wide worker budget (see
-// SetWorkerBudget) so concurrent fan-outs share the machine instead of
-// each assuming it is alone. An explicit workers > 0 is honored exactly
-// — callers ask for more than GOMAXPROCS when jobs block rather than
-// burn CPU — and that many workers are debited from the budget, which
-// starves nested elastic fan-outs (Shard, workers<=0 Map) into running
-// inline rather than oversubscribing. workers <= 0 is the elastic
-// request: it takes however many workers the budget has free (the
-// budget defaults to GOMAXPROCS). Either way results are collected in
-// input order, so the granted worker count never changes the output.
+// Map participates in the process-wide worker budget (budget.go): an
+// explicit workers > 0 is honored exactly — callers ask for more than
+// GOMAXPROCS when jobs block rather than burn CPU — and debited, which
+// starves nested elastic fan-outs into running inline; workers <= 0 takes
+// however many workers the budget has free. Either way results are
+// collected in input order, so the granted count never changes the output.
 func Map[T, R any](ctx context.Context, workers int, xs []T, fn func(context.Context, T) (R, error)) ([]R, error) {
 	if fn == nil {
-		return nil, fmt.Errorf("pool: nil function")
+		return nil, errNilFunc
 	}
-	n := len(xs)
-	if n == 0 {
+	if len(xs) == 0 {
 		return nil, nil
 	}
-	var extra int
-	if workers <= 0 {
-		extra = acquireExtra(n - 1) // the budget itself caps the take
-	} else {
-		if workers > n {
-			workers = n
-		}
-		extra = workers - 1
-		debitExtra(extra)
-	}
-	defer releaseExtra(extra)
-	workers = 1 + extra
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Serial fast path: with no extra workers granted (budget exhausted,
-	// workers=1, or a single job) the jobs run inline on the caller's
-	// goroutine — no spawn, no channel sends. Semantics match the
-	// fan-out path: jobs run in submission order, the first error or
-	// panic stops the remaining jobs, cancellation is honored between
-	// jobs (the concurrent path checks it between channel sends too).
-	if extra == 0 {
-		results := make([]R, n)
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			var err error
-			func(i int) {
-				defer func() {
-					if p := recover(); p != nil {
-						err = fmt.Errorf("pool: job %d panicked: %v", i, p)
-					}
-				}()
-				var r R
-				if r, err = fn(ctx, xs[i]); err != nil {
-					err = fmt.Errorf("pool: job %d: %w", i, err)
-					return
-				}
-				results[i] = r
-			}(i)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return results, nil
-	}
-
-	results := make([]R, n)
-	jobs := make(chan int)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	setErr := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-		mu.Unlock()
-	}
-
-	worker := func() {
-		defer wg.Done()
-		for i := range jobs {
-			func(i int) {
-				defer func() {
-					if p := recover(); p != nil {
-						setErr(fmt.Errorf("pool: job %d panicked: %v", i, p))
-					}
-				}()
-				r, err := fn(ctx, xs[i])
-				if err != nil {
-					setErr(fmt.Errorf("pool: job %d: %w", i, err))
-					return
-				}
-				results[i] = r
-			}(i)
-		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go worker()
-	}
-
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
+	results := make([]R, len(xs))
+	err := ForEachN(ctx, workers, len(xs), func(ctx context.Context, i int) (err error) {
+		results[i], err = fn(ctx, xs[i])
+		return err
+	})
 	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return results, nil
@@ -149,10 +100,9 @@ feed:
 
 // ForEach is Map without result collection.
 func ForEach[T any](ctx context.Context, workers int, xs []T, fn func(context.Context, T) error) error {
-	_, err := Map(ctx, workers, xs, func(ctx context.Context, x T) (struct{}, error) {
-		return struct{}{}, fn(ctx, x)
+	return ForEachN(ctx, workers, len(xs), func(ctx context.Context, i int) error {
+		return fn(ctx, xs[i])
 	})
-	return err
 }
 
 // ForEachN runs fn over the index range [0, n) with Map's scheduling,
@@ -160,104 +110,45 @@ func ForEach[T any](ctx context.Context, workers int, xs []T, fn func(context.Co
 // or a result slice. It exists for hot repeated fan-outs — the fleet
 // runner's per-epoch tick over hundreds of cells calls this once per
 // epoch, and allocating an index slice plus a discarded result slice
-// each time would be pure garbage-collector load.
+// each time would be pure garbage-collector load. With no extra worker
+// granted the jobs run inline, in index order.
 func ForEachN(ctx context.Context, workers, n int, fn func(context.Context, int) error) error {
 	if fn == nil {
-		return fmt.Errorf("pool: nil function")
+		return errNilFunc
 	}
 	if n <= 0 {
 		return nil
 	}
 	var extra int
 	if workers <= 0 {
-		extra = acquireExtra(n - 1)
+		extra = acquireExtra(n - 1) // the budget itself caps the take
 	} else {
-		if workers > n {
-			workers = n
-		}
-		extra = workers - 1
+		extra = min(workers, n) - 1
 		debitExtra(extra)
 	}
 	defer releaseExtra(extra)
-	workers = 1 + extra
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	// Serial fast path, matching Map's: no extra workers granted means
-	// jobs run inline in index order with no spawns or channel sends.
-	if extra == 0 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			var err error
-			func(i int) {
-				defer func() {
-					if p := recover(); p != nil {
-						err = fmt.Errorf("pool: job %d panicked: %v", i, p)
-					}
-				}()
-				if err = fn(ctx, i); err != nil {
-					err = fmt.Errorf("pool: job %d: %w", i, err)
-				}
-			}(i)
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	jobs := make(chan int)
 	var (
-		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 	)
-	setErr := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
+	job, p := claim(extra, n, ctx.Done(), func(i int) {
+		if err := fn(ctx, i); err != nil {
+			mu.Lock()
+			if firstErr == nil {
+				firstErr = fmt.Errorf("pool: job %d: %w", i, err)
+				cancel()
+			}
+			mu.Unlock()
 		}
-		mu.Unlock()
+	})
+	if firstErr != nil {
+		return firstErr
 	}
-	worker := func() {
-		defer wg.Done()
-		for i := range jobs {
-			func(i int) {
-				defer func() {
-					if p := recover(); p != nil {
-						setErr(fmt.Errorf("pool: job %d panicked: %v", i, p))
-					}
-				}()
-				if err := fn(ctx, i); err != nil {
-					setErr(fmt.Errorf("pool: job %d: %w", i, err))
-				}
-			}(i)
-		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go worker()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	if err != nil {
-		return err
+	if p != nil {
+		return fmt.Errorf("pool: job %d panicked: %v", job, p)
 	}
 	return ctx.Err()
 }

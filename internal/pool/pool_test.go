@@ -88,10 +88,11 @@ func TestMapActuallyParallel(t *testing.T) {
 }
 
 func TestMapErrorCancelsRemaining(t *testing.T) {
+	const workers = 2
 	var ran atomic.Int32
 	xs := make([]int, 1000)
 	boom := errors.New("boom")
-	_, err := Map(context.Background(), 2, xs, func(ctx context.Context, x int) (int, error) {
+	_, err := Map(context.Background(), workers, xs, func(ctx context.Context, x int) (int, error) {
 		n := ran.Add(1)
 		if n == 3 {
 			return 0, boom
@@ -111,11 +112,11 @@ func TestMapErrorCancelsRemaining(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
-	// Once cancelled, the feeder's select may still hand over a job or
-	// two (each returns at once), a coin flip apiece: 100 would take 90
-	// heads in a row.
-	if ran.Load() > 100 {
-		t.Errorf("ran %d jobs after error; cancellation ineffective", ran.Load())
+	// Every worker checks the context before it claims a job: the three
+	// jobs up to the failure, plus at most one more per worker that
+	// claimed before the cancellation landed.
+	if ran.Load() > 3+workers {
+		t.Errorf("%d jobs started, want at most %d: cancellation ineffective", ran.Load(), 3+workers)
 	}
 }
 
@@ -193,6 +194,17 @@ func BenchmarkMapOverhead(b *testing.B) {
 			return x + 1, nil
 		})
 		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkForEachNDispatch is the dispatch cost of one ForEachN fan-out
+// of 391 empty jobs (the shard count of a 100 000-user tick) on every
+// core the budget grants — the shape of pool.foreach_dispatch_us.
+func BenchmarkForEachNDispatch(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if err := ForEachN(context.Background(), 0, 391, func(context.Context, int) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}

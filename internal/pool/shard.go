@@ -1,22 +1,18 @@
 package pool
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // Shard runs fn(shard) for every shard index in [0, shards), fanning the
 // calls across at most workers goroutines. It is the low-overhead sibling
-// of Map for the simulator's per-slot tick path: no context, no error
-// plumbing, no per-job channel send — shard indices are claimed from an
-// atomic counter, so dispatching a slot's prepare or commit phase costs
-// one goroutine spawn per worker and one atomic add per shard.
+// of ForEachN for the simulator's per-slot tick path: the same claim loop
+// with no context, no error plumbing and no per-job wrapper, so
+// dispatching a slot's prepare or commit phase costs one goroutine spawn
+// per extra worker and one atomic add per shard.
 //
 // fn must confine its writes to shard-local state; Shard returns only
 // after every shard completed. workers <= 1 (or a single shard) runs the
-// loop inline on the caller's goroutine, which the simulator relies on
-// for its serial-equals-parallel determinism guarantee. A panic in fn is
-// re-raised on the caller's goroutine once the remaining workers drain.
+// loop inline on the caller's goroutine, allocating nothing, which the
+// simulator relies on for its serial-equals-parallel determinism
+// guarantee. A panic in fn stops further claims and is re-raised on the
+// caller's goroutine once the running shards drain.
 //
 // The caller's goroutine always participates as one worker; the other
 // workers-1 are requested from the process-wide worker budget (see
@@ -28,12 +24,9 @@ func Shard(workers, shards int, fn func(shard int)) {
 	if shards <= 0 {
 		return
 	}
-	if workers > shards {
-		workers = shards
-	}
 	extra := 0
 	if workers > 1 {
-		extra = acquireExtra(workers - 1)
+		extra = acquireExtra(min(workers, shards) - 1)
 		defer releaseExtra(extra)
 	}
 	if extra == 0 {
@@ -42,36 +35,7 @@ func Shard(workers, shards int, fn func(shard int)) {
 		}
 		return
 	}
-	var (
-		next      atomic.Int64
-		wg        sync.WaitGroup
-		panicOnce sync.Once
-		panicked  any
-	)
-	claim := func() {
-		defer func() {
-			if p := recover(); p != nil {
-				panicOnce.Do(func() { panicked = p })
-			}
-		}()
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= shards {
-				return
-			}
-			fn(i)
-		}
-	}
-	wg.Add(extra)
-	for w := 0; w < extra; w++ {
-		go func() {
-			defer wg.Done()
-			claim()
-		}()
-	}
-	claim() // caller is a worker too
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
+	if _, p := claim(extra, shards, nil, fn); p != nil {
+		panic(p)
 	}
 }

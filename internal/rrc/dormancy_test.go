@@ -43,14 +43,17 @@ func TestFastDormancyMaxTail(t *testing.T) {
 
 func TestFastDormancyState(t *testing.T) {
 	fd := Paper3G().WithFastDormancy(1.5)
-	if got := fd.StateAfter(1.0); got != DCH {
-		t.Errorf("StateAfter(1.0) = %v, want DCH", got)
+	after := fd.TailDrainedAfter()
+	if after != 1.5 {
+		t.Errorf("TailDrainedAfter = %v, want the 1.5 s release", after)
 	}
-	if got := fd.StateAfter(1.5); got != Idle {
-		t.Errorf("StateAfter(1.5) = %v, want IDLE", got)
-	}
-	if got := fd.StateAfter(5); got != Idle {
-		t.Errorf("StateAfter(5) = %v, want IDLE", got)
+	for _, c := range []struct {
+		gap  units.Seconds
+		want bool
+	}{{1.0, false}, {1.5, true}, {5, true}} {
+		if got := (Tail{Gap: c.gap, EverActive: true}).Drained(after); got != c.want {
+			t.Errorf("Drained at gap %v = %v, want %v", c.gap, got, c.want)
+		}
 	}
 }
 
@@ -64,21 +67,18 @@ func TestFastDormancyValidation(t *testing.T) {
 
 func TestFastDormancyMachineIntegration(t *testing.T) {
 	fd := Paper3G().WithFastDormancy(2)
-	m, err := NewMachine(fd)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var m Tail
 	m.Transfer()
 	var sum units.MJ
 	for i := 0; i < 10; i++ {
-		sum += m.IdleSlot(1)
+		sum += m.IdleSlot(&fd, 1)
 	}
 	want := fd.MaxTailEnergy()
 	if math.Abs(float64(sum-want)) > 1e-9 {
-		t.Errorf("machine tail sum = %v, want %v", sum, want)
+		t.Errorf("tail sum = %v, want %v", sum, want)
 	}
-	if m.State() != Idle {
-		t.Errorf("state = %v, want IDLE", m.State())
+	if !m.Drained(fd.TailDrainedAfter()) {
+		t.Error("tail not drained past the release")
 	}
 }
 

@@ -10,8 +10,8 @@
 // the energy the paper's EMA scheduler explicitly trades against.
 //
 // The package provides both the closed-form cumulative tail energy of
-// Eq. (4) and an incremental per-slot state Machine; tests cross-validate
-// the two so either can be trusted in the simulator.
+// Eq. (4) and Tail, the incremental per-slot state every engine keeps per
+// device; tests cross-validate the two so either can be trusted.
 package rrc
 
 import (
@@ -19,31 +19,6 @@ import (
 
 	"jointstream/internal/units"
 )
-
-// State is an RRC power state.
-type State int
-
-// The power states, ordered from hottest to coldest. The 3G profile uses
-// all three; the LTE profile maps CONNECTED onto DCH and never enters FACH.
-const (
-	DCH  State = iota // CELL_DCH / RRC_CONNECTED: high power
-	FACH              // CELL_FACH: medium power (3G only)
-	Idle              // CELL_IDLE / RRC_IDLE: radio effectively off
-)
-
-// String implements fmt.Stringer.
-func (s State) String() string {
-	switch s {
-	case DCH:
-		return "DCH"
-	case FACH:
-		return "FACH"
-	case Idle:
-		return "IDLE"
-	default:
-		return fmt.Sprintf("State(%d)", int(s))
-	}
-}
 
 // Profile holds the RRC parameters of one radio technology.
 type Profile struct {
@@ -125,8 +100,8 @@ func (p Profile) TailEnergy(t units.Seconds) units.MJ {
 // seconds after the last transfer: TailEnergy(gap+tau) − TailEnergy(gap).
 // It short-circuits to zero once the tail is fully drained (gap beyond
 // T1+T2, or beyond the Fast Dormancy release), which is the common case
-// for long-idle radios and keeps hot-path callers (the simulator's
-// Machine.IdleSlot, EMA's per-slot skip cost) off the closed form.
+// for long-idle radios and keeps hot-path callers (Tail.IdleSlot, EMA's
+// per-slot skip cost) off the closed form.
 func (p Profile) TailIncrement(gap, tau units.Seconds) units.MJ {
 	if gap < 0 {
 		panic(fmt.Sprintf("rrc: negative gap %v", gap))
@@ -159,94 +134,45 @@ func (p Profile) MaxTailEnergy() units.MJ {
 	return p.Pd.Energy(p.T1) + p.Pf.Energy(p.T2)
 }
 
-// StateAfter returns the RRC state a device occupies t seconds after its
-// last transfer ended.
-func (p Profile) StateAfter(t units.Seconds) State {
-	if t < 0 {
-		panic(fmt.Sprintf("rrc: negative gap %v", t))
-	}
-	if p.Dormancy > 0 && t >= p.Dormancy {
-		return Idle
-	}
-	switch {
-	case t < p.T1:
-		return DCH
-	case t < p.T1+p.T2:
-		return FACH
-	default:
-		return Idle
-	}
-}
-
-// Machine tracks one device's RRC state incrementally, slot by slot. The
-// simulator calls exactly one of Transfer or IdleSlot per slot.
-type Machine struct {
-	profile Profile
-	// gap is the time since the end of the last transfer; 0 while active.
-	gap units.Seconds
-	// everActive records whether any transfer has happened yet: a device
+// Tail is one device's RRC tail state, advanced slot by slot: exactly one
+// of Transfer or IdleSlot per slot. It holds no pointer and no profile —
+// every device of a cell shares one Profile — so an engine keeps it by
+// value in its flat per-user array. The zero value is a device in IDLE
+// with no transfer history.
+type Tail struct {
+	// Gap is the time since the end of the last transfer; 0 while active.
+	Gap units.Seconds
+	// EverActive records whether any transfer has happened yet: a device
 	// that has never transferred sits in IDLE and burns no tail energy.
-	everActive bool
+	EverActive bool
 }
-
-// Init resets m in place to a Machine in IDLE with no transfer history,
-// without allocating.
-func (m *Machine) Init(p Profile) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	*m = Machine{profile: p}
-	return nil
-}
-
-// NewMachine returns a Machine in IDLE with no transfer history.
-func NewMachine(p Profile) (*Machine, error) {
-	m := new(Machine)
-	if err := m.Init(p); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// Profile returns the machine's RRC parameters.
-func (m *Machine) Profile() Profile { return m.profile }
-
-// State returns the current RRC state.
-func (m *Machine) State() State {
-	if !m.everActive {
-		return Idle
-	}
-	return m.profile.StateAfter(m.gap)
-}
-
-// Gap returns the time since the last transfer ended (0 while a slot with
-// a transfer is the most recent slot).
-func (m *Machine) Gap() units.Seconds { return m.gap }
-
-// EverActive reports whether the machine has recorded any transfer.
-func (m *Machine) EverActive() bool { return m.everActive }
 
 // Transfer records that the device received data during a slot: the radio
 // promotes to DCH and all inactivity timers reset. Tail energy for such a
 // slot is zero — transmission energy (Eq. 3) is accounted separately by
 // the radio model, exactly as in the paper's Eq. (5).
-func (m *Machine) Transfer() {
-	m.everActive = true
-	m.gap = 0
+func (t *Tail) Transfer() {
+	t.EverActive = true
+	t.Gap = 0
 }
 
-// IdleSlot advances the machine through one slot of length tau with no
-// transfer and returns the tail energy consumed during that slot:
+// IdleSlot advances the tail through one slot of length tau with no
+// transfer and returns the energy it burns under profile p:
 // E_tail(gap+tau) − E_tail(gap) per Eq. (4). A device that has never
-// transferred consumes nothing.
-func (m *Machine) IdleSlot(tau units.Seconds) units.MJ {
-	if tau < 0 {
-		panic(fmt.Sprintf("rrc: negative slot length %v", tau))
-	}
-	if !m.everActive {
+// transferred neither burns energy nor ages its gap. A negative tau
+// panics once the device has transferred.
+func (t *Tail) IdleSlot(p *Profile, tau units.Seconds) units.MJ {
+	if !t.EverActive {
 		return 0
 	}
-	inc := m.profile.TailIncrement(m.gap, tau)
-	m.gap += tau
+	inc := p.TailIncrement(t.Gap, tau)
+	t.Gap += tau
 	return inc
+}
+
+// Drained reports whether no idle slot can burn energy any more: the
+// device never transferred, or its gap reached after (the profile's
+// TailDrainedAfter).
+func (t Tail) Drained(after units.Seconds) bool {
+	return !t.EverActive || t.Gap >= after
 }

@@ -74,41 +74,17 @@ func TestTailEnergyNegativePanics(t *testing.T) {
 	Paper3G().TailEnergy(-1)
 }
 
-func TestStateAfter(t *testing.T) {
-	p := Paper3G()
-	cases := []struct {
-		t    units.Seconds
-		want State
-	}{
-		{0, DCH}, {3.28, DCH}, {3.29, FACH}, {7.30, FACH}, {7.31, Idle}, {100, Idle},
-	}
-	for _, c := range cases {
-		if got := p.StateAfter(c.t); got != c.want {
-			t.Errorf("StateAfter(%v) = %v, want %v", c.t, got, c.want)
-		}
-	}
-}
-
 func TestLTEProfileSkipsFACH(t *testing.T) {
 	p := LTE()
-	if got := p.StateAfter(p.T1); got != Idle {
-		t.Errorf("LTE StateAfter(T1) = %v, want IDLE (no FACH)", got)
+	if got := p.TailDrainedAfter(); got != p.T1 {
+		t.Errorf("LTE TailDrainedAfter = %v, want T1 = %v (no FACH)", got, p.T1)
 	}
-	if got := p.StateAfter(p.T1 - 0.01); got != DCH {
-		t.Errorf("LTE StateAfter(T1-eps) = %v, want DCH", got)
+	if got := p.TailEnergy(p.T1 + 5); got != p.TailEnergy(p.T1) {
+		t.Errorf("LTE tail burned %v past T1, want nothing (no FACH)", got-p.TailEnergy(p.T1))
 	}
 	want := float64(p.Pd) * float64(p.T1)
 	if got := float64(p.MaxTailEnergy()); math.Abs(got-want) > 1e-9 {
 		t.Errorf("LTE MaxTailEnergy = %v, want %v", got, want)
-	}
-}
-
-func TestStateString(t *testing.T) {
-	if DCH.String() != "DCH" || FACH.String() != "FACH" || Idle.String() != "IDLE" {
-		t.Error("State.String() mismatch")
-	}
-	if State(42).String() != "State(42)" {
-		t.Errorf("unknown state string = %q", State(42).String())
 	}
 }
 
@@ -130,56 +106,52 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestNewMachineRejectsInvalidProfile(t *testing.T) {
-	if _, err := NewMachine(Profile{Pd: -5}); err == nil {
-		t.Error("invalid profile accepted")
-	}
-}
+// The Machine tests below drive Tail, the RRC state machine one device
+// carries slot by slot.
 
 func TestMachineNeverActiveBurnsNothing(t *testing.T) {
-	m, err := NewMachine(Paper3G())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.State() != Idle {
-		t.Errorf("fresh machine state = %v, want IDLE", m.State())
+	p := Paper3G()
+	var m Tail
+	if !m.Drained(p.TailDrainedAfter()) {
+		t.Error("fresh tail not drained")
 	}
 	for i := 0; i < 10; i++ {
-		if e := m.IdleSlot(1); e != 0 {
-			t.Fatalf("never-active machine burned %v", e)
+		if e := m.IdleSlot(&p, 1); e != 0 {
+			t.Fatalf("never-active tail burned %v", e)
 		}
+	}
+	if m.Gap != 0 {
+		t.Errorf("never-active tail aged its gap to %v", m.Gap)
 	}
 }
 
 func TestMachineTransferPromotesAndResets(t *testing.T) {
-	m, _ := NewMachine(Paper3G())
+	p := Paper3G()
+	var m Tail
 	m.Transfer()
-	if m.State() != DCH {
-		t.Errorf("state after transfer = %v, want DCH", m.State())
+	if m.Drained(p.TailDrainedAfter()) {
+		t.Error("tail drained right after a transfer")
 	}
-	m.IdleSlot(1)
-	m.IdleSlot(1)
-	if m.Gap() != 2 {
-		t.Errorf("gap = %v, want 2", m.Gap())
+	m.IdleSlot(&p, 1)
+	m.IdleSlot(&p, 1)
+	if m.Gap != 2 {
+		t.Errorf("gap = %v, want 2", m.Gap)
 	}
 	m.Transfer()
-	if m.Gap() != 0 {
-		t.Errorf("gap after transfer = %v, want 0", m.Gap())
-	}
-	if m.State() != DCH {
-		t.Errorf("state = %v, want DCH", m.State())
+	if m.Gap != 0 {
+		t.Errorf("gap after transfer = %v, want 0", m.Gap)
 	}
 }
 
 func TestMachineWalksThroughStates(t *testing.T) {
-	m, _ := NewMachine(Paper3G())
+	p := Paper3G()
+	var m Tail
 	m.Transfer()
-	wantStates := []State{DCH, DCH, DCH, FACH, FACH, FACH, FACH, Idle, Idle}
-	for i, want := range wantStates {
-		m.IdleSlot(1)
-		// After i+1 seconds of idle.
-		if got := m.State(); got != want {
-			t.Errorf("state after %ds idle = %v, want %v", i+1, got, want)
+	// Seven idle seconds leave the 7.31 s tail burning; the eighth drains it.
+	for i := 1; i <= 9; i++ {
+		m.IdleSlot(&p, 1)
+		if got, want := m.Drained(p.TailDrainedAfter()), i >= 8; got != want {
+			t.Errorf("drained after %ds idle = %v, want %v", i, got, want)
 		}
 	}
 }
@@ -187,11 +159,11 @@ func TestMachineWalksThroughStates(t *testing.T) {
 // Incremental per-slot tail energy must sum to the closed form of Eq. (4).
 func TestMachineMatchesClosedForm(t *testing.T) {
 	for _, p := range []Profile{Paper3G(), LTE()} {
-		m, _ := NewMachine(p)
+		var m Tail
 		m.Transfer()
 		var sum units.MJ
 		for i := 0; i < 30; i++ {
-			sum += m.IdleSlot(1)
+			sum += m.IdleSlot(&p, 1)
 			want := p.TailEnergy(units.Seconds(i + 1))
 			if math.Abs(float64(sum-want)) > 1e-6 {
 				t.Fatalf("%s: cumulative slot energy after %ds = %v, closed form %v",
@@ -204,12 +176,12 @@ func TestMachineMatchesClosedForm(t *testing.T) {
 // The same equivalence must hold for fractional slot lengths.
 func TestMachineMatchesClosedFormFractionalTau(t *testing.T) {
 	p := Paper3G()
-	m, _ := NewMachine(p)
+	var m Tail
 	m.Transfer()
 	var sum units.MJ
 	tau := units.Seconds(0.37)
 	for i := 0; i < 50; i++ {
-		sum += m.IdleSlot(tau)
+		sum += m.IdleSlot(&p, tau)
 	}
 	want := p.TailEnergy(units.Seconds(50 * 0.37))
 	if math.Abs(float64(sum-want)) > 1e-6 {
@@ -218,34 +190,36 @@ func TestMachineMatchesClosedFormFractionalTau(t *testing.T) {
 }
 
 func TestMachineIdleSlotNegativePanics(t *testing.T) {
-	m, _ := NewMachine(Paper3G())
+	p := Paper3G()
+	var m Tail
 	m.Transfer()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on negative tau")
 		}
 	}()
-	m.IdleSlot(-1)
+	m.IdleSlot(&p, -1)
 }
 
 func TestTailEnergySaturatesAfterFullTail(t *testing.T) {
-	m, _ := NewMachine(Paper3G())
+	p := Paper3G()
+	var m Tail
 	m.Transfer()
 	// Burn the whole tail.
 	for i := 0; i < 10; i++ {
-		m.IdleSlot(1)
+		m.IdleSlot(&p, 1)
 	}
 	// Further idle slots must be free.
-	if e := m.IdleSlot(1); e != 0 {
+	if e := m.IdleSlot(&p, 1); e != 0 {
 		t.Errorf("post-tail idle slot burned %v, want 0", e)
 	}
-	if m.State() != Idle {
-		t.Errorf("state = %v, want IDLE", m.State())
+	if !m.Drained(p.TailDrainedAfter()) {
+		t.Error("tail not drained after the full tail")
 	}
 }
 
 // Property: for arbitrary (valid) profiles and gaps, the incremental
-// machine agrees with the closed form, and energy is within [0, Max].
+// tail agrees with the closed form, and energy is within [0, Max].
 func TestMachineClosedFormProperty(t *testing.T) {
 	f := func(pdRaw, pfRaw, t1Raw, t2Raw uint16, slots uint8) bool {
 		p := Profile{
@@ -255,15 +229,15 @@ func TestMachineClosedFormProperty(t *testing.T) {
 			T1:   units.Seconds(float64(t1Raw%100) / 10),
 			T2:   units.Seconds(float64(t2Raw%100) / 10),
 		}
-		m, err := NewMachine(p)
-		if err != nil {
+		if p.Validate() != nil {
 			return false
 		}
+		var m Tail
 		m.Transfer()
 		var sum units.MJ
 		n := int(slots%40) + 1
 		for i := 0; i < n; i++ {
-			e := m.IdleSlot(0.5)
+			e := m.IdleSlot(&p, 0.5)
 			if e < 0 {
 				return false
 			}
@@ -271,6 +245,9 @@ func TestMachineClosedFormProperty(t *testing.T) {
 		}
 		want := p.TailEnergy(units.Seconds(float64(n) * 0.5))
 		if math.Abs(float64(sum-want)) > 1e-6 {
+			return false
+		}
+		if m.Drained(p.TailDrainedAfter()) != (m.Gap >= p.T1+p.T2) {
 			return false
 		}
 		return sum <= p.MaxTailEnergy()+1e-9
@@ -284,15 +261,15 @@ func TestMachineClosedFormProperty(t *testing.T) {
 func TestTransferRestartsTailProperty(t *testing.T) {
 	f := func(idleBefore uint8) bool {
 		p := Paper3G()
-		m, _ := NewMachine(p)
+		var m Tail
 		m.Transfer()
 		for i := 0; i < int(idleBefore%10); i++ {
-			m.IdleSlot(1)
+			m.IdleSlot(&p, 1)
 		}
 		m.Transfer()
 		var sum units.MJ
 		for i := 0; i < 20; i++ {
-			sum += m.IdleSlot(1)
+			sum += m.IdleSlot(&p, 1)
 		}
 		return math.Abs(float64(sum-p.MaxTailEnergy())) < 1e-6
 	}
@@ -301,16 +278,23 @@ func TestTransferRestartsTailProperty(t *testing.T) {
 	}
 }
 
+// The profile is the caller's, not the tail's: one Tail value priced under
+// two profiles burns what each profile says.
 func TestMachineProfileAndEverActive(t *testing.T) {
-	m, _ := NewMachine(Paper3G())
-	if m.Profile().Name != "3G" {
-		t.Errorf("Profile().Name = %q", m.Profile().Name)
-	}
-	if m.EverActive() {
-		t.Error("fresh machine reports activity")
+	var m Tail
+	if m.EverActive {
+		t.Error("fresh tail reports activity")
 	}
 	m.Transfer()
-	if !m.EverActive() {
-		t.Error("machine not active after transfer")
+	if !m.EverActive {
+		t.Error("tail not active after transfer")
+	}
+	g3, lte := Paper3G(), LTE()
+	a, b := m, m
+	if got, want := a.IdleSlot(&g3, 1), g3.TailEnergy(1); got != want {
+		t.Errorf("3G slot burned %v, want %v", got, want)
+	}
+	if got, want := b.IdleSlot(&lte, 1), lte.TailEnergy(1); got != want {
+		t.Errorf("LTE slot burned %v, want %v", got, want)
 	}
 }
