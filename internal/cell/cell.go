@@ -436,7 +436,7 @@ type Simulator struct {
 	// restore it after every outage slot zeroes slot.CapacityUnits.
 	capUnits int
 
-	// Run-scoped state of the sharded engine, set by startRun and consumed
+	// Run-scoped state of the sharded engine, set by Start and consumed
 	// by tickSlot and the shard bodies (engine.go). The shard bodies are
 	// method values bound once per run so the slot loop never allocates a
 	// closure; they read the per-slot parameters from these fields.
@@ -657,7 +657,7 @@ func (s *Simulator) newResult() *Result {
 		Users:         make([]UserTotals, n),
 		// Pre-size the per-slot series from the slot horizon so the tick
 		// never reallocates. A run that finishes early does not keep the
-		// rest: finishRun clips the series to the slots it ran, so a
+		// rest: Finish clips the series to the slots it ran, so a
 		// cached Result holds its rows, not the horizon.
 		PerSlot: make([]SlotTotals, 0, s.cfg.MaxSlots),
 	}

@@ -26,26 +26,17 @@ import (
 // commit, none of the live list, shards, fusion or table windows — as the
 // differential reference.
 //
-// Two further structural optimizations live here (see DESIGN.md §10):
-//
-//   - Fused commit+prepare: commit of slot n and prepare of slot n+1 read
-//     and write the same per-user state but have no cross-user
-//     dependencies, so the engine runs them as one pass — each user is
-//     committed for slot n and immediately prepared for slot n+1,
-//     touching its state once per slot instead of twice. Per-user the
-//     operation order is exactly commit(n);prepare(n+1), which equals the
-//     phase-separated engine because neither phase reads another user's
-//     state. Users admitted at n+1 (absent from slot n's live list) are
-//     patched in by admit; users retired at n are prepared wastefully and
-//     then re-zeroed by dropRetired, exactly as the phase-separated
-//     engine leaves them.
-//
-//   - Multi-arm lockstep (RunArms): several simulators sharing one
-//     workload and link table are ticked slot-by-slot in one loop, so a
-//     slot's static physics windows stay cache-hot across all arms. Each
-//     arm executes the identical per-slot sequence it would run alone,
-//     which makes its Result byte-identical to a single-arm run by
-//     construction (asserted by internal/simtest's multi-arm matrix).
+// One further structural optimization lives here (see DESIGN.md §10):
+// fused commit+prepare. Commit of slot n and prepare of slot n+1 read and
+// write the same per-user state but have no cross-user dependencies, so
+// the engine runs them as one pass — each user is committed for slot n and
+// immediately prepared for slot n+1, touching its state once per slot
+// instead of twice. Per-user the operation order is exactly
+// commit(n);prepare(n+1), which equals the phase-separated engine because
+// neither phase reads another user's state. Users admitted at n+1 (absent
+// from slot n's live list) are patched in by admit; users retired at n are
+// prepared wastefully and then re-zeroed by dropRetired, exactly as the
+// phase-separated engine leaves them.
 
 // Run executes the simulation and returns the collected result.
 func (s *Simulator) Run() (*Result, error) {
@@ -79,7 +70,28 @@ func (s *Simulator) Start(ctx context.Context) error {
 	if err := s.begin(); err != nil {
 		return err
 	}
-	s.startRun(ctx)
+	s.curRes = s.newResult()
+	s.colsSlot = -1
+
+	// Phase attribution for -cpuprofile: one labeled context per phase,
+	// created once per run (pprof.Do would allocate per call).
+	// SetGoroutineLabels is allocation-free, and pool.Shard spawns its
+	// workers after the label is set, so shard goroutines inherit the
+	// current phase label. The fused pass gets its own label: its samples
+	// are commit(n) and prepare(n+1) work combined.
+	s.lblPrep = pprof.WithLabels(ctx, pprof.Labels("phase", "prepare"))
+	s.lblSched = pprof.WithLabels(ctx, pprof.Labels("phase", "schedule"))
+	s.lblCommit = pprof.WithLabels(ctx, pprof.Labels("phase", "commit"))
+	s.lblFused = pprof.WithLabels(ctx, pprof.Labels("phase", "fused"))
+
+	// The shard bodies are method values bound once here: a closure literal
+	// inside the slot loop would capture the slot index and allocate a fresh
+	// func value every slot, breaking the steady-state zero-allocation
+	// guarantee.
+	s.prepFn = s.prepareShardBody
+	s.commFn = s.commitShardBody
+	s.fusedFn = s.fusedShardBody
+
 	s.stepCtx = ctx
 	s.nextSlot = 0
 	s.stepDone = false
@@ -123,121 +135,12 @@ func (s *Simulator) Advance(upto int) (bool, error) {
 	return s.stepDone, nil
 }
 
-// Finish pads the recorded series, finalizes and returns the Result of a
-// stepped run. Call it once Advance reports done (calling earlier
-// finalizes the slots ticked so far, which is only meaningful for tests).
+// Finish clips the per-slot series to the slots the run ticked, pads the
+// recorded series, finalizes and returns the Result of a stepped run. Call
+// it once Advance reports done (calling earlier finalizes the slots ticked
+// so far, which is only meaningful for tests).
 func (s *Simulator) Finish() *Result {
-	res := s.finishRun()
 	s.stepCtx = nil
-	return res
-}
-
-// RunArms executes several simulators over a shared slot clock; see
-// RunArmsCtx.
-func RunArms(sims []*Simulator) ([]*Result, error) {
-	return RunArmsCtx(context.Background(), sims)
-}
-
-// RunArmsCtx ticks all scheduler arms in lockstep: one slot loop, inside
-// which every still-running arm executes its prepare/schedule/commit for
-// that slot. The arms are expected to share a workload and a compiled
-// link table (Config.Link) — that is what makes lockstep worthwhile,
-// because each slot's static physics window is read by every arm while
-// still cache-hot — but nothing is shared mutably: each arm owns its
-// user state, columns and result, and executes exactly the per-slot
-// sequence RunCtx would run for it alone. Every arm's Result is
-// therefore byte-identical to its own single-arm run, for any worker
-// count. Arms may have different horizons and finish (or early-exit) on
-// different slots; results are returned in arm order. An error in any
-// arm aborts the whole call.
-func RunArmsCtx(ctx context.Context, sims []*Simulator) ([]*Result, error) {
-	if len(sims) == 0 {
-		return nil, fmt.Errorf("cell: no arms")
-	}
-	maxSlots := 0
-	for k, sim := range sims {
-		if sim == nil {
-			return nil, fmt.Errorf("cell: arm %d is nil", k)
-		}
-		if err := sim.begin(); err != nil {
-			return nil, fmt.Errorf("cell: arm %d: %w", k, err)
-		}
-		if sim.cfg.MaxSlots > maxSlots {
-			maxSlots = sim.cfg.MaxSlots
-		}
-	}
-	for _, sim := range sims {
-		sim.startRun(ctx)
-	}
-	defer pprof.SetGoroutineLabels(ctx)
-	// The normal way out stops each arm's link window in finishRun; this
-	// covers the error returns below (stopping twice is harmless).
-	defer func() {
-		for _, sim := range sims {
-			sim.stopWindow()
-		}
-	}()
-
-	done := make([]bool, len(sims))
-	running := len(sims)
-	for slotIdx := 0; slotIdx < maxSlots && running > 0; slotIdx++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("cell: run cancelled at slot %d: %w", slotIdx, err)
-		}
-		for k, sim := range sims {
-			if done[k] || slotIdx >= sim.cfg.MaxSlots {
-				if !done[k] && slotIdx >= sim.cfg.MaxSlots {
-					done[k] = true
-					running--
-				}
-				continue
-			}
-			armDone, err := sim.tickSlot(slotIdx)
-			if err != nil {
-				return nil, fmt.Errorf("cell: arm %d (%s): %w", k, sim.sched.Name(), err)
-			}
-			if armDone {
-				done[k] = true
-				running--
-			}
-		}
-	}
-	results := make([]*Result, len(sims))
-	for k, sim := range sims {
-		results[k] = sim.finishRun()
-	}
-	return results, nil
-}
-
-// startRun initializes the run-scoped engine state: the result shell,
-// the phase-label contexts for -cpuprofile attribution, and the shard
-// bodies. The bodies are method values bound
-// once here — a closure literal inside the slot loop would capture the
-// slot index and allocate a fresh func value every slot, breaking the
-// steady-state zero-allocation guarantee.
-func (s *Simulator) startRun(ctx context.Context) {
-	s.curRes = s.newResult()
-	s.colsSlot = -1
-
-	// Phase attribution for -cpuprofile: one labeled context per phase,
-	// created once per run (pprof.Do would allocate per call).
-	// SetGoroutineLabels is allocation-free, and pool.Shard spawns its
-	// workers after the label is set, so shard goroutines inherit the
-	// current phase label. The fused pass gets its own label: its samples
-	// are commit(n) and prepare(n+1) work combined.
-	s.lblPrep = pprof.WithLabels(ctx, pprof.Labels("phase", "prepare"))
-	s.lblSched = pprof.WithLabels(ctx, pprof.Labels("phase", "schedule"))
-	s.lblCommit = pprof.WithLabels(ctx, pprof.Labels("phase", "commit"))
-	s.lblFused = pprof.WithLabels(ctx, pprof.Labels("phase", "fused"))
-
-	s.prepFn = s.prepareShardBody
-	s.commFn = s.commitShardBody
-	s.fusedFn = s.fusedShardBody
-}
-
-// finishRun clips the per-slot series to the slots the run ticked, pads
-// the recorded series and finalizes the result.
-func (s *Simulator) finishRun() *Result {
 	s.stopWindow()
 	res := s.curRes
 	if cap(res.PerSlot) > len(res.PerSlot) {

@@ -445,11 +445,11 @@ func TestMaxLinkUnitsFillsPartTable(t *testing.T) {
 	}
 }
 
-// TestFinishClipsPerSlot: a closed run that ends before its horizon — alone,
-// stepped, or as arms of one RunArms group ending on different slots —
-// returns a per-slot series of exactly the slots it ran (len == cap ==
-// Slots), not the horizon-sized one the tick appends into; a run that goes
-// the distance returns that very series, uncopied.
+// TestFinishClipsPerSlot: a closed run that ends before its horizon — two
+// single runs, ending on different slots — returns a per-slot series of
+// exactly the slots it ran (len == cap == Slots), not the horizon-sized one
+// the tick appends into; a stepped run that goes the distance returns that
+// very series, uncopied.
 func TestFinishClipsPerSlot(t *testing.T) {
 	gen := func(seed uint64) []*workload.Session {
 		wl, err := workload.Generate(workload.Config{
@@ -483,23 +483,18 @@ func TestFinishClipsPerSlot(t *testing.T) {
 	}
 	exact("alone", alone)
 
-	var arms []*Simulator
-	for _, seed := range []uint64{9, 10} {
-		sim, err := New(cfg, gen(seed), sched.NewDefault())
-		if err != nil {
-			t.Fatal(err)
-		}
-		arms = append(arms, sim)
-	}
-	res, err := RunArms(arms)
+	other, err := New(cfg, gen(10), sched.NewDefault())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].Slots == res[1].Slots {
-		t.Fatal("script error: both arms ended on the same slot")
+	res, err := other.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	exact("arm 0", res[0])
-	exact("arm 1", res[1])
+	if res.Slots == alone.Slots {
+		t.Fatal("script error: both runs ended on the same slot")
+	}
+	exact("other", res)
 
 	cfg.RunFullHorizon = true
 	sim, err = New(cfg, wl, sched.NewDefault())

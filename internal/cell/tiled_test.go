@@ -445,15 +445,6 @@ func TestClosedRunGoroutineLeak(t *testing.T) {
 				t.Fatal("failed run left its link window running")
 			}
 		},
-		"arms-error": func() {
-			a, b := build(sched.NewDefault(), false), build(failAtSlot{sched.NewDefault(), 21}, true)
-			if _, err := RunArms([]*Simulator{a, b}); err == nil {
-				t.Fatal("arm with an over-allocating scheduler succeeded")
-			}
-			if a.win.handoffMin != handoffNever || a.win.inflight {
-				t.Fatal("failed RunArms left the healthy arm's link window running")
-			}
-		},
 		"cancel": func() {
 			sim := build(sched.NewDefault(), false)
 			ctx, cancel := context.WithCancel(context.Background())

@@ -21,7 +21,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"jointstream/internal/cell"
@@ -160,9 +159,9 @@ type Figure struct {
 // Runner executes figures, memoizing simulation results by scenario so
 // shared Default reference runs are computed once. Runner is safe for
 // concurrent use: simultaneous requests for the same run coalesce onto a
-// single simulation (singleflight), so AllParallel never duplicates work.
+// single simulation (one memo), so AllParallel never duplicates work.
 //
-// Beneath the result cache sits a workload cache: every scenario's
+// Beneath the result memo sits a workload memo: every scenario's
 // sessions are generated once, their link table compiled once, and the
 // pair shared by every scheduler run over that scenario (a (users,
 // avgSize) scenario is simulated by up to eight schedulers plus the EMA
@@ -176,28 +175,9 @@ type Figure struct {
 type Runner struct {
 	opts Options
 
-	mu       sync.Mutex
-	cache    map[string]*cell.Result
-	inflight map[string]chan struct{}
-
-	wlMu       sync.Mutex
-	wlCache    map[string]*sharedWorkload
-	wlInflight map[string]chan struct{}
-	wlHits     int64
-	wlMisses   int64
-
-	// oracleCache memoizes the tail-accounted oracle bracket per
-	// scenario (the lookahead sweep prices many K against one bracket).
-	oracleMu    sync.Mutex
-	oracleCache map[string]oracle.Bounds
-
-	// Multi-arm dispatch counters: armGroups is the number of
-	// cell.RunArms lockstep groups executed, groupedRuns the total
-	// simulations that ran inside one (always ≥ 2 per group; singleton
-	// batches fall back to the plain single-arm path and count in
-	// neither).
-	armGroups   atomic.Int64
-	groupedRuns atomic.Int64
+	results   memo[*cell.Result]    // by runKey
+	workloads memo[*sharedWorkload] // by workloadKey
+	brackets  memo[oracle.Bounds]   // the tail-accounted oracle bracket, by workloadKey
 
 	// runCtx holds the context the current parallel suite runs under;
 	// simulate threads it into cell.RunCtx so a cancelled AllParallel
@@ -234,20 +214,12 @@ func NewRunner(opts Options) (*Runner, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	return &Runner{
-		opts:       opts,
-		cache:      make(map[string]*cell.Result),
-		inflight:   make(map[string]chan struct{}),
-		wlCache:    make(map[string]*sharedWorkload),
-		wlInflight: make(map[string]chan struct{}),
-	}, nil
+	return &Runner{opts: opts}, nil
 }
 
 // cacheSize reports the number of memoized runs (tests).
 func (r *Runner) cacheSize() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.cache)
+	return len(r.results.snapshot())
 }
 
 // WorkloadCacheStats reports how often simulations reused an
@@ -255,17 +227,15 @@ func (r *Runner) cacheSize() int {
 // workload generation and link-table compilation; misses are the
 // distinct scenarios actually built.
 func (r *Runner) WorkloadCacheStats() (hits, misses int64) {
-	r.wlMu.Lock()
-	defer r.wlMu.Unlock()
-	return r.wlHits, r.wlMisses
+	return r.workloads.stats()
 }
 
-// MultiArmStats reports the multi-arm dispatch counters: groups is the
-// number of lockstep cell.RunArms calls the figure sweeps issued, runs
-// the total simulations executed inside them. runs/groups is the mean
-// arm count per workload group.
+// MultiArmStats always reports (0, 0): every run is one simulation of its
+// own, and no arms are grouped any more. It stays only because the
+// benchmark's experiments.arm_groups and arms_per_group rows read it, and
+// goes with those rows (ROADMAP item 10).
 func (r *Runner) MultiArmStats() (groups, runs int64) {
-	return r.armGroups.Load(), r.groupedRuns.Load()
+	return 0, 0
 }
 
 // Options returns the runner's options.
@@ -299,184 +269,31 @@ type schedBuilder struct {
 	buildWith func(*sharedWorkload) (sched.Scheduler, error)
 }
 
-// runKey is the result-cache key of one (scenario, scheduler) run. The
-// single-arm and multi-arm paths share it, so a result computed by
-// either satisfies later requests from both.
+// runKey is the result-memo key of one (scenario, scheduler) run.
 func runKey(sc scenario, sb schedBuilder) string {
-	return fmt.Sprintf("%s|n=%d|mb=%g|cdf=%v", sb.key, sc.users, sc.avgSizeMB, sc.recordCDF)
+	return fmt.Sprintf("%s|%s|cdf=%v", sb.key, sc.workloadKey(), sc.recordCDF)
+}
+
+// workloadKey identifies the scenario's workload. It deliberately omits
+// recordCDF — recording per-user samples changes what a run collects, not
+// the demand or the channel, so CDF and non-CDF runs share one workload.
+// The per-Runner option knobs that shape generation (seed, signal period,
+// jitter, interarrival) are constants of the Runner, so (users, avgSize)
+// identifies the workload completely.
+func (s scenario) workloadKey() string {
+	return fmt.Sprintf("n=%d|mb=%g", s.users, s.avgSizeMB)
 }
 
 // run executes (or recalls) one simulation. Concurrent callers asking
 // for the same key block until the first caller's simulation finishes.
 func (r *Runner) run(sc scenario, sb schedBuilder) (*cell.Result, error) {
-	key := runKey(sc, sb)
-	for {
-		r.mu.Lock()
-		if res, ok := r.cache[key]; ok {
-			r.mu.Unlock()
-			return res, nil
-		}
-		if wait, ok := r.inflight[key]; ok {
-			r.mu.Unlock()
-			<-wait
-			continue // re-check: the leader stored a result or failed
-		}
-		done := make(chan struct{})
-		r.inflight[key] = done
-		r.mu.Unlock()
-
-		res, err := r.simulate(sc, sb)
-
-		r.mu.Lock()
-		delete(r.inflight, key)
-		if err == nil {
-			r.cache[key] = res
-		}
-		r.mu.Unlock()
-		close(done)
-		return res, err
-	}
-}
-
-// runBatch executes several scheduler arms over one scenario, in
-// lockstep when possible. Arms already cached are returned from the
-// cache; arms another caller is computing are waited on; the remaining
-// arms are claimed under the singleflight map and dispatched as ONE
-// cell.RunArms group over the scenario's shared workload and link
-// table, so each slot's static physics window is read by every claimed
-// arm while still cache-hot. Results come back in builder order. Every
-// arm's Result is byte-identical to the single-arm r.run — RunArms
-// guarantees it by construction and TestRunBatchMatchesSingle plus the
-// internal/simtest multi-arm matrix pin it — so batched and unbatched
-// sweeps fill the cache with interchangeable results.
-func (r *Runner) runBatch(sc scenario, sbs []schedBuilder) ([]*cell.Result, error) {
-	results := make([]*cell.Result, len(sbs))
-	keys := make([]string, len(sbs))
-	var mine []int // indices this caller claimed
-	r.mu.Lock()
-	for i, sb := range sbs {
-		keys[i] = runKey(sc, sb)
-		if res, ok := r.cache[keys[i]]; ok {
-			results[i] = res
-			continue
-		}
-		if _, busy := r.inflight[keys[i]]; busy {
-			continue // some other caller leads this arm; wait below
-		}
-		r.inflight[keys[i]] = make(chan struct{})
-		mine = append(mine, i)
-	}
-	r.mu.Unlock()
-
-	if len(mine) > 0 {
-		got, err := r.simulateArms(sc, sbs, mine)
-		r.mu.Lock()
-		for j, i := range mine {
-			done := r.inflight[keys[i]]
-			delete(r.inflight, keys[i])
-			if err == nil {
-				r.cache[keys[i]] = got[j]
-				results[i] = got[j]
-			}
-			close(done)
-		}
-		r.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Arms led by concurrent callers (or raced into the cache between the
-	// two critical sections): the plain singleflight path waits them out.
-	for i, sb := range sbs {
-		if results[i] != nil {
-			continue
-		}
-		res, err := r.run(sc, sb)
-		if err != nil {
-			return nil, err
-		}
-		results[i] = res
-	}
-	return results, nil
-}
-
-// simulateArms builds one simulator per claimed arm over the scenario's
-// shared workload and runs them: alone via the ordinary single-arm path,
-// together via cell.RunArms lockstep.
-func (r *Runner) simulateArms(sc scenario, sbs []schedBuilder, idx []int) ([]*cell.Result, error) {
-	if len(idx) == 1 {
-		res, err := r.simulate(sc, sbs[idx[0]])
-		if err != nil {
-			return nil, err
-		}
-		return []*cell.Result{res}, nil
-	}
-	cfg := r.opts.Cell
-	cfg.RecordPerUserSlots = sc.recordCDF
-	sw, err := r.workloadFor(sc)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Link = sw.link
-	sims := make([]*cell.Simulator, len(idx))
-	for j, i := range idx {
-		sb := sbs[i]
-		var s sched.Scheduler
-		if sb.buildWith != nil {
-			s, err = sb.buildWith(sw)
-		} else {
-			s, err = sb.build()
-		}
-		if err != nil {
-			return nil, err
-		}
-		if sims[j], err = cell.New(cfg, sw.sessions, s); err != nil {
-			return nil, err
-		}
-	}
-	r.armGroups.Add(1)
-	r.groupedRuns.Add(int64(len(sims)))
-	return cell.RunArmsCtx(r.runContext(), sims)
+	return r.results.get(runKey(sc, sb), func() (*cell.Result, error) { return r.simulate(sc, sb) })
 }
 
 // workloadFor returns the scenario's shared workload, generating and
-// compiling it on first request. The key deliberately omits recordCDF —
-// recording per-user samples changes what a run collects, not the
-// demand or the channel, so CDF and non-CDF runs share one workload.
-// The per-Runner option knobs that shape generation (seed, signal
-// period, jitter, interarrival) are constants of the Runner, so (users,
-// avgSize) identifies the workload completely.
+// compiling it on first request.
 func (r *Runner) workloadFor(sc scenario) (*sharedWorkload, error) {
-	key := fmt.Sprintf("n=%d|mb=%g", sc.users, sc.avgSizeMB)
-	for {
-		r.wlMu.Lock()
-		if sw, ok := r.wlCache[key]; ok {
-			r.wlHits++
-			r.wlMu.Unlock()
-			return sw, nil
-		}
-		if wait, ok := r.wlInflight[key]; ok {
-			r.wlMu.Unlock()
-			<-wait
-			continue
-		}
-		done := make(chan struct{})
-		r.wlInflight[key] = done
-		r.wlMisses++
-		r.wlMu.Unlock()
-
-		sw, err := r.buildWorkload(sc)
-
-		r.wlMu.Lock()
-		delete(r.wlInflight, key)
-		if err == nil {
-			r.wlCache[key] = sw
-		}
-		r.wlMu.Unlock()
-		close(done)
-		return sw, err
-	}
+	return r.workloads.get(sc.workloadKey(), func() (*sharedWorkload, error) { return r.buildWorkload(sc) })
 }
 
 // buildWorkload generates and link-compiles one scenario workload. After
@@ -512,9 +329,7 @@ func (r *Runner) buildWorkload(sc scenario) (*sharedWorkload, error) {
 // tables, horizon Σ users × Slots, the rows an eager fill would have
 // written.
 func (r *Runner) LinkFillStats() (filled, horizon int64) {
-	r.wlMu.Lock()
-	defer r.wlMu.Unlock()
-	for _, sw := range r.wlCache {
+	for _, sw := range r.workloads.snapshot() {
 		if lt := sw.link; lt != nil {
 			filled += int64(lt.Users()) * int64(lt.FilledSlots())
 			horizon += int64(lt.Users()) * int64(lt.Slots())
@@ -523,8 +338,8 @@ func (r *Runner) LinkFillStats() (filled, horizon int64) {
 	return filled, horizon
 }
 
-// simulate performs the actual run (no result caching; the scenario's
-// workload and link table come from the shared workload cache).
+// simulate performs the actual run (no result memo; the scenario's
+// workload and link table come from the shared workload memo).
 func (r *Runner) simulate(sc scenario, sb schedBuilder) (*cell.Result, error) {
 	cfg := r.opts.Cell
 	cfg.RecordPerUserSlots = sc.recordCDF
@@ -554,17 +369,27 @@ func (r *Runner) defaultRun(sc scenario) (*cell.Result, error) {
 }
 
 // rtmaRun runs RTMA with Φ = alpha·E_Default from the scenario's Default
-// run: rtmaBatch with one arm.
+// run.
 func (r *Runner) rtmaRun(sc scenario, alpha float64) (*cell.Result, error) {
-	rs, err := r.rtmaBatch(sc, []float64{alpha})
+	sb, err := r.rtmaBuilder(sc, alpha)
 	if err != nil {
 		return nil, err
 	}
-	return rs[0], nil
+	return r.run(sc, sb)
 }
 
-// rtmaBuilderFor returns the builder for one RTMA budget, keyed by alpha.
-func (r *Runner) rtmaBuilderFor(alpha float64, budget units.MJ) schedBuilder {
+// rtmaBuilder returns the builder for RTMA at one alpha over the scenario,
+// keyed by alpha: its budget Φ = alpha·E_Default comes from the scenario's
+// plain (non-recording) Default run.
+func (r *Runner) rtmaBuilder(sc scenario, alpha float64) (schedBuilder, error) {
+	def, err := r.defaultRun(scenario{users: sc.users, avgSizeMB: sc.avgSizeMB})
+	if err != nil {
+		return schedBuilder{}, err
+	}
+	budget, err := sched.BudgetForAlpha(def.TransEnergyPerActiveSlot(), alpha)
+	if err != nil {
+		return schedBuilder{}, err
+	}
 	return schedBuilder{
 		key: fmt.Sprintf("rtma(a=%g)", alpha),
 		build: func() (sched.Scheduler, error) {
@@ -572,32 +397,10 @@ func (r *Runner) rtmaBuilderFor(alpha float64, budget units.MJ) schedBuilder {
 				Budget: budget, Radio: r.opts.Cell.Radio, RRC: r.opts.Cell.RRC,
 			})
 		},
-	}
+	}, nil
 }
 
-// rtmaBatch runs RTMA at every alpha over one scenario as a lockstep arm
-// group: the budgets all derive from the same Default reference run, so
-// once that run exists every alpha arm is ready and they share the
-// scenario's workload slot for slot. Results come back in alpha order.
-func (r *Runner) rtmaBatch(sc scenario, alphas []float64) ([]*cell.Result, error) {
-	def, err := r.defaultRun(scenario{users: sc.users, avgSizeMB: sc.avgSizeMB})
-	if err != nil {
-		return nil, err
-	}
-	eRef := def.TransEnergyPerActiveSlot()
-	sbs := make([]schedBuilder, len(alphas))
-	for i, a := range alphas {
-		budget, err := sched.BudgetForAlpha(eRef, a)
-		if err != nil {
-			return nil, err
-		}
-		sbs[i] = r.rtmaBuilderFor(a, budget)
-	}
-	return r.runBatch(sc, sbs)
-}
-
-// emaBuilderFor returns the builder for one Lyapunov weight; single and
-// batched EMA runs share cache entries through the identical key.
+// emaBuilderFor returns the builder for one Lyapunov weight.
 func (r *Runner) emaBuilderFor(v float64) schedBuilder {
 	return schedBuilder{
 		key: fmt.Sprintf("ema(v=%.6g)", v),

@@ -486,9 +486,10 @@ func TestSweepFillsOnlyReachedBlocks(t *testing.T) {
 	want := map[string]int{"n=4|mb=15": 512, "n=8|mb=10": 2000, "n=8|mb=15": 2000, "n=8|mb=20": 2000}
 	horizon := r.opts.Cell.MaxSlots
 	var filled, rows int64
-	for key, sw := range r.wlCache {
+	results, workloads := r.results.snapshot(), r.workloads.snapshot()
+	for key, sw := range workloads {
 		longest := 0
-		for runKey, res := range r.cache {
+		for runKey, res := range results {
 			if strings.Contains(runKey, "|"+key+"|") {
 				longest = max(longest, res.Slots)
 			}
@@ -503,8 +504,8 @@ func TestSweepFillsOnlyReachedBlocks(t *testing.T) {
 		filled += int64(sw.link.Users() * got)
 		rows += int64(sw.link.Users() * horizon)
 	}
-	if len(r.wlCache) != len(want) {
-		t.Errorf("%d scenarios, pinned %d", len(r.wlCache), len(want))
+	if len(workloads) != len(want) {
+		t.Errorf("%d scenarios, pinned %d", len(workloads), len(want))
 	}
 	if f, h := r.LinkFillStats(); f != filled || h != rows {
 		t.Errorf("LinkFillStats = (%d, %d), per-scenario sums (%d, %d)", f, h, filled, rows)
@@ -590,79 +591,5 @@ func TestWorkloadCacheBitwiseNeutral(t *testing.T) {
 	}
 	if a, _ := withTable.WorkloadCacheStats(); a == 0 {
 		t.Error("link-table runner recorded no cache hits")
-	}
-}
-
-// TestRunBatchMatchesSingle is the Runner-level differential gate for
-// the multi-arm dispatch: every arm of a lockstep batch must return a
-// Result byte-identical to the same scheduler's single-arm run on a
-// fresh Runner. simtest.SameResults is not imported here (it would
-// cycle); reflect.DeepEqual over the full Result struct is strictly
-// stronger anyway.
-func TestRunBatchMatchesSingle(t *testing.T) {
-	sbs := []schedBuilder{
-		baselineBuilder("default"), baselineBuilder("throttling"), baselineBuilder("onoff"),
-		baselineBuilder("salsa"), baselineBuilder("estreamer"),
-	}
-	for _, recordCDF := range []bool{false, true} {
-		rBatch := quickRunner(t)
-		rSingle := quickRunner(t)
-		sc := scenario{users: 4, avgSizeMB: 10, recordCDF: recordCDF}
-		batch, err := rBatch.runBatch(sc, sbs)
-		if err != nil {
-			t.Fatalf("runBatch: %v", err)
-		}
-		groups, runs := rBatch.MultiArmStats()
-		if groups != 1 || runs != int64(len(sbs)) {
-			t.Errorf("cdf=%v: MultiArmStats = (%d, %d), want (1, %d)", recordCDF, groups, runs, len(sbs))
-		}
-		for i, sb := range sbs {
-			single, err := rSingle.run(sc, sb)
-			if err != nil {
-				t.Fatalf("run(%s): %v", sb.key, err)
-			}
-			if !reflect.DeepEqual(batch[i], single) {
-				t.Errorf("cdf=%v: arm %s diverges from its single-arm run", recordCDF, sb.key)
-			}
-		}
-	}
-}
-
-// TestRunBatchReusesCache checks the batch path is cache-transparent:
-// arms already computed singly are returned from the cache (no arm
-// group forms for them), and a batch's results satisfy later single
-// requests without re-simulation.
-func TestRunBatchReusesCache(t *testing.T) {
-	r := quickRunner(t)
-	sc := scenario{users: 4, avgSizeMB: 10}
-	def, err := r.run(sc, baselineBuilder("default"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := r.runBatch(sc, []schedBuilder{baselineBuilder("default"), baselineBuilder("throttling"), baselineBuilder("onoff")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch[0] != def {
-		t.Error("batch re-simulated a cached arm")
-	}
-	if groups, runs := r.MultiArmStats(); groups != 1 || runs != 2 {
-		t.Errorf("MultiArmStats = (%d, %d), want (1, 2): only the uncached arms group", groups, runs)
-	}
-	size := r.cacheSize()
-	for _, sb := range []schedBuilder{baselineBuilder("throttling"), baselineBuilder("onoff")} {
-		if _, err := r.run(sc, sb); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r.cacheSize() != size {
-		t.Errorf("single runs after a batch re-simulated: cache grew %d -> %d", size, r.cacheSize())
-	}
-	// A singleton batch takes the single-arm path: no group forms.
-	if _, err := r.runBatch(sc, []schedBuilder{baselineBuilder("salsa")}); err != nil {
-		t.Fatal(err)
-	}
-	if groups, _ := r.MultiArmStats(); groups != 1 {
-		t.Errorf("singleton batch formed an arm group")
 	}
 }

@@ -16,30 +16,26 @@ func (r *Runner) cdfScenario() scenario {
 }
 
 // cdfRTMAPair runs the Fig. 2/3 sample pair — Default and RTMA (α = 1)
-// at the CDF scenario — as one lockstep arm group over the shared
-// workload, after deriving RTMA's budget from the plain (non-recording)
-// Default reference run. The rebuilt RTMA instance only exposes the
-// threshold for figure notes; the simulation used the batched arm.
+// at the CDF scenario, both recording per-user samples — with RTMA's
+// budget derived from the plain (non-recording) Default reference run. The
+// rebuilt RTMA instance only exposes the threshold for figure notes.
 func (r *Runner) cdfRTMAPair() (def, rtma *cell.Result, rt *sched.RTMA, err error) {
 	sc := r.cdfScenario()
-	base, err := r.defaultRun(scenario{users: sc.users, avgSizeMB: sc.avgSizeMB})
+	sb, err := r.rtmaBuilder(sc, 1.0)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	budget, err := sched.BudgetForAlpha(base.TransEnergyPerActiveSlot(), 1.0)
-	if err != nil {
+	if def, err = r.defaultRun(sc); err != nil {
 		return nil, nil, nil, err
 	}
-	sb := r.rtmaBuilderFor(1.0, budget)
-	rs, err := r.runBatch(sc, []schedBuilder{baselineBuilder("default"), sb})
-	if err != nil {
+	if rtma, err = r.run(sc, sb); err != nil {
 		return nil, nil, nil, err
 	}
 	s, err := sb.build()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return rs[0], rs[1], s.(*sched.RTMA), nil
+	return def, rtma, s.(*sched.RTMA), nil
 }
 
 // Fig2 regenerates Figure 2: CDF of the per-slot Jain fairness index,
@@ -142,8 +138,6 @@ func (r *Runner) Fig4a() (*Figure, error) {
 	for i, a := range r.opts.Alphas {
 		byAlpha[i] = Series{Label: fmt.Sprintf("RTMA alpha=%.1f", a)}
 	}
-	// Per scenario: the Default reference first (it sets every alpha's
-	// budget), then all alpha arms as one lockstep group.
 	for _, n := range r.opts.UserCounts {
 		sc := scenario{users: n, avgSizeMB: r.opts.CDFAvgSizeMB}
 		res, err := r.defaultRun(sc)
@@ -152,11 +146,11 @@ func (r *Runner) Fig4a() (*Figure, error) {
 		}
 		def.X = append(def.X, float64(n))
 		def.Y = append(def.Y, float64(res.MeanRebufferPerUser()))
-		rs, err := r.rtmaBatch(sc, r.opts.Alphas)
-		if err != nil {
-			return nil, err
-		}
-		for i, ar := range rs {
+		for i, a := range r.opts.Alphas {
+			ar, err := r.rtmaRun(sc, a)
+			if err != nil {
+				return nil, err
+			}
 			byAlpha[i].X = append(byAlpha[i].X, float64(n))
 			byAlpha[i].Y = append(byAlpha[i].Y, float64(ar.MeanRebufferPerUser()))
 		}
@@ -188,11 +182,11 @@ func (r *Runner) Fig4b() (*Figure, error) {
 		}
 		def.X = append(def.X, mb)
 		def.Y = append(def.Y, float64(res.MeanRebufferPerUser()))
-		rs, err := r.rtmaBatch(sc, r.opts.Alphas)
-		if err != nil {
-			return nil, err
-		}
-		for i, ar := range rs {
+		for i, a := range r.opts.Alphas {
+			ar, err := r.rtmaRun(sc, a)
+			if err != nil {
+				return nil, err
+			}
 			byAlpha[i].X = append(byAlpha[i].X, mb)
 			byAlpha[i].Y = append(byAlpha[i].Y, float64(ar.MeanRebufferPerUser()))
 		}
@@ -221,14 +215,12 @@ func (r *Runner) Fig5a() (*Figure, error) {
 	for i, l := range labels {
 		series[i] = Series{Label: l}
 	}
-	// All three independent baselines of a scenario run as one lockstep
-	// group over its shared workload.
 	for _, n := range r.opts.UserCounts {
-		rs, err := r.runBatch(scenario{users: n, avgSizeMB: r.opts.CDFAvgSizeMB}, builders)
-		if err != nil {
-			return nil, err
-		}
-		for i, res := range rs {
+		for i, sb := range builders {
+			res, err := r.run(scenario{users: n, avgSizeMB: r.opts.CDFAvgSizeMB}, sb)
+			if err != nil {
+				return nil, err
+			}
 			series[i].X = append(series[i].X, float64(n))
 			series[i].Y = append(series[i].Y, float64(res.MeanRebufferPerUser()))
 		}

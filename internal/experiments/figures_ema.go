@@ -9,27 +9,18 @@ import (
 )
 
 // cdfEMAPair runs the Fig. 6/7 sample pair — Default and EMA (β = 1) at
-// the CDF scenario — as one lockstep arm group. The calibration ladder
-// stays sequential (each bisection step needs the previous step's
-// measured PC), but it runs on the plain non-recording scenario; only
-// the final recording pair is batched.
+// the CDF scenario, both recording per-user samples. The calibration
+// ladder (each bisection step needs the previous step's measured PC) runs
+// on the plain non-recording scenario; only the final pair records.
 func (r *Runner) cdfEMAPair() (def, ema *cell.Result, v float64, err error) {
 	sc := r.cdfScenario()
-	plain := scenario{users: sc.users, avgSizeMB: sc.avgSizeMB}
-	base, err := r.defaultRun(plain)
-	if err != nil {
+	if ema, v, err = r.emaRun(sc, 1.0); err != nil {
 		return nil, nil, 0, err
 	}
-	omega := base.PC() // Ω = β·R_Default with β = 1
-	v, err = r.calibrateV(plain, omega)
-	if err != nil {
+	if def, err = r.defaultRun(sc); err != nil {
 		return nil, nil, 0, err
 	}
-	rs, err := r.runBatch(sc, []schedBuilder{baselineBuilder("default"), r.emaBuilderFor(v)})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return rs[0], rs[1], v, nil
+	return def, ema, v, nil
 }
 
 // Fig6 regenerates Figure 6: CDF of the per-slot Jain fairness index,
@@ -202,15 +193,14 @@ func (r *Runner) fig9(energy bool) (*Figure, error) {
 			"default": "Default", "salsa": "SALSA", "estreamer": "EStreamer",
 		}[sb.key]}
 	}
-	// The three independent baselines run as one lockstep group per
-	// scenario; only EMA (whose Ω depends on EStreamer's measured
-	// rebuffering) trails behind them.
+	// EMA, whose Ω depends on EStreamer's measured rebuffering, trails the
+	// three independent baselines.
 	for _, n := range r.opts.UserCounts {
-		rs, err := r.runBatch(scenario{users: n, avgSizeMB: r.opts.CDFAvgSizeMB}, builders)
-		if err != nil {
-			return nil, err
-		}
-		for i, res := range rs {
+		for i, sb := range builders {
+			res, err := r.run(scenario{users: n, avgSizeMB: r.opts.CDFAvgSizeMB}, sb)
+			if err != nil {
+				return nil, err
+			}
 			series[i].X = append(series[i].X, float64(n))
 			series[i].Y = append(series[i].Y, extract(res))
 		}

@@ -57,37 +57,25 @@ func (r *Runner) predictiveRun(sc scenario, k int, errFrac float64) (*cell.Resul
 // oracleBracket memoizes the tail-accounted oracle bounds for one
 // scenario (the lookahead sweep evaluates one bracket against many K).
 func (r *Runner) oracleBracket(sc scenario) (oracle.Bounds, error) {
-	r.oracleMu.Lock()
-	defer r.oracleMu.Unlock()
-	key := fmt.Sprintf("n=%d|mb=%g", sc.users, sc.avgSizeMB)
-	if b, ok := r.oracleCache[key]; ok {
-		return b, nil
-	}
-	sw, err := r.workloadFor(sc)
-	if err != nil {
-		return oracle.Bounds{}, err
-	}
-	cfg := oracle.Config{
-		Tau:         r.opts.Cell.Tau,
-		Unit:        r.opts.Cell.Unit,
-		Capacity:    r.opts.Cell.Capacity,
-		Horizon:     r.opts.Cell.MaxSlots,
-		Radio:       r.opts.Cell.Radio,
-		RRC:         r.opts.Cell.RRC,
-		AccountTail: true,
-	}
-	if sw.link != nil {
-		cfg.Link = sw.link
-	}
-	b, err := oracle.Compute(cfg, sw.sessions)
-	if err != nil {
-		return oracle.Bounds{}, err
-	}
-	if r.oracleCache == nil {
-		r.oracleCache = make(map[string]oracle.Bounds)
-	}
-	r.oracleCache[key] = b
-	return b, nil
+	return r.brackets.get(sc.workloadKey(), func() (oracle.Bounds, error) {
+		sw, err := r.workloadFor(sc)
+		if err != nil {
+			return oracle.Bounds{}, err
+		}
+		cfg := oracle.Config{
+			Tau:         r.opts.Cell.Tau,
+			Unit:        r.opts.Cell.Unit,
+			Capacity:    r.opts.Cell.Capacity,
+			Horizon:     r.opts.Cell.MaxSlots,
+			Radio:       r.opts.Cell.Radio,
+			RRC:         r.opts.Cell.RRC,
+			AccountTail: true,
+		}
+		if sw.link != nil { // a nil *LinkTable would be a non-nil LinkView
+			cfg.Link = sw.link
+		}
+		return oracle.Compute(cfg, sw.sessions)
+	})
 }
 
 // predictiveLookaheads is the K axis of the sweep; the sentinel -1

@@ -132,7 +132,10 @@ func TestStalledEndpointDoesNotBlockTick(t *testing.T) {
 
 // TestAsyncMatchesSyncForHealthyEndpoints: with prompt endpoints the
 // async path must complete every delivery inside the slot and reproduce
-// the synchronous path's outcome.
+// the synchronous path's outcome. The slot deadline is one no delivery
+// here can miss: under load a prompt endpoint can overrun asyncConfig's
+// 5 ms, and the misses would trip the breaker, so the outcome would
+// depend on the wall clock.
 func TestAsyncMatchesSyncForHealthyEndpoints(t *testing.T) {
 	run := func(cfg Config) ([]Stats, [][]byte) {
 		g, err := New(cfg, sched.NewDefault())
@@ -162,7 +165,9 @@ func TestAsyncMatchesSyncForHealthyEndpoints(t *testing.T) {
 	}
 
 	syncStats, syncPayloads := run(testConfig())
-	asyncStats, asyncPayloads := run(asyncConfig())
+	async := testConfig()
+	async.Policy = Policy{AsyncDelivery: true, SlotDeadline: 10 * time.Second}
+	asyncStats, asyncPayloads := run(async)
 	for i := range syncStats {
 		if syncStats[i].SentKB != asyncStats[i].SentKB {
 			t.Errorf("user %d: sentKB sync %v != async %v", i, syncStats[i].SentKB, asyncStats[i].SentKB)

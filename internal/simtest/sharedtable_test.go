@@ -16,9 +16,9 @@ import (
 
 // TestSharedLazyTableReaders puts every kind of reader the experiment
 // harness hands one scenario's link table on one lazily filled table at
-// once — a RunArms lockstep group, single runs, a Predictive run steered by
-// the exact Forecast, one steered by a NoisyForecast, and oracle.Compute —
-// and requires each to get, reflect.DeepEqual, what the same reader gets
+// once — three runs one after another on one goroutine, a single run, a
+// Predictive run steered by the exact Forecast, one steered by a
+// NoisyForecast, and oracle.Compute — and requires each to get, reflect.DeepEqual, what the same reader gets
 // alone on a private, eagerly filled table of an identically generated
 // workload. The runs end at different slots, so blocks are first reached
 // by whichever reader gets there first; under -race this is the check that
@@ -46,7 +46,7 @@ func TestSharedLazyTableReaders(t *testing.T) {
 	// what it read. They run on goroutines of their own, so they report
 	// errors instead of failing the test.
 	readers := map[string]func(lt *cell.LinkTable, wl []*workload.Session) (any, error){
-		"arms": func(lt *cell.LinkTable, wl []*workload.Session) (any, error) {
+		"serial": func(lt *cell.LinkTable, wl []*workload.Session) (any, error) {
 			ema, err := sched.NewEMA(sched.EMAConfig{V: 0.2, RRC: cfg.RRC})
 			if err != nil {
 				return nil, err
@@ -55,17 +55,15 @@ func TestSharedLazyTableReaders(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			c := cfg
-			c.Link = lt
-			var sims []*cell.Simulator
+			var rs []*cell.Result
 			for _, s := range []sched.Scheduler{sched.NewDefault(), ema, rtma} {
-				sim, err := cell.New(c, wl, s)
+				res, err := runOn(cfg, lt, wl, s)
 				if err != nil {
 					return nil, err
 				}
-				sims = append(sims, sim)
+				rs = append(rs, res)
 			}
-			return cell.RunArms(sims)
+			return rs, nil
 		},
 		"single": func(lt *cell.LinkTable, wl []*workload.Session) (any, error) {
 			onOff, err := sched.NewOnOff(10, 40)
@@ -137,8 +135,8 @@ func TestSharedLazyTableReaders(t *testing.T) {
 			t.Errorf("%s: what it read from the shared lazy table differs from a private eager table", name)
 		}
 	}
-	if res := got["arms"].([]*cell.Result); res[0].Slots >= cfg.MaxSlots || res[0].Slots < 256 {
-		t.Errorf("script error: the Default arm ran %d slots, want an early finish past the first block", res[0].Slots)
+	if res := got["serial"].([]*cell.Result); res[0].Slots >= cfg.MaxSlots || res[0].Slots < 256 {
+		t.Errorf("script error: the Default run ran %d slots, want an early finish past the first block", res[0].Slots)
 	}
 }
 
