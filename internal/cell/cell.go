@@ -86,8 +86,8 @@ type Config struct {
 	// worth handing off, in place otherwise, and then the second block is
 	// never allocated). Results are byte-identical to the whole-horizon
 	// table's (differentially asserted). Ignored when a caller-supplied
-	// Link is present; a value ≥ MaxSlots compiles the whole horizon.
-	// (OpenConfig.TileSlots, by contrast, is the length of one block.)
+	// Link is present and by the open engine (OpenConfig.TileSlots is one
+	// block's length); a value ≥ MaxSlots compiles the whole horizon.
 	LinkTileSlots int
 	// Outages lists base-station outage windows: during each [From, To)
 	// slot range the serving capacity is zero, no allocation happens, and
@@ -409,8 +409,8 @@ type Simulator struct {
 	shardSize int // resolved Config.ShardSize (0 → defaultShardSize)
 	// win is the run's link window (linkwindow.go), whose slot rows the
 	// static physics columns alias: over a compiled LinkTable, a sliding
-	// one under Config.LinkTileSlots, or the open engine's (NewOpen
-	// installs it). nil → the interface path.
+	// one under Config.LinkTileSlots, or the open engine's (newSim builds
+	// all three). nil → the interface path.
 	win     *linkWindow
 	live    []int // started, unretired users, ascending index
 	pending []int // not-yet-started users, ordered by (StartSlot, index)
@@ -498,20 +498,24 @@ func (s *Simulator) outageAt(n int) bool {
 // created fresh, so a Simulator must not be reused across runs — build a
 // new one (schedulers with internal state must also be fresh).
 func New(cfg Config, sessions []*workload.Session, s sched.Scheduler) (*Simulator, error) {
-	return newSim(cfg, sessions, s, false)
+	return newSim(cfg, sessions, s, nil)
 }
 
-// newSim is New's implementation; allowEmpty lets the open-system engine
-// (NewOpen) start with zero sessions — an idle service admitting its
-// whole population mid-run — which is never valid for a closed run.
-func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, allowEmpty bool) (*Simulator, error) {
+// openShape is an open engine's link window: span-slot blocks (0 = none)
+// of rows rows, filled up to horizon (-1 = unbounded).
+type openShape struct{ span, rows, horizon int }
+
+// newSim is New's implementation, and NewOpen's with open set: an open
+// engine may start empty, and its window (open) replaces Link,
+// LinkTileSlots and LinkTableMaxRows.
+func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, open *openShape) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if s == nil {
 		return nil, fmt.Errorf("cell: nil scheduler")
 	}
-	if len(sessions) == 0 && !allowEmpty {
+	if len(sessions) == 0 && open == nil {
 		return nil, fmt.Errorf("cell: no sessions")
 	}
 	sim := &Simulator{
@@ -558,14 +562,19 @@ func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, allowEm
 		sim.shardSize = defaultShardSize
 	}
 	// Attach the link window the tick path reads in place of the
-	// signal/radio interfaces: over a caller-supplied table, validated
-	// against this run's shape; a sliding one under LinkTileSlots; or over
-	// a table compiled here, unless the run exceeds the memory cap or
-	// compilation is disabled.
-	lt := cfg.Link
+	// signal/radio interfaces: the open engine's, if it asked for one; over
+	// a caller-supplied table, validated against this run's shape; a
+	// sliding one under LinkTileSlots; or over a table compiled here,
+	// unless the run exceeds the memory cap or compilation is disabled.
+	var lt *LinkTable
 	var err error
 	switch {
-	case lt != nil:
+	case open != nil:
+		if open.span > 0 {
+			sim.win, err = newLinkWindow(cfg, sim.workers, open.span, open.rows, open.horizon, constRate(sessions), sessions)
+		}
+	case cfg.Link != nil:
+		lt = cfg.Link
 		err = lt.compatible(cfg, sessions)
 	case cfg.LinkTileSlots > 0 && cfg.LinkTileSlots < cfg.MaxSlots:
 		sim.win, err = newLinkWindow(cfg, sim.workers, (cfg.LinkTileSlots+1)/2,

@@ -78,6 +78,16 @@ func newLinkCols(stride, slots int, sharedRate bool) linkCols {
 	return c
 }
 
+// widenRate turns a shared rate row into a copy of it per slot.
+func (c *linkCols) widenRate() {
+	slots := len(c.lu) / c.stride
+	rate := make([]units.KBps, c.stride*slots)
+	for off := 0; off < slots; off++ {
+		copy(rate[off*c.stride:], c.rate)
+	}
+	c.rate, c.rateStride = rate, c.stride
+}
+
 // bytes is the resident size of the column arrays.
 func (c *linkCols) bytes() int64 {
 	return 8*int64(len(c.sig)+len(c.link)+len(c.epkb)+len(c.rate)) + 4*int64(len(c.lu))

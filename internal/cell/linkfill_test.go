@@ -254,6 +254,76 @@ func TestOpenTileMatchesAnalyticAtScale(t *testing.T) {
 	}
 }
 
+// TestOpenRateRowFollowsSessions: a bounded open cell on a link window
+// keeps one rate row per block while every session it serves is
+// constant-rate, as the closed engine does, through constant-rate
+// arrivals too; the first VBR arrival widens the row before its own row
+// is filled. Scripted like TestOpenTileMatchesAnalyticAtScale —
+// background fills racing the tick on several workers, departures
+// leaving holes — the run stays byte-identical to the script without the
+// window.
+func TestOpenRateRowFollowsSessions(t *testing.T) {
+	const initial, late, slots = 2*fillUsers + 60, 40, 100
+	script := func(tileSlots int) (*Result, OpenStats) {
+		wl := append(fillWorkload(t, initial+late/2, 0, false), fillWorkload(t, late/2, 0.2, false)...)
+		cfg := PaperConfig()
+		cfg.Capacity = units.KBps(initial * 400)
+		cfg.MaxSlots, cfg.Workers, cfg.RunFullHorizon = slots, 3, true
+		o, err := NewOpen(OpenConfig{Cell: cfg, MaxSessions: initial + late, TileSlots: tileSlots}, wl[:initial], sched.NewDefault())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.Stop()
+		if err := o.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		// shared reports whether the window's blocks keep one rate row.
+		shared := func() bool {
+			w := o.eng.win
+			return w.cur.rateStride == 0 && (w.next == nil || w.next.rateStride == 0)
+		}
+		next := initial
+		for n := 5; n <= slots; n += 5 {
+			if _, err := o.AdvanceTo(n); err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 4; k++ {
+				if ser, ok := o.Serial((n*37 + k*151) % initial); ok {
+					if _, err := o.DepartSerial(-1, ser); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for k := 0; k < 3 && next < len(wl) && n < slots; k++ {
+				vbr := wl[next].RateJitter != 0
+				if tileSlots > 0 && shared() == (next > initial+late/2) {
+					t.Fatalf("arrival %d (VBR %v): shared rate row %v", next, vbr, shared())
+				}
+				if _, err := o.Admit(wl[next]); err != nil {
+					t.Fatal(err)
+				}
+				if tileSlots > 0 && shared() == vbr {
+					t.Fatalf("after arrival %d (VBR %v): shared rate row %v", next, vbr, shared())
+				}
+				next++
+			}
+		}
+		if next != len(wl) {
+			t.Fatalf("script admitted %d of %d arrivals", next-initial, len(wl)-initial)
+		}
+		return o.Finish(), o.Stats()
+	}
+	resA, stA := script(0)
+	resB, stB := script(16)
+	if !reflect.DeepEqual(resA, resB) {
+		t.Fatalf("tiled open run differs from analytic: energy %v vs %v, rebuffer %v vs %v",
+			resA.TotalEnergy(), resB.TotalEnergy(), resA.TotalRebuffer(), resB.TotalRebuffer())
+	}
+	if stA != stB {
+		t.Fatalf("stats differ: analytic %+v, tiled %+v", stA, stB)
+	}
+}
+
 // benchLinkRefill times the link window's block fill on its own: a window
 // of `users` prewarmed paper sessions and `tile`-slot blocks is bounced
 // between the horizon's two windows with hand-off disabled, so every

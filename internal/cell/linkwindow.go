@@ -17,12 +17,13 @@ import (
 // out of the one fill (linkfill.go), so a windowed run is bit-identical
 // to the analytic path. The closed engine with Config.LinkTileSlots, the
 // open engine with OpenConfig.TileSlots and a compiled LinkTable are the
-// same object:
+// same object, which newSim builds for either engine:
 //
 //   - open: rows are admitted (admitRow) and dropped (dropRow) while the
-//     run goes on, and the table is compacted now and then;
-//   - closed: every row is resident from the start, none is admitted,
-//     and rows leave as dropRetired takes their users off the live list;
+//     run goes on, and an unbounded table is compacted now and then;
+//   - closed (a closed fleet site too): every row is resident from the
+//     start, none is admitted, and rows leave as dropRetired takes their
+//     users off the live list;
 //   - a compiled table (tableWindow): its resident block is the table's
 //     block covering the slot, which the table fills once for every reader
 //     (link.go); the window itself never fills or writes a row.
@@ -153,9 +154,9 @@ const lateRowCost = 3
 // newLinkWindow builds a window of span-slot blocks over a table of up to
 // rowCap rows, the first len(sessions) of them occupied. cfg supplies the
 // radio model and slot grid, workers bounds a fill's fan-out, horizon is
-// the last slot + 1 a fill may touch (-1 = none), and sharedRate promises
-// that no session that will ever occupy a row has rate jitter. Nothing is
-// filled until the first ensure.
+// the last slot + 1 a fill may touch (-1 = none), and sharedRate gives the
+// blocks one rate row for all slots, until widenRate. Nothing is filled
+// until the first ensure.
 func newLinkWindow(cfg Config, workers, span, rowCap, horizon int, sharedRate bool, sessions []*workload.Session) (*linkWindow, error) {
 	fill, err := newLinkFiller(cfg.Radio, cfg.Tau, cfg.Unit, workers, rowCap)
 	if err != nil {
@@ -373,6 +374,20 @@ func (w *linkWindow) occupied(rows []int) []int {
 		prev = i
 	}
 	return rows[:k]
+}
+
+// widenRate gives both blocks a rate row per slot, each a copy of the
+// shared one, before the first VBR session is admitted; a background fill
+// writing the spare block's row is waited out first.
+func (w *linkWindow) widenRate() {
+	if w.cur.rateStride != 0 {
+		return
+	}
+	w.syncFill()
+	w.cur.widenRate()
+	if w.next != nil {
+		w.next.widenRate()
+	}
 }
 
 // admitRow registers a newly admitted session in table row i. Its rows

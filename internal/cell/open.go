@@ -113,8 +113,8 @@ type OpenConfig struct {
 	// Cell is the engine configuration. Open mode always evaluates the
 	// radio model analytically (or through the link window TileSlots
 	// installs) — the horizon-shaped link table cannot follow mid-run
-	// admissions — so Link/LinkTileSlots/LinkTableMaxRows are overridden;
-	// the LUT exactness property keeps results bit-identical to the tabled
+	// admissions — so Link/LinkTileSlots/LinkTableMaxRows are ignored; the
+	// LUT exactness property keeps results bit-identical to the tabled
 	// path.
 	// For churn-driven runs set Cell.RunFullHorizon: without it the
 	// engine's early exit declares the run over the moment every
@@ -216,11 +216,13 @@ type OpenSim struct {
 	// freed lists the table slots folded since the last release, ascending
 	// (every caller folds in table order): release returns them to the
 	// freelist in one merge instead of one shift per session.
-	freed    []int
-	ended    []bool   // per table slot: session folded (completed/departed)
-	serials  []uint64 // per table slot: admission serial of the resident session
-	lastSer  uint64
-	bySerial map[uint64]int // admission serial → current table slot (live sessions)
+	freed   []int
+	ended   []bool   // per table slot: session folded (completed/departed)
+	serials []uint64 // per table slot: admission serial of the resident session
+	lastSer uint64
+	// bySerial maps in-service admission serials to table slots. slotOf
+	// builds it on the first miss; a closed fleet site never needs it.
+	bySerial map[uint64]int
 	// owned marks table slots whose *workload.Session is an engine-owned
 	// clone (mid-run admissions): those are recycled through sessPool at
 	// fold time instead of garbage-collected, so the churn steady state
@@ -256,12 +258,6 @@ const (
 // error.
 func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*OpenSim, error) {
 	cc := cfg.Cell
-	// The horizon-shaped link table cannot cover sessions admitted later;
-	// open mode runs the analytic path (or a link window of its own),
-	// bit-identical by the LUT exactness property.
-	cc.Link = nil
-	cc.LinkTileSlots = 0
-	cc.LinkTableMaxRows = -1
 	if cfg.Unbounded {
 		if !cc.RunFullHorizon {
 			return nil, fmt.Errorf("cell: unbounded open mode requires RunFullHorizon")
@@ -318,32 +314,25 @@ func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*O
 		}
 		demand += sess.BaseRate
 	}
-	eng, err := newSim(cc, initial, s, true)
+	// Bounded fills stop at the prewarmed horizon; unbounded sessions are
+	// stateless (vetSession).
+	shape := openShape{span: cfg.TileSlots, rows: cfg.MaxSessions, horizon: cc.MaxSlots}
+	if cfg.Unbounded {
+		shape.horizon = -1
+	}
+	eng, err := newSim(cc, initial, s, &shape)
 	if err != nil {
 		return nil, err
 	}
 	o.eng = eng
 	eng.logRetired = true
-	if cfg.TileSlots > 0 {
-		// A bounded run's fills stop at the horizon its sessions are
-		// prewarmed to. Unbounded mode admits no session with rate jitter
-		// (vetSession), so its blocks keep one rate row for all slots.
-		horizon := cc.MaxSlots
-		if cfg.Unbounded {
-			horizon = -1
-		}
-		if eng.win, err = newLinkWindow(cc, eng.workers, cfg.TileSlots, cfg.MaxSessions, horizon, cfg.Unbounded, initial); err != nil {
-			return nil, err
-		}
-	}
 	o.ended = make([]bool, len(initial))
 	o.owned = make([]bool, len(initial))
 	o.serials = make([]uint64, len(initial))
-	o.bySerial = make(map[uint64]int, cfg.MaxSessions+len(initial))
+	o.freed = make([]int, 0, len(initial))
 	for i := range o.serials {
 		o.lastSer++
 		o.serials[i] = o.lastSer
-		o.bySerial[o.lastSer] = i
 	}
 	o.stats.Admitted = len(initial)
 	o.stats.InService = len(initial)
@@ -450,7 +439,9 @@ func (o *OpenSim) Admit(sess *workload.Session) (int, error) {
 		o.owned = append(o.owned, true)
 	}
 	clone.ID = idx
-	o.bySerial[o.lastSer] = idx
+	if o.bySerial != nil {
+		o.bySerial[o.lastSer] = idx
+	}
 	if o.rows != nil {
 		// Reused or appended, the row may still hold a departed session's
 		// scheduler state: compaction truncates rows the scheduler keeps.
@@ -463,6 +454,9 @@ func (o *OpenSim) Admit(sess *workload.Session) (int, error) {
 		clone.Prewarm(s.cfg.MaxSlots)
 	}
 	if s.win != nil {
+		if clone.RateJitter != 0 {
+			s.win.widenRate()
+		}
 		s.win.admitRow(idx, clone)
 		if s.colsSlot == s.nextSlot {
 			// The next slot's columns are already prepared (fused pass):
@@ -598,19 +592,37 @@ func (o *OpenSim) Serial(id int) (uint64, bool) {
 // already ended, and possibly a new one moved into its slot) is a
 // no-op, not an error — exactly what a churn driver wants when a
 // planned abandonment races a natural completion. The serial is looked
-// up directly, so the call stays correct even after resident-set
+// up (slotOf), so the call stays correct even after resident-set
 // compaction moves the session to a different table slot; id is the
-// caller's last known slot and is accepted for compatibility only.
+// caller's last known slot, tried first.
 func (o *OpenSim) DepartSerial(id int, ser uint64) (bool, error) {
-	idx, ok := o.bySerial[ser]
+	idx, ok := o.slotOf(id, ser)
 	if !ok {
 		return false, nil
 	}
-	_ = id
 	if err := o.Depart(idx); err != nil {
 		return false, err
 	}
 	return true, nil
+}
+
+// slotOf returns the table slot of the in-service session with admission
+// serial ser: id, when that slot still holds it, or else the serial
+// index's entry, building the index on the first miss.
+func (o *OpenSim) slotOf(id int, ser uint64) (int, bool) {
+	if got, ok := o.Serial(id); ok && got == ser {
+		return id, true
+	}
+	if o.bySerial == nil {
+		o.bySerial = make(map[uint64]int, o.adm.MaxSessions+len(o.serials))
+		for i, s := range o.serials {
+			if _, ok := o.Serial(i); ok {
+				o.bySerial[s] = i
+			}
+		}
+	}
+	idx, ok := o.bySerial[ser]
+	return idx, ok
 }
 
 // Depart removes session id mid-run: its lifetime totals are folded into
@@ -941,7 +953,9 @@ func (o *OpenSim) compact() {
 				o.rows.MoveRow(i, w)
 			}
 		}
-		o.bySerial[o.serials[w]] = w
+		if o.bySerial != nil {
+			o.bySerial[o.serials[w]] = w
+		}
 		w++
 	}
 	s.sessions = s.sessions[:w]

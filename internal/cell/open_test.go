@@ -340,7 +340,7 @@ func TestOpenCompactionMovesRowState(t *testing.T) {
 		t.Fatalf("table length %d after churn, want %d compacted rows", st.TableLen, len(want))
 	}
 	for ser, q := range want {
-		if row := o.bySerial[ser]; ema.Queue(row) != q {
+		if row, _ := o.slotOf(-1, ser); ema.Queue(row) != q {
 			t.Errorf("session %d moved to row %d with queue %v, had %v", ser, row, ema.Queue(row), q)
 		}
 	}
@@ -667,7 +667,7 @@ func TestOpenCompactionChurn(t *testing.T) {
 		// ledger maps it to agrees with Serial.
 		alive := make(map[uint64]bool)
 		for _, ser := range sers[180:] {
-			idx, ok := o.bySerial[ser]
+			idx, ok := o.slotOf(-1, ser)
 			if !ok {
 				t.Fatalf("serial %d lost by compaction", ser)
 			}
@@ -745,7 +745,14 @@ func FuzzAdmitDepartSerial(f *testing.F) {
 		// The script's length picks what the window hands to the background:
 		// everything, windows but not a few late rows, nothing.
 		o.eng.win.handoffMin = []int{handoffAlways, 12 * 8, handoffNever}[len(script)%3]
-		var live []uint64 // serials we admitted and have not departed
+		// Sessions we admitted and have not departed, with the table slot
+		// each was admitted to: DepartSerial is handed that slot, or no slot
+		// for odd positions in the list, so both of slotOf's paths run.
+		type admitted struct {
+			ser uint64
+			idx int
+		}
+		var live []admitted
 		for k, op := range script {
 			switch op % 4 {
 			case 0, 1: // admit
@@ -764,24 +771,29 @@ func FuzzAdmitDepartSerial(f *testing.F) {
 				if !ok {
 					t.Fatalf("fresh admit at slot %d has no serial", idx)
 				}
-				live = append(live, ser)
+				live = append(live, admitted{ser, idx})
 			case 2: // depart one of ours (may have completed naturally)
 				if len(live) == 0 {
 					continue
 				}
 				k := int(op) % len(live)
-				ser := live[k]
-				did, err := o.DepartSerial(-1, ser)
+				ser, id := live[k].ser, live[k].idx
+				if k%2 == 1 {
+					id = -1
+				}
+				did, err := o.DepartSerial(id, ser)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if twinDid, err := twin.DepartSerial(-1, ser); err != nil || twinDid != did {
+				if twinDid, err := twin.DepartSerial(id, ser); err != nil || twinDid != did {
 					t.Fatalf("depart serial %d: tiled %v, untiled %v (%v)", ser, did, twinDid, err)
 				}
 				// Departed either way now (by us or by natural completion):
-				// the serial must no longer resolve.
-				if _, ok := o.bySerial[ser]; ok {
-					t.Fatalf("serial %d still resolves after depart", ser)
+				// no slot holds the serial any more.
+				for i := 0; i < o.Stats().TableLen; i++ {
+					if got, ok := o.Serial(i); ok && got == ser {
+						t.Fatalf("serial %d still in slot %d after depart", ser, i)
+					}
 				}
 				live = append(live[:k], live[k+1:]...)
 			case 3: // advance (reaps, rotates, maybe compacts)
@@ -801,9 +813,21 @@ func FuzzAdmitDepartSerial(f *testing.F) {
 			if twinSt := twin.Stats(); st != twinSt {
 				t.Fatalf("after op %d (%d): tiled %+v, untiled %+v", k, op%4, st, twinSt)
 			}
-			for ser, idx := range o.bySerial {
-				if got, ok := o.Serial(idx); !ok || got != ser {
-					t.Fatalf("bySerial[%d]=%d but Serial(%d)=%d ok=%v", ser, idx, idx, got, ok)
+			// Once a lookup has built the serial index (at whichever step a
+			// DepartSerial first missed), it maps exactly the resident
+			// sessions' serials to their slots.
+			if o.bySerial != nil {
+				resident := 0
+				for i := 0; i < st.TableLen; i++ {
+					if ser, ok := o.Serial(i); ok {
+						resident++
+						if idx, found := o.slotOf(-1, ser); !found || idx != i {
+							t.Fatalf("Serial(%d)=%d but slotOf resolves it to %d (found %v)", i, ser, idx, found)
+						}
+					}
+				}
+				if len(o.bySerial) != resident {
+					t.Fatalf("serial index holds %d entries for %d resident sessions", len(o.bySerial), resident)
 				}
 			}
 		}

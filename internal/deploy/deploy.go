@@ -392,33 +392,21 @@ func Run(ctx context.Context, cfg Config, sessions []*workload.Session, newSched
 	}
 
 	fleet := &FleetMetrics{Sites: len(cfg.Sites)}
-	sims := make([]*cell.Simulator, len(cfg.Sites))
+	sims := make([]*cell.OpenSim, len(cfg.Sites))
+	for si, ss := range perSite {
+		if len(ss) == 0 {
+			fleet.EmptySites++
+			continue
+		}
+		sim, err := newSite(cfg, si, closedSite(cfg.Sites[si].Cell, len(ss)), ss, newSched)
+		if err != nil {
+			return nil, err
+		}
+		sims[si] = sim
+	}
 	aggs := make([]siteAgg, len(cfg.Sites))
-	epochs, err := lockstep(ctx, cfg, epochSteps{
-		start: func(ctx context.Context) ([]int, error) {
-			running := make([]int, 0, len(cfg.Sites))
-			for si, ss := range perSite {
-				if len(ss) == 0 {
-					fleet.EmptySites++
-					continue
-				}
-				sim, err := newSiteSim(cfg, si, ss, newSched)
-				if err != nil {
-					return nil, err
-				}
-				if err := sim.Start(ctx); err != nil {
-					return nil, err
-				}
-				sims[si] = sim
-				running = append(running, si)
-			}
-			return running, nil
-		},
-		advance: func(si, upto int) (bool, error) { return sims[si].Advance(upto) },
-		retire: func(si int) {
-			foldSite(&aggs[si], sims[si].Finish(), cfg.epochSlots())
-			sims[si] = nil
-		},
+	epochs, err := lockstep(ctx, cfg, sims, epochSteps{
+		retire: func(si int) { foldSite(&aggs[si], sims[si].Finish(), cfg.epochSlots()) },
 	})
 	if err != nil {
 		return nil, err
@@ -431,63 +419,82 @@ func Run(ctx context.Context, cfg Config, sessions []*workload.Session, newSched
 	return res, nil
 }
 
-// newSiteSim builds one site's simulator: fresh scheduler, the site's
-// cell config with this site's deploy-level outage windows appended to a
-// copy (the caller's per-site config and any windows it already carries
-// stay untouched).
-func newSiteSim(cfg Config, site int, sessions []*workload.Session, newSched func() (sched.Scheduler, error)) (*cell.Simulator, error) {
+// closedSite shapes a closed site as a bounded open cell: the closed
+// engine's window under LinkTileSlots (two ⌈LinkTileSlots/2⌉-slot blocks),
+// the analytic path otherwise (bit-identical by LUT exactness), and one
+// metric window past the horizon — it reports through its Result.
+func closedSite(c cell.Config, users int) cell.OpenConfig {
+	oc := cell.OpenConfig{Cell: c, MaxSessions: users, WindowSlots: c.MaxSlots + 1}
+	if c.LinkTileSlots > 0 && c.LinkTileSlots < c.MaxSlots {
+		oc.TileSlots = (c.LinkTileSlots + 1) / 2
+	}
+	return oc
+}
+
+// newSite builds site si's cell for either fleet: a fresh scheduler, and
+// oc with the site's deploy-level outages appended to a copy of its own.
+func newSite(cfg Config, si int, oc cell.OpenConfig, initial []*workload.Session, newSched func() (sched.Scheduler, error)) (*cell.OpenSim, error) {
 	s, err := newSched()
 	if err != nil {
 		return nil, err
 	}
-	cellCfg := cfg.Sites[site].Cell
 	for _, o := range cfg.Outages {
-		if o.Site == site {
-			cellCfg.Outages = append(cellCfg.Outages[:len(cellCfg.Outages):len(cellCfg.Outages)],
+		if o.Site == si {
+			oc.Cell.Outages = append(oc.Cell.Outages[:len(oc.Cell.Outages):len(oc.Cell.Outages)],
 				cell.Outage{From: o.From, To: o.To})
 		}
 	}
-	sim, err := cell.New(cellCfg, sessions, s)
+	sim, err := cell.NewOpen(oc, initial, s)
 	if err != nil {
-		return nil, fmt.Errorf("site %d (%s): %w", site, cfg.Sites[site].Name, err)
+		return nil, fmt.Errorf("site %d (%s): %w", si, cfg.Sites[si].Name, err)
 	}
 	return sim, nil
 }
 
-// epochSteps is what a fleet hands the epoch loop.
+// epochSteps is what a fleet hands the epoch loop beside its sites.
 type epochSteps struct {
-	// start builds and starts the sites under the run's context; it
-	// returns the ones to advance, in site order.
-	start func(ctx context.Context) ([]int, error)
 	// before, if set, runs serially ahead of each epoch's advance.
 	before func(upto int) error
-	// advance ticks one site on a pool worker; true means it finished.
-	advance func(site, upto int) (bool, error)
-	// retire folds a finished site, serially and in site order.
+	// retire, if set, folds a finished site, serially and in site order.
 	retire func(site int)
 	// after, if set, may amend each epoch's report before OnEpoch sees it;
 	// true ends the run (as does the last site's retirement).
 	after func(*EpochInfo) bool
 }
 
-// lockstep is the one epoch loop both fleets run. Every epoch it runs
-// before, advances each running site to the same slot bound under the
-// shared worker budget and the epoch watchdog, retires the sites that
-// finished, and reports the epoch. Everything that spans sites runs
-// serially on the caller's goroutine in site order, so no result depends
-// on the worker count; the stepped engine contract makes the closed
-// fleet's independent of the epoch size too. It returns the epochs run.
-func lockstep(ctx context.Context, cfg Config, f epochSteps) (int, error) {
+// lockstep is the one epoch loop both fleets run, over their sites (nil
+// = no cell). It starts them; every epoch it runs before, advances each
+// running site to the same slot bound under the shared worker budget and
+// the epoch watchdog, retires the sites that finished, and reports the
+// epoch; and it stops them on the way out. Everything that spans sites
+// runs serially on the caller's goroutine in site order, so no result
+// depends on the worker count; the stepped engine contract makes the
+// closed fleet's independent of the epoch size too. It returns the epochs
+// run.
+func lockstep(ctx context.Context, cfg Config, sims []*cell.OpenSim, f epochSteps) (int, error) {
 	epoch := cfg.epochSlots()
 	// The watchdog cancels this context on a stall, so every cooperative
 	// worker in the fleet unwinds together.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	running, err := f.start(ctx)
-	if err != nil {
-		return 0, err
+	defer func() {
+		for _, sim := range sims {
+			if sim != nil {
+				sim.Stop()
+			}
+		}
+	}()
+	running := make([]int, 0, len(sims))
+	for si, sim := range sims {
+		if sim == nil {
+			continue
+		}
+		if err := sim.Start(ctx); err != nil {
+			return 0, err
+		}
+		running = append(running, si)
 	}
-	done := make([]bool, len(cfg.Sites))
+	done := make([]bool, len(sims))
 	epochs, retired := 0, 0
 	for upto, stop := epoch, false; !stop && len(running) > 0; upto += epoch {
 		if f.before != nil {
@@ -497,7 +504,7 @@ func lockstep(ctx context.Context, cfg Config, f epochSteps) (int, error) {
 		}
 		err := watchEpoch(cancel, cfg.EpochTimeout, epochs, upto, func() error {
 			return pool.ForEachN(ctx, cfg.Workers, len(running), func(_ context.Context, k int) error {
-				d, err := f.advance(running[k], upto)
+				d, err := sims[running[k]].AdvanceTo(upto)
 				done[running[k]] = d
 				return err
 			})
@@ -511,7 +518,10 @@ func lockstep(ctx context.Context, cfg Config, f epochSteps) (int, error) {
 				still = append(still, si)
 				continue
 			}
-			f.retire(si)
+			if f.retire != nil {
+				f.retire(si)
+			}
+			sims[si] = nil
 			retired++
 		}
 		running = still

@@ -83,7 +83,9 @@ func outageFleet() Config {
 
 // oneShot is the fleet's oracle, the only place a cell still runs whole:
 // each populated site's sessions, cloned in placement order with their
-// site traces, through one RunCtx. Empty sites' entries are nil.
+// site traces, through one cell.New closed engine and RunCtx — built here,
+// not through the fleet's newSite, with the site's outage windows.
+// Empty sites' entries are nil.
 func oneShot(t *testing.T, cfg Config, sessions []*workload.Session, placements []Placement) []*cell.Result {
 	t.Helper()
 	perSite := make([][]*workload.Session, len(cfg.Sites))
@@ -98,7 +100,13 @@ func oneShot(t *testing.T, cfg Config, sessions []*workload.Session, placements 
 		if len(ss) == 0 {
 			continue
 		}
-		sim, err := newSiteSim(cfg, si, ss, defaultFactory)
+		c := cfg.Sites[si].Cell
+		for _, o := range cfg.Outages {
+			if o.Site == si {
+				c.Outages = append(c.Outages[:len(c.Outages):len(c.Outages)], cell.Outage{From: o.From, To: o.To})
+			}
+		}
+		sim, err := cell.New(c, ss, sched.NewDefault())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -131,46 +131,22 @@ func RunOpenFleet(ctx context.Context, cfg OpenFleetConfig, newSched func() (sch
 	arrSrc := rng.New(cfg.Seed ^ 0x9FB21C651E98DF25)
 	staySrc := rng.New(cfg.Seed ^ 0x285842851E1BC6D1)
 
-	sites := cfg.Deploy.Sites
-	sims := make([]*cell.OpenSim, len(sites))
-	// Quiesce every site's tile-compilation pipeline on the way out, so
-	// an error return mid-run leaks no background goroutine (Stop is
-	// idempotent; Finish below calls it too).
-	defer func() {
-		for _, sim := range sims {
-			if sim != nil {
-				sim.Stop()
-			}
+	sims := make([]*cell.OpenSim, len(cfg.Deploy.Sites))
+	for si, site := range cfg.Deploy.Sites {
+		oc := cfg.Open
+		oc.Cell = site.Cell
+		oc.Cell.RunFullHorizon = true
+		oc.Cell.RecordPerUserSlots = false
+		oc.Unbounded = true
+		if sims[si], err = newSite(cfg.Deploy, si, oc, nil, newSched); err != nil {
+			return nil, err
 		}
-	}()
+	}
 	res := &OpenFleetResult{PerSite: make([]cell.OpenStats, len(sims))}
 	var stays []stay
 	uid, clock := 0, 0
 	nextAt := cfg.Arrivals.NextGap(uid, arrSrc)
-	res.Epochs, err = lockstep(ctx, cfg.Deploy, epochSteps{
-		start: func(ctx context.Context) ([]int, error) {
-			running := make([]int, len(sites))
-			for si, site := range sites {
-				s, err := newSched()
-				if err != nil {
-					return nil, err
-				}
-				oc := cfg.Open
-				oc.Cell = site.Cell
-				oc.Cell.RunFullHorizon = true
-				oc.Cell.RecordPerUserSlots = false
-				oc.Unbounded = true
-				sim, err := cell.NewOpen(oc, nil, s)
-				if err != nil {
-					return nil, fmt.Errorf("site %d (%s): %w", si, site.Name, err)
-				}
-				if err := sim.Start(ctx); err != nil {
-					return nil, err
-				}
-				sims[si], running[si] = sim, si
-			}
-			return running, nil
-		},
+	res.Epochs, err = lockstep(ctx, cfg.Deploy, sims, epochSteps{
 		before: func(upto int) error {
 			// Abandonments due by now. A stay that lost the race against
 			// natural completion (or whose slot was reused) is a clean
@@ -217,10 +193,6 @@ func RunOpenFleet(ctx context.Context, cfg OpenFleetConfig, newSched func() (sch
 			return nil
 		},
 		// An open site never finishes: the fleet stops in after.
-		advance: func(si, upto int) (bool, error) {
-			_, err := sims[si].AdvanceTo(upto)
-			return false, err
-		},
 		after: func(e *EpochInfo) bool {
 			clock = e.UptoSlot
 			inService := 0

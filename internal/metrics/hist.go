@@ -37,11 +37,8 @@ type StreamingHist struct {
 // quantile error bound is width/2 after the last widening, so choose
 // width around (expected max / bins) to avoid widening at all.
 func NewStreamingHist(bins int, width float64) (*StreamingHist, error) {
-	if bins < 2 || bins%2 != 0 {
-		return nil, fmt.Errorf("metrics: streaming hist needs an even bin count >= 2, got %d", bins)
-	}
-	if !(width > 0) || math.IsInf(width, 1) {
-		return nil, fmt.Errorf("metrics: invalid streaming hist bin width %v", width)
+	if err := checkHistShape(bins, width); err != nil {
+		return nil, err
 	}
 	return &StreamingHist{
 		bins:  make([]uint64, bins),
@@ -49,6 +46,17 @@ func NewStreamingHist(bins int, width float64) (*StreamingHist, error) {
 		min:   math.Inf(1),
 		max:   math.Inf(-1),
 	}, nil
+}
+
+// checkHistShape vets NewStreamingHist's parameters.
+func checkHistShape(bins int, width float64) error {
+	if bins < 2 || bins%2 != 0 {
+		return fmt.Errorf("metrics: streaming hist needs an even bin count >= 2, got %d", bins)
+	}
+	if !(width > 0) || math.IsInf(width, 1) {
+		return fmt.Errorf("metrics: invalid streaming hist bin width %v", width)
+	}
+	return nil
 }
 
 // Observe folds one sample into the histogram. NaN, infinite and
@@ -127,19 +135,6 @@ func (h *StreamingHist) Merge(other *StreamingHist) error {
 		h.max = other.max
 	}
 	return nil
-}
-
-// copyFrom overwrites h with other's state, reusing h's bin storage.
-// Both must come from the same NewStreamingHist parameters (equal bin
-// counts), which every WindowedHist ring guarantees by construction.
-func (h *StreamingHist) copyFrom(other *StreamingHist) {
-	copy(h.bins, other.bins)
-	h.width = other.width
-	h.count = other.count
-	h.dropped = other.dropped
-	h.sum = other.sum
-	h.min = other.min
-	h.max = other.max
 }
 
 // foldIn accumulates other into h without touching other and without

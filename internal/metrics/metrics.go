@@ -152,35 +152,3 @@ func Reduction(baseline, got float64) (float64, error) {
 	}
 	return 1 - got/baseline, nil
 }
-
-// Flatten concatenates a per-user matrix of samples (e.g. Result.
-// RebufferSamples) into one flat sample.
-func Flatten(m [][]float64) []float64 {
-	total := 0
-	for _, row := range m {
-		total += len(row)
-	}
-	out := make([]float64, 0, total)
-	for _, row := range m {
-		out = append(out, row...)
-	}
-	return out
-}
-
-// ColumnSums sums a per-user matrix column-wise: out[n] = Σ_i m[i][n].
-// Rows may have different lengths; missing entries count as zero.
-func ColumnSums(m [][]float64) []float64 {
-	maxLen := 0
-	for _, row := range m {
-		if len(row) > maxLen {
-			maxLen = len(row)
-		}
-	}
-	out := make([]float64, maxLen)
-	for _, row := range m {
-		for n, v := range row {
-			out[n] += v
-		}
-	}
-	return out
-}

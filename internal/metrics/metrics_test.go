@@ -178,37 +178,6 @@ func TestReduction(t *testing.T) {
 	}
 }
 
-func TestFlatten(t *testing.T) {
-	m := [][]float64{{1, 2}, {3}, {}, {4, 5, 6}}
-	got := Flatten(m)
-	want := []float64{1, 2, 3, 4, 5, 6}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Flatten[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if len(Flatten(nil)) != 0 {
-		t.Error("Flatten(nil) not empty")
-	}
-}
-
-func TestColumnSums(t *testing.T) {
-	m := [][]float64{{1, 2, 3}, {10, 20}, {100}}
-	got := ColumnSums(m)
-	want := []float64{111, 22, 3}
-	if len(got) != 3 {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("ColumnSums[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 // Property: At(Quantile(q)) >= q for all q in (0,1].
 func TestCDFQuantileAtConsistencyProperty(t *testing.T) {
 	f := func(raw []uint16, qRaw uint8) bool {

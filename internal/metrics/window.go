@@ -9,20 +9,23 @@ import (
 // StreamingHists, one per window, of which the newest is live and the
 // rest are frozen snapshots. Observations land in the live window;
 // Rotate freezes it and recycles the oldest window's storage for the
-// next one. Merged/Quantile answer over every retained window, so an
+// next one. Count/Quantile answer over every retained window, so an
 // open-system run can report "p99 rebuffering over the last K windows"
 // without ever finalizing the run — exactly the ROADMAP item-2 shape.
 //
 // All windows are created with the same (bins, width) parameters, so
 // their widths stay power-of-two multiples of each other and Merge can
 // never fail on alignment; WindowedHist exploits that to offer
-// error-free snapshot accessors.
+// error-free snapshot accessors. A window is allocated by its first
+// sample (nil reads as empty), so a ring that never rotates pays for one
+// window; the first rotation of a window with samples allocates the rest,
+// so a ring in use allocates nothing after it.
 type WindowedHist struct {
-	windows []*StreamingHist
+	windows []*StreamingHist // nil until the window's first Observe
+	bins    int
 	width   float64 // initial bin width each fresh window starts from
 	head    int     // ring index of the live window
 	filled  int     // retained windows, live included (≤ len(windows))
-	rotated uint64  // total Rotate calls — a window epoch counter
 	// scratch backs the allocation-free Quantile path: mergedInto
 	// overwrites it with the sliding aggregate on every call, so it never
 	// escapes and the open-system tick loop can take window quantiles at
@@ -37,92 +40,97 @@ func NewWindowedHist(windows, bins int, width float64) (*WindowedHist, error) {
 	if windows < 1 {
 		return nil, fmt.Errorf("metrics: windowed hist needs >= 1 window, got %d", windows)
 	}
-	w := &WindowedHist{
+	if err := checkHistShape(bins, width); err != nil {
+		return nil, err
+	}
+	return &WindowedHist{
 		windows: make([]*StreamingHist, windows),
+		bins:    bins,
 		width:   width,
 		filled:  1,
-	}
-	for i := range w.windows {
-		h, err := NewStreamingHist(bins, width)
-		if err != nil {
-			return nil, err
-		}
-		w.windows[i] = h
-	}
-	return w, nil
+	}, nil
+}
+
+// fresh is an empty window; NewWindowedHist vetted the shape.
+func (w *WindowedHist) fresh() *StreamingHist {
+	h, _ := NewStreamingHist(w.bins, w.width)
+	return h
 }
 
 // Observe folds one sample into the live window.
-func (w *WindowedHist) Observe(x float64) { w.windows[w.head].Observe(x) }
+func (w *WindowedHist) Observe(x float64) { w.Current().Observe(x) }
 
 // Rotate freezes the live window and starts a fresh one, dropping the
 // oldest retained window once the ring is full. With a single-window
 // ring, Rotate simply resets the sketch.
 func (w *WindowedHist) Rotate() {
+	if w.windows[w.head] != nil {
+		for i, h := range w.windows {
+			if h == nil {
+				w.windows[i] = w.fresh()
+			}
+		}
+	}
 	w.head = (w.head + 1) % len(w.windows)
-	w.windows[w.head].reset(w.width)
+	if h := w.windows[w.head]; h != nil {
+		h.reset(w.width)
+	}
 	if w.filled < len(w.windows) {
 		w.filled++
 	}
-	w.rotated++
 }
 
 // Current returns the live window. The caller must not retain it across
-// a Rotate (its storage is recycled); use Merged for durable snapshots.
-func (w *WindowedHist) Current() *StreamingHist { return w.windows[w.head] }
-
-// Merged returns an independent StreamingHist holding every retained
-// window's samples — the sliding-window aggregate.
-func (w *WindowedHist) Merged() *StreamingHist {
-	out := w.windows[w.head].Clone()
-	for k := 1; k < w.filled; k++ {
-		idx := (w.head - k + len(w.windows)) % len(w.windows)
-		// Same (bins, initial width) by construction: Merge cannot fail.
-		if err := out.Merge(w.windows[idx]); err != nil {
-			panic("metrics: windowed hist merge: " + err.Error())
-		}
+// a Rotate (its storage is recycled).
+func (w *WindowedHist) Current() *StreamingHist {
+	if w.windows[w.head] == nil {
+		w.windows[w.head] = w.fresh()
 	}
-	return out
+	return w.windows[w.head]
+}
+
+// retained returns the k-th window back from the live one (nil if empty).
+func (w *WindowedHist) retained(k int) *StreamingHist {
+	return w.windows[(w.head-k+len(w.windows))%len(w.windows)]
 }
 
 // Quantile returns the q-th quantile over every retained window, with
 // the same contract (and error bound) as StreamingHist.Quantile on the
 // merged sketch. The merge lands in an internal scratch sketch, so
 // repeated calls allocate nothing after the first; the value returned
-// is identical to Merged().Quantile(q) (window_test.go pins it,
-// bin-width misalignment included).
+// is identical to merging the windows with StreamingHist.Merge
+// (window_test.go pins it, bin-width misalignment included).
 func (w *WindowedHist) Quantile(q float64) float64 {
 	if w.scratch == nil {
-		w.scratch = w.windows[w.head].Clone()
+		w.scratch = w.fresh()
 	}
 	w.mergedInto(w.scratch)
 	return w.scratch.Quantile(q)
 }
 
 // mergedInto overwrites dst with the merge of every retained window —
-// the same state Merged() builds — reusing dst's bin storage. The
+// the state Merge would build from them — reusing dst's bin storage. The
 // incremental Merge loop collapses whichever side is narrower as it
 // goes; because bin counts, the count/dropped/sum accumulators and the
 // min/max folds are all order-insensitive given the same final width
 // (uint64 sums, float adds in the identical window order), collapsing
-// dst to the widest retained width up front and then folding each older
+// dst to the widest retained width up front and then folding each
 // window with a shift produces bit-identical bins and counters.
 func (w *WindowedHist) mergedInto(dst *StreamingHist) {
-	head := w.windows[w.head]
-	maxW := head.width
-	for k := 1; k < w.filled; k++ {
-		idx := (w.head - k + len(w.windows)) % len(w.windows)
-		if hw := w.windows[idx].width; hw > maxW {
-			maxW = hw
+	maxW := w.width
+	for k := 0; k < w.filled; k++ {
+		if h := w.retained(k); h != nil && h.width > maxW {
+			maxW = h.width
 		}
 	}
-	dst.copyFrom(head)
+	dst.reset(w.width)
 	for dst.width < maxW {
-		dst.collapse()
+		dst.width *= 2 // collapsing an empty sketch only widens it
 	}
-	for k := 1; k < w.filled; k++ {
-		idx := (w.head - k + len(w.windows)) % len(w.windows)
-		dst.foldIn(w.windows[idx])
+	for k := 0; k < w.filled; k++ {
+		if h := w.retained(k); h != nil {
+			dst.foldIn(h)
+		}
 	}
 }
 
@@ -130,18 +138,12 @@ func (w *WindowedHist) mergedInto(dst *StreamingHist) {
 func (w *WindowedHist) Count() uint64 {
 	var n uint64
 	for k := 0; k < w.filled; k++ {
-		idx := (w.head - k + len(w.windows)) % len(w.windows)
-		n += w.windows[idx].Count()
+		if h := w.retained(k); h != nil {
+			n += h.Count()
+		}
 	}
 	return n
 }
-
-// Retained returns how many windows currently hold data (live included).
-func (w *WindowedHist) Retained() int { return w.filled }
-
-// Rotations returns the total number of Rotate calls — a monotone window
-// epoch counter for snapshot labeling.
-func (w *WindowedHist) Rotations() uint64 { return w.rotated }
 
 // Clone returns an independent copy of the histogram.
 func (h *StreamingHist) Clone() *StreamingHist {

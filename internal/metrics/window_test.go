@@ -20,6 +20,21 @@ func histsEqual(a, b *StreamingHist) bool {
 	return true
 }
 
+// merged is the sliding aggregate built the plain way, StreamingHist.Merge
+// over every retained window from the live one back: the reference
+// mergedInto's collapse-up-front merge must reproduce.
+func merged(w *WindowedHist) *StreamingHist {
+	out := w.fresh()
+	for k := 0; k < w.filled; k++ {
+		if h := w.retained(k); h != nil {
+			if err := out.Merge(h); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return out
+}
+
 // Window merge must equal a direct StreamingHist fed the same samples:
 // the windowed sketch adds rotation bookkeeping but no statistical
 // difference while every sample is still retained.
@@ -47,7 +62,7 @@ func TestWindowedHistMergeMatchesDirect(t *testing.T) {
 			w.Rotate()
 		}
 	}
-	m := w.Merged()
+	m := merged(w)
 	if !histsEqual(m, direct) {
 		t.Fatalf("merged windowed hist != direct hist over same samples: merged{count=%d sum=%v width=%v} direct{count=%d sum=%v width=%v}",
 			m.Count(), m.Sum(), m.BinWidth(), direct.Count(), direct.Sum(), direct.BinWidth())
@@ -98,7 +113,7 @@ func TestWindowedHistQuantileErrorAcrossRotation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := w.Merged()
+		m := merged(w)
 		bound := m.BinWidth()
 		for _, q := range []float64{0.01, 0.25, 0.5, 0.75, 0.9, 0.99} {
 			got, want := m.Quantile(q), cdf.Quantile(q)
@@ -116,11 +131,8 @@ func TestWindowedHistQuantileErrorAcrossRotation(t *testing.T) {
 			t.Fatalf("rotation %d: count %d != %d", rot, got, want)
 		}
 	}
-	if w.Retained() != windows {
-		t.Fatalf("retained = %d, want %d", w.Retained(), windows)
-	}
-	if w.Rotations() != 9 {
-		t.Fatalf("rotations = %d, want 9", w.Rotations())
+	if w.filled != windows {
+		t.Fatalf("retained = %d, want %d", w.filled, windows)
 	}
 }
 
@@ -140,13 +152,50 @@ func TestWindowedHistEviction(t *testing.T) {
 	if got := w.Count(); got != 2 {
 		t.Fatalf("count after eviction = %d, want 2", got)
 	}
-	m := w.Merged()
+	m := merged(w)
 	if m.Max() != 2 || m.Min() != 1 {
 		t.Fatalf("merged extremes = [%v, %v], want [1, 2]", m.Min(), m.Max())
 	}
 	if w.Current().BinWidth() != 1 {
 		t.Fatalf("recycled window width = %v, want initial width 1", w.Current().BinWidth())
 	}
+
+	// A ring that never observes holds no window, and rotating it is free.
+	idle, err := NewWindowedHist(4, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, idle.Rotate); allocs != 0 {
+		t.Fatalf("rotating an untouched window allocates %v times", allocs)
+	}
+	if idle.Count() != 0 || idle.Quantile(0.5) != 0 || merged(idle).Count() != 0 {
+		t.Fatal("an idle ring reports samples")
+	}
+	// One that observes but never rotates holds only its live window; the
+	// first rotation of a window with samples allocates the rest, and the
+	// ring allocates nothing after it.
+	idle.Observe(3)
+	if allocated(idle) != 1 {
+		t.Fatalf("%d windows allocated before the first rotation, want 1", allocated(idle))
+	}
+	idle.Rotate()
+	if allocated(idle) != 4 {
+		t.Fatalf("%d windows allocated after a used window rotated, want 4", allocated(idle))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { idle.Observe(5); idle.Rotate() }); allocs != 0 {
+		t.Fatalf("a ring in use allocates %v times a rotation", allocs)
+	}
+}
+
+// allocated counts the ring's windows that hold a StreamingHist.
+func allocated(w *WindowedHist) int {
+	n := 0
+	for _, h := range w.windows {
+		if h != nil {
+			n++
+		}
+	}
+	return n
 }
 
 func TestWindowedHistValidation(t *testing.T) {
@@ -178,44 +227,60 @@ func TestStreamingHistClone(t *testing.T) {
 }
 
 // The scratch-backed Quantile must be bit-identical to the allocating
-// Merged().Quantile path even when the retained windows have diverged
+// Merge-built Quantile path even when the retained windows have diverged
 // bin widths: one window stays at the initial width, one collapses far
 // wider, one lands in between, and rotation keeps shifting which is
 // which. mergedInto's collapse-up-front strategy differs structurally
 // from Merge's incremental collapsing, so this pins their equivalence —
 // sketch state included — across every misalignment the ring can reach.
+// Some windows observe nothing (scale 0): the ring starts with windows
+// never allocated, and later holds recycled empty ones. An eager twin,
+// whose every live window is allocated, must agree on every answer.
 func TestWindowedHistQuantileMisalignedWidths(t *testing.T) {
 	const windows, bins = 3, 8
 	w, err := NewWindowedHist(windows, bins, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eager, err := NewWindowedHist(windows, bins, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Per-rotation sample scales: ×1 keeps the initial width, ×100 forces
 	// several collapses, ×10 lands between. Cycling the scales rotates
 	// which retained window is widest, narrowest and in the middle.
-	scales := []float64{1, 100, 10, 100, 1, 10, 1000, 1}
+	scales := []float64{0, 1, 100, 0, 0, 10, 100, 1, 0, 10, 1000, 1, 0}
 	qs := []float64{0, 0.01, 0.25, 0.5, 0.9, 0.99, 1}
 	for r, scale := range scales {
-		for i := 0; i < 23; i++ {
+		eager.Current()
+		for i := 0; i < 23 && scale != 0; i++ {
 			w.Observe(scale * float64(i%7+1) / 3)
+			eager.Observe(scale * float64(i%7+1) / 3)
+		}
+		if w.Count() != eager.Count() || !histsEqual(merged(w), merged(eager)) {
+			t.Fatalf("rotation %d: lazy ring (count %d) != eager ring (count %d)", r, w.Count(), eager.Count())
 		}
 		for _, q := range qs {
-			want := w.Merged().Quantile(q)
+			if got, want := w.Quantile(q), eager.Quantile(q); got != want {
+				t.Fatalf("rotation %d q=%v: lazy Quantile %v != eager %v", r, q, got, want)
+			}
+			want := merged(w).Quantile(q)
 			got := w.Quantile(q)
 			if got != want {
-				t.Fatalf("rotation %d q=%v: scratch Quantile %v != Merged().Quantile %v", r, q, got, want)
+				t.Fatalf("rotation %d q=%v: scratch Quantile %v != merged(w).Quantile %v", r, q, got, want)
 			}
 		}
 		// The scratch sketch itself must equal the merged sketch, not just
 		// agree at the probed quantiles.
-		if !histsEqual(w.scratch, w.Merged()) {
-			t.Fatalf("rotation %d: scratch state diverged from Merged()", r)
+		if !histsEqual(w.scratch, merged(w)) {
+			t.Fatalf("rotation %d: scratch state diverged from merged(w)", r)
 		}
 		w.Rotate()
+		eager.Rotate()
 	}
 	// An empty live window over non-empty frozen ones (right after a
 	// rotation) exercises the min=+Inf/max=-Inf copy path.
-	if got, want := w.Quantile(0.5), w.Merged().Quantile(0.5); got != want {
+	if got, want := w.Quantile(0.5), merged(w).Quantile(0.5); got != want {
 		t.Fatalf("post-rotation q=0.5: %v != %v", got, want)
 	}
 }
