@@ -816,52 +816,9 @@ type slotAccum struct {
 // returns how many entries were clamped.
 func (s *Simulator) enforce(slot *sched.Slot, alloc []int) (int, error) {
 	if s.cfg.Strict {
-		if err := slot.Validate(alloc); err != nil {
-			return 0, err
-		}
-		return 0, nil
+		return 0, slot.Validate(alloc)
 	}
-	clamps := 0
-	total := 0
-	for i := range alloc {
-		// A zero allocation can never violate Eq. (1)/(2) — MaxUnits is
-		// never negative and zero adds nothing to the total — so the scan
-		// skips the untouched majority without reading the view at all.
-		if alloc[i] == 0 {
-			continue
-		}
-		if alloc[i] < 0 {
-			alloc[i] = 0
-			clamps++
-			continue
-		}
-		if !slot.ActiveAt(i) {
-			alloc[i] = 0
-			clamps++
-			continue
-		}
-		if m := slot.MaxUnitsAt(i); alloc[i] > m {
-			alloc[i] = m
-			clamps++
-		}
-		total += alloc[i]
-	}
-	if total > slot.CapacityUnits {
-		// Shed overflow from the highest indices (deterministic).
-		over := total - slot.CapacityUnits
-		for i := len(alloc) - 1; i >= 0 && over > 0; i-- {
-			cut := alloc[i]
-			if cut > over {
-				cut = over
-			}
-			alloc[i] -= cut
-			over -= cut
-			if cut > 0 {
-				clamps++
-			}
-		}
-	}
-	return clamps, nil
+	return slot.Clamp(alloc), nil
 }
 
 // jain computes the Jain fairness index (Σx)²/(n·Σx²) with the convention

@@ -21,8 +21,8 @@ func TestStepSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	// Churn first, so that retired rows sit between the live ones; then K
-	// videos long enough to outlast the measured window.
+	// Churn first, so that the view's rows have been given up and taken
+	// again; then K videos long enough to outlast the measured window.
 	churn(t, g, k, 2*k, 200)
 	for g.anyInService() {
 		if _, err := g.Step(); err != nil {

@@ -21,6 +21,7 @@ package gateway
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -227,11 +228,14 @@ type Gateway struct {
 	users []*user
 	live  []*user
 	slot  int
-	// The slot view handed to the scheduler, one row per id, rewritten only
-	// at live rows: an ended session's row stays zeroed, so position equals
-	// id for every scheduler's per-index state.
+	// The slot view handed to the scheduler has one row per live session,
+	// row i for live[i], zeroed and refilled every slot. rows is the
+	// scheduler's per-row state (nil if it keeps none), kept on the
+	// sched.RowState contract: Attach resets the row it takes, and
+	// retirement moves each remaining session's state down with it.
 	view   sched.Slot
 	cols   sched.Columns
+	rows   sched.RowState
 	active []int
 	alloc  []int
 	// Receiver-queue buffers: 2×QueueCap bytes each, so the queue slides
@@ -287,6 +291,7 @@ func New(cfg Config, s sched.Scheduler) (*Gateway, error) {
 		active:    []int{},
 		capBytes:  int(float64(cfg.QueueCap) * 1000),
 	}
+	g.rows, _ = s.(sched.RowState)
 	g.view = sched.Slot{
 		Tau:           cfg.Tau,
 		Unit:          cfg.Unit,
@@ -325,43 +330,36 @@ func (g *Gateway) Attach(ep Endpoint, src Source) (int, error) {
 	u := &user{id: len(g.users), ep: ep, src: src}
 	g.users = append(g.users, u)
 	g.live = append(g.live, u)
+	if g.rows != nil {
+		// The row may still hold the state of a session retired from it.
+		g.rows.ResetRow(len(g.live) - 1)
+	}
 	g.diag.Admitted++
 	return u.id, nil
 }
 
-// growView extends the slot view by zeroed rows for the sessions attached
-// since the last slot. Callers hold g.mu.
-func (g *Gateway) growView() {
-	c, n := &g.cols, len(g.users)
-	c.Active = grown(c.Active, n)
-	c.Sig = grown(c.Sig, n)
-	c.LinkRate = grown(c.LinkRate, n)
-	c.EnergyPerKB = grown(c.EnergyPerKB, n)
-	c.Rate = grown(c.Rate, n)
-	c.BufferSec = grown(c.BufferSec, n)
-	c.RemainingKB = grown(c.RemainingKB, n)
-	c.TailGap = grown(c.TailGap, n)
-	c.NeverActive = grown(c.NeverActive, n)
-	c.MaxUnits = grown(c.MaxUnits, n)
-	g.alloc = grown(g.alloc, n)
+// zeroView gives the slot view and the allocation one zeroed row per live
+// session; a row left zero sits the slot out. Callers hold g.mu.
+func (g *Gateway) zeroView() {
+	c, n := &g.cols, len(g.live)
+	c.Active = zeroed(c.Active, n)
+	c.Sig = zeroed(c.Sig, n)
+	c.LinkRate = zeroed(c.LinkRate, n)
+	c.EnergyPerKB = zeroed(c.EnergyPerKB, n)
+	c.Rate = zeroed(c.Rate, n)
+	c.BufferSec = zeroed(c.BufferSec, n)
+	c.RemainingKB = zeroed(c.RemainingKB, n)
+	c.TailGap = zeroed(c.TailGap, n)
+	c.NeverActive = zeroed(c.NeverActive, n)
+	c.MaxUnits = zeroed(c.MaxUnits, n)
+	g.alloc = zeroed(g.alloc, n)
 }
 
-// grown returns s at length n ≥ len(s), the new elements zero. Nothing is
-// ever written beyond len, so reslicing within cap finds zeroes.
-func grown[T any](s []T, n int) []T {
-	if n <= cap(s) {
-		return s[:n]
-	}
-	return append(s, make([]T, n-len(s))...)
-}
-
-// clearRow zeroes row i of the slot view: a session sitting the slot out.
-// Callers hold g.mu.
-func (g *Gateway) clearRow(i int) {
-	c := &g.cols
-	c.Active[i], c.NeverActive[i] = false, false
-	c.Sig[i], c.LinkRate[i], c.EnergyPerKB[i], c.Rate[i] = 0, 0, 0, 0
-	c.BufferSec[i], c.RemainingKB[i], c.TailGap[i], c.MaxUnits[i] = 0, 0, 0, 0
+// zeroed returns n zero elements, on s's array while that is large enough.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // Forward carries one non-video packet through the gateway unscheduled,
@@ -395,13 +393,14 @@ func (g *Gateway) Slot() int {
 }
 
 // Step advances the gateway by one slot: receive → collect → schedule →
-// transmit. It returns the per-user allocations in data units, indexed by
-// user id; the slice is the gateway's own and is rewritten by the next
+// transmit. It returns the slot's allocations in data units, one per
+// session the gateway was still serving when the slot began, in attach
+// order; the slice is the gateway's own and is rewritten by the next
 // Step.
 //
 // Only sessions in service are touched: a session that completed or was
-// detached is retired at the end of the slot it ended in and is never
-// polled again; StatsFor keeps answering for it.
+// detached is retired at the end of the slot it ended in, loses its row
+// and is never polled again; StatsFor keeps answering for it.
 //
 // Degraded modes (see Policy): users with a missing report ride the
 // stale-report grace window under conservative admission; users backing
@@ -427,20 +426,12 @@ func (g *Gateway) Step() ([]int, error) {
 		g.fill(u)
 	}
 
-	// 2. Information Collector: rewrite the live rows of the slot view.
-	// Only last slot's active rows can hold a grant; zero those.
-	if len(g.alloc) < len(g.users) {
-		g.growView()
-	}
+	// 2. Information Collector: one row per live session.
+	g.zeroView()
 	c, alloc := &g.cols, g.alloc
-	for _, i := range g.active {
-		alloc[i] = 0
-	}
 	active := g.active[:0]
 	degraded := false
-	for _, u := range g.live {
-		i := u.id
-		g.clearRow(i)
+	for i, u := range g.live {
 		if u.detached {
 			continue
 		}
@@ -520,35 +511,14 @@ func (g *Gateway) Step() ([]int, error) {
 	}
 	g.active = active
 
-	// 3. Scheduler.
+	// 3. Scheduler, under the engine's Eq. (1)/(2) clamp.
 	g.view.N, g.view.ActiveList = g.slot, active
 	g.sched.Allocate(&g.view, alloc)
-	// Defensive clamp, mirroring the simulator's non-strict mode.
-	total := 0
-	for _, u := range g.live {
-		i := u.id
-		if alloc[i] < 0 {
-			alloc[i] = 0
-		}
-		if m := int(c.MaxUnits[i]); alloc[i] > m {
-			alloc[i] = m
-		}
-		total += alloc[i]
-	}
-	for k := len(g.live) - 1; k >= 0 && total > g.view.CapacityUnits; k-- {
-		i := g.live[k].id
-		cut := alloc[i]
-		if cut > total-g.view.CapacityUnits {
-			cut = total - g.view.CapacityUnits
-		}
-		alloc[i] -= cut
-		total -= cut
-	}
+	g.view.Clamp(alloc)
 
 	// 4. Data Transmitter.
 	submitted := 0
-	for _, u := range g.live {
-		i := u.id
+	for i, u := range g.live {
 		if alloc[i] == 0 || u.detached {
 			g.idleSlot(u)
 			continue
@@ -602,14 +572,19 @@ func (g *Gateway) Step() ([]int, error) {
 	g.maybeShed()
 
 	// 6. Retire what ended this slot. A detached session whose last
-	// delivery is still in flight stays until the outcome lands.
+	// delivery is still in flight stays until the outcome lands. The
+	// sessions that stay close ranks, each taking its scheduler state to
+	// its new row.
 	live := g.live[:0]
-	for _, u := range g.live {
+	for i, u := range g.live {
 		if !u.inFlight && (u.detached || u.done()) {
 			g.retire(u)
-		} else {
-			live = append(live, u)
+			continue
 		}
+		if g.rows != nil && len(live) != i {
+			g.rows.MoveRow(i, len(live))
+		}
+		live = append(live, u)
 	}
 	g.live = live
 	g.slot++
@@ -657,8 +632,8 @@ func (g *Gateway) settle(u *user) {
 // the session ended in: a natural completion folds into the session
 // histograms and is credited to the drain (detach folded its own), the
 // delivery worker exits, the queue buffer returns to the free list and the
-// endpoint and source are let go. The ledger entry and the zeroed view row
-// stay. Callers hold g.mu.
+// endpoint and source are let go. The ledger entry stays. Callers hold
+// g.mu.
 func (g *Gateway) retire(u *user) {
 	if !u.detached {
 		g.foldSession(u)
@@ -674,7 +649,6 @@ func (g *Gateway) retire(u *user) {
 		g.freeBufs = append(g.freeBufs, u.buf)
 	}
 	u.buf, u.ep, u.src = nil, nil, nil
-	g.clearRow(u.id)
 	u.asOf = g.slot + 1
 }
 

@@ -29,7 +29,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 // implementation that scanned every session ever attached every slot (the
 // fixtures were recorded from it, PR 12's tree): 220 sessions through 20 in
 // service with RRC energy on, scripted faults, a refused Attach and a drain
-// at the end. Every slot's Step allocation, a digest of every session's
+// at the end. Every slot's Step allocation (by session id, though Step
+// returns one row per session in service), a digest of every session's
 // Stats after every slot, and every session's final Stats (floats as
 // math.Float64bits) must come out the same — also when nobody reads Stats
 // before the end. Regenerate deliberately with
@@ -99,6 +100,22 @@ func ledgerScript(i int, ep *ledgerEndpoint) (scripted bool) {
 
 func runChurnLedger(t *testing.T, s sched.Scheduler, async, perSlot bool) []byte {
 	t.Helper()
+	out, reasons, d := churnLedger(t, s, async, perSlot)
+	// The scenario must keep exercising what it was written for.
+	if reasons[DetachFatal] == 0 || reasons[DetachBreaker] == 0 || reasons[DetachStale] == 0 || reasons[DetachNone] < 200 {
+		t.Fatalf("ledger scenario lost a case: detach reasons %v", reasons)
+	}
+	if d.Reattaches == 0 || d.TransientErrors == 0 || d.Rejected != 2 {
+		t.Fatalf("ledger scenario lost a case: %+v", d)
+	}
+	return out
+}
+
+// churnLedger runs the ledger scenario under s and returns the ledger, the
+// sessions' detach reasons and the diagnostics. A scheduler with a
+// bind(*Gateway) method is handed the gateway before the first Attach.
+func churnLedger(t *testing.T, s sched.Scheduler, async, perSlot bool) ([]byte, map[DetachReason]int, Diag) {
+	t.Helper()
 	cfg := Config{
 		Tau: 0.25, Unit: 10, Capacity: 10000,
 		Radio: radio.Paper3G(), RRC: rrc.Paper3G(),
@@ -115,6 +132,9 @@ func runChurnLedger(t *testing.T, s sched.Scheduler, async, perSlot bool) []byte
 		t.Fatal(err)
 	}
 	defer g.Close()
+	if b, ok := s.(interface{ bind(*Gateway) }); ok {
+		b.bind(g)
+	}
 
 	src := rng.New(7)
 	eps := make([]*ledgerEndpoint, 0, ledgerSessions)
@@ -165,19 +185,25 @@ func runChurnLedger(t *testing.T, s sched.Scheduler, async, perSlot bool) []byte
 		return h.Sum64()
 	}
 	cooldown := 0
+	var rowIDs []int
 	for slot := 0; cooldown < ledgerCooldown; slot++ {
 		if slot > 2000 {
 			t.Fatal("ledger scenario did not drain in 2000 slots")
+		}
+		// Step's row i is the i-th session live when the slot begins.
+		rowIDs = rowIDs[:0]
+		for _, u := range g.live {
+			rowIDs = append(rowIDs, u.id)
 		}
 		alloc, err := g.Step()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if perSlot {
-			fmt.Fprintf(&out, "slot %d users=%d stats=%016x alloc=", slot, len(alloc), digest())
-			for id, a := range alloc {
+			fmt.Fprintf(&out, "slot %d users=%d stats=%016x alloc=", slot, len(eps), digest())
+			for row, a := range alloc {
 				if a != 0 {
-					fmt.Fprintf(&out, "%d:%d,", id, a)
+					fmt.Fprintf(&out, "%d:%d,", rowIDs[row], a)
 				}
 			}
 			out.WriteByte('\n')
@@ -232,15 +258,7 @@ func runChurnLedger(t *testing.T, s sched.Scheduler, async, perSlot bool) []byte
 	m := g.SessionWindowMetrics()
 	fmt.Fprintf(&out, "ended window=%d total=%d rebuf=%016x,%016x energy=%016x,%016x\n", m.EndedWindow, m.EndedTotal,
 		math.Float64bits(m.RebufP50Sec), math.Float64bits(m.RebufP99Sec), math.Float64bits(m.EnergyP50MJ), math.Float64bits(m.EnergyP99MJ))
-
-	// The scenario must keep exercising what it was written for.
-	if reasons[DetachFatal] == 0 || reasons[DetachBreaker] == 0 || reasons[DetachStale] == 0 || reasons[DetachNone] < 200 {
-		t.Fatalf("ledger scenario lost a case: detach reasons %v", reasons)
-	}
-	if d.Reattaches == 0 || d.TransientErrors == 0 || d.Rejected != 2 {
-		t.Fatalf("ledger scenario lost a case: %+v", d)
-	}
-	return out.Bytes()
+	return out.Bytes(), reasons, d
 }
 
 // ledgerStats is one Stats as bytes, floats by their bits.
@@ -297,16 +315,9 @@ func TestChurnLedger(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bytes.Equal(got, want) {
-				return
+			if !bytes.Equal(got, want) {
+				t.Fatal(ledgerDiff(got, want))
 			}
-			gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-			for i := 0; i < len(gl) && i < len(wl); i++ {
-				if gl[i] != wl[i] {
-					t.Fatalf("ledger line %d differs\n got: %s\nwant: %s", i+1, gl[i], wl[i])
-				}
-			}
-			t.Fatalf("ledger has %d lines, want %d", len(gl), len(wl))
 		})
 		// Nobody asks for Stats until the end: an ended session's tail
 		// energy and playback estimate are then caught up over many slots
@@ -321,6 +332,89 @@ func TestChurnLedger(t *testing.T) {
 				t.Fatalf("final ledger differs when Stats are read only at the end:\n%s", got)
 			}
 		})
+	}
+}
+
+// ledgerDiff describes the first difference between two ledgers.
+func ledgerDiff(got, want []byte) string {
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			return fmt.Sprintf("ledger line %d differs\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+		}
+	}
+	return fmt.Sprintf("ledger has %d lines, want %d", len(gl), len(wl))
+}
+
+// idRows hands its scheduler the slot layout the gateway had before it
+// scheduled only the sessions in service: one row per session ever
+// attached, at its id, the row of an ended session zero. It copies the
+// grants back to the gateway's rows and is no sched.RowState, so the
+// scheduler's per-row state stays at each session's id throughout.
+type idRows struct {
+	sched.Scheduler
+	g *Gateway
+}
+
+func (r *idRows) bind(g *Gateway) { r.g = g }
+
+// Allocate runs under g.mu, so it reads g.live directly.
+func (r *idRows) Allocate(slot *sched.Slot, alloc []int) {
+	n := len(r.g.users)
+	from, to := slot.Cols, &sched.Columns{
+		Active:      make([]bool, n),
+		Sig:         make([]units.DBm, n),
+		LinkRate:    make([]units.KBps, n),
+		EnergyPerKB: make([]units.MJ, n),
+		Rate:        make([]units.KBps, n),
+		BufferSec:   make([]units.Seconds, n),
+		RemainingKB: make([]units.KB, n),
+		TailGap:     make([]units.Seconds, n),
+		NeverActive: make([]bool, n),
+		MaxUnits:    make([]int32, n),
+	}
+	for i, u := range r.g.live {
+		id := u.id
+		to.Active[id], to.NeverActive[id] = from.Active[i], from.NeverActive[i]
+		to.Sig[id], to.LinkRate[id], to.EnergyPerKB[id], to.Rate[id] = from.Sig[i], from.LinkRate[i], from.EnergyPerKB[i], from.Rate[i]
+		to.BufferSec[id], to.RemainingKB[id], to.TailGap[id], to.MaxUnits[id] = from.BufferSec[i], from.RemainingKB[i], from.TailGap[i], from.MaxUnits[i]
+	}
+	view := *slot
+	view.Cols, view.ActiveList = to, make([]int, 0, len(slot.ActiveList))
+	for _, i := range slot.ActiveList {
+		view.ActiveList = append(view.ActiveList, r.g.live[i].id)
+	}
+	byID := make([]int, n)
+	r.Scheduler.Allocate(&view, byID)
+	for i, u := range r.g.live {
+		alloc[i] = byID[u.id]
+	}
+}
+
+// TestChurnRowsMatchIDRows: on one row per session in service, compacted in
+// attach order with its state moved on the sched.RowState contract, every
+// scheduler serves the ledger scenario exactly as it does on one row per
+// session ever attached, where no session's row or state ever moves. EMA
+// runs with asynchronous delivery too.
+func TestChurnRowsMatchIDRows(t *testing.T) {
+	for _, name := range strings.Split(sched.Names, "|") {
+		mk := func() sched.Scheduler {
+			s, err := sched.ByName(name, sched.Params{Budget: 2000, V: 0.0005, Radio: radio.Paper3G(), RRC: rrc.Paper3G()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		for _, async := range []bool{false, true} {
+			if async && name != "ema" {
+				continue
+			}
+			got, _, _ := churnLedger(t, mk(), async, true)
+			want, _, _ := churnLedger(t, &idRows{Scheduler: mk()}, async, true)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s async=%v: %s", name, async, ledgerDiff(got, want))
+			}
+		}
 	}
 }
 

@@ -185,7 +185,7 @@ func churnConfig(k int) Config {
 }
 
 // TestQueueBuffersRecycled: ten times K sessions through K in service need
-// K receiver queues, not ten times K.
+// K receiver queues and a slot view of K rows, not ten times K.
 func TestQueueBuffersRecycled(t *testing.T) {
 	const k = 32
 	g, err := New(churnConfig(k), sched.NewDefault())
@@ -212,6 +212,9 @@ func TestQueueBuffersRecycled(t *testing.T) {
 	}
 	if held > k {
 		t.Errorf("%d queue buffers held, on sessions and the free list, for %d in service", held, k)
+	}
+	if n := cap(g.cols.MaxUnits); n > 2*k || len(g.alloc) > k {
+		t.Errorf("slot view of %d rows, room for %d, for %d in service", len(g.alloc), n, k)
 	}
 }
 
@@ -250,8 +253,8 @@ func (*viewSpy) Name() string { return "view-spy" }
 func (s *viewSpy) Allocate(slot *sched.Slot, alloc []int) {
 	// Allocate runs under g.mu, so the tails can be read directly.
 	drained := s.g.cfg.RRC.TailDrainedAfter()
-	for _, u := range s.g.live {
-		i, m := u.id, u.Tail
+	for i, u := range s.g.live {
+		m := u.Tail
 		if !slot.ActiveAt(i) {
 			continue
 		}

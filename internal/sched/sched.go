@@ -14,9 +14,9 @@
 //	ϕ_i(n) ≤ ⌊τ·v(sig_i(n))/δ⌋        (Eq. 1, per-user link limit)
 //	Σ_i ϕ_i(n) ≤ ⌊τ·S(n)/δ⌋          (Eq. 2, base-station capacity)
 //
-// The simulator additionally clamps allocations to these constraints, so a
-// buggy scheduler cannot corrupt the physics; tests assert the built-in
-// schedulers never rely on that clamp.
+// The simulator and the gateway additionally clamp allocations to these
+// constraints (Slot.Clamp), so a buggy scheduler cannot corrupt the
+// physics; tests assert the built-in schedulers never rely on that clamp.
 package sched
 
 import (
@@ -203,10 +203,10 @@ type Scheduler interface {
 }
 
 // RowState is implemented by schedulers that keep per-user state indexed
-// by row. An engine that reuses rows for new sessions (cell.OpenSim) calls
-// ResetRow(i) when row i gets a new session, so it starts from the state a
-// fresh scheduler would give it, and MoveRow(from, to) when compaction
-// moves a session to a lower row.
+// by row. An engine that reuses rows for new sessions (cell.OpenSim, the
+// gateway) calls ResetRow(i) when row i gets a new session, so it starts
+// from the state a fresh scheduler would give it, and MoveRow(from, to)
+// when compaction moves a session to a lower row.
 type RowState interface {
 	ResetRow(i int)
 	MoveRow(from, to int)
@@ -256,6 +256,45 @@ func floorDiv(a, b float64) int {
 		return 0
 	}
 	return int(a / b)
+}
+
+// Clamp forces a finished allocation inside Eq. (1) and Eq. (2) and the
+// inactivity rule, and returns how many entries it changed: negative and
+// inactive entries go to zero, each entry is capped at MaxUnitsAt, and an
+// overflow of CapacityUnits is shed from the highest rows down, so the cut
+// is deterministic. It is the one clamp of both serving engines, the
+// simulator's non-strict mode and the gateway.
+func (s *Slot) Clamp(alloc []int) int {
+	clamps := 0
+	total := 0
+	for i := range alloc {
+		// A zero allocation can never violate Eq. (1)/(2) — MaxUnits is
+		// never negative and zero adds nothing to the total — so the scan
+		// skips the untouched majority without reading the view at all.
+		if alloc[i] == 0 {
+			continue
+		}
+		if alloc[i] < 0 || !s.ActiveAt(i) {
+			alloc[i] = 0
+			clamps++
+			continue
+		}
+		if m := s.MaxUnitsAt(i); alloc[i] > m {
+			alloc[i] = m
+			clamps++
+		}
+		total += alloc[i]
+	}
+	over := total - s.CapacityUnits
+	for i := len(alloc) - 1; i >= 0 && over > 0; i-- {
+		cut := min(alloc[i], over)
+		alloc[i] -= cut
+		over -= cut
+		if cut > 0 {
+			clamps++
+		}
+	}
+	return clamps
 }
 
 // Validate checks a finished allocation against Eq. (1) and Eq. (2) and

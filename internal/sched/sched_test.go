@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"jointstream/internal/units"
@@ -114,29 +115,42 @@ func TestCeilDivPanics(t *testing.T) {
 	ceilDiv(1, 0)
 }
 
+// TestValidateAllocation: Validate rejects each kind of violation; Clamp
+// repairs each with one change (an overflow is cut from the highest row)
+// and leaves a valid allocation alone.
 func TestValidateAllocation(t *testing.T) {
 	slot := makeSlot(10, stdUser(400, -70, 6), stdUser(400, -70, 6))
-	if err := slot.Validate([]int{4, 4}); err != nil {
+	valid := []int{4, 4}
+	if err := slot.Validate(valid); err != nil {
 		t.Errorf("valid allocation rejected: %v", err)
 	}
+	if n := slot.Clamp(valid); n != 0 || !slices.Equal(valid, []int{4, 4}) {
+		t.Errorf("Clamp changed a valid allocation: %d clamps, %v", n, valid)
+	}
+	if err := slot.Validate([]int{4}); err == nil {
+		t.Error("wrong length accepted")
+	}
 	cases := []struct {
-		name  string
-		alloc []int
+		name           string
+		alloc, clamped []int
+		inactive       bool // user 1 does not want data
 	}{
-		{"wrong length", []int{4}},
-		{"negative", []int{-1, 4}},
-		{"over per-user", []int{7, 0}},
-		{"over capacity", []int{6, 6}},
+		{"negative", []int{-1, 4}, []int{0, 4}, false},
+		{"over per-user", []int{7, 0}, []int{6, 0}, false},
+		{"over capacity", []int{6, 6}, []int{6, 4}, false},
+		{"inactive", []int{4, 1}, []int{4, 0}, true},
 	}
 	for _, c := range cases {
+		slot.Cols.Active[1] = !c.inactive
 		if err := slot.Validate(c.alloc); err == nil {
 			t.Errorf("%s accepted", c.name)
 		}
-	}
-	// Inactive user with allocation.
-	slot.Cols.Active[1] = false
-	if err := slot.Validate([]int{4, 1}); err == nil {
-		t.Error("inactive allocation accepted")
+		if n := slot.Clamp(c.alloc); n != 1 || !slices.Equal(c.alloc, c.clamped) {
+			t.Errorf("%s: Clamp made %d changes to %v, want 1 to %v", c.name, n, c.alloc, c.clamped)
+		}
+		if err := slot.Validate(c.alloc); err != nil {
+			t.Errorf("%s: clamped allocation rejected: %v", c.name, err)
+		}
 	}
 }
 
