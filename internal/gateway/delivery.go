@@ -167,10 +167,7 @@ func (g *Gateway) Close() {
 	g.closeWorkers()
 	g.closed = true
 	for _, u := range g.live {
-		if u.buf != nil {
-			g.freeBufs = append(g.freeBufs, u.buf)
-			u.buf = nil
-		}
+		g.freeBuf(u)
 	}
 	for i := range g.freeBufs {
 		spareBufs.Put(&g.freeBufs[i])

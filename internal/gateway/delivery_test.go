@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -344,3 +345,63 @@ type timeoutError struct{}
 func (timeoutError) Error() string   { return "i/o timeout" }
 func (timeoutError) Timeout() bool   { return true }
 func (timeoutError) Temporary() bool { return true }
+
+// gatedEndpoint holds every Deliver until release is closed, then lands it.
+type gatedEndpoint struct {
+	*LocalEndpoint
+	release chan struct{}
+}
+
+func (e *gatedEndpoint) Deliver(p []byte) error {
+	<-e.release
+	return e.LocalEndpoint.Deliver(p)
+}
+
+// TestLateDeliveryAfterDetachIsCommitted: a delivery that outlives its
+// slot's deadline until the breaker has detached its session still lands,
+// so the gateway is not done until a Step has credited it. The stepping
+// loop is the chaos scenario's; the endpoint is released only once the
+// session reads detached, so the breaker trips first on any machine.
+func TestLateDeliveryAfterDetachIsCommitted(t *testing.T) {
+	g, err := New(asyncConfig(), sched.NewDefault())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	local, err := NewLocalEndpoint(signal.Constant(-60, signal.DefaultBounds), 400, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := &gatedEndpoint{LocalEndpoint: local, release: make(chan struct{})}
+	src, _ := NewPatternSource(3000)
+	id, err := g.Attach(ep, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := false
+	for n := 0; n < 2000 && !g.AllDone(); n++ {
+		if _, err := g.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if st, _ := g.StatsFor(id); st.Detached && !released {
+			close(ep.release)
+			released = true
+		}
+		time.Sleep(asyncConfig().Policy.SlotDeadline / 4)
+	}
+	if !released {
+		t.Fatal("the breaker never detached the stalled session")
+	}
+	// Whatever the loop did, the released delivery lands.
+	for start := time.Now(); local.ReceivedBytes() == 0 && time.Since(start) < 10*time.Second; {
+		time.Sleep(time.Millisecond)
+	}
+	st, _ := g.StatsFor(id)
+	got := local.ReceivedBytes()
+	if got == 0 || int64(math.Round(float64(st.SentKB)*1000)) != got {
+		t.Fatalf("endpoint holds %d B, gateway reports SentKB %v (%s, %d missed slots)", got, st.SentKB, st.DetachReason, st.MissedSlots)
+	}
+	if err := Verify(local.Payload()); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -52,7 +52,8 @@ type Endpoint interface {
 	Report() (r Report, ok bool)
 	// Deliver pushes one slot's granted bytes to the device. Errors are
 	// classified (see Classify): fatal ones detach the user immediately,
-	// transient ones route through the backoff/breaker retry path.
+	// transient ones route through the backoff/breaker retry path. p is
+	// the gateway's own buffer, valid only until Deliver returns.
 	Deliver(p []byte) error
 }
 
@@ -144,13 +145,17 @@ type user struct {
 	id  int
 	ep  Endpoint // nil once retired
 	src Source   // nil once retired
-	// The Data Receiver queue is buf[head:tail]. buf is taken at the first
-	// fill and given back at retirement; head and tail stay for Stats.
+	// The Data Receiver queue is a ring: size bytes from buf[head],
+	// wrapping at len(buf). buf is taken at the first fill and given back
+	// at retirement; size stays for Stats.
 	buf        []byte
-	head, tail int
-	srcDone    bool // source exhausted
-	detached   bool
-	sentKB     units.KB
+	head, size int
+	// snap is the async grant in flight, copied out of the ring; it is
+	// reused once the delivery completes.
+	snap     []byte
+	srcDone  bool // source exhausted
+	detached bool
+	sentKB   units.KB
 	// buffered playback estimate maintained from deliveries and wall
 	// slots, used to populate the slot view's BufferSec column.
 	bufferSec units.Seconds
@@ -181,7 +186,7 @@ type user struct {
 }
 
 // queued is the number of bytes waiting in the receiver queue.
-func (u *user) queued() int { return u.tail - u.head }
+func (u *user) queued() int { return u.size }
 
 // done reports natural completion: source drained, queue empty, nothing
 // in flight.
@@ -238,9 +243,10 @@ type Gateway struct {
 	rows   sched.RowState
 	active []int
 	alloc  []int
-	// Receiver-queue buffers: 2×QueueCap bytes each, so the queue slides
-	// down once per QueueCap consumed rather than once per slot.
+	// Receiver-queue rings of exactly QueueCap (capBytes) bytes; scratch
+	// assembles a synchronous grant that wraps the end of its ring.
 	capBytes int
+	scratch  []byte
 	freeBufs [][]byte
 	bufsMade int
 	closed   bool
@@ -529,7 +535,6 @@ func (g *Gateway) Step() ([]int, error) {
 		if nbytes > u.queued() {
 			nbytes = u.queued()
 		}
-		payload := u.buf[u.head : u.head+nbytes]
 		// The radio spends the grant's energy at transmission, in either
 		// delivery mode and whether or not the device drains its socket:
 		// Eq. (3) at the per-KB price this slot's view carries, and the
@@ -540,16 +545,15 @@ func (g *Gateway) Step() ([]int, error) {
 		}
 		if g.policy.AsyncDelivery {
 			// Snapshot the grant and hand it to the endpoint's worker.
-			u.head += nbytes
-			g.submitAsync(u, deliveryJob{payload: append([]byte(nil), payload...), slot: g.slot, rate: c.Rate[i]})
+			g.submitAsync(u, deliveryJob{payload: u.takeSnap(nbytes), slot: g.slot, rate: c.Rate[i]})
 			submitted++
 			continue
 		}
-		if err := u.ep.Deliver(payload); err != nil {
+		if err := u.ep.Deliver(u.peek(nbytes, &g.scratch)); err != nil {
 			g.deliveryFailed(u, err)
 			continue
 		}
-		u.head += nbytes
+		u.consume(nbytes)
 		g.delivered(u, nbytes, c.Rate[i])
 	}
 	if submitted > 0 {
@@ -645,10 +649,8 @@ func (g *Gateway) retire(u *user) {
 		close(u.worker.jobs)
 		u.worker = nil
 	}
-	if u.buf != nil {
-		g.freeBufs = append(g.freeBufs, u.buf)
-	}
-	u.buf, u.ep, u.src = nil, nil, nil
+	g.freeBuf(u)
+	u.snap, u.ep, u.src = nil, nil, nil
 	u.asOf = g.slot + 1
 }
 
@@ -671,7 +673,7 @@ func ceilDiv(amount, unit float64) int {
 var spareBufs sync.Pool
 
 // fill tops up a user's receiver queue from its source, reading straight
-// into the free space of its buffer.
+// into the free span of its ring: two Reads where the span wraps.
 func (g *Gateway) fill(u *user) {
 	if u.srcDone || u.detached {
 		return
@@ -679,22 +681,17 @@ func (g *Gateway) fill(u *user) {
 	if u.buf == nil {
 		if n := len(g.freeBufs); n > 0 {
 			u.buf, g.freeBufs = g.freeBufs[n-1], g.freeBufs[:n-1]
-		} else if b, _ := spareBufs.Get().(*[]byte); b != nil && len(*b) == 2*g.capBytes {
+		} else if b, _ := spareBufs.Get().(*[]byte); b != nil && len(*b) == g.capBytes {
 			u.buf = *b
 		} else {
-			u.buf = make([]byte, 2*g.capBytes)
+			u.buf = make([]byte, g.capBytes)
 			g.bufsMade++
 		}
 	}
-	for u.queued() < g.capBytes {
-		want := g.capBytes - u.queued()
-		if len(u.buf)-u.tail < want {
-			// The tail ran out: slide the queue down over what was consumed.
-			u.tail = copy(u.buf, u.buf[u.head:u.tail])
-			u.head = 0
-		}
-		n, err := u.src.Read(u.buf[u.tail : u.tail+want])
-		u.tail += n
+	for u.size < g.capBytes {
+		tail := (u.head + u.size) % len(u.buf)
+		n, err := u.src.Read(u.buf[tail:min(len(u.buf), tail+g.capBytes-u.size)])
+		u.size += n
 		if err != nil {
 			u.srcDone = true
 			return
@@ -705,17 +702,61 @@ func (g *Gateway) fill(u *user) {
 	}
 }
 
-// putBack returns an undelivered grant to the head of the user's queue.
-func (u *user) putBack(p []byte) {
-	n := u.queued()
-	buf := u.buf
-	if len(p)+n > len(buf) {
-		// Only a QueueCap under one slot of the fastest link gets here.
-		buf = make([]byte, len(p)+n)
+// freeBuf gives a session's ring back to the free list; a ring putBack
+// grew past QueueCap is dropped instead. Callers hold g.mu.
+func (g *Gateway) freeBuf(u *user) {
+	if len(u.buf) == g.capBytes {
+		g.freeBufs = append(g.freeBufs, u.buf)
 	}
-	copy(buf[len(p):], u.buf[u.head:u.tail])
-	copy(buf, p)
-	u.buf, u.head, u.tail = buf, 0, len(p)+n
+	u.buf = nil
+}
+
+// copyOut appends the first n queued bytes to dst, both segments where
+// they wrap.
+func (u *user) copyOut(dst []byte, n int) []byte {
+	first := u.buf[u.head:min(u.head+n, len(u.buf))]
+	return append(append(dst, first...), u.buf[:n-len(first)]...)
+}
+
+// peek returns the first n queued bytes as one slice: a subslice of the
+// ring or, where they wrap, both segments copied into *scratch.
+func (u *user) peek(n int, scratch *[]byte) []byte {
+	if p := u.buf[u.head:min(u.head+n, len(u.buf))]; len(p) == n {
+		return p
+	}
+	*scratch = u.copyOut((*scratch)[:0], n)
+	return *scratch
+}
+
+// takeSnap consumes the first n queued bytes into the session's snapshot
+// buffer, which its one async delivery in flight owns until it completes.
+func (u *user) takeSnap(n int) []byte {
+	u.snap = u.copyOut(u.snap[:0], n)
+	u.consume(n)
+	return u.snap
+}
+
+// consume drops the first n queued bytes.
+func (u *user) consume(n int) {
+	if u.head += n; u.head >= len(u.buf) {
+		u.head -= len(u.buf)
+	}
+	u.size -= n
+}
+
+// putBack returns an undelivered async grant p to the head of the queue.
+// Where it fits, its bytes are still in the ring in front of the head —
+// the fills since it was taken had room only behind the tail — so only
+// the head moves back. A queue that refilled behind a late failure no
+// longer fits, and grows a ring of its own.
+func (u *user) putBack(p []byte) {
+	n := len(p) + u.size
+	if n > len(u.buf) {
+		u.buf, u.head = u.copyOut(append(make([]byte, 0, n), p...), u.size), 0
+	} else if u.head -= len(p); u.head < 0 {
+		u.head += len(u.buf)
+	}
+	u.size = n
 }
 
 // StatsFor returns a user's progress.
@@ -746,9 +787,11 @@ func (g *Gateway) StatsFor(id int) (Stats, error) {
 }
 
 // AllDone reports whether every attached user's source is drained and its
-// queue empty (or the user detached).
+// queue empty (or the user detached), with no delivery left in flight: a
+// detached session's last delivery still lands, and a later Step credits it.
 func (g *Gateway) AllDone() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return len(g.users) > 0 && !g.anyInService()
+	return len(g.users) > 0 && !g.anyInService() &&
+		!slices.ContainsFunc(g.live, func(u *user) bool { return u.inFlight })
 }

@@ -204,10 +204,19 @@ func TestQueueBuffersRecycled(t *testing.T) {
 	if g.bufsMade > k {
 		t.Errorf("%d queue buffers made for %d in service", g.bufsMade, k)
 	}
+	// Each is a ring of exactly QueueCap bytes, pooled or in use.
 	held := len(g.freeBufs)
+	for _, b := range g.freeBufs {
+		if len(b) != g.capBytes {
+			t.Errorf("free list holds a %d-byte queue buffer, QueueCap is %d bytes", len(b), g.capBytes)
+		}
+	}
 	for _, u := range g.live {
 		if u.buf != nil {
 			held++
+			if len(u.buf) != g.capBytes {
+				t.Errorf("session %d queues in %d bytes, QueueCap is %d bytes", u.id, len(u.buf), g.capBytes)
+			}
 		}
 	}
 	if held > k {
