@@ -430,6 +430,7 @@ type Simulator struct {
 	logRetired bool
 	shardAct   [][]int     // per-shard active-index segments (prepare output)
 	shardAcc   []slotAccum // per-shard partial sums (commit output)
+	shardRet   [][]int     // per-shard live-list positions retired this slot (commit output)
 	activeBuf  []int       // backing for slot.ActiveList, rebuilt per slot
 	consumed   bool        // Run/RunReference already executed
 	// capUnits is the nominal per-slot capacity in units; the engines
@@ -807,7 +808,6 @@ type slotAccum struct {
 	fairDen     float64
 	fairCount   int
 	completions int // playback-complete transitions this slot
-	retires     int // users that became retirement-eligible this slot
 	err         error
 	errUser     int
 }

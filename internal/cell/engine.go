@@ -268,13 +268,13 @@ func (s *Simulator) tickSlot(slotIdx int) (bool, error) {
 		fairDen += acc.fairDen
 		fairCount += acc.fairCount
 		s.unfinished -= acc.completions
-		retires += acc.retires
+		retires += len(s.shardRet[sh])
 	}
 	st.Fairness = jain(fairNum, fairDen, fairCount)
 	res.PerSlot = append(res.PerSlot, st)
 	res.Slots = slotIdx + 1
 	if retires > 0 {
-		s.dropRetired()
+		s.dropRetired(shards)
 	}
 	return false, nil
 }
@@ -402,12 +402,14 @@ func (s *Simulator) retireEligible(i int) bool {
 // and must never be written through. A retired user's row is never read
 // again, so the link window stops filling it. For the open engine the
 // dropped users are also logged, so its reap folds exactly them instead
-// of rescanning the table.
-func (s *Simulator) dropRetired() {
+// of rescanning the table. The shards recorded the retired users'
+// positions in the live list, ascending, so no live user's state is read.
+func (s *Simulator) dropRetired(shards int) {
 	c := &s.cols
-	w := 0
-	for _, i := range s.live {
-		if s.users[i].retired {
+	w, from := -1, 0 // w: next write position, -1 until the first gap
+	for sh := 0; sh < shards; sh++ {
+		for _, p := range s.shardRet[sh] {
+			i := s.live[p]
 			if s.logRetired {
 				s.retiredLog = append(s.retiredLog, i)
 			}
@@ -421,12 +423,18 @@ func (s *Simulator) dropRetired() {
 			c.NeverActive[i] = false
 			c.MaxUnits[i] = 0
 			s.alloc[i] = 0
-			continue
+			if w < 0 {
+				w = p
+			} else {
+				w += copy(s.live[w:], s.live[from:p])
+			}
+			from = p + 1
 		}
-		s.live[w] = i
-		w++
 	}
-	s.live = s.live[:w]
+	if w >= 0 {
+		w += copy(s.live[w:], s.live[from:])
+		s.live = s.live[:w]
+	}
 }
 
 // padSamples extends every recorded series to the final slot count with
@@ -469,12 +477,17 @@ func shardBounds(sh, shards, n int) (int, int) {
 	return lo, hi
 }
 
-// ensureShardScratch sizes the per-shard scratch for this slot.
+// ensureShardScratch sizes the per-shard scratch for this slot. A shard's
+// retirement list starts with room for a whole shard (the table, while it
+// is smaller), so retiring does not allocate in the tick.
 func (s *Simulator) ensureShardScratch(shards int) {
 	for len(s.shardAct) < shards {
 		s.shardAct = append(s.shardAct, nil)
 	}
 	for len(s.shardAcc) < shards {
 		s.shardAcc = append(s.shardAcc, slotAccum{})
+	}
+	for len(s.shardRet) < shards {
+		s.shardRet = append(s.shardRet, make([]int, 0, min(s.shardSize, len(s.users))))
 	}
 }

@@ -81,8 +81,9 @@ func (s *Simulator) prepareDenseLink(slotIdx, lo, hi int, act []int) []int {
 // the pinned prevEpkb/prevRate columns — and prepares slot slotIdx+1.
 // Every per-user operation mirrors commitUserCols followed by
 // prepareColsUser, in that order; the engine matrix tests pin it to the
-// reference engine bit for bit.
-func (s *Simulator) fusedDenseLink(slotIdx, lo, hi int, act []int, acc *slotAccum) []int {
+// reference engine bit for bit. A retired user's live-list position, its
+// index in a dense slot, goes to *ret (a pointer, so the loop carries none).
+func (s *Simulator) fusedDenseLink(slotIdx, lo, hi int, act []int, ret *[]int, acc *slotAccum) []int {
 	users := s.users[lo:hi]
 	resUsers := s.curRes.Users[lo:hi]
 	alloc := s.alloc[lo:hi]
@@ -195,7 +196,7 @@ func (s *Simulator) fusedDenseLink(slotIdx, lo, hi int, act []int, acc *slotAccu
 		// --- retire check (mirrors retireEligible) ---
 		if nowComplete && u.buf.DeliveryComplete() && u.tail.Drained(tailDrained) {
 			u.retired = true
-			acc.retires++
+			*ret = append(*ret, lo+k)
 		}
 
 		// --- prepare slot slotIdx+1 (mirrors prepareDenseLink) ---

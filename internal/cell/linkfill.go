@@ -104,6 +104,7 @@ func (c *linkCols) slot(off, n int) ([]units.DBm, []units.KBps, []units.MJ, []un
 type fillScratch struct {
 	sig  [][fillSlots]units.DBm // user-major staged signals
 	rate []units.KBps           // the block's constant required rates
+	row  linkCols               // one slot of a gapped block, to scatter (fillBlock)
 }
 
 // linkFiller holds what a fill needs beyond its destination: the radio
@@ -240,12 +241,24 @@ func (f *linkFiller) row(j int) int {
 }
 
 // fillBlock fills block b: positions [b·width, (b+1)·width) of the row
-// list, every slot of the fill.
+// list, every slot of the fill. A block whose rows are contiguous (every
+// block of a full list) emits each slot straight into the columns. Any other
+// block — the scattered rows a churn flush admits, a list with holes — emits
+// each slot once into the worker's scratch row and scatters it to its rows,
+// so its cost does not follow how its rows are spaced.
 func (f *linkFiller) fillBlock(b int) {
 	j0 := b * f.width
 	m := min(f.width, f.count-j0)
 	sc := f.scratch()
 	dst := f.dst
+	i0 := f.row(j0)
+	var rows []int // the block's destination rows; nil when they are i0, i0+1, …
+	if f.rows != nil && f.rows[j0+m-1]-i0 != m-1 {
+		rows = f.rows[j0 : j0+m]
+		if sc.row.stride == 0 {
+			sc.row = newLinkCols(f.width, 1, true)
+		}
+	}
 
 	jitter := false
 	for u := 0; u < m; u++ {
@@ -259,31 +272,28 @@ func (f *linkFiller) fillBlock(b int) {
 		for u := 0; u < m; u++ {
 			signal.Fill(f.sessions[f.row(j0+u)].Signal, sc.sig[u][:cw], c)
 		}
-		// Emit each maximal run of consecutive destination rows, one slot
-		// row at a time. A full or dense row list is a single run.
-		for a := 0; a < m; {
-			i0 := f.row(j0 + a)
-			e := m
-			if f.rows != nil {
-				for e = a + 1; e < m && f.rows[j0+e] == i0+e-a; e++ {
-				}
-			}
-			n := e - a
-			for k := 0; k < cw; k++ {
-				so := f.off + c + k - f.base
+		for k := 0; k < cw; k++ {
+			so := f.off + c + k - f.base
+			if rows == nil {
 				o := so*dst.stride + i0
-				sig, link := dst.sig[o:o+n], dst.link[o:o+n]
-				f.emitRow(sc.sig[a:e], k, sig, link, dst.epkb[o:o+n], dst.lu[o:o+n])
-				r := so*dst.rateStride + i0
-				if jitter {
-					for u := 0; u < n; u++ {
-						dst.rate[r+u] = f.sessions[i0+u].RateAt(c + k)
-					}
-				} else if dst.rateStride != 0 || c+k == f.base {
-					copy(dst.rate[r:r+n], sc.rate[a:e])
+				f.emitRow(sc.sig[:m], k, dst.sig[o:o+m], dst.link[o:o+m], dst.epkb[o:o+m], dst.lu[o:o+m])
+			} else {
+				row := &sc.row
+				f.emitRow(sc.sig[:m], k, row.sig[:m], row.link[:m], row.epkb[:m], row.lu[:m])
+				for u, i := range rows {
+					o := so*dst.stride + i
+					dst.sig[o], dst.link[o], dst.epkb[o], dst.lu[o] = row.sig[u], row.link[u], row.epkb[u], row.lu[u]
 				}
 			}
-			a = e
+			if r := so * dst.rateStride; jitter || dst.rateStride != 0 || c+k == f.base {
+				for u := 0; u < m; u++ {
+					i, v := f.row(j0+u), sc.rate[u]
+					if jitter {
+						v = f.sessions[i].RateAt(c + k)
+					}
+					dst.rate[r+i] = v
+				}
+			}
 		}
 	}
 	select {

@@ -370,3 +370,108 @@ func BenchmarkLinkRefill(b *testing.B) {
 	b.Run("n100000_t64_w1", func(b *testing.B) { benchLinkRefill(b, 100_000, 64, 1) })
 	b.Run("n100000_t64_wmax", func(b *testing.B) { benchLinkRefill(b, 100_000, 64, 0) })
 }
+
+// TestLinkFillGatheredMatchesDense holds a fill of a row list to a fill
+// of the whole table, read back at the listed rows, bit for bit: every
+// column, every slot, from a staging pass that starts mid-stage and ends
+// in a short one, into a block at offset 0 and into one already in use
+// (a patch). The lists are the shapes a block can take — one row, one run
+// of rows, gapped runs, a full block of consecutive rows, a contiguous
+// block followed by a gapped one, and 255, 256 and 257 scattered rows
+// across the block edge — so both the contiguous emit and the scatter run. Sessions with rate jitter write a rate row per
+// slot; constant-rate ones share the block's one rate row.
+func TestLinkFillGatheredMatchesDense(t *testing.T) {
+	const users, base, slots = 3*fillUsers + 40, 3, fillSlots + 9
+	span := func(lo, hi int) []int {
+		var rows []int
+		for i := lo; i < hi; i++ {
+			rows = append(rows, i)
+		}
+		return rows
+	}
+	every := func(n, from, step int) []int {
+		var rows []int
+		for k := 0; k < n; k++ {
+			rows = append(rows, from+k*step)
+		}
+		return rows
+	}
+	lists := map[string][]int{
+		"one-row":     {417},
+		"one-run":     span(300, 340),
+		"gapped-runs": append(append(span(10, 20), span(30, 50)...), span(250, 270)...),
+		"full-block":  span(100, 100+fillUsers),
+		"mixed":       append(span(20, 20+fillUsers), every(30, 20+fillUsers+1, 2)...),
+		"255":         every(255, 1, 3),
+		"256":         every(256, 0, 2),
+		"257":         every(257, 5, 2),
+	}
+	for _, jitter := range []float64{0, 0.2} {
+		wl := fillWorkload(t, users, jitter, false)
+		workload.PrewarmAll(1, wl, base+slots)
+		cfg := PaperConfig()
+		for _, workers := range []int{1, 2} {
+			dense, err := newLinkFiller(cfg.Radio, cfg.Tau, cfg.Unit, workers, users)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := newLinkCols(users, slots, jitter == 0)
+			dense.fill(&want, wl, nil, users, 0, base, base+slots)
+			for name, rows := range lists {
+				for _, off := range []int{0, 5} {
+					got := newLinkCols(users, slots, jitter == 0)
+					gathered := dense.clone()
+					gathered.fill(&got, wl, rows, 0, off, base+off, base+slots)
+					for so := off; so < slots; so++ {
+						wSig, wLink, wEpkb, wRate, wLU := want.slot(so, users)
+						gSig, gLink, gEpkb, gRate, gLU := got.slot(so, users)
+						for _, i := range rows {
+							if math.Float64bits(float64(wSig[i])) != math.Float64bits(float64(gSig[i])) ||
+								math.Float64bits(float64(wLink[i])) != math.Float64bits(float64(gLink[i])) ||
+								math.Float64bits(float64(wEpkb[i])) != math.Float64bits(float64(gEpkb[i])) ||
+								math.Float64bits(float64(wRate[i])) != math.Float64bits(float64(gRate[i])) ||
+								wLU[i] != gLU[i] {
+								t.Fatalf("jitter %v w%d %s off %d: slot %d row %d: gathered (%v %v %v %v %d) != dense (%v %v %v %v %d)",
+									jitter, workers, name, off, base+so, i,
+									gSig[i], gLink[i], gEpkb[i], gRate[i], gLU[i], wSig[i], wLink[i], wEpkb[i], wRate[i], wLU[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkLinkPatch times what a churn flush fills: 64 rows scattered
+// over an 11 000-row table, every slot of a 32-slot window, on one worker
+// — the shape a slot's admissions take in cell_churn. ns/row (a row is
+// one row-slot) against BenchmarkLinkRefill's one-worker tier is what a
+// late row costs against a block row (linkWindow.handoff).
+func BenchmarkLinkPatch(b *testing.B) {
+	const users, rows, tile = 11_000, 64, 32
+	wl, err := workload.Generate(workload.PaperDefaults(users), rng.New(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := PaperConfig()
+	workload.PrewarmAll(1, wl, tile)
+	f, err := newLinkFiller(cfg.Radio, cfg.Tau, cfg.Unit, 1, users)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := newLinkCols(users, tile, constRate(wl))
+	src := rng.New(5)
+	list := make([]int, 0, rows)
+	for len(list) < rows {
+		if i := src.Intn(users); !slices.Contains(list, i) {
+			list = append(list, i)
+		}
+	}
+	slices.Sort(list)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.fill(&dst, wl, list, 0, 0, 0, tile)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*tile), "ns/row")
+}

@@ -93,14 +93,16 @@ type linkWindow struct {
 
 	// src is the row source: src[i] is the session resident in table row i,
 	// nil when the row is empty or its user will not be read again. rows is
-	// the ascending list of occupied rows a window fill covers. Admissions
-	// and drops reach it in batches: fresh collects the rows admitted since
-	// the last flush (admission order, duplicates possible), holes says
+	// the ascending list of occupied rows a window fill covers; only ensure
+	// reads it, and brings it up to date first. fresh collects the rows
+	// admitted since the last flush (admission order, duplicates possible),
+	// queued the rows flushed since ensure last caught up, and holes says
 	// rows dropped since are still listed.
-	src   []*workload.Session
-	rows  []int
-	fresh []int
-	holes bool
+	src    []*workload.Session
+	rows   []int
+	fresh  []int
+	queued []int
+	holes  bool
 	// late lists the rows flushed since the snapshot of the spare block's
 	// latest fill was taken: the block still lacks them.
 	late []int
@@ -142,14 +144,14 @@ type linkWindow struct {
 const handoffRowSlots = 1536
 
 // lateRowCost is what a late row counts for against handoffRowSlots. The
-// rows a flush admits are scattered over the table — runs of one, each
-// staged and emitted on its own — and cost the foreground 2.4 times a
-// block row per slot (48 scattered rows × 32 slots: 52 µs), while the spare
-// block they go to exists already. At 3 the line falls at 16 rows of a
-// 32-slot window, where it was measured: cell_churn admits some 50 sessions
-// a slot, and with those filled by the foreground its steady slot was 15 %
-// slower and wall_s 12 %, in six pairs of six.
-const lateRowCost = 3
+// rows a flush admits are scattered over the table, so each slot of them
+// is emitted once and scattered to the rows, into lines no neighbour
+// shares: BenchmarkLinkPatch (64 scattered rows × 32 slots of an 11 000-row
+// block) reads 17.5 ns a row-slot where BenchmarkLinkRefill's one-worker
+// tier reads 11.1 for a block row, 1.6 times, while the spare block the
+// late rows go to exists already. At 2 the line falls at 24 rows of a
+// 32-slot window, under the some 65 sessions cell_churn admits a slot.
+const lateRowCost = 2
 
 // newLinkWindow builds a window of span-slot blocks over a table of up to
 // rowCap rows, the first len(sessions) of them occupied. cfg supplies the
@@ -232,9 +234,12 @@ func (w *linkWindow) ensure(n int) {
 	}
 	base := n - n%w.span
 	w.syncFill()
-	// Rows dropped since the last flush leave before the fills below read
-	// the list. No admission is pending here: a flush precedes every tick.
-	w.dropHoles(nil)
+	// The occupied list catches up here, just before a fill reads it: rows
+	// dropped since leave in one filter pass, rows flushed since join in one
+	// backward merge.
+	add := w.occupied(w.queued)
+	w.dropHoles(add)
+	w.rows, w.queued = mergeSorted(w.rows, add), w.queued[:0]
 	if w.nextReady && w.next.base == base {
 		// What the background fill was not given in time is filled here.
 		w.patchNext(w.occupied(w.late))
@@ -431,18 +436,15 @@ func (w *linkWindow) dropHoles(add []int) {
 }
 
 // flush brings the window up to date with the session table before the
-// engine advances from slot clock. The occupied list drops the rows
-// dropped since the last call and gains the rows admitted since, in one
-// pass each. The admitted rows are filled into the resident window in one
-// fill, from clock on (a fresh row is never read at a slot that already
-// ticked); for the prefetched window they are late, and go to a fill of
-// their own now if none is in flight, when it lands otherwise.
+// engine advances from slot clock. The rows admitted since the last call
+// are filled into the resident window in one fill, from clock on (a fresh
+// row is never read at a slot that already ticked); for the prefetched
+// window they are late, and go to a fill of their own now if none is in
+// flight, when it lands otherwise. They join the occupied list when ensure
+// next fills a window, so a flush costs what it admits, not the table.
 func (w *linkWindow) flush(clock int) {
 	add := w.occupied(w.fresh)
-	w.fresh = w.fresh[:0]
-	w.dropHoles(add)
 	if len(add) > 0 {
-		w.rows = mergeSorted(w.rows, add)
 		if !w.snapAll {
 			w.changed = append(w.changed, add...)
 		}
@@ -453,7 +455,11 @@ func (w *linkWindow) flush(clock int) {
 		if w.inflight || w.nextReady {
 			w.late = append(w.late, add...)
 		}
+		if w.queued = append(w.queued, add...); len(w.queued) > len(w.src) {
+			w.queued = w.occupied(w.queued) // rows admitted again and again, no fill between
+		}
 	}
+	w.fresh = w.fresh[:0]
 	w.pollFill()
 }
 
@@ -468,7 +474,7 @@ func (w *linkWindow) compactRows(sessions []*workload.Session) {
 	if w.next != nil {
 		w.next.base = -1
 	}
-	w.fresh, w.late, w.holes = w.fresh[:0], w.late[:0], false
+	w.fresh, w.queued, w.late, w.holes = w.fresh[:0], w.queued[:0], w.late[:0], false
 	w.changed, w.snapAll = w.changed[:0], true
 	n := copy(w.src, sessions)
 	clear(w.src[n:])

@@ -37,18 +37,20 @@ func (s *Simulator) commitShardBody(sh int) {
 	lo, hi := shardBounds(sh, s.curShards, len(s.curLive))
 	acc := &s.shardAcc[sh]
 	*acc = slotAccum{errUser: -1}
+	ret := s.shardRet[sh][:0]
 	res := s.curRes
-	for _, i := range s.curLive[lo:hi] {
+	for p, i := range s.curLive[lo:hi] {
 		if err := s.commitUserCols(s.curSlot, i, res, acc, s.cols.EnergyPerKB, s.cols.Rate); err != nil {
 			acc.err = err
 			acc.errUser = i
-			return
+			break
 		}
 		if s.retireEligible(i) {
 			s.users[i].retired = true
-			acc.retires++
+			ret = append(ret, lo+p)
 		}
 	}
+	s.shardRet[sh] = ret
 }
 
 // fusedShardBody is the fused commit+prepare pass for one shard: each
@@ -61,15 +63,16 @@ func (s *Simulator) fusedShardBody(sh int) {
 	lo, hi := shardBounds(sh, s.curShards, len(s.curLive))
 	acc := &s.shardAcc[sh]
 	*acc = slotAccum{errUser: -1}
-	act := s.shardAct[sh][:0]
+	act, ret := s.shardAct[sh][:0], &s.shardRet[sh]
+	*ret = (*ret)[:0]
 	if s.curDense && s.colsTabled() && s.abrCtls == nil && !s.cfg.RecordPerUserSlots {
-		act = s.fusedDenseLink(s.curSlot, lo, hi, act, acc)
+		act = s.fusedDenseLink(s.curSlot, lo, hi, act, ret, acc)
 	} else {
 		res := s.curRes
 		tabled := s.colsTabled()
 		alloc := s.alloc
 		next := s.curSlot + 1
-		for _, i := range s.curLive[lo:hi] {
+		for p, i := range s.curLive[lo:hi] {
 			if err := s.commitUserCols(s.curSlot, i, res, acc, s.prevEpkb, s.prevRate); err != nil {
 				acc.err = err
 				acc.errUser = i
@@ -77,7 +80,7 @@ func (s *Simulator) fusedShardBody(sh int) {
 			}
 			if s.retireEligible(i) {
 				s.users[i].retired = true
-				acc.retires++
+				*ret = append(*ret, lo+p)
 			}
 			if s.prepareColsUser(tabled, next, i) {
 				act = append(act, i)
