@@ -83,11 +83,12 @@ type Config struct {
 	// the engine keeps a sliding link window (linkwindow.go) of two blocks
 	// of ⌈LinkTileSlots/2⌉ slots each, ticking one while the next fills
 	// into the other (in the background when the fill is big enough to be
-	// worth handing off, in place otherwise, and then the second block is
-	// never allocated). Results are byte-identical to the whole-horizon
-	// table's (differentially asserted). Ignored when a caller-supplied
-	// Link is present and by the open engine (OpenConfig.TileSlots is one
-	// block's length); a value ≥ MaxSlots compiles the whole horizon.
+	// worth handing off; in place otherwise, into one block it borrows
+	// only while the run ticks). Results are byte-identical to the
+	// whole-horizon table's (differentially asserted). Ignored when a
+	// caller-supplied Link is present and by the open engine
+	// (OpenConfig.TileSlots is one block's length); a value ≥ MaxSlots
+	// compiles the whole horizon.
 	LinkTileSlots int
 	// Outages lists base-station outage windows: during each [From, To)
 	// slot range the serving capacity is zero, no allocation happens, and
@@ -476,11 +477,14 @@ type Simulator struct {
 	lblPrep, lblSched, lblCommit, lblFused context.Context
 
 	// Stepped-run state (Start/Advance/Finish): the context bound at
-	// Start for per-slot cancellation checks, the next slot to tick, and
-	// whether the run already hit its end condition.
-	stepCtx  context.Context
-	nextSlot int
-	stepDone bool
+	// Start and its Done channel for per-slot cancellation checks, the
+	// running Advance's bound, the next slot to tick, and whether the run
+	// already hit its end condition.
+	stepCtx    context.Context
+	stepDoneCh <-chan struct{}
+	stepUpto   int
+	nextSlot   int
+	stepDone   bool
 }
 
 // outageAt reports whether slot n falls inside any configured outage

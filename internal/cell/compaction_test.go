@@ -123,7 +123,8 @@ func TestRetireCompactionMatchesScan(t *testing.T) {
 
 // FuzzWindowRows drives a link window's row bookkeeping — admitRow,
 // dropRow, flush, a tick (flush, then ensure, as OpenSim.AdvanceTo does
-// before every slot) and compactRows — against a map of occupied rows.
+// before every slot), compactRows and park (a no-op once the window hands
+// fills off) — against a map of occupied rows.
 // Whenever ensure fills a window, the occupied list it fills from must be
 // exactly the map's rows, ascending, without duplicates; at every tick
 // each occupied row's slot must hold what the analytic path computes for
@@ -170,7 +171,7 @@ func FuzzWindowRows(f *testing.F) {
 		clock, next := 0, initial
 		for _, op := range script {
 			arg := int(op >> 3)
-			switch op % 6 {
+			switch op % 7 {
 			case 0, 1: // admit into the first free row from arg on
 				for k := 0; k < rowCap; k++ {
 					if i := (arg + k) % rowCap; occ[i] == nil {
@@ -214,6 +215,8 @@ func FuzzWindowRows(f *testing.F) {
 					occ[k] = compacted[k]
 				}
 				w.compactRows(compacted)
+			case 6:
+				w.park(-1) // mid-block too, as stop does
 			}
 		}
 	})

@@ -92,7 +92,7 @@ func (s *Simulator) Start(ctx context.Context) error {
 	s.commFn = s.commitShardBody
 	s.fusedFn = s.fusedShardBody
 
-	s.stepCtx = ctx
+	s.stepCtx, s.stepDoneCh = ctx, ctx.Done()
 	s.nextSlot = 0
 	s.stepDone = false
 	return nil
@@ -101,10 +101,11 @@ func (s *Simulator) Start(ctx context.Context) error {
 // Advance ticks the run up to (but not including) slot upto, clamped to
 // the horizon, and reports whether the run is over — the horizon was
 // reached or every session finished. It checks the Start context at the
-// top of every slot, exactly as RunCtx does, and restores the caller's
-// pprof labels before returning so epoch-driving goroutines don't keep a
-// phase label between epochs. Calling Advance again after done=true is a
-// no-op returning done=true.
+// top of every slot, exactly as RunCtx does (by a lock-free poll of its
+// Done channel), and restores the caller's pprof labels before returning
+// so epoch-driving goroutines don't keep a phase label between epochs. It
+// parks a link window whose borrowed block it has left behind. Calling
+// Advance again after done=true is a no-op returning done=true.
 func (s *Simulator) Advance(upto int) (bool, error) {
 	if s.stepCtx == nil {
 		return false, fmt.Errorf("cell: Advance without Start")
@@ -113,10 +114,13 @@ func (s *Simulator) Advance(upto int) (bool, error) {
 	if upto > s.cfg.MaxSlots {
 		upto = s.cfg.MaxSlots
 	}
+	s.stepUpto = upto
 	for !s.stepDone && s.nextSlot < upto {
-		if err := s.stepCtx.Err(); err != nil {
+		select {
+		case <-s.stepDoneCh:
 			s.stopWindow()
-			return false, fmt.Errorf("cell: run cancelled at slot %d: %w", s.nextSlot, err)
+			return false, fmt.Errorf("cell: run cancelled at slot %d: %w", s.nextSlot, s.stepCtx.Err())
+		default:
 		}
 		done, err := s.tickSlot(s.nextSlot)
 		if err != nil {
@@ -132,6 +136,7 @@ func (s *Simulator) Advance(upto int) (bool, error) {
 	if s.nextSlot >= s.cfg.MaxSlots {
 		s.stepDone = true
 	}
+	s.win.park(s.nextSlot)
 	return s.stepDone, nil
 }
 
@@ -237,8 +242,10 @@ func (s *Simulator) tickSlot(slotIdx int) (bool, error) {
 	// next slot exists. The previous static price/rate columns are pinned
 	// first (the commit half prices this slot's deliveries with them),
 	// then the column view moves on to slot n+1 and each shard commits
-	// and re-prepares its users in one pass.
-	if slotIdx+1 < s.cfg.MaxSlots {
+	// and re-prepares its users in one pass — except where the Advance ends
+	// and its window parks: the next block is not borrowed before the
+	// caller's barrier, and the next Advance prepares its first slot.
+	if slotIdx+1 < s.cfg.MaxSlots && !(slotIdx+1 == s.stepUpto && s.win.parks(slotIdx+1)) {
 		pprof.SetGoroutineLabels(s.lblFused)
 		s.pinPrevColumns(slotIdx + 1)
 		s.attachSlotColumns(slotIdx + 1)

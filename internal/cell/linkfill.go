@@ -1,6 +1,9 @@
 package cell
 
 import (
+	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"jointstream/internal/pool"
@@ -78,15 +81,40 @@ func newLinkCols(stride, slots int, sharedRate bool) linkCols {
 	return c
 }
 
-// widenRate turns a shared rate row into a copy of it per slot.
+// widenRate turns a shared rate row into a copy of it per slot, within
+// the rate array's capacity if it has room (borrowed storage has).
 func (c *linkCols) widenRate() {
-	slots := len(c.lu) / c.stride
-	rate := make([]units.KBps, c.stride*slots)
-	for off := 0; off < slots; off++ {
-		copy(rate[off*c.stride:], c.rate)
+	n := len(c.lu)
+	if cap(c.rate) < n {
+		c.rate = append(make([]units.KBps, 0, n), c.rate...)
 	}
-	c.rate, c.rateStride = rate, c.stride
+	c.rate, c.rateStride = c.rate[:n], c.stride
+	for off := c.stride; off < n; off += c.stride {
+		copy(c.rate[off:off+c.stride], c.rate[:c.stride])
+	}
 }
+
+// borrow makes c storage for stride rows × slots, from idleBlocks if an
+// entry covers it, with room for a rate row per slot either way. Tests set
+// borrowHook to see every block handed out.
+func (c *linkCols) borrow(stride, slots int, sharedRate bool) {
+	n, ok := stride*slots, false
+	if *c, ok = idleBlocks.take(n); !ok {
+		*c = newLinkCols(n, 1, false)
+	}
+	c.sig, c.link, c.epkb, c.rate, c.lu = c.sig[:n], c.link[:n], c.epkb[:n], c.rate[:n], c.lu[:n]
+	c.stride, c.rateStride = stride, stride
+	if sharedRate {
+		c.rate, c.rateStride = c.rate[:stride], 0
+	}
+	if borrowHook != nil {
+		borrowHook(c)
+	}
+}
+
+var borrowHook func(*linkCols)
+
+func (c linkCols) capacity() int { return min(cap(c.lu), cap(c.rate)) }
 
 // bytes is the resident size of the column arrays.
 func (c *linkCols) bytes() int64 {
@@ -107,9 +135,56 @@ type fillScratch struct {
 	row  linkCols               // one slot of a gapped block, to scatter (fillBlock)
 }
 
+func (sc *fillScratch) capacity() int { return len(sc.sig) }
+
+// idleStore is a process-wide LIFO of idle fill storage, number arrays
+// only: fill scratch is borrowed for one block's fill, an in-place
+// window's block while its site ticks (linkwindow.go), so a fleet holds
+// what its ticking sites use, not one of each per site. take hands out the
+// latest entry that covers the request; put keeps the GOMAXPROCS+1 largest,
+// as many as can be in use at once when every core fills and a foreground
+// joins.
+type idleStore[T interface{ capacity() int }] struct {
+	mu    sync.Mutex
+	items []T
+}
+
+var (
+	idleBlocks  idleStore[linkCols]
+	idleScratch idleStore[*fillScratch]
+)
+
+func (l *idleStore[T]) take(need int) (none T, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for k := len(l.items) - 1; k >= 0; k-- {
+		if x := l.items[k]; x.capacity() >= need {
+			l.items = slices.Delete(l.items, k, k+1)
+			return x, true
+		}
+	}
+	return
+}
+
+func (l *idleStore[T]) put(x T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.items = append(l.items, x)
+	for len(l.items) > runtime.GOMAXPROCS(0)+1 {
+		k := 0 // the smallest goes: small entries must not starve big requests
+		for i, y := range l.items {
+			if y.capacity() < l.items[k].capacity() {
+				k = i
+			}
+		}
+		l.items = slices.Delete(l.items, k, k+1)
+	}
+}
+
 // linkFiller holds what a fill needs beyond its destination: the radio
-// model (and its exact table, if it has one), the slot grid, the worker
-// bound and the per-worker scratch. A filler runs one fill at a time.
+// model (and its exact table, if it has one), the slot grid and the worker
+// bound; each block's scratch comes from idleScratch. A filler runs one
+// fill at a time.
 //
 // A fill is set up by start and executed by run, which fans drain out over
 // the workers; fill is the two back to back. Blocks are claimed from the
@@ -122,8 +197,7 @@ type linkFiller struct {
 	tab       *radio.Table // nil unless bitwise-exact for radio
 	tau, unit float64
 	workers   int
-	width     int               // staged users per block: min(fillUsers, rows the destination holds)
-	free      chan *fillScratch // idle scratch: one per worker, one for a goroutine that joins from outside (drain)
+	width     int // staged users per block: min(fillUsers, rows the destination holds)
 
 	// The running fill's arguments. They live here, and body is bound
 	// once, so a refill hands pool.Shard no fresh closure: the steady
@@ -153,7 +227,6 @@ func newLinkFiller(m radio.Model, tau units.Seconds, unit units.KB, workers, max
 		radio: m, tau: float64(tau), unit: float64(unit),
 		workers: workers,
 		width:   min(fillUsers, maxRows),
-		free:    make(chan *fillScratch, workers+1),
 	}
 	if tab.Exact() {
 		f.tab = tab
@@ -163,13 +236,12 @@ func newLinkFiller(m radio.Model, tau units.Seconds, unit units.KB, workers, max
 }
 
 // clone returns a second filler for the same destinations — same model,
-// table, grid and worker bound, its own scratch and fill arguments — so two
-// fills can run at once.
+// table, grid and worker bound, its own fill arguments — so two fills can
+// run at once.
 func (f *linkFiller) clone() *linkFiller {
 	c := &linkFiller{
 		radio: f.radio, tab: f.tab, tau: f.tau, unit: f.unit,
 		workers: f.workers, width: f.width,
-		free: make(chan *fillScratch, cap(f.free)),
 	}
 	c.body = c.drain
 	return c
@@ -221,14 +293,13 @@ func (f *linkFiller) drain(int) {
 }
 
 func (f *linkFiller) scratch() *fillScratch {
-	select {
-	case sc := <-f.free:
+	if sc, ok := idleScratch.take(f.width); ok {
 		return sc
-	default:
-		return &fillScratch{
-			sig:  make([][fillSlots]units.DBm, f.width),
-			rate: make([]units.KBps, f.width),
-		}
+	}
+	return &fillScratch{
+		sig:  make([][fillSlots]units.DBm, f.width),
+		rate: make([]units.KBps, f.width),
+		row:  newLinkCols(f.width, 1, true),
 	}
 }
 
@@ -255,9 +326,6 @@ func (f *linkFiller) fillBlock(b int) {
 	var rows []int // the block's destination rows; nil when they are i0, i0+1, …
 	if f.rows != nil && f.rows[j0+m-1]-i0 != m-1 {
 		rows = f.rows[j0 : j0+m]
-		if sc.row.stride == 0 {
-			sc.row = newLinkCols(f.width, 1, true)
-		}
 	}
 
 	jitter := false
@@ -296,8 +364,5 @@ func (f *linkFiller) fillBlock(b int) {
 			}
 		}
 	}
-	select {
-	case f.free <- sc:
-	default:
-	}
+	idleScratch.put(sc)
 }

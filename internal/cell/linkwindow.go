@@ -55,7 +55,9 @@ type linkBlock struct {
 //
 // Whether a fill is handed off at all is decided per fill from its size
 // (handoff): a small one is done where it is needed, and a window whose
-// fills are all small never allocates a spare block or starts a goroutine.
+// fills are all small never allocates a spare block or starts a goroutine,
+// nor keeps its one block: it borrows the storage from idleBlocks for a fill
+// and parks it when an Advance ends past it (or the run ends).
 // Each handed-off fill runs on its own goroutine, which ends with it, so
 // none outlives the window by more than the fill it is running — and not
 // at all once stop has returned.
@@ -84,12 +86,13 @@ type linkWindow struct {
 	// reach (tests move it to force either side).
 	handoffMin int
 
-	cur *linkBlock
+	cur *linkBlock // no storage (nil columns) while parked
 	// next is the spare block, allocated with the snapshot storage below
 	// (spare) once a fill is big enough to be handed off: up front when the
 	// initial population's window already is, by the first such fill
-	// otherwise.
-	next *linkBlock
+	// otherwise. From then on cur keeps its storage.
+	next       *linkBlock
+	sharedRate bool // one rate row for all slots, until widenRate
 
 	// src is the row source: src[i] is the session resident in table row i,
 	// nil when the row is empty or its user will not be read again. rows is
@@ -138,9 +141,9 @@ type linkWindow struct {
 // filling a thousand row-slots of a block does (a 40-row × 32-slot block is
 // 18 µs), a fill in flight at the swap has to be waited for, and handing
 // off takes a spare block. A 40-user fleet cell's 32-slot block is 1 280
-// row-slots: in place, fleet_stream's 2 048 cells keep no spare blocks and
-// start no goroutines. cell_dense's 100 000-user blocks are three orders of
-// magnitude above the line.
+// row-slots: in place, fleet_stream's 2 048 cells keep no spare blocks,
+// start no goroutines and hold a block only while they tick. cell_dense's
+// 100 000-user blocks are three orders of magnitude above the line.
 const handoffRowSlots = 1536
 
 // lateRowCost is what a late row counts for against handoffRowSlots. The
@@ -168,7 +171,8 @@ func newLinkWindow(cfg Config, workers, span, rowCap, horizon int, sharedRate bo
 		span: span, horizon: horizon,
 		fill: fill, patch: fill.clone(),
 		handoffMin: handoffRowSlots,
-		cur:        &linkBlock{base: -1, linkCols: newLinkCols(rowCap, span, sharedRate)},
+		cur:        &linkBlock{base: -1},
+		sharedRate: sharedRate,
 		src:        make([]*workload.Session, rowCap),
 		rows:       make([]int, len(sessions), rowCap),
 		done:       make(chan struct{}, 1),
@@ -181,6 +185,7 @@ func newLinkWindow(cfg Config, workers, span, rowCap, horizon int, sharedRate bo
 		w.rows[i] = i
 	}
 	if w.handoff(len(sessions), span) {
+		w.cur.linkCols = newLinkCols(rowCap, span, sharedRate)
 		w.spare()
 	}
 	return w, nil
@@ -189,7 +194,7 @@ func newLinkWindow(cfg Config, workers, span, rowCap, horizon int, sharedRate bo
 // spare allocates what only a handed-off fill needs: the second block,
 // shaped like the first, and the snapshot storage.
 func (w *linkWindow) spare() {
-	w.next = &linkBlock{base: -1, linkCols: newLinkCols(len(w.src), w.span, w.cur.rateStride == 0)}
+	w.next = &linkBlock{base: -1, linkCols: newLinkCols(len(w.src), w.span, w.sharedRate)}
 	w.snapRows = make([]int, 0, len(w.src))
 	w.snap = make([]workload.Session, len(w.src))
 	w.snapPtr = make([]*workload.Session, len(w.src))
@@ -246,6 +251,9 @@ func (w *linkWindow) ensure(n int) {
 		w.cur, w.next = w.next, w.cur
 	} else {
 		// Filled here and now from the occupied rows: nothing is missing.
+		if w.cur.lu == nil {
+			w.cur.borrow(len(w.src), w.span, w.sharedRate)
+		}
 		w.cur.base = base
 		w.fill.fill(&w.cur.linkCols, w.src, w.rows, 0, 0, base, w.windowEnd(base))
 	}
@@ -349,13 +357,31 @@ func (w *linkWindow) patchNext(rows []int) {
 	w.patch.fill(&b.linkCols, w.src, rows, 0, 0, b.base, w.windowEnd(b.base))
 }
 
-// stop waits out a background fill and hands off no more (idempotent):
-// further window crossings fill in place. The engine calls it wherever a
-// run ends — done, failed or cancelled — so no goroutine outlives it.
+// parks reports whether the window borrows its block and slot n is not in
+// it: an Advance ending before n parks. A nil window never does.
+func (w *linkWindow) parks(n int) bool {
+	return w != nil && w.table == nil && w.next == nil && w.willEvict(n)
+}
+
+// park gives a borrowed block back to idleBlocks unless slot n is in it,
+// invalidating every column view handed out; the next ensure borrows and
+// refills.
+func (w *linkWindow) park(n int) {
+	if w.parks(n) && w.cur.lu != nil {
+		idleBlocks.put(w.cur.linkCols)
+		w.cur.linkCols, w.cur.base = linkCols{}, -1
+	}
+}
+
+// stop waits out a background fill, hands off no more and parks
+// (idempotent): further window crossings fill in place. The engine calls
+// it wherever a run ends — done, failed or cancelled — so no goroutine
+// outlives it and no borrowed block stays out.
 func (w *linkWindow) stop() {
 	w.prefetches.Wait()
 	w.syncFill()
 	w.handoffMin = math.MaxInt
+	w.park(-1)
 }
 
 // windowEnd is the slot after the last one a block based at base covers.
@@ -381,15 +407,18 @@ func (w *linkWindow) occupied(rows []int) []int {
 	return rows[:k]
 }
 
-// widenRate gives both blocks a rate row per slot, each a copy of the
+// widenRate gives the blocks a rate row per slot, each a copy of the
 // shared one, before the first VBR session is admitted; a background fill
 // writing the spare block's row is waited out first.
 func (w *linkWindow) widenRate() {
-	if w.cur.rateStride != 0 {
+	if !w.sharedRate {
 		return
 	}
+	w.sharedRate = false
 	w.syncFill()
-	w.cur.widenRate()
+	if w.cur.lu != nil {
+		w.cur.widenRate()
+	}
 	if w.next != nil {
 		w.next.widenRate()
 	}

@@ -199,7 +199,6 @@ type WindowSnapshot struct {
 // AdvanceTo calls (slot boundaries), never concurrently with one.
 type OpenSim struct {
 	eng *Simulator
-	cfg OpenConfig
 
 	adm       Admission
 	unbounded bool
@@ -213,8 +212,8 @@ type OpenSim struct {
 	// head-slicing pop made the array creep one slot per reuse and forced
 	// a reallocation every O(cap) churn cycles.
 	freelist []int
-	// freed lists the table slots folded since the last release, ascending
-	// (every caller folds in table order): release returns them to the
+	// freed lists the table slots freed since the last release, ascending
+	// (every caller frees in table order): release returns them to the
 	// freelist in one merge instead of one shift per session.
 	freed   []int
 	ended   []bool   // per table slot: session folded (completed/departed)
@@ -284,7 +283,6 @@ func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*O
 		return nil, fmt.Errorf("cell: an empty initial population requires RunFullHorizon")
 	}
 	o := &OpenSim{
-		cfg:         cfg,
 		adm:         NewAdmission(cfg.MaxSessions, cfg.HeadroomFrac, cc.Capacity),
 		unbounded:   cfg.Unbounded,
 		windowSlots: cfg.WindowSlots,
@@ -329,7 +327,6 @@ func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*O
 	o.ended = make([]bool, len(initial))
 	o.owned = make([]bool, len(initial))
 	o.serials = make([]uint64, len(initial))
-	o.freed = make([]int, 0, len(initial))
 	for i := range o.serials {
 		o.lastSer++
 		o.serials[i] = o.lastSer
@@ -670,14 +667,16 @@ func (o *OpenSim) Depart(id int) error {
 	// A session the engine already retired finished its work; departing
 	// it merely reaps early, so it still counts as completed.
 	o.fold(id, wasRetired)
+	o.freed = append(o.freed, id)
 	o.release()
 	return nil
 }
 
 // fold records session id's lifetime totals into the streaming
-// aggregates and frees its table slot; the slot becomes reusable at the
-// caller's release. completed selects the natural-completion counters;
-// otherwise the session is counted as departed.
+// aggregates. A caller that frees the table slot lists it in freed, and
+// it becomes reusable at the caller's release. completed selects the
+// natural-completion counters; otherwise the session is counted as
+// departed.
 func (o *OpenSim) fold(id int, completed bool) {
 	s := o.eng
 	ru := &s.curRes.Users[id]
@@ -705,7 +704,6 @@ func (o *OpenSim) fold(id int, completed bool) {
 	// (linkWindow.kickFill), so neither this nor a reuse of the pooled
 	// clone waits for it.
 	s.sessions[id] = nil
-	o.freed = append(o.freed, id)
 }
 
 // release returns the table slots folded since the last call to the
@@ -733,6 +731,7 @@ func (o *OpenSim) reap() {
 	for _, i := range s.retiredLog {
 		if !o.ended[i] && s.sessions[i] != nil {
 			o.fold(i, true)
+			o.freed = append(o.freed, i)
 		}
 	}
 	s.retiredLog = s.retiredLog[:0]
@@ -856,7 +855,8 @@ func (o *OpenSim) Stats() OpenStats {
 // Finish folds every session still in service (a run can end with
 // playback complete but RRC tails undrained, which never engine-retires
 // the user — those count as completed; truly unfinished ones count as
-// departed), then finalizes and returns the engine Result. In bounded
+// departed) — their table slots are not freed, as nothing admits after
+// Finish — then finalizes and returns the engine Result. In bounded
 // mode with no mid-run churn the Result is byte-identical to RunCtx on
 // the same inputs; in unbounded mode PerSlot holds only the retained
 // window span (the trimmed prefix lives in the window snapshots) and
@@ -870,7 +870,6 @@ func (o *OpenSim) Finish() *Result {
 			o.fold(i, s.users[i].buf.PlaybackComplete())
 		}
 	}
-	o.release()
 	return s.Finish()
 }
 

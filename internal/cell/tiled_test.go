@@ -256,45 +256,59 @@ func TestTiledRunByteIdentical(t *testing.T) {
 
 // TestSteppedRunMatchesRunCtx pins the Start/Advance/Finish contract:
 // a run advanced in ragged epoch chunks produces a byte-identical Result
-// to the one-shot RunCtx, tiled and monolithic alike.
+// to the one-shot RunCtx, tiled and monolithic alike — and so does one
+// advanced in epochs of one or two blocks, whose in-place window parks at
+// every epoch's end and commits the epoch's last slot unfused.
 func TestSteppedRunMatchesRunCtx(t *testing.T) {
 	for _, tile := range []int{0, 1, 7, 16, 33} {
 		for _, handoff := range []int{handoffAlways, handoffNever} {
-			sessions := tiledWorkload(t, 8)
-			cfg := tiledConfig()
-			cfg.LinkTileSlots = tile
-			want := runForced(t, cfg, sessions, sched.NewDefault(), handoff)
-
-			simB, err := New(cfg, sessions, sched.NewDefault())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if simB.win != nil {
-				simB.win.handoffMin = handoff
-			}
-			if _, err := simB.Advance(10); err == nil {
-				t.Fatal("Advance before Start accepted")
-			}
-			if err := simB.Start(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			// Ragged, tile-misaligned epochs, plus redundant calls at the end.
-			done := false
-			for upto := 13; !done; upto += 13 {
-				var err error
-				done, err = simB.Advance(upto)
-				if err != nil {
-					t.Fatal(err)
+			span := (tile + 1) / 2
+			for _, epoch := range []int{13, span, 2 * span} {
+				if epoch == 0 {
+					continue
 				}
-			}
-			if again, err := simB.Advance(math.MaxInt / 2); err != nil || !again {
-				t.Fatalf("Advance after done: (%v, %v)", again, err)
-			}
-			got := simB.Finish()
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("tile %d %s: stepped Result differs from RunCtx", tile, handoffName(handoff))
+				t.Run(fmt.Sprintf("tile=%d,%s,epoch=%d", tile, handoffName(handoff), epoch), func(t *testing.T) {
+					steppedMatchesRunCtx(t, tile, handoff, epoch)
+				})
 			}
 		}
+	}
+}
+
+func steppedMatchesRunCtx(t *testing.T, tile, handoff, epoch int) {
+	sessions := tiledWorkload(t, 8)
+	cfg := tiledConfig()
+	cfg.LinkTileSlots = tile
+	want := runForced(t, cfg, sessions, sched.NewDefault(), handoff)
+
+	simB, err := New(cfg, sessions, sched.NewDefault())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if simB.win != nil {
+		simB.win.handoffMin = handoff
+	}
+	if _, err := simB.Advance(10); err == nil {
+		t.Fatal("Advance before Start accepted")
+	}
+	if err := simB.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// Epochs, plus redundant calls at the end.
+	done := false
+	for upto := epoch; !done; upto += epoch {
+		var err error
+		done, err = simB.Advance(upto)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if again, err := simB.Advance(math.MaxInt / 2); err != nil || !again {
+		t.Fatalf("Advance after done: (%v, %v)", again, err)
+	}
+	got := simB.Finish()
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("stepped Result differs from RunCtx")
 	}
 }
 

@@ -380,6 +380,9 @@ func Run(ctx context.Context, cfg Config, sessions []*workload.Session, newSched
 	// dense ID and the site-shifted signal trace.
 	res := &Result{Placements: make([]Placement, len(sessions))}
 	perSite := make([][]*workload.Session, len(cfg.Sites))
+	for si := range perSite {
+		perSite[si] = make([]*workload.Session, 0, len(sessions)/len(cfg.Sites)+1) // round robin's share
+	}
 	demand := make([]units.KBps, len(cfg.Sites))
 	for ui, s := range sessions {
 		si := pickSite(cfg, ui, s, demand)
@@ -420,11 +423,11 @@ func Run(ctx context.Context, cfg Config, sessions []*workload.Session, newSched
 }
 
 // closedSite shapes a closed site as a bounded open cell: the closed
-// engine's window under LinkTileSlots (two ⌈LinkTileSlots/2⌉-slot blocks),
-// the analytic path otherwise (bit-identical by LUT exactness), and one
-// metric window past the horizon — it reports through its Result.
+// engine's window under LinkTileSlots (⌈LinkTileSlots/2⌉-slot blocks), the
+// analytic path otherwise (bit-identical by LUT exactness), and one metric
+// window, past the horizon — it reports through its Result.
 func closedSite(c cell.Config, users int) cell.OpenConfig {
-	oc := cell.OpenConfig{Cell: c, MaxSessions: users, WindowSlots: c.MaxSlots + 1}
+	oc := cell.OpenConfig{Cell: c, MaxSessions: users, WindowSlots: c.MaxSlots + 1, Windows: 1}
 	if c.LinkTileSlots > 0 && c.LinkTileSlots < c.MaxSlots {
 		oc.TileSlots = (c.LinkTileSlots + 1) / 2
 	}
@@ -473,10 +476,13 @@ type epochSteps struct {
 // run.
 func lockstep(ctx context.Context, cfg Config, sims []*cell.OpenSim, f epochSteps) (int, error) {
 	epoch := cfg.epochSlots()
-	// The watchdog cancels this context on a stall, so every cooperative
+	// A watchdog cancels this context on a stall, so every cooperative
 	// worker in the fleet unwinds together.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	var cancel context.CancelFunc
+	if cfg.EpochTimeout > 0 {
+		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
+	}
 	defer func() {
 		for _, sim := range sims {
 			if sim != nil {
@@ -496,19 +502,23 @@ func lockstep(ctx context.Context, cfg Config, sims []*cell.OpenSim, f epochStep
 	}
 	done := make([]bool, len(sims))
 	epochs, retired := 0, 0
-	for upto, stop := epoch, false; !stop && len(running) > 0; upto += epoch {
+	// Bound once for the run, not per epoch: upto and running change only
+	// between epochs.
+	upto, workers, e := 0, cfg.Workers, EpochInfo{}
+	tick := func(_ context.Context, k int) error {
+		d, err := sims[running[k]].AdvanceTo(upto)
+		done[running[k]] = d
+		return err
+	}
+	advance := func() error { return pool.ForEachN(ctx, workers, len(running), tick) }
+	for stop := false; !stop && len(running) > 0; {
+		upto += epoch
 		if f.before != nil {
 			if err := f.before(upto); err != nil {
 				return 0, err
 			}
 		}
-		err := watchEpoch(cancel, cfg.EpochTimeout, epochs, upto, func() error {
-			return pool.ForEachN(ctx, cfg.Workers, len(running), func(_ context.Context, k int) error {
-				d, err := sims[running[k]].AdvanceTo(upto)
-				done[running[k]] = d
-				return err
-			})
-		})
+		err := watchEpoch(cancel, cfg.EpochTimeout, epochs, upto, advance)
 		if err != nil {
 			return 0, err
 		}
@@ -526,7 +536,7 @@ func lockstep(ctx context.Context, cfg Config, sims []*cell.OpenSim, f epochStep
 		}
 		running = still
 		epochs++
-		e := EpochInfo{Epoch: epochs - 1, UptoSlot: upto, ActiveSites: len(running), CompletedSites: retired}
+		e = EpochInfo{Epoch: epochs - 1, UptoSlot: upto, ActiveSites: len(running), CompletedSites: retired}
 		stop = f.after != nil && f.after(&e)
 		if cfg.OnEpoch != nil {
 			cfg.OnEpoch(e)
@@ -595,8 +605,9 @@ func foldSite(a *siteAgg, res *cell.Result, epoch int) {
 }
 
 // merge folds the per-site aggregates into the fleet in site index order.
+// The first populated site's sketches become the fleet's: merging them
+// into empty ones would copy them exactly.
 func (f *FleetMetrics) merge(aggs []siteAgg) error {
-	f.RebufferPerUser, f.EnergyPerUser = newHist(fleetRebufferBinSec), newHist(fleetEnergyBinMJ)
 	f.PerSite = make([]SiteTotals, len(aggs))
 	for si, a := range aggs {
 		f.PerSite[si] = a.SiteTotals
@@ -616,7 +627,9 @@ func (f *FleetMetrics) merge(aggs []siteAgg) error {
 			f.PerEpoch[e].Energy += t.Energy
 			f.PerEpoch[e].Rebuffer += t.Rebuffer
 		}
-		if a.rebufHist != nil {
+		if f.RebufferPerUser == nil {
+			f.RebufferPerUser, f.EnergyPerUser = a.rebufHist, a.energyHist
+		} else if a.rebufHist != nil {
 			if err := f.RebufferPerUser.Merge(a.rebufHist); err != nil {
 				return err
 			}

@@ -134,7 +134,8 @@ func siteTotals(c *cell.Result) SiteTotals {
 // worker count and epoch size, each site's folded totals equal its cell
 // run one shot, and the fleet totals equal their sum in site order —
 // exactly (==, not a tolerance) — while the per-epoch series re-adds to
-// the same totals.
+// the same totals. Epochs of one and two 16-slot blocks end on block
+// boundaries, where the small sites' in-place windows park.
 func TestFleetMatchesOneShotCells(t *testing.T) {
 	dense := fleetSessions(t, 5000)
 	for _, in := range []struct {
@@ -150,7 +151,7 @@ func TestFleetMatchesOneShotCells(t *testing.T) {
 		t.Run(in.name, func(t *testing.T) {
 			var cells []*cell.Result // placement does not depend on workers or epochs
 			for _, workers := range []int{1, 2, 0} {
-				for _, epoch := range []int{1, 17, 64, 1 << 20} {
+				for _, epoch := range []int{1, 16, 17, 32, 64, 1 << 20} {
 					cfg := in.cfg
 					cfg.Workers, cfg.EpochSlots = workers, epoch
 					res, err := Run(context.Background(), cfg, in.sessions, defaultFactory)

@@ -5,8 +5,8 @@
 // remaining work, and panics in workers are converted to errors instead of
 // crashing the process.
 //
-// Every fan-out — Shard, ForEachN, Map, ForEach — runs one claim loop:
-// one goroutine spawn per extra worker, one atomic add per job.
+// Every fan-out granted an extra worker — Shard, ForEachN, Map — runs one
+// claim loop: one goroutine spawn per extra worker, one atomic add per job.
 package pool
 
 import (
@@ -98,20 +98,14 @@ func Map[T, R any](ctx context.Context, workers int, xs []T, fn func(context.Con
 	return results, nil
 }
 
-// ForEach is Map without result collection.
-func ForEach[T any](ctx context.Context, workers int, xs []T, fn func(context.Context, T) error) error {
-	return ForEachN(ctx, workers, len(xs), func(ctx context.Context, i int) error {
-		return fn(ctx, xs[i])
-	})
-}
-
 // ForEachN runs fn over the index range [0, n) with Map's scheduling,
 // budget and error semantics, but without materializing an input slice
 // or a result slice. It exists for hot repeated fan-outs — the fleet
 // runner's per-epoch tick over hundreds of cells calls this once per
 // epoch, and allocating an index slice plus a discarded result slice
 // each time would be pure garbage-collector load. With no extra worker
-// granted the jobs run inline, in index order.
+// granted the jobs run inline, in index order, under ctx itself: there is
+// no other worker for an error to stop.
 func ForEachN(ctx context.Context, workers, n int, fn func(context.Context, int) error) error {
 	if fn == nil {
 		return errNilFunc
@@ -127,6 +121,14 @@ func ForEachN(ctx context.Context, workers, n int, fn func(context.Context, int)
 		debitExtra(extra)
 	}
 	defer releaseExtra(extra)
+	if extra == 0 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			if err := runJob(ctx, i, fn); err != nil {
+				return err
+			}
+		}
+		return ctx.Err()
+	}
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -134,11 +136,11 @@ func ForEachN(ctx context.Context, workers, n int, fn func(context.Context, int)
 		mu       sync.Mutex
 		firstErr error
 	)
-	job, p := claim(extra, n, ctx.Done(), func(i int) {
-		if err := fn(ctx, i); err != nil {
+	claim(extra, n, ctx.Done(), func(i int) {
+		if err := runJob(ctx, i, fn); err != nil {
 			mu.Lock()
 			if firstErr == nil {
-				firstErr = fmt.Errorf("pool: job %d: %w", i, err)
+				firstErr = err
 				cancel()
 			}
 			mu.Unlock()
@@ -147,8 +149,18 @@ func ForEachN(ctx context.Context, workers, n int, fn func(context.Context, int)
 	if firstErr != nil {
 		return firstErr
 	}
-	if p != nil {
-		return fmt.Errorf("pool: job %d panicked: %v", job, p)
-	}
 	return ctx.Err()
+}
+
+// runJob runs fn(ctx, i), its error or panic reported with the job index.
+func runJob(ctx context.Context, i int, fn func(context.Context, int) error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("pool: job %d panicked: %v", i, p)
+		}
+	}()
+	if err := fn(ctx, i); err != nil {
+		return fmt.Errorf("pool: job %d: %w", i, err)
+	}
+	return nil
 }

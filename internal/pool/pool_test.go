@@ -143,26 +143,6 @@ func TestMapRespectsCallerCancel(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	xs := []int64{1, 2, 3, 4, 5}
-	if err := ForEach(context.Background(), 3, xs, func(_ context.Context, x int64) error {
-		sum.Add(x)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 15 {
-		t.Errorf("sum = %d", sum.Load())
-	}
-	boom := errors.New("x")
-	if err := ForEach(context.Background(), 3, xs, func(_ context.Context, x int64) error {
-		return boom
-	}); !errors.Is(err, boom) {
-		t.Errorf("ForEach error = %v", err)
-	}
-}
-
 // Property: Map equals the sequential loop for pure functions, at any
 // worker count.
 func TestMapMatchesSequentialProperty(t *testing.T) {
