@@ -15,8 +15,7 @@ import (
 )
 
 // TestMain poisons every block a window borrows for the whole package:
-// NaN in every float column, math.MinInt32 in the link-unit column. An
-// idle block holds another site's rows and a fresh one zeros; with the
+// NaN in both columns. An idle block holds another site's rows and a fresh one zeros; with the
 // poison, a result that read a row its window's fill did not write would
 // move, so every byte-identity suite here also proves no result does.
 func TestMain(m *testing.M) {
@@ -27,7 +26,7 @@ func TestMain(m *testing.M) {
 func poison(c *linkCols) {
 	nan := math.NaN()
 	for k := range c.sig {
-		c.sig[k], c.link[k], c.epkb[k], c.lu[k] = units.DBm(nan), units.KBps(nan), units.MJ(nan), math.MinInt32
+		c.sig[k] = units.DBm(nan)
 	}
 	for k := range c.rate {
 		c.rate[k] = units.KBps(nan)
@@ -69,7 +68,7 @@ func TestLockstepFleetParksBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k, o := range sims {
-			if !done[k] && o.eng.win.cur.lu != nil {
+			if !done[k] && o.eng.win.cur.sig != nil {
 				t.Fatalf("slot %d: site %d holds its block between epochs", upto, k)
 			}
 		}

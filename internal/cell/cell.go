@@ -67,21 +67,24 @@ type Config struct {
 	// Link, when non-nil, is a precompiled link table (CompileLink) the
 	// run reads instead of compiling its own — the experiment harness
 	// compiles one per scenario and shares it across every scheduler run.
-	// It must have been compiled from the same sessions, radio model and
-	// slot grid; New rejects mismatched user counts, horizons and grids.
+	// It must have been compiled from the same sessions; New rejects
+	// mismatched user counts, horizons and rows. It holds signals and
+	// rates only, so the run's physics come from the run's own Radio, Tau
+	// and Unit whatever the table was compiled under.
 	Link *LinkTable
 	// LinkTableMaxRows bounds the automatic link-table compilation in
-	// New: 0 selects the DefaultLinkTableMaxRows 4M-row default (≈144 MB
-	// at linkRowBytes = 36 B per row), negative disables compilation
+	// New: 0 selects the DefaultLinkTableMaxRows 4M-row default (≈64 MB
+	// at linkRowBytes = 16 B per row), negative disables compilation
 	// entirely (the tick path then evaluates the radio model through the
 	// interfaces, as before the link-table layer). A caller-supplied Link
 	// is used regardless of this cap.
 	LinkTableMaxRows int
 	// LinkTileSlots, when positive, bounds the run's link state at about
-	// users × LinkTileSlots rows no matter the horizon — the fleet
-	// runner's per-cell setting — instead of compiling the whole horizon:
-	// the engine keeps a sliding link window (linkwindow.go) of two blocks
-	// of ⌈LinkTileSlots/2⌉ slots each, ticking one while the next fills
+	// users × LinkTileSlots rows (8 bytes each: signal; plus one rate row
+	// per block, or per slot under rate jitter) no matter the horizon —
+	// the fleet runner's per-cell setting — instead of compiling the whole
+	// horizon: the engine keeps a sliding link window (linkwindow.go) of
+	// two blocks of ⌈LinkTileSlots/2⌉ slots each, ticking one while the next fills
 	// into the other (in the background when the fill is big enough to be
 	// worth handing off; in place otherwise, into one block it borrows
 	// only while the run ticks). Results are byte-identical to the
@@ -395,21 +398,29 @@ type Simulator struct {
 
 	// cols is the slot's column storage (slot.Cols points at it for the
 	// Simulator's whole life). The dynamic columns (Active, BufferSec,
-	// RemainingKB, TailGap, NeverActive, MaxUnits) are engine-owned arrays
-	// refreshed in place each slot; the static physics columns alias the
-	// link window's slot rows (attachSlotColumns) when there is one, and
-	// are engine-owned otherwise. With ABR the Rate column is always
-	// engine-owned — the player picks rates per slot, and the shared
-	// immutable table must never be written through. RunReference swaps
-	// in private static columns for the same reason.
-	cols  sched.Columns
-	luCol []int32 // slot's Eq. (1) link-unit column (link-window path only)
+	// RemainingKB, TailGap, NeverActive, MaxUnits) and the derived physics
+	// (LinkRate, EnergyPerKB) are engine-owned arrays refreshed in place
+	// each slot; Sig and Rate alias the link window's slot rows
+	// (attachSlotColumns) when there is one, and are engine-owned
+	// otherwise. With ABR the Rate column is always engine-owned — the
+	// player picks rates per slot, and the shared immutable table must
+	// never be written through. RunReference swaps in private Sig and Rate
+	// columns for the same reason.
+	cols sched.Columns
+	// link derives v, P and the Eq. (1) limit from the window's signals
+	// (nil without a window), into LinkRate, EnergyPerKB and luCol.
+	// epkbAlt is the second price column: the fused pass swaps the two, so
+	// slot n+1's prices are derived beside slot n's, which its commit half
+	// still reads (pinPrevColumns).
+	link    *radio.Link
+	luCol   []int32 // slot's Eq. (1) link-unit column (read on the link-window path only)
+	epkbAlt []units.MJ
 
 	// Engine state for the sharded active-list tick path (Run).
 	workers   int // resolved Config.Workers (0 → GOMAXPROCS)
 	shardSize int // resolved Config.ShardSize (0 → defaultShardSize)
-	// win is the run's link window (linkwindow.go), whose slot rows the
-	// static physics columns alias: over a compiled LinkTable, a sliding
+	// win is the run's link window (linkwindow.go), whose slot rows Sig
+	// and Rate alias: over a compiled LinkTable, a sliding
 	// one under Config.LinkTileSlots, or the open engine's (newSim builds
 	// all three). nil → the interface path.
 	win     *linkWindow
@@ -454,22 +465,22 @@ type Simulator struct {
 	// already prepared (by the previous slot's fused commit+prepare pass),
 	// or -1 when the next slot must run a standalone prepare phase.
 	colsSlot int
-	// prevEpkb/prevRate pin the *previous* slot's static price and rate
-	// columns across the fused pass: attachSlotColumns has already moved
-	// s.cols on to the next slot's windows, but the commit half of the
-	// pass must still price this slot's deliveries with this slot's
-	// physics. With a link window these are zero-copy aliases of resident
-	// rows; without one they alias the engine-owned arrays and the fused
-	// kernel relies on its per-user read-commit-then-write-prepare order.
+	// prevEpkb/prevRate pin the *previous* slot's price and rate columns
+	// across the fused pass: s.cols has already moved on to the next slot,
+	// but the commit half of the pass must still price this slot's
+	// deliveries with this slot's physics. prevEpkb is the price column
+	// the swap retired; prevRate is a zero-copy alias of the resident rate
+	// row, or of the engine-owned array without a window or under ABR
+	// (where the fused kernel relies on its per-user read-commit-then-
+	// write-prepare order).
 	prevEpkb []units.MJ
 	prevRate []units.KBps
-	// prevEpkbBuf/prevRateBuf are the copy fallback behind prevEpkb/
-	// prevRate: when attaching slot n+1 will evict the resident block
-	// (window crossing), aliasing slot n's rows would hand the fused pass
-	// memory the next fill is overwriting, so pinPrevColumns copies the
-	// columns here first — an O(users) copy once per window, not per
-	// slot. Allocated on first use, reused after.
-	prevEpkbBuf                            []units.MJ
+	// prevRateBuf is the copy fallback behind prevRate: when attaching
+	// slot n+1 will evict the resident block (window crossing), aliasing
+	// slot n's rate row would hand the fused pass memory the next fill is
+	// overwriting, so pinPrevColumns copies it here first — an O(users)
+	// copy once per window, not per slot. Allocated on first use, reused
+	// after.
 	prevRateBuf                            []units.KBps
 	prepFn                                 func(int)
 	commFn                                 func(int)
@@ -576,19 +587,24 @@ func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, open *o
 	switch {
 	case open != nil:
 		if open.span > 0 {
-			sim.win, err = newLinkWindow(cfg, sim.workers, open.span, open.rows, open.horizon, constRate(sessions), sessions)
+			sim.win = newLinkWindow(sim.workers, open.span, open.rows, open.horizon, constRate(sessions), sessions)
 		}
 	case cfg.Link != nil:
 		lt = cfg.Link
 		err = lt.compatible(cfg, sessions)
 	case cfg.LinkTileSlots > 0 && cfg.LinkTileSlots < cfg.MaxSlots:
-		sim.win, err = newLinkWindow(cfg, sim.workers, (cfg.LinkTileSlots+1)/2,
+		sim.win = newLinkWindow(sim.workers, (cfg.LinkTileSlots+1)/2,
 			len(sessions), cfg.MaxSlots, constRate(sessions), sessions)
 	case cfg.LinkTileSlots > 0 || autoLinkFits(cfg, len(sessions)):
 		lt, err = CompileLink(cfg, sessions)
 	}
 	if err != nil {
 		return nil, err
+	}
+	if lt != nil || sim.win != nil {
+		if sim.link, err = radio.NewLink(cfg.Radio, cfg.Tau, cfg.Unit); err != nil {
+			return nil, err
+		}
 	}
 	if lt != nil {
 		// A table run reads its sessions only through the table, which
@@ -611,24 +627,26 @@ func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, open *o
 		Cols:          &sim.cols,
 	}
 	sim.capUnits = sim.slot.CapacityUnits
-	// Column storage for the slot view. Dynamic columns are always
-	// engine-owned; the static physics columns are allocated only
-	// when no link window backs them (attachSlotColumns aliases the
-	// window's slot rows otherwise), and the Rate column additionally
-	// whenever ABR overrides the workload rates.
+	// Column storage for the slot view. Dynamic and derived columns are
+	// always engine-owned; Sig and Rate are allocated only when no link
+	// window backs them (attachSlotColumns aliases the window's slot rows
+	// otherwise), and Rate additionally whenever ABR overrides the
+	// workload rates.
 	n := len(sessions)
 	sim.cols = sched.Columns{
 		Active:      make([]bool, n),
+		LinkRate:    make([]units.KBps, n),
+		EnergyPerKB: make([]units.MJ, n),
 		BufferSec:   make([]units.Seconds, n),
 		RemainingKB: make([]units.KB, n),
 		TailGap:     make([]units.Seconds, n),
 		NeverActive: make([]bool, n),
 		MaxUnits:    make([]int32, n),
 	}
+	sim.epkbAlt = make([]units.MJ, n)
+	sim.luCol = make([]int32, n)
 	if sim.win == nil {
 		sim.cols.Sig = make([]units.DBm, n)
-		sim.cols.LinkRate = make([]units.KBps, n)
-		sim.cols.EnergyPerKB = make([]units.MJ, n)
 		sim.cols.Rate = make([]units.KBps, n)
 	} else if cfg.ABR != nil {
 		sim.cols.Rate = make([]units.KBps, n)
@@ -722,7 +740,7 @@ func (s *Simulator) abrDemand(i int, u *userState, active bool) (units.KBps, uni
 	return rate, units.KB(float64(wantSec) * float64(rate))
 }
 
-// attachSlotColumns points the slot view's static physics columns at the
+// attachSlotColumns points the slot view's Sig and Rate columns at the
 // link window's slot-n rows: zero-copy reslices, swapped per slot, never
 // written through, valid until the window's next swap. Without a window
 // the columns are engine-owned arrays and prepareColsUser refreshes them.
@@ -731,29 +749,33 @@ func (s *Simulator) attachSlotColumns(n int) {
 		return
 	}
 	s.win.ensure(n)
-	sig, link, epkb, rate, lu := s.win.slotColumns(n, len(s.users))
-	s.cols.Sig, s.cols.LinkRate, s.cols.EnergyPerKB = sig, link, epkb
-	s.luCol = lu
+	sig, rate := s.win.slotColumns(n, len(s.users))
+	s.cols.Sig = sig
 	if s.cfg.ABR == nil {
 		s.cols.Rate = rate
 	}
 }
 
-// colsTabled reports whether the static physics columns are backed by
-// the link window, so prepareColsUser reads them instead of evaluating
-// the radio model.
+// colsTabled reports whether Sig and Rate are backed by the link window,
+// so prepareColsUser derives the physics from the signal row instead of
+// evaluating the signal trace and the radio interfaces.
 func (s *Simulator) colsTabled() bool { return s.win != nil }
+
+// deriveDense derives the physics of users [lo, hi) from the attached
+// signal row in one batch: the dense kernels' first step.
+func (s *Simulator) deriveDense(lo, hi int) {
+	s.link.Into(s.cols.Sig[lo:hi], s.cols.LinkRate[lo:hi], s.cols.EnergyPerKB[lo:hi], s.luCol[lo:hi])
+}
 
 // prepareColsUser refreshes user i's entries of the slot's columns for
 // slot slotIdx and reports whether the user is active. With a link
-// window attached the static physics columns already alias its
-// precomputed slot rows, so only the dynamic
-// columns (activity, buffer, demand, tail) are written; otherwise the
-// physics are evaluated analytically through the signal and radio
-// interfaces into the engine-owned columns — the path RunReference always
-// takes, which is what lets the differential tests assert flattened ==
-// analytic. Writes only user-i entries, so distinct users prepare
-// concurrently.
+// window attached Sig and Rate already alias its slot rows, so the
+// physics are derived from the signal through radio.Link and the dynamic
+// columns (activity, buffer, demand, tail) written; otherwise the physics
+// are evaluated analytically through the signal and radio interfaces into
+// the engine-owned columns — the path RunReference always takes, which is
+// what lets the differential tests assert derived == analytic. Writes
+// only user-i entries, so distinct users prepare concurrently.
 func (s *Simulator) prepareColsUser(tabled bool, slotIdx, i int) bool {
 	u := &s.users[i]
 	started := slotIdx >= int(u.startSlot)
@@ -761,6 +783,8 @@ func (s *Simulator) prepareColsUser(tabled bool, slotIdx, i int) bool {
 	c := &s.cols
 	var linkUnits int
 	if tabled {
+		v, p, lu := s.link.At(c.Sig[i])
+		c.LinkRate[i], c.EnergyPerKB[i], s.luCol[i] = v, p, int32(lu)
 		linkUnits = int(s.luCol[i])
 	} else {
 		sess := s.sessions[i]

@@ -147,10 +147,7 @@ func FuzzWindowRows(f *testing.F) {
 		if len(script) > 512 {
 			script = script[:512]
 		}
-		w, err := newLinkWindow(cfg, 2, span, rowCap, -1, true, sessions[:initial])
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := newLinkWindow(2, span, rowCap, -1, true, sessions[:initial])
 		w.handoffMin = []int{handoffAlways, 12 * span, handoffNever}[len(script)%3]
 		defer w.stop()
 		occ := make(map[int]*workload.Session, rowCap)
@@ -165,7 +162,7 @@ func FuzzWindowRows(f *testing.F) {
 			slices.Sort(rows)
 			return rows
 		}
-		view := func(n int) ([]units.DBm, []units.KBps, []units.MJ, []units.KBps, []int32) {
+		view := func(n int) ([]units.DBm, []units.KBps) {
 			return w.slotColumns(n, rowCap)
 		}
 		clock, next := 0, initial

@@ -205,10 +205,10 @@ func (s *Simulator) tickSlot(slotIdx int) (bool, error) {
 	s.curDense = len(s.live) == len(s.users)
 	workers := s.runWorkers(len(s.live))
 
-	// Phase 1: prepare. Re-alias the static physics columns to this
-	// slot's link-window rows (three slice-header writes), then each
-	// shard refreshes its users' dynamic columns in place and collects
-	// its segment of the active list. Skipped entirely when the previous
+	// Phase 1: prepare. Re-alias Sig and Rate to this slot's link-window
+	// rows (two slice-header writes), then each shard derives its users'
+	// physics, refreshes their dynamic columns in place and collects its
+	// segment of the active list. Skipped entirely when the previous
 	// slot's fused pass already prepared this slot.
 	if s.colsSlot != slotIdx {
 		pprof.SetGoroutineLabels(s.lblPrep)
@@ -239,7 +239,7 @@ func (s *Simulator) tickSlot(slotIdx int) (bool, error) {
 	}
 
 	// Phase 3: commit — fused with the next slot's prepare whenever a
-	// next slot exists. The previous static price/rate columns are pinned
+	// next slot exists. This slot's price and rate columns are pinned
 	// first (the commit half prices this slot's deliveries with them),
 	// then the column view moves on to slot n+1 and each shard commits
 	// and re-prepares its users in one pass — except where the Advance ends
@@ -286,32 +286,26 @@ func (s *Simulator) tickSlot(slotIdx int) (bool, error) {
 	return false, nil
 }
 
-// pinPrevColumns pins this slot's static price and rate columns for the
-// fused pass before attachSlotColumns moves the view on to slot next.
-// Normally the pins are zero-copy aliases of the current columns — rows of
-// the resident link block stay put while it is resident, and without a
-// window the fused kernel's per-user read-commit-then-write-prepare order
-// protects the engine-owned arrays. Aliasing breaks exactly when attaching
-// slot next evicts the resident block: its rows go to the next fill and
-// would be overwritten before the commit half reads them, so the columns
-// are copied into engine scratch first. The copy happens once per window
-// crossing (an O(users) memmove every block) and copies values bitwise,
-// so results are unchanged.
+// pinPrevColumns pins this slot's price and rate columns for the fused
+// pass before attachSlotColumns moves the view on to slot next. The price
+// column is engine-owned and has a twin: the two swap, so the pass's
+// prepare half derives slot next's prices into the one its commit half
+// does not read. The rate pin is a zero-copy alias of the current column —
+// rows of the resident link block stay put while it is resident, and
+// without a window (or under ABR) the fused kernel's per-user
+// read-commit-then-write-prepare order protects the engine-owned array.
+// Aliasing breaks exactly when attaching slot next evicts the resident
+// block: its rows go to the next fill and would be overwritten before the
+// commit half reads them, so the rate row is copied into engine scratch
+// first, once per window crossing, bitwise.
 func (s *Simulator) pinPrevColumns(next int) {
-	if s.win != nil && s.win.willEvict(next) {
-		s.prevEpkbBuf = append(s.prevEpkbBuf[:0], s.cols.EnergyPerKB...)
-		s.prevEpkb = s.prevEpkbBuf
-		if s.cfg.ABR == nil {
-			// Rate aliases the window only without ABR; under ABR it is an
-			// engine-owned array no fill ever touches.
-			s.prevRateBuf = append(s.prevRateBuf[:0], s.cols.Rate...)
-			s.prevRate = s.prevRateBuf
-		} else {
-			s.prevRate = s.cols.Rate
-		}
-		return
+	s.prevEpkb = s.cols.EnergyPerKB
+	s.cols.EnergyPerKB, s.epkbAlt = s.epkbAlt, s.prevEpkb
+	s.prevRate = s.cols.Rate
+	if s.cfg.ABR == nil && s.win != nil && s.win.willEvict(next) {
+		s.prevRateBuf = append(s.prevRateBuf[:0], s.cols.Rate...)
+		s.prevRate = s.prevRateBuf
 	}
-	s.prevEpkb, s.prevRate = s.cols.EnergyPerKB, s.cols.Rate
 }
 
 // collectActive concatenates the per-shard active segments into the
@@ -405,8 +399,8 @@ func (s *Simulator) retireEligible(i int) bool {
 // dropRetired compacts the live list, zeroing retired users' dynamic
 // columns and allocations so a stale Active flag can never leak into a
 // later slot's scheduling. Only the engine-owned dynamic columns are
-// touched — the static physics columns may alias a shared link table
-// and must never be written through. A retired user's row is never read
+// touched — Sig and Rate may alias a shared link table and must never be
+// written through. A retired user's row is never read
 // again, so the link window stops filling it. For the open engine the
 // dropped users are also logged, so its reap folds exactly them instead
 // of rescanning the table. The shards recorded the retired users'

@@ -10,30 +10,20 @@ import (
 )
 
 // This file adapts the compiled LinkTable into the sched.Forecast the
-// Predictive scheduler consumes. The exact view replays the table's
-// slot-major windows as zero-copy column reslices — the same memory the
-// engine's prepare phase aliases into sched.Columns, so prediction and
-// physics can never disagree at zero error. Every read goes through the
-// table's block lookup, so a forecast reaching past what the runs reached
-// fills the blocks it reads, exactly as a run would. NoisyForecast layers a
-// seeded multiplicative error model on top, turning prediction quality
-// into a sweepable scenario axis while keeping every read a pure
-// function of (seed, slot, user).
+// Predictive scheduler consumes. The exact view reads the table's signal
+// rows — the same memory the engine's prepare phase aliases into
+// sched.Columns — and derives each prediction through the same radio.Link
+// the tick derives with, so prediction and physics can never disagree at
+// zero error. Every read goes through the table's block lookup, so a
+// forecast reaching past what the runs reached fills the blocks it reads,
+// exactly as a run would. NoisyForecast layers a seeded multiplicative
+// error model on top, turning prediction quality into a sweepable scenario
+// axis while keeping every read a pure function of (seed, slot, user).
 
-// SlotEnergyPerKB returns slot n's per-user energy-price column as a
-// zero-copy reslice of the table: shared immutable state, valid as long as
-// the table. Callers must never write through it.
-func (t *LinkTable) SlotEnergyPerKB(n int) []units.MJ {
-	_, _, epkb, _, _ := t.slot(n)
-	return epkb
-}
-
-// SlotLinkUnits returns slot n's per-user Eq. (1) unit-limit column as a
-// zero-copy reslice of the table, with the same validity rules as
-// SlotEnergyPerKB.
-func (t *LinkTable) SlotLinkUnits(n int) []int32 {
-	_, _, _, _, lu := t.slot(n)
-	return lu
+// at derives user i's slot-n throughput, per-KB price and Eq. (1) limit
+// from the table's signal row.
+func (t *LinkTable) at(n, i int) (units.KBps, units.MJ, int) {
+	return t.link.At(t.SlotSignals(n)[i])
 }
 
 // MaxLinkUnits returns the largest Eq. (1) per-user unit limit anywhere
@@ -41,22 +31,21 @@ func (t *LinkTable) SlotLinkUnits(n int) []int32 {
 // table may exceed. It reads every slot, so it fills the whole table.
 func (t *LinkTable) MaxLinkUnits() int {
 	t.fillAll()
-	var m int32
+	m := 0
 	for k := range t.blocks {
-		for _, lu := range t.blocks[k].Load().lu {
+		for _, sig := range t.blocks[k].Load().sig {
+			_, _, lu := t.link.At(sig)
 			m = max(m, lu)
 		}
 	}
-	return int(m)
+	return m
 }
 
 // tableForecast is the exact future-channel view of a table: predictions
-// are the compiled columns themselves.
+// are derived from the compiled signal rows themselves.
 type tableForecast struct{ t *LinkTable }
 
-// Forecast returns the table's exact sched.Forecast view. It also
-// implements sched.SlotWindower, so the Predictive scheduler's window
-// prefetch re-aliases the columns without copies.
+// Forecast returns the table's exact sched.Forecast view.
 func (t *LinkTable) Forecast() sched.Forecast { return tableForecast{t} }
 
 // HorizonSlots implements sched.Forecast.
@@ -64,17 +53,14 @@ func (f tableForecast) HorizonSlots() int { return f.t.slots }
 
 // PredictedEnergyPerKB implements sched.Forecast.
 func (f tableForecast) PredictedEnergyPerKB(n, i int) units.MJ {
-	return f.t.SlotEnergyPerKB(n)[i]
+	_, p, _ := f.t.at(n, i)
+	return p
 }
 
 // PredictedLinkUnits implements sched.Forecast.
 func (f tableForecast) PredictedLinkUnits(n, i int) int {
-	return int(f.t.SlotLinkUnits(n)[i])
-}
-
-// PredictedWindow implements sched.SlotWindower.
-func (f tableForecast) PredictedWindow(n int) ([]units.MJ, []int32) {
-	return f.t.SlotEnergyPerKB(n), f.t.SlotLinkUnits(n)
+	_, _, lu := f.t.at(n, i)
+	return lu
 }
 
 // NoisyForecast corrupts a link table's predictions with seeded
@@ -92,8 +78,6 @@ func (f tableForecast) PredictedWindow(n int) ([]units.MJ, []int32) {
 // about the channel at all; the forecast then reports a zero horizon,
 // and a Predictive scheduler consulting it degenerates to its myopic
 // baseline (the 100%-error differential test pins this byte-for-byte).
-// NoisyForecast deliberately does not implement sched.SlotWindower:
-// corruption happens per read, never by materializing windows.
 type NoisyForecast struct {
 	t       *LinkTable
 	seed    uint64
@@ -142,7 +126,8 @@ func (f *NoisyForecast) HorizonSlots() int {
 
 // PredictedEnergyPerKB implements sched.Forecast.
 func (f *NoisyForecast) PredictedEnergyPerKB(n, i int) units.MJ {
-	p := float64(f.t.SlotEnergyPerKB(n)[i]) * f.factor(n, i, noiseSaltPrice)
+	_, p0, _ := f.t.at(n, i)
+	p := float64(p0) * f.factor(n, i, noiseSaltPrice)
 	if p < 0 {
 		p = 0
 	}
@@ -151,7 +136,8 @@ func (f *NoisyForecast) PredictedEnergyPerKB(n, i int) units.MJ {
 
 // PredictedLinkUnits implements sched.Forecast.
 func (f *NoisyForecast) PredictedLinkUnits(n, i int) int {
-	lu := int(math.Round(float64(f.t.SlotLinkUnits(n)[i]) * f.factor(n, i, noiseSaltLink)))
+	_, _, lu0 := f.t.at(n, i)
+	lu := int(math.Round(float64(lu0) * f.factor(n, i, noiseSaltLink)))
 	if lu < 0 {
 		return 0
 	}

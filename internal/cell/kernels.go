@@ -21,8 +21,9 @@ import (
 
 // prepareDenseLink is prepareColsUser specialized for the dense steady
 // state on the link-table path without ABR: a contiguous [lo, hi) index
-// range iterated over reslices of the column arrays. Bitwise-identical
-// to the per-user path — same reads, same guards, same float ops.
+// range iterated over reslices of the column arrays, whose physics
+// deriveDense has already derived. Bitwise-identical to the per-user path
+// — same reads, same guards, same float ops.
 func (s *Simulator) prepareDenseLink(slotIdx, lo, hi int, act []int) []int {
 	lu := s.luCol[lo:hi]
 	users := s.users[lo:hi]
@@ -78,7 +79,8 @@ func (s *Simulator) prepareDenseLink(slotIdx, lo, hi int, act []int) []int {
 // fusedDenseLink is the fused commit+prepare kernel for the dense steady
 // state (link table, no ABR, no per-user-slot recording): one pass over
 // a contiguous [lo, hi) range that commits slot slotIdx — priced with
-// the pinned prevEpkb/prevRate columns — and prepares slot slotIdx+1.
+// the pinned prevEpkb/prevRate columns — and prepares slot slotIdx+1,
+// whose physics deriveDense has already derived.
 // Every per-user operation mirrors commitUserCols followed by
 // prepareColsUser, in that order; the engine matrix tests pin it to the
 // reference engine bit for bit. A retired user's live-list position, its
@@ -89,7 +91,7 @@ func (s *Simulator) fusedDenseLink(slotIdx, lo, hi int, act []int, ret *[]int, a
 	alloc := s.alloc[lo:hi]
 	epkbC := s.prevEpkb[lo:hi]
 	rateC := s.prevRate[lo:hi]
-	lu := s.luCol[lo:hi] // already re-attached to slot slotIdx+1
+	lu := s.luCol[lo:hi] // already derived for slot slotIdx+1
 	activeC := s.cols.Active[lo:hi]
 	bufC := s.cols.BufferSec[lo:hi]
 	remC := s.cols.RemainingKB[lo:hi]

@@ -6,31 +6,29 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"jointstream/internal/radio"
 	"jointstream/internal/units"
 	"jointstream/internal/workload"
 )
 
 // This file implements the compiled link-table layer: every user's trace
-// is flattened into contiguous slot-major struct-of-arrays columns of
-// per-slot link values — signal, throughput, per-KB energy, required rate,
-// and the Eq. (1) link limit in units. The tick path's prepare phase then
-// aliases each slot's column window (a zero-copy reslice per column, never
-// a copy) straight into the sched.Columns view instead of evaluating the
-// models per user. The columns are produced by the link-window fill
-// (linkfill.go), which evaluates the radio curves through a radio.Table
-// when (and only when) that table is bitwise-exact for the run's model, so
-// flattening can never perturb the physics. RunReference deliberately
-// ignores the table — it evaluates the models into private columns of its
-// own — which makes the engine differential tests assert flattened ==
+// is flattened into contiguous slot-major columns of per-slot link rows —
+// signal and required rate. The tick path's prepare phase aliases each
+// slot's window (a zero-copy reslice per column, never a copy) into the
+// sched.Columns view and derives throughput, per-KB energy and the Eq. (1)
+// limit from the signals through the run's own radio.Link, instead of
+// evaluating the signal traces per user. The rows are produced by the
+// link-window fill (linkfill.go). RunReference deliberately ignores the
+// table — it evaluates the traces and models into private columns of its
+// own — which makes the engine differential tests assert derived ==
 // analytic on every slot.
 
 // linkRowBytes is the per-user-slot footprint across the parallel column
-// arrays — four 8-byte columns (sig, link, epkb, rate) and the int32 unit
-// limit — which the row-cap sizing math rests on. (A table whose sessions
-// all have a constant required rate keeps one rate row per block instead
-// of one per slot and is 8 bytes per row smaller; MemoryBytes reports what
-// is resident.)
-const linkRowBytes = 4*8 + 4
+// arrays — two 8-byte columns (sig, rate) — which the row-cap sizing math
+// rests on. (A table whose sessions all have a constant required rate
+// keeps one rate row per block instead of one per slot and is 8 bytes per
+// row smaller; MemoryBytes reports what is resident.)
+const linkRowBytes = 2 * 8
 
 // tableBlockSlots is the span of one LinkTable block, the unit a table is
 // filled in. A table holds its slots up to the end of the block after the
@@ -63,9 +61,9 @@ const tableBlockSlots = 256
 type LinkTable struct {
 	users int
 	slots int
-	tau   units.Seconds
-	unit  units.KB
-	lut   bool // the fill goes through an exact radio.Table
+	// link derives the forecasts' physics from the rows, under the model
+	// and slot grid the table was compiled for.
+	link *radio.Link
 	// sharedRate: no session has rate jitter, so each block keeps one
 	// required-rate row for all its slots.
 	sharedRate bool
@@ -85,8 +83,8 @@ type LinkTable struct {
 }
 
 // DefaultLinkTableMaxRows caps the automatic link-table compilation in
-// New at users×MaxSlots rows (linkRowBytes each): 4M rows ≈ 144 MB with
-// the current 36-byte column footprint, were every block reached. Larger
+// New at users×MaxSlots rows (linkRowBytes each): 4M rows ≈ 64 MB with
+// the current 16-byte column footprint, were every block reached. Larger
 // runs fall back to the uncompiled prepare path; callers that want a
 // bigger table compile one explicitly and pass it via Config.Link.
 const DefaultLinkTableMaxRows = 4 << 20
@@ -94,7 +92,7 @@ const DefaultLinkTableMaxRows = 4 << 20
 // CompileLink builds the link table of the sessions over cfg's slot grid
 // and radio model: the block holding slot 0 is filled here, every other
 // block by the first reader that reaches it. The values are exactly the
-// ones the uncompiled tick path would compute. The table keeps the
+// ones the uncompiled tick path would read. The table keeps the
 // sessions and extends their memos as it fills, so from here on nothing
 // else may grow them: read the sessions through the table, or prewarm them
 // before compiling.
@@ -138,7 +136,7 @@ func newLinkTable(cfg Config, sessions []*workload.Session, slots int) (*LinkTab
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	fill, err := newLinkFiller(cfg.Radio, cfg.Tau, cfg.Unit, workers, len(sessions))
+	link, err := radio.NewLink(cfg.Radio, cfg.Tau, cfg.Unit)
 	if err != nil {
 		return nil, err
 	}
@@ -146,13 +144,11 @@ func newLinkTable(cfg Config, sessions []*workload.Session, slots int) (*LinkTab
 	return &LinkTable{
 		users:      len(sessions),
 		slots:      slots,
-		tau:        cfg.Tau,
-		unit:       cfg.Unit,
-		lut:        fill.tab != nil,
+		link:       link,
 		sharedRate: constRate(sessions),
 		blocks:     make([]atomic.Pointer[linkBlock], blocks),
 		ahead:      make([]atomic.Bool, blocks),
-		fill:       fill,
+		fill:       newLinkFiller(workers, len(sessions)),
 		sessions:   sessions,
 	}, nil
 }
@@ -215,11 +211,19 @@ func (t *LinkTable) fillAll() {
 	}
 }
 
-// slot returns slot n's first users rows as zero-copy views of its block,
-// which stay valid as long as the table lives.
-func (t *LinkTable) slot(n int) ([]units.DBm, []units.KBps, []units.MJ, []units.KBps, []int32) {
+// slot returns slot n's signals and rates as zero-copy views of its
+// block, which stay valid as long as the table lives.
+func (t *LinkTable) slot(n int) ([]units.DBm, []units.KBps) {
 	b := t.block(n)
 	return b.slot(n-b.base, t.users)
+}
+
+// SlotSignals returns slot n's per-user signal column as a zero-copy
+// reslice of the table: shared immutable state, valid as long as the
+// table. Callers must never write through it.
+func (t *LinkTable) SlotSignals(n int) []units.DBm {
+	sig, _ := t.slot(n)
+	return sig
 }
 
 // prewarmFor extends sessions' memos over the table's whole horizon, under
@@ -249,15 +253,9 @@ func (t *LinkTable) Users() int { return t.users }
 // Slots returns the slot horizon the table covers.
 func (t *LinkTable) Slots() int { return t.slots }
 
-// Tau returns the slot length the table was compiled for.
-func (t *LinkTable) Tau() units.Seconds { return t.tau }
-
-// Unit returns the data-unit size δ the table was compiled for.
-func (t *LinkTable) Unit() units.KB { return t.unit }
-
-// ViaLUT reports whether the columns are produced through an exact
-// radio.Table (false means direct analytic evaluation).
-func (t *LinkTable) ViaLUT() bool { return t.lut }
+// ViaLUT reports whether the forecasts derive through an exact radio.Table
+// (false means direct evaluation through the model's interfaces).
+func (t *LinkTable) ViaLUT() bool { return t.link.Exact() }
 
 // FilledSlots returns how many slots of the horizon are filled or being
 // filled: the blocks readers have reached and the blocks started ahead of
@@ -294,16 +292,13 @@ func (t *LinkTable) MemoryBytes() int64 {
 const linkVerifySamples = 16
 
 // compatible checks that a caller-supplied table matches the run it is
-// being attached to. Shape and slot grid are compared exactly; because
-// the radio model and sessions behind the columns cannot be compared
-// through the interfaces, a deterministic sample of entries of block 0 —
-// filled at compile time — is then re-derived from cfg.Radio and the run's
-// sessions and required to match bitwise: the flattening path evaluates
-// the same floating-point expressions (the quantized LUT is used only when
-// provably exact), so any divergence means the table was compiled under a
-// different model or workload and would silently replay wrong physics.
-// The sessions are read under the table's lock, since they may be the
-// table's own.
+// being attached to: the shape exactly, and then, because the sessions
+// behind the rows cannot be compared, a deterministic sample of entries of
+// block 0 — filled at compile time — re-read from the run's sessions and
+// required to match bitwise. A table holds only signals and rates; the run
+// derives its physics from them under its own radio model and slot grid,
+// so neither has to match the table's. The sessions are read under the
+// table's lock, since they may be the table's own.
 func (t *LinkTable) compatible(cfg Config, sessions []*workload.Session) error {
 	if t.users != len(sessions) {
 		return fmt.Errorf("cell: link table compiled for %d users, run has %d", t.users, len(sessions))
@@ -311,16 +306,11 @@ func (t *LinkTable) compatible(cfg Config, sessions []*workload.Session) error {
 	if t.slots < cfg.MaxSlots {
 		return fmt.Errorf("cell: link table covers %d slots, run needs %d", t.slots, cfg.MaxSlots)
 	}
-	if t.tau != cfg.Tau || t.unit != cfg.Unit {
-		return fmt.Errorf("cell: link table slot grid (tau=%v, unit=%v) != run (tau=%v, unit=%v)",
-			t.tau, t.unit, cfg.Tau, cfg.Unit)
-	}
 	b := t.block(0)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	total := t.users * min(tableBlockSlots, t.slots)
 	samples := min(linkVerifySamples, total)
-	tau, unit := float64(cfg.Tau), float64(cfg.Unit)
 	for k := 0; k < samples; k++ {
 		// Evenly strided over the block's flat slot-major arrays:
 		// consecutive samples land on different users and well-separated
@@ -336,15 +326,6 @@ func (t *LinkTable) compatible(cfg Config, sessions []*workload.Session) error {
 		}
 		if rate := sess.RateAt(n); b.rate[n*b.rateStride+i] != rate {
 			return fmt.Errorf("cell: link table user %d slot %d: rate %v != session's %v (compiled from a different workload?)", i, n, b.rate[n*b.rateStride+i], rate)
-		}
-		if v := cfg.Radio.Throughput.Throughput(b.sig[idx]); b.link[idx] != v {
-			return fmt.Errorf("cell: link table user %d slot %d: throughput %v != model's %v (compiled under a different radio model?)", i, n, b.link[idx], v)
-		}
-		if p := cfg.Radio.Power.EnergyPerKB(b.sig[idx]); b.epkb[idx] != p {
-			return fmt.Errorf("cell: link table user %d slot %d: energy/KB %v != model's %v (compiled under a different radio model?)", i, n, b.epkb[idx], p)
-		}
-		if lu := int32(floorUnits(float64(b.link[idx])*tau, unit)); b.lu[idx] != lu {
-			return fmt.Errorf("cell: link table user %d slot %d: link units %d != derived %d", i, n, b.lu[idx], lu)
 		}
 	}
 	return nil

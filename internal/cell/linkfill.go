@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"jointstream/internal/pool"
-	"jointstream/internal/radio"
 	"jointstream/internal/signal"
 	"jointstream/internal/units"
 	"jointstream/internal/workload"
@@ -15,11 +14,12 @@ import (
 
 // This file is the one link-window fill: compileLink's whole-horizon table
 // and every block of the engine's link window (linkwindow.go) come out of
-// it. It turns (session, slot) into the five physics values the tick reads —
-// signal, throughput v(sig), per-KB energy P(sig), required rate and the
-// Eq. (1) limit ⌊τ·v/δ⌋ — with the floating-point expressions of the
-// analytic prepare path (prepareColsUser untabled), so a filled row is
-// bit-identical to what that path computes.
+// it. It turns (session, slot) into the two values a link row keeps — the
+// signal and the required rate. Everything else the tick reads of a slot's
+// link — throughput v(sig), per-KB energy P(sig) and the Eq. (1) limit
+// ⌊τ·v/δ⌋ — is a closed form of the signal, which the tick derives per
+// live user-slot through radio.Link (deriveDense, prepareColsUser), so a
+// block stores 8 bytes a row-slot plus its rate rows.
 //
 // The work is memory-bound, so the loops are shaped around cache lines
 // (DESIGN.md §5): shards are blocks of consecutive users, because
@@ -28,7 +28,7 @@ import (
 // block's signals are staged user-major in per-worker scratch (one
 // signal.Fill per user per fillSlots slots) and emitted slot-major, so
 // each column is written in sequential runs, not one entry every
-// users×8 bytes; the radio curves are evaluated a row at a time.
+// users×8 bytes.
 
 // Block shape, picked on BenchmarkLinkRefill (N = 100 000, tile 64, two
 // cores): ns/row falls as rows get longer — 64 users 14.5, 128 13.0,
@@ -51,28 +51,18 @@ const (
 // per-user window, aliased zero-copy into sched.Columns by the engine.
 type linkCols struct {
 	sig  []units.DBm
-	link []units.KBps
-	epkb []units.MJ
 	rate []units.KBps
-	lu   []int32 // ⌊τ·v(sig)/δ⌋, the Eq. (1) limit before the demand cap
 
 	stride int
 	// rateStride is stride, or 0 when every slot shares one rate row: no
 	// session that can occupy the block has rate jitter, so the required
 	// rate is a per-user constant and slots × stride copies of it would be
-	// 8 of the 36 bytes per row written and kept for nothing.
+	// half of every row written and kept for nothing.
 	rateStride int
 }
 
 func newLinkCols(stride, slots int, sharedRate bool) linkCols {
-	c := linkCols{
-		sig:        make([]units.DBm, stride*slots),
-		link:       make([]units.KBps, stride*slots),
-		epkb:       make([]units.MJ, stride*slots),
-		lu:         make([]int32, stride*slots),
-		stride:     stride,
-		rateStride: stride,
-	}
+	c := linkCols{sig: make([]units.DBm, stride*slots), stride: stride, rateStride: stride}
 	if sharedRate {
 		c.rateStride = 0
 		slots = 1
@@ -84,7 +74,7 @@ func newLinkCols(stride, slots int, sharedRate bool) linkCols {
 // widenRate turns a shared rate row into a copy of it per slot, within
 // the rate array's capacity if it has room (borrowed storage has).
 func (c *linkCols) widenRate() {
-	n := len(c.lu)
+	n := len(c.sig)
 	if cap(c.rate) < n {
 		c.rate = append(make([]units.KBps, 0, n), c.rate...)
 	}
@@ -102,7 +92,7 @@ func (c *linkCols) borrow(stride, slots int, sharedRate bool) {
 	if *c, ok = idleBlocks.take(n); !ok {
 		*c = newLinkCols(n, 1, false)
 	}
-	c.sig, c.link, c.epkb, c.rate, c.lu = c.sig[:n], c.link[:n], c.epkb[:n], c.rate[:n], c.lu[:n]
+	c.sig, c.rate = c.sig[:n], c.rate[:n]
 	c.stride, c.rateStride = stride, stride
 	if sharedRate {
 		c.rate, c.rateStride = c.rate[:stride], 0
@@ -114,25 +104,23 @@ func (c *linkCols) borrow(stride, slots int, sharedRate bool) {
 
 var borrowHook func(*linkCols)
 
-func (c linkCols) capacity() int { return min(cap(c.lu), cap(c.rate)) }
+func (c linkCols) capacity() int { return min(cap(c.sig), cap(c.rate)) }
 
-// bytes is the resident size of the column arrays.
-func (c *linkCols) bytes() int64 {
-	return 8*int64(len(c.sig)+len(c.link)+len(c.epkb)+len(c.rate)) + 4*int64(len(c.lu))
-}
+// bytes is the resident size of the column arrays: 8 bytes a row-slot of
+// signal, and the rate rows.
+func (c *linkCols) bytes() int64 { return 8 * int64(len(c.sig)+len(c.rate)) }
 
 // slot returns the first n rows of slot offset off as zero-copy views.
-func (c *linkCols) slot(off, n int) ([]units.DBm, []units.KBps, []units.MJ, []units.KBps, []int32) {
+func (c *linkCols) slot(off, n int) ([]units.DBm, []units.KBps) {
 	lo, r := off*c.stride, off*c.rateStride
 	hi := lo + n
-	return c.sig[lo:hi:hi], c.link[lo:hi:hi], c.epkb[lo:hi:hi], c.rate[r : r+n : r+n], c.lu[lo:hi:hi]
+	return c.sig[lo:hi:hi], c.rate[r : r+n : r+n]
 }
 
 // fillScratch is one worker's staging area for one block.
 type fillScratch struct {
 	sig  [][fillSlots]units.DBm // user-major staged signals
 	rate []units.KBps           // the block's constant required rates
-	row  linkCols               // one slot of a gapped block, to scatter (fillBlock)
 }
 
 func (sc *fillScratch) capacity() int { return len(sc.sig) }
@@ -181,10 +169,9 @@ func (l *idleStore[T]) put(x T) {
 	}
 }
 
-// linkFiller holds what a fill needs beyond its destination: the radio
-// model (and its exact table, if it has one), the slot grid and the worker
-// bound; each block's scratch comes from idleScratch. A filler runs one
-// fill at a time.
+// linkFiller holds what a fill needs beyond its destination: the worker
+// bound and the block width; each block's scratch comes from idleScratch.
+// A filler runs one fill at a time.
 //
 // A fill is set up by start and executed by run, which fans drain out over
 // the workers; fill is the two back to back. Blocks are claimed from the
@@ -193,11 +180,8 @@ func (l *idleStore[T]) put(x T) {
 // foreground does, for whatever is left of a background fill at a window
 // swap (linkwindow.go).
 type linkFiller struct {
-	radio     radio.Model
-	tab       *radio.Table // nil unless bitwise-exact for radio
-	tau, unit float64
-	workers   int
-	width     int // staged users per block: min(fillUsers, rows the destination holds)
+	workers int
+	width   int // staged users per block: min(fillUsers, rows the destination holds)
 
 	// The running fill's arguments. They live here, and body is bound
 	// once, so a refill hands pool.Shard no fresh closure: the steady
@@ -214,38 +198,16 @@ type linkFiller struct {
 }
 
 // newLinkFiller builds a filler for destinations of maxRows ≥ 1 rows per
-// slot, filled by up to workers ≥ 1 goroutines. The model's table is kept
-// only when it is exact, in which case Lookup equals the analytic curves
-// at every signal value and never consults the quantizer — hence the
-// one-bin, one-point domain.
-func newLinkFiller(m radio.Model, tau units.Seconds, unit units.KB, workers, maxRows int) (*linkFiller, error) {
-	tab, err := radio.NewTable(m, 0, 0, 1)
-	if err != nil {
-		return nil, err
-	}
-	f := &linkFiller{
-		radio: m, tau: float64(tau), unit: float64(unit),
-		workers: workers,
-		width:   min(fillUsers, maxRows),
-	}
-	if tab.Exact() {
-		f.tab = tab
-	}
+// slot, filled by up to workers ≥ 1 goroutines.
+func newLinkFiller(workers, maxRows int) *linkFiller {
+	f := &linkFiller{workers: workers, width: min(fillUsers, maxRows)}
 	f.body = f.drain
-	return f, nil
+	return f
 }
 
-// clone returns a second filler for the same destinations — same model,
-// table, grid and worker bound, its own fill arguments — so two fills can
-// run at once.
-func (f *linkFiller) clone() *linkFiller {
-	c := &linkFiller{
-		radio: f.radio, tab: f.tab, tau: f.tau, unit: f.unit,
-		workers: f.workers, width: f.width,
-	}
-	c.body = c.drain
-	return c
-}
+// clone returns a second filler for the same destinations, with its own
+// fill arguments, so two fills can run at once.
+func (f *linkFiller) clone() *linkFiller { return newLinkFiller(f.workers, f.width) }
 
 // fill writes slots [base, hi) of the given rows into dst at slot offsets
 // [off, off+hi-base): off is 0 for a whole window and the number of slots
@@ -296,11 +258,7 @@ func (f *linkFiller) scratch() *fillScratch {
 	if sc, ok := idleScratch.take(f.width); ok {
 		return sc
 	}
-	return &fillScratch{
-		sig:  make([][fillSlots]units.DBm, f.width),
-		rate: make([]units.KBps, f.width),
-		row:  newLinkCols(f.width, 1, true),
-	}
+	return &fillScratch{sig: make([][fillSlots]units.DBm, f.width), rate: make([]units.KBps, f.width)}
 }
 
 // row maps position j of the fill's row list to its destination row.
@@ -313,10 +271,9 @@ func (f *linkFiller) row(j int) int {
 
 // fillBlock fills block b: positions [b·width, (b+1)·width) of the row
 // list, every slot of the fill. A block whose rows are contiguous (every
-// block of a full list) emits each slot straight into the columns. Any other
-// block — the scattered rows a churn flush admits, a list with holes — emits
-// each slot once into the worker's scratch row and scatters it to its rows,
-// so its cost does not follow how its rows are spaced.
+// block of a full list) emits each slot as one run of the signal column.
+// Any other block — the scattered rows a churn flush admits, a list with
+// holes — stores each staged signal at its row.
 func (f *linkFiller) fillBlock(b int) {
 	j0 := b * f.width
 	m := min(f.width, f.count-j0)
@@ -342,15 +299,11 @@ func (f *linkFiller) fillBlock(b int) {
 		}
 		for k := 0; k < cw; k++ {
 			so := f.off + c + k - f.base
-			if rows == nil {
-				o := so*dst.stride + i0
-				f.emitRow(sc.sig[:m], k, dst.sig[o:o+m], dst.link[o:o+m], dst.epkb[o:o+m], dst.lu[o:o+m])
+			if o := so * dst.stride; rows == nil {
+				emitRow(sc.sig[:m], k, dst.sig[o+i0:o+i0+m])
 			} else {
-				row := &sc.row
-				f.emitRow(sc.sig[:m], k, row.sig[:m], row.link[:m], row.epkb[:m], row.lu[:m])
 				for u, i := range rows {
-					o := so*dst.stride + i
-					dst.sig[o], dst.link[o], dst.epkb[o], dst.lu[o] = row.sig[u], row.link[u], row.epkb[u], row.lu[u]
+					dst.sig[o+i] = sc.sig[u][k]
 				}
 			}
 			if r := so * dst.rateStride; jitter || dst.rateStride != 0 || c+k == f.base {

@@ -61,18 +61,14 @@ func chordRadio(t *testing.T) radio.Model {
 	return radio.Model{Throughput: pw, Power: radio.FittedPower{Base: -0.167, Scale: 1560, V: pw}}
 }
 
-// slotView returns one slot's column views: a table's, or a link window's
-// once the slot is resident.
-type slotView func(n int) ([]units.DBm, []units.KBps, []units.MJ, []units.KBps, []int32)
+// slotView returns one slot's signal and rate views: a table's, or a link
+// window's once the slot is resident.
+type slotView func(n int) ([]units.DBm, []units.KBps)
 
-func tableView(lt *LinkTable) slotView {
-	return func(n int) ([]units.DBm, []units.KBps, []units.MJ, []units.KBps, []int32) {
-		return lt.slot(n)
-	}
-}
+func tableView(lt *LinkTable) slotView { return lt.slot }
 
 func windowView(w *linkWindow) slotView {
-	return func(n int) ([]units.DBm, []units.KBps, []units.MJ, []units.KBps, []int32) {
+	return func(n int) ([]units.DBm, []units.KBps) {
 		w.ensure(n)
 		return w.slotColumns(n, len(w.src))
 	}
@@ -84,20 +80,26 @@ const (
 	handoffNever  = math.MaxInt
 )
 
-// checkRowsAnalytic asserts that slot n's columns hold, for every listed
-// row, exactly what the analytic prepare computes through the interfaces.
+// checkRowsAnalytic asserts that slot n's rows hold, for every listed row,
+// exactly the signal and rate the analytic prepare reads, and that what
+// radio.Link derives from the row's signal is what that prepare computes
+// through the interfaces.
 func checkRowsAnalytic(t *testing.T, view slotView, cfg Config, wl []*workload.Session, n int, rows []int) {
 	t.Helper()
-	sig, link, epkb, rate, lu := view(n)
+	link, err := radio.NewLink(cfg.Radio, cfg.Tau, cfg.Unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig, rate := view(n)
 	tau, unit := float64(cfg.Tau), float64(cfg.Unit)
 	for _, i := range rows {
 		s := wl[i].Signal.At(n)
-		v := cfg.Radio.Throughput.Throughput(s)
-		if sig[i] != s || link[i] != v || epkb[i] != cfg.Radio.Power.EnergyPerKB(s) ||
-			rate[i] != wl[i].RateAt(n) || int(lu[i]) != floorUnits(float64(v)*tau, unit) {
-			t.Fatalf("slot %d user %d: row (%v %v %v %v %d) != analytic (%v %v %v %v %d)", n, i,
-				sig[i], link[i], epkb[i], rate[i], lu[i],
-				s, v, cfg.Radio.Power.EnergyPerKB(s), wl[i].RateAt(n), floorUnits(float64(v)*tau, unit))
+		v, p, lu := link.At(sig[i])
+		wantV := cfg.Radio.Throughput.Throughput(s)
+		wantP, wantLU := cfg.Radio.Power.EnergyPerKB(s), floorUnits(float64(wantV)*tau, unit)
+		if sig[i] != s || rate[i] != wl[i].RateAt(n) || v != wantV || p != wantP || lu != wantLU {
+			t.Fatalf("slot %d user %d: row (%v %v) derived (%v %v %d) != analytic (%v %v) (%v %v %d)", n, i,
+				sig[i], rate[i], v, p, lu, s, wl[i].RateAt(n), wantV, wantP, wantLU)
 		}
 	}
 }
@@ -152,14 +154,11 @@ func TestFillKernelMatchesAnalytic(t *testing.T) {
 					checkRowsAnalytic(t, tableView(mono), cfg, wl, n, all)
 				}
 				for _, handoff := range []int{handoffAlways, handoffNever} {
-					w, err := newLinkWindow(cfg, workers, window, users, slots, constRate(wl), wl)
-					if err != nil {
-						t.Fatal(err)
-					}
+					w := newLinkWindow(workers, window, users, slots, constRate(wl), wl)
 					w.handoffMin = handoff
 					defer w.stop()
-					if (w.fill.tab != nil) == tc.chord || w.cur.rateStride != mono.block(0).rateStride {
-						t.Fatalf("window: exact table %v, rate stride %d", w.fill.tab != nil, w.cur.rateStride)
+					if w.cur.rateStride != mono.block(0).rateStride {
+						t.Fatalf("window: rate stride %d", w.cur.rateStride)
 					}
 					for n := 0; n < slots; n++ {
 						checkRowsAnalytic(t, windowView(w), cfg, wl, n, all)
@@ -179,10 +178,10 @@ func TestFillKernelMatchesAnalytic(t *testing.T) {
 						// A block refilled in place keeps the dropped rows' old
 						// values at the same offsets.
 						inPlace := w.willEvict(n) && handoff == handoffNever
-						held, _, _, _, _ := w.cur.slot(n%window, users)
+						held, _ := w.cur.slot(n%window, users)
 						held = slices.Clone(held)
 						checkRowsAnalytic(t, windowView(w), cfg, wl, n, live)
-						sig, _, _, _, _ := w.slotColumns(n, users)
+						sig, _ := w.slotColumns(n, users)
 						for i := range sig {
 							if inPlace && !isLive[i] && sig[i] != held[i] {
 								t.Fatalf("slot %d: row %d is dropped but was refilled", n, i)
@@ -344,10 +343,7 @@ func benchLinkRefill(b *testing.B, users, tile, workers int) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workload.PrewarmAll(workers, wl, cfg.MaxSlots)
-	w, err := newLinkWindow(cfg, workers, tile, users, cfg.MaxSlots, constRate(wl), wl)
-	if err != nil {
-		b.Fatal(err)
-	}
+	w := newLinkWindow(workers, tile, users, cfg.MaxSlots, constRate(wl), wl)
 	w.handoffMin = handoffNever
 	w.ensure(0)
 	b.ResetTimer()
@@ -409,12 +405,8 @@ func TestLinkFillGatheredMatchesDense(t *testing.T) {
 	for _, jitter := range []float64{0, 0.2} {
 		wl := fillWorkload(t, users, jitter, false)
 		workload.PrewarmAll(1, wl, base+slots)
-		cfg := PaperConfig()
 		for _, workers := range []int{1, 2} {
-			dense, err := newLinkFiller(cfg.Radio, cfg.Tau, cfg.Unit, workers, users)
-			if err != nil {
-				t.Fatal(err)
-			}
+			dense := newLinkFiller(workers, users)
 			want := newLinkCols(users, slots, jitter == 0)
 			dense.fill(&want, wl, nil, users, 0, base, base+slots)
 			for name, rows := range lists {
@@ -423,17 +415,13 @@ func TestLinkFillGatheredMatchesDense(t *testing.T) {
 					gathered := dense.clone()
 					gathered.fill(&got, wl, rows, 0, off, base+off, base+slots)
 					for so := off; so < slots; so++ {
-						wSig, wLink, wEpkb, wRate, wLU := want.slot(so, users)
-						gSig, gLink, gEpkb, gRate, gLU := got.slot(so, users)
+						wSig, wRate := want.slot(so, users)
+						gSig, gRate := got.slot(so, users)
 						for _, i := range rows {
 							if math.Float64bits(float64(wSig[i])) != math.Float64bits(float64(gSig[i])) ||
-								math.Float64bits(float64(wLink[i])) != math.Float64bits(float64(gLink[i])) ||
-								math.Float64bits(float64(wEpkb[i])) != math.Float64bits(float64(gEpkb[i])) ||
-								math.Float64bits(float64(wRate[i])) != math.Float64bits(float64(gRate[i])) ||
-								wLU[i] != gLU[i] {
-								t.Fatalf("jitter %v w%d %s off %d: slot %d row %d: gathered (%v %v %v %v %d) != dense (%v %v %v %v %d)",
-									jitter, workers, name, off, base+so, i,
-									gSig[i], gLink[i], gEpkb[i], gRate[i], gLU[i], wSig[i], wLink[i], wEpkb[i], wRate[i], wLU[i])
+								math.Float64bits(float64(wRate[i])) != math.Float64bits(float64(gRate[i])) {
+								t.Fatalf("jitter %v w%d %s off %d: slot %d row %d: gathered (%v %v) != dense (%v %v)",
+									jitter, workers, name, off, base+so, i, gSig[i], gRate[i], wSig[i], wRate[i])
 							}
 						}
 					}
@@ -454,12 +442,8 @@ func BenchmarkLinkPatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := PaperConfig()
 	workload.PrewarmAll(1, wl, tile)
-	f, err := newLinkFiller(cfg.Radio, cfg.Tau, cfg.Unit, 1, users)
-	if err != nil {
-		b.Fatal(err)
-	}
+	f := newLinkFiller(1, users)
 	dst := newLinkCols(users, tile, constRate(wl))
 	src := rng.New(5)
 	list := make([]int, 0, rows)

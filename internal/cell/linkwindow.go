@@ -12,10 +12,11 @@ import (
 
 // This file is the engine's one link-window provider (DESIGN.md, "cell ·
 // link window"): a sliding window of future link rows — each user's
-// signal, v(sig), P(sig), required rate and Eq. (1) limit per slot — that
-// attachSlotColumns aliases zero-copy into the slot view. Every row comes
-// out of the one fill (linkfill.go), so a windowed run is bit-identical
-// to the analytic path. The closed engine with Config.LinkTileSlots, the
+// signal and required rate per slot — that attachSlotColumns aliases
+// zero-copy into the slot view, and from whose signals the tick derives
+// v(sig), P(sig) and the Eq. (1) limit. Every row comes out of the one
+// fill (linkfill.go), so a windowed run is bit-identical to the analytic
+// path. The closed engine with Config.LinkTileSlots, the
 // open engine with OpenConfig.TileSlots and a compiled LinkTable are the
 // same object, which newSim builds for either engine:
 //
@@ -39,7 +40,7 @@ type linkBlock struct {
 // horizon. While the resident block ticks, the window after it fills into
 // the spare block on a background goroutine, so the slot that crosses a
 // window boundary pays a pointer swap, not a fill. The engine's
-// pinPrevColumns copies the evicted slot's aliased rows before attach
+// pinPrevColumns copies the evicted slot's aliased rate row before attach
 // triggers the swap, which is what makes handing the outgoing block to
 // the next fill safe; a column view is valid until the next swap.
 //
@@ -136,37 +137,30 @@ type linkWindow struct {
 }
 
 // handoffRowSlots is the fill size, in rows × slots, from which a fill is
-// handed to a background goroutine instead of being done in place. Starting
-// a goroutine and collecting its fill costs the foreground about what
-// filling a thousand row-slots of a block does (a 40-row × 32-slot block is
-// 18 µs), a fill in flight at the swap has to be waited for, and handing
-// off takes a spare block. A 40-user fleet cell's 32-slot block is 1 280
-// row-slots: in place, fleet_stream's 2 048 cells keep no spare blocks,
-// start no goroutines and hold a block only while they tick. cell_dense's
-// 100 000-user blocks are three orders of magnitude above the line.
+// handed to a background goroutine instead of being done in place — rows
+// a flush admits late count the same as block rows: each slot of them is
+// emitted once and stored at its rows, 8 bytes a row-slot, and
+// BenchmarkLinkPatch (64 scattered rows × 32 slots of an 11 000-row block)
+// reads 3.5 ns a row-slot where BenchmarkLinkRefill's one-worker tier reads
+// 5.0 for a block row. Starting a goroutine and collecting its fill costs
+// the foreground time, a fill in flight at the swap has to be waited for,
+// and handing off takes a spare block. The line was drawn when a 40-row ×
+// 32-slot block filled in 18 µs; with a row now just its signal and rate it
+// fills in 3.2 µs (on a 2-core Xeon), so in-place fills just under the line
+// are cheaper than when it was drawn, and it is kept: a 40-user fleet cell's
+// 32-slot block is 1 280 row-slots, and in place, fleet_stream's 2 048
+// cells keep no spare blocks, start no goroutines and hold a block only
+// while they tick. cell_dense's 100 000-user blocks are three orders of
+// magnitude above the line.
 const handoffRowSlots = 1536
 
-// lateRowCost is what a late row counts for against handoffRowSlots. The
-// rows a flush admits are scattered over the table, so each slot of them
-// is emitted once and scattered to the rows, into lines no neighbour
-// shares: BenchmarkLinkPatch (64 scattered rows × 32 slots of an 11 000-row
-// block) reads 17.5 ns a row-slot where BenchmarkLinkRefill's one-worker
-// tier reads 11.1 for a block row, 1.6 times, while the spare block the
-// late rows go to exists already. At 2 the line falls at 24 rows of a
-// 32-slot window, under the some 65 sessions cell_churn admits a slot.
-const lateRowCost = 2
-
 // newLinkWindow builds a window of span-slot blocks over a table of up to
-// rowCap rows, the first len(sessions) of them occupied. cfg supplies the
-// radio model and slot grid, workers bounds a fill's fan-out, horizon is
+// rowCap rows, the first len(sessions) of them occupied. horizon is
 // the last slot + 1 a fill may touch (-1 = none), and sharedRate gives the
-// blocks one rate row for all slots, until widenRate. Nothing is filled
-// until the first ensure.
-func newLinkWindow(cfg Config, workers, span, rowCap, horizon int, sharedRate bool, sessions []*workload.Session) (*linkWindow, error) {
-	fill, err := newLinkFiller(cfg.Radio, cfg.Tau, cfg.Unit, workers, rowCap)
-	if err != nil {
-		return nil, err
-	}
+// blocks one rate row for all slots, until widenRate. workers bounds a
+// fill's fan-out. Nothing is filled until the first ensure.
+func newLinkWindow(workers, span, rowCap, horizon int, sharedRate bool, sessions []*workload.Session) *linkWindow {
+	fill := newLinkFiller(workers, rowCap)
 	w := &linkWindow{
 		span: span, horizon: horizon,
 		fill: fill, patch: fill.clone(),
@@ -188,7 +182,7 @@ func newLinkWindow(cfg Config, workers, span, rowCap, horizon int, sharedRate bo
 		w.cur.linkCols = newLinkCols(rowCap, span, sharedRate)
 		w.spare()
 	}
-	return w, nil
+	return w
 }
 
 // spare allocates what only a handed-off fill needs: the second block,
@@ -251,7 +245,7 @@ func (w *linkWindow) ensure(n int) {
 		w.cur, w.next = w.next, w.cur
 	} else {
 		// Filled here and now from the occupied rows: nothing is missing.
-		if w.cur.lu == nil {
+		if w.cur.sig == nil {
 			w.cur.borrow(len(w.src), w.span, w.sharedRate)
 		}
 		w.cur.base = base
@@ -342,7 +336,7 @@ func (w *linkWindow) pollFill() {
 		return
 	}
 	late := w.occupied(w.late)
-	if b := w.next; w.handoff(lateRowCost*len(late), w.windowEnd(b.base)-b.base) {
+	if b := w.next; w.handoff(len(late), w.windowEnd(b.base)-b.base) {
 		w.kickFill(late, late)
 	} else {
 		w.patchNext(late)
@@ -367,7 +361,7 @@ func (w *linkWindow) parks(n int) bool {
 // invalidating every column view handed out; the next ensure borrows and
 // refills.
 func (w *linkWindow) park(n int) {
-	if w.parks(n) && w.cur.lu != nil {
+	if w.parks(n) && w.cur.sig != nil {
 		idleBlocks.put(w.cur.linkCols)
 		w.cur.linkCols, w.cur.base = linkCols{}, -1
 	}
@@ -416,7 +410,7 @@ func (w *linkWindow) widenRate() {
 	}
 	w.sharedRate = false
 	w.syncFill()
-	if w.cur.lu != nil {
+	if w.cur.sig != nil {
 		w.cur.widenRate()
 	}
 	if w.next != nil {
@@ -513,9 +507,10 @@ func (w *linkWindow) compactRows(sessions []*workload.Session) {
 	}
 }
 
-// slotColumns returns resident slot n's first users rows as zero-copy
-// column views. The engine aliases them into the sched.Columns slot view;
-// they must never be written through, and the next swap invalidates them.
-func (w *linkWindow) slotColumns(n, users int) ([]units.DBm, []units.KBps, []units.MJ, []units.KBps, []int32) {
+// slotColumns returns resident slot n's first users signals and rates as
+// zero-copy views. The engine aliases them into the sched.Columns slot
+// view; they must never be written through, and the next swap invalidates
+// them.
+func (w *linkWindow) slotColumns(n, users int) ([]units.DBm, []units.KBps) {
 	return w.cur.slot(n-w.cur.base, users)
 }

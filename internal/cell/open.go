@@ -508,15 +508,17 @@ func (o *OpenSim) appendSlot(sess *workload.Session) error {
 	c.TailGap = append(c.TailGap, 0)
 	c.NeverActive = append(c.NeverActive, false)
 	c.MaxUnits = append(c.MaxUnits, 0)
+	c.LinkRate = append(c.LinkRate, 0)
+	c.EnergyPerKB = append(c.EnergyPerKB, 0)
+	s.epkbAlt = append(s.epkbAlt, 0)
+	s.luCol = append(s.luCol, 0)
 	if s.win == nil {
-		// Engine-owned static columns (analytic path).
+		// Engine-owned Sig and Rate (analytic path).
 		c.Sig = append(c.Sig, 0)
-		c.LinkRate = append(c.LinkRate, 0)
-		c.EnergyPerKB = append(c.EnergyPerKB, 0)
 		c.Rate = append(c.Rate, 0)
 	} else if s.cfg.ABR != nil {
-		// Under ABR the Rate column stays engine-owned even when the
-		// other static columns alias the link window.
+		// Under ABR the Rate column stays engine-owned even when Sig
+		// aliases the link window.
 		c.Rate = append(c.Rate, 0)
 	}
 	if s.abrCtls != nil {
@@ -937,10 +939,11 @@ func (o *OpenSim) compact() {
 			c.TailGap[w] = c.TailGap[i]
 			c.NeverActive[w] = c.NeverActive[i]
 			c.MaxUnits[w] = c.MaxUnits[i]
+			c.LinkRate[w] = c.LinkRate[i]
+			c.EnergyPerKB[w] = c.EnergyPerKB[i]
+			s.luCol[w] = s.luCol[i]
 			if s.win == nil {
 				c.Sig[w] = c.Sig[i]
-				c.LinkRate[w] = c.LinkRate[i]
-				c.EnergyPerKB[w] = c.EnergyPerKB[i]
 				c.Rate[w] = c.Rate[i]
 			} else if s.cfg.ABR != nil {
 				c.Rate[w] = c.Rate[i]
@@ -970,10 +973,12 @@ func (o *OpenSim) compact() {
 	c.TailGap = c.TailGap[:w]
 	c.NeverActive = c.NeverActive[:w]
 	c.MaxUnits = c.MaxUnits[:w]
+	c.LinkRate = c.LinkRate[:w]
+	c.EnergyPerKB = c.EnergyPerKB[:w]
+	s.epkbAlt = s.epkbAlt[:w]
+	s.luCol = s.luCol[:w]
 	if s.win == nil {
 		c.Sig = c.Sig[:w]
-		c.LinkRate = c.LinkRate[:w]
-		c.EnergyPerKB = c.EnergyPerKB[:w]
 		c.Rate = c.Rate[:w]
 	} else if s.cfg.ABR != nil {
 		c.Rate = c.Rate[:w]

@@ -34,9 +34,9 @@ func (s *Simulator) RunReferenceCtx(ctx context.Context) (*Result, error) {
 	alloc := s.alloc
 	slot.ActiveList = nil // schedulers exercise their full-scan fallback
 
-	// The reference arm evaluates the physics analytically into static
-	// columns it owns for the run. With a link window attached newSim left
-	// them for attachSlotColumns to alias onto the window's rows; those may
+	// The reference arm evaluates the physics analytically into columns it
+	// owns for the run. With a link window attached newSim left Sig and
+	// Rate for attachSlotColumns to alias onto the window's rows; those may
 	// be a shared immutable Config.Link, so the arm never writes through
 	// such an alias — it takes private columns instead and leaves s.win
 	// unread (a sliding window is never filled, nor a goroutine started).
@@ -47,11 +47,8 @@ func (s *Simulator) RunReferenceCtx(ctx context.Context) (*Result, error) {
 		if t := s.win.table; t != nil {
 			t.prewarmFor(s.sessions)
 		}
-		n := len(s.users)
-		s.cols.Sig = make([]units.DBm, n)
-		s.cols.LinkRate = make([]units.KBps, n)
-		s.cols.EnergyPerKB = make([]units.MJ, n)
-		s.cols.Rate = make([]units.KBps, n)
+		s.cols.Sig = make([]units.DBm, len(s.users))
+		s.cols.Rate = make([]units.KBps, len(s.users))
 	}
 
 	for slotIdx := 0; slotIdx < s.cfg.MaxSlots; slotIdx++ {

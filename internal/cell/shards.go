@@ -17,6 +17,7 @@ func (s *Simulator) prepareShardBody(sh int) {
 	lo, hi := shardBounds(sh, s.curShards, len(s.curLive))
 	act := s.shardAct[sh][:0]
 	if s.curDense && s.colsTabled() && s.abrCtls == nil {
+		s.deriveDense(lo, hi)
 		act = s.prepareDenseLink(s.curSlot, lo, hi, act)
 	} else {
 		tabled := s.colsTabled()
@@ -55,7 +56,7 @@ func (s *Simulator) commitShardBody(sh int) {
 
 // fusedShardBody is the fused commit+prepare pass for one shard: each
 // live user is committed for slot s.curSlot (priced with the pinned
-// prevEpkb/prevRate columns — s.cols already aliases slot curSlot+1) and
+// prevEpkb/prevRate columns — s.cols already holds slot curSlot+1) and
 // immediately prepared for slot curSlot+1. Per user the order is exactly
 // commit-then-prepare, which matches the phase-separated engine because
 // neither phase reads another user's state.
@@ -66,6 +67,7 @@ func (s *Simulator) fusedShardBody(sh int) {
 	act, ret := s.shardAct[sh][:0], &s.shardRet[sh]
 	*ret = (*ret)[:0]
 	if s.curDense && s.colsTabled() && s.abrCtls == nil && !s.cfg.RecordPerUserSlots {
+		s.deriveDense(lo, hi)
 		act = s.fusedDenseLink(s.curSlot, lo, hi, act, ret, acc)
 	} else {
 		res := s.curRes

@@ -93,10 +93,7 @@ func TestTiledRowsMatchMonolithic(t *testing.T) {
 	}
 	for _, span := range []int{1, 7, 64, 256} {
 		for _, handoff := range []int{handoffAlways, handoffNever} {
-			w, err := newLinkWindow(cfg, 1, span, len(sessions), cfg.MaxSlots, constRate(sessions), sessions)
-			if err != nil {
-				t.Fatalf("span %d: %v", span, err)
-			}
+			w := newLinkWindow(1, span, len(sessions), cfg.MaxSlots, constRate(sessions), sessions)
 			w.handoffMin = handoff
 			defer w.stop()
 			view := windowView(w)
@@ -107,11 +104,10 @@ func TestTiledRowsMatchMonolithic(t *testing.T) {
 			// Backward jumps force a re-residency of earlier blocks.
 			slotsToCheck = append(slotsToCheck, 0, cfg.MaxSlots/2, cfg.MaxSlots-1)
 			for _, n := range slotsToCheck {
-				mSig, mLink, mEpkb, mRate, mLU := mono.slot(n)
-				tSig, tLink, tEpkb, tRate, tLU := view(n)
+				mSig, mRate := mono.slot(n)
+				tSig, tRate := view(n)
 				for i := range mSig {
-					if mSig[i] != tSig[i] || mLink[i] != tLink[i] || mEpkb[i] != tEpkb[i] ||
-						mRate[i] != tRate[i] || mLU[i] != tLU[i] {
+					if mSig[i] != tSig[i] || mRate[i] != tRate[i] {
 						t.Fatalf("span %d %s slot %d user %d: window row != table row", span, handoffName(handoff), n, i)
 					}
 				}

@@ -240,6 +240,7 @@ type Gateway struct {
 	// retirement moves each remaining session's state down with it.
 	view   sched.Slot
 	cols   sched.Columns
+	link   *radio.Link // v, P and the Eq. (1) limit of a reported signal
 	rows   sched.RowState
 	active []int
 	alloc  []int
@@ -296,6 +297,9 @@ func New(cfg Config, s sched.Scheduler) (*Gateway, error) {
 		quality:   quality,
 		active:    []int{},
 		capBytes:  int(float64(cfg.QueueCap) * 1000),
+	}
+	if g.link, err = radio.NewLink(cfg.Radio, cfg.Tau, cfg.Unit); err != nil {
+		return nil, err
 	}
 	g.rows, _ = s.(sched.RowState)
 	g.view = sched.Slot{
@@ -478,8 +482,7 @@ func (g *Gateway) Step() ([]int, error) {
 			continue
 		}
 		queuedKB := units.KB(float64(u.queued()) / 1000)
-		link := g.cfg.Radio.Throughput.Throughput(rep.Sig)
-		maxUnits := int(float64(link) * float64(g.cfg.Tau) / float64(g.cfg.Unit))
+		link, price, maxUnits := g.link.At(rep.Sig)
 		queueUnits := int(float64(queuedKB) / float64(g.cfg.Unit))
 		if u.srcDone {
 			// The source is exhausted: round the tail up so a video that is
@@ -505,7 +508,7 @@ func (g *Gateway) Step() ([]int, error) {
 		}
 		c.Sig[i] = rep.Sig
 		c.LinkRate[i] = link
-		c.EnergyPerKB[i] = g.cfg.Radio.Power.EnergyPerKB(rep.Sig)
+		c.EnergyPerKB[i] = price
 		c.Rate[i] = rep.Rate
 		c.BufferSec[i] = u.bufferSec
 		c.RemainingKB[i] = queuedKB

@@ -32,11 +32,10 @@
 //
 //	LowerBoundDelivered(run) ≤ trans(S) ≤ total(S) ≤ WorstMJ
 //
-// Prices are normally re-derived from each session's signal trace and
-// the radio model; setting Config.Link replays the compiled link
-// table's slot-major windows instead, which is bitwise-identical (the
-// table compiler is exactness-checked) and skips the per-slot model
-// calls.
+// Prices are derived from each session's signal and the radio model,
+// through the radio.Link evaluator the engines derive with; setting
+// Config.Link reads the signals from the compiled link table's slot-major
+// rows instead of the traces, which is bitwise-identical.
 package oracle
 
 import (
@@ -49,17 +48,14 @@ import (
 	"jointstream/internal/workload"
 )
 
-// LinkView is the slice of cell.LinkTable the oracle can replay instead
-// of re-deriving prices analytically: zero-copy slot-major columns of
-// the per-KB price and the Eq. (1) unit limit. cell.LinkTable satisfies
-// it; the indirection keeps this package free of an engine dependency.
+// LinkView is the slice of cell.LinkTable the oracle can read signals
+// from instead of the sessions' traces: zero-copy slot-major signal
+// columns. cell.LinkTable satisfies it; the indirection keeps this package
+// free of an engine dependency.
 type LinkView interface {
 	Users() int
 	Slots() int
-	Tau() units.Seconds
-	Unit() units.KB
-	SlotEnergyPerKB(n int) []units.MJ
-	SlotLinkUnits(n int) []int32
+	SlotSignals(n int) []units.DBm
 }
 
 // Config parameterizes the offline computation.
@@ -84,10 +80,9 @@ type Config struct {
 	// the bracket comparable to the engine's total Result energy. The
 	// default preserves the legacy transmission-only upper bound.
 	AccountTail bool
-	// Link, when non-nil, supplies prices and link limits from the
-	// compiled table's slot-major windows instead of Signal.At + radio
-	// calls. It must cover the sessions and horizon on the same (τ, δ)
-	// grid.
+	// Link, when non-nil, supplies the signals from the compiled table's
+	// slot-major rows instead of Signal.At. It must cover the sessions and
+	// horizon; prices and limits are derived under Radio, Tau and Unit.
 	Link LinkView
 }
 
@@ -110,10 +105,6 @@ func (c Config) Validate() error {
 	if c.Link != nil {
 		if c.Link.Slots() < c.Horizon {
 			return fmt.Errorf("oracle: link view covers %d slots, horizon needs %d", c.Link.Slots(), c.Horizon)
-		}
-		if c.Link.Tau() != c.Tau || c.Link.Unit() != c.Unit {
-			return fmt.Errorf("oracle: link view grid (tau=%v, unit=%v) != config (tau=%v, unit=%v)",
-				c.Link.Tau(), c.Link.Unit(), c.Tau, c.Unit)
 		}
 	}
 	return nil
@@ -214,8 +205,8 @@ func compute(cfg Config, sessions []*workload.Session, wantPlan bool) (Bounds, [
 
 // buildPrices precomputes the (user, slot) opportunities: per-KB price
 // and Eq. (1) cap for every slot from the session's start with a
-// nonzero link, either replayed from the compiled link view or derived
-// from the signal trace and radio model.
+// nonzero link, derived from the signal — the compiled link view's or
+// the trace's — through the radio model.
 func buildPrices(cfg Config, sessions []*workload.Session) ([][]slotPrice, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -226,31 +217,28 @@ func buildPrices(cfg Config, sessions []*workload.Session) ([][]slotPrice, error
 	if cfg.Link != nil && cfg.Link.Users() != len(sessions) {
 		return nil, fmt.Errorf("oracle: link view compiled for %d users, run has %d", cfg.Link.Users(), len(sessions))
 	}
+	link, err := radio.NewLink(cfg.Radio, cfg.Tau, cfg.Unit)
+	if err != nil {
+		return nil, err
+	}
 	prices := make([][]slotPrice, len(sessions))
 	for ui, s := range sessions {
 		prices[ui] = make([]slotPrice, 0, cfg.Horizon)
 		for n := s.StartSlot; n < cfg.Horizon; n++ {
-			var price float64
-			var maxUnits int
+			var sig units.DBm
 			if cfg.Link != nil {
-				maxUnits = int(cfg.Link.SlotLinkUnits(n)[ui])
-				if maxUnits == 0 {
-					continue
-				}
-				price = float64(cfg.Link.SlotEnergyPerKB(n)[ui])
+				sig = cfg.Link.SlotSignals(n)[ui]
 			} else {
-				sig := s.Signal.At(n)
-				link := cfg.Radio.Throughput.Throughput(sig)
-				maxUnits = int(float64(link) * float64(cfg.Tau) / float64(cfg.Unit))
-				if maxUnits == 0 {
-					continue
-				}
-				price = float64(cfg.Radio.Power.EnergyPerKB(sig))
+				sig = s.Signal.At(n)
+			}
+			_, price, maxUnits := link.At(sig)
+			if maxUnits == 0 {
+				continue
 			}
 			prices[ui] = append(prices[ui], slotPrice{
 				user:    ui,
 				slot:    n,
-				price:   price,
+				price:   float64(price),
 				maxUnit: maxUnits,
 			})
 		}

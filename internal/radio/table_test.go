@@ -171,11 +171,12 @@ func FuzzTableLookup(f *testing.F) {
 	})
 }
 
-// TestTableExactHasNoDomain pins what the link-window fill relies on: an
+// TestTableExactHasNoDomain pins what radio.Link relies on: an
 // exact table — even one built over a single point with a single bin —
 // returns the analytic model's bits at every signal, in the domain or far
-// outside it, infinite or NaN, one at a time and batched, while Bin stays
-// inside [0, Bins()).
+// outside it, infinite or NaN, one at a time and batched (through
+// radio.Link, whose batch runs the exact table's closed form), while Bin
+// stays inside [0, Bins()).
 func TestTableExactHasNoDomain(t *testing.T) {
 	src := rng.New(11)
 	sigs := []units.DBm{
@@ -198,8 +199,12 @@ func TestTableExactHasNoDomain(t *testing.T) {
 			if !tab.Exact() || tab.Bins() != dom.bins {
 				t.Fatalf("%s %+v: Exact=%v Bins=%d", name, dom, tab.Exact(), tab.Bins())
 			}
-			vs, ps := make([]units.KBps, len(sigs)), make([]units.MJ, len(sigs))
-			tab.LookupInto(sigs, vs, ps)
+			link, err := NewLink(m, 1, 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vs, ps, lus := make([]units.KBps, len(sigs)), make([]units.MJ, len(sigs)), make([]int32, len(sigs))
+			link.Into(sigs, vs, ps, lus)
 			for i, sig := range sigs {
 				wantV, wantP := m.Throughput.Throughput(sig), m.Power.EnergyPerKB(sig)
 				v, p := tab.Lookup(sig)
@@ -207,39 +212,12 @@ func TestTableExactHasNoDomain(t *testing.T) {
 					t.Fatalf("%s %+v: Lookup(%v) = (%v, %v), model (%v, %v)", name, dom, sig, v, p, wantV, wantP)
 				}
 				if !same(float64(vs[i]), float64(wantV)) || !same(float64(ps[i]), float64(wantP)) {
-					t.Fatalf("%s %+v: LookupInto[%v] = (%v, %v), model (%v, %v)", name, dom, sig, vs[i], ps[i], wantV, wantP)
+					t.Fatalf("%s %+v: Link.Into[%v] = (%v, %v), model (%v, %v)", name, dom, sig, vs[i], ps[i], wantV, wantP)
 				}
 				if k := tab.Bin(sig); k < 0 || k >= tab.Bins() {
 					t.Fatalf("%s %+v: Bin(%v) = %d outside [0, %d)", name, dom, sig, k, tab.Bins())
 				}
 			}
-		}
-	}
-}
-
-// TestTableLookupIntoMatchesLookup covers the chord (non-exact) batch.
-func TestTableLookupIntoMatchesLookup(t *testing.T) {
-	pw, err := NewPiecewiseLinear([]Point{{-110, 300}, {-90, 900}, {-70, 2500}, {-50, 4200}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := NewTable(Model{Throughput: pw, Power: FittedPower{Base: -0.167, Scale: 1560, V: pw}}, -110, -50, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.Exact() {
-		t.Fatal("piecewise model reported exact")
-	}
-	src := rng.New(3)
-	sigs := make([]units.DBm, 5000)
-	for i := range sigs {
-		sigs[i] = units.DBm(src.Uniform(-130, -30))
-	}
-	vs, ps := make([]units.KBps, len(sigs)), make([]units.MJ, len(sigs))
-	tab.LookupInto(sigs, vs, ps)
-	for i, sig := range sigs {
-		if v, p := tab.Lookup(sig); v != vs[i] || p != ps[i] {
-			t.Fatalf("LookupInto[%v] = (%v, %v), Lookup (%v, %v)", sig, vs[i], ps[i], v, p)
 		}
 	}
 }

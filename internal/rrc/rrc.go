@@ -161,11 +161,18 @@ func (t *Tail) Transfer() {
 // E_tail(gap+tau) − E_tail(gap) per Eq. (4). A device that has never
 // transferred neither burns energy nor ages its gap. A negative tau
 // panics once the device has transferred.
+//
+// A drained gap burns nothing, and that is most idle slots: they are
+// settled here without the call into TailIncrement, whose value receiver
+// would copy the Profile. Every call that could panic still makes it.
 func (t *Tail) IdleSlot(p *Profile, tau units.Seconds) units.MJ {
 	if !t.EverActive {
 		return 0
 	}
-	inc := p.TailIncrement(t.Gap, tau)
+	var inc units.MJ
+	if t.Gap < p.TailDrainedAfter() || tau < 0 {
+		inc = p.TailIncrement(t.Gap, tau)
+	}
 	t.Gap += tau
 	return inc
 }

@@ -67,15 +67,6 @@ type Predictive struct {
 	safety units.Seconds
 
 	act []int // ActiveIndices fallback scratch
-
-	// Per-slot window scratch for the SlotWindower fast path: entry d
-	// aliases the forecast's columns for slot n+d (nil beyond the
-	// horizon). Slice-header re-aliasing only — the steady-state
-	// zero-alloc test covers this scheduler — and rewritten at the top
-	// of every Allocate, so stale windows can never leak across slots.
-	winEpkb [][]units.MJ
-	winLU   [][]int32
-	useWin  bool
 }
 
 // NewPredictive validates the configuration and returns the scheduler.
@@ -113,22 +104,6 @@ func (p *Predictive) Allocate(slot *Slot, alloc []int) {
 			maxD = 0
 		}
 	}
-	p.useWin = false
-	if maxD > 0 {
-		if w, ok := p.f.(SlotWindower); ok {
-			p.useWin = true
-			if cap(p.winEpkb) < maxD+1 {
-				p.winEpkb = make([][]units.MJ, maxD+1)
-				p.winLU = make([][]int32, maxD+1)
-			}
-			p.winEpkb = p.winEpkb[:maxD+1]
-			p.winLU = p.winLU[:maxD+1]
-			for d := 1; d <= maxD; d++ {
-				p.winEpkb[d], p.winLU[d] = w.PredictedWindow(slot.N + d)
-			}
-		}
-	}
-
 	remaining := slot.CapacityUnits
 	for _, i := range slot.ActiveIndices(&p.act) {
 		if remaining == 0 {
@@ -151,26 +126,13 @@ func (p *Predictive) Allocate(slot *Slot, alloc []int) {
 func (p *Predictive) decide(slot *Slot, i, maxU, maxD int) int {
 	best := math.Inf(1)
 	bestDist := 0
-	if p.useWin {
-		for d := 1; d <= maxD; d++ {
-			lu := p.winLU[d]
-			if i >= len(lu) || lu[i] <= 0 {
-				continue
-			}
-			if price := float64(p.winEpkb[d][i]); price < best {
-				best = price
-				bestDist = d
-			}
+	for d := 1; d <= maxD; d++ {
+		if p.f.PredictedLinkUnits(slot.N+d, i) <= 0 {
+			continue
 		}
-	} else {
-		for d := 1; d <= maxD; d++ {
-			if p.f.PredictedLinkUnits(slot.N+d, i) <= 0 {
-				continue
-			}
-			if price := float64(p.f.PredictedEnergyPerKB(slot.N+d, i)); price < best {
-				best = price
-				bestDist = d
-			}
+		if price := float64(p.f.PredictedEnergyPerKB(slot.N+d, i)); price < best {
+			best = price
+			bestDist = d
 		}
 	}
 	if bestDist == 0 || float64(slot.EnergyPerKBAt(i)) <= best {

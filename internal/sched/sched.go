@@ -30,11 +30,12 @@ import (
 // index. It is the only slot representation — the engine, the gateway
 // and every test fixture present slots this way — so the prepare phase
 // refreshes a few contiguous arrays in place instead of materializing one
-// record per user per slot. The engine normally backs the static physics
-// columns (Sig, LinkRate, EnergyPerKB, Rate) with the precompiled
-// cell.LinkTable rows for the slot — zero-copy reslices, never copies —
-// rather than live model calls; both paths are bitwise-identical, so
-// schedulers never need to care which one fed them.
+// record per user per slot. The engine normally backs Sig and Rate with
+// the precompiled link rows for the slot — zero-copy reslices, never
+// copies — and derives LinkRate and EnergyPerKB from Sig through
+// radio.Link, rather than calling the signal and radio models per user;
+// both paths are bitwise-identical, so schedulers never need to care
+// which one fed them.
 //
 // Aliasing rules (see DESIGN.md §7): columns are written only by the
 // owner's prepare/commit phases, never by schedulers, and the LinkTable-

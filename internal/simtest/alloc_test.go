@@ -97,11 +97,10 @@ func TestTickSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestTickSteadyStatePredictiveWindowAllocs covers the branch the
-// factory arm can't reach: a table-backed forecast routes Predictive
-// through the SlotWindower fast path, whose per-slot window scratch is
-// rebuilt every Allocate by re-aliasing the table's column slices. That
-// rebuild must stay header-copy only — zero allocations per slot once
-// the scratch has grown.
+// factory arm can't reach: a table-backed forecast, whose every
+// prediction is a block lookup in the table and a derivation through
+// radio.Link from the signal row. A read must stay allocation-free — zero
+// allocations per slot however far the lookahead window reaches.
 func TestTickSteadyStatePredictiveWindowAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-user allocation measurement; skipped in -short")

@@ -1,14 +1,18 @@
 package simtest
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
 	"jointstream/internal/cell"
+	"jointstream/internal/oracle"
 	"jointstream/internal/radio"
 	"jointstream/internal/rng"
 	"jointstream/internal/sched"
 	"jointstream/internal/units"
+	"jointstream/internal/workload"
 )
 
 // slotForecast is the synthetic channel forecast behind the factories'
@@ -176,5 +180,67 @@ func TestNoisyForecastValidation(t *testing.T) {
 	}
 	if _, err := sched.NewPredictive(sched.PredictiveConfig{SafetySec: -1}); err == nil {
 		t.Error("negative safety floor accepted")
+	}
+}
+
+// TestLinkReadersMatchStoredColumns pins the table's readers outside the
+// engine — the exact forecast, NoisyForecast, MaxLinkUnits and the oracle
+// over the table and over the traces — to what they returned when the
+// table stored v, P and ⌊τ·v/δ⌋ beside the signal: a hash of every
+// prediction of a seeded 6-user × 600-slot table (three table blocks, VBR
+// rates) and the oracle's four bounds, by float bits, recorded before the
+// table shrank to signals and rates.
+func TestLinkReadersMatchStoredColumns(t *testing.T) {
+	cfg := cell.PaperConfig()
+	cfg.MaxSlots = 600
+	wc := workload.PaperDefaults(6)
+	wc.RateJitterFrac = 0.1
+	wl, err := workload.Generate(wc, rng.New(41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lt, err := cell.CompileLink(cfg, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisy, err := cell.NewNoisyForecast(lt, 9, 0.35)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := lt.Forecast()
+	h := fnv.New64a()
+	put := func(x uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], x)
+		h.Write(b[:])
+	}
+	for n := 0; n < cfg.MaxSlots; n++ {
+		for i := range wl {
+			put(math.Float64bits(float64(exact.PredictedEnergyPerKB(n, i))))
+			put(uint64(exact.PredictedLinkUnits(n, i)))
+			put(math.Float64bits(float64(noisy.PredictedEnergyPerKB(n, i))))
+			put(uint64(noisy.PredictedLinkUnits(n, i)))
+		}
+	}
+	if got, want := h.Sum64(), uint64(0x72c536f2363df16c); got != want {
+		t.Errorf("forecast hash %#x, want %#x", got, want)
+	}
+	if got := lt.MaxLinkUnits(); got != 42 {
+		t.Errorf("MaxLinkUnits %d, want 42", got)
+	}
+	ocfg := oracle.Config{Tau: cfg.Tau, Unit: cfg.Unit, Capacity: cfg.Capacity / 20, Horizon: cfg.MaxSlots,
+		Radio: cfg.Radio, RRC: cfg.RRC, AccountTail: true}
+	want := [4]uint64{0x4119bba5e4b155cb, 0x412f40f55aae565a, 0x4167a2b9ab7f9b82, 0x412b4215c268095d}
+	for _, link := range []oracle.LinkView{nil, lt} {
+		ocfg.Link = link
+		b, err := oracle.Compute(ocfg, wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [4]uint64{math.Float64bits(float64(b.LowerMJ)), math.Float64bits(float64(b.UpperMJ)),
+			math.Float64bits(float64(b.WorstMJ)), math.Float64bits(float64(b.TailMJ))}
+		if got != want || b.Feasible {
+			t.Errorf("oracle (table %v): bounds %#x feasible %v, want %#x false", link != nil, got, b.Feasible, want)
+		}
 	}
 }
