@@ -30,11 +30,13 @@ import (
 // f(i, ϕ) is affine in ϕ for ϕ ≥ 1 (only the ϕ = 0 tail branch breaks the
 // line), a user can want only nothing, the one unit that dodges the tail,
 // or everything its link carries. The default solver runDP therefore does
-// work only where the optimal path can cross: each user's DP window is
-// clipped to that want, every row to the band between the units the users
-// still to come cannot make up (the slot's need less their wants) and the
-// wants so far, the forward passes (ema_kernel.go) keep values only, and
-// the grants are recovered at backtrack by rescanning the ≤ want
+// work only where the optimal path can cross: each user's grant is bounded
+// — above by that want; below by its need when the wants fit in the cell;
+// on both sides, when the needs overrun the cell, by the threshold of unit
+// costs the cheapest capacity units fall under, which pins all but the
+// users at the margin — every row is filled only on the band those bounds
+// leave, the forward passes (ema_kernel.go) keep values only, and the
+// grants are recovered at backtrack by rescanning the free users'
 // predecessors of the ≤ users states on the optimal path — see runDP's
 // comment for the lemmas and DESIGN.md §4, "Fast EMA DP". The
 // paper-literal O(users × capacity²) DP is kept as runDPRef, exposed
@@ -42,8 +44,8 @@ import (
 // tests is the tie-exact oracle. The arms are differentially tested
 // (internal/simtest, TestEMAFastMatchesRef; sched's
 // TestEMABlockMatchesDeque, TestEMAKernelLines, TestEMABandLemma,
-// FuzzEMAKernel) so the fast path is pinned both in objective and bit for
-// bit in allocation.
+// TestEMAThresholdLemma, FuzzEMAKernel) so the fast path is pinned both
+// in objective and bit for bit in allocation.
 //
 // The weight V trades energy against rebuffering: Theorem 1 bounds
 // PE ≤ E* + B/V and PC ≤ (B + V·E*)/ε, so larger V saves more energy at
@@ -71,12 +73,15 @@ type EMA struct {
 	tailTau     units.Seconds
 
 	// DP scratch, reused across slots.
-	rows    []float64  // (users+1) × (capacity+1): row k, state M = best objective of the first k DP users at exactly M units, current on the slot's band [lo_k, reach_k] only
+	rows    []float64  // (users+1) × (capacity+1): row k, state M = best objective of the first k DP users at exactly M units, current on the slot's band [lo_k, hi_k] only, for the rows the passes reach
 	suf     []float64  // windowed pass: block suffix minima of g
+	runs    []unitRun  // contended slot: the DP users' units by marginal cost
 	lines   []userLine // this slot's cost lines, one per DP user
 	dpUser  []int      // indices of users participating in the DP
 	dpBound int        // active-count bound for scratch growth this slot
 	act     []int      // ActiveIndices fallback scratch
+
+	dpStates int // band states runDP's passes have filled, one add per pass run
 }
 
 // maxTailMemo bounds the tail-increment memo: gaps beyond this many slot
@@ -296,11 +301,13 @@ func (e *EMA) allocate(slot *Slot, alloc []int, dp func(e *EMA, lines []userLine
 
 // userLine holds the affine decomposition of f(i, ϕ) for one DP user:
 // f(i, 0) = skip, and f(i, ϕ) = base + perUnit·ϕ for ϕ ≥ 1 up to maxPhi.
-// want ≤ maxPhi is the widest grant runDP considers (set by runDP; the
-// unclipped reference solvers ignore it).
+// want ≤ maxPhi is the widest grant the want-clip leaves and
+// least ≤ ϕ ≤ most the grants runDP considers (all three set by runDP; the
+// unclipped reference solvers ignore them).
 type userLine struct {
 	skip, base, perUnit float64
 	maxPhi, want        int
+	least, most         int
 }
 
 // line decomposes user idx's slot cost for the DP solvers.
@@ -388,7 +395,10 @@ func clipGuard(lines []userLine, capacity int) float64 {
 //
 // a sliding-window minimum over g[j] = cost[j] − perUnit·j, largest j
 // (smallest ϕ) on ties in g. Unclipped that is users × capacity window
-// queries with an argmin each. runDP does four things less.
+// queries with an argmin each. runDP bounds every user's grant — by its
+// want, by its need where capacity is slack, by the threshold of unit costs
+// where it is contended — fills each row only on the band those bounds
+// leave, keeps values only, and recovers the grants at backtrack.
 //
 // Want-clip. The window is want_i = clip(guard) wide instead of maxPhi,
 // and the reachable states end at Σ want_i instead of Σ maxPhi. Lemma: the
@@ -400,44 +410,104 @@ func clipGuard(lines []userLine, capacity int) float64 {
 // other path ending at that state (rounded + and − are monotone), and is
 // within guard/2 of the exact sum (clipGuard) — so the value at the
 // lowered total is strictly below the value at the returned one, which
-// the final argmin rules out. Hence clipping loses nothing: every clipped
-// value is ≥ the unclipped one (fewer candidates, monotone rounding) and
-// equal along the returned path, so the final argmin (strict <, ascending
-// m: fewest units) stops at the same total, and at each state of the path
-// the same candidate wins under the same tie rule (largest j), the
-// others' values not having fallen. In exact arithmetic guard could be 0
-// — ties between ϕ and ϕ' would fall to the fewest-units rule — but in
-// floats a tie or near-tie is decided by how later rows round perUnit·m,
-// which only the full window reproduces; clip keeps it for such users.
+// the final argmin rules out. In exact arithmetic guard could be 0 — ties
+// between ϕ and ϕ' would fall to the fewest-units rule — but in floats a
+// tie or near-tie is decided by how later rows round perUnit·m, which only
+// the full window reproduces; clip keeps it for such users.
 //
-// Band. Row k — the first k users done — is computed from
-// lo_k = max(0, T_lo − Σ_{i ≥ k} want_i) up, T_lo = min(capacity, Σ need_i)
-// with need_i = floor(guard), not from 0. Lemma: the unclipped DP returns a
-// total ≥ T_lo. If a final state m < T_lo held the minimum, its argmin
-// allocation has capacity to spare and some ϕ_i < need_i; one more unit
-// for that user is feasible and lowers the exact objective by more than
-// guard (floor's definition), so by clipGuard's bound and monotone
-// rounding final[m+1] < final[m] — m was not the minimum. With the want
-// lemma the returned path's prefix sums are then ≥ lo_k at every row
-// (total ≥ T_lo, the users from k on hold ≤ their wants). And the band is
-// closed under the recurrence: an in-band state m of row k+1 reads row k
-// on [max(0, m − want_k), m], and lo_k = max(0, lo_{k+1} − want_k), so it
-// reads no state below lo_k. In-band values, the winning total and every grantAt
-// scan are therefore the unbanded DP's bit for bit, and whatever a row
-// holds below its lo — stale from an earlier slot, or written by a pass
-// with a window cut short at its own lo — is never read. An uncontended
-// slot with every margin outside the guard has lo_k = reach_k, one state
-// a row; a user inside the guard (need 0, want maxPhi) widens the band by
-// its window; guard = NaN or ∞ leaves lo_k = 0, the want-clip alone.
+// Band. T_lo = min(capacity, Σ need_i) with need_i = floor(guard). Lemma:
+// the unclipped DP returns a total ≥ T_lo. If a final state m < T_lo held
+// the minimum, its argmin allocation has capacity to spare and some
+// ϕ_i < need_i; one more unit for that user is feasible and lowers the
+// exact objective by more than guard (floor's definition), so by
+// clipGuard's bound and monotone rounding final[m+1] < final[m] — m was
+// not the minimum. A user inside the guard (need 0, want maxPhi) lowers
+// T_lo by its window; guard = NaN or ∞ gives T_lo = 0.
+//
+// Slack. If Σ want ≤ capacity, the returned allocation has ϕ_i ≥ need_i
+// for every i: were ϕ_i < need_i ≤ want_i, the total would be below
+// Σ want ≤ capacity, and the band lemma's extra unit for user i would
+// lower the final value at the next state below the returned one. least =
+// need there; in the paper sweep's uncontended slots need = want for every
+// user, and every user is pinned.
+//
+// Threshold. In a contended slot (T_lo = capacity) the returned total is
+// capacity, so the users trade units against each other and, the costs
+// being affine, the cheapest capacity units win. Give user i's units
+// 1 … want_i their exact marginal costs μ — base + perUnit − skip for the
+// first, the one that dodges the tail, and perUnit for each further one —
+// and keys κ, their float values: firstUnit for the first unit, perUnit
+// for the rest. Let λ_in and λ_out be the capacity-th and (capacity+1)-th
+// smallest key over all units (λ_out = +∞ if there is none); least_i counts
+// i's units keyed below λ_out − guard and most_i those keyed no higher than
+// λ_in + guard, both computed in floats. Lemma: the unclipped DP returns
+// ϕ_i ∈ [least_i, most_i] for every i. It needs every window user
+// (want ≥ 2) convex, base ≤ skip so that μ never falls along a user's units:
+// EMA.line's skip is base plus V·E ≥ 0, and a slot that misses it, or has
+// a non-finite guard, keeps least = 0 and most = want. Suppose a unit u of
+// user i keyed below λ_out − guard is not taken; i's next unit ν costs
+// μ_ν ≤ μ_u. At most capacity units are keyed below λ_out and u, one of
+// them, is not taken, so some taken unit v is keyed at or above λ_out —
+// not one of i's, which precede ν and cost no more. Moving v's user's last
+// unit (μ ≥ μ_v) to i's ν keeps the total and every ϕ within its want, and
+// changes the exact objective by μ_ν − μ_v < −(guard − r − 4ε). Suppose
+// instead a unit u of user i keyed above λ_in + guard is taken. At least
+// capacity units are keyed no higher than λ_in and at most capacity − 1 of
+// them are taken, so one of them, w, is not — not one of i's, which follow
+// u and cost no less; moving i's last unit (μ ≥ μ_u) to the next unit of
+// w's user (μ ≤ μ_w) changes the exact objective by less than
+// −(guard − r − 2ε). Either allocation ends at the same state, so, as in
+// the want lemma, its float value would be below the returned path's own —
+// a contradiction. Rounding: |κ − μ| ≤ ε = 2⁻⁵²·(1+2⁻⁵²)·scale (two
+// rounded operations on values below scale; capping a window user's first
+// key at perUnit only moves it toward μ) and λ ± guard round by
+// r < 2⁻⁵²·scale, so each exchange gains more than guard − 2⁻⁴⁹·scale ≥
+// 48·2⁻⁵³·n·scale, above twice the 3·2⁻⁵³·n·scale bound of clipGuard's
+// comment. The keys, not the exact μ, are counted, so the counting is
+// exact; by the same counts least_i ≤ most_i and Σ least ≤ capacity ≤
+// Σ most. Most users end pinned, least = most: all their wanted units, the
+// one that dodges the tail, or none; only units keyed within the guard of
+// the threshold stay free.
+//
+// Restricted candidates. Row k is computed on [lo_k, hi_k],
+// lo_k = max(Σ_{i<k} least_i, T_lo − Σ_{i≥k} most_i) and
+// hi_k = min(Σ_{i<k} most_i, capacity − Σ_{i≥k} least_i), and user k's
+// transition offers only ϕ ∈ [least_k, most_k]; where neither the slack
+// nor the threshold lemma applies, least = 0 and most = want, and lo_k is
+// max(0, T_lo − Σ_{i≥k} want_i), the band lemma's alone. The returned
+// path's prefix sums obey every bound (the lemmas), so it lies in the
+// bands. By induction over the rows, every value is the minimum over a
+// subset of the oracle's candidates at that state, read from values no
+// smaller than the oracle's (monotone rounding; an unreachable or padded
+// state holds the sentinel), so it is ≥ the oracle's value, and on the
+// returned path it is equal: the winning candidate is offered, with the
+// same inputs and float expressions. The final argmin (strict <,
+// ascending) therefore stops at the same total, and at each state of the
+// path grantAt's scan over the offered ϕ, largest j on ties, finds the
+// same winner: its g is unchanged, every other g is no smaller, and every
+// g at a larger j was strictly larger already. A pass reads row k on
+// [lo_{k+1} − most_k, hi_{k+1} − least_k] at most: below lo_k it is cut
+// short (the path does not go there) and above hi_k lie states no prefix
+// within the bounds reaches, padded with the sentinel when a pass reads
+// them (least < most). A pinned user is a shift: row k+1 is row k moved up
+// by most_k, one candidate a state, and its grant is most_k without a scan.
+// So when the final band is one state — every contended slot, and every
+// slot whose users are all pinned — that state is the returned total and no
+// row past the last free user's is read: the passes stop there, and a slot
+// that pins every user runs none.
 //
 // Value-only forward passes. Every row is kept and the passes track no
-// argmin: want = 0 is next[m] = cost[m] + skip, want = 1 a two-term min
+// argmin: most = 0 is next[m] = cost[m] + skip, [0, 1] a two-term min
 // against the single state m−1, anything wider a block prefix/suffix
-// minimum (ema_kernel.go).
+// minimum, a pinned grant a shift (ema_kernel.go). A [1, w] user runs the
+// window pass with skip = +∞: every candidate is finite, so each state
+// m > lo stores its window's candidate, and the +∞ at state lo lies below
+// the next row's band (nlo ≥ lo + least), which no pass or scan reads.
 //
 // Argmin at backtrack. Only the ≤ n states on the returned path need
 // their ϕ, and grantAt recomputes each from the kept row with the passes'
-// own float expressions: O(Σ want) per slot instead of a store per state.
+// own float expressions: O(Σ (most − least)) per slot instead of a store
+// per state.
 func (e *EMA) runDP(lines []userLine, capacity int, alloc []int) {
 	n := len(lines)
 	stride := capacity + 1
@@ -450,82 +520,259 @@ func (e *EMA) runDP(lines []userLine, capacity int, alloc []int) {
 	}
 	e.rows = resize(e.rows, (bound+1)*stride)
 	e.suf = resize(e.suf, stride)
+	if cap(e.runs) < 2*bound {
+		e.runs = make([]unitRun, 0, 2*bound)
+	}
 
-	guard := clipGuard(lines, capacity)
-	tLo, wantsLeft := 0, 0 // wantsLeft = Σ_{i ≥ k} want_i at pass k
+	tLo := e.bound(lines, capacity)
+	leastLeft, mostLeft, lastFree := 0, 0, -1 // Σ_{i ≥ k} least_i, most_i before pass k
 	for k := range lines {
 		l := &lines[k]
-		l.want = l.clip(guard)
-		tLo += l.floor(guard)
-		wantsLeft += l.want
+		leastLeft += l.least
+		mostLeft += l.most
+		if l.least < l.most {
+			lastFree = k
+		}
 	}
-	tLo = min(tLo, capacity)
+	leastAll := leastLeft
+	// The final row's band. When it is one state, the returned total is
+	// that state and no row past the last free user's is read, a pinned
+	// user's grant being its bound: the passes stop there.
+	loN, hiN := max(leastAll, tLo), min(mostLeft, capacity)
+	passes := n
+	if loN == hiN {
+		passes = lastFree + 1
+	}
 
 	// Border condition: zero users processed, exactly m units used is
-	// feasible only for m = 0. Row k is current on [lo, reach] only — reach
-	// being Σ want so far — after pass k−1 and padded with the unreachable
-	// sentinel as far as pass k reads, so no row is ever cleared.
+	// feasible only for m = 0. Row k is current on its band [lo, hi] only,
+	// and padded with the unreachable sentinel above hi as far as pass k
+	// reads, so no row is ever cleared.
 	cost := e.rows[:stride]
 	cost[0] = 0
-	reach := 0
-	for k := range lines {
+	lo, hi, leastDone, mostDone := 0, 0, 0, 0
+	for k := range lines[:passes] {
 		l := &lines[k]
-		lo := max(tLo-wantsLeft, 0)
-		wantsLeft -= l.want
-		hi := min(reach+l.want, capacity)
-		for m := reach + 1; m <= hi; m++ {
-			cost[m] = math.MaxFloat64
-		}
-		reach = hi
+		leastDone += l.least
+		mostDone += l.most
+		leastLeft -= l.least
+		mostLeft -= l.most
+		nlo := max(leastDone, tLo-mostLeft)
+		nhi := min(mostDone, capacity-leastLeft)
 		next := e.rows[(k+1)*stride:][:stride]
-		switch l.want {
-		case 0:
-			emaSkipPass(cost[lo:reach+1], next[lo:reach+1], l.skip)
-		case 1:
-			emaUnitPass(cost[lo:reach+1], next[lo:reach+1], lo, l.skip, l.base, l.perUnit)
+		switch {
+		case l.most == 0:
+			emaSkipPass(cost[lo:hi+1], next[lo:hi+1], l.skip)
+		case l.least == l.most:
+			emaShiftPass(cost[lo:hi+1], next[nlo:nhi+1], lo, l.most, l.base, l.perUnit)
 		default:
-			emaWindowPass(cost[lo:reach+1], next[lo:reach+1], e.suf, lo, l.skip, l.base, l.perUnit, l.want)
+			for m := hi + 1; m <= nhi; m++ {
+				cost[m] = math.MaxFloat64
+			}
+			switch {
+			case l.least > 0:
+				// No skip: its +∞ lands only at state lo, below nlo.
+				emaWindowPass(cost[lo:nhi+1], next[lo:nhi+1], e.suf, lo, math.Inf(1), l.base, l.perUnit, l.most)
+			case l.most == 1:
+				emaUnitPass(cost[lo:nhi+1], next[lo:nhi+1], lo, l.skip, l.base, l.perUnit)
+			default:
+				emaWindowPass(cost[lo:nhi+1], next[lo:nhi+1], e.suf, lo, l.skip, l.base, l.perUnit, l.most)
+			}
 		}
+		e.dpStates += nhi - nlo + 1
+		lo, hi = nlo, nhi
 		cost = next
 	}
 
 	// Step 15: the total minimizing the objective, fewest units on ties;
 	// it is no less than T_lo.
-	bestM, bestCost := tLo, math.MaxFloat64
-	for m, c := range cost[tLo : reach+1] {
-		if c < bestCost {
-			bestCost, bestM = c, tLo+m
+	bestM := loN
+	if loN < hiN { // every pass ran: [lo, hi] is the final band
+		bestCost := math.MaxFloat64
+		for m, c := range cost[lo : hi+1] {
+			if c < bestCost {
+				bestCost, bestM = c, lo+m
+			}
 		}
 	}
 	// Steps 16–18: walk the path back, recovering each grant.
+	leastDone, mostLeft = leastAll, 0
 	for k := n - 1; k >= 0; k-- {
-		phi := lines[k].grantAt(e.rows[k*stride:][:stride], bestM)
+		l := &lines[k]
+		leastDone -= l.least
+		mostLeft += l.most
+		phi := l.most
+		if l.least < l.most {
+			phi = l.grantAt(e.rows[k*stride:][:stride], max(leastDone, tLo-mostLeft), bestM)
+		}
 		alloc[e.dpUser[k]] = phi
 		bestM -= phi
 	}
 }
 
+// bound sets every line's want and its grant bounds [least, most] by
+// runDP's lemmas, and returns T_lo.
+func (e *EMA) bound(lines []userLine, capacity int) (tLo int) {
+	guard := clipGuard(lines, capacity)
+	wants := 0
+	for k := range lines {
+		l := &lines[k]
+		l.want = l.clip(guard)
+		l.least, l.most = l.floor(guard), l.want // need: the slack lemma's
+		tLo += l.least
+		wants += l.want
+	}
+	switch {
+	case tLo >= capacity:
+		tLo = capacity
+		if e.threshold(lines, capacity, guard) {
+			return tLo
+		}
+	case wants <= capacity:
+		return tLo
+	}
+	for k := range lines {
+		lines[k].least = 0
+	}
+	return tLo
+}
+
+// unitRun is a run of a DP user's units with one key: its first unit, or
+// its want − 1 further ones.
+type unitRun struct {
+	key   float64
+	units int
+}
+
+// firstUnit is the key of the user's first unit: the float value of its
+// marginal cost f(1) − f(0), capped for a window user at perUnit, the key
+// of the units after it, so that keys never fall along a user's units.
+func (l *userLine) firstUnit() float64 {
+	k := l.base + l.perUnit - l.skip
+	if l.want > 1 {
+		k = min(k, l.perUnit)
+	}
+	return k
+}
+
+// threshold sets a contended slot's grant bounds [least, most] from the
+// units' keys (runDP's comment, "Threshold") and reports whether it did. A
+// slot it cannot classify — a non-finite guard, a window user whose skip
+// is below its base — is left as it was.
+func (e *EMA) threshold(lines []userLine, capacity int, guard float64) bool {
+	if !(guard < math.Inf(1)) {
+		return false
+	}
+	runs := e.runs[:0]
+	for k := range lines {
+		l := &lines[k]
+		if l.want == 0 {
+			continue
+		}
+		runs = append(runs, unitRun{l.firstUnit(), 1})
+		if l.want > 1 {
+			if !(l.base <= l.skip) {
+				return false
+			}
+			runs = append(runs, unitRun{l.perUnit, l.want - 1})
+		}
+	}
+	// λ_in keys the capacity-th unit (Σ want ≥ Σ need ≥ capacity units
+	// exist); λ_out is λ_in if more units share its key, else the next key
+	// up.
+	in, out := unitKey(runs, capacity), math.Inf(1)
+	upTo := 0
+	for _, r := range runs {
+		if r.key <= in {
+			upTo += r.units
+		} else if r.key < out {
+			out = r.key
+		}
+	}
+	if upTo > capacity {
+		out = in
+	}
+	taken, kept := out-guard, in+guard
+	for k := range lines {
+		l := &lines[k]
+		if l.want == 0 {
+			continue
+		}
+		first := l.firstUnit()
+		l.least, l.most = 0, 0
+		if first < taken {
+			l.least = 1
+			if l.perUnit < taken {
+				l.least = l.want
+			}
+		}
+		if first <= kept {
+			l.most = 1
+			if l.perUnit <= kept {
+				l.most = l.want
+			}
+		}
+	}
+	return true
+}
+
+// unitKey returns the key of the r-th cheapest unit in runs, the smallest
+// key with at least r units keyed at or below it (1 ≤ r ≤ Σ units), by a
+// three-way quickselect that reorders runs.
+func unitKey(runs []unitRun, r int) float64 {
+	for {
+		pivot := runs[len(runs)/2].key
+		lt, i, gt := 0, 0, len(runs) // runs[:lt] < pivot, runs[gt:] > pivot
+		below, at := 0, 0
+		for i < gt {
+			switch k := runs[i].key; {
+			case k < pivot:
+				below += runs[i].units
+				runs[lt], runs[i] = runs[i], runs[lt]
+				lt++
+				i++
+			case k > pivot:
+				gt--
+				runs[i], runs[gt] = runs[gt], runs[i]
+			default:
+				at += runs[i].units
+				i++
+			}
+		}
+		switch {
+		case r <= below:
+			runs = runs[:lt]
+		case r <= below+at:
+			return pivot
+		default:
+			r -= below + at
+			runs = runs[gt:]
+		}
+	}
+}
+
 // grantAt returns the ϕ behind the forward pass's value at state m: cost is
-// the row the pass read, and the scan repeats its float expressions — the
-// window minimum of g over j = m−1 … m−want with the largest j on ties,
-// taken only if it beats skipping strictly. Unreachable predecessors hold
-// the MaxFloat64 sentinel and lose to any reachable one (ema_kernel.go).
-func (l *userLine) grantAt(cost []float64, m int) int {
-	if l.want == 0 || m == 0 {
+// the row the pass read, current from lo up, and the scan repeats its float
+// expressions — the window minimum of g over j = m−1 … m−most, cut at
+// lo, with the largest j on ties, taken only if it beats skipping strictly
+// where skipping is offered (least = 0). Unreachable predecessors hold the
+// MaxFloat64 sentinel and lose to any reachable one (ema_kernel.go).
+func (l *userLine) grantAt(cost []float64, lo, m int) int {
+	if l.least == l.most {
+		return l.most
+	}
+	from := max(m-l.most, lo)
+	bestJ := m - 1
+	if bestJ < from {
 		return 0
 	}
-	lo := m - l.want
-	if lo < 0 {
-		lo = 0
-	}
-	bestJ := m - 1
 	bestG := cost[bestJ] - l.perUnit*float64(bestJ)
-	for j := bestJ - 1; j >= lo; j-- {
+	for j := bestJ - 1; j >= from; j-- {
 		if g := cost[j] - l.perUnit*float64(j); g < bestG {
 			bestG, bestJ = g, j
 		}
 	}
-	if l.base+l.perUnit*float64(m)+bestG < cost[m]+l.skip {
+	if l.least > 0 || l.base+l.perUnit*float64(m)+bestG < cost[m]+l.skip {
 		return m - bestJ
 	}
 	return 0

@@ -113,7 +113,7 @@ func TestEMABlockMatchesDequeLongEvolution(t *testing.T) {
 // with the paper's linear fits, link bound ⌊τ·v(sig)/δ⌋, RRC tails — from
 // queues around each user's V × price threshold: step decides every slot on
 // e and returns the allocation the tails advance by.
-func evolvePaperCell(t *testing.T, v float64, n, capacity, steps int, step func(e *EMA, slot *Slot, step int) []int) {
+func evolvePaperCell(t testing.TB, v float64, n, capacity, steps int, step func(e *EMA, slot *Slot, step int) []int) {
 	t.Helper()
 	src := rng.New(uint64(1000 * v))
 	e := newEMA(t, v)
@@ -183,6 +183,7 @@ func checkLinesAgainstDeque(t *testing.T, lines []userLine, capacity int) {
 	t.Helper()
 	want := solveLines((*EMA).runDPDeque, lines, capacity)
 	checkBandLemma(t, lines, capacity, want) // first: a broken lemma should say so, not "allocations differ"
+	checkThresholdLemma(t, lines, capacity, want)
 	got := solveLines((*EMA).runDP, lines, capacity)
 	for k := range got {
 		if got[k] != want[k] {
@@ -455,6 +456,59 @@ func kernelCases() []kernelCase {
 		cases = append(cases, kc{join(identical(wantsUnit, 5), []userLine{nearTie, wantsAll}, identical(wantsUnit, 2)), capacity})
 	}
 
+	// Contended slots for the threshold lemma. Three where a threshold
+	// without the guard excludes the oracle's allocation: slopes an ULP
+	// apart among never-served users (skip = base, the first unit keyed
+	// like the rest), so the exactly cheaper user's extra units lose to the
+	// rounding of perUnit·m.
+	cases = append(cases,
+		kc{[]userLine{{skip: 2.0913995476881935, base: 2.0913995476881935, perUnit: -0.793919595111353, maxPhi: 3}, {skip: 2.8928791008676313, base: 2.8928791008676313, perUnit: -0.7939195951113532, maxPhi: 4}}, 6},
+		kc{[]userLine{{skip: 5.589906061894766, base: 2.7059882419381704, perUnit: -0.2183743260947805, maxPhi: 5}, {skip: 5.296704013382289, base: 1.009628282770933, perUnit: -0.21837432609478052, maxPhi: 4}, {skip: 1.829585680863972, base: 1.829585680863972, perUnit: -0.21837432609478052, maxPhi: 9}, {skip: 1.6292972247022135, base: 1.6292972247022135, perUnit: -0.21837432609478052, maxPhi: 3}}, 9},
+		kc{[]userLine{{skip: 2.4384789078442606, base: 2.4384789078442606, perUnit: -1.2736354735548725, maxPhi: 5}, {skip: 2.7471083253518556, base: 1.042144606728616, perUnit: -1.2736354735548727, maxPhi: 7}, {skip: 1.0153715227621132, base: 1.0153715227621132, perUnit: -1.2736354735548725, maxPhi: 9}}, 18})
+	// Ties at the threshold: identical window users, the capacity at one
+	// unit each, inside their extras and one short of every want.
+	for _, capacity := range []int{4, 5, 13, 23} {
+		cases = append(cases, kc{identical(wantsAll, 4), capacity}, kc{join(identical(wantsAll, 2), identical(wantsUnit, 3)), capacity})
+	}
+	// A window user's slope an ULP off, inside the guard of, or a margin
+	// away from the slope the threshold falls on, first units cheap or keyed
+	// like the extras.
+	for _, d := range []float64{math.Nextafter(-0.3, 0) + 0.3, math.Nextafter(-0.3, -1) + 0.3, 1e-15, -1e-15, 0.01} {
+		for _, skip := range []float64{1, 4} {
+			near := userLine{skip: skip, base: 1, perUnit: -0.3 + d, maxPhi: 6}
+			for _, capacity := range []int{3, 8, 11, 14} {
+				cases = append(cases, kc{[]userLine{wantsAll, near, wantsAll}, capacity})
+			}
+		}
+	}
+	// A unit user whose first unit is keyed an ULP either side of
+	// λ_out − guard. With capacity = n the threshold is the steepest extra
+	// unit's: the first unit is forced exactly when skip − (base + perUnit)
+	// beats max −perUnit by more than the guard.
+	for _, s := range []float64{-1, 1} {
+		lines := []userLine{wantsAll, wantsAll, {skip: 1, base: 0, perUnit: 0.5, maxPhi: 3}}
+		for range 3 { // the guard moves with skip: settle it
+			taken := -0.3 - clipGuard(lines, 3)
+			lines[2].skip = 0.5 - taken // key = 0.5 − skip, exact (Sterbenz)
+			for ; s < 0 && 0.5-lines[2].skip >= taken; lines[2].skip = math.Nextafter(lines[2].skip, 1) {
+			}
+			for ; s > 0 && 0.5-lines[2].skip < taken; lines[2].skip = math.Nextafter(lines[2].skip, 0) {
+			}
+		}
+		cases = append(cases, kc{lines, 3}, kc{slices.Clone(lines), 4})
+	}
+	// More users than capacity: tail-dodging units compete for it, some
+	// keyed alike, beside a falling window user and a never-served one.
+	for _, capacity := range []int{1, 2, 4} {
+		cases = append(cases,
+			kc{join(identical(wantsUnit, 3), []userLine{{skip: 5, base: 1, perUnit: 0.3, maxPhi: 6}, {skip: 2, base: 1, perUnit: 0.3, maxPhi: 6}}), capacity},
+			kc{join(identical(wantsUnit, 2), []userLine{wantsAll, {skip: 1, base: 1, perUnit: -0.3, maxPhi: 6}}), capacity})
+	}
+	// A user the guard keeps wide (need 0, want maxPhi) in a contended slot.
+	for _, capacity := range []int{5, 20, 23} {
+		cases = append(cases, kc{join(identical(wantsAll, 2), []userLine{nearTie}, identical(wantsAll, 2)), capacity})
+	}
+
 	// As EMA.line leaves it: no link bound above the cell's capacity.
 	for _, c := range cases {
 		for k := range c.lines {
@@ -606,6 +660,9 @@ func BenchmarkEMADP(b *testing.B) {
 				}
 				start := append([]units.Seconds(nil), e.queues...)
 				arm.allocate(e, slot, alloc) // grow the production tables outside the timer
+				if shape == "contended" && !classified(e.lines, capacity) {
+					b.Fatal("the contended slot is not contended, or the threshold lemma leaves it unclassified")
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -10,7 +10,7 @@ import (
 	"jointstream/internal/units"
 )
 
-func newEMA(t *testing.T, v float64) *EMA {
+func newEMA(t testing.TB, v float64) *EMA {
 	t.Helper()
 	e, err := NewEMA(EMAConfig{V: v, RRC: rrc.Paper3G()})
 	if err != nil {
