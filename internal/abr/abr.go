@@ -23,8 +23,8 @@ import (
 // Ladder is the ascending set of available bitrates.
 type Ladder []units.KBps
 
-// NewLadder validates and sorts the rungs.
-func NewLadder(rates ...units.KBps) (Ladder, error) {
+// newLadder validates and sorts the rungs.
+func newLadder(rates ...units.KBps) (Ladder, error) {
 	if len(rates) == 0 {
 		return nil, fmt.Errorf("abr: empty ladder")
 	}
@@ -48,10 +48,10 @@ func (l Ladder) Min() units.KBps { return l[0] }
 // Max returns the top rung.
 func (l Ladder) Max() units.KBps { return l[len(l)-1] }
 
-// DefaultLadder mirrors a typical 2015-era mobile ladder spanning the
+// defaultLadder mirrors a typical 2015-era mobile ladder spanning the
 // paper's 300–600 KB/s demand range.
-func DefaultLadder() Ladder {
-	l, err := NewLadder(150, 300, 450, 600, 750)
+func defaultLadder() Ladder {
+	l, err := newLadder(150, 300, 450, 600, 750)
 	if err != nil {
 		panic("abr: default ladder invalid: " + err.Error())
 	}
@@ -75,7 +75,7 @@ type Config struct {
 // DefaultConfig returns BBA with a 10 s reservoir, 40 s cushion and a
 // 60 s buffer cap.
 func DefaultConfig() Config {
-	return Config{Ladder: DefaultLadder(), ReservoirSec: 10, CushionSec: 40, MaxBufferSec: 60}
+	return Config{Ladder: defaultLadder(), ReservoirSec: 10, CushionSec: 40, MaxBufferSec: 60}
 }
 
 // Validate checks the configuration.

@@ -8,20 +8,20 @@ import (
 )
 
 func TestNewLadder(t *testing.T) {
-	l, err := NewLadder(600, 150, 300)
+	l, err := newLadder(600, 150, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l.Min() != 150 || l.Max() != 600 {
 		t.Errorf("ladder = %v", l)
 	}
-	if _, err := NewLadder(); err == nil {
+	if _, err := newLadder(); err == nil {
 		t.Error("empty ladder accepted")
 	}
-	if _, err := NewLadder(100, 100); err == nil {
+	if _, err := newLadder(100, 100); err == nil {
 		t.Error("duplicate rung accepted")
 	}
-	if _, err := NewLadder(100, 0); err == nil {
+	if _, err := newLadder(100, 0); err == nil {
 		t.Error("zero rung accepted")
 	}
 }
@@ -30,7 +30,7 @@ func TestDefaultConfigValid(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	if DefaultLadder().Min() != 150 || DefaultLadder().Max() != 750 {
+	if defaultLadder().Min() != 150 || defaultLadder().Max() != 750 {
 		t.Error("default ladder edges wrong")
 	}
 }
@@ -40,8 +40,8 @@ func TestConfigValidate(t *testing.T) {
 		{Ladder: nil, ReservoirSec: 10, CushionSec: 40},
 		{Ladder: Ladder{0, 100}, ReservoirSec: 10, CushionSec: 40},
 		{Ladder: Ladder{100, 50}, ReservoirSec: 10, CushionSec: 40},
-		{Ladder: DefaultLadder(), ReservoirSec: -1, CushionSec: 40},
-		{Ladder: DefaultLadder(), ReservoirSec: 40, CushionSec: 40},
+		{Ladder: defaultLadder(), ReservoirSec: -1, CushionSec: 40},
+		{Ladder: defaultLadder(), ReservoirSec: 40, CushionSec: 40},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -77,7 +77,7 @@ func TestCushionClimbsToMaximum(t *testing.T) {
 	// One rung per decision: reaching the top from the bottom takes
 	// len(ladder)-1 picks at a full cushion.
 	var got units.KBps
-	for i := 0; i < len(DefaultLadder()); i++ {
+	for i := 0; i < len(defaultLadder()); i++ {
 		got = c.Pick(60)
 	}
 	if got != 750 {

@@ -36,8 +36,8 @@ func Typical2015Phone() Pack {
 	return Pack{CapacitymAh: 2600, Voltage: 3.8, BaselineMW: 1000}
 }
 
-// Validate checks the pack parameters.
-func (p Pack) Validate() error {
+// validate checks the pack parameters.
+func (p Pack) validate() error {
 	if p.CapacitymAh <= 0 {
 		return fmt.Errorf("battery: non-positive capacity %v mAh", p.CapacitymAh)
 	}
@@ -66,13 +66,13 @@ type SessionCost struct {
 	Percent float64
 }
 
-// TotalMJ returns the session's combined energy.
-func (c SessionCost) TotalMJ() units.MJ { return c.RadioMJ + c.BaselineMJ }
+// totalMJ returns the session's combined energy.
+func (c SessionCost) totalMJ() units.MJ { return c.RadioMJ + c.BaselineMJ }
 
 // Session computes the battery cost of one streaming session: radioMJ is
 // the simulator's per-user energy, duration the session length.
 func (p Pack) Session(radioMJ units.MJ, duration units.Seconds) (SessionCost, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return SessionCost{}, err
 	}
 	if radioMJ < 0 {
@@ -85,14 +85,14 @@ func (p Pack) Session(radioMJ units.MJ, duration units.Seconds) (SessionCost, er
 		RadioMJ:    radioMJ,
 		BaselineMJ: p.BaselineMW.Energy(duration),
 	}
-	cost.Percent = float64(cost.TotalMJ()) / float64(p.TotalMJ()) * 100
+	cost.Percent = float64(cost.totalMJ()) / float64(p.TotalMJ()) * 100
 	return cost, nil
 }
 
 // StreamingHours projects how long a full charge sustains continuous
 // streaming at the given average radio power (mJ per second = mW).
 func (p Pack) StreamingHours(radioPower units.MW) (float64, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return 0, err
 	}
 	if radioPower < 0 {
@@ -110,15 +110,15 @@ func (p Pack) StreamingHours(radioPower units.MW) (float64, error) {
 // per charge": how many additional sessions of the improved cost fit into
 // the budget the old cost implied.
 func (p Pack) ExtraSessions(oldCost, newCost SessionCost) (float64, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return 0, err
 	}
-	if newCost.TotalMJ() <= 0 {
+	if newCost.totalMJ() <= 0 {
 		return 0, fmt.Errorf("battery: non-positive session cost")
 	}
-	if oldCost.TotalMJ() < newCost.TotalMJ() {
+	if oldCost.totalMJ() < newCost.totalMJ() {
 		return 0, fmt.Errorf("battery: new cost exceeds old cost")
 	}
 	perCharge := float64(p.TotalMJ())
-	return perCharge/float64(newCost.TotalMJ()) - perCharge/float64(oldCost.TotalMJ()), nil
+	return perCharge/float64(newCost.totalMJ()) - perCharge/float64(oldCost.totalMJ()), nil
 }

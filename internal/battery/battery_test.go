@@ -9,7 +9,7 @@ import (
 )
 
 func TestValidate(t *testing.T) {
-	if err := Typical2015Phone().Validate(); err != nil {
+	if err := Typical2015Phone().validate(); err != nil {
 		t.Fatalf("typical pack invalid: %v", err)
 	}
 	bad := []Pack{
@@ -18,7 +18,7 @@ func TestValidate(t *testing.T) {
 		{CapacitymAh: 2600, Voltage: 3.8, BaselineMW: -1},
 	}
 	for i, p := range bad {
-		if err := p.Validate(); err == nil {
+		if err := p.validate(); err == nil {
 			t.Errorf("bad pack %d accepted", i)
 		}
 	}

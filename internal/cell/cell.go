@@ -74,7 +74,7 @@ type Config struct {
 	Link *LinkTable
 	// LinkTableMaxRows bounds the automatic link-table compilation in
 	// New: 0 selects the DefaultLinkTableMaxRows 4M-row default (≈64 MB
-	// at linkRowBytes = 16 B per row), negative disables compilation
+	// at 16 B per row), negative disables compilation
 	// entirely (the tick path then evaluates the radio model through the
 	// interfaces, as before the link-table layer). A caller-supplied Link
 	// is used regardless of this cap.
@@ -108,8 +108,8 @@ type Outage struct {
 	From, To int
 }
 
-// Contains reports whether slot n falls inside the window.
-func (o Outage) Contains(n int) bool { return n >= o.From && n < o.To }
+// contains reports whether slot n falls inside the window.
+func (o Outage) contains(n int) bool { return n >= o.From && n < o.To }
 
 // PaperConfig returns the §VI defaults: τ = 1 s, S = 20 MB/s, 10000-slot
 // horizon, 3G radio and RRC models, δ = 100 KB.
@@ -239,13 +239,13 @@ type Result struct {
 
 	// agg caches the run-level totals behind the metric accessors so
 	// repeated calls (the experiment harness reads PE/PC/TotalEnergy many
-	// times per figure) stop re-scanning Users. Nil until Finalize runs;
+	// times per figure) stop re-scanning Users. Nil until finalize runs;
 	// the accessors fall back to a scan, so hand-built Results keep
 	// working without it.
 	agg *resultAgg
 }
 
-// resultAgg holds the Users-derived totals Finalize caches.
+// resultAgg holds the Users-derived totals finalize caches.
 type resultAgg struct {
 	energy      units.MJ
 	tailEnergy  units.MJ
@@ -269,16 +269,16 @@ func aggregate(users []UserTotals) resultAgg {
 	return a
 }
 
-// Finalize computes and caches the run-level totals the metric accessors
+// finalize computes and caches the run-level totals the metric accessors
 // serve. Run calls it on every result it returns; callers that build a
 // Result by hand, or mutate Users afterwards, may call it (again) to
 // refresh the cache.
-func (r *Result) Finalize() {
+func (r *Result) finalize() {
 	a := aggregate(r.Users)
 	r.agg = &a
 }
 
-// totals returns the cached aggregate, or scans Users when Finalize has
+// totals returns the cached aggregate, or scans Users when finalize has
 // not run.
 func (r *Result) totals() resultAgg {
 	if r.agg != nil {
@@ -503,7 +503,7 @@ type Simulator struct {
 // scan beats maintaining an index.
 func (s *Simulator) outageAt(n int) bool {
 	for _, o := range s.cfg.Outages {
-		if o.Contains(n) {
+		if o.contains(n) {
 			return true
 		}
 	}

@@ -347,7 +347,7 @@ func TestSimulatorSingleUse(t *testing.T) {
 }
 
 func TestResultAccessorsMatchUncached(t *testing.T) {
-	// The memoized aggregate the engine caches at Finalize must agree bit
+	// The memoized aggregate the engine caches at finalize must agree bit
 	// for bit with the accessors' fallback scan over res.Users.
 	cfg := tinyConfig()
 	sim, err := New(cfg, tinySessions(t, 3, 1000, 400), sched.NewDefault())

@@ -157,7 +157,7 @@ func (s *Simulator) Finish() *Result {
 		res.PerSlot = clipped
 	}
 	s.padSamples(res)
-	res.Finalize()
+	res.finalize()
 	return res
 }
 

@@ -97,9 +97,6 @@ func NewNoisyForecast(t *LinkTable, seed uint64, errFrac float64) (*NoisyForecas
 	return &NoisyForecast{t: t, seed: seed, errFrac: errFrac, maxLU: t.MaxLinkUnits()}, nil
 }
 
-// ErrFrac returns the configured relative error level.
-func (f *NoisyForecast) ErrFrac() float64 { return f.errFrac }
-
 // noiseSalt* separate the price and link-limit draw streams of one
 // coordinate; without distinct salts the two corruptions would be
 // perfectly correlated.

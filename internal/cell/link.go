@@ -23,13 +23,6 @@ import (
 // own — which makes the engine differential tests assert derived ==
 // analytic on every slot.
 
-// linkRowBytes is the per-user-slot footprint across the parallel column
-// arrays — two 8-byte columns (sig, rate) — which the row-cap sizing math
-// rests on. (A table whose sessions all have a constant required rate
-// keeps one rate row per block instead of one per slot and is 8 bytes per
-// row smaller; MemoryBytes reports what is resident.)
-const linkRowBytes = 2 * 8
-
 // tableBlockSlots is the span of one LinkTable block, the unit a table is
 // filled in. A table holds its slots up to the end of the block after the
 // one its readers' furthest slot is in; a reader crossing a block edge pays
@@ -83,8 +76,8 @@ type LinkTable struct {
 }
 
 // DefaultLinkTableMaxRows caps the automatic link-table compilation in
-// New at users×MaxSlots rows (linkRowBytes each): 4M rows ≈ 64 MB with
-// the current 16-byte column footprint, were every block reached. Larger
+// New at users×MaxSlots rows: 4M rows ≈ 64 MB with the current 16-byte
+// footprint (sig and rate, 8 B each), were every block reached. Larger
 // runs fall back to the uncompiled prepare path; callers that want a
 // bigger table compile one explicitly and pass it via Config.Link.
 const DefaultLinkTableMaxRows = 4 << 20
@@ -253,10 +246,6 @@ func (t *LinkTable) Users() int { return t.users }
 // Slots returns the slot horizon the table covers.
 func (t *LinkTable) Slots() int { return t.slots }
 
-// ViaLUT reports whether the forecasts derive through an exact radio.Table
-// (false means direct evaluation through the model's interfaces).
-func (t *LinkTable) ViaLUT() bool { return t.link.Exact() }
-
 // FilledSlots returns how many slots of the horizon are filled or being
 // filled: the blocks readers have reached and the blocks started ahead of
 // them, each counted whole. It never exceeds Slots and only grows; once the
@@ -272,9 +261,9 @@ func (t *LinkTable) FilledSlots() int {
 }
 
 // MemoryBytes returns the size of the filled blocks' column arrays: users
-// × FilledSlots rows at linkRowBytes per row — less 8 per row beyond each
-// block's first slot when every session's required rate is constant and
-// one rate row serves the block.
+// × FilledSlots rows at 16 B (sig, rate) per row — less 8 per row beyond
+// each block's first slot when every session's required rate is constant
+// and one rate row serves the block.
 func (t *LinkTable) MemoryBytes() int64 {
 	var n int64
 	for k := range t.blocks {

@@ -15,6 +15,13 @@ import (
 	"jointstream/internal/workload"
 )
 
+// linkRowBytes is the per-user-slot footprint across the table's parallel
+// column arrays — two 8-byte columns (sig, rate) — which the row-cap
+// sizing math rests on. (A table whose sessions all have a constant
+// required rate keeps one rate row per block instead of one per slot and
+// is 8 bytes per row smaller; MemoryBytes reports what is resident.)
+const linkRowBytes = 2 * 8
+
 // linkTestTraces builds one trace per stochastic generator so the
 // flattening property is checked against qualitatively different
 // channel dynamics, not just the paper's sine.
@@ -326,7 +333,7 @@ func TestCompileLinkUsesLUTForPaperModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lt.ViaLUT() {
+	if !lt.link.Exact() {
 		t.Error("paper model did not compile through the exact LUT")
 	}
 	if got, want := lt.MemoryBytes(), int64(3*50)*(linkRowBytes-8)+3*8; got != want {

@@ -144,8 +144,8 @@ func TestFillKernelMatchesAnalytic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if mono.ViaLUT() == tc.chord {
-					t.Fatalf("ViaLUT %v with chord=%v", mono.ViaLUT(), tc.chord)
+				if mono.link.Exact() == tc.chord {
+					t.Fatalf("exact link %v with chord=%v", mono.link.Exact(), tc.chord)
 				}
 				if shared := mono.sharedRate; shared != (tc.jitter == 0) {
 					t.Fatalf("shared rate row = %v with jitter %v", shared, tc.jitter)

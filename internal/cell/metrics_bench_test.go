@@ -37,7 +37,7 @@ func BenchmarkResultMetrics(b *testing.B) {
 		sinkS += res.PC() + res.TotalRebuffer()
 	}
 	b.Run("memoized", func(b *testing.B) {
-		res.Finalize()
+		res.finalize()
 		for i := 0; i < b.N; i++ {
 			readAll()
 		}

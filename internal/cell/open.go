@@ -841,10 +841,6 @@ func (o *OpenSim) Snapshots() []WindowSnapshot {
 // rebuffering over the retained windows (sessions ended in them).
 func (o *OpenSim) RebufferQuantile(q float64) float64 { return o.quality.RebufferQuantile(q) }
 
-// EnergyQuantile returns the q-th quantile of session-lifetime energy
-// over the retained windows.
-func (o *OpenSim) EnergyQuantile(q float64) float64 { return o.quality.EnergyQuantile(q) }
-
 // Stats returns the cumulative open-run counters.
 func (o *OpenSim) Stats() OpenStats {
 	st := o.stats

@@ -103,6 +103,6 @@ func (s *Simulator) RunReferenceCtx(ctx context.Context) (*Result, error) {
 		res.PerSlot = append(res.PerSlot, st)
 		res.Slots = slotIdx + 1
 	}
-	res.Finalize()
+	res.finalize()
 	return res, nil
 }

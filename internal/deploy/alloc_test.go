@@ -52,7 +52,7 @@ func TestFleetSiteAllocBudget(t *testing.T) {
 		clones := make([]*workload.Session, len(sessions))
 		for i, s := range sessions {
 			clone := *s
-			clone.Signal = SiteTrace(s, cfg.Sites[0], 0)
+			clone.Signal = siteTrace(s, cfg.Sites[0], 0)
 			clones[i] = &clone
 		}
 		sim, err := cell.New(c, clones, sched.NewDefault())

@@ -4,8 +4,8 @@
 // its own capacity, scheduler instance and slotted simulation, and the
 // cells advance concurrently on the worker pool. The package adds what a
 // deployment needs on top of the single-cell simulator: per-(user, site)
-// signal derivation, user-to-cell attachment policies, one epoch loop for
-// both fleets, and aggregation of per-cell results into fleet metrics.
+// signal derivation, user-to-cell attachment policies, the epoch loop, and
+// aggregation of per-cell results into fleet metrics.
 //
 // Attachment is decided once per session at admission (the paper's model;
 // mid-session handover is out of scope and surfaced instead by the
@@ -93,7 +93,7 @@ type Config struct {
 	// Deprecated: ignored; every run streams.
 	Stream bool
 	// EpochSlots is the epoch loop's lockstep batch size (0 =
-	// DefaultEpochSlots). Smaller epochs tighten the progress callback
+	// defaultEpochSlots). Smaller epochs tighten the progress callback
 	// cadence; results are byte-identical for any value (the stepped
 	// engine contract) — only scheduling granularity changes.
 	EpochSlots int
@@ -101,22 +101,22 @@ type Config struct {
 	// after every epoch barrier — the hook the fleet benchmark uses to
 	// sample wall time and heap high-water per epoch.
 	OnEpoch func(EpochInfo)
-	// EpochTimeout arms the epoch watchdog: an epoch of either fleet
-	// that has not reached its barrier within this wall-clock bound
-	// aborts the run with a typed *EpochStalledError instead of hanging
-	// forever on a wedged scheduler. The run's context is cancelled so
-	// cooperative workers exit; a worker stuck inside a non-cooperative
-	// call is abandoned. Zero disables the watchdog.
+	// EpochTimeout arms the epoch watchdog: an epoch that has not reached
+	// its barrier within this wall-clock bound aborts the run with a typed
+	// *EpochStalledError instead of hanging forever on a wedged scheduler.
+	// The run's context is cancelled so cooperative workers exit; a worker
+	// stuck inside a non-cooperative call is abandoned. Zero disables the
+	// watchdog.
 	EpochTimeout time.Duration
 }
 
-// DefaultEpochSlots is the epoch loop's batch size when Config.EpochSlots
+// defaultEpochSlots is the epoch loop's batch size when Config.EpochSlots
 // is zero.
-const DefaultEpochSlots = 256
+const defaultEpochSlots = 256
 
 func (c Config) epochSlots() int {
 	if c.EpochSlots == 0 {
-		return DefaultEpochSlots
+		return defaultEpochSlots
 	}
 	return c.EpochSlots
 }
@@ -127,11 +127,9 @@ type EpochInfo struct {
 	Epoch int
 	// UptoSlot is the exclusive slot bound every active cell reached.
 	UptoSlot int
-	// ActiveSites counts cells still running after this epoch (in the
-	// open fleet: cells with a session in service).
+	// ActiveSites counts cells still running after this epoch.
 	ActiveSites int
-	// CompletedSites counts cells finished and folded so far (always 0
-	// in the open fleet, whose cells serve until the run ends).
+	// CompletedSites counts cells finished and folded so far.
 	CompletedSites int
 }
 
@@ -142,8 +140,8 @@ type SiteOutage struct {
 	From, To int
 }
 
-// Validate checks the configuration.
-func (c Config) Validate() error {
+// validate checks the configuration.
+func (c Config) validate() error {
 	if len(c.Sites) == 0 {
 		return fmt.Errorf("deploy: no sites")
 	}
@@ -275,18 +273,15 @@ type EpochTotals struct {
 	Rebuffer units.Seconds
 }
 
-// HandoverMarginDB is the hysteresis margin used for the misassignment
+// handoverMarginDB is the hysteresis margin used for the misassignment
 // diagnostic, matching typical A3-event offsets.
-const HandoverMarginDB = 3
+const handoverMarginDB = 3
 
 // TotalEnergy is the fleet-total energy (mJ).
 func (r *Result) TotalEnergy() units.MJ { return r.Fleet.Energy }
 
 // TotalRebuffer is the fleet-total stall time.
 func (r *Result) TotalRebuffer() units.Seconds { return r.Fleet.Rebuffer }
-
-// Users counts sessions across sites.
-func (r *Result) Users() int { return len(r.Placements) }
 
 // DegradedSlots sums the slots every site spent inside an outage window.
 func (r *Result) DegradedSlots() int { return r.Fleet.DegradedSlots }
@@ -349,9 +344,9 @@ func (t offsetTrace) shift(base units.DBm, shadow float64) units.DBm {
 	return units.DBm(v)
 }
 
-// SiteTrace returns the session's signal trace toward the given site.
+// siteTrace returns the session's signal trace toward the given site.
 // siteIdx decorrelates the per-site shadowing across sites and users.
-func SiteTrace(s *workload.Session, site Site, siteIdx int) signal.Trace {
+func siteTrace(s *workload.Session, site Site, siteIdx int) signal.Trace {
 	return offsetTrace{
 		base:      s.Signal,
 		offset:    site.SignalOffset,
@@ -366,7 +361,7 @@ func SiteTrace(s *workload.Session, site Site, siteIdx int) signal.Trace {
 // Result.Fleet and freeing it as it finishes, so the footprint is O(active
 // cells). newSched must return a fresh scheduler per call (one per site).
 func Run(ctx context.Context, cfg Config, sessions []*workload.Session, newSched func() (sched.Scheduler, error)) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if len(sessions) == 0 {
@@ -390,7 +385,7 @@ func Run(ctx context.Context, cfg Config, sessions []*workload.Session, newSched
 		res.Placements[ui] = Placement{User: ui, Site: si}
 		clone := *s
 		clone.ID = len(perSite[si])
-		clone.Signal = SiteTrace(s, cfg.Sites[si], si)
+		clone.Signal = siteTrace(s, cfg.Sites[si], si)
 		perSite[si] = append(perSite[si], &clone)
 	}
 
@@ -408,9 +403,7 @@ func Run(ctx context.Context, cfg Config, sessions []*workload.Session, newSched
 		sims[si] = sim
 	}
 	aggs := make([]siteAgg, len(cfg.Sites))
-	epochs, err := lockstep(ctx, cfg, sims, epochSteps{
-		retire: func(si int) { foldSite(&aggs[si], sims[si].Finish(), cfg.epochSlots()) },
-	})
+	epochs, err := lockstep(ctx, cfg, sims, aggs)
 	if err != nil {
 		return nil, err
 	}
@@ -434,8 +427,8 @@ func closedSite(c cell.Config, users int) cell.OpenConfig {
 	return oc
 }
 
-// newSite builds site si's cell for either fleet: a fresh scheduler, and
-// oc with the site's deploy-level outages appended to a copy of its own.
+// newSite builds site si's cell: a fresh scheduler, and oc with the site's
+// deploy-level outages appended to a copy of its own.
 func newSite(cfg Config, si int, oc cell.OpenConfig, initial []*workload.Session, newSched func() (sched.Scheduler, error)) (*cell.OpenSim, error) {
 	s, err := newSched()
 	if err != nil {
@@ -454,27 +447,15 @@ func newSite(cfg Config, si int, oc cell.OpenConfig, initial []*workload.Session
 	return sim, nil
 }
 
-// epochSteps is what a fleet hands the epoch loop beside its sites.
-type epochSteps struct {
-	// before, if set, runs serially ahead of each epoch's advance.
-	before func(upto int) error
-	// retire, if set, folds a finished site, serially and in site order.
-	retire func(site int)
-	// after, if set, may amend each epoch's report before OnEpoch sees it;
-	// true ends the run (as does the last site's retirement).
-	after func(*EpochInfo) bool
-}
-
-// lockstep is the one epoch loop both fleets run, over their sites (nil
-// = no cell). It starts them; every epoch it runs before, advances each
-// running site to the same slot bound under the shared worker budget and
-// the epoch watchdog, retires the sites that finished, and reports the
-// epoch; and it stops them on the way out. Everything that spans sites
-// runs serially on the caller's goroutine in site order, so no result
-// depends on the worker count; the stepped engine contract makes the
-// closed fleet's independent of the epoch size too. It returns the epochs
-// run.
-func lockstep(ctx context.Context, cfg Config, sims []*cell.OpenSim, f epochSteps) (int, error) {
+// lockstep is the epoch loop, over the sites (nil = no cell). It starts
+// them; every epoch it advances each running site to the same slot bound
+// under the shared worker budget and the epoch watchdog, folds the sites
+// that finished into aggs, and reports the epoch; and it stops them on the
+// way out. Everything that spans sites runs serially on the caller's
+// goroutine in site order, so no result depends on the worker count, and
+// the stepped engine contract makes none depend on the epoch size either.
+// It returns the epochs run.
+func lockstep(ctx context.Context, cfg Config, sims []*cell.OpenSim, aggs []siteAgg) (int, error) {
 	epoch := cfg.epochSlots()
 	// A watchdog cancels this context on a stall, so every cooperative
 	// worker in the fleet unwinds together.
@@ -504,20 +485,15 @@ func lockstep(ctx context.Context, cfg Config, sims []*cell.OpenSim, f epochStep
 	epochs, retired := 0, 0
 	// Bound once for the run, not per epoch: upto and running change only
 	// between epochs.
-	upto, workers, e := 0, cfg.Workers, EpochInfo{}
+	upto, workers := 0, cfg.Workers
 	tick := func(_ context.Context, k int) error {
 		d, err := sims[running[k]].AdvanceTo(upto)
 		done[running[k]] = d
 		return err
 	}
 	advance := func() error { return pool.ForEachN(ctx, workers, len(running), tick) }
-	for stop := false; !stop && len(running) > 0; {
+	for len(running) > 0 {
 		upto += epoch
-		if f.before != nil {
-			if err := f.before(upto); err != nil {
-				return 0, err
-			}
-		}
 		err := watchEpoch(cancel, cfg.EpochTimeout, epochs, upto, advance)
 		if err != nil {
 			return 0, err
@@ -528,18 +504,14 @@ func lockstep(ctx context.Context, cfg Config, sims []*cell.OpenSim, f epochStep
 				still = append(still, si)
 				continue
 			}
-			if f.retire != nil {
-				f.retire(si)
-			}
+			foldSite(&aggs[si], sims[si].Finish(), epoch)
 			sims[si] = nil
 			retired++
 		}
 		running = still
 		epochs++
-		e = EpochInfo{Epoch: epochs - 1, UptoSlot: upto, ActiveSites: len(running), CompletedSites: retired}
-		stop = f.after != nil && f.after(&e)
 		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(e)
+			cfg.OnEpoch(EpochInfo{Epoch: epochs - 1, UptoSlot: upto, ActiveSites: len(running), CompletedSites: retired})
 		}
 	}
 	return epochs, nil
@@ -641,8 +613,8 @@ func (f *FleetMetrics) merge(aggs []siteAgg) error {
 	return nil
 }
 
-// pickSite is both fleets' attachment policy: the site for the ordinal-th
-// session given each site's attached demand. Ties go to the lowest index.
+// pickSite is the attachment policy: the site for the ordinal-th session
+// given each site's attached demand. Ties go to the lowest index.
 func pickSite(cfg Config, ordinal int, s *workload.Session, demand []units.KBps) int {
 	site := 0
 	switch cfg.Policy {
@@ -659,9 +631,9 @@ func pickSite(cfg Config, ordinal int, s *workload.Session, demand []units.KBps)
 		if assess == 0 {
 			assess = 10
 		}
-		best := meanSignal(SiteTrace(s, cfg.Sites[0], 0), s.StartSlot, assess)
+		best := meanSignal(siteTrace(s, cfg.Sites[0], 0), s.StartSlot, assess)
 		for si := 1; si < len(cfg.Sites); si++ {
-			m := meanSignal(SiteTrace(s, cfg.Sites[si], si), s.StartSlot, assess)
+			m := meanSignal(siteTrace(s, cfg.Sites[si], si), s.StartSlot, assess)
 			if m > best {
 				best, site = m, si
 			}
@@ -679,19 +651,19 @@ func meanSignal(tr signal.Trace, start, window int) float64 {
 }
 
 // Misassignment counts the (user, slot) pairs of a finished run in which
-// another site's signal was ≥ HandoverMarginDB stronger than the serving
+// another site's signal was ≥ handoverMarginDB stronger than the serving
 // site's — an upper bound on the handovers a mobility-aware deployment
 // would perform — out of total simulated pairs. Its replay of every signal
 // toward every site is O(users × slots × sites), so Run does not pay it.
 func Misassignment(cfg Config, sessions []*workload.Session, res *Result) (mis, total int) {
 	for _, pl := range res.Placements {
 		s := sessions[pl.User]
-		serving := SiteTrace(s, cfg.Sites[pl.Site], pl.Site)
+		serving := siteTrace(s, cfg.Sites[pl.Site], pl.Site)
 		for n := s.StartSlot; n < res.Fleet.PerSite[pl.Site].Slots; n++ {
 			total++
 			sv := float64(serving.At(n))
 			for oi := range cfg.Sites {
-				if oi != pl.Site && float64(SiteTrace(s, cfg.Sites[oi], oi).At(n)) >= sv+HandoverMarginDB {
+				if oi != pl.Site && float64(siteTrace(s, cfg.Sites[oi], oi).At(n)) >= sv+handoverMarginDB {
 					mis++
 					break
 				}

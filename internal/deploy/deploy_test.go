@@ -47,25 +47,25 @@ func defaultFactory() (sched.Scheduler, error) { return sched.NewDefault(), nil 
 
 func TestConfigValidate(t *testing.T) {
 	good := twoSites()
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	if err := (Config{}).Validate(); err == nil {
+	if err := (Config{}).validate(); err == nil {
 		t.Error("empty sites accepted")
 	}
 	bad := twoSites()
 	bad.Sites[0].Cell.Tau = 0
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Error("invalid site cell config accepted")
 	}
 	bad2 := twoSites()
 	bad2.Policy = Policy(99)
-	if err := bad2.Validate(); err == nil {
+	if err := bad2.validate(); err == nil {
 		t.Error("unknown policy accepted")
 	}
 	bad3 := twoSites()
 	bad3.AssessSlots = -1
-	if err := bad3.Validate(); err == nil {
+	if err := bad3.validate(); err == nil {
 		t.Error("negative assessment window accepted")
 	}
 }
@@ -171,8 +171,8 @@ func TestAggregatesMatchPerSite(t *testing.T) {
 	if res.TotalEnergy() != energy || res.TotalRebuffer() != reb {
 		t.Error("aggregate mismatch")
 	}
-	if res.Users() != 6 {
-		t.Errorf("Users = %d", res.Users())
+	if len(res.Placements) != 6 {
+		t.Errorf("%d placements", len(res.Placements))
 	}
 }
 
@@ -238,11 +238,11 @@ func TestMisassignmentDiagnostic(t *testing.T) {
 
 func TestSiteTraceClamps(t *testing.T) {
 	s := &workload.Session{Signal: signal.Constant(-105, signal.DefaultBounds)}
-	tr := SiteTrace(s, Site{SignalOffset: -20}, 0)
+	tr := siteTrace(s, Site{SignalOffset: -20}, 0)
 	if got := tr.At(0); got != -110 {
 		t.Errorf("offset trace = %v, want clamped -110", got)
 	}
-	tr2 := SiteTrace(s, Site{SignalOffset: +100}, 0)
+	tr2 := siteTrace(s, Site{SignalOffset: +100}, 0)
 	if got := tr2.At(0); got != -50 {
 		t.Errorf("offset trace = %v, want clamped -50", got)
 	}
@@ -251,15 +251,15 @@ func TestSiteTraceClamps(t *testing.T) {
 func TestSiteTraceShadowingDeterministic(t *testing.T) {
 	s := &workload.Session{ID: 3, Signal: signal.Constant(-80, signal.DefaultBounds)}
 	site := Site{ShadowStd: 6}
-	a := SiteTrace(s, site, 1)
-	b := SiteTrace(s, site, 1)
+	a := siteTrace(s, site, 1)
+	b := siteTrace(s, site, 1)
 	for n := 0; n < 50; n++ {
 		if a.At(n) != b.At(n) {
 			t.Fatal("shadowed trace not deterministic")
 		}
 	}
 	// Different sites (or users) decorrelate.
-	c := SiteTrace(s, site, 2)
+	c := siteTrace(s, site, 2)
 	same := 0
 	for n := 0; n < 50; n++ {
 		if a.At(n) == c.At(n) {
@@ -336,7 +336,7 @@ func TestSiteTraceFillMatchesAt(t *testing.T) {
 	src := rng.New(2)
 	for bn, base := range bases {
 		for sn, site := range sites {
-			tr := SiteTrace(&workload.Session{ID: 3, Signal: base}, site, 1)
+			tr := siteTrace(&workload.Session{ID: 3, Signal: base}, site, 1)
 			if _, ok := tr.(signal.Filler); !ok {
 				t.Fatal("site trace does not implement signal.Filler")
 			}

@@ -92,7 +92,7 @@ func oneShot(t *testing.T, cfg Config, sessions []*workload.Session, placements 
 	for _, pl := range placements {
 		clone := *sessions[pl.User]
 		clone.ID = len(perSite[pl.Site])
-		clone.Signal = SiteTrace(sessions[pl.User], cfg.Sites[pl.Site], pl.Site)
+		clone.Signal = siteTrace(sessions[pl.User], cfg.Sites[pl.Site], pl.Site)
 		perSite[pl.Site] = append(perSite[pl.Site], &clone)
 	}
 	cells := make([]*cell.Result, len(cfg.Sites))
@@ -172,7 +172,7 @@ func TestFleetMatchesOneShotCells(t *testing.T) {
 
 func matchesOneShot(t *testing.T, cfg Config, sessions []*workload.Session, res *Result, cells []*cell.Result) {
 	fl := res.Fleet
-	if fl.Users != len(sessions) || res.Users() != len(sessions) || fl.Sites != len(cfg.Sites) || fl.EmptySites != 0 {
+	if fl.Users != len(sessions) || len(res.Placements) != len(sessions) || fl.Sites != len(cfg.Sites) || fl.EmptySites != 0 {
 		t.Fatalf("fleet shape: %+v", fl)
 	}
 	var sum SiteTotals
@@ -308,8 +308,8 @@ func TestEmptySitesEveryAccessor(t *testing.T) {
 	}
 	// Every accessor must walk the empty entries without panicking.
 	_ = res.DegradedSlots()
-	if res.Users() != len(sessions) || res.Fleet.Users != len(sessions) {
-		t.Fatalf("Users() = %d, fleet Users = %d", res.Users(), res.Fleet.Users)
+	if len(res.Placements) != len(sessions) || res.Fleet.Users != len(sessions) {
+		t.Fatalf("%d placements, fleet Users = %d", len(res.Placements), res.Fleet.Users)
 	}
 	var energy units.MJ
 	var reb units.Seconds
@@ -324,8 +324,8 @@ func TestEmptySitesEveryAccessor(t *testing.T) {
 
 // TestLeastLoadedTieBreakDeterministic: equal demand must always break
 // to the lowest site index, so identical configs place identically —
-// with uniform rates the policy degenerates to exact round-robin, in the
-// closed fleet (placed demand) and the open one (live site demand) alike.
+// with uniform rates the policy degenerates to exact round-robin, in Run
+// and in pickSite alone.
 func TestLeastLoadedTieBreakDeterministic(t *testing.T) {
 	const users, sites = 12, 4
 	cfg := fleetConfig(sites)
@@ -357,29 +357,15 @@ func TestLeastLoadedTieBreakDeterministic(t *testing.T) {
 		}
 	}
 
-	// The open fleet reads the same demand from its sites' live stats.
-	sims := make([]*cell.OpenSim, sites)
-	for si := range sims {
-		oc := cell.OpenConfig{Cell: cfg.Sites[si].Cell, MaxSessions: users}
-		oc.Cell.RunFullHorizon = true
-		sim, err := cell.NewOpen(oc, nil, sched.NewDefault())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sim.Start(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		defer sim.Stop()
-		sims[si] = sim
-	}
+	// pickSite itself, fed each site's demand as sessions attach, breaks
+	// the ties the same way.
+	demand := make([]units.KBps, sites)
 	for ui, s := range sessions {
-		st, rank, err := admitFleet(OpenFleetConfig{Deploy: cfg}, sims, s)
-		if err != nil {
-			t.Fatal(err)
+		si := pickSite(cfg, ui, s, demand)
+		if si != ui%sites {
+			t.Fatalf("pickSite: session %d placed at site %d, want %d", ui, si, ui%sites)
 		}
-		if st.site != ui%sites || rank != 0 {
-			t.Fatalf("open fleet: arrival %d placed at site %d (rank %d), want %d", ui, st.site, rank, ui%sites)
-		}
+		demand[si] += s.BaseRate
 	}
 }
 
@@ -409,7 +395,7 @@ func TestStreamOnEpochAndValidation(t *testing.T) {
 
 	bad := fleetConfig(2)
 	bad.EpochSlots = -1
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Fatal("negative EpochSlots accepted")
 	}
 }

@@ -11,15 +11,15 @@ import (
 func TestSiteOutageValidation(t *testing.T) {
 	cfg := twoSites()
 	cfg.Outages = []SiteOutage{{Site: 5, From: 0, To: 10}}
-	if err := cfg.Validate(); err == nil {
+	if err := cfg.validate(); err == nil {
 		t.Error("outage naming unknown site accepted")
 	}
 	cfg.Outages = []SiteOutage{{Site: 0, From: 10, To: 5}}
-	if err := cfg.Validate(); err == nil {
+	if err := cfg.validate(); err == nil {
 		t.Error("inverted outage window accepted")
 	}
 	cfg.Outages = []SiteOutage{{Site: 1, From: 3, To: 9}}
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		t.Errorf("valid outage rejected: %v", err)
 	}
 }

@@ -55,8 +55,8 @@ func DefaultChaosOptions() ChaosOptions {
 	}
 }
 
-// Validate checks the options.
-func (o ChaosOptions) Validate() error {
+// validate checks the options.
+func (o ChaosOptions) validate() error {
 	if o.Users <= 0 {
 		return fmt.Errorf("experiments: chaos needs at least one user, got %d", o.Users)
 	}
@@ -252,7 +252,7 @@ func chaosDeployRun(o ChaosOptions) (SiteOutageRow, error) {
 
 // RunChaos executes the chaos scenario and returns the report.
 func RunChaos(o ChaosOptions) (*ChaosReport, error) {
-	if err := o.Validate(); err != nil {
+	if err := o.validate(); err != nil {
 		return nil, err
 	}
 	baseline, err := chaosGatewayRun(o, "baseline", fault.Plan{})

@@ -82,7 +82,7 @@ func TestChaosOptionsValidate(t *testing.T) {
 	} {
 		o := DefaultChaosOptions()
 		mutate(&o)
-		if err := o.Validate(); err == nil {
+		if err := o.validate(); err == nil {
 			t.Errorf("invalid chaos options accepted: %+v", o)
 		}
 	}

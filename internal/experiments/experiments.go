@@ -107,8 +107,8 @@ func QuickOptions() Options {
 	}
 }
 
-// Validate checks the options.
-func (o Options) Validate() error {
+// validate checks the options.
+func (o Options) validate() error {
 	if err := o.Cell.Validate(); err != nil {
 		return err
 	}
@@ -211,15 +211,10 @@ type sharedWorkload struct {
 
 // NewRunner validates the options and returns a Runner.
 func NewRunner(opts Options) (*Runner, error) {
-	if err := opts.Validate(); err != nil {
+	if err := opts.validate(); err != nil {
 		return nil, err
 	}
 	return &Runner{opts: opts}, nil
-}
-
-// cacheSize reports the number of memoized runs (tests).
-func (r *Runner) cacheSize() int {
-	return len(r.results.snapshot())
 }
 
 // WorkloadCacheStats reports how often simulations reused an
@@ -237,9 +232,6 @@ func (r *Runner) WorkloadCacheStats() (hits, misses int64) {
 func (r *Runner) MultiArmStats() (groups, runs int64) {
 	return 0, 0
 }
-
-// Options returns the runner's options.
-func (r *Runner) Options() Options { return r.opts }
 
 // scenario identifies one workload setting.
 type scenario struct {

@@ -22,7 +22,7 @@ func quickRunner(t *testing.T) *Runner {
 
 func TestOptionsValidate(t *testing.T) {
 	good := QuickOptions()
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatalf("quick options invalid: %v", err)
 	}
 	mutations := []struct {
@@ -41,7 +41,7 @@ func TestOptionsValidate(t *testing.T) {
 	for _, m := range mutations {
 		o := QuickOptions()
 		m.f(&o)
-		if err := o.Validate(); err == nil {
+		if err := o.validate(); err == nil {
 			t.Errorf("%s: accepted", m.name)
 		}
 		if _, err := NewRunner(o); err == nil {

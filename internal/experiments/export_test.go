@@ -2,10 +2,30 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 )
+
+// cacheSize reports the number of memoized runs.
+func (r *Runner) cacheSize() int {
+	return len(r.results.snapshot())
+}
+
+// All runs every figure in order.
+func (r *Runner) All() ([]*Figure, error) {
+	figs := r.allFigs()
+	out := make([]*Figure, 0, len(figs))
+	for _, nf := range figs {
+		fig, err := nf.f()
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", nf.name, err)
+		}
+		out = append(out, fig)
+	}
+	return out, nil
+}
 
 func TestJSONRoundTrip(t *testing.T) {
 	figs := []*Figure{

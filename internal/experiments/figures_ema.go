@@ -297,24 +297,10 @@ func (r *Runner) allFigs() []namedFig {
 	}
 }
 
-// All runs every figure in order.
-func (r *Runner) All() ([]*Figure, error) {
-	figs := r.allFigs()
-	out := make([]*Figure, 0, len(figs))
-	for _, nf := range figs {
-		fig, err := nf.f()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", nf.name, err)
-		}
-		out = append(out, fig)
-	}
-	return out, nil
-}
-
 // AllParallel runs every figure concurrently on the worker pool. The
 // Runner's singleflight cache coalesces the shared Default reference and
 // calibration runs, so the parallel suite performs the same simulations
-// as the sequential one, just overlapped. Results keep All's order.
+// as the sequential one, just overlapped. Results keep allFigs' order.
 func (r *Runner) AllParallel(ctx context.Context, workers int) ([]*Figure, error) {
 	figs := r.allFigs()
 	defer r.setRunContext(ctx)()

@@ -93,12 +93,6 @@ type Plan struct {
 	Sites []deploy.SiteOutage
 }
 
-// Zero reports whether the plan injects no faults at all; a zero plan's
-// wrappers return their inputs unchanged.
-func (p Plan) Zero() bool {
-	return p.Endpoint.zero() && p.Source.zero() && len(p.Sites) == 0
-}
-
 // Validate checks the plan.
 func (p Plan) Validate() error {
 	if p.Endpoint.StallProb > 0 && p.Endpoint.StallFor <= 0 {
@@ -171,8 +165,6 @@ type faultEndpoint struct {
 	deliverN int
 	reportN  int
 	flapLeft int
-	// Diagnostics for tests and the chaos report.
-	stalls, drops, lostReports int
 }
 
 // Report implements gateway.Endpoint.
@@ -182,18 +174,15 @@ func (e *faultEndpoint) Report() (gateway.Report, bool) {
 	e.reportN++
 	if e.flapLeft > 0 {
 		e.flapLeft--
-		e.lostReports++
 		e.mu.Unlock()
 		return gateway.Report{}, false
 	}
 	if e.plan.FlapProb > 0 && draw(e.seed, reportMix, n) < e.plan.FlapProb {
 		e.flapLeft = e.flapSlots - 1
-		e.lostReports++
 		e.mu.Unlock()
 		return gateway.Report{}, false
 	}
 	if e.plan.ReportLossProb > 0 && draw(e.seed, reportMix^userMix, n) < e.plan.ReportLossProb {
-		e.lostReports++
 		e.mu.Unlock()
 		return gateway.Report{}, false
 	}
@@ -208,12 +197,6 @@ func (e *faultEndpoint) Deliver(p []byte) error {
 	e.deliverN++
 	stall := e.plan.StallProb > 0 && draw(e.seed, deliverMix, n) < e.plan.StallProb
 	drop := e.plan.DropProb > 0 && draw(e.seed, deliverMix^userMix, n) < e.plan.DropProb
-	if stall {
-		e.stalls++
-	}
-	if drop {
-		e.drops++
-	}
 	e.mu.Unlock()
 	if stall {
 		time.Sleep(e.plan.StallFor)
@@ -222,14 +205,6 @@ func (e *faultEndpoint) Deliver(p []byte) error {
 		return gateway.Transient(errors.New("fault: injected delivery drop"))
 	}
 	return e.inner.Deliver(p)
-}
-
-// Counts returns the faults injected so far (stalls, drops, lost
-// reports).
-func (e *faultEndpoint) Counts() (stalls, drops, lostReports int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stalls, e.drops, e.lostReports
 }
 
 // faultSource injects the SourcePlan's faults around an inner source.

@@ -28,11 +28,11 @@ import (
 //     Policy.ShedMissThreshold, up to Policy.ShedMaxPerSlot sessions are
 //     detached — lowest playback buffer first (they are rebuffering
 //     already; the grants they consume save the most viewers elsewhere),
-//     newest on ties. Shed sessions get DetachShed and are counted in
+//     newest on ties. Shed sessions get detachShed and are counted in
 //     Diag.Shed.
 //
 //   - Graceful drain (BeginDrain): the gateway stops admitting (Attach
-//     returns ErrDraining), keeps serving everything in flight, and
+//     returns errDraining), keeps serving everything in flight, and
 //     Drained reports when the last session finished or detached —
 //     cmd/jstream-gateway wires SIGTERM to exactly this sequence.
 //
@@ -40,8 +40,8 @@ import (
 // durations (TickQuantileMs), so deadline pressure is observable as a
 // p99 before the shedder has to act on it.
 
-// ErrDraining rejects attachments while the gateway is draining.
-var ErrDraining = errors.New("gateway: draining, not admitting sessions")
+// errDraining rejects attachments while the gateway is draining.
+var errDraining = errors.New("gateway: draining, not admitting sessions")
 
 // tickHistWindowSlots is how many slots each tick-duration histogram
 // window spans before rotating.
@@ -67,7 +67,7 @@ func (g *Gateway) anyInService() bool {
 // last reported rates. Callers hold g.mu.
 func (g *Gateway) admissible(rate units.KBps) error {
 	if g.draining {
-		return ErrDraining
+		return errDraining
 	}
 	if g.admission == (cell.Admission{}) {
 		return nil
@@ -87,7 +87,7 @@ func (g *Gateway) admissible(rate units.KBps) error {
 }
 
 // BeginDrain switches the gateway into drain mode: Attach rejects with
-// ErrDraining, in-flight sessions keep being served, and Drained reports
+// errDraining, in-flight sessions keep being served, and Drained reports
 // when the last one is finished or detached. Idempotent.
 func (g *Gateway) BeginDrain() {
 	g.mu.Lock()
@@ -167,7 +167,7 @@ func (g *Gateway) maybeShed() {
 	}
 	for k := 0; k < n; k++ {
 		g.diag.Shed++
-		g.detach(cands[k], DetachShed)
+		g.detach(cands[k], detachShed)
 	}
 	for i := range g.missRing {
 		g.missRing[i] = false

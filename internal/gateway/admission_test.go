@@ -195,8 +195,8 @@ func TestDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, _ := NewPatternSource(500)
-	if _, err := g.Attach(ep3, src); !errors.Is(err, ErrDraining) {
-		t.Fatalf("attach while draining: got %v, want ErrDraining", err)
+	if _, err := g.Attach(ep3, src); !errors.Is(err, errDraining) {
+		t.Fatalf("attach while draining: got %v, want errDraining", err)
 	}
 	for i := 0; i < 80 && !g.Drained(); i++ {
 		if _, err := g.Step(); err != nil {
@@ -244,7 +244,7 @@ func TestShedOrdering(t *testing.T) {
 	if d.Shed != 2 {
 		t.Fatalf("shed %d sessions, want 2", d.Shed)
 	}
-	for id, want := range map[int]DetachReason{0: DetachNone, 1: DetachShed, 2: DetachNone, 3: DetachShed} {
+	for id, want := range map[int]DetachReason{0: "", 1: detachShed, 2: "", 3: detachShed} {
 		st, err := g.StatsFor(id)
 		if err != nil {
 			t.Fatal(err)
@@ -277,7 +277,7 @@ func (e *slowEndpoint) Deliver([]byte) error   { time.Sleep(e.delay); return nil
 // TestShedUnderDeadlinePressure is the end-to-end overload story: an
 // endpoint whose deliveries persistently outlive the slot deadline
 // accumulates misses in the shedder's window until it is shed with
-// DetachShed, and the tick histogram has observed the pressure.
+// detachShed, and the tick histogram has observed the pressure.
 func TestShedUnderDeadlinePressure(t *testing.T) {
 	cfg := testConfig()
 	cfg.Policy = Policy{
@@ -317,7 +317,7 @@ func TestShedUnderDeadlinePressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Detached || st.DetachReason != DetachShed {
+	if !st.Detached || st.DetachReason != detachShed {
 		t.Fatalf("shed victim state: detached=%v reason=%q", st.Detached, st.DetachReason)
 	}
 	if p99 := g.TickQuantileMs(0.99); p99 <= 0 {
@@ -396,7 +396,7 @@ func TestNoGoroutineLeakOnFatalDetach(t *testing.T) {
 			break
 		}
 	}
-	if st, _ := g.StatsFor(id); !st.Detached || st.DetachReason != DetachFatal {
+	if st, _ := g.StatsFor(id); !st.Detached || st.DetachReason != detachFatal {
 		t.Fatalf("disconnect did not fatally detach: %+v", st)
 	}
 	waitGoroutines(t, base) // worker gone without Close
@@ -424,7 +424,7 @@ func TestNoGoroutineLeakOnBreakerDetach(t *testing.T) {
 		st, _ := g.StatsFor(id)
 		detached = st.Detached
 	}
-	if st, _ := g.StatsFor(id); !detached || st.DetachReason != DetachBreaker {
+	if st, _ := g.StatsFor(id); !detached || st.DetachReason != detachBreaker {
 		t.Fatalf("breaker did not open: %+v", st)
 	}
 	waitGoroutines(t, base)

@@ -178,10 +178,10 @@ func (g *Gateway) Close() {
 // deliveryFailed routes a classified delivery error through the policy.
 // Callers hold g.mu.
 func (g *Gateway) deliveryFailed(u *user, err error) {
-	switch Classify(err) {
-	case FatalError:
+	switch classify(err) {
+	case fatalError:
 		g.diag.FatalErrors++
-		g.detach(u, DetachFatal)
+		g.detach(u, detachFatal)
 	default:
 		g.diag.TransientErrors++
 		u.transientErrors++
@@ -197,7 +197,7 @@ func (g *Gateway) recordStrike(u *user) {
 	u.failStreak++
 	if g.policy.BreakerTrips > 0 && u.failStreak >= g.policy.BreakerTrips {
 		g.diag.BreakerOpens++
-		g.detach(u, DetachBreaker)
+		g.detach(u, detachBreaker)
 		return
 	}
 	backoff := g.policy.BackoffMaxSlots

@@ -110,16 +110,16 @@ func TestStalledEndpointDoesNotBlockTick(t *testing.T) {
 	if !st.Detached {
 		t.Fatal("stalled user never detached")
 	}
-	if st.DetachReason != DetachBreaker {
-		t.Errorf("stalled user detach reason = %q, want %q", st.DetachReason, DetachBreaker)
+	if st.DetachReason != detachBreaker {
+		t.Errorf("stalled user detach reason = %q, want %q", st.DetachReason, detachBreaker)
 	}
 	// Grant at slot 0, strikes on slots 1..BreakerTrips: detachment must
 	// respect the policy window exactly.
-	if detachSlot != DefaultBreakerTrips {
-		t.Errorf("stalled user detached at slot %d, want %d (breaker policy)", detachSlot, DefaultBreakerTrips)
+	if detachSlot != defaultBreakerTrips {
+		t.Errorf("stalled user detached at slot %d, want %d (breaker policy)", detachSlot, defaultBreakerTrips)
 	}
-	if st.MissedSlots < DefaultBreakerTrips {
-		t.Errorf("missed slots = %d, want >= %d", st.MissedSlots, DefaultBreakerTrips)
+	if st.MissedSlots < defaultBreakerTrips {
+		t.Errorf("missed slots = %d, want >= %d", st.MissedSlots, defaultBreakerTrips)
 	}
 	for i, ep := range healthy {
 		if got := ep.ReceivedBytes(); got != 2_000_000 {
@@ -211,7 +211,7 @@ func TestStaleReportGraceReattaches(t *testing.T) {
 	}
 	// 60 MB at ≤5 MB/slot keeps the session alive well past the dropout
 	// window at slots 2..6.
-	ep := &flakyReporter{LocalEndpoint: inner, from: 2, to: 2 + DefaultStaleGraceSlots}
+	ep := &flakyReporter{LocalEndpoint: inner, from: 2, to: 2 + defaultStaleGraceSlots}
 	g, _ := New(testConfig(), sched.NewDefault())
 	src, _ := NewPatternSource(60000)
 	id, err := g.Attach(ep, src)
@@ -237,8 +237,8 @@ func TestStaleReportGraceReattaches(t *testing.T) {
 	if d.Reattaches != 1 {
 		t.Errorf("reattaches = %d, want 1", d.Reattaches)
 	}
-	if d.StaleSlots != DefaultStaleGraceSlots {
-		t.Errorf("stale slots = %d, want %d", d.StaleSlots, DefaultStaleGraceSlots)
+	if d.StaleSlots != defaultStaleGraceSlots {
+		t.Errorf("stale slots = %d, want %d", d.StaleSlots, defaultStaleGraceSlots)
 	}
 }
 
@@ -262,15 +262,15 @@ func TestStaleReportDetachesAfterGrace(t *testing.T) {
 		g.Step()
 		if st, _ := g.StatsFor(id); st.Detached {
 			detachSlot = i
-			if st.DetachReason != DetachStale {
-				t.Errorf("detach reason = %q, want %q", st.DetachReason, DetachStale)
+			if st.DetachReason != detachStale {
+				t.Errorf("detach reason = %q, want %q", st.DetachReason, detachStale)
 			}
 			break
 		}
 	}
 	// Reports drop from slot 1; grace covers slots 1..1+grace-1, so the
 	// detach lands at slot 1+grace.
-	if want := 1 + DefaultStaleGraceSlots; detachSlot != want {
+	if want := 1 + defaultStaleGraceSlots; detachSlot != want {
 		t.Errorf("stale user detached at slot %d, want %d", detachSlot, want)
 	}
 	if d := g.Diagnostics(); d.StaleDetaches != 1 {
@@ -316,7 +316,7 @@ func TestExponentialBackoffSchedule(t *testing.T) {
 		}
 	}
 	st, _ := g.StatsFor(id)
-	if !st.Detached || st.DetachReason != DetachBreaker {
+	if !st.Detached || st.DetachReason != detachBreaker {
 		t.Errorf("user detached=%v reason=%q, want breaker detach", st.Detached, st.DetachReason)
 	}
 }
@@ -327,14 +327,14 @@ func TestClassify(t *testing.T) {
 		err  error
 		want ErrorClass
 	}{
-		{Transient(errors.New("x")), TransientError},
-		{Fatal(errors.New("x")), FatalError},
-		{errors.New("unknown"), TransientError},
-		{timeoutError{}, TransientError},
+		{Transient(errors.New("x")), transientError},
+		{fatal(errors.New("x")), fatalError},
+		{errors.New("unknown"), transientError},
+		{timeoutError{}, transientError},
 	}
 	for i, c := range cases {
-		if got := Classify(c.err); got != c.want {
-			t.Errorf("case %d: Classify(%v) = %v, want %v", i, c.err, got, c.want)
+		if got := classify(c.err); got != c.want {
+			t.Errorf("case %d: classify(%v) = %v, want %v", i, c.err, got, c.want)
 		}
 	}
 }

@@ -51,7 +51,7 @@ type Endpoint interface {
 	// (conservative admission) before detaching the user.
 	Report() (r Report, ok bool)
 	// Deliver pushes one slot's granted bytes to the device. Errors are
-	// classified (see Classify): fatal ones detach the user immediately,
+	// classified (see classify): fatal ones detach the user immediately,
 	// transient ones route through the backoff/breaker retry path. p is
 	// the gateway's own buffer, valid only until Deliver returns.
 	Deliver(p []byte) error
@@ -108,8 +108,8 @@ type Config struct {
 	AdmitHeadroomFrac float64
 }
 
-// Validate checks the configuration.
-func (c Config) Validate() error {
+// validate checks the configuration.
+func (c Config) validate() error {
 	if c.Tau <= 0 {
 		return fmt.Errorf("gateway: non-positive tau %v", c.Tau)
 	}
@@ -131,7 +131,7 @@ func (c Config) Validate() error {
 	if c.AdmitHeadroomFrac < 0 {
 		return fmt.Errorf("gateway: negative admission headroom %v", c.AdmitHeadroomFrac)
 	}
-	if err := c.Policy.Validate(); err != nil {
+	if err := c.Policy.validate(); err != nil {
 		return err
 	}
 	return c.RRC.Validate()
@@ -275,7 +275,7 @@ type Gateway struct {
 
 // New builds a Gateway around the given scheduling algorithm.
 func New(cfg Config, s sched.Scheduler) (*Gateway, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if s == nil {
@@ -313,7 +313,7 @@ func New(cfg Config, s sched.Scheduler) (*Gateway, error) {
 
 // Attach registers a user with its content source and downlink endpoint,
 // returning the user id. Admission control applies: a draining gateway
-// rejects with ErrDraining, and the session cap / capacity headroom
+// rejects with errDraining, and the session cap / capacity headroom
 // checks (Config.MaxSessions, Config.AdmitHeadroomFrac) reject with a
 // typed *cell.OverCapacityError matching cell.ErrOverCapacity.
 func (g *Gateway) Attach(ep Endpoint, src Source) (int, error) {
@@ -459,7 +459,7 @@ func (g *Gateway) Step() ([]int, error) {
 			degraded = true
 			if u.staleSlots > g.policy.StaleGraceSlots {
 				g.diag.StaleDetaches++
-				g.detach(u, DetachStale)
+				g.detach(u, detachStale)
 				continue
 			}
 			if !u.haveReport {

@@ -23,7 +23,7 @@ func testConfig() Config {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := testConfig().Validate(); err != nil {
+	if err := testConfig().validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	muts := []func(*Config){
@@ -36,7 +36,7 @@ func TestConfigValidate(t *testing.T) {
 	for i, m := range muts {
 		c := testConfig()
 		m(&c)
-		if err := c.Validate(); err == nil {
+		if err := c.validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
 	}
@@ -199,11 +199,11 @@ func TestPersistentDeliveryErrorTripsBreaker(t *testing.T) {
 	if !st.Detached {
 		t.Fatal("persistently failing endpoint never detached")
 	}
-	if st.DetachReason != DetachBreaker {
-		t.Errorf("detach reason = %q, want %q", st.DetachReason, DetachBreaker)
+	if st.DetachReason != detachBreaker {
+		t.Errorf("detach reason = %q, want %q", st.DetachReason, detachBreaker)
 	}
-	if st.TransientErrors < DefaultBreakerTrips {
-		t.Errorf("transient errors = %d, want >= %d", st.TransientErrors, DefaultBreakerTrips)
+	if st.TransientErrors < defaultBreakerTrips {
+		t.Errorf("transient errors = %d, want >= %d", st.TransientErrors, defaultBreakerTrips)
 	}
 }
 
@@ -214,7 +214,7 @@ func TestFatalDeliveryErrorDetachesImmediately(t *testing.T) {
 	// endpoint goes (a completed one is retired and never polled again).
 	ep, id := attachUser(t, g, 50000, 400, -60)
 	// Disconnect between report collection and delivery: the endpoint
-	// still reports, but Deliver returns a Fatal-classified error.
+	// still reports, but Deliver returns a fatal-classified error.
 	g.Step()
 	ep.Disconnect()
 	st, _ := g.StatsFor(id)
@@ -224,14 +224,14 @@ func TestFatalDeliveryErrorDetachesImmediately(t *testing.T) {
 	// Next step: Report now returns ok=false too, but the first failure
 	// path hit is what matters — run until detached and check the reason
 	// is fatal or stale, never breaker.
-	for i := 0; i < DefaultStaleGraceSlots+2 && !st.Detached; i++ {
+	for i := 0; i < defaultStaleGraceSlots+2 && !st.Detached; i++ {
 		g.Step()
 		st, _ = g.StatsFor(id)
 	}
 	if !st.Detached {
 		t.Fatal("disconnected user never detached")
 	}
-	if st.DetachReason == DetachBreaker {
+	if st.DetachReason == detachBreaker {
 		t.Errorf("fatal-path detach attributed to breaker")
 	}
 }

@@ -77,7 +77,7 @@ func Handler(gw *Gateway) http.Handler {
 		}{gw.Slot(), gw.Draining(), gw.Diagnostics(), gw.TickQuantileMs(0.50), gw.TickQuantileMs(0.99)})
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		m := gw.SessionWindowMetrics()
+		m := gw.sessionWindowMetrics()
 		writeJSON(w, metricsView{
 			Slot:        gw.Slot(),
 			EndedWindow: m.EndedWindow,

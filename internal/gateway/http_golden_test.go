@@ -46,7 +46,7 @@ func TestHTTPBodiesGolden(t *testing.T) {
 	shed := g.users[1]
 	shed.rebufferSec, shed.transientErrors, shed.missedSlots = 2.5, 3, 4
 	g.diag.Shed++
-	g.detach(shed, DetachShed)
+	g.detach(shed, detachShed)
 	g.tickHist = newTickHist()
 	for _, ms := range []float64{0.125, 0.5, 0.75, 3.25} {
 		g.tickHist.Observe(ms)

@@ -47,7 +47,7 @@ func TestHTTPStats(t *testing.T) {
 	g.mu.Lock()
 	shed := g.users[1]
 	shed.rebufferSec, shed.transientErrors, shed.missedSlots = 2.5, 3, 4
-	g.detach(shed, DetachShed)
+	g.detach(shed, detachShed)
 	g.mu.Unlock()
 	srv := httptest.NewServer(Handler(g))
 	defer srv.Close()
@@ -72,7 +72,7 @@ func TestHTTPStats(t *testing.T) {
 	}
 	for key, want := range map[string][2]any{
 		"rebuffer_sec":     {0.0, 2.5},
-		"detach_reason":    {"", string(DetachShed)},
+		"detach_reason":    {"", string(detachShed)},
 		"transient_errors": {0.0, 3.0},
 		"missed_slots":     {0.0, 4.0},
 	} {
@@ -166,7 +166,7 @@ func TestHTTPSessionWindowedMetrics(t *testing.T) {
 	// session histograms (folding runs at the end of each Step).
 	g.Step()
 
-	m := g.SessionWindowMetrics()
+	m := g.sessionWindowMetrics()
 	if m.EndedTotal != 1 || m.EndedWindow != 1 {
 		t.Fatalf("ended = %d total / %d window, want 1/1", m.EndedTotal, m.EndedWindow)
 	}
@@ -210,12 +210,12 @@ func TestSessionMetricsFoldOnDetach(t *testing.T) {
 	g.Step()
 	g.mu.Lock()
 	u := g.users[1]
-	g.detach(u, DetachShed)
-	g.detach(u, DetachShed) // idempotent: must not fold twice
+	g.detach(u, detachShed)
+	g.detach(u, detachShed) // idempotent: must not fold twice
 	g.mu.Unlock()
 	// User 0 completed in the slot and folded when it retired; the
 	// detached one must have folded exactly once more.
-	if m := g.SessionWindowMetrics(); m.EndedTotal != 2 {
+	if m := g.sessionWindowMetrics(); m.EndedTotal != 2 {
 		t.Fatalf("ended total = %d after detach, want 2", m.EndedTotal)
 	}
 }

@@ -102,7 +102,7 @@ func runChurnLedger(t *testing.T, s sched.Scheduler, async, perSlot bool) []byte
 	t.Helper()
 	out, reasons, d := churnLedger(t, s, async, perSlot)
 	// The scenario must keep exercising what it was written for.
-	if reasons[DetachFatal] == 0 || reasons[DetachBreaker] == 0 || reasons[DetachStale] == 0 || reasons[DetachNone] < 200 {
+	if reasons[detachFatal] == 0 || reasons[detachBreaker] == 0 || reasons[detachStale] == 0 || reasons[""] < 200 {
 		t.Fatalf("ledger scenario lost a case: detach reasons %v", reasons)
 	}
 	if d.Reattaches == 0 || d.TransientErrors == 0 || d.Rejected != 2 {
@@ -237,7 +237,7 @@ func churnLedger(t *testing.T, s sched.Scheduler, async, perSlot bool) ([]byte, 
 		}
 		if len(eps) == ledgerSessions && !g.Draining() {
 			g.BeginDrain()
-			if _, err := attach(); !errors.Is(err, ErrDraining) {
+			if _, err := attach(); !errors.Is(err, errDraining) {
 				t.Fatalf("attach while draining: %v", err)
 			}
 		}
@@ -255,7 +255,7 @@ func churnLedger(t *testing.T, s sched.Scheduler, async, perSlot bool) ([]byte, 
 	d := g.Diagnostics()
 	d.Drained = 0
 	fmt.Fprintf(&out, "diag %+v\n", d)
-	m := g.SessionWindowMetrics()
+	m := g.sessionWindowMetrics()
 	fmt.Fprintf(&out, "ended window=%d total=%d rebuf=%016x,%016x energy=%016x,%016x\n", m.EndedWindow, m.EndedTotal,
 		math.Float64bits(m.RebufP50Sec), math.Float64bits(m.RebufP99Sec), math.Float64bits(m.EnergyP50MJ), math.Float64bits(m.EnergyP99MJ))
 	return out.Bytes(), reasons, d

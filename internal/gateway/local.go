@@ -43,14 +43,6 @@ func (e *LocalEndpoint) Advance() {
 	e.slot++
 }
 
-// Disconnect marks the endpoint as gone; subsequent Report calls return
-// ok=false.
-func (e *LocalEndpoint) Disconnect() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.connected = false
-}
-
 // Report implements Endpoint.
 func (e *LocalEndpoint) Report() (Report, bool) {
 	e.mu.Lock()
@@ -66,7 +58,7 @@ func (e *LocalEndpoint) Deliver(p []byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.connected {
-		return Fatal(fmt.Errorf("gateway: endpoint disconnected"))
+		return fatal(fmt.Errorf("gateway: endpoint disconnected"))
 	}
 	e.received += int64(len(p))
 	if e.retain {

@@ -27,9 +27,9 @@ type SessionMetrics struct {
 	EnergyP50MJ, EnergyP99MJ float64
 }
 
-// SessionWindowMetrics returns the sliding-window per-session quality
+// sessionWindowMetrics returns the sliding-window per-session quality
 // snapshot. Quantiles are 0 while no session has ended in the window.
-func (g *Gateway) SessionWindowMetrics() SessionMetrics {
+func (g *Gateway) sessionWindowMetrics() SessionMetrics {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	w := g.quality

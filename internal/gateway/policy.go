@@ -76,13 +76,13 @@ type Policy struct {
 
 // Default policy values.
 const (
-	DefaultStaleGraceSlots     = 5
-	DefaultBackoffBaseSlots    = 1
-	DefaultBackoffMaxSlots     = 8
-	DefaultBreakerTrips        = 5
-	DefaultSlotDeadline        = 50 * time.Millisecond
-	DefaultShedMissWindowSlots = 16
-	DefaultShedMissThreshold   = 8
+	defaultStaleGraceSlots     = 5
+	defaultBackoffBaseSlots    = 1
+	defaultBackoffMaxSlots     = 8
+	defaultBreakerTrips        = 5
+	defaultSlotDeadline        = 50 * time.Millisecond
+	defaultShedMissWindowSlots = 16
+	defaultShedMissThreshold   = 8
 )
 
 // withDefaults resolves the zero/negative conventions.
@@ -94,12 +94,12 @@ func (p Policy) withDefaults() Policy {
 			*v = 0
 		}
 	}
-	resolve(&p.StaleGraceSlots, DefaultStaleGraceSlots)
-	resolve(&p.BackoffBaseSlots, DefaultBackoffBaseSlots)
-	resolve(&p.BackoffMaxSlots, DefaultBackoffMaxSlots)
-	resolve(&p.BreakerTrips, DefaultBreakerTrips)
+	resolve(&p.StaleGraceSlots, defaultStaleGraceSlots)
+	resolve(&p.BackoffBaseSlots, defaultBackoffBaseSlots)
+	resolve(&p.BackoffMaxSlots, defaultBackoffMaxSlots)
+	resolve(&p.BreakerTrips, defaultBreakerTrips)
 	if p.SlotDeadline == 0 {
-		p.SlotDeadline = DefaultSlotDeadline
+		p.SlotDeadline = defaultSlotDeadline
 	} else if p.SlotDeadline < 0 {
 		p.SlotDeadline = 0
 	}
@@ -109,15 +109,15 @@ func (p Policy) withDefaults() Policy {
 		p.ShedMaxPerSlot = 0
 	}
 	if p.ShedMaxPerSlot > 0 {
-		resolve(&p.ShedMissWindowSlots, DefaultShedMissWindowSlots)
-		resolve(&p.ShedMissThreshold, DefaultShedMissThreshold)
+		resolve(&p.ShedMissWindowSlots, defaultShedMissWindowSlots)
+		resolve(&p.ShedMissThreshold, defaultShedMissThreshold)
 	}
 	return p
 }
 
-// Validate checks the policy (after default resolution anything goes, so
+// validate checks the policy (after default resolution anything goes, so
 // this only rejects nonsensical explicit combinations).
-func (p Policy) Validate() error {
+func (p Policy) validate() error {
 	if p.AsyncDelivery && p.SlotDeadline < 0 {
 		return fmt.Errorf("gateway: async delivery needs a non-negative slot deadline")
 	}
@@ -129,20 +129,20 @@ type ErrorClass int
 
 // Delivery error classes.
 const (
-	// TransientError marks a failure worth retrying: timeouts, short
+	// transientError marks a failure worth retrying: timeouts, short
 	// writes, injected drops. The user stays attached and backs off.
-	TransientError ErrorClass = iota
-	// FatalError marks a dead endpoint: closed or reset connections. The
+	transientError ErrorClass = iota
+	// fatalError marks a dead endpoint: closed or reset connections. The
 	// user is detached immediately.
-	FatalError
+	fatalError
 )
 
 // String implements fmt.Stringer.
 func (c ErrorClass) String() string {
 	switch c {
-	case TransientError:
+	case transientError:
 		return "transient"
-	case FatalError:
+	case fatalError:
 		return "fatal"
 	default:
 		return fmt.Sprintf("ErrorClass(%d)", int(c))
@@ -158,48 +158,48 @@ type classedError struct {
 func (e *classedError) Error() string { return e.err.Error() }
 func (e *classedError) Unwrap() error { return e.err }
 
-// Transient marks err as retryable for Classify.
-func Transient(err error) error { return &classedError{err: err, class: TransientError} }
+// Transient marks err as retryable for classify.
+func Transient(err error) error { return &classedError{err: err, class: transientError} }
 
-// Fatal marks err as non-retryable for Classify.
-func Fatal(err error) error { return &classedError{err: err, class: FatalError} }
+// fatal marks err as non-retryable for classify.
+func fatal(err error) error { return &classedError{err: err, class: fatalError} }
 
-// Classify maps a delivery error to its class. Explicit marks (Transient,
-// Fatal) win; otherwise network timeouts are transient, closed/reset
+// classify maps a delivery error to its class. Explicit marks (Transient,
+// fatal) win; otherwise network timeouts are transient, closed/reset
 // connections are fatal, and anything unrecognized defaults to transient
 // so the breaker — not a single glitch — decides detachment.
-func Classify(err error) ErrorClass {
+func classify(err error) ErrorClass {
 	var ce *classedError
 	if errors.As(err, &ce) {
 		return ce.class
 	}
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
-		return TransientError
+		return transientError
 	}
 	if errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe) ||
 		errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
-		return FatalError
+		return fatalError
 	}
 	var oe *net.OpError
 	if errors.As(err, &oe) {
 		// Non-timeout socket-level failures (EPIPE, ECONNRESET, refused)
 		// mean the peer is gone.
-		return FatalError
+		return fatalError
 	}
-	return TransientError
+	return transientError
 }
 
 // DetachReason records why the gateway gave up on a user.
 type DetachReason string
 
-// Detach reasons surfaced in Stats and the monitoring API.
+// Detach reasons surfaced in Stats and the monitoring API; an attached
+// user's is empty.
 const (
-	DetachNone    DetachReason = ""
-	DetachFatal   DetachReason = "fatal-error"
-	DetachBreaker DetachReason = "breaker-open"
-	DetachStale   DetachReason = "stale-report"
-	DetachShed    DetachReason = "shed"
+	detachFatal   DetachReason = "fatal-error"
+	detachBreaker DetachReason = "breaker-open"
+	detachStale   DetachReason = "stale-report"
+	detachShed    DetachReason = "shed"
 )
 
 // Diag aggregates the gateway's degradation counters across users. All

@@ -61,7 +61,7 @@ func (e *TCPEndpoint) Deliver(p []byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.gone {
-		return Fatal(fmt.Errorf("gateway: client gone"))
+		return fatal(fmt.Errorf("gateway: client gone"))
 	}
 	if e.ioTimeout > 0 {
 		e.conn.SetWriteDeadline(time.Now().Add(e.ioTimeout))
@@ -78,7 +78,7 @@ func (e *TCPEndpoint) Deliver(p []byte) error {
 // writeErr marks the endpoint gone on fatal write failures; timeouts
 // leave it attached for the retry path. Callers hold e.mu.
 func (e *TCPEndpoint) writeErr(err error) error {
-	if Classify(err) == FatalError {
+	if classify(err) == fatalError {
 		e.gone = true
 	}
 	return err
@@ -153,15 +153,11 @@ type ConnOptions struct {
 	IOTimeout time.Duration
 }
 
-// AttachConn performs the HELLO handshake on conn, attaches the resulting
-// user to gw with a PatternSource of the requested size, and starts a
-// background reader that applies SIG updates until the client hangs up.
-// The initial report uses initialSig until the first SIG line arrives.
-func AttachConn(gw *Gateway, conn net.Conn, initialSig units.DBm) (int, error) {
-	return AttachConnWith(gw, conn, ConnOptions{InitialSig: initialSig})
-}
-
-// AttachConnWith is AttachConn with explicit options.
+// AttachConnWith performs the HELLO handshake on conn, attaches the
+// resulting user to gw with a PatternSource of the requested size, and
+// starts a background reader that applies SIG updates until the client
+// hangs up. The initial report uses opts.InitialSig until the first SIG
+// line arrives.
 func AttachConnWith(gw *Gateway, conn net.Conn, opts ConnOptions) (int, error) {
 	br := bufio.NewReader(conn)
 	if opts.IOTimeout > 0 {
@@ -185,7 +181,7 @@ func AttachConnWith(gw *Gateway, conn net.Conn, opts ConnOptions) (int, error) {
 		// Admission refusals get a protocol-level answer so load
 		// generators can tell "come back later" from a broken gateway.
 		switch {
-		case errors.Is(err, ErrDraining):
+		case errors.Is(err, errDraining):
 			fmt.Fprintf(conn, "BUSY draining\n")
 		case errors.Is(err, cell.ErrOverCapacity):
 			fmt.Fprintf(conn, "BUSY over-capacity\n")

@@ -75,7 +75,7 @@ func startGateway(t *testing.T, s sched.Scheduler) (string, func()) {
 			if err != nil {
 				return
 			}
-			if _, err := AttachConn(gw, conn, -80); err != nil {
+			if _, err := AttachConnWith(gw, conn, ConnOptions{InitialSig: -80}); err != nil {
 				conn.Close()
 			}
 		}
@@ -181,7 +181,7 @@ func TestAttachConnRejectsBadHandshake(t *testing.T) {
 	server, client := net.Pipe()
 	done := make(chan error, 1)
 	go func() {
-		_, err := AttachConn(gw, server, -80)
+		_, err := AttachConnWith(gw, server, ConnOptions{InitialSig: -80})
 		done <- err
 	}()
 	fmt.Fprintf(client, "GARBAGE\n")
@@ -237,7 +237,7 @@ func TestAttachConnIgnoresMalformedSig(t *testing.T) {
 	defer client.Close()
 	done := make(chan int, 1)
 	go func() {
-		id, err := AttachConn(gw, server, -80)
+		id, err := AttachConnWith(gw, server, ConnOptions{InitialSig: -80})
 		if err != nil {
 			t.Error(err)
 		}
@@ -276,7 +276,7 @@ func TestAttachConnMidHandshakeDisconnect(t *testing.T) {
 	server, client := net.Pipe()
 	done := make(chan error, 1)
 	go func() {
-		_, err := AttachConn(gw, server, -80)
+		_, err := AttachConnWith(gw, server, ConnOptions{InitialSig: -80})
 		done <- err
 	}()
 	// Partial handshake, then disconnect without the terminating newline.
@@ -288,7 +288,7 @@ func TestAttachConnMidHandshakeDisconnect(t *testing.T) {
 			t.Error("mid-handshake disconnect accepted")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("AttachConn hung on mid-handshake disconnect")
+		t.Fatal("AttachConnWith hung on mid-handshake disconnect")
 	}
 	gw.mu.Lock()
 	n := len(gw.users)

@@ -14,7 +14,7 @@ import (
 // grows and every historical count stays attributed to a bin that still
 // contains it. Quantiles come back as bin midpoints clamped to the
 // observed [min, max], which bounds the error against the exact
-// nearest-rank CDF.Quantile by half the final bin width — the property
+// nearest-rank CDF.quantile by half the final bin width — the property
 // tests in hist_test.go pin exactly that contract.
 //
 // Exact extremes (min, max), the exact sum and the exact count are
@@ -164,13 +164,13 @@ func (h *StreamingHist) foldIn(other *StreamingHist) {
 	}
 }
 
-// Quantile returns the q-th quantile by the same nearest-rank convention
-// as CDF.Quantile (rank ⌈q·n⌉), discretized to the midpoint of the bin
+// quantile returns the q-th quantile by the same nearest-rank convention
+// as CDF.quantile (rank ⌈q·n⌉), discretized to the midpoint of the bin
 // holding that rank and clamped to the exact observed [min, max]. The
 // result therefore differs from the exact sample quantile by at most
 // BinWidth()/2 (and is exact at q ≤ 0 and q ≥ 1). An empty histogram
 // returns 0.
-func (h *StreamingHist) Quantile(q float64) float64 {
+func (h *StreamingHist) quantile(q float64) float64 {
 	if h.count == 0 {
 		return 0
 	}
@@ -204,36 +204,5 @@ func (h *StreamingHist) Quantile(q float64) float64 {
 // Count returns the number of observed (non-dropped) samples.
 func (h *StreamingHist) Count() uint64 { return h.count }
 
-// Dropped returns the number of NaN/infinite/negative samples rejected.
-func (h *StreamingHist) Dropped() uint64 { return h.dropped }
-
 // Sum returns the exact sum of observed samples.
 func (h *StreamingHist) Sum() float64 { return h.sum }
-
-// Mean returns the exact sample mean (0 for an empty histogram).
-func (h *StreamingHist) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Min returns the exact smallest observed sample (0 when empty).
-func (h *StreamingHist) Min() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the exact largest observed sample (0 when empty).
-func (h *StreamingHist) Max() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.max
-}
-
-// BinWidth returns the current bin width — the live quantile error bound
-// is half of it.
-func (h *StreamingHist) BinWidth() float64 { return h.width }

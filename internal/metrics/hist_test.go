@@ -19,8 +19,8 @@ func checkQuantiles(t *testing.T, name string, xs []float64, h *StreamingHist) {
 	if h.Count() != uint64(len(xs)) {
 		t.Fatalf("%s: count %d != %d", name, h.Count(), len(xs))
 	}
-	if h.Min() != c.Min() || h.Max() != c.Max() {
-		t.Fatalf("%s: extremes (%v,%v) != (%v,%v)", name, h.Min(), h.Max(), c.Min(), c.Max())
+	if h.Min() != c.min() || h.Max() != c.max() {
+		t.Fatalf("%s: extremes (%v,%v) != (%v,%v)", name, h.Min(), h.Max(), c.min(), c.max())
 	}
 	var sum float64
 	for _, x := range xs {
@@ -31,14 +31,14 @@ func checkQuantiles(t *testing.T, name string, xs []float64, h *StreamingHist) {
 	}
 	tol := h.BinWidth()
 	for q := 0.0; q <= 1.0; q += 0.01 {
-		exact := c.Quantile(q)
-		got := h.Quantile(q)
+		exact := c.quantile(q)
+		got := h.quantile(q)
 		if math.Abs(got-exact) > tol {
 			t.Fatalf("%s: Quantile(%.2f) = %v, exact %v, tolerance %v (bin width %v)",
 				name, q, got, exact, tol, h.BinWidth())
 		}
 	}
-	if h.Quantile(0) != c.Quantile(0) || h.Quantile(1) != c.Quantile(1) {
+	if h.quantile(0) != c.quantile(0) || h.quantile(1) != c.quantile(1) {
 		t.Fatalf("%s: extreme quantiles not exact", name)
 	}
 }
@@ -119,8 +119,8 @@ func TestStreamingHistMerge(t *testing.T) {
 		direct.Observe(x)
 	}
 	for _, q := range []float64{0, 0.25, 0.5, 0.95, 0.99, 1} {
-		if merged.Quantile(q) != direct.Quantile(q) {
-			t.Fatalf("Quantile(%v): merged %v != direct %v", q, merged.Quantile(q), direct.Quantile(q))
+		if merged.quantile(q) != direct.quantile(q) {
+			t.Fatalf("Quantile(%v): merged %v != direct %v", q, merged.quantile(q), direct.quantile(q))
 		}
 	}
 
@@ -162,7 +162,7 @@ func TestStreamingHistEmptyAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Count() != 0 {
+	if h.quantile(0.5) != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Count() != 0 {
 		t.Fatal("empty sketch should report zeros")
 	}
 	for _, bad := range []struct {

@@ -1,7 +1,7 @@
 // Package metrics provides the statistical reductions used by the paper's
-// evaluation figures: the Jain fairness index (§VI-A), empirical CDFs for
-// the per-slot fairness/rebuffering/energy distributions (Figs. 2, 3, 6,
-// 7), summary statistics, and relative-change helpers for the headline
+// evaluation figures: empirical CDFs for the per-slot
+// fairness/rebuffering/energy distributions (Figs. 2, 3, 6, 7), summary
+// statistics, and relative-change helpers for the headline
 // claims ("RTMA reduces at least 68% rebuffering time", "EMA achieves more
 // than 27% energy reduction").
 package metrics
@@ -11,24 +11,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Jain computes the Jain fairness index (Σx)² / (n·Σx²) of the sample.
-// An empty or all-zero sample is defined as perfectly fair (1.0); the
-// result is always within [1/n, 1] otherwise.
-func Jain(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 1
-	}
-	var sum, sumSq float64
-	for _, x := range xs {
-		sum += x
-		sumSq += x * x
-	}
-	if sumSq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(xs)) * sumSq)
-}
 
 // CDF is an empirical cumulative distribution over a sample.
 type CDF struct {
@@ -51,16 +33,9 @@ func NewCDF(xs []float64) (*CDF, error) {
 	return &CDF{sorted: cp}, nil
 }
 
-// At returns P(X ≤ x).
-func (c *CDF) At(x float64) float64 {
-	// First index with value > x.
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
-
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1) using the nearest-rank
+// quantile returns the q-th quantile (0 ≤ q ≤ 1) using the nearest-rank
 // method; q outside [0,1] is clamped.
-func (c *CDF) Quantile(q float64) float64 {
+func (c *CDF) quantile(q float64) float64 {
 	if q <= 0 {
 		return c.sorted[0]
 	}
@@ -74,14 +49,11 @@ func (c *CDF) Quantile(q float64) float64 {
 	return c.sorted[i]
 }
 
-// N returns the sample size.
-func (c *CDF) N() int { return len(c.sorted) }
+// min returns the smallest sample value.
+func (c *CDF) min() float64 { return c.sorted[0] }
 
-// Min and Max return the sample extremes.
-func (c *CDF) Min() float64 { return c.sorted[0] }
-
-// Max returns the largest sample value.
-func (c *CDF) Max() float64 { return c.sorted[len(c.sorted)-1] }
+// max returns the largest sample value.
+func (c *CDF) max() float64 { return c.sorted[len(c.sorted)-1] }
 
 // Points returns (x, P(X≤x)) pairs at k evenly spaced probability levels,
 // suitable for plotting or tabulating the CDF curve. k must be ≥ 2.
@@ -92,7 +64,7 @@ func (c *CDF) Points(k int) ([]Point, error) {
 	pts := make([]Point, k)
 	for i := 0; i < k; i++ {
 		q := float64(i) / float64(k-1)
-		pts[i] = Point{X: c.Quantile(q), P: q}
+		pts[i] = Point{X: c.quantile(q), P: q}
 	}
 	return pts, nil
 }
@@ -131,11 +103,11 @@ func Summarize(xs []float64) (Summary, error) {
 		N:    len(xs),
 		Mean: mean,
 		Std:  math.Sqrt(variance),
-		Min:  c.Min(),
-		Max:  c.Max(),
-		P50:  c.Quantile(0.5),
-		P90:  c.Quantile(0.9),
-		P99:  c.Quantile(0.99),
+		Min:  c.min(),
+		Max:  c.max(),
+		P50:  c.quantile(0.5),
+		P90:  c.quantile(0.9),
+		P99:  c.quantile(0.99),
 	}, nil
 }
 

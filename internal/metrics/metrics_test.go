@@ -88,7 +88,7 @@ func TestCDFQuantile(t *testing.T) {
 		{0, 10}, {0.2, 10}, {0.5, 30}, {0.9, 50}, {1, 50}, {-1, 10}, {2, 50},
 	}
 	for _, tc := range cases {
-		if got := c.Quantile(tc.q); got != tc.want {
+		if got := c.quantile(tc.q); got != tc.want {
 			t.Errorf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
 		}
 	}
@@ -101,15 +101,15 @@ func TestCDFDoesNotAliasInput(t *testing.T) {
 		t.Error("NewCDF sorted the caller's slice")
 	}
 	xs[0] = 99
-	if c.Max() != 3 {
+	if c.max() != 3 {
 		t.Error("CDF aliased caller slice")
 	}
 }
 
 func TestCDFMinMaxN(t *testing.T) {
 	c, _ := NewCDF([]float64{5, -2, 7})
-	if c.Min() != -2 || c.Max() != 7 || c.N() != 3 {
-		t.Errorf("Min/Max/N = %v/%v/%d", c.Min(), c.Max(), c.N())
+	if c.min() != -2 || c.max() != 7 || c.N() != 3 {
+		t.Errorf("Min/Max/N = %v/%v/%d", c.min(), c.max(), c.N())
 	}
 }
 
@@ -193,7 +193,7 @@ func TestCDFQuantileAtConsistencyProperty(t *testing.T) {
 			return false
 		}
 		q := (float64(qRaw) + 1) / 256.0
-		return c.At(c.Quantile(q)) >= q-1e-12
+		return c.At(c.quantile(q)) >= q-1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -58,7 +58,7 @@ func (w *WindowedHist) fresh() *StreamingHist {
 }
 
 // Observe folds one sample into the live window.
-func (w *WindowedHist) Observe(x float64) { w.Current().Observe(x) }
+func (w *WindowedHist) Observe(x float64) { w.current().Observe(x) }
 
 // Rotate freezes the live window and starts a fresh one, dropping the
 // oldest retained window once the ring is full. With a single-window
@@ -80,9 +80,9 @@ func (w *WindowedHist) Rotate() {
 	}
 }
 
-// Current returns the live window. The caller must not retain it across
+// current returns the live window. The caller must not retain it across
 // a Rotate (its storage is recycled).
-func (w *WindowedHist) Current() *StreamingHist {
+func (w *WindowedHist) current() *StreamingHist {
 	if w.windows[w.head] == nil {
 		w.windows[w.head] = w.fresh()
 	}
@@ -95,7 +95,7 @@ func (w *WindowedHist) retained(k int) *StreamingHist {
 }
 
 // Quantile returns the q-th quantile over every retained window, with
-// the same contract (and error bound) as StreamingHist.Quantile on the
+// the same contract (and error bound) as StreamingHist.quantile on the
 // merged sketch. The merge lands in an internal scratch sketch, so
 // repeated calls allocate nothing after the first; the value returned
 // is identical to merging the windows with StreamingHist.Merge
@@ -105,7 +105,7 @@ func (w *WindowedHist) Quantile(q float64) float64 {
 		w.scratch = w.fresh()
 	}
 	w.mergedInto(w.scratch)
-	return w.scratch.Quantile(q)
+	return w.scratch.quantile(q)
 }
 
 // mergedInto overwrites dst with the merge of every retained window —
@@ -134,8 +134,8 @@ func (w *WindowedHist) mergedInto(dst *StreamingHist) {
 	}
 }
 
-// Count returns the observed samples across every retained window.
-func (w *WindowedHist) Count() uint64 {
+// count returns the observed samples across every retained window.
+func (w *WindowedHist) count() uint64 {
 	var n uint64
 	for k := 0; k < w.filled; k++ {
 		if h := w.retained(k); h != nil {
@@ -210,7 +210,7 @@ func (w *SessionWindow) Rotate() {
 // retained windows hold (rebuffering samples the histogram kept), and
 // every session ever folded.
 func (w *SessionWindow) Ended() (live, retained, total int) {
-	return w.live, int(w.rebuf.Count()), w.total
+	return w.live, int(w.rebuf.count()), w.total
 }
 
 // RebufferQuantile is the q-th quantile of lifetime rebuffering over the

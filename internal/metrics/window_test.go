@@ -67,11 +67,11 @@ func TestWindowedHistMergeMatchesDirect(t *testing.T) {
 		t.Fatalf("merged windowed hist != direct hist over same samples: merged{count=%d sum=%v width=%v} direct{count=%d sum=%v width=%v}",
 			m.Count(), m.Sum(), m.BinWidth(), direct.Count(), direct.Sum(), direct.BinWidth())
 	}
-	if got, want := w.Count(), uint64(len(all)); got != want {
+	if got, want := w.count(), uint64(len(all)); got != want {
 		t.Fatalf("windowed count = %d, want %d", got, want)
 	}
 	for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 1} {
-		if got, want := w.Quantile(q), direct.Quantile(q); got != want {
+		if got, want := w.Quantile(q), direct.quantile(q); got != want {
 			t.Fatalf("q=%v: windowed %v != direct %v", q, got, want)
 		}
 	}
@@ -116,18 +116,18 @@ func TestWindowedHistQuantileErrorAcrossRotation(t *testing.T) {
 		m := merged(w)
 		bound := m.BinWidth()
 		for _, q := range []float64{0.01, 0.25, 0.5, 0.75, 0.9, 0.99} {
-			got, want := m.Quantile(q), cdf.Quantile(q)
+			got, want := m.quantile(q), cdf.quantile(q)
 			if math.Abs(got-want) > bound {
 				t.Fatalf("rotation %d q=%v: |%v - %v| > bin width %v", rot, q, got, want, bound)
 			}
 		}
-		if got, want := m.Quantile(0), cdf.Min(); got != want {
+		if got, want := m.quantile(0), cdf.min(); got != want {
 			t.Fatalf("rotation %d: min %v != %v", rot, got, want)
 		}
-		if got, want := m.Quantile(1), cdf.Max(); got != want {
+		if got, want := m.quantile(1), cdf.max(); got != want {
 			t.Fatalf("rotation %d: max %v != %v", rot, got, want)
 		}
-		if got, want := w.Count(), uint64(len(retained)); got != want {
+		if got, want := w.count(), uint64(len(retained)); got != want {
 			t.Fatalf("rotation %d: count %d != %d", rot, got, want)
 		}
 	}
@@ -149,15 +149,15 @@ func TestWindowedHistEviction(t *testing.T) {
 	w.Observe(1)
 	w.Rotate() // evicts the widened window
 	w.Observe(2)
-	if got := w.Count(); got != 2 {
+	if got := w.count(); got != 2 {
 		t.Fatalf("count after eviction = %d, want 2", got)
 	}
 	m := merged(w)
 	if m.Max() != 2 || m.Min() != 1 {
 		t.Fatalf("merged extremes = [%v, %v], want [1, 2]", m.Min(), m.Max())
 	}
-	if w.Current().BinWidth() != 1 {
-		t.Fatalf("recycled window width = %v, want initial width 1", w.Current().BinWidth())
+	if w.current().BinWidth() != 1 {
+		t.Fatalf("recycled window width = %v, want initial width 1", w.current().BinWidth())
 	}
 
 	// A ring that never observes holds no window, and rotating it is free.
@@ -168,7 +168,7 @@ func TestWindowedHistEviction(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, idle.Rotate); allocs != 0 {
 		t.Fatalf("rotating an untouched window allocates %v times", allocs)
 	}
-	if idle.Count() != 0 || idle.Quantile(0.5) != 0 || merged(idle).Count() != 0 {
+	if idle.count() != 0 || idle.Quantile(0.5) != 0 || merged(idle).Count() != 0 {
 		t.Fatal("an idle ring reports samples")
 	}
 	// One that observes but never rotates holds only its live window; the
@@ -252,19 +252,19 @@ func TestWindowedHistQuantileMisalignedWidths(t *testing.T) {
 	scales := []float64{0, 1, 100, 0, 0, 10, 100, 1, 0, 10, 1000, 1, 0}
 	qs := []float64{0, 0.01, 0.25, 0.5, 0.9, 0.99, 1}
 	for r, scale := range scales {
-		eager.Current()
+		eager.current()
 		for i := 0; i < 23 && scale != 0; i++ {
 			w.Observe(scale * float64(i%7+1) / 3)
 			eager.Observe(scale * float64(i%7+1) / 3)
 		}
-		if w.Count() != eager.Count() || !histsEqual(merged(w), merged(eager)) {
-			t.Fatalf("rotation %d: lazy ring (count %d) != eager ring (count %d)", r, w.Count(), eager.Count())
+		if w.count() != eager.count() || !histsEqual(merged(w), merged(eager)) {
+			t.Fatalf("rotation %d: lazy ring (count %d) != eager ring (count %d)", r, w.count(), eager.count())
 		}
 		for _, q := range qs {
 			if got, want := w.Quantile(q), eager.Quantile(q); got != want {
 				t.Fatalf("rotation %d q=%v: lazy Quantile %v != eager %v", r, q, got, want)
 			}
-			want := merged(w).Quantile(q)
+			want := merged(w).quantile(q)
 			got := w.Quantile(q)
 			if got != want {
 				t.Fatalf("rotation %d q=%v: scratch Quantile %v != merged(w).Quantile %v", r, q, got, want)
@@ -280,7 +280,7 @@ func TestWindowedHistQuantileMisalignedWidths(t *testing.T) {
 	}
 	// An empty live window over non-empty frozen ones (right after a
 	// rotation) exercises the min=+Inf/max=-Inf copy path.
-	if got, want := w.Quantile(0.5), merged(w).Quantile(0.5); got != want {
+	if got, want := w.Quantile(0.5), merged(w).quantile(0.5); got != want {
 		t.Fatalf("post-rotation q=0.5: %v != %v", got, want)
 	}
 }

@@ -86,8 +86,8 @@ type Config struct {
 	Link LinkView
 }
 
-// Validate checks the configuration.
-func (c Config) Validate() error {
+// validate checks the configuration.
+func (c Config) validate() error {
 	if c.Tau <= 0 || c.Unit <= 0 || c.Horizon <= 0 {
 		return fmt.Errorf("oracle: non-positive tau/unit/horizon (%v/%v/%d)", c.Tau, c.Unit, c.Horizon)
 	}
@@ -146,25 +146,6 @@ type slotPrice struct {
 	maxUnit int     // Eq. (1) cap in units
 }
 
-// Plan is the omniscient greedy schedule behind the upper bound:
-// Alloc[n][u] is the data-unit grant of user u in slot n. Feeding it back
-// through the real simulator (sched.NewPlanned) measures what the
-// clairvoyant energy plan does to playback — it ignores buffer dynamics
-// entirely, so its rebuffering can be arbitrarily bad.
-type Plan struct {
-	Alloc  [][]int
-	Bounds Bounds
-}
-
-// ComputePlan evaluates the bounds and returns the upper bound's schedule.
-func ComputePlan(cfg Config, sessions []*workload.Session) (*Plan, error) {
-	b, alloc, err := compute(cfg, sessions, true)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Alloc: alloc, Bounds: b}, nil
-}
-
 // Compute evaluates both bounds for the given sessions.
 func Compute(cfg Config, sessions []*workload.Session) (Bounds, error) {
 	b, _, err := compute(cfg, sessions, false)
@@ -208,7 +189,7 @@ func compute(cfg Config, sessions []*workload.Session, wantPlan bool) (Bounds, [
 // nonzero link, derived from the signal — the compiled link view's or
 // the trace's — through the radio model.
 func buildPrices(cfg Config, sessions []*workload.Session) ([][]slotPrice, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if len(sessions) == 0 {

@@ -32,7 +32,7 @@ func constSession(id int, size units.KB, sig units.DBm) *workload.Session {
 }
 
 func TestValidate(t *testing.T) {
-	if err := testConfig(100).Validate(); err != nil {
+	if err := testConfig(100).validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	bad := []Config{
@@ -43,7 +43,7 @@ func TestValidate(t *testing.T) {
 		{Tau: 1, Unit: 100, Capacity: 1, Horizon: 1},
 	}
 	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}

@@ -20,8 +20,8 @@ import (
 	"jointstream/internal/units"
 )
 
-// Buffer is the playout state of a single user. Create one with New and
-// advance it once per slot with Advance.
+// Buffer is the playout state of a single user. Initialize it with Init
+// (or InitSeconds) and advance it once per slot with Advance.
 type Buffer struct {
 	videoSize units.KB      // total bytes of the video (byte mode)
 	duration  units.Seconds // total playback time M_i
@@ -74,32 +74,6 @@ func (b *Buffer) InitSeconds(duration units.Seconds) error {
 	return nil
 }
 
-// New creates the buffer for a video of the given size and total playback
-// duration; see Init.
-func New(size units.KB, duration units.Seconds) (*Buffer, error) {
-	b := new(Buffer)
-	if err := b.Init(size, duration); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// NewSeconds creates the buffer for an adaptive-bitrate session; see
-// InitSeconds.
-func NewSeconds(duration units.Seconds) (*Buffer, error) {
-	b := new(Buffer)
-	if err := b.InitSeconds(duration); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// SecondsMode reports whether this is an adaptive (content-time) session.
-func (b *Buffer) SecondsMode() bool { return b.secondsMode }
-
-// DeliveredSeconds returns the playback seconds received so far.
-func (b *Buffer) DeliveredSeconds() units.Seconds { return b.deliveredSec }
-
 // RemainingSeconds returns the content time still to be delivered
 // (seconds mode; zero once delivery is complete).
 func (b *Buffer) RemainingSeconds() units.Seconds {
@@ -110,20 +84,8 @@ func (b *Buffer) RemainingSeconds() units.Seconds {
 	return rem
 }
 
-// VideoSize returns the total size of the video in KB.
-func (b *Buffer) VideoSize() units.KB { return b.videoSize }
-
-// Duration returns the total playback time M_i.
-func (b *Buffer) Duration() units.Seconds { return b.duration }
-
 // Occupancy returns r_i(n), the playable seconds currently buffered.
 func (b *Buffer) Occupancy() units.Seconds { return b.occupancy }
-
-// Elapsed returns m_i(n), the seconds of video already played out.
-func (b *Buffer) Elapsed() units.Seconds { return b.elapsed }
-
-// Delivered returns the bytes received so far.
-func (b *Buffer) Delivered() units.KB { return b.delivered }
 
 // RemainingBytes returns the bytes still to be delivered.
 func (b *Buffer) RemainingBytes() units.KB {
@@ -170,12 +132,6 @@ func completionTolerance(d units.Seconds) units.Seconds {
 	}
 	return tol
 }
-
-// TotalRebuffer returns the accumulated rebuffering time Σ_n c_i(n).
-func (b *Buffer) TotalRebuffer() units.Seconds { return b.rebuffer }
-
-// Slots returns how many slots this buffer has been advanced.
-func (b *Buffer) Slots() int { return b.slots }
 
 // Advance moves the buffer through one slot of length tau during which
 // `delivered` bytes arrived for a video encoded at `rate` (p_i(n), the

@@ -49,17 +49,6 @@ func SetWorkerBudget(n int) int {
 	return int(extraTokens.Swap(int64(n-1))) + 1
 }
 
-// WorkerBudget returns the number of currently available pool workers,
-// counting the would-be caller itself (so it is at least 1).
-func WorkerBudget() int {
-	ensureBudget()
-	avail := extraTokens.Load()
-	if avail < 0 {
-		avail = 0
-	}
-	return int(avail) + 1
-}
-
 // acquireExtra takes up to want extra worker tokens from the budget,
 // returning how many it got (possibly 0). Never blocks.
 func acquireExtra(want int) int {

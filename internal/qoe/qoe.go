@@ -38,8 +38,8 @@ func DefaultWeights(ref units.KBps) Weights {
 	return Weights{RefRate: ref, Lambda: 1, Mu: 3, MuStartup: 1.5}
 }
 
-// Validate checks the weights.
-func (w Weights) Validate() error {
+// validate checks the weights.
+func (w Weights) validate() error {
 	if w.RefRate <= 0 {
 		return fmt.Errorf("qoe: non-positive reference rate %v", w.RefRate)
 	}
@@ -63,9 +63,9 @@ type Session struct {
 	Startup units.Seconds
 }
 
-// Score evaluates the linear model for one session.
-func (w Weights) Score(s Session) (float64, error) {
-	if err := w.Validate(); err != nil {
+// score evaluates the linear model for one session.
+func (w Weights) score(s Session) (float64, error) {
+	if err := w.validate(); err != nil {
 		return 0, err
 	}
 	if s.PlayedSlots < 0 || s.Switches < 0 || s.Rebuffer < 0 || s.Startup < 0 {
@@ -79,12 +79,12 @@ func (w Weights) Score(s Session) (float64, error) {
 	return score, nil
 }
 
-// FromUser converts a simulator per-user record into a Session. The
+// fromUser converts a simulator per-user record into a Session. The
 // startup delay is approximated by the user's first-slot stall behaviour:
 // the paper's model always stalls the very first slot (shards become
 // playable one slot later), so one slot of the recorded rebuffering is
 // attributed to startup when any rebuffering occurred.
-func FromUser(u cell.UserTotals, tau units.Seconds) Session {
+func fromUser(u cell.UserTotals, tau units.Seconds) Session {
 	startup := units.Seconds(0)
 	reb := u.Rebuffer
 	if reb >= tau {
@@ -107,7 +107,7 @@ func MeanScore(w Weights, res *cell.Result, tau units.Seconds) (float64, error) 
 	}
 	var sum float64
 	for _, u := range res.Users {
-		s, err := w.Score(FromUser(u, tau))
+		s, err := w.score(fromUser(u, tau))
 		if err != nil {
 			return 0, err
 		}

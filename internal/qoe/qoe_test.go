@@ -13,7 +13,7 @@ import (
 )
 
 func TestWeightsValidate(t *testing.T) {
-	if err := DefaultWeights(450).Validate(); err != nil {
+	if err := DefaultWeights(450).validate(); err != nil {
 		t.Fatalf("default weights invalid: %v", err)
 	}
 	bad := []Weights{
@@ -23,7 +23,7 @@ func TestWeightsValidate(t *testing.T) {
 		{RefRate: 450, MuStartup: -1},
 	}
 	for i, w := range bad {
-		if err := w.Validate(); err == nil {
+		if err := w.validate(); err == nil {
 			t.Errorf("bad weights %d accepted", i)
 		}
 	}
@@ -34,7 +34,7 @@ func TestScoreComponents(t *testing.T) {
 	// 100 played slots at reference quality, 2 switches, 4 s stall, 1 s startup:
 	// 100 - 2 - 12 - 1.5 = 84.5
 	s := Session{MeanQuality: 400, PlayedSlots: 100, Switches: 2, Rebuffer: 4, Startup: 1}
-	got, err := w.Score(s)
+	got, err := w.score(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestScoreComponents(t *testing.T) {
 	}
 	// Higher quality scores proportionally higher.
 	s.MeanQuality = 800
-	got2, _ := w.Score(s)
+	got2, _ := w.score(s)
 	if math.Abs(got2-184.5) > 1e-9 {
 		t.Errorf("Score(2x quality) = %v, want 184.5", got2)
 	}
@@ -51,17 +51,17 @@ func TestScoreComponents(t *testing.T) {
 
 func TestScoreValidation(t *testing.T) {
 	w := DefaultWeights(400)
-	if _, err := w.Score(Session{PlayedSlots: -1}); err == nil {
+	if _, err := w.score(Session{PlayedSlots: -1}); err == nil {
 		t.Error("negative slots accepted")
 	}
-	if _, err := (Weights{}).Score(Session{}); err == nil {
+	if _, err := (Weights{}).score(Session{}); err == nil {
 		t.Error("invalid weights accepted")
 	}
 }
 
 func TestFromUserAttributesStartup(t *testing.T) {
 	u := cell.UserTotals{Rebuffer: 5, QualitySum: 400 * 10, QualitySlots: 10, QualitySwitches: 3}
-	s := FromUser(u, 1)
+	s := fromUser(u, 1)
 	if s.Startup != 1 || s.Rebuffer != 4 {
 		t.Errorf("startup split wrong: %+v", s)
 	}
@@ -69,7 +69,7 @@ func TestFromUserAttributesStartup(t *testing.T) {
 		t.Errorf("components wrong: %+v", s)
 	}
 	// No stall at all: nothing attributed to startup.
-	s2 := FromUser(cell.UserTotals{}, 1)
+	s2 := fromUser(cell.UserTotals{}, 1)
 	if s2.Startup != 0 || s2.Rebuffer != 0 {
 		t.Errorf("zero-stall split wrong: %+v", s2)
 	}
@@ -113,10 +113,10 @@ func TestMeanScoreEndToEnd(t *testing.T) {
 func TestMoreStallsLowerScore(t *testing.T) {
 	w := DefaultWeights(400)
 	base := Session{MeanQuality: 400, PlayedSlots: 100}
-	s1, _ := w.Score(base)
+	s1, _ := w.score(base)
 	stalled := base
 	stalled.Rebuffer = 10
-	s2, _ := w.Score(stalled)
+	s2, _ := w.score(stalled)
 	if s2 >= s1 {
 		t.Errorf("stalls did not lower QoE: %v vs %v", s2, s1)
 	}

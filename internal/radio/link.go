@@ -29,7 +29,7 @@ func NewLink(m Model, tau units.Seconds, unit units.KB) (*Link, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Link{m: m, exact: tab.Exact(), tau: float64(tau), unit: float64(unit)}
+	l := &Link{m: m, exact: tab.exact, tau: float64(tau), unit: float64(unit)}
 	if l.exact {
 		l.fit = tab.fit()
 	}

@@ -23,14 +23,16 @@ import (
 // merely close. Exact() reports this. For other model shapes the bins
 // hold sampled chords and the table is an approximation whose error
 // shrinks with the bin count; Link, the evaluator every engine derives
-// through, only consults a Table when Exact() holds, falling back to
+// through, only consults a Table when it is exact, falling back to
 // direct model calls otherwise, so quantization error can never leak into
 // simulation results.
 type Table struct {
 	lo, hi float64 // domain bounds, dBm
 	invW   float64 // bins / (hi - lo); 0 for a degenerate single-point domain
 	bins   int
-	exact  bool
+	// exact: Lookup is bitwise-identical to the source model (true for
+	// the paper's LinearThroughput + FittedPower fits).
+	exact bool
 
 	// The coefficient slices hold one entry per bin, or a single entry
 	// when the table is exact (4 096 copies of one fit were 128 KB per
@@ -134,22 +136,12 @@ func fillChords(slope, intercept []float64, lo, hi float64, bins int, f func(flo
 	}
 }
 
-// Exact reports whether Lookup is bitwise-identical to the source model
-// (true for the paper's LinearThroughput + FittedPower fits).
-func (t *Table) Exact() bool { return t.exact }
-
-// Bins returns the quantizer's bin count.
-func (t *Table) Bins() int { return t.bins }
-
-// Domain returns the dBm range the table was compiled over.
-func (t *Table) Domain() (lo, hi units.DBm) { return units.DBm(t.lo), units.DBm(t.hi) }
-
-// Bin returns the quantized bin index for sig, clamped to the table.
+// bin returns the quantized bin index for sig, clamped to the table.
 // NaN maps to bin 0 so a corrupted signal can never index out of range.
 // The bounds are compared before the float→int conversion because
 // converting an out-of-range float64 (notably ±Inf) to int is
 // implementation-specific in Go.
-func (t *Table) Bin(sig units.DBm) int {
+func (t *Table) bin(sig units.DBm) int {
 	x := float64(sig)
 	if math.IsNaN(x) || x <= t.lo {
 		return 0
@@ -170,7 +162,7 @@ func (t *Table) Lookup(sig units.DBm) (units.KBps, units.MJ) {
 	x := float64(sig)
 	k := 0
 	if !t.exact {
-		k = t.Bin(sig)
+		k = t.bin(sig)
 	}
 	v := affineFloored(t.tSlope[k], t.tIntercept[k], t.tFloor, x)
 	var p float64

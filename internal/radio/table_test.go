@@ -31,7 +31,7 @@ func TestTableExactForPaperFits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !tab.Exact() {
+			if !tab.exact {
 				t.Fatal("paper fit not recognized as exact")
 			}
 			// Dense in-domain grid plus out-of-domain and floor-hitting
@@ -68,7 +68,7 @@ func TestTableChordApproximation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Exact() {
+	if tab.exact {
 		t.Fatal("piecewise model must not be exact")
 	}
 	for sig := -110.0; sig <= -50.0; sig += 0.01 {
@@ -129,7 +129,7 @@ func TestTableBinClamps(t *testing.T) {
 		units.DBm(-80.00000000001): func(k int) bool { return k >= 0 && k < 128 },
 	}
 	for sig, ok := range cases {
-		if k := tab.Bin(sig); !ok(k) {
+		if k := tab.bin(sig); !ok(k) {
 			t.Errorf("Bin(%v) = %d out of expected range", sig, k)
 		}
 	}
@@ -159,8 +159,8 @@ func FuzzTableLookup(f *testing.F) {
 			t.Fatalf("NewTable(%v, %v): %v", lo, hi, err)
 		}
 		s := units.DBm(sig)
-		if k := tab.Bin(s); k < 0 || k >= tab.Bins() {
-			t.Fatalf("Bin(%v) = %d outside [0, %d)", sig, k, tab.Bins())
+		if k := tab.bin(s); k < 0 || k >= tab.bins {
+			t.Fatalf("Bin(%v) = %d outside [0, %d)", sig, k, tab.bins)
 		}
 		gotV, gotP := tab.Lookup(s)
 		wantV := m.Throughput.Throughput(s)
@@ -196,8 +196,8 @@ func TestTableExactHasNoDomain(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !tab.Exact() || tab.Bins() != dom.bins {
-				t.Fatalf("%s %+v: Exact=%v Bins=%d", name, dom, tab.Exact(), tab.Bins())
+			if !tab.exact || tab.bins != dom.bins {
+				t.Fatalf("%s %+v: Exact=%v Bins=%d", name, dom, tab.exact, tab.bins)
 			}
 			link, err := NewLink(m, 1, 100)
 			if err != nil {
@@ -214,8 +214,8 @@ func TestTableExactHasNoDomain(t *testing.T) {
 				if !same(float64(vs[i]), float64(wantV)) || !same(float64(ps[i]), float64(wantP)) {
 					t.Fatalf("%s %+v: Link.Into[%v] = (%v, %v), model (%v, %v)", name, dom, sig, vs[i], ps[i], wantV, wantP)
 				}
-				if k := tab.Bin(sig); k < 0 || k >= tab.Bins() {
-					t.Fatalf("%s %+v: Bin(%v) = %d outside [0, %d)", name, dom, sig, k, tab.Bins())
+				if k := tab.bin(sig); k < 0 || k >= tab.bins {
+					t.Fatalf("%s %+v: Bin(%v) = %d outside [0, %d)", name, dom, sig, k, tab.bins)
 				}
 			}
 		}

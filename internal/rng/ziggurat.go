@@ -6,7 +6,7 @@ import "math"
 // normal deviate with the 128-layer ziggurat of Marsaglia & Tsang ("The
 // Ziggurat Method for Generating Random Variables", JSS 2000). The normal
 // density is covered by 127 horizontal rectangles and a base strip holding
-// the tail, all of area zigV; a word picks a layer with seven of its bits
+// the tail, all of one common area; a word picks a layer with seven of its bits
 // and a signed position inside it with 54 others. In 97.2 % of words the
 // position lies under the layer above, where every point is under the
 // curve, and the deviate is that position: one table multiply and one
@@ -20,13 +20,12 @@ import "math"
 // well mixed everywhere: a Hash3 or Source.Uint64 output, not a counter.
 
 const (
-	// zigR is where the base strip's rectangle ends and the tail begins,
-	// zigV the common area of the 128 layers, zigR·f(zigR) + ∫ f beyond
-	// zigR for f(x) = exp(−x²/2). Marsaglia & Tsang print zigR to 13
-	// digits; this is the root to double precision, at which the layer
-	// recurrence closes on the density's peak (see the tables' test).
+	// zigR is where the base strip's rectangle ends and the tail begins.
+	// Marsaglia & Tsang print it to 13 digits; this is the root to double
+	// precision, at which the layer recurrence closes on the density's
+	// peak (see the tables' test, which also holds zigV, the layers'
+	// common area).
 	zigR = 3.442619855896652
-	zigV = 9.912563035336481e-3
 	// zigShift leaves the word's top 54 bits as the signed position,
 	// |j| ≤ 2⁵³, which float64 holds exactly; zigWn carries the 2⁻⁵³.
 	zigShift = 10

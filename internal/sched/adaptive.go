@@ -30,7 +30,7 @@ type AdaptiveEMA struct {
 	slotCount  int
 	stallAccum float64 // Σ per-user estimated stall in the current window
 	userSlots  int     // Σ active users over the window's slots
-	act        []int   // ActiveIndices fallback scratch
+	act        []int   // activeIndices fallback scratch
 }
 
 // AdaptiveEMAConfig configures the controller.
@@ -116,9 +116,9 @@ func (a *AdaptiveEMA) MoveRow(from, to int) { a.inner.MoveRow(from, to) }
 // Allocate implements Scheduler: measure stall pressure, adapt V at
 // window boundaries, then delegate to the inner EMA's exact DP.
 func (a *AdaptiveEMA) Allocate(slot *Slot, alloc []int) {
-	for _, i := range slot.ActiveIndices(&a.act) {
+	for _, i := range slot.activeIndices(&a.act) {
 		a.userSlots++
-		if buf := slot.BufferSecAt(i); buf < slot.Tau {
+		if buf := slot.bufferSecAt(i); buf < slot.Tau {
 			// The slot will stall for the uncovered remainder (Eq. 8).
 			a.stallAccum += float64(slot.Tau - buf)
 		}

@@ -14,7 +14,7 @@ import (
 // capacity in index order.
 type Throttling struct {
 	factor float64
-	act    []int // ActiveIndices fallback scratch
+	act    []int // activeIndices fallback scratch
 }
 
 // NewThrottling builds the throttling baseline; factor must be ≥ 1 (the
@@ -33,7 +33,7 @@ func (*Throttling) Name() string { return "Throttling" }
 // Allocate implements Scheduler.
 func (t *Throttling) Allocate(slot *Slot, alloc []int) {
 	remaining := slot.CapacityUnits
-	for _, i := range slot.ActiveIndices(&t.act) {
+	for _, i := range slot.activeIndices(&t.act) {
 		if remaining == 0 {
 			break
 		}
@@ -58,7 +58,7 @@ func (t *Throttling) Allocate(slot *Slot, alloc []int) {
 type OnOff struct {
 	lowSec, highSec units.Seconds
 	on              []bool
-	act             []int // ActiveIndices fallback scratch
+	act             []int // activeIndices fallback scratch
 }
 
 // NewOnOff builds the ON-OFF baseline with the given buffer watermarks in
@@ -83,9 +83,9 @@ func (o *OnOff) Allocate(slot *Slot, alloc []int) {
 		o.on = append(o.on, true) // players start in ON
 	}
 	remaining := slot.CapacityUnits
-	for _, i := range slot.ActiveIndices(&o.act) {
+	for _, i := range slot.activeIndices(&o.act) {
 		// Hysteresis on the playback buffer.
-		buf := slot.BufferSecAt(i)
+		buf := slot.bufferSecAt(i)
 		if o.on[i] && buf >= o.highSec {
 			o.on[i] = false
 		} else if !o.on[i] && buf <= o.lowSec {
@@ -114,7 +114,7 @@ type SALSA struct {
 	// ewma tracks each user's average link rate to judge "good" slots.
 	ewma  []float64
 	alpha float64
-	act   []int // ActiveIndices fallback scratch
+	act   []int // activeIndices fallback scratch
 }
 
 // NewSALSA builds the SALSA baseline. urgentSec is the buffer urgency
@@ -142,15 +142,15 @@ func (s *SALSA) Allocate(slot *Slot, alloc []int) {
 		s.ewma = append(s.ewma, 0)
 	}
 	remaining := slot.CapacityUnits
-	for _, i := range slot.ActiveIndices(&s.act) {
-		rate := float64(slot.LinkRateAt(i))
+	for _, i := range slot.activeIndices(&s.act) {
+		rate := float64(slot.linkRateAt(i))
 		if s.ewma[i] == 0 {
 			s.ewma[i] = rate
 		} else {
 			s.ewma[i] = s.alpha*rate + (1-s.alpha)*s.ewma[i]
 		}
 		goodChannel := rate >= s.ewma[i]
-		urgent := slot.BufferSecAt(i) < s.urgentSec
+		urgent := slot.bufferSecAt(i) < s.urgentSec
 		if !goodChannel && !urgent {
 			continue // defer: wait for a cheaper slot
 		}
@@ -159,7 +159,7 @@ func (s *SALSA) Allocate(slot *Slot, alloc []int) {
 		}
 		// Send the playback need, doubled on good channels to exploit the
 		// cheap bytes (the energy-delay "work ahead" lever).
-		want := slot.NeedUnitsAt(i)
+		want := slot.needUnitsAt(i)
 		if goodChannel {
 			want *= 2
 		}
@@ -186,7 +186,7 @@ type EStreamer struct {
 	// resumeSec is the buffer level that triggers the next burst.
 	resumeSec units.Seconds
 	bursting  []bool
-	act       []int // ActiveIndices fallback scratch
+	act       []int // activeIndices fallback scratch
 }
 
 // NewEStreamer builds the EStreamer baseline.
@@ -210,8 +210,8 @@ func (e *EStreamer) Allocate(slot *Slot, alloc []int) {
 		e.bursting = append(e.bursting, true)
 	}
 	remaining := slot.CapacityUnits
-	for _, i := range slot.ActiveIndices(&e.act) {
-		buf := slot.BufferSecAt(i)
+	for _, i := range slot.activeIndices(&e.act) {
+		buf := slot.bufferSecAt(i)
 		if e.bursting[i] && buf >= e.burstSec {
 			e.bursting[i] = false
 		} else if !e.bursting[i] && buf <= e.resumeSec {

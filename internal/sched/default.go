@@ -7,7 +7,7 @@ package sched
 // link limit. Under contention this systematically starves high-index
 // users — exactly the unfairness Figures 2 and 3 attribute to it.
 type DefaultScheduler struct {
-	act []int // ActiveIndices fallback scratch
+	act []int // activeIndices fallback scratch
 }
 
 // NewDefault returns the greedy baseline scheduler.
@@ -19,7 +19,7 @@ func (*DefaultScheduler) Name() string { return "Default" }
 // Allocate implements Scheduler.
 func (d *DefaultScheduler) Allocate(slot *Slot, alloc []int) {
 	remaining := slot.CapacityUnits
-	for _, i := range slot.ActiveIndices(&d.act) {
+	for _, i := range slot.activeIndices(&d.act) {
 		if remaining == 0 {
 			break
 		}

@@ -79,7 +79,7 @@ type EMA struct {
 	lines   []userLine // this slot's cost lines, one per DP user
 	dpUser  []int      // indices of users participating in the DP
 	dpBound int        // active-count bound for scratch growth this slot
-	act     []int      // ActiveIndices fallback scratch
+	act     []int      // activeIndices fallback scratch
 
 	dpStates int // band states runDP's passes have filled, one add per pass run
 }
@@ -264,7 +264,7 @@ func (e *EMA) allocate(slot *Slot, alloc []int, dp func(e *EMA, lines []userLine
 	// Active users with a positive link bound participate in the DP;
 	// everyone else necessarily gets ϕ = 0 and only contributes a constant
 	// to the objective, which cannot change the argmin.
-	active := slot.ActiveIndices(&e.act)
+	active := slot.activeIndices(&e.act)
 	// The DP participant count fluctuates slot to slot; bound the scratch
 	// by the active count so a later, busier slot never allocates mid-run.
 	e.dpBound = len(active)

@@ -7,10 +7,10 @@ import (
 	"jointstream/internal/units"
 )
 
-// DefaultPredictiveSafety is the rebuffer-safety floor used when
+// defaultPredictiveSafety is the rebuffer-safety floor used when
 // PredictiveConfig.SafetySec is zero: a deferring user must keep at
 // least this many seconds buffered beyond the wait it signs up for.
-const DefaultPredictiveSafety units.Seconds = 4
+const defaultPredictiveSafety units.Seconds = 4
 
 // PredictiveConfig parameterizes the lookahead scheduler.
 type PredictiveConfig struct {
@@ -29,7 +29,7 @@ type PredictiveConfig struct {
 	// a cheaper slot d slots ahead only while its playback buffer holds
 	// at least d·τ + SafetySec seconds, so a perfectly wrong forecast
 	// can cost energy but never force an immediate stall. Zero selects
-	// DefaultPredictiveSafety; negative is invalid.
+	// defaultPredictiveSafety; negative is invalid.
 	SafetySec units.Seconds
 }
 
@@ -66,7 +66,7 @@ type Predictive struct {
 	f      Forecast
 	safety units.Seconds
 
-	act []int // ActiveIndices fallback scratch
+	act []int // activeIndices fallback scratch
 }
 
 // NewPredictive validates the configuration and returns the scheduler.
@@ -79,16 +79,13 @@ func NewPredictive(cfg PredictiveConfig) (*Predictive, error) {
 	}
 	safety := cfg.SafetySec
 	if safety == 0 {
-		safety = DefaultPredictiveSafety
+		safety = defaultPredictiveSafety
 	}
 	return &Predictive{k: cfg.Lookahead, f: cfg.Forecast, safety: safety}, nil
 }
 
 // Name implements Scheduler.
 func (*Predictive) Name() string { return "Predictive" }
-
-// Lookahead returns K.
-func (p *Predictive) Lookahead() int { return p.k }
 
 // Allocate implements Scheduler.
 func (p *Predictive) Allocate(slot *Slot, alloc []int) {
@@ -105,7 +102,7 @@ func (p *Predictive) Allocate(slot *Slot, alloc []int) {
 		}
 	}
 	remaining := slot.CapacityUnits
-	for _, i := range slot.ActiveIndices(&p.act) {
+	for _, i := range slot.activeIndices(&p.act) {
 		if remaining == 0 {
 			break
 		}
@@ -141,12 +138,12 @@ func (p *Predictive) decide(slot *Slot, i, maxU, maxD int) int {
 		return maxU
 	}
 	wait := units.Seconds(float64(bestDist)) * slot.Tau
-	if slot.BufferSecAt(i) >= wait+p.safety {
+	if slot.bufferSecAt(i) >= wait+p.safety {
 		// The buffer covers the wait with the safety floor to spare:
 		// idle toward the cheaper slot.
 		return 0
 	}
 	// Too shallow to wait: keep playback alive at the minimum rate, but
 	// don't bulk-buy at a price the forecast says will improve.
-	return slot.NeedUnitsAt(i)
+	return slot.needUnitsAt(i)
 }

@@ -19,7 +19,7 @@ type ProportionalFair struct {
 
 	// scratch reused across slots.
 	cands []pfCand
-	act   []int // ActiveIndices fallback scratch
+	act   []int // activeIndices fallback scratch
 }
 
 // pfCand is one ranked candidate of a slot.
@@ -52,11 +52,11 @@ func (p *ProportionalFair) Allocate(slot *Slot, alloc []int) {
 	// Rank active users by rate/average (Inf for never-served users, who
 	// therefore go first — the standard cold-start behaviour).
 	p.cands = p.cands[:0]
-	for _, i := range slot.ActiveIndices(&p.act) {
+	for _, i := range slot.activeIndices(&p.act) {
 		if slot.MaxUnitsAt(i) == 0 {
 			continue
 		}
-		inst := float64(slot.LinkRateAt(i)) * float64(slot.Tau)
+		inst := float64(slot.linkRateAt(i)) * float64(slot.Tau)
 		pr := inst
 		if p.avg[i] > 0 {
 			pr = inst / p.avg[i]

@@ -44,7 +44,7 @@ type RTMA struct {
 	work     []rtmaWork  // water-filling items (banked got/max state)
 	liveWork []*rtmaWork // the rounds' compacting window into work
 	zero     []int       // admitted zero-need users, served from the spare-capacity drain
-	act      []int       // ActiveIndices fallback scratch
+	act      []int       // activeIndices fallback scratch
 }
 
 // rtmaKey precomputes one candidate's sort key and per-slot need so the
@@ -169,15 +169,15 @@ func (r *RTMA) Allocate(slot *Slot, alloc []int) {
 	// little rate/admission churn skip the full sort entirely.
 	r.keys = r.keys[:0]
 	r.zero = r.zero[:0]
-	for _, i := range slot.ActiveIndices(&r.act) {
+	for _, i := range slot.activeIndices(&r.act) {
 		if slot.MaxUnitsAt(i) == 0 {
 			continue
 		}
 		// Step 6: admission by signal-strength limitation φ.
-		if !r.admitAll && slot.SigAt(i) < r.threshold {
+		if !r.admitAll && slot.sigAt(i) < r.threshold {
 			continue
 		}
-		need := slot.NeedUnitsAt(i)
+		need := slot.needUnitsAt(i)
 		if need == 0 {
 			// A zero-rate user has no per-slot playback need; it only
 			// soaks up capacity the needy users leave behind (the drain

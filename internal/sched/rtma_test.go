@@ -292,7 +292,7 @@ func TestRTMAConstraintsProperty(t *testing.T) {
 			return false
 		}
 		for i, a := range alloc {
-			if a > 0 && slot.SigAt(i) < th {
+			if a > 0 && slot.sigAt(i) < th {
 				return false
 			}
 		}

@@ -118,7 +118,7 @@ type Slot struct {
 	// ascending order. The simulator's engine maintains it so schedulers
 	// iterate only the users that want data instead of scanning every
 	// user each slot; hand-built slots may leave it nil and schedulers
-	// fall back to the scan (see ActiveIndices). An empty non-nil list
+	// fall back to the scan (see activeIndices). An empty non-nil list
 	// means no user is active.
 	ActiveList []int
 }
@@ -129,11 +129,11 @@ func (s *Slot) NumUsers() int { return len(s.Cols.MaxUnits) }
 // ActiveAt reports whether user i wants data this slot.
 func (s *Slot) ActiveAt(i int) bool { return s.Cols.Active[i] }
 
-// SigAt returns user i's signal strength this slot.
-func (s *Slot) SigAt(i int) units.DBm { return s.Cols.Sig[i] }
+// sigAt returns user i's signal strength this slot.
+func (s *Slot) sigAt(i int) units.DBm { return s.Cols.Sig[i] }
 
-// LinkRateAt returns v(sig_i(n)), user i's achievable throughput.
-func (s *Slot) LinkRateAt(i int) units.KBps { return s.Cols.LinkRate[i] }
+// linkRateAt returns v(sig_i(n)), user i's achievable throughput.
+func (s *Slot) linkRateAt(i int) units.KBps { return s.Cols.LinkRate[i] }
 
 // EnergyPerKBAt returns P(sig_i(n)), user i's per-kilobyte reception cost.
 func (s *Slot) EnergyPerKBAt(i int) units.MJ { return s.Cols.EnergyPerKB[i] }
@@ -141,11 +141,8 @@ func (s *Slot) EnergyPerKBAt(i int) units.MJ { return s.Cols.EnergyPerKB[i] }
 // RateAt returns p_i(n), user i's required video data rate.
 func (s *Slot) RateAt(i int) units.KBps { return s.Cols.Rate[i] }
 
-// BufferSecAt returns r_i(n), user i's buffered playback seconds.
-func (s *Slot) BufferSecAt(i int) units.Seconds { return s.Cols.BufferSec[i] }
-
-// RemainingKBAt returns the undelivered remainder of user i's video.
-func (s *Slot) RemainingKBAt(i int) units.KB { return s.Cols.RemainingKB[i] }
+// bufferSecAt returns r_i(n), user i's buffered playback seconds.
+func (s *Slot) bufferSecAt(i int) units.Seconds { return s.Cols.BufferSec[i] }
 
 // TailGapAt returns the time since user i's radio last transferred.
 func (s *Slot) TailGapAt(i int) units.Seconds { return s.Cols.TailGap[i] }
@@ -157,10 +154,10 @@ func (s *Slot) NeverActiveAt(i int) bool { return s.Cols.NeverActive[i] }
 // min(⌊τ·v/δ⌋, ⌈remaining/δ⌉), zero when inactive.
 func (s *Slot) MaxUnitsAt(i int) int { return int(s.Cols.MaxUnits[i]) }
 
-// NeedUnitsAt returns ϕ_need(i) = ⌈τ·p_i(n)/δ⌉, the minimum allocation
+// needUnitsAt returns ϕ_need(i) = ⌈τ·p_i(n)/δ⌉, the minimum allocation
 // that sustains one slot of smooth playback (RTMA step 3), capped at
 // MaxUnitsAt(i).
-func (s *Slot) NeedUnitsAt(i int) int {
+func (s *Slot) needUnitsAt(i int) int {
 	need := ceilDiv(float64(s.RateAt(i))*float64(s.Tau), float64(s.Unit))
 	if m := s.MaxUnitsAt(i); need > m {
 		return m
@@ -168,12 +165,12 @@ func (s *Slot) NeedUnitsAt(i int) int {
 	return need
 }
 
-// ActiveIndices returns the indices of the active users in ascending
+// activeIndices returns the indices of the active users in ascending
 // order: ActiveList when the engine provided it, otherwise a scan of
 // the Active column collected into *scratch (grown as needed and written
 // back, so repeat callers stay allocation-free). scratch may be nil for
 // one-shot callers.
-func (s *Slot) ActiveIndices(scratch *[]int) []int {
+func (s *Slot) activeIndices(scratch *[]int) []int {
 	if s.ActiveList != nil {
 		return s.ActiveList
 	}
@@ -246,17 +243,6 @@ func ceilDiv(a, b float64) int {
 		n++
 	}
 	return n
-}
-
-// floorDiv returns ⌊a/b⌋ for positive b, clamped at 0.
-func floorDiv(a, b float64) int {
-	if b <= 0 {
-		panic(fmt.Sprintf("sched: floorDiv by non-positive %v", b))
-	}
-	if a <= 0 {
-		return 0
-	}
-	return int(a / b)
 }
 
 // Clamp forces a finished allocation inside Eq. (1) and Eq. (2) and the

@@ -79,30 +79,27 @@ func TestNeedUnits(t *testing.T) {
 	slot := makeSlot(0, user{Rate: 450, MaxUnits: 100})
 	c := slot.Cols
 	// ceil(450*1/100) = 5
-	if got := slot.NeedUnitsAt(0); got != 5 {
-		t.Errorf("NeedUnitsAt = %d, want 5", got)
+	if got := slot.needUnitsAt(0); got != 5 {
+		t.Errorf("needUnitsAt = %d, want 5", got)
 	}
 	c.Rate[0] = 400
-	if got := slot.NeedUnitsAt(0); got != 4 {
-		t.Errorf("NeedUnitsAt(400) = %d, want 4", got)
+	if got := slot.needUnitsAt(0); got != 4 {
+		t.Errorf("needUnitsAt(400) = %d, want 4", got)
 	}
 	c.MaxUnits[0] = 2
-	if got := slot.NeedUnitsAt(0); got != 2 {
-		t.Errorf("NeedUnitsAt capped = %d, want 2", got)
+	if got := slot.needUnitsAt(0); got != 2 {
+		t.Errorf("needUnitsAt capped = %d, want 2", got)
 	}
 	c.Rate[0] = 0
 	c.MaxUnits[0] = 100
-	if got := slot.NeedUnitsAt(0); got != 0 {
-		t.Errorf("NeedUnitsAt(0) = %d, want 0", got)
+	if got := slot.needUnitsAt(0); got != 0 {
+		t.Errorf("needUnitsAt(0) = %d, want 0", got)
 	}
 }
 
 func TestCeilFloorDiv(t *testing.T) {
 	if ceilDiv(450, 100) != 5 || ceilDiv(400, 100) != 4 || ceilDiv(0, 100) != 0 {
 		t.Error("ceilDiv mismatch")
-	}
-	if floorDiv(450, 100) != 4 || floorDiv(400, 100) != 4 || floorDiv(-5, 100) != 0 {
-		t.Error("floorDiv mismatch")
 	}
 }
 

@@ -89,7 +89,7 @@ func FuzzStatelessFillMatchesAt(f *testing.F) {
 			}
 			if cfg.NoiseStdDBm == 0 && math.Abs(phase) < 1e3 {
 				angle := 2*math.Pi*float64((from+k)%period)/float64(period) + phase
-				want := cfg.Bounds.clamp(float64(cfg.Bounds.Mid()) + cfg.Bounds.Amplitude()*math.Sin(angle))
+				want := cfg.Bounds.clamp(float64(cfg.Bounds.mid()) + cfg.Bounds.amplitude()*math.Sin(angle))
 				if math.Abs(float64(got-want)) > 1e-9 {
 					t.Fatalf("%+v: slot %d = %v, analytic sine %v", cfg, from+k, got, want)
 				}

@@ -83,11 +83,11 @@ func (b Bounds) clamp(v float64) units.DBm {
 	return units.DBm(v)
 }
 
-// Mid returns the center of the range.
-func (b Bounds) Mid() units.DBm { return (b.Min + b.Max) / 2 }
+// mid returns the center of the range.
+func (b Bounds) mid() units.DBm { return (b.Min + b.Max) / 2 }
 
-// Amplitude returns half the width of the range.
-func (b Bounds) Amplitude() float64 { return float64(b.Max-b.Min) / 2 }
+// amplitude returns half the width of the range.
+func (b Bounds) amplitude() float64 { return float64(b.Max-b.Min) / 2 }
 
 func (b Bounds) validate() error {
 	if b.Max < b.Min {
@@ -175,7 +175,7 @@ func (t *sineTrace) Prewarm(slots int) {
 // baseline and TestMemoizedStreamsGolden pin every bit of them.
 func (t *sineTrace) extend(n int) {
 	b := t.cfg.Bounds
-	mid, amp := float64(b.Mid()), b.Amplitude()
+	mid, amp := float64(b.mid()), b.amplitude()
 	period, phase, sigma := float64(t.cfg.PeriodSlots), t.cfg.Phase, t.cfg.NoiseStdDBm
 	for i := len(t.vals); i < n; i++ {
 		base := mid + amp*math.Sin(2*math.Pi*float64(i)/period+phase)

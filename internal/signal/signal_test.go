@@ -256,11 +256,11 @@ func TestFromSliceCopies(t *testing.T) {
 
 func TestBoundsHelpers(t *testing.T) {
 	b := DefaultBounds
-	if b.Mid() != -80 {
-		t.Errorf("Mid = %v, want -80", b.Mid())
+	if b.mid() != -80 {
+		t.Errorf("mid = %v, want -80", b.mid())
 	}
-	if b.Amplitude() != 30 {
-		t.Errorf("Amplitude = %v, want 30", b.Amplitude())
+	if b.amplitude() != 30 {
+		t.Errorf("amplitude = %v, want 30", b.amplitude())
 	}
 }
 

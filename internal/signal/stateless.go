@@ -103,7 +103,7 @@ func (t statelessSine) Fill(dst []units.DBm, from int) {
 	}
 	b := t.cfg.Bounds
 	blk := sineBlock{
-		mid: float64(b.Mid()), amp: b.Amplitude(), noise: t.cfg.NoiseStdDBm,
+		mid: float64(b.mid()), amp: b.amplitude(), noise: t.cfg.NoiseStdDBm,
 		lower: float64(b.Min), upper: float64(b.Max),
 	}
 	tab := sineTableFor(t.cfg.PeriodSlots)

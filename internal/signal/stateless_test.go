@@ -88,7 +88,7 @@ func TestStatelessSineZeroNoiseIsPureSine(t *testing.T) {
 		check := func(n int) {
 			t.Helper()
 			angle := 2*math.Pi*float64(n%period)/float64(period) + cfg.Phase
-			want := b.clamp(float64(b.Mid()) + b.Amplitude()*math.Sin(angle))
+			want := b.clamp(float64(b.mid()) + b.amplitude()*math.Sin(angle))
 			if got := tr.At(n); math.Abs(float64(got-want)) > 1e-12 {
 				t.Fatalf("period %d slot %d: %v, analytic sine %v (off by %g)", period, n, got, want, float64(got-want))
 			}
@@ -202,7 +202,7 @@ func TestStatelessSineFirstFillsOfAPeriodRace(t *testing.T) {
 // the same word the kernel hands to rng.NormWord.
 func refStatelessSample(cfg SineConfig, seed uint64, n int) units.DBm {
 	b := cfg.Bounds
-	base := float64(b.Mid()) + b.Amplitude()*math.Sin(2*math.Pi*float64(n)/float64(cfg.PeriodSlots)+cfg.Phase)
+	base := float64(b.mid()) + b.amplitude()*math.Sin(2*math.Pi*float64(n)/float64(cfg.PeriodSlots)+cfg.Phase)
 	if cfg.NoiseStdDBm > 0 {
 		base += cfg.NoiseStdDBm * rng.New(rng.Hash3(seed, uint64(n), statelessSineSalt)).Norm()
 	}

@@ -2,6 +2,7 @@ package simtest
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"jointstream/internal/cell"
@@ -170,7 +171,6 @@ func TestOpenChurnAllSchedulers(t *testing.T) {
 					t.Fatal(err)
 				}
 				arr := workload.PoissonArrivals{MeanInterarrival: 12}
-				dep := workload.ExpDepartures{MeanStaySlots: 90}
 				src := rng.New(31)
 				type stay struct {
 					idx   int
@@ -213,7 +213,8 @@ func TestOpenChurnAllSchedulers(t *testing.T) {
 						if !ok {
 							t.Fatalf("no serial for freshly admitted slot %d", idx)
 						}
-						if st := dep.StaySlots(idx, src); st > 0 && src.Bool(0.4) {
+						// An exponential stay of mean 90 slots.
+						if st := int(math.Ceil(src.Exp(1.0 / 90))); st > 0 && src.Bool(0.4) {
 							stays = append(stays, stay{idx: idx, ser: ser, until: slot + st})
 						}
 					}

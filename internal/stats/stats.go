@@ -40,16 +40,6 @@ func Describe(xs []float64) (Sample, error) {
 	return Sample{N: len(xs), Mean: mean, Var: ss / float64(len(xs)-1)}, nil
 }
 
-// StdErr returns the standard error of the mean.
-func (s Sample) StdErr() float64 {
-	return math.Sqrt(s.Var / float64(s.N))
-}
-
-// CI95 returns the normal-approximation 95% confidence half-width of the
-// mean (seed counts are small, so this understates slightly versus a t
-// interval; the harness treats it as indicative, not inferential).
-func (s Sample) CI95() float64 { return 1.96 * s.StdErr() }
-
 // TTest is the result of Welch's two-sample test.
 type TTest struct {
 	// T is the test statistic (a.Mean − b.Mean over the pooled stderr).

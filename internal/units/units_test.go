@@ -161,8 +161,8 @@ func TestParseStringRoundTripProperty(t *testing.T) {
 
 func scale(k KB) KB {
 	switch {
-	case k >= Gigabyte:
-		return Gigabyte
+	case k >= gigabyte:
+		return gigabyte
 	case k >= Megabyte:
 		return Megabyte
 	default:

@@ -1,12 +1,10 @@
-// Arrival and departure processes: the open-system extension of the
-// paper's closed N-user batch. Config.MeanInterarrival's exponential
-// staggering — previously a one-shot offset loop inside Generate — is
-// now the Poisson member of a reusable ArrivalProcess family
-// (Poisson/trace/burst) shared by batch generation, the open-system
-// engine drivers (cell.OpenSim, deploy.RunOpenFleet) and the load
-// generator. The default path stays byte-identical: PoissonArrivals
-// draws the exact same src.Exp at the exact same sequence point Generate
-// always did.
+// Arrival processes: the open-system extension of the paper's closed
+// N-user batch. Config.MeanInterarrival's exponential staggering —
+// previously a one-shot offset loop inside Generate — is now the Poisson
+// member of a reusable ArrivalProcess family (Poisson/trace/burst) shared
+// by batch generation, the extension experiments and the churn benchmark.
+// The default path stays byte-identical: PoissonArrivals draws the exact
+// same src.Exp at the exact same sequence point Generate always did.
 package workload
 
 import (
@@ -89,47 +87,6 @@ func (b BurstArrivals) NextGap(i int, _ *rng.Source) int {
 		return b.GapSlots
 	}
 	return 0
-}
-
-// ArrivalSlots expands an arrival process into the first n absolute
-// start slots, beginning at firstSlot. It consumes draws from src in the
-// same order Generate would, so a driver can precompute a schedule that
-// matches a generated workload.
-func ArrivalSlots(p ArrivalProcess, n, firstSlot int, src *rng.Source) []int {
-	slots := make([]int, n)
-	start := firstSlot
-	for i := 0; i < n; i++ {
-		if p != nil && i > 0 {
-			if g := p.NextGap(i, src); g > 0 {
-				start += g
-			}
-		}
-		slots[i] = start
-	}
-	return slots
-}
-
-// DepartureProcess draws how long an admitted user stays before leaving
-// on its own (channel change, app close) rather than finishing the
-// video. StaySlots(user, src) returns the stay length in slots; a
-// non-positive return means the user never abandons and streams to
-// completion.
-type DepartureProcess interface {
-	StaySlots(user int, src *rng.Source) int
-}
-
-// ExpDepartures is exponential abandonment: each user stays
-// ceil(Exp(1/mean)) slots. A zero mean disables abandonment.
-type ExpDepartures struct {
-	MeanStaySlots float64
-}
-
-// StaySlots draws the exponential stay.
-func (d ExpDepartures) StaySlots(_ int, src *rng.Source) int {
-	if d.MeanStaySlots <= 0 {
-		return 0
-	}
-	return int(math.Ceil(src.Exp(1 / d.MeanStaySlots)))
 }
 
 // ChurnGen draws sessions one at a time for open-system serving, where

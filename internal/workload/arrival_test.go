@@ -137,27 +137,6 @@ func TestArrivalsMutuallyExclusive(t *testing.T) {
 	}
 }
 
-func TestExpDepartures(t *testing.T) {
-	src := rng.New(42)
-	d := ExpDepartures{MeanStaySlots: 30}
-	var sum int
-	const n = 2000
-	for i := 0; i < n; i++ {
-		s := d.StaySlots(i, src)
-		if s < 1 {
-			t.Fatalf("stay %d < 1", s)
-		}
-		sum += s
-	}
-	mean := float64(sum) / n
-	if mean < 25 || mean > 36 {
-		t.Fatalf("exp departure mean %v far from 30", mean)
-	}
-	if (ExpDepartures{}).StaySlots(0, src) != 0 {
-		t.Fatal("zero-mean departures must return 0 (never abandon)")
-	}
-}
-
 func TestChurnGen(t *testing.T) {
 	c := PaperDefaults(1)
 	g, err := NewChurnGen(c, rng.New(9))

@@ -64,14 +64,14 @@ func ReadSpec(r io.Reader) (*Spec, error) {
 	if err := dec.Decode(&spec); err != nil {
 		return nil, fmt.Errorf("workload: decode spec: %w", err)
 	}
-	if err := spec.Validate(); err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	return &spec, nil
 }
 
-// Validate checks the spec.
-func (s *Spec) Validate() error {
+// validate checks the spec.
+func (s *Spec) validate() error {
 	if len(s.Users) == 0 {
 		return fmt.Errorf("workload: spec has no users")
 	}
@@ -99,7 +99,7 @@ func (s *Spec) Validate() error {
 
 // Sessions materializes the spec into simulator sessions.
 func (s *Spec) Sessions() ([]*Session, error) {
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	out := make([]*Session, len(s.Users))
@@ -153,16 +153,6 @@ func (sp SignalSpec) trace() (signal.Trace, error) {
 	default:
 		return nil, fmt.Errorf("unknown signal kind %q", sp.Kind)
 	}
-}
-
-// WriteSpec serializes a spec as indented JSON.
-func WriteSpec(w io.Writer, s *Spec) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }
 
 // rngFor builds a deterministic source for a spec seed (0 means seed 1 so

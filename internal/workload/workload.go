@@ -260,13 +260,3 @@ func signalTrace(c *Config, sigCfg signal.SineConfig, src *rng.Source) (signal.T
 	}
 	return signal.NewSine(sigCfg, src)
 }
-
-// TotalDemand returns the sum of nominal rates across sessions, useful for
-// judging base-station load against capacity S.
-func TotalDemand(sessions []*Session) units.KBps {
-	var sum units.KBps
-	for _, s := range sessions {
-		sum += s.BaseRate
-	}
-	return sum
-}

@@ -1,0 +1,52 @@
+package main
+
+import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// TestFixture runs the scan over testdata: package a declares one case of
+// each kind and package b uses them.
+func TestFixture(t *testing.T) {
+	got, err := scan("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"a.Dead (unused)",
+		"a.Own (only its own package)",
+		"a.TestOnly (unused)",
+		"a.unused (unused)",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("scan(testdata):\n got %q\nwant %q", got, want)
+	}
+
+	allow := filepath.Join(t.TempDir(), "allow.txt")
+	text := "# comment\na.Dead no caller yet\na.Own\na.gone was deleted\n"
+	if err := os.WriteFile(allow, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got = unlisted("testdata", allow)
+	want = []string{
+		"a.Own (only its own package)", // listed without a reason
+		"a.TestOnly (unused)",
+		"a.gone (allowlisted, but no such entry)",
+		"a.unused (unused)",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("unlisted:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestRepoExports is the gate: every entry of the repository's scan is in
+// allow.txt, and every allow.txt key is still an entry.
+func TestRepoExports(t *testing.T) {
+	if bad := unlisted(filepath.Join("..", ".."), "allow.txt"); len(bad) > 0 {
+		t.Errorf("scripts/exports: delete, unexport or move to an export_test.go each entry below, or list it in allow.txt with its reason; drop stale keys:\n%s",
+			strings.Join(bad, "\n"))
+	}
+}

@@ -1,0 +1,24 @@
+// Package a holds one case of each kind scripts/exports reports or spares.
+package a
+
+// Dead is referenced by nothing: listed.
+func Dead() {}
+
+// Own is referenced only inside a: listed.
+func Own() int { return 1 }
+
+// TestOnly is referenced only by a _test.go file: listed.
+func TestOnly() {}
+
+// Result is named only as New's result: not listed.
+type Result struct{ N int }
+
+// New is called from b.
+func New() Result { return Result{N: Own()} }
+
+// Impl is handed to b, which calls Do through its own interface: not listed.
+type Impl struct{}
+
+func (Impl) Do() int { return 2 }
+
+func unused() {} // listed
