@@ -6,6 +6,7 @@
 //	jstream-bench                 # every figure + claims at paper scale
 //	jstream-bench -fig 5a         # one figure
 //	jstream-bench -claims         # claims table only
+//	jstream-bench -ext all        # every extension experiment
 //	jstream-bench -quick          # miniature workload (seconds, CI)
 //
 // Output is a set of aligned ASCII tables, one per figure, in the same
@@ -49,7 +50,7 @@ func realMain() int {
 		quick      = flag.Bool("quick", false, "use the miniature CI workload")
 		claimsOnly = flag.Bool("claims", false, "print only the headline-claims table")
 		seed       = flag.Uint64("seed", 0, "override workload seed (0 keeps the default)")
-		ext        = flag.String("ext", "", "extension experiment: lte|vbr|arrivals|dormancy|oracle|abr|adaptive|predictive|seeds")
+		ext        = flag.String("ext", "", "extension experiment: lte|vbr|arrivals|dormancy|oracle|abr|adaptive|predictive|seeds|all")
 		seeds      = flag.Int("seeds", 3, "seed count for -ext seeds")
 		jsonOut    = flag.String("json", "", "also export the regenerated figures as JSON to this file")
 		parallel   = flag.Bool("parallel", false, "regenerate all figures concurrently on all CPUs")
@@ -126,7 +127,11 @@ func dispatch(a dispatchArgs) error {
 	}
 	switch mode {
 	case "-ext":
-		return runExt(a.ext, a.quick, a.seed, a.seeds)
+		r, err := newRunner(a.quick, a.seed)
+		if err != nil {
+			return err
+		}
+		return r.Extension(os.Stdout, a.ext, a.seeds)
 	case "-diff":
 		return runDiff(a.diffBase, a.quick, a.seed, a.diffTol)
 	default:
@@ -172,48 +177,6 @@ func newRunner(quick bool, seed uint64) (*experiments.Runner, error) {
 		opts.Seed = seed
 	}
 	return experiments.NewRunner(opts)
-}
-
-func runExt(name string, quick bool, seed uint64, seeds int) error {
-	r, err := newRunner(quick, seed)
-	if err != nil {
-		return err
-	}
-	switch name {
-	case "lte":
-		return renderOne(r.ExtLTE)
-	case "vbr":
-		return renderOne(r.ExtVBR)
-	case "arrivals":
-		return renderOne(r.ExtArrivals)
-	case "dormancy":
-		return renderOne(r.ExtFastDormancy)
-	case "oracle":
-		return renderOne(r.ExtOracleGap)
-	case "abr":
-		return renderOne(r.ExtABR)
-	case "adaptive":
-		return renderOne(r.ExtAdaptive)
-	case "predictive":
-		return renderOne(r.ExtPredictive)
-	case "seeds":
-		stats, err := r.ExtMultiSeed(seeds)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Multi-seed robustness (%d seeds):\n", seeds)
-		return experiments.RenderSeedStats(os.Stdout, stats)
-	default:
-		return fmt.Errorf("unknown extension %q", name)
-	}
-}
-
-func renderOne(f func() (*experiments.Figure, error)) error {
-	fig, err := f()
-	if err != nil {
-		return err
-	}
-	return experiments.Render(os.Stdout, fig)
 }
 
 // runDiff regenerates all figures and compares them to a baseline export.
@@ -286,62 +249,36 @@ func run(figID string, quick, claimsOnly bool, seed uint64, jsonOut, htmlOut str
 		return printClaims(r)
 	}
 
-	if parallel && strings.ToLower(figID) == "all" {
-		rendered, err := r.AllParallel(context.Background(), 0)
-		if err != nil {
-			return err
-		}
-		logWorkloadCache(r)
-		for _, figure := range rendered {
-			if err := experiments.Render(os.Stdout, figure); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
-		if err := exportOutputs(rendered, jsonOut, htmlOut); err != nil {
-			return err
-		}
-		return printClaims(r)
-	}
-
-	type fig struct {
-		id string
-		f  func() (*experiments.Figure, error)
-	}
-	figs := []fig{
-		{"2", r.Fig2}, {"3", r.Fig3},
-		{"4a", r.Fig4a}, {"4b", r.Fig4b},
-		{"5a", r.Fig5a}, {"5b", r.Fig5b},
-		{"6", r.Fig6}, {"7", r.Fig7},
-		{"8a", r.Fig8a}, {"8b", r.Fig8b},
-		{"9a", r.Fig9a}, {"9b", r.Fig9b},
-		{"10", r.Fig10},
-	}
-	want := strings.ToLower(figID)
-	matched := false
+	all := strings.EqualFold(figID, "all")
 	var rendered []*experiments.Figure
-	for _, f := range figs {
-		if want != "all" && want != f.id {
-			continue
+	if all {
+		workers := 1 // in order, inline
+		if parallel {
+			workers = 0
 		}
-		matched = true
-		figure, err := f.f()
+		if rendered, err = r.AllParallel(context.Background(), workers); err != nil {
+			return err
+		}
+		if parallel {
+			logWorkloadCache(r)
+		}
+	} else {
+		fig, err := r.Figure(strings.ToLower(figID))
 		if err != nil {
-			return fmt.Errorf("figure %s: %w", f.id, err)
+			return err
 		}
-		rendered = append(rendered, figure)
+		rendered = append(rendered, fig)
+	}
+	for _, figure := range rendered {
 		if err := experiments.Render(os.Stdout, figure); err != nil {
 			return err
 		}
 		fmt.Println()
 	}
-	if !matched {
-		return fmt.Errorf("unknown figure %q", figID)
-	}
 	if err := exportOutputs(rendered, jsonOut, htmlOut); err != nil {
 		return err
 	}
-	if want == "all" {
+	if all {
 		return printClaims(r)
 	}
 	return nil

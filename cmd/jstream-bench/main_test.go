@@ -15,6 +15,7 @@ func TestModeRejectsSilentlyDroppedFlags(t *testing.T) {
 		{"one figure exported", dispatchArgs{figID: "5a", jsonOut: "f.json", htmlOut: "r.html"}, "-fig", true},
 		{"claims", dispatchArgs{figID: "ALL", claimsOnly: true}, "-claims", true},
 		{"extension", dispatchArgs{figID: "all", ext: "lte"}, "-ext", true},
+		{"every extension", dispatchArgs{figID: "all", ext: "all"}, "-ext", true},
 		{"diff", dispatchArgs{figID: "all", diffBase: "base.json"}, "-diff", true},
 		{"ext and diff", dispatchArgs{figID: "all", ext: "lte", diffBase: "base.json"}, "", false},
 		{"ext and figure", dispatchArgs{figID: "6", ext: "lte"}, "", false},

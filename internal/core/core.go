@@ -268,7 +268,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 		v := cfg.V
 		if v == 0 {
-			v, err = sched.CalibrateV(0.005, 16, cfg.CalibrationSteps, omega, func(v float64) (units.Seconds, error) {
+			v, err = sched.CalibrateV(cfg.CalibrationSteps, omega, func(v float64) (units.Seconds, error) {
 				res, err := emaRun(v)
 				if err != nil {
 					return 0, err

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"jointstream/internal/cell"
 	"jointstream/internal/metrics"
 )
 
@@ -38,34 +39,15 @@ func (r *Runner) Claims() ([]Claim, error) {
 	sc := scenario{users: n, avgSizeMB: r.opts.CDFAvgSizeMB}
 	ctx := fmt.Sprintf("N=%d, avg %.0f MB, seed %d", n, r.opts.CDFAvgSizeMB, r.opts.Seed)
 
-	def, err := r.defaultRun(sc)
-	if err != nil {
-		return nil, err
+	arms := []arm{defaultArm, rtma("RTMA", 1), throttling, onoff, salsa, estreamer, emaVsEStreamer}
+	res := make([]*cell.Result, len(arms))
+	for i, a := range arms {
+		var err error
+		if res[i], _, err = a.run(r, sc); err != nil {
+			return nil, err
+		}
 	}
-	rtma, err := r.rtmaRun(sc, 1.0)
-	if err != nil {
-		return nil, err
-	}
-	thr, err := r.run(sc, baselineBuilder("throttling"))
-	if err != nil {
-		return nil, err
-	}
-	onoff, err := r.run(sc, baselineBuilder("onoff"))
-	if err != nil {
-		return nil, err
-	}
-	salsa, err := r.run(sc, baselineBuilder("salsa"))
-	if err != nil {
-		return nil, err
-	}
-	estr, err := r.run(sc, baselineBuilder("estreamer"))
-	if err != nil {
-		return nil, err
-	}
-	ema, _, err := r.emaRunOmegaEStreamer(n)
-	if err != nil {
-		return nil, err
-	}
+	def, rt, thr, oo, sal, estr, em := res[0], res[1], res[2], res[3], res[4], res[5], res[6]
 
 	var claims []Claim
 	addReduction := func(id, statement string, threshold, baseline, got float64) error {
@@ -80,7 +62,7 @@ func (r *Runner) Claims() ([]Claim, error) {
 		return nil
 	}
 
-	rtmaReb := float64(rtma.MeanRebufferPerUser())
+	rtmaReb := float64(rt.MeanRebufferPerUser())
 	for _, c := range []struct {
 		id       string
 		baseline float64
@@ -88,7 +70,7 @@ func (r *Runner) Claims() ([]Claim, error) {
 	}{
 		{"rtma-vs-default", float64(def.MeanRebufferPerUser()), "Default"},
 		{"rtma-vs-throttling", float64(thr.MeanRebufferPerUser()), "Throttling"},
-		{"rtma-vs-onoff", float64(onoff.MeanRebufferPerUser()), "ON-OFF"},
+		{"rtma-vs-onoff", float64(oo.MeanRebufferPerUser()), "ON-OFF"},
 	} {
 		stmt := fmt.Sprintf("RTMA reduces at least 68%% rebuffering time vs %s", c.vs)
 		if err := addReduction(c.id, stmt, 0.68, c.baseline, rtmaReb); err != nil {
@@ -96,14 +78,14 @@ func (r *Runner) Claims() ([]Claim, error) {
 		}
 	}
 
-	emaEnergy := float64(ema.MeanEnergyPerUser())
+	emaEnergy := float64(em.MeanEnergyPerUser())
 	for _, c := range []struct {
 		id        string
 		baseline  float64
 		vs        string
 		threshold float64
 	}{
-		{"ema-vs-salsa", float64(salsa.MeanEnergyPerUser()), "SALSA", 0.48},
+		{"ema-vs-salsa", float64(sal.MeanEnergyPerUser()), "SALSA", 0.48},
 		{"ema-vs-default", float64(def.MeanEnergyPerUser()), "Default", 0.48},
 		{"ema-vs-estreamer", float64(estr.MeanEnergyPerUser()), "EStreamer", 0.27},
 	} {

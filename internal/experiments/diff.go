@@ -3,13 +3,15 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
 // Diff compares two figure sets (e.g. a fresh run against a checked-in
 // JSON export) and returns a human-readable list of differences. Values
 // are compared with the given relative tolerance (plus a tiny absolute
-// floor for near-zero values); an empty result means the runs match.
+// floor for near-zero values); titles, axis labels, notes and the order of
+// the series must match exactly. An empty result means the runs match.
 // Use it to catch regressions in the reproduction across code changes.
 func Diff(got, want []*Figure, relTol float64) ([]string, error) {
 	if relTol < 0 {
@@ -56,6 +58,18 @@ func Diff(got, want []*Figure, relTol float64) ([]string, error) {
 
 func diffFigure(got, want *Figure, relTol float64) []string {
 	var diffs []string
+	for _, f := range []struct{ name, got, want string }{
+		{"title", got.Title, want.Title},
+		{"x label", got.XLabel, want.XLabel},
+		{"y label", got.YLabel, want.YLabel},
+	} {
+		if f.got != f.want {
+			diffs = append(diffs, fmt.Sprintf("%s: %s %q vs baseline %q", got.ID, f.name, f.got, f.want))
+		}
+	}
+	if !slices.Equal(got.Notes, want.Notes) {
+		diffs = append(diffs, fmt.Sprintf("%s: notes %q vs baseline %q", got.ID, got.Notes, want.Notes))
+	}
 	ws := make(map[string]*Series, len(want.Series))
 	for i := range want.Series {
 		ws[want.Series[i].Label] = &want.Series[i]
@@ -64,10 +78,16 @@ func diffFigure(got, want *Figure, relTol float64) []string {
 	for i := range got.Series {
 		gs[got.Series[i].Label] = &got.Series[i]
 	}
+	missing := 0
 	for label := range ws {
 		if _, ok := gs[label]; !ok {
 			diffs = append(diffs, fmt.Sprintf("%s/%s: series missing from new run", got.ID, label))
+			missing++
 		}
+	}
+	// The same labels in another order: each series matches, the plot does not.
+	if gl, wl := seriesLabels(got), seriesLabels(want); missing == 0 && len(gs) == len(ws) && !slices.Equal(gl, wl) {
+		diffs = append(diffs, fmt.Sprintf("%s: series order %q vs baseline %q", got.ID, gl, wl))
 	}
 	for label, g := range gs {
 		w, ok := ws[label]
@@ -87,6 +107,14 @@ func diffFigure(got, want *Figure, relTol float64) []string {
 		}
 	}
 	return diffs
+}
+
+func seriesLabels(f *Figure) []string {
+	out := make([]string, len(f.Series))
+	for i, s := range f.Series {
+		out[i] = s.Label
+	}
+	return out
 }
 
 // approxEqual compares with relative tolerance and a 1e-9 absolute floor.

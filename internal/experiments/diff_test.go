@@ -141,3 +141,40 @@ func TestDiffNearZeroValues(t *testing.T) {
 		t.Errorf("sub-epsilon difference flagged: %v", diffs)
 	}
 }
+
+// TestDiffMetadata: a figure whose values all match but whose title, axis
+// labels, notes or series order changed is a different figure.
+func TestDiffMetadata(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*Figure)
+	}{
+		{"title", `title "renamed"`, func(f *Figure) { f.Title = "renamed" }},
+		{"x label", `x label "users"`, func(f *Figure) { f.XLabel = "users" }},
+		{"y label", `y label "total energy per user (kJ)"`, func(f *Figure) { f.YLabel = "total energy per user (kJ)" }},
+		{"dropped note", `notes ["N=40"]`, func(f *Figure) { f.Notes = f.Notes[:1] }},
+		{"edited note", `"V=0.5"`, func(f *Figure) { f.Notes[1] = "V=0.5" }},
+		{"series order", `series order ["s2" "s1"]`, func(f *Figure) { f.Series[0], f.Series[1] = f.Series[1], f.Series[0] }},
+	} {
+		want := diffFigs()
+		want[0].Title, want[0].XLabel, want[0].YLabel = "t", "x", "y"
+		want[0].Notes = []string{"N=40", "V=0.25"}
+		got := diffFigs()
+		got[0].Title, got[0].XLabel, got[0].YLabel = "t", "x", "y"
+		got[0].Notes = []string{"N=40", "V=0.25"}
+		tc.edit(got[0])
+		diffs, err := Diff(got, want, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(diffs) != 1 || !strings.HasPrefix(diffs[0], "Fig. A: ") || !strings.Contains(diffs[0], tc.want) {
+			t.Errorf("%s: diffs %q, want one Fig. A line naming %s", tc.name, diffs, tc.want)
+		}
+	}
+	// A series added or dropped is reported as such, not again as an order.
+	got := diffFigs()
+	got[0].Series = append(got[0].Series, Series{Label: "s3", X: []float64{1}, Y: []float64{1}})
+	if diffs, _ := Diff(got, diffFigs(), 0); len(diffs) != 1 || !strings.Contains(diffs[0], "s3: series not in baseline") {
+		t.Errorf("extra series: diffs %q", diffs)
+	}
+}

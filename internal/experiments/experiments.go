@@ -1,8 +1,9 @@
 // Package experiments regenerates every figure of the paper's evaluation
-// (§VI, Figs. 2–10). Each FigXX function runs the required simulations and
-// returns a Figure: labeled series of (x, y) points that correspond to the
-// paper's plotted curves, plus notes recording how derived parameters
-// (RTMA's Φ, EMA's V) were obtained.
+// (§VI, Figs. 2–10) and the extension experiments beyond it. Each figure
+// is a registry row (figures.go, extensions.go) that runs the required
+// simulations and returns a Figure: labeled series of (x, y) points that
+// correspond to the paper's plotted curves, plus notes recording how
+// derived parameters (RTMA's φ, EMA's V) were obtained.
 //
 // The harness follows the paper's experimental protocol:
 //
@@ -48,8 +49,6 @@ type Options struct {
 	CDFAvgSizeMB float64
 	// Alphas and Betas are the constraint sweeps of Figs. 4 and 8.
 	Alphas, Betas []float64
-	// VCalibration bounds the bisection for EMA's Lyapunov weight.
-	VMin, VMax float64
 	// CalibrationSteps is the bisection depth for V (each step is one
 	// simulation run).
 	CalibrationSteps int
@@ -57,12 +56,6 @@ type Options struct {
 	// workload default). Quick suites with short sessions scale it down
 	// so every session still spans several fade cycles.
 	SignalPeriodSlots int
-	// RateJitterFrac makes sessions variable-bit-rate (extension
-	// scenarios; the paper's evaluation is constant-rate).
-	RateJitterFrac float64
-	// MeanInterarrival staggers user arrivals with exponential gaps
-	// (extension scenarios; the paper starts everyone at slot 0).
-	MeanInterarrival units.Seconds
 }
 
 // PaperOptions returns the full §VI experiment scale: users 20–40, videos
@@ -77,8 +70,6 @@ func PaperOptions() Options {
 		CDFAvgSizeMB:     350,
 		Alphas:           []float64{0.8, 1.0, 1.2},
 		Betas:            []float64{0.8, 1.0, 1.2},
-		VMin:             0.005,
-		VMax:             16,
 		CalibrationSteps: 9,
 	}
 }
@@ -100,8 +91,6 @@ func QuickOptions() Options {
 		CDFAvgSizeMB:      15,
 		Alphas:            []float64{0.8, 1.0, 1.2},
 		Betas:             []float64{0.8, 1.0, 1.2},
-		VMin:              0.005,
-		VMax:              16,
 		CalibrationSteps:  6,
 		SignalPeriodSlots: 24,
 	}
@@ -130,9 +119,6 @@ func (o Options) validate() error {
 	}
 	if len(o.Alphas) == 0 || len(o.Betas) == 0 {
 		return fmt.Errorf("experiments: empty alpha/beta sweeps")
-	}
-	if o.VMin <= 0 || o.VMax <= o.VMin {
-		return fmt.Errorf("experiments: invalid V range [%v, %v]", o.VMin, o.VMax)
 	}
 	if o.CalibrationSteps < 1 {
 		return fmt.Errorf("experiments: need at least one calibration step")
@@ -178,6 +164,10 @@ type Runner struct {
 	results   memo[*cell.Result]    // by runKey
 	workloads memo[*sharedWorkload] // by workloadKey
 	brackets  memo[oracle.Bounds]   // the tail-accounted oracle bracket, by workloadKey
+
+	// shape, if set, changes every scenario's workload: the extensions that
+	// stagger arrivals or jitter the rate run on a sub-runner that sets it.
+	shape func(*workload.Config)
 
 	// runCtx holds the context the current parallel suite runs under;
 	// simulate threads it into cell.RunCtx so a cancelled AllParallel
@@ -240,14 +230,31 @@ type scenario struct {
 	recordCDF bool
 }
 
-func (s scenario) workload(o Options) workload.Config {
-	cfg := workload.PaperDefaults(s.users).WithAvgSize(units.KB(s.avgSizeMB * 1000))
-	if o.SignalPeriodSlots > 0 {
-		cfg.Signal.PeriodSlots = o.SignalPeriodSlots
+// workload is the scenario's workload configuration on this runner.
+func (r *Runner) workload(sc scenario) workload.Config {
+	cfg := workload.PaperDefaults(sc.users).WithAvgSize(units.KB(sc.avgSizeMB * 1000))
+	if r.opts.SignalPeriodSlots > 0 {
+		cfg.Signal.PeriodSlots = r.opts.SignalPeriodSlots
 	}
-	cfg.RateJitterFrac = o.RateJitterFrac
-	cfg.MeanInterarrival = o.MeanInterarrival
+	if r.shape != nil {
+		r.shape(&cfg)
+	}
 	return cfg
+}
+
+// sub clones this runner with a modified configuration and, with shape, a
+// modified workload; the clone has its own memoization cache.
+func (r *Runner) sub(mutate func(*Options), shape func(*workload.Config)) (*Runner, error) {
+	opts := r.opts
+	if mutate != nil {
+		mutate(&opts)
+	}
+	s, err := NewRunner(opts)
+	if err != nil {
+		return nil, err
+	}
+	s.shape = shape
+	return s, nil
 }
 
 // schedBuilder constructs a fresh scheduler for a run. Schedulers carry
@@ -269,9 +276,9 @@ func runKey(sc scenario, sb schedBuilder) string {
 // workloadKey identifies the scenario's workload. It deliberately omits
 // recordCDF — recording per-user samples changes what a run collects, not
 // the demand or the channel, so CDF and non-CDF runs share one workload.
-// The per-Runner option knobs that shape generation (seed, signal period,
-// jitter, interarrival) are constants of the Runner, so (users, avgSize)
-// identifies the workload completely.
+// What else shapes generation (the seed, the signal period, the runner's
+// shape) is a constant of the Runner, so (users, avgSize) identifies the
+// workload completely.
 func (s scenario) workloadKey() string {
 	return fmt.Sprintf("n=%d|mb=%g", s.users, s.avgSizeMB)
 }
@@ -294,7 +301,7 @@ func (r *Runner) workloadFor(sc scenario) (*sharedWorkload, error) {
 // reach new slots, or, without one, because their memos already cover the
 // full horizon.
 func (r *Runner) buildWorkload(sc scenario) (*sharedWorkload, error) {
-	wl, err := workload.Generate(sc.workload(r.opts), rng.New(r.opts.Seed))
+	wl, err := workload.Generate(r.workload(sc), rng.New(r.opts.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -360,82 +367,50 @@ func (r *Runner) defaultRun(sc scenario) (*cell.Result, error) {
 	return r.run(sc, baselineBuilder("default"))
 }
 
-// rtmaRun runs RTMA with Φ = alpha·E_Default from the scenario's Default
-// run.
-func (r *Runner) rtmaRun(sc scenario, alpha float64) (*cell.Result, error) {
-	sb, err := r.rtmaBuilder(sc, alpha)
-	if err != nil {
-		return nil, err
-	}
-	return r.run(sc, sb)
-}
-
 // rtmaBuilder returns the builder for RTMA at one alpha over the scenario,
-// keyed by alpha: its budget Φ = alpha·E_Default comes from the scenario's
-// plain (non-recording) Default run.
-func (r *Runner) rtmaBuilder(sc scenario, alpha float64) (schedBuilder, error) {
+// keyed by alpha, and the admission threshold φ (dBm) it derives: its
+// budget Φ = alpha·E_Default comes from the scenario's plain
+// (non-recording) Default run.
+func (r *Runner) rtmaBuilder(sc scenario, alpha float64) (schedBuilder, float64, error) {
 	def, err := r.defaultRun(scenario{users: sc.users, avgSizeMB: sc.avgSizeMB})
 	if err != nil {
-		return schedBuilder{}, err
+		return schedBuilder{}, 0, err
 	}
 	budget, err := sched.BudgetForAlpha(def.TransEnergyPerActiveSlot(), alpha)
 	if err != nil {
-		return schedBuilder{}, err
+		return schedBuilder{}, 0, err
+	}
+	cfg := sched.RTMAConfig{Budget: budget, Radio: r.opts.Cell.Radio, RRC: r.opts.Cell.RRC}
+	rt, err := sched.NewRTMA(cfg)
+	if err != nil {
+		return schedBuilder{}, 0, err
 	}
 	return schedBuilder{
-		key: fmt.Sprintf("rtma(a=%g)", alpha),
-		build: func() (sched.Scheduler, error) {
-			return sched.NewRTMA(sched.RTMAConfig{
-				Budget: budget, Radio: r.opts.Cell.Radio, RRC: r.opts.Cell.RRC,
-			})
-		},
-	}, nil
+		key:   fmt.Sprintf("rtma(a=%g)", alpha),
+		build: func() (sched.Scheduler, error) { return sched.NewRTMA(cfg) },
+	}, float64(rt.Threshold()), nil
 }
 
-// emaBuilderFor returns the builder for one Lyapunov weight.
-func (r *Runner) emaBuilderFor(v float64) schedBuilder {
-	return schedBuilder{
+// emaRunWithV runs EMA at one Lyapunov weight.
+func (r *Runner) emaRunWithV(sc scenario, v float64) (*cell.Result, error) {
+	return r.run(sc, schedBuilder{
 		key: fmt.Sprintf("ema(v=%.6g)", v),
 		build: func() (sched.Scheduler, error) {
 			return sched.NewEMA(sched.EMAConfig{V: v, RRC: r.opts.Cell.RRC})
 		},
-	}
+	})
 }
 
-func (r *Runner) emaRunWithV(sc scenario, v float64) (*cell.Result, error) {
-	return r.run(sc, r.emaBuilderFor(v))
-}
-
-// calibrateV finds the largest V in [VMin, VMax] whose measured PC stays
-// within omega (sched.CalibrateV), every probe a memoized EMA run.
+// calibrateV finds the largest V whose measured PC stays within omega
+// (sched.CalibrateV), every probe a memoized EMA run.
 func (r *Runner) calibrateV(sc scenario, omega units.Seconds) (float64, error) {
-	return sched.CalibrateV(r.opts.VMin, r.opts.VMax, r.opts.CalibrationSteps, omega, func(v float64) (units.Seconds, error) {
+	return sched.CalibrateV(r.opts.CalibrationSteps, omega, func(v float64) (units.Seconds, error) {
 		res, err := r.emaRunWithV(sc, v)
 		if err != nil {
 			return 0, err
 		}
 		return res.PC(), nil
 	})
-}
-
-// emaRun calibrates V for Ω = beta·R_Default and runs EMA.
-func (r *Runner) emaRun(sc scenario, beta float64) (*cell.Result, float64, error) {
-	def, err := r.defaultRun(scenario{users: sc.users, avgSizeMB: sc.avgSizeMB})
-	if err != nil {
-		return nil, 0, err
-	}
-	omega := units.Seconds(float64(def.PC()) * beta)
-	v, err := r.calibrateV(scenario{users: sc.users, avgSizeMB: sc.avgSizeMB}, omega)
-	if err != nil {
-		return nil, 0, err
-	}
-	// Calibration runs use recordCDF=false scenarios; this final run keys
-	// on sc itself, so a CDF-recording variant re-simulates with samples.
-	res, err := r.emaRunWithV(sc, v)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res, v, nil
 }
 
 // baselineBuilder returns the builder of the parameter-free scheduler

@@ -35,7 +35,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative size", func(o *Options) { o.AvgSizesMB = []float64{-1} }},
 		{"zero cdf users", func(o *Options) { o.CDFUsers = 0 }},
 		{"empty alphas", func(o *Options) { o.Alphas = nil }},
-		{"bad v range", func(o *Options) { o.VMin, o.VMax = 2, 1 }},
 		{"zero calibration", func(o *Options) { o.CalibrationSteps = 0 }},
 	}
 	for _, m := range mutations {
@@ -249,7 +248,7 @@ func TestClaims(t *testing.T) {
 func TestCalibrationMonotonicity(t *testing.T) {
 	// PC(V) should be non-decreasing in V on the quick scenario.
 	r := quickRunner(t)
-	sc := scenario{users: r.opts.CDFUsers, avgSizeMB: r.opts.CDFAvgSizeMB}
+	sc := r.cdfScenario()
 	var prev float64 = -1
 	for _, v := range []float64{0.01, 0.1, 1, 8} {
 		res, err := r.emaRunWithV(sc, v)
@@ -327,7 +326,7 @@ func TestAllRunsEveryFigure(t *testing.T) {
 		t.Skip("full figure suite in -short mode")
 	}
 	r := quickRunner(t)
-	figs, err := r.All()
+	figs, err := r.AllParallel(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +368,7 @@ func TestAllParallelMatchesSequential(t *testing.T) {
 	}
 	seq := quickRunner(t)
 	par := quickRunner(t)
-	want, err := seq.All()
+	want, err := seq.AllParallel(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +407,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := r.defaultRun(scenario{users: r.opts.CDFUsers, avgSizeMB: r.opts.CDFAvgSizeMB}); err != nil {
+			if _, err := r.defaultRun(r.cdfScenario()); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -424,7 +423,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 // pair, hits for everything else, and pointer-identical sessions.
 func TestWorkloadCacheShares(t *testing.T) {
 	r := quickRunner(t)
-	sc := scenario{users: r.opts.CDFUsers, avgSizeMB: r.opts.CDFAvgSizeMB}
+	sc := r.cdfScenario()
 	a, err := r.workloadFor(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -530,7 +529,7 @@ func TestWorkloadSharedWithoutLinkTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := scenario{users: r.opts.CDFUsers, avgSizeMB: r.opts.CDFAvgSizeMB}
+	sc := r.cdfScenario()
 	sw, err := r.workloadFor(sc)
 	if err != nil {
 		t.Fatal(err)

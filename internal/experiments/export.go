@@ -69,9 +69,9 @@ func ReadJSON(r io.Reader) ([]*Figure, error) {
 	return out, nil
 }
 
-// RenderSeedStats writes the multi-seed robustness table, including the
+// renderSeedStats writes the multi-seed robustness table, including the
 // Welch p-values of each algorithm's metrics against Default.
-func RenderSeedStats(w io.Writer, stats []SeedStats) error {
+func renderSeedStats(w io.Writer, stats []seedStats) error {
 	headers := []string{"algorithm", "seeds", "rebuffer/user (s)", "p", "energy/user (J)", "p"}
 	rows := make([][]string, len(stats))
 	pval := func(label string, p float64) string {
@@ -85,12 +85,12 @@ func RenderSeedStats(w io.Writer, stats []SeedStats) error {
 	}
 	for i, st := range stats {
 		rows[i] = []string{
-			st.Label,
-			fmt.Sprintf("%d", st.Seeds),
-			fmt.Sprintf("%.1f +/- %.1f", st.RebufferMean, st.RebufferStd),
-			pval(st.Label, st.RebufferP),
-			fmt.Sprintf("%.1f +/- %.1f", st.EnergyMean, st.EnergyStd),
-			pval(st.Label, st.EnergyP),
+			st.label,
+			fmt.Sprintf("%d", st.seeds),
+			fmt.Sprintf("%.1f +/- %.1f", st.rebufferMean, st.rebufferStd),
+			pval(st.label, st.rebufferP),
+			fmt.Sprintf("%.1f +/- %.1f", st.energyMean, st.energyStd),
+			pval(st.label, st.energyP),
 		}
 	}
 	return writeTable(w, headers, rows)

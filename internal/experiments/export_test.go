@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,18 +12,9 @@ func (r *Runner) cacheSize() int {
 	return len(r.results.snapshot())
 }
 
-// All runs every figure in order.
-func (r *Runner) All() ([]*Figure, error) {
-	figs := r.allFigs()
-	out := make([]*Figure, 0, len(figs))
-	for _, nf := range figs {
-		fig, err := nf.f()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", nf.name, err)
-		}
-		out = append(out, fig)
-	}
-	return out, nil
+// ext draws the extension figure called name.
+func (r *Runner) ext(name string) (*Figure, error) {
+	return r.lookup(extensions, "extension", name)
 }
 
 func TestJSONRoundTrip(t *testing.T) {
@@ -98,13 +88,13 @@ func TestJSONExportOfRealFigure(t *testing.T) {
 }
 
 func TestRenderSeedStats(t *testing.T) {
-	stats := []SeedStats{{
-		Label: "EMA", Seeds: 5,
-		RebufferMean: 12.3, RebufferStd: 1.2,
-		EnergyMean: 200.5, EnergyStd: 8.7,
+	stats := []seedStats{{
+		label: "EMA", seeds: 5,
+		rebufferMean: 12.3, rebufferStd: 1.2,
+		energyMean: 200.5, energyStd: 8.7,
 	}}
 	var sb strings.Builder
-	if err := RenderSeedStats(&sb, stats); err != nil {
+	if err := renderSeedStats(&sb, stats); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"slices"
 
 	"jointstream/internal/abr"
 	"jointstream/internal/cell"
@@ -17,141 +19,143 @@ import (
 	"jointstream/internal/workload"
 )
 
-// This file contains extension experiments beyond the paper's Figs. 2–10:
-// the LTE variant the paper argues for in §III/§VI, variable-bit-rate and
-// staggered-arrival workloads, the Fast Dormancy ablation, the offline
-// oracle energy gap for Theorem 1's E*, and multi-seed robustness
-// statistics. cmd/jstream-bench exposes them via -ext.
+// This file holds the experiments beyond the paper's Figs. 2–10: the LTE
+// variant the paper argues for in §III/§VI, variable-bit-rate and
+// staggered-arrival workloads, adaptive-bitrate players, the Fast Dormancy
+// ablation, the offline oracle energy gap for Theorem 1's E*, the online
+// AdaptiveEMA, lookahead-K predictive scheduling and multi-seed robustness
+// statistics. cmd/jstream-bench prints them with -ext.
 
-// subRunner clones this runner with a modified configuration; the clone
-// has its own memoization cache.
-func (r *Runner) subRunner(mutate func(*Options)) (*Runner, error) {
-	opts := r.opts
-	mutate(&opts)
-	return NewRunner(opts)
+// trio is the extensions' usual comparison: Default, RTMA (α = 1) and
+// EMA (β = 1).
+var trio = []arm{defaultArm, rtma("RTMA", 1), ema("EMA", 1)}
+
+// A row is one series of a comparison: every arm measured by y on the
+// runner on.
+type row struct {
+	label string
+	on    *Runner
+	y     metric
 }
 
-// ExtLTE compares Default, RTMA (α=1) and EMA (β=1) under the LTE radio
-// and RRC models against the 3G baseline, at the CDF scenario. The paper
-// (§VI) predicts "similar results in LTE networks".
-func (r *Runner) ExtLTE() (*Figure, error) {
-	fig := &Figure{
-		ID:     "Ext. LTE",
-		Title:  "3G vs LTE (Default / RTMA / EMA)",
-		XLabel: "metric",
-		YLabel: "value",
-		Notes: []string{
-			"rows: rebuffer/user (s) then energy/user (J)",
-			fmt.Sprintf("N=%d users, avg video %.0f MB", r.opts.CDFUsers, r.opts.CDFAvgSizeMB),
-		},
+// compare draws an extension table at the CDF scenario with x the index of
+// an arm.
+func compare(fig Figure, arms []arm, rows ...row) (*Figure, error) {
+	xs := make([]float64, len(arms))
+	for i := range xs {
+		xs[i] = float64(i)
 	}
-	configs := []struct {
-		label string
-		radio radio.Model
-		rrc   rrc.Profile
-	}{
-		{"3G", radio.Paper3G(), rrc.Paper3G()},
-		{"LTE", radio.LTE(), rrc.LTE()},
+	for _, rw := range rows {
+		s := Series{Label: rw.label, X: xs}
+		for _, a := range arms {
+			res, _, err := a.run(rw.on, rw.on.cdfScenario())
+			if err != nil {
+				return nil, err
+			}
+			y, err := rw.y(res)
+			if err != nil {
+				return nil, err
+			}
+			s.Y = append(s.Y, y)
+		}
+		fig.Series = append(fig.Series, s)
 	}
-	sc := scenario{users: r.opts.CDFUsers, avgSizeMB: r.opts.CDFAvgSizeMB}
-	for _, c := range configs {
-		sub, err := r.subRunner(func(o *Options) {
-			o.Cell.Radio = c.radio
-			o.Cell.RRC = c.rrc
-		})
-		if err != nil {
-			return nil, err
-		}
-		def, err := sub.defaultRun(sc)
-		if err != nil {
-			return nil, err
-		}
-		rtma, err := sub.rtmaRun(sc, 1.0)
-		if err != nil {
-			return nil, err
-		}
-		ema, _, err := sub.emaRun(sc, 1.0)
-		if err != nil {
-			return nil, err
-		}
-		reb := Series{Label: c.label + " rebuffer", X: []float64{0, 1, 2}}
-		en := Series{Label: c.label + " energy", X: []float64{0, 1, 2}}
-		for _, res := range []*cell.Result{def, rtma, ema} {
-			reb.Y = append(reb.Y, float64(res.MeanRebufferPerUser()))
-			en.Y = append(en.Y, float64(res.MeanEnergyPerUser())/1000)
-		}
-		fig.Series = append(fig.Series, reb, en)
-	}
-	fig.Notes = append(fig.Notes, "x: 0=Default, 1=RTMA(alpha=1), 2=EMA(beta=1)")
-	return fig, nil
+	return &fig, nil
 }
 
-// ExtVBR repeats the Fig. 5a/9a style comparison with variable-bit-rate
-// sessions (±30 % per-slot rate jitter), checking the algorithms tolerate
-// the paper's "bit rate changes over time" model.
-func (r *Runner) ExtVBR() (*Figure, error) {
-	sub, err := r.subRunner(func(o *Options) { o.RateJitterFrac = 0.3 })
+// shaped compares the trio on workloads that shape changes.
+func (r *Runner) shaped(id, title string, shape func(*workload.Config)) (*Figure, error) {
+	sub, err := r.sub(nil, shape)
 	if err != nil {
 		return nil, err
 	}
-	return sub.comparisonAtScenario("Ext. VBR", "VBR sessions (±30% rate jitter)")
+	fig := Figure{ID: id, Title: title, XLabel: "algorithm (0=Default 1=RTMA 2=EMA)", YLabel: "value",
+		Notes: []string{r.scenarioNote()}}
+	return compare(fig, trio, row{"rebuffer/user (s)", sub, rebuffer}, row{"energy/user (J)", sub, energyJ})
 }
 
-// ExtArrivals repeats the comparison with Poisson user arrivals (mean
-// interarrival 10 s) instead of the paper's all-at-slot-0 start.
-func (r *Runner) ExtArrivals() (*Figure, error) {
-	sub, err := r.subRunner(func(o *Options) { o.MeanInterarrival = 10 })
-	if err != nil {
-		return nil, err
-	}
-	return sub.comparisonAtScenario("Ext. Arrivals", "Poisson arrivals (mean 10 s)")
+// extensions are the extension figures in -ext's order; the multi-seed
+// table, "seeds", follows them (Extension).
+var extensions = []figure{
+	// The paper (§VI) predicts "similar results in LTE networks".
+	{"lte", func(r *Runner) (*Figure, error) {
+		g3, err := r.sub(func(o *Options) { o.Cell.Radio, o.Cell.RRC = radio.Paper3G(), rrc.Paper3G() }, nil)
+		if err != nil {
+			return nil, err
+		}
+		lte, err := r.sub(func(o *Options) { o.Cell.Radio, o.Cell.RRC = radio.LTE(), rrc.LTE() }, nil)
+		if err != nil {
+			return nil, err
+		}
+		fig := Figure{ID: "Ext. LTE", Title: "3G vs LTE (Default / RTMA / EMA)", XLabel: "metric", YLabel: "value",
+			Notes: []string{"rows: rebuffer/user (s) then energy/user (J)", r.scenarioNote(),
+				"x: 0=Default, 1=RTMA(alpha=1), 2=EMA(beta=1)"}}
+		return compare(fig, trio,
+			row{"3G rebuffer", g3, rebuffer}, row{"3G energy", g3, energyJ},
+			row{"LTE rebuffer", lte, rebuffer}, row{"LTE energy", lte, energyJ})
+	}},
+	// The paper's "bit rate changes over time" model: ±30 % per-slot jitter.
+	{"vbr", func(r *Runner) (*Figure, error) {
+		return r.shaped("Ext. VBR", "VBR sessions (±30% rate jitter)", func(c *workload.Config) { c.RateJitterFrac = 0.3 })
+	}},
+	// Poisson arrivals instead of the paper's all-at-slot-0 start.
+	{"arrivals", func(r *Runner) (*Figure, error) {
+		return r.shaped("Ext. Arrivals", "Poisson arrivals (mean 10 s)", func(c *workload.Config) { c.MeanInterarrival = 10 })
+	}},
+	// How much energy 3GPP Fast Dormancy (release after 0.5 s idle), the
+	// lever RadioJockey/TOP pull, would recover; EMA avoids idle gaps.
+	{"dormancy", func(r *Runner) (*Figure, error) {
+		fd, err := r.sub(func(o *Options) { o.Cell.RRC = o.Cell.RRC.WithFastDormancy(0.5) }, nil)
+		if err != nil {
+			return nil, err
+		}
+		fig := Figure{ID: "Ext. FastDormancy", Title: "Energy with vs without Fast Dormancy (release after 0.5 s)",
+			XLabel: "algorithm (0=Default 1=ON-OFF 2=EStreamer 3=EMA)", YLabel: "energy/user (J)"}
+		return compare(fig, []arm{defaultArm, onoff, estreamer, ema("EMA", 1)},
+			row{"normal", r, energyJ}, row{"fast dormancy", fd, energyJ})
+	}},
+	{"oracle", (*Runner).oracleGap},
+	{"abr", (*Runner).abrFig},
+	// The offline-calibrated EMA against the online AdaptiveEMA, both at
+	// Ω = R_Default: what the controller pays for not knowing V in advance.
+	{"adaptive", func(r *Runner) (*Figure, error) {
+		cal := ema("EMA", 1)
+		fig := Figure{ID: "Ext. Adaptive", Title: "Calibrated EMA vs online AdaptiveEMA (Omega = Default rebuffering)",
+			XLabel: "users", YLabel: "value"}
+		return r.sweep(fig, overUsers,
+			curve{arm: cal.as("EMA rebuffer (s)"), y: rebuffer},
+			curve{arm: adaptiveEMA.as("AdaptiveEMA rebuffer (s)"), y: rebuffer},
+			curve{arm: cal.as("EMA energy (J)"), y: energyJ},
+			curve{arm: adaptiveEMA.as("AdaptiveEMA energy (J)"), y: energyJ})
+	}},
+	{"predictive", (*Runner).predictiveFig},
 }
 
-// comparisonAtScenario runs Default/RTMA/EMA at the CDF scenario and
-// reports both metrics.
-func (r *Runner) comparisonAtScenario(id, title string) (*Figure, error) {
-	sc := scenario{users: r.opts.CDFUsers, avgSizeMB: r.opts.CDFAvgSizeMB}
+// adaptiveEMA is the online AdaptiveEMA at Ω = R_Default: it discovers V
+// during the run instead of by pilot bisection.
+var adaptiveEMA = arm{"AdaptiveEMA", func(r *Runner, sc scenario) (*cell.Result, float64, error) {
 	def, err := r.defaultRun(sc)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	rtma, err := r.rtmaRun(sc, 1.0)
-	if err != nil {
-		return nil, err
-	}
-	ema, _, err := r.emaRun(sc, 1.0)
-	if err != nil {
-		return nil, err
-	}
-	fig := &Figure{
-		ID: id, Title: title,
-		XLabel: "algorithm (0=Default 1=RTMA 2=EMA)",
-		YLabel: "value",
-		Notes:  []string{fmt.Sprintf("N=%d users, avg video %.0f MB", sc.users, sc.avgSizeMB)},
-	}
-	reb := Series{Label: "rebuffer/user (s)", X: []float64{0, 1, 2}}
-	en := Series{Label: "energy/user (J)", X: []float64{0, 1, 2}}
-	for _, res := range []*cell.Result{def, rtma, ema} {
-		reb.Y = append(reb.Y, float64(res.MeanRebufferPerUser()))
-		en.Y = append(en.Y, float64(res.MeanEnergyPerUser())/1000)
-	}
-	fig.Series = append(fig.Series, reb, en)
-	return fig, nil
-}
+	omega := def.PC()
+	res, err := r.run(sc, schedBuilder{
+		key: fmt.Sprintf("adaptive-ema(omega=%.6g)", float64(omega)),
+		build: func() (sched.Scheduler, error) {
+			return sched.NewAdaptiveEMA(sched.AdaptiveEMAConfig{Omega: omega, RRC: r.opts.Cell.RRC})
+		},
+	})
+	return res, 0, err
+}}
 
-// ExtABR repeats the Default/RTMA/EMA comparison with adaptive-bitrate
-// players (BBA controllers, internal/abr) instead of fixed-rate sessions,
-// reporting mean delivered quality alongside stalls and energy. The
-// paper's model fixes p_i; this answers how the gateway schedulers
-// interact with the rate adaptation its introduction motivates.
-func (r *Runner) ExtABR() (*Figure, error) {
-	abrCfg := abr.DefaultConfig()
-	sub, err := r.subRunner(func(o *Options) { o.Cell.ABR = &abrCfg })
-	if err != nil {
-		return nil, err
-	}
-	sc := scenario{users: sub.opts.CDFUsers, avgSizeMB: sub.opts.CDFAvgSizeMB}
-	def, err := sub.defaultRun(sc)
+// abrFig runs the trio with adaptive-bitrate players (BBA controllers,
+// internal/abr) instead of fixed-rate sessions, reporting mean delivered
+// quality and QoE beside stalls and energy. The paper's model fixes p_i;
+// this answers how the schedulers interact with the rate adaptation its
+// introduction motivates.
+func (r *Runner) abrFig() (*Figure, error) {
+	cfg := abr.DefaultConfig()
+	sub, err := r.sub(func(o *Options) { o.Cell.ABR = &cfg }, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -161,117 +165,47 @@ func (r *Runner) ExtABR() (*Figure, error) {
 	// physical Eq. (12) band and would derive an admit-nobody threshold.
 	// Use the fixed-rate reference run's energy instead (same radio, same
 	// workload scale).
-	fixedDef, err := r.defaultRun(scenario{users: sc.users, avgSizeMB: sc.avgSizeMB})
-	if err != nil {
-		return nil, err
-	}
-	budget, err := sched.BudgetForAlpha(fixedDef.TransEnergyPerActiveSlot(), 1.0)
-	if err != nil {
-		return nil, err
-	}
-	rtma, err := sub.run(sc, schedBuilder{
-		key: "rtma(abr)",
-		build: func() (sched.Scheduler, error) {
-			return sched.NewRTMA(sched.RTMAConfig{
-				Budget: budget, Radio: sub.opts.Cell.Radio, RRC: sub.opts.Cell.RRC,
-			})
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	ema, _, err := sub.emaRun(sc, 1.0)
-	if err != nil {
-		return nil, err
-	}
-	fig := &Figure{
-		ID:     "Ext. ABR",
-		Title:  "Adaptive-bitrate players (BBA) under each scheduler",
-		XLabel: "algorithm (0=Default 1=RTMA 2=EMA)",
-		YLabel: "value",
-		Notes: []string{
-			fmt.Sprintf("N=%d users, avg video %.0f MB, ladder %v-%v KB/s",
-				sc.users, sc.avgSizeMB, float64(abrCfg.Ladder.Min()), float64(abrCfg.Ladder.Max())),
-		},
-	}
-	reb := Series{Label: "rebuffer/user (s)", X: []float64{0, 1, 2}}
-	en := Series{Label: "energy/user (J)", X: []float64{0, 1, 2}}
-	q := Series{Label: "mean quality (KB/s)", X: []float64{0, 1, 2}}
-	qoeS := Series{Label: "mean QoE (MPC model)", X: []float64{0, 1, 2}}
+	fixedRTMA := arm{"RTMA", func(sub *Runner, sc scenario) (*cell.Result, float64, error) {
+		sb, _, err := r.rtmaBuilder(sc, 1)
+		if err != nil {
+			return nil, 0, err
+		}
+		sb.key = "rtma(abr)"
+		res, err := sub.run(sc, sb)
+		return res, 0, err
+	}}
 	weights := qoe.DefaultWeights(450)
-	for _, res := range []*cell.Result{def, rtma, ema} {
-		reb.Y = append(reb.Y, float64(res.MeanRebufferPerUser()))
-		en.Y = append(en.Y, float64(res.MeanEnergyPerUser())/1000)
-		var qs float64
-		for _, u := range res.Users {
-			qs += float64(u.MeanQuality())
-		}
-		q.Y = append(q.Y, qs/float64(len(res.Users)))
-		score, err := qoe.MeanScore(weights, res, sub.opts.Cell.Tau)
-		if err != nil {
-			return nil, err
-		}
-		qoeS.Y = append(qoeS.Y, score)
-	}
-	fig.Series = append(fig.Series, reb, en, q, qoeS)
-	return fig, nil
+	fig := Figure{ID: "Ext. ABR", Title: "Adaptive-bitrate players (BBA) under each scheduler",
+		XLabel: "algorithm (0=Default 1=RTMA 2=EMA)", YLabel: "value",
+		Notes: []string{fmt.Sprintf("%s, ladder %v-%v KB/s", r.scenarioNote(),
+			float64(cfg.Ladder.Min()), float64(cfg.Ladder.Max()))}}
+	return compare(fig, []arm{defaultArm, fixedRTMA, ema("EMA", 1)},
+		row{"rebuffer/user (s)", sub, rebuffer}, row{"energy/user (J)", sub, energyJ},
+		row{"mean quality (KB/s)", sub, func(res *cell.Result) (float64, error) {
+			var qs float64
+			for _, u := range res.Users {
+				qs += float64(u.MeanQuality())
+			}
+			return qs / float64(len(res.Users)), nil
+		}},
+		row{"mean QoE (MPC model)", sub, func(res *cell.Result) (float64, error) {
+			return qoe.MeanScore(weights, res, r.opts.Cell.Tau)
+		}})
 }
 
-// ExtFastDormancy measures how much of each scheduler's energy the 3GPP
-// Fast Dormancy mechanism (release after 0.5 s idle) would recover —
-// the lever RadioJockey/TOP pull, which the paper's EMA makes largely
-// unnecessary by avoiding idle gaps altogether.
-func (r *Runner) ExtFastDormancy() (*Figure, error) {
-	sc := scenario{users: r.opts.CDFUsers, avgSizeMB: r.opts.CDFAvgSizeMB}
-	fig := &Figure{
-		ID:     "Ext. FastDormancy",
-		Title:  "Energy with vs without Fast Dormancy (release after 0.5 s)",
-		XLabel: "algorithm (0=Default 1=ON-OFF 2=EStreamer 3=EMA)",
-		YLabel: "energy/user (J)",
+// transMJ is a run's transmission energy, without the RRC tail.
+func transMJ(res *cell.Result) units.MJ {
+	var trans units.MJ
+	for _, u := range res.Users {
+		trans += u.TransEnergy
 	}
-	fdSub, err := r.subRunner(func(o *Options) {
-		o.Cell.RRC = o.Cell.RRC.WithFastDormancy(0.5)
-	})
-	if err != nil {
-		return nil, err
-	}
-	collect := func(sub *Runner, label string) error {
-		s := Series{Label: label, X: []float64{0, 1, 2, 3}}
-		def, err := sub.defaultRun(sc)
-		if err != nil {
-			return err
-		}
-		onoff, err := sub.run(sc, baselineBuilder("onoff"))
-		if err != nil {
-			return err
-		}
-		estr, err := sub.run(sc, baselineBuilder("estreamer"))
-		if err != nil {
-			return err
-		}
-		ema, _, err := sub.emaRun(sc, 1.0)
-		if err != nil {
-			return err
-		}
-		for _, res := range []*cell.Result{def, onoff, estr, ema} {
-			s.Y = append(s.Y, float64(res.MeanEnergyPerUser())/1000)
-		}
-		fig.Series = append(fig.Series, s)
-		return nil
-	}
-	if err := collect(r, "normal"); err != nil {
-		return nil, err
-	}
-	if err := collect(fdSub, "fast dormancy"); err != nil {
-		return nil, err
-	}
-	return fig, nil
+	return trans
 }
 
-// ExtOracleGap brackets Theorem 1's E* with the offline oracle bounds of
+// oracleGap brackets Theorem 1's E* with the offline oracle bounds of
 // internal/oracle and places EMA's measured transmission energy inside
 // the bracket, across the user sweep.
-func (r *Runner) ExtOracleGap() (*Figure, error) {
+func (r *Runner) oracleGap() (*Figure, error) {
 	fig := &Figure{
 		ID:     "Ext. OracleGap",
 		Title:  "EMA vs offline oracle energy bounds (transmission energy)",
@@ -282,17 +216,15 @@ func (r *Runner) ExtOracleGap() (*Figure, error) {
 			"upper = omniscient greedy feasible schedule",
 		},
 	}
-	lower := Series{Label: "oracle lower"}
-	upper := Series{Label: "oracle upper"}
-	emaS := Series{Label: "EMA (measured)"}
+	lower, emaS, upper := Series{Label: "oracle lower"}, Series{Label: "EMA (measured)"}, Series{Label: "oracle upper"}
 	for _, n := range r.opts.UserCounts {
 		sc := scenario{users: n, avgSizeMB: r.opts.CDFAvgSizeMB}
-		ema, _, err := r.emaRun(sc, 1.0)
+		em, _, err := ema("EMA", 1).run(r, sc)
 		if err != nil {
 			return nil, err
 		}
 		// Use the realized horizon so the oracle sees the same slots.
-		wl, err := workload.Generate(sc.workload(r.opts), rng.New(r.opts.Seed))
+		wl, err := workload.Generate(r.workload(sc), rng.New(r.opts.Seed))
 		if err != nil {
 			return nil, err
 		}
@@ -300,156 +232,217 @@ func (r *Runner) ExtOracleGap() (*Figure, error) {
 			Tau:      r.opts.Cell.Tau,
 			Unit:     r.opts.Cell.Unit,
 			Capacity: r.opts.Cell.Capacity,
-			Horizon:  ema.Slots,
+			Horizon:  em.Slots,
 			Radio:    r.opts.Cell.Radio,
 		}, wl)
 		if err != nil {
 			return nil, err
 		}
-		var trans units.MJ
-		for _, u := range ema.Users {
-			trans += u.TransEnergy
-		}
-		x := float64(n)
+		x, perUser := float64(n), func(mj units.MJ) float64 { return float64(mj) / 1000 / float64(n) }
 		lower.X = append(lower.X, x)
-		lower.Y = append(lower.Y, float64(b.LowerMJ)/1000/float64(n))
+		lower.Y = append(lower.Y, perUser(b.LowerMJ))
 		upper.X = append(upper.X, x)
-		upper.Y = append(upper.Y, float64(b.UpperMJ)/1000/float64(n))
+		upper.Y = append(upper.Y, perUser(b.UpperMJ))
 		emaS.X = append(emaS.X, x)
-		emaS.Y = append(emaS.Y, float64(trans)/1000/float64(n))
+		emaS.Y = append(emaS.Y, perUser(transMJ(em)))
 		if !b.Feasible {
-			fig.Notes = append(fig.Notes, fmt.Sprintf("N=%d: omniscient schedule infeasible within horizon %d", n, ema.Slots))
+			fig.Notes = append(fig.Notes, fmt.Sprintf("N=%d: omniscient schedule infeasible within horizon %d", n, em.Slots))
 		}
 	}
 	fig.Series = append(fig.Series, lower, emaS, upper)
 	return fig, nil
 }
 
-// ExtAdaptive compares the offline-calibrated EMA against the online
-// AdaptiveEMA across the user sweep: both target the same Ω = R_Default,
-// but AdaptiveEMA discovers its V during the run instead of via pilot
-// bisection. The comparison quantifies what the online controller pays
-// for not knowing V in advance.
-func (r *Runner) ExtAdaptive() (*Figure, error) {
+// predictiveNoiseSeed decorrelates forecast corruption from workload
+// generation: the same Options.Seed drives both, so the noise stream is
+// salted before it reaches rng.Hash3.
+const predictiveNoiseSeed = 0x666F7265 // "fore"
+
+// predictiveBuilder keys a Predictive run by (K, errFrac) and builds
+// the scheduler against the scenario's shared link table: errFrac 0
+// reads the table exactly, anything else wraps it in the seeded noise
+// model. Scenarios whose table exceeded the size cap cannot feed a
+// forecast, so the builder rejects them rather than silently running
+// myopic.
+func (r *Runner) predictiveBuilder(k int, errFrac float64) schedBuilder {
+	return schedBuilder{
+		key: fmt.Sprintf("predictive(k=%d,err=%g)", k, errFrac),
+		buildWith: func(sw *sharedWorkload) (sched.Scheduler, error) {
+			if sw.link == nil {
+				return nil, fmt.Errorf("experiments: predictive run needs a compiled link table (scenario exceeds the size cap)")
+			}
+			var f sched.Forecast
+			if errFrac == 0 {
+				f = sw.link.Forecast()
+			} else {
+				nf, err := cell.NewNoisyForecast(sw.link, r.opts.Seed^predictiveNoiseSeed, errFrac)
+				if err != nil {
+					return nil, err
+				}
+				f = nf
+			}
+			return sched.NewPredictive(sched.PredictiveConfig{Lookahead: k, Forecast: f})
+		},
+	}
+}
+
+// oracleBracket memoizes the tail-accounted oracle bounds for one
+// scenario (the lookahead sweep evaluates one bracket against many K).
+func (r *Runner) oracleBracket(sc scenario) (oracle.Bounds, error) {
+	return r.brackets.get(sc.workloadKey(), func() (oracle.Bounds, error) {
+		sw, err := r.workloadFor(sc)
+		if err != nil {
+			return oracle.Bounds{}, err
+		}
+		cfg := oracle.Config{
+			Tau:         r.opts.Cell.Tau,
+			Unit:        r.opts.Cell.Unit,
+			Capacity:    r.opts.Cell.Capacity,
+			Horizon:     r.opts.Cell.MaxSlots,
+			Radio:       r.opts.Cell.Radio,
+			RRC:         r.opts.Cell.RRC,
+			AccountTail: true,
+		}
+		if sw.link != nil { // a nil *LinkTable would be a non-nil LinkView
+			cfg.Link = sw.link
+		}
+		return oracle.Compute(cfg, sw.sessions)
+	})
+}
+
+// predictiveLookaheads is the K axis of the lookahead sweep; the sentinel
+// -1 is the full horizon (the forecast truncates at the table edge anyway).
+var predictiveLookaheads = []int{0, 1, 5, 20, -1}
+
+// predictiveErrLevels are the forecast corruption levels swept beside
+// the exact table (relative error of the noise model).
+var predictiveErrLevels = []float64{0, 0.3}
+
+// predictiveFig sweeps the Predictive scheduler's lookahead K at the CDF
+// scenario, at the exact table and at each corrupted error level, against
+// the RTMA (α=1) and EMA (β=1) baselines and the tail-accounted oracle
+// bracket. K=0 is the myopic Default baseline by construction (the
+// differential suite pins it byte-for-byte), so the leftmost point
+// doubles as the Default reference.
+func (r *Runner) predictiveFig() (*Figure, error) {
+	sc := r.cdfScenario()
+	fullK := r.opts.Cell.MaxSlots
 	fig := &Figure{
-		ID:     "Ext. Adaptive",
-		Title:  "Calibrated EMA vs online AdaptiveEMA (Omega = Default rebuffering)",
-		XLabel: "users",
-		YLabel: "value",
+		ID:     "Ext. Predictive",
+		Title:  "Lookahead-K predictive scheduling vs oracle bracket",
+		XLabel: fmt.Sprintf("lookahead K (slots; %d = full horizon)", fullK),
+		YLabel: "value per user",
+		Notes: []string{
+			r.scenarioNote(),
+			"energy series are total (transmission + RRC tail) J/user",
+			"oracle lower = capacity-relaxed transmission-only optimum; oracle upper = omniscient plan incl. replayed tail",
+		},
 	}
-	calReb := Series{Label: "EMA rebuffer (s)"}
-	calEn := Series{Label: "EMA energy (J)"}
-	adReb := Series{Label: "AdaptiveEMA rebuffer (s)"}
-	adEn := Series{Label: "AdaptiveEMA energy (J)"}
-	for _, n := range r.opts.UserCounts {
-		sc := scenario{users: n, avgSizeMB: r.opts.CDFAvgSizeMB}
-		def, err := r.defaultRun(sc)
-		if err != nil {
-			return nil, err
-		}
-		omega := def.PC()
-		cal, _, err := r.emaRun(sc, 1.0)
-		if err != nil {
-			return nil, err
-		}
-		ad, err := r.run(sc, schedBuilder{
-			key: fmt.Sprintf("adaptive-ema(omega=%.6g)", float64(omega)),
-			build: func() (sched.Scheduler, error) {
-				return sched.NewAdaptiveEMA(sched.AdaptiveEMAConfig{
-					Omega: omega, RRC: r.opts.Cell.RRC,
-				})
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		x := float64(n)
-		calReb.X = append(calReb.X, x)
-		calReb.Y = append(calReb.Y, float64(cal.MeanRebufferPerUser()))
-		calEn.X = append(calEn.X, x)
-		calEn.Y = append(calEn.Y, float64(cal.MeanEnergyPerUser())/1000)
-		adReb.X = append(adReb.X, x)
-		adReb.Y = append(adReb.Y, float64(ad.MeanRebufferPerUser()))
-		adEn.X = append(adEn.X, x)
-		adEn.Y = append(adEn.Y, float64(ad.MeanEnergyPerUser())/1000)
+	bounds, err := r.oracleBracket(sc)
+	if err != nil {
+		return nil, err
 	}
-	fig.Series = append(fig.Series, calReb, adReb, calEn, adEn)
+	if !bounds.Feasible {
+		fig.Notes = append(fig.Notes, fmt.Sprintf("omniscient schedule infeasible within horizon %d", fullK))
+	}
+	perUserJ := func(mj units.MJ) float64 { return float64(mj) / 1000 / float64(sc.users) }
+	xs := make([]float64, len(predictiveLookaheads))
+	ks := make([]int, len(predictiveLookaheads))
+	for i, k := range predictiveLookaheads {
+		if k < 0 {
+			k = fullK
+		}
+		ks[i] = k
+		xs[i] = float64(k)
+	}
+	flat := func(label string, y float64) {
+		s := Series{Label: label, X: xs, Y: make([]float64, len(xs))}
+		for i := range s.Y {
+			s.Y[i] = y
+		}
+		fig.Series = append(fig.Series, s)
+	}
+	flat("oracle lower (J)", perUserJ(bounds.LowerMJ))
+	flat("oracle upper (J)", perUserJ(bounds.UpperMJ))
+	for _, a := range []arm{rtma("RTMA(alpha=1) energy (J)", 1), ema("EMA(beta=1) energy (J)", 1)} {
+		res, _, err := a.run(r, sc)
+		if err != nil {
+			return nil, err
+		}
+		flat(a.label, float64(res.MeanEnergyPerUser())/1000)
+	}
+	for _, errFrac := range predictiveErrLevels {
+		en := Series{Label: fmt.Sprintf("Predictive(err=%g) energy (J)", errFrac), X: xs}
+		reb := Series{Label: fmt.Sprintf("Predictive(err=%g) rebuffer (s)", errFrac), X: xs}
+		for _, k := range ks {
+			res, err := r.run(sc, r.predictiveBuilder(k, errFrac))
+			if err != nil {
+				return nil, err
+			}
+			en.Y = append(en.Y, float64(res.MeanEnergyPerUser())/1000)
+			reb.Y = append(reb.Y, float64(res.MeanRebufferPerUser()))
+			if errFrac == 0 {
+				gap := 0.0
+				if bounds.LowerMJ > 0 {
+					gap = float64(transMJ(res)-bounds.LowerMJ) / float64(bounds.LowerMJ)
+				}
+				fig.Notes = append(fig.Notes, fmt.Sprintf("K=%d: oracle gap %.1f%% (transmission energy vs lower bound)", k, gap*100))
+			}
+		}
+		fig.Series = append(fig.Series, en, reb)
+	}
 	return fig, nil
 }
 
-// SeedStats is the multi-seed summary of one scheduler at one scenario.
-type SeedStats struct {
-	Label                     string
-	Seeds                     int
-	RebufferMean, RebufferStd float64 // seconds per user
-	EnergyMean, EnergyStd     float64 // joules per user
-	// RebufferP and EnergyP are Welch two-sided p-values against the
+// seedStats is the multi-seed summary of one scheduler at one scenario.
+type seedStats struct {
+	label                     string
+	seeds                     int
+	rebufferMean, rebufferStd float64 // seconds per user
+	energyMean, energyStd     float64 // joules per user
+	// rebufferP and energyP are Welch two-sided p-values against the
 	// Default strategy's per-seed samples (1 for Default itself).
-	RebufferP, EnergyP float64
+	rebufferP, energyP float64
 }
 
-// ExtMultiSeed reruns Default, RTMA (α=1) and EMA (β=1) at the CDF
-// scenario across `seeds` different workload seeds and reports mean ± std
-// of both metrics — the robustness check the single-seed paper omits.
-func (r *Runner) ExtMultiSeed(seeds int) ([]SeedStats, error) {
+// multiSeed reruns the trio at the CDF scenario across seeds workload
+// seeds and reports mean ± std of both metrics — the robustness check the
+// single-seed paper omits.
+func (r *Runner) multiSeed(seeds int) ([]seedStats, error) {
 	if seeds < 2 {
 		return nil, fmt.Errorf("experiments: need at least 2 seeds, got %d", seeds)
 	}
-	type sample struct{ reb, en float64 }
-	collected := map[string][]sample{}
-	order := []string{"Default", "RTMA", "EMA"}
+	reb, en := make([][]float64, len(trio)), make([][]float64, len(trio))
 	for s := 0; s < seeds; s++ {
-		sub, err := r.subRunner(func(o *Options) { o.Seed = r.opts.Seed + uint64(s)*1000003 })
+		sub, err := r.sub(func(o *Options) { o.Seed = r.opts.Seed + uint64(s)*1000003 }, nil)
 		if err != nil {
 			return nil, err
 		}
-		sc := scenario{users: sub.opts.CDFUsers, avgSizeMB: sub.opts.CDFAvgSizeMB}
-		def, err := sub.defaultRun(sc)
-		if err != nil {
-			return nil, err
-		}
-		rtma, err := sub.rtmaRun(sc, 1.0)
-		if err != nil {
-			return nil, err
-		}
-		ema, _, err := sub.emaRun(sc, 1.0)
-		if err != nil {
-			return nil, err
-		}
-		for i, res := range []*cell.Result{def, rtma, ema} {
-			collected[order[i]] = append(collected[order[i]], sample{
-				reb: float64(res.MeanRebufferPerUser()),
-				en:  float64(res.MeanEnergyPerUser()) / 1000,
-			})
+		for i, a := range trio {
+			res, _, err := a.run(sub, sub.cdfScenario())
+			if err != nil {
+				return nil, err
+			}
+			reb[i] = append(reb[i], float64(res.MeanRebufferPerUser()))
+			en[i] = append(en[i], float64(res.MeanEnergyPerUser())/1000)
 		}
 	}
-	out := make([]SeedStats, 0, len(order))
-	defReb := extract(collected["Default"], func(s sample) float64 { return s.reb })
-	defEn := extract(collected["Default"], func(s sample) float64 { return s.en })
-	for _, label := range order {
-		xs := collected[label]
-		st := SeedStats{Label: label, Seeds: len(xs), RebufferP: 1, EnergyP: 1}
-		st.RebufferMean, st.RebufferStd = meanStd(xs, func(s sample) float64 { return s.reb })
-		st.EnergyMean, st.EnergyStd = meanStd(xs, func(s sample) float64 { return s.en })
-		if label != "Default" {
-			if p, err := welchP(extract(xs, func(s sample) float64 { return s.reb }), defReb); err == nil {
-				st.RebufferP = p
+	out := make([]seedStats, len(trio))
+	for i, a := range trio {
+		st := seedStats{label: a.label, seeds: seeds, rebufferP: 1, energyP: 1}
+		st.rebufferMean, st.rebufferStd = meanStd(reb[i])
+		st.energyMean, st.energyStd = meanStd(en[i])
+		if i > 0 {
+			if p, err := welchP(reb[i], reb[0]); err == nil {
+				st.rebufferP = p
 			}
-			if p, err := welchP(extract(xs, func(s sample) float64 { return s.en }), defEn); err == nil {
-				st.EnergyP = p
+			if p, err := welchP(en[i], en[0]); err == nil {
+				st.energyP = p
 			}
 		}
-		out = append(out, st)
+		out[i] = st
 	}
 	return out, nil
-}
-
-func extract[T any](xs []T, get func(T) float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = get(x)
-	}
-	return out
 }
 
 // welchP runs Welch's t-test and returns the two-sided p-value.
@@ -469,15 +462,52 @@ func welchP(a, b []float64) (float64, error) {
 	return res.P, nil
 }
 
-func meanStd[T any](xs []T, get func(T) float64) (mean, std float64) {
+func meanStd(xs []float64) (mean, std float64) {
 	n := float64(len(xs))
 	for _, x := range xs {
-		mean += get(x)
+		mean += x
 	}
 	mean /= n
 	for _, x := range xs {
-		d := get(x) - mean
+		d := x - mean
 		std += d * d
 	}
 	return mean, math.Sqrt(std / n)
+}
+
+// Extension writes the extension called name as text: one of the
+// extension figures, "seeds", the multi-seed table over seeds workload
+// seeds, or "all", every one of them in that order, each under an
+// "== ext:NAME ==" line.
+func (r *Runner) Extension(w io.Writer, name string, seeds int) error {
+	switch name {
+	case "all":
+		for i, f := range slices.Concat(extensions, []figure{{name: "seeds"}}) {
+			sep := "\n"
+			if i == 0 {
+				sep = ""
+			}
+			if _, err := fmt.Fprintf(w, "%s== ext:%s ==\n", sep, f.name); err != nil {
+				return err
+			}
+			if err := r.Extension(w, f.name, seeds); err != nil {
+				return err
+			}
+		}
+		return nil
+	case "seeds":
+		stats, err := r.multiSeed(seeds)
+		if err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintf(w, "Multi-seed robustness (%d seeds):\n", seeds); err != nil {
+			return err
+		}
+		return renderSeedStats(w, stats)
+	}
+	fig, err := r.lookup(extensions, "extension", name, "seeds", "all")
+	if err != nil {
+		return err
+	}
+	return Render(w, fig)
 }

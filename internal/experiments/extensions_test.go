@@ -7,7 +7,7 @@ import (
 
 func TestExtLTE(t *testing.T) {
 	r := quickRunner(t)
-	fig, err := r.ExtLTE()
+	fig, err := r.ext("lte")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestExtLTE(t *testing.T) {
 
 func TestExtVBR(t *testing.T) {
 	r := quickRunner(t)
-	fig, err := r.ExtVBR()
+	fig, err := r.ext("vbr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestExtVBR(t *testing.T) {
 
 func TestExtArrivals(t *testing.T) {
 	r := quickRunner(t)
-	fig, err := r.ExtArrivals()
+	fig, err := r.ext("arrivals")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestExtArrivals(t *testing.T) {
 
 func TestExtFastDormancy(t *testing.T) {
 	r := quickRunner(t)
-	fig, err := r.ExtFastDormancy()
+	fig, err := r.ext("dormancy")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestExtFastDormancy(t *testing.T) {
 
 func TestExtOracleGap(t *testing.T) {
 	r := quickRunner(t)
-	fig, err := r.ExtOracleGap()
+	fig, err := r.ext("oracle")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestExtOracleGap(t *testing.T) {
 
 func TestExtMultiSeed(t *testing.T) {
 	r := quickRunner(t)
-	stats, err := r.ExtMultiSeed(3)
+	stats, err := r.multiSeed(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,15 +101,15 @@ func TestExtMultiSeed(t *testing.T) {
 	}
 	labels := map[string]bool{}
 	for _, st := range stats {
-		labels[st.Label] = true
-		if st.Seeds != 3 {
-			t.Errorf("%s: seeds = %d", st.Label, st.Seeds)
+		labels[st.label] = true
+		if st.seeds != 3 {
+			t.Errorf("%s: seeds = %d", st.label, st.seeds)
 		}
-		if st.RebufferMean < 0 || st.EnergyMean <= 0 {
-			t.Errorf("%s: implausible means %+v", st.Label, st)
+		if st.rebufferMean < 0 || st.energyMean <= 0 {
+			t.Errorf("%s: implausible means %+v", st.label, st)
 		}
-		if st.RebufferStd < 0 || st.EnergyStd < 0 {
-			t.Errorf("%s: negative std %+v", st.Label, st)
+		if st.rebufferStd < 0 || st.energyStd < 0 {
+			t.Errorf("%s: negative std %+v", st.label, st)
 		}
 	}
 	for _, want := range []string{"Default", "RTMA", "EMA"} {
@@ -121,14 +121,14 @@ func TestExtMultiSeed(t *testing.T) {
 
 func TestExtMultiSeedValidation(t *testing.T) {
 	r := quickRunner(t)
-	if _, err := r.ExtMultiSeed(1); err == nil {
+	if _, err := r.multiSeed(1); err == nil {
 		t.Error("single seed accepted")
 	}
 }
 
 func TestExtABR(t *testing.T) {
 	r := quickRunner(t)
-	fig, err := r.ExtABR()
+	fig, err := r.ext("abr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestExtABR(t *testing.T) {
 
 func TestExtAdaptive(t *testing.T) {
 	r := quickRunner(t)
-	fig, err := r.ExtAdaptive()
+	fig, err := r.ext("adaptive")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestExtAdaptive(t *testing.T) {
 
 func TestExtPredictive(t *testing.T) {
 	r := quickRunner(t)
-	fig, err := r.ExtPredictive()
+	fig, err := r.ext("predictive")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestExtPredictive(t *testing.T) {
 	// K=0 is the myopic Default baseline by construction: the leftmost
 	// exact-forecast point must reproduce the Default run exactly, at
 	// every error level (a zero-depth window reads no forecast at all).
-	def, err := r.defaultRun(scenario{users: r.opts.CDFUsers, avgSizeMB: r.opts.CDFAvgSizeMB})
+	def, err := r.defaultRun(r.cdfScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestExtPredictive(t *testing.T) {
 	// The lookahead runs memoize like every other scheduler run: a second
 	// sweep must add no simulations.
 	before := r.cacheSize()
-	if _, err := r.ExtPredictive(); err != nil {
+	if _, err := r.ext("predictive"); err != nil {
 		t.Fatal(err)
 	}
 	if after := r.cacheSize(); after != before {

@@ -46,7 +46,7 @@ func TestByName(t *testing.T) {
 // CalibrateV on a synthetic PC(V) = V: both early exits, the probe count,
 // and the bisection's precision on log V.
 func TestCalibrateV(t *testing.T) {
-	const lo, hi, steps = 0.005, 16.0, 9
+	const lo, hi, steps = calibrateVMin, calibrateVMax, 9
 	for _, c := range []struct {
 		omega  units.Seconds
 		probes int
@@ -56,7 +56,7 @@ func TestCalibrateV(t *testing.T) {
 		{1, 2 + steps}, // bisection
 	} {
 		probes := 0
-		v, err := CalibrateV(lo, hi, steps, c.omega, func(v float64) (units.Seconds, error) {
+		v, err := CalibrateV(steps, c.omega, func(v float64) (units.Seconds, error) {
 			probes++
 			return units.Seconds(v), nil
 		})
@@ -76,7 +76,7 @@ func TestCalibrateV(t *testing.T) {
 	boom := errors.New("boom")
 	for fail := 1; fail <= 3; fail++ {
 		probes := 0
-		_, err := CalibrateV(lo, hi, steps, 1, func(v float64) (units.Seconds, error) {
+		_, err := CalibrateV(steps, 1, func(v float64) (units.Seconds, error) {
 			if probes++; probes == fail {
 				return 0, boom
 			}

@@ -114,13 +114,19 @@ func (*EMA) Name() string { return "EMA" }
 // V returns the Lyapunov weight.
 func (e *EMA) V() float64 { return e.v }
 
-// CalibrateV finds the largest V in [lo, hi] whose measured average
+// The range CalibrateV searches: V = 0.005 already weighs rebuffering over
+// energy at the paper's scales, and V = 16 defers data until PC is large.
+const calibrateVMin, calibrateVMax float64 = 0.005, 16
+
+// CalibrateV finds the largest V in [0.005, 16] whose measured average
 // rebuffering pcAt(V) stays within omega, by bisection on log V: the two
 // ends, then steps geometric midpoints. PC(V) is non-decreasing in V (more
 // energy bias defers more data), which the Theorem-1 bound
-// PC ≤ (B + V·E*)/ε also reflects. If even lo misses omega, lo is returned
-// (EMA has no more rebuffering-averse setting); if hi meets it, hi.
-func CalibrateV(lo, hi float64, steps int, omega units.Seconds, pcAt func(v float64) (units.Seconds, error)) (float64, error) {
+// PC ≤ (B + V·E*)/ε also reflects. If even the low end misses omega, it is
+// returned (EMA has no more rebuffering-averse setting); if the high end
+// meets it, the high end.
+func CalibrateV(steps int, omega units.Seconds, pcAt func(v float64) (units.Seconds, error)) (float64, error) {
+	lo, hi := calibrateVMin, calibrateVMax
 	pcLo, err := pcAt(lo)
 	if err != nil {
 		return 0, err

@@ -164,7 +164,7 @@ func monotoneSessions(t *testing.T, users int) []*workload.Session {
 }
 
 // TestOracleGapMonotoneInK asserts the ordering property behind the
-// ExtPredictive figure: with an exact forecast and no capacity
+// predictive extension figure: with an exact forecast and no capacity
 // contention, total energy — hence the gap to the (fixed) oracle lower
 // bound — is non-increasing as the lookahead K grows. The property is
 // not universal: greedy deferral can lose to a shallower window when a
