@@ -1,12 +1,14 @@
 // Package jointstream's top-level benchmarks are the micro-benchmarks no
 // workload of benchmark/ measures: the kernel gates (link-window refill,
-// gateway Step), the schedulers' Allocate at N = 40 and N = 10 000, and
-// the ablations EXPERIMENTS.md draws conclusions from. Everything end to
-// end — figures, sweep, dense tick, fleet, churn — is timed by
-// `bash benchmark/run.sh` and recorded in results/BENCH_benchmark*.json.
+// gateway Step), the schedulers' Allocate at N = 40 and N = 10 000, the
+// quick sweep's allocation, and the ablations EXPERIMENTS.md draws
+// conclusions from. Everything end to end — figures, sweep, dense tick,
+// fleet, churn — is timed by `bash benchmark/run.sh` and recorded in
+// results/BENCH_benchmark*.json.
 package jointstream
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	"jointstream/internal/cell"
+	"jointstream/internal/experiments"
 	"jointstream/internal/gateway"
 	"jointstream/internal/radio"
 	"jointstream/internal/rng"
@@ -264,6 +267,23 @@ func BenchmarkGatewayStep(b *testing.B) {
 	const k = 500
 	b.Run("k500_sessions1x", func(b *testing.B) { benchGatewayStep(b, k, k) })
 	b.Run("k500_sessions10x", func(b *testing.B) { benchGatewayStep(b, k, 10*k) })
+}
+
+// BenchmarkQuickSweep is the Runner's 13 figures at quick scale through
+// AllParallel, one fresh Runner an op: its B/op and allocs/op are what a
+// sweep allocates — runs, their results and the scenarios' workloads —
+// which paper_sweep's peak heap shows only as a high-water mark.
+func BenchmarkQuickSweep(b *testing.B) {
+	b.ReportAllocs()
+	for range b.N {
+		r, err := experiments.NewRunner(experiments.QuickOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.AllParallel(context.Background(), 0); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // --- ablation benches (DESIGN.md, Design choices) --------------------

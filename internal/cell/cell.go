@@ -43,9 +43,10 @@ type Config struct {
 	// Strict makes the simulator fail the run if the scheduler violates
 	// Eq. (1)/(2) instead of silently clamping. Tests enable it.
 	Strict bool
-	// RecordPerUserSlots retains the per-user per-slot series needed for
-	// CDF figures (2, 3, 6, 7). Off for parameter sweeps to save memory.
-	RecordPerUserSlots bool
+	// Record is what a run keeps beside its totals: PerSlot by default
+	// (RecordSlots), nothing (RecordTotals), or PerSlot and the per-user
+	// samples the CDF figures (2, 3, 6, 7) read (RecordUserSlots).
+	Record RecordLevel
 	// ABR, when non-nil, replaces every session's fixed required rate
 	// with a buffer-based adaptive-bitrate player (internal/abr): each
 	// slot the player picks p_i(n) from its ladder based on buffer
@@ -102,6 +103,22 @@ type Config struct {
 	// the run actually spent inside a window.
 	Outages []Outage
 }
+
+// RecordLevel is what a run records beside its totals (Config.Record).
+type RecordLevel uint8
+
+const (
+	// RecordSlots keeps Result.PerSlot, one SlotTotals a slot: the zero
+	// value, and what the open engine's metric windows fold.
+	RecordSlots RecordLevel = iota
+	// RecordTotals keeps the per-user and run totals only: no per-slot
+	// series is allocated or appended, so a run's result memory does not
+	// grow with the horizon. Closed runs only.
+	RecordTotals
+	// RecordUserSlots keeps PerSlot and the per-user per-slot samples
+	// (Result.RebufferSamples, EnergySamples).
+	RecordUserSlots
+)
 
 // Outage is one capacity-zero window over slots [From, To).
 type Outage struct {
@@ -221,11 +238,12 @@ type Result struct {
 	Slots int
 	// Users holds per-user totals.
 	Users []UserTotals
-	// PerSlot holds per-slot aggregates (always recorded).
+	// PerSlot holds per-slot aggregates, one a slot; nil when the run
+	// recorded totals only (Config.Record = RecordTotals).
 	PerSlot []SlotTotals
 	// RebufferSamples / EnergySamples / FairnessSamples are the raw
 	// per-user-per-slot series for CDF figures; populated only when
-	// Config.RecordPerUserSlots is set. RebufferSamples[i][n] is c_i(n).
+	// Config.Record is RecordUserSlots. RebufferSamples[i][n] is c_i(n).
 	RebufferSamples [][]float64
 	EnergySamples   [][]float64
 	// ClampEvents counts scheduler outputs the simulator had to clamp to
@@ -687,16 +705,18 @@ func (s *Simulator) newResult() *Result {
 	res := &Result{
 		SchedulerName: s.sched.Name(),
 		Users:         make([]UserTotals, n),
+	}
+	if s.cfg.Record != RecordTotals {
 		// Pre-size the per-slot series from the slot horizon so the tick
 		// never reallocates. A run that finishes early does not keep the
 		// rest: Finish clips the series to the slots it ran, so a
 		// cached Result holds its rows, not the horizon.
-		PerSlot: make([]SlotTotals, 0, s.cfg.MaxSlots),
+		res.PerSlot = make([]SlotTotals, 0, s.cfg.MaxSlots)
 	}
 	for i := range res.Users {
 		res.Users[i].CompletionSlot = -1
 	}
-	if s.cfg.RecordPerUserSlots {
+	if s.cfg.Record == RecordUserSlots {
 		// Only the outer spines are pre-sized. Eagerly reserving MaxSlots
 		// capacity per user is an O(users × horizon) allocation before the
 		// first slot runs — the commit path appends lazily instead, so a

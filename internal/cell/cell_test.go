@@ -228,7 +228,7 @@ func TestFairnessIndexRange(t *testing.T) {
 
 func TestPerUserSlotRecording(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.RecordPerUserSlots = true
+	cfg.Record = RecordUserSlots
 	sessions := tinySessions(t, 2, 1000, 400)
 	sim, _ := New(cfg, sessions, sched.NewDefault())
 	res, _ := sim.Run()
@@ -301,7 +301,7 @@ func TestStaggeredStartDelaysActivity(t *testing.T) {
 	cfg := tinyConfig()
 	sessions := tinySessions(t, 2, 1000, 400)
 	sessions[1].StartSlot = 10
-	cfg.RecordPerUserSlots = true
+	cfg.Record = RecordUserSlots
 	sim, _ := New(cfg, sessions, sched.NewDefault())
 	res, _ := sim.Run()
 	// User 1 must not receive energy or rebuffer before slot 10.

@@ -140,10 +140,10 @@ func (s *Simulator) Advance(upto int) (bool, error) {
 	return s.stepDone, nil
 }
 
-// Finish clips the per-slot series to the slots the run ticked, pads the
-// recorded series, finalizes and returns the Result of a stepped run. Call
-// it once Advance reports done (calling earlier finalizes the slots ticked
-// so far, which is only meaningful for tests).
+// Finish clips the per-slot series, if recorded, to the slots the run
+// ticked, pads the per-user series, finalizes and returns the Result of a
+// stepped run. Call it once Advance reports done (calling earlier
+// finalizes the slots ticked so far, which is only meaningful for tests).
 func (s *Simulator) Finish() *Result {
 	s.stepCtx = nil
 	s.stopWindow()
@@ -278,7 +278,9 @@ func (s *Simulator) tickSlot(slotIdx int) (bool, error) {
 		retires += len(s.shardRet[sh])
 	}
 	st.Fairness = jain(fairNum, fairDen, fairCount)
-	res.PerSlot = append(res.PerSlot, st)
+	if s.cfg.Record != RecordTotals {
+		res.PerSlot = append(res.PerSlot, st)
+	}
 	res.Slots = slotIdx + 1
 	if retires > 0 {
 		s.dropRetired(shards)
@@ -338,7 +340,7 @@ func (s *Simulator) admit(slotIdx int, res *Result) {
 	batch := s.pending[head:s.pendHead]
 	slices.Sort(batch)
 	s.live = mergeSorted(s.live, batch)
-	if s.cfg.RecordPerUserSlots {
+	if s.cfg.Record == RecordUserSlots {
 		for _, i := range batch {
 			for len(res.RebufferSamples[i]) < slotIdx {
 				res.RebufferSamples[i] = append(res.RebufferSamples[i], 0)
@@ -442,7 +444,7 @@ func (s *Simulator) dropRetired(shards int) {
 // the zeros the full-scan engine would have written for retired and
 // never-started users.
 func (s *Simulator) padSamples(res *Result) {
-	if !s.cfg.RecordPerUserSlots {
+	if s.cfg.Record != RecordUserSlots {
 		return
 	}
 	for i := range s.users {

@@ -509,3 +509,56 @@ func TestFinishClipsPerSlot(t *testing.T) {
 			&full.PerSlot[0] != ticked, len(full.PerSlot), cap(full.PerSlot))
 	}
 }
+
+// TestRecordTotalsHoldsNoSeries: a closed run at RecordTotals over the
+// paper's 10 000-slot horizon that ends early keeps no per-slot backing
+// array at all (cap 0, not a clipped copy), neither does the reference
+// arm, and its totals are the default level's. The open engine, whose
+// metric windows fold the series, refuses the level.
+func TestRecordTotalsHoldsNoSeries(t *testing.T) {
+	wl, err := workload.Generate(workload.Config{
+		Users: 6, SizeMin: 4000, SizeMax: 12000, RateMin: 300, RateMax: 600,
+		Signal: workload.PaperDefaults(6).Signal,
+	}, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := PaperConfig()
+	cfg.MaxSlots = 10000
+	run := func(level RecordLevel, reference bool) *Result {
+		t.Helper()
+		c := cfg
+		c.Record = level
+		sim, err := New(c, wl, sched.NewDefault())
+		if err != nil {
+			t.Fatal(err)
+		}
+		do := sim.Run
+		if reference {
+			do = sim.RunReference
+		}
+		res, err := do()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(RecordSlots, false)
+	if want.Slots >= cfg.MaxSlots {
+		t.Fatal("script error: the run went the distance")
+	}
+	for _, reference := range []bool{false, true} {
+		got := run(RecordTotals, reference)
+		if got.PerSlot != nil || cap(got.PerSlot) != 0 || got.RebufferSamples != nil || got.EnergySamples != nil {
+			t.Errorf("reference=%v: RecordTotals kept a series (PerSlot cap %d)", reference, cap(got.PerSlot))
+		}
+		if got.Slots != want.Slots || !reflect.DeepEqual(got.Users, want.Users) {
+			t.Errorf("reference=%v: RecordTotals changed the run: %d slots, want %d", reference, got.Slots, want.Slots)
+		}
+	}
+	c := cfg
+	c.Record = RecordTotals
+	if _, err := NewOpen(OpenConfig{Cell: c}, wl, sched.NewDefault()); err == nil {
+		t.Error("NewOpen accepted RecordTotals")
+	}
+}

@@ -123,7 +123,7 @@ type OpenConfig struct {
 	// Unbounded serves indefinitely: AdvanceTo extends the slot horizon
 	// on demand (Cell.MaxSlots only sets the initial clock) and the
 	// per-slot series is trimmed to the retained metric windows. Requires
-	// Cell.RunFullHorizon, forbids Cell.RecordPerUserSlots, and every
+	// Cell.RunFullHorizon, forbids Cell.Record = RecordUserSlots, and every
 	// session must be memory-bounded: a stateless signal trace (no
 	// signal.Prewarmer memo) and zero RateJitter.
 	Unbounded bool
@@ -257,11 +257,15 @@ const (
 // error.
 func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*OpenSim, error) {
 	cc := cfg.Cell
+	if cc.Record == RecordTotals {
+		// The metric windows fold the per-slot series.
+		return nil, fmt.Errorf("cell: the open engine records per-slot series; RecordTotals is for closed runs")
+	}
 	if cfg.Unbounded {
 		if !cc.RunFullHorizon {
 			return nil, fmt.Errorf("cell: unbounded open mode requires RunFullHorizon")
 		}
-		if cc.RecordPerUserSlots {
+		if cc.Record == RecordUserSlots {
 			return nil, fmt.Errorf("cell: unbounded open mode cannot record per-user slot samples")
 		}
 	}
@@ -377,8 +381,8 @@ func (o *OpenSim) Admit(sess *workload.Session) (int, error) {
 	if o.eng.stepDone && !o.unbounded {
 		return 0, fmt.Errorf("cell: engine finished (set RunFullHorizon for churn-driven runs)")
 	}
-	if o.eng.cfg.RecordPerUserSlots {
-		return 0, fmt.Errorf("cell: mid-run admission is incompatible with RecordPerUserSlots (table slots are reused)")
+	if o.eng.cfg.Record == RecordUserSlots {
+		return 0, fmt.Errorf("cell: mid-run admission is incompatible with RecordUserSlots (table slots are reused)")
 	}
 	if err := o.adm.Check(o.stats.InService, o.stats.DemandKBps, sess.BaseRate); err != nil {
 		o.stats.Rejected++

@@ -503,7 +503,7 @@ func TestOpenValidation(t *testing.T) {
 	// Mid-run admission cannot honor per-user slot recording.
 	cfgRec := tinyConfig()
 	cfgRec.RunFullHorizon = true
-	cfgRec.RecordPerUserSlots = true
+	cfgRec.Record = RecordUserSlots
 	o2, err := NewOpen(OpenConfig{Cell: cfgRec}, openSessions(1), sched.NewDefault())
 	if err != nil {
 		t.Fatal(err)
@@ -512,7 +512,7 @@ func TestOpenValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := o2.Admit(openSessions(2)[1]); err == nil {
-		t.Fatal("mid-run admit accepted with RecordPerUserSlots")
+		t.Fatal("mid-run admit accepted with RecordUserSlots")
 	}
 }
 

@@ -100,7 +100,9 @@ func (s *Simulator) RunReferenceCtx(ctx context.Context) (*Result, error) {
 			Rebuffer:  acc.rebuffer,
 			UsedUnits: acc.usedUnits,
 		}
-		res.PerSlot = append(res.PerSlot, st)
+		if s.cfg.Record != RecordTotals {
+			res.PerSlot = append(res.PerSlot, st)
+		}
 		res.Slots = slotIdx + 1
 	}
 	res.finalize()

@@ -66,7 +66,7 @@ func (s *Simulator) fusedShardBody(sh int) {
 	*acc = slotAccum{errUser: -1}
 	act, ret := s.shardAct[sh][:0], &s.shardRet[sh]
 	*ret = (*ret)[:0]
-	if s.curDense && s.colsTabled() && s.abrCtls == nil && !s.cfg.RecordPerUserSlots {
+	if s.curDense && s.colsTabled() && s.abrCtls == nil && s.cfg.Record != RecordUserSlots {
 		s.deriveDense(lo, hi)
 		act = s.fusedDenseLink(s.curSlot, lo, hi, act, ret, acc)
 	} else {
@@ -174,7 +174,7 @@ func (s *Simulator) commitUserCols(slotIdx, i int, res *Result, acc *slotAccum, 
 	acc.energy += slotEnergy
 	acc.usedUnits += granted
 
-	if s.cfg.RecordPerUserSlots {
+	if s.cfg.Record == RecordUserSlots {
 		res.RebufferSamples[i] = append(res.RebufferSamples[i], float64(c))
 		res.EnergySamples[i] = append(res.EnergySamples[i], float64(slotEnergy))
 	}

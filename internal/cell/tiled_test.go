@@ -171,7 +171,7 @@ var tiledCases = []struct {
 	mut   func(*Config, []*workload.Session)
 }{
 	{"plain", 8, nil, func(*Config, []*workload.Session) {}},
-	{"recorded", 8, nil, func(c *Config, _ []*workload.Session) { c.RecordPerUserSlots = true }},
+	{"recorded", 8, nil, func(c *Config, _ []*workload.Session) { c.Record = RecordUserSlots }},
 	{"outage", 8, nil, func(c *Config, _ []*workload.Session) { c.Outages = []Outage{{From: 40, To: 60}} }},
 	// An outage across the swap at slot 32 of a 64-slot tile (and across
 	// several swaps of the smaller ones).

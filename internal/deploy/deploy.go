@@ -418,8 +418,10 @@ func Run(ctx context.Context, cfg Config, sessions []*workload.Session, newSched
 // closedSite shapes a closed site as a bounded open cell: the closed
 // engine's window under LinkTileSlots (⌈LinkTileSlots/2⌉-slot blocks), the
 // analytic path otherwise (bit-identical by LUT exactness), and one metric
-// window, past the horizon — it reports through its Result.
+// window, past the horizon — it reports through its Result, which only
+// foldSite reads: totals and the per-slot series, never per-user samples.
 func closedSite(c cell.Config, users int) cell.OpenConfig {
+	c.Record = cell.RecordSlots
 	oc := cell.OpenConfig{Cell: c, MaxSessions: users, WindowSlots: c.MaxSlots + 1, Windows: 1}
 	if c.LinkTileSlots > 0 && c.LinkTileSlots < c.MaxSlots {
 		oc.TileSlots = (c.LinkTileSlots + 1) / 2

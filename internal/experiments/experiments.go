@@ -338,10 +338,14 @@ func (r *Runner) LinkFillStats() (filled, horizon int64) {
 }
 
 // simulate performs the actual run (no result memo; the scenario's
-// workload and link table come from the shared workload memo).
+// workload and link table come from the shared workload memo). Only
+// recordCDF runs keep series: no figure reads a plain run's.
 func (r *Runner) simulate(sc scenario, sb schedBuilder) (*cell.Result, error) {
 	cfg := r.opts.Cell
-	cfg.RecordPerUserSlots = sc.recordCDF
+	cfg.Record = cell.RecordTotals
+	if sc.recordCDF {
+		cfg.Record = cell.RecordUserSlots
+	}
 	sw, err := r.workloadFor(sc)
 	if err != nil {
 		return nil, err

@@ -342,6 +342,35 @@ func TestAllRunsEveryFigure(t *testing.T) {
 	}
 }
 
+// TestPlainRunsRecordTotalsOnly: a sweep keeps series only where a figure
+// reads them. Its three recording runs — Default, RTMA and EMA at the CDF
+// scenario, behind Figs. 2, 3, 6 and 7 — hold the per-slot and per-user
+// series of every slot they ran; every other run holds totals alone.
+func TestPlainRunsRecordTotalsOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full figure suite in -short mode")
+	}
+	r := quickRunner(t)
+	if _, err := r.AllParallel(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	recording := 0
+	for key, res := range r.results.snapshot() {
+		if strings.HasSuffix(key, "|cdf=true") {
+			recording++
+			if len(res.PerSlot) != res.Slots || len(res.RebufferSamples) != len(res.Users) || len(res.EnergySamples) != len(res.Users) {
+				t.Errorf("%s: recording run kept %d of %d slots and %d/%d of %d users' samples",
+					key, len(res.PerSlot), res.Slots, len(res.RebufferSamples), len(res.EnergySamples), len(res.Users))
+			}
+		} else if res.PerSlot != nil || res.RebufferSamples != nil || res.EnergySamples != nil {
+			t.Errorf("%s: plain run kept a series (%d per-slot rows)", key, len(res.PerSlot))
+		}
+	}
+	if recording != 3 {
+		t.Errorf("%d recording runs, want 3", recording)
+	}
+}
+
 func TestRunnerDeterministic(t *testing.T) {
 	a := quickRunner(t)
 	b := quickRunner(t)

@@ -88,6 +88,84 @@ func TestCalibrateV(t *testing.T) {
 	}
 }
 
+// CalibrateV on a PC(V) that is not monotone, as a measured one need not
+// be: the low end when its probe fails, the high end when its probe
+// passes, and otherwise the last midpoint that passed (the low end if none
+// did) — whatever the probes around it read.
+func TestCalibrateVNonMonotone(t *testing.T) {
+	const lo, hi, steps, omega = calibrateVMin, calibrateVMax, 8, 1
+	const pass, fail units.Seconds = 0, 2
+	// zigzag passes and fails on alternate bands of log V.
+	zigzag := func(v float64) units.Seconds {
+		if v != hi && int(math.Log(v/lo)*5)%2 == 0 {
+			return pass
+		}
+		return fail
+	}
+	for _, c := range []struct {
+		name string
+		pc   func(v float64) units.Seconds
+		want func(mids []float64, passed []bool) float64
+	}{
+		{"low end fails", func(v float64) units.Seconds {
+			if v == lo {
+				return fail
+			}
+			return pass
+		}, func([]float64, []bool) float64 { return lo }},
+		{"high end passes", func(v float64) units.Seconds {
+			if v == lo || v == hi {
+				return pass
+			}
+			return fail
+		}, func([]float64, []bool) float64 { return hi }},
+		{"no midpoint passes", func(v float64) units.Seconds {
+			if v == lo {
+				return pass
+			}
+			return fail
+		}, func([]float64, []bool) float64 { return lo }},
+		{"zigzag", zigzag, func(mids []float64, passed []bool) float64 {
+			last := lo
+			for i, v := range mids {
+				if passed[i] {
+					last = v
+				}
+			}
+			return last
+		}},
+	} {
+		var mids []float64
+		var passed []bool
+		got, err := CalibrateV(steps, omega, func(v float64) (units.Seconds, error) {
+			pc := c.pc(v)
+			if v != lo && v != hi {
+				mids, passed = append(mids, v), append(passed, pc <= omega)
+			}
+			return pc, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := c.want(mids, passed); got != want {
+			t.Errorf("%s: V=%v, want %v (midpoints %v, passed %v)", c.name, got, want, mids, passed)
+		}
+		if c.name != "zigzag" {
+			continue
+		}
+		// The answer passes, yet PC fails at a smaller V: no monotone PC(V)
+		// reads like this.
+		below := false
+		for v := lo; v < got; v *= 1.01 {
+			below = below || zigzag(v) == fail
+		}
+		if len(mids) != steps || zigzag(got) != pass || !below {
+			t.Errorf("zigzag: script error: %d midpoints, answer passes %v, a smaller V fails %v",
+				len(mids), zigzag(got) == pass, below)
+		}
+	}
+}
+
 // Every scheduler that keeps per-row state forgets a reset row and carries
 // a moved one: afterwards it serves the rows exactly as a scheduler whose
 // history had the session at its new row (or never had it), and a

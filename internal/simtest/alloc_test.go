@@ -24,13 +24,17 @@ const (
 	allocRuns       = 2
 )
 
+// recordLevels are the recording levels the zero-allocation tests hold to
+// 0: the default per-slot series and the sweep's totals-only runs.
+var recordLevels = []cell.RecordLevel{cell.RecordSlots, cell.RecordTotals}
+
 // allocSims prebuilds one simulator per AllocsPerRun invocation (runs+1,
 // counting the warmup call) over a shared workload, so the measured
 // closure contains nothing but Run. One-time costs inside Run — result
 // buffers, pprof label contexts, shard scratch and scheduler state
 // growing on the first slot — are identical between the two horizons and
 // cancel in the difference.
-func allocSims(t *testing.T, wl []*workload.Session, mk func() sched.Scheduler, maxSlots int) []*cell.Simulator {
+func allocSims(t *testing.T, wl []*workload.Session, mk func() sched.Scheduler, maxSlots int, level cell.RecordLevel) []*cell.Simulator {
 	t.Helper()
 	sims := make([]*cell.Simulator, allocRuns+1)
 	for i := range sims {
@@ -38,6 +42,7 @@ func allocSims(t *testing.T, wl []*workload.Session, mk func() sched.Scheduler, 
 		cfg.Capacity = 2000
 		cfg.MaxSlots = maxSlots
 		cfg.Workers = 1
+		cfg.Record = level
 		sim, err := cell.New(cfg, wl, mk())
 		if err != nil {
 			t.Fatal(err)
@@ -54,13 +59,13 @@ func allocSims(t *testing.T, wl []*workload.Session, mk func() sched.Scheduler, 
 // outside the measured closure; the workload is sized so no session can
 // finish within the horizon, keeping the live set and shard layout fixed
 // across the differenced slots.
-func steadyAllocsPerSlot(t *testing.T, mk func() sched.Scheduler) float64 {
+func steadyAllocsPerSlot(t *testing.T, mk func() sched.Scheduler, level cell.RecordLevel) float64 {
 	wl, err := SmallWorkload(5, allocUsers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	measure := func(maxSlots int) float64 {
-		sims := allocSims(t, wl, mk, maxSlots)
+		sims := allocSims(t, wl, mk, maxSlots, level)
 		i := 0
 		return testing.AllocsPerRun(allocRuns, func() {
 			sim := sims[i]
@@ -79,7 +84,8 @@ func steadyAllocsPerSlot(t *testing.T, mk func() sched.Scheduler) float64 {
 // guarantee: once the first slot has grown every buffer, the prepare →
 // schedule → commit loop allocates nothing — for the incremental-sort
 // RTMA, the DP-heavy EMA, and the lookahead Predictive (whose factory
-// arm reads the interface forecast path) at N=10k.
+// arm reads the interface forecast path) at N=10k, at both recording
+// levels.
 func TestTickSteadyStateZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-user allocation measurement; skipped in -short")
@@ -89,8 +95,10 @@ func TestTickSteadyStateZeroAllocs(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			if got := steadyAllocsPerSlot(t, mk); got != 0 {
-				t.Errorf("steady-state tick loop allocates %.2f objects/slot, want 0", got)
+			for _, level := range recordLevels {
+				if got := steadyAllocsPerSlot(t, mk, level); got != 0 {
+					t.Errorf("record level %d: steady-state tick loop allocates %.2f objects/slot, want 0", level, got)
+				}
 			}
 		})
 	}
@@ -100,7 +108,8 @@ func TestTickSteadyStateZeroAllocs(t *testing.T) {
 // factory arm can't reach: a table-backed forecast, whose every
 // prediction is a block lookup in the table and a derivation through
 // radio.Link from the signal row. A read must stay allocation-free — zero
-// allocations per slot however far the lookahead window reaches.
+// allocations per slot however far the lookahead window reaches, at both
+// recording levels.
 func TestTickSteadyStatePredictiveWindowAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-user allocation measurement; skipped in -short")
@@ -126,8 +135,10 @@ func TestTickSteadyStatePredictiveWindowAllocs(t *testing.T) {
 		}
 		return p
 	}
-	if got := steadyAllocsPerSlot(t, mk); got != 0 {
-		t.Errorf("steady-state windowed Predictive tick allocates %.2f objects/slot, want 0", got)
+	for _, level := range recordLevels {
+		if got := steadyAllocsPerSlot(t, mk, level); got != 0 {
+			t.Errorf("record level %d: steady-state windowed Predictive tick allocates %.2f objects/slot, want 0", level, got)
+		}
 	}
 }
 
@@ -136,8 +147,8 @@ func TestTickSteadyStatePredictiveWindowAllocs(t *testing.T) {
 // are filled in the background: once the first swaps have grown the spare
 // block, the snapshot storage and the fillers' scratch, a stretch of eight
 // slots — two window swaps, with their pinned-column copies, snapshots and
-// a goroutine per fill — allocates nothing. Stepped, so the measured
-// closure is only ticks of one warm simulator.
+// a goroutine per fill — allocates nothing, at both recording levels.
+// Stepped, so the measured closure is only ticks of one warm simulator.
 func TestTickSteadyStateTiledZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-user allocation measurement; skipped in -short")
@@ -147,30 +158,33 @@ func TestTickSteadyStateTiledZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := cell.PaperConfig()
-	cfg.Capacity = 2000
-	cfg.MaxSlots = warmSlots + stretch*(runs+2)
-	cfg.Workers = 1
-	cfg.LinkTileSlots = 8
-	sim, err := cell.New(cfg, wl, sched.NewDefault())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	upto := warmSlots
-	advance := func() {
-		if _, err := sim.Advance(upto); err != nil {
+	for _, level := range recordLevels {
+		cfg := cell.PaperConfig()
+		cfg.Capacity = 2000
+		cfg.MaxSlots = warmSlots + stretch*(runs+2)
+		cfg.Workers = 1
+		cfg.LinkTileSlots = 8
+		cfg.Record = level
+		sim, err := cell.New(cfg, wl, sched.NewDefault())
+		if err != nil {
 			t.Fatal(err)
 		}
-		upto += stretch
+		if err := sim.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		upto := warmSlots
+		advance := func() {
+			if _, err := sim.Advance(upto); err != nil {
+				t.Fatal(err)
+			}
+			upto += stretch
+		}
+		advance()
+		if got := testing.AllocsPerRun(runs, advance); got != 0 {
+			t.Errorf("record level %d: steady-state tiled tick loop allocates %.2f objects per %d slots, want 0", level, got, stretch)
+		}
+		sim.Finish()
 	}
-	advance()
-	if got := testing.AllocsPerRun(runs, advance); got != 0 {
-		t.Errorf("steady-state tiled tick loop allocates %.2f objects per %d slots, want 0", got, stretch)
-	}
-	sim.Finish()
 }
 
 // TestTickSteadyStateChurnZeroAllocs extends the zero-allocation

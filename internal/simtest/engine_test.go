@@ -18,7 +18,7 @@ func engineCfg() cell.Config {
 	cfg := cell.PaperConfig()
 	cfg.Capacity = 1000
 	cfg.MaxSlots = 180
-	cfg.RecordPerUserSlots = true
+	cfg.Record = cell.RecordUserSlots
 	cfg.Strict = true
 	return cfg
 }

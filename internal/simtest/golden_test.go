@@ -30,7 +30,7 @@ func goldenRun(t *testing.T) *cell.Result {
 	cfg.Capacity = 1000
 	cfg.MaxSlots = 60
 	cfg.RunFullHorizon = true
-	cfg.RecordPerUserSlots = true
+	cfg.Record = cell.RecordUserSlots
 	cfg.Strict = true
 	em, err := sched.NewEMA(sched.EMAConfig{V: 0.2, RRC: cfg.RRC})
 	if err != nil {

@@ -79,7 +79,7 @@ func TestOpenWorkerDeterminism(t *testing.T) {
 		cfg.MaxSlots = 100
 		cfg.ShardSize = 8
 		cfg.Workers = workers
-		cfg.RecordPerUserSlots = false
+		cfg.Record = cell.RecordSlots
 		cfg.RunFullHorizon = true
 		wl, err := StaggeredWorkload(13, 96, 1)
 		if err != nil {
@@ -153,7 +153,7 @@ func TestOpenChurnAllSchedulers(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			run := func() (cell.OpenStats, []cell.WindowSnapshot) {
 				cfg := engineCfg()
-				cfg.RecordPerUserSlots = false
+				cfg.Record = cell.RecordSlots
 				cfg.RunFullHorizon = true
 				cfg.MaxSlots = 64 // initial horizon; extends on demand
 				o, err := cell.NewOpen(cell.OpenConfig{

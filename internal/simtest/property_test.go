@@ -213,7 +213,7 @@ func TestSimulationResultInvariants(t *testing.T) {
 			cfg := cell.PaperConfig()
 			cfg.Capacity = 1200
 			cfg.MaxSlots = 200
-			cfg.RecordPerUserSlots = true
+			cfg.Record = cell.RecordUserSlots
 			cfg.Strict = true
 			sim, err := cell.New(cfg, wl, mk())
 			if err != nil {
@@ -242,7 +242,7 @@ func TestParallelDeterminism(t *testing.T) {
 		cfg := cell.PaperConfig()
 		cfg.Capacity = 900
 		cfg.MaxSlots = 150
-		cfg.RecordPerUserSlots = true
+		cfg.Record = cell.RecordUserSlots
 		em, err := sched.NewEMA(sched.EMAConfig{V: 0.2, RRC: cfg.RRC})
 		if err != nil {
 			return nil, err
