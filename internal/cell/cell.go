@@ -458,8 +458,7 @@ type Simulator struct {
 	// the log to N.
 	retiredLog []int
 	logRetired bool
-	shardAct   [][]int     // per-shard active-index segments (prepare output)
-	shardAcc   []slotAccum // per-shard partial sums (commit output)
+	shardAcc   []slotAccum // per-shard partial sums (prepare, clamp and commit output)
 	shardRet   [][]int     // per-shard live-list positions retired this slot (commit output)
 	activeBuf  []int       // backing for slot.ActiveList, rebuilt per slot
 	consumed   bool        // Run/RunReference already executed
@@ -503,6 +502,7 @@ type Simulator struct {
 	prepFn                                 func(int)
 	commFn                                 func(int)
 	fusedFn                                func(int)
+	clampFn                                func(int)
 	lblPrep, lblSched, lblCommit, lblFused context.Context
 
 	// Stepped-run state (Start/Advance/Finish): the context bound at
@@ -823,24 +823,12 @@ func (s *Simulator) prepareColsUser(tabled bool, slotIdx, i int) bool {
 		rate, remainingKB = s.abrDemand(i, u, active)
 		c.Rate[i] = rate
 	}
-	maxUnits := linkUnits
-	// The remaining-demand cap needs the ceiling division only when it can
-	// bind: rem ≥ unit·linkUnits implies ⌈rem/unit⌉ ≥ linkUnits, so far-
-	// from-done users (the common case) skip the division entirely.
-	if float64(remainingKB) < float64(s.cfg.Unit)*float64(linkUnits) {
-		if remUnits := ceilUnits(float64(remainingKB), float64(s.cfg.Unit)); maxUnits > remUnits {
-			maxUnits = remUnits
-		}
-	}
-	if !active {
-		maxUnits = 0
-	}
 	c.Active[i] = active
 	c.BufferSec[i] = u.buf.Occupancy()
 	c.RemainingKB[i] = remainingKB
 	c.TailGap[i] = u.tail.Gap
 	c.NeverActive[i] = !u.tail.EverActive
-	c.MaxUnits[i] = int32(maxUnits)
+	c.MaxUnits[i] = maxUnitsFor(active, linkUnits, remainingKB, float64(s.cfg.Unit))
 	return active
 }
 
@@ -856,17 +844,13 @@ type slotAccum struct {
 	fairDen     float64
 	fairCount   int
 	completions int // playback-complete transitions this slot
+	clamps      int // entries Slot.ClampRange changed (clamp pass)
+	active      int // active users written at the shard's live offset (see stageActive)
 	err         error
 	errUser     int
-}
-
-// enforce applies Eq. (1)/(2) clamping (or errors in Strict mode) and
-// returns how many entries were clamped.
-func (s *Simulator) enforce(slot *sched.Slot, alloc []int) (int, error) {
-	if s.cfg.Strict {
-		return 0, slot.Validate(alloc)
-	}
-	return slot.Clamp(alloc), nil
+	// Neighbouring shards may run on different workers at once: the pad
+	// keeps their accumulators off a shared 64-byte line (TestShardAccumLayout).
+	_ [64]byte
 }
 
 // jain computes the Jain fairness index (Σx)²/(n·Σx²) with the convention
@@ -883,6 +867,20 @@ func floorUnits(amount, unit float64) int {
 		return 0
 	}
 	return int(amount / unit)
+}
+
+// maxUnitsFor is a user's Eq. (1) limit for a slot: its link's units,
+// capped at its remaining demand, or 0 when it is inactive. The ceiling
+// division runs only when the cap can bind — rem ≥ unit·linkUnits implies
+// ⌈rem/unit⌉ ≥ linkUnits — so far-from-done users skip it.
+func maxUnitsFor(active bool, linkUnits int, remainingKB units.KB, unit float64) int32 {
+	if !active {
+		return 0
+	}
+	if float64(remainingKB) < unit*float64(linkUnits) {
+		return int32(min(linkUnits, ceilUnits(float64(remainingKB), unit)))
+	}
+	return int32(linkUnits)
 }
 
 func ceilUnits(amount, unit float64) int {

@@ -91,6 +91,7 @@ func (s *Simulator) Start(ctx context.Context) error {
 	s.prepFn = s.prepareShardBody
 	s.commFn = s.commitShardBody
 	s.fusedFn = s.fusedShardBody
+	s.clampFn = s.clampShardBody
 
 	s.stepCtx, s.stepDoneCh = ctx, ctx.Done()
 	s.nextSlot = 0
@@ -213,6 +214,7 @@ func (s *Simulator) tickSlot(slotIdx int) (bool, error) {
 	if s.colsSlot != slotIdx {
 		pprof.SetGoroutineLabels(s.lblPrep)
 		s.attachSlotColumns(slotIdx)
+		s.stageActive()
 		pool.Shard(workers, shards, s.prepFn)
 		s.collectActive(shards)
 	}
@@ -231,7 +233,7 @@ func (s *Simulator) tickSlot(slotIdx int) (bool, error) {
 	} else {
 		s.slot.CapacityUnits = s.capUnits
 		s.sched.Allocate(&s.slot, s.alloc)
-		clamps, err := s.enforce(&s.slot, s.alloc)
+		clamps, err := s.enforce(workers, shards)
 		if err != nil {
 			return false, fmt.Errorf("cell: slot %d: %w", slotIdx, err)
 		}
@@ -249,6 +251,7 @@ func (s *Simulator) tickSlot(slotIdx int) (bool, error) {
 		pprof.SetGoroutineLabels(s.lblFused)
 		s.pinPrevColumns(slotIdx + 1)
 		s.attachSlotColumns(slotIdx + 1)
+		s.stageActive()
 		pool.Shard(workers, shards, s.fusedFn)
 		s.collectActive(shards)
 		s.colsSlot = slotIdx + 1
@@ -310,14 +313,46 @@ func (s *Simulator) pinPrevColumns(next int) {
 	}
 }
 
-// collectActive concatenates the per-shard active segments into the
-// slot's active list, in shard order — ascending user index, because the
-// live list is sorted and shards cover consecutive ranges of it.
-func (s *Simulator) collectActive(shards int) {
-	s.activeBuf = s.activeBuf[:0]
-	for sh := 0; sh < shards; sh++ {
-		s.activeBuf = append(s.activeBuf, s.shardAct[sh]...)
+// enforce applies Eq. (1)/(2) — Slot.Validate in Strict mode, else
+// Slot.Clamp — and returns how many entries it clamped. On more than one
+// worker Clamp's per-entry pass runs sharded, its overflow shed serial.
+func (s *Simulator) enforce(workers, shards int) (int, error) {
+	if s.cfg.Strict {
+		return 0, s.slot.Validate(s.alloc)
 	}
+	if workers == 1 {
+		return s.slot.Clamp(s.alloc), nil
+	}
+	pool.Shard(workers, shards, s.clampFn)
+	clamps, total := 0, 0
+	for sh := 0; sh < shards; sh++ {
+		clamps += s.shardAcc[sh].clamps
+		total += s.shardAcc[sh].usedUnits
+	}
+	return clamps + s.slot.Shed(s.alloc, total), nil
+}
+
+// stageActive sizes the slot's active list to the live count: each shard
+// body writes its active segment straight into it, at its live offset.
+func (s *Simulator) stageActive() {
+	s.activeBuf = slices.Grow(s.activeBuf[:0], len(s.live))[:len(s.live)]
+}
+
+// collectActive closes the gaps stageActive's segments leave, in shard
+// order — ascending user index, because the live list is sorted and
+// shards cover consecutive ranges of it. A segment moves only once an
+// earlier shard had an inactive user.
+func (s *Simulator) collectActive(shards int) {
+	n := 0
+	for sh := 0; sh < shards; sh++ {
+		lo, _ := shardBounds(sh, shards, len(s.curLive))
+		k := s.shardAcc[sh].active
+		if n != lo {
+			copy(s.activeBuf[n:], s.activeBuf[lo:lo+k])
+		}
+		n += k
+	}
+	s.activeBuf = s.activeBuf[:n]
 }
 
 // admit moves users whose StartSlot has arrived from pending onto the
@@ -382,20 +417,6 @@ func mergeSorted(xs, add []int) []int {
 		}
 	}
 	return xs
-}
-
-// retireEligible reports whether user i can leave the live list: its
-// playback and delivery are complete and its RRC tail is drained, so
-// every future slot would add exactly zero energy, rebuffering and
-// delivered bytes. Users with tail still burning stay live — the idle
-// slots after completion are where the tail energy the paper studies
-// accrues.
-func (s *Simulator) retireEligible(i int) bool {
-	u := &s.users[i]
-	if !u.buf.PlaybackComplete() || !u.buf.DeliveryComplete() {
-		return false
-	}
-	return u.tail.Drained(s.tailDrained)
 }
 
 // dropRetired compacts the live list, zeroing retired users' dynamic
@@ -484,9 +505,6 @@ func shardBounds(sh, shards, n int) (int, int) {
 // retirement list starts with room for a whole shard (the table, while it
 // is smaller), so retiring does not allocate in the tick.
 func (s *Simulator) ensureShardScratch(shards int) {
-	for len(s.shardAct) < shards {
-		s.shardAct = append(s.shardAct, nil)
-	}
 	for len(s.shardAcc) < shards {
 		s.shardAcc = append(s.shardAcc, slotAccum{})
 	}

@@ -49,25 +49,13 @@ func (s *Simulator) prepareDenseLink(slotIdx, lo, hi int, act []int) []int {
 		u := &users[k]
 		started := slotIdx >= int(u.startSlot)
 		active := started && !u.buf.DeliveryComplete()
-		linkUnits := int(lu[k])
 		remainingKB := u.buf.RemainingBytes()
-		maxUnits := linkUnits
-		// The remaining-demand cap needs the ceiling division only when it
-		// can bind: rem ≥ unit·linkUnits implies ⌈rem/unit⌉ ≥ linkUnits.
-		if float64(remainingKB) < unit*float64(linkUnits) {
-			if remUnits := ceilUnits(float64(remainingKB), unit); maxUnits > remUnits {
-				maxUnits = remUnits
-			}
-		}
-		if !active {
-			maxUnits = 0
-		}
 		activeC[k] = active
 		bufC[k] = u.buf.Occupancy()
 		remC[k] = remainingKB
 		tailC[k] = u.tail.Gap
 		nevC[k] = !u.tail.EverActive
-		maxC[k] = int32(maxUnits)
+		maxC[k] = maxUnitsFor(active, int(lu[k]), remainingKB, unit)
 		alloc[k] = 0
 		if active {
 			act = append(act, lo+k)
@@ -85,6 +73,8 @@ func (s *Simulator) prepareDenseLink(slotIdx, lo, hi int, act []int) []int {
 // prepareColsUser, in that order; the engine matrix tests pin it to the
 // reference engine bit for bit. A retired user's live-list position, its
 // index in a dense slot, goes to *ret (a pointer, so the loop carries none).
+// The shard's totals stay in locals, which the loop keeps in registers,
+// and reach *acc once, at the end.
 func (s *Simulator) fusedDenseLink(slotIdx, lo, hi int, act []int, ret *[]int, acc *slotAccum) []int {
 	users := s.users[lo:hi]
 	resUsers := s.curRes.Users[lo:hi]
@@ -115,6 +105,10 @@ func (s *Simulator) fusedDenseLink(slotIdx, lo, hi int, act []int, ret *[]int, a
 	tauF := float64(tau)
 	prof := &s.cfg.RRC
 	tailDrained := s.tailDrained
+	var rebuffer units.Seconds
+	var energy units.MJ
+	var fairNum, fairDen float64
+	var usedUnits, fairCount, completions int
 	for k := range lu {
 		u := &users[k]
 		ru := &resUsers[k]
@@ -141,22 +135,17 @@ func (s *Simulator) fusedDenseLink(slotIdx, lo, hi int, act []int, ret *[]int, a
 		ru.DeliveredKB += deliveredKB
 
 		viewRate := rateC[k]
-		wasComplete := u.buf.PlaybackComplete()
-		c, err := u.buf.Advance(deliveredKB, viewRate, tau)
+		st, err := u.buf.Advance(deliveredKB, viewRate, tau)
 		if err != nil {
-			acc.err = err
-			acc.errUser = lo + k
+			*acc = slotAccum{err: err, errUser: lo + k}
 			return act
 		}
-		// Playback completeness is monotone, so one post-Advance check
-		// serves the completion event, the quality accounting and the
-		// retirement test (the general path re-derives it three times).
-		nowComplete := wasComplete
-		if !wasComplete {
-			nowComplete = u.buf.PlaybackComplete()
-			if nowComplete {
+		// Advance's completion flags serve the completion event, the
+		// quality accounting, the retirement test and the next prepare.
+		if !st.WasComplete {
+			if st.Complete {
 				ru.CompletionSlot = slotIdx
-				acc.completions++
+				completions++
 			}
 			ru.QualitySum += float64(viewRate)
 			ru.QualitySlots++
@@ -172,7 +161,7 @@ func (s *Simulator) fusedDenseLink(slotIdx, lo, hi int, act []int, ret *[]int, a
 				// bitwise-identical (the sums are never −0) and removes
 				// a 100k-per-slot divide from the idle majority.
 				if viewRate > 0 && remC[k] > 0 {
-					acc.fairCount++
+					fairCount++
 				}
 			} else {
 				needKB := float64(viewRate) * tauF
@@ -184,46 +173,38 @@ func (s *Simulator) fusedDenseLink(slotIdx, lo, hi int, act []int, ret *[]int, a
 					if f > 1 {
 						f = 1
 					}
-					acc.fairNum += f
-					acc.fairDen += f * f
-					acc.fairCount++
+					fairNum += f
+					fairDen += f * f
+					fairCount++
 				}
 			}
 		}
-		ru.Rebuffer += c
-		acc.rebuffer += c
-		acc.energy += slotEnergy
-		acc.usedUnits += granted
+		ru.Rebuffer += st.Rebuffer
+		rebuffer += st.Rebuffer
+		energy += slotEnergy
+		usedUnits += granted
 
-		// --- retire check (mirrors retireEligible) ---
-		if nowComplete && u.buf.DeliveryComplete() && u.tail.Drained(tailDrained) {
+		// --- retire check (mirrors commitUserCols' retire) ---
+		if st.Complete && st.Delivered && u.tail.Drained(tailDrained) {
 			u.retired = true
 			*ret = append(*ret, lo+k)
 		}
 
 		// --- prepare slot slotIdx+1 (mirrors prepareDenseLink) ---
-		active := !u.buf.DeliveryComplete()
-		linkUnits := int(lu[k])
+		active := !st.Delivered
 		remainingKB := u.buf.RemainingBytes()
-		maxUnits := linkUnits
-		if float64(remainingKB) < unit*float64(linkUnits) {
-			if remUnits := ceilUnits(float64(remainingKB), unit); maxUnits > remUnits {
-				maxUnits = remUnits
-			}
-		}
-		if !active {
-			maxUnits = 0
-		}
 		activeC[k] = active
 		bufC[k] = u.buf.Occupancy()
 		remC[k] = remainingKB
 		tailC[k] = u.tail.Gap
 		nevC[k] = !u.tail.EverActive
-		maxC[k] = int32(maxUnits)
+		maxC[k] = maxUnitsFor(active, int(lu[k]), remainingKB, unit)
 		alloc[k] = 0
 		if active {
 			act = append(act, lo+k)
 		}
 	}
+	*acc = slotAccum{rebuffer: rebuffer, energy: energy, usedUnits: usedUnits,
+		fairNum: fairNum, fairDen: fairDen, fairCount: fairCount, completions: completions, errUser: -1}
 	return act
 }

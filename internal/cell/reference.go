@@ -81,7 +81,7 @@ func (s *Simulator) RunReferenceCtx(ctx context.Context) (*Result, error) {
 		} else {
 			slot.CapacityUnits = s.capUnits
 			s.sched.Allocate(slot, alloc)
-			clamps, err := s.enforce(slot, alloc)
+			clamps, err := s.enforce(1, 0)
 			if err != nil {
 				return nil, fmt.Errorf("cell: slot %d: %w", slotIdx, err)
 			}
@@ -90,7 +90,7 @@ func (s *Simulator) RunReferenceCtx(ctx context.Context) (*Result, error) {
 
 		acc := slotAccum{errUser: -1}
 		for i := range s.users {
-			if err := s.commitUserCols(slotIdx, i, res, &acc, s.cols.EnergyPerKB, s.cols.Rate); err != nil {
+			if _, err := s.commitUserCols(slotIdx, i, res, &acc, s.cols.EnergyPerKB, s.cols.Rate); err != nil {
 				return nil, fmt.Errorf("cell: user %d slot %d: %w", i, slotIdx, err)
 			}
 		}

@@ -12,10 +12,11 @@ import (
 
 // prepareShardBody is the prepare phase for one shard: refresh the
 // dynamic columns of the shard's live users for slot s.curSlot, zero
-// their allocations, and collect the shard's active-index segment.
+// their allocations, and write the shard's active-index segment into the
+// slot's list at the shard's live offset (see stageActive).
 func (s *Simulator) prepareShardBody(sh int) {
 	lo, hi := shardBounds(sh, s.curShards, len(s.curLive))
-	act := s.shardAct[sh][:0]
+	act := s.activeBuf[lo:lo:hi]
 	if s.curDense && s.colsTabled() && s.abrCtls == nil {
 		s.deriveDense(lo, hi)
 		act = s.prepareDenseLink(s.curSlot, lo, hi, act)
@@ -29,29 +30,30 @@ func (s *Simulator) prepareShardBody(sh int) {
 			alloc[i] = 0
 		}
 	}
-	s.shardAct[sh] = act
+	s.shardAcc[sh] = slotAccum{active: len(act)}
 }
 
 // commitShardBody is the plain commit phase for one shard (final slot of
 // a run, where there is no next slot to fuse a prepare into).
 func (s *Simulator) commitShardBody(sh int) {
 	lo, hi := shardBounds(sh, s.curShards, len(s.curLive))
-	acc := &s.shardAcc[sh]
-	*acc = slotAccum{errUser: -1}
+	acc := slotAccum{errUser: -1}
 	ret := s.shardRet[sh][:0]
 	res := s.curRes
 	for p, i := range s.curLive[lo:hi] {
-		if err := s.commitUserCols(s.curSlot, i, res, acc, s.cols.EnergyPerKB, s.cols.Rate); err != nil {
+		retire, err := s.commitUserCols(s.curSlot, i, res, &acc, s.cols.EnergyPerKB, s.cols.Rate)
+		if err != nil {
 			acc.err = err
 			acc.errUser = i
 			break
 		}
-		if s.retireEligible(i) {
+		if retire {
 			s.users[i].retired = true
 			ret = append(ret, lo+p)
 		}
 	}
 	s.shardRet[sh] = ret
+	s.shardAcc[sh] = acc
 }
 
 // fusedShardBody is the fused commit+prepare pass for one shard: each
@@ -59,28 +61,29 @@ func (s *Simulator) commitShardBody(sh int) {
 // prevEpkb/prevRate columns — s.cols already holds slot curSlot+1) and
 // immediately prepared for slot curSlot+1. Per user the order is exactly
 // commit-then-prepare, which matches the phase-separated engine because
-// neither phase reads another user's state.
+// neither phase reads another user's state. Like every shard body it
+// keeps its totals in a local and stores them once.
 func (s *Simulator) fusedShardBody(sh int) {
 	lo, hi := shardBounds(sh, s.curShards, len(s.curLive))
-	acc := &s.shardAcc[sh]
-	*acc = slotAccum{errUser: -1}
-	act, ret := s.shardAct[sh][:0], &s.shardRet[sh]
+	acc := slotAccum{errUser: -1}
+	act, ret := s.activeBuf[lo:lo:hi], &s.shardRet[sh]
 	*ret = (*ret)[:0]
 	if s.curDense && s.colsTabled() && s.abrCtls == nil && s.cfg.Record != RecordUserSlots {
 		s.deriveDense(lo, hi)
-		act = s.fusedDenseLink(s.curSlot, lo, hi, act, ret, acc)
+		act = s.fusedDenseLink(s.curSlot, lo, hi, act, ret, &acc)
 	} else {
 		res := s.curRes
 		tabled := s.colsTabled()
 		alloc := s.alloc
 		next := s.curSlot + 1
 		for p, i := range s.curLive[lo:hi] {
-			if err := s.commitUserCols(s.curSlot, i, res, acc, s.prevEpkb, s.prevRate); err != nil {
+			retire, err := s.commitUserCols(s.curSlot, i, res, &acc, s.prevEpkb, s.prevRate)
+			if err != nil {
 				acc.err = err
 				acc.errUser = i
 				break
 			}
-			if s.retireEligible(i) {
+			if retire {
 				s.users[i].retired = true
 				*ret = append(*ret, lo+p)
 			}
@@ -90,7 +93,16 @@ func (s *Simulator) fusedShardBody(sh int) {
 			alloc[i] = 0
 		}
 	}
-	s.shardAct[sh] = act
+	acc.active = len(act)
+	s.shardAcc[sh] = acc
+}
+
+// clampShardBody is Slot.Clamp's per-entry pass over one shard's range of
+// the allocation; enforce sums the shards' totals and sheds an overflow.
+func (s *Simulator) clampShardBody(sh int) {
+	lo, hi := shardBounds(sh, s.curShards, len(s.alloc))
+	clamps, total := s.slot.ClampRange(s.alloc, lo, hi)
+	s.shardAcc[sh] = slotAccum{clamps: clamps, usedUnits: total}
 }
 
 // commitUserCols applies slot slotIdx's allocation outcome to user i —
@@ -103,8 +115,13 @@ func (s *Simulator) fusedShardBody(sh int) {
 // interfaces. epkbCol/rateCol are passed explicitly because the fused pass
 // prices slot n with columns the view has already moved past. It writes
 // only user-i state and acc, so distinct users commit concurrently as
-// long as each shard owns its acc.
-func (s *Simulator) commitUserCols(slotIdx, i int, res *Result, acc *slotAccum, epkbCol []units.MJ, rateCol []units.KBps) error {
+// long as each shard owns its acc. retire reports that the user can leave
+// the live list: its playback and delivery are complete and its RRC tail
+// is drained, so every future slot would add exactly zero energy,
+// rebuffering and delivered bytes. Users with tail still burning stay
+// live — the idle slots after completion are where the tail energy the
+// paper studies accrues.
+func (s *Simulator) commitUserCols(slotIdx, i int, res *Result, acc *slotAccum, epkbCol []units.MJ, rateCol []units.KBps) (retire bool, err error) {
 	u := &s.users[i]
 	ru := &res.Users[i]
 	granted := s.alloc[i]
@@ -133,17 +150,16 @@ func (s *Simulator) commitUserCols(slotIdx, i int, res *Result, acc *slotAccum, 
 	var c units.Seconds
 	if slotIdx >= int(u.startSlot) {
 		viewRate := rateCol[i]
-		wasComplete := u.buf.PlaybackComplete()
-		var err error
-		c, err = u.buf.Advance(deliveredKB, viewRate, s.cfg.Tau)
+		st, err := u.buf.Advance(deliveredKB, viewRate, s.cfg.Tau)
 		if err != nil {
-			return err
+			return false, err
 		}
-		if !wasComplete && u.buf.PlaybackComplete() {
+		c, retire = st.Rebuffer, st.Complete && st.Delivered && u.tail.Drained(s.tailDrained)
+		if !st.WasComplete && st.Complete {
 			ru.CompletionSlot = slotIdx
 			acc.completions++
 		}
-		if !wasComplete {
+		if !st.WasComplete {
 			ru.QualitySum += float64(viewRate)
 			ru.QualitySlots++
 			if u.prevRate != 0 && viewRate != u.prevRate {
@@ -178,5 +194,5 @@ func (s *Simulator) commitUserCols(slotIdx, i int, res *Result, acc *slotAccum, 
 		res.RebufferSamples[i] = append(res.RebufferSamples[i], float64(c))
 		res.EnergySamples[i] = append(res.EnergySamples[i], float64(slotEnergy))
 	}
-	return nil
+	return retire, nil
 }

@@ -133,23 +133,33 @@ func completionTolerance(d units.Seconds) units.Seconds {
 	return tol
 }
 
+// Step is one slot's outcome of Advance: the rebuffering time c_i(n) and
+// the completion predicates on either side of it.
+type Step struct {
+	Rebuffer    units.Seconds // c_i(n)
+	WasComplete bool          // PlaybackComplete before the slot
+	Complete    bool          // PlaybackComplete after it
+	Delivered   bool          // DeliveryComplete after it
+}
+
 // Advance moves the buffer through one slot of length tau during which
 // `delivered` bytes arrived for a video encoded at `rate` (p_i(n), the
 // required data rate in this slot). It returns the rebuffering time c_i(n)
-// incurred in this slot.
+// incurred in this slot with the completion state around it; on an error
+// the buffer is unchanged and the Step is zero.
 //
 // Following the paper's shard semantics, the data delivered in this slot
 // becomes playable at the next Advance call; the occupancy consumed by this
 // slot's playback is whatever was buffered at the slot boundary.
-func (b *Buffer) Advance(delivered units.KB, rate units.KBps, tau units.Seconds) (units.Seconds, error) {
+func (b *Buffer) Advance(delivered units.KB, rate units.KBps, tau units.Seconds) (Step, error) {
 	if delivered < 0 {
-		return 0, fmt.Errorf("playback: negative delivery %v", delivered)
+		return Step{}, fmt.Errorf("playback: negative delivery %v", delivered)
 	}
 	if tau <= 0 {
-		return 0, fmt.Errorf("playback: non-positive slot length %v", tau)
+		return Step{}, fmt.Errorf("playback: non-positive slot length %v", tau)
 	}
 	if delivered > 0 && rate <= 0 {
-		return 0, fmt.Errorf("playback: delivery with non-positive rate %v", rate)
+		return Step{}, fmt.Errorf("playback: delivery with non-positive rate %v", rate)
 	}
 
 	// The two completion checks below (drain gate, rebuffer gate) share
@@ -194,7 +204,14 @@ func (b *Buffer) Advance(delivered units.KB, rate units.KBps, tau units.Seconds)
 		b.pending = 0
 	}
 	b.slots++
-	return c, nil
+	// PlaybackComplete and DeliveryComplete on the updated state (slots > 0
+	// now holds); delivery moves only when something was delivered.
+	st := Step{Rebuffer: c, WasComplete: complete, Delivered: delivDone}
+	if delivered != 0 {
+		st.Delivered = b.DeliveryComplete()
+	}
+	st.Complete = b.elapsed >= b.duration-b.tol || (st.Delivered && b.occupancy == 0 && b.pending == 0)
+	return st, nil
 }
 
 func maxSec(a, b units.Seconds) units.Seconds {

@@ -45,7 +45,8 @@ func TestInitialState(t *testing.T) {
 // First slot always rebuffers: r(0)=0, shards become playable next slot.
 func TestFirstSlotRebuffers(t *testing.T) {
 	b := mustNew(t, 1000, 10)
-	c, err := b.Advance(100, 100, 1)
+	st, err := b.Advance(100, 100, 1)
+	c := st.Rebuffer
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,8 @@ func TestFirstSlotRebuffers(t *testing.T) {
 func TestShardPlayableNextSlot(t *testing.T) {
 	b := mustNew(t, 1000, 10)
 	b.Advance(200, 100, 1) // delivers 2s of playback, playable next slot
-	c, _ := b.Advance(0, 100, 1)
+	st, _ := b.Advance(0, 100, 1)
+	c := st.Rebuffer
 	if c != 0 {
 		t.Errorf("slot 1 rebuffer = %v, want 0 (2s buffered)", c)
 	}
@@ -84,7 +86,8 @@ func TestOccupancyRecursion(t *testing.T) {
 	}
 	// Slot 3: r = 1. Slot 4: r = 0 and rebuffering resumes.
 	b.Advance(0, 100, 1)
-	c, _ := b.Advance(0, 100, 1)
+	st, _ := b.Advance(0, 100, 1)
+	c := st.Rebuffer
 	if got := b.Occupancy(); got != 0 {
 		t.Errorf("r(4) = %v, want 0", got)
 	}
@@ -97,7 +100,8 @@ func TestOccupancyRecursion(t *testing.T) {
 func TestPartialSlotRebuffer(t *testing.T) {
 	b := mustNew(t, 10000, 100)
 	b.Advance(50, 100, 1) // t(0) = 0.5s
-	c, _ := b.Advance(0, 100, 1)
+	st, _ := b.Advance(0, 100, 1)
+	c := st.Rebuffer
 	if math.Abs(float64(c)-0.5) > 1e-9 {
 		t.Errorf("c = %v, want 0.5", c)
 	}
@@ -111,7 +115,8 @@ func TestSteadyStreamNoRebufferAfterStartup(t *testing.T) {
 	// Deliver exactly one slot of playback every slot.
 	var total units.Seconds
 	for i := 0; i < 100; i++ {
-		c, err := b.Advance(100, 100, 1)
+		st, err := b.Advance(100, 100, 1)
+		c := st.Rebuffer
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +165,8 @@ func TestPlaybackCompletionStopsRebuffering(t *testing.T) {
 	}
 	before := b.TotalRebuffer()
 	for i := 0; i < 10; i++ {
-		c, _ := b.Advance(0, 100, 1)
+		st, _ := b.Advance(0, 100, 1)
+		c := st.Rebuffer
 		if c != 0 {
 			t.Errorf("post-completion rebuffer %v", c)
 		}
@@ -254,7 +260,8 @@ func TestRebufferBoundedProperty(t *testing.T) {
 			return false
 		}
 		for _, d := range deliveries {
-			c, err := b.Advance(units.KB(d), 400, 1)
+			st, err := b.Advance(units.KB(d), 400, 1)
+			c := st.Rebuffer
 			if err != nil || c < 0 || c > 1 {
 				return false
 			}

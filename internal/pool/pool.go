@@ -6,7 +6,8 @@
 // crashing the process.
 //
 // Every fan-out granted an extra worker — Shard, ForEachN, Map — runs one
-// claim loop: one goroutine spawn per extra worker, one atomic add per job.
+// claim loop: one goroutine spawn per extra worker, one atomic add per run
+// of jobs (a run is one job, except under Shard).
 package pool
 
 import (
@@ -20,12 +21,12 @@ import (
 var errNilFunc = errors.New("pool: nil function")
 
 // claim runs fn(i) for i in [0, n) on the calling goroutine plus extra
-// more, each claiming the next index from one counter, until the indices
-// run out, done is closed (polled without blocking, so without a lock,
-// before every claim; a nil done never is), or a job panics. It returns
-// once every goroutine has finished, with the first panic and the job
-// that raised it (job < 0 when none did).
-func claim(extra, n int, done <-chan struct{}, fn func(i int)) (job int, panicked any) {
+// more, each claiming the next run of consecutive indices from one
+// counter, until the indices run out, done is closed (polled without
+// blocking, so without a lock, before every claim; a nil done never is),
+// or a job panics. It returns once every goroutine has finished, with the
+// first panic and the job that raised it (job < 0 when none did).
+func claim(extra, n, run int, done <-chan struct{}, fn func(i int)) (job int, panicked any) {
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
@@ -50,10 +51,13 @@ func claim(extra, n int, done <-chan struct{}, fn func(i int)) (job int, panicke
 				return
 			default:
 			}
-			if i = int(next.Add(1)) - 1; i >= n {
+			lo := int(next.Add(int64(run))) - run
+			if lo >= n {
 				return
 			}
-			fn(i)
+			for i = lo; i < min(lo+run, n); i++ {
+				fn(i)
+			}
 		}
 	}
 	wg.Add(extra)
@@ -136,7 +140,7 @@ func ForEachN(ctx context.Context, workers, n int, fn func(context.Context, int)
 		mu       sync.Mutex
 		firstErr error
 	)
-	claim(extra, n, ctx.Done(), func(i int) {
+	claim(extra, n, 1, ctx.Done(), func(i int) {
 		if err := runJob(ctx, i, fn); err != nil {
 			mu.Lock()
 			if firstErr == nil {

@@ -5,7 +5,10 @@ package pool
 // of ForEachN for the simulator's per-slot tick path: the same claim loop
 // with no context, no error plumbing and no per-job wrapper, so
 // dispatching a slot's prepare or commit phase costs one goroutine spawn
-// per extra worker and one atomic add per shard.
+// per extra worker and one atomic add per run of shards. A worker claims
+// runs of consecutive shards, about runsPerWorker of them: neighbouring
+// shards share the cache lines at their edges, and a worker that walks on
+// from one shard into the next keeps its prefetch streams.
 //
 // fn must confine its writes to shard-local state; Shard returns only
 // after every shard completed. workers <= 1 (or a single shard) runs the
@@ -35,7 +38,12 @@ func Shard(workers, shards int, fn func(shard int)) {
 		}
 		return
 	}
-	if _, p := claim(extra, shards, nil, fn); p != nil {
+	run := max(1, shards/(runsPerWorker*(extra+1)))
+	if _, p := claim(extra, shards, run, nil, fn); p != nil {
 		panic(p)
 	}
 }
+
+// runsPerWorker is how many runs of shards Shard deals each worker: enough
+// for a worker held up elsewhere to leave its share to the others.
+const runsPerWorker = 16

@@ -8,13 +8,17 @@ import (
 	"time"
 )
 
+// TestShardCoversEveryIndexOnce: 1 001 shards are claimed in runs of
+// several, the last one short.
 func TestShardCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 4, 16} {
-		hits := make([]atomic.Int32, 100)
-		Shard(workers, len(hits), func(i int) { hits[i].Add(1) })
-		for i := range hits {
-			if n := hits[i].Load(); n != 1 {
-				t.Fatalf("workers=%d: shard %d ran %d times, want 1", workers, i, n)
+	for _, shards := range []int{100, 1001} {
+		for _, workers := range []int{0, 1, 2, 4, 16} {
+			hits := make([]atomic.Int32, shards)
+			Shard(workers, len(hits), func(i int) { hits[i].Add(1) })
+			for i := range hits {
+				if n := hits[i].Load(); n != 1 {
+					t.Fatalf("%d shards, workers=%d: shard %d ran %d times, want 1", shards, workers, i, n)
+				}
 			}
 		}
 	}

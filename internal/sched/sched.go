@@ -252,26 +252,42 @@ func ceilDiv(a, b float64) int {
 // is deterministic. It is the one clamp of both serving engines, the
 // simulator's non-strict mode and the gateway.
 func (s *Slot) Clamp(alloc []int) int {
-	clamps := 0
-	total := 0
-	for i := range alloc {
+	clamps, total := s.ClampRange(alloc, 0, len(alloc))
+	return clamps + s.Shed(alloc, total)
+}
+
+// ClampRange is Clamp's per-entry pass over alloc[lo:hi]: it returns how
+// many entries it changed and the sum of the entries it leaves. Disjoint
+// ranges may be clamped concurrently.
+func (s *Slot) ClampRange(alloc []int, lo, hi int) (clamps, total int) {
+	part := alloc[lo:hi]
+	for k := range part {
 		// A zero allocation can never violate Eq. (1)/(2) — MaxUnits is
 		// never negative and zero adds nothing to the total — so the scan
 		// skips the untouched majority without reading the view at all.
-		if alloc[i] == 0 {
+		if part[k] == 0 {
 			continue
 		}
-		if alloc[i] < 0 || !s.ActiveAt(i) {
-			alloc[i] = 0
+		i := lo + k
+		if part[k] < 0 || !s.ActiveAt(i) {
+			part[k] = 0
 			clamps++
 			continue
 		}
-		if m := s.MaxUnitsAt(i); alloc[i] > m {
-			alloc[i] = m
+		if m := s.MaxUnitsAt(i); part[k] > m {
+			part[k] = m
 			clamps++
 		}
-		total += alloc[i]
+		total += part[k]
 	}
+	return clamps, total
+}
+
+// Shed is Clamp's overflow cut: given the allocation's total after the
+// per-entry pass, it sheds any excess over CapacityUnits from the highest
+// rows down and returns how many entries it cut.
+func (s *Slot) Shed(alloc []int, total int) int {
+	clamps := 0
 	over := total - s.CapacityUnits
 	for i := len(alloc) - 1; i >= 0 && over > 0; i-- {
 		cut := min(alloc[i], over)

@@ -151,6 +151,54 @@ func TestValidateAllocation(t *testing.T) {
 	}
 }
 
+// TestClampShardedMatchesSerial: the cell engine's multi-worker clamp —
+// ClampRange over consecutive shard ranges, their counts and totals
+// summed, then one Shed — equals the serial Clamp entry for entry and in
+// its count, on allocations over capacity and with negative, inactive and
+// over-limit entries. No built-in scheduler produces these in a workload
+// run, so this is where the split is exercised.
+func TestClampShardedMatchesSerial(t *testing.T) {
+	users := make([]user, 12)
+	for i := range users {
+		users[i] = stdUser(400, -70, 3+i%4)
+		users[i].Active = i%5 != 2
+	}
+	slot := makeSlot(20, users...)
+	cases := [][]int{
+		{3, 3, 0, 4, 5, 6, 3, 4, 5, 6, 3, 4},    // over capacity only
+		{-2, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 1},   // a negative entry
+		{1, 1, 2, 1, 1, 1, 0, 2, 1, 1, 1, 1},    // inactive users 2 and 7 allocated
+		{9, -1, 4, 9, 0, 9, 9, 0, 9, -3, 9, 9},  // all of it at once
+		{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},    // nothing to do
+		{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 99},   // one row over everything
+		{5, 5, 5, 5, -5, 5, 5, 5, 5, 5, 5, 5},   // shed runs down several rows
+		{6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6},    // every entry over its limit
+		{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, // ascending
+		{12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1}, // descending
+		{-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1},
+	}
+	for c, alloc := range cases {
+		want := slices.Clone(alloc)
+		wantN := slot.Clamp(want)
+		for _, bounds := range [][]int{{0, 12}, {0, 5, 12}, {0, 1, 2, 7, 12}, {0, 3, 6, 9, 12}, {0, 0, 11, 12}} {
+			got := slices.Clone(alloc)
+			n, total := 0, 0
+			for k := 0; k+1 < len(bounds); k++ {
+				cl, tot := slot.ClampRange(got, bounds[k], bounds[k+1])
+				n += cl
+				total += tot
+			}
+			n += slot.Shed(got, total)
+			if n != wantN || !slices.Equal(got, want) {
+				t.Errorf("case %d, shards %v: %d changes to %v, serial Clamp %d to %v", c, bounds, n, got, wantN, want)
+			}
+		}
+		if wantN == 0 && !slices.Equal(want, alloc) {
+			t.Errorf("case %d: Clamp changed %v to %v and counted nothing", c, alloc, want)
+		}
+	}
+}
+
 // TestValidateRaggedColumns: a hand-built slot whose columns disagree in
 // length is an error from Validate — never an index panic inside an
 // accessor — whichever column is the odd one out.
