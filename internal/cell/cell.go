@@ -109,11 +109,11 @@ type RecordLevel uint8
 
 const (
 	// RecordSlots keeps Result.PerSlot, one SlotTotals a slot: the zero
-	// value, and what the open engine's metric windows fold.
+	// value.
 	RecordSlots RecordLevel = iota
 	// RecordTotals keeps the per-user and run totals only: no per-slot
 	// series is allocated or appended, so a run's result memory does not
-	// grow with the horizon. Closed runs only.
+	// grow with the horizon.
 	RecordTotals
 	// RecordUserSlots keeps PerSlot and the per-user per-slot samples
 	// (Result.RebufferSamples, EnergySamples).
@@ -465,6 +465,9 @@ type Simulator struct {
 	// capUnits is the nominal per-slot capacity in units; the engines
 	// restore it after every outage slot zeroes slot.CapacityUnits.
 	capUnits int
+	// foldSlot, set by the open engine, receives every slot's totals as
+	// the tick reduces them, so its folds need no per-slot series.
+	foldSlot func(n int, st SlotTotals)
 
 	// Run-scoped state of the sharded engine, set by Start and consumed
 	// by tickSlot and the shard bodies (engine.go). The shard bodies are

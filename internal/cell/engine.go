@@ -284,6 +284,9 @@ func (s *Simulator) tickSlot(slotIdx int) (bool, error) {
 	if s.cfg.Record != RecordTotals {
 		res.PerSlot = append(res.PerSlot, st)
 	}
+	if s.foldSlot != nil {
+		s.foldSlot(slotIdx, st)
+	}
 	res.Slots = slotIdx + 1
 	if retires > 0 {
 		s.dropRetired(shards)

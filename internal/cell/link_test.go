@@ -514,7 +514,8 @@ func TestFinishClipsPerSlot(t *testing.T) {
 // paper's 10 000-slot horizon that ends early keeps no per-slot backing
 // array at all (cap 0, not a clipped copy), neither does the reference
 // arm, and its totals are the default level's. The open engine, whose
-// metric windows fold the series, refuses the level.
+// metric windows fold each slot as it is ticked, runs at the level too
+// and keeps no series either.
 func TestRecordTotalsHoldsNoSeries(t *testing.T) {
 	wl, err := workload.Generate(workload.Config{
 		Users: 6, SizeMin: 4000, SizeMax: 12000, RateMin: 300, RateMax: 600,
@@ -558,7 +559,18 @@ func TestRecordTotalsHoldsNoSeries(t *testing.T) {
 	}
 	c := cfg
 	c.Record = RecordTotals
-	if _, err := NewOpen(OpenConfig{Cell: c}, wl, sched.NewDefault()); err == nil {
-		t.Error("NewOpen accepted RecordTotals")
+	o, err := NewOpen(OpenConfig{Cell: c}, wl, sched.NewDefault())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.AdvanceTo(cfg.MaxSlots); err != nil {
+		t.Fatal(err)
+	}
+	got := o.Finish()
+	if got.PerSlot != nil || got.Slots != want.Slots || !reflect.DeepEqual(got.Users, want.Users) {
+		t.Errorf("open engine at RecordTotals: PerSlot cap %d, %d slots, want none and %d", cap(got.PerSlot), got.Slots, want.Slots)
 	}
 }

@@ -150,6 +150,10 @@ type OpenConfig struct {
 	WindowSlots int
 	// Windows is how many windows the sliding metrics retain (default 4).
 	Windows int
+	// OnSlot, when set, gets every slot's totals as the tick reduces them,
+	// in slot order, on AdvanceTo's goroutine: a caller folds its own
+	// series there (the fleet's per-epoch totals), not from PerSlot.
+	OnSlot func(n int, st SlotTotals)
 }
 
 // OpenStats are the open-system run's cumulative counters.
@@ -236,6 +240,10 @@ type OpenSim struct {
 	perSlotBase int // slot index PerSlot[0] corresponds to (trimming offset)
 	quality     *metrics.SessionWindow
 	snaps       []WindowSnapshot // retained closed windows, oldest first
+	// open sums each window the clock entered and rotateWindows has not
+	// closed yet, live window first (foldSlot).
+	open   []WindowSnapshot
+	onSlot func(n int, st SlotTotals)
 
 	stats   OpenStats
 	started bool
@@ -257,10 +265,6 @@ const (
 // error.
 func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*OpenSim, error) {
 	cc := cfg.Cell
-	if cc.Record == RecordTotals {
-		// The metric windows fold the per-slot series.
-		return nil, fmt.Errorf("cell: the open engine records per-slot series; RecordTotals is for closed runs")
-	}
 	if cfg.Unbounded {
 		if !cc.RunFullHorizon {
 			return nil, fmt.Errorf("cell: unbounded open mode requires RunFullHorizon")
@@ -290,6 +294,7 @@ func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*O
 		adm:         NewAdmission(cfg.MaxSessions, cfg.HeadroomFrac, cc.Capacity),
 		unbounded:   cfg.Unbounded,
 		windowSlots: cfg.WindowSlots,
+		onSlot:      cfg.OnSlot,
 	}
 	o.rows, _ = s.(sched.RowState)
 	if o.windowSlots <= 0 {
@@ -328,6 +333,7 @@ func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*O
 	}
 	o.eng = eng
 	eng.logRetired = true
+	eng.foldSlot = o.foldSlot
 	o.ended = make([]bool, len(initial))
 	o.owned = make([]bool, len(initial))
 	o.serials = make([]uint64, len(initial))
@@ -779,25 +785,38 @@ func (o *OpenSim) AdvanceTo(upto int) (bool, error) {
 	return done, nil
 }
 
+// foldSlot adds slot n's totals into the open window holding it — slots
+// arrive in ascending order, so each window sums its slots from zero in
+// slot order — and hands them on to OnSlot.
+func (o *OpenSim) foldSlot(n int, st SlotTotals) {
+	k := (n - o.windowStart) / o.windowSlots
+	for len(o.open) <= k {
+		o.open = append(o.open, WindowSnapshot{})
+	}
+	w := &o.open[k]
+	w.Energy += st.Energy
+	w.Rebuffer += st.Rebuffer
+	w.UsedUnits += st.UsedUnits
+	if o.onSlot != nil {
+		o.onSlot(n, st)
+	}
+}
+
 // rotateWindows closes every whole metric window the clock has passed:
-// snapshot the window's Result delta, record the sliding quantiles, and
-// (in unbounded mode) trim the per-slot series to the retained span.
+// snapshot the window's folded sums (an early-exit run ticks fewer slots
+// than the clock, so its last windows may have none), record the sliding
+// quantiles, and (in unbounded mode) trim the per-slot series, if
+// recorded, to the retained span.
 func (o *OpenSim) rotateWindows() {
 	s := o.eng
 	for s.nextSlot >= o.windowStart+o.windowSlots {
-		from, to := o.windowStart, o.windowStart+o.windowSlots
-		ended, _, _ := o.quality.Ended()
-		snap := WindowSnapshot{FromSlot: from, ToSlot: to, SessionsEnded: ended}
-		for n := from; n < to; n++ {
-			k := n - o.perSlotBase
-			if k < 0 || k >= len(s.curRes.PerSlot) {
-				continue // early-exit runs tick fewer slots than the clock
-			}
-			st := &s.curRes.PerSlot[k]
-			snap.Energy += st.Energy
-			snap.Rebuffer += st.Rebuffer
-			snap.UsedUnits += st.UsedUnits
+		var snap WindowSnapshot
+		if len(o.open) > 0 {
+			snap = o.open[0]
+			o.open = o.open[:copy(o.open, o.open[1:])]
 		}
+		snap.FromSlot, snap.ToSlot = o.windowStart, o.windowStart+o.windowSlots
+		snap.SessionsEnded, _, _ = o.quality.Ended()
 		snap.RebufferP50 = o.quality.RebufferQuantile(0.5)
 		snap.RebufferP99 = o.quality.RebufferQuantile(0.99)
 		snap.EnergyP50 = o.quality.EnergyQuantile(0.5)
@@ -811,7 +830,7 @@ func (o *OpenSim) rotateWindows() {
 			o.snaps = append(o.snaps, snap)
 		}
 		o.quality.Rotate()
-		o.windowStart = to
+		o.windowStart = snap.ToSlot
 	}
 	if o.unbounded {
 		// Trim PerSlot to the retained window span so an indefinite run's
@@ -860,10 +879,10 @@ func (o *OpenSim) Stats() OpenStats {
 // departed) — their table slots are not freed, as nothing admits after
 // Finish — then finalizes and returns the engine Result. In bounded
 // mode with no mid-run churn the Result is byte-identical to RunCtx on
-// the same inputs; in unbounded mode PerSlot holds only the retained
-// window span (the trimmed prefix lives in the window snapshots) and
-// per-user entries of reused table slots describe only their latest
-// session.
+// the same inputs; in unbounded mode PerSlot, if recorded, holds only
+// the retained window span (the trimmed prefix lives in the window
+// snapshots) and per-user entries of reused table slots describe only
+// their latest session.
 func (o *OpenSim) Finish() *Result {
 	o.Stop()
 	s := o.eng

@@ -3,6 +3,7 @@ package cell
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -431,6 +432,95 @@ func TestOpenUnbounded(t *testing.T) {
 	}
 	if len(o.Snapshots()) != 2 {
 		t.Fatalf("retained %d snapshots, want 2", len(o.Snapshots()))
+	}
+}
+
+// TestOpenSnapshotsRecordTotals: an unbounded open cell's window
+// snapshots do not depend on the record level, bit for bit — the windows
+// fold each slot's totals as the tick reduces them, never Result.PerSlot —
+// and each is the sum from zero, in slot order, of its window's slot
+// totals, also when one AdvanceTo crosses several windows. At RecordTotals
+// no per-slot series is kept.
+func TestOpenSnapshotsRecordTotals(t *testing.T) {
+	run := func(level RecordLevel) ([]WindowSnapshot, []SlotTotals) {
+		cfg := tinyConfig()
+		cfg.RunFullHorizon = true
+		cfg.MaxSlots = 32
+		cfg.Record = level
+		var series []SlotTotals
+		o, err := NewOpen(OpenConfig{
+			Cell: cfg, Unbounded: true, WindowSlots: 16, Windows: 4,
+			OnSlot: func(n int, st SlotTotals) {
+				if n != len(series) {
+					t.Fatalf("OnSlot got slot %d, want %d", n, len(series))
+				}
+				series = append(series, st)
+			},
+		}, openSessions(2), sched.NewDefault())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		ss := openSessions(8)
+		var snaps []WindowSnapshot
+		// Steps of 23, 40 and 57 slots close none, one or several windows;
+		// four retained windows (64 slots) outlast the longest.
+		for k, upto := 2, 0; upto < 400; k++ {
+			upto += 23 + 17*(k%3)
+			if _, err := o.AdvanceTo(upto); err != nil {
+				t.Fatal(err)
+			}
+			if k < len(ss) {
+				if _, err := o.Admit(ss[k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, sn := range o.Snapshots() {
+				if len(snaps) == 0 || sn.FromSlot >= snaps[len(snaps)-1].ToSlot {
+					snaps = append(snaps, sn)
+				}
+			}
+		}
+		if level == RecordTotals && o.eng.curRes.PerSlot != nil {
+			t.Fatalf("RecordTotals kept %d per-slot entries", len(o.eng.curRes.PerSlot))
+		}
+		o.Finish()
+		return snaps, series
+	}
+	want, series := run(RecordSlots)
+	got, _ := run(RecordTotals)
+	if len(want) < 400/16 || len(got) != len(want) || len(series) < want[len(want)-1].ToSlot {
+		t.Fatalf("closed windows: %d at RecordSlots, %d at RecordTotals, want ≥ %d over %d slots",
+			len(want), len(got), 400/16, len(series))
+	}
+	bits := func(sn WindowSnapshot) [10]uint64 {
+		return [10]uint64{uint64(sn.FromSlot), uint64(sn.ToSlot), uint64(sn.UsedUnits), uint64(sn.SessionsEnded),
+			math.Float64bits(float64(sn.Energy)), math.Float64bits(float64(sn.Rebuffer)),
+			math.Float64bits(sn.RebufferP50), math.Float64bits(sn.RebufferP99),
+			math.Float64bits(sn.EnergyP50), math.Float64bits(sn.EnergyP99)}
+	}
+	for k, sn := range want {
+		if k > 0 && sn.FromSlot != want[k-1].ToSlot {
+			t.Fatalf("window %d starts at %d, want %d: a window rolled out unread", k, sn.FromSlot, want[k-1].ToSlot)
+		}
+		if bits(got[k]) != bits(sn) {
+			t.Fatalf("window %d: RecordTotals %+v, RecordSlots %+v", k, got[k], sn)
+		}
+		var e units.MJ
+		var r units.Seconds
+		var u int
+		for _, st := range series[sn.FromSlot:sn.ToSlot] {
+			e += st.Energy
+			r += st.Rebuffer
+			u += st.UsedUnits
+		}
+		if math.Float64bits(float64(e)) != math.Float64bits(float64(sn.Energy)) ||
+			math.Float64bits(float64(r)) != math.Float64bits(float64(sn.Rebuffer)) || u != sn.UsedUnits {
+			t.Fatalf("window [%d,%d): snapshot (E=%v R=%v U=%d) != slot sums (E=%v R=%v U=%d)",
+				sn.FromSlot, sn.ToSlot, sn.Energy, sn.Rebuffer, sn.UsedUnits, e, r, u)
+		}
 	}
 }
 

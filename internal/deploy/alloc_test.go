@@ -14,11 +14,12 @@ import (
 // TestFleetSiteAllocBudget holds what a closed fleet site costs against
 // the closed engine it replaced: one fleet_stream-shaped site (40 users,
 // 256 slots, tile 64, stateless traces) through Run may allocate at most
-// 1.20 × its sessions cloned as Run clones them and run through cell.New
-// and RunCtx. The difference is Run's own placement and fold, and whatever
-// the open engine keeps that a closed site never reads — per-slot rate
-// rows, metric windows that never rotate, a serial index nobody looks up.
-// Each side's figure is the least TotalAlloc of five runs.
+// 1.18 × its sessions cloned as Run clones them and run through cell.New
+// and RunCtx at RecordTotals, the level a site records (1.171× measured,
+// go1.24). The difference is Run's own placement and epoch fold, and
+// whatever the open engine keeps that a closed site never reads — per-slot
+// rate rows, metric windows that never rotate, a serial index nobody looks
+// up. Each side's figure is the least TotalAlloc of five runs.
 func TestFleetSiteAllocBudget(t *testing.T) {
 	wc := workload.PaperDefaults(40)
 	wc.StatelessSignal = true
@@ -29,6 +30,10 @@ func TestFleetSiteAllocBudget(t *testing.T) {
 	c := cell.PaperConfig()
 	c.MaxSlots, c.RunFullHorizon, c.Workers, c.LinkTileSlots = 256, true, 1, 64
 	cfg := Config{Sites: []Site{{Name: "cell", Cell: c}}, Policy: RoundRobin, Workers: 1, EpochSlots: 64}
+	// A site records totals only, so it is held against the closed engine
+	// recording the same.
+	closedCfg := c
+	closedCfg.Record = cell.RecordTotals
 
 	least := func(run func()) uint64 {
 		best := ^uint64(0)
@@ -55,7 +60,7 @@ func TestFleetSiteAllocBudget(t *testing.T) {
 			clone.Signal = siteTrace(s, cfg.Sites[0], 0)
 			clones[i] = &clone
 		}
-		sim, err := cell.New(c, clones, sched.NewDefault())
+		sim, err := cell.New(closedCfg, clones, sched.NewDefault())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +70,7 @@ func TestFleetSiteAllocBudget(t *testing.T) {
 	})
 	ratio := float64(fleet) / float64(closed)
 	t.Logf("fleet site %d B, closed engine %d B: %.3f×", fleet, closed, ratio)
-	if ratio > 1.20 {
-		t.Fatalf("a fleet site allocates %d B, %.3f× the closed engine's %d B (budget 1.20×)", fleet, ratio, closed)
+	if ratio > 1.18 {
+		t.Fatalf("a fleet site allocates %d B, %.3f× the closed engine's %d B (budget 1.18×)", fleet, ratio, closed)
 	}
 }

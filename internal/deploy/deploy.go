@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"jointstream/internal/cell"
-	"jointstream/internal/metrics"
 	"jointstream/internal/pool"
 	"jointstream/internal/rng"
 	"jointstream/internal/sched"
@@ -250,12 +249,6 @@ type FleetMetrics struct {
 	// PerEpoch holds fleet-wide per-epoch energy/rebuffer totals, the
 	// bounded-memory replacement for every cell's PerSlot series.
 	PerEpoch []EpochTotals
-	// RebufferPerUser and EnergyPerUser sketch the per-user total
-	// distributions (seconds and mJ): fixed-memory streaming histograms
-	// whose quantiles are within half a bin width of the exact sample
-	// quantiles (see metrics.StreamingHist).
-	RebufferPerUser *metrics.StreamingHist
-	EnergyPerUser   *metrics.StreamingHist
 }
 
 // SiteTotals is one site's share of the FleetMetrics fields of the same
@@ -391,26 +384,26 @@ func Run(ctx context.Context, cfg Config, sessions []*workload.Session, newSched
 
 	fleet := &FleetMetrics{Sites: len(cfg.Sites)}
 	sims := make([]*cell.OpenSim, len(cfg.Sites))
+	aggs := make([]siteAgg, len(cfg.Sites))
 	for si, ss := range perSite {
 		if len(ss) == 0 {
 			fleet.EmptySites++
 			continue
 		}
-		sim, err := newSite(cfg, si, closedSite(cfg.Sites[si].Cell, len(ss)), ss, newSched)
+		oc := closedSite(cfg.Sites[si].Cell, len(ss))
+		oc.OnSlot = aggs[si].epochFold(oc.Cell.MaxSlots, cfg.epochSlots())
+		sim, err := newSite(cfg, si, oc, ss, newSched)
 		if err != nil {
 			return nil, err
 		}
 		sims[si] = sim
 	}
-	aggs := make([]siteAgg, len(cfg.Sites))
 	epochs, err := lockstep(ctx, cfg, sims, aggs)
 	if err != nil {
 		return nil, err
 	}
 	fleet.Epochs = epochs
-	if err := fleet.merge(aggs); err != nil {
-		return nil, err
-	}
+	fleet.merge(aggs)
 	res.Fleet = fleet
 	return res, nil
 }
@@ -418,10 +411,11 @@ func Run(ctx context.Context, cfg Config, sessions []*workload.Session, newSched
 // closedSite shapes a closed site as a bounded open cell: the closed
 // engine's window under LinkTileSlots (⌈LinkTileSlots/2⌉-slot blocks), the
 // analytic path otherwise (bit-identical by LUT exactness), and one metric
-// window, past the horizon — it reports through its Result, which only
-// foldSite reads: totals and the per-slot series, never per-user samples.
+// window, past the horizon. It records totals only: foldSite reads its
+// Result's totals, and Run folds its per-epoch series through OnSlot as
+// the tick reduces each slot.
 func closedSite(c cell.Config, users int) cell.OpenConfig {
-	c.Record = cell.RecordSlots
+	c.Record = cell.RecordTotals
 	oc := cell.OpenConfig{Cell: c, MaxSessions: users, WindowSlots: c.MaxSlots + 1, Windows: 1}
 	if c.LinkTileSlots > 0 && c.LinkTileSlots < c.MaxSlots {
 		oc.TileSlots = (c.LinkTileSlots + 1) / 2
@@ -506,7 +500,7 @@ func lockstep(ctx context.Context, cfg Config, sims []*cell.OpenSim, aggs []site
 				still = append(still, si)
 				continue
 			}
-			foldSite(&aggs[si], sims[si].Finish(), epoch)
+			foldSite(&aggs[si], sims[si].Finish())
 			sims[si] = nil
 			retired++
 		}
@@ -519,69 +513,48 @@ func lockstep(ctx context.Context, cfg Config, sims []*cell.OpenSim, aggs []site
 	return epochs, nil
 }
 
-// Streaming-histogram shapes for the per-user distributions: 128 bins
-// with sub-second / sub-mJ initial resolution; auto-widening covers any
-// scale while keeping the quantile error at half the final bin width.
-const (
-	fleetHistBins          = 128
-	fleetRebufferBinSec    = 0.25
-	fleetEnergyBinMJ       = 1.0
-	fleetEpochTotalsBudget = 1 << 16 // PerEpoch entries before truncation
-)
+const fleetEpochTotalsBudget = 1 << 16 // PerEpoch entries before truncation
 
-// siteAgg is the fold of one finished cell. Its epoch series and sketches
-// live only until the merge, which runs in site index order after the
-// run: folding straight into shared fleet histograms would order their
-// float accumulation by *finish epoch*, not site.
+// siteAgg is the fold of one cell. Its epoch series lives only until the
+// merge, which runs in site index order after the run: folding straight
+// into the fleet's series would order its float additions by finish
+// epoch, not site.
 type siteAgg struct {
 	SiteTotals
-	perEpoch   []EpochTotals
-	rebufHist  *metrics.StreamingHist
-	energyHist *metrics.StreamingHist
+	perEpoch []EpochTotals
 }
 
-// newHist returns an empty per-user sketch; its shape is constant, so it
-// cannot fail.
-func newHist(width float64) *metrics.StreamingHist {
-	h, err := metrics.NewStreamingHist(fleetHistBins, width)
-	if err != nil {
-		panic(err)
+// epochFold returns the OnSlot hook that sums a site's slot totals into
+// its per-epoch series as the tick reduces them: slot n into entry n /
+// epoch, from zero in slot order, so a site that ticked Slots slots ends
+// with ⌈Slots / epoch⌉ entries (at most fleetEpochTotalsBudget).
+func (a *siteAgg) epochFold(horizon, epoch int) func(int, cell.SlotTotals) {
+	a.perEpoch = make([]EpochTotals, 0, min((horizon+epoch-1)/epoch, fleetEpochTotalsBudget))
+	return func(n int, st cell.SlotTotals) {
+		e := n / epoch
+		if e >= fleetEpochTotalsBudget {
+			return
+		}
+		for e >= len(a.perEpoch) {
+			a.perEpoch = append(a.perEpoch, EpochTotals{})
+		}
+		a.perEpoch[e].Energy += st.Energy
+		a.perEpoch[e].Rebuffer += st.Rebuffer
 	}
-	return h
 }
 
-// foldSite reduces one finished cell result into its per-site aggregate,
-// after which the result is garbage.
-func foldSite(a *siteAgg, res *cell.Result, epoch int) {
+// foldSite reduces one finished cell result to its site's totals, after
+// which the result is garbage.
+func foldSite(a *siteAgg, res *cell.Result) {
 	a.SiteTotals = SiteTotals{
 		Users: len(res.Users), Slots: res.Slots,
 		Energy: res.TotalEnergy(), TailEnergy: res.TotalTailEnergy(), Rebuffer: res.TotalRebuffer(),
 		DegradedSlots: res.DegradedSlots, ClampEvents: res.ClampEvents,
 	}
-	nEpochs := (res.Slots + epoch - 1) / epoch
-	if nEpochs > fleetEpochTotalsBudget {
-		nEpochs = fleetEpochTotalsBudget
-	}
-	a.perEpoch = make([]EpochTotals, nEpochs)
-	for n, st := range res.PerSlot {
-		e := n / epoch
-		if e >= nEpochs {
-			break
-		}
-		a.perEpoch[e].Energy += st.Energy
-		a.perEpoch[e].Rebuffer += st.Rebuffer
-	}
-	a.rebufHist, a.energyHist = newHist(fleetRebufferBinSec), newHist(fleetEnergyBinMJ)
-	for _, u := range res.Users {
-		a.rebufHist.Observe(float64(u.Rebuffer))
-		a.energyHist.Observe(float64(u.Energy()))
-	}
 }
 
 // merge folds the per-site aggregates into the fleet in site index order.
-// The first populated site's sketches become the fleet's: merging them
-// into empty ones would copy them exactly.
-func (f *FleetMetrics) merge(aggs []siteAgg) error {
+func (f *FleetMetrics) merge(aggs []siteAgg) {
 	f.PerSite = make([]SiteTotals, len(aggs))
 	for si, a := range aggs {
 		f.PerSite[si] = a.SiteTotals
@@ -601,18 +574,7 @@ func (f *FleetMetrics) merge(aggs []siteAgg) error {
 			f.PerEpoch[e].Energy += t.Energy
 			f.PerEpoch[e].Rebuffer += t.Rebuffer
 		}
-		if f.RebufferPerUser == nil {
-			f.RebufferPerUser, f.EnergyPerUser = a.rebufHist, a.energyHist
-		} else if a.rebufHist != nil {
-			if err := f.RebufferPerUser.Merge(a.rebufHist); err != nil {
-				return err
-			}
-			if err := f.EnergyPerUser.Merge(a.energyHist); err != nil {
-				return err
-			}
-		}
 	}
-	return nil
 }
 
 // pickSite is the attachment policy: the site for the ordinal-th session

@@ -225,16 +225,55 @@ func matchesOneShot(t *testing.T, cfg Config, sessions []*workload.Session, res 
 	if fl.Epochs != wantEpochs || len(fl.PerEpoch) != wantSeries {
 		t.Fatalf("epochs %d (series %d), want %d (series %d)", fl.Epochs, len(fl.PerEpoch), wantEpochs, wantSeries)
 	}
+}
 
-	// Histograms saw every user exactly once, with exact extremes/sums.
-	if fl.RebufferPerUser.Count() != uint64(len(sessions)) || fl.EnergyPerUser.Count() != uint64(len(sessions)) {
-		t.Fatalf("hist counts %d/%d", fl.RebufferPerUser.Count(), fl.EnergyPerUser.Count())
-	}
-	if units.MJ(fl.EnergyPerUser.Sum()) != fl.Energy {
-		// Per-user energy folds in retire order; allow only float
-		// reassociation, nothing more.
-		if math.Abs(fl.EnergyPerUser.Sum()-float64(fl.Energy)) > 1e-6*float64(fl.Energy) {
-			t.Fatalf("hist energy sum %v != %v", fl.EnergyPerUser.Sum(), fl.Energy)
+// TestFleetPerEpochMatchesSlotFold pins the per-epoch series the sites
+// fold as they tick: for each epoch size, Run's PerEpoch equals, bit for
+// bit, the fold of every site's recorded per-slot series — slot n into
+// epoch n / epoch per site, then the sites in index order — with one site
+// running its full horizon and the others ending early.
+func TestFleetPerEpochMatchesSlotFold(t *testing.T) {
+	sessions := fleetSessions(t, 40)
+	base := fleetConfig(5)
+	base.Sites[0].Cell.RunFullHorizon = true
+	for _, epoch := range []int{1, 7, 64} {
+		cfg := base
+		cfg.EpochSlots = epoch
+		res, err := Run(context.Background(), cfg, sessions, defaultFactory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []EpochTotals
+		early := 0
+		for si, c := range oneShot(t, cfg, sessions, res.Placements) {
+			if c.Slots < cfg.Sites[si].Cell.MaxSlots {
+				early++
+			}
+			site := make([]EpochTotals, (len(c.PerSlot)+epoch-1)/epoch)
+			for n, st := range c.PerSlot {
+				site[n/epoch].Energy += st.Energy
+				site[n/epoch].Rebuffer += st.Rebuffer
+			}
+			for e, v := range site {
+				if e == len(want) {
+					want = append(want, EpochTotals{})
+				}
+				want[e].Energy += v.Energy
+				want[e].Rebuffer += v.Rebuffer
+			}
+		}
+		if early == 0 || early == len(cfg.Sites) {
+			t.Fatalf("epoch %d: %d of %d sites ended early, want some but not all", epoch, early, len(cfg.Sites))
+		}
+		got := res.Fleet.PerEpoch
+		if len(got) != len(want) {
+			t.Fatalf("epoch %d: %d per-epoch entries, the slot fold has %d", epoch, len(got), len(want))
+		}
+		for e := range want {
+			if math.Float64bits(float64(got[e].Energy)) != math.Float64bits(float64(want[e].Energy)) ||
+				math.Float64bits(float64(got[e].Rebuffer)) != math.Float64bits(float64(want[e].Rebuffer)) {
+				t.Fatalf("epoch %d, entry %d: %+v, the slot fold gives %+v", epoch, e, got[e], want[e])
+			}
 		}
 	}
 }
@@ -265,15 +304,11 @@ func TestStreamDeterministicAcrossWorkersAndEpochs(t *testing.T) {
 		}
 	}
 	// Epoch size changes only the epoch series granularity; scalar totals
-	// and histograms stay identical.
+	// stay identical.
 	odd := run(3, 17)
 	if odd.Energy != want.Energy || odd.Rebuffer != want.Rebuffer ||
 		odd.TailEnergy != want.TailEnergy || odd.DegradedSlots != want.DegradedSlots {
 		t.Fatal("totals differ across epoch sizes")
-	}
-	if !reflect.DeepEqual(odd.RebufferPerUser, want.RebufferPerUser) ||
-		!reflect.DeepEqual(odd.EnergyPerUser, want.EnergyPerUser) {
-		t.Fatal("histograms differ across epoch sizes")
 	}
 }
 

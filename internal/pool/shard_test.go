@@ -2,6 +2,7 @@ package pool
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -175,5 +176,46 @@ func BenchmarkShardCrossover(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/user")
 			})
 		}
+	}
+}
+
+// BenchmarkShardWake measures what a second Shard worker loses before it
+// does any work: the time from Shard's entry to the helper goroutine's
+// first shard, in µs (wake-µs). Each call has two shards; the caller
+// claims shard 0 and spins in it until the helper has claimed shard 1
+// (capped at 10 ms), so the helper's start is the only thing timed.
+// Between calls the caller runs gap of serial work, as the tick runs its
+// schedule phase between the sharded ones, so the helper's P has gone
+// idle by the next call, as it has in a tick. Needs two procs.
+func BenchmarkShardWake(b *testing.B) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		b.Skip("needs GOMAXPROCS ≥ 2")
+	}
+	spin := func(d time.Duration) {
+		for t := time.Now(); time.Since(t) < d; {
+		}
+	}
+	for _, gap := range []time.Duration{0, 50 * time.Microsecond, 500 * time.Microsecond} {
+		b.Run(fmt.Sprintf("gap=%v", gap), func(b *testing.B) {
+			var entry time.Time
+			var woke atomic.Int64 // ns after entry the helper took shard 1; 0 = not yet
+			var total time.Duration
+			body := func(sh int) {
+				if sh == 1 {
+					woke.Store(int64(max(time.Since(entry), 1)))
+					return
+				}
+				for t := time.Now(); woke.Load() == 0 && time.Since(t) < 10*time.Millisecond; {
+				}
+			}
+			for i := 0; i < b.N; i++ {
+				spin(gap)
+				woke.Store(0)
+				entry = time.Now()
+				Shard(2, 2, body)
+				total += time.Duration(woke.Load())
+			}
+			b.ReportMetric(float64(total.Microseconds())/float64(b.N), "wake-µs")
+		})
 	}
 }
