@@ -139,6 +139,7 @@ func run(schedName string, users int, avgSizeMB, alpha, beta, vFlag float64, ada
 			return err
 		}
 	}
+	cfg.Record = cell.RecordTotals // printResult reads totals only
 	sim, err := cell.New(cfg, sessions, s)
 	if err != nil {
 		return err

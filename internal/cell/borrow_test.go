@@ -48,7 +48,7 @@ func TestLockstepFleetParksBlocks(t *testing.T) {
 	sims := make([]*OpenSim, sites)
 	for k := range sims {
 		// Each site's own table: an open cell frees its rows in the slice.
-		o, err := NewOpen(OpenConfig{Cell: cfg, MaxSessions: users, TileSlots: (tile + 1) / 2, WindowSlots: cfg.MaxSlots + 1}, slices.Clone(sessions), sched.NewDefault())
+		o, err := NewOpen(OpenConfig{Cell: cfg, MaxSessions: users, TileSlots: (tile + 1) / 2}, slices.Clone(sessions), sched.NewDefault())
 		if err != nil {
 			t.Fatal(err)
 		}

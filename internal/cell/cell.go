@@ -465,8 +465,8 @@ type Simulator struct {
 	// capUnits is the nominal per-slot capacity in units; the engines
 	// restore it after every outage slot zeroes slot.CapacityUnits.
 	capUnits int
-	// foldSlot, set by the open engine, receives every slot's totals as
-	// the tick reduces them, so its folds need no per-slot series.
+	// foldSlot, the open engine's OnSlot, receives every slot's totals as
+	// the tick reduces them, so its caller's folds need no per-slot series.
 	foldSlot func(n int, st SlotTotals)
 
 	// Run-scoped state of the sharded engine, set by Start and consumed

@@ -116,7 +116,7 @@ func firstPhysDiff(a, b []physRow) string {
 // radio.Table) and under one with no exact table.
 func TestDerivedPhysicsMatchReference(t *testing.T) {
 	const users, slots = smallNSerialCutoff + 52, 40
-	models := map[string]radio.Model{"paper": radio.Paper3G(), "chord": chordRadio(t)}
+	models := map[string]radio.Model{"paper": radio.Paper3G(), "chord": chordRadio()}
 	for name, model := range models {
 		for _, workers := range []int{1, 2} {
 			for _, path := range []string{"dense", "gathered"} {
@@ -133,8 +133,8 @@ func TestDerivedPhysicsMatchReference(t *testing.T) {
 					run := func(ref bool) (*Result, []physRow) {
 						rec := &physicsRecorder{Scheduler: sched.NewDefault()}
 						sim := mustNewWith(t, cfg, wl, rec)
-						if sim.win == nil || sim.link.Exact() != (name == "paper") {
-							t.Fatalf("link window %v, exact evaluator %v", sim.win != nil, sim.link.Exact())
+						if sim.win == nil {
+							t.Fatal("no link window")
 						}
 						var res *Result
 						var err error
@@ -169,7 +169,7 @@ func TestDerivedPhysicsMatchReference(t *testing.T) {
 					rec := &physicsRecorder{Scheduler: sched.NewDefault()}
 					o, err := NewOpen(OpenConfig{
 						Cell: cfg, Unbounded: true, MaxSessions: 256,
-						TileSlots: tile, WindowSlots: 32, Windows: 2,
+						TileSlots: tile,
 					}, nil, rec)
 					if err != nil {
 						t.Fatal(err)

@@ -26,10 +26,10 @@ func (t *LinkTable) at(n, i int) (units.KBps, units.MJ, int) {
 	return t.link.At(t.SlotSignals(n)[i])
 }
 
-// MaxLinkUnits returns the largest Eq. (1) per-user unit limit anywhere
+// maxLinkUnits returns the largest Eq. (1) per-user unit limit anywhere
 // in the table — the cap no honest or corrupted prediction of this
 // table may exceed. It reads every slot, so it fills the whole table.
-func (t *LinkTable) MaxLinkUnits() int {
+func (t *LinkTable) maxLinkUnits() int {
 	t.fillAll()
 	m := 0
 	for k := range t.blocks {
@@ -71,7 +71,7 @@ func (f tableForecast) PredictedLinkUnits(n, i int) int {
 // state — so reads are deterministic, order-independent and identical
 // across reconstructions with the same seed, which the FuzzForecastNoise
 // target pins. Corrupted prices are clamped at zero and corrupted link
-// limits to [0, MaxLinkUnits], so a prediction can never be negative
+// limits to [0, maxLinkUnits], so a prediction can never be negative
 // nor exceed the best link the table ever offers.
 //
 // An error level of 1 or more means predictions carry no information
@@ -94,7 +94,7 @@ func NewNoisyForecast(t *LinkTable, seed uint64, errFrac float64) (*NoisyForecas
 	if math.IsNaN(errFrac) || math.IsInf(errFrac, 0) || errFrac < 0 {
 		return nil, fmt.Errorf("cell: invalid forecast error level %v", errFrac)
 	}
-	return &NoisyForecast{t: t, seed: seed, errFrac: errFrac, maxLU: t.MaxLinkUnits()}, nil
+	return &NoisyForecast{t: t, seed: seed, errFrac: errFrac, maxLU: t.maxLinkUnits()}, nil
 }
 
 // noiseSalt* separate the price and link-limit draw streams of one

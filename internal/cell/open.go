@@ -12,14 +12,14 @@
 //     headroom check (Σ required rates against a fraction of the base
 //     station's serving capacity S), rejecting with a typed
 //     *OverCapacityError instead of degrading everyone;
-//   - an unbounded horizon: the slot clock extends on demand and the
-//     per-slot series is trimmed to the retained metric windows, so
-//     memory is bounded by the session table and the window span, never
-//     by uptime;
+//   - an unbounded horizon: the slot clock extends on demand and no
+//     per-slot series is kept, so memory is bounded by the session table,
+//     never by uptime;
 //   - sliding-window metrics: per-session rebuffering and energy totals
-//     land in windowed streaming histograms (metrics.WindowedHist) at
-//     session end, and each window closes with a Result-delta snapshot,
-//     so p50/p99 never require a finalized run;
+//     land in windowed streaming histograms (metrics.SessionWindow) at
+//     session end; an unbounded run rotates them every openWindowSlots
+//     slots and keeps the last openWindows, so p50/p99 never require a
+//     finalized run;
 //   - a link window that follows the session table (linkwindow.go): the
 //     same sliding window of precomputed link rows the closed engine runs
 //     on under Config.LinkTileSlots, here with rows admitted and dropped
@@ -27,9 +27,9 @@
 //     table, feeding the same prepare path bit-identical values.
 //
 // Closed-world equivalence is pinned by construction and by test: with
-// no mid-run Admit/Depart calls and a finite horizon, OpenSim drives the
-// very same Simulator through the very same Advance loop, so Finish
-// returns a Result byte-identical to RunCtx (internal/simtest's
+// no mid-run Admit/DepartSerial calls and a finite horizon, OpenSim
+// drives the very same Simulator through the very same Advance loop, so
+// Finish returns a Result byte-identical to RunCtx (internal/simtest's
 // open-mode differential matrix asserts it across all nine schedulers).
 package cell
 
@@ -121,8 +121,8 @@ type OpenConfig struct {
 	// *currently admitted* session finishes, wedging later arrivals.
 	Cell Config
 	// Unbounded serves indefinitely: AdvanceTo extends the slot horizon
-	// on demand (Cell.MaxSlots only sets the initial clock) and the
-	// per-slot series is trimmed to the retained metric windows. Requires
+	// on demand (Cell.MaxSlots only sets the initial clock) and the run
+	// records totals only, whatever Cell.Record asks. Requires
 	// Cell.RunFullHorizon, forbids Cell.Record = RecordUserSlots, and every
 	// session must be memory-bounded: a stateless signal trace (no
 	// signal.Prewarmer memo) and zero RateJitter.
@@ -146,10 +146,6 @@ type OpenConfig struct {
 	// blocks together). Requires MaxSessions > 0. Values are bit-identical
 	// to the analytic path by construction.
 	TileSlots int
-	// WindowSlots is the metric window length in slots (default 256).
-	WindowSlots int
-	// Windows is how many windows the sliding metrics retain (default 4).
-	Windows int
 	// OnSlot, when set, gets every slot's totals as the tick reduces them,
 	// in slot order, on AdvanceTo's goroutine: a caller folds its own
 	// series there (the fleet's per-epoch totals), not from PerSlot.
@@ -179,27 +175,8 @@ type OpenStats struct {
 	DemandKBps units.KBps
 }
 
-// WindowSnapshot is one closed metric window: the Result delta over its
-// slots plus the sliding-window session quantiles at close time.
-type WindowSnapshot struct {
-	// FromSlot/ToSlot bound the window [FromSlot, ToSlot).
-	FromSlot, ToSlot int
-	// Energy/Rebuffer/UsedUnits are the per-slot Result deltas summed
-	// over the window.
-	Energy    units.MJ
-	Rebuffer  units.Seconds
-	UsedUnits int
-	// SessionsEnded counts sessions folded (completed or departed)
-	// during the window.
-	SessionsEnded int
-	// RebufferP50/P99 and EnergyP50/P99 are session-lifetime quantiles
-	// over every retained window at close time (the sliding view).
-	RebufferP50, RebufferP99 float64
-	EnergyP50, EnergyP99     float64
-}
-
 // OpenSim is the open-system engine. It is not safe for concurrent use;
-// Admit/Depart mutate engine state and must only be called between
+// Admit/DepartSerial mutate engine state and must only be called between
 // AdvanceTo calls (slot boundaries), never concurrently with one.
 type OpenSim struct {
 	eng *Simulator
@@ -234,24 +211,18 @@ type OpenSim struct {
 	sessPool []*workload.Session
 	remap    []int // compaction scratch: old table slot → new (-1 = freed)
 
-	windowSlots int
-	windows     int // retained metric windows (snapshots + hist span)
-	windowStart int // first slot of the live window
-	perSlotBase int // slot index PerSlot[0] corresponds to (trimming offset)
+	windowStart int // first slot of the live metric window
 	quality     *metrics.SessionWindow
-	snaps       []WindowSnapshot // retained closed windows, oldest first
-	// open sums each window the clock entered and rotateWindows has not
-	// closed yet, live window first (foldSlot).
-	open   []WindowSnapshot
-	onSlot func(n int, st SlotTotals)
 
 	stats   OpenStats
 	started bool
 }
 
 const (
-	defaultWindowSlots = 256
-	defaultWindows     = 4
+	// An unbounded run's metric windows: openWindowSlots slots each, the
+	// last openWindows retained.
+	openWindowSlots = 256
+	openWindows     = 4
 	// The session-quality histograms: 64 auto-widening bins, max(τ, 1) s
 	// wide for rebuffering and 1 024 mJ for energy.
 	qualityHistBins    = 64
@@ -272,6 +243,7 @@ func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*O
 		if cc.Record == RecordUserSlots {
 			return nil, fmt.Errorf("cell: unbounded open mode cannot record per-user slot samples")
 		}
+		cc.Record = RecordTotals
 	}
 	if cfg.MaxSessions < 0 {
 		return nil, fmt.Errorf("cell: negative session cap %d", cfg.MaxSessions)
@@ -291,21 +263,12 @@ func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*O
 		return nil, fmt.Errorf("cell: an empty initial population requires RunFullHorizon")
 	}
 	o := &OpenSim{
-		adm:         NewAdmission(cfg.MaxSessions, cfg.HeadroomFrac, cc.Capacity),
-		unbounded:   cfg.Unbounded,
-		windowSlots: cfg.WindowSlots,
-		onSlot:      cfg.OnSlot,
+		adm:       NewAdmission(cfg.MaxSessions, cfg.HeadroomFrac, cc.Capacity),
+		unbounded: cfg.Unbounded,
 	}
 	o.rows, _ = s.(sched.RowState)
-	if o.windowSlots <= 0 {
-		o.windowSlots = defaultWindowSlots
-	}
-	o.windows = cfg.Windows
-	if o.windows <= 0 {
-		o.windows = defaultWindows
-	}
 	var err error
-	if o.quality, err = metrics.NewSessionWindow(o.windows, qualityHistBins, max(float64(cc.Tau), 1), qualityEnergyBinMJ); err != nil {
+	if o.quality, err = metrics.NewSessionWindow(openWindows, qualityHistBins, max(float64(cc.Tau), 1), qualityEnergyBinMJ); err != nil {
 		return nil, err
 	}
 
@@ -333,7 +296,7 @@ func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*O
 	}
 	o.eng = eng
 	eng.logRetired = true
-	eng.foldSlot = o.foldSlot
+	eng.foldSlot = cfg.OnSlot
 	o.ended = make([]bool, len(initial))
 	o.owned = make([]bool, len(initial))
 	o.serials = make([]uint64, len(initial))
@@ -370,9 +333,6 @@ func (o *OpenSim) Start(ctx context.Context) error {
 	o.started = true
 	return nil
 }
-
-// Clock returns the next slot the engine will tick.
-func (o *OpenSim) Clock() int { return o.eng.nextSlot }
 
 // Admit adds a session mid-run, allocating its table slot from the
 // free-list (compacted departures) or growing the table. The session's
@@ -595,21 +555,21 @@ func (o *OpenSim) Serial(id int) (uint64, bool) {
 	return o.serials[id], true
 }
 
-// DepartSerial is Depart guarded against slot reuse: it departs the
-// session with admission serial ser if it is still in service. It
-// reports whether a departure happened; a stale serial (the session
-// already ended, and possibly a new one moved into its slot) is a
-// no-op, not an error — exactly what a churn driver wants when a
-// planned abandonment races a natural completion. The serial is looked
-// up (slotOf), so the call stays correct even after resident-set
-// compaction moves the session to a different table slot; id is the
-// caller's last known slot, tried first.
+// DepartSerial departs the session with admission serial ser if it is
+// still in service, guarded against slot reuse. It reports whether a
+// departure happened; a stale serial (the session already ended, and
+// possibly a new one moved into its slot) is a no-op, not an error —
+// exactly what a churn driver wants when a planned abandonment races a
+// natural completion. The serial is looked up (slotOf), so the call
+// stays correct even after resident-set compaction moves the session to
+// a different table slot; id is the caller's last known slot, tried
+// first.
 func (o *OpenSim) DepartSerial(id int, ser uint64) (bool, error) {
 	idx, ok := o.slotOf(id, ser)
 	if !ok {
 		return false, nil
 	}
-	if err := o.Depart(idx); err != nil {
+	if err := o.depart(idx); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -634,13 +594,13 @@ func (o *OpenSim) slotOf(id int, ser uint64) (int, bool) {
 	return idx, ok
 }
 
-// Depart removes session id mid-run: its lifetime totals are folded into
+// depart removes session id mid-run: its lifetime totals are folded into
 // the streaming aggregates and its table slot is freed for reuse. Call
 // only between AdvanceTo calls. Departing an already-ended session is an
 // error.
-func (o *OpenSim) Depart(id int) error {
+func (o *OpenSim) depart(id int) error {
 	if !o.started {
-		return fmt.Errorf("cell: Depart before Start")
+		return fmt.Errorf("cell: depart before Start")
 	}
 	s := o.eng
 	if id < 0 || id >= len(s.users) || o.ended[id] || s.sessions[id] == nil {
@@ -750,12 +710,12 @@ func (o *OpenSim) reap() {
 	o.release()
 }
 
-// AdvanceTo ticks the engine up to (but not including) slot upto,
-// reaps completed sessions, and closes any metric windows the clock
-// crossed. In unbounded mode the horizon extends automatically and done
-// is never true; in bounded mode done reports the closed engine's
-// condition (horizon reached, or — without RunFullHorizon — every
-// session finished).
+// AdvanceTo ticks the engine up to (but not including) slot upto and
+// reaps completed sessions. In unbounded mode the horizon extends
+// automatically, the metric windows the clock crossed rotate, and done is
+// never true; in bounded mode done reports the closed engine's condition
+// (horizon reached, or — without RunFullHorizon — every session
+// finished).
 func (o *OpenSim) AdvanceTo(upto int) (bool, error) {
 	if !o.started {
 		return false, fmt.Errorf("cell: AdvanceTo before Start")
@@ -764,7 +724,7 @@ func (o *OpenSim) AdvanceTo(upto int) (bool, error) {
 		// Extend the horizon with a window of headroom. RunFullHorizon is
 		// required in unbounded mode, so a stepDone here can only mean the
 		// old horizon was reached — clear it and keep serving.
-		o.eng.cfg.MaxSlots = upto + o.windowSlots
+		o.eng.cfg.MaxSlots = upto + openWindowSlots
 		o.eng.stepDone = false
 	}
 	if w := o.eng.win; w != nil {
@@ -777,87 +737,21 @@ func (o *OpenSim) AdvanceTo(upto int) (bool, error) {
 		return done, err
 	}
 	o.reap()
-	o.rotateWindows()
-	o.maybeCompact()
 	if o.unbounded {
+		o.rotateWindows()
+		o.maybeCompact()
 		done = false
 	}
 	return done, nil
 }
 
-// foldSlot adds slot n's totals into the open window holding it — slots
-// arrive in ascending order, so each window sums its slots from zero in
-// slot order — and hands them on to OnSlot.
-func (o *OpenSim) foldSlot(n int, st SlotTotals) {
-	k := (n - o.windowStart) / o.windowSlots
-	for len(o.open) <= k {
-		o.open = append(o.open, WindowSnapshot{})
-	}
-	w := &o.open[k]
-	w.Energy += st.Energy
-	w.Rebuffer += st.Rebuffer
-	w.UsedUnits += st.UsedUnits
-	if o.onSlot != nil {
-		o.onSlot(n, st)
-	}
-}
-
-// rotateWindows closes every whole metric window the clock has passed:
-// snapshot the window's folded sums (an early-exit run ticks fewer slots
-// than the clock, so its last windows may have none), record the sliding
-// quantiles, and (in unbounded mode) trim the per-slot series, if
-// recorded, to the retained span.
+// rotateWindows closes every whole metric window the clock has passed. A
+// bounded run never rotates: its session window spans the run.
 func (o *OpenSim) rotateWindows() {
-	s := o.eng
-	for s.nextSlot >= o.windowStart+o.windowSlots {
-		var snap WindowSnapshot
-		if len(o.open) > 0 {
-			snap = o.open[0]
-			o.open = o.open[:copy(o.open, o.open[1:])]
-		}
-		snap.FromSlot, snap.ToSlot = o.windowStart, o.windowStart+o.windowSlots
-		snap.SessionsEnded, _, _ = o.quality.Ended()
-		snap.RebufferP50 = o.quality.RebufferQuantile(0.5)
-		snap.RebufferP99 = o.quality.RebufferQuantile(0.99)
-		snap.EnergyP50 = o.quality.EnergyQuantile(0.5)
-		snap.EnergyP99 = o.quality.EnergyQuantile(0.99)
-		// Ring the retained snapshots in place: the append-then-reslice
-		// idiom let the backing array creep one entry per window forever.
-		if len(o.snaps) == o.windows {
-			copy(o.snaps, o.snaps[1:])
-			o.snaps[o.windows-1] = snap
-		} else {
-			o.snaps = append(o.snaps, snap)
-		}
+	for o.eng.nextSlot >= o.windowStart+openWindowSlots {
 		o.quality.Rotate()
-		o.windowStart = snap.ToSlot
+		o.windowStart += openWindowSlots
 	}
-	if o.unbounded {
-		// Trim PerSlot to the retained window span so an indefinite run's
-		// slot series stays bounded. Bounded runs keep the full series —
-		// Finish must return the byte-identical closed-world Result.
-		keepFrom := o.windowStart - (o.windows-1)*o.windowSlots
-		if keepFrom > o.perSlotBase {
-			drop := keepFrom - o.perSlotBase
-			if drop > len(s.curRes.PerSlot) {
-				drop = len(s.curRes.PerSlot)
-			}
-			// Copy down instead of re-slicing the head: the head-slice trim
-			// abandoned `drop` entries of backing array per rotation, forcing
-			// a reallocation every few windows for the life of the run.
-			n := copy(s.curRes.PerSlot, s.curRes.PerSlot[drop:])
-			s.curRes.PerSlot = s.curRes.PerSlot[:n]
-			o.perSlotBase += drop
-		}
-	}
-}
-
-// Snapshots returns a copy of the retained closed-window snapshots,
-// oldest first.
-func (o *OpenSim) Snapshots() []WindowSnapshot {
-	out := make([]WindowSnapshot, len(o.snaps))
-	copy(out, o.snaps)
-	return out
 }
 
 // RebufferQuantile returns the q-th quantile of session-lifetime
@@ -879,10 +773,8 @@ func (o *OpenSim) Stats() OpenStats {
 // departed) — their table slots are not freed, as nothing admits after
 // Finish — then finalizes and returns the engine Result. In bounded
 // mode with no mid-run churn the Result is byte-identical to RunCtx on
-// the same inputs; in unbounded mode PerSlot, if recorded, holds only
-// the retained window span (the trimmed prefix lives in the window
-// snapshots) and per-user entries of reused table slots describe only
-// their latest session.
+// the same inputs; in unbounded mode it carries no PerSlot and per-user
+// entries of reused table slots describe only their latest session.
 func (o *OpenSim) Finish() *Result {
 	o.Stop()
 	s := o.eng
@@ -912,9 +804,6 @@ const compactMinTable = 64
 // Result is indexed by table slot and must stay byte-identical to the
 // closed engine's.
 func (o *OpenSim) maybeCompact() {
-	if !o.unbounded {
-		return
-	}
 	n := len(o.eng.users)
 	if n < compactMinTable || 2*(n-len(o.freelist)) >= n {
 		return

@@ -49,14 +49,14 @@ func distinctSession(t testing.TB, k int, start int) *workload.Session {
 // openOutcome is everything an open run leaves behind; two arms of one
 // script must agree on all of it, exactly.
 type openOutcome struct {
-	res   *Result
-	st    OpenStats
-	snaps []WindowSnapshot
+	res      *Result
+	st       OpenStats
+	p50, p99 float64 // session rebuffering quantiles
 }
 
 func finishOpen(o *OpenSim) openOutcome {
 	res := o.Finish()
-	return openOutcome{res, o.Stats(), o.Snapshots()}
+	return openOutcome{res, o.Stats(), o.RebufferQuantile(0.5), o.RebufferQuantile(0.99)}
 }
 
 func (got openOutcome) mustEqual(t *testing.T, want openOutcome) {
@@ -64,8 +64,8 @@ func (got openOutcome) mustEqual(t *testing.T, want openOutcome) {
 	if got.st != want.st {
 		t.Errorf("stats: tiled %+v, untiled %+v", got.st, want.st)
 	}
-	if !reflect.DeepEqual(got.snaps, want.snaps) {
-		t.Errorf("window snapshots diverge:\ntiled   %+v\nuntiled %+v", got.snaps, want.snaps)
+	if got.p50 != want.p50 || got.p99 != want.p99 {
+		t.Errorf("rebuffering p50/p99: tiled %v/%v, untiled %v/%v", got.p50, got.p99, want.p50, want.p99)
 	}
 	if !reflect.DeepEqual(got.res, want.res) {
 		t.Errorf("result differs: tiled E=%v R=%v, untiled E=%v R=%v",
@@ -220,7 +220,7 @@ func TestOpenNoWaitWhileFillParked(t *testing.T) {
 		cfg.MaxSlots = 64 // initial horizon only
 		o, err := NewOpen(OpenConfig{
 			Cell: cfg, Unbounded: true, MaxSessions: 64,
-			TileSlots: tile, WindowSlots: 16, Windows: 3,
+			TileSlots: tile,
 		}, initial, sched.NewDefault())
 		if err != nil {
 			t.Fatal(err)
@@ -295,7 +295,7 @@ func TestOpenNoWaitBoundedSharedTrace(t *testing.T) {
 		cfg.MaxSlots = horizon
 		o, err := NewOpen(OpenConfig{
 			Cell: cfg, MaxSessions: 96,
-			TileSlots: tile, WindowSlots: 16, Windows: 3,
+			TileSlots: tile,
 		}, initial, sched.NewDefault())
 		if err != nil {
 			t.Fatal(err)
@@ -359,7 +359,7 @@ func churnScript(t *testing.T, tile, workers, stride, handoff int) openOutcome {
 	}
 	o, err := NewOpen(OpenConfig{
 		Cell: cfg, Unbounded: true, MaxSessions: 160,
-		TileSlots: tile, WindowSlots: 32, Windows: 3,
+		TileSlots: tile,
 	}, initial, sched.NewDefault())
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"jointstream/internal/rng"
@@ -117,7 +118,7 @@ func TestOpenTileMatchesAnalytic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := o.Depart(idx); err != nil {
+		if err := o.depart(idx); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := o.AdvanceTo(cfg.MaxSlots); err != nil {
@@ -159,7 +160,7 @@ func TestOpenSessionCap(t *testing.T) {
 		t.Fatalf("rejected = %d, want 1", st.Rejected)
 	}
 	// A departure frees a slot; the same session is then admissible.
-	if err := o.Depart(0); err != nil {
+	if err := o.depart(0); err != nil {
 		t.Fatal(err)
 	}
 	idx, err := o.Admit(extra)
@@ -217,13 +218,13 @@ func TestOpenFreelistReuse(t *testing.T) {
 	if _, err := o.AdvanceTo(5); err != nil {
 		t.Fatal(err)
 	}
-	if err := o.Depart(2); err != nil {
+	if err := o.depart(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := o.Depart(0); err != nil {
+	if err := o.depart(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := o.Depart(0); err == nil {
+	if err := o.depart(0); err == nil {
 		t.Fatal("double depart accepted")
 	}
 	ss := openSessions(5)
@@ -279,7 +280,7 @@ func TestOpenReusedRowStartsFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := o.Depart(0); err != nil {
+	if err := o.depart(0); err != nil {
 		t.Fatal(err)
 	}
 	idx, err := o.Admit(ss[2])
@@ -325,7 +326,7 @@ func TestOpenCompactionMovesRowState(t *testing.T) {
 	want := map[uint64]units.Seconds{}
 	for i := range ss {
 		if i%4 != 0 {
-			if err := o.Depart(i); err != nil {
+			if err := o.depart(i); err != nil {
 				t.Fatal(err)
 			}
 			continue
@@ -334,7 +335,7 @@ func TestOpenCompactionMovesRowState(t *testing.T) {
 		want[ser] = ema.Queue(i)
 	}
 	// An advance to the current clock ticks nothing, then compacts.
-	if _, err := o.AdvanceTo(o.Clock()); err != nil {
+	if _, err := o.AdvanceTo(o.Stats().Slot); err != nil {
 		t.Fatal(err)
 	}
 	if st := o.Stats(); st.TableLen != len(want) {
@@ -354,45 +355,11 @@ func TestOpenCompactionMovesRowState(t *testing.T) {
 	}
 }
 
-func TestOpenWindowSnapshots(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.RunFullHorizon = true
-	cfg.MaxSlots = 80
-	o, err := NewOpen(OpenConfig{Cell: cfg, WindowSlots: 16, Windows: 2}, openSessions(4), sched.NewDefault())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := runOpen(t, o, cfg.MaxSlots)
-	snaps := o.Snapshots()
-	if len(snaps) != 2 {
-		t.Fatalf("retained %d snapshots, want 2", len(snaps))
-	}
-	if snaps[0].FromSlot != 48 || snaps[0].ToSlot != 64 || snaps[1].FromSlot != 64 || snaps[1].ToSlot != 80 {
-		t.Fatalf("snapshot bounds: %+v", snaps)
-	}
-	// Bounded mode keeps the full per-slot series: each snapshot's deltas
-	// must equal the direct sums over its window.
-	for _, sn := range snaps {
-		var e units.MJ
-		var r units.Seconds
-		var u int
-		for n := sn.FromSlot; n < sn.ToSlot; n++ {
-			e += res.PerSlot[n].Energy
-			r += res.PerSlot[n].Rebuffer
-			u += res.PerSlot[n].UsedUnits
-		}
-		if e != sn.Energy || r != sn.Rebuffer || u != sn.UsedUnits {
-			t.Fatalf("window [%d,%d): snapshot (E=%v R=%v U=%d) != per-slot sums (E=%v R=%v U=%d)",
-				sn.FromSlot, sn.ToSlot, sn.Energy, sn.Rebuffer, sn.UsedUnits, e, r, u)
-		}
-	}
-}
-
 func TestOpenUnbounded(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.RunFullHorizon = true
 	cfg.MaxSlots = 32 // initial horizon only; the clock extends on demand
-	o, err := NewOpen(OpenConfig{Cell: cfg, Unbounded: true, WindowSlots: 16, Windows: 2}, openSessions(2), sched.NewDefault())
+	o, err := NewOpen(OpenConfig{Cell: cfg, Unbounded: true}, openSessions(2), sched.NewDefault())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,8 +375,8 @@ func TestOpenUnbounded(t *testing.T) {
 		if done {
 			t.Fatalf("unbounded run reported done at slot %d", upto)
 		}
-		if o.Clock() != upto {
-			t.Fatalf("clock %d, want %d", o.Clock(), upto)
+		if o.Stats().Slot != upto {
+			t.Fatalf("clock %d, want %d", o.Stats().Slot, upto)
 		}
 		// Keep churn flowing well past the initial horizon.
 		if k < len(ss) {
@@ -418,9 +385,9 @@ func TestOpenUnbounded(t *testing.T) {
 			}
 			k++
 		}
-		// The per-slot series must stay bounded by the retained windows.
-		if got := len(o.eng.curRes.PerSlot); got > 2*16 {
-			t.Fatalf("per-slot series grew to %d entries at slot %d (bound 32)", got, upto)
+		// An unbounded run keeps no per-slot series.
+		if got := len(o.eng.curRes.PerSlot); got != 0 {
+			t.Fatalf("per-slot series holds %d entries at slot %d", got, upto)
 		}
 	}
 	st := o.Stats()
@@ -430,31 +397,33 @@ func TestOpenUnbounded(t *testing.T) {
 	if q := o.RebufferQuantile(0.5); q < 0 {
 		t.Fatalf("rebuffer p50 = %v", q)
 	}
-	if len(o.Snapshots()) != 2 {
-		t.Fatalf("retained %d snapshots, want 2", len(o.Snapshots()))
-	}
 }
 
-// TestOpenSnapshotsRecordTotals: an unbounded open cell's window
-// snapshots do not depend on the record level, bit for bit — the windows
-// fold each slot's totals as the tick reduces them, never Result.PerSlot —
-// and each is the sum from zero, in slot order, of its window's slot
-// totals, also when one AdvanceTo crosses several windows. At RecordTotals
-// no per-slot series is kept.
-func TestOpenSnapshotsRecordTotals(t *testing.T) {
-	run := func(level RecordLevel) ([]WindowSnapshot, []SlotTotals) {
+// TestOpenUnboundedRecordLevels: the record level of an unbounded churned
+// run changes nothing its callers read — Stats(), the rebuffering
+// quantiles and Finish()'s totals are bit-identical at RecordSlots and at
+// RecordTotals — OnSlot sees every slot once, in order, also when one
+// AdvanceTo crosses several metric windows, and Finish() carries no
+// per-slot series at either level.
+func TestOpenUnboundedRecordLevels(t *testing.T) {
+	type outcome struct {
+		st        OpenStats
+		quantiles []uint64
+		res       *Result
+	}
+	run := func(level RecordLevel) outcome {
 		cfg := tinyConfig()
 		cfg.RunFullHorizon = true
 		cfg.MaxSlots = 32
 		cfg.Record = level
-		var series []SlotTotals
+		next := 0
 		o, err := NewOpen(OpenConfig{
-			Cell: cfg, Unbounded: true, WindowSlots: 16, Windows: 4,
-			OnSlot: func(n int, st SlotTotals) {
-				if n != len(series) {
-					t.Fatalf("OnSlot got slot %d, want %d", n, len(series))
+			Cell: cfg, Unbounded: true,
+			OnSlot: func(n int, _ SlotTotals) {
+				if n != next {
+					t.Fatalf("OnSlot got slot %d, want %d", n, next)
 				}
-				series = append(series, st)
+				next++
 			},
 		}, openSessions(2), sched.NewDefault())
 		if err != nil {
@@ -464,63 +433,39 @@ func TestOpenSnapshotsRecordTotals(t *testing.T) {
 			t.Fatal(err)
 		}
 		ss := openSessions(8)
-		var snaps []WindowSnapshot
-		// Steps of 23, 40 and 57 slots close none, one or several windows;
-		// four retained windows (64 slots) outlast the longest.
-		for k, upto := 2, 0; upto < 400; k++ {
-			upto += 23 + 17*(k%3)
+		var out outcome
+		// Steps of 230 to 570 slots cross none, one or two metric windows.
+		for k, upto := 2, 0; upto < 2000; k++ {
+			upto += 230 + 170*(k%3)
 			if _, err := o.AdvanceTo(upto); err != nil {
 				t.Fatal(err)
+			}
+			if next != upto {
+				t.Fatalf("OnSlot saw %d slots by slot %d", next, upto)
 			}
 			if k < len(ss) {
 				if _, err := o.Admit(ss[k]); err != nil {
 					t.Fatal(err)
 				}
 			}
-			for _, sn := range o.Snapshots() {
-				if len(snaps) == 0 || sn.FromSlot >= snaps[len(snaps)-1].ToSlot {
-					snaps = append(snaps, sn)
-				}
-			}
+			out.quantiles = append(out.quantiles,
+				math.Float64bits(o.RebufferQuantile(0.5)), math.Float64bits(o.RebufferQuantile(0.99)))
 		}
-		if level == RecordTotals && o.eng.curRes.PerSlot != nil {
-			t.Fatalf("RecordTotals kept %d per-slot entries", len(o.eng.curRes.PerSlot))
+		out.st, out.res = o.Stats(), o.Finish()
+		if out.res.PerSlot != nil {
+			t.Fatalf("record level %d: Finish kept %d per-slot entries", level, len(out.res.PerSlot))
 		}
-		o.Finish()
-		return snaps, series
+		return out
 	}
-	want, series := run(RecordSlots)
-	got, _ := run(RecordTotals)
-	if len(want) < 400/16 || len(got) != len(want) || len(series) < want[len(want)-1].ToSlot {
-		t.Fatalf("closed windows: %d at RecordSlots, %d at RecordTotals, want ≥ %d over %d slots",
-			len(want), len(got), 400/16, len(series))
+	want, got := run(RecordSlots), run(RecordTotals)
+	if want.st.Completed == 0 {
+		t.Fatal("test premise: no session completed")
 	}
-	bits := func(sn WindowSnapshot) [10]uint64 {
-		return [10]uint64{uint64(sn.FromSlot), uint64(sn.ToSlot), uint64(sn.UsedUnits), uint64(sn.SessionsEnded),
-			math.Float64bits(float64(sn.Energy)), math.Float64bits(float64(sn.Rebuffer)),
-			math.Float64bits(sn.RebufferP50), math.Float64bits(sn.RebufferP99),
-			math.Float64bits(sn.EnergyP50), math.Float64bits(sn.EnergyP99)}
+	if got.st != want.st || !slices.Equal(got.quantiles, want.quantiles) {
+		t.Fatalf("RecordTotals %+v %v, RecordSlots %+v %v", got.st, got.quantiles, want.st, want.quantiles)
 	}
-	for k, sn := range want {
-		if k > 0 && sn.FromSlot != want[k-1].ToSlot {
-			t.Fatalf("window %d starts at %d, want %d: a window rolled out unread", k, sn.FromSlot, want[k-1].ToSlot)
-		}
-		if bits(got[k]) != bits(sn) {
-			t.Fatalf("window %d: RecordTotals %+v, RecordSlots %+v", k, got[k], sn)
-		}
-		var e units.MJ
-		var r units.Seconds
-		var u int
-		for _, st := range series[sn.FromSlot:sn.ToSlot] {
-			e += st.Energy
-			r += st.Rebuffer
-			u += st.UsedUnits
-		}
-		if math.Float64bits(float64(e)) != math.Float64bits(float64(sn.Energy)) ||
-			math.Float64bits(float64(r)) != math.Float64bits(float64(sn.Rebuffer)) || u != sn.UsedUnits {
-			t.Fatalf("window [%d,%d): snapshot (E=%v R=%v U=%d) != slot sums (E=%v R=%v U=%d)",
-				sn.FromSlot, sn.ToSlot, sn.Energy, sn.Rebuffer, sn.UsedUnits, e, r, u)
-		}
+	if !reflect.DeepEqual(got.res, want.res) {
+		t.Fatal("Finish() differs between RecordTotals and RecordSlots")
 	}
 }
 
@@ -569,7 +514,7 @@ func TestOpenValidation(t *testing.T) {
 	if _, err := o.Admit(openSessions(1)[0]); err == nil {
 		t.Fatal("Admit before Start accepted")
 	}
-	if err := o.Depart(0); err == nil {
+	if err := o.depart(0); err == nil {
 		t.Fatal("Depart before Start accepted")
 	}
 	if err := o.Start(context.Background()); err != nil {
@@ -622,7 +567,7 @@ func TestOpenDepartPending(t *testing.T) {
 	if _, err := o.AdvanceTo(5); err != nil {
 		t.Fatal(err)
 	}
-	if err := o.Depart(1); err != nil {
+	if err := o.depart(1); err != nil {
 		t.Fatal(err)
 	}
 	done, err := o.AdvanceTo(cfg.MaxSlots)
@@ -670,10 +615,10 @@ func TestOpenFreelistStableCapacity(t *testing.T) {
 	warmCap := -1
 	for cycle := 0; cycle < 300; cycle++ {
 		// Free two slots, reuse them, tick a little.
-		if err := o.Depart(1); err != nil {
+		if err := o.depart(1); err != nil {
 			t.Fatal(err)
 		}
-		if err := o.Depart(3); err != nil {
+		if err := o.depart(3); err != nil {
 			t.Fatal(err)
 		}
 		for k := 0; k < 2; k++ {
@@ -681,7 +626,7 @@ func TestOpenFreelistStableCapacity(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := o.AdvanceTo(o.Clock() + 2); err != nil {
+		if _, err := o.AdvanceTo(o.Stats().Slot + 2); err != nil {
 			t.Fatal(err)
 		}
 		if cycle == 9 {
@@ -702,7 +647,7 @@ func TestOpenFreelistStableCapacity(t *testing.T) {
 // included), the ledger conserves, and the tiled and analytic arms stay
 // identical — while the table visibly shrinks.
 func TestOpenCompactionChurn(t *testing.T) {
-	run := func(tileSlots, workers int) (OpenStats, []WindowSnapshot, map[uint64]bool) {
+	run := func(tileSlots, workers int) (OpenStats, [2]float64, map[uint64]bool) {
 		cfg := tinyConfig()
 		cfg.RunFullHorizon = true
 		cfg.MaxSlots = 64
@@ -710,7 +655,7 @@ func TestOpenCompactionChurn(t *testing.T) {
 		cfg.ShardSize = 16
 		o, err := NewOpen(OpenConfig{
 			Cell: cfg, Unbounded: true, MaxSessions: 256,
-			TileSlots: tileSlots, WindowSlots: 32, Windows: 2,
+			TileSlots: tileSlots,
 		}, nil, sched.NewDefault())
 		if err != nil {
 			t.Fatal(err)
@@ -784,16 +729,16 @@ func TestOpenCompactionChurn(t *testing.T) {
 			t.Fatalf("ledger leaks after compaction: %+v", st)
 		}
 		o.Finish()
-		return st, o.Snapshots(), alive
+		return st, [2]float64{o.RebufferQuantile(0.5), o.RebufferQuantile(0.99)}, alive
 	}
-	base, baseSnaps, _ := run(0, 1)
+	base, baseQ, _ := run(0, 1)
 	for _, arm := range []struct{ tile, workers int }{{16, 1}, {16, 4}, {0, 4}} {
-		st, snaps, _ := run(arm.tile, arm.workers)
+		st, q, _ := run(arm.tile, arm.workers)
 		if st != base {
 			t.Errorf("tile=%d workers=%d: stats %+v != %+v", arm.tile, arm.workers, st, base)
 		}
-		if !reflect.DeepEqual(snaps, baseSnaps) {
-			t.Errorf("tile=%d workers=%d: snapshots diverge", arm.tile, arm.workers)
+		if q != baseQ {
+			t.Errorf("tile=%d workers=%d: rebuffering quantiles %v != %v", arm.tile, arm.workers, q, baseQ)
 		}
 	}
 }
@@ -820,7 +765,7 @@ func FuzzAdmitDepartSerial(f *testing.F) {
 			cfg.MaxSlots = 64
 			o, err := NewOpen(OpenConfig{
 				Cell: cfg, Unbounded: true, MaxSessions: 96,
-				TileSlots: tileSlots, WindowSlots: 16, Windows: 2,
+				TileSlots: tileSlots,
 			}, nil, sched.NewDefault())
 			if err != nil {
 				t.Fatal(err)
@@ -887,7 +832,7 @@ func FuzzAdmitDepartSerial(f *testing.F) {
 				}
 				live = append(live[:k], live[k+1:]...)
 			case 3: // advance (reaps, rotates, maybe compacts)
-				upto := o.Clock() + int(op%32) + 1
+				upto := o.Stats().Slot + int(op%32) + 1
 				if _, err := o.AdvanceTo(upto); err != nil {
 					t.Fatal(err)
 				}

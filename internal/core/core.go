@@ -197,12 +197,15 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A Report reads run totals only, so no run keeps a per-slot series.
+	cellCfg := cfg.Cell
+	cellCfg.Record = cell.RecordTotals
 	simulate := func(s sched.Scheduler) (*cell.Result, error) {
 		wl, err := workload.Generate(cfg.Workload, rng.New(cfg.Seed))
 		if err != nil {
 			return nil, err
 		}
-		sim, err := cell.New(cfg.Cell, wl, s)
+		sim, err := cell.New(cellCfg, wl, s)
 		if err != nil {
 			return nil, err
 		}

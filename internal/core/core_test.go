@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"jointstream/internal/cell"
+	"jointstream/internal/rng"
+	"jointstream/internal/sched"
 	"jointstream/internal/units"
 	"jointstream/internal/workload"
 )
@@ -203,5 +205,54 @@ func TestRunEMAdaptive(t *testing.T) {
 	// adaptation is looser than offline calibration).
 	if float64(rep.Result.PC) > float64(rep.Omega)*3 {
 		t.Errorf("adaptive PC %v far above Omega %v", rep.Result.PC, rep.Omega)
+	}
+}
+
+// TestRunMatchesRecordedRuns: Run records totals only, and its Report is
+// what runs at the default record level (a per-slot series kept) give —
+// the reference and the mode's scheduler, rebuilt from the Report's
+// derived budget or weight, summarized field for field.
+func TestRunMatchesRecordedRuns(t *testing.T) {
+	for _, mode := range []Mode{ModeRTM, ModeEM} {
+		cfg, err := quickConfig(mode).normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := sched.Params{Budget: rep.Phi, V: rep.V, Radio: cfg.Cell.Radio, RRC: cfg.Cell.RRC}
+		name := map[Mode]string{ModeRTM: "rtma", ModeEM: "ema"}[mode]
+		for _, arm := range []struct {
+			name string
+			got  ModeResult
+		}{{"default", rep.Reference}, {name, rep.Result}} {
+			s, err := sched.ByName(arm.name, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wl, err := workload.Generate(cfg.Workload, rng.New(cfg.Seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.Cell.Record != cell.RecordSlots {
+				t.Fatalf("test premise: record level %d", cfg.Cell.Record)
+			}
+			sim, err := cell.New(cfg.Cell, wl, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sim.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.PerSlot) == 0 {
+				t.Fatal("test premise: the recorded run kept no per-slot series")
+			}
+			if want := summarize(res); arm.got != want {
+				t.Errorf("%v %s: Report %+v, recorded run %+v", mode, arm.name, arm.got, want)
+			}
+		}
 	}
 }

@@ -14,12 +14,12 @@ import (
 // TestFleetSiteAllocBudget holds what a closed fleet site costs against
 // the closed engine it replaced: one fleet_stream-shaped site (40 users,
 // 256 slots, tile 64, stateless traces) through Run may allocate at most
-// 1.18 × its sessions cloned as Run clones them and run through cell.New
-// and RunCtx at RecordTotals, the level a site records (1.171× measured,
+// 1.173 × its sessions cloned as Run clones them and run through cell.New
+// and RunCtx at RecordTotals, the level a site records (1.164× measured,
 // go1.24). The difference is Run's own placement and epoch fold, and
 // whatever the open engine keeps that a closed site never reads — per-slot
-// rate rows, metric windows that never rotate, a serial index nobody looks
-// up. Each side's figure is the least TotalAlloc of five runs.
+// rate rows, a session window that never rotates, a serial index nobody
+// looks up. Each side's figure is the least TotalAlloc of five runs.
 func TestFleetSiteAllocBudget(t *testing.T) {
 	wc := workload.PaperDefaults(40)
 	wc.StatelessSignal = true
@@ -70,7 +70,7 @@ func TestFleetSiteAllocBudget(t *testing.T) {
 	})
 	ratio := float64(fleet) / float64(closed)
 	t.Logf("fleet site %d B, closed engine %d B: %.3f×", fleet, closed, ratio)
-	if ratio > 1.18 {
-		t.Fatalf("a fleet site allocates %d B, %.3f× the closed engine's %d B (budget 1.18×)", fleet, ratio, closed)
+	if ratio > 1.173 {
+		t.Fatalf("a fleet site allocates %d B, %.3f× the closed engine's %d B (budget 1.173×)", fleet, ratio, closed)
 	}
 }

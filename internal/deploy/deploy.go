@@ -410,13 +410,12 @@ func Run(ctx context.Context, cfg Config, sessions []*workload.Session, newSched
 
 // closedSite shapes a closed site as a bounded open cell: the closed
 // engine's window under LinkTileSlots (⌈LinkTileSlots/2⌉-slot blocks), the
-// analytic path otherwise (bit-identical by LUT exactness), and one metric
-// window, past the horizon. It records totals only: foldSite reads its
-// Result's totals, and Run folds its per-epoch series through OnSlot as
-// the tick reduces each slot.
+// analytic path otherwise (bit-identical by LUT exactness). It records
+// totals only: foldSite reads its Result's totals, and Run folds its
+// per-epoch series through OnSlot as the tick reduces each slot.
 func closedSite(c cell.Config, users int) cell.OpenConfig {
 	c.Record = cell.RecordTotals
-	oc := cell.OpenConfig{Cell: c, MaxSessions: users, WindowSlots: c.MaxSlots + 1, Windows: 1}
+	oc := cell.OpenConfig{Cell: c, MaxSessions: users}
 	if c.LinkTileSlots > 0 && c.LinkTileSlots < c.MaxSlots {
 		oc.TileSlots = (c.LinkTileSlots + 1) / 2
 	}

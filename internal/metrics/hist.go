@@ -200,9 +200,3 @@ func (h *StreamingHist) quantile(q float64) float64 {
 	}
 	return h.max
 }
-
-// Count returns the number of observed (non-dropped) samples.
-func (h *StreamingHist) Count() uint64 { return h.count }
-
-// Sum returns the exact sum of observed samples.
-func (h *StreamingHist) Sum() float64 { return h.sum }

@@ -16,8 +16,8 @@ func checkQuantiles(t *testing.T, name string, xs []float64, h *StreamingHist) {
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if h.Count() != uint64(len(xs)) {
-		t.Fatalf("%s: count %d != %d", name, h.Count(), len(xs))
+	if h.count != uint64(len(xs)) {
+		t.Fatalf("%s: count %d != %d", name, h.count, len(xs))
 	}
 	if h.Min() != c.min() || h.Max() != c.max() {
 		t.Fatalf("%s: extremes (%v,%v) != (%v,%v)", name, h.Min(), h.Max(), c.min(), c.max())
@@ -26,8 +26,8 @@ func checkQuantiles(t *testing.T, name string, xs []float64, h *StreamingHist) {
 	for _, x := range xs {
 		sum += x
 	}
-	if math.Abs(h.Sum()-sum) > 1e-9*math.Max(1, math.Abs(sum)) {
-		t.Fatalf("%s: sum %v != %v", name, h.Sum(), sum)
+	if math.Abs(h.sum-sum) > 1e-9*math.Max(1, math.Abs(sum)) {
+		t.Fatalf("%s: sum %v != %v", name, h.sum, sum)
 	}
 	tol := h.BinWidth()
 	for q := 0.0; q <= 1.0; q += 0.01 {
@@ -147,7 +147,7 @@ func TestStreamingHistDropsNonPhysical(t *testing.T) {
 	if h.Dropped() != 4 {
 		t.Fatalf("Dropped = %d, want 4", h.Dropped())
 	}
-	if h.Count() != 1 || h.Sum() != 2 || h.Min() != 2 || h.Max() != 2 {
+	if h.count != 1 || h.sum != 2 || h.Min() != 2 || h.Max() != 2 {
 		t.Fatal("dropped samples disturbed the sketch")
 	}
 	if h.BinWidth() != 1 {
@@ -162,7 +162,7 @@ func TestStreamingHistEmptyAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.quantile(0.5) != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Count() != 0 {
+	if h.quantile(0.5) != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.count != 0 {
 		t.Fatal("empty sketch should report zeros")
 	}
 	for _, bad := range []struct {

@@ -139,7 +139,7 @@ func (w *WindowedHist) count() uint64 {
 	var n uint64
 	for k := 0; k < w.filled; k++ {
 		if h := w.retained(k); h != nil {
-			n += h.Count()
+			n += h.count
 		}
 	}
 	return n

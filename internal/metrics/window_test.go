@@ -65,7 +65,7 @@ func TestWindowedHistMergeMatchesDirect(t *testing.T) {
 	m := merged(w)
 	if !histsEqual(m, direct) {
 		t.Fatalf("merged windowed hist != direct hist over same samples: merged{count=%d sum=%v width=%v} direct{count=%d sum=%v width=%v}",
-			m.Count(), m.Sum(), m.BinWidth(), direct.Count(), direct.Sum(), direct.BinWidth())
+			m.count, m.sum, m.BinWidth(), direct.count, direct.sum, direct.BinWidth())
 	}
 	if got, want := w.count(), uint64(len(all)); got != want {
 		t.Fatalf("windowed count = %d, want %d", got, want)
@@ -168,7 +168,7 @@ func TestWindowedHistEviction(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, idle.Rotate); allocs != 0 {
 		t.Fatalf("rotating an untouched window allocates %v times", allocs)
 	}
-	if idle.count() != 0 || idle.Quantile(0.5) != 0 || merged(idle).Count() != 0 {
+	if idle.count() != 0 || idle.Quantile(0.5) != 0 || merged(idle).count != 0 {
 		t.Fatal("an idle ring reports samples")
 	}
 	// One that observes but never rotates holds only its live window; the
@@ -218,8 +218,8 @@ func TestStreamingHistClone(t *testing.T) {
 	h.Observe(3)
 	c := h.Clone()
 	c.Observe(5)
-	if h.Count() != 1 || c.Count() != 2 {
-		t.Fatalf("clone aliases parent: parent count %d, clone count %d", h.Count(), c.Count())
+	if h.count != 1 || c.count != 2 {
+		t.Fatalf("clone aliases parent: parent count %d, clone count %d", h.count, c.count)
 	}
 	if !histsEqual(h.Clone(), h) {
 		t.Fatal("clone not equal to source")

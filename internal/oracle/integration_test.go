@@ -11,6 +11,48 @@ import (
 	"jointstream/internal/workload"
 )
 
+// Plan is the omniscient greedy schedule behind the upper bound:
+// Alloc[n][u] is the data-unit grant of user u in slot n. Replayed through
+// the real simulator (planned) it measures what the clairvoyant energy
+// plan does to playback — it ignores buffer dynamics entirely, so its
+// rebuffering can be arbitrarily bad.
+type Plan struct {
+	Alloc  [][]int
+	Bounds Bounds
+}
+
+// ComputePlan evaluates the bounds and returns the upper bound's schedule.
+func ComputePlan(cfg Config, sessions []*workload.Session) (*Plan, error) {
+	b, alloc, err := compute(cfg, sessions, true)
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{Alloc: alloc, Bounds: b}, nil
+}
+
+// planned is a scheduler that replays a plan (slot-major, user-minor):
+// each grant clamped to the slot's Eq. (1)/(2) limits, so a plan computed
+// against the same radio and capacity replays exactly, and nothing past
+// the plan's horizon.
+type planned [][]int
+
+func (planned) Name() string { return "Planned" }
+
+func (p planned) Allocate(slot *sched.Slot, alloc []int) {
+	if slot.N >= len(p) {
+		return
+	}
+	row, remaining := p[slot.N], slot.CapacityUnits
+	for i, a := range row[:min(len(row), len(alloc))] {
+		if !slot.ActiveAt(i) {
+			a = 0
+		}
+		a = min(a, slot.MaxUnitsAt(i), remaining)
+		alloc[i] = a
+		remaining -= a
+	}
+}
+
 // Replaying the omniscient plan through the real simulator must reproduce
 // the upper bound's transmission energy (the physics agree), while its
 // playback-oblivious pacing shows up as heavy rebuffering compared to the
@@ -48,11 +90,7 @@ func TestPlannedScheduleThroughSimulator(t *testing.T) {
 		t.Fatal("test premise: plan infeasible")
 	}
 
-	planned, err := sched.NewPlanned(plan.Alloc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := cell.New(cellCfg, mkSessions(), planned)
+	sim, err := cell.New(cellCfg, mkSessions(), planned(plan.Alloc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +226,7 @@ func TestTailAccountedUpperComparableToSimulator(t *testing.T) {
 		t.Fatal("test premise: omniscient plan has no idle gaps to charge")
 	}
 
-	planned, err := sched.NewPlanned(plan.Alloc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := cell.New(cellCfg, mkSessions(), planned)
+	sim, err := cell.New(cellCfg, mkSessions(), planned(plan.Alloc))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,20 +35,6 @@ func ensureBudget() {
 	})
 }
 
-// SetWorkerBudget sets the total number of pool workers the process may
-// run concurrently (each Map/Shard call's own goroutine counts as one)
-// and returns the previous budget. n <= 0 resets to GOMAXPROCS. It is
-// meant for process startup or between runs; changing the budget while
-// fan-outs are in flight skews the token count until they return their
-// tokens.
-func SetWorkerBudget(n int) int {
-	ensureBudget()
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return int(extraTokens.Swap(int64(n-1))) + 1
-}
-
 // acquireExtra takes up to want extra worker tokens from the budget,
 // returning how many it got (possibly 0). Never blocks.
 func acquireExtra(want int) int {

@@ -18,8 +18,8 @@ package pool
 // caller's goroutine once the running shards drain.
 //
 // The caller's goroutine always participates as one worker; the other
-// workers-1 are requested from the process-wide worker budget (see
-// SetWorkerBudget), so nested fan-outs — figure sweeps over sharded
+// workers-1 are requested from the process-wide worker budget
+// (budget.go), so nested fan-outs — figure sweeps over sharded
 // simulators — degrade to inline execution instead of oversubscribing
 // the machine. Throttling never changes the result: shards write
 // disjoint state regardless of which goroutine claims them.

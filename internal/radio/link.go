@@ -36,10 +36,6 @@ func NewLink(m Model, tau units.Seconds, unit units.KB) (*Link, error) {
 	return l, nil
 }
 
-// Exact reports whether the evaluator runs the model's exact table rather
-// than its interfaces.
-func (l *Link) Exact() bool { return l.exact }
-
 // At returns v(sig), P(sig) and ⌊τ·v/δ⌋ (0 for a non-positive τ·v).
 func (l *Link) At(sig units.DBm) (units.KBps, units.MJ, int) {
 	if l.exact {

@@ -13,16 +13,11 @@
 // reception is the most power-hungry — the effect both RTMA's admission
 // threshold and EMA's drift-plus-penalty exploit.
 //
-// The package exposes the models behind small interfaces so tests and
-// ablations can substitute piecewise-linear or synthetic curves.
+// The package exposes the models behind small interfaces so tests can
+// substitute curves of their own.
 package radio
 
-import (
-	"fmt"
-	"sort"
-
-	"jointstream/internal/units"
-)
+import "jointstream/internal/units"
 
 // ThroughputModel maps signal strength to the maximum achievable
 // application-layer data rate (Definition 3 in the paper).
@@ -111,54 +106,4 @@ func LTE() Model {
 		Throughput: v,
 		Power:      FittedPower{Base: -0.11, Scale: 3120, V: v},
 	}
-}
-
-// PiecewiseLinear interpolates throughput between measured (sig, rate)
-// breakpoints; outside the covered range it extends the edge values. It
-// lets experiments replay arbitrary measured curves.
-type PiecewiseLinear struct {
-	points []Point // sorted by Sig ascending
-}
-
-// Point is one breakpoint of a piecewise-linear curve.
-type Point struct {
-	Sig  units.DBm
-	Rate units.KBps
-}
-
-// NewPiecewiseLinear builds a curve from at least one breakpoint.
-// Points may be supplied in any order; duplicate signal values are invalid.
-func NewPiecewiseLinear(pts []Point) (*PiecewiseLinear, error) {
-	if len(pts) == 0 {
-		return nil, fmt.Errorf("radio: piecewise curve needs at least one point")
-	}
-	cp := make([]Point, len(pts))
-	copy(cp, pts)
-	sort.Slice(cp, func(i, j int) bool { return cp[i].Sig < cp[j].Sig })
-	for i := 1; i < len(cp); i++ {
-		if cp[i].Sig == cp[i-1].Sig {
-			return nil, fmt.Errorf("radio: duplicate breakpoint at %v", cp[i].Sig)
-		}
-	}
-	for _, p := range cp {
-		if p.Rate < 0 {
-			return nil, fmt.Errorf("radio: negative rate %v at %v", p.Rate, p.Sig)
-		}
-	}
-	return &PiecewiseLinear{points: cp}, nil
-}
-
-// Throughput implements ThroughputModel by linear interpolation.
-func (m *PiecewiseLinear) Throughput(sig units.DBm) units.KBps {
-	pts := m.points
-	if sig <= pts[0].Sig {
-		return pts[0].Rate
-	}
-	if sig >= pts[len(pts)-1].Sig {
-		return pts[len(pts)-1].Rate
-	}
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].Sig >= sig })
-	a, b := pts[i-1], pts[i]
-	frac := float64(sig-a.Sig) / float64(b.Sig-a.Sig)
-	return a.Rate + units.KBps(frac*float64(b.Rate-a.Rate))
 }

@@ -123,111 +123,6 @@ func TestLTEFasterThan3G(t *testing.T) {
 	}
 }
 
-func TestPiecewiseLinearInterpolation(t *testing.T) {
-	pl, err := NewPiecewiseLinear([]Point{
-		{Sig: -110, Rate: 300},
-		{Sig: -80, Rate: 2000},
-		{Sig: -50, Rate: 4300},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		sig  units.DBm
-		want units.KBps
-	}{
-		{-110, 300},
-		{-95, 1150}, // midway between 300 and 2000
-		{-80, 2000},
-		{-65, 3150},
-		{-50, 4300},
-		{-120, 300}, // below range: clamp
-		{-40, 4300}, // above range: clamp
-	}
-	for _, c := range cases {
-		got := pl.Throughput(c.sig)
-		if math.Abs(float64(got-c.want)) > 1e-9 {
-			t.Errorf("Throughput(%v) = %v, want %v", c.sig, got, c.want)
-		}
-	}
-}
-
-func TestPiecewiseLinearUnsortedInput(t *testing.T) {
-	pl, err := NewPiecewiseLinear([]Point{
-		{Sig: -50, Rate: 4300},
-		{Sig: -110, Rate: 300},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pl.Throughput(-80); got != 2300 {
-		t.Errorf("unsorted input midpoint = %v, want 2300", got)
-	}
-}
-
-func TestPiecewiseLinearValidation(t *testing.T) {
-	if _, err := NewPiecewiseLinear(nil); err == nil {
-		t.Error("empty point set accepted")
-	}
-	if _, err := NewPiecewiseLinear([]Point{{-80, 100}, {-80, 200}}); err == nil {
-		t.Error("duplicate breakpoints accepted")
-	}
-	if _, err := NewPiecewiseLinear([]Point{{-80, -5}}); err == nil {
-		t.Error("negative rate accepted")
-	}
-}
-
-func TestPiecewiseLinearSinglePoint(t *testing.T) {
-	pl, err := NewPiecewiseLinear([]Point{{Sig: -80, Rate: 1234}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sig := range []units.DBm{-120, -80, -40} {
-		if got := pl.Throughput(sig); got != 1234 {
-			t.Errorf("single-point curve at %v = %v, want 1234", sig, got)
-		}
-	}
-}
-
-func TestPiecewiseLinearCopiesInput(t *testing.T) {
-	pts := []Point{{Sig: -110, Rate: 300}, {Sig: -50, Rate: 4300}}
-	pl, err := NewPiecewiseLinear(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts[0].Rate = 99999
-	if got := pl.Throughput(-110); got != 300 {
-		t.Errorf("curve aliased caller slice: %v", got)
-	}
-}
-
-// Property: piecewise interpolation is monotone if breakpoints are.
-func TestPiecewiseMonotoneProperty(t *testing.T) {
-	f := func(r1, r2, r3 uint16) bool {
-		rates := []float64{float64(r1), float64(r1) + float64(r2), float64(r1) + float64(r2) + float64(r3)}
-		pl, err := NewPiecewiseLinear([]Point{
-			{Sig: -110, Rate: units.KBps(rates[0])},
-			{Sig: -80, Rate: units.KBps(rates[1])},
-			{Sig: -50, Rate: units.KBps(rates[2])},
-		})
-		if err != nil {
-			return false
-		}
-		prev := units.KBps(-1)
-		for sig := units.DBm(-115); sig <= -45; sig += 1 {
-			v := pl.Throughput(sig)
-			if v < prev {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: for the paper model, energy for k KB is linear in k.
 func TestTransmissionEnergyLinearProperty(t *testing.T) {
 	m := Paper3G()

@@ -20,12 +20,12 @@ import (
 // and Lookup evaluates the identical floating-point expressions without
 // consulting the quantizer: bitwise-identical to the analytic model at
 // every signal value — in the domain, outside it, ±Inf or NaN — not
-// merely close. Exact() reports this. For other model shapes the bins
-// hold sampled chords and the table is an approximation whose error
-// shrinks with the bin count; Link, the evaluator every engine derives
-// through, only consults a Table when it is exact, falling back to
-// direct model calls otherwise, so quantization error can never leak into
-// simulation results.
+// merely close; the exact field records this. For other model shapes
+// the bins hold sampled chords and the table is an approximation whose
+// error shrinks with the bin count; Link, the evaluator every engine
+// derives through, only consults a Table when it is exact, falling back
+// to direct model calls otherwise, so quantization error can never leak
+// into simulation results.
 type Table struct {
 	lo, hi float64 // domain bounds, dBm
 	invW   float64 // bins / (hi - lo); 0 for a degenerate single-point domain

@@ -56,13 +56,7 @@ func TestTableExactForPaperFits(t *testing.T) {
 // piecewise-linear curve is reproduced within a tolerance that shrinks
 // with bin count, and the table reports itself inexact.
 func TestTableChordApproximation(t *testing.T) {
-	pw, err := NewPiecewiseLinear([]Point{
-		{Sig: -110, Rate: 300}, {Sig: -90, Rate: 900},
-		{Sig: -70, Rate: 2500}, {Sig: -50, Rate: 4200},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pw := curve{{-110, 300}, {-90, 900}, {-70, 2500}, {-50, 4200}}
 	m := Model{Throughput: pw, Power: FittedPower{Base: -0.167, Scale: 1560, V: pw}}
 	tab, err := NewTable(m, -110, -50, 2048)
 	if err != nil {

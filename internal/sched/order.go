@@ -26,7 +26,7 @@ import (
 // against RunReference. When the churn (drops + insertions) exceeds a
 // threshold the repair would approach full-sort cost with worse constants,
 // so update falls back to sorting the fresh candidate list from scratch.
-// The default threshold is max(8, candidates/8); see RTMA.SetChurnLimit.
+// The default threshold is max(8, candidates/8); limit overrides it.
 type rtmaOrder struct {
 	// keys is the persistent candidate sequence sorted by (rate, idx).
 	keys []rtmaKey

@@ -90,7 +90,7 @@ func NewRTMA(cfg RTMAConfig) (*RTMA, error) {
 		return nil, fmt.Errorf("rtma: signal bounds inverted [%v, %v]", lo, hi)
 	}
 	r := &RTMA{budget: cfg.Budget}
-	r.order.limit = -1 // auto churn threshold; see SetChurnLimit
+	r.order.limit = -1 // the default churn threshold (rtmaOrder)
 	r.threshold, r.admitAll = solveThreshold(cfg, lo, hi)
 	return r, nil
 }
@@ -153,13 +153,6 @@ func (r *RTMA) Threshold() units.DBm { return r.threshold }
 
 // Name implements Scheduler.
 func (*RTMA) Name() string { return "RTMA" }
-
-// SetChurnLimit overrides the incremental-order churn threshold: a slot
-// whose candidate set changes by more than limit entries (removals plus
-// insertions) re-sorts from scratch instead of repairing. limit = 0 forces
-// a full sort on any churn (the reference arm of the differential and fuzz
-// tests); a negative limit restores the default max(8, candidates/8).
-func (r *RTMA) SetChurnLimit(limit int) { r.order.limit = limit }
 
 // Allocate implements Scheduler following Alg. 1.
 func (r *RTMA) Allocate(slot *Slot, alloc []int) {

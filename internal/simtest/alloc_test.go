@@ -201,7 +201,7 @@ func TestTickSteadyStateChurnZeroAllocs(t *testing.T) {
 	cfg.RunFullHorizon = true
 	o, err := cell.NewOpen(cell.OpenConfig{
 		Cell: cfg, Unbounded: true, MaxSessions: 48,
-		TileSlots: 16, WindowSlots: 32, Windows: 2,
+		TileSlots: 16,
 	}, nil, sched.NewDefault())
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestTickSteadyStateChurnZeroAllocs(t *testing.T) {
 		}
 		sers = append(sers[:0], sers[1:]...)
 		admit()
-		if _, err := o.AdvanceTo(o.Clock() + 8); err != nil {
+		if _, err := o.AdvanceTo(o.Stats().Slot + 8); err != nil {
 			t.Fatal(err)
 		}
 	}

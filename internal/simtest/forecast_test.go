@@ -60,7 +60,7 @@ func (f slotForecast) PredictedLinkUnits(n, i int) int {
 // table: every read is a pure function of (seed, slot, user) — two
 // independently constructed forecasts with the same seed agree at every
 // coordinate, in any read order — corrupted prices are never negative,
-// corrupted link limits never leave [0, MaxLinkUnits], and a fully
+// corrupted link limits never leave [0, the table's largest], and a fully
 // corrupted forecast (errFrac ≥ 1) reports a zero horizon, carrying no
 // information at all.
 //
@@ -74,7 +74,12 @@ func FuzzForecastNoise(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	maxLU := lt.MaxLinkUnits()
+	exact, maxLU := lt.Forecast(), 0
+	for n := 0; n < lt.Slots(); n++ {
+		for i := 0; i < lt.Users(); i++ {
+			maxLU = max(maxLU, exact.PredictedLinkUnits(n, i))
+		}
+	}
 
 	f.Add(uint64(1), uint8(0), uint16(0))
 	f.Add(uint64(2), uint8(25), uint16(77))
@@ -184,12 +189,12 @@ func TestNoisyForecastValidation(t *testing.T) {
 }
 
 // TestLinkReadersMatchStoredColumns pins the table's readers outside the
-// engine — the exact forecast, NoisyForecast, MaxLinkUnits and the oracle
-// over the table and over the traces — to what they returned when the
-// table stored v, P and ⌊τ·v/δ⌋ beside the signal: a hash of every
-// prediction of a seeded 6-user × 600-slot table (three table blocks, VBR
-// rates) and the oracle's four bounds, by float bits, recorded before the
-// table shrank to signals and rates.
+// engine — the exact forecast (and its largest link limit), NoisyForecast
+// and the oracle over the table and over the traces — to what they
+// returned when the table stored v, P and ⌊τ·v/δ⌋ beside the signal: a
+// hash of every prediction of a seeded 6-user × 600-slot table (three
+// table blocks, VBR rates) and the oracle's four bounds, by float bits,
+// recorded before the table shrank to signals and rates.
 func TestLinkReadersMatchStoredColumns(t *testing.T) {
 	cfg := cell.PaperConfig()
 	cfg.MaxSlots = 600
@@ -214,8 +219,10 @@ func TestLinkReadersMatchStoredColumns(t *testing.T) {
 		binary.LittleEndian.PutUint64(b[:], x)
 		h.Write(b[:])
 	}
+	maxLU := 0
 	for n := 0; n < cfg.MaxSlots; n++ {
 		for i := range wl {
+			maxLU = max(maxLU, exact.PredictedLinkUnits(n, i))
 			put(math.Float64bits(float64(exact.PredictedEnergyPerKB(n, i))))
 			put(uint64(exact.PredictedLinkUnits(n, i)))
 			put(math.Float64bits(float64(noisy.PredictedEnergyPerKB(n, i))))
@@ -225,8 +232,8 @@ func TestLinkReadersMatchStoredColumns(t *testing.T) {
 	if got, want := h.Sum64(), uint64(0x72c536f2363df16c); got != want {
 		t.Errorf("forecast hash %#x, want %#x", got, want)
 	}
-	if got := lt.MaxLinkUnits(); got != 42 {
-		t.Errorf("MaxLinkUnits %d, want 42", got)
+	if maxLU != 42 {
+		t.Errorf("largest link limit %d, want 42", maxLU)
 	}
 	ocfg := oracle.Config{Tau: cfg.Tau, Unit: cfg.Unit, Capacity: cfg.Capacity / 20, Horizon: cfg.MaxSlots,
 		Radio: cfg.Radio, RRC: cfg.RRC, AccountTail: true}

@@ -98,11 +98,11 @@ func TestOpenWorkerDeterminism(t *testing.T) {
 		// Mid-run churn on every arm, identically: users 60 and 80 joined
 		// with mean interarrival 1, so at slot 8 they are still pending or
 		// freshly live — never already completed.
-		if err := o.Depart(60); err != nil {
-			t.Fatal(err)
-		}
-		if err := o.Depart(80); err != nil {
-			t.Fatal(err)
+		for _, id := range []int{60, 80} {
+			ser, _ := o.Serial(id)
+			if ok, err := o.DepartSerial(id, ser); err != nil || !ok {
+				t.Fatalf("depart %d: ok=%v err=%v", id, ok, err)
+			}
 		}
 		g, err := workload.NewChurnGen(churnCfg(), rng.New(5))
 		if err != nil {
@@ -151,14 +151,13 @@ func churnCfg() workload.Config {
 func TestOpenChurnAllSchedulers(t *testing.T) {
 	for name, mk := range factories(t) {
 		t.Run(name, func(t *testing.T) {
-			run := func() (cell.OpenStats, []cell.WindowSnapshot) {
+			run := func() (cell.OpenStats, [2]float64) {
 				cfg := engineCfg()
 				cfg.Record = cell.RecordSlots
 				cfg.RunFullHorizon = true
 				cfg.MaxSlots = 64 // initial horizon; extends on demand
 				o, err := cell.NewOpen(cell.OpenConfig{
-					Cell: cfg, Unbounded: true,
-					MaxSessions: 16, WindowSlots: 32, Windows: 3,
+					Cell: cfg, Unbounded: true, MaxSessions: 16,
 				}, nil, mk())
 				if err != nil {
 					t.Fatal(err)
@@ -225,14 +224,13 @@ func TestOpenChurnAllSchedulers(t *testing.T) {
 					if st.InService == 0 {
 						break
 					}
-					if _, err := o.AdvanceTo(o.Clock() + 50); err != nil {
+					if _, err := o.AdvanceTo(o.Stats().Slot + 50); err != nil {
 						t.Fatal(err)
 					}
 				}
-				st := o.Stats()
-				return st, o.Snapshots()
+				return o.Stats(), [2]float64{o.RebufferQuantile(0.5), o.RebufferQuantile(0.99)}
 			}
-			st, snaps := run()
+			st, q := run()
 			if st.Admitted != st.Completed+st.Departed+st.InService {
 				t.Fatalf("session ledger leaks: %+v", st)
 			}
@@ -250,16 +248,9 @@ func TestOpenChurnAllSchedulers(t *testing.T) {
 			if st.Admitted == 0 {
 				t.Fatalf("degenerate churn run: %+v", st)
 			}
-			if len(snaps) == 0 {
-				t.Fatal("no window snapshots rotated")
-			}
 			// Determinism: the whole churn script replays identically.
-			st2, snaps2 := run()
-			if st != st2 {
-				t.Fatalf("churn run not deterministic: %+v vs %+v", st, st2)
-			}
-			if len(snaps) != len(snaps2) || snaps[len(snaps)-1] != snaps2[len(snaps2)-1] {
-				t.Fatal("window snapshots not deterministic")
+			if st2, q2 := run(); st != st2 || q != q2 {
+				t.Fatalf("churn run not deterministic: %+v %v vs %+v %v", st, q, st2, q2)
 			}
 		})
 	}

@@ -1,12 +1,6 @@
 package workload
 
-import (
-	"encoding/json"
-	"io"
-
-	"jointstream/internal/rng"
-	"jointstream/internal/units"
-)
+import "jointstream/internal/rng"
 
 // Helpers only the package's tests use.
 
@@ -26,24 +20,4 @@ func ArrivalSlots(p ArrivalProcess, n, firstSlot int, src *rng.Source) []int {
 		slots[i] = start
 	}
 	return slots
-}
-
-// WriteSpec serializes a spec as indented JSON.
-func WriteSpec(w io.Writer, s *Spec) error {
-	if err := s.validate(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// TotalDemand returns the sum of nominal rates across sessions, useful for
-// judging base-station load against capacity S.
-func TotalDemand(sessions []*Session) units.KBps {
-	var sum units.KBps
-	for _, s := range sessions {
-		sum += s.BaseRate
-	}
-	return sum
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -90,34 +89,6 @@ func TestReadSpecErrors(t *testing.T) {
 		if _, err := ReadSpec(strings.NewReader(c.in)); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
-	}
-}
-
-func TestWriteSpecRoundTrip(t *testing.T) {
-	spec, err := ReadSpec(strings.NewReader(validSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteSpec(&buf, spec); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadSpec(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Users) != len(spec.Users) {
-		t.Fatalf("round trip lost users: %d vs %d", len(back.Users), len(spec.Users))
-	}
-	for i := range spec.Users {
-		if back.Users[i].SizeMB != spec.Users[i].SizeMB ||
-			back.Users[i].Signal.Kind != spec.Users[i].Signal.Kind {
-			t.Errorf("user %d differs after round trip", i)
-		}
-	}
-	// Writing an invalid spec fails.
-	if err := WriteSpec(&buf, &Spec{}); err == nil {
-		t.Error("invalid spec written")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"jointstream/internal/pool"
 	"jointstream/internal/rng"
 	"jointstream/internal/signal"
 	"jointstream/internal/units"
@@ -204,18 +203,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestTotalDemand(t *testing.T) {
-	sessions := []*Session{
-		{BaseRate: 300}, {BaseRate: 450}, {BaseRate: 600},
-	}
-	if got := TotalDemand(sessions); got != 1350 {
-		t.Errorf("TotalDemand = %v, want 1350", got)
-	}
-	if got := TotalDemand(nil); got != 0 {
-		t.Errorf("TotalDemand(nil) = %v, want 0", got)
-	}
-}
-
 func TestGenerateMeanStatistics(t *testing.T) {
 	// Averages over many users should approach range midpoints.
 	cfg := PaperDefaults(2000)
@@ -288,13 +275,13 @@ func (m meetingTrace) Prewarm(slots int) {
 }
 
 // TestPrewarmAllZeroWorkersUsesAllCores: workers = 0 is every core, not
-// "inline" — given a worker budget of two or more, more than one goroutine
-// prewarms — and what it produces is what one worker produces.
+// "inline" — given the default worker budget, GOMAXPROCS, of two or more,
+// more than one goroutine prewarms — and what it produces is what one
+// worker produces.
 func TestPrewarmAllZeroWorkersUsesAllCores(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs GOMAXPROCS >= 2")
 	}
-	defer pool.SetWorkerBudget(pool.SetWorkerBudget(runtime.GOMAXPROCS(0)))
 	const users, slots = 16, 200
 	cfg := PaperDefaults(users)
 	cfg.RateJitterFrac = 0.2

@@ -50,3 +50,25 @@ func TestRepoExports(t *testing.T) {
 			strings.Join(bad, "\n"))
 	}
 }
+
+// TestSeamsFixture: seams reads the keys under the "# Test seams" heading
+// only, up to the next heading, blank lines and all.
+func TestSeamsFixture(t *testing.T) {
+	text := "# Reference\na.Ref why\n\n# Test seams tests drive\na.S1 why\n\na.S2 why\n# Other\na.O why\n"
+	if got, want := seams(text), []string{"a.S1", "a.S2"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("seams: got %q, want %q", got, want)
+	}
+}
+
+// TestRepoSeamBudget is the second gate: allow.txt's test-seam section
+// holds at most seamBudget keys.
+func TestRepoSeamBudget(t *testing.T) {
+	text, err := os.ReadFile("allow.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys := seams(string(text)); len(keys) > seamBudget {
+		t.Errorf("allow.txt lists %d test seams, budget %d: make each the package's own test, an option the entry points use, or a deletion:\n%s",
+			len(keys), seamBudget, strings.Join(keys, "\n"))
+	}
+}
