@@ -71,15 +71,11 @@ type Config struct {
 	// It must have been compiled from the same sessions; New rejects
 	// mismatched user counts, horizons and rows. It holds signals and
 	// rates only, so the run's physics come from the run's own Radio, Tau
-	// and Unit whatever the table was compiled under.
+	// and Unit whatever the table was compiled under. Without one, New
+	// compiles the run's own table when users × MaxSlots ≤
+	// DefaultLinkTableMaxRows, and gives a larger run a sliding link window
+	// of 256-slot blocks.
 	Link *LinkTable
-	// LinkTableMaxRows bounds the automatic link-table compilation in
-	// New: 0 selects the DefaultLinkTableMaxRows 4M-row default (≈64 MB
-	// at 16 B per row), negative disables compilation
-	// entirely (the tick path then evaluates the radio model through the
-	// interfaces, as before the link-table layer). A caller-supplied Link
-	// is used regardless of this cap.
-	LinkTableMaxRows int
 	// LinkTileSlots, when positive, bounds the run's link state at about
 	// users × LinkTileSlots rows (8 bytes each: signal; plus one rate row
 	// per block, or per slot under rate jitter) no matter the horizon —
@@ -419,28 +415,27 @@ type Simulator struct {
 	// RemainingKB, TailGap, NeverActive, MaxUnits) and the derived physics
 	// (LinkRate, EnergyPerKB) are engine-owned arrays refreshed in place
 	// each slot; Sig and Rate alias the link window's slot rows
-	// (attachSlotColumns) when there is one, and are engine-owned
-	// otherwise. With ABR the Rate column is always engine-owned — the
+	// (attachSlotColumns). With ABR the Rate column is engine-owned — the
 	// player picks rates per slot, and the shared immutable table must
 	// never be written through. RunReference swaps in private Sig and Rate
 	// columns for the same reason.
 	cols sched.Columns
-	// link derives v, P and the Eq. (1) limit from the window's signals
-	// (nil without a window), into LinkRate, EnergyPerKB and luCol.
+	// link derives v, P and the Eq. (1) limit from the window's signals,
+	// into LinkRate, EnergyPerKB and luCol.
 	// epkbAlt is the second price column: the fused pass swaps the two, so
 	// slot n+1's prices are derived beside slot n's, which its commit half
 	// still reads (pinPrevColumns).
 	link    *radio.Link
-	luCol   []int32 // slot's Eq. (1) link-unit column (read on the link-window path only)
+	luCol   []int32 // slot's Eq. (1) link-unit column
 	epkbAlt []units.MJ
 
 	// Engine state for the sharded active-list tick path (Run).
 	workers   int // resolved Config.Workers (0 → GOMAXPROCS)
 	shardSize int // resolved Config.ShardSize (0 → defaultShardSize)
 	// win is the run's link window (linkwindow.go), whose slot rows Sig
-	// and Rate alias: over a compiled LinkTable, a sliding
-	// one under Config.LinkTileSlots, or the open engine's (newSim builds
-	// all three). nil → the interface path.
+	// and Rate alias: over a compiled LinkTable, a sliding one (under
+	// Config.LinkTileSlots or past the table cap), or the open engine's
+	// (newSim builds all three).
 	win     *linkWindow
 	live    []int // started, unretired users, ascending index
 	pending []int // not-yet-started users, ordered by (StartSlot, index)
@@ -490,9 +485,8 @@ type Simulator struct {
 	// but the commit half of the pass must still price this slot's
 	// deliveries with this slot's physics. prevEpkb is the price column
 	// the swap retired; prevRate is a zero-copy alias of the resident rate
-	// row, or of the engine-owned array without a window or under ABR
-	// (where the fused kernel relies on its per-user read-commit-then-
-	// write-prepare order).
+	// row, or of the engine-owned array under ABR (where the fused kernel
+	// relies on its per-user read-commit-then-write-prepare order).
 	prevEpkb []units.MJ
 	prevRate []units.KBps
 	// prevRateBuf is the copy fallback behind prevRate: when attaching
@@ -538,13 +532,13 @@ func New(cfg Config, sessions []*workload.Session, s sched.Scheduler) (*Simulato
 	return newSim(cfg, sessions, s, nil)
 }
 
-// openShape is an open engine's link window: span-slot blocks (0 = none)
-// of rows rows, filled up to horizon (-1 = unbounded).
+// openShape is an open engine's link window: span-slot blocks of rows
+// rows, filled up to horizon (-1 = unbounded).
 type openShape struct{ span, rows, horizon int }
 
 // newSim is New's implementation, and NewOpen's with open set: an open
-// engine may start empty, and its window (open) replaces Link,
-// LinkTileSlots and LinkTableMaxRows.
+// engine may start empty, and its window (open) replaces Link and
+// LinkTileSlots.
 func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, open *openShape) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -598,34 +592,34 @@ func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, open *o
 	if sim.shardSize == 0 {
 		sim.shardSize = defaultShardSize
 	}
-	// Attach the link window the tick path reads in place of the
-	// signal/radio interfaces: the open engine's, if it asked for one; over
-	// a caller-supplied table, validated against this run's shape; a
-	// sliding one under LinkTileSlots; or over a table compiled here,
-	// unless the run exceeds the memory cap or compilation is disabled.
+	// Attach the link window the tick path reads its rows from: the open
+	// engine's; over a caller-supplied table, validated against this run's
+	// shape; over a table compiled here, for a run whose whole horizon
+	// LinkTileSlots covers or whose rows fit the cap; or a sliding one of
+	// ⌈LinkTileSlots/2⌉-slot blocks, 256-slot without a tile.
 	var lt *LinkTable
 	var err error
+	rows := int64(len(sessions)) * int64(cfg.MaxSlots)
 	switch {
 	case open != nil:
-		if open.span > 0 {
-			sim.win = newLinkWindow(sim.workers, open.span, open.rows, open.horizon, constRate(sessions), sessions)
-		}
+		sim.win = newLinkWindow(sim.workers, open.span, open.rows, open.horizon, constRate(sessions), sessions)
 	case cfg.Link != nil:
 		lt = cfg.Link
 		err = lt.compatible(cfg, sessions)
-	case cfg.LinkTileSlots > 0 && cfg.LinkTileSlots < cfg.MaxSlots:
-		sim.win = newLinkWindow(sim.workers, (cfg.LinkTileSlots+1)/2,
-			len(sessions), cfg.MaxSlots, constRate(sessions), sessions)
-	case cfg.LinkTileSlots > 0 || autoLinkFits(cfg, len(sessions)):
+	case cfg.LinkTileSlots >= cfg.MaxSlots || cfg.LinkTileSlots == 0 && rows <= DefaultLinkTableMaxRows:
 		lt, err = CompileLink(cfg, sessions)
+	default:
+		span := min(tableBlockSlots, cfg.MaxSlots)
+		if cfg.LinkTileSlots > 0 {
+			span = (cfg.LinkTileSlots + 1) / 2
+		}
+		sim.win = newLinkWindow(sim.workers, span, len(sessions), cfg.MaxSlots, constRate(sessions), sessions)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if lt != nil || sim.win != nil {
-		if sim.link, err = radio.NewLink(cfg.Radio, cfg.Tau, cfg.Unit); err != nil {
-			return nil, err
-		}
+	if sim.link, err = radio.NewLink(cfg.Radio, cfg.Tau, cfg.Unit); err != nil {
+		return nil, err
 	}
 	if lt != nil {
 		// A table run reads its sessions only through the table, which
@@ -633,12 +627,11 @@ func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, open *o
 		// touches a session another run may be sharing.
 		sim.win = tableWindow(lt)
 	} else {
-		// Without a table the run reads the sessions — analytically, or in
-		// a sliding window's fills, some of them on background goroutines —
-		// so every lazily memoized stochastic sequence is extended to the
-		// slot horizon up front: no memo grows mid-run (nor leaves
-		// append-doubling garbage), and the sharded phases read them
-		// concurrently.
+		// Without a table the run reads the sessions in a sliding window's
+		// fills, some of them on background goroutines, so every lazily
+		// memoized stochastic sequence is extended to the slot horizon up
+		// front: no memo grows mid-run (nor leaves append-doubling garbage),
+		// and the fills read them concurrently.
 		workload.PrewarmAll(sim.workers, sessions, cfg.MaxSlots)
 	}
 	sim.slot = sched.Slot{
@@ -649,10 +642,9 @@ func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, open *o
 	}
 	sim.capUnits = sim.slot.CapacityUnits
 	// Column storage for the slot view. Dynamic and derived columns are
-	// always engine-owned; Sig and Rate are allocated only when no link
-	// window backs them (attachSlotColumns aliases the window's slot rows
-	// otherwise), and Rate additionally whenever ABR overrides the
-	// workload rates.
+	// engine-owned; Sig and Rate alias the window's slot rows
+	// (attachSlotColumns), except that Rate is engine-owned when ABR
+	// overrides the workload rates.
 	n := len(sessions)
 	sim.cols = sched.Columns{
 		Active:      make([]bool, n),
@@ -666,10 +658,7 @@ func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, open *o
 	}
 	sim.epkbAlt = make([]units.MJ, n)
 	sim.luCol = make([]int32, n)
-	if sim.win == nil {
-		sim.cols.Sig = make([]units.DBm, n)
-		sim.cols.Rate = make([]units.KBps, n)
-	} else if cfg.ABR != nil {
+	if cfg.ABR != nil {
 		sim.cols.Rate = make([]units.KBps, n)
 	}
 	sim.alloc = make([]int, len(sessions))
@@ -690,16 +679,6 @@ func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, open *o
 	sim.unfinished = len(sessions)
 	sim.colsSlot = -1
 	return sim, nil
-}
-
-// autoLinkFits reports whether New compiles a whole-horizon link table on
-// its own: compilation is enabled and the run's rows fit the cap.
-func autoLinkFits(cfg Config, users int) bool {
-	maxRows := cfg.LinkTableMaxRows
-	if maxRows == 0 {
-		maxRows = DefaultLinkTableMaxRows
-	}
-	return int64(users)*int64(cfg.MaxSlots) <= int64(maxRows)
 }
 
 // newResult allocates the result shell both engines fill in.
@@ -765,12 +744,8 @@ func (s *Simulator) abrDemand(i int, u *userState, active bool) (units.KBps, uni
 
 // attachSlotColumns points the slot view's Sig and Rate columns at the
 // link window's slot-n rows: zero-copy reslices, swapped per slot, never
-// written through, valid until the window's next swap. Without a window
-// the columns are engine-owned arrays and prepareColsUser refreshes them.
+// written through, valid until the window's next swap.
 func (s *Simulator) attachSlotColumns(n int) {
-	if s.win == nil {
-		return
-	}
 	s.win.ensure(n)
 	sig, rate := s.win.slotColumns(n, len(s.users))
 	s.cols.Sig = sig
@@ -779,11 +754,6 @@ func (s *Simulator) attachSlotColumns(n int) {
 	}
 }
 
-// colsTabled reports whether Sig and Rate are backed by the link window,
-// so prepareColsUser derives the physics from the signal row instead of
-// evaluating the signal trace and the radio interfaces.
-func (s *Simulator) colsTabled() bool { return s.win != nil }
-
 // deriveDense derives the physics of users [lo, hi) from the attached
 // signal row in one batch: the dense kernels' first step.
 func (s *Simulator) deriveDense(lo, hi int) {
@@ -791,34 +761,19 @@ func (s *Simulator) deriveDense(lo, hi int) {
 }
 
 // prepareColsUser refreshes user i's entries of the slot's columns for
-// slot slotIdx and reports whether the user is active. With a link
-// window attached Sig and Rate already alias its slot rows, so the
-// physics are derived from the signal through radio.Link and the dynamic
-// columns (activity, buffer, demand, tail) written; otherwise the physics
-// are evaluated analytically through the signal and radio interfaces into
-// the engine-owned columns — the path RunReference always takes, which is
-// what lets the differential tests assert derived == analytic. Writes
-// only user-i entries, so distinct users prepare concurrently.
-func (s *Simulator) prepareColsUser(tabled bool, slotIdx, i int) bool {
+// slot slotIdx and reports whether the user is active. Sig and Rate
+// already alias the link window's slot rows, so the physics are derived
+// from the signal through radio.Link and the dynamic columns (activity,
+// buffer, demand, tail) written. Writes only user-i entries, so distinct
+// users prepare concurrently.
+func (s *Simulator) prepareColsUser(slotIdx, i int) bool {
 	u := &s.users[i]
 	started := slotIdx >= int(u.startSlot)
 	active := started && !u.buf.DeliveryComplete()
 	c := &s.cols
-	var linkUnits int
-	if tabled {
-		v, p, lu := s.link.At(c.Sig[i])
-		c.LinkRate[i], c.EnergyPerKB[i], s.luCol[i] = v, p, int32(lu)
-		linkUnits = int(s.luCol[i])
-	} else {
-		sess := s.sessions[i]
-		sig := sess.Signal.At(slotIdx)
-		link := s.cfg.Radio.Throughput.Throughput(sig)
-		c.Sig[i] = sig
-		c.LinkRate[i] = link
-		c.EnergyPerKB[i] = s.cfg.Radio.Power.EnergyPerKB(sig)
-		c.Rate[i] = sess.RateAt(slotIdx)
-		linkUnits = floorUnits(float64(link)*float64(s.cfg.Tau), float64(s.cfg.Unit))
-	}
+	v, p, lu := s.link.At(c.Sig[i])
+	c.LinkRate[i], c.EnergyPerKB[i], s.luCol[i] = v, p, int32(lu)
+	linkUnits := int(s.luCol[i])
 	remainingKB := u.buf.RemainingBytes()
 	if s.abrCtls != nil {
 		// Rate is engine-owned under ABR (never the aliased table column).

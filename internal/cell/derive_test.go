@@ -95,6 +95,51 @@ func (r *physicsRecorder) Allocate(slot *sched.Slot, alloc []int) {
 	r.Scheduler.Allocate(slot, alloc)
 }
 
+// analyticView wraps a scheduler and holds every active row of every
+// slot's view — signal, v, P, the Eq. (1) limit and the required rate — to
+// the session's trace and the run's radio model evaluated through their
+// interfaces: the analytic reference of an open run, which RunReference
+// cannot drive. It counts the rows it checked and keeps the first
+// difference.
+type analyticView struct {
+	sched.Scheduler
+	o    *OpenSim // set once NewOpen returns
+	rows int
+	diff string
+}
+
+func (a *analyticView) Allocate(slot *sched.Slot, alloc []int) {
+	s, c := a.o.eng, slot.Cols
+	unit := float64(s.cfg.Unit)
+	for i, active := range c.Active {
+		if !active {
+			continue
+		}
+		a.rows++
+		sess := s.sessions[i]
+		sig := sess.Signal.At(slot.N)
+		v := s.cfg.Radio.Throughput.Throughput(sig)
+		lu := floorUnits(float64(v)*float64(s.cfg.Tau), unit)
+		want := physRow{slot.N, i, sig, v, s.cfg.Radio.Power.EnergyPerKB(sig), maxUnitsFor(true, lu, c.RemainingKB[i], unit)}
+		got := physRow{slot.N, i, c.Sig[i], c.LinkRate[i], c.EnergyPerKB[i], c.MaxUnits[i]}
+		if rate := sess.RateAt(slot.N); a.diff == "" && (got != want || c.Rate[i] != rate) {
+			a.diff = fmt.Sprintf("%+v rate %v, analytic %+v rate %v", got, c.Rate[i], want, rate)
+		}
+	}
+	a.Scheduler.Allocate(slot, alloc)
+}
+
+// check fails t unless every row the view saw matched the analytic one.
+func (a *analyticView) check(t *testing.T) {
+	t.Helper()
+	if a.rows == 0 {
+		t.Fatal("no active user-slot checked")
+	}
+	if a.diff != "" {
+		t.Fatalf("view != analytic: %s", a.diff)
+	}
+}
+
 // firstPhysDiff describes the first row where two recordings differ.
 func firstPhysDiff(a, b []physRow) string {
 	for k := range min(len(a), len(b)) {
@@ -111,7 +156,8 @@ func firstPhysDiff(a, b []physRow) string {
 // user's totals. Closed cells take the dense kernel (everyone starts at
 // slot 0) or the gathered path (staggered starts) over a link window and
 // are held to RunReference; an unbounded open cell with late admissions,
-// departures and a compaction is held to the same script without a window.
+// departures and a compaction is held row by row to the model's
+// interfaces (analyticView), and to the same script on default blocks.
 // Each runs on one worker and two, under the paper's model (an exact
 // radio.Table) and under one with no exact table.
 func TestDerivedPhysicsMatchReference(t *testing.T) {
@@ -167,13 +213,16 @@ func TestDerivedPhysicsMatchReference(t *testing.T) {
 					cfg.Radio, cfg.Workers, cfg.MaxSlots, cfg.RunFullHorizon = model, workers, 80, true
 					cfg.Capacity, cfg.ShardSize = 30_000, 32
 					rec := &physicsRecorder{Scheduler: sched.NewDefault()}
+					chk := &analyticView{Scheduler: rec}
 					o, err := NewOpen(OpenConfig{
 						Cell: cfg, Unbounded: true, MaxSessions: 256,
 						TileSlots: tile,
-					}, nil, rec)
+					}, nil, chk)
 					if err != nil {
 						t.Fatal(err)
 					}
+					chk.o = o
+					defer chk.check(t)
 					defer o.Stop()
 					if err := o.Start(context.Background()); err != nil {
 						t.Fatal(err)
@@ -224,7 +273,7 @@ func TestDerivedPhysicsMatchReference(t *testing.T) {
 					t.Fatalf("derived view != analytic: %s", firstPhysDiff(gotRows, wantRows))
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatal("windowed open run differs from the analytic one")
+					t.Fatal("the open run on 8-slot blocks differs from the one on default blocks")
 				}
 			})
 		}

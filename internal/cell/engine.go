@@ -23,8 +23,8 @@ import (
 // per-shard partial sums are reduced in shard order. Any worker count
 // therefore produces a byte-identical Result; RunReference keeps the
 // original full-scan serial loop — same columns, same per-user prepare and
-// commit, none of the live list, shards, fusion or table windows — as the
-// differential reference.
+// commit, the physics evaluated through the interfaces, none of the live
+// list, shards, fusion or link window — as the differential reference.
 //
 // One further structural optimization lives here (see DESIGN.md §10):
 // fused commit+prepare. Commit of slot n and prepare of slot n+1 read and
@@ -165,11 +165,7 @@ func (s *Simulator) Finish() *Result {
 // stopWindow ends the link window's background fill, if one is running:
 // every way out of a run — finished, failed or cancelled — passes through
 // here, so no goroutine outlives the run.
-func (s *Simulator) stopWindow() {
-	if s.win != nil {
-		s.win.stop()
-	}
-}
+func (s *Simulator) stopWindow() { s.win.stop() }
 
 // smallNSerialCutoff is the live-user count below which the tick phases
 // run serially regardless of Config.Workers: dispatching goroutines
@@ -300,8 +296,8 @@ func (s *Simulator) tickSlot(slotIdx int) (bool, error) {
 // prepare half derives slot next's prices into the one its commit half
 // does not read. The rate pin is a zero-copy alias of the current column —
 // rows of the resident link block stay put while it is resident, and
-// without a window (or under ABR) the fused kernel's per-user
-// read-commit-then-write-prepare order protects the engine-owned array.
+// under ABR the fused kernel's per-user read-commit-then-write-prepare
+// order protects the engine-owned array.
 // Aliasing breaks exactly when attaching slot next evicts the resident
 // block: its rows go to the next fill and would be overwritten before the
 // commit half reads them, so the rate row is copied into engine scratch
@@ -310,7 +306,7 @@ func (s *Simulator) pinPrevColumns(next int) {
 	s.prevEpkb = s.cols.EnergyPerKB
 	s.cols.EnergyPerKB, s.epkbAlt = s.epkbAlt, s.prevEpkb
 	s.prevRate = s.cols.Rate
-	if s.cfg.ABR == nil && s.win != nil && s.win.willEvict(next) {
+	if s.cfg.ABR == nil && s.win.willEvict(next) {
 		s.prevRateBuf = append(s.prevRateBuf[:0], s.cols.Rate...)
 		s.prevRate = s.prevRateBuf
 	}
@@ -387,10 +383,9 @@ func (s *Simulator) admit(slotIdx int, res *Result) {
 		}
 	}
 	if s.colsSlot == slotIdx {
-		tabled := s.colsTabled()
 		act := batch[:0]
 		for _, i := range batch {
-			if s.prepareColsUser(tabled, slotIdx, i) {
+			if s.prepareColsUser(slotIdx, i) {
 				act = append(act, i)
 			}
 			s.alloc[i] = 0
@@ -440,9 +435,7 @@ func (s *Simulator) dropRetired(shards int) {
 			if s.logRetired {
 				s.retiredLog = append(s.retiredLog, i)
 			}
-			if s.win != nil {
-				s.win.dropRow(i)
-			}
+			s.win.dropRow(i)
 			c.Active[i] = false
 			c.BufferSec[i] = 0
 			c.RemainingKB[i] = 0

@@ -20,7 +20,7 @@ import (
 // the anchor in range. Keep that structure when editing.
 
 // prepareDenseLink is prepareColsUser specialized for the dense steady
-// state on the link-table path without ABR: a contiguous [lo, hi) index
+// state without ABR: a contiguous [lo, hi) index
 // range iterated over reslices of the column arrays, whose physics
 // deriveDense has already derived. Bitwise-identical to the per-user path
 // — same reads, same guards, same float ops.
@@ -65,7 +65,7 @@ func (s *Simulator) prepareDenseLink(slotIdx, lo, hi int, act []int) []int {
 }
 
 // fusedDenseLink is the fused commit+prepare kernel for the dense steady
-// state (link table, no ABR, no per-user-slot recording): one pass over
+// state (no ABR, no per-user-slot recording): one pass over
 // a contiguous [lo, hi) range that commits slot slotIdx — priced with
 // the pinned prevEpkb/prevRate columns — and prepares slot slotIdx+1,
 // whose physics deriveDense has already derived.

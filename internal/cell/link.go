@@ -16,12 +16,11 @@ import (
 // signal and required rate. The tick path's prepare phase aliases each
 // slot's window (a zero-copy reslice per column, never a copy) into the
 // sched.Columns view and derives throughput, per-KB energy and the Eq. (1)
-// limit from the signals through the run's own radio.Link, instead of
-// evaluating the signal traces per user. The rows are produced by the
-// link-window fill (linkfill.go). RunReference deliberately ignores the
-// table — it evaluates the traces and models into private columns of its
-// own — which makes the engine differential tests assert derived ==
-// analytic on every slot.
+// limit from the signals through the run's own radio.Link. The rows are
+// produced by the link-window fill (linkfill.go). RunReference
+// deliberately ignores the table — it evaluates the traces and models into
+// private columns of its own — which makes the engine differential tests
+// assert derived == analytic on every slot.
 
 // tableBlockSlots is the span of one LinkTable block, the unit a table is
 // filled in. A table holds its slots up to the end of the block after the
@@ -48,9 +47,10 @@ const tableBlockSlots = 256
 // sessions' memos: it extends them under that mutex before a fill reads
 // them, so the runs over a table never touch a shared session.
 //
-// A run that must not hold users × horizon rows sets Config.LinkTileSlots
-// instead and gets an engine-owned sliding window (linkwindow.go), which
-// is not a LinkTable and is never shared.
+// A run that must not hold users × horizon rows — one that sets
+// Config.LinkTileSlots, or is over DefaultLinkTableMaxRows — gets an
+// engine-owned sliding window (linkwindow.go) instead, which is not a
+// LinkTable and is never shared.
 type LinkTable struct {
 	users int
 	slots int
@@ -77,15 +77,15 @@ type LinkTable struct {
 
 // DefaultLinkTableMaxRows caps the automatic link-table compilation in
 // New at users×MaxSlots rows: 4M rows ≈ 64 MB with the current 16-byte
-// footprint (sig and rate, 8 B each), were every block reached. Larger
-// runs fall back to the uncompiled prepare path; callers that want a
-// bigger table compile one explicitly and pass it via Config.Link.
+// footprint (sig and rate, 8 B each), were every block reached. A larger
+// run slides a window of tableBlockSlots-slot blocks instead; callers that
+// want a bigger table compile one explicitly and pass it via Config.Link.
 const DefaultLinkTableMaxRows = 4 << 20
 
 // CompileLink builds the link table of the sessions over cfg's slot grid
 // and radio model: the block holding slot 0 is filled here, every other
 // block by the first reader that reaches it. The values are exactly the
-// ones the uncompiled tick path would read. The table keeps the
+// ones RunReference evaluates. The table keeps the
 // sessions and extends their memos as it fills, so from here on nothing
 // else may grow them: read the sessions through the table, or prewarm them
 // before compiling.

@@ -99,9 +99,129 @@ func TestLinkTableMatchesAnalytic(t *testing.T) {
 	}
 }
 
-// TestRunBitwiseEqualWithLinkTable runs the full engine with the table
-// enabled and disabled and requires identical Results — flattening is
-// plumbing, not physics.
+// TestEveryRunReadsALinkWindow holds the one prepare path: every way of
+// building an engine — New over a shared Link, over its own table, past
+// the table's row cap, under LinkTileSlots, and NewOpen bounded, unbounded
+// and with the default block — ticks on a link window, and its Result
+// equals RunReference's analytic evaluation bit for bit (one shard). An
+// open engine without a session cap is refused.
+func TestEveryRunReadsALinkWindow(t *testing.T) {
+	gen := func(users int) []*workload.Session {
+		wc := workload.PaperDefaults(users)
+		wc.SizeMin, wc.SizeMax = 60_000, 120_000 // playback outlasts a 256-slot block
+		wc.MeanInterarrival = 0.5
+		wc.StatelessSignal = true
+		wl, err := workload.Generate(wc, rng.New(29))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wl
+	}
+	base := PaperConfig()
+	base.MaxSlots = 600
+	// reference is RunReference's Result for cfg over wl.
+	reference := func(cfg Config, wl []*workload.Session) *Result {
+		sim := mustNewWith(t, cfg, wl, sched.NewDefault())
+		res, err := sim.RunReference()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// closed runs cfg through New and reports its window's block span and
+	// whether a table backs it.
+	closed := func(cfg Config, wl []*workload.Session) (*Result, int, bool) {
+		sim := mustNewWith(t, cfg, wl, sched.NewDefault())
+		if sim.win == nil {
+			t.Fatal("no link window")
+		}
+		res, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, sim.win.span, sim.win.table != nil
+	}
+	// open runs oc through NewOpen to slot upto, admitting nothing mid-run
+	// (over a copy of wl: an ended session's entry is cleared).
+	open := func(oc OpenConfig, wl []*workload.Session, upto int) (*Result, int, bool) {
+		o, err := NewOpen(oc, slices.Clone(wl), sched.NewDefault())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.eng.win == nil {
+			t.Fatal("no link window")
+		}
+		if err := o.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := o.AdvanceTo(upto); err != nil {
+			t.Fatal(err)
+		}
+		return o.Finish(), o.eng.win.span, o.eng.win.table != nil
+	}
+
+	wl := gen(40)
+	shared, err := CompileLink(base, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	few := gen(8)
+	overCap := base
+	overCap.MaxSlots = DefaultLinkTableMaxRows/len(few) + 1 // one row-slot past the cap
+	overCap.Record = RecordTotals
+	unbounded := base
+	unbounded.RunFullHorizon = true
+	unbounded.Record = RecordTotals
+	cases := []struct {
+		name  string
+		cfg   Config // the reference arm's
+		wl    []*workload.Session
+		run   func() (*Result, int, bool)
+		span  int
+		table bool
+	}{
+		{"shared Link", base, wl, func() (*Result, int, bool) {
+			cfg := base
+			cfg.Link = shared
+			return closed(cfg, wl)
+		}, tableBlockSlots, true},
+		{"auto table", base, wl, func() (*Result, int, bool) { return closed(base, wl) }, tableBlockSlots, true},
+		{"over the row cap", overCap, few, func() (*Result, int, bool) { return closed(overCap, few) }, tableBlockSlots, false},
+		{"LinkTileSlots", base, wl, func() (*Result, int, bool) {
+			cfg := base
+			cfg.LinkTileSlots = 33
+			return closed(cfg, wl)
+		}, 17, false},
+		{"open bounded", base, wl, func() (*Result, int, bool) {
+			return open(OpenConfig{Cell: base, MaxSessions: len(wl), TileSlots: 8}, wl, base.MaxSlots)
+		}, 8, false},
+		{"open unbounded", unbounded, wl, func() (*Result, int, bool) {
+			return open(OpenConfig{Cell: unbounded, Unbounded: true, MaxSessions: len(wl), TileSlots: 8}, wl, base.MaxSlots)
+		}, 8, false},
+		{"open TileSlots 0", base, wl, func() (*Result, int, bool) {
+			return open(OpenConfig{Cell: base, MaxSessions: len(wl)}, wl, base.MaxSlots)
+		}, tableBlockSlots, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got, span, table := c.run()
+			if span != c.span || table != c.table {
+				t.Errorf("window: %d-slot blocks, table %v; want %d, %v", span, table, c.span, c.table)
+			}
+			if want := reference(c.cfg, c.wl); !reflect.DeepEqual(got, want) {
+				t.Error("Result differs from RunReference's")
+			}
+		})
+	}
+
+	if _, err := NewOpen(OpenConfig{Cell: base}, wl, sched.NewDefault()); err == nil {
+		t.Error("NewOpen accepted MaxSessions 0")
+	}
+}
+
+// TestRunBitwiseEqualWithLinkTable runs the full engine over its own
+// table and over a table-less sliding window and requires both Results to
+// equal RunReference's — flattening is plumbing, not physics.
 func TestRunBitwiseEqualWithLinkTable(t *testing.T) {
 	wl, err := workload.Generate(workload.PaperDefaults(8), rng.New(11))
 	if err != nil {
@@ -109,15 +229,12 @@ func TestRunBitwiseEqualWithLinkTable(t *testing.T) {
 	}
 	base := PaperConfig()
 	base.MaxSlots = 1500
-	runWith := func(maxRows int) *Result {
+	runWith := func(tileSlots int, tabled bool) *Result {
 		cfg := base
-		cfg.LinkTableMaxRows = maxRows
-		sim, err := New(cfg, wl, sched.NewDefault())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (maxRows >= 0) != (sim.win != nil) {
-			t.Fatalf("maxRows=%d: link window presence %v", maxRows, sim.win != nil)
+		cfg.LinkTileSlots = tileSlots
+		sim := mustNewWith(t, cfg, wl, sched.NewDefault())
+		if sim.win == nil || (sim.win.table != nil) != tabled {
+			t.Fatalf("LinkTileSlots=%d: window %v, want table %v", tileSlots, sim.win != nil, tabled)
 		}
 		res, err := sim.Run()
 		if err != nil {
@@ -125,36 +242,40 @@ func TestRunBitwiseEqualWithLinkTable(t *testing.T) {
 		}
 		return res
 	}
-	with := runWith(0)     // auto-compiled table
-	without := runWith(-1) // interface path
-	if !reflect.DeepEqual(with, without) {
-		t.Error("Result differs between link-table and analytic runs")
+	with := runWith(0, true)      // auto-compiled table
+	without := runWith(64, false) // sliding window
+	ref, err := mustNewWith(t, base, wl, sched.NewDefault()).RunReference()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(with, ref) {
+		t.Error("Result differs between link-table and reference runs")
+	}
+	if !reflect.DeepEqual(without, ref) {
+		t.Error("Result differs between sliding-window and reference runs")
 	}
 }
 
-// TestAutoLinkTableCap checks the size gate: a run over the row cap
-// falls back to the interface path instead of allocating a huge table.
+// TestAutoLinkTableCap checks the size gate: a run over
+// DefaultLinkTableMaxRows slides a window of tableBlockSlots-slot blocks
+// instead of allocating a huge table, and a run at the cap compiles one.
 func TestAutoLinkTableCap(t *testing.T) {
-	wl, err := workload.Generate(workload.PaperDefaults(4), rng.New(3))
+	wc := workload.PaperDefaults(4)
+	wc.StatelessSignal = true
+	wl, err := workload.Generate(wc, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := PaperConfig()
-	cfg.MaxSlots = 100
-	cfg.LinkTableMaxRows = 4*100 - 1 // one row short of fitting
-	sim, err := New(cfg, wl, sched.NewDefault())
-	if err != nil {
-		t.Fatal(err)
+	cfg.Record = RecordTotals
+	cfg.MaxSlots = DefaultLinkTableMaxRows/len(wl) + 1 // one row-slot past the cap
+	sim := mustNewWith(t, cfg, wl, sched.NewDefault())
+	if sim.win == nil || sim.win.table != nil || sim.win.span != tableBlockSlots {
+		t.Error("over-cap run did not slide a table-less window of tableBlockSlots-slot blocks")
 	}
-	if sim.win != nil {
-		t.Error("over-cap run compiled a table")
-	}
-	cfg.LinkTableMaxRows = 4 * 100
-	sim, err = New(cfg, wl, sched.NewDefault())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sim.win == nil {
+	cfg.MaxSlots = DefaultLinkTableMaxRows / len(wl)
+	sim = mustNewWith(t, cfg, wl, sched.NewDefault())
+	if sim.win == nil || sim.win.table == nil {
 		t.Error("at-cap run skipped the table")
 	}
 }
@@ -556,7 +677,7 @@ func TestRecordTotalsHoldsNoSeries(t *testing.T) {
 	}
 	c := cfg
 	c.Record = RecordTotals
-	o, err := NewOpen(OpenConfig{Cell: c}, wl, sched.NewDefault())
+	o, err := NewOpen(OpenConfig{Cell: c, MaxSessions: len(wl)}, wl, sched.NewDefault())
 	if err != nil {
 		t.Fatal(err)
 	}

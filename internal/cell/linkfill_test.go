@@ -205,8 +205,9 @@ func TestFillKernelMatchesAnalytic(t *testing.T) {
 // TestOpenTileMatchesAnalyticAtScale runs a bounded open cell wider than
 // one shard, on memoizing traces with rate jitter, with the tile's
 // background fills racing the tick on several workers while sessions
-// depart (leaving holes in the live-row list) and arrive; the result must
-// be byte-identical to the same script without the tile. Under -race this
+// depart (leaving holes in the live-row list) and arrive; every slot's
+// view must match the model's interfaces (analyticView), and the result be
+// byte-identical to the same script on default blocks. Under -race this
 // is also the check that a fill never grows a trace memo: the tile stops
 // filling at the horizon the sessions were prewarmed to.
 func TestOpenTileMatchesAnalyticAtScale(t *testing.T) {
@@ -216,10 +217,13 @@ func TestOpenTileMatchesAnalyticAtScale(t *testing.T) {
 		cfg := PaperConfig()
 		cfg.Capacity = units.KBps(initial * 400)
 		cfg.MaxSlots, cfg.Workers, cfg.RunFullHorizon = slots, 3, true
-		o, err := NewOpen(OpenConfig{Cell: cfg, MaxSessions: initial + late, TileSlots: tileSlots}, wl[:initial], sched.NewDefault())
+		chk := &analyticView{Scheduler: sched.NewDefault()}
+		o, err := NewOpen(OpenConfig{Cell: cfg, MaxSessions: initial + late, TileSlots: tileSlots}, wl[:initial], chk)
 		if err != nil {
 			t.Fatal(err)
 		}
+		chk.o = o
+		defer chk.check(t)
 		defer o.Stop()
 		if err := o.Start(context.Background()); err != nil {
 			t.Fatal(err)
@@ -250,11 +254,11 @@ func TestOpenTileMatchesAnalyticAtScale(t *testing.T) {
 	resA, stA := script(0)
 	resB, stB := script(16)
 	if !reflect.DeepEqual(resA, resB) {
-		t.Fatalf("tiled open run differs from analytic: energy %v vs %v, rebuffer %v vs %v",
+		t.Fatalf("tiled open run differs from the one on default blocks: energy %v vs %v, rebuffer %v vs %v",
 			resA.TotalEnergy(), resB.TotalEnergy(), resA.TotalRebuffer(), resB.TotalRebuffer())
 	}
 	if stA != stB {
-		t.Fatalf("stats differ: analytic %+v, tiled %+v", stA, stB)
+		t.Fatalf("stats differ: default blocks %+v, tiled %+v", stA, stB)
 	}
 	if stA.Departed == 0 || stA.Admitted <= initial {
 		t.Fatalf("script exercised no churn: %+v", stA)
@@ -267,8 +271,8 @@ func TestOpenTileMatchesAnalyticAtScale(t *testing.T) {
 // arrivals too; the first VBR arrival widens the row before its own row
 // is filled. Scripted like TestOpenTileMatchesAnalyticAtScale —
 // background fills racing the tick on several workers, departures
-// leaving holes — the run stays byte-identical to the script without the
-// window.
+// leaving holes — the run stays byte-identical to the script on default
+// blocks.
 func TestOpenRateRowFollowsSessions(t *testing.T) {
 	const initial, late, slots = 2*fillUsers + 60, 40, 100
 	script := func(tileSlots int) (*Result, OpenStats) {
@@ -303,13 +307,13 @@ func TestOpenRateRowFollowsSessions(t *testing.T) {
 			}
 			for k := 0; k < 3 && next < len(wl) && n < slots; k++ {
 				vbr := wl[next].RateJitter != 0
-				if tileSlots > 0 && shared() == (next > initial+late/2) {
+				if shared() == (next > initial+late/2) {
 					t.Fatalf("arrival %d (VBR %v): shared rate row %v", next, vbr, shared())
 				}
 				if _, err := o.Admit(wl[next]); err != nil {
 					t.Fatal(err)
 				}
-				if tileSlots > 0 && shared() == vbr {
+				if shared() == vbr {
 					t.Fatalf("after arrival %d (VBR %v): shared rate row %v", next, vbr, shared())
 				}
 				next++
@@ -323,11 +327,11 @@ func TestOpenRateRowFollowsSessions(t *testing.T) {
 	resA, stA := script(0)
 	resB, stB := script(16)
 	if !reflect.DeepEqual(resA, resB) {
-		t.Fatalf("tiled open run differs from analytic: energy %v vs %v, rebuffer %v vs %v",
+		t.Fatalf("tiled open run differs from the one on default blocks: energy %v vs %v, rebuffer %v vs %v",
 			resA.TotalEnergy(), resB.TotalEnergy(), resA.TotalRebuffer(), resB.TotalRebuffer())
 	}
 	if stA != stB {
-		t.Fatalf("stats differ: analytic %+v, tiled %+v", stA, stB)
+		t.Fatalf("stats differ: default blocks %+v, tiled %+v", stA, stB)
 	}
 }
 

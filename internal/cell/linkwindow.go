@@ -15,10 +15,10 @@ import (
 // signal and required rate per slot — that attachSlotColumns aliases
 // zero-copy into the slot view, and from whose signals the tick derives
 // v(sig), P(sig) and the Eq. (1) limit. Every row comes out of the one
-// fill (linkfill.go), so a windowed run is bit-identical to the analytic
-// path. The closed engine with Config.LinkTileSlots, the
-// open engine with OpenConfig.TileSlots and a compiled LinkTable are the
-// same object, which newSim builds for either engine:
+// fill (linkfill.go), so every run is bit-identical to RunReference's
+// analytic evaluation. The closed engine's sliding window, the open
+// engine's and a compiled LinkTable are the same object, which newSim
+// builds for every run of either engine:
 //
 //   - open: rows are admitted (admitRow) and dropped (dropRow) while the
 //     run goes on, and an unbounded table is compacted now and then;
@@ -352,9 +352,9 @@ func (w *linkWindow) patchNext(rows []int) {
 }
 
 // parks reports whether the window borrows its block and slot n is not in
-// it: an Advance ending before n parks. A nil window never does.
+// it: an Advance ending before n parks.
 func (w *linkWindow) parks(n int) bool {
-	return w != nil && w.table == nil && w.next == nil && w.willEvict(n)
+	return w.table == nil && w.next == nil && w.willEvict(n)
 }
 
 // park gives a borrowed block back to idleBlocks unless slot n is in it,

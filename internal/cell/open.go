@@ -22,9 +22,8 @@
 //     finalized run;
 //   - a link window that follows the session table (linkwindow.go): the
 //     same sliding window of precomputed link rows the closed engine runs
-//     on under Config.LinkTileSlots, here with rows admitted and dropped
-//     mid-run — the open-world replacement for the horizon-shaped link
-//     table, feeding the same prepare path bit-identical values.
+//     on without a whole-horizon table, here with rows admitted and
+//     dropped mid-run, feeding the same prepare path.
 //
 // Closed-world equivalence is pinned by construction and by test: with
 // no mid-run Admit/DepartSerial calls and a finite horizon, OpenSim
@@ -110,12 +109,9 @@ func (a Admission) Check(inService int, demand, rate units.KBps) error {
 
 // OpenConfig parameterizes an open-system run.
 type OpenConfig struct {
-	// Cell is the engine configuration. Open mode always evaluates the
-	// radio model analytically (or through the link window TileSlots
-	// installs) — the horizon-shaped link table cannot follow mid-run
-	// admissions — so Link/LinkTileSlots/LinkTableMaxRows are ignored; the
-	// LUT exactness property keeps results bit-identical to the tabled
-	// path.
+	// Cell is the engine configuration. Open mode reads its link rows from
+	// the window TileSlots shapes — the horizon-shaped link table cannot
+	// follow mid-run admissions — so Link and LinkTileSlots are ignored.
 	// For churn-driven runs set Cell.RunFullHorizon: without it the
 	// engine's early exit declares the run over the moment every
 	// *currently admitted* session finishes, wedging later arrivals.
@@ -128,23 +124,21 @@ type OpenConfig struct {
 	// signal.Prewarmer memo) and zero RateJitter.
 	Unbounded bool
 	// MaxSessions caps concurrent in-service sessions (the admission
-	// controller's first check) and sizes the link window. 0 means no cap
-	// (and forbids TileSlots).
+	// controller's first check) and sizes the link window's rows; it must
+	// be positive.
 	MaxSessions int
 	// HeadroomFrac enables the Eq.-1-style admission check: a new session
 	// is rejected when the summed required rate of every in-service
 	// session plus its own would exceed HeadroomFrac × Cell.Capacity.
 	// 0 disables the check.
 	HeadroomFrac float64
-	// TileSlots, when positive, installs the engine's link window
-	// (linkwindow.go) with blocks of TileSlots slots × MaxSessions rows:
-	// link rows are computed a block ahead and aliased by the slot
-	// columns, so per-slot prepare skips the radio interfaces exactly like
-	// the closed engine's. TileSlots is the length of one block — a run
-	// whose fills are big enough to be handed to the background holds two
+	// TileSlots is the length of one block of the engine's link window
+	// (linkwindow.go), whose blocks hold TileSlots slots × MaxSessions
+	// rows, computed a block ahead and aliased by the slot columns; 0
+	// selects 256 (capped at a bounded run's horizon). A run whose fills
+	// are big enough to be handed to the background holds two blocks
 	// (Config.LinkTileSlots, by contrast, bounds the closed engine's two
-	// blocks together). Requires MaxSessions > 0. Values are bit-identical
-	// to the analytic path by construction.
+	// blocks together).
 	TileSlots int
 	// OnSlot, when set, gets every slot's totals as the tick reduces them,
 	// in slot order, on AdvanceTo's goroutine: a caller folds its own
@@ -245,14 +239,11 @@ func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*O
 		}
 		cc.Record = RecordTotals
 	}
-	if cfg.MaxSessions < 0 {
-		return nil, fmt.Errorf("cell: negative session cap %d", cfg.MaxSessions)
+	if cfg.MaxSessions <= 0 {
+		return nil, fmt.Errorf("cell: open mode needs a positive session cap (MaxSessions), got %d", cfg.MaxSessions)
 	}
 	if cfg.TileSlots < 0 {
 		return nil, fmt.Errorf("cell: negative open tile window %d", cfg.TileSlots)
-	}
-	if cfg.TileSlots > 0 && cfg.MaxSessions == 0 {
-		return nil, fmt.Errorf("cell: open tile requires a session cap (MaxSessions)")
 	}
 	if cfg.HeadroomFrac < 0 {
 		return nil, fmt.Errorf("cell: negative headroom fraction %v", cfg.HeadroomFrac)
@@ -289,6 +280,12 @@ func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*O
 	shape := openShape{span: cfg.TileSlots, rows: cfg.MaxSessions, horizon: cc.MaxSlots}
 	if cfg.Unbounded {
 		shape.horizon = -1
+	}
+	if shape.span == 0 {
+		shape.span = tableBlockSlots
+		if !cfg.Unbounded {
+			shape.span = min(shape.span, cc.MaxSlots)
+		}
 	}
 	eng, err := newSim(cc, initial, s, &shape)
 	if err != nil {
@@ -359,7 +356,7 @@ func (o *OpenSim) Admit(sess *workload.Session) (int, error) {
 	}
 	// Prefer a freed slot; when none is free and the table is at the
 	// session cap, reap retired-but-unreclaimed sessions before growing.
-	if len(o.freelist) == 0 && o.adm.MaxSessions > 0 && len(o.eng.users) >= o.adm.MaxSessions {
+	if len(o.freelist) == 0 && len(o.eng.users) >= o.adm.MaxSessions {
 		o.reap()
 	}
 	s := o.eng
@@ -390,7 +387,7 @@ func (o *OpenSim) Admit(sess *workload.Session) (int, error) {
 		o.serials[idx] = o.lastSer
 		o.owned[idx] = true
 	} else {
-		if s.win != nil && len(s.users) >= o.adm.MaxSessions {
+		if len(s.users) >= o.adm.MaxSessions {
 			// The link window's slot-major layout is sized for MaxSessions
 			// rows; it cannot grow past the cap even transiently.
 			o.sessPool = append(o.sessPool, clone)
@@ -420,16 +417,14 @@ func (o *OpenSim) Admit(sess *workload.Session) (int, error) {
 		// their memos to the horizon like New does for the initial set.
 		clone.Prewarm(s.cfg.MaxSlots)
 	}
-	if s.win != nil {
-		if clone.RateJitter != 0 {
-			s.win.widenRate()
-		}
-		s.win.admitRow(idx, clone)
-		if s.colsSlot == s.nextSlot {
-			// The next slot's columns are already prepared (fused pass):
-			// re-alias the static columns so they cover the grown table.
-			s.attachSlotColumns(s.nextSlot)
-		}
+	if clone.RateJitter != 0 {
+		s.win.widenRate()
+	}
+	s.win.admitRow(idx, clone)
+	if s.colsSlot == s.nextSlot {
+		// The next slot's columns are already prepared (fused pass):
+		// re-alias the static columns so they cover the grown table.
+		s.attachSlotColumns(s.nextSlot)
 	}
 	o.insertPending(idx, start)
 	s.unfinished++
@@ -482,13 +477,9 @@ func (o *OpenSim) appendSlot(sess *workload.Session) error {
 	c.EnergyPerKB = append(c.EnergyPerKB, 0)
 	s.epkbAlt = append(s.epkbAlt, 0)
 	s.luCol = append(s.luCol, 0)
-	if s.win == nil {
-		// Engine-owned Sig and Rate (analytic path).
-		c.Sig = append(c.Sig, 0)
-		c.Rate = append(c.Rate, 0)
-	} else if s.cfg.ABR != nil {
-		// Under ABR the Rate column stays engine-owned even when Sig
-		// aliases the link window.
+	if s.cfg.ABR != nil {
+		// Under ABR the Rate column is engine-owned; Sig aliases the link
+		// window.
 		c.Rate = append(c.Rate, 0)
 	}
 	if s.abrCtls != nil {
@@ -617,9 +608,7 @@ func (o *OpenSim) depart(id int) error {
 		s.pending = removeValue(s.pending, id)
 		s.live = removeSortedValue(s.live, id)
 		u.retired = true
-		if s.win != nil {
-			s.win.dropRow(id)
-		}
+		s.win.dropRow(id)
 		// Zero the dynamic columns and allocation so a stale Active flag
 		// can never leak into a later slot (mirrors dropRetired).
 		c := &s.cols
@@ -727,11 +716,9 @@ func (o *OpenSim) AdvanceTo(upto int) (bool, error) {
 		o.eng.cfg.MaxSlots = upto + openWindowSlots
 		o.eng.stepDone = false
 	}
-	if w := o.eng.win; w != nil {
-		// One fill for every row admitted since the last call, before
-		// anything reads them.
-		w.flush(o.eng.nextSlot)
-	}
+	// One fill for every row admitted since the last call, before anything
+	// reads them.
+	o.eng.win.flush(o.eng.nextSlot)
 	done, err := o.eng.Advance(upto)
 	if err != nil {
 		return done, err
@@ -787,7 +774,7 @@ func (o *OpenSim) Finish() *Result {
 }
 
 // Stop waits out the link window's background fill and has it start no
-// more (idempotent, and a no-op without a window). Finish calls it, and so
+// more (idempotent). Finish calls it, and so
 // does an AdvanceTo that fails; a driver abandoning a healthy sim calls it
 // so no goroutine outlives the run.
 func (o *OpenSim) Stop() { o.eng.stopWindow() }
@@ -850,10 +837,7 @@ func (o *OpenSim) compact() {
 			c.LinkRate[w] = c.LinkRate[i]
 			c.EnergyPerKB[w] = c.EnergyPerKB[i]
 			s.luCol[w] = s.luCol[i]
-			if s.win == nil {
-				c.Sig[w] = c.Sig[i]
-				c.Rate[w] = c.Rate[i]
-			} else if s.cfg.ABR != nil {
+			if s.cfg.ABR != nil {
 				c.Rate[w] = c.Rate[i]
 			}
 			if s.abrCtls != nil {
@@ -885,10 +869,7 @@ func (o *OpenSim) compact() {
 	c.EnergyPerKB = c.EnergyPerKB[:w]
 	s.epkbAlt = s.epkbAlt[:w]
 	s.luCol = s.luCol[:w]
-	if s.win == nil {
-		c.Sig = c.Sig[:w]
-		c.Rate = c.Rate[:w]
-	} else if s.cfg.ABR != nil {
+	if s.cfg.ABR != nil {
 		c.Rate = c.Rate[:w]
 	}
 	if s.abrCtls != nil {
@@ -910,14 +891,12 @@ func (o *OpenSim) compact() {
 	} else {
 		s.activeBuf = s.activeBuf[:0]
 	}
-	if s.win != nil {
-		s.win.compactRows(s.sessions)
-		if reattach {
-			// The fused pass already prepared the next slot: re-alias the
-			// static columns over the compacted (and freshly refilled)
-			// window rows.
-			s.attachSlotColumns(s.nextSlot)
-		}
+	s.win.compactRows(s.sessions)
+	if reattach {
+		// The fused pass already prepared the next slot: re-alias the
+		// static columns over the compacted (and freshly refilled) window
+		// rows.
+		s.attachSlotColumns(s.nextSlot)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -62,13 +63,13 @@ func finishOpen(o *OpenSim) openOutcome {
 func (got openOutcome) mustEqual(t *testing.T, want openOutcome) {
 	t.Helper()
 	if got.st != want.st {
-		t.Errorf("stats: tiled %+v, untiled %+v", got.st, want.st)
+		t.Errorf("stats: tiled %+v, default blocks %+v", got.st, want.st)
 	}
 	if got.p50 != want.p50 || got.p99 != want.p99 {
-		t.Errorf("rebuffering p50/p99: tiled %v/%v, untiled %v/%v", got.p50, got.p99, want.p50, want.p99)
+		t.Errorf("rebuffering p50/p99: tiled %v/%v, default blocks %v/%v", got.p50, got.p99, want.p50, want.p99)
 	}
 	if !reflect.DeepEqual(got.res, want.res) {
-		t.Errorf("result differs: tiled E=%v R=%v, untiled E=%v R=%v",
+		t.Errorf("result differs: tiled E=%v R=%v, default blocks E=%v R=%v",
 			got.res.TotalEnergy(), got.res.TotalRebuffer(), want.res.TotalEnergy(), want.res.TotalRebuffer())
 	}
 }
@@ -112,10 +113,11 @@ func (t gatedTrace) Fill(dst []units.DBm, from int) {
 	signal.Fill(t.Trace, dst, from)
 }
 
-// noWaitRun is one arm of the no-wait tests: the same script with and
-// without the tile. With the tile, everything between the first tick and
-// the release runs while the background fill of the second window is
-// parked, each call under a deadline.
+// noWaitRun is one arm of the no-wait tests: the same script with the tile
+// and with the default 256-slot blocks, whose fills never park. With the
+// tile, everything between the first tick and the release runs while the
+// background fill of the second window is parked, each call under a
+// deadline.
 type noWaitRun struct {
 	t    *testing.T
 	o    *OpenSim
@@ -201,11 +203,11 @@ func (r *noWaitRun) unpark() {
 // While the background fill is parked, Admit (a fresh row, a row freed in
 // the same boundary, a start beyond the resident window), DepartSerial and
 // AdvanceTo with natural completions must all return; after the release
-// the run must equal the untiled one.
+// the run must equal the one on default blocks.
 func TestOpenNoWaitWhileFillParked(t *testing.T) {
 	const window = 32
 	script := func(tile int) openOutcome {
-		gate := newFillGate(window)
+		gate := newFillGate(parkFrom(tile, window))
 		defer gate.release()
 		initial := make([]*workload.Session, 6)
 		for i := range initial {
@@ -272,7 +274,7 @@ func TestOpenNoWaitWhileFillParked(t *testing.T) {
 func TestOpenNoWaitBoundedSharedTrace(t *testing.T) {
 	const window, horizon = 32, 160
 	script := func(tile int) openOutcome {
-		gate := newFillGate(window)
+		gate := newFillGate(parkFrom(tile, window))
 		defer gate.release()
 		initial := make([]*workload.Session, 4)
 		for i := range initial {
@@ -334,6 +336,15 @@ func TestOpenNoWaitBoundedSharedTrace(t *testing.T) {
 		return finishOpen(o)
 	}
 	script(window).mustEqual(t, script(0))
+}
+
+// parkFrom is the first slot whose fills a no-wait arm's gate parks: the
+// tiled arm's second window, never on the default blocks.
+func parkFrom(tile, window int) int {
+	if tile == 0 {
+		return math.MaxInt
+	}
+	return window
 }
 
 // churnScript drives one open run through a fixed script of admissions,
@@ -434,8 +445,8 @@ func churnScript(t *testing.T, tile, workers, stride, handoff int) openOutcome {
 
 // The differential churn matrix: distinct rows, every window size from one
 // slot up, serial and sharded, and AdvanceTo strides from one slot to more
-// than a window (so a single call crosses two), each against the untiled
-// arm of the same stride. Every fill handed to the background; window
+// than a window (so a single call crosses two), each against the arm of
+// the same stride on default 256-slot blocks. Every fill handed to the background; window
 // fills handed off and a dozen late rows patched in place (the mix a big
 // cell runs); nothing handed off. Exact equality.
 func TestOpenChurnDistinctRows(t *testing.T) {

@@ -69,7 +69,7 @@ func TestOpenClosedEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	o, err := NewOpen(OpenConfig{Cell: cfg}, openSessions(6), sched.NewDefault())
+	o, err := NewOpen(OpenConfig{Cell: cfg, MaxSessions: 6}, openSessions(6), sched.NewDefault())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,17 +90,22 @@ func TestOpenClosedEquivalence(t *testing.T) {
 	}
 }
 
-// The open tile must be an invisible optimization: the same run with and
-// without it, including mid-run churn, yields byte-identical results.
+// The open tile must be an invisible optimization: every slot's view of
+// a run with mid-run churn matches the model's interfaces (analyticView),
+// and the run on 16-slot blocks equals the one on default blocks byte for
+// byte.
 func TestOpenTileMatchesAnalytic(t *testing.T) {
 	script := func(tileSlots int) (*Result, OpenStats) {
 		cfg := tinyConfig()
 		cfg.RunFullHorizon = true
 		cfg.MaxSlots = 160
-		o, err := NewOpen(OpenConfig{Cell: cfg, MaxSessions: 8, TileSlots: tileSlots}, openSessions(3), sched.NewDefault())
+		chk := &analyticView{Scheduler: sched.NewDefault()}
+		o, err := NewOpen(OpenConfig{Cell: cfg, MaxSessions: 8, TileSlots: tileSlots}, openSessions(3), chk)
 		if err != nil {
 			t.Fatal(err)
 		}
+		chk.o = o
+		defer chk.check(t)
 		if err := o.Start(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -129,10 +134,10 @@ func TestOpenTileMatchesAnalytic(t *testing.T) {
 	resA, stA := script(0)
 	resB, stB := script(16)
 	if !reflect.DeepEqual(resA, resB) {
-		t.Fatalf("tiled open run differs from analytic:\nanalytic: %+v\ntiled:    %+v", resA.TotalEnergy(), resB.TotalEnergy())
+		t.Fatalf("tiled open run differs from the one on default blocks:\ndefault: %+v\ntiled:   %+v", resA.TotalEnergy(), resB.TotalEnergy())
 	}
 	if stA != stB {
-		t.Fatalf("stats differ: analytic %+v, tiled %+v", stA, stB)
+		t.Fatalf("stats differ: default blocks %+v, tiled %+v", stA, stB)
 	}
 }
 
@@ -181,7 +186,7 @@ func TestOpenHeadroom(t *testing.T) {
 	ss[1].BaseRate = 400
 	// Limit 0.5 × 1000 = 500 KB/s: the first session fits, the second
 	// would push demand to 800.
-	o, err := NewOpen(OpenConfig{Cell: cfg, HeadroomFrac: 0.5}, ss[:1], sched.NewDefault())
+	o, err := NewOpen(OpenConfig{Cell: cfg, MaxSessions: 8, HeadroomFrac: 0.5}, ss[:1], sched.NewDefault())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +213,7 @@ func TestOpenFreelistReuse(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.RunFullHorizon = true
 	cfg.MaxSlots = 400
-	o, err := NewOpen(OpenConfig{Cell: cfg}, openSessions(3), sched.NewDefault())
+	o, err := NewOpen(OpenConfig{Cell: cfg, MaxSessions: 8}, openSessions(3), sched.NewDefault())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +270,7 @@ func TestOpenReusedRowStartsFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss := openSessions(3)
-	o, err := NewOpen(OpenConfig{Cell: cfg}, ss[:2], ema)
+	o, err := NewOpen(OpenConfig{Cell: cfg, MaxSessions: 8}, ss[:2], ema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +311,7 @@ func TestOpenCompactionMovesRowState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := NewOpen(OpenConfig{Cell: cfg, Unbounded: true}, nil, ema)
+	o, err := NewOpen(OpenConfig{Cell: cfg, Unbounded: true, MaxSessions: 2 * compactMinTable}, nil, ema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +364,7 @@ func TestOpenUnbounded(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.RunFullHorizon = true
 	cfg.MaxSlots = 32 // initial horizon only; the clock extends on demand
-	o, err := NewOpen(OpenConfig{Cell: cfg, Unbounded: true}, openSessions(2), sched.NewDefault())
+	o, err := NewOpen(OpenConfig{Cell: cfg, Unbounded: true, MaxSessions: 16}, openSessions(2), sched.NewDefault())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +423,7 @@ func TestOpenUnboundedRecordLevels(t *testing.T) {
 		cfg.Record = level
 		next := 0
 		o, err := NewOpen(OpenConfig{
-			Cell: cfg, Unbounded: true,
+			Cell: cfg, Unbounded: true, MaxSessions: 16,
 			OnSlot: func(n int, _ SlotTotals) {
 				if n != next {
 					t.Fatalf("OnSlot got slot %d, want %d", n, next)
@@ -480,20 +485,20 @@ func TestOpenUnboundedRejectsUnboundedMemory(t *testing.T) {
 	}
 	ss := openSessions(1)
 	ss[0].Signal = sine
-	if _, err := NewOpen(OpenConfig{Cell: cfg, Unbounded: true}, ss, sched.NewDefault()); err == nil {
+	if _, err := NewOpen(OpenConfig{Cell: cfg, Unbounded: true, MaxSessions: 8}, ss, sched.NewDefault()); err == nil {
 		t.Fatal("memoizing trace accepted in unbounded mode")
 	}
 
 	// VBR rate memos grow with the horizon too.
 	ss = openSessions(1)
 	ss[0].RateJitter = 30
-	if _, err := NewOpen(OpenConfig{Cell: cfg, Unbounded: true}, ss, sched.NewDefault()); err == nil {
+	if _, err := NewOpen(OpenConfig{Cell: cfg, Unbounded: true, MaxSessions: 8}, ss, sched.NewDefault()); err == nil {
 		t.Fatal("VBR session accepted in unbounded mode")
 	}
 
 	// Unbounded requires the full-horizon engine.
 	cfg2 := tinyConfig()
-	if _, err := NewOpen(OpenConfig{Cell: cfg2, Unbounded: true}, openSessions(1), sched.NewDefault()); err == nil {
+	if _, err := NewOpen(OpenConfig{Cell: cfg2, Unbounded: true, MaxSessions: 8}, openSessions(1), sched.NewDefault()); err == nil {
 		t.Fatal("unbounded mode accepted without RunFullHorizon")
 	}
 }
@@ -501,12 +506,12 @@ func TestOpenUnboundedRejectsUnboundedMemory(t *testing.T) {
 func TestOpenValidation(t *testing.T) {
 	cfg := tinyConfig()
 	// Empty initial population needs the full-horizon engine.
-	if _, err := NewOpen(OpenConfig{Cell: cfg}, nil, sched.NewDefault()); err == nil {
+	if _, err := NewOpen(OpenConfig{Cell: cfg, MaxSessions: 8}, nil, sched.NewDefault()); err == nil {
 		t.Fatal("empty population accepted without RunFullHorizon")
 	}
 	cfgFH := tinyConfig()
 	cfgFH.RunFullHorizon = true
-	o, err := NewOpen(OpenConfig{Cell: cfgFH}, nil, sched.NewDefault())
+	o, err := NewOpen(OpenConfig{Cell: cfgFH, MaxSessions: 8}, nil, sched.NewDefault())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,15 +536,15 @@ func TestOpenValidation(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 
-	// The open tile needs a session cap to size its rows.
-	if _, err := NewOpen(OpenConfig{Cell: cfgFH, TileSlots: 8}, openSessions(1), sched.NewDefault()); err == nil {
-		t.Fatal("tile without session cap accepted")
+	// The link window needs a session cap to size its rows.
+	if _, err := NewOpen(OpenConfig{Cell: cfgFH}, openSessions(1), sched.NewDefault()); err == nil {
+		t.Fatal("open engine without a session cap accepted")
 	}
 	// Mid-run admission cannot honor per-user slot recording.
 	cfgRec := tinyConfig()
 	cfgRec.RunFullHorizon = true
 	cfgRec.Record = RecordUserSlots
-	o2, err := NewOpen(OpenConfig{Cell: cfgRec}, openSessions(1), sched.NewDefault())
+	o2, err := NewOpen(OpenConfig{Cell: cfgRec, MaxSessions: 8}, openSessions(1), sched.NewDefault())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +562,7 @@ func TestOpenDepartPending(t *testing.T) {
 	cfg := tinyConfig()
 	ss := openSessions(2)
 	ss[1].StartSlot = 300 // far in the future
-	o, err := NewOpen(OpenConfig{Cell: cfg}, ss, sched.NewDefault())
+	o, err := NewOpen(OpenConfig{Cell: cfg, MaxSessions: 8}, ss, sched.NewDefault())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -644,8 +649,8 @@ func TestOpenFreelistStableCapacity(t *testing.T) {
 // Resident-set compaction: when churn empties most of the table in
 // unbounded mode, live rows are packed down to an identity prefix. The
 // move must be invisible — serial lookups keep working (DepartSerial
-// included), the ledger conserves, and the tiled and analytic arms stay
-// identical — while the table visibly shrinks.
+// included), the ledger conserves, and the tiled arm and the one on
+// default blocks stay identical — while the table visibly shrinks.
 func TestOpenCompactionChurn(t *testing.T) {
 	run := func(tileSlots, workers int) (OpenStats, [2]float64, map[uint64]bool) {
 		cfg := tinyConfig()
@@ -748,8 +753,8 @@ func TestOpenCompactionChurn(t *testing.T) {
 // serial ledger never tears: a departed or stale serial is a clean
 // no-op, a live serial always resolves to a slot whose Serial agrees,
 // and the session ledger conserves at every step. Every admitted session
-// is distinct, and an untiled twin takes the same script beside it: the
-// two must agree on Stats() after every operation, so a tile row filled
+// is distinct, and a twin on default 256-slot blocks takes the same script
+// beside it: the two must agree on Stats() after every operation, so a row filled
 // late, for the wrong slots, or with a previous occupant's values shows
 // at the first completion it moves.
 func FuzzAdmitDepartSerial(f *testing.F) {
@@ -794,7 +799,7 @@ func FuzzAdmitDepartSerial(f *testing.F) {
 				sess := distinctSession(t, k, 0)
 				idx, err := o.Admit(sess)
 				if twinIdx, twinErr := twin.Admit(sess); twinIdx != idx || (err == nil) != (twinErr == nil) {
-					t.Fatalf("admit: tiled (%d, %v), untiled (%d, %v)", idx, err, twinIdx, twinErr)
+					t.Fatalf("admit: tiled (%d, %v), twin (%d, %v)", idx, err, twinIdx, twinErr)
 				}
 				if errors.Is(err, ErrOverCapacity) {
 					break
@@ -821,7 +826,7 @@ func FuzzAdmitDepartSerial(f *testing.F) {
 					t.Fatal(err)
 				}
 				if twinDid, err := twin.DepartSerial(id, ser); err != nil || twinDid != did {
-					t.Fatalf("depart serial %d: tiled %v, untiled %v (%v)", ser, did, twinDid, err)
+					t.Fatalf("depart serial %d: tiled %v, twin %v (%v)", ser, did, twinDid, err)
 				}
 				// Departed either way now (by us or by natural completion):
 				// no slot holds the serial any more.
@@ -846,7 +851,7 @@ func FuzzAdmitDepartSerial(f *testing.F) {
 				t.Fatalf("ledger leaks: %+v", st)
 			}
 			if twinSt := twin.Stats(); st != twinSt {
-				t.Fatalf("after op %d (%d): tiled %+v, untiled %+v", k, op%4, st, twinSt)
+				t.Fatalf("after op %d (%d): tiled %+v, twin %+v", k, op%4, st, twinSt)
 			}
 			// Once a lookup has built the serial index (at whichever step a
 			// DepartSerial first missed), it maps exactly the resident
@@ -869,7 +874,7 @@ func FuzzAdmitDepartSerial(f *testing.F) {
 		o.Finish()
 		twin.Finish()
 		if st := o.Stats(); st.InService != 0 || st != twin.Stats() {
-			t.Fatalf("after Finish: tiled %+v, untiled %+v", st, twin.Stats())
+			t.Fatalf("after Finish: tiled %+v, twin %+v", st, twin.Stats())
 		}
 	})
 }

@@ -10,11 +10,11 @@ import (
 // RunReference executes the simulation with the original full-scan
 // serial engine: every slot prepares, schedules and commits all N users
 // in index order — physics evaluated analytically through the signal and
-// radio interfaces (never the link table), flat (unsharded) accumulation,
+// radio interfaces (never the link window), flat (unsharded) accumulation,
 // and a nil ActiveList so schedulers take their scan fallback. It runs on
-// the same slot columns and the same per-user prepare/commit as Run; what
-// it keeps independent is everything the engine adds around them — live
-// list, shards, fused pass, dense kernels, table windows. It is the
+// the same slot columns and the same per-user prepare and commit as Run;
+// what it keeps independent is everything the engine adds around
+// them — link rows, live list, shards, fused pass, dense kernels. It is the
 // reference arm of the engine differential tests in internal/simtest —
 // Run must reproduce its Result bit for bit whenever the shard layout is
 // a single shard (live users ≤ ShardSize), and match it up to float
@@ -35,21 +35,19 @@ func (s *Simulator) RunReferenceCtx(ctx context.Context) (*Result, error) {
 	slot.ActiveList = nil // schedulers exercise their full-scan fallback
 
 	// The reference arm evaluates the physics analytically into columns it
-	// owns for the run. With a link window attached newSim left Sig and
-	// Rate for attachSlotColumns to alias onto the window's rows; those may
-	// be a shared immutable Config.Link, so the arm never writes through
-	// such an alias — it takes private columns instead and leaves s.win
-	// unread (a sliding window is never filled, nor a goroutine started).
-	// A table run's New left the sessions to the table, which extends their
-	// memos as it fills: they are extended here for good, under the table's
-	// lock, before this arm reads them beside the table's readers.
-	if s.win != nil {
-		if t := s.win.table; t != nil {
-			t.prewarmFor(s.sessions)
-		}
-		s.cols.Sig = make([]units.DBm, len(s.users))
-		s.cols.Rate = make([]units.KBps, len(s.users))
+	// owns for the run. newSim left Sig and Rate for attachSlotColumns to
+	// alias onto the link window's rows; those may be a shared immutable
+	// Config.Link, so the arm never writes through such an alias — it takes
+	// private columns instead and leaves s.win unread (a sliding window is
+	// never filled, nor a goroutine started). A table run's New left the
+	// sessions to the table, which extends their memos as it fills: they
+	// are extended here for good, under the table's lock, before this arm
+	// reads them beside the table's readers.
+	if t := s.win.table; t != nil {
+		t.prewarmFor(s.sessions)
 	}
+	s.cols.Sig = make([]units.DBm, len(s.users))
+	s.cols.Rate = make([]units.KBps, len(s.users))
 
 	for slotIdx := 0; slotIdx < s.cfg.MaxSlots; slotIdx++ {
 		if err := ctx.Err(); err != nil {
@@ -59,11 +57,7 @@ func (s *Simulator) RunReferenceCtx(ctx context.Context) (*Result, error) {
 		allDone := true
 		for i := range s.users {
 			u := &s.users[i]
-			// Analytic-only prepare (tabled=false): the reference arm always
-			// evaluates the signal and radio models through the interfaces,
-			// so the differential tests assert the flattened table
-			// reproduces the interface path bitwise.
-			s.prepareColsUser(false, slotIdx, i)
+			s.prepareReferenceUser(slotIdx, i)
 			if slotIdx < int(u.startSlot) || !u.buf.PlaybackComplete() {
 				allDone = false
 			}
@@ -107,4 +101,23 @@ func (s *Simulator) RunReferenceCtx(ctx context.Context) (*Result, error) {
 	}
 	res.finalize()
 	return res, nil
+}
+
+// prepareReferenceUser is the reference arm's prepare of user i for slot
+// slotIdx: the signal trace and the required rate evaluated into the arm's
+// private Sig and Rate, the engine's prepareColsUser for the dynamic
+// columns, and then v, P and the Eq. (1) limit replaced by what the radio
+// model's interfaces give — so the differential tests assert that the link
+// rows and radio.Link's derivation reproduce this path bitwise.
+func (s *Simulator) prepareReferenceUser(slotIdx, i int) {
+	sess := s.sessions[i]
+	c := &s.cols
+	sig := sess.Signal.At(slotIdx)
+	c.Sig[i], c.Rate[i] = sig, sess.RateAt(slotIdx)
+	active := s.prepareColsUser(slotIdx, i)
+	link := s.cfg.Radio.Throughput.Throughput(sig)
+	c.LinkRate[i] = link
+	c.EnergyPerKB[i] = s.cfg.Radio.Power.EnergyPerKB(sig)
+	unit := float64(s.cfg.Unit)
+	c.MaxUnits[i] = maxUnitsFor(active, floorUnits(float64(link)*float64(s.cfg.Tau), unit), c.RemainingKB[i], unit)
 }

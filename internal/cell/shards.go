@@ -17,14 +17,13 @@ import (
 func (s *Simulator) prepareShardBody(sh int) {
 	lo, hi := shardBounds(sh, s.curShards, len(s.curLive))
 	act := s.activeBuf[lo:lo:hi]
-	if s.curDense && s.colsTabled() && s.abrCtls == nil {
+	if s.curDense && s.abrCtls == nil {
 		s.deriveDense(lo, hi)
 		act = s.prepareDenseLink(s.curSlot, lo, hi, act)
 	} else {
-		tabled := s.colsTabled()
 		alloc := s.alloc
 		for _, i := range s.curLive[lo:hi] {
-			if s.prepareColsUser(tabled, s.curSlot, i) {
+			if s.prepareColsUser(s.curSlot, i) {
 				act = append(act, i)
 			}
 			alloc[i] = 0
@@ -68,12 +67,11 @@ func (s *Simulator) fusedShardBody(sh int) {
 	acc := slotAccum{errUser: -1}
 	act, ret := s.activeBuf[lo:lo:hi], &s.shardRet[sh]
 	*ret = (*ret)[:0]
-	if s.curDense && s.colsTabled() && s.abrCtls == nil && s.cfg.Record != RecordUserSlots {
+	if s.curDense && s.abrCtls == nil && s.cfg.Record != RecordUserSlots {
 		s.deriveDense(lo, hi)
 		act = s.fusedDenseLink(s.curSlot, lo, hi, act, ret, &acc)
 	} else {
 		res := s.curRes
-		tabled := s.colsTabled()
 		alloc := s.alloc
 		next := s.curSlot + 1
 		for p, i := range s.curLive[lo:hi] {
@@ -87,7 +85,7 @@ func (s *Simulator) fusedShardBody(sh int) {
 				s.users[i].retired = true
 				*ret = append(*ret, lo+p)
 			}
-			if s.prepareColsUser(tabled, next, i) {
+			if s.prepareColsUser(next, i) {
 				act = append(act, i)
 			}
 			alloc[i] = 0

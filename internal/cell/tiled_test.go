@@ -64,9 +64,7 @@ func runForced(t *testing.T, cfg Config, sessions []*workload.Session, s sched.S
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.win != nil {
-		sim.win.handoffMin = handoff
-	}
+	sim.win.handoffMin = handoff
 	res, err := sim.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -281,9 +279,7 @@ func steppedMatchesRunCtx(t *testing.T, tile, handoff, epoch int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if simB.win != nil {
-		simB.win.handoffMin = handoff
-	}
+	simB.win.handoffMin = handoff
 	if _, err := simB.Advance(10); err == nil {
 		t.Fatal("Advance before Start accepted")
 	}

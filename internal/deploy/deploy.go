@@ -408,9 +408,9 @@ func Run(ctx context.Context, cfg Config, sessions []*workload.Session, newSched
 	return res, nil
 }
 
-// closedSite shapes a closed site as a bounded open cell: the closed
-// engine's window under LinkTileSlots (⌈LinkTileSlots/2⌉-slot blocks), the
-// analytic path otherwise (bit-identical by LUT exactness). It records
+// closedSite shapes a closed site as a bounded open cell on a link window:
+// the closed engine's ⌈LinkTileSlots/2⌉-slot blocks under LinkTileSlots,
+// the open engine's default blocks otherwise. It records
 // totals only: foldSite reads its Result's totals, and Run folds its
 // per-epoch series through OnSlot as the tick reduces each slot.
 func closedSite(c cell.Config, users int) cell.OpenConfig {
@@ -459,9 +459,13 @@ func lockstep(ctx context.Context, cfg Config, sims []*cell.OpenSim, aggs []site
 		ctx, cancel = context.WithCancel(ctx)
 		defer cancel()
 	}
+	// A stalled epoch's abandoned worker may still be advancing any running
+	// site: those are left to it, and each unwinds through the cancelled
+	// context, whose error return stops the site's window.
+	stalled := false
 	defer func() {
 		for _, sim := range sims {
-			if sim != nil {
+			if sim != nil && !stalled {
 				sim.Stop()
 			}
 		}
@@ -491,6 +495,7 @@ func lockstep(ctx context.Context, cfg Config, sims []*cell.OpenSim, aggs []site
 		upto += epoch
 		err := watchEpoch(cancel, cfg.EpochTimeout, epochs, upto, advance)
 		if err != nil {
+			_, stalled = err.(*EpochStalledError)
 			return 0, err
 		}
 		still := running[:0]

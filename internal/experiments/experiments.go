@@ -298,27 +298,24 @@ func (r *Runner) workloadFor(sc scenario) (*sharedWorkload, error) {
 // buildWorkload generates and link-compiles one scenario workload. After
 // it returns the sessions are safe to share across concurrent simulators:
 // through the table, which extends their memos under its own lock as runs
-// reach new slots, or, without one, because their memos already cover the
-// full horizon.
+// reach new slots, or, above cell.DefaultLinkTableMaxRows rows, because
+// their memos already cover the full horizon, so the sliding link window
+// each run keeps only reads them.
 func (r *Runner) buildWorkload(sc scenario) (*sharedWorkload, error) {
 	wl, err := workload.Generate(r.workload(sc), rng.New(r.opts.Seed))
 	if err != nil {
 		return nil, err
 	}
 	sw := &sharedWorkload{sessions: wl}
-	maxRows := r.opts.Cell.LinkTableMaxRows
-	if maxRows == 0 {
-		maxRows = cell.DefaultLinkTableMaxRows
-	}
-	if maxRows > 0 && int64(len(wl))*int64(r.opts.Cell.MaxSlots) <= int64(maxRows) {
+	if int64(len(wl))*int64(r.opts.Cell.MaxSlots) <= cell.DefaultLinkTableMaxRows {
 		if sw.link, err = cell.CompileLink(r.opts.Cell, wl); err != nil {
 			return nil, err
 		}
 		return sw, nil
 	}
-	// The analytic path: concurrent simulators over the shared sessions
-	// re-Prewarm them from cell.New, which is only a safe (read-only)
-	// no-op if the stochastic memos already span the horizon.
+	// cell.New re-Prewarms the shared sessions of every concurrent run,
+	// which is only a safe (read-only) no-op once the memos span the
+	// horizon.
 	workload.PrewarmAll(r.opts.Cell.Workers, wl, r.opts.Cell.MaxSlots)
 	return sw, nil
 }

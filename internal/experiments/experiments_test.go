@@ -2,13 +2,16 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"jointstream/internal/cell"
+	"jointstream/internal/rng"
 	"jointstream/internal/sched"
+	"jointstream/internal/workload"
 )
 
 func quickRunner(t *testing.T) *Runner {
@@ -540,20 +543,21 @@ func TestSweepFillsOnlyReachedBlocks(t *testing.T) {
 	}
 }
 
-// TestWorkloadSharedWithoutLinkTable hammers one table-disabled scenario
-// from concurrent simulators. buildWorkload must fully prewarm the
-// sessions before publishing even when CompileLink is skipped (over-cap
-// or disabled runs), otherwise the simulators' Prewarm calls grow the
-// shared stochastic memos concurrently — a data race this test exposes
-// under CI's -race job — and here every goroutine must also produce a
-// byte-identical Result.
+// TestWorkloadSharedWithoutLinkTable hammers one scenario over the link
+// table's row cap from concurrent simulators, each sliding its own link
+// window over the shared sessions. buildWorkload must fully prewarm the
+// sessions before publishing when CompileLink is skipped, otherwise the
+// simulators' Prewarm calls and window fills grow the shared stochastic
+// memos concurrently — a data race this test exposes under CI's -race
+// job — and here every goroutine must also produce a byte-identical
+// Result.
 func TestWorkloadSharedWithoutLinkTable(t *testing.T) {
 	opts := QuickOptions()
-	opts.Cell.LinkTableMaxRows = -1 // skip link compilation entirely
-	// A long horizon widens the prewarm race window: if the published
-	// sessions are not already warm, every simulator below has tens of
-	// thousands of memo entries left to grow concurrently.
-	opts.Cell.MaxSlots = 60000
+	// One slot past the row cap for the scenario's users: a horizon this
+	// long also widens the prewarm race window, since a simulator over
+	// sessions not already warm has hundreds of thousands of memo entries
+	// left to grow.
+	opts.Cell.MaxSlots = cell.DefaultLinkTableMaxRows/opts.CDFUsers + 1
 	r, err := NewRunner(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -564,7 +568,7 @@ func TestWorkloadSharedWithoutLinkTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sw.link != nil {
-		t.Fatal("table-disabled scenario compiled a link table")
+		t.Fatal("over-cap scenario compiled a link table")
 	}
 	const runs = 8
 	results := make([]*cell.Result, runs)
@@ -594,28 +598,49 @@ func TestWorkloadSharedWithoutLinkTable(t *testing.T) {
 	}
 }
 
-// TestWorkloadCacheBitwiseNeutral regenerates a figure with the link
-// table disabled and a cold workload per run (fresh runner each time)
-// and requires byte-identical output: caching and flattening are pure
-// plumbing, never physics.
+// TestWorkloadCacheBitwiseNeutral regenerates a figure with no shared
+// link table — every run compiles its own — and a cold workload per run
+// (fresh runner each time), and requires byte-identical output: caching
+// and sharing are pure plumbing, never physics.
 func TestWorkloadCacheBitwiseNeutral(t *testing.T) {
 	withTable := quickRunner(t)
 	figA, err := withTable.Fig4a()
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := QuickOptions()
-	opts.Cell.LinkTableMaxRows = -1 // interface path in every simulator
-	withoutTable, err := NewRunner(opts)
-	if err != nil {
-		t.Fatal(err)
+	// The second runner publishes each scenario's workload the way
+	// buildWorkload does above the row cap: generated from the seed,
+	// prewarmed to the horizon, without a table.
+	withoutTable := quickRunner(t)
+	shared := withTable.workloads.snapshot()
+	if len(shared) == 0 {
+		t.Fatal("the figure built no workload")
+	}
+	for key := range shared {
+		var sc scenario
+		if _, err := fmt.Sscanf(key, "n=%d|mb=%g", &sc.users, &sc.avgSizeMB); err != nil {
+			t.Fatalf("workload key %q: %v", key, err)
+		}
+		wl, err := workload.Generate(withoutTable.workload(sc), rng.New(withoutTable.opts.Seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		workload.PrewarmAll(1, wl, withoutTable.opts.Cell.MaxSlots)
+		if _, err := withoutTable.workloads.get(key, func() (*sharedWorkload, error) {
+			return &sharedWorkload{sessions: wl}, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	figB, err := withoutTable.Fig4a()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(figA, figB) {
-		t.Error("figure differs between link-table and analytic runs")
+		t.Error("figure differs between shared-table and own-table runs")
+	}
+	if _, misses := withoutTable.WorkloadCacheStats(); misses != int64(len(shared)) {
+		t.Errorf("the second runner built %d workloads of its own", misses-int64(len(shared)))
 	}
 	if a, _ := withTable.WorkloadCacheStats(); a == 0 {
 		t.Error("link-table runner recorded no cache hits")

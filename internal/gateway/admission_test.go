@@ -64,7 +64,14 @@ func TestAdmissionMatchesOpenSim(t *testing.T) {
 			for i, r := range c.rates {
 				initial = append(initial, session(i, r))
 			}
-			o, err := cell.NewOpen(cell.OpenConfig{Cell: cc, MaxSessions: c.cap, HeadroomFrac: c.frac}, initial, sched.NewDefault())
+			// The open engine needs a session cap to size its link window:
+			// where the gateway has none, one with room for the newcomer
+			// refuses nothing.
+			maxSessions := c.cap
+			if maxSessions == 0 {
+				maxSessions = len(initial) + 1
+			}
+			o, err := cell.NewOpen(cell.OpenConfig{Cell: cc, MaxSessions: maxSessions, HeadroomFrac: c.frac}, initial, sched.NewDefault())
 			if err != nil {
 				t.Fatal(err)
 			}

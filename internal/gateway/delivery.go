@@ -200,9 +200,9 @@ func (g *Gateway) recordStrike(u *user) {
 		g.detach(u, detachBreaker)
 		return
 	}
-	backoff := g.policy.BackoffMaxSlots
+	backoff := backoffMaxSlots
 	if s := u.failStreak - 1; s < 30 {
-		if b := g.policy.BackoffBaseSlots << s; b < backoff {
+		if b := backoffBaseSlots << s; b < backoff {
 			backoff = b
 		}
 	}

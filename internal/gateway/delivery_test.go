@@ -211,7 +211,7 @@ func TestStaleReportGraceReattaches(t *testing.T) {
 	}
 	// 60 MB at ≤5 MB/slot keeps the session alive well past the dropout
 	// window at slots 2..6.
-	ep := &flakyReporter{LocalEndpoint: inner, from: 2, to: 2 + defaultStaleGraceSlots}
+	ep := &flakyReporter{LocalEndpoint: inner, from: 2, to: 2 + staleGraceSlots}
 	g, _ := New(testConfig(), sched.NewDefault())
 	src, _ := NewPatternSource(60000)
 	id, err := g.Attach(ep, src)
@@ -237,8 +237,8 @@ func TestStaleReportGraceReattaches(t *testing.T) {
 	if d.Reattaches != 1 {
 		t.Errorf("reattaches = %d, want 1", d.Reattaches)
 	}
-	if d.StaleSlots != defaultStaleGraceSlots {
-		t.Errorf("stale slots = %d, want %d", d.StaleSlots, defaultStaleGraceSlots)
+	if d.StaleSlots != staleGraceSlots {
+		t.Errorf("stale slots = %d, want %d", d.StaleSlots, staleGraceSlots)
 	}
 }
 
@@ -270,7 +270,7 @@ func TestStaleReportDetachesAfterGrace(t *testing.T) {
 	}
 	// Reports drop from slot 1; grace covers slots 1..1+grace-1, so the
 	// detach lands at slot 1+grace.
-	if want := 1 + defaultStaleGraceSlots; detachSlot != want {
+	if want := 1 + staleGraceSlots; detachSlot != want {
 		t.Errorf("stale user detached at slot %d, want %d", detachSlot, want)
 	}
 	if d := g.Diagnostics(); d.StaleDetaches != 1 {

@@ -47,7 +47,7 @@ type Report struct {
 type Endpoint interface {
 	// Report returns the user's current cross-layer report. ok=false
 	// marks a missing report; the gateway papers over up to
-	// Policy.StaleGraceSlots consecutive misses with the last good report
+	// five consecutive misses (staleGraceSlots) with the last good report
 	// (conservative admission) before detaching the user.
 	Report() (r Report, ok bool)
 	// Deliver pushes one slot's granted bytes to the device. Errors are
@@ -457,7 +457,7 @@ func (g *Gateway) Step() ([]int, error) {
 			u.staleSlots++
 			g.diag.StaleSlots++
 			degraded = true
-			if u.staleSlots > g.policy.StaleGraceSlots {
+			if u.staleSlots > staleGraceSlots {
 				g.diag.StaleDetaches++
 				g.detach(u, detachStale)
 				continue

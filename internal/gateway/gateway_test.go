@@ -224,7 +224,7 @@ func TestFatalDeliveryErrorDetachesImmediately(t *testing.T) {
 	// Next step: Report now returns ok=false too, but the first failure
 	// path hit is what matters — run until detached and check the reason
 	// is fatal or stale, never breaker.
-	for i := 0; i < defaultStaleGraceSlots+2 && !st.Detached; i++ {
+	for i := 0; i < staleGraceSlots+2 && !st.Detached; i++ {
 		g.Step()
 		st, _ = g.StatsFor(id)
 	}

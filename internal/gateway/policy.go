@@ -16,15 +16,15 @@ import (
 // Three mechanisms compose:
 //
 //   - Stale-report grace: a user whose Report goes missing keeps its last
-//     good report for StaleGraceSlots slots under conservative admission
+//     good report for staleGraceSlots slots under conservative admission
 //     (rate-proportional allocation only, no opportunistic prefetch)
 //     before it is detached. Flapping clients that report again inside
 //     the window reattach with no loss of session state.
 //
 //   - Transient-error backoff: a classified-transient Deliver failure
 //     does not detach the user; it schedules a retry after an
-//     exponentially growing number of slots (BackoffBaseSlots doubling up
-//     to BackoffMaxSlots). A success resets the streak.
+//     exponentially growing number of slots (backoffBaseSlots doubling up
+//     to backoffMaxSlots). A success resets the streak.
 //
 //   - Circuit breaker: BreakerTrips consecutive transient failures —
 //     delivery errors or missed slot deadlines — open the breaker and
@@ -35,19 +35,8 @@ import (
 // immediately, as before.
 
 // Policy tunes the gateway's degraded-mode behavior. The zero value
-// selects the defaults below; set a field negative to force zero (e.g.
-// StaleGraceSlots: -1 restores the legacy detach-on-first-missing-report
-// behavior).
+// selects the defaults below; set a field negative to force zero.
 type Policy struct {
-	// StaleGraceSlots is how many consecutive slots a missing report is
-	// papered over with the last good one before the user is detached.
-	StaleGraceSlots int
-	// BackoffBaseSlots is the retry delay after the first transient
-	// delivery failure; each further consecutive failure doubles it up to
-	// BackoffMaxSlots.
-	BackoffBaseSlots int
-	// BackoffMaxSlots caps the exponential backoff.
-	BackoffMaxSlots int
 	// BreakerTrips is the number of consecutive transient failures
 	// (delivery errors or stalled-delivery slots) that opens the circuit
 	// breaker and detaches the user.
@@ -74,11 +63,19 @@ type Policy struct {
 	ShedMissThreshold int
 }
 
+const (
+	// staleGraceSlots is how many consecutive slots a missing report is
+	// papered over with the last good one before the user is detached.
+	staleGraceSlots = 5
+	// backoffBaseSlots is the retry delay after the first transient
+	// delivery failure; each further consecutive failure doubles it up to
+	// backoffMaxSlots.
+	backoffBaseSlots = 1
+	backoffMaxSlots  = 8
+)
+
 // Default policy values.
 const (
-	defaultStaleGraceSlots     = 5
-	defaultBackoffBaseSlots    = 1
-	defaultBackoffMaxSlots     = 8
 	defaultBreakerTrips        = 5
 	defaultSlotDeadline        = 50 * time.Millisecond
 	defaultShedMissWindowSlots = 16
@@ -94,9 +91,6 @@ func (p Policy) withDefaults() Policy {
 			*v = 0
 		}
 	}
-	resolve(&p.StaleGraceSlots, defaultStaleGraceSlots)
-	resolve(&p.BackoffBaseSlots, defaultBackoffBaseSlots)
-	resolve(&p.BackoffMaxSlots, defaultBackoffMaxSlots)
 	resolve(&p.BreakerTrips, defaultBreakerTrips)
 	if p.SlotDeadline == 0 {
 		p.SlotDeadline = defaultSlotDeadline

@@ -76,7 +76,7 @@ func TestEndedSessionIsNeverPolled(t *testing.T) {
 			t.Fatal(err)
 		}
 		goneEP.Disconnect()
-		for i := 0; i < defaultStaleGraceSlots+2; i++ {
+		for i := 0; i < staleGraceSlots+2; i++ {
 			if _, err := g.Step(); err != nil {
 				t.Fatal(err)
 			}

@@ -7,24 +7,6 @@ import (
 
 // The accessors below have no caller outside the package's tests.
 
-// Jain computes the Jain fairness index (Σx)² / (n·Σx²) of the sample.
-// An empty or all-zero sample is defined as perfectly fair (1.0); the
-// result is always within [1/n, 1] otherwise.
-func Jain(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 1
-	}
-	var sum, sumSq float64
-	for _, x := range xs {
-		sum += x
-		sumSq += x * x
-	}
-	if sumSq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(xs)) * sumSq)
-}
-
 // At returns P(X ≤ x).
 func (c *CDF) At(x float64) float64 {
 	// First index with value > x.

@@ -6,58 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestJainPerfectFairness(t *testing.T) {
-	if got := Jain([]float64{5, 5, 5, 5}); math.Abs(got-1) > 1e-12 {
-		t.Errorf("Jain(equal) = %v, want 1", got)
-	}
-}
-
-func TestJainWorstCase(t *testing.T) {
-	// One user hogs everything: index = 1/n.
-	if got := Jain([]float64{10, 0, 0, 0}); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("Jain(one-hog, n=4) = %v, want 0.25", got)
-	}
-}
-
-func TestJainEdgeCases(t *testing.T) {
-	if Jain(nil) != 1 {
-		t.Error("Jain(nil) != 1")
-	}
-	if Jain([]float64{0, 0}) != 1 {
-		t.Error("Jain(zeros) != 1")
-	}
-}
-
-func TestJainKnownValue(t *testing.T) {
-	// (1+2+3)^2 / (3*(1+4+9)) = 36/42.
-	if got := Jain([]float64{1, 2, 3}); math.Abs(got-36.0/42.0) > 1e-12 {
-		t.Errorf("Jain(1,2,3) = %v, want %v", got, 36.0/42.0)
-	}
-}
-
-// Property: Jain index is always in [1/n, 1] and scale-invariant.
-func TestJainProperty(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		scaled := make([]float64, len(raw))
-		for i, r := range raw {
-			xs[i] = float64(r)
-			scaled[i] = float64(r) * 7.5
-		}
-		j := Jain(xs)
-		if j < 1/float64(len(xs))-1e-12 || j > 1+1e-12 {
-			return false
-		}
-		return math.Abs(j-Jain(scaled)) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestNewCDFValidation(t *testing.T) {
 	if _, err := NewCDF(nil); err == nil {
 		t.Error("empty sample accepted")

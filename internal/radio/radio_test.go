@@ -3,7 +3,6 @@ package radio
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"jointstream/internal/units"
 )
@@ -72,68 +71,11 @@ func TestPowerFloorNonNegative(t *testing.T) {
 	}
 }
 
-func TestTransmissionEnergyEq3(t *testing.T) {
-	m := Paper3G()
-	sig := units.DBm(-80)
-	perKB := float64(m.Power.EnergyPerKB(sig))
-	got := float64(m.TransmissionEnergy(sig, 500))
-	if math.Abs(got-500*perKB) > 1e-9 {
-		t.Errorf("TransmissionEnergy = %v, want %v", got, 500*perKB)
-	}
-}
-
-func TestReceivePowerShape(t *testing.T) {
-	m := Paper3G()
-	// P(sig)*v(sig) = -0.167*v + 1560, so weaker signal => higher power.
-	weak := float64(m.ReceivePower(-110))
-	strong := float64(m.ReceivePower(-50))
-	if weak <= strong {
-		t.Errorf("receive power at weak signal (%v) should exceed strong (%v)", weak, strong)
-	}
-	wantWeak := -0.167*(65.8*-110+7567) + 1560
-	if math.Abs(weak-wantWeak) > 1e-6 {
-		t.Errorf("ReceivePower(-110) = %v, want %v", weak, wantWeak)
-	}
-}
-
-func TestSignalForThroughputInverts(t *testing.T) {
-	m := LinearThroughput{Slope: 65.8, Intercept: 7567, MinRate: 1}
-	for _, v := range []units.KBps{400, 1000, 4000} {
-		sig := m.SignalForThroughput(v)
-		back := m.Throughput(sig)
-		if math.Abs(float64(back-v)) > 1e-6 {
-			t.Errorf("Throughput(SignalForThroughput(%v)) = %v", v, back)
-		}
-	}
-}
-
-func TestSignalForThroughputZeroSlope(t *testing.T) {
-	m := LinearThroughput{Slope: 0, Intercept: 100, MinRate: 1}
-	if got := m.SignalForThroughput(500); got != 0 {
-		t.Errorf("zero-slope inverse = %v, want 0 sentinel", got)
-	}
-}
-
 func TestLTEFasterThan3G(t *testing.T) {
 	g3, lte := Paper3G(), LTE()
 	for sig := units.DBm(-110); sig <= -50; sig += 10 {
 		if lte.Throughput.Throughput(sig) <= g3.Throughput.Throughput(sig) {
 			t.Errorf("LTE not faster than 3G at %v", sig)
 		}
-	}
-}
-
-// Property: for the paper model, energy for k KB is linear in k.
-func TestTransmissionEnergyLinearProperty(t *testing.T) {
-	m := Paper3G()
-	f := func(sigRaw uint8, kRaw uint16) bool {
-		sig := units.DBm(-110 + float64(sigRaw%61))
-		k := units.KB(kRaw)
-		e1 := float64(m.TransmissionEnergy(sig, k))
-		e2 := float64(m.TransmissionEnergy(sig, 2*k))
-		return math.Abs(e2-2*e1) < 1e-6*(1+e2)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -26,11 +26,11 @@ func runOpenFull(t *testing.T, o *cell.OpenSim, upto int) *cell.Result {
 
 // TestOpenMatchesRunAllSchedulers pins the closed-world equivalence
 // claim across the whole scheduler matrix: with no churn and a finite
-// horizon, the open-system engine — analytic columns or the open tile —
-// returns a Result byte-identical to cell.Run on the same inputs, for
-// every scheduler in the repo. The closed arm compiles its usual link
-// table, so the pin also transitively re-asserts the LUT exactness
-// property on the open path.
+// horizon, the open-system engine — on default 256-slot link blocks or
+// 24-slot ones — returns a Result byte-identical to cell.Run on the same
+// inputs, for every scheduler in the repo. The closed arm compiles its
+// usual link table, so the pin also transitively re-asserts the LUT
+// exactness property on the open path.
 func TestOpenMatchesRunAllSchedulers(t *testing.T) {
 	for name, mk := range factories(t) {
 		t.Run(name, func(t *testing.T) {
@@ -51,11 +51,7 @@ func TestOpenMatchesRunAllSchedulers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ocfg := cell.OpenConfig{Cell: engineCfg()}
-				if tile > 0 {
-					ocfg.TileSlots = tile
-					ocfg.MaxSessions = len(wl2)
-				}
+				ocfg := cell.OpenConfig{Cell: engineCfg(), MaxSessions: len(wl2), TileSlots: tile}
 				o, err := cell.NewOpen(ocfg, wl2, mk())
 				if err != nil {
 					t.Fatal(err)
@@ -85,7 +81,7 @@ func TestOpenWorkerDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, err := cell.NewOpen(cell.OpenConfig{Cell: cfg}, wl, factories(t)["EMA"]())
+		o, err := cell.NewOpen(cell.OpenConfig{Cell: cfg, MaxSessions: len(wl)}, wl, factories(t)["EMA"]())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,45 +6,10 @@ import (
 	"strings"
 )
 
-// Conversions and parsers only the package's tests use.
+// Parsers only the package's tests use.
 
 // Kilobyte is the unit size multiple.
 const Kilobyte KB = 1
-
-// Bytes returns the size in bytes.
-func (k KB) Bytes() float64 { return float64(k) * 1000 }
-
-// MB returns the size in megabytes.
-func (k KB) MB() float64 { return float64(k) / 1000 }
-
-// Over returns the time needed to move k kilobytes at rate r.
-// It returns +Inf-free results: a non-positive rate yields 0 duration for
-// zero size and a very large duration otherwise is avoided by the caller;
-// Over panics on r <= 0 with k > 0 because that indicates a modeling bug.
-func (k KB) Over(r KBps) Seconds {
-	if k == 0 {
-		return 0
-	}
-	if r <= 0 {
-		panic(fmt.Sprintf("units: %v KB over non-positive rate %v", float64(k), float64(r)))
-	}
-	return Seconds(float64(k) / float64(r))
-}
-
-// Times returns the amount of data moved at rate r for duration d.
-func (r KBps) Times(d Seconds) KB { return KB(float64(r) * float64(d)) }
-
-// Joules returns the energy in joules.
-func (e MJ) Joules() float64 { return float64(e) / 1000 }
-
-// PerKB divides a total energy by a data amount, yielding mJ/KB, the unit
-// of the paper's per-byte power model P(sig).
-func (e MJ) PerKB(k KB) float64 {
-	if k == 0 {
-		return 0
-	}
-	return float64(e) / float64(k)
-}
 
 // ParseKB parses a size string such as "350MB", "1.5GB" or "200KB".
 // A bare number is interpreted as kilobytes.

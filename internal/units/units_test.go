@@ -6,57 +6,10 @@ import (
 	"testing/quick"
 )
 
-func TestKBConversions(t *testing.T) {
-	if got := (KB(1)).Bytes(); got != 1000 {
-		t.Errorf("1KB.Bytes() = %v, want 1000", got)
-	}
-	if got := (Megabyte).Bytes(); got != 1e6 {
-		t.Errorf("1MB.Bytes() = %v, want 1e6", got)
-	}
-	if got := (KB(2500)).MB(); got != 2.5 {
-		t.Errorf("2500KB.MB() = %v, want 2.5", got)
-	}
-}
-
-func TestOver(t *testing.T) {
-	if got := KB(100).Over(50); got != 2 {
-		t.Errorf("100KB over 50KB/s = %v, want 2s", got)
-	}
-	if got := KB(0).Over(0); got != 0 {
-		t.Errorf("0KB over 0 = %v, want 0", got)
-	}
-}
-
-func TestOverPanicsOnNonPositiveRate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for positive size over zero rate")
-		}
-	}()
-	_ = KB(1).Over(0)
-}
-
 func TestTimesEnergyRoundTrip(t *testing.T) {
-	r := KBps(400)
-	d := Seconds(3)
-	if got := r.Times(d); got != 1200 {
-		t.Errorf("400KB/s * 3s = %v, want 1200KB", got)
-	}
 	p := MW(700)
 	if got := p.Energy(2); got != 1400 {
 		t.Errorf("700mW * 2s = %v, want 1400mJ", got)
-	}
-	if got := MJ(5000).Joules(); got != 5 {
-		t.Errorf("5000mJ = %vJ, want 5", got)
-	}
-}
-
-func TestPerKB(t *testing.T) {
-	if got := MJ(300).PerKB(100); got != 3 {
-		t.Errorf("300mJ/100KB = %v, want 3", got)
-	}
-	if got := MJ(300).PerKB(0); got != 0 {
-		t.Errorf("x/0KB = %v, want 0", got)
 	}
 }
 
@@ -126,20 +79,6 @@ func TestParseKBps(t *testing.T) {
 	}
 	if _, err := ParseKBps("fast"); err == nil {
 		t.Error("ParseKBps(fast) succeeded, want error")
-	}
-}
-
-// Property: Over and Times are inverses for positive quantities.
-func TestOverTimesInverseProperty(t *testing.T) {
-	f := func(size uint16, rate uint16) bool {
-		k := KB(float64(size) + 1)
-		r := KBps(float64(rate) + 1)
-		d := k.Over(r)
-		back := r.Times(d)
-		return math.Abs(float64(back-k)) < 1e-6*float64(k)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

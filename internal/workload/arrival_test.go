@@ -111,23 +111,6 @@ func TestBurstArrivals(t *testing.T) {
 	}
 }
 
-func TestArrivalSlots(t *testing.T) {
-	got := ArrivalSlots(BurstArrivals{Size: 2, GapSlots: 5}, 5, 100, rng.New(1))
-	want := []int{100, 100, 105, 105, 110}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("slot %d = %d, want %d", i, got[i], want[i])
-		}
-	}
-	// nil process: everyone at firstSlot.
-	flat := ArrivalSlots(nil, 3, 7, rng.New(1))
-	for _, s := range flat {
-		if s != 7 {
-			t.Fatalf("nil process start = %d, want 7", s)
-		}
-	}
-}
-
 func TestArrivalsMutuallyExclusive(t *testing.T) {
 	c := PaperDefaults(3)
 	c.MeanInterarrival = 4

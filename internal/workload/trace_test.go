@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,11 +68,12 @@ func TestParseArrivalTraceAsProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := ArrivalSlots(tr, len(tr.StartSlots), tr.StartSlots[0], nil)
-	for i := range got {
-		if got[i] != tr.StartSlots[i] {
-			t.Fatalf("replayed slots %v != trace %v", got, tr.StartSlots)
-		}
+	got := []int{tr.StartSlots[0]}
+	for i := 1; i < len(tr.StartSlots); i++ {
+		got = append(got, got[i-1]+tr.NextGap(i, nil))
+	}
+	if !slices.Equal(got, tr.StartSlots) {
+		t.Fatalf("replayed slots %v != trace %v", got, tr.StartSlots)
 	}
 }
 
