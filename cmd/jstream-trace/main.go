@@ -64,9 +64,9 @@ func run(model string, slots int, seed uint64, period int, noise, step, level fl
 	}
 	switch model {
 	case "sine":
-		tr, err = signal.NewSine(signal.SineConfig{
+		tr, err = signal.NewStatelessSine(signal.SineConfig{
 			Bounds: signal.DefaultBounds, PeriodSlots: period, NoiseStdDBm: noise,
-		}, src)
+		}, src.Uint64())
 	case "walk":
 		tr, err = signal.NewRandomWalk(signal.RandomWalkConfig{
 			Bounds: signal.DefaultBounds, Start: -80, StepStd: step,

@@ -38,9 +38,9 @@ func main() {
 
 	// Three devices: steady, fading, and bursty channels.
 	src := rng.New(11)
-	sine, err := signal.NewSine(signal.SineConfig{
+	sine, err := signal.NewStatelessSine(signal.SineConfig{
 		Bounds: signal.DefaultBounds, PeriodSlots: 60, NoiseStdDBm: 10,
-	}, src)
+	}, src.Uint64())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,12 +41,12 @@ func linkTestTraces(t *testing.T, n int) map[string][]signal.Trace {
 	}
 	return map[string][]signal.Trace{
 		"sine+wgn": mk("sine", func(i int) (signal.Trace, error) {
-			return signal.NewSine(signal.SineConfig{
+			return signal.NewStatelessSine(signal.SineConfig{
 				Bounds:      signal.DefaultBounds,
 				PeriodSlots: 120,
 				Phase:       float64(i),
 				NoiseStdDBm: 10,
-			}, src)
+			}, src.Uint64())
 		}),
 		"randomwalk": mk("walk", func(i int) (signal.Trace, error) {
 			return signal.NewRandomWalk(signal.RandomWalkConfig{

@@ -190,9 +190,10 @@ type OpenSim struct {
 	// freed lists the table slots freed since the last release, ascending
 	// (every caller frees in table order): release returns them to the
 	// freelist in one merge instead of one shift per session.
-	freed   []int
-	ended   []bool   // per table slot: session folded (completed/departed)
-	serials []uint64 // per table slot: admission serial of the resident session
+	freed []int
+	// serials holds each table slot's admission serial; nil until an
+	// admission or compaction, while slot i's is i+1 (serial).
+	serials []uint64
 	lastSer uint64
 	// bySerial maps in-service admission serials to table slots. slotOf
 	// builds it on the first miss; a closed fleet site never needs it.
@@ -287,20 +288,15 @@ func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*O
 			shape.span = min(shape.span, cc.MaxSlots)
 		}
 	}
-	eng, err := newSim(cc, initial, s, &shape)
+	eng, err := newSim(cc, slices.Clone(initial), s, &shape) // fold and compaction write the engine's copy
 	if err != nil {
 		return nil, err
 	}
 	o.eng = eng
 	eng.logRetired = true
 	eng.foldSlot = cfg.OnSlot
-	o.ended = make([]bool, len(initial))
 	o.owned = make([]bool, len(initial))
-	o.serials = make([]uint64, len(initial))
-	for i := range o.serials {
-		o.lastSer++
-		o.serials[i] = o.lastSer
-	}
+	o.lastSer = uint64(len(initial))
 	o.stats.Admitted = len(initial)
 	o.stats.InService = len(initial)
 	o.stats.DemandKBps = demand
@@ -364,6 +360,7 @@ func (o *OpenSim) Admit(sess *workload.Session) (int, error) {
 	if start < s.nextSlot {
 		start = s.nextSlot
 	}
+	o.ownSerials()
 	// Clone into a pooled session (recycled at fold) so sustained churn
 	// admits without allocating; the caller keeps ownership of sess.
 	var clone *workload.Session
@@ -442,7 +439,6 @@ func (o *OpenSim) reuseSlot(idx int, sess *workload.Session) {
 	o.initBuffer(idx, sess)
 	s.curRes.Users[idx] = UserTotals{CompletionSlot: -1}
 	s.alloc[idx] = 0
-	o.ended[idx] = false
 	if s.abrCtls != nil {
 		// Recycle the slot's controller: Reset returns it to NewController's
 		// state (the rung index is the only mutable field), so reuse is
@@ -465,7 +461,6 @@ func (o *OpenSim) appendSlot(sess *workload.Session) error {
 	o.initBuffer(idx, sess)
 	s.alloc = append(s.alloc, 0)
 	s.curRes.Users = append(s.curRes.Users, UserTotals{CompletionSlot: -1})
-	o.ended = append(o.ended, false)
 	c := &s.cols
 	c.Active = append(c.Active, false)
 	c.BufferSec = append(c.BufferSec, 0)
@@ -540,10 +535,27 @@ func (o *OpenSim) insertPending(idx, start int) {
 // calls must compare serials before acting on it — the session it meant
 // may have completed and the slot may now host a different one.
 func (o *OpenSim) Serial(id int) (uint64, bool) {
-	if id < 0 || id >= len(o.serials) || o.ended[id] || o.eng.sessions[id] == nil {
+	if id < 0 || id >= len(o.eng.sessions) || o.eng.sessions[id] == nil {
 		return 0, false
 	}
-	return o.serials[id], true
+	return o.serial(id), true
+}
+
+func (o *OpenSim) serial(id int) uint64 {
+	if o.serials == nil {
+		return uint64(id) + 1
+	}
+	return o.serials[id]
+}
+
+// ownSerials stores the serials before an admission or compaction moves one.
+func (o *OpenSim) ownSerials() {
+	if o.serials == nil {
+		o.serials = make([]uint64, len(o.eng.sessions))
+		for i := range o.serials {
+			o.serials[i] = uint64(i) + 1
+		}
+	}
 }
 
 // DepartSerial departs the session with admission serial ser if it is
@@ -574,9 +586,9 @@ func (o *OpenSim) slotOf(id int, ser uint64) (int, bool) {
 		return id, true
 	}
 	if o.bySerial == nil {
-		o.bySerial = make(map[uint64]int, o.adm.MaxSessions+len(o.serials))
-		for i, s := range o.serials {
-			if _, ok := o.Serial(i); ok {
+		o.bySerial = make(map[uint64]int, o.adm.MaxSessions+len(o.eng.sessions))
+		for i := range o.eng.sessions {
+			if s, ok := o.Serial(i); ok {
 				o.bySerial[s] = i
 			}
 		}
@@ -594,7 +606,7 @@ func (o *OpenSim) depart(id int) error {
 		return fmt.Errorf("cell: depart before Start")
 	}
 	s := o.eng
-	if id < 0 || id >= len(s.users) || o.ended[id] || s.sessions[id] == nil {
+	if id < 0 || id >= len(s.users) || s.sessions[id] == nil {
 		return fmt.Errorf("cell: depart of unknown or ended session %d", id)
 	}
 	u := &s.users[id]
@@ -652,8 +664,7 @@ func (o *OpenSim) fold(id int, completed bool) {
 	}
 	o.stats.InService--
 	o.stats.DemandKBps -= s.sessions[id].BaseRate
-	o.ended[id] = true
-	delete(o.bySerial, o.serials[id])
+	delete(o.bySerial, o.serial(id))
 	if o.owned[id] {
 		// Engine-owned clone (mid-run admission): recycle it so the next
 		// Admit reuses the storage instead of allocating.
@@ -690,7 +701,7 @@ func (o *OpenSim) reap() {
 	// several such runs.
 	slices.Sort(s.retiredLog)
 	for _, i := range s.retiredLog {
-		if !o.ended[i] && s.sessions[i] != nil {
+		if s.sessions[i] != nil {
 			o.fold(i, true)
 			o.freed = append(o.freed, i)
 		}
@@ -766,7 +777,7 @@ func (o *OpenSim) Finish() *Result {
 	o.Stop()
 	s := o.eng
 	for i := range s.users {
-		if !o.ended[i] && s.sessions[i] != nil {
+		if s.sessions[i] != nil {
 			o.fold(i, s.users[i].buf.PlaybackComplete())
 		}
 	}
@@ -805,6 +816,7 @@ func (o *OpenSim) maybeCompact() {
 // fills over the dense identity row set.
 func (o *OpenSim) compact() {
 	s := o.eng
+	o.ownSerials()
 	o.compactPending()
 	if cap(o.remap) < len(s.users) {
 		o.remap = make([]int, len(s.users))
@@ -825,7 +837,6 @@ func (o *OpenSim) compact() {
 			s.users[w] = s.users[i]
 			s.alloc[w] = s.alloc[i]
 			s.curRes.Users[w] = s.curRes.Users[i]
-			o.ended[w] = o.ended[i]
 			o.serials[w] = o.serials[i]
 			o.owned[w] = o.owned[i]
 			c.Active[w] = c.Active[i]
@@ -856,7 +867,6 @@ func (o *OpenSim) compact() {
 	s.users = s.users[:w]
 	s.alloc = s.alloc[:w]
 	s.curRes.Users = s.curRes.Users[:w]
-	o.ended = o.ended[:w]
 	o.serials = o.serials[:w]
 	o.owned = o.owned[:w]
 	c.Active = c.Active[:w]

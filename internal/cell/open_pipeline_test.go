@@ -285,13 +285,13 @@ func TestOpenNoWaitBoundedSharedTrace(t *testing.T) {
 		initial[0].Signal = gatedTrace{initial[0].Signal, gate}
 		// A memoizing template nobody has read yet: the first Admit has to
 		// grow its memo.
-		sine, err := signal.NewSine(signal.SineConfig{
-			Bounds: signal.DefaultBounds, PeriodSlots: 40, NoiseStdDBm: 5,
+		walk, err := signal.NewRandomWalk(signal.RandomWalkConfig{
+			Bounds: signal.DefaultBounds, Start: -70, StepStd: 5,
 		}, rng.New(99))
 		if err != nil {
 			t.Fatal(err)
 		}
-		tmpl := &workload.Session{Size: 2600, BaseRate: 330, Signal: sine}
+		tmpl := &workload.Session{Size: 2600, BaseRate: 330, Signal: walk}
 		cfg := tinyConfig()
 		cfg.RunFullHorizon = true
 		cfg.MaxSlots = horizon

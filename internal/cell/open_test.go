@@ -90,6 +90,35 @@ func TestOpenClosedEquivalence(t *testing.T) {
 	}
 }
 
+// TestOpenLeavesInitialSessionsIntact: an open run folds every session it
+// finishes, and the caller's slice of initial sessions comes out as it
+// went in — reusable for a closed run of the same population, which reads
+// every entry.
+func TestOpenLeavesInitialSessionsIntact(t *testing.T) {
+	cfg := tinyConfig()
+	initial := openSessions(6)
+	o, err := NewOpen(OpenConfig{Cell: cfg, MaxSessions: 6}, initial, sched.NewDefault())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runOpen(t, o, cfg.MaxSlots)
+	if st := o.Stats(); st.Completed != 6 {
+		t.Fatalf("stats after full run: %+v", st)
+	}
+	for i, sess := range initial {
+		if sess == nil {
+			t.Fatalf("the open run cleared initial[%d]", i)
+		}
+	}
+	closed, err := New(cfg, initial, sched.NewDefault())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := closed.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // The open tile must be an invisible optimization: every slot's view of
 // a run with mid-run churn matches the model's interfaces (analyticView),
 // and the run on 16-slot blocks equals the one on default blocks byte for
@@ -479,12 +508,12 @@ func TestOpenUnboundedRejectsUnboundedMemory(t *testing.T) {
 	cfg.RunFullHorizon = true
 
 	// Memoizing signal traces grow with the horizon.
-	sine, err := signal.NewSine(signal.SineConfig{Bounds: signal.DefaultBounds, PeriodSlots: 600}, rng.New(1))
+	walk, err := signal.NewRandomWalk(signal.RandomWalkConfig{Bounds: signal.DefaultBounds, Start: -80, StepStd: 3}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ss := openSessions(1)
-	ss[0].Signal = sine
+	ss[0].Signal = walk
 	if _, err := NewOpen(OpenConfig{Cell: cfg, Unbounded: true, MaxSessions: 8}, ss, sched.NewDefault()); err == nil {
 		t.Fatal("memoizing trace accepted in unbounded mode")
 	}

@@ -312,11 +312,11 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestSiteTraceFillMatchesAt: the site-shifted trace's Fill is its At, bit
-// for bit, with and without shadowing, over a memoizing base (whose Fill
-// is a memo copy), a stateless base and a base with no Filler at all.
+// for bit, with and without shadowing, over a memoizing base with no
+// Filler (its At is a memo read), a stateless base and a constant.
 func TestSiteTraceFillMatchesAt(t *testing.T) {
 	sine := workload.PaperDefaults(1).Signal
-	memo, err := signal.NewSine(sine, rng.New(5))
+	memo, err := signal.NewRandomWalk(signal.RandomWalkConfig{Bounds: signal.DefaultBounds, Start: -80, StepStd: 5}, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -295,12 +295,11 @@ func (r *Runner) workloadFor(sc scenario) (*sharedWorkload, error) {
 	return r.workloads.get(sc.workloadKey(), func() (*sharedWorkload, error) { return r.buildWorkload(sc) })
 }
 
-// buildWorkload generates and link-compiles one scenario workload. After
-// it returns the sessions are safe to share across concurrent simulators:
-// through the table, which extends their memos under its own lock as runs
-// reach new slots, or, above cell.DefaultLinkTableMaxRows rows, because
-// their memos already cover the full horizon, so the sliding link window
-// each run keeps only reads them.
+// buildWorkload generates and link-compiles one scenario workload, whose
+// sessions concurrent simulators share: the table samples them. Above
+// cell.DefaultLinkTableMaxRows rows each run samples them in its own link
+// window, so the one memo left, VBR rate draws, is drawn to the horizon
+// here, where no run reads it yet.
 func (r *Runner) buildWorkload(sc scenario) (*sharedWorkload, error) {
 	wl, err := workload.Generate(r.workload(sc), rng.New(r.opts.Seed))
 	if err != nil {
@@ -313,9 +312,6 @@ func (r *Runner) buildWorkload(sc scenario) (*sharedWorkload, error) {
 		}
 		return sw, nil
 	}
-	// cell.New re-Prewarms the shared sessions of every concurrent run,
-	// which is only a safe (read-only) no-op once the memos span the
-	// horizon.
 	workload.PrewarmAll(r.opts.Cell.Workers, wl, r.opts.Cell.MaxSlots)
 	return sw, nil
 }

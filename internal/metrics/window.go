@@ -11,7 +11,7 @@ import (
 // Rotate freezes it and recycles the oldest window's storage for the
 // next one. Count/Quantile answer over every retained window, so an
 // open-system run can report "p99 rebuffering over the last K windows"
-// without ever finalizing the run — exactly the ROADMAP item-2 shape.
+// without ever finalizing the run.
 //
 // All windows are created with the same (bins, width) parameters, so
 // their widths stay power-of-two multiples of each other and Merge can

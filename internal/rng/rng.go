@@ -61,13 +61,7 @@ func (s *Source) Float64() float64 {
 // golden-ratio increment before mixing so (a,b,c) permutations and
 // nearby coordinates decorrelate.
 func Hash3(a, b, c uint64) uint64 {
-	return hashRest(mix(a+0x9E3779B97F4A7C15), b, c)
-}
-
-// hashRest folds Hash3's second and third words into its mixed first
-// word, for loops over b that mix a once.
-func hashRest(h, b, c uint64) uint64 {
-	h = mix(h ^ (b + 0x9E3779B97F4A7C15))
+	h := mix(mix(a+0x9E3779B97F4A7C15) ^ (b + 0x9E3779B97F4A7C15))
 	return mix(h ^ (c + 0x9E3779B97F4A7C15))
 }
 

@@ -33,18 +33,19 @@ const (
 
 // Norms stores NormWord(Hash3(a, from+k, c)) in dst[k] for every k: a run
 // of one coordinate-addressed noise stream, once per user-slot of every
-// link-window fill, so a is mixed in once and NormWord's common case is
-// repeated inline in the loop.
+// link-window fill, so a is mixed in and Hash3's increments are added
+// once, and NormWord's common case is repeated inline in the loop.
 func Norms[F ~float64](dst []F, a, from, c uint64) {
 	h := mix(a + 0x9E3779B97F4A7C15)
+	b, c := from+0x9E3779B97F4A7C15, c+0x9E3779B97F4A7C15
 	for k := range dst {
-		w := hashRest(h, from+uint64(k), c)
+		w := mix(mix(h^(b+uint64(k))) ^ c)
 		i, j, mag := zigSplit(w)
-		if mag < zigKn[i] {
-			dst[k] = F(float64(j) * zigWn[i])
-		} else {
-			dst[k] = F(NormWord(w))
+		x := float64(j) * zigWn[i]
+		if mag >= zigKn[i] {
+			x = NormWord(w)
 		}
+		dst[k] = F(x)
 	}
 }
 

@@ -33,8 +33,8 @@ type PredictiveConfig struct {
 	SafetySec units.Seconds
 }
 
-// Predictive is the lookahead-K scheduler (ROADMAP item 3; cf.
-// Abou-zeid et al., predictive green streaming): where every baseline in
+// Predictive is the lookahead-K scheduler (cf. Abou-zeid et al.,
+// predictive green streaming): where every baseline in
 // this package prices only the current slot, Predictive reads a K-slot
 // window of future link prices from a Forecast and shifts each user's
 // transmission toward the cheapest visible slot.

@@ -5,12 +5,11 @@ import (
 	"strings"
 	"testing"
 
-	"jointstream/internal/rng"
 	"jointstream/internal/units"
 )
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	tr, err := NewSine(SineConfig{Bounds: DefaultBounds, PeriodSlots: 50, NoiseStdDBm: 10}, rng.New(5))
+	tr, err := NewStatelessSine(SineConfig{Bounds: DefaultBounds, PeriodSlots: 50, NoiseStdDBm: 10}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package signal
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -27,22 +28,22 @@ func fillTraces(t *testing.T, seed uint64) map[string]Trace {
 	quiet.NoiseStdDBm = 0
 	short := cfg
 	short.PeriodSlots = 24 // the windows below wrap it a dozen times over
-	warm := must(NewSine(cfg, rng.New(seed)))
+	walk := RandomWalkConfig{Bounds: DefaultBounds, Start: -80, StepStd: 10}
+	warm := must(NewRandomWalk(walk, rng.New(seed)))
 	warm.(Prewarmer).Prewarm(100) // windows below straddle the memo's end
 	replay := make([]units.DBm, 50)
 	for i := range replay {
 		replay[i] = units.DBm(-110 + i)
 	}
 	return map[string]Trace{
-		"sine":            must(NewSine(cfg, rng.New(seed))),
-		"sine-prewarmed":  warm,
-		"stateless":       must(NewStatelessSine(cfg, seed)),
-		"stateless-quiet": must(NewStatelessSine(quiet, seed)),
-		"stateless-short": must(NewStatelessSine(short, seed)),
-		"randomwalk":      must(NewRandomWalk(RandomWalkConfig{Bounds: DefaultBounds, Start: -80, StepStd: 10}, rng.New(seed))),
-		"gilbert-elliott": must(NewGilbertElliott(GilbertElliottConfig{Bounds: DefaultBounds, Good: -60, Bad: -100, PGoodToBad: 0.2, PBadToGood: 0.2, JitterStd: 15}, rng.New(seed))),
-		"constant":        Constant(-72, DefaultBounds),
-		"slice":           must(FromSlice(replay)),
+		"stateless":            must(NewStatelessSine(cfg, seed)),
+		"stateless-quiet":      must(NewStatelessSine(quiet, seed)),
+		"stateless-short":      must(NewStatelessSine(short, seed)),
+		"randomwalk":           must(NewRandomWalk(walk, rng.New(seed))),
+		"randomwalk-prewarmed": warm,
+		"gilbert-elliott":      must(NewGilbertElliott(GilbertElliottConfig{Bounds: DefaultBounds, Good: -60, Bad: -100, PGoodToBad: 0.2, PBadToGood: 0.2, JitterStd: 15}, rng.New(seed))),
+		"constant":             Constant(-72, DefaultBounds),
+		"slice":                must(FromSlice(replay)),
 	}
 }
 
@@ -65,42 +66,66 @@ func TestFillMatchesAt(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range []string{"sine", "sine-prewarmed", "stateless", "stateless-quiet", "stateless-short"} {
+	for _, name := range []string{"stateless", "stateless-quiet", "stateless-short"} {
 		if _, ok := filled[name].(Filler); !ok {
 			t.Errorf("%s does not implement Filler", name)
 		}
 	}
 }
 
-// TestSineFillGrowsNoMemoAtWouldNot: the open tile's bounded mode never
+// TestMemoFillGrowsNoMemoAtWouldNot: the open tile's bounded mode never
 // fills past the horizon because growing a memo from two goroutines would
 // race; that argument needs Fill to touch exactly the state At touches —
-// the same memo growth as the At calls it stands for, none at all inside
-// the prewarmed prefix, and to exactly from+len past it.
-func TestSineFillGrowsNoMemoAtWouldNot(t *testing.T) {
-	cfg := SineConfig{Bounds: DefaultBounds, PeriodSlots: 600, NoiseStdDBm: 30}
-	for _, w := range []struct{ prewarm, from, n int }{
-		{100, 0, 64}, {100, 36, 64}, {100, 90, 30}, {100, 100, 5}, {0, 10, 7}, {100, 40, 0}, {100, 140, 0},
-	} {
-		a, _ := NewSine(cfg, rng.New(4))
-		b, _ := NewSine(cfg, rng.New(4))
-		fill, at := a.(*sineTrace), b.(*sineTrace)
-		fill.Prewarm(w.prewarm)
-		at.Prewarm(w.prewarm)
-		fill.Fill(make([]units.DBm, w.n), w.from)
-		for k := 0; k < w.n; k++ {
-			at.At(w.from + k)
+// the same memo growth and source draws as the At calls it stands for,
+// none at all inside the prewarmed prefix, and to exactly from+len past
+// it — for each memoizing trace.
+func TestMemoFillGrowsNoMemoAtWouldNot(t *testing.T) {
+	walk := func() Trace {
+		tr, _ := NewRandomWalk(RandomWalkConfig{Bounds: DefaultBounds, Start: -80, StepStd: 10}, rng.New(4))
+		return tr
+	}
+	ge := func() Trace {
+		tr, _ := NewGilbertElliott(GilbertElliottConfig{Bounds: DefaultBounds, Good: -60, Bad: -100,
+			PGoodToBad: 0.2, PBadToGood: 0.2, JitterStd: 15}, rng.New(4))
+		return tr
+	}
+	// state is what a trace's At can change: the memo's length and every
+	// source it draws from.
+	state := func(tr Trace) (int, []rng.Source) {
+		switch m := tr.(type) {
+		case *randomWalkTrace:
+			return len(m.vals), []rng.Source{*m.src}
+		case *gilbertElliottTrace:
+			return len(m.vals), []rng.Source{*m.chain, *m.jitter}
 		}
-		if len(fill.vals) != len(at.vals) || *fill.src != *at.src {
-			t.Errorf("%+v: Fill left the memo at %d and the source at %+v, At at %d and %+v", w,
-				len(fill.vals), *fill.src, len(at.vals), *at.src)
-		}
-		want := w.prewarm
-		if w.n > 0 && w.from+w.n > w.prewarm {
-			want = w.from + w.n
-		}
-		if len(fill.vals) != want {
-			t.Errorf("%+v: Fill left the memo at %d slots, want %d", w, len(fill.vals), want)
+		t.Fatalf("%T is not a memoizing trace", tr)
+		return 0, nil
+	}
+	for name, build := range map[string]func() Trace{"randomwalk": walk, "gilbert-elliott": ge} {
+		for _, w := range []struct{ prewarm, from, n int }{
+			{100, 0, 64}, {100, 36, 64}, {100, 90, 30}, {100, 100, 5}, {0, 10, 7}, {100, 40, 0}, {100, 140, 0},
+		} {
+			fill, at := build(), build()
+			fill.(Prewarmer).Prewarm(w.prewarm)
+			at.(Prewarmer).Prewarm(w.prewarm)
+			before, _ := state(fill)
+			Fill(fill, make([]units.DBm, w.n), w.from)
+			for k := 0; k < w.n; k++ {
+				at.At(w.from + k)
+			}
+			fillLen, fillSrc := state(fill)
+			atLen, atSrc := state(at)
+			if fillLen != atLen || !reflect.DeepEqual(fillSrc, atSrc) {
+				t.Errorf("%s %+v: Fill left the memo at %d and the sources at %+v, At at %d and %+v", name, w,
+					fillLen, fillSrc, atLen, atSrc)
+			}
+			want := before
+			if w.n > 0 && w.from+w.n > before {
+				want = w.from + w.n
+			}
+			if fillLen != want {
+				t.Errorf("%s %+v: Fill left the memo at %d slots, want %d", name, w, fillLen, want)
+			}
 		}
 	}
 }
@@ -135,20 +160,20 @@ func TestPrewarmedTracesShareReadOnly(t *testing.T) {
 	}
 }
 
-// TestSinePrewarmOneAllocation: prewarming a fresh trace is one allocation
-// of one 8-byte value per slot — there is no second memo beside it — and
-// prewarming again is free.
-func TestSinePrewarmOneAllocation(t *testing.T) {
+// TestPrewarmOneAllocation: prewarming a fresh memoizing trace is one
+// allocation of one 8-byte value per slot — there is no second memo beside
+// it — and prewarming again is free.
+func TestPrewarmOneAllocation(t *testing.T) {
 	const slots = 256
-	cfg := SineConfig{Bounds: DefaultBounds, PeriodSlots: 600, NoiseStdDBm: 30}
+	cfg := RandomWalkConfig{Bounds: DefaultBounds, Start: -80, StepStd: 10}
 	src := rng.New(4)
-	var tr *sineTrace
+	var tr *randomWalkTrace
 	fresh := func() {
-		made, err := NewSine(cfg, src)
+		made, err := NewRandomWalk(cfg, src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr = made.(*sineTrace)
+		tr = made.(*randomWalkTrace)
 	}
 	const runs = 50
 	build := testing.AllocsPerRun(runs, fresh)

@@ -3,19 +3,19 @@
 //
 // The paper (§VI) drives its evaluation with a sine-shaped signal in
 // [−110, −50] dBm plus 30 dBm white Gaussian noise, with a distinct phase
-// shift per user. That model is implemented by Sine; additional generators
-// (random walk, Gilbert–Elliott two-state Markov, constant, and replayed
-// slices) are provided so that the algorithms can be exercised under
-// qualitatively different channel dynamics.
+// shift per user. That model is NewStatelessSine, a pure function of
+// (seed, slot); additional generators (random walk, Gilbert–Elliott
+// two-state Markov, constant, and replayed slices) are provided so that
+// the algorithms can be exercised under qualitatively different channel
+// dynamics.
 //
-// All generators are deterministic functions of their configuration and an
-// explicit rng.Source, and all clamp their output to a configured dBm
-// range, mirroring the bounded RSSI values a modem reports.
+// All generators are deterministic functions of their configuration and
+// a seed or an explicit rng.Source, and all clamp their output to a
+// configured dBm range, mirroring the bounded RSSI values a modem reports.
 package signal
 
 import (
 	"fmt"
-	"math"
 
 	"jointstream/internal/rng"
 	"jointstream/internal/units"
@@ -30,25 +30,19 @@ type Trace interface {
 	At(n int) units.DBm
 }
 
-// Prewarmer is implemented by traces that memoize their stochastic
-// sequence lazily. Prewarm(slots) extends the memo to cover slots
-// [0, slots) with a single exactly-sized allocation, so hot callers (the
-// simulator's per-slot loop) never pay the append-doubling churn of
-// growing the memo one slot at a time. Prewarming never changes the
-// values a trace returns — the sequence is generated in the same slot
-// order either way — and once the memo covers a prefix, At, Fill and
-// Prewarm inside it write nothing: simulators sharing prewarmed sessions
-// read them concurrently.
+// Prewarmer is implemented by the traces that memoize their sequence
+// lazily, the Markov chains. Prewarm(slots) extends the memo over slots
+// [0, slots) with one exactly-sized allocation; it never changes a value,
+// and inside the memo At and Prewarm write nothing, so simulators sharing
+// prewarmed sessions read them concurrently.
 type Prewarmer interface {
 	Prewarm(slots int)
 }
 
 // Filler is implemented by traces that can produce a run of consecutive
 // slots in one call. Fill(dst, from) stores At(from+k) in dst[k] for
-// every k, bit for bit, and leaves the trace in the state those At calls
-// would: a memoizing trace grows its memo no further than
-// At(from+len(dst)-1) does. The link-window fill calls it once per user
-// per window in place of one interface dispatch per user-slot.
+// every k, bit for bit. The link-window fill calls it once per user per
+// window in place of one interface dispatch per user-slot.
 type Filler interface {
 	Fill(dst []units.DBm, from int)
 }
@@ -111,76 +105,6 @@ type SineConfig struct {
 	// ~99.7% of deviations stay within the stated intensity. Callers can
 	// set any value, including 0 for a pure sine.
 	NoiseStdDBm float64
-}
-
-// sineTrace is the paper's channel model: a clamped sine sweep across the
-// dBm range with additive white Gaussian noise. Like every memoizing trace
-// of this package it holds one memo of finished values, grown in slot
-// order by extend — one src.Norm per slot, whoever asks and in whatever
-// order — so At is a pure function of the slot, and At or Fill inside the
-// memo is a read that touches nothing else.
-type sineTrace struct {
-	cfg  SineConfig
-	src  *rng.Source
-	vals []units.DBm
-}
-
-// NewSine builds the sine channel model. An independent child of src seeds
-// the trace's noise stream, so multiple traces built from one parent source
-// have decorrelated noise.
-func NewSine(cfg SineConfig, src *rng.Source) (Trace, error) {
-	if err := cfg.Bounds.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.PeriodSlots <= 0 {
-		return nil, fmt.Errorf("signal: sine period must be positive, got %d", cfg.PeriodSlots)
-	}
-	if cfg.NoiseStdDBm < 0 {
-		return nil, fmt.Errorf("signal: negative noise stddev %v", cfg.NoiseStdDBm)
-	}
-	return &sineTrace{cfg: cfg, src: src.Split()}, nil
-}
-
-func (t *sineTrace) At(n int) units.DBm {
-	checkSlot(n)
-	if n >= len(t.vals) {
-		t.extend(n + 1)
-	}
-	return t.vals[n]
-}
-
-// Fill implements Filler: a copy out of the memo, extended first exactly
-// as far as At(from+len(dst)-1) would extend it.
-func (t *sineTrace) Fill(dst []units.DBm, from int) {
-	checkSlot(from)
-	if len(dst) == 0 {
-		return
-	}
-	if end := from + len(dst); end > len(t.vals) {
-		t.extend(end)
-	}
-	copy(dst, t.vals[from:])
-}
-
-// Prewarm implements Prewarmer.
-func (t *sineTrace) Prewarm(slots int) {
-	if slots > len(t.vals) {
-		t.vals = reserve(t.vals, slots)
-		t.extend(slots)
-	}
-}
-
-// extend appends slots [len(vals), n) to the memo. The two float
-// expressions are the model's bit-locked definition — the figures'
-// baseline and TestMemoizedStreamsGolden pin every bit of them.
-func (t *sineTrace) extend(n int) {
-	b := t.cfg.Bounds
-	mid, amp := float64(b.mid()), b.amplitude()
-	period, phase, sigma := float64(t.cfg.PeriodSlots), t.cfg.Phase, t.cfg.NoiseStdDBm
-	for i := len(t.vals); i < n; i++ {
-		base := mid + amp*math.Sin(2*math.Pi*float64(i)/period+phase)
-		t.vals = append(t.vals, b.clamp(base+sigma*t.src.Norm()))
-	}
 }
 
 // checkSlot panics on a negative slot, a caller's bug.

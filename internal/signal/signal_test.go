@@ -11,9 +11,9 @@ import (
 
 func mustSine(t *testing.T, cfg SineConfig, seed uint64) Trace {
 	t.Helper()
-	tr, err := NewSine(cfg, rng.New(seed))
+	tr, err := NewStatelessSine(cfg, seed)
 	if err != nil {
-		t.Fatalf("NewSine: %v", err)
+		t.Fatalf("NewStatelessSine: %v", err)
 	}
 	return tr
 }
@@ -73,30 +73,46 @@ func TestSineRepeatable(t *testing.T) {
 	}
 }
 
+// TestSineSeedsDecorrelated: two seeds' samples match only where both are
+// clamped to the same bound, which makes them equal whatever their noise,
+// and that happens about as often as the model clamps both: at slot n,
+// P(lower)² + P(upper)² with P the normal tail beyond the bound from the
+// sine's value. Every slot is checked.
 func TestSineSeedsDecorrelated(t *testing.T) {
 	cfg := SineConfig{Bounds: DefaultBounds, PeriodSlots: 600, NoiseStdDBm: 10}
 	a := mustSine(t, cfg, 1)
 	b := mustSine(t, cfg, 2)
-	same := 0
+	b0 := cfg.Bounds
+	same, clamped, want := 0, 0, 0.0
 	for n := 0; n < 100; n++ {
-		if a.At(n) == b.At(n) {
+		s := float64(b0.mid()) + b0.amplitude()*math.Sin(2*math.Pi*float64(n)/float64(cfg.PeriodSlots))
+		lo := 0.5 * math.Erfc((s-float64(b0.Min))/(cfg.NoiseStdDBm*math.Sqrt2))
+		hi := 0.5 * math.Erfc((float64(b0.Max)-s)/(cfg.NoiseStdDBm*math.Sqrt2))
+		want += lo*lo + hi*hi
+		if va, vb := a.At(n), b.At(n); va == vb {
 			same++
+			if va == b0.Min || va == b0.Max {
+				clamped++
+			}
 		}
 	}
-	if same > 5 {
-		t.Errorf("differently seeded noisy traces matched on %d/100 slots", same)
+	if same != clamped {
+		t.Errorf("differently seeded noisy traces matched on %d/100 slots, %d of them inside the bounds", same, same-clamped)
+	}
+	// A sum of independent Bernoulli draws: mean want, variance under it.
+	if limit := want + 3*math.Sqrt(want) + 1; float64(clamped) > limit {
+		t.Errorf("both traces clamped to one bound on %d/100 slots, the model expects %.2f (at most %.1f)", clamped, want, limit)
 	}
 }
 
 func TestSineValidation(t *testing.T) {
-	src := rng.New(1)
-	if _, err := NewSine(SineConfig{Bounds: Bounds{Min: -50, Max: -110}, PeriodSlots: 10}, src); err == nil {
+	if _, err := NewStatelessSine(SineConfig{Bounds: Bounds{Min: -50, Max: -110}, PeriodSlots: 10}, 1); err == nil {
 		t.Error("inverted bounds accepted")
 	}
-	if _, err := NewSine(SineConfig{Bounds: DefaultBounds, PeriodSlots: 0}, src); err == nil {
+	if _, err := NewStatelessSine(SineConfig{Bounds: DefaultBounds, PeriodSlots: 0}, 1); err == nil {
 		t.Error("zero period accepted")
 	}
-	if _, err := NewSine(SineConfig{Bounds: DefaultBounds, PeriodSlots: 10, NoiseStdDBm: -1}, src); err == nil {
+	if _, err := NewStatelessSine(SineConfig{Bounds: DefaultBounds, PeriodSlots: 10, NoiseStdDBm: -1}, 1); err == nil {
 		t.Error("negative noise accepted")
 	}
 }
@@ -268,10 +284,10 @@ func TestBoundsHelpers(t *testing.T) {
 func TestAllTracesBoundedProperty(t *testing.T) {
 	f := func(seed uint64, phase uint8) bool {
 		src := rng.New(seed)
-		sine, err := NewSine(SineConfig{
+		sine, err := NewStatelessSine(SineConfig{
 			Bounds: DefaultBounds, PeriodSlots: 300,
 			Phase: float64(phase), NoiseStdDBm: 30,
-		}, src)
+		}, src.Uint64())
 		if err != nil {
 			return false
 		}

@@ -11,19 +11,16 @@ import (
 	"jointstream/internal/units"
 )
 
-// This file implements the memoless variant of the paper's sine channel.
-// The memoizing sineTrace is the right default for figure-scale runs: a
-// prewarmed memo turns every At into an array read. But the memo is
-// O(horizon) per user — at fleet scale (10⁶ users × 10⁴ slots) that is
-// tens of gigabytes of signal state before the simulator even starts, and
-// it is exactly the O(users × horizon) footprint the tiled link windows
-// exist to avoid. statelessSine trades the array read for a recompute:
-// a sample is a pure function of (config, seed, slot) with zero retained
-// state, so a million traces cost a million small structs, full stop.
+// This file implements the paper's sine channel. A sample is a pure
+// function of (config, seed, slot): a memo of samples would be O(horizon)
+// per user — tens of gigabytes at fleet scale (10⁶ users × 10⁴ slots), the
+// footprint the tiled link windows exist to avoid — so a million traces
+// cost a million small structs, and the link window computes each sample
+// as it fills.
 //
-// The recompute is a batch kernel, because a serving-mode run draws one
-// sample per user per slot and everything else it does is downstream of
-// that. Neither half of a sample calls into math per slot:
+// The computation is a batch kernel, because every run draws one sample
+// per user per slot and everything else it does is downstream of that.
+// Neither half of a sample calls into math per slot:
 //
 //   - The sine. The period is a whole number of slots, so the angle of
 //     slot n is that of m = n mod P, and with m = h·B + l, B ≈ √P,
@@ -54,20 +51,15 @@ const maxStatelessPeriod = 1 << 30
 // 48-byte allocation and no arithmetic. Everything derived (the phase's
 // sine and cosine, the period's tables) is recomputed or looked up per
 // call, where a window's worth of slots amortises it.
-//
-// The draws differ from the memoized sineTrace's sequential stream, so
-// the two models produce different (equally valid) noise realizations;
-// paper-figure workloads keep NewSine, fleet-scale workloads opt in via
-// workload.Config.StatelessSignal.
 type statelessSine struct {
 	cfg  SineConfig
 	seed uint64
 }
 
-// NewStatelessSine builds the memoless sine channel model. It validates
-// the same configuration NewSine does. The returned trace deliberately
-// does not implement Prewarmer: there is nothing to prewarm, which is
-// what keeps a fleet-scale workload's memory independent of the horizon.
+// NewStatelessSine builds the paper's sine channel model with its noise
+// keyed by seed. The returned trace deliberately does not implement
+// Prewarmer: there is nothing to prewarm, which is what keeps a
+// workload's memory independent of the horizon.
 func NewStatelessSine(cfg SineConfig, seed uint64) (Trace, error) {
 	if err := cfg.Bounds.validate(); err != nil {
 		return nil, err

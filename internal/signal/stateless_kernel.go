@@ -4,7 +4,7 @@ import "jointstream/internal/units"
 
 // The stateless sine's per-slot loop, in a file of its own because
 // scripts/bce_check.sh holds it to zero per-element bounds checks: a
-// check on lo would sit in the loop every serving-mode sample goes through.
+// check on lo would sit in the loop every sample goes through.
 
 // sineBlock is what the slots of one table block share: sin and cos of
 // θ_h + φ, and the trace's scale and bounds.
@@ -19,11 +19,13 @@ type sineBlock struct {
 // addition, plus the scaled noise, clamped. The clamp is min/max and not
 // compare-and-branch: at the paper's noise a fifth of the samples land on
 // either bound, at random, and the mispredicted branches cost more than
-// the rest of the loop together.
+// the rest of the loop together. The fields are copied to locals, as a
+// struct this wide is read from memory at each use.
 func (b sineBlock) fill(run []units.DBm, lo []sinCos) {
+	sin, cos, mid, amp, noise, lower, upper := b.sin, b.cos, b.mid, b.amp, b.noise, b.lower, b.upper
 	lo = lo[:len(run)]
 	for k, z := range run {
-		s := b.sin*lo[k].cos + b.cos*lo[k].sin
-		run[k] = units.DBm(min(max(b.mid+b.amp*s+b.noise*float64(z), b.lower), b.upper))
+		s := sin*lo[k].cos + cos*lo[k].sin
+		run[k] = units.DBm(min(max(mid+amp*s+noise*float64(z), lower), upper))
 	}
 }

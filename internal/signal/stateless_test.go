@@ -2,6 +2,7 @@ package signal
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"testing"
 	"unsafe"
@@ -356,5 +357,63 @@ func BenchmarkNewStatelessSine(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sinkTrace, _ = NewStatelessSine(cfg, uint64(i))
+	}
+}
+
+// refKernelSample is the kernel's definition, one slot at a time and
+// straight from the formulas: the deviate rng.NormWord(Hash3(seed, n,
+// salt)), the sine of slot m = n mod P = h·B + l by angle addition — sin
+// and cos of θ_h + φ from those of θ_h and φ, then of θ_l on top — and
+// the sample mid + amp·sin + σ·z clamped by Go's float min and max.
+func refKernelSample(cfg SineConfig, seed uint64, n int) units.DBm {
+	z := 0.0
+	if cfg.NoiseStdDBm > 0 {
+		z = rng.NormWord(rng.Hash3(seed, uint64(n), statelessSineSalt))
+	}
+	p := cfg.PeriodSlots
+	shift := uint(bits.Len(uint(p-1))+1) / 2
+	m := n % p
+	hs, hc := math.Sincos(2 * math.Pi * float64(m>>shift<<shift) / float64(p))
+	ls, lc := math.Sincos(2 * math.Pi * float64(m&(1<<shift-1)) / float64(p))
+	sinP, cosP := math.Sincos(cfg.Phase)
+	bs, bc := hs*cosP+hc*sinP, hc*cosP-hs*sinP
+	s := bs*lc + bc*ls
+	b := cfg.Bounds
+	return units.DBm(min(max(float64(b.mid())+b.amplitude()*s+cfg.NoiseStdDBm*z, float64(b.Min)), float64(b.Max)))
+}
+
+// TestStatelessFillMatchesReferenceKernel holds Fill to refKernelSample,
+// bit for bit, at random windows of configurations: bounds below zero
+// (the paper's), above it and across it, a bound at −0 or +0, noise from
+// none to so large that samples overflow, periods from one slot to ones
+// whose last block is short, and a phase that is not finite.
+func TestStatelessFillMatchesReferenceKernel(t *testing.T) {
+	negZero := units.DBm(math.Copysign(0, -1))
+	bounds := []Bounds{DefaultBounds, {Min: 0, Max: 60}, {Min: -30, Max: 30}, {Min: -20, Max: negZero},
+		{Min: negZero, Max: 0}, {Min: 5, Max: 5}, {Min: -1e308, Max: -1e307}}
+	noises := []float64{0, 3, 30, 1e306}
+	periods := []int{1, 2, 3, 24, 600, 1000, 4099}
+	phases := []float64{0, 0.7, -2.5, 1e6, math.Inf(1), math.NaN()}
+	src := rng.New(8)
+	for trial := 0; trial < 400; trial++ {
+		cfg := SineConfig{
+			Bounds:      bounds[src.Intn(len(bounds))],
+			PeriodSlots: periods[src.Intn(len(periods))],
+			Phase:       phases[src.Intn(len(phases))],
+			NoiseStdDBm: noises[src.Intn(len(noises))],
+		}
+		seed := src.Uint64()
+		tr, err := NewStatelessSine(cfg, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		from, n := src.Intn(5000), 1+src.Intn(150)
+		dst := make([]units.DBm, n)
+		Fill(tr, dst, from)
+		for k, got := range dst {
+			if want := refKernelSample(cfg, seed, from+k); math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+				t.Fatalf("%+v seed %d: Fill(from=%d)[%d] = %v, reference %v", cfg, seed, from, k, got, want)
+			}
+		}
 	}
 }

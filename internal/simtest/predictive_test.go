@@ -6,7 +6,6 @@ import (
 
 	"jointstream/internal/cell"
 	"jointstream/internal/oracle"
-	"jointstream/internal/rng"
 	"jointstream/internal/sched"
 	"jointstream/internal/signal"
 	"jointstream/internal/units"
@@ -148,11 +147,11 @@ func monotoneSessions(t *testing.T, users int) []*workload.Session {
 	t.Helper()
 	sessions := make([]*workload.Session, users)
 	for i := range sessions {
-		tr, err := signal.NewSine(signal.SineConfig{
+		tr, err := signal.NewStatelessSine(signal.SineConfig{
 			Bounds:      signal.DefaultBounds,
 			PeriodSlots: 40,
 			Phase:       1.3 * float64(i),
-		}, rng.New(1))
+		}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

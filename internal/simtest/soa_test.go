@@ -38,12 +38,12 @@ func traceSessionsSeed(t testing.TB, model string, users int, seed uint64) []*wo
 	mkTrace := func(i int) (signal.Trace, error) {
 		switch model {
 		case "sine+wgn":
-			return signal.NewSine(signal.SineConfig{
+			return signal.NewStatelessSine(signal.SineConfig{
 				Bounds:      signal.DefaultBounds,
 				PeriodSlots: 120,
 				Phase:       float64(i),
 				NoiseStdDBm: 10,
-			}, src)
+			}, src.Uint64())
 		case "randomwalk":
 			return signal.NewRandomWalk(signal.RandomWalkConfig{
 				Bounds:  signal.DefaultBounds,

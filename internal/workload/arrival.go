@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"jointstream/internal/rng"
+	"jointstream/internal/signal"
 	"jointstream/internal/units"
 )
 
@@ -102,15 +103,13 @@ type ChurnGen struct {
 
 // NewChurnGen validates the distribution parameters of c (Users is
 // ignored — the population is open) and returns a generator drawing from
-// src. Open-system engines with unbounded horizons need bounded per-user
-// memory, so StatelessSignal is forced on.
+// src.
 func NewChurnGen(c Config, src *rng.Source) (*ChurnGen, error) {
 	probe := c
 	probe.Users = 1
 	if err := probe.Validate(); err != nil {
 		return nil, err
 	}
-	c.StatelessSignal = true
 	return &ChurnGen{cfg: c, src: src}, nil
 }
 
@@ -122,7 +121,7 @@ func (g *ChurnGen) Next(id, startSlot int) (*Session, error) {
 	rate := units.KBps(g.src.Uniform(float64(c.RateMin), float64(c.RateMax)))
 	sigCfg := c.Signal
 	sigCfg.Phase = g.src.Uniform(0, 2*math.Pi)
-	tr, err := signalTrace(c, sigCfg, g.src)
+	tr, err := signal.NewStatelessSine(sigCfg, g.src.Uint64())
 	if err != nil {
 		return nil, fmt.Errorf("workload: churn user %d signal: %w", id, err)
 	}

@@ -28,13 +28,7 @@ func TestPoissonDefaultMatchesLegacyStaggering(t *testing.T) {
 	for i := 0; i < c.Users; i++ {
 		size := units.KB(src.Uniform(float64(c.SizeMin), float64(c.SizeMax)))
 		rate := units.KBps(src.Uniform(float64(c.RateMin), float64(c.RateMax)))
-		// signal trace consumes from the shared source; mirror via the
-		// same constructor the generator uses.
-		sigCfg := c.Signal
-		sigCfg.Phase = 0 // phase value irrelevant to draw consumption
-		if _, err := signalTrace(&c, sigCfg, src); err != nil {
-			t.Fatal(err)
-		}
+		src.Uint64() // the signal trace's seed
 		if i > 0 {
 			start += int(math.Ceil(src.Exp(1 / float64(c.MeanInterarrival))))
 		}

@@ -128,12 +128,12 @@ func (sp SignalSpec) trace() (signal.Trace, error) {
 		if period == 0 {
 			period = 600
 		}
-		return signal.NewSine(signal.SineConfig{
+		return signal.NewStatelessSine(signal.SineConfig{
 			Bounds:      signal.DefaultBounds,
 			PeriodSlots: period,
 			Phase:       sp.Phase,
 			NoiseStdDBm: sp.NoiseDB,
-		}, rngFor(sp.Seed))
+		}, rngFor(sp.Seed).Uint64())
 	case "walk":
 		step := sp.StepDB
 		if step == 0 {

@@ -57,12 +57,9 @@ func (s *Session) RateAt(n int) units.KBps {
 	return s.rates.at(n, s.BaseRate, s.RateJitter)
 }
 
-// Prewarm extends the session's lazily memoized stochastic sequences —
-// the signal trace's values and the VBR rate draws — to cover the first
-// `slots` slots with one exactly-sized allocation each. The
-// simulator calls it with its slot horizon so the per-slot loop never
-// grows a memo incrementally; the values produced are identical with or
-// without prewarming.
+// Prewarm extends the session's memos — a Markov signal trace's values,
+// the VBR rate draws — over the first `slots` slots with one exactly-sized
+// allocation each; the values are the same with or without it.
 func (s *Session) Prewarm(slots int) {
 	if p, ok := s.Signal.(signal.Prewarmer); ok {
 		p.Prewarm(slots)
@@ -73,13 +70,9 @@ func (s *Session) Prewarm(slots int) {
 }
 
 // PrewarmAll prewarms every session to the slot horizon, fanning the
-// sessions across at most `workers` goroutines; workers <= 0 means every
-// core, as in every Workers field of this module, and 1 prewarms serially.
-// The fan-out draws on the pool's worker budget, so under a parallel sweep
-// it degrades to the caller's goroutine. Each session owns its memos and
-// rng streams (Generate gives VBR sessions split, independent sources), so
-// the values produced are identical to a serial loop; the parallelism
-// matters at large N, where prewarming is most of set-up.
+// sessions across at most `workers` goroutines (<= 0: every core; 1:
+// serially), drawn from the pool's worker budget. Each session owns its
+// memos and rng streams, so the values are those of a serial loop.
 func PrewarmAll(workers int, sessions []*Session, slots int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -144,13 +137,8 @@ type Config struct {
 	// arrival process (Poisson/trace/burst — see ArrivalProcess). It is
 	// mutually exclusive with MeanInterarrival.
 	Arrivals ArrivalProcess
-	// StatelessSignal builds the per-user traces with
-	// signal.NewStatelessSine instead of the memoizing NewSine: each
-	// trace is a pure function of (seed, slot) holding no per-slot memo,
-	// so the workload's memory footprint is O(users) regardless of the
-	// slot horizon. Fleet-scale deployments (internal/deploy streaming
-	// runs) require this; the noise realization differs from the default
-	// memoized stream, so paper-figure workloads keep the default.
+	// StatelessSignal has no effect, kept for callers that set it: every
+	// trace is signal.NewStatelessSine, a pure function of (seed, slot).
 	StatelessSignal bool
 }
 
@@ -222,7 +210,7 @@ func Generate(c Config, src *rng.Source) ([]*Session, error) {
 		rate := units.KBps(src.Uniform(float64(c.RateMin), float64(c.RateMax)))
 		sigCfg := c.Signal
 		sigCfg.Phase = phaseOffset + 2*math.Pi*float64(i)/float64(c.Users)
-		tr, err := signalTrace(&c, sigCfg, src)
+		tr, err := signal.NewStatelessSine(sigCfg, src.Uint64())
 		if err != nil {
 			return nil, fmt.Errorf("workload: user %d signal: %w", i, err)
 		}
@@ -248,15 +236,4 @@ func Generate(c Config, src *rng.Source) ([]*Session, error) {
 		sessions[i] = s
 	}
 	return sessions, nil
-}
-
-// signalTrace builds one user's channel trace per the config's
-// StatelessSignal switch, consuming exactly one src draw stream either
-// way (a Uint64 seed for stateless traces, the shared source for
-// memoized ones).
-func signalTrace(c *Config, sigCfg signal.SineConfig, src *rng.Source) (signal.Trace, error) {
-	if c.StatelessSignal {
-		return signal.NewStatelessSine(sigCfg, src.Uint64())
-	}
-	return signal.NewSine(sigCfg, src)
 }

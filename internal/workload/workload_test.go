@@ -277,7 +277,8 @@ func (m meetingTrace) Prewarm(slots int) {
 // TestPrewarmAllZeroWorkersUsesAllCores: workers = 0 is every core, not
 // "inline" — given the default worker budget, GOMAXPROCS, of two or more,
 // more than one goroutine prewarms — and what it produces is what one
-// worker produces.
+// worker produces. Each session carries a memoizing random walk (the
+// paper's sine has nothing to prewarm) and VBR rate draws.
 func TestPrewarmAllZeroWorkersUsesAllCores(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs GOMAXPROCS >= 2")
@@ -289,6 +290,13 @@ func TestPrewarmAllZeroWorkersUsesAllCores(t *testing.T) {
 		wl, err := Generate(cfg, rng.New(5))
 		if err != nil {
 			t.Fatal(err)
+		}
+		for i, s := range wl {
+			if s.Signal, err = signal.NewRandomWalk(signal.RandomWalkConfig{
+				Bounds: signal.DefaultBounds, Start: -80, StepStd: 3,
+			}, rng.New(uint64(i))); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return wl
 	}
