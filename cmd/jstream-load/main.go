@@ -291,12 +291,12 @@ func loadTrace(o options) ([]time.Duration, error) {
 		return nil, err
 	}
 	defer f.Close()
-	tr, err := workload.ParseArrivalTrace(f, units.Seconds(0.001))
+	slots, err := workload.ParseArrivalTrace(f, units.Seconds(0.001))
 	if err != nil {
 		return nil, err
 	}
-	schedule := make([]time.Duration, len(tr.StartSlots))
-	for i, s := range tr.StartSlots {
+	schedule := make([]time.Duration, len(slots))
+	for i, s := range slots {
 		schedule[i] = time.Duration(s) * time.Millisecond
 	}
 	return schedule, nil

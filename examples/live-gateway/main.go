@@ -10,10 +10,11 @@ import (
 	"fmt"
 	"log"
 
-	"jointstream/internal/core"
 	"jointstream/internal/gateway"
 	"jointstream/internal/radio"
 	"jointstream/internal/rng"
+	"jointstream/internal/rrc"
+	"jointstream/internal/sched"
 	"jointstream/internal/signal"
 	"jointstream/internal/units"
 )
@@ -21,7 +22,7 @@ import (
 func main() {
 	// EM-mode scheduler with an explicit Lyapunov weight, embedded in a
 	// live pipeline instead of the simulator.
-	s, err := core.NewScheduler(core.Config{Mode: core.ModeEM, V: 0.2})
+	s, err := sched.ByName("ema", sched.Params{V: 0.2, RRC: rrc.Paper3G()})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,9 +8,7 @@
 //     folded into streaming aggregates and their slots compacted out for
 //     reuse instead of lingering retired;
 //   - an admission controller (Admission, the rule the gateway applies
-//     too): a cap on concurrent sessions plus an Eq.-1-style capacity
-//     headroom check (Σ required rates against a fraction of the base
-//     station's serving capacity S), rejecting with a typed
+//     too): a cap on concurrent sessions, rejecting with a typed
 //     *OverCapacityError instead of degrading everyone;
 //   - an unbounded horizon: the slot clock extends on demand and no
 //     per-slot series is kept, so memory is bounded by the session table,
@@ -59,7 +57,7 @@ type OverCapacityError struct {
 	// InService and MaxSessions describe the session-cap rejection.
 	InService, MaxSessions int
 	// DemandKBps and LimitKBps describe the headroom rejection: the
-	// would-be total required rate versus HeadroomFrac × Capacity.
+	// would-be total required rate versus the headroom.
 	DemandKBps, LimitKBps units.KBps
 }
 
@@ -75,7 +73,8 @@ func (e *OverCapacityError) Is(target error) bool { return target == ErrOverCapa
 
 // Admission is the one admission rule of both serving paths — OpenSim and
 // the gateway: a cap on concurrent sessions plus an Eq.-1-style headroom
-// check on the summed required rates. The zero value admits everyone.
+// check on the summed required rates, which only the gateway sets
+// (gateway.Config.AdmitHeadroomFrac). The zero value admits everyone.
 type Admission struct {
 	// MaxSessions caps in-service sessions; 0 means no cap.
 	MaxSessions int
@@ -127,11 +126,6 @@ type OpenConfig struct {
 	// controller's first check) and sizes the link window's rows; it must
 	// be positive.
 	MaxSessions int
-	// HeadroomFrac enables the Eq.-1-style admission check: a new session
-	// is rejected when the summed required rate of every in-service
-	// session plus its own would exceed HeadroomFrac × Cell.Capacity.
-	// 0 disables the check.
-	HeadroomFrac float64
 	// TileSlots is the length of one block of the engine's link window
 	// (linkwindow.go), whose blocks hold TileSlots slots × MaxSessions
 	// rows, computed a block ahead and aliased by the slot columns; 0
@@ -246,16 +240,13 @@ func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*O
 	if cfg.TileSlots < 0 {
 		return nil, fmt.Errorf("cell: negative open tile window %d", cfg.TileSlots)
 	}
-	if cfg.HeadroomFrac < 0 {
-		return nil, fmt.Errorf("cell: negative headroom fraction %v", cfg.HeadroomFrac)
-	}
 	if len(initial) == 0 && !cc.RunFullHorizon {
 		// With no sessions admitted the early exit would declare the run
 		// over on the first tick, before any arrival gets in.
 		return nil, fmt.Errorf("cell: an empty initial population requires RunFullHorizon")
 	}
 	o := &OpenSim{
-		adm:       NewAdmission(cfg.MaxSessions, cfg.HeadroomFrac, cc.Capacity),
+		adm:       NewAdmission(cfg.MaxSessions, 0, cc.Capacity),
 		unbounded: cfg.Unbounded,
 	}
 	o.rows, _ = s.(sched.RowState)

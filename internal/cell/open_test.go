@@ -206,23 +206,17 @@ func TestOpenSessionCap(t *testing.T) {
 	}
 }
 
+// TestOpenHeadroom: the admission rule's Eq.-1-style headroom check, which
+// the gateway's AdmitHeadroomFrac sets, refuses a newcomer whose rate would
+// push the in-service demand past the limit, with a typed error.
 func TestOpenHeadroom(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.RunFullHorizon = true
-	cfg.Capacity = 1000
-	ss := openSessions(2)
-	ss[0].BaseRate = 400
-	ss[1].BaseRate = 400
-	// Limit 0.5 × 1000 = 500 KB/s: the first session fits, the second
+	// Limit 0.5 × 1000 = 500 KB/s: one 400 KB/s session fits, a second
 	// would push demand to 800.
-	o, err := NewOpen(OpenConfig{Cell: cfg, MaxSessions: 8, HeadroomFrac: 0.5}, ss[:1], sched.NewDefault())
-	if err != nil {
+	adm := NewAdmission(8, 0.5, 1000)
+	if err := adm.Check(0, 0, 400); err != nil {
 		t.Fatal(err)
 	}
-	if err := o.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	_, err = o.Admit(ss[1])
+	err := adm.Check(1, 400, 400)
 	var oc *OverCapacityError
 	if !errors.As(err, &oc) || oc.Reason != "headroom" {
 		t.Fatalf("got %v, want headroom OverCapacityError", err)

@@ -5,17 +5,16 @@
 //
 //   - ModeRTM — Rebuffering Time Minimization: run RTMA to minimize
 //     average rebuffering while capping energy at Φ = Alpha × the measured
-//     Default-strategy energy (or an absolute Budget).
+//     Default-strategy energy.
 //   - ModeEM — Energy Minimization: run EMA to minimize energy while
 //     keeping average rebuffering within Ω = Beta × the measured
-//     Default-strategy rebuffering (or an absolute Omega), calibrating
-//     the Lyapunov weight V automatically unless one is given.
+//     Default-strategy rebuffering, calibrating the Lyapunov weight V
+//     automatically unless one is given.
 //
 // Run simulates the configured multi-user scenario and returns a Report
 // with the mode's result side by side with the Default reference run, so
-// callers immediately see the achieved trade-off. For driving a live
-// pipeline instead of a simulation, NewScheduler builds the same
-// algorithm for use with internal/gateway.
+// callers immediately see the achieved trade-off. A live pipeline
+// (internal/gateway) builds its algorithm with sched.ByName.
 package core
 
 import (
@@ -58,21 +57,16 @@ type Config struct {
 	Mode Mode
 
 	// Alpha scales the measured Default energy into RTMA's budget Φ
-	// (ModeRTM). Ignored when Budget is set. Defaults to 1.
+	// (ModeRTM). Defaults to 1.
 	Alpha float64
-	// Budget is an absolute per-user per-slot energy budget Φ in mJ
-	// (ModeRTM); when zero, Φ is derived from Alpha.
-	Budget units.MJ
 
 	// Beta scales the measured Default rebuffering into EMA's bound Ω
-	// (ModeEM). Ignored when Omega or V is set. Defaults to 1.
+	// (ModeEM). Ignored when V is set. Defaults to 1.
 	Beta float64
-	// Omega is an absolute average-rebuffering bound in seconds (ModeEM).
-	Omega units.Seconds
 	// V fixes the Lyapunov weight directly, skipping calibration (ModeEM).
 	V float64
 	// Adaptive switches ModeEM to the AdaptiveEMA scheduler, which tracks
-	// Omega online (multiplicative V adjustment) instead of requiring the
+	// Ω online (multiplicative V adjustment) instead of requiring the
 	// offline bisection; V and CalibrationSteps are then ignored.
 	Adaptive bool
 	// CalibrationSteps bounds the V bisection (default 8).
@@ -220,12 +214,9 @@ func Run(cfg Config) (*Report, error) {
 
 	switch cfg.Mode {
 	case ModeRTM:
-		budget := cfg.Budget
-		if budget == 0 {
-			budget, err = sched.BudgetForAlpha(ref.TransEnergyPerActiveSlot(), cfg.Alpha)
-			if err != nil {
-				return nil, err
-			}
+		budget, err := sched.BudgetForAlpha(ref.TransEnergyPerActiveSlot(), cfg.Alpha)
+		if err != nil {
+			return nil, err
 		}
 		rt, err := sched.NewRTMA(sched.RTMAConfig{
 			Budget: budget, Radio: cfg.Cell.Radio, RRC: cfg.Cell.RRC,
@@ -242,10 +233,7 @@ func Run(cfg Config) (*Report, error) {
 		rep.Threshold = rt.Threshold()
 
 	case ModeEM:
-		omega := cfg.Omega
-		if omega == 0 {
-			omega = units.Seconds(float64(ref.PC()) * cfg.Beta)
-		}
+		omega := units.Seconds(float64(ref.PC()) * cfg.Beta)
 		rep.Omega = omega
 		if cfg.Adaptive {
 			ae, err := sched.NewAdaptiveEMA(sched.AdaptiveEMAConfig{
@@ -300,25 +288,4 @@ func reduction(baseline, got float64) float64 {
 		return 0
 	}
 	return 1 - got/baseline
-}
-
-// NewScheduler builds the mode's scheduling algorithm with explicit
-// parameters, for embedding in a live gateway (internal/gateway) rather
-// than the simulator. ModeRTM requires Budget; ModeEM requires V.
-func NewScheduler(cfg Config) (sched.Scheduler, error) {
-	cfg, err := cfg.normalize()
-	if err != nil {
-		return nil, err
-	}
-	p := sched.Params{Budget: cfg.Budget, V: cfg.V, Radio: cfg.Cell.Radio, RRC: cfg.Cell.RRC}
-	if cfg.Mode == ModeRTM {
-		if cfg.Budget <= 0 {
-			return nil, fmt.Errorf("core: ModeRTM NewScheduler needs an absolute Budget")
-		}
-		return sched.ByName("rtma", p)
-	}
-	if cfg.V <= 0 {
-		return nil, fmt.Errorf("core: ModeEM NewScheduler needs an explicit V")
-	}
-	return sched.ByName("ema", p)
 }

@@ -100,21 +100,6 @@ func TestRunEMWithExplicitV(t *testing.T) {
 	}
 }
 
-func TestRunRTMWithAbsoluteBudget(t *testing.T) {
-	cfg := quickConfig(ModeRTM)
-	cfg.Budget = 900
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Phi != 900 {
-		t.Errorf("Phi = %v, want 900", rep.Phi)
-	}
-	if rep.Threshold < -110 || rep.Threshold > -49 {
-		t.Errorf("threshold %v out of range", rep.Threshold)
-	}
-}
-
 func TestRunValidation(t *testing.T) {
 	bad := []Config{
 		{Mode: Mode(9)},
@@ -144,28 +129,6 @@ func TestRunDefaultsApplied(t *testing.T) {
 	}
 	if rep.Result.Slots == 0 {
 		t.Error("defaulted run produced no slots")
-	}
-}
-
-func TestNewScheduler(t *testing.T) {
-	rtCfg := quickConfig(ModeRTM)
-	rtCfg.Budget = 900
-	s, err := NewScheduler(rtCfg)
-	if err != nil || s.Name() != "RTMA" {
-		t.Errorf("NewScheduler(RTM) = %v, %v", s, err)
-	}
-	emCfg := quickConfig(ModeEM)
-	emCfg.V = 0.5
-	s, err = NewScheduler(emCfg)
-	if err != nil || s.Name() != "EMA" {
-		t.Errorf("NewScheduler(EM) = %v, %v", s, err)
-	}
-	// Missing required parameters.
-	if _, err := NewScheduler(quickConfig(ModeRTM)); err == nil {
-		t.Error("RTM without budget accepted")
-	}
-	if _, err := NewScheduler(quickConfig(ModeEM)); err == nil {
-		t.Error("EM without V accepted")
 	}
 }
 

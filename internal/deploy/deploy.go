@@ -49,8 +49,8 @@ type Policy int
 // Attachment policies.
 const (
 	// StrongestSignal attaches each user to the site with the best mean
-	// signal over the assessment window — the standard cell-selection
-	// rule.
+	// signal over the assessSlots slots from its start — the standard
+	// cell-selection rule.
 	StrongestSignal Policy = iota
 	// RoundRobin attaches users to sites in order, ignoring radio state.
 	RoundRobin
@@ -74,13 +74,13 @@ func (p Policy) String() string {
 	}
 }
 
+// assessSlots is the signal-averaging window StrongestSignal reads.
+const assessSlots = 10
+
 // Config parameterizes a deployment run.
 type Config struct {
 	Sites  []Site
 	Policy Policy
-	// AssessSlots is the signal-averaging window used by StrongestSignal
-	// (default 10).
-	AssessSlots int
 	// Workers bounds the number of concurrently advanced cells
 	// (0 = GOMAXPROCS).
 	Workers int
@@ -153,9 +153,6 @@ func (c Config) validate() error {
 	case StrongestSignal, RoundRobin, LeastLoaded:
 	default:
 		return fmt.Errorf("deploy: unknown policy %d", int(c.Policy))
-	}
-	if c.AssessSlots < 0 {
-		return fmt.Errorf("deploy: negative assessment window %d", c.AssessSlots)
 	}
 	for i, o := range c.Outages {
 		if o.Site < 0 || o.Site >= len(c.Sites) {
@@ -595,13 +592,9 @@ func pickSite(cfg Config, ordinal int, s *workload.Session, demand []units.KBps)
 			}
 		}
 	case StrongestSignal:
-		assess := cfg.AssessSlots
-		if assess == 0 {
-			assess = 10
-		}
-		best := meanSignal(siteTrace(s, cfg.Sites[0], 0), s.StartSlot, assess)
+		best := meanSignal(siteTrace(s, cfg.Sites[0], 0), s.StartSlot, assessSlots)
 		for si := 1; si < len(cfg.Sites); si++ {
-			m := meanSignal(siteTrace(s, cfg.Sites[si], si), s.StartSlot, assess)
+			m := meanSignal(siteTrace(s, cfg.Sites[si], si), s.StartSlot, assessSlots)
 			if m > best {
 				best, site = m, si
 			}

@@ -63,11 +63,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad2.validate(); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	bad3 := twoSites()
-	bad3.AssessSlots = -1
-	if err := bad3.validate(); err == nil {
-		t.Error("negative assessment window accepted")
-	}
 }
 
 func TestPolicyString(t *testing.T) {

@@ -218,7 +218,7 @@ func (r *Runner) WorkloadCacheStats() (hits, misses int64) {
 // MultiArmStats always reports (0, 0): every run is one simulation of its
 // own, and no arms are grouped any more. It stays only because the
 // benchmark's experiments.arm_groups and arms_per_group rows read it, and
-// goes with those rows (ROADMAP item 10).
+// goes with those rows.
 func (r *Runner) MultiArmStats() (groups, runs int64) {
 	return 0, 0
 }

@@ -24,12 +24,11 @@ import (
 //     so callers can answer "come back later" instead of "broken".
 //
 //   - Load shedding (Step): when the tick-deadline miss rate over the
-//     recent Policy.ShedMissWindowSlots slots crosses
-//     Policy.ShedMissThreshold, up to Policy.ShedMaxPerSlot sessions are
-//     detached — lowest playback buffer first (they are rebuffering
-//     already; the grants they consume save the most viewers elsewhere),
-//     newest on ties. Shed sessions get detachShed and are counted in
-//     Diag.Shed.
+//     recent shedMissWindowSlots slots crosses shedMissThreshold, up to
+//     Policy.ShedMaxPerSlot sessions are detached — lowest playback
+//     buffer first (they are rebuffering already; the grants they
+//     consume save the most viewers elsewhere), newest on ties. Shed
+//     sessions get detachShed and are counted in Diag.Shed.
 //
 //   - Graceful drain (BeginDrain): the gateway stops admitting (Attach
 //     returns errDraining), keeps serving everything in flight, and
@@ -121,13 +120,8 @@ func (g *Gateway) noteTick(d time.Duration, missed bool) {
 		g.quality.Rotate()
 		g.tickHistSlots = 0
 	}
-	w := g.policy.ShedMissWindowSlots
-	if g.policy.ShedMaxPerSlot <= 0 || w <= 0 {
+	if g.policy.ShedMaxPerSlot <= 0 {
 		return
-	}
-	if len(g.missRing) != w {
-		g.missRing = make([]bool, w)
-		g.missHead, g.missCount = 0, 0
 	}
 	if g.missRing[g.missHead] {
 		g.missCount--
@@ -136,7 +130,7 @@ func (g *Gateway) noteTick(d time.Duration, missed bool) {
 	if missed {
 		g.missCount++
 	}
-	g.missHead = (g.missHead + 1) % w
+	g.missHead = (g.missHead + 1) % shedMissWindowSlots
 }
 
 // maybeShed detaches up to Policy.ShedMaxPerSlot sessions when the
@@ -146,7 +140,7 @@ func (g *Gateway) noteTick(d time.Duration, missed bool) {
 // burst sheds once, not every following slot. Callers hold g.mu.
 func (g *Gateway) maybeShed() {
 	p := g.policy
-	if p.ShedMaxPerSlot <= 0 || g.missCount < p.ShedMissThreshold {
+	if p.ShedMaxPerSlot <= 0 || g.missCount < shedMissThreshold {
 		return
 	}
 	var cands []*user
@@ -169,10 +163,7 @@ func (g *Gateway) maybeShed() {
 		g.diag.Shed++
 		g.detach(cands[k], detachShed)
 	}
-	for i := range g.missRing {
-		g.missRing[i] = false
-	}
-	g.missCount = 0
+	g.missRing, g.missCount = [shedMissWindowSlots]bool{}, 0
 }
 
 // TickQuantileMs returns the q-th quantile of Step wall-clock duration

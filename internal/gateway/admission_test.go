@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"context"
 	"errors"
 	"runtime"
 	"testing"
@@ -11,12 +10,11 @@ import (
 	"jointstream/internal/sched"
 	"jointstream/internal/signal"
 	"jointstream/internal/units"
-	"jointstream/internal/workload"
 )
 
-// TestAdmissionMatchesOpenSim: the gateway and the open engine admit by
-// one rule. The same session cap, headroom, in-service rates and newcomer
-// rate give both the same decision and the same refusal.
+// TestAdmissionMatchesOpenSim: the gateway admits by the open engine's
+// rule, cell.Admission. The same session cap, headroom, in-service rates
+// and newcomer rate give both the same decision and the same refusal.
 func TestAdmissionMatchesOpenSim(t *testing.T) {
 	const capacity = 5000
 	for _, c := range []struct {
@@ -55,31 +53,11 @@ func TestAdmissionMatchesOpenSim(t *testing.T) {
 			src, _ := NewPatternSource(500)
 			_, gwErr := g.Attach(ep, src)
 
-			cc := cell.PaperConfig()
-			cc.Capacity, cc.MaxSlots = capacity, 100
-			session := func(id int, rate units.KBps) *workload.Session {
-				return &workload.Session{ID: id, Size: 50000, BaseRate: rate, Signal: signal.Constant(-60, signal.DefaultBounds)}
+			var demand units.KBps
+			for _, r := range c.rates {
+				demand += r
 			}
-			var initial []*workload.Session
-			for i, r := range c.rates {
-				initial = append(initial, session(i, r))
-			}
-			// The open engine needs a session cap to size its link window:
-			// where the gateway has none, one with room for the newcomer
-			// refuses nothing.
-			maxSessions := c.cap
-			if maxSessions == 0 {
-				maxSessions = len(initial) + 1
-			}
-			o, err := cell.NewOpen(cell.OpenConfig{Cell: cc, MaxSessions: maxSessions, HeadroomFrac: c.frac}, initial, sched.NewDefault())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := o.Start(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			defer o.Stop()
-			_, openErr := o.Admit(session(len(initial), c.rate))
+			openErr := cell.NewAdmission(c.cap, c.frac, capacity).Check(len(c.rates), demand, c.rate)
 
 			if (gwErr != nil) != c.refused || (openErr != nil) != c.refused {
 				t.Fatalf("gateway: %v, open engine: %v; want refused=%v", gwErr, openErr, c.refused)
@@ -224,12 +202,14 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// TestShedOrdering pins the victim-selection policy without timing:
-// lowest playback buffer first, newest session on buffer ties, at most
-// ShedMaxPerSlot victims, and the miss window resets after a shed.
+// TestShedOrdering pins the victim-selection policy without timing: no
+// shed one miss short of shedMissThreshold, a window of met deadlines
+// slides the misses out, then lowest playback buffer first, newest
+// session on buffer ties, at most ShedMaxPerSlot victims, and the miss
+// window resets after a shed.
 func TestShedOrdering(t *testing.T) {
 	cfg := testConfig()
-	cfg.Policy = Policy{ShedMaxPerSlot: 2, ShedMissWindowSlots: 4, ShedMissThreshold: 2}
+	cfg.Policy = Policy{ShedMaxPerSlot: 2}
 	g, err := New(cfg, sched.NewDefault())
 	if err != nil {
 		t.Fatal(err)
@@ -237,16 +217,30 @@ func TestShedOrdering(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		attachUser(t, g, 5000, 400, -60)
 	}
+	ticks := func(n int, missed bool) {
+		for i := 0; i < n; i++ {
+			g.noteTick(time.Millisecond, missed)
+		}
+	}
 	g.mu.Lock()
 	g.users[0].bufferSec = 9
 	g.users[1].bufferSec = 2
 	g.users[2].bufferSec = 5
 	g.users[3].bufferSec = 2 // ties user 1; newer, so shed first
-	g.noteTick(time.Millisecond, true)
-	g.noteTick(time.Millisecond, true)
+	ticks(shedMissThreshold-1, true)
+	g.maybeShed()
+	ticks(shedMissWindowSlots, false)
+	slid := g.missCount
+	ticks(1, true)
+	g.maybeShed()
+	shedEarly := g.diag.Shed
+	ticks(shedMissThreshold-1, true)
 	g.maybeShed()
 	missCount := g.missCount
 	g.mu.Unlock()
+	if shedEarly != 0 || slid != 0 {
+		t.Fatalf("shed %d below the threshold; %d misses left after a window of met deadlines", shedEarly, slid)
+	}
 	d := g.Diagnostics()
 	if d.Shed != 2 {
 		t.Fatalf("shed %d sessions, want 2", d.Shed)
@@ -265,7 +259,7 @@ func TestShedOrdering(t *testing.T) {
 	}
 	// Below the threshold nothing sheds.
 	g.mu.Lock()
-	g.noteTick(time.Millisecond, true)
+	ticks(1, true)
 	g.maybeShed()
 	g.mu.Unlock()
 	if d := g.Diagnostics(); d.Shed != 2 {
@@ -291,7 +285,7 @@ func TestShedUnderDeadlinePressure(t *testing.T) {
 		AsyncDelivery:  true,
 		SlotDeadline:   time.Millisecond,
 		BreakerTrips:   -1, // isolate the shedder from the breaker
-		ShedMaxPerSlot: 1, ShedMissWindowSlots: 8, ShedMissThreshold: 3,
+		ShedMaxPerSlot: 1,
 	}
 	g, err := New(cfg, sched.NewDefault())
 	if err != nil {
@@ -447,7 +441,7 @@ func TestNoGoroutineLeakOnShed(t *testing.T) {
 		AsyncDelivery:  true,
 		SlotDeadline:   time.Millisecond,
 		BreakerTrips:   -1,
-		ShedMaxPerSlot: 1, ShedMissWindowSlots: 8, ShedMissThreshold: 2,
+		ShedMaxPerSlot: 1,
 	}
 	g, err := New(cfg, sched.NewDefault())
 	if err != nil {

@@ -264,9 +264,9 @@ type Gateway struct {
 	// Open-system serving state (see admission.go).
 	admission     cell.Admission
 	draining      bool
-	tickHist      *metrics.WindowedHist // sliding Step wall-duration (ms)
-	tickHistSlots int                   // slots since the last rotation
-	missRing      []bool                // last ShedMissWindowSlots deadline outcomes
+	tickHist      *metrics.WindowedHist     // sliding Step wall-duration (ms)
+	tickHistSlots int                       // slots since the last rotation
+	missRing      [shedMissWindowSlots]bool // the last deadline outcomes
 	missHead      int
 	missCount     int
 	// quality is the sliding per-session quality window (metrics.go).

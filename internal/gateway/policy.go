@@ -50,17 +50,11 @@ type Policy struct {
 	// deliveries before moving on.
 	SlotDeadline time.Duration
 	// ShedMaxPerSlot enables load shedding when positive: when the count
-	// of tick-deadline misses inside the recent ShedMissWindowSlots slots
-	// reaches ShedMissThreshold, up to this many in-service sessions are
+	// of tick-deadline misses inside the recent shedMissWindowSlots slots
+	// reaches shedMissThreshold, up to this many in-service sessions are
 	// detached per slot (lowest playback buffer first, newest on ties).
 	// Zero (the default) disables shedding entirely.
 	ShedMaxPerSlot int
-	// ShedMissWindowSlots is the length of the sliding deadline-miss
-	// window the shedder watches. Only meaningful when ShedMaxPerSlot > 0.
-	ShedMissWindowSlots int
-	// ShedMissThreshold is how many misses inside the window trigger a
-	// shed. Only meaningful when ShedMaxPerSlot > 0.
-	ShedMissThreshold int
 }
 
 const (
@@ -72,14 +66,17 @@ const (
 	// backoffMaxSlots.
 	backoffBaseSlots = 1
 	backoffMaxSlots  = 8
+	// shedMissWindowSlots is the length of the sliding deadline-miss
+	// window the shedder watches; shedMissThreshold misses inside it
+	// trigger a shed.
+	shedMissWindowSlots = 16
+	shedMissThreshold   = 8
 )
 
 // Default policy values.
 const (
-	defaultBreakerTrips        = 5
-	defaultSlotDeadline        = 50 * time.Millisecond
-	defaultShedMissWindowSlots = 16
-	defaultShedMissThreshold   = 8
+	defaultBreakerTrips = 5
+	defaultSlotDeadline = 50 * time.Millisecond
 )
 
 // withDefaults resolves the zero/negative conventions.
@@ -97,14 +94,8 @@ func (p Policy) withDefaults() Policy {
 	} else if p.SlotDeadline < 0 {
 		p.SlotDeadline = 0
 	}
-	// Shedding is opt-in: the window and threshold only resolve to their
-	// defaults when a shed budget was set.
 	if p.ShedMaxPerSlot < 0 {
 		p.ShedMaxPerSlot = 0
-	}
-	if p.ShedMaxPerSlot > 0 {
-		resolve(&p.ShedMissWindowSlots, defaultShedMissWindowSlots)
-		resolve(&p.ShedMissThreshold, defaultShedMissThreshold)
 	}
 	return p
 }

@@ -7,9 +7,11 @@ import (
 	"jointstream/internal/units"
 )
 
-// defaultPredictiveSafety is the rebuffer-safety floor used when
-// PredictiveConfig.SafetySec is zero: a deferring user must keep at
-// least this many seconds buffered beyond the wait it signs up for.
+// defaultPredictiveSafety is the rebuffer-safety floor: a user may
+// idle-wait for a cheaper slot d slots ahead only while its playback
+// buffer holds at least d·τ + defaultPredictiveSafety seconds, so a
+// perfectly wrong forecast can cost energy but never force an immediate
+// stall.
 const defaultPredictiveSafety units.Seconds = 4
 
 // PredictiveConfig parameterizes the lookahead scheduler.
@@ -25,12 +27,6 @@ type PredictiveConfig struct {
 	// constructor is cell.LinkTable.Forecast (exact) or
 	// cell.NewNoisyForecast (error-corrupted).
 	Forecast Forecast
-	// SafetySec is the rebuffer-safety floor: a user may idle-wait for
-	// a cheaper slot d slots ahead only while its playback buffer holds
-	// at least d·τ + SafetySec seconds, so a perfectly wrong forecast
-	// can cost energy but never force an immediate stall. Zero selects
-	// defaultPredictiveSafety; negative is invalid.
-	SafetySec units.Seconds
 }
 
 // Predictive is the lookahead-K scheduler (cf. Abou-zeid et al.,
@@ -51,8 +47,8 @@ type PredictiveConfig struct {
 //     like Default.
 //  3. Otherwise a strictly cheaper slot lies d slots ahead. If the
 //     playback buffer survives the wait with the safety floor intact
-//     (r_i(n) ≥ d·τ + SafetySec), allocate nothing and let the radio
-//     idle toward the cheaper slot. If the buffer is too shallow to
+//     (r_i(n) ≥ d·τ + defaultPredictiveSafety), allocate nothing and let
+//     the radio idle toward the cheaper slot. If the buffer is too shallow to
 //     wait safely, allocate only ϕ_need (Eq. 7's smooth-playback
 //     minimum) — the expensive slot is used for survival, not bulk.
 //
@@ -62,9 +58,8 @@ type PredictiveConfig struct {
 // energy across the idle gaps and exposure to forecast error, both of
 // which the oracle-bracket experiments quantify.
 type Predictive struct {
-	k      int
-	f      Forecast
-	safety units.Seconds
+	k int
+	f Forecast
 
 	act []int // activeIndices fallback scratch
 }
@@ -74,14 +69,7 @@ func NewPredictive(cfg PredictiveConfig) (*Predictive, error) {
 	if cfg.Lookahead < 0 {
 		return nil, fmt.Errorf("sched: negative lookahead %d", cfg.Lookahead)
 	}
-	if cfg.SafetySec < 0 {
-		return nil, fmt.Errorf("sched: negative rebuffer-safety floor %v", cfg.SafetySec)
-	}
-	safety := cfg.SafetySec
-	if safety == 0 {
-		safety = defaultPredictiveSafety
-	}
-	return &Predictive{k: cfg.Lookahead, f: cfg.Forecast, safety: safety}, nil
+	return &Predictive{k: cfg.Lookahead, f: cfg.Forecast}, nil
 }
 
 // Name implements Scheduler.
@@ -138,7 +126,7 @@ func (p *Predictive) decide(slot *Slot, i, maxU, maxD int) int {
 		return maxU
 	}
 	wait := units.Seconds(float64(bestDist)) * slot.Tau
-	if slot.bufferSecAt(i) >= wait+p.safety {
+	if slot.bufferSecAt(i) >= wait+defaultPredictiveSafety {
 		// The buffer covers the wait with the safety floor to spare:
 		// idle toward the cheaper slot.
 		return 0

@@ -6,6 +6,7 @@ import (
 
 	"jointstream/internal/radio"
 	"jointstream/internal/rrc"
+	"jointstream/internal/signal"
 	"jointstream/internal/units"
 )
 
@@ -68,9 +69,6 @@ type RTMAConfig struct {
 	Radio radio.Model
 	// RRC supplies P_tail (the DCH power Pd) for Eq. (12).
 	RRC rrc.Profile
-	// SigMin and SigMax bound the bisection for φ; they default to the
-	// paper's −110/−50 dBm when zero.
-	SigMin, SigMax units.DBm
 }
 
 // NewRTMA derives the admission threshold φ from the energy budget via
@@ -82,16 +80,9 @@ func NewRTMA(cfg RTMAConfig) (*RTMA, error) {
 	if cfg.Radio.Throughput == nil || cfg.Radio.Power == nil {
 		return nil, fmt.Errorf("rtma: radio model not fully specified")
 	}
-	lo, hi := cfg.SigMin, cfg.SigMax
-	if lo == 0 && hi == 0 {
-		lo, hi = -110, -50
-	}
-	if hi < lo {
-		return nil, fmt.Errorf("rtma: signal bounds inverted [%v, %v]", lo, hi)
-	}
 	r := &RTMA{budget: cfg.Budget}
 	r.order.limit = -1 // the default churn threshold (rtmaOrder)
-	r.threshold, r.admitAll = solveThreshold(cfg, lo, hi)
+	r.threshold, r.admitAll = solveThreshold(cfg)
 	return r, nil
 }
 
@@ -123,12 +114,14 @@ func tailMeanPower(p rrc.Profile) float64 {
 }
 
 // solveThreshold finds the weakest signal φ with slotEnergyAt(φ) ≤ Φ by
-// bisection. slotEnergyAt is monotonically non-increasing in sig for the
-// paper's models (weak signal ⇒ expensive reception). Returns admitAll
-// when even the weakest signal fits the budget, and φ just above SigMax
+// bisection over the paper's signal range, signal.DefaultBounds.
+// slotEnergyAt is monotonically non-increasing in sig for the paper's
+// models (weak signal ⇒ expensive reception). Returns admitAll when even
+// the weakest signal fits the budget, and φ just above the strongest
 // (admit none) when even the strongest signal exceeds it.
-func solveThreshold(cfg RTMAConfig, lo, hi units.DBm) (units.DBm, bool) {
+func solveThreshold(cfg RTMAConfig) (units.DBm, bool) {
 	budget := float64(cfg.Budget)
+	lo, hi := signal.DefaultBounds.Min, signal.DefaultBounds.Max
 	if slotEnergyAt(cfg, lo) <= budget {
 		return lo, true
 	}

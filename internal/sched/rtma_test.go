@@ -30,10 +30,6 @@ func TestRTMAValidation(t *testing.T) {
 	if _, err := NewRTMA(RTMAConfig{Budget: 100, RRC: rrc.Paper3G()}); err == nil {
 		t.Error("missing radio model accepted")
 	}
-	if _, err := NewRTMA(RTMAConfig{Budget: 100, Radio: radio.Paper3G(), RRC: rrc.Paper3G(),
-		SigMin: -50, SigMax: -110}); err == nil {
-		t.Error("inverted bounds accepted")
-	}
 }
 
 func TestRTMAThresholdMonotoneInBudget(t *testing.T) {

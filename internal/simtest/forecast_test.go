@@ -183,9 +183,6 @@ func TestNoisyForecastValidation(t *testing.T) {
 	if _, err := sched.NewPredictive(sched.PredictiveConfig{Lookahead: -1}); err == nil {
 		t.Error("negative lookahead accepted")
 	}
-	if _, err := sched.NewPredictive(sched.PredictiveConfig{SafetySec: -1}); err == nil {
-		t.Error("negative safety floor accepted")
-	}
 }
 
 // TestLinkReadersMatchStoredColumns pins the table's readers outside the

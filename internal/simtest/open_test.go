@@ -165,7 +165,6 @@ func TestOpenChurnAllSchedulers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				arr := workload.PoissonArrivals{MeanInterarrival: 12}
 				src := rng.New(31)
 				type stay struct {
 					idx   int
@@ -193,9 +192,10 @@ func TestOpenChurnAllSchedulers(t *testing.T) {
 						keep = append(keep, s)
 					}
 					stays = keep
-					// One Poisson arrival per step.
+					// One arrival per step, an exponential gap of mean 12
+					// slots after the step.
 					if slot < 400 {
-						sess, err := g.Next(uid, slot+arr.NextGap(uid+1, src))
+						sess, err := g.Next(uid, slot+int(math.Ceil(src.Exp(1.0/12))))
 						if err != nil {
 							t.Fatal(err)
 						}

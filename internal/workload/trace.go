@@ -13,17 +13,17 @@ import (
 
 // ParseArrivalTrace reads a CSV arrival log — one load epoch per line,
 // `timestamp,rate,duration` (seconds, sessions per second, seconds) —
-// and expands it into a TraceArrivals that replays the recorded load
-// shape at slot granularity tau. Each epoch contributes
+// and expands it into the arrivals' start slots, replaying the recorded
+// load shape at slot granularity tau. Each epoch contributes
 // floor(rate·duration) arrivals evenly spaced from its timestamp, so a
 // row like `60,2,30` is sixty sessions arriving twice a second starting
 // at the one-minute mark. Blank lines and lines starting with '#' are
 // skipped, as is an optional non-numeric header row; epochs may appear
-// out of order and overlap — arrivals are sorted by slot before the
-// trace is returned.
-func ParseArrivalTrace(r io.Reader, tau units.Seconds) (TraceArrivals, error) {
+// out of order and overlap — arrivals are sorted by slot before they are
+// returned.
+func ParseArrivalTrace(r io.Reader, tau units.Seconds) ([]int, error) {
 	if tau <= 0 {
-		return TraceArrivals{}, fmt.Errorf("workload: non-positive slot length %v for arrival trace", tau)
+		return nil, fmt.Errorf("workload: non-positive slot length %v for arrival trace", tau)
 	}
 	var slots []int
 	sc := bufio.NewScanner(r)
@@ -36,7 +36,7 @@ func ParseArrivalTrace(r io.Reader, tau units.Seconds) (TraceArrivals, error) {
 		}
 		fields := strings.Split(raw, ",")
 		if len(fields) != 3 {
-			return TraceArrivals{}, fmt.Errorf("workload: arrival trace line %d: want timestamp,rate,duration, got %q", line, raw)
+			return nil, fmt.Errorf("workload: arrival trace line %d: want timestamp,rate,duration, got %q", line, raw)
 		}
 		ts, errT := strconv.ParseFloat(strings.TrimSpace(fields[0]), 64)
 		rate, errR := strconv.ParseFloat(strings.TrimSpace(fields[1]), 64)
@@ -46,10 +46,10 @@ func ParseArrivalTrace(r io.Reader, tau units.Seconds) (TraceArrivals, error) {
 			if parsed == 0 && errT != nil {
 				continue
 			}
-			return TraceArrivals{}, fmt.Errorf("workload: arrival trace line %d: non-numeric field in %q", line, raw)
+			return nil, fmt.Errorf("workload: arrival trace line %d: non-numeric field in %q", line, raw)
 		}
 		if ts < 0 || rate < 0 || dur < 0 {
-			return TraceArrivals{}, fmt.Errorf("workload: arrival trace line %d: negative value in %q", line, raw)
+			return nil, fmt.Errorf("workload: arrival trace line %d: negative value in %q", line, raw)
 		}
 		parsed++
 		// The epsilon keeps exact products like 2.0×30.0 from flooring
@@ -61,11 +61,11 @@ func ParseArrivalTrace(r io.Reader, tau units.Seconds) (TraceArrivals, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return TraceArrivals{}, fmt.Errorf("workload: reading arrival trace: %w", err)
+		return nil, fmt.Errorf("workload: reading arrival trace: %w", err)
 	}
 	if len(slots) == 0 {
-		return TraceArrivals{}, fmt.Errorf("workload: arrival trace yields no arrivals")
+		return nil, fmt.Errorf("workload: arrival trace yields no arrivals")
 	}
 	sort.Ints(slots)
-	return TraceArrivals{StartSlots: slots}, nil
+	return slots, nil
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"slices"
 	"strings"
 	"testing"
 
@@ -14,19 +13,19 @@ func TestParseArrivalTrace(t *testing.T) {
 0,2,2
 10,1,3
 `
-	tr, err := ParseArrivalTrace(strings.NewReader(csv), units.Seconds(1))
+	slots, err := ParseArrivalTrace(strings.NewReader(csv), units.Seconds(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Epoch 1: floor(2*2)=4 arrivals at t=0, 0.5, 1, 1.5 -> slots 0,0,1,1.
 	// Epoch 2: floor(1*3)=3 arrivals at t=10, 11, 12 -> slots 10,11,12.
 	want := []int{0, 0, 1, 1, 10, 11, 12}
-	if len(tr.StartSlots) != len(want) {
-		t.Fatalf("StartSlots = %v, want %v", tr.StartSlots, want)
+	if len(slots) != len(want) {
+		t.Fatalf("StartSlots = %v, want %v", slots, want)
 	}
 	for i, s := range want {
-		if tr.StartSlots[i] != s {
-			t.Fatalf("StartSlots = %v, want %v", tr.StartSlots, want)
+		if slots[i] != s {
+			t.Fatalf("StartSlots = %v, want %v", slots, want)
 		}
 	}
 }
@@ -34,46 +33,30 @@ func TestParseArrivalTrace(t *testing.T) {
 func TestParseArrivalTraceOverlapSorted(t *testing.T) {
 	// Out-of-order, overlapping epochs must interleave sorted.
 	csv := "5,1,2\n0,1,10\n"
-	tr, err := ParseArrivalTrace(strings.NewReader(csv), units.Seconds(1))
+	slots, err := ParseArrivalTrace(strings.NewReader(csv), units.Seconds(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.StartSlots) != 12 {
-		t.Fatalf("got %d arrivals, want 12: %v", len(tr.StartSlots), tr.StartSlots)
+	if len(slots) != 12 {
+		t.Fatalf("got %d arrivals, want 12: %v", len(slots), slots)
 	}
-	for i := 1; i < len(tr.StartSlots); i++ {
-		if tr.StartSlots[i] < tr.StartSlots[i-1] {
-			t.Fatalf("unsorted StartSlots: %v", tr.StartSlots)
+	for i := 1; i < len(slots); i++ {
+		if slots[i] < slots[i-1] {
+			t.Fatalf("unsorted StartSlots: %v", slots)
 		}
 	}
 }
 
 func TestParseArrivalTraceFinerSlots(t *testing.T) {
-	tr, err := ParseArrivalTrace(strings.NewReader("1,4,1\n"), units.Seconds(0.25))
+	slots, err := ParseArrivalTrace(strings.NewReader("1,4,1\n"), units.Seconds(0.25))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []int{4, 5, 6, 7}
 	for i, s := range want {
-		if tr.StartSlots[i] != s {
-			t.Fatalf("StartSlots = %v, want %v", tr.StartSlots, want)
+		if slots[i] != s {
+			t.Fatalf("StartSlots = %v, want %v", slots, want)
 		}
-	}
-}
-
-func TestParseArrivalTraceAsProcess(t *testing.T) {
-	// The parsed trace must replay through the ArrivalProcess interface:
-	// gaps reconstruct the absolute slots.
-	tr, err := ParseArrivalTrace(strings.NewReader("0,1,4\n"), units.Seconds(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := []int{tr.StartSlots[0]}
-	for i := 1; i < len(tr.StartSlots); i++ {
-		got = append(got, got[i-1]+tr.NextGap(i, nil))
-	}
-	if !slices.Equal(got, tr.StartSlots) {
-		t.Fatalf("replayed slots %v != trace %v", got, tr.StartSlots)
 	}
 }
 

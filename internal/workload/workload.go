@@ -128,15 +128,9 @@ type Config struct {
 	// the paper's "different phase shifts for the N sine functions".
 	Signal signal.SineConfig
 	// MeanInterarrival, if positive, staggers user start slots with
-	// exponential interarrival times (extension; the paper starts all
-	// users at slot 0). It is shorthand for Arrivals =
-	// PoissonArrivals{MeanInterarrival} and produces bit-identical start
-	// slots to what it always did.
+	// exponential interarrival times rounded up to whole slots (extension;
+	// the paper starts all users at slot 0).
 	MeanInterarrival units.Seconds
-	// Arrivals, if non-nil, staggers user start slots with an explicit
-	// arrival process (Poisson/trace/burst — see ArrivalProcess). It is
-	// mutually exclusive with MeanInterarrival.
-	Arrivals ArrivalProcess
 	// StatelessSignal has no effect, kept for callers that set it: every
 	// trace is signal.NewStatelessSine, a pure function of (seed, slot).
 	StatelessSignal bool
@@ -187,9 +181,6 @@ func (c Config) Validate() error {
 	if c.MeanInterarrival < 0 {
 		return fmt.Errorf("workload: negative interarrival %v", c.MeanInterarrival)
 	}
-	if c.Arrivals != nil && c.MeanInterarrival > 0 {
-		return fmt.Errorf("workload: Arrivals and MeanInterarrival are mutually exclusive")
-	}
 	return nil
 }
 
@@ -197,10 +188,6 @@ func (c Config) Validate() error {
 func Generate(c Config, src *rng.Source) ([]*Session, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
-	}
-	arrivals := c.Arrivals
-	if arrivals == nil && c.MeanInterarrival > 0 {
-		arrivals = PoissonArrivals{MeanInterarrival: c.MeanInterarrival}
 	}
 	sessions := make([]*Session, c.Users)
 	phaseOffset := src.Uniform(0, 2*math.Pi)
@@ -214,13 +201,10 @@ func Generate(c Config, src *rng.Source) ([]*Session, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workload: user %d signal: %w", i, err)
 		}
-		// The arrival draw sits at the exact sequence point the historical
-		// MeanInterarrival staggering used, so the Poisson default consumes
-		// the same src draws in the same order — byte-identical workloads.
-		if arrivals != nil && i > 0 {
-			if g := arrivals.NextGap(i, src); g > 0 {
-				start += g
-			}
+		// The gap is drawn after the user's signal seed; the workload
+		// golden (TestNonSignalDrawsGolden) pins that order.
+		if c.MeanInterarrival > 0 && i > 0 {
+			start += int(math.Ceil(src.Exp(1 / float64(c.MeanInterarrival))))
 		}
 		s := &Session{
 			ID:         i,

@@ -3,12 +3,15 @@
 // packages below it, a nested module whose path extends the root's included,
 // and prints every exported name or method that no other package's non-test
 // code references, and every other name that no non-test code references,
-// unless scripts/exports/allow.txt lists it; then every allowlist key that
-// matches nothing, and the allowlist's test-seam section if it holds more
-// than seamBudget keys. It exits 1 if it printed anything. A method is
-// used when its type implements an interface whose method is called
-// anywhere, or one of an imported standard package; a type is used when a
-// used signature, field, variable or constant names it.
+// and every exported field of an exported *Config, *Options or *Policy
+// struct that no non-test code sets, unless scripts/exports/allow.txt lists
+// it; then every allowlist key that matches nothing, and each budgeted
+// allowlist section that holds too many keys. It exits 1 if it printed
+// anything. A method is used when its type implements an interface whose
+// method is called anywhere, or one of an imported standard package; a type
+// is used when a used signature, field, variable or constant names it. A
+// field is set by a composite-literal key, an assignment or an increment,
+// or by its address taken outside its own package.
 package main
 
 import (
@@ -30,8 +33,10 @@ func main() {
 	const allow = "scripts/exports/allow.txt"
 	bad := unlisted(".", allow)
 	text, _ := os.ReadFile(allow)
-	if n := len(seams(string(text))); n > seamBudget {
-		bad = append(bad, fmt.Sprintf("%s: %d test seams, budget %d", allow, n, seamBudget))
+	for _, b := range []budget{seamBudget, fieldBudget} {
+		if msg := b.over(string(text)); msg != "" {
+			bad = append(bad, allow+": "+msg)
+		}
 	}
 	if len(bad) > 0 {
 		fmt.Println(strings.Join(bad, "\n"))
@@ -39,20 +44,40 @@ func main() {
 	}
 }
 
-// seamBudget caps the allowlist's test-seam section: exported names kept
-// in production code only because another package's tests drive them.
-const seamBudget = 4
+// budget caps an allowlist section: the most keys under a heading that
+// starts with heading.
+type budget struct {
+	heading string
+	max     int
+}
 
-// seams returns the keys of the allowlist's test-seam section: the key
-// lines under a heading that starts "# Test seams", up to the next
-// heading.
-func seams(text string) []string {
+var (
+	// seamBudget: exported names kept in production code only because
+	// another package's tests drive them.
+	seamBudget = budget{"# Test seams", 4}
+	// fieldBudget: config fields no entry point sets.
+	fieldBudget = budget{"# Config fields no entry point sets", 3}
+)
+
+// over describes the section of text b caps if it holds more than b.max
+// keys, with the keys, and is "" otherwise.
+func (b budget) over(text string) string {
+	keys := section(text, b.heading)
+	if len(keys) <= b.max {
+		return ""
+	}
+	return fmt.Sprintf("%d keys under %q, budget %d:\n%s", len(keys), b.heading, b.max, strings.Join(keys, "\n"))
+}
+
+// section returns the keys of an allowlist section: the key lines under a
+// heading that starts with heading, up to the next heading.
+func section(text, heading string) []string {
 	var keys []string
 	in := false
 	for _, line := range strings.Split(text, "\n") {
 		line = strings.TrimSpace(line)
 		if strings.HasPrefix(line, "#") {
-			in = strings.HasPrefix(line, "# Test seams")
+			in = strings.HasPrefix(line, heading)
 		} else if key, _, _ := strings.Cut(line, " "); in && key != "" {
 			keys = append(keys, key)
 		}
@@ -73,6 +98,7 @@ func scan(root string) ([]string, error) {
 	}
 	mod, fset := strings.Fields(string(gomod) + " module")[1], token.NewFileSet()
 	pkgs, infos, std := map[string]*types.Package{}, map[*types.Package]*types.Info{}, importer.ForCompiler(fset, "source", nil)
+	written := map[types.Object]bool{} // the fields non-test code sets
 	var load importerFunc
 	load = func(path string) (*types.Package, error) {
 		if rel, ours := strings.CutPrefix(path, mod); !ours || rel != "" && rel[0] != '/' {
@@ -92,6 +118,9 @@ func scan(root string) ([]string, error) {
 		info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
 		p, err := (&types.Config{Importer: load}).Check(path, fset, fs, info)
 		pkgs[path], infos[p] = p, info
+		for _, f := range fs {
+			markWrites(f, info, p, written)
+		}
 		return p, err
 	}
 	err = filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
@@ -174,11 +203,63 @@ func scan(root string) ([]string, error) {
 					m := tn.Type().(*types.Named).Method(i)
 					report(m, name+"."+m.Name(), pkg.Name() != "main" && obj.Exported())
 				}
+				if st, ok := tn.Type().Underlying().(*types.Struct); ok && pkg.Name() != "main" && obj.Exported() && configType(name) {
+					for i := 0; i < st.NumFields(); i++ {
+						if f := st.Field(i); f.Exported() && !written[f] {
+							out = append(out, rel+"."+name+"."+f.Name()+" (config field no entry point sets)")
+						}
+					}
+				}
 			}
 		}
 	}
 	sort.Strings(out)
 	return out, nil
+}
+
+// configType reports whether a struct type's name marks it as settings:
+// a name ending in Config, Options or Policy.
+func configType(name string) bool {
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy")
+}
+
+// markWrites marks in written every field that f, a file of package p,
+// sets: by a composite-literal key, on the left of an assignment or
+// increment, or by taking its address when the field is another
+// package's (flag.IntVar(&c.F, …)). A package handing its own field's
+// address to a helper (resolve(&p.F, 16)) only fills a default.
+func markWrites(f *ast.File, info *types.Info, p *types.Package, written map[types.Object]bool) {
+	field := func(e ast.Expr, inOwnPkg bool) {
+		var obj types.Object
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident: // a composite-literal key
+			obj = info.Uses[x]
+		case *ast.SelectorExpr:
+			if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+				obj = sel.Obj()
+			}
+		}
+		if v, ok := obj.(*types.Var); ok && v.IsField() && (inOwnPkg || v.Pkg() != p) {
+			written[v] = true
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.KeyValueExpr:
+			field(x.Key, true)
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				field(lhs, true)
+			}
+		case *ast.IncDecStmt:
+			field(x.X, true)
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				field(x.X, false)
+			}
+		}
+		return true
+	})
 }
 
 // markTypes marks the defined types t names through pointers, slices, arrays,

@@ -16,6 +16,8 @@ func TestFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
+		"a.Config.Defaulted (config field no entry point sets)",
+		"a.Config.Unset (config field no entry point sets)",
 		"a.Dead (unused)",
 		"a.Own (only its own package)",
 		"a.TestOnly (unused)",
@@ -32,6 +34,8 @@ func TestFixture(t *testing.T) {
 	}
 	got = unlisted("testdata", allow)
 	want = []string{
+		"a.Config.Defaulted (config field no entry point sets)",
+		"a.Config.Unset (config field no entry point sets)",
 		"a.Own (only its own package)", // listed without a reason
 		"a.TestOnly (unused)",
 		"a.gone (allowlisted, but no such entry)",
@@ -51,24 +55,36 @@ func TestRepoExports(t *testing.T) {
 	}
 }
 
-// TestSeamsFixture: seams reads the keys under the "# Test seams" heading
-// only, up to the next heading, blank lines and all.
+// TestSeamsFixture: section reads the keys under the named heading only,
+// up to the next heading, blank lines and all.
 func TestSeamsFixture(t *testing.T) {
 	text := "# Reference\na.Ref why\n\n# Test seams tests drive\na.S1 why\n\na.S2 why\n# Other\na.O why\n"
-	if got, want := seams(text), []string{"a.S1", "a.S2"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("seams: got %q, want %q", got, want)
+	if got, want := section(text, "# Test seams"), []string{"a.S1", "a.S2"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("section: got %q, want %q", got, want)
+	}
+	if got := (budget{"# Test seams", 1}).over(text); !strings.HasPrefix(got, `2 keys under "# Test seams", budget 1`) {
+		t.Errorf("over: got %q", got)
 	}
 }
 
 // TestRepoSeamBudget is the second gate: allow.txt's test-seam section
-// holds at most seamBudget keys.
+// holds at most seamBudget.max keys.
 func TestRepoSeamBudget(t *testing.T) {
+	holdBudget(t, seamBudget, "make each the package's own test, an option the entry points use, or a deletion")
+}
+
+// TestRepoConfigFieldBudget is the third: allow.txt lists at most
+// fieldBudget.max config fields that no entry point sets.
+func TestRepoConfigFieldBudget(t *testing.T) {
+	holdBudget(t, fieldBudget, "make each a constant, a setting an entry point uses, or a deletion")
+}
+
+func holdBudget(t *testing.T, b budget, fix string) {
 	text, err := os.ReadFile("allow.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if keys := seams(string(text)); len(keys) > seamBudget {
-		t.Errorf("allow.txt lists %d test seams, budget %d: make each the package's own test, an option the entry points use, or a deletion:\n%s",
-			len(keys), seamBudget, strings.Join(keys, "\n"))
+	if msg := b.over(string(text)); msg != "" {
+		t.Errorf("allow.txt: %s\n%s", fix, msg)
 	}
 }

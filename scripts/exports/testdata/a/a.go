@@ -22,3 +22,23 @@ type Impl struct{}
 func (Impl) Do() int { return 2 }
 
 func unused() {} // listed
+
+// Config's fields show which writes set a config field.
+type Config struct {
+	Unset     int // set by nothing: listed
+	Keyed     int // set by b's keyed literal: not listed
+	Pointed   int // set through b's &cfg.Pointed: not listed
+	Defaulted int // only a's resolve(&c.Defaulted, 8) writes it: listed
+}
+
+// Use is called from b.
+func Use(c Config) int {
+	resolve(&c.Defaulted, 8)
+	return c.Unset + c.Keyed + c.Pointed + c.Defaulted
+}
+
+func resolve(p *int, d int) {
+	if *p == 0 {
+		*p = d
+	}
+}
