@@ -34,7 +34,6 @@ import (
 	"strings"
 
 	"jointstream/internal/experiments"
-	"jointstream/internal/report"
 )
 
 func main() {
@@ -231,7 +230,7 @@ func exportOutputs(rendered []*experiments.Figure, jsonOut, htmlOut string) erro
 			return err
 		}
 		defer f.Close()
-		if err := report.WriteHTML(f, "jointstream reproduction report", rendered); err != nil {
+		if err := writeHTML(f, "jointstream reproduction report", rendered); err != nil {
 			return err
 		}
 		fmt.Printf("HTML report written to %s\n", htmlOut)

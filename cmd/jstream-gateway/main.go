@@ -30,7 +30,6 @@ import (
 	"syscall"
 	"time"
 
-	"jointstream/internal/experiments"
 	"jointstream/internal/gateway"
 	"jointstream/internal/radio"
 	"jointstream/internal/rng"
@@ -80,9 +79,9 @@ func main() {
 
 // runChaos executes the chaos scenario and prints its table.
 func runChaos(seed uint64) error {
-	opts := experiments.DefaultChaosOptions()
+	opts := defaultChaosOptions()
 	opts.Seed = seed
-	rep, err := experiments.RunChaos(opts)
+	rep, err := runChaosScenario(opts)
 	if err != nil {
 		return err
 	}

@@ -25,7 +25,8 @@ import (
 	"os"
 
 	"jointstream/internal/cell"
-	"jointstream/internal/core"
+	"jointstream/internal/experiments"
+	"jointstream/internal/metrics"
 	"jointstream/internal/rng"
 	"jointstream/internal/sched"
 	"jointstream/internal/units"
@@ -62,26 +63,15 @@ func run(schedName string, users int, avgSizeMB, alpha, beta, vFlag float64, ada
 	cfg.MaxSlots = slots
 	wl := workload.PaperDefaults(users).WithAvgSize(units.KB(avgSizeMB * 1000))
 
-	// The two framework modes go through the core facade so the derived
+	// The two framework modes run the figures' protocol, so the derived
 	// parameters (Φ, V) are reported alongside the results. (Spec-driven
-	// sessions run baselines directly; the facade generates its own.)
-	if specPath == "" {
-		switch schedName {
-		case "rtma", "ema":
-			mode := core.ModeRTM
-			if schedName == "ema" {
-				mode = core.ModeEM
-			}
-			rep, err := core.Run(core.Config{
-				Mode: mode, Alpha: alpha, Beta: beta, V: vFlag, Adaptive: adaptive,
-				Cell: cfg, Workload: wl, Seed: seed,
-			})
-			if err != nil {
-				return err
-			}
-			printReport(rep)
-			return nil
+	// sessions run baselines directly; the framework generates its own.)
+	if specPath == "" && (schedName == "rtma" || schedName == "ema") {
+		fw, err := experiments.NewFramework(cfg, wl, seed)
+		if err != nil {
+			return err
 		}
+		return printMode(fw, schedName, alpha, beta, vFlag, adaptive)
 	}
 
 	var sessions []*workload.Session
@@ -152,23 +142,51 @@ func run(schedName string, users int, avgSizeMB, alpha, beta, vFlag float64, ada
 	return nil
 }
 
-func printReport(rep *core.Report) {
-	fmt.Printf("mode: %s\n", rep.Mode)
-	if rep.Mode == core.ModeRTM {
-		fmt.Printf("derived budget Phi: %v, admission threshold: %v\n", rep.Phi, rep.Threshold)
+// printMode runs one framework mode and prints it beside the Default
+// reference run: rtma at alpha, or ema at beta (V fixed at v unless 0, or
+// adapted online).
+func printMode(fw *experiments.Framework, mode string, alpha, beta, v float64, adaptive bool) error {
+	var res *cell.Result
+	var err error
+	if mode == "rtma" {
+		var phi units.MJ
+		var threshold units.DBm
+		if res, phi, threshold, err = fw.RTM(alpha); err != nil {
+			return err
+		}
+		fmt.Println("mode: RTM")
+		fmt.Printf("derived budget Phi: %v, admission threshold: %v\n", phi, threshold)
 	} else {
-		fmt.Printf("rebuffering bound Omega: %v, Lyapunov V: %.4g\n", rep.Omega, rep.V)
+		var omega units.Seconds
+		if adaptive {
+			res, omega, v, err = fw.AdaptiveEM(beta)
+		} else {
+			res, omega, v, err = fw.EM(beta, v)
+		}
+		if err != nil {
+			return err
+		}
+		fmt.Println("mode: EM")
+		fmt.Printf("rebuffering bound Omega: %v, Lyapunov V: %.4g\n", omega, v)
 	}
-	rows := []struct {
+	ref, err := fw.Default()
+	if err != nil {
+		return err
+	}
+	for _, row := range []struct {
 		name string
-		r    core.ModeResult
-	}{{"reference (Default)", rep.Reference}, {rep.Result.Scheduler, rep.Result}}
-	for _, row := range rows {
+		r    *cell.Result
+	}{{"reference (Default)", ref}, {res.SchedulerName, res}} {
 		fmt.Printf("%-20s slots=%-5d rebuffer/user=%-10v energy/user=%-10v tail/user=%v\n",
-			row.name, row.r.Slots, row.r.MeanRebufferPerUser, row.r.MeanEnergyPerUser, row.r.TailEnergyPerUser)
+			row.name, row.r.Slots, row.r.MeanRebufferPerUser(), row.r.MeanEnergyPerUser(),
+			row.r.TotalTailEnergy()/units.MJ(len(row.r.Users)))
 	}
-	fmt.Printf("rebuffer reduction vs Default: %.1f%%\n", rep.RebufferReduction*100)
-	fmt.Printf("energy reduction vs Default:   %.1f%%\n", rep.EnergyReduction*100)
+	// Reduction errs only on a zero Default total, which then reads as 0.
+	reb, _ := metrics.Reduction(float64(ref.MeanRebufferPerUser()), float64(res.MeanRebufferPerUser()))
+	en, _ := metrics.Reduction(float64(ref.MeanEnergyPerUser()), float64(res.MeanEnergyPerUser()))
+	fmt.Printf("rebuffer reduction vs Default: %.1f%%\n", reb*100)
+	fmt.Printf("energy reduction vs Default:   %.1f%%\n", en*100)
+	return nil
 }
 
 func printResult(res *cell.Result, verbose bool) {

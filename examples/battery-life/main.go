@@ -10,11 +10,23 @@ import (
 	"fmt"
 	"log"
 
-	"jointstream/internal/battery"
 	"jointstream/internal/cell"
-	"jointstream/internal/core"
+	"jointstream/internal/experiments"
 	"jointstream/internal/units"
 	"jointstream/internal/workload"
+)
+
+// The device is a 2015-class phone, the class the paper's measurements
+// come from: a 2600 mAh, 3.8 V pack (Galaxy S4/S5 era) and about 1 W of
+// screen and decode draw while a video plays. The battery is an energy
+// reservoir (mAh × V), and the radio energy the simulator reports is the
+// marginal drain streaming adds on top of that baseline.
+const (
+	packmAh              = 2600
+	packVolts            = 3.8
+	packMJ               = packmAh * 3.6 * packVolts * 1000 // mAh to coulombs, times V, in mJ
+	baselineMW  units.MW = 1000
+	secondsPerH          = 3600
 )
 
 func main() {
@@ -24,55 +36,43 @@ func main() {
 	wl.SizeMin = 30 * units.Megabyte
 	wl.SizeMax = 50 * units.Megabyte
 
-	rep, err := core.Run(core.Config{
-		Mode:     core.ModeEM,
-		Beta:     1.5, // allow some extra stalling headroom for max savings
-		Cell:     cellCfg,
-		Workload: wl,
-		Seed:     21,
-	})
+	fw, err := experiments.NewFramework(cellCfg, wl, 21)
+	if err != nil {
+		log.Fatal(err)
+	}
+	def, err := fw.Default()
+	if err != nil {
+		log.Fatal(err)
+	}
+	// beta 1.5 allows some extra stalling headroom for maximum savings.
+	ema, _, _, err := fw.EM(1.5, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	pack := battery.Typical2015Phone()
-	sessionSec := units.Seconds(rep.Reference.Slots) // whole-run horizon
-
-	defCost, err := pack.Session(rep.Reference.MeanEnergyPerUser, sessionSec)
-	if err != nil {
-		log.Fatal(err)
+	// A video's cost is its radio energy plus the baseline drain over the
+	// run's whole horizon, as a share of a full charge.
+	cost := func(r *cell.Result) (radio, total units.MJ) {
+		radio = r.MeanEnergyPerUser()
+		return radio, radio + baselineMW.Energy(units.Seconds(r.Slots))
 	}
-	emaCost, err := pack.Session(rep.Result.MeanEnergyPerUser, units.Seconds(rep.Result.Slots))
-	if err != nil {
-		log.Fatal(err)
-	}
+	defRadio, defTotal := cost(def)
+	emaRadio, emaTotal := cost(ema)
 
-	fmt.Printf("device: %.0f mAh @ %.1f V (%.1f kJ), baseline draw %v\n",
-		pack.CapacitymAh, pack.Voltage, float64(pack.TotalMJ())/1e6, pack.BaselineMW)
+	fmt.Printf("device: %d mAh @ %.1f V (%.1f kJ), baseline draw %v\n",
+		packmAh, packVolts, packMJ/1e6, baselineMW)
 	fmt.Printf("\nper-video battery cost (radio + screen/decode):\n")
-	fmt.Printf("  Default: %.2f%% of a charge (radio %v)\n", defCost.Percent, defCost.RadioMJ)
-	fmt.Printf("  EMA:     %.2f%% of a charge (radio %v)\n", emaCost.Percent, emaCost.RadioMJ)
+	fmt.Printf("  Default: %.2f%% of a charge (radio %v)\n", float64(defTotal)/packMJ*100, defRadio)
+	fmt.Printf("  EMA:     %.2f%% of a charge (radio %v)\n", float64(emaTotal)/packMJ*100, emaRadio)
+	fmt.Printf("  -> %.1f extra videos per charge\n", packMJ/float64(emaTotal)-packMJ/float64(defTotal))
 
-	extra, err := pack.ExtraSessions(defCost, emaCost)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  -> %.1f extra videos per charge\n", extra)
-
-	// Continuous-streaming projection from average radio power.
-	defPower := units.MW(float64(rep.Reference.PE)) // mJ per user-slot at tau=1s == mW
-	emaPower := units.MW(float64(rep.Result.PE))
-	defHours, err := pack.StreamingHours(defPower)
-	if err != nil {
-		log.Fatal(err)
-	}
-	emaHours, err := pack.StreamingHours(emaPower)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Continuous-streaming projection from average radio power: PE is mJ
+	// per user-slot, which at tau = 1 s is mW.
+	hours := func(radio units.MW) float64 { return packMJ / float64(radio+baselineMW) / secondsPerH }
+	defPower, emaPower := units.MW(float64(def.PE())), units.MW(float64(ema.PE()))
 	fmt.Printf("\ncontinuous streaming on one charge:\n")
-	fmt.Printf("  Default: %.1f h (avg radio power %v)\n", defHours, defPower)
-	fmt.Printf("  EMA:     %.1f h (avg radio power %v)\n", emaHours, emaPower)
+	fmt.Printf("  Default: %.1f h (avg radio power %v)\n", hours(defPower), defPower)
+	fmt.Printf("  EMA:     %.1f h (avg radio power %v)\n", hours(emaPower), emaPower)
 	fmt.Printf("\n(EMA stall cost: %v vs Default %v per user)\n",
-		rep.Result.MeanRebufferPerUser, rep.Reference.MeanRebufferPerUser)
+		ema.MeanRebufferPerUser(), def.MeanRebufferPerUser())
 }

@@ -12,7 +12,7 @@ import (
 	"log"
 
 	"jointstream/internal/cell"
-	"jointstream/internal/core"
+	"jointstream/internal/experiments"
 	"jointstream/internal/units"
 	"jointstream/internal/workload"
 )
@@ -24,23 +24,26 @@ func main() {
 	wl.SizeMin = 20 * units.Megabyte
 	wl.SizeMax = 40 * units.Megabyte
 
+	// One framework: every beta reuses its Default run and probe runs.
+	fw, err := experiments.NewFramework(cellCfg, wl, 7)
+	if err != nil {
+		log.Fatal(err)
+	}
+	def, err := fw.Default()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("beta   V        rebuffer/user  energy/user  saving")
 	for _, beta := range []float64{0.6, 0.8, 1.0, 1.5, 2.0} {
-		rep, err := core.Run(core.Config{
-			Mode:     core.ModeEM,
-			Beta:     beta,
-			Cell:     cellCfg,
-			Workload: wl,
-			Seed:     7,
-		})
+		res, _, v, err := fw.EM(beta, 0)
 		if err != nil {
 			log.Fatalf("beta=%v: %v", beta, err)
 		}
 		fmt.Printf("%-5.1f  %-7.3g  %-13v  %-11v  %.1f%%\n",
-			beta, rep.V,
-			rep.Result.MeanRebufferPerUser,
-			rep.Result.MeanEnergyPerUser,
-			rep.EnergyReduction*100)
+			beta, v,
+			res.MeanRebufferPerUser(),
+			res.MeanEnergyPerUser(),
+			(1-float64(res.MeanEnergyPerUser())/float64(def.MeanEnergyPerUser()))*100)
 	}
 	fmt.Println("\nLarger beta loosens the stall bound, letting EMA defer more")
 	fmt.Println("bytes to strong-signal slots and avoid RRC tail energy.")

@@ -10,7 +10,7 @@ import (
 	"log"
 
 	"jointstream/internal/cell"
-	"jointstream/internal/core"
+	"jointstream/internal/experiments"
 	"jointstream/internal/units"
 	"jointstream/internal/workload"
 )
@@ -25,28 +25,44 @@ func main() {
 	wl.SizeMin = 25 * units.Megabyte
 	wl.SizeMax = 45 * units.Megabyte
 
-	for _, mode := range []core.Mode{core.ModeRTM, core.ModeEM} {
-		rep, err := core.Run(core.Config{
-			Mode:     mode,
-			Cell:     cellCfg,
-			Workload: wl,
-			Seed:     42,
-		})
-		if err != nil {
-			log.Fatalf("run %v: %v", mode, err)
-		}
-		fmt.Printf("== %s mode (%s) ==\n", mode, rep.Result.Scheduler)
-		switch mode {
-		case core.ModeRTM:
-			fmt.Printf("energy budget Phi=%v -> admission threshold %v\n", rep.Phi, rep.Threshold)
-		case core.ModeEM:
-			fmt.Printf("rebuffering bound Omega=%v -> Lyapunov V=%.3g\n", rep.Omega, rep.V)
-		}
-		fmt.Printf("%-18s rebuffer/user=%-8v energy/user=%v\n",
-			"Default:", rep.Reference.MeanRebufferPerUser, rep.Reference.MeanEnergyPerUser)
-		fmt.Printf("%-18s rebuffer/user=%-8v energy/user=%v\n",
-			rep.Result.Scheduler+":", rep.Result.MeanRebufferPerUser, rep.Result.MeanEnergyPerUser)
-		fmt.Printf("rebuffering %+.1f%%, energy %+.1f%% vs Default\n\n",
-			-rep.RebufferReduction*100, -rep.EnergyReduction*100)
+	fw, err := experiments.NewFramework(cellCfg, wl, 42)
+	if err != nil {
+		log.Fatal(err)
 	}
+	def, err := fw.Default()
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	rtma, phi, threshold, err := fw.RTM(1) // Phi = 1 x Default energy
+	if err != nil {
+		log.Fatalf("RTM mode: %v", err)
+	}
+	fmt.Println("== RTM mode (RTMA) ==")
+	fmt.Printf("energy budget Phi=%v -> admission threshold %v\n", phi, threshold)
+	compare(def, rtma)
+
+	ema, omega, v, err := fw.EM(1, 0) // Omega = 1 x Default rebuffering, V calibrated
+	if err != nil {
+		log.Fatalf("EM mode: %v", err)
+	}
+	fmt.Println("== EM mode (EMA) ==")
+	fmt.Printf("rebuffering bound Omega=%v -> Lyapunov V=%.3g\n", omega, v)
+	compare(def, ema)
+}
+
+// compare prints a mode's run beside the Default run and the change.
+func compare(def, res *cell.Result) {
+	for _, r := range []*cell.Result{def, res} {
+		fmt.Printf("%-18s rebuffer/user=%-8v energy/user=%v\n",
+			r.SchedulerName+":", r.MeanRebufferPerUser(), r.MeanEnergyPerUser())
+	}
+	fmt.Printf("rebuffering %+.1f%%, energy %+.1f%% vs Default\n\n",
+		change(float64(def.MeanRebufferPerUser()), float64(res.MeanRebufferPerUser())),
+		change(float64(def.MeanEnergyPerUser()), float64(res.MeanEnergyPerUser())))
+}
+
+// change is got's change against ref, in percent.
+func change(ref, got float64) float64 {
+	return (got/ref - 1) * 100
 }

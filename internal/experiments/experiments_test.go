@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"jointstream/internal/cell"
 	"jointstream/internal/rng"
@@ -644,5 +647,46 @@ func TestWorkloadCacheBitwiseNeutral(t *testing.T) {
 	}
 	if a, _ := withTable.WorkloadCacheStats(); a == 0 {
 		t.Error("link-table runner recorded no cache hits")
+	}
+}
+
+// TestAllParallelCancellation: a cancelled context must abort the
+// parallel suite promptly — in-flight simulations stop at their next
+// slot checkpoint — and leave no worker goroutines behind.
+func TestAllParallelCancellation(t *testing.T) {
+	r, err := NewRunner(QuickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	// Cancel up front: the quick suite can outrun any mid-flight cancel
+	// on fast machines, making the test racy. (Mid-run cancellation of a
+	// simulation is covered by cell.TestRunCtxCancellation.)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.AllParallel(ctx, 4)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled suite returned %v, want context.Canceled", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("cancelled AllParallel did not return")
+	}
+	deadline := time.After(5 * time.Second)
+	for {
+		runtime.GC()
+		if runtime.NumGoroutine() <= before {
+			return
+		}
+		select {
+		case <-deadline:
+			t.Fatalf("goroutines leaked: before %d, after %d", before, runtime.NumGoroutine())
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }

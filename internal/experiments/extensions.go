@@ -9,12 +9,10 @@ import (
 	"jointstream/internal/abr"
 	"jointstream/internal/cell"
 	"jointstream/internal/oracle"
-	"jointstream/internal/qoe"
 	"jointstream/internal/radio"
 	"jointstream/internal/rng"
 	"jointstream/internal/rrc"
 	"jointstream/internal/sched"
-	"jointstream/internal/stats"
 	"jointstream/internal/units"
 	"jointstream/internal/workload"
 )
@@ -174,7 +172,6 @@ func (r *Runner) abrFig() (*Figure, error) {
 		res, err := sub.run(sc, sb)
 		return res, 0, err
 	}}
-	weights := qoe.DefaultWeights(450)
 	fig := Figure{ID: "Ext. ABR", Title: "Adaptive-bitrate players (BBA) under each scheduler",
 		XLabel: "algorithm (0=Default 1=RTMA 2=EMA)", YLabel: "value",
 		Notes: []string{fmt.Sprintf("%s, ladder %v-%v KB/s", r.scenarioNote(),
@@ -188,9 +185,44 @@ func (r *Runner) abrFig() (*Figure, error) {
 			}
 			return qs / float64(len(res.Users)), nil
 		}},
-		row{"mean QoE (MPC model)", sub, func(res *cell.Result) (float64, error) {
-			return qoe.MeanScore(weights, res, r.opts.Cell.Tau)
-		}})
+		row{"mean QoE (MPC model)", sub, mpcQoE(r.opts.Cell.Tau)})
+}
+
+// The weights of the linear MPC QoE model (Yin et al., SIGCOMM 2015):
+// quality counts in units of the reference rate per played slot, a
+// quality switch costs one unit, a stalled second 3 and a second of
+// startup delay 1.5.
+const (
+	qoeRefRateKBps = 450
+	qoeSwitch      = 1
+	qoeStall       = 3
+	qoeStartup     = 1.5
+)
+
+// mpcQoE is the users' mean score under the MPC model,
+//
+//	QoE = Σ q(R_k) − λ·switches − μ·T_rebuffer − μs·T_startup,
+//
+// the other QoE components the schedulers trade beside the paper's stall
+// term. The paper's model stalls every session's first slot (a shard is
+// playable one slot after it lands), so one slot of any rebuffering is
+// the startup delay.
+func mpcQoE(tau units.Seconds) metric {
+	return func(res *cell.Result) (float64, error) {
+		var sum float64
+		for _, u := range res.Users {
+			startup, reb := units.Seconds(0), u.Rebuffer
+			if reb >= tau {
+				startup, reb = tau, reb-tau
+			}
+			quality := float64(u.MeanQuality()) / qoeRefRateKBps * float64(u.QualitySlots)
+			sum += quality -
+				qoeSwitch*float64(u.QualitySwitches) -
+				qoeStall*float64(reb) -
+				qoeStartup*float64(startup)
+		}
+		return sum / float64(len(res.Users)), nil
+	}
 }
 
 // transMJ is a run's transmission energy, without the RRC tail.
@@ -445,21 +477,122 @@ func (r *Runner) multiSeed(seeds int) ([]seedStats, error) {
 	return out, nil
 }
 
-// welchP runs Welch's t-test and returns the two-sided p-value.
+// welchP runs Welch's unequal-variance t-test on two samples and returns
+// the two-sided p-value: is the difference of their means distinguishable
+// from seed noise?
 func welchP(a, b []float64) (float64, error) {
-	sa, err := stats.Describe(a)
+	meanA, varA, err := describe(a)
 	if err != nil {
 		return 0, err
 	}
-	sb, err := stats.Describe(b)
+	meanB, varB, err := describe(b)
 	if err != nil {
 		return 0, err
 	}
-	res, err := stats.Welch(sa, sb)
-	if err != nil {
-		return 0, err
+	va := varA / float64(len(a))
+	vb := varB / float64(len(b))
+	se := math.Sqrt(va + vb)
+	if se == 0 {
+		// Two constants: equal means show no difference, unequal ones a
+		// deterministic one.
+		if meanA == meanB {
+			return 1, nil
+		}
+		return 0, nil
 	}
-	return res.P, nil
+	t := (meanA - meanB) / se
+	df := (va + vb) * (va + vb) /
+		(va*va/float64(len(a)-1) + vb*vb/float64(len(b)-1))
+	return 2 * studentTail(math.Abs(t), df), nil
+}
+
+// describe returns the mean and the unbiased (n−1) variance of xs, which
+// needs two finite observations.
+func describe(xs []float64) (mean, variance float64, err error) {
+	if len(xs) < 2 {
+		return 0, 0, fmt.Errorf("experiments: need at least 2 observations, got %d", len(xs))
+	}
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return 0, 0, fmt.Errorf("experiments: non-finite observation %v", x)
+		}
+		mean += x
+	}
+	mean /= float64(len(xs))
+	var ss float64
+	for _, x := range xs {
+		d := x - mean
+		ss += d * d
+	}
+	return mean, ss / float64(len(xs)-1), nil
+}
+
+// studentTail returns P(T > t) for Student's t with df degrees of freedom,
+// via the regularized incomplete beta function:
+// P(T > t) = ½ I_{df/(df+t²)}(df/2, ½).
+func studentTail(t, df float64) float64 {
+	if t <= 0 {
+		return 0.5
+	}
+	x := df / (df + t*t)
+	return 0.5 * regIncBeta(df/2, 0.5, x)
+}
+
+// regIncBeta computes the regularized incomplete beta function I_x(a, b)
+// using the continued-fraction expansion (Numerical Recipes betacf).
+func regIncBeta(a, b, x float64) float64 {
+	if x <= 0 {
+		return 0
+	}
+	if x >= 1 {
+		return 1
+	}
+	lgamma := func(x float64) float64 {
+		v, _ := math.Lgamma(x)
+		return v
+	}
+	front := math.Exp(lgamma(a+b) - lgamma(a) - lgamma(b) + a*math.Log(x) + b*math.Log(1-x))
+	if x < (a+1)/(a+b+2) {
+		return front * betacf(a, b, x) / a
+	}
+	return 1 - front*betacf(b, a, 1-x)/b
+}
+
+// betacf evaluates the continued fraction for the incomplete beta
+// function by the modified Lentz method.
+func betacf(a, b, x float64) float64 {
+	const (
+		maxIter = 200
+		eps     = 3e-14
+		fpmin   = 1e-300
+	)
+	// floor keeps a Lentz denominator off zero.
+	floor := func(v float64) float64 {
+		if math.Abs(v) < fpmin {
+			return fpmin
+		}
+		return v
+	}
+	qab, qap, qam := a+b, a+1, a-1
+	c := 1.0
+	d := 1 / floor(1-qab*x/qap)
+	h := d
+	for m := 1; m <= maxIter; m++ {
+		m2 := 2 * m
+		aa := float64(m) * (b - float64(m)) * x / ((qam + float64(m2)) * (a + float64(m2)))
+		d = 1 / floor(1+aa*d)
+		c = floor(1 + aa/c)
+		h *= d * c
+		aa = -(a + float64(m)) * (qab + float64(m)) * x / ((a + float64(m2)) * (qap + float64(m2)))
+		d = 1 / floor(1+aa*d)
+		c = floor(1 + aa/c)
+		del := d * c
+		h *= del
+		if math.Abs(del-1) < eps {
+			break
+		}
+	}
+	return h
 }
 
 func meanStd(xs []float64) (mean, std float64) {

@@ -21,11 +21,12 @@ import (
 //	measured stall rate > Ω  ⇒  V ← V/γ  (spend energy, protect playback)
 //	measured stall rate < Ω·margin ⇒ V ← V·γ  (harvest energy headroom)
 //
-// staying within [VMin, VMax]. The underlying per-slot decision remains
-// Alg. 2's exact DP, so all Eq. (1)/(2) feasibility properties carry over.
+// staying within [adaptiveVMin, adaptiveVMax]. The underlying per-slot
+// decision remains Alg. 2's exact DP, so all Eq. (1)/(2) feasibility
+// properties carry over.
 type AdaptiveEMA struct {
 	inner *EMA
-	cfg   AdaptiveEMAConfig
+	omega units.Seconds
 
 	slotCount  int
 	stallAccum float64 // Σ per-user estimated stall in the current window
@@ -33,74 +34,39 @@ type AdaptiveEMA struct {
 	act        []int   // activeIndices fallback scratch
 }
 
+// The controller's settings: V starts at adaptiveInitialV and moves by
+// the factor adaptiveGamma within [adaptiveVMin, adaptiveVMax], once every
+// adaptiveWindow slots; V is left alone while the stall rate lies in
+// [adaptiveMargin·Ω, Ω] (raised only when stalls are under half the
+// budget).
+const (
+	adaptiveInitialV = 0.1
+	adaptiveVMin     = 0.001
+	adaptiveVMax     = 64
+	adaptiveGamma    = 1.5
+	adaptiveWindow   = 50
+	adaptiveMargin   = 0.5
+)
+
 // AdaptiveEMAConfig configures the controller.
 type AdaptiveEMAConfig struct {
 	// Omega is the target average rebuffering per user per slot (the
 	// paper's PC(Γ) bound, Eq. 13).
 	Omega units.Seconds
-	// InitialV seeds the Lyapunov weight (default 0.1).
-	InitialV float64
-	// VMin and VMax bound the adaptation (defaults 0.001 and 64).
-	VMin, VMax float64
-	// Gamma is the multiplicative step (default 1.5; must be > 1).
-	Gamma float64
-	// AdjustEvery is the window length in slots (default 50).
-	AdjustEvery int
-	// Margin is the dead band below Omega within which V is left alone
-	// (default 0.5: increase V only when stalls are under half the
-	// budget).
-	Margin float64
 	// RRC supplies the tail model for the inner EMA.
 	RRC rrc.Profile
 }
 
-func (c *AdaptiveEMAConfig) setDefaults() {
-	if c.InitialV == 0 {
-		c.InitialV = 0.1
-	}
-	if c.VMin == 0 {
-		c.VMin = 0.001
-	}
-	if c.VMax == 0 {
-		c.VMax = 64
-	}
-	if c.Gamma == 0 {
-		c.Gamma = 1.5
-	}
-	if c.AdjustEvery == 0 {
-		c.AdjustEvery = 50
-	}
-	if c.Margin == 0 {
-		c.Margin = 0.5
-	}
-}
-
 // NewAdaptiveEMA validates the configuration and builds the scheduler.
 func NewAdaptiveEMA(cfg AdaptiveEMAConfig) (*AdaptiveEMA, error) {
-	cfg.setDefaults()
 	if cfg.Omega < 0 || math.IsNaN(float64(cfg.Omega)) {
 		return nil, fmt.Errorf("adaptive-ema: invalid omega %v", cfg.Omega)
 	}
-	if cfg.VMin <= 0 || cfg.VMax <= cfg.VMin {
-		return nil, fmt.Errorf("adaptive-ema: invalid V range [%v, %v]", cfg.VMin, cfg.VMax)
-	}
-	if cfg.InitialV < cfg.VMin || cfg.InitialV > cfg.VMax {
-		return nil, fmt.Errorf("adaptive-ema: initial V %v outside [%v, %v]", cfg.InitialV, cfg.VMin, cfg.VMax)
-	}
-	if cfg.Gamma <= 1 {
-		return nil, fmt.Errorf("adaptive-ema: gamma %v must exceed 1", cfg.Gamma)
-	}
-	if cfg.AdjustEvery < 1 {
-		return nil, fmt.Errorf("adaptive-ema: adjust window %d < 1", cfg.AdjustEvery)
-	}
-	if cfg.Margin < 0 || cfg.Margin > 1 {
-		return nil, fmt.Errorf("adaptive-ema: margin %v outside [0, 1]", cfg.Margin)
-	}
-	inner, err := NewEMA(EMAConfig{V: cfg.InitialV, RRC: cfg.RRC})
+	inner, err := NewEMA(EMAConfig{V: adaptiveInitialV, RRC: cfg.RRC})
 	if err != nil {
 		return nil, err
 	}
-	return &AdaptiveEMA{inner: inner, cfg: cfg}, nil
+	return &AdaptiveEMA{inner: inner, omega: cfg.Omega}, nil
 }
 
 // Name implements Scheduler.
@@ -124,7 +90,7 @@ func (a *AdaptiveEMA) Allocate(slot *Slot, alloc []int) {
 		}
 	}
 	a.slotCount++
-	if a.slotCount >= a.cfg.AdjustEvery {
+	if a.slotCount >= adaptiveWindow {
 		a.adapt()
 	}
 	a.inner.Allocate(slot, alloc)
@@ -143,19 +109,14 @@ func (a *AdaptiveEMA) adapt() {
 	rate := a.stallAccum / float64(a.userSlots) // seconds of stall per user-slot
 	v := a.inner.V()
 	switch {
-	case rate > float64(a.cfg.Omega):
-		v /= a.cfg.Gamma
-	case rate < float64(a.cfg.Omega)*a.cfg.Margin:
-		v *= a.cfg.Gamma
+	case rate > float64(a.omega):
+		v /= adaptiveGamma
+	case rate < float64(a.omega)*adaptiveMargin:
+		v *= adaptiveGamma
 	default:
 		return
 	}
-	if v < a.cfg.VMin {
-		v = a.cfg.VMin
-	}
-	if v > a.cfg.VMax {
-		v = a.cfg.VMax
-	}
+	v = min(max(v, adaptiveVMin), adaptiveVMax)
 	a.inner.v = v
 }
 

@@ -13,11 +13,6 @@ func TestAdaptiveEMAValidation(t *testing.T) {
 	}
 	bad := []func(*AdaptiveEMAConfig){
 		func(c *AdaptiveEMAConfig) { c.Omega = -1 },
-		func(c *AdaptiveEMAConfig) { c.VMin, c.VMax = 2, 1 },
-		func(c *AdaptiveEMAConfig) { c.InitialV = 1000 },
-		func(c *AdaptiveEMAConfig) { c.Gamma = 0.5 },
-		func(c *AdaptiveEMAConfig) { c.AdjustEvery = -1 },
-		func(c *AdaptiveEMAConfig) { c.Margin = 2 },
 		func(c *AdaptiveEMAConfig) { c.RRC = rrc.Profile{Pd: -1} },
 	}
 	for i, mut := range bad {
@@ -34,21 +29,19 @@ func TestAdaptiveEMAName(t *testing.T) {
 	if a.Name() != "AdaptiveEMA" {
 		t.Error("name mismatch")
 	}
-	if a.V() != 0.1 {
-		t.Errorf("initial V = %v, want default 0.1", a.V())
+	if a.V() != adaptiveInitialV {
+		t.Errorf("initial V = %v, want %v", a.V(), adaptiveInitialV)
 	}
 }
 
 // Constant stall pressure above Omega must drive V down.
 func TestAdaptiveEMALowersVUnderStalls(t *testing.T) {
-	a, err := NewAdaptiveEMA(AdaptiveEMAConfig{
-		Omega: 0.01, AdjustEvery: 10, RRC: rrc.Paper3G(),
-	})
+	a, err := NewAdaptiveEMA(AdaptiveEMAConfig{Omega: 0.01, RRC: rrc.Paper3G()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	v0 := a.V()
-	for n := 0; n < 30; n++ {
+	for n := 0; n < 3*adaptiveWindow; n++ {
 		u := stdUser(400, -80, 10)
 		u.BufferSec = 0        // permanently starved: stall rate ~1 s per slot
 		slot := makeSlot(0, u) // zero capacity so the buffer never fills
@@ -61,14 +54,12 @@ func TestAdaptiveEMALowersVUnderStalls(t *testing.T) {
 
 // Comfortable buffers well under the stall budget must raise V.
 func TestAdaptiveEMARaisesVWhenComfortable(t *testing.T) {
-	a, err := NewAdaptiveEMA(AdaptiveEMAConfig{
-		Omega: 0.5, AdjustEvery: 10, RRC: rrc.Paper3G(),
-	})
+	a, err := NewAdaptiveEMA(AdaptiveEMAConfig{Omega: 0.5, RRC: rrc.Paper3G()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	v0 := a.V()
-	for n := 0; n < 30; n++ {
+	for n := 0; n < 3*adaptiveWindow; n++ {
 		u := stdUser(400, -60, 10)
 		u.BufferSec = 30 // deep buffer: zero stall pressure
 		slot := makeSlot(100, u)
@@ -79,46 +70,42 @@ func TestAdaptiveEMARaisesVWhenComfortable(t *testing.T) {
 	}
 }
 
+// Enough windows to walk V from adaptiveInitialV past either bound (12
+// divisions by 1.5 reach adaptiveVMin, 16 multiplications adaptiveVMax):
+// it must stop at the bound.
 func TestAdaptiveEMARespectsVBounds(t *testing.T) {
-	a, err := NewAdaptiveEMA(AdaptiveEMAConfig{
-		Omega: 0.01, AdjustEvery: 5, VMin: 0.05, VMax: 0.2, InitialV: 0.1,
-		RRC: rrc.Paper3G(),
-	})
+	const slots = 20 * adaptiveWindow
+	a, err := NewAdaptiveEMA(AdaptiveEMAConfig{Omega: 0.01, RRC: rrc.Paper3G()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for n := 0; n < 100; n++ {
+	for n := 0; n < slots; n++ {
 		u := stdUser(400, -80, 10)
 		u.BufferSec = 0
 		a.Allocate(makeSlot(0, u), make([]int, 1))
 	}
-	if a.V() < 0.05 {
-		t.Errorf("V %v fell below VMin", a.V())
+	if a.V() != adaptiveVMin {
+		t.Errorf("V %v under constant stalls, want the floor %v", a.V(), adaptiveVMin)
 	}
-	b, _ := NewAdaptiveEMA(AdaptiveEMAConfig{
-		Omega: 0.5, AdjustEvery: 5, VMin: 0.05, VMax: 0.2, InitialV: 0.1,
-		RRC: rrc.Paper3G(),
-	})
-	for n := 0; n < 100; n++ {
+	b, _ := NewAdaptiveEMA(AdaptiveEMAConfig{Omega: 0.5, RRC: rrc.Paper3G()})
+	for n := 0; n < slots; n++ {
 		u := stdUser(400, -60, 10)
 		u.BufferSec = 30
 		b.Allocate(makeSlot(100, u), make([]int, 1))
 	}
-	if b.V() > 0.2 {
-		t.Errorf("V %v rose above VMax", b.V())
+	if b.V() != adaptiveVMax {
+		t.Errorf("V %v with constant headroom, want the ceiling %v", b.V(), adaptiveVMax)
 	}
 }
 
 func TestAdaptiveEMADeadBandHoldsV(t *testing.T) {
-	// Stall rate between Margin*Omega and Omega: V must not move.
-	a, err := NewAdaptiveEMA(AdaptiveEMAConfig{
-		Omega: 0.5, Margin: 0.5, AdjustEvery: 10, RRC: rrc.Paper3G(),
-	})
+	// Stall rate between adaptiveMargin*Omega and Omega: V must not move.
+	a, err := NewAdaptiveEMA(AdaptiveEMAConfig{Omega: 0.5, RRC: rrc.Paper3G()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	v0 := a.V()
-	for n := 0; n < 30; n++ {
+	for n := 0; n < 3*adaptiveWindow; n++ {
 		u := stdUser(400, -60, 10)
 		u.BufferSec = 0.7 // stall pressure 0.3 in (0.25, 0.5)
 		a.Allocate(makeSlot(100, u), make([]int, 1))

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -106,5 +107,43 @@ func TestCheckedInBenchmarkRecords(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestReadmeQuickstartIsRecorded: README's sample output of
+// examples/quickstart (the first unlabelled code block of its Quickstart
+// section) is the head of that example's section in
+// results/examples_output.txt, verbatim, which CI holds to a fresh run.
+func TestReadmeQuickstartIsRecorded(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded, err := os.ReadFile("results/examples_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, quickstart, _ := strings.Cut(string(readme), "\n## Quickstart\n")
+	var block, label string
+	open, found := false, false
+	for _, line := range strings.SplitAfter(quickstart, "\n") {
+		info, isFence := strings.CutPrefix(line, "```")
+		if isFence && !open {
+			open, label = true, strings.TrimSpace(info)
+		} else if isFence {
+			if label == "" {
+				found = true
+				break
+			}
+			open = false
+		} else if open && label == "" {
+			block += line
+		}
+	}
+	if !found || block == "" {
+		t.Fatal("README.md: no sample output block under ## Quickstart")
+	}
+	if !strings.Contains(string(recorded), "== examples/quickstart ==\n"+block) {
+		t.Errorf("README.md's quickstart output is not results/examples_output.txt's; paste the recorded section:\n%s", block)
 	}
 }

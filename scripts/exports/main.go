@@ -10,8 +10,8 @@
 // anything. A method is used when its type implements an interface whose
 // method is called anywhere, or one of an imported standard package; a type
 // is used when a used signature, field, variable or constant names it. A
-// field is set by a composite-literal key, an assignment or an increment,
-// or by its address taken outside its own package.
+// field is set by a composite-literal key, or by an assignment, an
+// increment or its address taken outside its own package.
 package main
 
 import (
@@ -224,10 +224,11 @@ func configType(name string) bool {
 }
 
 // markWrites marks in written every field that f, a file of package p,
-// sets: by a composite-literal key, on the left of an assignment or
-// increment, or by taking its address when the field is another
-// package's (flag.IntVar(&c.F, …)). A package handing its own field's
-// address to a helper (resolve(&p.F, 16)) only fills a default.
+// sets: by a composite-literal key, or, when the field is another
+// package's, on the left of an assignment or increment or by taking its
+// address (flag.IntVar(&c.F, …)). A package assigning its own field
+// (c.Users = 20) or handing its address to a helper (resolve(&p.F, 16))
+// only fills a default.
 func markWrites(f *ast.File, info *types.Info, p *types.Package, written map[types.Object]bool) {
 	field := func(e ast.Expr, inOwnPkg bool) {
 		var obj types.Object
@@ -249,10 +250,10 @@ func markWrites(f *ast.File, info *types.Info, p *types.Package, written map[typ
 			field(x.Key, true)
 		case *ast.AssignStmt:
 			for _, lhs := range x.Lhs {
-				field(lhs, true)
+				field(lhs, false)
 			}
 		case *ast.IncDecStmt:
-			field(x.X, true)
+			field(x.X, false)
 		case *ast.UnaryExpr:
 			if x.Op == token.AND {
 				field(x.X, false)

@@ -16,6 +16,7 @@ func TestFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
+		"a.Config.Assigned (config field no entry point sets)",
 		"a.Config.Defaulted (config field no entry point sets)",
 		"a.Config.Unset (config field no entry point sets)",
 		"a.Dead (unused)",
@@ -34,6 +35,7 @@ func TestFixture(t *testing.T) {
 	}
 	got = unlisted("testdata", allow)
 	want = []string{
+		"a.Config.Assigned (config field no entry point sets)",
 		"a.Config.Defaulted (config field no entry point sets)",
 		"a.Config.Unset (config field no entry point sets)",
 		"a.Own (only its own package)", // listed without a reason

@@ -29,12 +29,17 @@ type Config struct {
 	Keyed     int // set by b's keyed literal: not listed
 	Pointed   int // set through b's &cfg.Pointed: not listed
 	Defaulted int // only a's resolve(&c.Defaulted, 8) writes it: listed
+	Assigned  int // only a's own c.Assigned = 4 and c.Assigned++ write it: listed
 }
 
 // Use is called from b.
 func Use(c Config) int {
 	resolve(&c.Defaulted, 8)
-	return c.Unset + c.Keyed + c.Pointed + c.Defaulted
+	if c.Assigned == 0 {
+		c.Assigned = 4
+	}
+	c.Assigned++
+	return c.Unset + c.Keyed + c.Pointed + c.Defaulted + c.Assigned
 }
 
 func resolve(p *int, d int) {
