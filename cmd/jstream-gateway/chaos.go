@@ -16,7 +16,6 @@ import (
 
 	"jointstream/internal/cell"
 	"jointstream/internal/deploy"
-	"jointstream/internal/fault"
 	"jointstream/internal/gateway"
 	"jointstream/internal/radio"
 	"jointstream/internal/rng"
@@ -112,24 +111,24 @@ type chaosReport struct {
 // scenario seed.
 func chaosPlans(o chaosOptions) []struct {
 	name string
-	plan fault.Plan
+	plan faultPlan
 } {
 	return []struct {
 		name string
-		plan fault.Plan
+		plan faultPlan
 	}{
-		{"stall", fault.Plan{Seed: o.Seed, Endpoint: fault.EndpointPlan{
+		{"stall", faultPlan{Seed: o.Seed, Endpoint: endpointPlan{
 			StallProb: 0.25, StallFor: 10 * o.SlotDeadline,
 		}}},
-		{"drop", fault.Plan{Seed: o.Seed, Endpoint: fault.EndpointPlan{DropProb: 0.25}}},
-		{"flap", fault.Plan{Seed: o.Seed, Endpoint: fault.EndpointPlan{
+		{"drop", faultPlan{Seed: o.Seed, Endpoint: endpointPlan{DropProb: 0.25}}},
+		{"flap", faultPlan{Seed: o.Seed, Endpoint: endpointPlan{
 			FlapProb: 0.08, FlapSlots: 3,
 		}}},
-		{"report-loss", fault.Plan{Seed: o.Seed, Endpoint: fault.EndpointPlan{ReportLossProb: 0.25}}},
-		{"slow-read", fault.Plan{Seed: o.Seed, Source: fault.SourcePlan{
+		{"report-loss", faultPlan{Seed: o.Seed, Endpoint: endpointPlan{ReportLossProb: 0.25}}},
+		{"slow-read", faultPlan{Seed: o.Seed, Source: sourcePlan{
 			SlowReadProb: 0.5, SlowReadMax: 100_000,
 		}}},
-		{"eof-early", fault.Plan{Seed: o.Seed, Source: fault.SourcePlan{
+		{"eof-early", faultPlan{Seed: o.Seed, Source: sourcePlan{
 			EOFEarlyAfter: int64(float64(o.VideoKB) * 1000 / 2),
 		}}},
 	}
@@ -137,7 +136,7 @@ func chaosPlans(o chaosOptions) []struct {
 
 // chaosGatewayRun drives one gateway run with every user wrapped by the
 // plan and summarizes it as a row.
-func chaosGatewayRun(o chaosOptions, name string, plan fault.Plan) (chaosRow, error) {
+func chaosGatewayRun(o chaosOptions, name string, plan faultPlan) (chaosRow, error) {
 	cfg := gateway.Config{
 		Tau:  1,
 		Unit: 100,
@@ -170,7 +169,7 @@ func chaosGatewayRun(o chaosOptions, name string, plan fault.Plan) (chaosRow, er
 		if err != nil {
 			return chaosRow{}, err
 		}
-		if _, err := g.Attach(plan.WrapEndpoint(i, ep), plan.WrapSource(i, src)); err != nil {
+		if _, err := g.Attach(plan.wrapEndpoint(i, ep), plan.wrapSource(i, src)); err != nil {
 			return chaosRow{}, err
 		}
 	}
@@ -230,9 +229,8 @@ func chaosDeployRun(o chaosOptions) (siteOutageRow, error) {
 	if err != nil {
 		return siteOutageRow{}, err
 	}
-	plan := fault.Plan{Seed: o.Seed, Sites: []deploy.SiteOutage{{Site: 0, From: 5, To: 30}}}
 	outCfg := mkCfg()
-	outCfg.Outages = plan.SiteOutages()
+	outCfg.Outages = []deploy.SiteOutage{{Site: 0, From: 5, To: 30}}
 	outSessions, err := mkSessions()
 	if err != nil {
 		return siteOutageRow{}, err
@@ -255,13 +253,13 @@ func runChaosScenario(o chaosOptions) (*chaosReport, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	baseline, err := chaosGatewayRun(o, "baseline", fault.Plan{})
+	baseline, err := chaosGatewayRun(o, "baseline", faultPlan{})
 	if err != nil {
 		return nil, err
 	}
 	rep := &chaosReport{Baseline: baseline}
 	for _, c := range chaosPlans(o) {
-		if err := c.plan.Validate(); err != nil {
+		if err := c.plan.validate(); err != nil {
 			return nil, fmt.Errorf("chaos plan %s: %w", c.name, err)
 		}
 		row, err := chaosGatewayRun(o, c.name, c.plan)

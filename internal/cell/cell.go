@@ -71,24 +71,20 @@ type Config struct {
 	// It must have been compiled from the same sessions; New rejects
 	// mismatched user counts, horizons and rows. It holds signals and
 	// rates only, so the run's physics come from the run's own Radio, Tau
-	// and Unit whatever the table was compiled under. Without one, New
-	// compiles the run's own table when users × MaxSlots ≤
-	// DefaultLinkTableMaxRows, and gives a larger run a sliding link window
-	// of 256-slot blocks.
+	// and Unit whatever the table was compiled under. Without one, the run
+	// slides its own link window (LinkTileSlots).
 	Link *LinkTable
-	// LinkTileSlots, when positive, bounds the run's link state at about
-	// users × LinkTileSlots rows (8 bytes each: signal; plus one rate row
-	// per block, or per slot under rate jitter) no matter the horizon —
-	// the fleet runner's per-cell setting — instead of compiling the whole
-	// horizon: the engine keeps a sliding link window (linkwindow.go) of
-	// two blocks of ⌈LinkTileSlots/2⌉ slots each, ticking one while the next fills
-	// into the other (in the background when the fill is big enough to be
-	// worth handing off; in place otherwise, into one block it borrows
-	// only while the run ticks). Results are byte-identical to the
-	// whole-horizon table's (differentially asserted). Ignored when a
+	// LinkTileSlots sizes the run's own sliding link window
+	// (linkwindow.go): two blocks of ⌈LinkTileSlots/2⌉ slots each (256
+	// when 0), capped at MaxSlots, ticking one while the next fills into
+	// the other (in the background when the fill is big enough to be worth
+	// handing off; in place otherwise, into one block it borrows only
+	// while the run ticks). The link state is about users × LinkTileSlots
+	// rows (8 bytes each: signal; plus one rate row per block, or per slot
+	// under rate jitter) no matter the horizon. Results are byte-identical
+	// to RunReference's (differentially asserted). Ignored when a
 	// caller-supplied Link is present and by the open engine
-	// (OpenConfig.TileSlots is one block's length); a value ≥ MaxSlots
-	// compiles the whole horizon.
+	// (OpenConfig.TileSlots is one block's length).
 	LinkTileSlots int
 	// Outages lists base-station outage windows: during each [From, To)
 	// slot range the serving capacity is zero, no allocation happens, and
@@ -594,26 +590,22 @@ func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, open *o
 	}
 	// Attach the link window the tick path reads its rows from: the open
 	// engine's; over a caller-supplied table, validated against this run's
-	// shape; over a table compiled here, for a run whose whole horizon
-	// LinkTileSlots covers or whose rows fit the cap; or a sliding one of
-	// ⌈LinkTileSlots/2⌉-slot blocks, 256-slot without a tile.
+	// shape; or the run's own sliding one of ⌈LinkTileSlots/2⌉-slot blocks
+	// (256-slot without a tile), capped at MaxSlots.
 	var lt *LinkTable
 	var err error
-	rows := int64(len(sessions)) * int64(cfg.MaxSlots)
 	switch {
 	case open != nil:
 		sim.win = newLinkWindow(sim.workers, open.span, open.rows, open.horizon, constRate(sessions), sessions)
 	case cfg.Link != nil:
 		lt = cfg.Link
 		err = lt.compatible(cfg, sessions)
-	case cfg.LinkTileSlots >= cfg.MaxSlots || cfg.LinkTileSlots == 0 && rows <= DefaultLinkTableMaxRows:
-		lt, err = CompileLink(cfg, sessions)
 	default:
-		span := min(tableBlockSlots, cfg.MaxSlots)
+		span := tableBlockSlots
 		if cfg.LinkTileSlots > 0 {
 			span = (cfg.LinkTileSlots + 1) / 2
 		}
-		sim.win = newLinkWindow(sim.workers, span, len(sessions), cfg.MaxSlots, constRate(sessions), sessions)
+		sim.win = newLinkWindow(sim.workers, min(span, cfg.MaxSlots), len(sessions), cfg.MaxSlots, constRate(sessions), sessions)
 	}
 	if err != nil {
 		return nil, err
@@ -622,9 +614,9 @@ func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, open *o
 		return nil, err
 	}
 	if lt != nil {
-		// A table run reads its sessions only through the table, which
-		// extends their memos itself as it fills (link.go): the run never
-		// touches a session another run may be sharing.
+		// A table run reads its sessions only through the table, whose
+		// compile prewarmed them over its horizon (link.go): the run never
+		// grows a memo another run may be reading.
 		sim.win = tableWindow(lt)
 	} else {
 		// Without a table the run reads the sessions in a sliding window's

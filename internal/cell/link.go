@@ -11,14 +11,16 @@ import (
 	"jointstream/internal/workload"
 )
 
-// This file implements the compiled link-table layer: every user's trace
-// is flattened into contiguous slot-major columns of per-slot link rows —
-// signal and required rate. The tick path's prepare phase aliases each
-// slot's window (a zero-copy reslice per column, never a copy) into the
-// sched.Columns view and derives throughput, per-KB energy and the Eq. (1)
-// limit from the signals through the run's own radio.Link. The rows are
-// produced by the link-window fill (linkfill.go). RunReference
-// deliberately ignores the table — it evaluates the traces and models into
+// This file implements the compiled link table: every user's trace
+// flattened into slot-major blocks of per-slot link rows — signal and
+// required rate — filled once and shared. It is the rate prediction the
+// Predictive scheduler's forecast and the oracle read, and the cache a
+// sweep hands every scheduler run of one scenario (Config.Link); a run
+// handed none slides its own window (linkwindow.go) over the same fill
+// (linkfill.go). A run over a table aliases each slot's rows zero-copy
+// into its sched.Columns view and derives throughput, per-KB energy and
+// the Eq. (1) limit from the signals through its own radio.Link.
+// RunReference ignores the table — it evaluates the traces and models into
 // private columns of its own — which makes the engine differential tests
 // assert derived == analytic on every slot.
 
@@ -43,14 +45,13 @@ const tableBlockSlots = 256
 // re-checks, fills and publishes. A run's window entering a block has the
 // block after it filled on a background goroutine (prefetch), so the run
 // that pushes furthest ahead — in a sweep, the long runs on its critical
-// path — need not fill in line. The table is also the one writer of its
-// sessions' memos: it extends them under that mutex before a fill reads
-// them, so the runs over a table never touch a shared session.
+// path — need not fill in line. Its sessions' memos are extended over the
+// whole horizon once, when the table is compiled, so no fill — and no run
+// over the table — grows a memo another reader sees.
 //
-// A run that must not hold users × horizon rows — one that sets
-// Config.LinkTileSlots, or is over DefaultLinkTableMaxRows — gets an
-// engine-owned sliding window (linkwindow.go) instead, which is not a
-// LinkTable and is never shared.
+// A table is how a caller shares rows between runs and forecasts
+// (Config.Link); a run handed none slides an engine-owned window
+// (linkwindow.go) instead, which is not a LinkTable and is never shared.
 type LinkTable struct {
 	users int
 	slots int
@@ -67,28 +68,17 @@ type LinkTable struct {
 	blocks []atomic.Pointer[linkBlock]
 	ahead  []atomic.Bool
 
-	// mu serializes the fills and guards the filler's scratch, the
-	// sessions' memos and warm.
+	// mu serializes the fills and guards the filler's scratch.
 	mu       sync.Mutex
 	fill     *linkFiller
 	sessions []*workload.Session
-	warm     int // slots every session's memos cover
 }
-
-// DefaultLinkTableMaxRows caps the automatic link-table compilation in
-// New at users×MaxSlots rows: 4M rows ≈ 64 MB with the current 16-byte
-// footprint (sig and rate, 8 B each), were every block reached. A larger
-// run slides a window of tableBlockSlots-slot blocks instead; callers that
-// want a bigger table compile one explicitly and pass it via Config.Link.
-const DefaultLinkTableMaxRows = 4 << 20
 
 // CompileLink builds the link table of the sessions over cfg's slot grid
 // and radio model: the block holding slot 0 is filled here, every other
 // block by the first reader that reaches it. The values are exactly the
-// ones RunReference evaluates. The table keeps the
-// sessions and extends their memos as it fills, so from here on nothing
-// else may grow them: read the sessions through the table, or prewarm them
-// before compiling.
+// ones RunReference evaluates. The sessions' memos are extended over the
+// horizon here, so afterwards any number of readers may share them.
 func CompileLink(cfg Config, sessions []*workload.Session) (*LinkTable, error) {
 	t, err := newLinkTable(cfg, sessions, cfg.MaxSlots)
 	if err != nil {
@@ -133,6 +123,7 @@ func newLinkTable(cfg Config, sessions []*workload.Session, slots int) (*LinkTab
 	if err != nil {
 		return nil, err
 	}
+	workload.PrewarmAll(workers, sessions, slots)
 	blocks := (slots + tableBlockSlots - 1) / tableBlockSlots
 	return &LinkTable{
 		users:      len(sessions),
@@ -156,8 +147,8 @@ func (t *LinkTable) block(n int) *linkBlock {
 	return t.fillBlock(k)
 }
 
-// fillBlock is block's miss path: under the mutex, re-check, extend the
-// sessions' memos past the block's end, fill, and publish.
+// fillBlock is block's miss path: under the mutex, re-check, fill, and
+// publish.
 func (t *LinkTable) fillBlock(k int) *linkBlock {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -166,13 +157,6 @@ func (t *LinkTable) fillBlock(k int) *linkBlock {
 	}
 	base := k * tableBlockSlots
 	hi := min(base+tableBlockSlots, t.slots)
-	if hi > t.warm {
-		// Doubling, so a table reached block by block moves each memo
-		// O(log) times into one exactly-sized allocation, not once per
-		// block, and the fill's reads grow nothing.
-		t.warm = min(t.slots, max(hi, 2*t.warm))
-		workload.PrewarmAll(t.fill.workers, t.sessions, t.warm)
-	}
 	b := &linkBlock{base: base, linkCols: newLinkCols(t.users, hi-base, t.sharedRate)}
 	t.fill.fill(&b.linkCols, t.sessions, nil, t.users, 0, base, hi)
 	t.blocks[k].Store(b)
@@ -217,16 +201,6 @@ func (t *LinkTable) slot(n int) ([]units.DBm, []units.KBps) {
 func (t *LinkTable) SlotSignals(n int) []units.DBm {
 	sig, _ := t.slot(n)
 	return sig
-}
-
-// prewarmFor extends sessions' memos over the table's whole horizon, under
-// the lock every fill holds, for a reader that evaluates them itself beside
-// the table's readers (RunReference). Once that returns no fill grows
-// them again.
-func (t *LinkTable) prewarmFor(sessions []*workload.Session) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	workload.PrewarmAll(t.fill.workers, sessions, t.slots)
 }
 
 // constRate reports whether no session has rate jitter, so one rate row
@@ -286,8 +260,7 @@ const linkVerifySamples = 16
 // block 0 — filled at compile time — re-read from the run's sessions and
 // required to match bitwise. A table holds only signals and rates; the run
 // derives its physics from them under its own radio model and slot grid,
-// so neither has to match the table's. The sessions are read under the
-// table's lock, since they may be the table's own.
+// so neither has to match the table's.
 func (t *LinkTable) compatible(cfg Config, sessions []*workload.Session) error {
 	if t.users != len(sessions) {
 		return fmt.Errorf("cell: link table compiled for %d users, run has %d", t.users, len(sessions))
@@ -296,8 +269,6 @@ func (t *LinkTable) compatible(cfg Config, sessions []*workload.Session) error {
 		return fmt.Errorf("cell: link table covers %d slots, run needs %d", t.slots, cfg.MaxSlots)
 	}
 	b := t.block(0)
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	total := t.users * min(tableBlockSlots, t.slots)
 	samples := min(linkVerifySamples, total)
 	for k := 0; k < samples; k++ {

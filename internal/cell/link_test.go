@@ -100,8 +100,8 @@ func TestLinkTableMatchesAnalytic(t *testing.T) {
 }
 
 // TestEveryRunReadsALinkWindow holds the one prepare path: every way of
-// building an engine — New over a shared Link, over its own table, past
-// the table's row cap, under LinkTileSlots, and NewOpen bounded, unbounded
+// building an engine — New over a shared Link, over its own window with
+// the default block or under LinkTileSlots, and NewOpen bounded, unbounded
 // and with the default block — ticks on a link window, and its Result
 // equals RunReference's analytic evaluation bit for bit (one shard). An
 // open engine without a session cap is refused.
@@ -165,10 +165,6 @@ func TestEveryRunReadsALinkWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	few := gen(8)
-	overCap := base
-	overCap.MaxSlots = DefaultLinkTableMaxRows/len(few) + 1 // one row-slot past the cap
-	overCap.Record = RecordTotals
 	unbounded := base
 	unbounded.RunFullHorizon = true
 	unbounded.Record = RecordTotals
@@ -185,8 +181,7 @@ func TestEveryRunReadsALinkWindow(t *testing.T) {
 			cfg.Link = shared
 			return closed(cfg, wl)
 		}, tableBlockSlots, true},
-		{"auto table", base, wl, func() (*Result, int, bool) { return closed(base, wl) }, tableBlockSlots, true},
-		{"over the row cap", overCap, few, func() (*Result, int, bool) { return closed(overCap, few) }, tableBlockSlots, false},
+		{"own window", base, wl, func() (*Result, int, bool) { return closed(base, wl) }, tableBlockSlots, false},
 		{"LinkTileSlots", base, wl, func() (*Result, int, bool) {
 			cfg := base
 			cfg.LinkTileSlots = 33
@@ -219,9 +214,10 @@ func TestEveryRunReadsALinkWindow(t *testing.T) {
 	}
 }
 
-// TestRunBitwiseEqualWithLinkTable runs the full engine over its own
-// table and over a table-less sliding window and requires both Results to
-// equal RunReference's — flattening is plumbing, not physics.
+// TestRunBitwiseEqualWithLinkTable runs the full engine over a compiled
+// table and over its own sliding window, at the default block and under
+// LinkTileSlots, and requires every Result to equal RunReference's —
+// flattening is plumbing, not physics.
 func TestRunBitwiseEqualWithLinkTable(t *testing.T) {
 	wl, err := workload.Generate(workload.PaperDefaults(8), rng.New(11))
 	if err != nil {
@@ -229,12 +225,10 @@ func TestRunBitwiseEqualWithLinkTable(t *testing.T) {
 	}
 	base := PaperConfig()
 	base.MaxSlots = 1500
-	runWith := func(tileSlots int, tabled bool) *Result {
-		cfg := base
-		cfg.LinkTileSlots = tileSlots
+	runWith := func(cfg Config, tabled bool) *Result {
 		sim := mustNewWith(t, cfg, wl, sched.NewDefault())
 		if sim.win == nil || (sim.win.table != nil) != tabled {
-			t.Fatalf("LinkTileSlots=%d: window %v, want table %v", tileSlots, sim.win != nil, tabled)
+			t.Fatalf("LinkTileSlots=%d: window %v, want table %v", cfg.LinkTileSlots, sim.win != nil, tabled)
 		}
 		res, err := sim.Run()
 		if err != nil {
@@ -242,41 +236,26 @@ func TestRunBitwiseEqualWithLinkTable(t *testing.T) {
 		}
 		return res
 	}
-	with := runWith(0, true)      // auto-compiled table
-	without := runWith(64, false) // sliding window
+	lt, err := CompileLink(base, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tabled := base
+	tabled.Link = lt
+	tiled := base
+	tiled.LinkTileSlots = 64
 	ref, err := mustNewWith(t, base, wl, sched.NewDefault()).RunReference()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(with, ref) {
-		t.Error("Result differs between link-table and reference runs")
-	}
-	if !reflect.DeepEqual(without, ref) {
-		t.Error("Result differs between sliding-window and reference runs")
-	}
-}
-
-// TestAutoLinkTableCap checks the size gate: a run over
-// DefaultLinkTableMaxRows slides a window of tableBlockSlots-slot blocks
-// instead of allocating a huge table, and a run at the cap compiles one.
-func TestAutoLinkTableCap(t *testing.T) {
-	wc := workload.PaperDefaults(4)
-	wc.StatelessSignal = true
-	wl, err := workload.Generate(wc, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := PaperConfig()
-	cfg.Record = RecordTotals
-	cfg.MaxSlots = DefaultLinkTableMaxRows/len(wl) + 1 // one row-slot past the cap
-	sim := mustNewWith(t, cfg, wl, sched.NewDefault())
-	if sim.win == nil || sim.win.table != nil || sim.win.span != tableBlockSlots {
-		t.Error("over-cap run did not slide a table-less window of tableBlockSlots-slot blocks")
-	}
-	cfg.MaxSlots = DefaultLinkTableMaxRows / len(wl)
-	sim = mustNewWith(t, cfg, wl, sched.NewDefault())
-	if sim.win == nil || sim.win.table == nil {
-		t.Error("at-cap run skipped the table")
+	for name, res := range map[string]*Result{
+		"link-table":     runWith(tabled, true),
+		"own window":     runWith(base, false),
+		"sliding-window": runWith(tiled, false),
+	} {
+		if !reflect.DeepEqual(res, ref) {
+			t.Errorf("Result differs between %s and reference runs", name)
+		}
 	}
 }
 

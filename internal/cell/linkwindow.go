@@ -22,12 +22,13 @@ import (
 //
 //   - open: rows are admitted (admitRow) and dropped (dropRow) while the
 //     run goes on, and an unbounded table is compacted now and then;
-//   - closed (a closed fleet site too): every row is resident from the
-//     start, none is admitted, and rows leave as dropRetired takes their
-//     users off the live list;
-//   - a compiled table (tableWindow): its resident block is the table's
-//     block covering the slot, which the table fills once for every reader
-//     (link.go); the window itself never fills or writes a row.
+//   - closed (a run handed no Config.Link; a closed fleet site too): every
+//     row is resident from the start, none is admitted, and rows leave as
+//     dropRetired takes their users off the live list;
+//   - a compiled table (tableWindow, a run handed Config.Link): its
+//     resident block is the table's block covering the slot, which the
+//     table fills once for every reader (link.go); the window itself never
+//     fills or writes a row.
 
 // linkBlock is one filled window: a slot-major block of link rows
 // covering span slots × the table's rows.

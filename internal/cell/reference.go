@@ -39,13 +39,7 @@ func (s *Simulator) RunReferenceCtx(ctx context.Context) (*Result, error) {
 	// alias onto the link window's rows; those may be a shared immutable
 	// Config.Link, so the arm never writes through such an alias — it takes
 	// private columns instead and leaves s.win unread (a sliding window is
-	// never filled, nor a goroutine started). A table run's New left the
-	// sessions to the table, which extends their memos as it fills: they
-	// are extended here for good, under the table's lock, before this arm
-	// reads them beside the table's readers.
-	if t := s.win.table; t != nil {
-		t.prewarmFor(s.sessions)
-	}
+	// never filled, nor a goroutine started).
 	s.cols.Sig = make([]units.DBm, len(s.users))
 	s.cols.Rate = make([]units.KBps, len(s.users))
 

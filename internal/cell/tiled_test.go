@@ -82,9 +82,8 @@ func TestTiledRowsMatchMonolithic(t *testing.T) {
 	sessions := tiledWorkload(t, 6)
 	cfg := tiledConfig()
 	// The windows below fill from the sessions on background goroutines,
-	// beside the table's own fills: prewarmed, as New leaves a windowed
-	// run's sessions, no fill of either grows a memo.
-	workload.PrewarmAll(1, sessions, cfg.MaxSlots)
+	// beside the table's own fills: compiling the table prewarmed them,
+	// so no fill of either grows a memo.
 	mono, err := CompileLink(cfg, sessions)
 	if err != nil {
 		t.Fatal(err)
@@ -129,9 +128,10 @@ func TestTiledRowsMatchMonolithic(t *testing.T) {
 }
 
 // TestTiledWindowAtLeastHorizonIsMonolithic pins the degenerate case: a
-// tile covering the horizon is the whole-horizon table — the engine runs
-// on a table window that never fills — and the retained CompileLinkTiled
-// returns a table New accepts for that horizon.
+// tile covering the horizon still slides the run's own window, of one
+// block at least half the horizon long (capped at the horizon), and equals
+// RunReference; and the retained CompileLinkTiled returns a table New
+// accepts for that horizon.
 func TestTiledWindowAtLeastHorizonIsMonolithic(t *testing.T) {
 	sessions := tiledWorkload(t, 3)
 	cfg := tiledConfig()
@@ -150,13 +150,24 @@ func TestTiledWindowAtLeastHorizonIsMonolithic(t *testing.T) {
 	if _, err := CompileLinkTiled(cfg, sessions, 0); err == nil {
 		t.Fatal("zero window accepted")
 	}
-	cfg.LinkTileSlots = cfg.MaxSlots
-	sim, err := New(cfg, sessions, sched.NewDefault())
+	want, err := mustNewWith(t, cfg, sessions, sched.NewDefault()).RunReference()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.win == nil || sim.win.table == nil || sim.win.table.Slots() != cfg.MaxSlots {
-		t.Fatal("LinkTileSlots == MaxSlots did not attach a whole-horizon table window")
+	for _, tile := range []int{cfg.MaxSlots, 3 * cfg.MaxSlots} {
+		tiled := cfg
+		tiled.LinkTileSlots = tile
+		sim := mustNewWith(t, tiled, sessions, sched.NewDefault())
+		if span := min((tile+1)/2, cfg.MaxSlots); sim.win == nil || sim.win.table != nil || sim.win.span != span {
+			t.Fatalf("LinkTileSlots %d did not slide a table-less window of %d-slot blocks", tile, span)
+		}
+		got, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("LinkTileSlots %d: Result differs from RunReference's", tile)
+		}
 	}
 }
 

@@ -406,15 +406,15 @@ func Run(ctx context.Context, cfg Config, sessions []*workload.Session, newSched
 }
 
 // closedSite shapes a closed site as a bounded open cell on a link window:
-// the closed engine's ⌈LinkTileSlots/2⌉-slot blocks under LinkTileSlots,
-// the open engine's default blocks otherwise. It records
-// totals only: foldSite reads its Result's totals, and Run folds its
-// per-epoch series through OnSlot as the tick reduces each slot.
+// the closed engine's ⌈LinkTileSlots/2⌉-slot blocks, capped at MaxSlots,
+// under LinkTileSlots, the open engine's default blocks otherwise. It
+// records totals only: foldSite reads its Result's totals, and Run folds
+// its per-epoch series through OnSlot as the tick reduces each slot.
 func closedSite(c cell.Config, users int) cell.OpenConfig {
 	c.Record = cell.RecordTotals
 	oc := cell.OpenConfig{Cell: c, MaxSessions: users}
-	if c.LinkTileSlots > 0 && c.LinkTileSlots < c.MaxSlots {
-		oc.TileSlots = (c.LinkTileSlots + 1) / 2
+	if c.LinkTileSlots > 0 {
+		oc.TileSlots = min((c.LinkTileSlots+1)/2, c.MaxSlots)
 	}
 	return oc
 }

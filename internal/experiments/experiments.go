@@ -154,10 +154,8 @@ type Figure struct {
 // calibration ladder). The table is a fill-once cache of slot blocks
 // (cell.LinkTable): a block is filled by the first run to reach it and
 // read by every later one, so the sweep fills only the slots its longest
-// runs reach, and the table is the one writer of the sessions' memos —
-// runs read the sessions only through it. A scenario over the table cap
-// has no table; its leader prewarms the sessions to the horizon before
-// publishing, after which every run's Prewarm is a read-only no-op.
+// runs reach. Compiling the table extends the sessions' memos over the
+// horizon, so the runs that share them never grow one.
 type Runner struct {
 	opts Options
 
@@ -192,8 +190,7 @@ func (r *Runner) runContext() context.Context {
 	return context.Background()
 }
 
-// sharedWorkload is one scenario's workload plus its link table (nil when
-// the table would exceed the size cap).
+// sharedWorkload is one scenario's workload plus its link table.
 type sharedWorkload struct {
 	sessions []*workload.Session
 	link     *cell.LinkTable
@@ -296,24 +293,17 @@ func (r *Runner) workloadFor(sc scenario) (*sharedWorkload, error) {
 }
 
 // buildWorkload generates and link-compiles one scenario workload, whose
-// sessions concurrent simulators share: the table samples them. Above
-// cell.DefaultLinkTableMaxRows rows each run samples them in its own link
-// window, so the one memo left, VBR rate draws, is drawn to the horizon
-// here, where no run reads it yet.
+// sessions concurrent simulators share: the table samples them.
 func (r *Runner) buildWorkload(sc scenario) (*sharedWorkload, error) {
 	wl, err := workload.Generate(r.workload(sc), rng.New(r.opts.Seed))
 	if err != nil {
 		return nil, err
 	}
-	sw := &sharedWorkload{sessions: wl}
-	if int64(len(wl))*int64(r.opts.Cell.MaxSlots) <= cell.DefaultLinkTableMaxRows {
-		if sw.link, err = cell.CompileLink(r.opts.Cell, wl); err != nil {
-			return nil, err
-		}
-		return sw, nil
+	link, err := cell.CompileLink(r.opts.Cell, wl)
+	if err != nil {
+		return nil, err
 	}
-	workload.PrewarmAll(r.opts.Cell.Workers, wl, r.opts.Cell.MaxSlots)
-	return sw, nil
+	return &sharedWorkload{sessions: wl, link: link}, nil
 }
 
 // LinkFillStats reports how much of the scenarios' link tables the runs so
@@ -322,10 +312,8 @@ func (r *Runner) buildWorkload(sc scenario) (*sharedWorkload, error) {
 // written.
 func (r *Runner) LinkFillStats() (filled, horizon int64) {
 	for _, sw := range r.workloads.snapshot() {
-		if lt := sw.link; lt != nil {
-			filled += int64(lt.Users()) * int64(lt.FilledSlots())
-			horizon += int64(lt.Users()) * int64(lt.Slots())
-		}
+		filled += int64(sw.link.Users()) * int64(sw.link.FilledSlots())
+		horizon += int64(sw.link.Users()) * int64(sw.link.Slots())
 	}
 	return filled, horizon
 }

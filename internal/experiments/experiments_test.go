@@ -11,9 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"jointstream/internal/cell"
 	"jointstream/internal/rng"
-	"jointstream/internal/sched"
 	"jointstream/internal/workload"
 )
 
@@ -546,63 +544,8 @@ func TestSweepFillsOnlyReachedBlocks(t *testing.T) {
 	}
 }
 
-// TestWorkloadSharedWithoutLinkTable hammers one scenario over the link
-// table's row cap from concurrent simulators, each sliding its own link
-// window over the shared sessions. buildWorkload must fully prewarm the
-// sessions before publishing when CompileLink is skipped, otherwise the
-// simulators' Prewarm calls and window fills grow the shared stochastic
-// memos concurrently — a data race this test exposes under CI's -race
-// job — and here every goroutine must also produce a byte-identical
-// Result.
-func TestWorkloadSharedWithoutLinkTable(t *testing.T) {
-	opts := QuickOptions()
-	// One slot past the row cap for the scenario's users: a horizon this
-	// long also widens the prewarm race window, since a simulator over
-	// sessions not already warm has hundreds of thousands of memo entries
-	// left to grow.
-	opts.Cell.MaxSlots = cell.DefaultLinkTableMaxRows/opts.CDFUsers + 1
-	r, err := NewRunner(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := r.cdfScenario()
-	sw, err := r.workloadFor(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sw.link != nil {
-		t.Fatal("over-cap scenario compiled a link table")
-	}
-	const runs = 8
-	results := make([]*cell.Result, runs)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for k := 0; k < runs; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			<-start // all goroutines hit cell.New's Prewarm together
-			res, err := r.simulate(sc, schedBuilder{key: "default", build: func() (sched.Scheduler, error) {
-				return sched.NewDefault(), nil
-			}})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[k] = res
-		}(k)
-	}
-	close(start)
-	wg.Wait()
-	for k := 1; k < runs; k++ {
-		if !reflect.DeepEqual(results[0], results[k]) {
-			t.Fatalf("concurrent run %d diverged from run 0", k)
-		}
-	}
-}
-
 // TestWorkloadCacheBitwiseNeutral regenerates a figure with no shared
-// link table — every run compiles its own — and a cold workload per run
+// link table — every run slides its own window — and a cold workload per run
 // (fresh runner each time), and requires byte-identical output: caching
 // and sharing are pure plumbing, never physics.
 func TestWorkloadCacheBitwiseNeutral(t *testing.T) {
@@ -611,9 +554,9 @@ func TestWorkloadCacheBitwiseNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The second runner publishes each scenario's workload the way
-	// buildWorkload does above the row cap: generated from the seed,
-	// prewarmed to the horizon, without a table.
+	// The second runner publishes each scenario's workload without a
+	// table: generated from the seed and prewarmed to the horizon, so the
+	// runs sharing it grow no memo.
 	withoutTable := quickRunner(t)
 	shared := withTable.workloads.snapshot()
 	if len(shared) == 0 {

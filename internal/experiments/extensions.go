@@ -293,16 +293,11 @@ const predictiveNoiseSeed = 0x666F7265 // "fore"
 // predictiveBuilder keys a Predictive run by (K, errFrac) and builds
 // the scheduler against the scenario's shared link table: errFrac 0
 // reads the table exactly, anything else wraps it in the seeded noise
-// model. Scenarios whose table exceeded the size cap cannot feed a
-// forecast, so the builder rejects them rather than silently running
-// myopic.
+// model.
 func (r *Runner) predictiveBuilder(k int, errFrac float64) schedBuilder {
 	return schedBuilder{
 		key: fmt.Sprintf("predictive(k=%d,err=%g)", k, errFrac),
 		buildWith: func(sw *sharedWorkload) (sched.Scheduler, error) {
-			if sw.link == nil {
-				return nil, fmt.Errorf("experiments: predictive run needs a compiled link table (scenario exceeds the size cap)")
-			}
 			var f sched.Forecast
 			if errFrac == 0 {
 				f = sw.link.Forecast()
@@ -334,9 +329,7 @@ func (r *Runner) oracleBracket(sc scenario) (oracle.Bounds, error) {
 			Radio:       r.opts.Cell.Radio,
 			RRC:         r.opts.Cell.RRC,
 			AccountTail: true,
-		}
-		if sw.link != nil { // a nil *LinkTable would be a non-nil LinkView
-			cfg.Link = sw.link
+			Link:        sw.link,
 		}
 		return oracle.Compute(cfg, sw.sessions)
 	})

@@ -22,9 +22,18 @@ import (
 // alone on a private, eagerly filled table of an identically generated
 // workload. The runs end at different slots, so blocks are first reached
 // by whichever reader gets there first; under -race this is the check that
-// the readers share nothing but the table's published blocks, and that the
-// table alone grows the sessions' memos.
+// the readers share nothing but the table's published blocks, and that no
+// reader grows a session's memo once CompileLink has extended it. The
+// paper's stateless sine keeps no memo; the VBR case's rate draws do.
 func TestSharedLazyTableReaders(t *testing.T) {
+	for _, jitter := range []float64{0, 0.3} {
+		t.Run(fmt.Sprintf("RateJitterFrac=%g", jitter), func(t *testing.T) {
+			sharedLazyTableReaders(t, jitter)
+		})
+	}
+}
+
+func sharedLazyTableReaders(t *testing.T, jitter float64) {
 	cfg := cell.PaperConfig()
 	cfg.Capacity = 5000
 	cfg.MaxSlots = 1100
@@ -33,6 +42,7 @@ func TestSharedLazyTableReaders(t *testing.T) {
 		wc.SizeMin, wc.SizeMax = 100*units.Megabyte, 200*units.Megabyte
 		wc.Signal.PeriodSlots = 60
 		wc.MeanInterarrival = 4
+		wc.RateJitterFrac = jitter
 		wl, err := workload.Generate(wc, rng.New(17))
 		if err != nil {
 			t.Fatal(err)

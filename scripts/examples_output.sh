@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Prints the stdout of every example program and of jstream-sim in the
-# framework's two modes, each under an "== NAME ==" line. CI diffs it
+# framework's two modes and over a deployment (-sites), each under an
+# "== NAME ==" line. CI diffs it
 # against the checked-in recording, byte for byte:
 #
 #   scripts/examples_output.sh | diff results/examples_output.txt -
@@ -13,7 +14,11 @@ for dir in examples/*/; do
 	echo "== $name =="
 	go run "./$name"
 done
-for args in "-sched rtma" "-sched ema" "-sched ema -adaptive" "-sched ema -v 0.3"; do
+fleet="-users 24 -size 100 -capacity 8000"
+for args in "-sched rtma" "-sched ema" "-sched ema -adaptive" "-sched ema -v 0.3" \
+	"-sites 3 $fleet -sched ema" \
+	"-sites 2 -policy leastloaded -offsets=-0,-8 $fleet -sched ema" \
+	"-sites 2 -policy roundrobin -offsets=-0,-8 $fleet -sched rtma -budget 800"; do
 	echo "== jstream-sim $args =="
 	# shellcheck disable=SC2086 # args is a list of flags
 	go run ./cmd/jstream-sim $args
