@@ -10,7 +10,6 @@ import (
 	"jointstream/internal/cell"
 	"jointstream/internal/oracle"
 	"jointstream/internal/radio"
-	"jointstream/internal/rng"
 	"jointstream/internal/rrc"
 	"jointstream/internal/sched"
 	"jointstream/internal/units"
@@ -255,18 +254,19 @@ func (r *Runner) oracleGap() (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Use the realized horizon so the oracle sees the same slots.
-		wl, err := workload.Generate(r.workload(sc), rng.New(r.opts.Seed))
+		sw, err := r.workloadFor(sc)
 		if err != nil {
 			return nil, err
 		}
+		// Use the realized horizon so the oracle sees the same slots.
 		b, err := oracle.Compute(oracle.Config{
 			Tau:      r.opts.Cell.Tau,
 			Unit:     r.opts.Cell.Unit,
 			Capacity: r.opts.Cell.Capacity,
 			Horizon:  em.Slots,
 			Radio:    r.opts.Cell.Radio,
-		}, wl)
+			Link:     sw.link,
+		}, sw.sessions)
 		if err != nil {
 			return nil, err
 		}

@@ -94,8 +94,8 @@ func (g *Gateway) BeginDrain() {
 	g.draining = true
 }
 
-// Draining reports whether BeginDrain was called.
-func (g *Gateway) Draining() bool {
+// isDraining reports whether BeginDrain was called.
+func (g *Gateway) isDraining() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.draining

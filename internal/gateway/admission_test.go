@@ -164,12 +164,12 @@ func TestDrain(t *testing.T) {
 	}
 	ep1, _ := attachUser(t, g, 500, 400, -60)
 	ep2, _ := attachUser(t, g, 800, 400, -60)
-	if g.Draining() || g.Drained() {
+	if g.isDraining() || g.Drained() {
 		t.Fatal("fresh gateway claims to be draining")
 	}
 	g.BeginDrain()
 	g.BeginDrain() // idempotent
-	if !g.Draining() {
+	if !g.isDraining() {
 		t.Fatal("BeginDrain did not take")
 	}
 	if g.Drained() {

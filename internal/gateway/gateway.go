@@ -21,6 +21,7 @@ package gateway
 import (
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"sync"
 	"time"
@@ -637,16 +638,19 @@ func (g *Gateway) settle(u *user) {
 
 // retire is the one way out of g.live, taken once, at the end of the slot
 // the session ended in: a natural completion folds into the session
-// histograms and is credited to the drain (detach folded its own), the
-// delivery worker exits, the queue buffer returns to the free list and the
-// endpoint and source are let go. The ledger entry stays. Callers hold
-// g.mu.
+// histograms and is credited to the drain (detach folded its own), a
+// detached endpoint that is an io.Closer is closed so its client hears of
+// it, the delivery worker exits, the queue buffer returns to the free list
+// and the endpoint and source are let go. The ledger entry stays. Callers
+// hold g.mu.
 func (g *Gateway) retire(u *user) {
 	if !u.detached {
 		g.foldSession(u)
 		if g.draining {
 			g.diag.Drained++
 		}
+	} else if c, ok := u.ep.(io.Closer); ok {
+		c.Close()
 	}
 	if u.worker != nil {
 		close(u.worker.jobs)

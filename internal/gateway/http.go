@@ -74,7 +74,7 @@ func Handler(gw *Gateway) http.Handler {
 			Diag
 			TickP50Ms float64 `json:"tick_p50_ms"`
 			TickP99Ms float64 `json:"tick_p99_ms"`
-		}{gw.Slot(), gw.Draining(), gw.Diagnostics(), gw.TickQuantileMs(0.50), gw.TickQuantileMs(0.99)})
+		}{gw.Slot(), gw.isDraining(), gw.Diagnostics(), gw.TickQuantileMs(0.50), gw.TickQuantileMs(0.99)})
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		m := gw.sessionWindowMetrics()

@@ -235,7 +235,7 @@ func churnLedger(t *testing.T, s sched.Scheduler, async, perSlot bool) ([]byte, 
 				t.Fatalf("attach over the session cap: %v", err)
 			}
 		}
-		if len(eps) == ledgerSessions && !g.Draining() {
+		if len(eps) == ledgerSessions && !g.isDraining() {
 			g.BeginDrain()
 			if _, err := attach(); !errors.Is(err, errDraining) {
 				t.Fatalf("attach while draining: %v", err)

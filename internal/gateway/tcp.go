@@ -91,6 +91,12 @@ func (e *TCPEndpoint) markGone() {
 	e.mu.Unlock()
 }
 
+// Close hangs up on the client, which the gateway does when it retires a
+// session it detached: the client's read ends instead of waiting for
+// bytes that will never come. It takes no lock, so a Deliver blocked on
+// a wedged peer is released rather than waited for.
+func (e *TCPEndpoint) Close() error { return e.conn.Close() }
+
 // setSig updates the reported signal.
 func (e *TCPEndpoint) setSig(v units.DBm) {
 	e.mu.Lock()

@@ -404,3 +404,90 @@ func TestClientReadFrameBadHeader(t *testing.T) {
 		t.Error("corrupt DATA header accepted")
 	}
 }
+
+// TestDetachedTCPSessionIsTold: a TCP session the gateway detaches while
+// its client still reads, shed or cut off by the breaker, has its
+// connection closed when it retires, so the client's read ends at once
+// instead of waiting out the I/O timeout (or forever without one).
+func TestDetachedTCPSessionIsTold(t *testing.T) {
+	for _, tc := range []struct {
+		reason DetachReason
+		detach func(g *Gateway, u *user)
+	}{
+		{detachShed, func(g *Gateway, u *user) {
+			for i := 0; i < shedMissThreshold; i++ {
+				g.noteTick(time.Millisecond, true)
+			}
+			g.maybeShed()
+		}},
+		{detachBreaker, func(g *Gateway, u *user) {
+			for i := 0; i < g.policy.BreakerTrips; i++ {
+				g.recordStrike(u)
+			}
+		}},
+	} {
+		t.Run(string(tc.reason), func(t *testing.T) {
+			g, err := New(Config{
+				Tau:      0.05,
+				Unit:     25,
+				Capacity: 50000,
+				Radio:    testConfig().Radio,
+				QueueCap: 1000,
+				Policy:   Policy{ShedMaxPerSlot: 1},
+			}, sched.NewDefault())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			attached := make(chan error, 1)
+			go func() {
+				conn, err := ln.Accept()
+				if err == nil {
+					_, err = AttachConnWith(g, conn, ConnOptions{InitialSig: -60})
+				}
+				attached <- err
+			}()
+			c, err := DialClient(ln.Addr().String(), 100000, 400)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := <-attached; err != nil {
+				t.Fatal(err)
+			}
+			ended := make(chan struct{})
+			go func() {
+				defer close(ended)
+				for {
+					if _, err := c.ReadFrame(); err != nil {
+						return
+					}
+				}
+			}()
+			for i := 0; i < 3; i++ {
+				if _, err := g.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			g.mu.Lock()
+			tc.detach(g, g.users[0])
+			g.mu.Unlock()
+			if _, err := g.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if st, _ := g.StatsFor(0); st.DetachReason != tc.reason {
+				t.Fatalf("detach reason %q, want %q", st.DetachReason, tc.reason)
+			}
+			select {
+			case <-ended:
+			case <-time.After(time.Second):
+				t.Fatalf("client still reading 1 s after a %s detach", tc.reason)
+			}
+		})
+	}
+}
