@@ -33,11 +33,14 @@
 package main
 
 import (
+	"cmp"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -278,11 +281,12 @@ func run(o options, stdout, stderr io.Writer) (*report, error) {
 // server is the in-process gateway: its TCP accept loop, its wall-clock
 // stepper and, with -http, its monitoring API.
 type server struct {
-	gw   *gateway.Gateway
-	ln   net.Listener
-	web  *http.Server
-	stop chan struct{}
-	wg   sync.WaitGroup
+	gw     *gateway.Gateway
+	ln     net.Listener
+	web    *http.Server
+	ctx    context.Context // cancelled by close
+	cancel context.CancelFunc
+	wg     sync.WaitGroup // the stepper, the accept loop and its handshakes
 }
 
 // startServer builds the gateway, listens on -addr (and -http) and starts
@@ -318,7 +322,8 @@ func startServer(o options, stderr io.Writer) (*server, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &server{gw: gw, stop: make(chan struct{})}
+	srv := &server{gw: gw}
+	srv.ctx, srv.cancel = context.WithCancel(context.Background())
 	if srv.ln, err = net.Listen("tcp", o.addr); err != nil {
 		srv.close()
 		return nil, err
@@ -335,20 +340,34 @@ func startServer(o options, stderr io.Writer) (*server, error) {
 		go srv.web.Serve(mln)
 	}
 
+	// Each handshake runs on its own goroutine, so an idle client costs only
+	// its own -iotimeout, and close cuts it short by closing its connection.
+	// -max-sessions, when set, bounds the handshakes in flight (a channel of
+	// empty structs buffers any count without memory).
+	slots := make(chan struct{}, cmp.Or(o.maxSessions, math.MaxInt32))
+	srv.wg.Add(1)
 	go func() {
+		defer srv.wg.Done()
 		for {
 			conn, err := srv.ln.Accept()
 			if err != nil {
 				return
 			}
-			if _, err := gateway.AttachConnWith(gw, conn, gateway.ConnOptions{
-				InitialSig: -70, IOTimeout: o.ioTimeout,
-			}); err != nil {
-				if o.verbose {
-					fmt.Fprintln(stderr, "attach:", err)
+			slots <- struct{}{} // close frees the slots: it ends every handshake
+			srv.wg.Add(1)
+			go func() {
+				defer srv.wg.Done()
+				unwatch := context.AfterFunc(srv.ctx, func() { conn.Close() })
+				_, err := gateway.AttachConnWith(gw, conn, gateway.ConnOptions{InitialSig: -70, IOTimeout: o.ioTimeout})
+				unwatch()
+				<-slots
+				if err != nil {
+					if o.verbose {
+						fmt.Fprintln(stderr, "attach:", err)
+					}
+					conn.Close()
 				}
-				conn.Close()
-			}
+			}()
 		}
 	}()
 	srv.wg.Add(1)
@@ -358,7 +377,7 @@ func startServer(o options, stderr io.Writer) (*server, error) {
 		defer ticker.Stop()
 		for {
 			select {
-			case <-srv.stop:
+			case <-srv.ctx.Done():
 				return
 			case <-ticker.C:
 				gw.Step() // fails only after Close, which waits for this loop
@@ -388,8 +407,10 @@ func (s *server) drain(o options) error {
 	return nil
 }
 
-// close releases what startServer built; the accept loop and the HTTP
-// server exit with their listeners.
+// close releases what startServer built: the accept loop and the HTTP
+// server exit with their listeners, the handshakes in flight with their
+// connections, and it waits for the loops and handshakes before closing
+// the gateway.
 func (s *server) close() {
 	if s.ln != nil {
 		s.ln.Close()
@@ -397,7 +418,7 @@ func (s *server) close() {
 	if s.web != nil {
 		s.web.Close()
 	}
-	close(s.stop)
+	s.cancel()
 	s.wg.Wait()
 	s.gw.Close()
 }

@@ -2,8 +2,13 @@ package main
 
 import (
 	"io"
+	"net"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"jointstream/internal/gateway"
 )
 
 // runArgs parses args and runs the command with its output discarded.
@@ -60,5 +65,49 @@ func TestRunRefusals(t *testing.T) {
 		if _, err := runArgs(t, tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%q: err = %v, want one naming %q", tc.args, err, tc.want)
 		}
+	}
+}
+
+// TestIdleHandshakeDoesNotDelayClients: a connection that never sends its
+// HELLO holds up no later client, because each handshake runs on its own
+// goroutine, and closing the server cuts that handshake short, promptly
+// and with no goroutine left behind.
+func TestIdleHandshakeDoesNotDelayClients(t *testing.T) {
+	base := runtime.NumGoroutine()
+	o, err := parseFlags([]string{"-iotimeout", "3s", "-slot", "5ms", "-sched", "default", "-max-sessions", "4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := startServer(o, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.ln.Addr().String()
+	idle, err := net.Dial("tcp", addr)
+	if err != nil {
+		srv.close()
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	start := time.Now()
+	c, err := gateway.DialClient(addr, 60, 600)
+	if err != nil {
+		srv.close()
+		t.Fatal(err)
+	}
+	if _, err := c.ReadFrame(); err != nil {
+		t.Errorf("first frame: %v", err)
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Errorf("a client behind an idle connection waited %v for its first frame (-iotimeout 3s)", waited)
+	}
+	c.Close()
+	start = time.Now()
+	srv.close()
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("close took %v with an idle handshake in flight", took)
+	}
+	if n := leakedSince(base); n != 0 {
+		t.Errorf("%d goroutines outlived close", n)
 	}
 }

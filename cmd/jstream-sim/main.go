@@ -155,11 +155,11 @@ func run(o options) error {
 		return err
 	}
 	cfg.Record = cell.RecordTotals // printResult reads totals only
-	sim, err := cell.New(cfg, sessions, s)
+	sim, err := cell.NewOpen(cell.OpenConfig{Cell: cfg, MaxSessions: len(sessions)}, sessions, s)
 	if err != nil {
 		return err
 	}
-	res, err := sim.Run()
+	res, err := sim.Run(context.Background())
 	if err != nil {
 		return err
 	}

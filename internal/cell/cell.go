@@ -8,6 +8,7 @@
 package cell
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -71,8 +72,10 @@ type Config struct {
 	// It must have been compiled from the same sessions; New rejects
 	// mismatched user counts, horizons and rows. It holds signals and
 	// rates only, so the run's physics come from the run's own Radio, Tau
-	// and Unit whatever the table was compiled under. Without one, the run
-	// slides its own link window (LinkTileSlots).
+	// and Unit whatever the table was compiled under. A bounded open run
+	// reads it too, and then admits no session mid-run; an unbounded one
+	// refuses it. Without one, the run slides its own link window
+	// (LinkTileSlots).
 	Link *LinkTable
 	// LinkTileSlots sizes the run's own sliding link window
 	// (linkwindow.go): two blocks of ⌈LinkTileSlots/2⌉ slots each (256
@@ -83,8 +86,9 @@ type Config struct {
 	// rows (8 bytes each: signal; plus one rate row per block, or per slot
 	// under rate jitter) no matter the horizon. Results are byte-identical
 	// to RunReference's (differentially asserted). Ignored when a
-	// caller-supplied Link is present and by the open engine
-	// (OpenConfig.TileSlots is one block's length).
+	// caller-supplied Link is present. A bounded open run with
+	// OpenConfig.TileSlots 0 takes the same rule (closedSpan); an explicit
+	// TileSlots, or an unbounded run, ignores it.
 	LinkTileSlots int
 	// Outages lists base-station outage windows: during each [From, To)
 	// slot range the serving capacity is zero, no allocation happens, and
@@ -445,10 +449,9 @@ type Simulator struct {
 	unfinished int
 	// retiredLog lists the users dropRetired has taken off the live list
 	// since the open engine last reaped (ascending within a slot). Kept only
-	// when logRetired is set: a closed run never folds, and would only grow
-	// the log to N.
+	// when the open engine made it (non-nil): a closed run never folds, and
+	// would only grow the log to N.
 	retiredLog []int
-	logRetired bool
 	shardAcc   []slotAccum // per-shard partial sums (prepare, clamp and commit output)
 	shardRet   [][]int     // per-shard live-list positions retired this slot (commit output)
 	activeBuf  []int       // backing for slot.ActiveList, rebuilt per slot
@@ -528,14 +531,20 @@ func New(cfg Config, sessions []*workload.Session, s sched.Scheduler) (*Simulato
 	return newSim(cfg, sessions, s, nil)
 }
 
-// openShape is an open engine's link window: span-slot blocks of rows
-// rows, filled up to horizon (-1 = unbounded).
-type openShape struct{ span, rows, horizon int }
+// closedSpan is the block length of a bounded run's own link window: two
+// blocks of ⌈LinkTileSlots/2⌉ slots (tableBlockSlots without a tile),
+// capped at MaxSlots.
+func closedSpan(cfg Config) int {
+	span := tableBlockSlots
+	if cfg.LinkTileSlots > 0 {
+		span = (cfg.LinkTileSlots + 1) / 2
+	}
+	return min(span, cfg.MaxSlots)
+}
 
 // newSim is New's implementation, and NewOpen's with open set: an open
-// engine may start empty, and its window (open) replaces Link and
-// LinkTileSlots.
-func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, open *openShape) (*Simulator, error) {
+// engine may start empty, and without a Link its window is shaped by open.
+func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, open *OpenConfig) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -588,24 +597,26 @@ func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, open *o
 	if sim.shardSize == 0 {
 		sim.shardSize = defaultShardSize
 	}
-	// Attach the link window the tick path reads its rows from: the open
-	// engine's; over a caller-supplied table, validated against this run's
-	// shape; or the run's own sliding one of ⌈LinkTileSlots/2⌉-slot blocks
-	// (256-slot without a tile), capped at MaxSlots.
+	// Attach the link window the tick path reads its rows from: over a
+	// caller-supplied table, validated against this run's shape; or the
+	// run's own sliding one, of open.TileSlots-slot blocks when set,
+	// closedSpan's otherwise — 256-slot and never clamped by a horizon in
+	// an unbounded run, whose sessions are stateless (vetSession). A
+	// bounded run's fills stop at the prewarmed horizon.
 	var lt *LinkTable
 	var err error
-	switch {
-	case open != nil:
-		sim.win = newLinkWindow(sim.workers, open.span, open.rows, open.horizon, constRate(sessions), sessions)
-	case cfg.Link != nil:
+	span, rows, horizon := closedSpan(cfg), len(sessions), cfg.MaxSlots
+	if open != nil {
+		if open.Unbounded {
+			span, horizon = tableBlockSlots, -1
+		}
+		span, rows = cmp.Or(open.TileSlots, span), open.MaxSessions
+	}
+	if cfg.Link != nil {
 		lt = cfg.Link
 		err = lt.compatible(cfg, sessions)
-	default:
-		span := tableBlockSlots
-		if cfg.LinkTileSlots > 0 {
-			span = (cfg.LinkTileSlots + 1) / 2
-		}
-		sim.win = newLinkWindow(sim.workers, min(span, cfg.MaxSlots), len(sessions), cfg.MaxSlots, constRate(sessions), sessions)
+	} else {
+		sim.win = newLinkWindow(sim.workers, span, rows, horizon, constRate(sessions), sessions)
 	}
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"context"
 	"math"
 	"testing"
 	"unsafe"
@@ -330,7 +331,7 @@ func TestSimulatorSingleUse(t *testing.T) {
 	if _, err := sim.Run(); err == nil {
 		t.Error("second Run on a consumed simulator accepted")
 	}
-	if _, err := sim.RunReference(); err == nil {
+	if _, err := sim.RunReference(context.Background()); err == nil {
 		t.Error("RunReference on a consumed simulator accepted")
 	}
 
@@ -338,7 +339,7 @@ func TestSimulatorSingleUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.RunReference(); err != nil {
+	if _, err := ref.RunReference(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ref.Run(); err == nil {

@@ -62,7 +62,7 @@ func TestRetireCompactionMatchesScan(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sim.logRetired = true
+					sim.retiredLog = []int{} // non-nil: log retirements
 					if err := sim.Start(context.Background()); err != nil {
 						t.Fatal(err)
 					}

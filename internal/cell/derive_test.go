@@ -185,7 +185,7 @@ func TestDerivedPhysicsMatchReference(t *testing.T) {
 						var res *Result
 						var err error
 						if ref {
-							res, err = sim.RunReference()
+							res, err = sim.RunReference(context.Background())
 						} else {
 							res, err = sim.Run()
 						}

@@ -38,21 +38,11 @@ import (
 // prepared wastefully and then re-zeroed by dropRetired, exactly as the
 // phase-separated engine leaves them.
 
-// Run executes the simulation and returns the collected result.
+// Run executes the simulation and returns the collected result: exactly
+// Start + Advance(MaxSlots) + Finish, so a run advanced in epoch-sized
+// chunks produces a byte-identical Result. OpenSim.Run takes a context.
 func (s *Simulator) Run() (*Result, error) {
-	return s.RunCtx(context.Background())
-}
-
-// RunCtx is Run with a cancellation checkpoint at the top of every slot:
-// a cancelled context makes the run return ctx.Err() promptly — within
-// one slot's work — instead of finishing the horizon. The partially
-// filled Result is discarded; cancellation is not a valid run.
-//
-// RunCtx is exactly Start + Advance(MaxSlots) + Finish: the stepped API
-// below runs the identical per-slot sequence, so a run advanced in
-// epoch-sized chunks (the fleet runner) produces a byte-identical Result.
-func (s *Simulator) RunCtx(ctx context.Context) (*Result, error) {
-	if err := s.Start(ctx); err != nil {
+	if err := s.Start(context.Background()); err != nil {
 		return nil, err
 	}
 	if _, err := s.Advance(s.cfg.MaxSlots); err != nil {
@@ -102,8 +92,9 @@ func (s *Simulator) Start(ctx context.Context) error {
 // Advance ticks the run up to (but not including) slot upto, clamped to
 // the horizon, and reports whether the run is over — the horizon was
 // reached or every session finished. It checks the Start context at the
-// top of every slot, exactly as RunCtx does (by a lock-free poll of its
-// Done channel), and restores the caller's pprof labels before returning
+// top of every slot (by a lock-free poll of its Done channel): a
+// cancelled context makes it return ctx.Err() promptly, within one slot's
+// work, and restores the caller's pprof labels before returning
 // so epoch-driving goroutines don't keep a phase label between epochs. It
 // parks a link window whose borrowed block it has left behind. Calling
 // Advance again after done=true is a no-op returning done=true.
@@ -432,7 +423,7 @@ func (s *Simulator) dropRetired(shards int) {
 	for sh := 0; sh < shards; sh++ {
 		for _, p := range s.shardRet[sh] {
 			i := s.live[p]
-			if s.logRetired {
+			if s.retiredLog != nil {
 				s.retiredLog = append(s.retiredLog, i)
 			}
 			s.win.dropRow(i)

@@ -122,7 +122,7 @@ func TestEveryRunReadsALinkWindow(t *testing.T) {
 	// reference is RunReference's Result for cfg over wl.
 	reference := func(cfg Config, wl []*workload.Session) *Result {
 		sim := mustNewWith(t, cfg, wl, sched.NewDefault())
-		res, err := sim.RunReference()
+		res, err := sim.RunReference(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,6 +196,16 @@ func TestEveryRunReadsALinkWindow(t *testing.T) {
 		{"open TileSlots 0", base, wl, func() (*Result, int, bool) {
 			return open(OpenConfig{Cell: base, MaxSessions: len(wl)}, wl, base.MaxSlots)
 		}, tableBlockSlots, false},
+		{"open bounded over a shared Link", base, wl, func() (*Result, int, bool) {
+			cfg := base
+			cfg.Link = shared
+			return open(OpenConfig{Cell: cfg, MaxSessions: len(wl)}, wl, base.MaxSlots)
+		}, tableBlockSlots, true},
+		{"open bounded under LinkTileSlots", base, wl, func() (*Result, int, bool) {
+			cfg := base
+			cfg.LinkTileSlots = 33
+			return open(OpenConfig{Cell: cfg, MaxSessions: len(wl)}, wl, base.MaxSlots)
+		}, 17, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -211,6 +221,34 @@ func TestEveryRunReadsALinkWindow(t *testing.T) {
 
 	if _, err := NewOpen(OpenConfig{Cell: base}, wl, sched.NewDefault()); err == nil {
 		t.Error("NewOpen accepted MaxSessions 0")
+	}
+	tabledUnbounded := unbounded
+	tabledUnbounded.Link = shared
+	if _, err := NewOpen(OpenConfig{Cell: tabledUnbounded, Unbounded: true, MaxSessions: len(wl)}, slices.Clone(wl), sched.NewDefault()); err == nil {
+		t.Error("NewOpen accepted an unbounded run over a Link")
+	}
+	// A table-backed run admits no one, and the refusal leaves its counters
+	// as they were.
+	tabled := base
+	tabled.Link = shared
+	o, err := NewOpen(OpenConfig{Cell: tabled, MaxSessions: 2 * len(wl)}, slices.Clone(wl), sched.NewDefault())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Stop()
+	if err := o.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.AdvanceTo(base.MaxSlots / 2); err != nil {
+		t.Fatal(err)
+	}
+	before := o.Stats()
+	extra := *wl[0]
+	if _, err := o.Admit(&extra); err == nil {
+		t.Error("Admit accepted a session into a run over a Link")
+	}
+	if after := o.Stats(); after != before {
+		t.Errorf("a refused Admit moved Stats: %+v, was %+v", after, before)
 	}
 }
 
@@ -244,7 +282,7 @@ func TestRunBitwiseEqualWithLinkTable(t *testing.T) {
 	tabled.Link = lt
 	tiled := base
 	tiled.LinkTileSlots = 64
-	ref, err := mustNewWith(t, base, wl, sched.NewDefault()).RunReference()
+	ref, err := mustNewWith(t, base, wl, sched.NewDefault()).RunReference(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +421,7 @@ func TestRunReferenceKeepsLinkTable(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[k], errs[k] = sim.RunReference()
+			results[k], errs[k] = sim.RunReference(context.Background())
 			if sim.win != win {
 				t.Errorf("arm %d: RunReference replaced the simulator's link window", k)
 			}
@@ -631,11 +669,12 @@ func TestRecordTotalsHoldsNoSeries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		do := sim.Run
+		var res *Result
 		if reference {
-			do = sim.RunReference
+			res, err = sim.RunReference(context.Background())
+		} else {
+			res, err = sim.Run()
 		}
-		res, err := do()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,20 +13,22 @@
 //   - an unbounded horizon: the slot clock extends on demand and no
 //     per-slot series is kept, so memory is bounded by the session table,
 //     never by uptime;
-//   - sliding-window metrics: per-session rebuffering and energy totals
-//     land in windowed streaming histograms (metrics.SessionWindow) at
-//     session end; an unbounded run rotates them every openWindowSlots
-//     slots and keeps the last openWindows, so p50/p99 never require a
-//     finalized run;
+//   - sliding-window metrics: per-session lifetime rebuffering lands in a
+//     windowed streaming histogram (metrics.WindowedHist) at session end;
+//     an unbounded run rotates it every openWindowSlots slots and keeps the
+//     last openWindows, so p50/p99 never require a finalized run;
 //   - a link window that follows the session table (linkwindow.go): the
-//     same sliding window of precomputed link rows the closed engine runs
-//     on without a whole-horizon table, here with rows admitted and
-//     dropped mid-run, feeding the same prepare path.
+//     same sliding window of precomputed link rows a closed run slides,
+//     here with rows admitted and dropped mid-run, feeding the same prepare
+//     path.
 //
+// A bounded OpenSim is also how every closed run outside this package is
+// built (Run): it reads a caller's compiled LinkTable when Cell.Link is
+// set, or slides its own window under the closed rule (closedSpan).
 // Closed-world equivalence is pinned by construction and by test: with
 // no mid-run Admit/DepartSerial calls and a finite horizon, OpenSim
 // drives the very same Simulator through the very same Advance loop, so
-// Finish returns a Result byte-identical to RunCtx (internal/simtest's
+// Finish returns a Result byte-identical to Simulator.Run (internal/simtest's
 // open-mode differential matrix asserts it across all nine schedulers).
 package cell
 
@@ -108,9 +110,10 @@ func (a Admission) Check(inService int, demand, rate units.KBps) error {
 
 // OpenConfig parameterizes an open-system run.
 type OpenConfig struct {
-	// Cell is the engine configuration. Open mode reads its link rows from
-	// the window TileSlots shapes — the horizon-shaped link table cannot
-	// follow mid-run admissions — so Link and LinkTileSlots are ignored.
+	// Cell is the engine configuration. A bounded run reads Cell.Link when
+	// it is set — and then admits no session mid-run, because the
+	// horizon-shaped table cannot follow admissions — and otherwise the
+	// window TileSlots shapes; an unbounded run refuses a Link.
 	// For churn-driven runs set Cell.RunFullHorizon: without it the
 	// engine's early exit declares the run over the moment every
 	// *currently admitted* session finishes, wedging later arrivals.
@@ -128,11 +131,11 @@ type OpenConfig struct {
 	MaxSessions int
 	// TileSlots is the length of one block of the engine's link window
 	// (linkwindow.go), whose blocks hold TileSlots slots × MaxSessions
-	// rows, computed a block ahead and aliased by the slot columns; 0
-	// selects 256 (capped at a bounded run's horizon). A run whose fills
-	// are big enough to be handed to the background holds two blocks
-	// (Config.LinkTileSlots, by contrast, bounds the closed engine's two
-	// blocks together).
+	// rows, computed a block ahead and aliased by the slot columns. 0
+	// selects 256 for an unbounded run and, for a bounded one, the closed
+	// rule under Cell.LinkTileSlots (closedSpan: ⌈LinkTileSlots/2⌉, 256
+	// without a tile, capped at the horizon). A run whose fills are big
+	// enough to be handed to the background holds two blocks.
 	TileSlots int
 	// OnSlot, when set, gets every slot's totals as the tick reduces them,
 	// in slot order, on AdvanceTo's goroutine: a caller folds its own
@@ -179,12 +182,9 @@ type OpenSim struct {
 	// tail both reuses the lowest index first (stable, test-pinned
 	// behaviour) and keeps the backing array anchored — the old
 	// head-slicing pop made the array creep one slot per reuse and forced
-	// a reallocation every O(cap) churn cycles.
+	// a reallocation every O(cap) churn cycles. A reap frees its batch in
+	// one merge.
 	freelist []int
-	// freed lists the table slots freed since the last release, ascending
-	// (every caller frees in table order): release returns them to the
-	// freelist in one merge instead of one shift per session.
-	freed []int
 	// serials holds each table slot's admission serial; nil until an
 	// admission or compaction, while slot i's is i+1 (serial).
 	serials []uint64
@@ -200,8 +200,8 @@ type OpenSim struct {
 	sessPool []*workload.Session
 	remap    []int // compaction scratch: old table slot → new (-1 = freed)
 
-	windowStart int // first slot of the live metric window
-	quality     *metrics.SessionWindow
+	windowStart int                   // first slot of the live metric window
+	rebuf       *metrics.WindowedHist // ended sessions' lifetime rebuffering
 
 	stats   OpenStats
 	started bool
@@ -212,10 +212,8 @@ const (
 	// last openWindows retained.
 	openWindowSlots = 256
 	openWindows     = 4
-	// The session-quality histograms: 64 auto-widening bins, max(τ, 1) s
-	// wide for rebuffering and 1 024 mJ for energy.
-	qualityHistBins    = 64
-	qualityEnergyBinMJ = 1024
+	// The rebuffering histogram: 64 auto-widening bins, max(τ, 1) s wide.
+	rebufHistBins = 64
 )
 
 // NewOpen builds an open-system engine over the initial session
@@ -226,6 +224,9 @@ const (
 func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*OpenSim, error) {
 	cc := cfg.Cell
 	if cfg.Unbounded {
+		if cc.Link != nil {
+			return nil, fmt.Errorf("cell: unbounded open mode cannot read a link table (Link)")
+		}
 		if !cc.RunFullHorizon {
 			return nil, fmt.Errorf("cell: unbounded open mode requires RunFullHorizon")
 		}
@@ -251,7 +252,7 @@ func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*O
 	}
 	o.rows, _ = s.(sched.RowState)
 	var err error
-	if o.quality, err = metrics.NewSessionWindow(openWindows, qualityHistBins, max(float64(cc.Tau), 1), qualityEnergyBinMJ); err != nil {
+	if o.rebuf, err = metrics.NewWindowedHist(openWindows, rebufHistBins, max(float64(cc.Tau), 1)); err != nil {
 		return nil, err
 	}
 
@@ -267,24 +268,14 @@ func NewOpen(cfg OpenConfig, initial []*workload.Session, s sched.Scheduler) (*O
 		}
 		demand += sess.BaseRate
 	}
-	// Bounded fills stop at the prewarmed horizon; unbounded sessions are
-	// stateless (vetSession).
-	shape := openShape{span: cfg.TileSlots, rows: cfg.MaxSessions, horizon: cc.MaxSlots}
-	if cfg.Unbounded {
-		shape.horizon = -1
-	}
-	if shape.span == 0 {
-		shape.span = tableBlockSlots
-		if !cfg.Unbounded {
-			shape.span = min(shape.span, cc.MaxSlots)
-		}
-	}
-	eng, err := newSim(cc, slices.Clone(initial), s, &shape) // fold and compaction write the engine's copy
+	eng, err := newSim(cc, slices.Clone(initial), s, &cfg) // fold and compaction write the engine's copy
 	if err != nil {
 		return nil, err
 	}
 	o.eng = eng
-	eng.logRetired = true
+	// Non-nil, so the engine logs retirements; sized once for a reap batch
+	// of the whole initial population.
+	eng.retiredLog = make([]int, 0, len(initial))
 	eng.foldSlot = cfg.OnSlot
 	o.owned = make([]bool, len(initial))
 	o.lastSer = uint64(len(initial))
@@ -330,6 +321,9 @@ func (o *OpenSim) Admit(sess *workload.Session) (int, error) {
 	}
 	if o.eng.stepDone && !o.unbounded {
 		return 0, fmt.Errorf("cell: engine finished (set RunFullHorizon for churn-driven runs)")
+	}
+	if o.eng.win.table != nil {
+		return 0, fmt.Errorf("cell: a run over a link table (Link) admits no session mid-run")
 	}
 	if o.eng.cfg.Record == RecordUserSlots {
 		return 0, fmt.Errorf("cell: mid-run admission is incompatible with RecordUserSlots (table slots are reused)")
@@ -631,20 +625,18 @@ func (o *OpenSim) depart(id int) error {
 	// A session the engine already retired finished its work; departing
 	// it merely reaps early, so it still counts as completed.
 	o.fold(id, wasRetired)
-	o.freed = append(o.freed, id)
-	o.release()
+	o.freelist = mergeSortedDesc(o.freelist, []int{id})
 	return nil
 }
 
 // fold records session id's lifetime totals into the streaming
-// aggregates. A caller that frees the table slot lists it in freed, and
-// it becomes reusable at the caller's release. completed selects the
-// natural-completion counters; otherwise the session is counted as
-// departed.
+// aggregates. A caller that frees the table slot merges it into the
+// freelist. completed selects the natural-completion counters; otherwise
+// the session is counted as departed.
 func (o *OpenSim) fold(id int, completed bool) {
 	s := o.eng
 	ru := &s.curRes.Users[id]
-	o.quality.Fold(float64(ru.Rebuffer), float64(ru.Energy()))
+	o.rebuf.Observe(float64(ru.Rebuffer))
 	o.stats.EndedEnergy += ru.Energy()
 	o.stats.EndedRebuffer += ru.Rebuffer
 	o.stats.EndedDeliveredKB += ru.DeliveredKB
@@ -669,16 +661,6 @@ func (o *OpenSim) fold(id int, completed bool) {
 	s.sessions[id] = nil
 }
 
-// release returns the table slots folded since the last call to the
-// freelist — one merge for the batch.
-func (o *OpenSim) release() {
-	if len(o.freed) == 0 {
-		return
-	}
-	o.freelist = mergeSortedDesc(o.freelist, o.freed)
-	o.freed = o.freed[:0]
-}
-
 // reap folds the sessions the engine retired (playback + delivery
 // complete, tail drained) since the last call, in table order, freeing
 // their slots. The engine logs whom it retires, so the cost follows the
@@ -689,16 +671,18 @@ func (o *OpenSim) reap() {
 		return
 	}
 	// Ascending per slot; an AdvanceTo over several slots concatenates
-	// several such runs.
+	// several such runs. The log keeps the folded ones, in place, for the
+	// freelist's one merge.
 	slices.Sort(s.retiredLog)
+	ended := s.retiredLog[:0]
 	for _, i := range s.retiredLog {
 		if s.sessions[i] != nil {
 			o.fold(i, true)
-			o.freed = append(o.freed, i)
+			ended = append(ended, i)
 		}
 	}
+	o.freelist = mergeSortedDesc(o.freelist, ended)
 	s.retiredLog = s.retiredLog[:0]
-	o.release()
 }
 
 // AdvanceTo ticks the engine up to (but not including) slot upto and
@@ -738,14 +722,14 @@ func (o *OpenSim) AdvanceTo(upto int) (bool, error) {
 // bounded run never rotates: its session window spans the run.
 func (o *OpenSim) rotateWindows() {
 	for o.eng.nextSlot >= o.windowStart+openWindowSlots {
-		o.quality.Rotate()
+		o.rebuf.Rotate()
 		o.windowStart += openWindowSlots
 	}
 }
 
 // RebufferQuantile returns the q-th quantile of session-lifetime
 // rebuffering over the retained windows (sessions ended in them).
-func (o *OpenSim) RebufferQuantile(q float64) float64 { return o.quality.RebufferQuantile(q) }
+func (o *OpenSim) RebufferQuantile(q float64) float64 { return o.rebuf.Quantile(q) }
 
 // Stats returns the cumulative open-run counters.
 func (o *OpenSim) Stats() OpenStats {
@@ -761,9 +745,10 @@ func (o *OpenSim) Stats() OpenStats {
 // the user — those count as completed; truly unfinished ones count as
 // departed) — their table slots are not freed, as nothing admits after
 // Finish — then finalizes and returns the engine Result. In bounded
-// mode with no mid-run churn the Result is byte-identical to RunCtx on
-// the same inputs; in unbounded mode it carries no PerSlot and per-user
-// entries of reused table slots describe only their latest session.
+// mode with no mid-run churn the Result is byte-identical to
+// Simulator.Run on the same inputs; in unbounded mode it carries no
+// PerSlot and per-user entries of reused table slots describe only their
+// latest session.
 func (o *OpenSim) Finish() *Result {
 	o.Stop()
 	s := o.eng
@@ -773,6 +758,20 @@ func (o *OpenSim) Finish() *Result {
 		}
 	}
 	return s.Finish()
+}
+
+// Run is a whole run in one call: Start, AdvanceTo the horizon (Cell.MaxSlots)
+// and Finish. A cancelled ctx stops it within one slot with ctx.Err() in
+// the chain; a failed run is stopped, so no goroutine outlives it.
+func (o *OpenSim) Run(ctx context.Context) (*Result, error) {
+	if err := o.Start(ctx); err != nil {
+		return nil, err
+	}
+	if _, err := o.AdvanceTo(o.eng.cfg.MaxSlots); err != nil {
+		o.Stop()
+		return nil, err
+	}
+	return o.Finish(), nil
 }
 
 // Stop waits out the link window's background fill and has it start no

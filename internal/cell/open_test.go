@@ -44,17 +44,6 @@ func close1(a, b float64) bool {
 	return d <= 1e-9*scale
 }
 
-func runOpen(t *testing.T, o *OpenSim, upto int) *Result {
-	t.Helper()
-	if err := o.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.AdvanceTo(upto); err != nil {
-		t.Fatal(err)
-	}
-	return o.Finish()
-}
-
 // With no churn and a finite horizon, the open engine must return a
 // Result byte-identical to the closed Run on the same inputs — open mode
 // drives the very same stepped engine.
@@ -73,7 +62,10 @@ func TestOpenClosedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := runOpen(t, o, cfg.MaxSlots)
+	got, err := o.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("open result differs from closed run:\nclosed: %+v\nopen:   %+v", want.TotalEnergy(), got.TotalEnergy())
 	}
@@ -101,7 +93,9 @@ func TestOpenLeavesInitialSessionsIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runOpen(t, o, cfg.MaxSlots)
+	if _, err := o.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if st := o.Stats(); st.Completed != 6 {
 		t.Fatalf("stats after full run: %+v", st)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"jointstream/internal/sched"
+	"jointstream/internal/workload"
 )
 
 // runTiny executes one run of the given config over a fresh tiny
@@ -114,7 +115,7 @@ func TestOutageReferenceParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := mk().RunReference()
+	ref, err := mk().RunReference(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,25 +125,30 @@ func TestOutageReferenceParity(t *testing.T) {
 	}
 }
 
-// TestRunCtxCancellation: a cancelled context stops both engines
-// promptly with ctx.Err() in the chain.
+// TestRunCtxCancellation: a cancelled context stops both engines — a
+// bounded OpenSim's Run and the reference arm — promptly with ctx.Err()
+// in the chain.
 func TestRunCtxCancellation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		run  func(*Simulator, context.Context) (*Result, error)
+		run  func(context.Context, []*workload.Session) (*Result, error)
 	}{
-		{"Run", (*Simulator).RunCtx},
-		{"RunReference", (*Simulator).RunReferenceCtx},
+		{"Run", func(ctx context.Context, wl []*workload.Session) (*Result, error) {
+			o, err := NewOpen(OpenConfig{Cell: tinyConfig(), MaxSessions: len(wl)}, wl, sched.NewDefault())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return o.Run(ctx)
+		}},
+		{"RunReference", func(ctx context.Context, wl []*workload.Session) (*Result, error) {
+			return mustNewWith(t, tinyConfig(), wl, sched.NewDefault()).RunReference(ctx)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			sim, err := New(tinyConfig(), tinySessions(t, 2, 2000, 400), sched.NewDefault())
-			if err != nil {
-				t.Fatal(err)
-			}
 			start := time.Now()
-			res, err := tc.run(sim, ctx)
+			res, err := tc.run(ctx, tinySessions(t, 2, 2000, 400))
 			if res != nil || !errors.Is(err, context.Canceled) {
 				t.Errorf("cancelled run returned (%v, %v)", res, err)
 			}

@@ -18,14 +18,9 @@ import (
 // reference arm of the engine differential tests in internal/simtest —
 // Run must reproduce its Result bit for bit whenever the shard layout is
 // a single shard (live users ≤ ShardSize), and match it up to float
-// reassociation otherwise. Production callers use Run.
-func (s *Simulator) RunReference() (*Result, error) {
-	return s.RunReferenceCtx(context.Background())
-}
-
-// RunReferenceCtx is RunReference with the same per-slot cancellation
-// checkpoint as RunCtx.
-func (s *Simulator) RunReferenceCtx(ctx context.Context) (*Result, error) {
+// reassociation otherwise. It checks ctx at the top of every slot, as
+// Advance does. Production callers use Run.
+func (s *Simulator) RunReference(ctx context.Context) (*Result, error) {
 	if err := s.begin(); err != nil {
 		return nil, err
 	}

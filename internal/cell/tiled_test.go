@@ -150,7 +150,7 @@ func TestTiledWindowAtLeastHorizonIsMonolithic(t *testing.T) {
 	if _, err := CompileLinkTiled(cfg, sessions, 0); err == nil {
 		t.Fatal("zero window accepted")
 	}
-	want, err := mustNewWith(t, cfg, sessions, sched.NewDefault()).RunReference()
+	want, err := mustNewWith(t, cfg, sessions, sched.NewDefault()).RunReference(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestTiledRunByteIdentical(t *testing.T) {
 
 // TestSteppedRunMatchesRunCtx pins the Start/Advance/Finish contract:
 // a run advanced in ragged epoch chunks produces a byte-identical Result
-// to the one-shot RunCtx, tiled and monolithic alike — and so does one
+// to the one-shot Run, tiled and monolithic alike — and so does one
 // advanced in epochs of one or two blocks, whose in-place window parks at
 // every epoch's end and commits the epoch's last slot unfused.
 func TestSteppedRunMatchesRunCtx(t *testing.T) {
@@ -311,12 +311,12 @@ func steppedMatchesRunCtx(t *testing.T, tile, handoff, epoch int) {
 	}
 	got := simB.Finish()
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("stepped Result differs from RunCtx")
+		t.Fatal("stepped Result differs from Run")
 	}
 }
 
 // TestAdvanceCancellation: a cancelled Start context stops Advance within
-// a slot, with RunCtx's error shape.
+// a slot, with OpenSim.Run's error shape.
 func TestAdvanceCancellation(t *testing.T) {
 	sessions := tiledWorkload(t, 4)
 	cfg := tiledConfig()
@@ -483,7 +483,7 @@ func TestClosedRunGoroutineLeak(t *testing.T) {
 			// RunReference never attaches the window: nothing is filled and
 			// nothing started.
 			sim := build(sched.NewDefault(), false)
-			if _, err := sim.RunReference(); err != nil {
+			if _, err := sim.RunReference(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			if sim.win.cur.base >= 0 || sim.win.inflight {

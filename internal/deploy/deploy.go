@@ -387,13 +387,26 @@ func Run(ctx context.Context, cfg Config, sessions []*workload.Session, newSched
 			fleet.EmptySites++
 			continue
 		}
-		oc := closedSite(cfg.Sites[si].Cell, len(ss))
-		oc.OnSlot = aggs[si].epochFold(oc.Cell.MaxSlots, cfg.epochSlots())
-		sim, err := newSite(cfg, si, oc, ss, newSched)
+		// A site is a bounded open cell on the closed window rule, with a
+		// fresh scheduler and the site's deploy-level outages appended to a
+		// copy of its own. It records totals only: foldSite reads its
+		// Result's totals, and its per-epoch series folds through OnSlot.
+		s, err := newSched()
 		if err != nil {
 			return nil, err
 		}
-		sims[si] = sim
+		oc := cell.OpenConfig{Cell: cfg.Sites[si].Cell, MaxSessions: len(ss)}
+		oc.Cell.Record = cell.RecordTotals
+		oc.OnSlot = aggs[si].epochFold(oc.Cell.MaxSlots, cfg.epochSlots())
+		for _, o := range cfg.Outages {
+			if o.Site == si {
+				oc.Cell.Outages = append(oc.Cell.Outages[:len(oc.Cell.Outages):len(oc.Cell.Outages)],
+					cell.Outage{From: o.From, To: o.To})
+			}
+		}
+		if sims[si], err = cell.NewOpen(oc, ss, s); err != nil {
+			return nil, fmt.Errorf("site %d (%s): %w", si, cfg.Sites[si].Name, err)
+		}
 	}
 	epochs, err := lockstep(ctx, cfg, sims, aggs)
 	if err != nil {
@@ -403,40 +416,6 @@ func Run(ctx context.Context, cfg Config, sessions []*workload.Session, newSched
 	fleet.merge(aggs)
 	res.Fleet = fleet
 	return res, nil
-}
-
-// closedSite shapes a closed site as a bounded open cell on a link window:
-// the closed engine's ⌈LinkTileSlots/2⌉-slot blocks, capped at MaxSlots,
-// under LinkTileSlots, the open engine's default blocks otherwise. It
-// records totals only: foldSite reads its Result's totals, and Run folds
-// its per-epoch series through OnSlot as the tick reduces each slot.
-func closedSite(c cell.Config, users int) cell.OpenConfig {
-	c.Record = cell.RecordTotals
-	oc := cell.OpenConfig{Cell: c, MaxSessions: users}
-	if c.LinkTileSlots > 0 {
-		oc.TileSlots = min((c.LinkTileSlots+1)/2, c.MaxSlots)
-	}
-	return oc
-}
-
-// newSite builds site si's cell: a fresh scheduler, and oc with the site's
-// deploy-level outages appended to a copy of its own.
-func newSite(cfg Config, si int, oc cell.OpenConfig, initial []*workload.Session, newSched func() (sched.Scheduler, error)) (*cell.OpenSim, error) {
-	s, err := newSched()
-	if err != nil {
-		return nil, err
-	}
-	for _, o := range cfg.Outages {
-		if o.Site == si {
-			oc.Cell.Outages = append(oc.Cell.Outages[:len(oc.Cell.Outages):len(oc.Cell.Outages)],
-				cell.Outage{From: o.From, To: o.To})
-		}
-	}
-	sim, err := cell.NewOpen(oc, initial, s)
-	if err != nil {
-		return nil, fmt.Errorf("site %d (%s): %w", si, cfg.Sites[si].Name, err)
-	}
-	return sim, nil
 }
 
 // lockstep is the epoch loop, over the sites (nil = no cell). It starts

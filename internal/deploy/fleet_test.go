@@ -83,8 +83,8 @@ func outageFleet() Config {
 
 // oneShot is the fleet's oracle, the only place a cell still runs whole:
 // each populated site's sessions, cloned in placement order with their
-// site traces, through one cell.New closed engine and RunCtx — built here,
-// not through the fleet's newSite, with the site's outage windows.
+// site traces, through one cell.New closed engine and Run — built here,
+// not through the fleet's Run, with the site's outage windows.
 // Empty sites' entries are nil.
 func oneShot(t *testing.T, cfg Config, sessions []*workload.Session, placements []Placement) []*cell.Result {
 	t.Helper()
@@ -110,7 +110,7 @@ func oneShot(t *testing.T, cfg Config, sessions []*workload.Session, placements 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cells[si], err = sim.RunCtx(context.Background()); err != nil {
+		if cells[si], err = sim.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}

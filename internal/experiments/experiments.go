@@ -168,7 +168,7 @@ type Runner struct {
 	shape func(*workload.Config)
 
 	// runCtx holds the context the current parallel suite runs under;
-	// simulate threads it into cell.RunCtx so a cancelled AllParallel
+	// simulate threads it into cell.OpenSim.Run so a cancelled AllParallel
 	// stops in-flight simulations within one slot instead of letting
 	// them finish their horizon. Nil means context.Background().
 	runCtx atomic.Pointer[context.Context]
@@ -341,11 +341,11 @@ func (r *Runner) simulate(sc scenario, sb schedBuilder) (*cell.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim, err := cell.New(cfg, sw.sessions, s)
+	sim, err := cell.NewOpen(cell.OpenConfig{Cell: cfg, MaxSessions: len(sw.sessions)}, sw.sessions, s)
 	if err != nil {
 		return nil, err
 	}
-	return sim.RunCtx(r.runContext())
+	return sim.Run(r.runContext())
 }
 
 func (r *Runner) defaultRun(sc scenario) (*cell.Result, error) {

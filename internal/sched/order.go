@@ -22,7 +22,7 @@ import (
 //
 // Because the (rate, index) key is a strict total order, the sorted
 // candidate sequence is unique: the repaired order is *identical* to a
-// full sort, not merely equivalent — which is what keeps RunCtx byte-exact
+// full sort, not merely equivalent — which is what keeps Run byte-exact
 // against RunReference. When the churn (drops + insertions) exceeds a
 // threshold the repair would approach full-sort cost with worse constants,
 // so update falls back to sorting the fresh candidate list from scratch.

@@ -1,6 +1,7 @@
 package simtest
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +9,7 @@ import (
 	"jointstream/internal/rng"
 	"jointstream/internal/sched"
 	"jointstream/internal/units"
+	"jointstream/internal/workload"
 )
 
 // engineCfg is the shared shape of the engine differential runs: strict
@@ -23,6 +25,37 @@ func engineCfg() cell.Config {
 	return cfg
 }
 
+// closedOpen builds a closed run the way production code does: a bounded
+// OpenSim over the whole population, admitting nothing after.
+func closedOpen(cfg cell.Config, wl []*workload.Session, s sched.Scheduler) (*cell.OpenSim, error) {
+	return cell.NewOpen(cell.OpenConfig{Cell: cfg, MaxSessions: len(wl)}, wl, s)
+}
+
+// engineArms splits one simulation's setup, called afresh for each arm,
+// into CheckEngineEquivalence's two: the closed engine's RunReference and
+// a bounded OpenSim.
+func engineArms(setup func() (cell.Config, []*workload.Session, sched.Scheduler, error)) (func() (*cell.Result, error), func() (*cell.OpenSim, error)) {
+	ref := func() (*cell.Result, error) {
+		cfg, wl, s, err := setup()
+		if err != nil {
+			return nil, err
+		}
+		sim, err := cell.New(cfg, wl, s)
+		if err != nil {
+			return nil, err
+		}
+		return sim.RunReference(context.Background())
+	}
+	build := func() (*cell.OpenSim, error) {
+		cfg, wl, s, err := setup()
+		if err != nil {
+			return nil, err
+		}
+		return closedOpen(cfg, wl, s)
+	}
+	return ref, build
+}
+
 // TestEngineMatchesReference pins the sharded engine to the full-scan
 // reference arm bit for bit, for every scheduler in the repo, on a
 // staggered workload whose users join late and finish at different
@@ -32,14 +65,11 @@ func engineCfg() cell.Config {
 func TestEngineMatchesReference(t *testing.T) {
 	for name, mk := range factories(t) {
 		t.Run(name, func(t *testing.T) {
-			build := func() (*cell.Simulator, error) {
+			ref, build := engineArms(func() (cell.Config, []*workload.Session, sched.Scheduler, error) {
 				wl, err := StaggeredWorkload(41, 6, 8)
-				if err != nil {
-					return nil, err
-				}
-				return cell.New(engineCfg(), wl, mk())
-			}
-			if err := CheckEngineEquivalence(true, build); err != nil {
+				return engineCfg(), wl, mk(), err
+			})
+			if err := CheckEngineEquivalence(true, ref, build); err != nil {
 				t.Error(err)
 			}
 		})
@@ -57,19 +87,16 @@ func TestEngineMatchesReferenceProperty(t *testing.T) {
 		if src.Bool(0.7) {
 			inter = units.Seconds(src.Uniform(1, 12))
 		}
-		build := func() (*cell.Simulator, error) {
+		ref, build := engineArms(func() (cell.Config, []*workload.Session, sched.Scheduler, error) {
 			wl, err := StaggeredWorkload(seed, users, inter)
 			if err != nil {
-				return nil, err
+				return cell.Config{}, nil, nil, err
 			}
 			// Schedulers are stateful, so each arm gets its own instance.
 			em, err := sched.NewEMA(sched.EMAConfig{V: 0.2, RRC: engineCfg().RRC})
-			if err != nil {
-				return nil, err
-			}
-			return cell.New(engineCfg(), wl, em)
-		}
-		if err := CheckEngineEquivalence(true, build); err != nil {
+			return engineCfg(), wl, em, err
+		})
+		if err := CheckEngineEquivalence(true, ref, build); err != nil {
 			t.Logf("seed %d users %d inter %v: %v", seed, users, inter, err)
 			return false
 		}
@@ -85,18 +112,15 @@ func TestEngineMatchesReferenceProperty(t *testing.T) {
 // reference up to the documented reassociation tolerance: per-user
 // state exactly, slot aggregates to 1e-9 relative.
 func TestMultiShardMatchesReference(t *testing.T) {
-	build := func() (*cell.Simulator, error) {
+	ref, build := engineArms(func() (cell.Config, []*workload.Session, sched.Scheduler, error) {
 		wl, err := StaggeredWorkload(77, 48, 2)
-		if err != nil {
-			return nil, err
-		}
 		cfg := engineCfg()
 		cfg.Capacity = 4000
 		cfg.MaxSlots = 120
 		cfg.ShardSize = 8
-		return cell.New(cfg, wl, sched.NewDefault())
-	}
-	if err := CheckEngineEquivalence(false, build); err != nil {
+		return cfg, wl, sched.NewDefault(), err
+	})
+	if err := CheckEngineEquivalence(false, ref, build); err != nil {
 		t.Error(err)
 	}
 }
@@ -106,7 +130,7 @@ func TestMultiShardMatchesReference(t *testing.T) {
 // users → 12 shards per full slot), every worker count produces a
 // byte-identical Result.
 func TestShardedWorkerDeterminism(t *testing.T) {
-	build := func(workers int) (*cell.Simulator, error) {
+	build := func(workers int) (*cell.OpenSim, error) {
 		wl, err := StaggeredWorkload(13, 96, 1)
 		if err != nil {
 			return nil, err
@@ -120,7 +144,7 @@ func TestShardedWorkerDeterminism(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return cell.New(cfg, wl, em)
+		return closedOpen(cfg, wl, em)
 	}
 	if err := CheckWorkerDeterminism([]int{1, 2, 4, 8}, build); err != nil {
 		t.Error(err)

@@ -11,54 +11,52 @@ import (
 	"jointstream/internal/workload"
 )
 
-// runOpenFull drives an OpenSim over the whole configured horizon and
-// finalizes it.
-func runOpenFull(t *testing.T, o *cell.OpenSim, upto int) *cell.Result {
-	t.Helper()
-	if err := o.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.AdvanceTo(upto); err != nil {
-		t.Fatal(err)
-	}
-	return o.Finish()
-}
-
 // TestOpenMatchesRunAllSchedulers pins the closed-world equivalence
 // claim across the whole scheduler matrix: with no churn and a finite
-// horizon, the open-system engine — on default 256-slot link blocks or
-// 24-slot ones — returns a Result byte-identical to cell.Run on the same
-// inputs, for every scheduler in the repo. The closed arm compiles its
-// usual link table, so the pin also transitively re-asserts the LUT
-// exactness property on the open path.
+// horizon, the open-system engine — on default 256-slot link blocks,
+// 24-slot ones, or over a shared compiled link table — returns a Result
+// byte-identical to cell.Run on the same inputs, for every scheduler in
+// the repo, recording totals only or per-user slot samples.
 func TestOpenMatchesRunAllSchedulers(t *testing.T) {
 	for name, mk := range factories(t) {
 		t.Run(name, func(t *testing.T) {
-			wl, err := StaggeredWorkload(41, 6, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			closed, err := cell.New(engineCfg(), wl, mk())
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := closed.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, tile := range []int{0, 24} {
-				wl2, err := StaggeredWorkload(41, 6, 8)
+			for _, rec := range []cell.RecordLevel{cell.RecordUserSlots, cell.RecordTotals} {
+				cfg := engineCfg()
+				cfg.Record = rec
+				wl, err := StaggeredWorkload(41, 6, 8)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ocfg := cell.OpenConfig{Cell: engineCfg(), MaxSessions: len(wl2), TileSlots: tile}
-				o, err := cell.NewOpen(ocfg, wl2, mk())
+				closed, err := cell.New(cfg, wl, mk())
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := runOpenFull(t, o, engineCfg().MaxSlots)
-				if err := SameResults(want, got); err != nil {
-					t.Errorf("tile=%d: open vs closed: %v", tile, err)
+				want, err := closed.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				shared, err := cell.CompileLink(cfg, wl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, win := range []struct {
+					name string
+					tile int
+					link *cell.LinkTable
+				}{{"tile=0", 0, nil}, {"tile=24", 24, nil}, {"shared table", 0, shared}} {
+					ocfg := cell.OpenConfig{Cell: cfg, MaxSessions: len(wl), TileSlots: win.tile}
+					ocfg.Cell.Link = win.link
+					o, err := cell.NewOpen(ocfg, wl, mk())
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := o.Run(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := SameResults(want, got); err != nil {
+						t.Errorf("record=%d %s: open vs closed: %v", rec, win.name, err)
+					}
 				}
 			}
 		})

@@ -109,28 +109,25 @@ func TestEngineMatrixPredictiveForecast(t *testing.T) {
 		for _, errFrac := range []float64{0, 0.3} {
 			for _, workers := range []int{1, 4, 0} {
 				t.Run(fmt.Sprintf("%s/err=%g/workers=%d", model, errFrac, workers), func(t *testing.T) {
-					build := func() (*cell.Simulator, error) {
+					ref, build := engineArms(func() (cell.Config, []*workload.Session, sched.Scheduler, error) {
 						cfg := engineCfg()
 						cfg.Workers = workers
 						sessions := traceSessions(t, model, 6)
 						lt, err := cell.CompileLink(cfg, sessions)
 						if err != nil {
-							return nil, err
+							return cfg, nil, nil, err
 						}
 						cfg.Link = lt
 						var fc sched.Forecast = lt.Forecast()
 						if errFrac > 0 {
 							if fc, err = cell.NewNoisyForecast(lt, 23, errFrac); err != nil {
-								return nil, err
+								return cfg, nil, nil, err
 							}
 						}
 						p, err := sched.NewPredictive(sched.PredictiveConfig{Lookahead: 8, Forecast: fc})
-						if err != nil {
-							return nil, err
-						}
-						return cell.New(cfg, sessions, p)
-					}
-					if err := CheckEngineEquivalence(true, build); err != nil {
+						return cfg, sessions, p, err
+					})
+					if err := CheckEngineEquivalence(true, ref, build); err != nil {
 						t.Error(err)
 					}
 				})

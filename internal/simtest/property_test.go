@@ -234,7 +234,7 @@ func TestSimulationResultInvariants(t *testing.T) {
 // the worker-pool path: the same seeded simulations produce identical
 // results whether they run on 1 worker or many.
 func TestParallelDeterminism(t *testing.T) {
-	build := func(job int) (*cell.Simulator, error) {
+	build := func(job int) (*cell.OpenSim, error) {
 		wl, err := SmallWorkload(uint64(100+job), 3)
 		if err != nil {
 			return nil, err
@@ -247,7 +247,7 @@ func TestParallelDeterminism(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return cell.New(cfg, wl, em)
+		return closedOpen(cfg, wl, em)
 	}
 	if err := CheckParallelDeterminism(context.Background(), []int{1, 4, 8}, 6, build); err != nil {
 		t.Error(err)

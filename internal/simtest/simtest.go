@@ -258,13 +258,13 @@ func SameResultsApprox(a, b *cell.Result, rtol float64) error {
 	return nil
 }
 
-// CheckWorkerDeterminism runs one simulation per worker count — each
+// CheckWorkerDeterminism runs one bounded OpenSim per worker count — each
 // built fresh by build(workers), which must thread its argument into
 // cell.Config.Workers — and verifies the Results are byte-identical.
 // This is the executable form of Config.Workers' contract: the worker
 // count parallelizes the tick path but may never change the physics,
 // because the shard layout and the reduction order don't depend on it.
-func CheckWorkerDeterminism(workerCounts []int, build func(workers int) (*cell.Simulator, error)) error {
+func CheckWorkerDeterminism(workerCounts []int, build func(workers int) (*cell.OpenSim, error)) error {
 	if len(workerCounts) < 2 {
 		return fmt.Errorf("simtest: need at least two worker counts to compare")
 	}
@@ -273,7 +273,7 @@ func CheckWorkerDeterminism(workerCounts []int, build func(workers int) (*cell.S
 		if err != nil {
 			return nil, err
 		}
-		return sim.Run()
+		return sim.Run(context.Background())
 	}
 	base, err := run(workerCounts[0])
 	if err != nil {
@@ -292,18 +292,15 @@ func CheckWorkerDeterminism(workerCounts []int, build func(workers int) (*cell.S
 	return nil
 }
 
-// CheckEngineEquivalence builds the same simulation twice and runs one
-// copy through the sharded engine (Run) and the other through the
-// full-scan reference arm (RunReference). With exact=true the Results
-// must be byte-identical — guaranteed whenever the live-user count never
-// exceeds one shard — otherwise the slot aggregates may differ by
-// reassociation noise (SameResultsApprox at 1e-9).
-func CheckEngineEquivalence(exact bool, build func() (*cell.Simulator, error)) error {
-	refSim, err := build()
-	if err != nil {
-		return err
-	}
-	ref, err := refSim.RunReference()
+// CheckEngineEquivalence runs one simulation through both arms: reference
+// runs it on the full-scan reference arm (the closed engine's
+// RunReference), build builds it as a bounded OpenSim, whose sharded
+// engine Run drives. With exact=true the Results must be byte-identical —
+// guaranteed whenever the live-user count never exceeds one shard —
+// otherwise the slot aggregates may differ by reassociation noise
+// (SameResultsApprox at 1e-9).
+func CheckEngineEquivalence(exact bool, reference func() (*cell.Result, error), build func() (*cell.OpenSim, error)) error {
+	ref, err := reference()
 	if err != nil {
 		return fmt.Errorf("simtest: reference engine: %w", err)
 	}
@@ -311,7 +308,7 @@ func CheckEngineEquivalence(exact bool, build func() (*cell.Simulator, error)) e
 	if err != nil {
 		return err
 	}
-	got, err := sim.Run()
+	got, err := sim.Run(context.Background())
 	if err != nil {
 		return fmt.Errorf("simtest: sharded engine: %w", err)
 	}
@@ -327,12 +324,12 @@ func CheckEngineEquivalence(exact bool, build func() (*cell.Simulator, error)) e
 	return nil
 }
 
-// CheckParallelDeterminism runs `jobs` independent simulations — each
+// CheckParallelDeterminism runs `jobs` independent bounded OpenSims — each
 // built fresh by build(job) — through pool.Map once per worker count and
 // verifies every job's result is identical across counts. It is the
 // executable form of DESIGN.md's determinism guarantee: worker
 // parallelism must never leak into the physics.
-func CheckParallelDeterminism(ctx context.Context, workerCounts []int, jobs int, build func(job int) (*cell.Simulator, error)) error {
+func CheckParallelDeterminism(ctx context.Context, workerCounts []int, jobs int, build func(job int) (*cell.OpenSim, error)) error {
 	if len(workerCounts) == 0 || jobs <= 0 {
 		return fmt.Errorf("simtest: need at least one worker count and one job")
 	}
@@ -341,12 +338,12 @@ func CheckParallelDeterminism(ctx context.Context, workerCounts []int, jobs int,
 		idx[i] = i
 	}
 	run := func(workers int) ([]*cell.Result, error) {
-		return pool.Map(ctx, workers, idx, func(_ context.Context, job int) (*cell.Result, error) {
+		return pool.Map(ctx, workers, idx, func(ctx context.Context, job int) (*cell.Result, error) {
 			sim, err := build(job)
 			if err != nil {
 				return nil, err
 			}
-			return sim.Run()
+			return sim.Run(ctx)
 		})
 	}
 	base, err := run(workerCounts[0])

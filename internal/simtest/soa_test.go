@@ -92,12 +92,12 @@ func TestEngineMatrixSoAvsReference(t *testing.T) {
 		for _, model := range traceModels {
 			for _, workers := range []int{1, 4, 0} {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", name, model, workers), func(t *testing.T) {
-					build := func() (*cell.Simulator, error) {
+					ref, build := engineArms(func() (cell.Config, []*workload.Session, sched.Scheduler, error) {
 						cfg := engineCfg()
 						cfg.Workers = workers
-						return cell.New(cfg, traceSessions(t, model, 6), mk())
-					}
-					if err := CheckEngineEquivalence(true, build); err != nil {
+						return cfg, traceSessions(t, model, 6), mk(), nil
+					})
+					if err := CheckEngineEquivalence(true, ref, build); err != nil {
 						t.Error(err)
 					}
 				})

@@ -103,3 +103,75 @@ func winNil(a, b ast.Expr) bool {
 	}
 	return false
 }
+
+// TestOneEntryPoint holds every closed run outside internal/cell to one
+// engine entry point, the bounded cell.OpenSim: no non-test Go file
+// outside internal/cell and benchmark/ names cell.New or cell.Simulator.
+// benchmark/ still builds the closed engine directly, so a matcher that
+// finds nothing there fails too.
+func TestOneEntryPoint(t *testing.T) {
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	inBenchmark := 0
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() {
+			if rel == filepath.Join("internal", "cell") || d.Name() == "testdata" || (rel != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, hit := range closedEngineHits(fset, f) {
+			if strings.HasPrefix(rel, "benchmark"+string(filepath.Separator)) {
+				inBenchmark++
+			} else {
+				t.Errorf("%s: a closed run outside internal/cell builds the closed engine; build a bounded cell.OpenSim", hit)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inBenchmark == 0 {
+		t.Error("benchmark/: no cell.New or cell.Simulator found; is the matcher still right?")
+	}
+}
+
+// closedEngineHits lists, as "file:line: what", every selector of f that
+// names New or Simulator of the package imported from
+// jointstream/internal/cell, under whatever name f imports it.
+func closedEngineHits(fset *token.FileSet, f *ast.File) []string {
+	name := ""
+	for _, imp := range f.Imports {
+		if imp.Path.Value == `"jointstream/internal/cell"` {
+			name = "cell"
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+		}
+	}
+	if name == "" {
+		return nil
+	}
+	var hits []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		if x, ok := n.(*ast.SelectorExpr); ok {
+			if id, ok := x.X.(*ast.Ident); ok && id.Name == name && (x.Sel.Name == "New" || x.Sel.Name == "Simulator") {
+				hits = append(hits, fset.Position(n.Pos()).String()+": "+name+"."+x.Sel.Name)
+			}
+		}
+		return true
+	})
+	return hits
+}
