@@ -12,6 +12,7 @@ import (
 	"jointstream/internal/pool"
 	"jointstream/internal/sched"
 	"jointstream/internal/units"
+	"jointstream/internal/workload"
 )
 
 // TestMain poisons every block a window borrows for the whole package:
@@ -87,7 +88,9 @@ func TestLockstepFleetParksBlocks(t *testing.T) {
 // the small fills of one run cannot starve the big ones of the next — a
 // store that dropped what came last kept three 8-row scratches a paper
 // sweep left and handed a 100 000-user cell none it could use, and every
-// one of its block fills allocated a fresh 66 KB scratch.
+// one of its block fills allocated a fresh 66 KB scratch. A request gets
+// the smallest entry that covers it (best-fit), and stop keeps no
+// handed-off window's blocks (stop).
 func TestIdleStoreKeepsLargest(t *testing.T) {
 	var l idleStore[*fillScratch]
 	bound := runtime.GOMAXPROCS(0) + 1
@@ -99,13 +102,72 @@ func TestIdleStoreKeepsLargest(t *testing.T) {
 	if len(l.items) != bound {
 		t.Fatalf("store holds %d entries, bound %d", len(l.items), bound)
 	}
-	if sc, ok := l.take(fillUsers); !ok || sc.capacity() != fillUsers {
+	if sc, ok := l.take(fillUsers, 0); !ok || len(sc.sig) != fillUsers {
 		t.Fatal("a full store of small entries dropped the big one")
 	}
-	if _, ok := l.take(9); ok {
+	if _, ok := l.take(9, 0); ok {
 		t.Fatal("took an entry that does not cover the request")
 	}
-	if sc, ok := l.take(4); !ok || sc.capacity() != 8 {
+	if sc, ok := l.take(4, 0); !ok || len(sc.sig) != 8 {
 		t.Fatal("no covering entry handed out")
+	}
+	t.Run("best-fit", idleStoreBestFit)
+	t.Run("stop", stopKeepsOnlySmallBlocks)
+}
+
+// idleStoreBestFit: a request gets the smallest entry that covers both its
+// signals and its rate rows, so a 40-row window's block never takes a
+// 100 000-row cell's, and a window with a rate row per slot never takes a
+// block it would have to give a new rate array.
+func idleStoreBestFit(t *testing.T) {
+	var l idleStore[linkCols]
+	const slots = 32
+	for _, rows := range []int{100_000, 40, 300, 8} {
+		l.items = append(l.items, newLinkCols(rows, slots, true)) // put would drop all but GOMAXPROCS+1
+	}
+	l.items = append(l.items, newLinkCols(300, slots, false))
+	if c, ok := l.take(40*slots, 40*slots); !ok || cap(c.rate) != 300*slots {
+		t.Fatal("a request for a rate row per slot got no block with room for them")
+	}
+	for _, want := range []int{40, 300, 100_000} {
+		c, ok := l.take(40*slots, 40)
+		if !ok || cap(c.sig) != want*slots || cap(c.rate) != want {
+			t.Fatalf("a 40-row request got an entry of %d signals and %d rates, want the %d-row one", cap(c.sig), cap(c.rate), want)
+		}
+	}
+	if _, ok := l.take(40*slots, 40); ok {
+		t.Fatal("took an entry that does not cover the request")
+	}
+}
+
+// stopKeepsOnlySmallBlocks: stop parks an in-place window's block, which
+// the next small window borrows, and lets a handed-off window's two go —
+// idleBlocks keeps its entries for the life of the process, so a big
+// run's blocks parked there would stay with it.
+func stopKeepsOnlySmallBlocks(t *testing.T) {
+	const rows, span = 300, 16
+	wl := fillWorkload(t, rows, 0, false)
+	workload.PrewarmAll(1, wl, 2*span)
+	parked := func(c linkCols) bool {
+		idleBlocks.mu.Lock()
+		defer idleBlocks.mu.Unlock()
+		return slices.ContainsFunc(idleBlocks.items, func(x linkCols) bool { return &x.sig[:1][0] == &c.sig[0] })
+	}
+	for _, handoff := range []int{handoffNever, handoffAlways} {
+		w := newLinkWindow(1, span, rows, 2*span, constRate(wl), wl)
+		w.handoffMin = handoff
+		w.ensure(0)
+		w.syncFill()
+		cur, next := w.cur.linkCols, w.next.linkCols
+		w.stop()
+		if w.cur.sig != nil || w.next.sig != nil {
+			t.Fatalf("handoffMin %d: the window holds a block after stop", handoff)
+		}
+		if handoff == handoffAlways && (parked(cur) || parked(next)) {
+			t.Fatal("stop parked a handed-off window's block")
+		}
+		if handoff == handoffNever && !parked(cur) {
+			t.Fatal("stop did not park an in-place window's block")
+		}
 	}
 }

@@ -603,8 +603,6 @@ func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, open *O
 	// closedSpan's otherwise — 256-slot and never clamped by a horizon in
 	// an unbounded run, whose sessions are stateless (vetSession). A
 	// bounded run's fills stop at the prewarmed horizon.
-	var lt *LinkTable
-	var err error
 	span, rows, horizon := closedSpan(cfg), len(sessions), cfg.MaxSlots
 	if open != nil {
 		if open.Unbounded {
@@ -612,19 +610,11 @@ func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, open *O
 		}
 		span, rows = cmp.Or(open.TileSlots, span), open.MaxSessions
 	}
-	if cfg.Link != nil {
-		lt = cfg.Link
-		err = lt.compatible(cfg, sessions)
-	} else {
-		sim.win = newLinkWindow(sim.workers, span, rows, horizon, constRate(sessions), sessions)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if sim.link, err = radio.NewLink(cfg.Radio, cfg.Tau, cfg.Unit); err != nil {
-		return nil, err
-	}
-	if lt != nil {
+	var err error
+	if lt := cfg.Link; lt != nil {
+		if err = lt.compatible(cfg, sessions); err != nil {
+			return nil, err
+		}
 		// A table run reads its sessions only through the table, whose
 		// compile prewarmed them over its horizon (link.go): the run never
 		// grows a memo another run may be reading.
@@ -635,7 +625,11 @@ func newSim(cfg Config, sessions []*workload.Session, s sched.Scheduler, open *O
 		// memoized stochastic sequence is extended to the slot horizon up
 		// front: no memo grows mid-run (nor leaves append-doubling garbage),
 		// and the fills read them concurrently.
+		sim.win = newLinkWindow(sim.workers, span, rows, horizon, constRate(sessions), sessions)
 		workload.PrewarmAll(sim.workers, sessions, cfg.MaxSlots)
+	}
+	if sim.link, err = radio.NewLink(cfg.Radio, cfg.Tau, cfg.Unit); err != nil {
+		return nil, err
 	}
 	sim.slot = sched.Slot{
 		Tau:           cfg.Tau,

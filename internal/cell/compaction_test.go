@@ -208,7 +208,7 @@ func FuzzWindowRows(f *testing.F) {
 				compacted := make([]*workload.Session, len(rows))
 				clear(occ)
 				for k, i := range rows {
-					compacted[k] = w.src[i]
+					compacted[k] = w.src[i].Load()
 					occ[k] = compacted[k]
 				}
 				w.compactRows(compacted)

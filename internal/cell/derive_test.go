@@ -30,12 +30,13 @@ func TestLinkBlockLayout(t *testing.T) {
 		return n
 	}
 	// 40 × 16 rows fill in place into a borrowed block; 300 × 16 hand off
-	// and allocate both blocks up front.
+	// the second window into a borrowed spare: both blocks in the rate
+	// shape.
 	for _, rows := range []int{40, 300} {
 		for _, jitter := range []float64{0, 0.2} {
 			const slots = 16
 			wl := fillWorkload(t, rows, jitter, false)
-			workload.PrewarmAll(1, wl, slots)
+			workload.PrewarmAll(1, wl, 2*slots)
 			rateRows := slots
 			if jitter == 0 {
 				rateRows = 1
@@ -43,11 +44,14 @@ func TestLinkBlockLayout(t *testing.T) {
 			want := int64(8*rows*slots + 8*rows*rateRows)
 			name := fmt.Sprintf("%d rows, jitter %v", rows, jitter)
 
-			w := newLinkWindow(1, slots, rows, slots, constRate(wl), wl)
+			w := newLinkWindow(1, slots, rows, 2*slots, constRate(wl), wl)
 			w.ensure(0)
+			w.syncFill()
 			blocks := []*linkBlock{w.cur}
-			if w.next != nil {
+			if w.next.sig != nil {
 				blocks = append(blocks, w.next)
+			} else if rows*slots >= handoffRowSlots {
+				t.Errorf("%s: no spare block borrowed", name)
 			}
 			for _, b := range blocks {
 				if got := sliceBytes(&b.linkCols); got != want || b.bytes() != want {

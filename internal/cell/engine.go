@@ -110,13 +110,13 @@ func (s *Simulator) Advance(upto int) (bool, error) {
 	for !s.stepDone && s.nextSlot < upto {
 		select {
 		case <-s.stepDoneCh:
-			s.stopWindow()
+			s.win.stop()
 			return false, fmt.Errorf("cell: run cancelled at slot %d: %w", s.nextSlot, s.stepCtx.Err())
 		default:
 		}
 		done, err := s.tickSlot(s.nextSlot)
 		if err != nil {
-			s.stopWindow()
+			s.win.stop()
 			return false, err
 		}
 		if done {
@@ -138,7 +138,7 @@ func (s *Simulator) Advance(upto int) (bool, error) {
 // finalizes the slots ticked so far, which is only meaningful for tests).
 func (s *Simulator) Finish() *Result {
 	s.stepCtx = nil
-	s.stopWindow()
+	s.win.stop()
 	res := s.curRes
 	if cap(res.PerSlot) > len(res.PerSlot) {
 		// Ended early: one copy into an exact-length series, so the Result
@@ -152,11 +152,6 @@ func (s *Simulator) Finish() *Result {
 	res.finalize()
 	return res
 }
-
-// stopWindow ends the link window's background fill, if one is running:
-// every way out of a run — finished, failed or cancelled — passes through
-// here, so no goroutine outlives the run.
-func (s *Simulator) stopWindow() { s.win.stop() }
 
 // smallNSerialCutoff is the live-user count below which the tick phases
 // run serially regardless of Config.Workers: dispatching goroutines

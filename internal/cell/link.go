@@ -69,9 +69,9 @@ type LinkTable struct {
 	ahead  []atomic.Bool
 
 	// mu serializes the fills and guards the filler's scratch.
-	mu       sync.Mutex
-	fill     *linkFiller
-	sessions []*workload.Session
+	mu   sync.Mutex
+	fill *linkFiller
+	src  rowSource
 }
 
 // CompileLink builds the link table of the sessions over cfg's slot grid
@@ -133,7 +133,7 @@ func newLinkTable(cfg Config, sessions []*workload.Session, slots int) (*LinkTab
 		blocks:     make([]atomic.Pointer[linkBlock], blocks),
 		ahead:      make([]atomic.Bool, blocks),
 		fill:       newLinkFiller(workers, len(sessions)),
-		sessions:   sessions,
+		src:        newRowSource(len(sessions), sessions),
 	}, nil
 }
 
@@ -158,7 +158,7 @@ func (t *LinkTable) fillBlock(k int) *linkBlock {
 	base := k * tableBlockSlots
 	hi := min(base+tableBlockSlots, t.slots)
 	b := &linkBlock{base: base, linkCols: newLinkCols(t.users, hi-base, t.sharedRate)}
-	t.fill.fill(&b.linkCols, t.sessions, nil, t.users, 0, base, hi)
+	t.fill.fill(&b.linkCols, t.src, nil, t.users, 0, base, hi)
 	t.blocks[k].Store(b)
 	return b
 }

@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -15,20 +16,11 @@ import (
 // This file is the one link-window fill: compileLink's whole-horizon table
 // and every block of the engine's link window (linkwindow.go) come out of
 // it. It turns (session, slot) into the two values a link row keeps — the
-// signal and the required rate. Everything else the tick reads of a slot's
-// link — throughput v(sig), per-KB energy P(sig) and the Eq. (1) limit
-// ⌊τ·v/δ⌋ — is a closed form of the signal, which the tick derives per
-// live user-slot through radio.Link (deriveDense, prepareColsUser), so a
-// block stores 8 bytes a row-slot plus its rate rows.
-//
-// The work is memory-bound, so the loops are shaped around cache lines
-// (DESIGN.md §5): shards are blocks of consecutive users, because
-// neighbouring users share 64-byte lines in every column of every slot
-// and one user per shard had the workers false-sharing every store; a
-// block's signals are staged user-major in per-worker scratch (one
-// signal.Fill per user per fillSlots slots) and emitted slot-major, so
-// each column is written in sequential runs, not one entry every
-// users×8 bytes.
+// signal and the required rate; the tick derives v(sig), P(sig) and the
+// Eq. (1) limit from the signal through radio.Link, so a block stores 8
+// bytes a row-slot plus its rate rows. The work is memory-bound, so the
+// loops are shaped around cache lines (DESIGN.md §5): shards are blocks of
+// consecutive users, staged user-major per worker and emitted slot-major.
 
 // Block shape, picked on BenchmarkLinkRefill (N = 100 000, tile 64, two
 // cores): ns/row falls as rows get longer — 64 users 14.5, 128 13.0,
@@ -61,18 +53,31 @@ type linkCols struct {
 	rateStride int
 }
 
-func newLinkCols(stride, slots int, sharedRate bool) linkCols {
-	c := linkCols{sig: make([]units.DBm, stride*slots), stride: stride, rateStride: stride}
-	if sharedRate {
-		c.rateStride = 0
-		slots = 1
-	}
-	c.rate = make([]units.KBps, stride*slots)
+func newLinkCols(stride, slots int, sharedRate bool) (c linkCols) {
+	c.reshape(stride, slots, sharedRate)
 	return c
 }
 
+// reshape makes c a block of stride rows × slots with one rate row when
+// sharedRate, one a slot otherwise, in its own arrays where they are big
+// enough and in new ones where they are not.
+func (c *linkCols) reshape(stride, slots int, sharedRate bool) {
+	n, r := stride*slots, stride*slots
+	c.stride, c.rateStride = stride, stride
+	if sharedRate {
+		r, c.rateStride = stride, 0
+	}
+	if cap(c.sig) < n {
+		c.sig = make([]units.DBm, n)
+	}
+	if cap(c.rate) < r {
+		c.rate = make([]units.KBps, r)
+	}
+	c.sig, c.rate = c.sig[:n], c.rate[:r]
+}
+
 // widenRate turns a shared rate row into a copy of it per slot, within
-// the rate array's capacity if it has room (borrowed storage has).
+// the rate array's capacity if it has room.
 func (c *linkCols) widenRate() {
 	n := len(c.sig)
 	if cap(c.rate) < n {
@@ -84,19 +89,17 @@ func (c *linkCols) widenRate() {
 	}
 }
 
-// borrow makes c storage for stride rows × slots, from idleBlocks if an
-// entry covers it, with room for a rate row per slot either way. Tests set
-// borrowHook to see every block handed out.
+// borrow makes c a block shaped as reshape does, in the smallest
+// idleBlocks entry that covers both its signals and its rate rows, or
+// allocated if none does. Tests set borrowHook to see every block handed
+// out.
 func (c *linkCols) borrow(stride, slots int, sharedRate bool) {
-	n, ok := stride*slots, false
-	if *c, ok = idleBlocks.take(n); !ok {
-		*c = newLinkCols(n, 1, false)
-	}
-	c.sig, c.rate = c.sig[:n], c.rate[:n]
-	c.stride, c.rateStride = stride, stride
+	r := stride * slots
 	if sharedRate {
-		c.rate, c.rateStride = c.rate[:stride], 0
+		r = stride
 	}
+	*c, _ = idleBlocks.take(stride*slots, r)
+	c.reshape(stride, slots, sharedRate)
 	if borrowHook != nil {
 		borrowHook(c)
 	}
@@ -104,7 +107,7 @@ func (c *linkCols) borrow(stride, slots int, sharedRate bool) {
 
 var borrowHook func(*linkCols)
 
-func (c linkCols) capacity() int { return min(cap(c.sig), cap(c.rate)) }
+func (c linkCols) capacity() (int, int) { return cap(c.sig), cap(c.rate) }
 
 // bytes is the resident size of the column arrays: 8 bytes a row-slot of
 // signal, and the rate rows.
@@ -117,22 +120,41 @@ func (c *linkCols) slot(off, n int) ([]units.DBm, []units.KBps) {
 	return c.sig[lo:hi:hi], c.rate[r : r+n : r+n]
 }
 
-// fillScratch is one worker's staging area for one block.
-type fillScratch struct {
-	sig  [][fillSlots]units.DBm // user-major staged signals
-	rate []units.KBps           // the block's constant required rates
+// rowSource holds each table row's session, nil for a row no fill reads.
+// A window's foreground stores into it while a background fill reads it
+// (linkwindow.go), so every access is atomic.
+type rowSource []atomic.Pointer[workload.Session]
+
+func newRowSource(rows int, sessions []*workload.Session) rowSource {
+	src := make(rowSource, rows)
+	for i, sess := range sessions {
+		src[i].Store(sess)
+	}
+	return src
 }
 
-func (sc *fillScratch) capacity() int { return len(sc.sig) }
+// fillScratch is one worker's staging area for one block: the signals,
+// user-major, and each staged row's destination, session and constant
+// required rate.
+type fillScratch struct {
+	sig  [][fillSlots]units.DBm
+	row  []int
+	sess []*workload.Session
+	rate []units.KBps
+}
 
-// idleStore is a process-wide LIFO of idle fill storage, number arrays
+func (sc *fillScratch) capacity() (int, int) { return len(sc.sig), 0 }
+
+// idleStore is a process-wide store of idle fill storage, number arrays
 // only: fill scratch is borrowed for one block's fill, an in-place
 // window's block while its site ticks (linkwindow.go), so a fleet holds
-// what its ticking sites use, not one of each per site. take hands out the
-// latest entry that covers the request; put keeps the GOMAXPROCS+1 largest,
-// as many as can be in use at once when every core fills and a foreground
+// what its ticking sites use, not one of each per site. An entry's
+// capacity is two lengths — a block's signals and rate rows, a scratch's
+// rows and 0 — and its size their sum. take hands out the smallest entry
+// that covers both of a request's; put keeps the GOMAXPROCS+1 largest, as
+// many as can be in use at once when every core fills and a foreground
 // joins.
-type idleStore[T interface{ capacity() int }] struct {
+type idleStore[T interface{ capacity() (int, int) }] struct {
 	mu    sync.Mutex
 	items []T
 }
@@ -142,16 +164,21 @@ var (
 	idleScratch idleStore[*fillScratch]
 )
 
-func (l *idleStore[T]) take(need int) (none T, ok bool) {
+func (l *idleStore[T]) take(n, r int) (none T, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for k := len(l.items) - 1; k >= 0; k-- {
-		if x := l.items[k]; x.capacity() >= need {
-			l.items = slices.Delete(l.items, k, k+1)
-			return x, true
+	k, least := -1, 0
+	for i, x := range l.items {
+		if a, b := x.capacity(); a >= n && b >= r && (k < 0 || a+b < least) {
+			k, least = i, a+b
 		}
 	}
-	return
+	if k < 0 {
+		return
+	}
+	x := l.items[k]
+	l.items = slices.Delete(l.items, k, k+1)
+	return x, true
 }
 
 func (l *idleStore[T]) put(x T) {
@@ -159,15 +186,19 @@ func (l *idleStore[T]) put(x T) {
 	defer l.mu.Unlock()
 	l.items = append(l.items, x)
 	for len(l.items) > runtime.GOMAXPROCS(0)+1 {
-		k := 0 // the smallest goes: small entries must not starve big requests
+		k, least := 0, math.MaxInt // the smallest goes: small entries must not starve big requests
 		for i, y := range l.items {
-			if y.capacity() < l.items[k].capacity() {
-				k = i
+			if a, b := y.capacity(); a+b < least {
+				k, least = i, a+b
 			}
 		}
 		l.items = slices.Delete(l.items, k, k+1)
 	}
 }
+
+// rowsFilled counts the row-slots fills were asked for (one add a block):
+// cell.link.rows_filled, what a run's link rows cost against its ticks.
+var rowsFilled atomic.Int64
 
 // linkFiller holds what a fill needs beyond its destination: the worker
 // bound and the block width; each block's scratch comes from idleScratch.
@@ -189,7 +220,7 @@ type linkFiller struct {
 	blocks   int          // row blocks of width rows
 	next     atomic.Int64 // first unclaimed block
 	dst      *linkCols
-	sessions []*workload.Session
+	src      rowSource
 	rows     []int // ascending destination rows; nil = [0, count)
 	count    int
 	off      int // slot offset in dst of slot base
@@ -205,25 +236,22 @@ func newLinkFiller(workers, maxRows int) *linkFiller {
 	return f
 }
 
-// clone returns a second filler for the same destinations, with its own
-// fill arguments, so two fills can run at once.
-func (f *linkFiller) clone() *linkFiller { return newLinkFiller(f.workers, f.width) }
-
 // fill writes slots [base, hi) of the given rows into dst at slot offsets
 // [off, off+hi-base): off is 0 for a whole window and the number of slots
 // already ticked when rows are patched into a window that is in use. rows
-// lists the destination rows in ascending order (row i belongs to
-// sessions[i]); nil means rows [0, count). Shards own disjoint row blocks,
-// and each session is read by exactly one shard, so traces that are not
-// safe for concurrent use stay on one goroutine. A dst with a shared rate
-// row must not be handed a session with rate jitter.
-func (f *linkFiller) fill(dst *linkCols, sessions []*workload.Session, rows []int, count, off, base, hi int) {
-	f.start(dst, sessions, rows, count, off, base, hi)
+// lists the destination rows in ascending order (row i belongs to the
+// session src[i] holds when the fill reads it); nil means rows [0, count).
+// A row whose session is nil by then is skipped. Shards own disjoint row
+// blocks, and each session is read by exactly one shard, so traces that
+// are not safe for concurrent use stay on one goroutine. A dst with a
+// shared rate row must not be handed a session with rate jitter.
+func (f *linkFiller) fill(dst *linkCols, src rowSource, rows []int, count, off, base, hi int) {
+	f.start(dst, src, rows, count, off, base, hi)
 	f.run()
 }
 
 // start sets up the fill that fill describes without executing any of it.
-func (f *linkFiller) start(dst *linkCols, sessions []*workload.Session, rows []int, count, off, base, hi int) {
+func (f *linkFiller) start(dst *linkCols, src rowSource, rows []int, count, off, base, hi int) {
 	if rows != nil {
 		count = len(rows)
 	}
@@ -231,7 +259,7 @@ func (f *linkFiller) start(dst *linkCols, sessions []*workload.Session, rows []i
 	if hi > base {
 		f.blocks = (count + f.width - 1) / f.width
 	}
-	f.dst, f.sessions, f.rows, f.count, f.off, f.base, f.hi = dst, sessions, rows, count, off, base, hi
+	f.dst, f.src, f.rows, f.count, f.off, f.base, f.hi = dst, src, rows, count, off, base, hi
 	f.next.Store(0)
 }
 
@@ -255,67 +283,69 @@ func (f *linkFiller) drain(int) {
 }
 
 func (f *linkFiller) scratch() *fillScratch {
-	if sc, ok := idleScratch.take(f.width); ok {
+	if sc, ok := idleScratch.take(f.width, 0); ok {
 		return sc
 	}
-	return &fillScratch{sig: make([][fillSlots]units.DBm, f.width), rate: make([]units.KBps, f.width)}
-}
-
-// row maps position j of the fill's row list to its destination row.
-func (f *linkFiller) row(j int) int {
-	if f.rows == nil {
-		return j
-	}
-	return f.rows[j]
+	w := f.width
+	return &fillScratch{make([][fillSlots]units.DBm, w), make([]int, w), make([]*workload.Session, w), make([]units.KBps, w)}
 }
 
 // fillBlock fills block b: positions [b·width, (b+1)·width) of the row
-// list, every slot of the fill. A block whose rows are contiguous (every
-// block of a full list) emits each slot as one run of the signal column.
-// Any other block — the scattered rows a churn flush admits, a list with
-// holes — stores each staged signal at its row.
+// list, every slot of the fill. Each row's session is read once, and a
+// row that holds none is left as it is. A block whose rows are contiguous
+// (every block of a full list) emits each slot as one run of the signal
+// column. Any other block — the scattered rows a churn flush admits, a
+// list with holes — stores each staged signal at its row.
 func (f *linkFiller) fillBlock(b int) {
 	j0 := b * f.width
 	m := min(f.width, f.count-j0)
+	rowsFilled.Add(int64(m * (f.hi - f.base)))
 	sc := f.scratch()
 	dst := f.dst
-	i0 := f.row(j0)
-	var rows []int // the block's destination rows; nil when they are i0, i0+1, …
-	if f.rows != nil && f.rows[j0+m-1]-i0 != m-1 {
-		rows = f.rows[j0 : j0+m]
-	}
 
-	jitter := false
-	for u := 0; u < m; u++ {
-		sess := f.sessions[f.row(j0+u)]
-		sc.rate[u] = sess.BaseRate // RateAt's value at every slot, absent jitter
+	n, jitter := 0, false // staged rows
+	for j := j0; j < j0+m; j++ {
+		i := j
+		if f.rows != nil {
+			i = f.rows[j]
+		}
+		sess := f.src[i].Load()
+		if sess == nil {
+			continue
+		}
+		sc.row[n], sc.sess[n] = i, sess
+		sc.rate[n] = sess.BaseRate // RateAt's value at every slot, absent jitter
 		jitter = jitter || sess.RateJitter != 0
+		n++
 	}
+	rows, sess := sc.row[:n], sc.sess[:n]
+	contiguous := n > 0 && rows[n-1]-rows[0] == n-1
 
-	for c := f.base; c < f.hi; c += fillSlots {
+	for c := f.base; c < f.hi && n > 0; c += fillSlots {
 		cw := min(fillSlots, f.hi-c)
-		for u := 0; u < m; u++ {
-			signal.Fill(f.sessions[f.row(j0+u)].Signal, sc.sig[u][:cw], c)
+		for u, s := range sess {
+			signal.Fill(s.Signal, sc.sig[u][:cw], c)
 		}
 		for k := 0; k < cw; k++ {
 			so := f.off + c + k - f.base
-			if o := so * dst.stride; rows == nil {
-				emitRow(sc.sig[:m], k, dst.sig[o+i0:o+i0+m])
+			if o := so * dst.stride; contiguous {
+				emitRow(sc.sig[:n], k, dst.sig[o+rows[0]:o+rows[0]+n])
 			} else {
 				for u, i := range rows {
 					dst.sig[o+i] = sc.sig[u][k]
 				}
 			}
 			if r := so * dst.rateStride; jitter || dst.rateStride != 0 || c+k == f.base {
-				for u := 0; u < m; u++ {
-					i, v := f.row(j0+u), sc.rate[u]
+				for u, i := range rows {
+					v := sc.rate[u]
 					if jitter {
-						v = f.sessions[i].RateAt(c + k)
+						v = sess[u].RateAt(c + k)
 					}
 					dst.rate[r+i] = v
 				}
 			}
 		}
 	}
+	clear(sess) // an idle scratch keeps no session alive
 	idleScratch.put(sc)
 }

@@ -165,6 +165,9 @@ func TestFillKernelMatchesAnalytic(t *testing.T) {
 					w := newLinkWindow(workers, window, users, slots, constRate(wl), wl)
 					w.handoffMin = handoff
 					defer w.stop()
+					// The first ensure borrows the resident block, in the
+					// rate shape the table's blocks have.
+					w.ensure(0)
 					if w.cur.rateStride != mono.block(0).rateStride {
 						t.Fatalf("window: rate stride %d", w.cur.rateStride)
 					}
@@ -291,7 +294,7 @@ func TestOpenRateRowFollowsSessions(t *testing.T) {
 		// shared reports whether the window's blocks keep one rate row.
 		shared := func() bool {
 			w := o.eng.win
-			return w.cur.rateStride == 0 && (w.next == nil || w.next.rateStride == 0)
+			return w.cur.rateStride == 0 && (w.next.sig == nil || w.next.rateStride == 0)
 		}
 		next := initial
 		for n := 5; n <= slots; n += 5 {
@@ -418,14 +421,15 @@ func TestLinkFillGatheredMatchesDense(t *testing.T) {
 		wl := fillWorkload(t, users, jitter, false)
 		workload.PrewarmAll(1, wl, base+slots)
 		for _, workers := range []int{1, 2} {
+			src := newRowSource(users, wl)
 			dense := newLinkFiller(workers, users)
 			want := newLinkCols(users, slots, jitter == 0)
-			dense.fill(&want, wl, nil, users, 0, base, base+slots)
+			dense.fill(&want, src, nil, users, 0, base, base+slots)
 			for name, rows := range lists {
 				for _, off := range []int{0, 5} {
 					got := newLinkCols(users, slots, jitter == 0)
-					gathered := dense.clone()
-					gathered.fill(&got, wl, rows, 0, off, base+off, base+slots)
+					gathered := newLinkFiller(workers, users)
+					gathered.fill(&got, src, rows, 0, off, base+off, base+slots)
 					for so := off; so < slots; so++ {
 						wSig, wRate := want.slot(so, users)
 						gSig, gRate := got.slot(so, users)
@@ -456,6 +460,7 @@ func BenchmarkLinkPatch(b *testing.B) {
 	}
 	workload.PrewarmAll(1, wl, tile)
 	f := newLinkFiller(1, users)
+	sessions := newRowSource(users, wl)
 	dst := newLinkCols(users, tile, constRate(wl))
 	src := rng.New(5)
 	list := make([]int, 0, rows)
@@ -467,7 +472,7 @@ func BenchmarkLinkPatch(b *testing.B) {
 	slices.Sort(list)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.fill(&dst, wl, list, 0, 0, 0, tile)
+		f.fill(&dst, sessions, list, 0, 0, 0, tile)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*tile), "ns/row")
 }

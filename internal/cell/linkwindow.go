@@ -10,25 +10,15 @@ import (
 	"jointstream/internal/workload"
 )
 
-// This file is the engine's one link-window provider (DESIGN.md, "cell ·
-// link window"): a sliding window of future link rows — each user's
-// signal and required rate per slot — that attachSlotColumns aliases
-// zero-copy into the slot view, and from whose signals the tick derives
-// v(sig), P(sig) and the Eq. (1) limit. Every row comes out of the one
-// fill (linkfill.go), so every run is bit-identical to RunReference's
-// analytic evaluation. The closed engine's sliding window, the open
-// engine's and a compiled LinkTable are the same object, which newSim
-// builds for every run of either engine:
-//
-//   - open: rows are admitted (admitRow) and dropped (dropRow) while the
-//     run goes on, and an unbounded table is compacted now and then;
-//   - closed (a run handed no Config.Link; a closed fleet site too): every
-//     row is resident from the start, none is admitted, and rows leave as
-//     dropRetired takes their users off the live list;
-//   - a compiled table (tableWindow, a run handed Config.Link): its
-//     resident block is the table's block covering the slot, which the
-//     table fills once for every reader (link.go); the window itself never
-//     fills or writes a row.
+// This file is the engine's one link-window provider (DESIGN.md §13): a
+// sliding window of future link rows — each user's signal and required
+// rate per slot — that attachSlotColumns aliases zero-copy into the slot
+// view. Every row comes out of the one fill (linkfill.go), so every run is
+// bit-identical to RunReference. newSim builds one for every run: open
+// (rows admitted and dropped mid-run, an unbounded table compacted now and
+// then), closed (every row resident from the start, dropped as dropRetired
+// retires its user), or over a compiled table (tableWindow: the table's
+// blocks, filled once for every reader; the window never fills a row).
 
 // linkBlock is one filled window: a slot-major block of link rows
 // covering span slots × the table's rows.
@@ -46,23 +36,24 @@ type linkBlock struct {
 // the next fill safe; a column view is valid until the next swap.
 //
 // The session table keeps changing while a window fills, and neither side
-// waits for the other. The background fill reads nothing the foreground
-// writes: it is handed a private copy of its row list and of those rows'
-// sessions (kickFill), and the spare block is its own while it runs. The
-// foreground only records what that copy lacks — rows admitted since go
-// on the late list — and when the fill has landed the late rows are the
-// next fill into the same block; rows dropped since keep stale values
-// nobody reads. Only the swap (ensure), compaction and stop wait for a
-// fill, and they work beside it while they do.
+// waits for the other. The background fill reads the row source in place,
+// over a row list nobody writes until it lands, into the spare block, its
+// own while it runs. Rows admitted since the kick go on the late list — a
+// row that changed hands among them, whichever occupant the fill read —
+// and are the next fill into the same block; rows dropped since keep stale
+// values nobody reads. A dropped row's session is not overwritten while the
+// fill may read it: OpenSim holds a recycled clone until the fill in
+// flight when its session ended has landed. Only the swap
+// (ensure), compaction and stop wait for a fill, working beside it.
 //
-// Whether a fill is handed off at all is decided per fill from its size
-// (handoff): a small one is done where it is needed, and a window whose
-// fills are all small never allocates a spare block or starts a goroutine,
-// nor keeps its one block: it borrows the storage from idleBlocks for a fill
-// and parks it when an Advance ends past it (or the run ends).
-// Each handed-off fill runs on its own goroutine, which ends with it, so
-// none outlives the window by more than the fill it is running — and not
-// at all once stop has returned.
+// New allocates no block: the first ensure borrows the resident one from
+// idleBlocks, the first fill big enough to hand off (handoff) the spare. A
+// window whose fills are all small starts no goroutine and parks its one
+// block when an Advance ends past it or the run stops. A window that
+// handed off lets both go at stop: blocks of that size are one run's, and
+// idleBlocks keeps what it holds for the life of the process. Each
+// handed-off fill runs on its own goroutine, which ends with it, so none
+// outlives stop.
 type linkWindow struct {
 	span int // slots per block
 	// table is the shared table a table window reads its blocks from; nil
@@ -70,13 +61,10 @@ type linkWindow struct {
 	// background fills this window started, which stop waits out.
 	table      *LinkTable
 	prefetches sync.WaitGroup
-	// horizon clamps fills of a bounded run: slots at or past it are never
-	// filled, because bounded sessions may carry memoized signal traces
-	// that only cover [0, MaxSlots), clones of one template share them, and
-	// growing a memo under a concurrent reader would race. Every session is
-	// prewarmed to the horizon before a fill can see it. -1 = unbounded
-	// (the open engine's vetSession enforces stateless traces, so any slot
-	// is safe to fill anywhere).
+	// horizon clamps fills of a bounded run: its sessions may share
+	// memoized traces prewarmed over [0, MaxSlots) only, and growing a
+	// memo under a concurrent reader would race. -1 = unbounded (vetSession
+	// enforces stateless traces there).
 	horizon int
 	// fill runs the handed-off fills, and the foreground's whole-window
 	// fill while none is in flight. patch fills admitted rows into windows
@@ -88,114 +76,76 @@ type linkWindow struct {
 	// reach (tests move it to force either side).
 	handoffMin int
 
-	cur *linkBlock // no storage (nil columns) while parked
-	// next is the spare block, allocated with the snapshot storage below
-	// (spare) once a fill is big enough to be handed off: up front when the
-	// initial population's window already is, by the first such fill
-	// otherwise. From then on cur keeps its storage.
-	next       *linkBlock
+	// cur is the resident block, next the spare; each holds no storage (nil
+	// columns) until it is borrowed and once it is parked. A table window
+	// has no spare.
+	cur, next  *linkBlock
 	sharedRate bool // one rate row for all slots, until widenRate
 
-	// src is the row source: src[i] is the session resident in table row i,
-	// nil when the row is empty or its user will not be read again. rows is
+	// src is the row source: the session resident in each table row, nil
+	// when the row is empty or its user will not be read again. rows is
 	// the ascending list of occupied rows a window fill covers; only ensure
 	// reads it, and brings it up to date first. fresh collects the rows
 	// admitted since the last flush (admission order, duplicates possible),
 	// queued the rows flushed since ensure last caught up, and holes says
 	// rows dropped since are still listed.
-	src    []*workload.Session
+	src    rowSource
 	rows   []int
 	fresh  []int
 	queued []int
 	holes  bool
-	// late lists the rows flushed since the snapshot of the spare block's
-	// latest fill was taken: the block still lacks them.
-	late []int
-
-	// The in-flight fill's inputs, written by kickFill and then left alone
-	// until the fill is over: the row list, and by value what a fill reads
-	// of each listed row's session. snapPtr[i] = &snap[i] is the view the
-	// filler indexes by row. A row's copy stays good until the row changes
-	// hands, so a window fill refreshes only the rows admitted since the
-	// last one (changed), or all of them (snapAll) after a compaction moved
-	// the rows or a window went by without a handed-off fill.
-	snapRows []int
-	snap     []workload.Session
-	snapPtr  []*workload.Session
-	changed  []int
-	snapAll  bool
+	// late lists the rows flushed since the spare block's latest fill was
+	// kicked: the block lacks them. lateFill is the row list of a fill of
+	// late rows, copied out of late, which goes on collecting meanwhile.
+	late     []int
+	lateFill []int
 
 	// Hand-off state. runFill (bound once as bgFn, so a kick allocates no
 	// closure) sets landed and then signals done; the foreground polls
 	// landed (no blocking, no select) and receives from done only where it
 	// has to wait. inflight tracks an outstanding fill, nextReady a spare
-	// block whose window fill is over.
+	// block whose window fill is over. kicks counts the fills handed off.
 	bgFn      func()
 	done      chan struct{}
 	landed    atomic.Bool
 	inflight  bool
 	nextReady bool
+	kicks     uint64
 }
 
 // handoffRowSlots is the fill size, in rows × slots, from which a fill is
-// handed to a background goroutine instead of being done in place — rows
-// a flush admits late count the same as block rows: each slot of them is
-// emitted once and stored at its rows, 8 bytes a row-slot, and
-// BenchmarkLinkPatch (64 scattered rows × 32 slots of an 11 000-row block)
-// reads 3.5 ns a row-slot where BenchmarkLinkRefill's one-worker tier reads
-// 5.0 for a block row. Starting a goroutine and collecting its fill costs
-// the foreground time, a fill in flight at the swap has to be waited for,
-// and handing off takes a spare block. The line was drawn when a 40-row ×
-// 32-slot block filled in 18 µs; with a row now just its signal and rate it
-// fills in 3.2 µs (on a 2-core Xeon), so in-place fills just under the line
-// are cheaper than when it was drawn, and it is kept: a 40-user fleet cell's
-// 32-slot block is 1 280 row-slots, and in place, fleet_stream's 2 048
-// cells keep no spare blocks, start no goroutines and hold a block only
-// while they tick. cell_dense's 100 000-user blocks are three orders of
-// magnitude above the line.
+// handed to a background goroutine instead of being done in place; late
+// rows count the same as block rows (BenchmarkLinkPatch reads 0.7 times
+// BenchmarkLinkRefill's ns/row). Handing off costs a goroutine, a wait at
+// the swap if the fill is still in flight, and a spare block: a 40-user
+// fleet cell's 32-slot block (1 280 row-slots) fills in place, cell_dense's
+// 100 000-user blocks are three orders of magnitude above the line
+// (DESIGN.md §13).
 const handoffRowSlots = 1536
 
 // newLinkWindow builds a window of span-slot blocks over a table of up to
 // rowCap rows, the first len(sessions) of them occupied. horizon is
 // the last slot + 1 a fill may touch (-1 = none), and sharedRate gives the
 // blocks one rate row for all slots, until widenRate. workers bounds a
-// fill's fan-out. Nothing is filled until the first ensure.
+// fill's fan-out. Nothing is borrowed or filled until the first ensure.
 func newLinkWindow(workers, span, rowCap, horizon int, sharedRate bool, sessions []*workload.Session) *linkWindow {
-	fill := newLinkFiller(workers, rowCap)
 	w := &linkWindow{
 		span: span, horizon: horizon,
-		fill: fill, patch: fill.clone(),
+		fill: newLinkFiller(workers, rowCap), patch: newLinkFiller(workers, rowCap),
 		handoffMin: handoffRowSlots,
 		cur:        &linkBlock{base: -1},
+		next:       &linkBlock{base: -1},
 		sharedRate: sharedRate,
-		src:        make([]*workload.Session, rowCap),
+		src:        newRowSource(rowCap, sessions),
 		rows:       make([]int, len(sessions), rowCap),
 		done:       make(chan struct{}, 1),
-		snapAll:    true,
 	}
 	w.bgFn = w.runFill
 	// The initial population occupies an identity prefix.
-	copy(w.src, sessions)
 	for i := range w.rows {
 		w.rows[i] = i
 	}
-	if w.handoff(len(sessions), span) {
-		w.cur.linkCols = newLinkCols(rowCap, span, sharedRate)
-		w.spare()
-	}
 	return w
-}
-
-// spare allocates what only a handed-off fill needs: the second block,
-// shaped like the first, and the snapshot storage.
-func (w *linkWindow) spare() {
-	w.next = &linkBlock{base: -1, linkCols: newLinkCols(len(w.src), w.span, w.sharedRate)}
-	w.snapRows = make([]int, 0, len(w.src))
-	w.snap = make([]workload.Session, len(w.src))
-	w.snapPtr = make([]*workload.Session, len(w.src))
-	for i := range w.snap {
-		w.snapPtr[i] = &w.snap[i]
-	}
 }
 
 // tableWindow is the window over a compiled table: its resident block is
@@ -263,43 +213,30 @@ func (w *linkWindow) ensure(n int) {
 func (w *linkWindow) handoff(rows, slots int) bool { return rows*slots >= w.handoffMin }
 
 // prefetch starts filling the window that begins at base into the spare
-// block, in the background. Skipped past the bounded horizon, after stop,
-// and for a window too small to hand off: that one is filled in place when
-// the clock reaches it.
+// block, in the background, borrowing the block first if the window holds
+// none. Skipped past the bounded horizon, after stop, and for a window too
+// small to hand off: that one is filled in place when the clock reaches
+// it.
 func (w *linkWindow) prefetch(base int) {
-	if w.horizon >= 0 && base >= w.horizon {
+	if w.horizon >= 0 && base >= w.horizon || !w.handoff(len(w.rows), w.windowEnd(base)-base) {
 		return
 	}
-	if !w.handoff(len(w.rows), w.windowEnd(base)-base) {
-		// No fill consumes the changed list: stop collecting it.
-		w.changed, w.snapAll = w.changed[:0], true
-		return
-	}
-	if w.next == nil {
-		w.spare()
+	if w.next.sig == nil {
+		w.next.borrow(len(w.src), w.span, w.sharedRate)
 	}
 	w.next.base = base
-	stale := w.occupied(w.changed)
-	if w.snapAll {
-		stale = w.rows
-	}
-	w.kickFill(w.rows, stale)
-	w.changed, w.snapAll = w.changed[:0], false
+	w.kickFill(w.rows)
 }
 
 // kickFill hands a background goroutine a fill of the given rows of the
-// spare block, from a snapshot taken here, stale being the rows among them
-// whose copy is out of date: the table is free to change the moment this
-// returns.
-func (w *linkWindow) kickFill(rows, stale []int) {
-	w.snapRows = append(w.snapRows[:0], rows...)
-	for _, i := range stale {
-		w.snap[i] = *w.src[i]
-	}
+// spare block, read from the row source in place. The table is free to
+// change the moment this returns; rows is not, until the fill lands.
+func (w *linkWindow) kickFill(rows []int) {
 	b := w.next
-	w.fill.start(&b.linkCols, w.snapPtr, w.snapRows, 0, 0, b.base, w.windowEnd(b.base))
+	w.fill.start(&b.linkCols, w.src, rows, 0, 0, b.base, w.windowEnd(b.base))
 	w.landed.Store(false)
 	w.inflight = true
+	w.kicks++
 	go w.bgFn()
 }
 
@@ -338,7 +275,8 @@ func (w *linkWindow) pollFill() {
 	}
 	late := w.occupied(w.late)
 	if b := w.next; w.handoff(len(late), w.windowEnd(b.base)-b.base) {
-		w.kickFill(late, late)
+		w.lateFill = append(w.lateFill[:0], late...)
+		w.kickFill(w.lateFill)
 	} else {
 		w.patchNext(late)
 	}
@@ -352,13 +290,13 @@ func (w *linkWindow) patchNext(rows []int) {
 	w.patch.fill(&b.linkCols, w.src, rows, 0, 0, b.base, w.windowEnd(b.base))
 }
 
-// parks reports whether the window borrows its block and slot n is not in
-// it: an Advance ending before n parks.
+// parks reports whether the window holds no spare block and slot n is
+// not in its resident one: an Advance ending before n parks.
 func (w *linkWindow) parks(n int) bool {
-	return w.table == nil && w.next == nil && w.willEvict(n)
+	return w.table == nil && w.next.sig == nil && w.willEvict(n)
 }
 
-// park gives a borrowed block back to idleBlocks unless slot n is in it,
+// park gives the resident block back to idleBlocks when parks(n),
 // invalidating every column view handed out; the next ensure borrows and
 // refills.
 func (w *linkWindow) park(n int) {
@@ -368,15 +306,21 @@ func (w *linkWindow) park(n int) {
 	}
 }
 
-// stop waits out a background fill, hands off no more and parks
-// (idempotent): further window crossings fill in place. The engine calls
-// it wherever a run ends — done, failed or cancelled — so no goroutine
-// outlives it and no borrowed block stays out.
+// stop waits out a background fill, hands off no more, parks an in-place
+// window's block and lets a handed-off window's two go (idempotent):
+// further window crossings borrow and fill in place. The engine calls it
+// wherever a run ends — done, failed or cancelled — so no goroutine
+// outlives it and no block stays with a finished run.
 func (w *linkWindow) stop() {
 	w.prefetches.Wait()
 	w.syncFill()
 	w.handoffMin = math.MaxInt
-	w.park(-1)
+	if w.table == nil {
+		w.park(-1)
+		w.cur.linkCols, w.cur.base = linkCols{}, -1
+		w.next.linkCols, w.next.base = linkCols{}, -1
+		w.nextReady = false
+	}
 }
 
 // windowEnd is the slot after the last one a block based at base covers.
@@ -393,7 +337,7 @@ func (w *linkWindow) occupied(rows []int) []int {
 	slices.Sort(rows)
 	k, prev := 0, -1
 	for _, i := range rows {
-		if i != prev && w.src[i] != nil {
+		if i != prev && w.src[i].Load() != nil {
 			rows[k] = i
 			k++
 		}
@@ -404,25 +348,22 @@ func (w *linkWindow) occupied(rows []int) []int {
 
 // widenRate gives the blocks a rate row per slot, each a copy of the
 // shared one, before the first VBR session is admitted; a background fill
-// writing the spare block's row is waited out first.
+// writing the spare block's row is waited out first. A block borrowed
+// later takes the wide shape.
 func (w *linkWindow) widenRate() {
 	if !w.sharedRate {
 		return
 	}
 	w.sharedRate = false
 	w.syncFill()
-	if w.cur.sig != nil {
-		w.cur.widenRate()
-	}
-	if w.next != nil {
-		w.next.widenRate()
-	}
+	w.cur.widenRate() // a block not borrowed yet has nothing to widen
+	w.next.widenRate()
 }
 
 // admitRow registers a newly admitted session in table row i. Its rows
 // are filled by the next flush.
 func (w *linkWindow) admitRow(i int, sess *workload.Session) {
-	w.src[i] = sess
+	w.src[i].Store(sess)
 	w.fresh = append(w.fresh, i)
 }
 
@@ -432,7 +373,7 @@ func (w *linkWindow) admitRow(i int, sess *workload.Session) {
 // nothing to fill.
 func (w *linkWindow) dropRow(i int) {
 	if w.src != nil {
-		w.src[i] = nil
+		w.src[i].Store(nil)
 		w.holes = true
 	}
 }
@@ -450,7 +391,7 @@ func (w *linkWindow) dropHoles(add []int) {
 		for a < len(add) && add[a] < i {
 			a++
 		}
-		if w.src[i] != nil && (a == len(add) || add[a] != i) {
+		if w.src[i].Load() != nil && (a == len(add) || add[a] != i) {
 			w.rows[k] = i
 			k++
 		}
@@ -469,9 +410,6 @@ func (w *linkWindow) dropHoles(add []int) {
 func (w *linkWindow) flush(clock int) {
 	add := w.occupied(w.fresh)
 	if len(add) > 0 {
-		if !w.snapAll {
-			w.changed = append(w.changed, add...)
-		}
 		if !w.willEvict(clock) {
 			b := w.cur
 			w.patch.fill(&b.linkCols, w.src, add, 0, clock-b.base, clock, w.windowEnd(b.base))
@@ -494,17 +432,16 @@ func (w *linkWindow) flush(clock int) {
 func (w *linkWindow) compactRows(sessions []*workload.Session) {
 	w.syncFill()
 	w.nextReady = false
-	w.cur.base = -1
-	if w.next != nil {
-		w.next.base = -1
-	}
+	w.cur.base, w.next.base = -1, -1
 	w.fresh, w.queued, w.late, w.holes = w.fresh[:0], w.queued[:0], w.late[:0], false
-	w.changed, w.snapAll = w.changed[:0], true
-	n := copy(w.src, sessions)
-	clear(w.src[n:])
 	w.rows = w.rows[:0]
-	for i := 0; i < n; i++ {
-		w.rows = append(w.rows, i)
+	for i := range w.src {
+		var sess *workload.Session
+		if i < len(sessions) {
+			sess = sessions[i]
+			w.rows = append(w.rows, i)
+		}
+		w.src[i].Store(sess)
 	}
 }
 

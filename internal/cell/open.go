@@ -198,7 +198,8 @@ type OpenSim struct {
 	// allocates no session per admit. Initial sessions are caller-owned.
 	owned    []bool
 	sessPool []*workload.Session
-	remap    []int // compaction scratch: old table slot → new (-1 = freed)
+	held     []heldClone // clones a background fill may still read (recycle)
+	remap    []int       // compaction scratch: old table slot → new (-1 = freed)
 
 	windowStart int                   // first slot of the live metric window
 	rebuf       *metrics.WindowedHist // ended sessions' lifetime rebuffering
@@ -349,6 +350,7 @@ func (o *OpenSim) Admit(sess *workload.Session) (int, error) {
 	// Clone into a pooled session (recycled at fold) so sustained churn
 	// admits without allocating; the caller keeps ownership of sess.
 	var clone *workload.Session
+	o.unhold()
 	if n := len(o.sessPool); n > 0 {
 		clone = o.sessPool[n-1]
 		o.sessPool = o.sessPool[:n-1]
@@ -649,16 +651,40 @@ func (o *OpenSim) fold(id int, completed bool) {
 	o.stats.DemandKBps -= s.sessions[id].BaseRate
 	delete(o.bySerial, o.serial(id))
 	if o.owned[id] {
-		// Engine-owned clone (mid-run admission): recycle it so the next
-		// Admit reuses the storage instead of allocating.
-		o.sessPool = append(o.sessPool, s.sessions[id])
+		o.recycle(s.sessions[id])
 		o.owned[id] = false
 	}
-	// The row left the link window when its user retired or departed, and
-	// an in-flight background fill reads its own copy of the session
-	// (linkWindow.kickFill), so neither this nor a reuse of the pooled
-	// clone waits for it.
 	s.sessions[id] = nil
+}
+
+// heldClone is a recycled clone waiting for background fill number fill
+// (linkWindow.kicks) to land.
+type heldClone struct {
+	sess *workload.Session
+	fill uint64
+}
+
+// recycle pools an engine-owned clone (a mid-run admission's) for the next
+// Admit to reuse instead of allocating. Its row left the link window when
+// its user retired or departed, but a background fill in flight may have
+// read the row before and still read the session in place: until that
+// fill has landed the clone is held, and nothing waits for it.
+func (o *OpenSim) recycle(sess *workload.Session) {
+	if w := o.eng.win; w.inflight {
+		o.held = append(o.held, heldClone{sess, w.kicks})
+	} else {
+		o.sessPool = append(o.sessPool, sess)
+	}
+}
+
+// unhold pools the held clones whose fill the foreground has seen land:
+// none is in flight, or a later one has been kicked.
+func (o *OpenSim) unhold() {
+	w, k := o.eng.win, 0
+	for ; k < len(o.held) && (!w.inflight || o.held[k].fill < w.kicks); k++ {
+		o.sessPool = append(o.sessPool, o.held[k].sess)
+	}
+	o.held = append(o.held[:0], o.held[k:]...)
 }
 
 // reap folds the sessions the engine retired (playback + delivery
@@ -778,7 +804,7 @@ func (o *OpenSim) Run(ctx context.Context) (*Result, error) {
 // more (idempotent). Finish calls it, and so
 // does an AdvanceTo that fails; a driver abandoning a healthy sim calls it
 // so no goroutine outlives the run.
-func (o *OpenSim) Stop() { o.eng.stopWindow() }
+func (o *OpenSim) Stop() { o.eng.win.stop() }
 
 // compactMinTable is the smallest session table resident-set compaction
 // bothers with: below it the dense kernels' serial cutoff makes the

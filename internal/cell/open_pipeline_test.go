@@ -183,6 +183,13 @@ func (r *noWaitRun) park(tiled bool) {
 	if err := r.o.Start(context.Background()); err != nil {
 		r.t.Fatal(err)
 	}
+	r.advanceParked(tiled)
+}
+
+// advanceParked ticks the first slot of a started run and returns once the
+// background fill of the window at gate.from is parked (tiled arm only).
+func (r *noWaitRun) advanceParked(tiled bool) {
+	r.t.Helper()
 	r.advance(1)
 	if !tiled {
 		return
@@ -338,6 +345,96 @@ func TestOpenNoWaitBoundedSharedTrace(t *testing.T) {
 	script(window).mustEqual(t, script(0))
 }
 
+// The background fill reads sessions in place, so an engine-owned clone
+// it lists must not be recycled into a new admission before it lands.
+// While the fill is parked in its first block, the clones it lists depart
+// or complete and are reaped, distinct sessions are admitted into the same
+// rows, and other rows are dropped; once the fill is released those
+// sessions depart in turn and more arrive, with no AdvanceTo between, so
+// an Admit that overwrote a clone the fill is still reading would race it
+// (-race reports it). After the release the run must equal the one on
+// default blocks.
+func TestOpenRecycledCloneWhileFillParked(t *testing.T) {
+	const window = 32
+	script := func(tile int) openOutcome {
+		gate := newFillGate(parkFrom(tile, window))
+		defer gate.release()
+		initial := make([]*workload.Session, 6)
+		for i := range initial {
+			initial[i] = distinctSession(t, i, 0)
+			initial[i].ID = i
+			initial[i].Size = 1 << 20 // in service throughout
+		}
+		initial[0].Signal = gatedTrace{initial[0].Signal, gate}
+		cfg := tinyConfig()
+		cfg.RunFullHorizon = true
+		cfg.MaxSlots = 64 // initial horizon only
+		o, err := NewOpen(OpenConfig{
+			Cell: cfg, Unbounded: true, MaxSessions: 64,
+			TileSlots: tile,
+		}, initial, sched.NewDefault())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer o.Stop()
+		defer gate.release() // before Stop waits the fill out
+		if tile > 0 {
+			o.eng.win.handoffMin = handoffAlways
+		}
+		r := &noWaitRun{t: t, o: o, gate: gate}
+		if err := o.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		// Clones in rows 6–10, listed by the fill of the second window;
+		// the last one completes within a few slots.
+		var clones []uint64
+		for k := 0; k < 5; k++ {
+			s := distinctSession(t, 20+k, 0)
+			s.Size = 1 << 20
+			if k == 4 {
+				s.Size = 100
+			}
+			_, ser := r.admit(s)
+			clones = append(clones, ser)
+		}
+		r.advanceParked(tile > 0)
+
+		for _, ser := range clones[:3] {
+			r.depart(ser)
+		}
+		r.advance(24)
+		if _, ok := o.Serial(10); ok {
+			t.Fatal("script error: the short clone was not reaped while the fill was parked")
+		}
+		var second []uint64
+		for k := 0; k < 4; k++ {
+			idx, ser := r.admit(distinctSession(t, 30+k, 0))
+			if want := []int{6, 7, 8, 10}[k]; idx != want {
+				t.Fatalf("script error: admission %d went to row %d, want %d", k, idx, want)
+			}
+			second = append(second, ser)
+		}
+		ser2, _ := o.Serial(2)
+		ser3, _ := o.Serial(3)
+		r.depart(ser2)
+		r.depart(ser3)
+		r.advance(20)
+
+		r.unpark()
+		for k, ser := range second {
+			r.depart(ser)
+			r.admit(distinctSession(t, 40+k, 0))
+		}
+		r.advance(window + 1) // the swap
+		r.admit(distinctSession(t, 50, 0))
+		r.advance(70)
+		r.admit(distinctSession(t, 51, 0))
+		r.advance(130)
+		return finishOpen(o)
+	}
+	script(window).mustEqual(t, script(0))
+}
+
 // parkFrom is the first slot whose fills a no-wait arm's gate parks: the
 // tiled arm's second window, never on the default blocks.
 func parkFrom(tile, window int) int {
@@ -354,8 +451,10 @@ func parkFrom(tile, window int) int {
 // so rows change occupant up to three times between two ticks; two thirds
 // through, most sessions leave at once and the table compacts. The script
 // depends on nothing but stride, so arms of one stride are comparable.
-// handoff is the link window's forced hand-off threshold in rows × slots.
-func churnScript(t *testing.T, tile, workers, stride, handoff int) openOutcome {
+// handoff is the link window's forced hand-off threshold in rows × slots;
+// settle waits every background fill out after each AdvanceTo, so when a
+// fill lands — and with it how late rows batch — does not depend on timing.
+func churnScript(t *testing.T, tile, workers, stride, handoff int, settle bool) openOutcome {
 	t.Helper()
 	const slots = 240
 	cfg := tinyConfig()
@@ -431,6 +530,9 @@ func churnScript(t *testing.T, tile, workers, stride, handoff int) openOutcome {
 		if _, err := o.AdvanceTo(clock + stride); err != nil {
 			t.Fatal(err)
 		}
+		if settle {
+			o.eng.win.syncFill()
+		}
 		st := o.Stats()
 		if st.Admitted != st.Completed+st.Departed+st.InService {
 			t.Fatalf("ledger leaks at slot %d: %+v", clock, st)
@@ -451,12 +553,12 @@ func churnScript(t *testing.T, tile, workers, stride, handoff int) openOutcome {
 // cell runs); nothing handed off. Exact equality.
 func TestOpenChurnDistinctRows(t *testing.T) {
 	for _, stride := range []int{1, 5, 40} {
-		want := churnScript(t, 0, 1, stride, 0)
+		want := churnScript(t, 0, 1, stride, 0, false)
 		for _, tile := range []int{1, 3, 8, 32} {
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("stride%d/tile%d/w%d", stride, tile, workers), func(t *testing.T) {
 					for _, handoff := range []int{handoffAlways, 12 * tile, handoffNever} {
-						churnScript(t, tile, workers, stride, handoff).mustEqual(t, want)
+						churnScript(t, tile, workers, stride, handoff, false).mustEqual(t, want)
 					}
 				})
 			}
@@ -488,6 +590,42 @@ func TestMergeSorted(t *testing.T) {
 		slices.Reverse(got)
 		if !slices.Equal(got, want) {
 			t.Fatalf("mergeSortedDesc(reversed %v, %v) = reversed %v", xs, add, got)
+		}
+	}
+}
+
+// TestLinkFillCounts pins cell.link.rows_filled (RowsFilled). A closed
+// window whose users all stay resident fills every row of every slot once
+// — none twice, and nothing past the horizon — whether its fills are
+// handed off or done in place. The churn script's counts, its fills
+// settled so that late rows batch the same way every time, are those of
+// the window that handed its background fills a snapshot of the sessions:
+// reading the row source in place fills no more and no less.
+func TestLinkFillCounts(t *testing.T) {
+	const users = 40
+	sessions := make([]*workload.Session, users)
+	for i := range sessions {
+		sessions[i] = distinctSession(t, i, i%5)
+		sessions[i].ID = i
+		sessions[i].Size = 1 << 30 // in service past the horizon
+	}
+	cfg := tinyConfig()
+	cfg.MaxSlots, cfg.LinkTileSlots = 100, 14 // 7-slot windows: the last one is short
+	for _, handoff := range []int{handoffAlways, handoffNever} {
+		before := RowsFilled()
+		runForced(t, cfg, sessions, sched.NewDefault(), handoff)
+		if got, want := RowsFilled()-before, int64(users*cfg.MaxSlots); got != want {
+			t.Errorf("closed window, %s: %d row-slots filled, want %d", handoffName(handoff), got, want)
+		}
+	}
+	for _, tc := range []struct {
+		handoff int
+		want    int64
+	}{{handoffAlways, 37081}, {12 * 8, 37081}, {handoffNever, 25873}} {
+		before := RowsFilled()
+		churnScript(t, 8, 4, 5, tc.handoff, true)
+		if got := RowsFilled() - before; got != tc.want {
+			t.Errorf("churn script, hand-off from %d row-slots: %d row-slots filled, want %d", tc.handoff, got, tc.want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -102,4 +103,61 @@ func BenchmarkTickDense(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slots*users), "ns/user-slot")
 		})
 	}
+}
+
+// denseCell is cell_dense's shape: 100 000 paper users over 256 slots
+// with a 64-slot tile, at 0.9 load, their traces prewarmed.
+func denseCell(tb testing.TB) (Config, []*workload.Session) {
+	tb.Helper()
+	const users, slots = 100_000, 256
+	wl, err := workload.Generate(workload.PaperDefaults(users), rng.New(42))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	workload.PrewarmAll(0, wl, slots)
+	cfg := PaperConfig()
+	cfg.Capacity = units.KBps(users * 450 / 0.9) // Σ mean required rate ÷ 0.9
+	cfg.MaxSlots = slots
+	cfg.RunFullHorizon = true
+	cfg.LinkTileSlots = 64
+	return cfg, wl
+}
+
+// TestNewAllocatesNoLinkStorage: New at cell_dense's shape allocates no
+// link block and no copy of the sessions — the window borrows its blocks
+// when it first fills and its background fills read the rows in place —
+// so it allocates at most 22 MiB, where two blocks and a snapshot up front
+// made 79.6.
+func TestNewAllocatesNoLinkStorage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100 000-user cell; skipped in -short")
+	}
+	cfg, wl := denseCell(t)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	sim, err := New(cfg, wl, sched.NewDefault())
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mib := float64(m1.TotalAlloc-m0.TotalAlloc) / (1 << 20); mib > 22 {
+		t.Errorf("New allocates %.1f MiB, want ≤ 22", mib)
+	}
+	if sim.win.cur.sig != nil || sim.win.next.sig != nil {
+		t.Error("the window holds a block before its first fill")
+	}
+}
+
+// BenchmarkNewDense times New at cell_dense's shape, the engine's share of
+// its setup_s: ns/user, and B/op under -benchmem.
+func BenchmarkNewDense(b *testing.B) {
+	cfg, wl := denseCell(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := New(cfg, wl, sched.NewDefault()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(wl)), "ns/user")
 }

@@ -110,18 +110,18 @@ func TestTiledRowsMatchMonolithic(t *testing.T) {
 				}
 			}
 			// One block resident when every fill is done in place, two when
-			// they are handed off — or when the first window was big enough
-			// to be, and the spare block was allocated up front.
+			// they are handed off: each borrowed by the first fill that
+			// needs it, and both parked by stop.
 			wantBytes := int64(len(sessions)) * int64(span) * linkRowBytes
-			if handoff == handoffAlways || len(sessions)*span >= handoffRowSlots {
+			if handoff == handoffAlways {
 				wantBytes *= 2
 			}
-			got := w.cur.bytes()
-			if w.next != nil {
-				got += w.next.bytes()
-			}
-			if got != wantBytes {
+			if got := w.cur.bytes() + w.next.bytes(); got != wantBytes {
 				t.Fatalf("span %d %s: %d bytes resident, want %d", span, handoffName(handoff), got, wantBytes)
+			}
+			w.stop()
+			if got := w.cur.bytes() + w.next.bytes(); got != 0 {
+				t.Fatalf("span %d %s: %d bytes resident after stop", span, handoffName(handoff), got)
 			}
 		}
 	}
