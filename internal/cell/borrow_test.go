@@ -89,8 +89,8 @@ func TestLockstepFleetParksBlocks(t *testing.T) {
 // store that dropped what came last kept three 8-row scratches a paper
 // sweep left and handed a 100 000-user cell none it could use, and every
 // one of its block fills allocated a fresh 66 KB scratch. A request gets
-// the smallest entry that covers it (best-fit), and stop keeps no
-// handed-off window's blocks (stop).
+// the smallest entry that covers it (best-fit), and stop keeps only small
+// windows' blocks (stop).
 func TestIdleStoreKeepsLargest(t *testing.T) {
 	var l idleStore[*fillScratch]
 	bound := runtime.GOMAXPROCS(0) + 1
@@ -140,34 +140,59 @@ func idleStoreBestFit(t *testing.T) {
 	}
 }
 
-// stopKeepsOnlySmallBlocks: stop parks an in-place window's block, which
-// the next small window borrows, and lets a handed-off window's two go —
-// idleBlocks keeps its entries for the life of the process, so a big
-// run's blocks parked there would stay with it.
+// stopKeepsOnlySmallBlocks: a window parks its block under
+// handoffRowSlots row-slots, between Advances and at stop, for the next
+// small window to borrow, and stop lets a bigger one go — in place or
+// handed off, the spare with it — because idleBlocks keeps its entries for
+// the life of the process, and a big run's blocks parked there would stay
+// with it. A window that stops mid-block (cancelled, failed, finished
+// mid-window) still holds its block at stop, so stop's own parking is
+// checked apart from an Advance's.
 func stopKeepsOnlySmallBlocks(t *testing.T) {
-	const rows, span = 300, 16
-	wl := fillWorkload(t, rows, 0, false)
-	workload.PrewarmAll(1, wl, 2*span)
-	parked := func(c linkCols) bool {
+	const span = 16
+	idle := func() []linkCols {
 		idleBlocks.mu.Lock()
 		defer idleBlocks.mu.Unlock()
-		return slices.ContainsFunc(idleBlocks.items, func(x linkCols) bool { return &x.sig[:1][0] == &c.sig[0] })
+		return slices.Clone(idleBlocks.items)
 	}
-	for _, handoff := range []int{handoffNever, handoffAlways} {
-		w := newLinkWindow(1, span, rows, 2*span, constRate(wl), wl)
-		w.handoffMin = handoff
+	for _, tc := range []struct {
+		rows, handoff int
+		advance       bool // an Advance ending past the block comes before stop
+		parks         bool
+	}{
+		{40, handoffNever, true, true},
+		{40, handoffNever, false, true},
+		{300, handoffNever, true, false},
+		{300, handoffAlways, true, false},
+	} {
+		wl := fillWorkload(t, tc.rows, 0, false)
+		workload.PrewarmAll(1, wl, 2*span)
+		idleBlocks.mu.Lock()
+		idleBlocks.items = nil
+		idleBlocks.mu.Unlock()
+		w := newLinkWindow(1, span, tc.rows, 2*span, constRate(wl), wl)
+		w.handoffMin = tc.handoff
 		w.ensure(0)
 		w.syncFill()
-		cur, next := w.cur.linkCols, w.next.linkCols
+		cur := w.cur.linkCols
+		if tc.advance {
+			w.park(2 * span)
+			if parked := w.cur.sig == nil; parked != tc.parks {
+				t.Fatalf("%d rows, handoffMin %d: parked between Advances %v, want %v", tc.rows, tc.handoff, parked, tc.parks)
+			}
+		} else if w.cur.sig == nil || len(idle()) != 0 {
+			t.Fatalf("%d rows: the block left the window before stop", tc.rows)
+		}
 		w.stop()
 		if w.cur.sig != nil || w.next.sig != nil {
-			t.Fatalf("handoffMin %d: the window holds a block after stop", handoff)
+			t.Fatalf("%d rows, handoffMin %d: the window holds a block after stop", tc.rows, tc.handoff)
 		}
-		if handoff == handoffAlways && (parked(cur) || parked(next)) {
-			t.Fatal("stop parked a handed-off window's block")
+		parked := idle()
+		if tc.parks && (len(parked) != 1 || &parked[0].sig[0] != &cur.sig[0]) {
+			t.Fatalf("%d rows, Advance first %v: the window's block is not parked after stop (%d parked)", tc.rows, tc.advance, len(parked))
 		}
-		if handoff == handoffNever && !parked(cur) {
-			t.Fatal("stop did not park an in-place window's block")
+		if !tc.parks && len(parked) != 0 {
+			t.Fatalf("%d rows, handoffMin %d: stop parked %d blocks of %d row-slots", tc.rows, tc.handoff, len(parked), tc.rows*span)
 		}
 	}
 }

@@ -81,8 +81,9 @@ type Config struct {
 	// (linkwindow.go): two blocks of ⌈LinkTileSlots/2⌉ slots each (256
 	// when 0), capped at MaxSlots, ticking one while the next fills into
 	// the other (in the background when the fill is big enough to be worth
-	// handing off; in place otherwise, into one block it borrows only
-	// while the run ticks). The link state is about users × LinkTileSlots
+	// handing off, until an open run's first mid-run admission; in place
+	// otherwise, into one block, which a small window borrows only while
+	// the run ticks). The link state is about users × LinkTileSlots
 	// rows (8 bytes each: signal; plus one rate row per block, or per slot
 	// under rate jitter) no matter the horizon. Results are byte-identical
 	// to RunReference's (differentially asserted). Ignored when a

@@ -123,13 +123,14 @@ func TestRetireCompactionMatchesScan(t *testing.T) {
 
 // FuzzWindowRows drives a link window's row bookkeeping — admitRow,
 // dropRow, flush, a tick (flush, then ensure, as OpenSim.AdvanceTo does
-// before every slot), compactRows and park (a no-op once the window hands
-// fills off) — against a map of occupied rows.
+// before every slot), compactRows and park (a no-op while the window holds
+// a spare) — against a map of occupied rows.
 // Whenever ensure fills a window, the occupied list it fills from must be
 // exactly the map's rows, ascending, without duplicates; at every tick
 // each occupied row's slot must hold what the analytic path computes for
-// its session, so a row the list lost, or a late row no fill wrote, shows.
-// The script's length picks what the window hands to the background.
+// its session, so a row the list lost, or an admitted row no fill wrote,
+// shows. The script's length picks what the window hands to the
+// background until its first admission.
 func FuzzWindowRows(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 4, 2, 0, 3, 0, 12, 2, 1, 4, 5, 4, 60})
 	f.Add([]byte{1, 9, 17, 25, 3, 2, 10, 0, 3, 4, 4, 4, 4, 5, 2, 2, 0, 1, 124})

@@ -146,14 +146,14 @@ type fillScratch struct {
 func (sc *fillScratch) capacity() (int, int) { return len(sc.sig), 0 }
 
 // idleStore is a process-wide store of idle fill storage, number arrays
-// only: fill scratch is borrowed for one block's fill, an in-place
-// window's block while its site ticks (linkwindow.go), so a fleet holds
-// what its ticking sites use, not one of each per site. An entry's
-// capacity is two lengths — a block's signals and rate rows, a scratch's
-// rows and 0 — and its size their sum. take hands out the smallest entry
-// that covers both of a request's; put keeps the GOMAXPROCS+1 largest, as
-// many as can be in use at once when every core fills and a foreground
-// joins.
+// only: fill scratch is borrowed for one block's fill, a small window's
+// block while its site ticks (linkwindow.go), so a fleet holds what its
+// ticking sites use, not one of each per site. An entry's capacity is two
+// lengths — a block's signals and rate rows, a scratch's rows and 0 — and
+// its size their sum. take hands out the smallest entry that covers both
+// of a request's; put keeps the GOMAXPROCS+1 largest, as many as can be in
+// use at once when every core fills beside a background fill's own
+// goroutine.
 type idleStore[T interface{ capacity() (int, int) }] struct {
 	mu    sync.Mutex
 	items []T
@@ -202,14 +202,9 @@ var rowsFilled atomic.Int64
 
 // linkFiller holds what a fill needs beyond its destination: the worker
 // bound and the block width; each block's scratch comes from idleScratch.
-// A filler runs one fill at a time.
-//
-// A fill is set up by start and executed by run, which fans drain out over
-// the workers; fill is the two back to back. Blocks are claimed from the
-// filler's own counter, not dealt out by pool.Shard, so a goroutine outside
-// the fan-out can join a fill that is under way (drain): the link window's
-// foreground does, for whatever is left of a background fill at a window
-// swap (linkwindow.go).
+// A filler runs one fill at a time: start sets it up and run executes it,
+// which lets the link window hand a fill to a goroutine of its own
+// (linkwindow.go); fill is the two back to back.
 type linkFiller struct {
 	workers int
 	width   int // staged users per block: min(fillUsers, rows the destination holds)
@@ -217,8 +212,7 @@ type linkFiller struct {
 	// The running fill's arguments. They live here, and body is bound
 	// once, so a refill hands pool.Shard no fresh closure: the steady
 	// state allocates nothing.
-	blocks   int          // row blocks of width rows
-	next     atomic.Int64 // first unclaimed block
+	blocks   int // row blocks of width rows
 	dst      *linkCols
 	src      rowSource
 	rows     []int // ascending destination rows; nil = [0, count)
@@ -232,7 +226,7 @@ type linkFiller struct {
 // slot, filled by up to workers ≥ 1 goroutines.
 func newLinkFiller(workers, maxRows int) *linkFiller {
 	f := &linkFiller{workers: workers, width: min(fillUsers, maxRows)}
-	f.body = f.drain
+	f.body = f.fillBlock
 	return f
 }
 
@@ -260,26 +254,12 @@ func (f *linkFiller) start(dst *linkCols, src rowSource, rows []int, count, off,
 		f.blocks = (count + f.width - 1) / f.width
 	}
 	f.dst, f.src, f.rows, f.count, f.off, f.base, f.hi = dst, src, rows, count, off, base, hi
-	f.next.Store(0)
 }
 
-// run executes the fill start set up on up to workers goroutines. Every
-// block is written once run has returned, and so has every drain called
-// beside it.
+// run executes the fill start set up, its row blocks dealt out over up to
+// workers goroutines by pool.Shard. Every block is written once it returns.
 func (f *linkFiller) run() {
-	pool.Shard(f.workers, min(f.workers, f.blocks), f.body)
-}
-
-// drain is run's shard body: it claims and fills blocks until none is
-// left. Blocks are not tied to the shard index.
-func (f *linkFiller) drain(int) {
-	for {
-		b := int(f.next.Add(1)) - 1
-		if b >= f.blocks {
-			return
-		}
-		f.fillBlock(b)
-	}
+	pool.Shard(f.workers, f.blocks, f.body)
 }
 
 func (f *linkFiller) scratch() *fillScratch {

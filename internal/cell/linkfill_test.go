@@ -207,8 +207,9 @@ func TestFillKernelMatchesAnalytic(t *testing.T) {
 
 // TestOpenTileMatchesAnalyticAtScale runs a bounded open cell wider than
 // one shard, on memoizing traces with rate jitter, with the tile's
-// background fills racing the tick on several workers while sessions
-// depart (leaving holes in the live-row list) and arrive; every slot's
+// background fills racing the tick on several workers until the first
+// arrival, while sessions depart (leaving holes in the live-row list)
+// and arrive; every slot's
 // view must match the model's interfaces (analyticView), and the result be
 // byte-identical to the same script on default blocks. Under -race this
 // is also the check that a fill never grows a trace memo: the tile stops
@@ -273,7 +274,7 @@ func TestOpenTileMatchesAnalyticAtScale(t *testing.T) {
 // constant-rate, as the closed engine does, through constant-rate
 // arrivals too; the first VBR arrival widens the row before its own row
 // is filled. Scripted like TestOpenTileMatchesAnalyticAtScale —
-// background fills racing the tick on several workers, departures
+// background fills racing the tick until the first arrival, departures
 // leaving holes — the run stays byte-identical to the script on default
 // blocks.
 func TestOpenRateRowFollowsSessions(t *testing.T) {
@@ -451,7 +452,7 @@ func TestLinkFillGatheredMatchesDense(t *testing.T) {
 // over an 11 000-row table, every slot of a 32-slot window, on one worker
 // — the shape a slot's admissions take in cell_churn. ns/row (a row is
 // one row-slot) against BenchmarkLinkRefill's one-worker tier is what a
-// late row costs against a block row (linkWindow.handoff).
+// scattered row costs against a block row.
 func BenchmarkLinkPatch(b *testing.B) {
 	const users, rows, tile = 11_000, 64, 32
 	wl, err := workload.Generate(workload.PaperDefaults(users), rng.New(3))

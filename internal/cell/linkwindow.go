@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"jointstream/internal/units"
 	"jointstream/internal/workload"
@@ -35,25 +34,21 @@ type linkBlock struct {
 // triggers the swap, which is what makes handing the outgoing block to
 // the next fill safe; a column view is valid until the next swap.
 //
-// The session table keeps changing while a window fills, and neither side
-// waits for the other. The background fill reads the row source in place,
-// over a row list nobody writes until it lands, into the spare block, its
-// own while it runs. Rows admitted since the kick go on the late list — a
-// row that changed hands among them, whichever occupant the fill read —
-// and are the next fill into the same block; rows dropped since keep stale
-// values nobody reads. A dropped row's session is not overwritten while the
-// fill may read it: OpenSim holds a recycled clone until the fill in
-// flight when its session ended has landed. Only the swap
-// (ensure), compaction and stop wait for a fill, working beside it.
+// A background fill reads the row source in place, over a row list nobody
+// writes until it lands, into the spare block, its own while it runs.
+// Rows dropped beside it keep stale values nobody reads. No row is admitted
+// beside it: the window's first admission (admitRow) waits out the fill in
+// flight, lets the spare block go and hands off no more, so from then on
+// every fill runs in place. Only that admission, the swap (ensure),
+// compaction and stop wait for a fill.
 //
 // New allocates no block: the first ensure borrows the resident one from
-// idleBlocks, the first fill big enough to hand off (handoff) the spare. A
-// window whose fills are all small starts no goroutine and parks its one
-// block when an Advance ends past it or the run stops. A window that
-// handed off lets both go at stop: blocks of that size are one run's, and
-// idleBlocks keeps what it holds for the life of the process. Each
-// handed-off fill runs on its own goroutine, which ends with it, so none
-// outlives stop.
+// idleBlocks, the first fill big enough to hand off the spare. A block
+// smaller than handoffRowSlots row-slots is parked when an Advance ends
+// past it or the run stops; a bigger one belongs to one run and is let go
+// at stop, because idleBlocks keeps what it holds for the life of the
+// process. Each handed-off fill runs on its own goroutine, which ends with
+// it, so none outlives stop.
 type linkWindow struct {
 	span int // slots per block
 	// table is the shared table a table window reads its blocks from; nil
@@ -66,19 +61,18 @@ type linkWindow struct {
 	// memo under a concurrent reader would race. -1 = unbounded (vetSession
 	// enforces stateless traces there).
 	horizon int
-	// fill runs the handed-off fills, and the foreground's whole-window
-	// fill while none is in flight. patch fills admitted rows into windows
-	// that exist and runs beside a background fill, so it is a second
-	// filler — a filler holds the arguments of its running fill.
-	fill, patch *linkFiller
+	// fill runs every fill of the window, one at a time, handed off or in
+	// place.
+	fill *linkFiller
 	// handoffMin is the size, in rows × slots, from which a fill is handed
-	// to a background goroutine: handoffRowSlots until stop puts it out of
-	// reach (tests move it to force either side).
+	// to a background goroutine: handoffRowSlots until the first admission
+	// or stop puts it out of reach (tests move it to force either side).
 	handoffMin int
 
 	// cur is the resident block, next the spare; each holds no storage (nil
-	// columns) until it is borrowed and once it is parked. A table window
-	// has no spare.
+	// columns) until it is borrowed and once it is parked or let go. A
+	// table window has no spare. next.base is the window a fill was handed
+	// off for since the last swap, -1 when none was.
 	cur, next  *linkBlock
 	sharedRate bool // one rate row for all slots, until widenRate
 
@@ -94,33 +88,22 @@ type linkWindow struct {
 	fresh  []int
 	queued []int
 	holes  bool
-	// late lists the rows flushed since the spare block's latest fill was
-	// kicked: the block lacks them. lateFill is the row list of a fill of
-	// late rows, copied out of late, which goes on collecting meanwhile.
-	late     []int
-	lateFill []int
 
 	// Hand-off state. runFill (bound once as bgFn, so a kick allocates no
-	// closure) sets landed and then signals done; the foreground polls
-	// landed (no blocking, no select) and receives from done only where it
-	// has to wait. inflight tracks an outstanding fill, nextReady a spare
-	// block whose window fill is over. kicks counts the fills handed off.
-	bgFn      func()
-	done      chan struct{}
-	landed    atomic.Bool
-	inflight  bool
-	nextReady bool
-	kicks     uint64
+	// closure) signals done when its fill is over; inflight tracks an
+	// outstanding fill.
+	bgFn     func()
+	done     chan struct{}
+	inflight bool
 }
 
 // handoffRowSlots is the fill size, in rows × slots, from which a fill is
-// handed to a background goroutine instead of being done in place; late
-// rows count the same as block rows (BenchmarkLinkPatch reads 0.7 times
-// BenchmarkLinkRefill's ns/row). Handing off costs a goroutine, a wait at
-// the swap if the fill is still in flight, and a spare block: a 40-user
-// fleet cell's 32-slot block (1 280 row-slots) fills in place, cell_dense's
-// 100 000-user blocks are three orders of magnitude above the line
-// (DESIGN.md §13).
+// handed to a background goroutine instead of being done in place, and
+// the block size from which a block belongs to one run and is never
+// parked. Handing off costs a goroutine, a wait at the swap if the fill is
+// still in flight, and a spare block: a 40-user fleet cell's 32-slot block
+// (1 280 row-slots) fills in place, cell_dense's 100 000-user blocks are
+// three orders of magnitude above the line (DESIGN.md §13).
 const handoffRowSlots = 1536
 
 // newLinkWindow builds a window of span-slot blocks over a table of up to
@@ -131,7 +114,7 @@ const handoffRowSlots = 1536
 func newLinkWindow(workers, span, rowCap, horizon int, sharedRate bool, sessions []*workload.Session) *linkWindow {
 	w := &linkWindow{
 		span: span, horizon: horizon,
-		fill: newLinkFiller(workers, rowCap), patch: newLinkFiller(workers, rowCap),
+		fill:       newLinkFiller(workers, rowCap),
 		handoffMin: handoffRowSlots,
 		cur:        &linkBlock{base: -1},
 		next:       &linkBlock{base: -1},
@@ -190,110 +173,72 @@ func (w *linkWindow) ensure(n int) {
 	add := w.occupied(w.queued)
 	w.dropHoles(add)
 	w.rows, w.queued = mergeSorted(w.rows, add), w.queued[:0]
-	if w.nextReady && w.next.base == base {
-		// What the background fill was not given in time is filled here.
-		w.patchNext(w.occupied(w.late))
+	if w.next.base == base {
+		// Handed off a window ahead, with no row admitted since: complete.
 		w.cur, w.next = w.next, w.cur
 	} else {
-		// Filled here and now from the occupied rows: nothing is missing.
 		if w.cur.sig == nil {
 			w.cur.borrow(len(w.src), w.span, w.sharedRate)
 		}
 		w.cur.base = base
 		w.fill.fill(&w.cur.linkCols, w.src, w.rows, 0, 0, base, w.windowEnd(base))
 	}
-	w.late = w.late[:0]
-	w.nextReady = false
+	w.next.base = -1
 	w.prefetch(base + w.span)
 }
 
-// handoff reports whether a fill of rows × slots goes to a background
-// goroutine: not one small enough that doing it in place costs the tick
-// no more than handing it off would, and none after stop.
-func (w *linkWindow) handoff(rows, slots int) bool { return rows*slots >= w.handoffMin }
-
-// prefetch starts filling the window that begins at base into the spare
-// block, in the background, borrowing the block first if the window holds
-// none. Skipped past the bounded horizon, after stop, and for a window too
-// small to hand off: that one is filled in place when the clock reaches
-// it.
+// prefetch hands a background goroutine the fill of the window that
+// begins at base into the spare block, borrowing the block first if the
+// window holds none. The fill reads the row source in place; rows is not
+// written until it lands. Skipped past the bounded horizon, after the
+// first admission or stop, and for a window too small to hand off: that
+// one is filled in place when the clock reaches it.
 func (w *linkWindow) prefetch(base int) {
-	if w.horizon >= 0 && base >= w.horizon || !w.handoff(len(w.rows), w.windowEnd(base)-base) {
+	end := w.windowEnd(base)
+	if w.horizon >= 0 && base >= w.horizon || len(w.rows)*(end-base) < w.handoffMin {
 		return
 	}
-	if w.next.sig == nil {
-		w.next.borrow(len(w.src), w.span, w.sharedRate)
-	}
-	w.next.base = base
-	w.kickFill(w.rows)
-}
-
-// kickFill hands a background goroutine a fill of the given rows of the
-// spare block, read from the row source in place. The table is free to
-// change the moment this returns; rows is not, until the fill lands.
-func (w *linkWindow) kickFill(rows []int) {
 	b := w.next
-	w.fill.start(&b.linkCols, w.src, rows, 0, 0, b.base, w.windowEnd(b.base))
-	w.landed.Store(false)
+	if b.sig == nil {
+		b.borrow(len(w.src), w.span, w.sharedRate)
+	}
+	b.base = base
+	w.fill.start(&b.linkCols, w.src, w.rows, 0, 0, base, end)
 	w.inflight = true
-	w.kicks++
 	go w.bgFn()
 }
 
-// runFill is one background fill's goroutine: it runs the fill kickFill
-// set up, flags it landed, signals done and ends. The receive from done is
-// the happens-before edge back to the foreground; done has room for the
-// one fill that can be in flight, so the send never blocks.
+// runFill is one background fill's goroutine: it runs the fill prefetch
+// set up, signals done and ends. The receive from done is the
+// happens-before edge back to the foreground; done has room for the one
+// fill that can be in flight, so the send never blocks.
 func (w *linkWindow) runFill() {
 	w.fill.run()
-	w.landed.Store(true)
 	w.done <- struct{}{}
 }
 
-// syncFill finishes an outstanding background fill. The foreground does
-// not sit it out: it claims blocks beside the fill's own goroutines until
-// none is left, then waits for their last.
+// syncFill waits for an outstanding background fill to land.
 func (w *linkWindow) syncFill() {
-	if !w.inflight {
-		return
+	if w.inflight {
+		<-w.done
+		w.inflight = false
 	}
-	w.fill.drain(0) // the shard index is not used
-	<-w.done
-	w.inflight = false
-	w.nextReady = true
 }
 
-// pollFill lands a background fill that has finished, without waiting for
-// one that has not, and sees to the rows that became late while it ran:
-// they are the next fill into the same block, handed off or done here.
-func (w *linkWindow) pollFill() {
-	if w.inflight && w.landed.Load() {
-		w.syncFill()
-	}
-	if !w.nextReady || w.inflight || len(w.late) == 0 {
-		return
-	}
-	late := w.occupied(w.late)
-	if b := w.next; w.handoff(len(late), w.windowEnd(b.base)-b.base) {
-		w.lateFill = append(w.lateFill[:0], late...)
-		w.kickFill(w.lateFill)
-	} else {
-		w.patchNext(late)
-	}
-	w.late = w.late[:0]
+// fillInPlace waits out a background fill, lets the spare block go and
+// hands off no more: every later fill of the window runs in place.
+func (w *linkWindow) fillInPlace() {
+	w.syncFill()
+	w.handoffMin = math.MaxInt
+	w.next.linkCols, w.next.base = linkCols{}, -1
 }
 
-// patchNext fills the given rows into every slot of the spare block, which
-// no fill is running on.
-func (w *linkWindow) patchNext(rows []int) {
-	b := w.next
-	w.patch.fill(&b.linkCols, w.src, rows, 0, 0, b.base, w.windowEnd(b.base))
-}
-
-// parks reports whether the window holds no spare block and slot n is
-// not in its resident one: an Advance ending before n parks.
+// parks reports whether an Advance ending before slot n gives the
+// resident block back: slot n is not in it, the window holds no spare, and
+// the block is smaller than handoffRowSlots row-slots — a bigger one
+// belongs to one run.
 func (w *linkWindow) parks(n int) bool {
-	return w.table == nil && w.next.sig == nil && w.willEvict(n)
+	return w.table == nil && w.next.sig == nil && len(w.cur.sig) < handoffRowSlots && w.willEvict(n)
 }
 
 // park gives the resident block back to idleBlocks when parks(n),
@@ -306,20 +251,17 @@ func (w *linkWindow) park(n int) {
 	}
 }
 
-// stop waits out a background fill, hands off no more, parks an in-place
-// window's block and lets a handed-off window's two go (idempotent):
-// further window crossings borrow and fill in place. The engine calls it
-// wherever a run ends — done, failed or cancelled — so no goroutine
-// outlives it and no block stays with a finished run.
+// stop waits out a background fill and hands off no more (idempotent):
+// further window crossings borrow and fill in place. It parks a resident
+// block that parks would and lets any other go, the spare with it. The
+// engine calls it wherever a run ends — done, failed or cancelled — so no
+// goroutine outlives it and no block stays with a finished run.
 func (w *linkWindow) stop() {
 	w.prefetches.Wait()
-	w.syncFill()
-	w.handoffMin = math.MaxInt
 	if w.table == nil {
+		w.fillInPlace()
 		w.park(-1)
 		w.cur.linkCols, w.cur.base = linkCols{}, -1
-		w.next.linkCols, w.next.base = linkCols{}, -1
-		w.nextReady = false
 	}
 }
 
@@ -346,23 +288,23 @@ func (w *linkWindow) occupied(rows []int) []int {
 	return rows[:k]
 }
 
-// widenRate gives the blocks a rate row per slot, each a copy of the
-// shared one, before the first VBR session is admitted; a background fill
-// writing the spare block's row is waited out first. A block borrowed
-// later takes the wide shape.
+// widenRate gives the resident block a rate row per slot, each a copy of
+// the shared one, before the first VBR session's row is filled. It runs
+// after admitRow, so no fill is in flight and there is no spare; a block
+// borrowed later takes the wide shape.
 func (w *linkWindow) widenRate() {
-	if !w.sharedRate {
-		return
+	if w.sharedRate {
+		w.sharedRate = false
+		w.cur.widenRate() // a block not borrowed yet has nothing to widen
 	}
-	w.sharedRate = false
-	w.syncFill()
-	w.cur.widenRate() // a block not borrowed yet has nothing to widen
-	w.next.widenRate()
 }
 
-// admitRow registers a newly admitted session in table row i. Its rows
-// are filled by the next flush.
+// admitRow registers a newly admitted session in table row i; the next
+// flush fills its rows, and the caller may write the session until then.
+// It ends the window's hand-off first (fillInPlace), so no fill ever runs
+// beside an admitted row.
 func (w *linkWindow) admitRow(i int, sess *workload.Session) {
+	w.fillInPlace()
 	w.src[i].Store(sess)
 	w.fresh = append(w.fresh, i)
 }
@@ -403,26 +345,21 @@ func (w *linkWindow) dropHoles(add []int) {
 // flush brings the window up to date with the session table before the
 // engine advances from slot clock. The rows admitted since the last call
 // are filled into the resident window in one fill, from clock on (a fresh
-// row is never read at a slot that already ticked); for the prefetched
-// window they are late, and go to a fill of their own now if none is in
-// flight, when it lands otherwise. They join the occupied list when ensure
-// next fills a window, so a flush costs what it admits, not the table.
+// row is never read at a slot that already ticked). They join the
+// occupied list when ensure next fills a window, so a flush costs what it
+// admits, not the table.
 func (w *linkWindow) flush(clock int) {
 	add := w.occupied(w.fresh)
 	if len(add) > 0 {
 		if !w.willEvict(clock) {
 			b := w.cur
-			w.patch.fill(&b.linkCols, w.src, add, 0, clock-b.base, clock, w.windowEnd(b.base))
-		}
-		if w.inflight || w.nextReady {
-			w.late = append(w.late, add...)
+			w.fill.fill(&b.linkCols, w.src, add, 0, clock-b.base, clock, w.windowEnd(b.base))
 		}
 		if w.queued = append(w.queued, add...); len(w.queued) > len(w.src) {
 			w.queued = w.occupied(w.queued) // rows admitted again and again, no fill between
 		}
 	}
 	w.fresh = w.fresh[:0]
-	w.pollFill()
 }
 
 // compactRows follows the engine's resident-set compaction: sessions is
@@ -431,9 +368,8 @@ func (w *linkWindow) flush(clock int) {
 // the next ensure refills from scratch.
 func (w *linkWindow) compactRows(sessions []*workload.Session) {
 	w.syncFill()
-	w.nextReady = false
 	w.cur.base, w.next.base = -1, -1
-	w.fresh, w.queued, w.late, w.holes = w.fresh[:0], w.queued[:0], w.late[:0], false
+	w.fresh, w.queued, w.holes = w.fresh[:0], w.queued[:0], false
 	w.rows = w.rows[:0]
 	for i := range w.src {
 		var sess *workload.Session

@@ -135,7 +135,8 @@ type OpenConfig struct {
 	// selects 256 for an unbounded run and, for a bounded one, the closed
 	// rule under Cell.LinkTileSlots (closedSpan: ⌈LinkTileSlots/2⌉, 256
 	// without a tile, capped at the horizon). A run whose fills are big
-	// enough to be handed to the background holds two blocks.
+	// enough to be handed to the background holds two blocks until its
+	// first mid-run admission, and fills in place from then on.
 	TileSlots int
 	// OnSlot, when set, gets every slot's totals as the tick reduces them,
 	// in slot order, on AdvanceTo's goroutine: a caller folds its own
@@ -198,8 +199,7 @@ type OpenSim struct {
 	// allocates no session per admit. Initial sessions are caller-owned.
 	owned    []bool
 	sessPool []*workload.Session
-	held     []heldClone // clones a background fill may still read (recycle)
-	remap    []int       // compaction scratch: old table slot → new (-1 = freed)
+	remap    []int // compaction scratch: old table slot → new (-1 = freed)
 
 	windowStart int                   // first slot of the live metric window
 	rebuf       *metrics.WindowedHist // ended sessions' lifetime rebuffering
@@ -342,51 +342,45 @@ func (o *OpenSim) Admit(sess *workload.Session) (int, error) {
 		o.reap()
 	}
 	s := o.eng
-	start := sess.StartSlot
-	if start < s.nextSlot {
-		start = s.nextSlot
+	idx, reuse := len(s.users), len(o.freelist) > 0
+	if reuse {
+		// The tail of the descending-sorted freelist is the lowest free
+		// slot: lowest-first reuse without moving the array's head.
+		idx = o.freelist[len(o.freelist)-1]
+		o.freelist = o.freelist[:len(o.freelist)-1]
+	} else if idx >= o.adm.MaxSessions {
+		// The link window's slot-major layout is sized for MaxSessions
+		// rows; it cannot grow past the cap even transiently.
+		o.stats.Rejected++
+		return 0, &OverCapacityError{Reason: "session-cap", InService: o.stats.InService, MaxSessions: o.adm.MaxSessions}
 	}
-	o.ownSerials()
 	// Clone into a pooled session (recycled at fold) so sustained churn
-	// admits without allocating; the caller keeps ownership of sess.
+	// admits without allocating; the caller keeps ownership of sess. The
+	// window registers the row first, which waits out any background fill:
+	// nothing reads the sessions written from here on.
 	var clone *workload.Session
-	o.unhold()
 	if n := len(o.sessPool); n > 0 {
 		clone = o.sessPool[n-1]
 		o.sessPool = o.sessPool[:n-1]
 	} else {
 		clone = new(workload.Session)
 	}
+	s.win.admitRow(idx, clone)
 	*clone = *sess
-	clone.StartSlot = start
+	clone.StartSlot = max(sess.StartSlot, s.nextSlot)
+	clone.ID = idx
 
+	o.ownSerials()
 	o.lastSer++
-	var idx int
-	if n := len(o.freelist); n > 0 {
-		// The tail of the descending-sorted freelist is the lowest free
-		// slot: lowest-first reuse without moving the array's head.
-		idx = o.freelist[n-1]
-		o.freelist = o.freelist[:n-1]
+	if reuse {
 		o.reuseSlot(idx, clone)
 		o.serials[idx] = o.lastSer
 		o.owned[idx] = true
 	} else {
-		if len(s.users) >= o.adm.MaxSessions {
-			// The link window's slot-major layout is sized for MaxSessions
-			// rows; it cannot grow past the cap even transiently.
-			o.sessPool = append(o.sessPool, clone)
-			o.stats.Rejected++
-			return 0, &OverCapacityError{Reason: "session-cap", InService: o.stats.InService, MaxSessions: o.adm.MaxSessions}
-		}
-		idx = len(s.users)
-		if err := o.appendSlot(clone); err != nil {
-			o.sessPool = append(o.sessPool, clone)
-			return 0, err
-		}
+		o.appendSlot(clone)
 		o.serials = append(o.serials, o.lastSer)
 		o.owned = append(o.owned, true)
 	}
-	clone.ID = idx
 	if o.bySerial != nil {
 		o.bySerial[o.lastSer] = idx
 	}
@@ -404,13 +398,12 @@ func (o *OpenSim) Admit(sess *workload.Session) (int, error) {
 	if clone.RateJitter != 0 {
 		s.win.widenRate()
 	}
-	s.win.admitRow(idx, clone)
 	if s.colsSlot == s.nextSlot {
 		// The next slot's columns are already prepared (fused pass):
 		// re-alias the static columns so they cover the grown table.
 		s.attachSlotColumns(s.nextSlot)
 	}
-	o.insertPending(idx, start)
+	o.insertPending(idx, clone.StartSlot)
 	s.unfinished++
 	o.stats.Admitted++
 	o.stats.InService++
@@ -440,7 +433,7 @@ func (o *OpenSim) reuseSlot(idx int, sess *workload.Session) {
 }
 
 // appendSlot grows every per-user array for one more session.
-func (o *OpenSim) appendSlot(sess *workload.Session) error {
+func (o *OpenSim) appendSlot(sess *workload.Session) {
 	s := o.eng
 	idx := len(s.users)
 	s.sessions = append(s.sessions, sess)
@@ -465,13 +458,9 @@ func (o *OpenSim) appendSlot(sess *workload.Session) error {
 		c.Rate = append(c.Rate, 0)
 	}
 	if s.abrCtls != nil {
-		ctl, err := abr.NewController(*s.cfg.ABR)
-		if err != nil {
-			return err
-		}
+		ctl, _ := abr.NewController(*s.cfg.ABR) // validated by Config.Validate
 		s.abrCtls = append(s.abrCtls, ctl)
 	}
-	return nil
 }
 
 // initBuffer (re)initializes user idx's playout buffer for sess.
@@ -651,40 +640,13 @@ func (o *OpenSim) fold(id int, completed bool) {
 	o.stats.DemandKBps -= s.sessions[id].BaseRate
 	delete(o.bySerial, o.serial(id))
 	if o.owned[id] {
-		o.recycle(s.sessions[id])
+		// Pooled for the next Admit to reuse instead of allocating. No
+		// background fill reads it: the window has filled in place since
+		// the first admission (admitRow).
+		o.sessPool = append(o.sessPool, s.sessions[id])
 		o.owned[id] = false
 	}
 	s.sessions[id] = nil
-}
-
-// heldClone is a recycled clone waiting for background fill number fill
-// (linkWindow.kicks) to land.
-type heldClone struct {
-	sess *workload.Session
-	fill uint64
-}
-
-// recycle pools an engine-owned clone (a mid-run admission's) for the next
-// Admit to reuse instead of allocating. Its row left the link window when
-// its user retired or departed, but a background fill in flight may have
-// read the row before and still read the session in place: until that
-// fill has landed the clone is held, and nothing waits for it.
-func (o *OpenSim) recycle(sess *workload.Session) {
-	if w := o.eng.win; w.inflight {
-		o.held = append(o.held, heldClone{sess, w.kicks})
-	} else {
-		o.sessPool = append(o.sessPool, sess)
-	}
-}
-
-// unhold pools the held clones whose fill the foreground has seen land:
-// none is in flight, or a later one has been kicked.
-func (o *OpenSim) unhold() {
-	w, k := o.eng.win, 0
-	for ; k < len(o.held) && (!w.inflight || o.held[k].fill < w.kicks); k++ {
-		o.sessPool = append(o.sessPool, o.held[k].sess)
-	}
-	o.held = append(o.held[:0], o.held[k:]...)
 }
 
 // reap folds the sessions the engine retired (playback + delivery
@@ -800,10 +762,10 @@ func (o *OpenSim) Run(ctx context.Context) (*Result, error) {
 	return o.Finish(), nil
 }
 
-// Stop waits out the link window's background fill and has it start no
-// more (idempotent). Finish calls it, and so
-// does an AdvanceTo that fails; a driver abandoning a healthy sim calls it
-// so no goroutine outlives the run.
+// Stop waits out the link window's background fill, has it start no more
+// and gives back or lets go the window's blocks (idempotent). Finish calls
+// it, and so does an AdvanceTo that fails; a driver abandoning a healthy
+// sim calls it so no goroutine outlives the run.
 func (o *OpenSim) Stop() { o.eng.win.stop() }
 
 // compactMinTable is the smallest session table resident-set compaction

@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"slices"
 	"testing"
-	"time"
 
 	"jointstream/internal/rng"
 	"jointstream/internal/sched"
@@ -18,11 +16,11 @@ import (
 )
 
 // This file tests the link window's pipeline under mutation (DESIGN.md,
-// "cell · link window"): that no table operation waits for the background
-// fill, and that every row a tick reads holds its current occupant's
-// values for that slot. The tables here are small, so each arm forces the
-// window's hand-off threshold: the size alone would keep every fill in
-// place.
+// "cell · link window"): that the first admission ends the window's
+// background fills, and that every row a tick reads holds its current
+// occupant's values for that slot. The tables here are small, so each arm
+// forces the window's hand-off threshold: the size alone would keep every
+// fill in place.
 
 // distinctSession is a session no other looks like: its own stateless sine
 // (seed, phase, period), its own rate and size. A row filled for the wrong
@@ -74,156 +72,21 @@ func (got openOutcome) mustEqual(t *testing.T, want openOutcome) {
 	}
 }
 
-// fillGate parks every Fill that starts at or past slot from until it is
-// released: with from at the prefetched window's first slot, the
-// background fill stops in its first block while the resident window's
-// fills and patches pass.
-type fillGate struct {
-	from   int
-	open   chan struct{}
-	parked chan struct{}
-}
-
-func newFillGate(from int) *fillGate {
-	// A Fill parks once; parked has room for one token from every
-	// goroutine a fill can fan out to, so announcing never blocks.
-	return &fillGate{from: from, open: make(chan struct{}), parked: make(chan struct{}, 64)}
-}
-
-func (g *fillGate) release() {
-	select {
-	case <-g.open:
-	default:
-		close(g.open)
-	}
-}
-
-// gatedTrace is a trace behind a fillGate. It is deliberately no
-// signal.Prewarmer, so unbounded mode accepts it.
-type gatedTrace struct {
-	signal.Trace
-	g *fillGate
-}
-
-func (t gatedTrace) Fill(dst []units.DBm, from int) {
-	if from >= t.g.from {
-		t.g.parked <- struct{}{}
-		<-t.g.open
-	}
-	signal.Fill(t.Trace, dst, from)
-}
-
-// noWaitRun is one arm of the no-wait tests: the same script with the tile
-// and with the default 256-slot blocks, whose fills never park. With the
-// tile, everything between the first tick and the release runs while the
-// background fill of the second window is parked, each call under a
-// deadline.
-type noWaitRun struct {
-	t    *testing.T
-	o    *OpenSim
-	gate *fillGate
-	held bool // the background fill is parked: calls must not wait for it
-}
-
-func (r *noWaitRun) do(what string, fn func() error) {
-	r.t.Helper()
-	if !r.held {
-		if err := fn(); err != nil {
-			r.t.Fatalf("%s: %v", what, err)
-		}
-		return
-	}
-	done := make(chan error, 1)
-	go func() { done <- fn() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			r.t.Fatalf("%s: %v", what, err)
-		}
-	case <-time.After(20 * time.Second):
-		r.gate.release() // let the call unwind before failing
-		<-done
-		r.t.Fatalf("%s waited for the parked background fill", what)
-	}
-}
-
-func (r *noWaitRun) admit(s *workload.Session) (idx int, ser uint64) {
-	r.t.Helper()
-	r.do("Admit", func() (err error) {
-		idx, err = r.o.Admit(s)
-		return err
-	})
-	ser, ok := r.o.Serial(idx)
-	if !ok {
-		r.t.Fatalf("no serial for fresh admit %d", idx)
-	}
-	return idx, ser
-}
-
-func (r *noWaitRun) depart(ser uint64) {
-	r.t.Helper()
-	r.do("DepartSerial", func() error {
-		_, err := r.o.DepartSerial(-1, ser)
-		return err
-	})
-}
-
-func (r *noWaitRun) advance(upto int) {
-	r.t.Helper()
-	r.do(fmt.Sprintf("AdvanceTo(%d)", upto), func() error {
-		_, err := r.o.AdvanceTo(upto)
-		return err
-	})
-}
-
-// park starts the run and returns once the background fill of the window
-// at gate.from is parked (tiled arm only).
-func (r *noWaitRun) park(tiled bool) {
-	r.t.Helper()
-	if err := r.o.Start(context.Background()); err != nil {
-		r.t.Fatal(err)
-	}
-	r.advanceParked(tiled)
-}
-
-// advanceParked ticks the first slot of a started run and returns once the
-// background fill of the window at gate.from is parked (tiled arm only).
-func (r *noWaitRun) advanceParked(tiled bool) {
-	r.t.Helper()
-	r.advance(1)
-	if !tiled {
-		return
-	}
-	select {
-	case <-r.gate.parked:
-		r.held = true
-	case <-time.After(20 * time.Second):
-		r.t.Fatal("the background fill never reached the gated session")
-	}
-}
-
-func (r *noWaitRun) unpark() {
-	r.gate.release()
-	r.held = false
-}
-
-// While the background fill is parked, Admit (a fresh row, a row freed in
-// the same boundary, a start beyond the resident window), DepartSerial and
-// AdvanceTo with natural completions must all return; after the release
-// the run must equal the one on default blocks.
-func TestOpenNoWaitWhileFillParked(t *testing.T) {
-	const window = 32
+// TestOpenFirstAdmitEndsHandoff: an unbounded cell hands its second
+// window to the background from its first tick, so a fill is in flight
+// when the first Admit comes. That Admit ends the hand-off — the fill is
+// waited out and the spare block let go — and at every AdvanceTo boundary
+// after it, whatever the churn, no fill is in flight and the window holds
+// no spare. Both arms (8-slot and default 256-slot blocks) start handing
+// off, and their runs are equal.
+func TestOpenFirstAdmitEndsHandoff(t *testing.T) {
+	const window = 8
 	script := func(tile int) openOutcome {
-		gate := newFillGate(parkFrom(tile, window))
-		defer gate.release()
 		initial := make([]*workload.Session, 6)
 		for i := range initial {
 			initial[i] = distinctSession(t, i, 0)
 			initial[i].ID = i
-			initial[i].Size = units.KB(300 + 100*i) // done within a few slots
 		}
-		initial[0].Size = 1 << 20 // in service throughout
-		initial[0].Signal = gatedTrace{initial[0].Signal, gate}
 		cfg := tinyConfig()
 		cfg.RunFullHorizon = true
 		cfg.MaxSlots = 64 // initial horizon only
@@ -235,213 +98,55 @@ func TestOpenNoWaitWhileFillParked(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer o.Stop()
-		if tile > 0 {
-			o.eng.win.handoffMin = handoffAlways
-		}
-		r := &noWaitRun{t: t, o: o, gate: gate}
-		r.park(tile > 0)
-
-		_, serA := r.admit(distinctSession(t, 10, 0)) // fresh row
-		ser2, _ := o.Serial(2)
-		r.depart(ser2)
-		if idx, _ := r.admit(distinctSession(t, 11, 0)); idx != 2 {
-			t.Fatalf("row freed in this boundary not reused: got %d", idx)
-		}
-		r.admit(distinctSession(t, 12, 40)) // starts beyond the resident window
-		_, serD := r.admit(distinctSession(t, 13, 0))
-		r.depart(serD)
-		r.admit(distinctSession(t, 14, 0)) // the same row, a third occupant
-		r.advance(5)
-		r.admit(distinctSession(t, 15, 0))
-		r.advance(14)
-		if tile > 0 && o.Stats().Completed == 0 {
-			t.Fatal("script error: nothing completed while the fill was parked")
-		}
-		r.admit(distinctSession(t, 16, 0)) // onto a reaped row
-		r.advance(22)
-		r.depart(serA)
-		r.advance(window - 1)
-
-		r.unpark()
-		r.advance(window + 1) // the swap
-		r.admit(distinctSession(t, 17, 0))
-		r.advance(70)
-		r.admit(distinctSession(t, 18, 0))
-		r.advance(130)
-		return finishOpen(o)
-	}
-	script(window).mustEqual(t, script(0))
-}
-
-// The same in bounded mode, where traces may memoize and clones of one
-// template share the memo. The worker and the foreground then read one
-// trace at the same time, which is safe only because Admit prewarms to
-// the horizon before the row can reach a fill: under -race a memo grown
-// lazily by either side fails this test.
-func TestOpenNoWaitBoundedSharedTrace(t *testing.T) {
-	const window, horizon = 32, 160
-	script := func(tile int) openOutcome {
-		gate := newFillGate(parkFrom(tile, window))
-		defer gate.release()
-		initial := make([]*workload.Session, 4)
-		for i := range initial {
-			initial[i] = distinctSession(t, i, 0)
-			initial[i].ID = i
-		}
-		initial[0].Size = 1 << 20
-		initial[0].Signal = gatedTrace{initial[0].Signal, gate}
-		// A memoizing template nobody has read yet: the first Admit has to
-		// grow its memo.
-		walk, err := signal.NewRandomWalk(signal.RandomWalkConfig{
-			Bounds: signal.DefaultBounds, Start: -70, StepStd: 5,
-		}, rng.New(99))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tmpl := &workload.Session{Size: 2600, BaseRate: 330, Signal: walk}
-		cfg := tinyConfig()
-		cfg.RunFullHorizon = true
-		cfg.MaxSlots = horizon
-		o, err := NewOpen(OpenConfig{
-			Cell: cfg, MaxSessions: 96,
-			TileSlots: tile,
-		}, initial, sched.NewDefault())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer o.Stop()
-		if tile > 0 {
-			o.eng.win.handoffMin = handoffAlways
-		}
-		r := &noWaitRun{t: t, o: o, gate: gate}
-		r.park(tile > 0)
-
-		var sers []uint64
-		for k := 0; k < 24; k++ {
-			_, ser := r.admit(tmpl)
-			sers = append(sers, ser)
-		}
-		r.advance(9)
-		for _, ser := range sers[:6] {
-			r.depart(ser)
-		}
-		for k := 0; k < 6; k++ {
-			r.admit(tmpl) // rows freed in this boundary
-		}
-		r.advance(window - 1)
-
-		r.unpark()
-		// The worker now fills clones out of its snapshots while the
-		// foreground admits and patches more of them.
-		for n := window + 1; n < horizon; n += 3 {
-			if _, err := o.Admit(tmpl); err != nil && !errors.Is(err, ErrOverCapacity) {
-				t.Fatal(err)
-			}
-			r.advance(n)
-		}
-		r.advance(horizon)
-		return finishOpen(o)
-	}
-	script(window).mustEqual(t, script(0))
-}
-
-// The background fill reads sessions in place, so an engine-owned clone
-// it lists must not be recycled into a new admission before it lands.
-// While the fill is parked in its first block, the clones it lists depart
-// or complete and are reaped, distinct sessions are admitted into the same
-// rows, and other rows are dropped; once the fill is released those
-// sessions depart in turn and more arrive, with no AdvanceTo between, so
-// an Admit that overwrote a clone the fill is still reading would race it
-// (-race reports it). After the release the run must equal the one on
-// default blocks.
-func TestOpenRecycledCloneWhileFillParked(t *testing.T) {
-	const window = 32
-	script := func(tile int) openOutcome {
-		gate := newFillGate(parkFrom(tile, window))
-		defer gate.release()
-		initial := make([]*workload.Session, 6)
-		for i := range initial {
-			initial[i] = distinctSession(t, i, 0)
-			initial[i].ID = i
-			initial[i].Size = 1 << 20 // in service throughout
-		}
-		initial[0].Signal = gatedTrace{initial[0].Signal, gate}
-		cfg := tinyConfig()
-		cfg.RunFullHorizon = true
-		cfg.MaxSlots = 64 // initial horizon only
-		o, err := NewOpen(OpenConfig{
-			Cell: cfg, Unbounded: true, MaxSessions: 64,
-			TileSlots: tile,
-		}, initial, sched.NewDefault())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer o.Stop()
-		defer gate.release() // before Stop waits the fill out
-		if tile > 0 {
-			o.eng.win.handoffMin = handoffAlways
-		}
-		r := &noWaitRun{t: t, o: o, gate: gate}
+		w := o.eng.win
+		w.handoffMin = handoffAlways
 		if err := o.Start(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		// Clones in rows 6–10, listed by the fill of the second window;
-		// the last one completes within a few slots.
-		var clones []uint64
-		for k := 0; k < 5; k++ {
-			s := distinctSession(t, 20+k, 0)
-			s.Size = 1 << 20
-			if k == 4 {
-				s.Size = 100
+		if _, err := o.AdvanceTo(3); err != nil {
+			t.Fatal(err)
+		}
+		if !w.inflight || w.next.sig == nil {
+			t.Fatal("script error: no fill in flight before the first Admit")
+		}
+		handingOff := func(when string) {
+			t.Helper()
+			if w.inflight || w.next.sig != nil || w.next.base >= 0 || w.handoffMin != handoffNever {
+				t.Fatalf("tile %d, %s: fill in flight %v, spare of %d rows for slot %d, hand-off from %d row-slots",
+					tile, when, w.inflight, len(w.next.sig), w.next.base, w.handoffMin)
 			}
-			_, ser := r.admit(s)
-			clones = append(clones, ser)
 		}
-		r.advanceParked(tile > 0)
-
-		for _, ser := range clones[:3] {
-			r.depart(ser)
-		}
-		r.advance(24)
-		if _, ok := o.Serial(10); ok {
-			t.Fatal("script error: the short clone was not reaped while the fill was parked")
-		}
-		var second []uint64
-		for k := 0; k < 4; k++ {
-			idx, ser := r.admit(distinctSession(t, 30+k, 0))
-			if want := []int{6, 7, 8, 10}[k]; idx != want {
-				t.Fatalf("script error: admission %d went to row %d, want %d", k, idx, want)
+		src := rng.New(7)
+		var live []uint64
+		k := len(initial)
+		for clock := 3; clock < 200; clock += 1 + src.Intn(2*window) {
+			for n := src.Intn(4); n > 0; n-- {
+				idx, err := o.Admit(distinctSession(t, k, clock+src.Intn(2*window)))
+				k++
+				if err != nil {
+					t.Fatal(err)
+				}
+				ser, _ := o.Serial(idx)
+				live = append(live, ser)
+				handingOff(fmt.Sprintf("after Admit at slot %d", clock))
 			}
-			second = append(second, ser)
+			if len(live) > 0 && src.Bool(0.4) {
+				j := src.Intn(len(live))
+				if _, err := o.DepartSerial(-1, live[j]); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live[:j], live[j+1:]...)
+			}
+			if _, err := o.AdvanceTo(clock); err != nil {
+				t.Fatal(err)
+			}
+			if k > len(initial) {
+				handingOff(fmt.Sprintf("at slot %d", clock))
+			}
 		}
-		ser2, _ := o.Serial(2)
-		ser3, _ := o.Serial(3)
-		r.depart(ser2)
-		r.depart(ser3)
-		r.advance(20)
-
-		r.unpark()
-		for k, ser := range second {
-			r.depart(ser)
-			r.admit(distinctSession(t, 40+k, 0))
-		}
-		r.advance(window + 1) // the swap
-		r.admit(distinctSession(t, 50, 0))
-		r.advance(70)
-		r.admit(distinctSession(t, 51, 0))
-		r.advance(130)
 		return finishOpen(o)
 	}
 	script(window).mustEqual(t, script(0))
-}
-
-// parkFrom is the first slot whose fills a no-wait arm's gate parks: the
-// tiled arm's second window, never on the default blocks.
-func parkFrom(tile, window int) int {
-	if tile == 0 {
-		return math.MaxInt
-	}
-	return window
 }
 
 // churnScript drives one open run through a fixed script of admissions,
@@ -451,10 +156,9 @@ func parkFrom(tile, window int) int {
 // so rows change occupant up to three times between two ticks; two thirds
 // through, most sessions leave at once and the table compacts. The script
 // depends on nothing but stride, so arms of one stride are comparable.
-// handoff is the link window's forced hand-off threshold in rows × slots;
-// settle waits every background fill out after each AdvanceTo, so when a
-// fill lands — and with it how late rows batch — does not depend on timing.
-func churnScript(t *testing.T, tile, workers, stride, handoff int, settle bool) openOutcome {
+// handoff is the link window's forced hand-off threshold in rows × slots,
+// which the script's first admission, before the first tick, ends.
+func churnScript(t *testing.T, tile, workers, stride, handoff int) openOutcome {
 	t.Helper()
 	const slots = 240
 	cfg := tinyConfig()
@@ -530,9 +234,6 @@ func churnScript(t *testing.T, tile, workers, stride, handoff int, settle bool) 
 		if _, err := o.AdvanceTo(clock + stride); err != nil {
 			t.Fatal(err)
 		}
-		if settle {
-			o.eng.win.syncFill()
-		}
 		st := o.Stats()
 		if st.Admitted != st.Completed+st.Departed+st.InService {
 			t.Fatalf("ledger leaks at slot %d: %+v", clock, st)
@@ -548,17 +249,17 @@ func churnScript(t *testing.T, tile, workers, stride, handoff int, settle bool) 
 // The differential churn matrix: distinct rows, every window size from one
 // slot up, serial and sharded, and AdvanceTo strides from one slot to more
 // than a window (so a single call crosses two), each against the arm of
-// the same stride on default 256-slot blocks. Every fill handed to the background; window
-// fills handed off and a dozen late rows patched in place (the mix a big
-// cell runs); nothing handed off. Exact equality.
+// the same stride on default 256-slot blocks, with the hand-off threshold
+// forced to every fill, whole windows only, or none before the first
+// admission ends it. Exact equality.
 func TestOpenChurnDistinctRows(t *testing.T) {
 	for _, stride := range []int{1, 5, 40} {
-		want := churnScript(t, 0, 1, stride, 0, false)
+		want := churnScript(t, 0, 1, stride, 0)
 		for _, tile := range []int{1, 3, 8, 32} {
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("stride%d/tile%d/w%d", stride, tile, workers), func(t *testing.T) {
 					for _, handoff := range []int{handoffAlways, 12 * tile, handoffNever} {
-						churnScript(t, tile, workers, stride, handoff, false).mustEqual(t, want)
+						churnScript(t, tile, workers, stride, handoff).mustEqual(t, want)
 					}
 				})
 			}
@@ -597,10 +298,8 @@ func TestMergeSorted(t *testing.T) {
 // TestLinkFillCounts pins cell.link.rows_filled (RowsFilled). A closed
 // window whose users all stay resident fills every row of every slot once
 // — none twice, and nothing past the horizon — whether its fills are
-// handed off or done in place. The churn script's counts, its fills
-// settled so that late rows batch the same way every time, are those of
-// the window that handed its background fills a snapshot of the sessions:
-// reading the row source in place fills no more and no less.
+// handed off or done in place. The churn script admits before its first
+// tick, which ends any hand-off, so every arm reads the in-place count.
 func TestLinkFillCounts(t *testing.T) {
 	const users = 40
 	sessions := make([]*workload.Session, users)
@@ -618,14 +317,11 @@ func TestLinkFillCounts(t *testing.T) {
 			t.Errorf("closed window, %s: %d row-slots filled, want %d", handoffName(handoff), got, want)
 		}
 	}
-	for _, tc := range []struct {
-		handoff int
-		want    int64
-	}{{handoffAlways, 37081}, {12 * 8, 37081}, {handoffNever, 25873}} {
+	for _, handoff := range []int{handoffAlways, 12 * 8, handoffNever} {
 		before := RowsFilled()
-		churnScript(t, 8, 4, 5, tc.handoff, true)
-		if got := RowsFilled() - before; got != tc.want {
-			t.Errorf("churn script, hand-off from %d row-slots: %d row-slots filled, want %d", tc.handoff, got, tc.want)
+		churnScript(t, 8, 4, 5, handoff)
+		if got, want := RowsFilled()-before, int64(25873); got != want {
+			t.Errorf("churn script, hand-off from %d row-slots: %d row-slots filled, want %d", handoff, got, want)
 		}
 	}
 }

@@ -799,8 +799,8 @@ func FuzzAdmitDepartSerial(f *testing.F) {
 		}
 		o, twin := mk(8), mk(0)
 		defer o.Stop()
-		// The script's length picks what the window hands to the background:
-		// everything, windows but not a few late rows, nothing.
+		// The script's length picks what the window hands to the background
+		// until its first admission: every fill, whole windows only, nothing.
 		o.eng.win.handoffMin = []int{handoffAlways, 12 * 8, handoffNever}[len(script)%3]
 		// Sessions we admitted and have not departed, with the table slot
 		// each was admitted to: DepartSerial is handed that slot, or no slot

@@ -12,6 +12,8 @@ import (
 	"jointstream/internal/abr"
 	"jointstream/internal/rng"
 	"jointstream/internal/sched"
+	"jointstream/internal/signal"
+	"jointstream/internal/units"
 	"jointstream/internal/workload"
 )
 
@@ -111,7 +113,7 @@ func TestTiledRowsMatchMonolithic(t *testing.T) {
 			}
 			// One block resident when every fill is done in place, two when
 			// they are handed off: each borrowed by the first fill that
-			// needs it, and both parked by stop.
+			// needs it, and both given back or let go by stop.
 			wantBytes := int64(len(sessions)) * int64(span) * linkRowBytes
 			if handoff == handoffAlways {
 				wantBytes *= 2
@@ -471,8 +473,8 @@ func TestClosedRunGoroutineLeak(t *testing.T) {
 			if _, err := sim.Advance(21); err != nil {
 				t.Fatal(err)
 			}
-			if !sim.win.inflight && !sim.win.nextReady {
-				t.Fatal("script error: no background fill was ever started")
+			if sim.win.next.sig == nil {
+				t.Fatal("script error: no spare block, so no fill was ever handed off")
 			}
 			cancel()
 			if _, err := sim.Advance(cfg.MaxSlots); err == nil {
@@ -508,14 +510,53 @@ func TestClosedRunGoroutineLeak(t *testing.T) {
 	}
 }
 
+// fillGate parks every Fill that starts at or past slot from until it is
+// released: with from at the prefetched window's first slot, the
+// background fill stops in its first block while the resident window's
+// fills pass.
+type fillGate struct {
+	from   int
+	open   chan struct{}
+	parked chan struct{}
+}
+
+func newFillGate(from int) *fillGate {
+	// A Fill parks once; parked has room for one token from every
+	// goroutine a fill can fan out to, so announcing never blocks.
+	return &fillGate{from: from, open: make(chan struct{}), parked: make(chan struct{}, 64)}
+}
+
+func (g *fillGate) release() {
+	select {
+	case <-g.open:
+	default:
+		close(g.open)
+	}
+}
+
+// gatedTrace is a trace behind a fillGate. It is deliberately no
+// signal.Prewarmer: a prewarm would run into the gate before the run.
+type gatedTrace struct {
+	signal.Trace
+	g *fillGate
+}
+
+func (t gatedTrace) Fill(dst []units.DBm, from int) {
+	if from >= t.g.from {
+		t.g.parked <- struct{}{}
+		<-t.g.open
+	}
+	signal.Fill(t.Trace, dst, from)
+}
+
 // TestClosedNoWaitWhileFillParked drives the parked-fill trace through a
 // closed simulator: with the background fill of the second block parked,
 // every tick of the first block returns; the tick that crosses into the
 // second block is the one place the engine waits, and it is released by
 // the fill, not by a timeout. The run equals the whole-horizon one when
-// the foreground has to finish the fill itself (the parked goroutine loses
-// every race for a shard), when every fill has landed long before its
-// swap (it wins them all), and when nothing is handed off.
+// the swap has to wait for the fill (it loses every race), when every fill
+// has landed long before its swap (it wins them all), and when nothing is
+// handed off.
 func TestClosedNoWaitWhileFillParked(t *testing.T) {
 	const span = 16
 	sessions := func(gate *fillGate) []*workload.Session {
@@ -558,16 +599,11 @@ func TestClosedNoWaitWhileFillParked(t *testing.T) {
 	}
 
 	// The fill wins every race: each has landed before the next tick.
-	stepped("fill-first", nil, handoffAlways, func(sim *Simulator) {
-		for sim.win.inflight && !sim.win.landed.Load() {
-			runtime.Gosched()
-		}
-	})
+	stepped("fill-first", nil, handoffAlways, func(sim *Simulator) { sim.win.syncFill() })
 	stepped("inline", nil, handoffNever, func(*Simulator) {})
 
-	// The fill loses every race: it parks in its first shard, the ticks of
-	// the first block go on without it, and the swap finishes the other
-	// shards on the foreground and then waits for the parked one.
+	// The fill loses every race: it parks in its first block, the ticks of
+	// the first block go on without it, and the swap waits for it.
 	gate := newFillGate(span)
 	defer gate.release()
 	sim, err := New(cfg, sessions(gate), sched.NewDefault())
